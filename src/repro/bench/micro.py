@@ -252,11 +252,20 @@ def bench_namenode_meta(n_files: int, repeats: int) -> Dict[str, Dict]:
     and an 8-way :class:`~repro.dfs.shards.ShardedNamenode`, so the
     sharding facade's routing overhead (and any win from smaller
     per-shard dicts) shows up in the perf trajectory.
+
+    The journal's cost is timed on a bounded slice of the namespace
+    (the log is mirrored in memory), registered in ingest-sized batches:
+    the same mix through a plain ``Namenode`` and through a
+    ``JournaledNamenode`` on a file-backed journal (flush per record, no
+    fsync).  ``namenode_journal_overhead_ratio`` is journaled ÷
+    unjournaled ops/s — machine-independent, 1.0 would be a free journal.
     """
     import gc
+    import tempfile
 
     from repro.core.schemes import CodeKind, ECScheme
     from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta
+    from repro.dfs.journal import Journal, JournaledNamenode
     from repro.dfs.namenode import Namenode
     from repro.dfs.shards import ShardedNamenode
 
@@ -287,23 +296,25 @@ def bench_namenode_meta(n_files: int, repeats: int) -> Dict[str, Dict]:
             )
         )
 
-    n_lookups = min(n_files, 200_000)
-    step = max(1, n_files // n_lookups)
-    names = [f"file-{i:07d}" for i in range(0, n_files, step)][:n_lookups]
     mint_batches, mint_width = 1_000, 64
     dead = nodes[:2]
 
-    def measure(make_namenode):
+    def measure(make_namenode, files=metas, batch=None):
+        n_lookups = min(len(files), 200_000)
+        step = max(1, len(files) // n_lookups)
+        names = [m.name for m in files[::step]][:n_lookups]
+        batch = batch or len(files)
         # Registration rebuilds a fresh namenode per repeat; bound the
         # repeat count at large scale (one pass is seconds long — noise
         # amortizes).
-        reg_repeats = min(repeats, 2) if n_files >= 200_000 else repeats
+        reg_repeats = min(repeats, 2) if len(files) >= 200_000 else repeats
         namenode = make_namenode()
         reg_best = float("inf")
         for _ in range(reg_repeats):
             namenode = make_namenode()
             t0 = time.perf_counter()
-            namenode.register_files(metas)
+            for i in range(0, len(files), batch):
+                namenode.register_files(files[i:i + batch])
             reg_best = min(reg_best, time.perf_counter() - t0)
 
         def do_lookups() -> None:
@@ -325,7 +336,7 @@ def bench_namenode_meta(n_files: int, repeats: int) -> Dict[str, Dict]:
         mint_secs = _best_seconds(do_mint, repeats, warmup=1)
         query_secs = _best_seconds(do_queries, max(2, repeats // 2), warmup=1)
 
-        ops = n_files + len(names) + mint_batches * mint_width + n_nodes
+        ops = len(files) + len(names) + mint_batches * mint_width + n_nodes
         secs = reg_best + look_secs + mint_secs + query_secs
 
         burst_best = float("inf")
@@ -344,10 +355,37 @@ def bench_namenode_meta(n_files: int, repeats: int) -> Dict[str, Dict]:
     gc.collect()
     assert lost_sharded == lost
 
+    journal_files = metas[:min(n_files, 100_000)]
+    journal_batch = 1_000
+    plain_ops, _, _ = measure(Namenode, journal_files, journal_batch)
+    with tempfile.TemporaryDirectory(prefix="bench-journal-") as tmp:
+        path = Path(tmp) / "edits.log"
+        journal = Journal(path)
+
+        def make_journaled():
+            # One live journal at a time: each mirrors its whole log.
+            nonlocal journal
+            journal.close()
+            path.unlink(missing_ok=True)
+            journal = Journal(path)
+            return JournaledNamenode(journal=journal)
+
+        try:
+            journaled_ops, _, _ = measure(make_journaled, journal_files, journal_batch)
+            journal_stats = journal.stats()
+        finally:
+            journal.close()
+    gc.collect()
+    journal_params = dict(
+        n_files=len(journal_files), register_batch=journal_batch,
+        minted_ids=mint_batches * mint_width, node_queries=n_nodes,
+        flush="per record, no fsync",
+    )
+
     params = dict(
         n_files=n_files,
         n_nodes=n_nodes,
-        lookups=len(names),
+        lookups=min(n_files, 200_000),
         minted_ids=mint_batches * mint_width,
         node_queries=n_nodes,
     )
@@ -358,6 +396,14 @@ def bench_namenode_meta(n_files: int, repeats: int) -> Dict[str, Dict]:
         "namenode_meta_ops_per_s": _metric(single_ops, "ops/s", **params),
         "namenode_meta_ops_per_s_sharded": _metric(
             sharded_ops, "ops/s", n_shards=n_shards, **params
+        ),
+        "namenode_meta_ops_per_s_journaled": _metric(
+            journaled_ops, "ops/s", unjournaled_ops_per_s=round(plain_ops, 1),
+            journal_records=journal_stats["records"],
+            journal_bytes=journal_stats["bytes"], **journal_params
+        ),
+        "namenode_journal_overhead_ratio": _metric(
+            journaled_ops / plain_ops, "ratio", **journal_params
         ),
         "meta_failure_burst_wall_s": _metric(single_burst, "s", **burst_params),
         "meta_failure_burst_wall_s_sharded": _metric(

@@ -18,8 +18,10 @@ HDFS-style edit log:
   ``note_file``) are suppressed so replay applies each record exactly
   once.
 * Snapshot compaction — ``compact()`` rewrites the log as a single
-  SNAPSHOT record built on ``Namenode.snapshot(include_transcode=True)``,
-  atomically (write-new + rename) for file-backed logs.
+  SNAPSHOT record of the canonical state, atomically (write-new +
+  rename) for file-backed logs.  A file whose document already sits in
+  the log is *spliced* into the snapshot as a byte range, not
+  re-encoded (see "Encode each file once" below).
 * Replay recovery — :meth:`JournaledNamenode.recover` restores the last
   snapshot and replays the record suffix; a namenode killed at any
   record boundary restores byte-identical to the snapshot+replay oracle
@@ -39,6 +41,20 @@ Durable state is the canonical tuple (files in registration order,
 chunk_seq, ATQ, UTM).  The per-node chunk index and the absolute
 ``_file_order`` sequence numbers are derived caches, rebuilt on
 recovery; relative registration order is preserved by construction.
+
+Encode each file once
+---------------------
+Documents are positional lists (format v2, see ``docs/metadata.md``)
+and every body goes through one canonical encoder, so a file's document
+has exactly one byte form.  :class:`JournaledNamenode` remembers where
+the document of each file last landed in the log (REGISTER, each element
+of REGISTER_BATCH, NOTE) and forgets it when a record changes the file
+without carrying its document (UNREGISTER, RENAME, ENQUEUE, FINALIZE,
+ABORT).  Because live state equals the journaled prefix at every record
+boundary, a remembered range *is* the file's current document, and
+compaction joins those ranges instead of walking every chunk.
+:func:`state_digest` never reads the index: it encodes live state from
+scratch, which is what makes it the oracle that checks the splice.
 """
 
 from __future__ import annotations
@@ -50,9 +66,22 @@ import struct
 import zlib
 from collections import deque
 from enum import IntEnum
+from functools import lru_cache
 from pathlib import Path
 from sys import intern as _intern
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from time import perf_counter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.schemes import (
     CodeKind,
@@ -71,13 +100,26 @@ from repro.dfs.blocks import (
 )
 from repro.dfs.namenode import ConversionGroup, Namenode, TranscodeJob
 
-RECORD_VERSION = 1
+#: The only record format this module reads or writes.  Journals here
+#: never outlive a run, so a format change *replaces* the old one: any
+#: other version (older or newer) is rejected, there is no reader fork.
+RECORD_VERSION = 2
 #: record header: payload length, format version, opcode, CRC32(payload)
 _HEADER = struct.Struct("<IHHI")
-_JSON = dict(separators=(",", ":"), sort_keys=True)
 #: sanity bound on one record's payload (a full-state snapshot of a very
 #: large shard still fits; anything bigger is corruption, not data)
 _MAX_PAYLOAD = 1 << 31
+#: The one encoder behind every record body and the state digest:
+#: canonical JSON (sorted keys, no whitespace, ASCII-only output, so a
+#: document's character offsets are its byte offsets).  Documents are
+#: trees this module builds, never cyclic.
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True, check_circular=False
+)
+
+
+def _encode(doc: Any) -> bytes:
+    return _ENCODER.encode(doc).encode()
 
 
 class Op(IntEnum):
@@ -107,126 +149,143 @@ class JournalCrash(RuntimeError):
     """Simulated process death at a record boundary (fault injection)."""
 
 
-# -- record payload codec -----------------------------------------------------
+# -- record payload codec (format v2: positional documents) -------------------
+#
+# Enum members cross the codec as their values.  Out: ``member._value_``
+# is a plain attribute read where ``.value`` is a descriptor call.  In:
+# one dict lookup per value where ``ChunkKind(value)`` goes through the
+# enum metaclass (9 chunks per file made that the top decode cost).
 
-def encode_scheme(s: RedundancyScheme) -> Dict[str, Any]:
-    if isinstance(s, Replication):
-        return {"t": "rep", "c": s.copies}
-    if isinstance(s, HybridScheme):
-        return {"t": "hy", "c": s.copies, "ec": encode_scheme(s.ec)}
+_CHUNK_KIND = {kind._value_: kind for kind in ChunkKind}
+_FILE_STATE = {state._value_: state for state in FileState}
+_CODE_KIND = {kind._value_: kind for kind in CodeKind}
+
+
+def _ec_fields(s: ECScheme) -> List[Any]:
+    return [s.kind._value_, s.k, s.n, s.local_groups, s.r_global,
+            s.anticipate_parities]
+
+
+def encode_scheme(s: RedundancyScheme) -> List[Any]:
+    """``["ec",kind,k,n,lg,rg,ap]`` | ``["hy",copies,kind,k,n,lg,rg,ap]``
+    | ``["rep",copies]`` — flat, so the decoder can key a cache on it."""
     if isinstance(s, ECScheme):
-        return {
-            "t": "ec", "kind": s.kind.value, "k": s.k, "n": s.n,
-            "lg": s.local_groups, "rg": s.r_global, "ap": s.anticipate_parities,
-        }
+        return ["ec"] + _ec_fields(s)
+    if isinstance(s, HybridScheme):
+        return ["hy", s.copies] + _ec_fields(s.ec)
+    if isinstance(s, Replication):
+        return ["rep", s.copies]
     raise TypeError(f"unknown scheme type {type(s).__name__}")
 
 
-def decode_scheme(d: Dict[str, Any]) -> RedundancyScheme:
-    t = d["t"]
-    if t == "rep":
-        return Replication(copies=d["c"])
-    if t == "hy":
-        return HybridScheme(copies=d["c"], ec=decode_scheme(d["ec"]))
-    if t == "ec":
-        return ECScheme(
-            kind=CodeKind(d["kind"]), k=d["k"], n=d["n"],
-            local_groups=d["lg"], r_global=d["rg"], anticipate_parities=d["ap"],
-        )
-    raise JournalError(f"unknown scheme tag {t!r}")
+def _ec_scheme(kind, k, n, lg, rg, ap) -> ECScheme:
+    return ECScheme(kind=_CODE_KIND[kind], k=k, n=n, local_groups=lg,
+                    r_global=rg, anticipate_parities=ap)
+
+
+@lru_cache(maxsize=256)
+def _scheme_from(doc: tuple) -> RedundancyScheme:
+    tag = doc[0]
+    if tag == "ec":
+        return _ec_scheme(*doc[1:])
+    if tag == "hy":
+        return HybridScheme(copies=doc[1], ec=_ec_scheme(*doc[2:]))
+    if tag == "rep":
+        return Replication(copies=doc[1])
+    raise JournalError(f"unknown scheme tag {tag!r}")
+
+
+def decode_scheme(d: List[Any]) -> RedundancyScheme:
+    """Schemes are frozen values and a namespace holds a handful of
+    distinct ones, so decoded instances are shared."""
+    return _scheme_from(tuple(d))
 
 
 def encode_chunk(c: ChunkMeta) -> List[Any]:
-    return [c.chunk_id, c.node_id, c.kind.value, c.size]
+    return [c.chunk_id, c.node_id, c.kind._value_, c.size]
 
 
 def decode_chunk(d: List[Any]) -> ChunkMeta:
-    return ChunkMeta(_intern(d[0]), _intern(d[1]), ChunkKind(d[2]), d[3])
+    return ChunkMeta(_intern(d[0]), _intern(d[1]), _CHUNK_KIND[d[2]], d[3])
 
 
-def encode_stripe(s: ECStripeMeta) -> Dict[str, Any]:
-    return {
-        "i": s.stripe_index, "k": s.k, "n": s.n,
-        "d": [encode_chunk(c) for c in s.data],
-        "p": [encode_chunk(c) for c in s.parities],
-    }
+def encode_stripe(s: ECStripeMeta) -> List[Any]:
+    """``[stripe_index, k, n, [data chunks], [parity chunks]]``"""
+    return [
+        s.stripe_index, s.k, s.n,
+        [encode_chunk(c) for c in s.data],
+        [encode_chunk(c) for c in s.parities],
+    ]
 
 
-def decode_stripe(d: Dict[str, Any]) -> ECStripeMeta:
+def decode_stripe(d: List[Any]) -> ECStripeMeta:
     return ECStripeMeta(
-        stripe_index=d["i"], k=d["k"], n=d["n"],
-        data=[decode_chunk(c) for c in d["d"]],
-        parities=[decode_chunk(c) for c in d["p"]],
+        d[0], d[1], d[2],
+        [decode_chunk(c) for c in d[3]],
+        [decode_chunk(c) for c in d[4]],
     )
 
 
-def encode_block(b: ReplicaBlockMeta) -> Dict[str, Any]:
-    return {
-        "i": b.block_index, "fc": b.first_chunk, "nc": b.n_chunks,
-        "c": [encode_chunk(c) for c in b.copies],
-    }
+def encode_block(b: ReplicaBlockMeta) -> List[Any]:
+    """``[block_index, first_chunk, n_chunks, [copies]]``"""
+    return [b.block_index, b.first_chunk, b.n_chunks,
+            [encode_chunk(c) for c in b.copies]]
 
 
-def decode_block(d: Dict[str, Any]) -> ReplicaBlockMeta:
-    return ReplicaBlockMeta(
-        block_index=d["i"], first_chunk=d["fc"], n_chunks=d["nc"],
-        copies=[decode_chunk(c) for c in d["c"]],
-    )
+def decode_block(d: List[Any]) -> ReplicaBlockMeta:
+    return ReplicaBlockMeta(d[0], d[1], d[2], [decode_chunk(c) for c in d[3]])
 
 
-def encode_file(m: FileMeta) -> Dict[str, Any]:
-    return {
-        "name": m.name, "size": m.size, "cs": m.chunk_size,
-        "scheme": encode_scheme(m.scheme),
-        "st": [encode_stripe(s) for s in m.stripes],
-        "rb": [encode_block(b) for b in m.replica_blocks],
-        "state": m.state.value, "v": m.version,
-    }
+def encode_file(m: FileMeta) -> List[Any]:
+    """``[name, size, chunk_size, scheme, [stripes], [blocks], state,
+    version]`` — the document the fragment index tracks."""
+    return [
+        m.name, m.size, m.chunk_size, encode_scheme(m.scheme),
+        [encode_stripe(s) for s in m.stripes],
+        [encode_block(b) for b in m.replica_blocks],
+        m.state._value_, m.version,
+    ]
 
 
-def decode_file(d: Dict[str, Any]) -> FileMeta:
+def decode_file(d: List[Any]) -> FileMeta:
     return FileMeta(
-        name=_intern(d["name"]), size=d["size"], chunk_size=d["cs"],
-        scheme=decode_scheme(d["scheme"]),
-        stripes=[decode_stripe(s) for s in d["st"]],
-        replica_blocks=[decode_block(b) for b in d["rb"]],
-        state=FileState(d["state"]), version=d["v"],
+        _intern(d[0]), d[1], d[2], decode_scheme(d[3]),
+        [decode_stripe(s) for s in d[4]],
+        [decode_block(b) for b in d[5]],
+        _FILE_STATE[d[6]], d[7],
     )
 
 
-def encode_group(g: ConversionGroup) -> Dict[str, Any]:
-    return {
-        "f": g.file_name, "g": g.group_index,
-        "init": list(g.initial_stripe_indices), "nf": g.n_final_stripes,
-        "t": encode_scheme(g.target_scheme),
-    }
+def encode_group(g: ConversionGroup) -> List[Any]:
+    """``[file, group_index, [initial stripe indices], n_final, target]``"""
+    return [g.file_name, g.group_index, list(g.initial_stripe_indices),
+            g.n_final_stripes, encode_scheme(g.target_scheme)]
 
 
-def decode_group(d: Dict[str, Any]) -> ConversionGroup:
-    return ConversionGroup(
-        file_name=_intern(d["f"]), group_index=d["g"],
-        initial_stripe_indices=list(d["init"]), n_final_stripes=d["nf"],
-        target_scheme=decode_scheme(d["t"]),
-    )
+def decode_group(d: List[Any]) -> ConversionGroup:
+    return ConversionGroup(_intern(d[0]), d[1], list(d[2]), d[3],
+                           decode_scheme(d[4]))
 
 
-def encode_job(j: TranscodeJob) -> Dict[str, Any]:
-    return {
-        "f": j.file_name, "t": encode_scheme(j.target_scheme),
-        "g": [encode_group(g) for g in j.groups],
-        "pb": j.pending_bits, "tb": j.total_bits,
-        "ns": [[g, i, encode_stripe(s)] for (g, i), s in sorted(j.new_stripes.items())],
-        "dl": j.deadline,
-    }
+def encode_job(j: TranscodeJob) -> List[Any]:
+    """``[file, target, [groups], pending_bits, total_bits,
+    [[group, final_idx, stripe], ...], deadline]``"""
+    return [
+        j.file_name, encode_scheme(j.target_scheme),
+        [encode_group(g) for g in j.groups],
+        j.pending_bits, j.total_bits,
+        [[g, i, encode_stripe(s)] for (g, i), s in sorted(j.new_stripes.items())],
+        j.deadline,
+    ]
 
 
-def decode_job(d: Dict[str, Any]) -> TranscodeJob:
+def decode_job(d: List[Any]) -> TranscodeJob:
     return TranscodeJob(
-        file_name=_intern(d["f"]), target_scheme=decode_scheme(d["t"]),
-        groups=[decode_group(g) for g in d["g"]],
-        pending_bits=d["pb"], total_bits=d["tb"],
-        new_stripes={(g, i): decode_stripe(s) for g, i, s in d["ns"]},
-        deadline=d["dl"],
+        file_name=_intern(d[0]), target_scheme=decode_scheme(d[1]),
+        groups=[decode_group(g) for g in d[2]],
+        pending_bits=d[3], total_bits=d[4],
+        new_stripes={(g, i): decode_stripe(s) for g, i, s in d[5]},
+        deadline=d[6],
     )
 
 
@@ -270,12 +329,19 @@ def load_state(nn: Namenode, doc: Dict[str, Any]) -> None:
 
 
 def state_digest(nn: Namenode) -> str:
-    """sha256 over the canonical state — the byte-identity oracle."""
-    payload = json.dumps(encode_state(nn), **_JSON).encode()
-    return hashlib.sha256(payload).hexdigest()
+    """sha256 over the canonical state — the byte-identity oracle.
+
+    Always encodes live state from scratch; it must never consult the
+    fragment index, whose correctness it is used to check.
+    """
+    return hashlib.sha256(_encode(encode_state(nn))).hexdigest()
 
 
 # -- the log ------------------------------------------------------------------
+
+#: a record payload: a document for the encoder, or an already encoded body
+Payload = Union[Dict[str, Any], bytes]
+
 
 class Journal:
     """Append-only record log, in-memory or file-backed.
@@ -300,6 +366,14 @@ class Journal:
         self.snapshots = 0
         self.records_since_snapshot = 0
         self.appended_total = 0
+        #: compaction ledger (process lifetime, like ``appended_total``):
+        #: ``rewrite`` counts compactions, the compacting namenode adds
+        #: its wall time and how many file documents it spliced from the
+        #: log versus encoded afresh.
+        self.compactions = 0
+        self.compact_seconds = 0.0
+        self.files_spliced = 0
+        self.files_reencoded = 0
         if self.path is not None and self.path.exists():
             raw = self.path.read_bytes()
             valid = self._load(raw)
@@ -319,97 +393,126 @@ class Journal:
     def byte_size(self) -> int:
         return len(self._buf)
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, Any]:
         return {
             "records": len(self._offsets),
             "bytes": len(self._buf),
             "snapshots": self.snapshots,
             "records_since_snapshot": self.records_since_snapshot,
             "appended_total": self.appended_total,
+            "compactions": self.compactions,
+            "compact_seconds": self.compact_seconds,
+            "files_spliced": self.files_spliced,
+            "files_reencoded": self.files_reencoded,
         }
 
+    def body_offset(self, index: int) -> int:
+        """Byte offset of record ``index``'s body within the log."""
+        return self._offsets[index] + _HEADER.size
+
+    def view(self) -> memoryview:
+        """Zero-copy window on the log.  Release it (and every slice
+        taken from it) before the next append: a live view pins the
+        buffer and blocks its growth."""
+        return memoryview(self._buf)
+
     # -- scanning -------------------------------------------------------------
-    def _load(self, raw: bytes) -> int:
-        """Validate ``raw`` into this (empty) journal; return valid length."""
+    def _load(self, raw) -> int:
+        """Validate ``raw`` (any bytes-like) into this (empty) journal;
+        return the valid length.  One memoryview serves the whole scan:
+        CRCs run over slices of it, nothing is copied until the valid
+        prefix is adopted."""
         offsets: List[int] = []
         pos, end = 0, len(raw)
         snapshots = since = 0
-        while pos < end:
-            if end - pos < _HEADER.size:
-                break  # torn header at the tail
-            length, version, opcode, crc = _HEADER.unpack_from(raw, pos)
-            body_at = pos + _HEADER.size
-            torn = (
-                length > _MAX_PAYLOAD
-                or body_at + length > end
-                or zlib.crc32(raw[body_at:body_at + length]) != crc
-            )
-            if torn:
-                # Damage that does not reach EOF is corruption, not a
-                # crash artifact — refuse to silently drop good records.
-                if body_at + min(length, _MAX_PAYLOAD) < end:
-                    raise JournalError(f"corrupt record at offset {pos}")
-                break
-            if version > RECORD_VERSION:
-                raise JournalError(
-                    f"record version {version} > supported {RECORD_VERSION}"
+        with memoryview(raw) as view:
+            while pos < end:
+                if end - pos < _HEADER.size:
+                    break  # torn header at the tail
+                length, version, opcode, crc = _HEADER.unpack_from(view, pos)
+                body_at = pos + _HEADER.size
+                torn = (
+                    length > _MAX_PAYLOAD
+                    or body_at + length > end
+                    or zlib.crc32(view[body_at:body_at + length]) != crc
                 )
-            offsets.append(pos)
-            if opcode == Op.SNAPSHOT:
-                snapshots += 1
-                since = 0
-            else:
-                since += 1
-            pos = body_at + length
-        self._buf = bytearray(raw[:pos])
+                if torn:
+                    # Damage that does not reach EOF is corruption, not a
+                    # crash artifact — refuse to silently drop good records.
+                    if body_at + min(length, _MAX_PAYLOAD) < end:
+                        raise JournalError(f"corrupt record at offset {pos}")
+                    break
+                if version != RECORD_VERSION:
+                    raise JournalError(
+                        f"record version {version} at offset {pos}; this "
+                        f"build reads and writes version {RECORD_VERSION} only"
+                    )
+                offsets.append(pos)
+                if opcode == Op.SNAPSHOT:
+                    snapshots += 1
+                    since = 0
+                else:
+                    since += 1
+                pos = body_at + length
+            self._buf = bytearray(view[:pos])
         self._offsets = offsets
         self.snapshots = snapshots
         self.records_since_snapshot = since
         return pos
 
     def records(self) -> Iterator[Tuple[Op, Dict[str, Any]]]:
-        """Decoded (opcode, payload) pairs; offsets were validated on load."""
-        buf = self._buf
-        for start in self._offsets:
-            length, _version, opcode, _crc = _HEADER.unpack_from(buf, start)
-            body_at = start + _HEADER.size
-            payload = json.loads(bytes(buf[body_at:body_at + length]))
-            yield Op(opcode), payload
+        """Decoded (opcode, payload) pairs; offsets were validated on load.
+
+        Bodies are decoded straight out of one view of the log (one copy,
+        into the ``str`` the parser reads).  The view lives as long as
+        the iteration: exhaust or close it before appending.
+        """
+        with self.view() as view:
+            for start in self._offsets:
+                length, _version, opcode, _crc = _HEADER.unpack_from(view, start)
+                body_at = start + _HEADER.size
+                body = str(view[body_at:body_at + length], "utf-8")
+                yield Op(opcode), json.loads(body)
 
     def prefix(self, n: int) -> "Journal":
         """In-memory copy of the first ``n`` records (crash-test harness)."""
         end = len(self._buf) if n >= len(self._offsets) else self._offsets[n]
         j = Journal()
-        j._load(bytes(self._buf[:end]))
+        with self.view() as view:
+            j._load(view[:end])
         return j
 
     # -- writing --------------------------------------------------------------
-    def append(self, op: Op, payload: Dict[str, Any]) -> int:
-        """Append one record; returns its index.  Raises
-        :class:`JournalCrash` before writing when fault injection fires."""
+    def append(self, op: Op, payload: Payload) -> int:
+        """Append one record; returns its index.  ``payload`` is a
+        document to encode or an already-encoded canonical body.  Raises
+        :class:`JournalCrash` before writing when fault injection fires;
+        a failing file handle raises before the in-memory mirror (or any
+        counter) has taken the record."""
         if self.fail_after is not None and len(self._offsets) >= self.fail_after:
             raise JournalCrash(
                 f"injected crash before record {len(self._offsets)}"
             )
-        body = json.dumps(payload, **_JSON).encode()
-        rec = _HEADER.pack(len(body), RECORD_VERSION, int(op), zlib.crc32(body)) + body
-        index = len(self._offsets)
-        self._offsets.append(len(self._buf))
-        self._buf += rec
-        self.appended_total += 1
-        if op is Op.SNAPSHOT:
-            self.snapshots += 1
-            self.records_since_snapshot = 0
-        else:
-            self.records_since_snapshot += 1
+        body = payload if isinstance(payload, bytes) else _encode(payload)
+        rec = _HEADER.pack(len(body), RECORD_VERSION, op, zlib.crc32(body)) + body
         if self.path is not None:
             if self._fh is None:
                 self._fh = open(self.path, "ab")
             self._fh.write(rec)
             self._fh.flush()
+        at = len(self._buf)
+        self._buf += rec
+        index = len(self._offsets)
+        self._offsets.append(at)
+        self.appended_total += 1
+        if op == Op.SNAPSHOT:
+            self.snapshots += 1
+            self.records_since_snapshot = 0
+        else:
+            self.records_since_snapshot += 1
         return index
 
-    def rewrite(self, records: Iterable[Tuple[Op, Dict[str, Any]]]) -> None:
+    def rewrite(self, records: Iterable[Tuple[Op, Payload]]) -> None:
         """Atomically replace the log's contents (snapshot compaction).
 
         File-backed logs write a sibling temp file and ``os.replace`` it
@@ -423,13 +526,14 @@ class Journal:
                 self._fh.close()
                 self._fh = None
             tmp = self.path.with_name(self.path.name + ".compact")
-            tmp.write_bytes(fresh.data)
+            tmp.write_bytes(fresh._buf)
             os.replace(tmp, self.path)
         self._buf = fresh._buf
         self._offsets = fresh._offsets
         self.snapshots = fresh.snapshots
         self.records_since_snapshot = fresh.records_since_snapshot
         self.appended_total += len(fresh._offsets)
+        self.compactions += 1
 
     def close(self) -> None:
         if self._fh is not None:
@@ -449,7 +553,7 @@ class Journal:
 def _merge_chunk(c: ChunkMeta, d: List[Any]) -> None:
     c.chunk_id = _intern(d[0])
     c.node_id = _intern(d[1])
-    c.kind = ChunkKind(d[2])
+    c.kind = _CHUNK_KIND[d[2]]
     c.size = d[3]
 
 
@@ -462,26 +566,26 @@ def _merge_list(live: list, docs: list, decode: Callable, merge: Callable) -> No
             live.append(decode(d))
 
 
-def _merge_stripe(s: ECStripeMeta, d: Dict[str, Any]) -> None:
-    s.stripe_index, s.k, s.n = d["i"], d["k"], d["n"]
-    _merge_list(s.data, d["d"], decode_chunk, _merge_chunk)
-    _merge_list(s.parities, d["p"], decode_chunk, _merge_chunk)
+def _merge_stripe(s: ECStripeMeta, d: List[Any]) -> None:
+    s.stripe_index, s.k, s.n = d[0], d[1], d[2]
+    _merge_list(s.data, d[3], decode_chunk, _merge_chunk)
+    _merge_list(s.parities, d[4], decode_chunk, _merge_chunk)
 
 
-def _merge_block(b: ReplicaBlockMeta, d: Dict[str, Any]) -> None:
-    b.block_index, b.first_chunk, b.n_chunks = d["i"], d["fc"], d["nc"]
-    _merge_list(b.copies, d["c"], decode_chunk, _merge_chunk)
+def _merge_block(b: ReplicaBlockMeta, d: List[Any]) -> None:
+    b.block_index, b.first_chunk, b.n_chunks = d[0], d[1], d[2]
+    _merge_list(b.copies, d[3], decode_chunk, _merge_chunk)
 
 
-def merge_file(meta: FileMeta, d: Dict[str, Any]) -> None:
+def merge_file(meta: FileMeta, d: List[Any]) -> None:
     """Mutate ``meta`` to match an encoded file document, in place."""
-    meta.size = d["size"]
-    meta.chunk_size = d["cs"]
-    meta.scheme = decode_scheme(d["scheme"])
-    meta.state = FileState(d["state"])
-    meta.version = d["v"]
-    _merge_list(meta.stripes, d["st"], decode_stripe, _merge_stripe)
-    _merge_list(meta.replica_blocks, d["rb"], decode_block, _merge_block)
+    meta.size = d[1]
+    meta.chunk_size = d[2]
+    meta.scheme = decode_scheme(d[3])
+    _merge_list(meta.stripes, d[4], decode_stripe, _merge_stripe)
+    _merge_list(meta.replica_blocks, d[5], decode_block, _merge_block)
+    meta.state = _FILE_STATE[d[6]]
+    meta.version = d[7]
 
 
 # -- the journaled namenode ---------------------------------------------------
@@ -506,10 +610,42 @@ class JournaledNamenode(Namenode):
         #: has landed (used by the crash sweep to pin per-boundary digests)
         self.after_append: Optional[Callable[["JournaledNamenode", Op], None]] = None
         self._suspended = False
+        #: fragment index: file name -> (offset, length) of the canonical
+        #: bytes of the file's document where it last landed in
+        #: ``journal``'s log.  Invariant: an entry exists only if no
+        #: record after that one changed the file, so at a record
+        #: boundary the range *is* the file's current document.  A
+        #: mutator forgets the entries of the files it changes before it
+        #: appends; an entry is written only after its record landed.
+        #: Entries are offsets into the log the journal already mirrors,
+        #: not copies; a missing entry only costs a re-encode.  Empty
+        #: after recover(): the first compaction fills it.
+        self._frags: Dict[str, Tuple[int, int]] = {}
 
     # -- logging core ---------------------------------------------------------
     def _log(self, op: Op, payload: Dict[str, Any]) -> None:
         self.journal.append(op, payload)
+        self._landed(op)
+
+    def _log_files(self, op: Op, head: bytes, metas: Sequence[FileMeta],
+                   tail: bytes = b"}") -> None:
+        """Append a record whose body is ``head`` + the comma-joined
+        documents of ``metas`` + ``tail``, encoding each file once, and
+        index where each document landed."""
+        frags = self._frags
+        docs = []
+        for meta in metas:
+            frags.pop(meta.name, None)
+            docs.append(_encode(encode_file(meta)))
+        journal = self.journal
+        index = journal.append(op, head + b",".join(docs) + tail)
+        at = journal.body_offset(index) + len(head)
+        for meta, doc in zip(metas, docs):
+            frags[meta.name] = (at, len(doc))
+            at += len(doc) + 1
+        self._landed(op)
+
+    def _landed(self, op: Op) -> None:
         if self.after_append is not None:
             self.after_append(self, op)
         if (
@@ -518,11 +654,54 @@ class JournaledNamenode(Namenode):
         ):
             self.compact()
 
-    def compact(self) -> None:
-        """Fold the whole log into one SNAPSHOT of the current state."""
-        self.journal.rewrite([(Op.SNAPSHOT, encode_state(self))])
+    def _snapshot_body(self) -> Tuple[bytes, Dict[str, Tuple[int, int]], int]:
+        """The SNAPSHOT body — byte-identical to ``_encode(encode_state(
+        self))`` at a record boundary — with indexed file documents
+        spliced from the log rather than re-encoded.  Also returns the
+        fragment index of the log that holds only this snapshot, and the
+        number of documents spliced.  The log views die with this frame,
+        before the log is replaced."""
+        # Keys in sorted order, as the canonical encoder emits them.
+        head = b'{"atq":%s,"chunk_seq":%d,"files":[' % (
+            _encode([encode_group(g) for g in self.atq]), self._chunk_seq)
+        tail = b'],"utm":%s}' % _encode([encode_job(j) for j in self.utm.values()])
+        frags = self._frags
+        parts = []
+        index: Dict[str, Tuple[int, int]] = {}
+        at = _HEADER.size + len(head)
+        spliced = 0
+        with self.journal.view() as log:
+            for name, meta in self.files.items():
+                frag = frags.get(name)
+                if frag is None:
+                    part = _encode(encode_file(meta))
+                else:
+                    part = log[frag[0]:frag[0] + frag[1]]
+                    spliced += 1
+                parts.append(part)
+                index[name] = (at, len(part))
+                at += len(part) + 1
+            return head + b",".join(parts) + tail, index, spliced
 
-    def stats(self) -> Dict[str, int]:
+    def compact(self) -> None:
+        """Fold the whole log into one SNAPSHOT record.
+
+        At a record boundary (where automatic compaction runs) that is
+        the live state.  Called by hand while live state is ahead of the
+        log — an in-place change not yet noted — indexed files keep
+        their journaled document, i.e. the snapshot is of the journaled
+        prefix, which is what the log recovered to before compaction.
+        """
+        t0 = perf_counter()
+        body, index, spliced = self._snapshot_body()
+        journal = self.journal
+        journal.rewrite([(Op.SNAPSHOT, body)])
+        self._frags = index
+        journal.files_spliced += spliced
+        journal.files_reencoded += len(index) - spliced
+        journal.compact_seconds += perf_counter() - t0
+
+    def stats(self) -> Dict[str, Any]:
         out = self.journal.stats()
         out["replayed"] = self.replayed
         return out
@@ -535,6 +714,10 @@ class JournaledNamenode(Namenode):
             journal_bytes=s["bytes"],
             journal_snapshots=s["snapshots"],
             journal_since_snapshot=s["records_since_snapshot"],
+            journal_compactions=s["compactions"],
+            journal_compact_seconds=s["compact_seconds"],
+            journal_files_spliced=s["files_spliced"],
+            journal_files_reencoded=s["files_reencoded"],
             replayed=self.replayed,
         )
         return out
@@ -570,9 +753,10 @@ class JournaledNamenode(Namenode):
         elif op is Op.RENAME:
             self.rename(p["o"], p["n"])
         elif op is Op.NOTE:
-            meta = self.files.get(p["n"])
+            doc = p["f"]
+            meta = self.files.get(doc[0])
             if meta is not None:
-                merge_file(meta, p["f"])
+                merge_file(meta, doc)
                 Namenode.note_file(self, meta)
         elif op is Op.MINT:
             self._chunk_seq += p["c"]
@@ -612,7 +796,8 @@ class JournaledNamenode(Namenode):
     # -- journaled mutators ---------------------------------------------------
     # Pattern: while _suspended (replay, or a nested call from another
     # mutator) delegate straight to super().  Otherwise apply with
-    # nested logging suppressed, then append exactly one record.
+    # nested logging suppressed, forget the fragment entries of files the
+    # record changes without carrying, then append exactly one record.
 
     def register_file(self, meta: FileMeta) -> None:
         if self._suspended:
@@ -622,7 +807,7 @@ class JournaledNamenode(Namenode):
             super().register_file(meta)
         finally:
             self._suspended = False
-        self._log(Op.REGISTER, {"f": encode_file(meta)})
+        self._log_files(Op.REGISTER, b'{"f":', (meta,))
 
     def register_files(self, metas: Iterable[FileMeta]) -> None:
         metas = list(metas)
@@ -639,7 +824,7 @@ class JournaledNamenode(Namenode):
             super().register_files(metas)
         finally:
             self._suspended = False
-        self._log(Op.REGISTER_BATCH, {"fs": [encode_file(m) for m in metas]})
+        self._log_files(Op.REGISTER_BATCH, b'{"fs":[', metas, b"]}")
 
     def unregister_file(self, name: str) -> FileMeta:
         if self._suspended:
@@ -649,6 +834,7 @@ class JournaledNamenode(Namenode):
             meta = super().unregister_file(name)
         finally:
             self._suspended = False
+        self._frags.pop(name, None)
         self._log(Op.UNREGISTER, {"n": name})
         return meta
 
@@ -660,6 +846,8 @@ class JournaledNamenode(Namenode):
             super().rename(old, new)
         finally:
             self._suspended = False
+        self._frags.pop(old, None)
+        self._frags.pop(new, None)
         self._log(Op.RENAME, {"o": old, "n": new})
 
     def note_chunk(self, node_id: str, file_name: str) -> None:
@@ -668,7 +856,7 @@ class JournaledNamenode(Namenode):
             return
         meta = self.files.get(file_name)
         if meta is not None:
-            self._log(Op.NOTE, {"n": file_name, "f": encode_file(meta)})
+            self._log_files(Op.NOTE, b'{"f":', (meta,))
 
     def note_file(self, meta: FileMeta) -> None:
         super().note_file(meta)
@@ -676,7 +864,7 @@ class JournaledNamenode(Namenode):
             return
         current = self.files.get(meta.name)
         if current is not None:
-            self._log(Op.NOTE, {"n": current.name, "f": encode_file(current)})
+            self._log_files(Op.NOTE, b'{"f":', (current,))
 
     def next_chunk_id(self, prefix: str) -> str:
         out = super().next_chunk_id(prefix)
@@ -703,6 +891,7 @@ class JournaledNamenode(Namenode):
             )
         finally:
             self._suspended = False
+        self._frags.pop(name, None)  # state -> TRANSCODING
         self._log(Op.ENQUEUE, {
             "n": name, "t": encode_scheme(target_scheme),
             "g": [encode_group(g) for g in groups],
@@ -761,6 +950,7 @@ class JournaledNamenode(Namenode):
         finally:
             self._suspended = False
         if out is not None:
+            self._frags.pop(name, None)  # the metadata switch
             self._log(Op.FINALIZE, {"n": name})
         return out
 
@@ -774,4 +964,5 @@ class JournaledNamenode(Namenode):
         finally:
             self._suspended = False
         if had_job:
+            self._frags.pop(name, None)  # state -> HEALTHY
             self._log(Op.ABORT, {"n": name})

@@ -174,6 +174,13 @@ class Namenode:
         return [f"{prefix}#{i:08d}" for i in range(start, start + count)]
 
     def rename(self, old: str, new: str) -> None:
+        # Validate before mutating: failing in register_file after the
+        # unregister would drop the file from the namespace (and, on a
+        # journaled namenode, with no record of either step).
+        if old not in self.files:
+            raise FileNotFoundError_(old)
+        if new != old and new in self.files:
+            raise ValueError(f"file exists: {new}")
         meta = self.unregister_file(old)
         meta.name = new
         self.register_file(meta)

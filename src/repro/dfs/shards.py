@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from zlib import crc32
 
-from repro.dfs.blocks import ChunkMeta, FileMeta
+from repro.dfs.blocks import ChunkMeta, FileMeta, FileState
 from repro.dfs.journal import Journal, JournaledNamenode
 from repro.dfs.namenode import ConversionGroup, Namenode, TranscodeJob
 
@@ -168,12 +168,15 @@ class ShardedNamenode:
         meta = src.files[old]
         # Register under the new name before dropping the old one: a
         # crash between the two shard journals leaves a (self-healing)
-        # duplicate entry rather than losing the file.
-        meta.name = new
+        # duplicate entry rather than losing the file.  The rename drops
+        # an in-flight transcode (unregister_file below), so the
+        # destination registers — and journals — the file HEALTHY.
+        state = meta.state
+        meta.name, meta.state = new, FileState.HEALTHY
         try:
             dst.register_file(meta)
         except Exception:
-            meta.name = old
+            meta.name, meta.state = old, state
             raise
         src.unregister_file(old)
 
@@ -267,14 +270,11 @@ class ShardedNamenode:
     # -- stats ------------------------------------------------------------------
     def metadata_stats(self) -> Dict[str, Any]:
         shards = [s.metadata_stats() for s in self.shards]
+        # Every per-shard stat is an additive count (namespace sizes,
+        # and for journaled shards the journal/compaction ledger).
         total: Dict[str, Any] = {"files": 0, "chunks": 0, "atq": 0, "utm": 0}
-        base_keys = tuple(total)
         for s in shards:
-            for key in base_keys:
-                total[key] += s[key]
-            for key in ("journal_records", "journal_bytes", "journal_snapshots",
-                        "journal_since_snapshot", "replayed"):
-                if key in s:
-                    total[key] = total.get(key, 0) + s[key]
+            for key, value in s.items():
+                total[key] = total.get(key, 0) + value
         total["shards"] = shards
         return total

@@ -150,6 +150,9 @@ class Observability:
                         s["journal_snapshots"],
                     )
                     yield "dfs_journal_replayed", GAUGE, labels, s["replayed"]
+                    for key in ("compactions", "compact_seconds",
+                                "files_spliced", "files_reencoded"):
+                        yield f"dfs_journal_{key}", GAUGE, labels, s[f"journal_{key}"]
 
         self.registry.add_collector(collect)
         return self

@@ -239,14 +239,21 @@ def _metadata_rows(fs) -> List[List[str]]:
         cells = [label, f"{s['files']}", f"{s['chunks']}",
                  f"{s['atq'] + s['utm']}"]
         if "journal_records" in s:
+            # Splice ratio: of the file documents compaction wrote, the
+            # share it took from the log instead of encoding again
+            # (useful / attempted; "-" until a compaction has run).
+            spliced = s["journal_files_spliced"]
+            written = spliced + s["journal_files_reencoded"]
             cells += [
                 f"{s['journal_records']}",
                 f"{s['journal_bytes'] / KB:.1f}",
                 f"{s.get('journal_since_snapshot', s['journal_records'])}",
                 f"{s['replayed']}",
+                f"{s['journal_compactions']}",
+                f"{spliced / written * 100:.0f}%" if written else "-",
             ]
         else:
-            cells += ["-"] * 4
+            cells += ["-"] * 6
         return cells
 
     rows = [row(f"shard{i}", s) for i, s in enumerate(per_shard or [])]
@@ -317,7 +324,8 @@ def render_report(fs) -> str:
         lines.append("Metadata plane (namenode)")
         lines += _fmt_table(
             ["shard", "files", "chunks", "queued",
-             "jrnl recs", "jrnl KB", "since snap", "replayed"],
+             "jrnl recs", "jrnl KB", "since snap", "replayed",
+             "compactions", "spliced"],
             meta_rows,
         )
         lines.append("")

@@ -1,5 +1,9 @@
 """Journal record codec, log mechanics and snapshot compaction."""
 
+import json
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,16 +17,22 @@ from repro.dfs.blocks import (
     ReplicaBlockMeta,
 )
 from repro.dfs.journal import (
+    RECORD_VERSION,
     Journal,
+    JournalCrash,
     JournalError,
     JournaledNamenode,
     Op,
+    _encode,
     decode_file,
     decode_job,
+    decode_scheme,
     encode_file,
     encode_job,
+    encode_scheme,
     encode_state,
     load_state,
+    merge_file,
     state_digest,
 )
 from repro.dfs.namenode import ConversionGroup, Namenode, TranscodeJob
@@ -33,11 +43,23 @@ names = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
     min_size=1, max_size=12,
 )
-ec_schemes = st.builds(
+mds_schemes = st.builds(
     lambda kind, k, r: ECScheme(kind, k, k + r),
     kind=st.sampled_from([CodeKind.RS, CodeKind.CC]),
     k=st.integers(1, 12), r=st.integers(1, 4),
 )
+lrc_schemes = st.builds(
+    lambda kind, k, lg, rg: ECScheme(kind, k, k + lg + rg,
+                                     local_groups=lg, r_global=rg),
+    kind=st.sampled_from([CodeKind.LRC, CodeKind.LRCC]),
+    k=st.integers(2, 12), lg=st.integers(1, 3), rg=st.integers(1, 3),
+)
+bwo_schemes = st.builds(
+    lambda k, r, extra: ECScheme(CodeKind.CC, k, k + r,
+                                 anticipate_parities=r + extra),
+    k=st.integers(1, 12), r=st.integers(1, 3), extra=st.integers(1, 3),
+)
+ec_schemes = st.one_of(mds_schemes, lrc_schemes, bwo_schemes)
 schemes = st.one_of(
     ec_schemes,
     st.builds(Replication, copies=st.integers(1, 3)),
@@ -94,35 +116,74 @@ jobs = st.builds(
 
 # -- codec round-trips --------------------------------------------------------
 
+def _through_json(doc):
+    """What a reader gets: the document after one trip through the
+    journal's own encoder (canonical bytes) and the JSON parser."""
+    return json.loads(_encode(doc))
+
+
 @settings(max_examples=100, deadline=None)
 @given(file_metas)
 def test_file_record_roundtrip(meta):
     doc = encode_file(meta)
-    back = decode_file(doc)
+    # Positional document: [name,size,cs,scheme,[stripes],[blocks],state,v]
+    assert isinstance(doc, list) and len(doc) == 8
+    assert doc[0] == meta.name and doc[6] == meta.state.value
+    assert all(isinstance(s, list) and len(s) == 5 for s in doc[4])
+    assert all(isinstance(b, list) and len(b) == 4 for b in doc[5])
+    back = decode_file(_through_json(doc))
+    assert back == meta
     assert encode_file(back) == doc
-    assert back.name == meta.name and back.scheme == meta.scheme
-    assert back.state is meta.state and back.version == meta.version
-    assert [c.chunk_id for s in back.stripes for c in s.data] == [
-        c.chunk_id for s in meta.stripes for c in s.data
-    ]
+    assert back.state is meta.state
+    assert all(
+        c.kind is want.kind
+        for got, want_s in zip(back.stripes, meta.stripes)
+        for c, want in zip(got.all_chunks(), want_s.all_chunks())
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(file_metas, file_metas)
+def test_note_merge_reaches_any_document_in_place(live, target):
+    """NOTE replay: merging a document into a live FileMeta leaves it
+    equal to a fresh decode, reusing the position-matched objects."""
+    doc = _through_json(encode_file(target))
+    kept_stripes = live.stripes[: len(target.stripes)]
+    kept_chunks = [s.data[0] for s in kept_stripes]
+    merge_file(live, doc)
+    live.name = target.name  # a NOTE never renames; merge leaves the name
+    assert live == target
+    assert [s.data[0] for s in live.stripes[: len(kept_chunks)]] == kept_chunks
+    assert all(a is b for a, b in zip(live.stripes, kept_stripes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(schemes)
+def test_scheme_roundtrip(scheme):
+    doc = encode_scheme(scheme)
+    assert all(not isinstance(x, (list, dict)) for x in doc)  # flat
+    assert decode_scheme(_through_json(doc)) == scheme
+
+
+def test_lrc_scheme_roundtrip():
+    s = ECScheme(CodeKind.LRC, 12, 16, local_groups=2, r_global=2)
+    assert encode_scheme(s) == ["ec", "lrc", 12, 16, 2, 2, None]
+    assert decode_scheme(encode_scheme(s)) == s
+    hy = HybridScheme(2, s)
+    assert encode_scheme(hy) == ["hy", 2, "lrc", 12, 16, 2, 2, None]
+    assert decode_scheme(encode_scheme(hy)) == hy
+    with pytest.raises(JournalError):
+        decode_scheme(["nope", 1])
 
 
 @settings(max_examples=100, deadline=None)
 @given(jobs)
 def test_job_record_roundtrip(job):
     doc = encode_job(job)
-    back = decode_job(doc)
+    assert isinstance(doc, list) and len(doc) == 7
+    back = decode_job(_through_json(doc))
+    assert back == job
     assert encode_job(back) == doc
-    assert back.pending_bits == job.pending_bits
-    assert back.deadline == job.deadline
-    assert sorted(back.new_stripes) == sorted(job.new_stripes)
-
-
-def test_lrc_scheme_roundtrip():
-    from repro.dfs.journal import decode_scheme, encode_scheme
-
-    s = ECScheme(CodeKind.LRC, 12, 16, local_groups=2, r_global=2)
-    assert decode_scheme(encode_scheme(s)) == s
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,14 +258,70 @@ def test_torn_tail_is_truncated_in_memory():
     assert len(fresh) == 3
 
 
-def test_future_record_version_rejected():
-    import struct
-    import zlib
+def _raw_record(version, op=Op.NOTE, body=b"{}"):
+    return struct.pack("<IHHI", len(body), version, int(op), zlib.crc32(body)) + body
 
-    body = b"{}"
-    rec = struct.pack("<IHHI", len(body), 99, int(Op.NOTE), zlib.crc32(body)) + body
+
+def test_future_record_version_rejected():
     with pytest.raises(JournalError):
-        Journal()._load(rec)
+        Journal()._load(_raw_record(99))
+
+
+@pytest.mark.parametrize("version", [1, RECORD_VERSION + 1])
+def test_only_the_current_record_version_is_read(version, tmp_path):
+    """v2 replaced v1: there is no reader for any other version, older
+    or newer, in memory or from a file — and a good record before the
+    foreign one does not make it a 'torn tail'."""
+    assert RECORD_VERSION == 2
+    good = _raw_record(RECORD_VERSION)
+    assert Journal()._load(good) == len(good)
+    with pytest.raises(JournalError, match=f"version {version}"):
+        Journal()._load(_raw_record(version))
+    path = tmp_path / "edits.log"
+    path.write_bytes(good + _raw_record(version))
+    with pytest.raises(JournalError, match=f"version {version}"):
+        Journal(path)
+    assert path.read_bytes() == good + _raw_record(version)  # not truncated
+
+
+def test_append_takes_a_pre_encoded_body():
+    doc = {"n": "a", "m": [1, 2]}
+    a, b = Journal(), Journal()
+    a.append(Op.POLL, doc)
+    b.append(Op.POLL, _encode(doc))
+    assert a.data == b.data
+    assert list(b.records()) == [(Op.POLL, doc)]
+    assert b.body_offset(0) == struct.calcsize("<IHHI")
+    assert b.data[b.body_offset(0):] == _encode(doc)
+
+
+def test_scans_release_their_view_of_the_log():
+    """_load / records() / prefix() read through one memoryview each; a
+    view left alive would make the next append's bytearray growth raise
+    BufferError."""
+    j = Journal()
+    for i in range(5):
+        j.append(Op.NOTE, {"i": i})
+    assert [p["i"] for _, p in j.records()] == [0, 1, 2, 3, 4]
+    assert len(j.prefix(3)) == 3
+    j.append(Op.NOTE, {"i": 5})
+    # A half-consumed scan is closed when its iterator is dropped.
+    for _op, payload in j.records():
+        if payload["i"] == 2:
+            break
+    j.append(Op.NOTE, {"i": 6})
+    # A scan held open mid-iteration pins the log, by design.
+    it = j.records()
+    next(it)
+    with pytest.raises(BufferError):
+        j.append(Op.NOTE, {"i": 7})
+    it.close()
+    assert len(j) == 7  # the refused append left no trace
+    j.append(Op.NOTE, {"i": 7})
+    assert [p["i"] for _, p in j.records()] == list(range(8))
+    fresh = Journal()
+    assert fresh._load(memoryview(j.data)) == j.byte_size
+    assert [p["i"] for _, p in fresh.records()] == list(range(8))
 
 
 def test_file_backed_journal_reopens(tmp_path):
@@ -276,3 +393,255 @@ def test_metadata_stats_reports_journal_counters():
     assert stats["journal_records"] == 1
     assert stats["journal_bytes"] > 0
     assert stats["replayed"] == 0
+
+
+# -- fragment index: encode each file once ------------------------------------
+
+CC69 = ECScheme(CodeKind.CC, 6, 9)
+CC1215 = ECScheme(CodeKind.CC, 12, 15)
+
+
+def _striped(name, n_stripes=1, size=4096):
+    """A CC(6,9) file with real chunk lists (nine chunks per stripe)."""
+    stripes = [
+        ECStripeMeta(
+            si, 6, 9,
+            [ChunkMeta(f"{name}/s{si}d{j}", f"dn{(si * 9 + j) % 23:02d}",
+                       ChunkKind.DATA, size) for j in range(6)],
+            [ChunkMeta(f"{name}/s{si}p{j}", f"dn{(si * 9 + 6 + j) % 23:02d}",
+                       ChunkKind.PARITY, size) for j in range(3)],
+        )
+        for si in range(n_stripes)
+    ]
+    return FileMeta(name, 6 * size * n_stripes, size, CC69, stripes=stripes)
+
+
+def _assert_index_sound(nn):
+    """Every entry is the canonical document of a live file, read out of
+    the log; the spliced snapshot body equals a from-scratch encode; and
+    the journal still recovers to live state."""
+    log = nn.journal.data
+    for name, (at, length) in nn._frags.items():
+        assert name in nn.files, f"entry for dead file {name}"
+        assert log[at:at + length] == _encode(encode_file(nn.files[name])), name
+    body, index, spliced = nn._snapshot_body()
+    assert body == _encode(encode_state(nn))
+    assert list(index) == list(nn.files)
+    assert spliced == len(nn._frags)
+    assert state_digest(JournaledNamenode.recover(nn.journal)) == state_digest(nn)
+
+
+def _move_first_chunk(nn, name, node):
+    nn.files[name].stripes[0].data[0].node_id = node
+
+
+def _merged_stripe(nn, name):
+    meta = nn.files[name]
+    data = [c for s in meta.stripes for c in s.data]
+    parities = [ChunkMeta(f"{name}/m0p{j}", f"dn{20 + j}", ChunkKind.PARITY, 4096)
+                for j in range(3)]
+    return ECStripeMeta(0, 12, 15, data, parities)
+
+
+def _group(name):
+    return ConversionGroup(name, 0, [0, 1], 1, CC1215)
+
+
+#: (label, action, opcode of the record it lands or None, entries it must
+#: refresh, entries it must drop).  Everything else must stay put.
+INDEX_STEPS = [
+    ("register", lambda nn: nn.register_file(_striped("d")),
+     Op.REGISTER, {"d"}, set()),
+    ("register batch", lambda nn: nn.register_files([_striped("e"), _striped("f")]),
+     Op.REGISTER_BATCH, {"e", "f"}, set()),
+    ("mint one", lambda nn: nn.next_chunk_id("x"), Op.MINT, set(), set()),
+    ("mint many", lambda nn: nn.next_chunk_ids("x", 9), Op.MINT, set(), set()),
+    ("unregister", lambda nn: nn.unregister_file("d"),
+     Op.UNREGISTER, set(), {"d"}),
+    ("re-register the same name, other content",
+     lambda nn: nn.register_file(_striped("d", size=512)),
+     Op.REGISTER, {"d"}, set()),
+    ("rename drops the old name and indexes nothing for the new",
+     lambda nn: nn.rename("e", "g"), Op.RENAME, set(), {"e"}),
+    ("rename back", lambda nn: nn.rename("g", "e"), Op.RENAME, set(), set()),
+    ("note_file fills the renamed file in",
+     lambda nn: nn.note_file(nn.files["e"]), Op.NOTE, {"e"}, set()),
+    ("note_chunk after an in-place move",
+     lambda nn: (_move_first_chunk(nn, "f", "dn22"), nn.note_chunk("dn22", "f")),
+     Op.NOTE, {"f"}, set()),
+    ("note_chunk on an unknown file journals nothing",
+     lambda nn: nn.note_chunk("dn01", "ghost"), None, set(), set()),
+    ("enqueue flips the state", lambda nn: nn.enqueue_transcode(
+        "a", CC1215, [_group("a")], 3), Op.ENQUEUE, set(), {"a"}),
+    ("note while transcoding", lambda nn: nn.note_file(nn.files["a"]),
+     Op.NOTE, {"a"}, set()),
+    ("poll", lambda nn: nn.poll_work(8), Op.POLL, set(), set()),
+    ("complete 0", lambda nn: nn.complete_parity("a", 0, 0, 0, 3),
+     Op.COMPLETE, set(), set()),
+    ("complete 1", lambda nn: nn.complete_parity("a", 0, 0, 1, 3),
+     Op.COMPLETE, set(), set()),
+    ("new stripe", lambda nn: nn.record_new_stripe(
+        "a", 0, 0, _merged_stripe(nn, "a")), Op.NEW_STRIPE, set(), set()),
+    ("finalize with a parity pending is not a switch",
+     lambda nn: nn.try_finalize("a"), None, set(), set()),
+    ("complete 2", lambda nn: nn.complete_parity("a", 0, 0, 2, 3),
+     Op.COMPLETE, set(), set()),
+    ("finalize", lambda nn: nn.try_finalize("a"), Op.FINALIZE, set(), {"a"}),
+    ("enqueue another", lambda nn: nn.enqueue_transcode(
+        "b", CC1215, [_group("b")], 3), Op.ENQUEUE, set(), {"b"}),
+    ("poll for one file", lambda nn: nn.poll_work_for("b", 1),
+     Op.POLL, set(), set()),
+    ("note it", lambda nn: nn.note_file(nn.files["b"]), Op.NOTE, {"b"}, set()),
+    ("abort", lambda nn: nn.abort_transcode("b"), Op.ABORT, set(), {"b"}),
+    ("abort with no job changes nothing",
+     lambda nn: nn.abort_transcode("c"), None, set(), set()),
+    ("compact re-homes every entry", lambda nn: nn.compact(),
+     Op.SNAPSHOT, {"a", "b", "c", "d", "e", "f"}, set()),
+]
+
+
+def test_each_opcode_refreshes_or_drops_the_entries_it_should():
+    nn = JournaledNamenode()
+    nn.register_files([_striped("a", 2), _striped("b", 2), _striped("c")])
+    assert set(nn._frags) == {"a", "b", "c"}
+    landed = {Op.REGISTER_BATCH}
+    for label, action, op, refreshed, dropped in INDEX_STEPS:
+        before = dict(nn._frags)
+        n_before = nn.journal.appended_total
+        action(nn)
+        after = nn._frags
+        if op is None:
+            assert nn.journal.appended_total == n_before, label
+        else:
+            assert nn.journal.appended_total == n_before + 1, label
+            assert list(nn.journal.records())[-1][0] is op, label
+            landed.add(op)
+        for name in refreshed:
+            assert name in after and after[name] != before.get(name), label
+        for name in dropped:
+            assert name in before and name not in after, label
+        for name in set(before) - refreshed - dropped:
+            assert after[name] == before[name], f"{label}: {name} moved"
+        assert set(after) - set(before) <= refreshed, label
+        _assert_index_sound(nn)
+    assert landed == set(Op), "the table must cover all 13 opcodes"
+    assert nn.files["a"].scheme == CC1215 and nn.files["a"].version == 1
+
+
+def test_entry_is_written_only_after_its_record_landed():
+    nn = JournaledNamenode(journal=Journal(fail_after=2))
+    nn.register_file(_striped("a"))
+    nn.register_file(_striped("b"))
+    with pytest.raises(JournalCrash):
+        nn.register_file(_striped("c"))
+    with pytest.raises(JournalCrash):
+        nn.register_files([_striped("d"), _striped("e")])
+    assert set(nn._frags) == {"a", "b"}
+    # A record that would have refreshed an entry leaves none behind:
+    # the file's journaled document is no longer its live one.
+    _move_first_chunk(nn, "a", "dn22")
+    with pytest.raises(JournalCrash):
+        nn.note_chunk("dn22", "a")
+    assert set(nn._frags) == {"b"}
+    with pytest.raises(JournalCrash):
+        nn.unregister_file("b")
+    assert nn._frags == {}
+    assert sorted(JournaledNamenode.recover(nn.journal).files) == ["a", "b"]
+
+
+class _FailingHandle:
+    def write(self, _data):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):  # pragma: no cover - write never succeeds
+        raise AssertionError("flushed a record that was never written")
+
+    def close(self):
+        pass
+
+
+def test_oserror_from_the_file_handle_leaves_no_entry_and_no_record(tmp_path):
+    path = tmp_path / "edits.log"
+    nn = JournaledNamenode(journal=Journal(path))
+    nn.register_file(_striped("a"))
+    good_handle, nn.journal._fh = nn.journal._fh, _FailingHandle()
+    before = nn.journal.stats()
+    with pytest.raises(OSError):
+        nn.register_file(_striped("b"))
+    with pytest.raises(OSError):
+        nn.note_file(nn.files["a"])
+    assert nn._frags == {}
+    assert nn.journal.stats() == before  # the mirror took nothing either
+    # The disk recovers: later records land, compaction re-encodes the
+    # two files it has no entry for and the log agrees with live state.
+    nn.journal._fh = good_handle
+    nn.note_file(nn.files["b"])
+    assert set(nn._frags) == {"b"}
+    nn.unregister_file("a")
+    nn.compact()
+    assert nn.journal.stats()["files_spliced"] == 1
+    nn.journal.close()
+    recovered = JournaledNamenode.recover(Journal(path))
+    assert sorted(recovered.files) == ["b"]
+
+
+def test_index_starts_empty_after_recover_and_first_compaction_fills_it():
+    nn = JournaledNamenode()
+    nn.register_files([_striped(f"f{i}") for i in range(5)])
+    recovered = JournaledNamenode.recover(nn.journal)
+    assert recovered._frags == {}
+    recovered.register_file(_striped("late"))
+    assert set(recovered._frags) == {"late"}
+    recovered.compact()
+    s = recovered.stats()
+    assert (s["files_spliced"], s["files_reencoded"]) == (1, 5)
+    assert len(recovered._frags) == 6
+    _assert_index_sound(recovered)
+    recovered.compact()
+    s = recovered.stats()
+    assert (s["files_spliced"], s["files_reencoded"]) == (7, 5)
+    assert s["compactions"] == 2 and s["compact_seconds"] > 0
+    _assert_index_sound(recovered)
+
+
+def test_manual_compaction_snapshots_the_journaled_prefix():
+    """Live state ahead of the log (an in-place move not yet noted): a
+    manual compact() must not smuggle the unjournaled change into the
+    snapshot — the log recovers to what it recovered to before."""
+    nn = JournaledNamenode()
+    nn.register_files([_striped("a"), _striped("b")])
+    journaled = state_digest(JournaledNamenode.recover(nn.journal))
+    _move_first_chunk(nn, "a", "dn22")
+    assert state_digest(nn) != journaled
+    nn.compact()
+    assert len(nn.journal) == 1
+    assert state_digest(JournaledNamenode.recover(nn.journal)) == journaled
+    # The note that acknowledges the move brings log and live together.
+    nn.note_chunk("dn22", "a")
+    _assert_index_sound(nn)
+
+
+def test_rename_onto_an_existing_name_is_refused_before_any_mutation():
+    nn = JournaledNamenode()
+    nn.register_files([_striped("a"), _striped("b")])
+    records = len(nn.journal)
+    with pytest.raises(ValueError, match="file exists"):
+        nn.rename("a", "b")
+    with pytest.raises(KeyError):
+        nn.rename("ghost", "z")
+    assert list(nn.files) == ["a", "b"] and nn.files["a"].name == "a"
+    assert len(nn.journal) == records
+    assert set(nn._frags) == {"a", "b"}
+    assert state_digest(JournaledNamenode.recover(nn.journal)) == state_digest(nn)
+
+
+def test_compaction_counters_reach_metadata_stats():
+    nn = JournaledNamenode(compact_every=4)
+    for i in range(9):
+        nn.register_file(_striped(f"f{i}"))
+    stats = nn.metadata_stats()
+    assert stats["journal_compactions"] == 2
+    assert stats["journal_files_spliced"] == 4 + 8
+    assert stats["journal_files_reencoded"] == 0
+    assert stats["journal_compact_seconds"] > 0
+    assert nn.journal.stats()["compactions"] == 2

@@ -60,6 +60,28 @@ class TestNamespace:
         with pytest.raises(FileNotFoundError_):
             nn.lookup("f")
 
+    def test_rename_onto_existing_name_loses_nothing(self):
+        """Regression: rename used to unregister ``old`` and then fail
+        in register_file, dropping the file from the namespace."""
+        nn = Namenode()
+        a, b = file_meta("a"), file_meta("b")
+        nn.register_file(a)
+        nn.register_file(b)
+        target = ECScheme(CodeKind.CC, 12, 15)
+        nn.enqueue_transcode("a", target, groups_for(a, target), 3)
+        with pytest.raises(ValueError, match="file exists"):
+            nn.rename("a", "b")
+        assert nn.lookup("a") is a and a.name == "a"
+        assert nn.lookup("b") is b
+        assert list(nn.files) == ["a", "b"]
+        # Nothing was touched on the way to the refusal: not the
+        # registration order, not the in-flight transcode.
+        assert nn._file_order["a"] < nn._file_order["b"]
+        assert "a" in nn.utm and a.state is FileState.TRANSCODING
+        with pytest.raises(FileNotFoundError_):
+            nn.rename("ghost", "c")
+        assert "c" not in nn.files
+
     def test_chunk_ids_unique(self):
         nn = Namenode()
         ids = {nn.next_chunk_id("x") for _ in range(100)}

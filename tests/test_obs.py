@@ -281,6 +281,39 @@ class TestDfsIntegration:
         assert round_trip_ok(obs.registry)
 
 
+    def test_journal_compaction_gauges_and_splice_ratio_column(self):
+        from repro.core.schemes import CodeKind, ECScheme
+        from repro.dfs import MorphFS, ShardedNamenode
+        from repro.obs.report import render_report
+
+        obs = Observability()
+        namenode = ShardedNamenode.journaled(n_shards=2, compact_every=4)
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], obs=obs,
+                     namenode=namenode)
+        _write_and_read(fs)
+        for name in ("g", "h", "i"):
+            fs.write_file(name, np.arange(24 * KB, dtype=np.uint8),
+                          ECScheme(CodeKind.CC, 6, 9))
+        stats = namenode.metadata_stats()
+        assert stats["journal_compactions"] >= 1
+        assert stats["journal_files_spliced"] >= 1
+        for gauge, key in (
+            ("dfs_journal_compactions", "journal_compactions"),
+            ("dfs_journal_compact_seconds", "journal_compact_seconds"),
+            ("dfs_journal_files_spliced", "journal_files_spliced"),
+            ("dfs_journal_files_reencoded", "journal_files_reencoded"),
+        ):
+            assert obs.registry.value(gauge, shard="all") == stats[key]
+            assert obs.registry.value(gauge, shard="0") == stats["shards"][0][key]
+        written = stats["journal_files_spliced"] + stats["journal_files_reencoded"]
+        want = f"{stats['journal_files_spliced'] / written * 100:.0f}%"
+        table = render_report(fs).split("Metadata plane (namenode)")[1]
+        header, _rule, *rows = table.strip().splitlines()[:5]
+        assert header.split()[-2:] == ["compactions", "spliced"]
+        total = next(r for r in rows if r.split()[0] == "total")
+        assert total.split()[-2:] == [str(stats["journal_compactions"]), want]
+
+
 # ---------------------------------------------------------------------------
 # Simulation percentiles and the report CLI
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from zlib import crc32
 import pytest
 
 from repro.core.schemes import CodeKind, ECScheme
-from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta
+from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta, FileState
 from repro.dfs.namenode import ConversionGroup, FileNotFoundError_, Namenode
 from repro.dfs.shards import ShardedNamenode
 from repro.dfs.journal import encode_file, state_digest
@@ -96,6 +96,64 @@ def test_cross_shard_rename_moves_the_meta():
     with pytest.raises(ValueError):
         nn.rename(a, b)
     assert nn.lookup(a).name == a
+
+
+def _two_names_on_one_shard():
+    first = names_on_distinct_shards()[0]
+    shard = crc32(first.encode()) % N_SHARDS
+    second = next(
+        name for name in (f"other-{i:04d}" for i in range(1000))
+        if crc32(name.encode()) % N_SHARDS == shard
+    )
+    return first, second
+
+
+@pytest.mark.parametrize("same_shard", [True, False])
+def test_rename_onto_existing_name_keeps_both_files_and_both_journals(same_shard):
+    """Regression (data loss + journal divergence): a refused rename
+    must leave the namespace and every shard journal exactly as they
+    were, whether or not the two names share a shard."""
+    if same_shard:
+        a, b = _two_names_on_one_shard()
+    else:
+        a, b, *_ = names_on_distinct_shards()
+    nn = ShardedNamenode.journaled(N_SHARDS)
+    assert (nn.shard_index(a) == nn.shard_index(b)) is same_shard
+    meta_a, meta_b = make_meta(a), make_meta(b, node_base=3)
+    nn.register_file(meta_a)
+    nn.register_file(meta_b)
+    digests = [state_digest(s) for s in nn.shards]
+    records = [len(s.journal) for s in nn.shards]
+    with pytest.raises(ValueError, match="file exists"):
+        nn.rename(a, b)
+    assert nn.lookup(a) is meta_a and meta_a.name == a
+    assert nn.lookup(b) is meta_b
+    assert [state_digest(s) for s in nn.shards] == digests
+    assert [len(s.journal) for s in nn.shards] == records
+    recovered = ShardedNamenode.recover([s.journal for s in nn.shards])
+    assert [state_digest(s) for s in recovered.shards] == digests
+    with pytest.raises(KeyError):
+        nn.rename("ghost", "nowhere")
+    assert [len(s.journal) for s in nn.shards] == records
+
+
+def test_cross_shard_rename_mid_transcode_journals_the_state_it_leaves():
+    """The rename drops the in-flight job (as unregister_file does), so
+    the destination shard must journal the file HEALTHY — registering
+    it TRANSCODING left that journal replaying a state live never had."""
+    a, b, *_ = names_on_distinct_shards()
+    nn = ShardedNamenode.journaled(N_SHARDS)
+    meta = make_meta(a)
+    nn.register_file(meta)
+    target = ECScheme(CodeKind.CC, 6, 7)
+    group = ConversionGroup(a, 0, [0, 1], 1, target)
+    nn.enqueue_transcode(a, target, [group], 1)
+    nn.rename(a, b)
+    assert nn.lookup(b).state is FileState.HEALTHY
+    assert len(nn.utm) == 0 and nn.atq == []
+    recovered = ShardedNamenode.recover([s.journal for s in nn.shards])
+    for live, back in zip(nn.shards, recovered.shards):
+        assert state_digest(back) == state_digest(live)
 
 
 def test_same_shard_rename_delegates():
