@@ -7,9 +7,10 @@ typed work into the filesystem's
 :class:`~repro.sched.scheduler.MaintenanceScheduler` and drives one
 scheduler tick per heartbeat:
 
-* chunks homed on declared-dead nodes become
-  :class:`~repro.sched.tasks.ChunkRepairTask`s, classified critical when
-  the chunk's redundancy group has no spare redundancy left;
+* chunks homed on declared-dead nodes become one
+  :class:`~repro.sched.tasks.StripeRepairTask` per damaged stripe (or
+  replica block), classified critical when that redundancy group has no
+  spare redundancy left;
 * the file's ATQ is polled (bounded per heartbeat, §6.2) and each
   conversion group becomes a deadline-carrying
   :class:`~repro.sched.tasks.ConversionGroupTask`, plus one metadata-only
@@ -29,10 +30,11 @@ from typing import Dict, List, Optional, Set
 
 from repro.sched.scheduler import SchedulerTickReport
 from repro.sched.tasks import (
-    ChunkRepairTask,
     ConversionGroupTask,
     ScrubTask,
+    StripeRepairTask,
     TranscodeFinalizeTask,
+    chunk_present,
 )
 
 
@@ -62,8 +64,9 @@ class TickReport:
     tick: int
     newly_dead: List[str] = field(default_factory=list)
     newly_alive: List[str] = field(default_factory=list)
-    #: queued repairs cancelled because their node returned intact
+    #: queued chunk repairs cancelled because their node returned intact
     repairs_cancelled: int = 0
+    #: chunks rebuilt this tick (a stripe task rebuilds one or more)
     chunks_recovered: int = 0
     transcode_groups_run: int = 0
     chunks_scrubbed: int = 0
@@ -107,51 +110,58 @@ class HeartbeatMonitor:
 
     # -- work intake -----------------------------------------------------------
     def _submit_repairs(self) -> int:
-        """Queue a repair task per lost chunk on a declared-dead node."""
+        """Queue one repair task per stripe / replica block that lost
+        chunks on a declared-dead node; returns how many were queued."""
         from repro.dfs.recovery import RecoveryManager
         from repro.sched.policies import classify_repair
 
         scheduler = self.fs.scheduler
-        submitted = 0
-        for meta, chunk in RecoveryManager(self.fs).lost_chunks(self._declared_dead):
-            if chunk.node_id not in self._declared_dead:
-                continue  # transient blips never trigger IO storms
-            pending = scheduler.queue.find(
-                lambda t: isinstance(t, ChunkRepairTask) and t.chunk is chunk
-            )
-            if pending is not None:
-                continue
-            scheduler.submit(
-                ChunkRepairTask(meta, chunk, klass=classify_repair(self.fs, meta, chunk))
-            )
-            submitted += 1
-        return submitted
+        queued = {
+            id(chunk)
+            for task in scheduler.queue.backlog()
+            if isinstance(task, StripeRepairTask)
+            for chunk in task.chunks
+        }
+        recovery = RecoveryManager(self.fs)
+        fresh = [
+            (meta, chunk)
+            for meta, chunk in recovery.lost_chunks(self._declared_dead)
+            # transient blips never trigger IO storms
+            if chunk.node_id in self._declared_dead and id(chunk) not in queued
+        ]
+        groups = recovery.damaged_groups(fresh)
+        for meta, _home, chunks in groups:
+            # Spare redundancy is a property of the stripe / block, so
+            # every lost member classifies alike: ask about the first.
+            klass = classify_repair(self.fs, meta, chunks[0])
+            scheduler.submit(StripeRepairTask(meta, chunks, klass=klass))
+        return len(groups)
 
     def _cancel_stale_repairs(self, returned: List[str]) -> int:
-        """Drop queued repairs for chunks a returning node still holds.
+        """Drop queued repairs of chunks a returning node still holds.
 
-        Only tasks whose chunk is physically present on the returned node
-        are cancelled; a chunk that was re-homed while the node was away
-        keeps its pending repair.
+        Only chunks physically present on the returned node leave their
+        task (a chunk re-homed while the node was away stays pending);
+        a task left with nothing to repair is cancelled. Returns the
+        number of chunks dropped.
         """
         returned_set = set(returned)
         queue = self.fs.scheduler.queue
         cancelled = 0
         for task in queue.backlog():
-            if not isinstance(task, ChunkRepairTask):
+            if not isinstance(task, StripeRepairTask):
                 continue
-            node_id = task.chunk.node_id
-            if node_id not in returned_set:
-                continue
-            datanode = self.fs.datanodes.get(node_id)
-            if (
-                datanode is not None
-                and datanode.is_alive
-                and datanode.has_chunk(task.chunk.chunk_id)
-            ):
+            kept = [
+                chunk
+                for chunk in task.chunks
+                if chunk.node_id not in returned_set
+                or not chunk_present(self.fs, chunk)
+            ]
+            cancelled += len(task.chunks) - len(kept)
+            task.chunks = kept
+            if not kept:
                 queue.remove(task)
                 task.result = "cancelled"
-                cancelled += 1
         return cancelled
 
     def _submit_transcode_work(self) -> None:
@@ -225,8 +235,8 @@ class HeartbeatMonitor:
         sched_report = self.fs.scheduler.run_tick()
         report.scheduler = sched_report
         for task in sched_report.executed:
-            if isinstance(task, ChunkRepairTask) and task.result == "repaired":
-                report.chunks_recovered += 1
+            if isinstance(task, StripeRepairTask) and task.result == "repaired":
+                report.chunks_recovered += len(task.chunks)
             elif isinstance(task, ConversionGroupTask):
                 report.transcode_groups_run += 1
             elif isinstance(task, ScrubTask):

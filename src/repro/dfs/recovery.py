@@ -1,18 +1,25 @@
-"""Failure detection and chunk reconstruction (§4.4, §6.1).
+"""Failure detection and stripe-granular reconstruction (§4.4, §6.1).
 
 The Namenode notices dead Datanodes via heartbeats; every chunk homed on
-a dead node is re-materialised on a live one following the priority order
-the paper gives:
+a dead node is re-materialised on a live one. The unit of repair is the
+**damaged stripe** (or replica block): everything one failure took from
+it is rebuilt together — targets picked once, every source read once,
+one fused ``(e, k)`` recovery for all ``e`` erased slots, data and parity
+alike — following the priority order the paper gives:
 
-* **replica chunk lost** — copy another replica if one exists, else
-  rebuild the span from the EC stripe's data chunks;
+* **replica lost** — copy a surviving replica of the block if one
+  exists, else rebuild the span from the EC stripes' data chunks;
 * **EC data chunk lost** — read the covering replica range if the file is
-  hybrid, else decode from k surviving stripe chunks;
-* **parity chunk lost** — recompute from a replica (one sequential read)
-  or from the data chunks.
+  hybrid, else decode from k surviving stripe chunks (an LRC-family code
+  repairs a single in-group loss from its k/l group peers);
+* **parity lost** — the same decode: over intact data chunks the
+  recovery matrix is just the parity's generator row.
 
 Every reconstruction is metered: reads at the sources, one network
-transfer per chunk to the rebuilding node, a disk write for the new copy.
+transfer per source to the rebuilding node, a disk write per new chunk.
+On the namenode a repaired stripe is two journal records however many
+chunks it lost: one MINT before any metadata changes, one NOTE after all
+of them.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.codes.base import DecodeError
-from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta
+from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta, ReplicaBlockMeta
 
 
 class RecoveryError(RuntimeError):
@@ -80,61 +87,69 @@ class RecoveryManager:
         return self.recover_chunks(self.lost_chunks())
 
     def recover_chunks(self, pairs: List[Tuple[FileMeta, ChunkMeta]]) -> int:
-        """Rebuild many (file, chunk) pairs, batching stripe decodes.
+        """Rebuild (file, chunk) pairs, one reconstruction per damaged
+        stripe or replica block; returns how many chunks were rebuilt."""
+        return sum(self._repair(*group) for group in self.damaged_groups(pairs))
 
-        Chunks with a cheaper dedicated path — replica copies, hybrid
-        replica-range reads, LRC local repair, non-generator (vector)
-        codes — keep the per-chunk pipeline. The rest group per stripe,
-        so a failure burst does ONE k-survivor fetch per stripe and one
-        batched kernel invocation per shared failure pattern instead of
-        a k-fetch-plus-decode per lost chunk.
-        """
-        singles: List[Tuple[FileMeta, ChunkMeta]] = []
-        stripe_jobs: Dict[int, Tuple[FileMeta, ECStripeMeta, List[ChunkMeta]]] = {}
+    def damaged_groups(
+        self, pairs: List[Tuple[FileMeta, ChunkMeta]]
+    ) -> List[Tuple[FileMeta, object, List[ChunkMeta]]]:
+        """``(file, stripe-or-replica-block, its chunks among pairs)`` per
+        damaged redundancy group, in order of first appearance. Chunks
+        are matched by identity."""
+        homes: Dict[int, Dict[int, object]] = {}
+        groups: Dict[int, Tuple[FileMeta, object, List[ChunkMeta]]] = {}
         for meta, chunk in pairs:
-            stripe = None
-            if chunk.kind is not ChunkKind.REPLICA and not meta.replica_blocks:
-                stripe = self._stripe_and_block(meta, chunk)
-            if stripe is None:
-                singles.append((meta, chunk))
-                continue
-            code = self.fs.codec_for_stripe(meta, stripe)
-            if hasattr(code, "group_members") or not getattr(
-                code, "generator_encoded", True
-            ):
-                singles.append((meta, chunk))
-                continue
-            job = stripe_jobs.setdefault(id(stripe), (meta, stripe, []))
-            job[2].append(chunk)
-        count = 0
-        for meta, chunk in singles:
-            self.recover_chunk(meta, chunk)
-            count += 1
-        count += self._recover_stripes_batched(list(stripe_jobs.values()))
-        return count
+            index = homes.get(id(meta))
+            if index is None:
+                index = homes[id(meta)] = {
+                    id(member): home
+                    for home in (*meta.stripes, *meta.replica_blocks)
+                    for member in _members(home)
+                }
+            home = index.get(id(chunk))
+            if home is None:
+                raise RecoveryError(
+                    f"{meta.name}: {chunk.chunk_id} is not a chunk of the file"
+                )
+            groups.setdefault(id(home), (meta, home, []))[2].append(chunk)
+        return list(groups.values())
 
-    # -- reconstruction ------------------------------------------------------------
     def recover_chunk(self, meta: FileMeta, chunk: ChunkMeta) -> str:
         """Rebuild one chunk on a fresh node; returns the new node id."""
-        with self.fs.obs.span("repair", file=meta.name, kind=chunk.kind.name):
-            return self._recover_chunk_impl(meta, chunk)
+        self.recover_chunks([(meta, chunk)])
+        return chunk.node_id
 
-    def _recover_chunk_impl(self, meta: FileMeta, chunk: ChunkMeta) -> str:
-        target = self._pick_target(meta, chunk)
-        if chunk.kind is ChunkKind.REPLICA:
-            data = self._rebuild_replica(meta, chunk, target)
-        elif chunk.kind is ChunkKind.DATA:
-            data = self._rebuild_data_chunk(meta, chunk, target)
-        else:
-            data = self._rebuild_parity(meta, chunk, target)
-        new_id = self.fs.namenode.next_chunk_id(f"{meta.name}/recovered")
-        self.fs.datanodes[target].store_local(new_id, data, at=self.fs.clock)
-        self.fs.checksums.forget(chunk.chunk_id)
-        self.fs.checksums.record(new_id, data)
-        chunk.chunk_id = new_id
-        chunk.node_id = target
-        self.fs.namenode.note_chunk(target, meta.name)
-        return target
+    # -- one damaged stripe / replica block ----------------------------------
+    def _repair(self, meta: FileMeta, home, lost: List[ChunkMeta]) -> int:
+        """Plan, rebuild and commit the ``lost`` members of ``home``."""
+        is_block = isinstance(home, ReplicaBlockMeta)
+        members = _members(home)
+        # Slots by identity, not the dataclass ``__eq__`` (a field-by-field
+        # compare per candidate).
+        slots = [
+            slot for slot, m in enumerate(members) if any(m is c for c in lost)
+        ]
+        with self.fs.obs.span(
+            "repair",
+            file=meta.name,
+            kind="REPLICA" if is_block else "STRIPE",
+            lost=len(slots),
+        ):
+            # Mutually distinct targets; the first one does the rebuilding.
+            targets: Dict[int, str] = {}
+            taken: set = set()
+            for slot in slots:
+                targets[slot] = self._pick_target(meta, members[slot], taken)
+                taken.add(targets[slot])
+            rebuilder = targets[slots[0]]
+            if is_block:
+                span = self._block_bytes(meta, home, slots, rebuilder)
+                rebuilt = {slot: span[: members[slot].size] for slot in slots}
+            else:
+                rebuilt = self._stripe_bytes(meta, home, slots, rebuilder)
+            self._commit(meta, members, targets, rebuilt, rebuilder)
+        return len(slots)
 
     def _pick_target(
         self,
@@ -160,112 +175,130 @@ class RecoveryManager:
             raise RecoveryError("no live nodes to rebuild onto")
         return alive[0].node_id
 
-    # -- batched stripe reconstruction ---------------------------------------
-    def _recover_stripes_batched(
-        self, jobs: List[Tuple[FileMeta, ECStripeMeta, List[ChunkMeta]]]
-    ) -> int:
-        """Rebuild stripe-homed chunks with batched decodes.
+    def _commit(
+        self,
+        meta: FileMeta,
+        members: List[ChunkMeta],
+        targets: Dict[int, str],
+        rebuilt: Dict[int, np.ndarray],
+        rebuilder: str,
+    ) -> None:
+        """Store the rebuilt chunks and swap in their metadata.
 
-        Per stripe: pick one target per lost chunk (mutually distinct),
-        fetch k survivors once to the first target (the *rebuilder*),
-        then decode every stripe sharing a code object with a single
-        :meth:`~repro.codes.base.ErasureCode.decode_batch` call, which
-        stacks same-failure-pattern stripes into one kernel invocation.
+        Journal order (record-boundary invariant): MINT while the chunk
+        metadata is untouched, then all ``e`` updates, then one NOTE. The
+        rebuilder writes its own chunk locally; every other target
+        receives its chunk from the rebuilder over the network.
         """
-        if not jobs:
-            return 0
-        plans = []
-        for meta, stripe, lost in jobs:
-            with self.fs.obs.span(
-                "repair", file=meta.name, kind="STRIPE_BATCH", lost=len(lost)
-            ):
-                plans.append(self._plan_stripe_repair(meta, stripe, lost))
-        by_code: Dict[int, List[dict]] = {}
-        for plan in plans:
-            by_code.setdefault(id(plan["code"]), []).append(plan)
-        for group in by_code.values():
-            code = group[0]["code"]
-            try:
-                batches = code.decode_batch(
-                    [p["available"] for p in group],
-                    [p["erased"] for p in group],
-                )
-            except DecodeError as exc:
-                names = ", ".join(sorted({p["meta"].name for p in group}))
-                raise RecoveryError(f"{names}: stripe batch beyond repair") from exc
-            for plan, recovered in zip(group, batches):
-                plan["recovered"] = recovered
-        return sum(self._store_stripe_repairs(plan) for plan in plans)
-
-    def _plan_stripe_repair(
-        self, meta: FileMeta, stripe: ECStripeMeta, lost: List[ChunkMeta]
-    ) -> dict:
-        chunks = stripe.all_chunks()
-        erased = sorted(chunks.index(c) for c in lost)
-        targets: Dict[int, str] = {}
-        taken: set = set()
-        for idx in erased:
-            target = self._pick_target(meta, chunks[idx], extra_occupied=taken)
-            targets[idx] = target
-            taken.add(target)
-        rebuilder = targets[erased[0]]
-        erased_set = set(erased)
-        available: Dict[int, np.ndarray] = {}
-        for idx in range(len(chunks)):
-            if idx in erased_set:
-                continue
-            data = self._fetch(chunks[idx], rebuilder)
-            if data is not None:
-                available[idx] = data
-                if len(available) >= stripe.k:
-                    break
-        return {
-            "meta": meta,
-            "stripe": stripe,
-            "code": self.fs.codec_for_stripe(meta, stripe),
-            "erased": erased,
-            "targets": targets,
-            "rebuilder": rebuilder,
-            "available": available,
-            "recovered": None,
-        }
-
-    def _store_stripe_repairs(self, plan: dict) -> int:
-        """Store decoded chunks and swap in the new metadata.
-
-        The rebuilder writes its own chunks locally; every other target
-        receives its chunks over the network in one batched transfer.
-        Decode CPU is charged at the rebuilder per recovered chunk,
-        matching the per-chunk pipeline's accounting.
-        """
-        meta = plan["meta"]
-        chunks = plan["stripe"].all_chunks()
-        rebuilder = plan["rebuilder"]
-        stores: Dict[str, List[Tuple[str, np.ndarray]]] = {}
-        updates: List[Tuple[ChunkMeta, str, str, np.ndarray]] = []
-        for idx in plan["erased"]:
-            chunk = chunks[idx]
-            data = plan["recovered"][idx]
-            new_id = self.fs.namenode.next_chunk_id(f"{meta.name}/recovered")
-            target = plan["targets"][idx]
-            stores.setdefault(target, []).append((new_id, data))
-            updates.append((chunk, new_id, target, data))
-            self.fs.charge_node_encode(
-                rebuilder, len(plan["available"]), 1, meta.chunk_size
-            )
-        for target, items in stores.items():
-            node = self.fs.datanodes[target]
+        fs = self.fs
+        new_ids = dict(
+            zip(targets, fs.namenode.next_chunk_ids(f"{meta.name}/recovered", len(targets)))
+        )
+        for slot, target in targets.items():
+            node = fs.datanodes[target]
             if target == rebuilder:
-                node.store_local_many(items, at=self.fs.clock)
+                node.store_local(new_ids[slot], rebuilt[slot], at=fs.clock)
             else:
-                node.receive_many_to_disk(items, src=rebuilder, at=self.fs.clock)
-        for chunk, new_id, target, data in updates:
-            self.fs.checksums.forget(chunk.chunk_id)
-            self.fs.checksums.record(new_id, data)
-            chunk.chunk_id = new_id
+                node.receive_to_disk(
+                    new_ids[slot], rebuilt[slot], src=rebuilder, at=fs.clock
+                )
+        for slot, target in targets.items():
+            chunk = members[slot]
+            fs.checksums.forget(chunk.chunk_id)
+            fs.checksums.record(new_ids[slot], rebuilt[slot])
+            chunk.chunk_id = new_ids[slot]
             chunk.node_id = target
-            self.fs.namenode.note_chunk(target, meta.name)
-        return len(updates)
+        fs.namenode.note_file(meta)
+
+    # -- sources ---------------------------------------------------------------
+    def _stripe_bytes(
+        self, meta: FileMeta, stripe: ECStripeMeta, erased: List[int], dst: str
+    ) -> Dict[int, np.ndarray]:
+        """Bytes of the ``erased`` slots of one stripe, rebuilt at ``dst``.
+
+        Every source is read once: a hybrid file's lost data chunk is one
+        sequential replica-range read (§4.4); whatever is left comes out
+        of a single ``code.decode`` over the survivors (home chunk, else
+        the covering replica range) — k of them, or the k/l group peers
+        when an LRC-family code lost one in-group chunk.
+        """
+        first = self._first_data_index(meta, stripe)
+        out: Dict[int, np.ndarray] = {}
+        if meta.replica_blocks:
+            for idx in erased:
+                if idx < stripe.k:
+                    data = self._replica_range(meta, first + idx, dst)
+                    if data is not None:
+                        out[idx] = data
+        todo = [idx for idx in erased if idx not in out]
+        if not todo:
+            return out
+        code = self.fs.codec_for_stripe(meta, stripe)
+        order = [idx for idx in range(stripe.n) if idx not in erased]
+        # How many sources to try with: the k/l group peers of a single
+        # in-group loss, then k, then (non-MDS patterns) every survivor.
+        needs = [stripe.k, stripe.n]
+        if hasattr(code, "group_members") and len(todo) == 1 and todo[0] < stripe.k + code.l:
+            peers = [m for m in code.group_members(code.group_of(todo[0])) if m in order]
+            order = peers + [idx for idx in order if idx not in peers]
+            needs.insert(0, len(out) + len(peers))
+        available = dict(out)
+        survivors = self._survivors(meta, stripe, first, order, dst)
+        error: Optional[DecodeError] = None
+        for need in needs:
+            while len(available) < need:
+                found = next(survivors, None)
+                if found is None:
+                    break
+                available[found[0]] = found[1]
+            try:
+                out.update(code.decode(available, todo))
+            except DecodeError as exc:
+                error = exc
+                continue
+            self.fs.charge_node_encode(dst, len(available), len(todo), meta.chunk_size)
+            return out
+        raise RecoveryError(
+            f"{meta.name}: stripe {stripe.stripe_index} beyond repair"
+        ) from error
+
+    def _survivors(
+        self, meta: FileMeta, stripe: ECStripeMeta, first: int, order: List[int], dst: str
+    ):
+        """Lazily read stripe slots in ``order``, skipping the unreadable:
+        the home chunk, else (data slots) the hybrid replica range."""
+        chunks = stripe.all_chunks()
+        for idx in order:
+            data = self._fetch(chunks[idx], dst)
+            if data is None and idx < stripe.k:
+                data = self._replica_range(meta, first + idx, dst)
+            if data is not None:
+                yield idx, data
+
+    def _block_bytes(
+        self, meta: FileMeta, block: ReplicaBlockMeta, lost: List[int], dst: str
+    ) -> np.ndarray:
+        """The block's span: a surviving copy, else the stripes' data."""
+        for slot, copy in enumerate(block.copies):
+            if slot not in lost:
+                data = self._fetch(copy, dst)
+                if data is not None:
+                    return data
+        pieces: List[np.ndarray] = []
+        first, end = 0, block.first_chunk + block.n_chunks
+        for stripe in meta.stripes:
+            wanted = range(
+                max(block.first_chunk, first) - first, min(end, first + stripe.k) - first
+            )
+            got = {idx: self._fetch(stripe.data[idx], dst) for idx in wanted}
+            missing = [idx for idx in wanted if got[idx] is None]
+            if missing:
+                got.update(self._stripe_bytes(meta, stripe, missing, dst))
+            pieces.extend(got[idx] for idx in wanted)
+            first += stripe.k
+        if not pieces:
+            raise RecoveryError(f"{meta.name}: block {block.block_index} has no source")
+        return np.concatenate(pieces)
 
     def _fetch(self, src: ChunkMeta, target: str) -> Optional[np.ndarray]:
         datanode = self.fs.datanodes[src.node_id]
@@ -281,63 +314,12 @@ class RecoveryManager:
         )
         return data
 
-    def _stripe_and_block(self, meta: FileMeta, chunk: ChunkMeta):
-        for stripe in meta.stripes:
-            if chunk in stripe.all_chunks():
-                return stripe
-        return None
-
-    def _rebuild_replica(self, meta: FileMeta, chunk: ChunkMeta, target: str) -> np.ndarray:
-        block = next(
-            b for b in meta.replica_blocks if chunk in b.copies
-        )
-        for copy in block.copies:
-            if copy is chunk:
-                continue
-            data = self._fetch(copy, target)
-            if data is not None:
-                return data
-        # No surviving replica: rebuild the span from the stripe's data.
-        pieces = []
-        for idx in range(block.first_chunk, block.first_chunk + block.n_chunks):
-            pieces.append(self._read_or_decode_data(meta, idx, target))
-        return np.concatenate(pieces)[: chunk.size]
-
-    def _rebuild_data_chunk(self, meta: FileMeta, chunk: ChunkMeta, target: str) -> np.ndarray:
-        stripe = self._stripe_and_block(meta, chunk)
-        local = stripe.data.index(chunk)
-        # Hybrid fast path: one sequential replica-range read (§4.4).
-        global_index = self._global_data_index(meta, stripe, local)
-        if meta.replica_blocks:
-            data = self._replica_range(meta, global_index, target)
-            if data is not None:
-                return data
-        return self._decode_from_stripe(meta, stripe, stripe.k + 0, local, target)
-
-    def _rebuild_parity(self, meta: FileMeta, chunk: ChunkMeta, target: str) -> np.ndarray:
-        stripe = self._stripe_and_block(meta, chunk)
-        parity_j = stripe.parities.index(chunk)
-        code = self.fs.codec_for_stripe(meta, stripe)
-        # Re-encoding a parity needs the whole data span — from replicas if
-        # hybrid (sequential read), else from the data chunks.
-        data_chunks = []
-        for local in range(stripe.k):
-            global_index = self._global_data_index(meta, stripe, local)
-            piece = None
-            if meta.replica_blocks:
-                piece = self._replica_range(meta, global_index, target)
-            if piece is None:
-                piece = self._read_or_decode_data_in_stripe(meta, stripe, local, target)
-            data_chunks.append(piece)
-        self.fs.charge_node_encode(target, stripe.k, 1, meta.chunk_size)
-        return code.encode(data_chunks)[parity_j]
-
-    # -- shared helpers -----------------------------------------------------------
-    def _global_data_index(self, meta: FileMeta, stripe: ECStripeMeta, local: int) -> int:
+    def _first_data_index(self, meta: FileMeta, stripe: ECStripeMeta) -> int:
+        """File-wide index of the stripe's first data chunk."""
         passed = 0
         for s in meta.stripes:
             if s is stripe:
-                return passed + local
+                return passed
             passed += s.k
         raise RecoveryError("stripe not in file")
 
@@ -367,58 +349,8 @@ class RecoveryManager:
                         return out
         return None
 
-    def _read_or_decode_data(self, meta: FileMeta, chunk_index: int, target: str) -> np.ndarray:
-        passed = 0
-        for stripe in meta.stripes:
-            if chunk_index < passed + stripe.k:
-                return self._read_or_decode_data_in_stripe(
-                    meta, stripe, chunk_index - passed, target
-                )
-            passed += stripe.k
-        raise RecoveryError(f"chunk index {chunk_index} beyond stripes")
 
-    def _read_or_decode_data_in_stripe(
-        self, meta: FileMeta, stripe: ECStripeMeta, local: int, target: str
-    ) -> np.ndarray:
-        chunk = stripe.data[local]
-        data = self._fetch(chunk, target)
-        if data is not None:
-            return data
-        return self._decode_from_stripe(meta, stripe, stripe.k, local, target)
+def _members(home) -> List[ChunkMeta]:
+    """Chunks of a repair group, in slot order."""
+    return home.copies if isinstance(home, ReplicaBlockMeta) else home.all_chunks()
 
-    def _decode_from_stripe(
-        self, meta: FileMeta, stripe: ECStripeMeta, _unused: int, local: int, target: str
-    ) -> np.ndarray:
-        code = self.fs.codec_for_stripe(meta, stripe)
-        available: Dict[int, np.ndarray] = {}
-        chunks = stripe.all_chunks()
-        # Local repair first for LRC-family codes: k/l reads, not k.
-        if hasattr(code, "group_members") and local < stripe.k + code.l:
-            peers = [m for m in code.group_members(code.group_of(local)) if m != local]
-            fetched = {}
-            for m in peers:
-                data = self._fetch(chunks[m], target)
-                if data is None:
-                    break
-                fetched[m] = data
-            if len(fetched) == len(peers):
-                recovered = code.decode(fetched, [local])
-                self.fs.charge_node_encode(target, len(peers), 1, meta.chunk_size)
-                return recovered[local]
-            available.update(fetched)
-        for idx in range(len(chunks)):
-            if idx == local or idx in available:
-                continue
-            data = self._fetch(chunks[idx], target)
-            if data is not None:
-                available[idx] = data
-                if len(available) >= stripe.k:
-                    break
-        try:
-            recovered = code.decode(available, [local])
-        except DecodeError as exc:
-            raise RecoveryError(
-                f"{meta.name}: stripe {stripe.stripe_index} beyond repair"
-            ) from exc
-        self.fs.charge_node_encode(target, len(available), 1, meta.chunk_size)
-        return recovered[local]

@@ -28,7 +28,9 @@ contiguous data. This module is the numpy rendition of that idea:
 Wide matrices (``m`` above :data:`COMBINE_MAX_ROWS`) fall back to a
 row-at-a-time blocked loop over shared per-coefficient tables (GF(2^8))
 or a hoisted-log loop that applies the zero mask once per coefficient
-instead of once per element (GF(2^16)).
+instead of once per element (GF(2^16)). So does a single-row GF(2^8)
+matrix (``m == 1``, the recovery of one lost chunk): the same gathers
+per byte straight from the shared tables, and the plan owns none.
 
 Dispatch policy lives with the callers (:func:`repro.gf.matrix.gf_matmul`
 and :func:`repro.gf.field16.gf16_matmul`): below
@@ -252,8 +254,17 @@ def _apply_combined(
 def _apply_rows8(
     coeffs: np.ndarray, cols: List[int], b16: np.ndarray, out16: np.ndarray
 ) -> None:
-    """Row-at-a-time blocked loop over shared pair tables (wide outputs)."""
+    """Row-at-a-time blocked loop over the shared pair tables: outputs
+    too wide to combine, and single rows, which have nothing to combine.
+
+    A single row gathers for a coefficient of 1 as for any other, like
+    the ``(65536, 1)`` tables it replaces: rebuilding one chunk then
+    costs the same whichever slot of the stripe was lost. XORing ones
+    instead makes the slots next to the XOR parity ~4x cheaper than the
+    rest, and a drill's repair rate swings ~20 % between failure
+    patterns of equal severity (docs/performance.md, "Repair path")."""
     m, n16 = out16.shape
+    xor_ones = m > 1
     w = max(1024, TILE_BYTES // 4)
     tmp = np.empty(min(w, n16), dtype=np.uint16)
     for start in range(0, n16, w):
@@ -266,7 +277,7 @@ def _apply_rows8(
                 if c == 0:
                     continue
                 seg = b16[t, start:stop]
-                if c == 1:
+                if c == 1 and xor_ones:
                     np.bitwise_xor(acc, seg, out=acc)
                 else:
                     np.take(pair_table8(c), seg, out=tmp[:ww], mode="clip")
@@ -318,7 +329,11 @@ class MulPlan8:
         self.coeffs = coeffs
         self.m, self.k = coeffs.shape
         self.cols = [t for t in range(self.k) if coeffs[:, t].any()]
-        self.combined = self.m <= COMBINE_MAX_ROWS
+        # A single-row transform (one lost chunk: the common repair) has
+        # nothing to combine — its (65536, 1) tables would be private
+        # copies of the shared pair tables, k * 128 KiB rebuilt and pinned
+        # per failure pattern. It gathers from the shared LRU instead.
+        self.combined = 1 < self.m <= COMBINE_MAX_ROWS
         self.tables: List[np.ndarray] = (
             _combined_tables(coeffs, self.cols, pair_table8)
             if self.combined

@@ -52,7 +52,7 @@ def run_failure_burst_demo(
     from repro.core.schemes import CodeKind, ECScheme, HybridScheme
     from repro.dfs import MorphFS, ShardedNamenode
     from repro.dfs.integrity import corrupt_chunk
-    from repro.sched.tasks import ChunkRepairTask, ScrubTask
+    from repro.sched.tasks import ScrubTask, StripeRepairTask
 
     if namenode is None:
         namenode = ShardedNamenode.journaled(n_shards=4, compact_every=256)
@@ -101,8 +101,9 @@ def run_failure_burst_demo(
     # Phase 4 — repairs drain through the maintenance scheduler.
     from repro.dfs.recovery import RecoveryManager
 
-    for meta, chunk in RecoveryManager(fs).lost_chunks():
-        fs.scheduler.submit(ChunkRepairTask(meta, chunk))
+    recovery = RecoveryManager(fs)
+    for meta, _home, chunks in recovery.damaged_groups(recovery.lost_chunks()):
+        fs.scheduler.submit(StripeRepairTask(meta, chunks))
     fs.scheduler.run_until_drained()
 
     # Phase 5 — silent corruption caught by the scrub sweep.

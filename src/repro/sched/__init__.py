@@ -31,11 +31,11 @@ from repro.sched.queue import PriorityTaskQueue
 from repro.sched.scheduler import MaintenanceScheduler, SchedulerTickReport
 from repro.sched.tasks import (
     CallbackTask,
-    ChunkRepairTask,
     ConversionGroupTask,
     FreeTransitionTask,
     MaintenanceTask,
     ScrubTask,
+    StripeRepairTask,
     TaskClass,
     TaskCost,
     TaskState,
@@ -45,7 +45,6 @@ from repro.sched.tasks import (
 __all__ = [
     "BudgetManager",
     "CallbackTask",
-    "ChunkRepairTask",
     "ConversionGroupTask",
     "FreeTransitionTask",
     "MaintenanceScheduler",
@@ -55,6 +54,7 @@ __all__ = [
     "SchedulerPolicy",
     "SchedulerTickReport",
     "ScrubTask",
+    "StripeRepairTask",
     "TaskClass",
     "TaskCost",
     "TaskState",

@@ -97,8 +97,9 @@ def backoff_ticks(policy: SchedulerPolicy, attempts: int) -> int:
 
 
 def classify_repair(fs, meta, chunk) -> TaskClass:
-    """CRITICAL_REPAIR when the chunk's redundancy group is at its
-    tolerance limit (losing one more source loses data), else REPAIR.
+    """CRITICAL_REPAIR when the chunk's redundancy group (its stripe or
+    replica block, found by identity) is at its tolerance limit — losing
+    one more source loses data — else REPAIR.
 
     Heuristic, erring toward REPAIR: replica ranges covering an EC span
     count as redundancy, so a hybrid file's EC chunk is never critical
@@ -125,7 +126,7 @@ def classify_repair(fs, meta, chunk) -> TaskClass:
     passed = 0
     for stripe in meta.stripes:
         chunks = stripe.all_chunks()
-        if chunk in chunks:
+        if any(c is chunk for c in chunks):
             unavailable = sum(1 for c in chunks if not available(c))
             if unavailable < stripe.n - stripe.k:
                 return TaskClass.REPAIR
@@ -140,7 +141,7 @@ def classify_repair(fs, meta, chunk) -> TaskClass:
 
     # Replica chunk: other copies of its block, else a decodable stripe.
     for block in meta.replica_blocks:
-        if chunk in block.copies:
+        if any(c is chunk for c in block.copies):
             others = [c for c in block.copies if c is not chunk]
             if any(available(c) for c in others):
                 return TaskClass.REPAIR

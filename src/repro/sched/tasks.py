@@ -29,10 +29,10 @@ from typing import Any, Callable, Dict, Optional
 class TaskClass(enum.Enum):
     """Priority class of a maintenance task (paper §6.1/§6.2 work types)."""
 
-    #: reconstruction of a chunk whose stripe/block has no spare redundancy
-    #: left — one more loss means data loss
+    #: reconstruction of a stripe/block that has no spare redundancy left
+    #: — one more loss means data loss
     CRITICAL_REPAIR = "critical_repair"
-    #: ordinary reconstruction of a chunk homed on a dead node
+    #: ordinary reconstruction of chunks homed on a dead node
     REPAIR = "repair"
     #: transcode work: conversion groups, finalize, free transitions
     TRANSCODE = "transcode"
@@ -117,42 +117,66 @@ class MaintenanceTask:
         )
 
 
-class ChunkRepairTask(MaintenanceTask):
-    """Rebuild one chunk lost to a node failure (§4.4, §6.1)."""
+def chunk_present(fs, chunk) -> bool:
+    """True when ``chunk`` is readable where the namenode lists it: its
+    node is up, holds the chunk and is on the namenode's side of any
+    partition (an island's chunks count as lost and get re-homed)."""
+    datanode = fs.datanodes.get(chunk.node_id)
+    partition = getattr(fs, "partition", None)
+    return (
+        datanode is not None
+        and datanode.is_alive
+        and datanode.has_chunk(chunk.chunk_id)
+        and (partition is None or partition.reachable(chunk.node_id, "namenode"))
+    )
 
-    def __init__(self, meta, chunk, klass: TaskClass = TaskClass.REPAIR, **kw):
+
+class StripeRepairTask(MaintenanceTask):
+    """Rebuild everything one damaged stripe — or replica block — lost
+    to node failures, in one reconstruction (§4.4, §6.1)."""
+
+    def __init__(self, meta, chunks, klass: TaskClass = TaskClass.REPAIR, **kw):
         super().__init__(klass, **kw)
         self.meta = meta
-        self.chunk = chunk
+        #: the lost chunks, all members of one stripe / replica block
+        self.chunks = list(chunks)
 
     def estimated_cost(self, fs) -> TaskCost:
-        # Worst case is a full-stripe decode: k source reads, one write,
-        # k transfers to the rebuilding node.
-        k = max((s.k for s in self.meta.stripes), default=1)
-        size = float(self.chunk.size or self.meta.chunk_size)
-        return TaskCost(disk_bytes=(k + 1) * size, net_bytes=k * size)
+        # Worst case is a full-stripe decode at the rebuilding node: k
+        # source reads shipped in, e writes, e - 1 rebuilt chunks shipped
+        # on. Only a non-MDS (LRC-family) code can need more than k
+        # sources, and never more than the stripe's survivors.
+        e = len(self.chunks)
+        ec = getattr(self.meta.scheme, "ec", self.meta.scheme)
+        non_mds = bool(getattr(ec, "local_groups", None))
+        reads = max(
+            (max(s.n - e, s.k) if non_mds else s.k for s in self.meta.stripes),
+            default=1,
+        )
+        size = float(max((c.size for c in self.chunks), default=0) or self.meta.chunk_size)
+        return TaskCost(
+            disk_bytes=(reads + e) * size, net_bytes=(reads + e - 1) * size
+        )
 
     def execute(self, fs):
-        datanode = fs.datanodes.get(self.chunk.node_id)
-        partition = getattr(fs, "partition", None)
-        if (
-            datanode is not None
-            and datanode.is_alive
-            and datanode.has_chunk(self.chunk.chunk_id)
-            and (partition is None or partition.reachable(self.chunk.node_id, "namenode"))
-        ):
-            return "skipped"  # node returned (or another task repaired it)
-        if fs.namenode.files.get(self.meta.name) is not self.meta:
-            return "skipped"  # file deleted or replaced since submission
-        if self.chunk not in self.meta.all_chunks():
-            return "skipped"  # chunk dropped by a finalize since submission
+        # Re-check every chunk: the file may have been deleted or replaced
+        # since submission, the chunk dropped by a transcode finalize, its
+        # node returned, or another task may have repaired it.
+        current: set = set()
+        if fs.namenode.files.get(self.meta.name) is self.meta:
+            current = {id(c) for c in self.meta.all_chunks()}
+        self.chunks = [
+            c for c in self.chunks if id(c) in current and not chunk_present(fs, c)
+        ]
+        if not self.chunks:
+            return "skipped"
         from repro.dfs.recovery import RecoveryManager
 
-        RecoveryManager(fs).recover_chunk(self.meta, self.chunk)
+        RecoveryManager(fs).recover_chunks([(self.meta, c) for c in self.chunks])
         return "repaired"
 
     def describe(self) -> str:
-        return f"repair {self.meta.name}:{self.chunk.chunk_id}"
+        return f"repair {self.meta.name}:" + ",".join(c.chunk_id for c in self.chunks)
 
 
 class ConversionGroupTask(MaintenanceTask):

@@ -102,6 +102,65 @@ class TestMulPlan8Differential:
         )
 
 
+class TestSingleRowPlan:
+    """``m == 1`` — the recovery of one lost chunk — gathers from the
+    shared pair tables and owns none of its own."""
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 12])
+    @pytest.mark.parametrize("n", [4096, 4097, 8191, 65536])
+    def test_bit_identical_to_reference(self, k, n):
+        rng = np.random.default_rng(1000 * k + n)
+        a = _rand8(rng, 1, k)
+        b = _rand8(rng, k, n)
+        plan = MulPlan8(a)
+        assert np.array_equal(plan.apply(b), gf_matmul_reference(a, b))
+        assert not plan.combined and plan.nbytes == 0
+
+    def test_coefficients_zero_and_one(self):
+        rng = np.random.default_rng(5)
+        b = _rand8(rng, 6, 9001)
+        for row in ([0, 1, 0, 1, 7, 0], [1] * 6, [0] * 6, [0, 0, 0, 0, 0, 1]):
+            a = np.array([row], dtype=np.uint8)
+            plan = MulPlan8(a)
+            assert np.array_equal(plan.apply(b), gf_matmul_reference(a, b)), row
+            assert plan.nbytes == 0
+
+    def test_one_gather_per_nonzero_coefficient_ones_included(self):
+        """What a single-row transform costs depends on how many inputs
+        it reads, not on their coefficients: an all-ones row looks up the
+        pair table of 1 once per input instead of XORing it in."""
+        from repro.gf.kernels import cache_stats
+
+        b = _rand8(np.random.default_rng(8), 6, 8192)
+
+        def lookups(row):
+            before = cache_stats()
+            MulPlan8(np.array([row], dtype=np.uint8)).apply(b)
+            after = cache_stats()
+            return sum(
+                after[key] - before[key] for key in ("table_hits", "table_misses")
+            )
+
+        assert lookups([1] * 6) == lookups([2, 3, 5, 7, 11, 13]) == 6
+        assert lookups([1, 0, 1, 0, 0, 9]) == 3
+
+    def test_two_rows_still_combine(self):
+        plan = MulPlan8(_rand8(np.random.default_rng(6), 2, 6))
+        assert plan.combined and plan.nbytes > 0
+
+    def test_single_erasure_pattern_pins_no_tables(self):
+        from repro.codes.rs import ReedSolomon
+
+        code = ReedSolomon(12, 15)
+        rng = np.random.default_rng(7)
+        data = [_rand8(rng, 8192) for _ in range(12)]
+        stripe = data + code.encode(data)
+        available = {i: c for i, c in enumerate(stripe) if i != 4}
+        assert np.array_equal(code.decode(available, [4])[4], stripe[4])
+        # What stays resident for the pattern is its 12-byte matrix.
+        assert code._pattern_cache.nbytes == 12
+
+
 class TestMulPlan16Differential:
     def test_randomized_shapes_bit_identical(self):
         rng = np.random.default_rng(0xCAFE)

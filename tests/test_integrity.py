@@ -42,6 +42,20 @@ class TestRegistry:
         assert chunk_checksum(a) != chunk_checksum(b)
 
 
+class TestChecksumValue:
+    """``chunk_checksum`` is CRC32 of the chunk's bytes in index order,
+    whatever the memory layout of the array handed in."""
+
+    def test_contiguous_sliced_and_empty_inputs(self):
+        import zlib
+
+        base = np.random.default_rng(3).integers(0, 256, 1 << 16, dtype=np.uint8)
+        square = base.reshape(256, 256)
+        for arr in (base, base[5:], base[::3], base[::-1], square[:, 7], base[:0]):
+            assert chunk_checksum(arr) == zlib.crc32(bytes(arr.tolist()))
+        assert chunk_checksum(base[:0]) == 0
+
+
 class TestWritePathsRegisterChecksums:
     def test_hybrid_write_registers_everything(self):
         fs, data = hybrid_fs()

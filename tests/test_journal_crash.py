@@ -3,6 +3,8 @@ boundary of a full failure-burst workload and assert byte-identical
 recovery against the snapshot+replay oracle (ISSUE 9 acceptance bar).
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,47 @@ from repro.dfs.journal import (
     state_digest,
 )
 from repro.dfs.recovery import RecoveryManager
-from repro.sched.tasks import ChunkRepairTask, ScrubTask
+from repro.sched.tasks import ScrubTask, StripeRepairTask
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 CC1215 = ECScheme(CodeKind.CC, 12, 15)
+
+
+@contextmanager
+def appended_ops(nn):
+    """Collect the opcode of every record journaled inside the block,
+    on any shard, chaining whatever ``after_append`` hook is installed."""
+    ops = []
+    shards = getattr(nn, "shards", [nn])
+    saved = [shard.after_append for shard in shards]
+
+    def chain(prev):
+        def hook(node, op):
+            ops.append(op)
+            if prev is not None:
+                prev(node, op)
+        return hook
+
+    for shard, prev in zip(shards, saved):
+        shard.after_append = chain(prev)
+    try:
+        yield ops
+    finally:
+        for shard, prev in zip(shards, saved):
+            shard.after_append = prev
+
+
+def repair_by_stripe(fs):
+    """Queue one StripeRepairTask per damaged stripe / replica block and
+    drain; returns (groups repaired, chunks repaired)."""
+    recovery = RecoveryManager(fs)
+    groups = recovery.damaged_groups(recovery.lost_chunks())
+    for meta, _home, chunks in groups:
+        fs.scheduler.submit(StripeRepairTask(meta, chunks))
+    fs.scheduler.run_until_drained()
+    assert recovery.lost_chunks() == []
+    return len(groups), sum(len(chunks) for _m, _h, chunks in groups)
 
 
 def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
@@ -58,15 +96,26 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
         fs.datanodes[victim].fail()
     for name in datasets:
         fs.read_file(name, 0, 8 * KB)
-    for meta, chunk in RecoveryManager(fs).lost_chunks():
-        fs.scheduler.submit(ChunkRepairTask(meta, chunk))
-    fs.scheduler.run_until_drained()
+    repair_by_stripe(fs)
 
     # Silent corruption caught by a scrub (repair relocations -> NOTE).
     meta = fs.namenode.lookup("f01")
     corrupt_chunk(fs, meta.stripes[0].data[0])
     fs.scheduler.submit(ScrubTask())
     fs.scheduler.run_until_drained()
+
+    # A stripe that lost a data chunk *and* a parity (its two nodes take
+    # chunks of other stripes and files with them). However many chunks a
+    # stripe lost, its repair is two records: MINT while the chunk
+    # metadata is untouched, one NOTE after all of it changed.
+    stripe = fs.namenode.lookup("f00").stripes[0]
+    for victim in (stripe.data[3].node_id, stripe.parities[1].node_id):
+        fs.cluster.fail_node(victim)
+        fs.datanodes[victim].fail()
+    with appended_ops(fs.namenode) as ops:
+        n_groups, n_chunks = repair_by_stripe(fs)
+    assert n_chunks > n_groups >= 1
+    assert ops == [Op.MINT, Op.NOTE] * n_groups
 
     # Appends re-open and re-seal the tail stripe of a hybrid file.
     extra = rng.integers(0, 256, 3 * chunk_kb * KB, dtype=np.uint8)

@@ -4,7 +4,7 @@ Covers:
 
 * ``Cluster.fail_fraction`` sampling victims from the alive population
   only (it used to re-fail already-dead nodes and under-inject);
-* dead-lettered ``ChunkRepairTask``s being resubmitted by the periodic
+* dead-lettered ``StripeRepairTask``s being resubmitted by the periodic
   repair sweep (they used to orphan their chunk forever);
 * heartbeat tolerance for datanodes registered after the monitor was
   constructed (used to ``KeyError``), plus cancellation of stale queued
@@ -25,7 +25,7 @@ from repro.dfs import MorphFS
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.sched.policies import SchedulerPolicy
 from repro.sched.scheduler import MaintenanceScheduler
-from repro.sched.tasks import ChunkRepairTask
+from repro.sched.tasks import StripeRepairTask
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -101,24 +101,32 @@ class TestRepairResubmission:
             fs, HeartbeatConfig(dead_after_missed=2, repair_resubmit_every_ticks=3)
         )
 
-        real = recovery_mod.RecoveryManager.recover_chunk
+        real = recovery_mod.RecoveryManager.recover_chunks
         state = {"fail": True}
 
-        def flaky(self, meta, chunk):
+        def flaky(self, pairs):
             if state["fail"]:
                 raise RuntimeError("transient source error")
-            return real(self, meta, chunk)
+            return real(self, pairs)
 
-        monkeypatch.setattr(recovery_mod.RecoveryManager, "recover_chunk", flaky)
+        monkeypatch.setattr(recovery_mod.RecoveryManager, "recover_chunks", flaky)
         # Declare dead; the first repair wave fails and dead-letters.
         monitor.tick(), monitor.tick()
-        assert fs.scheduler.dead_letter
-        assert not fs.scheduler.queue.find(lambda t: isinstance(t, ChunkRepairTask))
+        buried = list(fs.scheduler.dead_letter)
+        assert buried and all(isinstance(t, StripeRepairTask) for t in buried)
+        assert not fs.scheduler.queue.find(lambda t: isinstance(t, StripeRepairTask))
+        n_lost = sum(len(t.chunks) for t in buried)
 
-        # Source recovers; the periodic sweep must resubmit fresh tasks.
+        # Source recovers; the periodic sweep must resubmit fresh tasks —
+        # one per damaged stripe / block again, covering every lost chunk.
         state["fail"] = False
-        recovered = sum(monitor.tick().chunks_recovered for _ in range(6))
-        assert recovered > 0
+        reports = [monitor.tick() for _ in range(6)]
+        fresh = [
+            t for r in reports for t in r.scheduler.executed
+            if isinstance(t, StripeRepairTask)
+        ]
+        assert len(fresh) == len(buried) and not set(map(id, fresh)) & set(map(id, buried))
+        assert sum(r.chunks_recovered for r in reports) == n_lost > 0
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_no_resubmission_when_disabled(self, monkeypatch):
@@ -133,14 +141,14 @@ class TestRepairResubmission:
         )
         monkeypatch.setattr(
             recovery_mod.RecoveryManager,
-            "recover_chunk",
-            lambda self, meta, chunk: (_ for _ in ()).throw(RuntimeError("down")),
+            "recover_chunks",
+            lambda self, pairs: (_ for _ in ()).throw(RuntimeError("down")),
         )
         for _ in range(8):
             monitor.tick()
         # Legacy behavior when the sweep is off: buried tasks stay buried.
         assert fs.scheduler.dead_letter
-        assert not fs.scheduler.queue.find(lambda t: isinstance(t, ChunkRepairTask))
+        assert not fs.scheduler.queue.find(lambda t: isinstance(t, StripeRepairTask))
 
 
 # -- bugfix 3: late-registered datanodes + stale-repair cancellation ---------
@@ -171,19 +179,20 @@ class TestLateRegistrationAndStaleRepairs:
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
         monitor.tick(), monitor.tick()
         queued = [
-            t for t in fs.scheduler.queue.backlog() if isinstance(t, ChunkRepairTask)
+            t for t in fs.scheduler.queue.backlog() if isinstance(t, StripeRepairTask)
         ]
         assert queued, "repairs should be queued but not admitted"
+        assert all(c.node_id == victim for t in queued for c in t.chunks)
+        n_queued_chunks = sum(len(t.chunks) for t in queued)
 
         revive(fs, victim)
         report = monitor.tick()
         assert victim in report.newly_alive
-        assert report.repairs_cancelled == len(
-            [t for t in queued if t.chunk.node_id == victim]
-        )
-        assert all(
-            t.result == "cancelled" for t in queued if t.chunk.node_id == victim
-        )
+        # Every queued chunk sat on the one dead node: each counts as a
+        # cancelled repair and no task is left with anything to do.
+        assert report.repairs_cancelled == n_queued_chunks > 0
+        assert all(t.result == "cancelled" and not t.chunks for t in queued)
+        assert not fs.scheduler.queue.backlog()
         assert np.array_equal(fs.read_file("f"), data)
 
 

@@ -257,6 +257,78 @@ class TestMorphFSIntegration:
         )
 
 
+class TestStripeRepairBudgets:
+    """Stripe-granular repair tasks under the byte budgets: the estimate
+    is an upper bound, the per-node per-tick cap is never exceeded."""
+
+    SCHEMES = [
+        HybridScheme(1, CC69),
+        CC69,
+        ECScheme(CodeKind.CC, 12, 15),
+        ECScheme(CodeKind.RS, 6, 9),
+        ECScheme(CodeKind.LRC, 12, 16, local_groups=2, r_global=2),
+        ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2),
+    ]
+
+    @staticmethod
+    def _two_node_burst(scheme, **fs_kw):
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], **fs_kw)
+        data = np.random.default_rng(4).integers(0, 256, 192 * KB, dtype=np.uint8)
+        fs.write_file("f", data, scheme)
+        homes = sorted({c.node_id for c in fs.namenode.lookup("f").all_chunks()})
+        for victim in homes[:2]:
+            kill(fs, victim)
+        return fs, data
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+    def test_metered_bytes_never_exceed_the_estimate(self, scheme):
+        from repro.dfs.recovery import RecoveryManager
+        from repro.sched import StripeRepairTask
+
+        fs, data = self._two_node_burst(scheme)
+        recovery = RecoveryManager(fs)
+        groups = recovery.damaged_groups(recovery.lost_chunks())
+        assert any(len(chunks) > 1 for _m, _h, chunks in groups) or len(groups) > 1
+        for meta, _home, chunks in groups:
+            task = StripeRepairTask(meta, chunks)
+            estimate = task.estimated_cost(fs)
+            disk0, net0 = fs.metrics.disk_bytes_total, fs.metrics.net_bytes_total
+            assert task.execute(fs) == "repaired"
+            assert fs.metrics.disk_bytes_total - disk0 <= estimate.disk_bytes
+            assert fs.metrics.net_bytes_total - net0 <= estimate.net_bytes
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_no_node_exceeds_its_per_tick_cap(self):
+        cap = 64 * KB  # fits the largest stripe task: (12 + 2) * 4 KiB
+        fs, data = self._two_node_burst(ECScheme(CodeKind.CC, 12, 15))
+        fs.scheduler = MaintenanceScheduler(
+            fs, SchedulerPolicy(disk_bytes_per_tick=cap, net_bytes_per_tick=cap)
+        )
+        monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
+
+        def per_node():
+            return {
+                n: (m.disk_bytes_read + m.disk_bytes_written, m.net_bytes_in + m.net_bytes_out)
+                for n, m in fs.metrics.nodes.items()
+            }
+
+        recovered, busy_ticks, deferred = 0, 0, 0
+        for _ in range(60):
+            before = per_node()
+            report = monitor.tick()
+            for node_id, (disk, net) in per_node().items():
+                disk0, net0 = before.get(node_id, (0.0, 0.0))
+                assert disk - disk0 <= cap and net - net0 <= cap, node_id
+            recovered += report.chunks_recovered
+            busy_ticks += bool(report.chunks_recovered)
+            deferred += report.scheduler.deferred_budget
+        assert recovered > 0 and busy_ticks > 1 and deferred > 0
+        from repro.dfs.recovery import RecoveryManager
+
+        assert RecoveryManager(fs).lost_chunks(monitor.declared_dead()) == []
+        assert np.array_equal(fs.read_file("f"), data)
+
+
 class TestPriorityResource:
     def test_lower_priority_value_granted_first(self):
         env = Environment()
