@@ -24,11 +24,7 @@ figures:
 	$(PYTHON) -m repro all
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/transcode_deep_dive.py
-	$(PYTHON) examples/service_trace_analysis.py
-	$(PYTHON) examples/fault_tolerance_demo.py
-	$(PYTHON) examples/cluster_lifetime_sim.py
+	set -e; for example in examples/*.py; do $(PYTHON) $$example; done
 
 all: test bench-suite
 

@@ -25,11 +25,6 @@ from repro.dfs.recovery import RecoveryManager
 KB = 1024
 
 
-def kill(fs, node_id):
-    fs.cluster.fail_node(node_id)
-    fs.datanodes[node_id].fail()
-
-
 def main():
     fs = MorphFS(chunk_size=16 * KB, future_widths=[6, 12])
     rng = np.random.default_rng(11)
@@ -42,7 +37,7 @@ def main():
     block = meta.hybrid_blocks()[0].replicas[0]
     victims = [block.copies[0].node_id] + [c.node_id for c in stripe.all_chunks()[:3]]
     for v in victims:
-        kill(fs, v)
+        fs.cluster.fail_node(v)
     ok = np.array_equal(fs.read_file("f"), data)
     print(f"1. {len(victims)} simultaneous chunk failures (replica + 3 stripe "
           f"chunks): read still correct = {ok}")
@@ -74,14 +69,14 @@ def main():
     # --- 3. heartbeats: blip vs death ------------------------------------
     monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=3))
     blip = meta.stripes[0].data[1].node_id
-    kill(fs, blip)
+    fs.cluster.fail_node(blip)
     monitor.tick(); monitor.tick()
     fs.cluster.recover_node(blip); fs.datanodes[blip].recover()
     r = monitor.tick()
     print(f"3. transient 2-beat blip of {blip}: declared dead = "
           f"{blip in monitor.declared_dead()}, chunks rebuilt = {r.chunks_recovered}")
     dead = meta.stripes[0].data[2].node_id
-    kill(fs, dead)
+    fs.cluster.fail_node(dead)
     reports = monitor.run_ticks(3)
     rebuilt = sum(x.chunks_recovered for x in reports)
     print(f"   sustained failure of {dead}: declared dead = "

@@ -11,6 +11,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.failure import FailureInjector
 from repro.codes.costmodel import (
     convertible_cost,
     native_rs_cost,
@@ -75,7 +76,7 @@ def _run_workload(op_factory, n_threads: int, ops: int, op_bytes: float, seed: i
                   fail_fraction: float = 0.0, calibration=None):
     sim = SimCluster(seed=seed, calibration=calibration)
     if fail_fraction:
-        sim.fail_fraction(fail_fraction)
+        FailureInjector(sim, seed=sim.rng).fail_fraction(fail_fraction)
     workload = ClosedLoopWorkload(
         sim, op_factory, n_threads=n_threads, ops_per_thread=ops, op_bytes=op_bytes
     )

@@ -496,7 +496,6 @@ def bench_repair_reads() -> Dict[str, Dict]:
     )
     for victim in homes[:2]:
         fs.cluster.fail_node(victim)
-        fs.datanodes[victim].fail()
     lost = len(RecoveryManager(fs).lost_chunks())
     reads_before = fs.metrics.disk_bytes_read
     monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))

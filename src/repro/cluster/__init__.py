@@ -1,16 +1,16 @@
-"""Cluster substrate: event engine, topology, latency models, placement.
+"""Cluster substrate: event engine, the cluster model, placement.
 
 * :mod:`repro.cluster.engine` — minimal discrete-event simulation kernel
   (generator-based processes, resources, timeouts, any-of/all-of joins).
-* :mod:`repro.cluster.topology` — racks, nodes, disks and their speeds.
-* :mod:`repro.cluster.latency` — empirical service-time distributions
-  calibrated to the paper's anchor points.
+* :mod:`repro.cluster.topology` — the one model of a server: racks,
+  nodes, their up/down flag and disk slowdown (calibrated service times
+  live in :mod:`repro.sim.calibration`).
 * :mod:`repro.cluster.metrics` — disk/network/CPU/memory accounting.
 * :mod:`repro.cluster.placement` — block placement policies, including
   Morph's k*-separation and parity co-location (§5.3).
-* :mod:`repro.cluster.failure` — failure injection (independent and
+* :mod:`repro.cluster.failure` — the failure injector (independent and
   correlated rack/switch bursts).
-* :mod:`repro.cluster.partition` — network partition reachability mask.
+* :mod:`repro.cluster.partition` — the cluster's reachability mask.
 * :mod:`repro.cluster.scenarios` — the adversarial scenario suite
   (`python -m repro scenarios`).
 """

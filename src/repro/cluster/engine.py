@@ -384,12 +384,6 @@ class Environment:
     def process(self, gen: Generator) -> Process:
         return Process(self, gen)
 
-    def all_of(self, events: List[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: List[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def _advance(self, process: Process, value: Any) -> None:
         """Resume ``process`` with ``value`` and wire up its next target."""
         try:

@@ -1,19 +1,20 @@
 """Failure injection for recovery and degraded-mode experiments.
 
-Beyond independent node failures, the injector drives the correlated
-patterns production failure data shows (XORing Elephants: failures
-arrive in rack/switch bursts): whole-rack failures, multi-rack bursts,
-and seeded fractional failures with consistent fraction-of-total
-semantics between :meth:`FailureInjector.fail_fraction` and
-:meth:`repro.cluster.topology.Cluster.fail_fraction` — both sample
-victims from the *alive* population only, so repeated injections always
-add the requested number of new failures.
+The one sampler of failure victims, for the functional DFS and the
+timed simulations alike. Beyond independent node failures it drives the
+correlated pattern production failure data shows (XORing Elephants:
+failures arrive in rack/switch bursts): whole-rack failures. Victims
+are sampled from the *alive* population only, so repeated injections
+always add the requested number of new failures. Failing a node flips
+its :class:`~repro.cluster.topology.Node` — the flag the datanodes,
+placement and the heartbeat all read — so an injection is a whole
+failure and :meth:`FailureInjector.recover_all` a whole return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import List, Set, Union
 
 import numpy as np
 
@@ -25,7 +26,8 @@ class FailureInjector:
     """Drives node failures and chunk corruptions deterministically."""
 
     cluster: Cluster
-    seed: int = 0
+    #: an int, or a Generator to continue drawing from (a simulation's)
+    seed: Union[int, np.random.Generator] = 0
     failed_nodes: Set[str] = field(default_factory=set)
 
     def __post_init__(self):
@@ -36,15 +38,17 @@ class FailureInjector:
         if count > len(alive):
             raise ValueError(f"cannot fail {count} of {len(alive)} nodes")
         picks = self.rng.choice(len(alive), size=count, replace=False)
-        ids = [alive[int(i)] for i in picks]
+        return self._fail([alive[int(i)] for i in picks])
+
+    def _fail(self, ids: List[str]) -> List[str]:
         for node_id in ids:
             self.cluster.fail_node(node_id)
-            self.failed_nodes.add(node_id)
+        self.failed_nodes.update(ids)
         return ids
 
     def fail_fraction(self, fraction: float, of_alive: bool = False) -> List[str]:
-        """Fail ``fraction`` of the cluster (of the alive population when
-        ``of_alive`` — same semantics as ``Cluster.fail_fraction``)."""
+        """Fail ``fraction`` of the cluster — of its total size (Fig 14d:
+        10% down), or of the currently alive population when ``of_alive``."""
         base = (
             len(self.cluster.alive_nodes()) if of_alive else len(self.cluster)
         )
@@ -54,9 +58,9 @@ class FailureInjector:
     # -- correlated failures ---------------------------------------------------
     def fail_rack(self, rack: int) -> List[str]:
         """Take down every live node in one rack (switch/PDU failure)."""
-        ids = self.cluster.fail_rack(rack)
-        self.failed_nodes.update(ids)
-        return ids
+        return self._fail(
+            [n.node_id for n in self.cluster.nodes_in_rack(rack) if n.is_alive]
+        )
 
     def fail_random_rack(self) -> int:
         """Fail one rack chosen among racks that still have live nodes."""
@@ -70,16 +74,6 @@ class FailureInjector:
         rack = candidates[int(self.rng.integers(len(candidates)))]
         self.fail_rack(rack)
         return rack
-
-    def fail_correlated_burst(self, n_racks: int) -> List[str]:
-        """A correlated burst: ``n_racks`` whole racks go down together."""
-        ids: List[str] = []
-        for _ in range(n_racks):
-            rack = self.fail_random_rack()
-            ids.extend(
-                n.node_id for n in self.cluster.nodes_in_rack(rack)
-            )
-        return ids
 
     # -- recovery --------------------------------------------------------------
     def recover_node(self, node_id: str) -> None:

@@ -2,14 +2,16 @@
 
 A partition splits the endpoint set (datanodes plus the distinguished
 ``namenode`` and ``client`` control endpoints) into groups; two
-endpoints communicate only when they share a group. The mask is
-consulted by
+endpoints communicate only when they share a group. A cluster owns one
+mask (``Cluster.partition``); the DFS consults it only through its
+``node_reachable`` / ``chunk_readable`` pair, so every path honours it:
 
 * heartbeat collection — a datanode cut off from the namenode misses
   beats and is (correctly) declared dead even though its process lives;
 * the client read paths — chunks on unreachable nodes are treated as
   unavailable and served from replicas or degraded decodes;
-* repair transfers — reconstruction never sources bytes across the cut.
+* repair, transcode and seal transfers — none sources bytes across the
+  cut, and repair priority counts only reachable redundancy.
 
 Healing restores full reachability; convergence after heal is verified
 by the scenario suite against the journal replay digest (the live
@@ -73,9 +75,6 @@ class NetworkPartition:
         if not self.active or a == b:
             return True
         return self._group.get(a, 0) == self._group.get(b, 0)
-
-    def unreachable_from(self, endpoint: str, candidates: Iterable[str]) -> List[str]:
-        return [c for c in candidates if not self.reachable(endpoint, c)]
 
     def __repr__(self) -> str:
         if not self.active:

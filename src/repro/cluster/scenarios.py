@@ -7,8 +7,9 @@ Each scenario pairs two runs:
    drives repair until the backlog drains, and the suite asserts *zero
    data loss* (every file reads back byte-identical, no chunk is left on
    a dead node);
-2. an **event-driven** run (:func:`repro.sched.simulate.run_failure_burst`)
-   shaped like the scenario, which checks the scheduler's
+2. an **event-driven** run (:func:`repro.sched.simulate.run_failure_burst`
+   on a 12-node timed cluster carrying the scenario's slowdowns), which
+   checks the scheduler's
    foreground-latency guarantee: with per-node byte budgets the burst
    never admits more than the budget per node-tick, and the foreground
    p99 stays at or below the unthrottled run's.
@@ -124,31 +125,21 @@ def _make_fs(seed: int, spec: ClusterSpec, journaled: bool = False):
     return fs, journal
 
 
-def _write_workload(fs, seed: int, n_files: int, kb_per_file: int) -> Dict[str, str]:
+def _write_workload(fs, seed: int, quick: bool) -> Dict[str, str]:
     """Seeded mixed workload (hybrid + pure EC); name -> payload sha256."""
     from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 
     cc69 = ECScheme(CodeKind.CC, 6, 9)
     rng = np.random.default_rng(seed)
     digests: Dict[str, str] = {}
-    for i in range(n_files):
+    kb_per_file = 48 if quick else 96
+    for i in range(2 if quick else 6):
         name = f"f{i:02d}"
         data = rng.integers(0, 256, kb_per_file * KB, dtype=np.uint8)
         scheme = HybridScheme(1, cc69) if i % 2 == 0 else cc69
         fs.write_file(name, data, scheme)
         digests[name] = hashlib.sha256(data.tobytes()).hexdigest()
     return digests
-
-
-def _kill(fs, node_ids: List[str]) -> None:
-    for node_id in node_ids:
-        fs.datanodes[node_id].fail()
-
-
-def _revive(fs, node_ids: List[str]) -> None:
-    for node_id in node_ids:
-        fs.cluster.recover_node(node_id)
-        fs.datanodes[node_id].recover()
 
 
 def _drain(fs, monitor, events: List[dict], max_ticks: int = 64) -> dict:
@@ -200,12 +191,25 @@ def _verify_readback(fs, digests: Dict[str, str]) -> int:
 
 # -- event-driven companion run ----------------------------------------------
 
-def _fg_guarantee(sim_cfg) -> Dict[str, float]:
-    """Run the burst budgeted and unthrottled; enforce the guarantee."""
+def _burst(budget, sim_cfg, slowdown: Optional[Dict[int, float]] = None):
+    """One companion run on a fresh timed cluster; ``slowdown`` maps a
+    node's index to its disk multiplier."""
     from repro.sched.simulate import run_failure_burst
+    from repro.sim.cluster import SimCluster
 
-    throttled = run_failure_burst(sim_cfg.budget_disk_bytes_per_tick, sim_cfg)
-    unthrottled = run_failure_burst(None, sim_cfg)
+    sim = SimCluster(sim_cfg.n_nodes, seed=sim_cfg.seed)
+    for index, multiplier in (slowdown or {}).items():
+        sim.nodes[index].disk_multiplier = multiplier
+    return run_failure_burst(budget, sim_cfg, cluster=sim)
+
+
+def _fg_guarantee(
+    result: ScenarioResult, sim_cfg, slowdown: Optional[Dict[int, float]] = None
+) -> None:
+    """Run the burst budgeted and unthrottled; enforce the guarantee and
+    record the foreground figures on ``result``."""
+    throttled = _burst(sim_cfg.budget_disk_bytes_per_tick, sim_cfg, slowdown)
+    unthrottled = _burst(None, sim_cfg, slowdown)
     if throttled.repairs_completed != sim_cfg.n_repairs:
         raise ScenarioError(
             f"budgeted run left {sim_cfg.n_repairs - throttled.repairs_completed}"
@@ -224,12 +228,9 @@ def _fg_guarantee(sim_cfg) -> Dict[str, float]:
             f"foreground p99 regressed under budgets: {p99_b:.1f} ms"
             f" vs {p99_u:.1f} ms unthrottled"
         )
-    return {
-        "p99_ms": p99_b,
-        "p99_unthrottled_ms": p99_u,
-        "max_node_tick_mb": throttled.max_node_tick_disk_bytes / 1e6,
-        "hedged": throttled.hedged_reads,
-    }
+    result.fg_p99_ms = p99_b
+    result.fg_p99_unthrottled_ms = p99_u
+    result.fg_max_node_tick_mb = throttled.max_node_tick_disk_bytes / 1e6
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -248,12 +249,10 @@ def run_rack_burst(seed: int = 0, quick: bool = False) -> ScenarioResult:
     result = ScenarioResult(name="rack_burst", seed=seed)
     spec = ClusterSpec(n_datanodes=16 if quick else 20, n_racks=4)
     fs, _ = _make_fs(seed, spec)
-    digests = _write_workload(fs, seed, n_files=2 if quick else 6,
-                              kb_per_file=48 if quick else 96)
+    digests = _write_workload(fs, seed, quick)
     injector = FailureInjector(fs.cluster, seed=seed)
     rack = injector.fail_random_rack()
     downed = sorted(injector.failed_nodes)
-    _kill(fs, downed)
     result.events.append({"event": "fail_rack", "rack": rack, "nodes": downed})
 
     monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
@@ -272,10 +271,7 @@ def run_rack_burst(seed: int = 0, quick: bool = False) -> ScenarioResult:
         duration_s=14.0 if quick else 30.0,
         seed=seed,
     )
-    fg = _fg_guarantee(sim)
-    result.fg_p99_ms = fg["p99_ms"]
-    result.fg_p99_unthrottled_ms = fg["p99_unthrottled_ms"]
-    result.fg_max_node_tick_mb = fg["max_node_tick_mb"]
+    _fg_guarantee(result, sim)
     result.trace_digest = _digest(result.events)
     return result
 
@@ -296,8 +292,7 @@ def run_partition_heal(seed: int = 0, quick: bool = False) -> ScenarioResult:
     result = ScenarioResult(name="partition_heal", seed=seed)
     spec = ClusterSpec(n_datanodes=16 if quick else 20, n_racks=4)
     fs, journal = _make_fs(seed, spec, journaled=True)
-    digests = _write_workload(fs, seed, n_files=2 if quick else 6,
-                              kb_per_file=48 if quick else 96)
+    digests = _write_workload(fs, seed, quick)
 
     rng = np.random.default_rng(seed)
     node_ids = [n.node_id for n in fs.cluster.nodes]
@@ -339,10 +334,7 @@ def run_partition_heal(seed: int = 0, quick: bool = False) -> ScenarioResult:
         duration_s=14.0 if quick else 30.0,
         seed=seed,
     )
-    fg = _fg_guarantee(sim)
-    result.fg_p99_ms = fg["p99_ms"]
-    result.fg_p99_unthrottled_ms = fg["p99_unthrottled_ms"]
-    result.fg_max_node_tick_mb = fg["max_node_tick_mb"]
+    _fg_guarantee(result, sim)
     result.trace_digest = _digest(result.events)
     return result
 
@@ -355,17 +347,16 @@ def run_straggler(seed: int = 0, quick: bool = False) -> ScenarioResult:
     *wins* (hedged p99 strictly below unhedged p99 under the same seed).
     """
     from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
-    from repro.sched.simulate import SimConfig, run_failure_burst
+    from repro.sched.simulate import SimConfig
 
     result = ScenarioResult(name="straggler", seed=seed)
     spec = ClusterSpec(n_datanodes=16 if quick else 20, n_racks=4)
     fs, _ = _make_fs(seed, spec)
-    digests = _write_workload(fs, seed, n_files=2 if quick else 6,
-                              kb_per_file=48 if quick else 96)
+    digests = _write_workload(fs, seed, quick)
 
     rng = np.random.default_rng(seed)
     slow = fs.cluster.nodes[int(rng.integers(len(fs.cluster.nodes)))].node_id
-    fs.cluster.set_disk_multiplier(slow, 8.0)
+    fs.cluster.node(slow).disk_multiplier = 8.0
     fs.hedge_slow_disk_multiplier = 4.0
     result.events.append({"event": "slow_disk", "node": slow, "multiplier": 8.0})
 
@@ -384,16 +375,18 @@ def run_straggler(seed: int = 0, quick: bool = False) -> ScenarioResult:
     result.lost_chunks = 0
 
     # Event-driven: same burst with and without hedging; hedging must
-    # strictly improve the foreground tail on the straggler cluster.
+    # strictly improve the foreground tail on a cluster with one node as
+    # slow as the functional run's.
     base = dict(
         n_nodes=12,
         n_repairs=16 if quick else 48,
         duration_s=14.0 if quick else 30.0,
         seed=seed,
-        node_disk_multipliers={"sim03": 8.0},
     )
-    unhedged = run_failure_burst(None, SimConfig(**base))
-    hedged = run_failure_burst(None, SimConfig(**base, hedge_after_s=0.05))
+    straggler = {3: fs.cluster.node(slow).disk_multiplier}
+    hedged_cfg = SimConfig(**base, hedge_after_s=0.05)
+    unhedged = _burst(None, SimConfig(**base), straggler)
+    hedged = _burst(None, hedged_cfg, straggler)
     if hedged.hedged_reads == 0:
         raise ScenarioError("straggler: hedging never fired")
     if hedged.p99_latency_s >= unhedged.p99_latency_s:
@@ -402,10 +395,7 @@ def run_straggler(seed: int = 0, quick: bool = False) -> ScenarioResult:
             f" beat unhedged {unhedged.p99_latency_s * 1e3:.1f} ms"
         )
     result.hedged_reads += hedged.hedged_reads
-    fg = _fg_guarantee(SimConfig(**base, hedge_after_s=0.05))
-    result.fg_p99_ms = fg["p99_ms"]
-    result.fg_p99_unthrottled_ms = fg["p99_unthrottled_ms"]
-    result.fg_max_node_tick_mb = fg["max_node_tick_mb"]
+    _fg_guarantee(result, hedged_cfg, straggler)
     result.trace_digest = _digest(result.events)
     return result
 
@@ -433,8 +423,7 @@ def run_tiers(seed: int = 0, quick: bool = False) -> ScenarioResult:
     # Hot files prefer the tier the lifecycle mapping names for age 0.
     policy = morph_microbench_policy()
     fs.placement_prefer_class = policy.tier_at(0.0)
-    digests = _write_workload(fs, seed, n_files=2 if quick else 6,
-                              kb_per_file=48 if quick else 96)
+    digests = _write_workload(fs, seed, quick)
     ssd_ids = {n.node_id for n in fs.cluster.nodes_in_class("ssd")}
     placed = [c.node_id for name in digests
               for c in fs.namenode.lookup(name).all_chunks()]
@@ -452,7 +441,6 @@ def run_tiers(seed: int = 0, quick: bool = False) -> ScenarioResult:
 
     injector = FailureInjector(fs.cluster, seed=seed)
     downed = injector.fail_fraction(0.10)
-    _kill(fs, downed)
     result.events.append({"event": "fail_fraction", "nodes": sorted(downed)})
     monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
     stats = _drain(fs, monitor, result.events)
@@ -463,20 +451,19 @@ def run_tiers(seed: int = 0, quick: bool = False) -> ScenarioResult:
         raise ScenarioError(f"tiers: {result.lost_chunks} chunks lost")
     result.files_verified = _verify_readback(fs, digests)
 
-    # Companion burst on a half-fast cluster (ssd tier at 0.25x). The
-    # burst is sized to saturate: under-sized bursts finish fast either
-    # way and throttling only stretches the interference window.
+    # Companion burst on a cluster split the same way (half at the ssd
+    # tier's multiplier). The burst is sized to saturate: under-sized
+    # bursts finish fast either way and throttling only stretches the
+    # interference window.
     sim = SimConfig(
         n_nodes=12,
         n_repairs=48 if quick else 96,
         duration_s=14.0 if quick else 30.0,
         seed=seed,
-        node_disk_multipliers={f"sim{i:02d}": 0.25 for i in range(6)},
     )
-    fg = _fg_guarantee(sim)
-    result.fg_p99_ms = fg["p99_ms"]
-    result.fg_p99_unthrottled_ms = fg["p99_unthrottled_ms"]
-    result.fg_max_node_tick_mb = fg["max_node_tick_mb"]
+    _fg_guarantee(
+        result, sim, {i: ssd.disk_multiplier for i in range(sim.n_nodes // 2)}
+    )
     result.trace_digest = _digest(result.events)
     return result
 

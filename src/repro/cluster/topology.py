@@ -4,13 +4,18 @@ The experimental scale mirrors the paper's testbed: 1 Namenode, 23
 Datanodes, 5 client nodes, one HDD per Datanode, 40 GbE. Topology is
 plain data; behaviour lives in the DFS and the event-driven experiments.
 
-Two extensions support the adversarial scenario suite:
+A :class:`Node` is the one record of a server's state: whether it is
+up (``is_alive``) and how slow its disk is (``disk_multiplier``). The
+functional DFS's datanodes, the timed :class:`repro.sim.cluster.SimCluster`
+and the failure injector all read and write that record; the cluster's
+:class:`~repro.cluster.partition.NetworkPartition` says who can reach it.
 
-* **Per-node hardware skew.** ``ClusterSpec.node_disk_multipliers`` /
-  ``node_net_multipliers`` scale one node's service times — a multiplier
-  of 8.0 models a slow disk (straggler), 0.1 models an SSD. The latency
-  models accept the multiplier; the functional DFS consults it for
-  hedged-read policy decisions.
+Two inputs shape the nodes at construction:
+
+* **Per-node hardware skew.** ``ClusterSpec.node_disk_multipliers``
+  scales one node's disk service times — 8.0 models a slow disk
+  (straggler), 0.1 an SSD. The timed simulations multiply device time
+  by it; the functional DFS consults it for hedged-read decisions.
 * **Node classes (tiers).** ``ClusterSpec.node_classes`` partitions the
   cluster into named hardware tiers (e.g. ``ssd`` / ``hdd``) that feed
   placement preferences and the lifecycle planner. Classes are assigned
@@ -22,14 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.latency import CpuModel, DiskModel, MemoryModel, NetworkModel
+from repro.cluster.partition import NetworkPartition
 
 TB = 1024 ** 4
 
 
 @dataclass
 class Node:
-    """One server: identity, rack, disk capacity and live/dead state."""
+    """One server: identity, rack, disk capacity, live/dead state and
+    disk slowdown."""
 
     node_id: str
     rack: int
@@ -37,6 +43,15 @@ class Node:
     is_alive: bool = True
     #: hardware tier this node belongs to ("" = untiered cluster)
     node_class: str = ""
+    #: disk service-time scaling (straggler > 1, SSD tier < 1); assign
+    #: to turn a running node slow
+    disk_multiplier: float = 1.0
+
+    def fail(self) -> None:
+        self.is_alive = False
+
+    def recover(self) -> None:
+        self.is_alive = True
 
     def __hash__(self):
         return hash(self.node_id)
@@ -51,29 +66,28 @@ class NodeClass:
 
     name: str
     count: int
-    #: service-time scaling vs the spec's base models (<1 = faster)
+    #: disk service-time scaling of the tier's nodes (<1 = faster)
     disk_multiplier: float = 1.0
-    net_multiplier: float = 1.0
     disk_capacity_bytes: Optional[float] = None
 
 
 @dataclass
 class ClusterSpec:
-    """Sizing and hardware models for a simulated cluster."""
+    """Sizing and hardware of a simulated cluster (construction input;
+    the live per-node state is on each :class:`Node`)."""
 
     n_datanodes: int = 23
     n_racks: int = 4
     disk_capacity_bytes: float = 1 * TB
-    disk: DiskModel = field(default_factory=DiskModel)
-    network: NetworkModel = field(default_factory=NetworkModel)
-    cpu: CpuModel = field(default_factory=CpuModel)
-    memory: MemoryModel = field(default_factory=MemoryModel)
     #: battery-backed buffer cache per Datanode (paper: 512 MB)
     buffer_cache_bytes: float = 512 * 1024 * 1024
-    #: per-node service-time multipliers (straggler injection); nodes not
-    #: listed run at 1.0
+    #: GF(256) coding rate of one core per unit of generator width: a
+    #: w-wide encode of one s-byte parity costs w * s / (encode_mb_s * MB)
+    #: seconds, so compute scales with matrix width (Fig 15a)
+    encode_mb_s: float = 2800.0
+    #: initial per-node disk multipliers (a listed node overrides its
+    #: class's); nodes not listed start at their class's, else 1.0
     node_disk_multipliers: Dict[str, float] = field(default_factory=dict)
-    node_net_multipliers: Dict[str, float] = field(default_factory=dict)
     #: hardware tiers; counts must sum to <= n_datanodes (the remainder
     #: gets the last class)
     node_classes: Optional[Sequence[NodeClass]] = None
@@ -91,23 +105,22 @@ class Cluster:
             capacity = self.spec.disk_capacity_bytes
             if klass is not None and klass.disk_capacity_bytes is not None:
                 capacity = klass.disk_capacity_bytes
-            node = Node(
-                node_id=f"dn{i:03d}",
-                rack=i % self.spec.n_racks,
-                disk_capacity_bytes=capacity,
-                node_class=klass.name if klass is not None else "",
+            node_id = f"dn{i:03d}"
+            self.nodes.append(
+                Node(
+                    node_id=node_id,
+                    rack=i % self.spec.n_racks,
+                    disk_capacity_bytes=capacity,
+                    node_class=klass.name if klass is not None else "",
+                    disk_multiplier=self.spec.node_disk_multipliers.get(
+                        node_id, klass.disk_multiplier if klass is not None else 1.0
+                    ),
+                )
             )
-            self.nodes.append(node)
-            if klass is not None:
-                if klass.disk_multiplier != 1.0:
-                    self.spec.node_disk_multipliers.setdefault(
-                        node.node_id, klass.disk_multiplier
-                    )
-                if klass.net_multiplier != 1.0:
-                    self.spec.node_net_multipliers.setdefault(
-                        node.node_id, klass.net_multiplier
-                    )
         self._by_id: Dict[str, Node] = {n.node_id: n for n in self.nodes}
+        #: reachability mask over the nodes and the ``namenode`` /
+        #: ``client`` endpoints (inactive until split)
+        self.partition = NetworkPartition()
 
     def _assign_classes(self) -> Optional[List[NodeClass]]:
         """Node index -> tier, interleaved so each rack mixes tiers."""
@@ -142,57 +155,16 @@ class Cluster:
     def nodes_in_rack(self, rack: int) -> List[Node]:
         return [n for n in self.nodes if n.rack == rack]
 
-    def fail_rack(self, rack: int) -> List[str]:
-        """Correlated burst: every node sharing the rack/switch goes down."""
-        ids = [n.node_id for n in self.nodes_in_rack(rack) if n.is_alive]
-        for node_id in ids:
-            self.fail_node(node_id)
-        return ids
-
     # -- tiers ---------------------------------------------------------------
     def nodes_in_class(self, node_class: str) -> List[Node]:
         return [n for n in self.nodes if n.node_class == node_class]
 
-    def disk_multiplier(self, node_id: str) -> float:
-        return self.spec.node_disk_multipliers.get(node_id, 1.0)
-
-    def net_multiplier(self, node_id: str) -> float:
-        return self.spec.node_net_multipliers.get(node_id, 1.0)
-
-    def set_disk_multiplier(self, node_id: str, multiplier: float) -> None:
-        """Mark a node's disk slow/fast (straggler injection hook)."""
-        self._by_id[node_id]  # validate the id
-        self.spec.node_disk_multipliers[node_id] = float(multiplier)
-
     # -- failures ------------------------------------------------------------
     def fail_node(self, node_id: str) -> None:
-        self._by_id[node_id].is_alive = False
+        self._by_id[node_id].fail()
 
     def recover_node(self, node_id: str) -> None:
-        self._by_id[node_id].is_alive = True
-
-    def fail_fraction(self, fraction: float, rng, of_alive: bool = False) -> List[str]:
-        """Fail a random fraction of nodes (Fig 14d: 10% down).
-
-        Victims are sampled from the *alive* population only — repeated
-        calls always inject the requested number of NEW failures instead
-        of re-failing already-dead nodes (which silently under-injected).
-        ``fraction`` is of the total cluster size by default, matching
-        :meth:`FailureInjector.fail_fraction`; ``of_alive=True`` makes it
-        a fraction of the currently-alive population instead.
-        """
-        pool = self.alive_nodes()
-        base = len(pool) if of_alive else len(self.nodes)
-        count = max(1, int(round(fraction * base)))
-        if count > len(pool):
-            raise ValueError(
-                f"cannot fail {count} of {len(pool)} alive nodes"
-            )
-        victims = rng.choice(len(pool), size=count, replace=False)
-        ids = [pool[int(i)].node_id for i in victims]
-        for node_id in ids:
-            self.fail_node(node_id)
-        return ids
+        self._by_id[node_id].recover()
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -149,18 +149,6 @@ def morph_microbench_policy(t1: float = 600.0, t2: float = 1500.0) -> LifetimePo
     )
 
 
-def baseline_macrobench_policy() -> LifetimePolicy:
-    """Fig 11c baseline chain: 3-r -> EC(5,8) -> EC(10,13) -> EC(20,23)."""
-    return LifetimePolicy(
-        [
-            LifetimeStage(0.0, Replication(3), LifetimePhase.HOT),
-            LifetimeStage(60.0, ECScheme(CodeKind.RS, 5, 8), LifetimePhase.WARM),
-            LifetimeStage(180.0, ECScheme(CodeKind.RS, 10, 13), LifetimePhase.COOL),
-            LifetimeStage(360.0, ECScheme(CodeKind.RS, 20, 23), LifetimePhase.FRIGID),
-        ]
-    )
-
-
 def morph_macrobench_policy() -> LifetimePolicy:
     """Fig 11d Morph chain: Hy(1,CC(5,8)) -> CC(5,8) -> CC(10,13) -> CC(20,23)."""
     cc58 = ECScheme(CodeKind.CC, 5, 8)

@@ -59,7 +59,7 @@ class AppendSupport:
             return meta  # nothing open
         ec = meta.scheme.ec
         stripe = meta.stripes[-1]
-        striper = self._pick_striper(
+        striper = self._usable_node(
             [c.node_id for c in reversed(meta.replica_blocks[-1].copies)]
         )
         chunks = self._read_stripe_data_degraded(meta, stripe, striper)
@@ -71,8 +71,8 @@ class AppendSupport:
         occupied = [c.node_id for c in stripe.all_chunks()]
         parity_nodes = []
         for j in range(ec.r):
-            node = self._alive_or_substitute(
-                placement.parity_node(meta.name, first_chunk, j), occupied
+            node = self._usable_node(
+                [placement.parity_node(meta.name, first_chunk, j)], occupied
             )
             occupied.append(node)
             parity_nodes.append(node)

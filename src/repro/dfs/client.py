@@ -41,25 +41,13 @@ class ClientReader:
         #: copy sat on a known-slow (straggler) node
         self.hedged_reads = 0
 
-    # -- availability ------------------------------------------------------
-    def _reachable(self, node_id: str) -> bool:
-        return self.fs.partition.reachable(node_id, self.CLIENT)
-
-    def _chunk_available(self, chunk) -> bool:
-        """Live, holding the chunk, and on the client's partition side."""
-        datanode = self.fs.datanodes[chunk.node_id]
-        return (
-            datanode.is_alive
-            and datanode.has_chunk(chunk.chunk_id)
-            and self._reachable(chunk.node_id)
-        )
-
+    # -- hedging -----------------------------------------------------------
     def _is_straggler(self, node_id: str) -> bool:
         """A node whose disk multiplier crosses the hedge threshold."""
         hedge = self.fs.hedge_slow_disk_multiplier
         if hedge is None:
             return False
-        return self.fs.cluster.disk_multiplier(node_id) >= hedge
+        return self.fs.cluster.node(node_id).disk_multiplier >= hedge
 
     def _count_hedge(self) -> None:
         self.hedged_reads += 1
@@ -81,7 +69,7 @@ class ClientReader:
             block = self._block_covering(meta, (stripe_first + local) * meta.chunk_size)
             if block is not None:
                 for copy in block.copies:
-                    if self._chunk_available(copy) and not self._is_straggler(
+                    if self.fs.chunk_readable(copy) and not self._is_straggler(
                         copy.node_id
                     ):
                         return True
@@ -89,7 +77,7 @@ class ClientReader:
         for idx, chunk in enumerate(stripe.all_chunks()):
             if idx == local:
                 continue
-            if self._chunk_available(chunk) and not self._is_straggler(chunk.node_id):
+            if self.fs.chunk_readable(chunk) and not self._is_straggler(chunk.node_id):
                 fast += 1
                 if fast >= stripe.k:
                     return True
@@ -160,9 +148,9 @@ class ClientReader:
             key=lambda pair: (self._is_straggler(pair[1].node_id), pair[0]),
         )
         for index, copy in ranked:
-            if not self._chunk_available(copy):
+            if not self.fs.chunk_readable(copy):
                 continue
-            if index != 0 and self._chunk_available(block.copies[0]) and self._is_straggler(
+            if index != 0 and self.fs.chunk_readable(block.copies[0]) and self._is_straggler(
                 block.copies[0].node_id
             ):
                 # The primary copy was readable but slow — this read hedged.
@@ -229,14 +217,15 @@ class ClientReader:
         for local in locals_needed:
             chunk = stripe.data[local]
             datanode = self.fs.datanodes[chunk.node_id]
-            hedge_away = self._chunk_available(chunk) and self._is_straggler(
+            readable = self.fs.chunk_readable(chunk)
+            hedge_away = readable and self._is_straggler(
                 chunk.node_id
             ) and self._has_fast_alternative(meta, stripe, stripe_first, local)
             if hedge_away:
                 # The home copy works but sits on a straggler disk and a
                 # fast source exists: skip it (replica or decode below).
                 self._count_hedge()
-            elif self._chunk_available(chunk):
+            elif readable:
                 data = datanode.read(chunk.chunk_id, at=self.fs.clock)
                 self.fs.metrics.record_transfer(
                     chunk.node_id, self.CLIENT, float(data.nbytes), at=self.fs.clock, tag="read"
@@ -286,7 +275,7 @@ class ClientReader:
                     continue
                 chunk = chunks[idx]
                 datanode = self.fs.datanodes[chunk.node_id]
-                if self._chunk_available(chunk):
+                if self.fs.chunk_readable(chunk):
                     data = datanode.read(chunk.chunk_id, at=self.fs.clock)
                     self.fs.metrics.record_transfer(
                         chunk.node_id,
@@ -325,7 +314,7 @@ class ClientReader:
         def try_fetch(idx: int, available: Dict[int, np.ndarray]) -> bool:
             chunk = chunks[idx]
             datanode = self.fs.datanodes[chunk.node_id]
-            if self._chunk_available(chunk):
+            if self.fs.chunk_readable(chunk):
                 data = datanode.read(chunk.chunk_id, at=self.fs.clock)
                 self.fs.metrics.record_transfer(
                     chunk.node_id,

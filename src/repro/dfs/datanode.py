@@ -8,11 +8,12 @@ stripe's parities persist, so in the common case they never touch disk.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.metrics import IOMetrics
+from repro.cluster.topology import Node
 
 
 class ChunkNotFoundError(KeyError):
@@ -24,20 +25,29 @@ class BufferCacheFullError(RuntimeError):
 
 
 class Datanode:
-    """One storage server: disk map + bounded buffer cache + counters."""
+    """One storage server: disk map + bounded buffer cache + counters.
+
+    Up/down state is the cluster :class:`Node`'s: failing the node through
+    the cluster, the failure injector or :meth:`fail` is the same event.
+    Given a bare id, the datanode stands alone on a private node.
+    """
 
     def __init__(
         self,
-        node_id: str,
+        node: Union[Node, str],
         metrics: IOMetrics,
         buffer_cache_bytes: float = 512 * 1024 * 1024,
     ):
-        self.node_id = node_id
+        self.node = node if isinstance(node, Node) else Node(node, rack=0)
+        self.node_id = self.node.node_id
         self.metrics = metrics
         self.buffer_cache_bytes = buffer_cache_bytes
         self._disk: Dict[str, np.ndarray] = {}
         self._memory: Dict[str, np.ndarray] = {}
-        self.is_alive = True
+
+    @property
+    def is_alive(self) -> bool:
+        return self.node.is_alive
 
     # -- ingest ---------------------------------------------------------------
     def receive_to_memory(
@@ -95,7 +105,7 @@ class Datanode:
     # -- reads ----------------------------------------------------------------
     def read(self, chunk_id: str, at: float = 0.0) -> np.ndarray:
         """Read a chunk; disk reads are metered, memory hits are free."""
-        if not self.is_alive:
+        if not self.node.is_alive:
             raise ChunkNotFoundError(f"{self.node_id} is down")
         if chunk_id in self._memory:
             return self._memory[chunk_id]
@@ -107,7 +117,7 @@ class Datanode:
 
     def read_range(self, chunk_id: str, start: int, length: int, at: float = 0.0) -> np.ndarray:
         """Partial chunk read (metered at the requested length)."""
-        if not self.is_alive:
+        if not self.node.is_alive:
             raise ChunkNotFoundError(f"{self.node_id} is down")
         if chunk_id in self._memory:
             return self._memory[chunk_id][start : start + length]
@@ -136,9 +146,6 @@ class Datanode:
         for chunk_id, data in items:
             self.store_local(chunk_id, data, at=at)
 
-    def charge_cpu(self, seconds: float) -> None:
-        self.metrics.record_cpu(self.node_id, seconds)
-
     # -- deletion / capacity ------------------------------------------------------
     def delete(self, chunk_id: str, at: float = 0.0) -> None:
         data = self._disk.pop(chunk_id, None)
@@ -152,13 +159,10 @@ class Datanode:
     def memory_bytes(self) -> float:
         return float(sum(c.nbytes for c in self._memory.values()))
 
-    def disk_chunk_ids(self):
-        return list(self._disk)
-
     def fail(self) -> None:
         """Crash the node: disk survives but is unreachable; memory is lost
         only conceptually (battery-backed) — we keep it for restart."""
-        self.is_alive = False
+        self.node.fail()
 
     def recover(self) -> None:
-        self.is_alive = True
+        self.node.recover()

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.metrics import IOMetrics
+from repro.cluster.partition import CLIENT, NAMENODE, NetworkPartition
 from repro.obs import NOOP_OBS, Observability
 from repro.cluster.placement import DefaultPlacement, TranscodeAwarePlacement
 from repro.cluster.topology import Cluster
@@ -49,7 +50,6 @@ from repro.dfs.transcoder import NativeTranscoder, RRWTranscoder, TranscodeError
 from repro.sched.scheduler import MaintenanceScheduler
 
 MB = 1024 * 1024
-CLIENT = "client"
 
 
 class _BaseDFS:
@@ -72,7 +72,7 @@ class _BaseDFS:
         self.metrics = IOMetrics()
         self.datanodes: Dict[str, Datanode] = {
             node.node_id: Datanode(
-                node.node_id, self.metrics, self.cluster.spec.buffer_cache_bytes
+                node, self.metrics, self.cluster.spec.buffer_cache_bytes
             )
             for node in self.cluster.nodes
         }
@@ -85,13 +85,6 @@ class _BaseDFS:
         self.namenode = namenode if namenode is not None else Namenode()
         self.checksums = ChecksumRegistry()
         self.planner = TranscodePlanner()
-        #: network partition mask (inactive by default): heartbeats and
-        #: the read/repair transfer paths consult it, so a split cluster
-        #: behaves like one — minority-side chunks are unreachable until
-        #: the partition heals.
-        from repro.cluster.partition import NetworkPartition
-
-        self.partition = NetworkPartition()
         #: hedged degraded reads: when a chunk's home node carries a disk
         #: multiplier at or above this threshold (a known straggler), the
         #: reader skips it and serves the chunk from a replica or a
@@ -154,7 +147,7 @@ class _BaseDFS:
 
     # -- CPU accounting -----------------------------------------------------------
     def encode_cpu_seconds(self, width: int, out_parities: int, nbytes: float) -> float:
-        rate = self.cluster.spec.cpu.encode_mb_s * MB
+        rate = self.cluster.spec.encode_mb_s * MB
         return width * out_parities * nbytes / rate
 
     def charge_client_encode(self, width: int, out_parities: int, nbytes: float) -> None:
@@ -168,11 +161,38 @@ class _BaseDFS:
     def charge_node_encode(self, node_id: str, width: int, out_parities: int, nbytes: float) -> None:
         self.metrics.record_cpu(node_id, self.encode_cpu_seconds(width, out_parities, nbytes))
 
-    # -- reachability ----------------------------------------------------------
-    def node_reachable(self, node_id: str, endpoint: str = CLIENT) -> bool:
-        """Can ``endpoint`` (a node id, ``client`` or ``namenode``) reach
-        the node through the current partition mask?"""
-        return self.partition.reachable(node_id, endpoint)
+    # -- availability ----------------------------------------------------------
+    @property
+    def partition(self) -> NetworkPartition:
+        """The cluster's reachability mask (inactive until split)."""
+        return self.cluster.partition
+
+    def node_reachable(self, node_id: str, by: str = CLIENT) -> bool:
+        """Is the node up and on the same side of the partition mask as
+        ``by`` (a node id, ``client`` or ``namenode``)? Every path that
+        asks whether a server can be used asks here."""
+        datanode = self.datanodes.get(node_id)
+        return (
+            datanode is not None
+            and datanode.node.is_alive
+            and self.cluster.partition.reachable(node_id, by)
+        )
+
+    def reachable_nodes(self, by: str = NAMENODE) -> List[str]:
+        """Ids of the nodes ``by`` can use (by default: the namenode can
+        command), in cluster order."""
+        return [
+            node.node_id
+            for node in self.cluster.nodes
+            if self.node_reachable(node.node_id, by)
+        ]
+
+    def chunk_readable(self, chunk: ChunkMeta, by: str = CLIENT) -> bool:
+        """Can ``by`` read the chunk where the namenode lists it: its
+        node reachable and holding it?"""
+        if not self.node_reachable(chunk.node_id, by):
+            return False
+        return self.datanodes[chunk.node_id].has_chunk(chunk.chunk_id)
 
     # -- common operations -------------------------------------------------------
     def read_file(
@@ -692,27 +712,20 @@ class MorphFS(AppendSupport, _BaseDFS):
         self.namenode.note_file(meta)
         return meta
 
-    def _pick_striper(self, candidates: Sequence[str]) -> str:
-        """First live candidate node, else any live node in the cluster."""
+    def _usable_node(
+        self, candidates: Sequence[str], exclude: Sequence[str] = ()
+    ) -> str:
+        """First candidate the namenode can command; else such a node
+        outside ``exclude``; else any such node."""
         for node_id in candidates:
-            if self.datanodes[node_id].is_alive:
+            if self.node_reachable(node_id, NAMENODE):
                 return node_id
-        alive = self.cluster.alive_nodes()
-        if not alive:
+        usable = self.reachable_nodes()
+        if not usable:
             from repro.dfs.recovery import RecoveryError
 
             raise RecoveryError("no live node to act as striper")
-        return alive[0].node_id
-
-    def _alive_or_substitute(self, node_id: str, exclude: Sequence[str]) -> str:
-        """The node itself if alive, else a live node outside ``exclude``."""
-        if self.datanodes[node_id].is_alive:
-            return node_id
-        taken = set(exclude)
-        for node in self.cluster.alive_nodes():
-            if node.node_id not in taken:
-                return node.node_id
-        return self._pick_striper([])
+        return next((n for n in usable if n not in exclude), usable[0])
 
     def _read_stripe_data_degraded(
         self, meta: FileMeta, stripe: ECStripeMeta, reader_node: str
@@ -730,9 +743,8 @@ class MorphFS(AppendSupport, _BaseDFS):
         first_chunk = sum(s.k for s in meta.stripes[: stripe.stripe_index])
         chunks: List[np.ndarray] = []
         for local, c in enumerate(stripe.data):
-            datanode = self.datanodes[c.node_id]
-            if datanode.is_alive and datanode.has_chunk(c.chunk_id):
-                chunks.append(datanode.read(c.chunk_id, at=self.clock))
+            if self.chunk_readable(c, by=reader_node):
+                chunks.append(self.datanodes[c.node_id].read(c.chunk_id, at=self.clock))
                 continue
             if recovery is None:
                 recovery = RecoveryManager(self)
@@ -758,7 +770,7 @@ class MorphFS(AppendSupport, _BaseDFS):
             if ec.kind is CodeKind.CC
             else self.codec_for(ec)
         )
-        striper = self._pick_striper([c.node_id for c in stripe.data])
+        striper = self._usable_node([c.node_id for c in stripe.data])
         chunks = self._read_stripe_data_degraded(meta, stripe, striper)
         parities = code.encode(chunks)
         placement = self._placement_for(meta.name, ec)
@@ -769,8 +781,8 @@ class MorphFS(AppendSupport, _BaseDFS):
         for j, parity in enumerate(
             parities[len(stripe.parities) :], start=len(stripe.parities)
         ):
-            node = self._alive_or_substitute(
-                placement.parity_node(meta.name, first_chunk, j), occupied
+            node = self._usable_node(
+                [placement.parity_node(meta.name, first_chunk, j)], occupied
             )
             occupied.append(node)
             chunk_id = self.namenode.next_chunk_id(

@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from repro.cluster.partition import NAMENODE
 from repro.sched.scheduler import SchedulerTickReport
 from repro.sched.tasks import (
     ConversionGroupTask,
     ScrubTask,
     StripeRepairTask,
     TranscodeFinalizeTask,
-    chunk_present,
 )
 
 
@@ -97,12 +97,10 @@ class HeartbeatMonitor:
         indistinguishable from a dead one, which is exactly how real
         namenodes experience partitions.
         """
-        partition = getattr(self.fs, "partition", None)
         return {
             node_id
-            for node_id, dn in self.fs.datanodes.items()
-            if dn.is_alive
-            and (partition is None or partition.reachable(node_id, "namenode"))
+            for node_id in self.fs.datanodes
+            if self.fs.node_reachable(node_id, NAMENODE)
         }
 
     def declared_dead(self) -> Set[str]:
@@ -155,7 +153,7 @@ class HeartbeatMonitor:
                 chunk
                 for chunk in task.chunks
                 if chunk.node_id not in returned_set
-                or not chunk_present(self.fs, chunk)
+                or not self.fs.chunk_readable(chunk, by=NAMENODE)
             ]
             cancelled += len(task.chunks) - len(kept)
             task.chunks = kept

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.partition import NAMENODE
 from repro.dfs.blocks import ChunkMeta, FileMeta
 
 
@@ -98,7 +99,10 @@ class Scrubber:
         registry = self.fs.checksums
         for meta, chunk in self._iter_chunks():
             datanode = self.fs.datanodes[chunk.node_id]
-            if not datanode.is_alive or not datanode.chunk_on_disk(chunk.chunk_id):
+            if not (
+                self.fs.node_reachable(chunk.node_id, NAMENODE)
+                and datanode.chunk_on_disk(chunk.chunk_id)
+            ):
                 continue
             report.chunks_scanned += 1
             data = datanode.read(chunk.chunk_id, at=self.fs.clock)

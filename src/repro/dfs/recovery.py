@@ -162,18 +162,14 @@ class RecoveryManager:
             occupied |= extra_occupied
         # Only namenode-reachable nodes accept rebuilt chunks: a node on
         # the minority side of a partition can't be commanded anyway.
-        alive = [
-            node
-            for node in self.fs.cluster.alive_nodes()
-            if self.fs.partition.reachable(node.node_id, "namenode")
-        ]
-        for node in alive:
-            if node.node_id not in occupied:
-                return node.node_id
+        alive = self.fs.reachable_nodes()
+        for node_id in alive:
+            if node_id not in occupied:
+                return node_id
         # Degenerate small clusters: allow reuse of a live node.
         if not alive:
             raise RecoveryError("no live nodes to rebuild onto")
-        return alive[0].node_id
+        return alive[0]
 
     def _commit(
         self,
@@ -301,14 +297,11 @@ class RecoveryManager:
         return np.concatenate(pieces)
 
     def _fetch(self, src: ChunkMeta, target: str) -> Optional[np.ndarray]:
-        datanode = self.fs.datanodes[src.node_id]
-        if not datanode.is_alive or not datanode.has_chunk(src.chunk_id):
-            return None
         # Reconstruction never sources bytes across a partition cut: the
         # source must reach the rebuilding node.
-        if not self.fs.partition.reachable(src.node_id, target):
+        if not self.fs.chunk_readable(src, by=target):
             return None
-        data = datanode.read(src.chunk_id, at=self.fs.clock)
+        data = self.fs.datanodes[src.node_id].read(src.chunk_id, at=self.fs.clock)
         self.fs.metrics.record_transfer(
             src.node_id, target, float(data.nbytes), at=self.fs.clock, tag="repair"
         )
@@ -328,13 +321,8 @@ class RecoveryManager:
             if block.first_chunk <= chunk_index < block.first_chunk + block.n_chunks:
                 start = (chunk_index - block.first_chunk) * meta.chunk_size
                 for copy in block.copies:
-                    datanode = self.fs.datanodes[copy.node_id]
-                    if (
-                        datanode.is_alive
-                        and datanode.has_chunk(copy.chunk_id)
-                        and self.fs.partition.reachable(copy.node_id, target)
-                    ):
-                        data = datanode.read_range(
+                    if self.fs.chunk_readable(copy, by=target):
+                        data = self.fs.datanodes[copy.node_id].read_range(
                             copy.chunk_id, start, meta.chunk_size, at=self.fs.clock
                         )
                         self.fs.metrics.record_transfer(

@@ -114,56 +114,62 @@ class NativeTranscoder:
         ]
         for t in sorted(data_reads):
             stripe_i, local = divmod(t, k_i)
-            chunk = stripe_metas[stripe_i].data[local]
-            data = self._read_or_reconstruct(meta, stripe_metas[stripe_i], local)
+            data, src = self._read_or_reconstruct(
+                meta, stripe_metas[stripe_i], local, by=parity_targets[0]
+            )
             stripes[stripe_i].chunks[local] = data
             # Every parity-computing node combines this chunk.
             for node in set(parity_targets.values()):
                 self.fs.metrics.record_transfer(
-                    chunk.node_id, node, float(data.nbytes), at=self.fs.clock, tag="transcode"
+                    src, node, float(data.nbytes), at=self.fs.clock, tag="transcode"
                 )
         for (i, j) in sorted(parity_reads):
-            chunk = stripe_metas[i].parities[j]
-            data = self._read_or_reconstruct(
-                meta, stripe_metas[i], stripe_metas[i].k + j
+            target_node = parity_targets.get(j)
+            data, src = self._read_or_reconstruct(
+                meta,
+                stripe_metas[i],
+                stripe_metas[i].k + j,
+                by=target_node or parity_targets[0],
             )
             stripes[i].chunks[stripe_metas[i].k + j] = data
-            target_node = parity_targets.get(j)
             if target_node is not None:
                 self.fs.metrics.record_transfer(
-                    chunk.node_id, target_node, float(data.nbytes), at=self.fs.clock, tag="transcode"
+                    src, target_node, float(data.nbytes), at=self.fs.clock, tag="transcode"
                 )
         return stripes
 
     def _read_or_reconstruct(
-        self, meta: FileMeta, stripe_meta: ECStripeMeta, index: int
+        self, meta: FileMeta, stripe_meta: ECStripeMeta, index: int, by: str
     ):
-        """Read a planned chunk, reconstructing it if its home is down.
+        """Read a planned chunk for node ``by``; returns the bytes and
+        the node they are served from.
 
         A transcode must not fail because a source chunk is temporarily
         unavailable — the paper keeps old stripes fully serviceable
         throughout; a degraded transcode simply decodes the needed chunk
-        from the stripe's survivors (metered like any degraded read).
+        at ``by`` from the stripe's survivors it can reach (metered like
+        any degraded read).
         """
-        chunk = stripe_meta.all_chunks()[index]
-        datanode = self.fs.datanodes[chunk.node_id]
-        if datanode.is_alive and datanode.has_chunk(chunk.chunk_id):
-            return datanode.read(chunk.chunk_id, at=self.fs.clock)
-        code = self.fs.codec_for_stripe(meta, stripe_meta)
+        fs = self.fs
+        chunks = stripe_meta.all_chunks()
+        chunk = chunks[index]
+        if fs.chunk_readable(chunk, by=by):
+            data = fs.datanodes[chunk.node_id].read(chunk.chunk_id, at=fs.clock)
+            return data, chunk.node_id
+        code = fs.codec_for_stripe(meta, stripe_meta)
         available = {}
-        for idx, other in enumerate(stripe_meta.all_chunks()):
-            if idx == index:
-                continue
-            dn = self.fs.datanodes[other.node_id]
-            if dn.is_alive and dn.has_chunk(other.chunk_id):
-                available[idx] = dn.read(other.chunk_id, at=self.fs.clock)
+        for idx, other in enumerate(chunks):
+            if idx != index and fs.chunk_readable(other, by=by):
+                data = fs.datanodes[other.node_id].read(other.chunk_id, at=fs.clock)
+                fs.metrics.record_transfer(
+                    other.node_id, by, float(data.nbytes), at=fs.clock, tag="transcode"
+                )
+                available[idx] = data
                 if len(available) >= stripe_meta.k:
                     break
         recovered = code.decode(available, [index])
-        self.fs.charge_node_encode(
-            chunk.node_id, stripe_meta.k, 1, meta.chunk_size
-        )
-        return recovered[index]
+        fs.charge_node_encode(by, stripe_meta.k, 1, meta.chunk_size)
+        return recovered[index], by
 
     def _parity_targets(
         self, stripe_metas: List[ECStripeMeta], n_parities: int

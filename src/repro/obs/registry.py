@@ -111,11 +111,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get_or_create(name, GAUGE, labels, Gauge)
 
-    def callback_gauge(self, name: str, fn: Callable[[], float], **labels) -> Gauge:
-        gauge = self._get_or_create(name, GAUGE, labels, lambda: Gauge(fn))
-        gauge.fn = fn
-        return gauge
-
     def histogram(
         self, name: str, subbuckets_per_octave: int = 128, **labels
     ) -> LogLinearHistogram:

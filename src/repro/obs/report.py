@@ -94,7 +94,6 @@ def run_failure_burst_demo(
     victims = sorted(chunk_homes)[:n_failures]
     for victim in victims:
         fs.cluster.fail_node(victim)
-        fs.datanodes[victim].fail()
     for name in datasets:
         fs.read_file(name, 0, 16 * KB)
 

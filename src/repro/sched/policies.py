@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.cluster.partition import NAMENODE
 from repro.sched.tasks import MaintenanceTask, TaskClass
 
 
@@ -107,8 +108,7 @@ def classify_repair(fs, meta, chunk) -> TaskClass:
     """
 
     def available(c) -> bool:
-        dn = fs.datanodes.get(c.node_id)
-        return dn is not None and dn.is_alive and dn.has_chunk(c.chunk_id)
+        return fs.chunk_readable(c, by=NAMENODE)
 
     def replicas_cover(first: int, count: int) -> bool:
         """Every data-chunk index in [first, first+count) has a live copy."""

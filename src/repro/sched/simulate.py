@@ -6,7 +6,9 @@ also serving foreground reads. Every repair is a
 :class:`~repro.sched.tasks.CallbackTask` with exact per-node charges, a
 ticker process drives :meth:`MaintenanceScheduler.run_tick` at the
 heartbeat cadence, and admitted repairs occupy the same per-node disk
-resources the foreground reads use.
+queues the foreground reads use. The nodes, their slowdowns and those
+queues are a :class:`repro.sim.cluster.SimCluster` — the same timed
+cluster the latency figures run on.
 
 Run twice — once with per-node byte budgets, once unthrottled — and the
 difference shows up exactly where the paper says it should: foreground
@@ -21,11 +23,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.engine import Environment, Resource
+from repro.cluster.engine import Resource
 from repro.obs import LogLinearHistogram, MetricsRegistry, exact_percentile
 from repro.sched.policies import SchedulerPolicy
 from repro.sched.scheduler import MaintenanceScheduler
 from repro.sched.tasks import CallbackTask, TaskClass, TaskCost
+from repro.sim.cluster import SimCluster
 
 
 @dataclass
@@ -49,17 +52,12 @@ class SimConfig:
     budget_disk_bytes_per_tick: float = 16e6
     duration_s: float = 30.0
     seed: int = 0
-    #: per-node disk service-time multipliers (node id -> factor); nodes
-    #: not listed run at 1.0. A straggler disk has a factor >> 1.
-    node_disk_multipliers: Dict[str, float] = field(default_factory=dict)
     #: hedged foreground reads: when a read's primary lands on a node
-    #: with multiplier > 1 and hasn't completed after this many seconds,
-    #: a backup read races it on a fast node (None = hedging off). The
-    #: loser still occupies its disk — hedges consume real resources.
+    #: with disk multiplier > 1 and hasn't completed after this many
+    #: seconds, a backup read races it on a fast node (None = hedging
+    #: off). The loser still occupies its disk — hedges consume real
+    #: resources.
     hedge_after_s: Optional[float] = None
-
-    def disk_multiplier(self, node_id: str) -> float:
-        return self.node_disk_multipliers.get(node_id, 1.0)
 
 
 @dataclass
@@ -96,11 +94,6 @@ class SimResult:
     def p99_latency_s(self) -> float:
         return self.latency_percentile(99.0)
 
-    @property
-    def mean_latency_s(self) -> float:
-        lat = self.foreground_latencies
-        return sum(lat) / len(lat) if lat else 0.0
-
 
 def percentile(values: List[float], p: float) -> float:
     """Exact percentile over raw samples (kept for spot checks against
@@ -112,15 +105,26 @@ def run_failure_burst(
     budget_disk_bytes_per_tick: Optional[float],
     config: Optional[SimConfig] = None,
     label: str = "",
+    cluster: Optional[SimCluster] = None,
 ) -> SimResult:
-    """Simulate the burst under one budget setting (None = unthrottled)."""
+    """Simulate the burst under one budget setting (None = unthrottled).
+
+    ``cluster`` is the timed cluster this one run stands on — pass a
+    fresh one whose nodes carry the slowdowns under test; by default
+    ``config.n_nodes`` uniform nodes.
+    """
     cfg = config or SimConfig()
     rng = random.Random(cfg.seed)
-    env = Environment()
+    sim = cluster or SimCluster(cfg.n_nodes, seed=cfg.seed)
+    env = sim.env
     registry = MetricsRegistry()
     latency_hist = registry.histogram("foreground_read_latency_seconds")
-    node_ids = [f"sim{i:02d}" for i in range(cfg.n_nodes)]
-    disks = {n: Resource(env, name=n, registry=registry) for n in node_ids}
+    # Same disk queues, named and metered: the run's registry carries a
+    # wait histogram per disk.
+    sim.disks = {
+        n.node_id: Resource(env, name=n.node_id, registry=registry) for n in sim.nodes
+    }
+    nodes = sim.nodes
 
     policy = SchedulerPolicy(disk_bytes_per_tick=budget_disk_bytes_per_tick)
     sched = MaintenanceScheduler(fs=None, policy=policy)
@@ -130,42 +134,24 @@ def run_failure_burst(
     hedges = {"n": 0}
     node_tick_bytes: Dict[Tuple[str, int], float] = defaultdict(float)
 
-    def service_s(node_id: str, nbytes: float) -> float:
-        return nbytes / cfg.disk_bw_bytes_per_s * cfg.disk_multiplier(node_id)
-
-    def occupy_disk(node_id: str, nbytes: float, on_done=None):
-        req = disks[node_id].request()
-        yield req
-        yield env.timeout(service_s(node_id, nbytes))
-        disks[node_id].release(req)
-        if on_done is not None:
-            on_done()
+    def disk_io(node, nbytes: float):
+        return env.process(sim.disk_op(node, nbytes / cfg.disk_bw_bytes_per_s))
 
     def one_read():
         start = env.now
-        primary = rng.choice(node_ids)
-        state = {"done": False}
-
-        def leg(node_id):
-            req = disks[node_id].request()
-            yield req
-            yield env.timeout(service_s(node_id, cfg.read_bytes))
-            disks[node_id].release(req)
-            if not state["done"]:
-                state["done"] = True
-                latencies.append(env.now - start)
-
-        env.process(leg(primary))
-        if cfg.hedge_after_s is not None and cfg.disk_multiplier(primary) > 1.0:
+        primary = rng.choice(nodes)
+        attempts = [lambda: disk_io(primary, cfg.read_bytes)]
+        if cfg.hedge_after_s is not None and primary.disk_multiplier > 1.0:
             # Straggler primary: give it a grace period, then race a
-            # backup replica read on a fast node. First leg to finish
-            # records the latency; the loser still drains its disk.
-            yield env.timeout(cfg.hedge_after_s)
-            if not state["done"]:
-                fast = [n for n in node_ids if cfg.disk_multiplier(n) <= 1.0]
-                backup = rng.choice(fast or node_ids)
+            # backup replica read on a fast node.
+            def backup():
+                fast = [n for n in nodes if n.disk_multiplier <= 1.0]
                 hedges["n"] += 1
-                env.process(leg(backup))
+                return disk_io(rng.choice(fast or nodes), cfg.read_bytes)
+
+            attempts.append(backup)
+        yield from sim.hedged(attempts, cfg.hedge_after_s)
+        latencies.append(env.now - start)
 
     def foreground():
         while True:
@@ -173,19 +159,19 @@ def run_failure_burst(
             env.process(one_read())
 
     def make_repair(index: int) -> CallbackTask:
-        involved = rng.sample(node_ids, cfg.repair_sources + 1)
-        sources, target = involved[:-1], involved[-1]
+        involved = rng.sample(nodes, cfg.repair_sources + 1)
         charges = {
-            s: TaskCost(disk_bytes=cfg.chunk_bytes, net_bytes=cfg.chunk_bytes)
-            for s in sources
+            s.node_id: TaskCost(disk_bytes=cfg.chunk_bytes, net_bytes=cfg.chunk_bytes)
+            for s in involved[:-1]
         }
-        charges[target] = TaskCost(
+        charges[involved[-1].node_id] = TaskCost(
             disk_bytes=cfg.chunk_bytes,
             net_bytes=cfg.repair_sources * cfg.chunk_bytes,
         )
         pending = {"n": len(involved)}
 
-        def one_leg_done():
+        def leg(node):
+            yield from sim.disk_op(node, cfg.chunk_bytes / cfg.disk_bw_bytes_per_s)
             pending["n"] -= 1
             if pending["n"] == 0:
                 repairs_done["n"] += 1
@@ -195,8 +181,8 @@ def run_failure_burst(
             # IO on the same disks the foreground reads contend for.
             for node_id, cost in charges.items():
                 node_tick_bytes[(node_id, sched.tick_count)] += cost.disk_bytes
-            for node_id in involved:
-                env.process(occupy_disk(node_id, cfg.chunk_bytes, one_leg_done))
+            for node in involved:
+                env.process(leg(node))
 
         return CallbackTask(
             fire, klass=TaskClass.REPAIR, charges=charges, label=f"repair-{index}"

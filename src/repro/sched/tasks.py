@@ -25,6 +25,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
+from repro.cluster.partition import NAMENODE
+
 
 class TaskClass(enum.Enum):
     """Priority class of a maintenance task (paper §6.1/§6.2 work types)."""
@@ -117,20 +119,6 @@ class MaintenanceTask:
         )
 
 
-def chunk_present(fs, chunk) -> bool:
-    """True when ``chunk`` is readable where the namenode lists it: its
-    node is up, holds the chunk and is on the namenode's side of any
-    partition (an island's chunks count as lost and get re-homed)."""
-    datanode = fs.datanodes.get(chunk.node_id)
-    partition = getattr(fs, "partition", None)
-    return (
-        datanode is not None
-        and datanode.is_alive
-        and datanode.has_chunk(chunk.chunk_id)
-        and (partition is None or partition.reachable(chunk.node_id, "namenode"))
-    )
-
-
 class StripeRepairTask(MaintenanceTask):
     """Rebuild everything one damaged stripe — or replica block — lost
     to node failures, in one reconstruction (§4.4, §6.1)."""
@@ -161,12 +149,16 @@ class StripeRepairTask(MaintenanceTask):
     def execute(self, fs):
         # Re-check every chunk: the file may have been deleted or replaced
         # since submission, the chunk dropped by a transcode finalize, its
-        # node returned, or another task may have repaired it.
+        # node returned, or another task may have repaired it. Readable
+        # means from the namenode's side of any partition: an island's
+        # chunks count as lost and get re-homed.
         current: set = set()
         if fs.namenode.files.get(self.meta.name) is self.meta:
             current = {id(c) for c in self.meta.all_chunks()}
         self.chunks = [
-            c for c in self.chunks if id(c) in current and not chunk_present(fs, c)
+            c
+            for c in self.chunks
+            if id(c) in current and not fs.chunk_readable(c, by=NAMENODE)
         ]
         if not self.chunks:
             return "skipped"

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.cluster.engine import AllOf, AnyOf
-from repro.sim.cluster import SimCluster, SimNode
+from repro.cluster.engine import AllOf
+from repro.sim.cluster import SimCluster
 
 MB = 1024 * 1024
 
@@ -162,10 +162,6 @@ def write_hybrid_no_parity(sim: SimCluster, size_bytes: float, copies: int = 1):
 # reads
 # ---------------------------------------------------------------------------
 
-def _replica_read_once(sim: SimCluster, node: SimNode, size_bytes: float):
-    return sim.disk_read(node, size_bytes)
-
-
 def read_replica_hedged(
     sim: SimCluster,
     size_bytes: float,
@@ -182,30 +178,20 @@ def read_replica_hedged(
     """
     candidates = sim.pick_nodes_any(max(n_copies, 1))
     live = [node for node in candidates if node.is_alive][:n_copies]
-    outstanding = []
-    if live:
-        outstanding.append(_replica_read_once(sim, live[0], size_bytes))
-    for backup in live[1:]:
-        race = list(outstanding) + [sim.env.timeout(sim.cal.hedge_deadline_s)]
-        idx, _val = yield AnyOf(sim.env, race)
-        if idx < len(outstanding):
-            return  # a replica answered first
-        outstanding.append(_replica_read_once(sim, backup, size_bytes))
-    if not outstanding:
+    fallback = stripe_k and degraded_fallback
+    if not live:
         # No live replica at all: go to the stripe immediately.
-        if stripe_k and degraded_fallback:
+        if fallback:
             yield from read_striped(sim, size_bytes, stripe_k, stripe_n, degraded=True)
         return
-    if stripe_k and degraded_fallback:
-        race = list(outstanding) + [sim.env.timeout(sim.cal.hedge_deadline_s)]
-        idx, _val = yield AnyOf(sim.env, race)
-        if idx < len(outstanding):
-            return
-        stripe_done = sim.env.process(
-            read_striped(sim, size_bytes, stripe_k, stripe_n, degraded=False)
+    attempts = [lambda node=node: sim.disk_read(node, size_bytes) for node in live]
+    if fallback:
+        attempts.append(
+            lambda: sim.env.process(
+                read_striped(sim, size_bytes, stripe_k, stripe_n, degraded=False)
+            )
         )
-        outstanding.append(stripe_done)
-    yield AnyOf(sim.env, outstanding)
+    yield from sim.hedged(attempts, sim.cal.hedge_deadline_s)
 
 
 def read_striped(

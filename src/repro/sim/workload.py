@@ -35,10 +35,6 @@ class ClosedLoopResult:
         return percentile(self.latencies, q)
 
     @property
-    def median_s(self) -> float:
-        return self.p(50)
-
-    @property
     def throughput_mb_s(self) -> float:
         """Aggregate goodput across all threads."""
         if self.duration_s <= 0:

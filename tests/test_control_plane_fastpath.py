@@ -94,7 +94,13 @@ def _burst_trace_sig(budget):
     for lat in r.foreground_latencies:
         h.update(repr(lat).encode())
     h.update(repr(r.repairs_completed).encode())
-    h.update(repr(sorted(r.node_tick_disk_bytes.items())).encode())
+    # The golden digests predate the burst running on SimCluster, whose
+    # nodes are "dnNNN"; spell them the old way ("simNN") to keep them.
+    node_ticks = {
+        (f"sim{int(node_id[2:]):02d}", tick): nbytes
+        for (node_id, tick), nbytes in r.node_tick_disk_bytes.items()
+    }
+    h.update(repr(sorted(node_ticks.items())).encode())
     h.update(repr(r.ticks).encode())
     return h.hexdigest()
 

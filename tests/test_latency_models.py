@@ -1,9 +1,9 @@
-"""Device latency models and simulation calibration sanity."""
+"""Sanity of the one set of service-time models, ``repro.sim``'s
+:class:`SimCalibration` (disk, network, coding and absorb times)."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.latency import CpuModel, DiskModel, MemoryModel, NetworkModel
 from repro.sim.calibration import SimCalibration
 
 MB = 1024 * 1024
@@ -16,39 +16,26 @@ def samples(fn, n=4000, seed=0):
 
 class TestDiskModel:
     def test_service_time_scales_with_size(self):
-        model = DiskModel()
-        small = samples(lambda r: model.service_time(r, 64 * 1024)).mean()
-        large = samples(lambda r: model.service_time(r, 8 * MB)).mean()
+        cal = SimCalibration()
+        small = samples(lambda r: cal.disk_time(r, 64 * 1024)).mean()
+        large = samples(lambda r: cal.disk_time(r, 8 * MB)).mean()
         assert large > small + 0.05  # 8 MB adds ~66 ms of transfer
 
-    def test_heavy_tail_exists(self):
-        model = DiskModel()
-        arr = samples(lambda r: model.service_time(r, 1 * MB))
-        assert np.percentile(arr, 99.5) > 3 * np.percentile(arr, 50)
-
     def test_median_positioning_time(self):
-        model = DiskModel(straggler_prob=0.0)
-        arr = samples(lambda r: model.service_time(r, 0))
-        assert np.percentile(arr, 50) == pytest.approx(model.seek_median_s, rel=0.1)
+        cal = SimCalibration()
+        arr = samples(lambda r: cal.disk_time(r, 0))
+        assert np.percentile(arr, 50) == pytest.approx(cal.disk_seek_median_s, rel=0.1)
 
 
 class TestNetworkAndCpuModels:
     def test_network_transfer_time(self):
-        model = NetworkModel()
-        arr = samples(lambda r: model.transfer_time(r, 8 * MB))
-        expected = model.rtt_s + 8 * MB / (model.bandwidth_mb_s * MB)
-        assert np.median(arr) == pytest.approx(expected, rel=0.2)
+        cal = SimCalibration()
+        expected = cal.net_rtt_s + 8 * MB / (cal.net_bandwidth_mb_s * MB)
+        assert cal.net_time(8 * MB) == pytest.approx(expected)
 
     def test_cpu_encode_scales_with_width(self):
-        model = CpuModel()
-        narrow = samples(lambda r: model.encode_time(r, 6, 3, MB)).mean()
-        wide = samples(lambda r: model.encode_time(r, 12, 3, MB)).mean()
-        assert wide == pytest.approx(2 * narrow, rel=0.1)
-
-    def test_memory_absorb(self):
-        model = MemoryModel()
-        arr = samples(lambda r: model.absorb_time(r, 8 * MB))
-        assert arr.min() > 0
+        cal = SimCalibration()
+        assert cal.encode_time(12, 3, MB) == pytest.approx(2 * cal.encode_time(6, 3, MB))
 
 
 class TestCalibration:

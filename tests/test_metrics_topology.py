@@ -136,8 +136,7 @@ class TestCluster:
 
     def test_fail_fraction(self):
         cluster = Cluster()
-        rng = np.random.default_rng(0)
-        failed = cluster.fail_fraction(0.10, rng)
+        failed = FailureInjector(cluster, seed=0).fail_fraction(0.10)
         assert len(failed) == 2  # round(0.1 * 23)
         assert len(cluster.alive_nodes()) == 21
 

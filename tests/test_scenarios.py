@@ -2,8 +2,9 @@
 
 Covers:
 
-* ``Cluster.fail_fraction`` sampling victims from the alive population
-  only (it used to re-fail already-dead nodes and under-inject);
+* ``FailureInjector.fail_fraction`` — the one victim sampler — drawing
+  from the alive population only (``Cluster.fail_fraction`` used to
+  re-fail already-dead nodes and under-inject);
 * dead-lettered ``StripeRepairTask``s being resubmitted by the periodic
   repair sweep (they used to orphan their chunk forever);
 * heartbeat tolerance for datanodes registered after the monitor was
@@ -52,11 +53,10 @@ def revive(fs, node_id):
 
 class TestFailFractionAliveOnly:
     def test_never_refails_dead_nodes(self):
-        cluster = Cluster(ClusterSpec(n_datanodes=20))
-        rng = np.random.default_rng(0)
+        injector = FailureInjector(Cluster(ClusterSpec(n_datanodes=20)), seed=0)
         seen = set()
         for _ in range(5):
-            victims = cluster.fail_fraction(0.10, rng)
+            victims = injector.fail_fraction(0.10)
             assert len(victims) == 2
             # Every injection produces NEW failures.
             assert not (set(victims) & seen)
@@ -64,18 +64,16 @@ class TestFailFractionAliveOnly:
         assert len(seen) == 10
 
     def test_of_alive_uses_current_population(self):
-        cluster = Cluster(ClusterSpec(n_datanodes=20))
-        rng = np.random.default_rng(0)
-        cluster.fail_fraction(0.50, rng)  # 10 down, 10 alive
-        victims = cluster.fail_fraction(0.50, rng, of_alive=True)
+        injector = FailureInjector(Cluster(ClusterSpec(n_datanodes=20)), seed=0)
+        injector.fail_fraction(0.50)  # 10 down, 10 alive
+        victims = injector.fail_fraction(0.50, of_alive=True)
         assert len(victims) == 5  # half of the 10 still alive
 
     def test_raises_when_alive_pool_exhausted(self):
-        cluster = Cluster(ClusterSpec(n_datanodes=4))
-        rng = np.random.default_rng(0)
-        cluster.fail_fraction(0.75, rng)
+        injector = FailureInjector(Cluster(ClusterSpec(n_datanodes=4)), seed=0)
+        injector.fail_fraction(0.75)
         with pytest.raises(ValueError):
-            cluster.fail_fraction(0.75, rng)
+            injector.fail_fraction(0.75)
 
     def test_injector_fraction_matches_cluster_semantics(self):
         cluster = Cluster(ClusterSpec(n_datanodes=20))
@@ -161,7 +159,7 @@ class TestLateRegistrationAndStaleRepairs:
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
         monitor.tick()
         late = Datanode("late00", fs.metrics)
-        late.is_alive = False  # registered already dark: every beat missed
+        late.fail()  # registered already dark: every beat missed
         fs.datanodes["late00"] = late
         report = None
         for _ in range(2):
@@ -209,7 +207,6 @@ class TestNetworkPartition:
         assert p.active
         assert p.reachable("a", "b")
         assert not p.reachable("a", "namenode")
-        assert p.unreachable_from("namenode", ["a", "b", "c"]) == ["a", "b"]
         p.heal()
         assert p.reachable("a", "namenode")
 
@@ -229,6 +226,122 @@ class TestNetworkPartition:
         # The island's chunks were re-homed on the reachable side.
         assert all(c.node_id not in island for c in meta.all_chunks())
         fs.partition.heal()
+        assert np.array_equal(fs.read_file("f"), data)
+
+
+class TestMaskHonouredEverywhere:
+    """Transcode and seal reads, and repair classification, used to test
+    ``is_alive and has_chunk`` without the mask: they read across a cut
+    and counted unreachable copies as spare redundancy."""
+
+    @staticmethod
+    def io_out_of(fs, node_id):
+        node = fs.metrics.node(node_id)
+        return node.disk_bytes_read, node.net_bytes_out
+
+    @staticmethod
+    def assert_parities_encode_the_data(fs, name):
+        code = fs.cc_codec(6, 9)
+        for s in fs.namenode.lookup(name).stripes:
+            want = code.encode([fs.datanodes[c.node_id].read(c.chunk_id) for c in s.data])
+            for parity, expected in zip(s.parities, want):
+                assert np.array_equal(
+                    fs.datanodes[parity.node_id].read(parity.chunk_id), expected
+                )
+
+    def test_transcode_decodes_around_an_unreachable_source(self):
+        from repro.codes.convertible import plan_conversion
+
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[12, 6])
+        data = np.random.default_rng(1).integers(0, 256, 24 * 4 * KB, dtype=np.uint8)
+        fs.write_file("f", data, ECScheme(CodeKind.CC, 12, 15))
+        # The split reads some data chunks over the network: cut one off.
+        plan = plan_conversion(fs.cc_codec(12, 15), fs.cc_codec(6, 9), 1)
+        stripe = fs.namenode.lookup("f").stripes[0]
+        far = stripe.data[min(plan.data_reads)].node_id
+        assert far != stripe.parities[0].node_id
+        fs.partition.isolate([far])
+        before = self.io_out_of(fs, far)
+        fs.transcode("f", CC69)
+        assert self.io_out_of(fs, far) == before
+        assert [s.k for s in fs.namenode.lookup("f").stripes] == [6, 6, 6, 6]
+        fs.partition.heal()
+        assert np.array_equal(fs.read_file("f"), data)
+        self.assert_parities_encode_the_data(fs, "f")
+
+    def test_seal_reads_replicas_around_an_unreachable_data_chunk(self):
+        fs, data = hybrid_fs(n_kb=48, parity_mode="none")
+        stripe = fs.namenode.lookup("f").stripes[0]
+        far = stripe.data[2].node_id
+        fs.partition.isolate([far])
+        before = self.io_out_of(fs, far)
+        fs.transcode("f", CC69)  # the free transition seals parity-less stripes
+        assert self.io_out_of(fs, far) == before
+        meta = fs.namenode.lookup("f")
+        assert all(len(s.parities) == 3 for s in meta.stripes)
+        fs.partition.heal()
+        self.assert_parities_encode_the_data(fs, "f")
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_repair_is_critical_when_reachable_redundancy_is_spent(self):
+        from repro.sched.policies import classify_repair
+        from repro.sched.tasks import TaskClass
+
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+        data = np.random.default_rng(1).integers(0, 256, 24 * KB, dtype=np.uint8)
+        fs.write_file("f", data, CC69)
+        meta = fs.namenode.lookup("f")
+        homes = [c.node_id for c in meta.stripes[0].all_chunks()]
+        lost = meta.stripes[0].data[0]
+        fs.partition.isolate(homes[:2])
+        assert classify_repair(fs, meta, lost) is TaskClass.REPAIR
+        # A third copy behind the cut: every chunk is alive, none is spare.
+        fs.partition.isolate(homes[:3])
+        assert classify_repair(fs, meta, lost) is TaskClass.CRITICAL_REPAIR
+
+
+class TestInjectorIsAWholeFailure:
+    def test_injector_alone_fails_drains_and_returns_nodes(self):
+        from repro.dfs.recovery import RecoveryManager
+
+        fs, data = hybrid_fs()
+        meta = fs.namenode.lookup("f")
+        injector = FailureInjector(fs.cluster, seed=0)
+        victims = injector.fail_random_nodes(2)
+        assert {c.node_id for c in meta.all_chunks()} & set(victims)
+        assert not any(fs.datanodes[v].is_alive for v in victims)
+
+        monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
+        reports = [monitor.tick() for _ in range(4)]
+        assert {n for r in reports for n in r.newly_dead} == set(victims)
+        assert sum(r.chunks_recovered for r in reports) > 0
+        assert not {c.node_id for c in meta.all_chunks()} & set(victims)
+        assert not RecoveryManager(fs).lost_chunks(monitor.declared_dead())
+        assert np.array_equal(fs.read_file("f"), data)
+
+        injector.recover_all()
+        assert all(fs.datanodes[v].is_alive for v in victims)
+        assert set(monitor.tick().newly_alive) == set(victims)
+
+    def test_recover_all_cancels_stale_queued_repairs(self):
+        fs, data = hybrid_fs()
+        # Near-zero budget: submitted repairs stay queued, never admitted.
+        fs.scheduler = MaintenanceScheduler(
+            fs, policy=SchedulerPolicy(disk_bytes_per_tick=1.0)
+        )
+        injector = FailureInjector(fs.cluster, seed=0)
+        injector.fail_random_nodes(2)
+        monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
+        monitor.tick(), monitor.tick()
+        queued = sum(
+            len(t.chunks)
+            for t in fs.scheduler.queue.backlog()
+            if isinstance(t, StripeRepairTask)
+        )
+        assert queued > 0
+        injector.recover_all()
+        assert monitor.tick().repairs_cancelled == queued
+        assert not fs.scheduler.queue.backlog()
         assert np.array_equal(fs.read_file("f"), data)
 
 
@@ -253,16 +366,20 @@ class TestScenarioSuite:
 
     def test_straggler_hedged_reads_win(self):
         from repro.sched.simulate import SimConfig, run_failure_burst
+        from repro.sim.cluster import SimCluster
 
-        base = dict(
-            n_nodes=12,
-            n_repairs=16,
-            duration_s=14.0,
-            seed=0,
-            node_disk_multipliers={"sim03": 8.0},
+        def straggler_cluster():
+            sim = SimCluster(12, seed=0)
+            sim.nodes[3].disk_multiplier = 8.0
+            return sim
+
+        base = dict(n_nodes=12, n_repairs=16, duration_s=14.0, seed=0)
+        unhedged = run_failure_burst(
+            None, SimConfig(**base), cluster=straggler_cluster()
         )
-        unhedged = run_failure_burst(None, SimConfig(**base))
-        hedged = run_failure_burst(None, SimConfig(**base, hedge_after_s=0.05))
+        hedged = run_failure_burst(
+            None, SimConfig(**base, hedge_after_s=0.05), cluster=straggler_cluster()
+        )
         assert hedged.hedged_reads > 0
         assert hedged.p99_latency_s < unhedged.p99_latency_s
 
@@ -270,7 +387,7 @@ class TestScenarioSuite:
         fs, data = hybrid_fs()
         meta = fs.namenode.lookup("f")
         slow = meta.stripes[0].data[0].node_id
-        fs.cluster.set_disk_multiplier(slow, 8.0)
+        fs.cluster.node(slow).disk_multiplier = 8.0
         fs.hedge_slow_disk_multiplier = 4.0
         assert np.array_equal(fs.read_file("f"), data)
         assert fs.reader.hedged_reads > 0
@@ -284,9 +401,9 @@ class TestScenarioSuite:
         for rack in cluster.racks():
             classes = {n.node_class for n in cluster.nodes_in_rack(rack)}
             assert classes == {"ssd", "hdd"}
-        # Class multipliers registered into the spec automatically.
+        # A node starts at its class's multiplier.
         fast = cluster.nodes_in_class("ssd")[0]
-        assert cluster.disk_multiplier(fast.node_id) == 0.25
+        assert fast.disk_multiplier == 0.25
 
     def test_tiered_placement_prefers_fast_class(self):
         ssd = NodeClass("ssd", count=12, disk_multiplier=0.25)

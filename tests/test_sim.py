@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import protocols as P
+from repro.cluster.failure import FailureInjector
 from repro.sim.cluster import SimCluster
 from repro.sim.workload import ClosedLoopWorkload, percentile
 
@@ -12,7 +13,7 @@ MB = 1024 * 1024
 def run(op, t=12, ops=40, size=8 * MB, seed=42, fail=0.0):
     sim = SimCluster(seed=seed)
     if fail:
-        sim.fail_fraction(fail)
+        FailureInjector(sim, seed=sim.rng).fail_fraction(fail)
     wl = ClosedLoopWorkload(sim, op, n_threads=t, ops_per_thread=ops, op_bytes=size)
     return wl.run()
 
