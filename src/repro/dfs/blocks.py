@@ -139,3 +139,6 @@ class FileMeta:
         for block in self.replica_blocks:
             out.extend(block.copies)
         return out
+
+    def node_ids(self) -> List[str]:
+        return [c.node_id for c in self.all_chunks()]

@@ -11,25 +11,25 @@ HDFS-style edit log:
   file-backed or in-memory.  A torn tail (crash mid-write) is detected
   and truncated on open; corruption *before* the tail raises.
 * :class:`JournaledNamenode` — a :class:`~repro.dfs.namenode.Namenode`
-  that applies each mutation in memory first and appends one record on
-  success (write-behind: a crash between apply and append loses only the
-  unacknowledged op).  Nested mutators (``rename`` calls
-  ``unregister_file``/``register_file``, ``try_finalize`` calls
-  ``note_file``) are suppressed so replay applies each record exactly
-  once.
+  whose ``apply`` runs the op in memory first and appends its one record
+  on success (write-behind: a crash between apply and append loses only
+  the unacknowledged op).  What an op type writes, when, and which
+  fragment entries it kills is one row of ``_RECORD``.
 * Snapshot compaction — ``compact()`` rewrites the log as a single
   SNAPSHOT record of the canonical state, atomically (write-new +
   rename) for file-backed logs.  A file whose document already sits in
   the log is *spliced* into the snapshot as a byte range, not
   re-encoded (see "Encode each file once" below).
-* Replay recovery — :meth:`JournaledNamenode.recover` restores the last
-  snapshot and replays the record suffix; a namenode killed at any
-  record boundary restores byte-identical to the snapshot+replay oracle
-  (see :func:`state_digest` and ``tests/test_journal_crash.py``).
+* Replay recovery — :func:`replay` decodes each record back into its op
+  (``_DECODE``) and hands it to the *base* ``Namenode.apply``, so any
+  namenode, plain included, can be rebuilt from a log and replay can
+  never re-journal.  A namenode killed at any record boundary restores
+  byte-identical to the snapshot+replay oracle (see :func:`state_digest`
+  and ``tests/test_journal_crash.py``).
 
 Record coverage
 ---------------
-Every namespace/transcode mutator writes its own opcode.  Chunk
+Every op type writes its own opcode.  Chunk
 placements made *after* registration (repair, transcode relocation,
 stripe sealing, appends) flow through NOTE records: the PR-8 per-node
 index invariant — every path that homes a chunk must call
@@ -64,7 +64,6 @@ import json
 import os
 import struct
 import zlib
-from collections import deque
 from enum import IntEnum
 from functools import lru_cache
 from pathlib import Path
@@ -78,7 +77,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -98,7 +96,23 @@ from repro.dfs.blocks import (
     FileState,
     ReplicaBlockMeta,
 )
-from repro.dfs.namenode import ConversionGroup, Namenode, TranscodeJob
+from repro.dfs.namenode import (
+    Abort,
+    Complete,
+    ConversionGroup,
+    Enqueue,
+    Finalize,
+    Mint,
+    Namenode,
+    NewStripe,
+    Note,
+    Poll,
+    Register,
+    RegisterBatch,
+    Rename,
+    TranscodeJob,
+    Unregister,
+)
 
 #: The only record format this module reads or writes.  Journals here
 #: never outlive a run, so a format change *replaces* the old one: any
@@ -308,24 +322,14 @@ def encode_state(nn: Namenode) -> Dict[str, Any]:
 
 def load_state(nn: Namenode, doc: Dict[str, Any]) -> None:
     """Reset ``nn`` to the decoded canonical state (recovery path)."""
-    nn.files = {}
-    nn.atq = deque()
-    nn.utm = {}
-    nn._node_files = {}
-    nn._file_order = {}
-    nn._file_seq = 0
-    nn._chunk_seq = doc["chunk_seq"]
-    for fd in doc["files"]:
-        meta = decode_file(fd)
-        nn.files[meta.name] = meta
-        nn._file_seq += 1
-        nn._file_order[meta.name] = nn._file_seq
-        Namenode.note_file(nn, meta)
-    for gd in doc["atq"]:
-        nn.atq.append(decode_group(gd))
-    for jd in doc["utm"]:
-        job = decode_job(jd)
-        nn.utm[job.file_name] = job
+    files = [decode_file(fd) for fd in doc["files"]]
+    jobs = [decode_job(jd) for jd in doc["utm"]]
+    nn.load({
+        "files": {meta.name: meta for meta in files},
+        "chunk_seq": doc["chunk_seq"],
+        "atq": [decode_group(gd) for gd in doc["atq"]],
+        "utm": {job.file_name: job for job in jobs},
+    })
 
 
 def state_digest(nn: Namenode) -> str:
@@ -588,13 +592,131 @@ def merge_file(meta: FileMeta, d: List[Any]) -> None:
     meta.version = d[7]
 
 
+# -- ops <-> records ----------------------------------------------------------
+#
+# The two tables below are the whole mapping between the op types of
+# :mod:`repro.dfs.namenode` and the log (``docs/metadata.md`` renders
+# them as one table).  Both are closed: an op type has exactly one row
+# in ``_RECORD`` and every opcode exactly one in ``_DECODE``.
+
+def _named(op) -> Tuple[str, ...]:
+    return (op.name,)
+
+
+#: op type -> (opcode, recorded when, fragments forgotten, payload)
+#: * recorded when: ``(node, op, out) -> bool`` over the applied op and
+#:   what its handler returned; ``None`` is always.
+#: * fragments forgotten: ``(op) ->`` the files whose fragment-index
+#:   entry dies before the append, because the record changes them (the
+#:   files a record *carries* get a fresh entry once it has landed);
+#:   ``None`` where the record touches no file.
+#: * payload: ``(node, op) ->`` the record's document, or ``(head,
+#:   files, tail)`` for a record that carries file documents.
+_RECORD = {
+    Register: (Op.REGISTER, None, lambda op: (op.meta.name,),
+               lambda nn, op: (b'{"f":', (op.meta,), b"}")),
+    RegisterBatch: (Op.REGISTER_BATCH, None, lambda op: [m.name for m in op.metas],
+                    lambda nn, op: (b'{"fs":[', op.metas, b"]}")),
+    Unregister: (Op.UNREGISTER, None, _named, lambda nn, op: {"n": op.name}),
+    Rename: (Op.RENAME, None, lambda op: (op.old, op.new),
+             lambda nn, op: {"o": op.old, "n": op.new}),
+    # A registered file's note carries its full document, as an upsert;
+    # a write still in flight is covered wholesale by its REGISTER.
+    Note: (Op.NOTE, lambda nn, op, out: op.name in nn.files, _named,
+           lambda nn, op: (b'{"f":', (nn.files[op.name],), b"}")),
+    Mint: (Op.MINT, None, None, lambda nn, op: {"c": op.count}),
+    Enqueue: (Op.ENQUEUE, None, _named, lambda nn, op: {  # state -> TRANSCODING
+        "n": op.name, "t": encode_scheme(op.target_scheme),
+        "g": [encode_group(g) for g in op.groups], "p": op.parities,
+        "dl": op.deadline}),
+    Poll: (Op.POLL, lambda nn, op, out: bool(out), None,
+           lambda nn, op: {"n": op.name, "m": op.max_items}),
+    Complete: (Op.COMPLETE, None, None, lambda nn, op: {
+        "n": op.name, "g": op.group_index, "i": op.final_idx,
+        "j": op.parity_j, "p": op.parities}),
+    NewStripe: (Op.NEW_STRIPE, None, None, lambda nn, op: {
+        "n": op.name, "g": op.group_index, "i": op.final_idx,
+        "s": encode_stripe(op.stripe)}),
+    # The metadata switch itself, not a call that found parities pending.
+    Finalize: (Op.FINALIZE, lambda nn, op, out: out is not None, _named,
+               lambda nn, op: {"n": op.name}),
+    # Only if there was a job to forget (state -> HEALTHY).
+    Abort: (Op.ABORT, lambda nn, op, out: out, _named, lambda nn, op: {"n": op.name}),
+}
+
+
+def _decode_note(nn: Namenode, p: Dict[str, Any]) -> Optional[Note]:
+    """Replay differs from live.  Live, the data plane changed the
+    file's metadata in place and then noted it; on replay the record's
+    document *is* that change, so it is merged into the live FileMeta
+    (in place, see :func:`merge_file`) before the op indexes it."""
+    doc = p["f"]
+    meta = nn.files.get(doc[0])
+    if meta is None:
+        return None
+    merge_file(meta, doc)
+    return Note(meta.name, meta.node_ids())
+
+
+def _decode_new_stripe(nn: Namenode, p: Dict[str, Any]) -> NewStripe:
+    """Replay differs from live.  Live, the transcoder builds a final
+    stripe over the file's own data-chunk objects; a decoded stripe has
+    fresh ones, so its data chunks are re-linked to the live objects by
+    id — later in-place repairs then stay visible through both the old
+    stripes and the accumulating new ones, exactly as they are live."""
+    stripe = decode_stripe(p["s"])
+    meta = nn.files.get(p["n"])
+    if meta is not None:
+        by_id = {c.chunk_id: c for c in meta.all_chunks()}
+        stripe.data = [by_id.get(c.chunk_id, c) for c in stripe.data]
+    return NewStripe(p["n"], p["g"], p["i"], stripe)
+
+
+#: opcode -> ``(node, payload) ->`` the op the record stands for, or
+#: None where the decoder did all there is to do (a SNAPSHOT is a state
+#: load, not an op).  ``node`` is the namenode being rebuilt.
+_DECODE = {
+    Op.SNAPSHOT: load_state,
+    Op.REGISTER: lambda nn, p: Register(decode_file(p["f"])),
+    Op.REGISTER_BATCH: lambda nn, p: RegisterBatch([decode_file(fd) for fd in p["fs"]]),
+    Op.UNREGISTER: lambda nn, p: Unregister(p["n"]),
+    Op.RENAME: lambda nn, p: Rename(p["o"], p["n"]),
+    Op.NOTE: _decode_note,
+    Op.MINT: lambda nn, p: Mint(None, p["c"]),
+    Op.ENQUEUE: lambda nn, p: Enqueue(
+        p["n"], decode_scheme(p["t"]), [decode_group(g) for g in p["g"]],
+        p["p"], p["dl"],
+    ),
+    Op.POLL: lambda nn, p: Poll(p["n"], p["m"]),
+    Op.COMPLETE: lambda nn, p: Complete(p["n"], p["g"], p["i"], p["j"], p["p"]),
+    Op.NEW_STRIPE: _decode_new_stripe,
+    Op.FINALIZE: lambda nn, p: Finalize(p["n"]),
+    Op.ABORT: lambda nn, p: Abort(p["n"]),
+}
+
+
+def replay(nn: Namenode, records: Iterable[Tuple[Op, Dict[str, Any]]]) -> int:
+    """Apply decoded journal records to ``nn`` and return how many.
+
+    Ops go through ``Namenode.apply`` called on the base class, so a
+    plain namenode replays a log as well as a journaled one, and a
+    journaled one cannot append what it is replaying."""
+    count = 0
+    for opcode, payload in records:
+        op = _DECODE[opcode](nn, payload)
+        if op is not None:
+            Namenode.apply(nn, op)
+        count += 1
+    return count
+
+
 # -- the journaled namenode ---------------------------------------------------
 
 class JournaledNamenode(Namenode):
     """A Namenode whose every mutation is durable in an op-log journal.
 
-    Write-behind: the mutation is applied in memory first (validation
-    errors produce no record), then one record is appended.  A crash
+    Write-behind: ``apply`` runs the op in memory first (a rejected op
+    produces no record), then appends the op's one record.  A crash
     between the two loses only the op the caller never saw acknowledged.
     ``compact_every`` > 0 folds the log into a single SNAPSHOT record
     whenever that many records accumulate past the last snapshot.
@@ -604,55 +726,49 @@ class JournaledNamenode(Namenode):
         super().__init__()
         self.journal = Journal() if journal is None else journal
         self.compact_every = compact_every
-        #: records replayed by the last recover() that built this node
+        #: records replayed by the recover() that built this node
         self.replayed = 0
-        #: test hook: called as ``after_append(node, op)`` once a record
+        #: test hook: called as ``after_append(node, opcode)`` once a record
         #: has landed (used by the crash sweep to pin per-boundary digests)
         self.after_append: Optional[Callable[["JournaledNamenode", Op], None]] = None
-        self._suspended = False
         #: fragment index: file name -> (offset, length) of the canonical
         #: bytes of the file's document where it last landed in
         #: ``journal``'s log.  Invariant: an entry exists only if no
         #: record after that one changed the file, so at a record
-        #: boundary the range *is* the file's current document.  A
-        #: mutator forgets the entries of the files it changes before it
+        #: boundary the range *is* the file's current document.  ``apply``
+        #: forgets the entries of the files a record changes before it
         #: appends; an entry is written only after its record landed.
         #: Entries are offsets into the log the journal already mirrors,
         #: not copies; a missing entry only costs a re-encode.  Empty
         #: after recover(): the first compaction fills it.
         self._frags: Dict[str, Tuple[int, int]] = {}
 
-    # -- logging core ---------------------------------------------------------
-    def _log(self, op: Op, payload: Dict[str, Any]) -> None:
-        self.journal.append(op, payload)
-        self._landed(op)
-
-    def _log_files(self, op: Op, head: bytes, metas: Sequence[FileMeta],
-                   tail: bytes = b"}") -> None:
-        """Append a record whose body is ``head`` + the comma-joined
-        documents of ``metas`` + ``tail``, encoding each file once, and
-        index where each document landed."""
+    def apply(self, op):
+        out = Namenode.apply(self, op)
+        opcode, when, forgets, payload = _RECORD[type(op)]
+        if when is not None and not when(self, op, out):
+            return out
         frags = self._frags
-        docs = []
-        for meta in metas:
-            frags.pop(meta.name, None)
-            docs.append(_encode(encode_file(meta)))
+        for name in forgets(op) if forgets is not None else ():
+            frags.pop(name, None)
         journal = self.journal
-        index = journal.append(op, head + b",".join(docs) + tail)
-        at = journal.body_offset(index) + len(head)
-        for meta, doc in zip(metas, docs):
-            frags[meta.name] = (at, len(doc))
-            at += len(doc) + 1
-        self._landed(op)
-
-    def _landed(self, op: Op) -> None:
+        body = payload(self, op)
+        if type(body) is dict:
+            journal.append(opcode, body)
+        else:
+            # Encode each carried file once, and index where it landed.
+            head, metas, tail = body
+            docs = [_encode(encode_file(meta)) for meta in metas]
+            index = journal.append(opcode, head + b",".join(docs) + tail)
+            at = journal.body_offset(index) + len(head)
+            for meta, doc in zip(metas, docs):
+                frags[meta.name] = (at, len(doc))
+                at += len(doc) + 1
         if self.after_append is not None:
-            self.after_append(self, op)
-        if (
-            self.compact_every
-            and self.journal.records_since_snapshot >= self.compact_every
-        ):
+            self.after_append(self, opcode)
+        if self.compact_every and journal.records_since_snapshot >= self.compact_every:
             self.compact()
+        return out
 
     def _snapshot_body(self) -> Tuple[bytes, Dict[str, Tuple[int, int]], int]:
         """The SNAPSHOT body — byte-identical to ``_encode(encode_state(
@@ -722,247 +838,10 @@ class JournaledNamenode(Namenode):
         )
         return out
 
-    # -- recovery -------------------------------------------------------------
     @classmethod
     def recover(cls, journal: Journal, compact_every: int = 0) -> "JournaledNamenode":
         """Rebuild a namenode from its journal: restore the last SNAPSHOT
         record (if any), replay everything after it."""
-        node = cls(journal=Journal(), compact_every=0)
-        node._suspended = True
-        replayed = 0
-        try:
-            for op, payload in journal.records():
-                node._apply(op, payload)
-                replayed += 1
-        finally:
-            node._suspended = False
-        node.journal = journal
-        node.compact_every = compact_every
-        node.replayed = replayed
+        node = cls(journal=journal, compact_every=compact_every)
+        node.replayed = replay(node, journal.records())
         return node
-
-    def _apply(self, op: Op, p: Dict[str, Any]) -> None:
-        if op is Op.SNAPSHOT:
-            load_state(self, p)
-        elif op is Op.REGISTER:
-            self.register_file(decode_file(p["f"]))
-        elif op is Op.REGISTER_BATCH:
-            self.register_files([decode_file(fd) for fd in p["fs"]])
-        elif op is Op.UNREGISTER:
-            self.unregister_file(p["n"])
-        elif op is Op.RENAME:
-            self.rename(p["o"], p["n"])
-        elif op is Op.NOTE:
-            doc = p["f"]
-            meta = self.files.get(doc[0])
-            if meta is not None:
-                merge_file(meta, doc)
-                Namenode.note_file(self, meta)
-        elif op is Op.MINT:
-            self._chunk_seq += p["c"]
-        elif op is Op.ENQUEUE:
-            self.enqueue_transcode(
-                p["n"], decode_scheme(p["t"]),
-                [decode_group(g) for g in p["g"]], p["p"], deadline=p["dl"],
-            )
-        elif op is Op.POLL:
-            if p["n"] is None:
-                self.poll_work(p["m"])
-            else:
-                self.poll_work_for(p["n"], p["m"])
-        elif op is Op.COMPLETE:
-            self.complete_parity(p["n"], p["g"], p["i"], p["j"], p["p"])
-        elif op is Op.NEW_STRIPE:
-            self._apply_new_stripe(p)
-        elif op is Op.FINALIZE:
-            self.try_finalize(p["n"])
-        elif op is Op.ABORT:
-            self.abort_transcode(p["n"])
-        else:  # pragma: no cover - scan already validated opcodes
-            raise JournalError(f"unknown opcode {op}")
-
-    def _apply_new_stripe(self, p: Dict[str, Any]) -> None:
-        stripe = decode_stripe(p["s"])
-        meta = self.files.get(p["n"])
-        if meta is not None:
-            # Re-link data chunks to the live objects they were built
-            # from, so later in-place repairs stay visible through both
-            # the old stripes and the accumulating new ones (identity
-            # sharing, exactly as the live transcoder produced it).
-            by_id = {c.chunk_id: c for c in meta.all_chunks()}
-            stripe.data = [by_id.get(c.chunk_id, c) for c in stripe.data]
-        self.record_new_stripe(p["n"], p["g"], p["i"], stripe)
-
-    # -- journaled mutators ---------------------------------------------------
-    # Pattern: while _suspended (replay, or a nested call from another
-    # mutator) delegate straight to super().  Otherwise apply with
-    # nested logging suppressed, forget the fragment entries of files the
-    # record changes without carrying, then append exactly one record.
-
-    def register_file(self, meta: FileMeta) -> None:
-        if self._suspended:
-            return super().register_file(meta)
-        self._suspended = True
-        try:
-            super().register_file(meta)
-        finally:
-            self._suspended = False
-        self._log_files(Op.REGISTER, b'{"f":', (meta,))
-
-    def register_files(self, metas: Iterable[FileMeta]) -> None:
-        metas = list(metas)
-        if self._suspended:
-            return super().register_files(metas)
-        # Pre-validate so the journaled batch is atomic: either every
-        # file registers and one record lands, or none do.
-        files = self.files
-        for meta in metas:
-            if meta.name in files:
-                raise ValueError(f"file exists: {meta.name}")
-        self._suspended = True
-        try:
-            super().register_files(metas)
-        finally:
-            self._suspended = False
-        self._log_files(Op.REGISTER_BATCH, b'{"fs":[', metas, b"]}")
-
-    def unregister_file(self, name: str) -> FileMeta:
-        if self._suspended:
-            return super().unregister_file(name)
-        self._suspended = True
-        try:
-            meta = super().unregister_file(name)
-        finally:
-            self._suspended = False
-        self._frags.pop(name, None)
-        self._log(Op.UNREGISTER, {"n": name})
-        return meta
-
-    def rename(self, old: str, new: str) -> None:
-        if self._suspended:
-            return super().rename(old, new)
-        self._suspended = True
-        try:
-            super().rename(old, new)
-        finally:
-            self._suspended = False
-        self._frags.pop(old, None)
-        self._frags.pop(new, None)
-        self._log(Op.RENAME, {"o": old, "n": new})
-
-    def note_chunk(self, node_id: str, file_name: str) -> None:
-        super().note_chunk(node_id, file_name)
-        if self._suspended:
-            return
-        meta = self.files.get(file_name)
-        if meta is not None:
-            self._log_files(Op.NOTE, b'{"f":', (meta,))
-
-    def note_file(self, meta: FileMeta) -> None:
-        super().note_file(meta)
-        if self._suspended:
-            return
-        current = self.files.get(meta.name)
-        if current is not None:
-            self._log_files(Op.NOTE, b'{"f":', (current,))
-
-    def next_chunk_id(self, prefix: str) -> str:
-        out = super().next_chunk_id(prefix)
-        if not self._suspended:
-            self._log(Op.MINT, {"c": 1})
-        return out
-
-    def next_chunk_ids(self, prefix: str, count: int) -> List[str]:
-        out = super().next_chunk_ids(prefix, count)
-        if not self._suspended:
-            self._log(Op.MINT, {"c": count})
-        return out
-
-    def enqueue_transcode(self, name, target_scheme, groups,
-                          parities_per_final_stripe, deadline=None):
-        if self._suspended:
-            return super().enqueue_transcode(
-                name, target_scheme, groups, parities_per_final_stripe, deadline
-            )
-        self._suspended = True
-        try:
-            job = super().enqueue_transcode(
-                name, target_scheme, groups, parities_per_final_stripe, deadline
-            )
-        finally:
-            self._suspended = False
-        self._frags.pop(name, None)  # state -> TRANSCODING
-        self._log(Op.ENQUEUE, {
-            "n": name, "t": encode_scheme(target_scheme),
-            "g": [encode_group(g) for g in groups],
-            "p": parities_per_final_stripe, "dl": deadline,
-        })
-        return job
-
-    def poll_work(self, max_items: int = 8):
-        out = super().poll_work(max_items)
-        if out and not self._suspended:
-            self._log(Op.POLL, {"n": None, "m": max_items})
-        return out
-
-    def poll_work_for(self, name: str, max_items: int = 8):
-        out = super().poll_work_for(name, max_items)
-        if out and not self._suspended:
-            self._log(Op.POLL, {"n": name, "m": max_items})
-        return out
-
-    def complete_parity(self, name, group_index, final_idx, parity_j,
-                        parities_per_final_stripe) -> None:
-        if self._suspended:
-            return super().complete_parity(
-                name, group_index, final_idx, parity_j, parities_per_final_stripe
-            )
-        self._suspended = True
-        try:
-            super().complete_parity(
-                name, group_index, final_idx, parity_j, parities_per_final_stripe
-            )
-        finally:
-            self._suspended = False
-        self._log(Op.COMPLETE, {
-            "n": name, "g": group_index, "i": final_idx,
-            "j": parity_j, "p": parities_per_final_stripe,
-        })
-
-    def record_new_stripe(self, name, group_index, final_idx, stripe) -> None:
-        if self._suspended:
-            return super().record_new_stripe(name, group_index, final_idx, stripe)
-        self._suspended = True
-        try:
-            super().record_new_stripe(name, group_index, final_idx, stripe)
-        finally:
-            self._suspended = False
-        self._log(Op.NEW_STRIPE, {
-            "n": name, "g": group_index, "i": final_idx, "s": encode_stripe(stripe),
-        })
-
-    def try_finalize(self, name: str):
-        if self._suspended:
-            return super().try_finalize(name)
-        self._suspended = True
-        try:
-            out = super().try_finalize(name)
-        finally:
-            self._suspended = False
-        if out is not None:
-            self._frags.pop(name, None)  # the metadata switch
-            self._log(Op.FINALIZE, {"n": name})
-        return out
-
-    def abort_transcode(self, name: str) -> None:
-        if self._suspended:
-            return super().abort_transcode(name)
-        had_job = name in self.utm
-        self._suspended = True
-        try:
-            super().abort_transcode(name)
-        finally:
-            self._suspended = False
-        if had_job:
-            self._frags.pop(name, None)  # state -> HEALTHY
-            self._log(Op.ABORT, {"n": name})

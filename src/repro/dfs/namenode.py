@@ -14,6 +14,16 @@ The transcode module mirrors the paper's architecture:
   the switch, so reads/degraded-reads/reconstruction work mid-transcode,
   and a crash before the switch simply leaves the (still valid) old
   metadata in place — restart re-runs the conversion idempotently.
+
+One write path: state (namespace, chunk sequence, ATQ, UTM and the
+derived caches) changes only inside :meth:`Namenode.apply`, which
+dispatches one of the twelve op types below to its handler.  The public
+mutators only build an op and hand it to ``self.apply``, so the journal
+(:mod:`repro.dfs.journal`) and the shard router (:mod:`repro.dfs.shards`)
+override ``apply`` and nothing else.  A handler validates before it
+mutates — a rejected op changes nothing — and does nested work through
+other handlers, never ``apply``: one public call is one op, and one op
+is at most one journal record.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from sys import intern as _intern
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.schemes import RedundancyScheme
 from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta, FileState
@@ -66,6 +76,78 @@ class TranscodeJob:
         return self.total_bits > 0 and self.pending_bits == 0
 
 
+# -- ops: the closed set of namenode mutations --------------------------------
+#
+# One immutable type per journal opcode (a SNAPSHOT is a state load, not
+# an op).  Field 0 is the name the op routes by on a sharded namenode —
+# a file name; for Mint, the id prefix — except for the two that carry
+# whole files.
+
+class Register(NamedTuple):
+    meta: FileMeta
+
+
+class RegisterBatch(NamedTuple):
+    metas: List[FileMeta]
+
+
+class Unregister(NamedTuple):
+    name: str
+
+
+class Rename(NamedTuple):
+    old: str
+    new: str
+
+
+class Note(NamedTuple):
+    name: str
+    #: where the data plane homed (placed, moved, sealed) chunks of
+    #: ``name``, in the file's metadata, before it noted them
+    nodes: Sequence[str]
+
+
+class Mint(NamedTuple):
+    prefix: Optional[str]  # only routes; not journaled (replay: None)
+    count: int
+
+
+class Enqueue(NamedTuple):
+    name: str
+    target_scheme: RedundancyScheme
+    groups: List[ConversionGroup]
+    parities: int
+    deadline: Optional[float]
+
+
+class Poll(NamedTuple):
+    name: Optional[str]  # one file's groups, or (None) any file's
+    max_items: int
+
+
+class Complete(NamedTuple):
+    name: str
+    group_index: int
+    final_idx: int
+    parity_j: int
+    parities: int
+
+
+class NewStripe(NamedTuple):
+    name: str
+    group_index: int
+    final_idx: int
+    stripe: ECStripeMeta
+
+
+class Finalize(NamedTuple):
+    name: str
+
+
+class Abort(NamedTuple):
+    name: str
+
+
 class Namenode:
     """Namespace + block map + ATQ/UTM transcode bookkeeping."""
 
@@ -92,28 +174,113 @@ class Namenode:
         self._file_order: Dict[str, int] = {}
         self._file_seq = 0
 
-    # -- namespace --------------------------------------------------------
+    def apply(self, op):
+        """Apply one op: the only way namenode state changes.  Returns
+        what the op's handler returns; raises, having changed nothing,
+        when the handler rejects it."""
+        return self._HANDLERS[type(op)](self, *op)
+
+    # -- public mutators: each builds one op ----------------------------------
     def register_file(self, meta: FileMeta) -> None:
-        if meta.name in self.files:
-            raise ValueError(f"file exists: {meta.name}")
-        meta.name = _intern(meta.name)
-        self.files[meta.name] = meta
-        self._file_seq += 1
-        self._file_order[meta.name] = self._file_seq
-        self.note_file(meta)
+        self.apply(Register(meta))
 
     def register_files(self, metas: Iterable[FileMeta]) -> None:
-        """Batched ingest registration: one call for a whole batch of
-        files, resolving the per-call attribute/method overhead once."""
+        """Batched ingest registration: the whole batch or none of it."""
+        self.apply(RegisterBatch(list(metas)))
+
+    def unregister_file(self, name: str) -> FileMeta:
+        return self.apply(Unregister(name))
+
+    def rename(self, old: str, new: str) -> None:
+        self.apply(Rename(old, new))
+
+    def next_chunk_id(self, prefix: str) -> str:
+        return f"{prefix}#{self.apply(Mint(prefix, 1)):08d}"
+
+    def next_chunk_ids(self, prefix: str, count: int) -> List[str]:
+        """Batched id mint: one namenode round-trip for a whole stripe
+        or replica pipeline instead of one per chunk."""
+        start = self.apply(Mint(prefix, count))
+        return [f"{prefix}#{i:08d}" for i in range(start, start + count)]
+
+    def note_chunk(self, node_id: str, file_name: str) -> None:
+        """Record that ``file_name`` now has a chunk homed on ``node_id``.
+
+        Every path that places or moves a chunk must call this (or
+        :meth:`note_file`); the index has no other way to learn about
+        placements, and node-major queries trust it exhaustively.
+        """
+        self.apply(Note(file_name, (node_id,)))
+
+    def note_file(self, meta: FileMeta) -> None:
+        """Index every current chunk placement of ``meta``."""
+        self.apply(Note(meta.name, meta.node_ids()))
+
+    def enqueue_transcode(self, name: str, target_scheme: RedundancyScheme,
+                          groups: List[ConversionGroup], parities_per_final_stripe: int,
+                          deadline: Optional[float] = None) -> TranscodeJob:
+        """Queue a file's conversion groups into the ATQ (transcode())."""
+        return self.apply(
+            Enqueue(name, target_scheme, groups, parities_per_final_stripe, deadline)
+        )
+
+    def poll_work(self, max_items: int = 8) -> List[ConversionGroup]:
+        """Pop up to ``max_items`` groups from the ATQ (per heartbeat)."""
+        return self.apply(Poll(None, max_items))
+
+    def poll_work_for(self, name: str, max_items: int = 8) -> List[ConversionGroup]:
+        """Pop up to ``max_items`` of one file's groups from the ATQ,
+        leaving other files' groups queued in order."""
+        return self.apply(Poll(name, max_items))
+
+    def complete_parity(self, name: str, group_index: int, final_idx: int,
+                        parity_j: int, parities_per_final_stripe: int) -> None:
+        """Mark one new parity persisted (UTM bitmap update)."""
+        self.apply(
+            Complete(name, group_index, final_idx, parity_j, parities_per_final_stripe)
+        )
+
+    def record_new_stripe(self, name: str, group_index: int, final_idx: int,
+                          stripe: ECStripeMeta) -> None:
+        self.apply(NewStripe(name, group_index, final_idx, stripe))
+
+    def try_finalize(self, name: str) -> Optional[List[ChunkMeta]]:
+        """Atomic metadata switch once every parity bit has cleared.
+
+        Returns the now-garbage old parity chunks (for deletion by the
+        caller) or None if the job is still pending. The switch itself is
+        a single in-memory reassignment: a crash before it leaves the old,
+        fully consistent metadata in effect.
+        """
+        return self.apply(Finalize(name))
+
+    def abort_transcode(self, name: str) -> None:
+        """Simulate a crash: forget in-flight transcode state (UTM is
+        in-memory only; the paper avoids persisting it). Old metadata
+        stays in effect; the ATQ entries for the file are dropped."""
+        self.apply(Abort(name))
+
+    # -- handlers: the only code that changes state ---------------------------
+    # Called as ``handler(self, *op)``: a handler's parameters are the
+    # fields of its op type, which is where their types are declared.
+
+    def _register(self, meta):
+        if meta.name in self.files:
+            raise ValueError(f"file exists: {meta.name}")
+        name = meta.name = _intern(meta.name)
+        self.files[name] = meta
+        self._file_seq += 1
+        self._file_order[name] = self._file_seq
+        self._note(name, meta.node_ids())
+
+    def _register_batch(self, metas):
+        self._check_new(metas)
         files = self.files
         order = self._file_order
         node_files = self._node_files
         seq = self._file_seq
         for meta in metas:
-            name = _intern(meta.name)
-            if name in files:
-                raise ValueError(f"file exists: {name}")
-            meta.name = name
+            name = meta.name = _intern(meta.name)
             files[name] = meta
             seq += 1
             order[name] = seq
@@ -141,13 +308,18 @@ class Namenode:
                         index[name] = None
         self._file_seq = seq
 
-    def lookup(self, name: str) -> FileMeta:
-        try:
-            return self.files[name]
-        except KeyError:
-            raise FileNotFoundError_(name) from None
+    def _check_new(self, metas: List[FileMeta]) -> None:
+        """Reject a batch — before any of it registers — if a name is
+        taken in the namespace or appears twice in the batch."""
+        names = {meta.name for meta in metas}
+        if len(names) < len(metas) or not self.files.keys().isdisjoint(names):
+            seen = set()
+            for meta in metas:  # name the first offender
+                if meta.name in self.files or meta.name in seen:
+                    raise ValueError(f"file exists: {meta.name}")
+                seen.add(meta.name)
 
-    def unregister_file(self, name: str) -> FileMeta:
+    def _unregister(self, name):
         meta = self.files.pop(name)
         self._file_order.pop(name, None)
         # Per-node index entries are left behind and purged lazily by
@@ -157,161 +329,87 @@ class Namenode:
             # a UTM entry and queued ATQ groups keyed by a name that no
             # longer resolves would otherwise leak forever and crash any
             # worker that later polls them.
-            del self.utm[name]
-            self.atq = deque(g for g in self.atq if g.file_name != name)
+            self._abort(name)
             meta.state = FileState.HEALTHY
         return meta
 
-    def next_chunk_id(self, prefix: str) -> str:
-        self._chunk_seq += 1
-        return f"{prefix}#{self._chunk_seq:08d}"
-
-    def next_chunk_ids(self, prefix: str, count: int) -> List[str]:
-        """Batched id mint: one namenode round-trip for a whole stripe
-        or replica pipeline instead of one per chunk."""
-        start = self._chunk_seq + 1
-        self._chunk_seq += count
-        return [f"{prefix}#{i:08d}" for i in range(start, start + count)]
-
-    def rename(self, old: str, new: str) -> None:
-        # Validate before mutating: failing in register_file after the
-        # unregister would drop the file from the namespace (and, on a
-        # journaled namenode, with no record of either step).
+    def _rename(self, old, new):
         if old not in self.files:
             raise FileNotFoundError_(old)
         if new != old and new in self.files:
             raise ValueError(f"file exists: {new}")
-        meta = self.unregister_file(old)
+        meta = self._unregister(old)
         meta.name = new
-        self.register_file(meta)
+        self._register(meta)
 
-    # -- per-node chunk index ----------------------------------------------
-    def note_chunk(self, node_id: str, file_name: str) -> None:
-        """Record that ``file_name`` now has a chunk homed on ``node_id``.
-
-        Every path that places or moves a chunk must call this (or
-        :meth:`note_file`); the index has no other way to learn about
-        placements, and node-major queries trust it exhaustively.
-        """
-        index = self._node_files.get(node_id)
-        if index is None:
-            self._node_files[_intern(node_id)] = {file_name: None}
-        else:
-            index[file_name] = None
-
-    def note_file(self, meta: FileMeta) -> None:
-        """Index every current chunk placement of ``meta``."""
+    def _note(self, name, nodes):
         node_files = self._node_files
-        name = meta.name
-        for chunk in meta.all_chunks():
-            index = node_files.get(chunk.node_id)
+        for node_id in nodes:
+            index = node_files.get(node_id)
             if index is None:
-                node_files[_intern(chunk.node_id)] = {name: None}
+                node_files[_intern(node_id)] = {name: None}
             else:
                 index[name] = None
 
-    # -- transcode lifecycle -------------------------------------------------
-    def enqueue_transcode(
-        self,
-        name: str,
-        target_scheme: RedundancyScheme,
-        groups: List[ConversionGroup],
-        parities_per_final_stripe: int,
-        deadline: Optional[float] = None,
-    ) -> TranscodeJob:
-        """Queue a file's conversion groups into the ATQ (transcode())."""
+    def _mint(self, _prefix, count):
+        """Returns the first sequence number of the minted run."""
+        start = self._chunk_seq + 1
+        self._chunk_seq += count
+        return start
+
+    def _enqueue(self, name, target_scheme, groups, parities, deadline):
         meta = self.lookup(name)
         if name in self.utm:
             raise TranscodeStateError(f"{name} is already transcoding")
+        bits = sum(group.n_final_stripes for group in groups) * parities
         job = TranscodeJob(
-            file_name=name,
-            target_scheme=target_scheme,
-            groups=groups,
-            deadline=deadline,
+            file_name=name, target_scheme=target_scheme, groups=groups,
+            pending_bits=(1 << bits) - 1, total_bits=bits, deadline=deadline,
         )
-        bit = 0
-        for group in groups:
-            for _final in range(group.n_final_stripes):
-                for _p in range(parities_per_final_stripe):
-                    job.pending_bits |= 1 << bit
-                    bit += 1
-        job.total_bits = bit
         self.utm[name] = job
         self.atq.extend(groups)
         meta.state = FileState.TRANSCODING
         return job
 
-    def poll_work(self, max_items: int = 8) -> List[ConversionGroup]:
-        """Pop up to ``max_items`` groups from the ATQ (per heartbeat)."""
-        out = []
-        while self.atq and len(out) < max_items:
-            out.append(self.atq.popleft())
-        return out
-
-    def poll_work_for(self, name: str, max_items: int = 8) -> List[ConversionGroup]:
-        """Pop up to ``max_items`` of one file's groups from the ATQ,
-        leaving other files' groups queued in order."""
-        out: List[ConversionGroup] = []
-        rest: List[ConversionGroup] = []
-        while self.atq:
-            group = self.atq.popleft()
-            if group.file_name == name and len(out) < max_items:
+    def _poll(self, name, max_items):
+        out, rest, atq = [], [], self.atq
+        while atq and len(out) < max_items:
+            group = atq.popleft()
+            if name is None or group.file_name == name:
                 out.append(group)
             else:
                 rest.append(group)
-        self.atq.extendleft(reversed(rest))
+        atq.extendleft(reversed(rest))
         return out
 
-    def _bit_index(
-        self, job: TranscodeJob, group_index: int, final_idx: int, parity_j: int, parities: int
-    ) -> int:
-        offset = 0
-        for g in job.groups:
-            if g.group_index == group_index:
-                return offset + (final_idx * parities + parity_j)
-            offset += g.n_final_stripes * parities
-        raise TranscodeStateError(f"unknown group {group_index}")
-
-    def complete_parity(
-        self,
-        name: str,
-        group_index: int,
-        final_idx: int,
-        parity_j: int,
-        parities_per_final_stripe: int,
-    ) -> None:
-        """Mark one new parity persisted (UTM bitmap update)."""
+    def _complete(self, name, group_index, final_idx, parity_j, parities):
         job = self.utm.get(name)
         if job is None:
             raise TranscodeStateError(f"{name} is not transcoding")
-        bit = self._bit_index(
-            job, group_index, final_idx, parity_j, parities_per_final_stripe
-        )
-        job.pending_bits &= ~(1 << bit)
+        if sum(g.n_final_stripes for g in job.groups) * parities != job.total_bits:
+            raise TranscodeStateError(f"{name}: not {parities} parities per final stripe")
+        offset = 0
+        for group in job.groups:
+            if group.group_index == group_index:
+                if not (0 <= final_idx < group.n_final_stripes and 0 <= parity_j < parities):
+                    raise TranscodeStateError(f"{name}: no parity ({final_idx}, {parity_j})")
+                job.pending_bits &= ~(1 << (offset + final_idx * parities + parity_j))
+                return
+            offset += group.n_final_stripes * parities
+        raise TranscodeStateError(f"unknown group {group_index}")
 
-    def record_new_stripe(
-        self, name: str, group_index: int, final_idx: int, stripe: ECStripeMeta
-    ) -> None:
+    def _new_stripe(self, name, group_index, final_idx, stripe):
         job = self.utm.get(name)
         if job is None:
             raise TranscodeStateError(f"{name} is not transcoding")
         job.new_stripes[(group_index, final_idx)] = stripe
 
-    def try_finalize(self, name: str) -> Optional[List[ChunkMeta]]:
-        """Atomic metadata switch once every parity bit has cleared.
-
-        Returns the now-garbage old parity chunks (for deletion by the
-        caller) or None if the job is still pending. The switch itself is
-        a single in-memory reassignment: a crash before it leaves the old,
-        fully consistent metadata in effect.
-        """
+    def _finalize(self, name):
         job = self.utm.get(name)
         if job is None or not job.is_complete():
             return None
         meta = self.lookup(name)
-        old_parities: List[ChunkMeta] = [
-            p for stripe in meta.stripes for p in stripe.parities
-        ]
+        old_parities = [p for stripe in meta.stripes for p in stripe.parities]
         ordered = [job.new_stripes[key] for key in sorted(job.new_stripes)]
         for i, stripe in enumerate(ordered):
             stripe.stripe_index = i
@@ -324,18 +422,40 @@ class Namenode:
         del self.utm[name]
         # The new stripes' parities may live on nodes the file never
         # touched before the switch.
-        self.note_file(meta)
+        self._note(name, meta.node_ids())
         return old_parities
 
-    def abort_transcode(self, name: str) -> None:
-        """Simulate a crash: forget in-flight transcode state (UTM is
-        in-memory only; the paper avoids persisting it). Old metadata
-        stays in effect; the ATQ entries for the file are dropped."""
-        self.utm.pop(name, None)
+    def _abort(self, name):
+        """Returns whether there was a job to forget."""
+        had_job = self.utm.pop(name, None) is not None
         self.atq = deque(g for g in self.atq if g.file_name != name)
         meta = self.files.get(name)
         if meta is not None:
             meta.state = FileState.HEALTHY
+        return had_job
+
+    #: op type -> handler.  Closed and static: a subclass changes what
+    #: happens around an op by overriding ``apply``, not a handler.
+    _HANDLERS = {
+        Register: _register,
+        RegisterBatch: _register_batch,
+        Unregister: _unregister,
+        Rename: _rename,
+        Note: _note,
+        Mint: _mint,
+        Enqueue: _enqueue,
+        Poll: _poll,
+        Complete: _complete,
+        NewStripe: _new_stripe,
+        Finalize: _finalize,
+        Abort: _abort,
+    }
+
+    def lookup(self, name: str) -> FileMeta:
+        try:
+            return self.files[name]
+        except KeyError:
+            raise FileNotFoundError_(name) from None
 
     # -- persistence --------------------------------------------------------
     def snapshot(self, include_transcode: bool = False) -> dict:
@@ -360,26 +480,33 @@ class Namenode:
             snap["utm"] = dict(self.utm)
         return snap
 
-    @classmethod
-    def restore(cls, snapshot: dict) -> "Namenode":
-        """Bring up a fresh Namenode from a snapshot (post-crash)."""
-        node = cls()
-        node.files = dict(snapshot["files"])
-        node._chunk_seq = snapshot["chunk_seq"]
+    def load(self, snapshot: dict) -> None:
+        """Replace all state with a :meth:`snapshot`'s and rebuild the
+        derived caches.  A state load is the one change that is not an
+        op: it is where a restart begins (:meth:`restore`, and the
+        journal's SNAPSHOT record)."""
         with_transcode = "utm" in snapshot
-        if with_transcode:
-            node.utm = dict(snapshot["utm"])
-            node.atq = deque(snapshot.get("atq", ()))
-        for meta in node.files.values():
+        self.files = dict(snapshot["files"])
+        self._chunk_seq = snapshot["chunk_seq"]
+        self.atq = deque(snapshot["atq"] if with_transcode else ())
+        self.utm = dict(snapshot["utm"] if with_transcode else ())
+        self._node_files, self._file_order, self._file_seq = {}, {}, 0
+        for meta in self.files.values():
             if not with_transcode:
                 # In-flight transcodes died with the old process; their
                 # files revert to HEALTHY under the old (still valid)
                 # metadata.  With transcode state captured, file states
                 # were consistent at snapshot time and stay as they are.
                 meta.state = FileState.HEALTHY
-            node._file_seq += 1
-            node._file_order[meta.name] = node._file_seq
-            node.note_file(meta)
+            self._file_seq += 1
+            self._file_order[meta.name] = self._file_seq
+            self._note(meta.name, meta.node_ids())
+
+    @classmethod
+    def restore(cls, snapshot: dict) -> "Namenode":
+        """Bring up a fresh Namenode from a snapshot (post-crash)."""
+        node = cls()
+        node.load(snapshot)
         return node
 
     # -- capacity / health --------------------------------------------------

@@ -11,13 +11,16 @@ minted id, so per-shard sequences can overlap without ever colliding.
 
 The facade exposes the existing Namenode surface, so ``filesystem.py``,
 ``recovery.py``, ``transcoder.py``, ``heartbeat.py`` and ``appends.py``
-work unchanged:
+work unchanged.  Its public mutators *are* ``Namenode``'s — each builds
+an op — and :meth:`ShardedNamenode.apply` is the router:
 
-* name-routed ops (register/lookup/rename/transcode lifecycle) go to
-  one shard; a cross-shard rename registers under the new name first,
-  then unregisters the old one, so a crash between the two journals
-  leaves a duplicate, never a loss;
-* fan-out ops merge deterministically: ``chunks_on_node`` and
+* an op goes, whole, to the shard its key hashes to, except three: a
+  batch registration is bucketed per shard (every bucket validated
+  before any is applied), a cross-shard rename registers under the new
+  name first and then unregisters the old one, so a crash between the
+  two journals leaves a duplicate, never a loss, and an any-file poll
+  fans out;
+* fan-outs merge deterministically: ``chunks_on_node`` and
   ``poll_work`` concatenate per-shard results in shard order (shard
   order is itself deterministic because routing is);
 * ``files`` and ``utm`` are read-only mapping views (lookups route,
@@ -33,7 +36,16 @@ from zlib import crc32
 
 from repro.dfs.blocks import ChunkMeta, FileMeta, FileState
 from repro.dfs.journal import Journal, JournaledNamenode
-from repro.dfs.namenode import ConversionGroup, Namenode, TranscodeJob
+from repro.dfs.namenode import (
+    ConversionGroup,
+    FileNotFoundError_,
+    Namenode,
+    Poll,
+    Register,
+    RegisterBatch,
+    Rename,
+    Unregister,
+)
 
 
 class _NameRoutedView(Mapping):
@@ -98,13 +110,11 @@ class _ShardedOrderView:
 class ShardedNamenode:
     """Hash-partitioned namespace over N Namenode shards."""
 
-    def __init__(self, n_shards: int = 4, shards: Optional[Iterable[Namenode]] = None,
-                 shard_factory=None):
+    def __init__(self, n_shards: int = 4, shards: Optional[Iterable[Namenode]] = None):
         if shards is not None:
             self.shards: List[Namenode] = list(shards)
         else:
-            factory = shard_factory or (lambda i: Namenode())
-            self.shards = [factory(i) for i in range(n_shards)]
+            self.shards = [Namenode() for _ in range(n_shards)]
         if not self.shards:
             raise ValueError("need at least one shard")
         self.n_shards = len(self.shards)
@@ -139,63 +149,77 @@ class ShardedNamenode:
     def shard_for(self, name: str) -> Namenode:
         return self.shards[crc32(name.encode()) % self.n_shards]
 
-    # -- namespace ------------------------------------------------------------
-    def register_file(self, meta: FileMeta) -> None:
-        self.shards[crc32(meta.name.encode()) % self.n_shards].register_file(meta)
-
-    def register_files(self, metas: Iterable[FileMeta]) -> None:
-        buckets: List[List[FileMeta]] = [[] for _ in range(self.n_shards)]
+    def apply(self, op):
+        """Route one op to the shard that owns its key."""
+        kind = type(op)
+        if kind is RegisterBatch:
+            return self._register_batch(op.metas)
+        if kind is Poll and op.name is None:
+            return self._poll_any(op.max_items)
         n = self.n_shards
+        if kind is Rename and crc32(op.old.encode()) % n != crc32(op.new.encode()) % n:
+            return self._rename_across(op.old, op.new)
+        key = op.meta.name if kind is Register else op[0]
+        return self.shards[crc32(key.encode()) % n].apply(op)
+
+    def _register_batch(self, metas: List[FileMeta]) -> None:
+        n = self.n_shards
+        buckets: List[List[FileMeta]] = [[] for _ in range(n)]
         for meta in metas:
             buckets[crc32(meta.name.encode()) % n].append(meta)
+        # All or nothing across shards: a bucket one shard would reject
+        # must not leave the earlier shards' buckets registered.
+        for shard, bucket in zip(self.shards, buckets):
+            shard._check_new(bucket)
         for shard, bucket in zip(self.shards, buckets):
             if bucket:
-                shard.register_files(bucket)
+                shard.apply(RegisterBatch(bucket))
 
-    def lookup(self, name: str) -> FileMeta:
-        return self.shards[crc32(name.encode()) % self.n_shards].lookup(name)
-
-    def unregister_file(self, name: str) -> FileMeta:
-        return self.shards[crc32(name.encode()) % self.n_shards].unregister_file(name)
-
-    def rename(self, old: str, new: str) -> None:
-        src_i = crc32(old.encode()) % self.n_shards
-        dst_i = crc32(new.encode()) % self.n_shards
-        if src_i == dst_i:
-            self.shards[src_i].rename(old, new)
-            return
-        src, dst = self.shards[src_i], self.shards[dst_i]
-        meta = src.files[old]
+    def _rename_across(self, old: str, new: str) -> None:
+        src, dst = self.shard_for(old), self.shard_for(new)
+        meta = src.files.get(old)
+        if meta is None:
+            raise FileNotFoundError_(old)
+        if new in dst.files:
+            raise ValueError(f"file exists: {new}")
         # Register under the new name before dropping the old one: a
         # crash between the two shard journals leaves a (self-healing)
         # duplicate entry rather than losing the file.  The rename drops
-        # an in-flight transcode (unregister_file below), so the
+        # an in-flight transcode (the Unregister below), so the
         # destination registers — and journals — the file HEALTHY.
-        state = meta.state
         meta.name, meta.state = new, FileState.HEALTHY
-        try:
-            dst.register_file(meta)
-        except Exception:
-            meta.name, meta.state = old, state
-            raise
-        src.unregister_file(old)
+        dst.apply(Register(meta))
+        src.apply(Unregister(old))
 
-    def next_chunk_id(self, prefix: str) -> str:
-        return self.shards[crc32(prefix.encode()) % self.n_shards].next_chunk_id(prefix)
+    def _poll_any(self, max_items: int) -> List[ConversionGroup]:
+        out: List[ConversionGroup] = []
+        for shard in self.shards:
+            if len(out) >= max_items:
+                break
+            out.extend(shard.apply(Poll(None, max_items - len(out))))
+        return out
 
-    def next_chunk_ids(self, prefix: str, count: int) -> List[str]:
-        return self.shards[crc32(prefix.encode()) % self.n_shards].next_chunk_ids(
-            prefix, count
-        )
+    # The public mutators are Namenode's own definitions (not copies, not
+    # forwarders): they only build an op and call ``self.apply``.
+    register_file = Namenode.register_file
+    register_files = Namenode.register_files
+    unregister_file = Namenode.unregister_file
+    rename = Namenode.rename
+    next_chunk_id = Namenode.next_chunk_id
+    next_chunk_ids = Namenode.next_chunk_ids
+    note_chunk = Namenode.note_chunk
+    note_file = Namenode.note_file
+    enqueue_transcode = Namenode.enqueue_transcode
+    poll_work = Namenode.poll_work
+    poll_work_for = Namenode.poll_work_for
+    complete_parity = Namenode.complete_parity
+    record_new_stripe = Namenode.record_new_stripe
+    try_finalize = Namenode.try_finalize
+    abort_transcode = Namenode.abort_transcode
 
-    # -- per-node chunk index --------------------------------------------------
-    def note_chunk(self, node_id: str, file_name: str) -> None:
-        self.shards[crc32(file_name.encode()) % self.n_shards].note_chunk(
-            node_id, file_name
-        )
-
-    def note_file(self, meta: FileMeta) -> None:
-        self.shards[crc32(meta.name.encode()) % self.n_shards].note_file(meta)
+    # -- reads ----------------------------------------------------------------
+    def lookup(self, name: str) -> FileMeta:
+        return self.shards[crc32(name.encode()) % self.n_shards].lookup(name)
 
     def chunks_on_node(self, node_id: str) -> List[Tuple[FileMeta, ChunkMeta]]:
         """Fan out to every shard; concatenate in shard order (the
@@ -208,7 +232,6 @@ class ShardedNamenode:
                 out.extend(found)
         return out
 
-    # -- transcode lifecycle ---------------------------------------------------
     @property
     def atq(self) -> List[ConversionGroup]:
         """Combined awaiting-transcoding queue (read-only snapshot)."""
@@ -216,39 +239,6 @@ class ShardedNamenode:
         for shard in self.shards:
             out.extend(shard.atq)
         return out
-
-    def enqueue_transcode(self, name: str, target_scheme, groups,
-                          parities_per_final_stripe,
-                          deadline: Optional[float] = None) -> TranscodeJob:
-        return self.shard_for(name).enqueue_transcode(
-            name, target_scheme, groups, parities_per_final_stripe, deadline
-        )
-
-    def poll_work(self, max_items: int = 8) -> List[ConversionGroup]:
-        out: List[ConversionGroup] = []
-        for shard in self.shards:
-            if len(out) >= max_items:
-                break
-            out.extend(shard.poll_work(max_items - len(out)))
-        return out
-
-    def poll_work_for(self, name: str, max_items: int = 8) -> List[ConversionGroup]:
-        return self.shard_for(name).poll_work_for(name, max_items)
-
-    def complete_parity(self, name, group_index, final_idx, parity_j,
-                        parities_per_final_stripe) -> None:
-        self.shard_for(name).complete_parity(
-            name, group_index, final_idx, parity_j, parities_per_final_stripe
-        )
-
-    def record_new_stripe(self, name, group_index, final_idx, stripe) -> None:
-        self.shard_for(name).record_new_stripe(name, group_index, final_idx, stripe)
-
-    def try_finalize(self, name: str) -> Optional[List[ChunkMeta]]:
-        return self.shard_for(name).try_finalize(name)
-
-    def abort_transcode(self, name: str) -> None:
-        self.shard_for(name).abort_transcode(name)
 
     # -- persistence ------------------------------------------------------------
     def snapshot(self, include_transcode: bool = False) -> dict:
@@ -263,9 +253,8 @@ class ShardedNamenode:
 
     def compact(self) -> None:
         for shard in self.shards:
-            compact = getattr(shard, "compact", None)
-            if compact is not None:
-                compact()
+            if isinstance(shard, JournaledNamenode):
+                shard.compact()
 
     # -- stats ------------------------------------------------------------------
     def metadata_stats(self) -> Dict[str, Any]:

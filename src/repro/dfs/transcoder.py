@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.cluster.partition import NAMENODE
 from repro.codes.base import Stripe
 from repro.codes.convertible import plan_conversion, convert
 from repro.codes.lrcc import (
@@ -344,16 +345,13 @@ class NativeTranscoder:
                 seen.add(chunk.node_id)
                 continue
             fresh = next(
-                (
-                    node.node_id
-                    for node in self.fs.cluster.alive_nodes()
-                    if node.node_id not in seen
-                ),
-                None,
+                (node for node in self.fs.reachable_nodes() if node not in seen), None
             )
-            if fresh is None:
-                # Cluster too small/degraded to fully separate this stripe:
-                # tolerate the collision (capacity pressure trade-off).
+            if fresh is None or not self.fs.chunk_readable(chunk, by=NAMENODE):
+                # Cluster too small/degraded/partitioned to fully separate
+                # this stripe — no node the namenode can command is free,
+                # or the chunk cannot be read where it sits: tolerate the
+                # collision (capacity pressure trade-off).
                 continue
             source = self.fs.datanodes[chunk.node_id]
             data = source.read(chunk.chunk_id, at=self.fs.clock)

@@ -225,3 +225,72 @@ class TestCrashConsistency:
         version = fs.namenode.lookup("f").version
         fs.transcode("f", CC1215)
         assert fs.namenode.lookup("f").version == version + 1
+
+
+class TestCollisionRelocationAsksTheReachabilitySeam:
+    """A CC merge over placement that is not k*-aware collides on nodes
+    and relocates the colliding data chunks; both ends of that move go
+    through ``reachable_nodes`` / ``chunk_readable``."""
+
+    @staticmethod
+    def _merge(prepare=None):
+        """Returns the file system, the file's bytes, where each data
+        chunk was before the merge, and the nodes that held a parity."""
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6], seed=3)
+        data = np.random.default_rng(3).integers(0, 256, 48 * KB, dtype=np.uint8)
+        fs.write_file("f", data, CC69)
+        stripes = fs.namenode.lookup("f").stripes
+        homes = {c.chunk_id: c.node_id for s in stripes for c in s.data}
+        parity_nodes = {c.node_id for s in stripes for c in s.parities}
+        if prepare is not None:
+            prepare(fs)
+        fs.transcode("f", CC1215)
+        return fs, data, homes, parity_nodes
+
+    @staticmethod
+    def _moves(fs, homes):
+        """(from, to) of every data chunk the merge relocated, in stripe
+        order; a relocated chunk has a fresh id."""
+        stripe, = fs.namenode.lookup("f").stripes
+        gone = [node for cid, node in homes.items()
+                if cid not in {c.chunk_id for c in stripe.data}]
+        fresh = [c.node_id for c in stripe.data if c.chunk_id not in homes]
+        return list(zip(gone, fresh))
+
+    def test_an_isolated_node_is_never_the_destination(self):
+        fs, _data, homes, parity_nodes = self._merge()
+        moves = self._moves(fs, homes)
+        # Without a partition the merge relocates onto this node, which
+        # held nothing of the file.
+        target = next(to for _from, to in moves
+                      if to not in parity_nodes and to not in homes.values())
+        written = {}
+
+        def isolate(fs):
+            fs.partition.isolate([target])
+            written[target] = fs.metrics.node(target).disk_bytes_written
+
+        fs, data, homes, _parity_nodes = self._merge(isolate)
+        moved_to = [to for _from, to in self._moves(fs, homes)]
+        assert len(moved_to) == len(moves) and target not in moved_to
+        assert fs.metrics.node(target).disk_bytes_written == written[target]
+        assert not any(
+            c.node_id == target for c in fs.namenode.lookup("f").all_chunks()
+        )
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_an_unreadable_source_keeps_its_collision(self):
+        fs, _data, homes, parity_nodes = self._merge()
+        # Two data chunks of the file share this node, which computes no
+        # parity: the merge touches it only to move one of them away.
+        source = next(frm for frm, _to in self._moves(fs, homes)
+                      if frm not in parity_nodes)
+        assert list(homes.values()).count(source) == 2
+        fs, data, homes, _parity_nodes = self._merge(
+            lambda fs: fs.partition.isolate([source])
+        )
+        assert source not in [frm for frm, _to in self._moves(fs, homes)]
+        stripe, = fs.namenode.lookup("f").stripes
+        assert [c.node_id for c in stripe.data].count(source) == 2
+        fs.partition.heal()
+        assert np.array_equal(fs.read_file("f"), data)

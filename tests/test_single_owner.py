@@ -4,7 +4,9 @@ Source scans that pin the structure — a second liveness flag, victim
 sampler, slowdown table or inline reachability test is how the DFS, the
 latency simulator and the burst simulator drifted apart before — plus
 the check that moving Fig 14d's failures onto the shared injector did
-not move its victims.
+not move its victims.  The same for the namenode: its state has one
+write path, ``Namenode.apply``, and the journal and the shard router
+own nothing but their ``apply``.
 """
 
 import ast
@@ -14,6 +16,10 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.failure import FailureInjector
+from repro.dfs import journal, namenode
+from repro.dfs.journal import JournaledNamenode, Op
+from repro.dfs.namenode import Namenode
+from repro.dfs.shards import ShardedNamenode
 from repro.sim.cluster import SimCluster
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -95,3 +101,106 @@ def test_injector_on_sim_rng_reproduces_fig14d_victims(seed):
     assert victims == expected
     assert [n.node_id for n in sim.nodes if not n.is_alive] == sorted(expected)
     assert sim.rng.random() == next_draw
+
+
+# -- one write path for namenode state ----------------------------------------
+
+MUTATORS = (
+    "register_file", "register_files", "unregister_file", "rename", "note_chunk",
+    "note_file", "next_chunk_id", "next_chunk_ids", "enqueue_transcode",
+    "poll_work", "poll_work_for", "complete_parity", "record_new_stripe",
+    "try_finalize", "abort_transcode",
+)
+OP_TYPES = {
+    namenode.Register, namenode.RegisterBatch, namenode.Unregister, namenode.Rename,
+    namenode.Note, namenode.Mint, namenode.Enqueue, namenode.Poll,
+    namenode.Complete, namenode.NewStripe, namenode.Finalize, namenode.Abort,
+}
+
+
+def class_def(source: str, name: str) -> ast.ClassDef:
+    return next(
+        node for node in ast.walk(ast.parse(SOURCES[source]))
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+
+
+def functions(klass: ast.ClassDef) -> dict:
+    return {node.name: node for node in klass.body if isinstance(node, ast.FunctionDef)}
+
+
+def calls(node: ast.AST) -> set:
+    """Names of the attributes called anywhere under ``node``."""
+    return {
+        call.func.attr for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+    }
+
+
+def test_no_replay_flag_and_no_opcode_chain():
+    assert not files_matching(r"_suspended")
+    assert not files_matching(r"if op is Op\.|elif op is Op\.")
+
+
+def test_the_op_tables_are_closed_in_both_directions():
+    assert set(Namenode._HANDLERS) == OP_TYPES
+    assert set(journal._RECORD) == OP_TYPES
+    assert set(journal._DECODE) == set(Op)
+    opcodes = [row[0] for row in journal._RECORD.values()]
+    assert sorted(opcodes) == sorted(set(Op) - {Op.SNAPSHOT})  # one opcode each
+
+
+def test_journal_and_router_own_apply_and_no_mutator_body():
+    for source, name in (("dfs/journal.py", "JournaledNamenode"),
+                         ("dfs/shards.py", "ShardedNamenode")):
+        defined = functions(class_def(source, name))
+        assert "apply" in defined, name
+        assert not set(defined) & set(MUTATORS), name
+    for mutator in MUTATORS:
+        # Defined on both classes (the benchmark's tracer wraps what a
+        # class itself defines), and the very same function.
+        assert vars(ShardedNamenode)[mutator] is vars(Namenode)[mutator], mutator
+        assert mutator not in vars(JournaledNamenode), mutator
+
+
+def test_public_mutators_only_build_an_op_and_handlers_never_call_apply():
+    defined = functions(class_def("dfs/namenode.py", "Namenode"))
+    state = {"files", "atq", "utm", "_chunk_seq", "_node_files", "_file_order", "_file_seq"}
+    for mutator in MUTATORS:
+        body = defined[mutator]
+        assert "apply" in calls(body), mutator
+        touched = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+        assert not touched & state, mutator
+    handlers = {fn.__name__ for fn in Namenode._HANDLERS.values()}
+    assert len(handlers) == len(OP_TYPES) and all(h.startswith("_") for h in handlers)
+    for name in handlers | {"_check_new"}:
+        assert "apply" not in calls(defined[name]), name
+
+
+def test_only_namenode_py_assigns_namenode_state():
+    assignment = (
+        r"\._chunk_seq\s*[-+]?=(?!=)|\.atq\s*=(?!=)|\.utm\[[^\]]*\]\s*=(?!=)"
+        r"|del\s+\w+(\.\w+)*\.utm\[|\.(atq|utm)\.(pop|append|extend|popleft|clear)"
+    )
+    assert files_matching(assignment) == ["dfs/namenode.py"]
+
+
+def test_replay_goes_through_the_base_apply_and_one_forget_site():
+    replay = next(
+        node for node in ast.parse(SOURCES["dfs/journal.py"]).body
+        if isinstance(node, ast.FunctionDef) and node.name == "replay"
+    )
+    assert ast.unparse(replay).count("Namenode.apply(nn, op)") == 1
+    recover = functions(class_def("dfs/journal.py", "JournaledNamenode"))["recover"]
+    assert "replay" in {c.func.id for c in ast.walk(recover)
+                        if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+    # Fragment entries die in one place, driven by the record table's
+    # "forgets" column.
+    assert len(re.findall(r"frags\.pop\(", SOURCES["dfs/journal.py"])) == 1
+    assert not files_matching(r"frags\.pop\(|_frags\b", under="dfs/shards")
+
+
+def test_sharded_namenode_takes_no_shard_factory():
+    assert not files_matching(r"shard_factory")
+    with pytest.raises(TypeError):
+        ShardedNamenode(2, shard_factory=lambda i: Namenode())
