@@ -518,6 +518,80 @@ def bench_repair_reads() -> Dict[str, Dict]:
     }
 
 
+def bench_checksum_passes(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
+    """What block integrity (§6.1) costs a file over its lifetime.
+
+    ``checksum_bytes_per_user_byte_lifetime`` is an exact count: bytes
+    handed to ``ChecksumRegistry.record`` / ``verify`` while one file is
+    ingested as Hy(1,CC(6,9)), read, freed to CC(6,9), merged to
+    CC(12,15) and read again, over the file's size — CRC passes per user
+    byte. It moves only when a path starts or stops checksumming.
+
+    ``read_verify_overhead_ratio`` is what those passes cost a read in
+    time: striped-read throughput with the registry filled over the same
+    read with it emptied (the copy into the result still happens, the
+    CRC does not), median over interleaved pairs. 1.0 would be free
+    verification.
+    """
+    from repro.core.schemes import CodeKind, ECScheme, HybridScheme
+    from repro.dfs import MorphFS
+    from repro.dfs.integrity import ChecksumRegistry
+
+    class CountingRegistry(ChecksumRegistry):
+        nbytes = 0
+
+        def record(self, chunk_id, data):
+            self.nbytes += data.nbytes
+            super().record(chunk_id, data)
+
+        def verify(self, chunk_id, data, into=None):
+            self.nbytes += data.nbytes
+            return super().verify(chunk_id, data, into=into)
+
+    cc69, cc1215 = ECScheme(CodeKind.CC, 6, 9), ECScheme(CodeKind.CC, 12, 15)
+    rng = np.random.default_rng(0)
+
+    count_chunk = 4 * 1024
+    fs = MorphFS(chunk_size=count_chunk, seed=0, future_widths=[6, 12])
+    fs.checksums = registry = CountingRegistry()
+    user = rng.integers(0, 256, 24 * count_chunk, dtype=np.uint8)
+    fs.write_file("f", user, HybridScheme(1, cc69))
+    readback = [fs.read_file("f")]
+    fs.transcode("f", cc69)
+    fs.transcode("f", cc1215)
+    readback.append(fs.read_file("f", prefer_striped=True))
+    if not all(np.array_equal(out, user) for out in readback):
+        raise RuntimeError("lifetime readback differs from what was written")
+
+    fs = MorphFS(chunk_size=chunk_bytes, seed=0, future_widths=[6, 12])
+    fs.write_file("f", rng.integers(0, 256, 12 * chunk_bytes, dtype=np.uint8), cc69)
+    sums = fs.checksums._sums
+
+    def read() -> None:
+        fs.read_file("f", prefer_striped=True)
+
+    verified, unverified = [], []
+    for _ in range(repeats):
+        verified.append(_best_seconds(read, repeats=3, warmup=1))
+        fs.checksums._sums = {}
+        unverified.append(_best_seconds(read, repeats=3, warmup=1))
+        fs.checksums._sums = sums
+    ratio = float(np.median([u / v for v, u in zip(verified, unverified)]))
+    return {
+        "checksum_bytes_per_user_byte_lifetime": _metric(
+            registry.nbytes / user.nbytes, "ratio",
+            lifetime="Hy(1,CC(6,9)) -> read -> CC(6,9) -> CC(12,15) -> read",
+            checksum_bytes=registry.nbytes, user_bytes=int(user.nbytes),
+            chunk_bytes=count_chunk,
+        ),
+        "read_verify_overhead_ratio": _metric(
+            ratio, "ratio", k=6, n=9, chunk_bytes=chunk_bytes,
+            verified_mb_s=round(12 * chunk_bytes / min(verified) / 1e6, 3),
+            unverified_mb_s=round(12 * chunk_bytes / min(unverified) / 1e6, 3),
+        ),
+    }
+
+
 def run_benchmarks(quick: bool = False) -> Dict[str, Dict]:
     """All benchmark metrics, in a deterministic order."""
     chunk = 256 * 1024 if quick else 1024 * 1024
@@ -539,6 +613,7 @@ def run_benchmarks(quick: bool = False) -> Dict[str, Dict]:
     metrics.update(bench_gf256_transcode(chunk, repeats))
     metrics.update(bench_gf16_wide(chunk, repeats))
     metrics.update(bench_repair_reads())
+    metrics.update(bench_checksum_passes(chunk, repeats))
     metrics.update(bench_event_engine(events, repeats))
     metrics.update(bench_namenode_meta(files, repeats))
     metrics.update(bench_scenarios(quick))

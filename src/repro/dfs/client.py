@@ -14,16 +14,23 @@ Strategy selection mirrors Morph:
 
 All byte movement is metered: disk reads at the owning Datanode, one
 network transfer per chunk delivered to the reading client.
+
+Every chunk a striped read delivers is checked against the CRC recorded
+for its data slot, whichever of the three sources produced it (§6.1);
+the check rides the copy into the result (``verify(..., into=)``).
+Replica-first reads of a sub-stripe range are not verified: the sums are
+per chunk, and such a read need not cover one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.codes.base import DecodeError
-from repro.dfs.blocks import ECStripeMeta, FileMeta, ReplicaBlockMeta
+from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta, ReplicaBlockMeta
+from repro.dfs.integrity import quarantine
 
 
 class ReadError(Exception):
@@ -114,7 +121,7 @@ class ClientReader:
     def _read_from_replicas(
         self, meta: FileMeta, offset: int, length: int
     ) -> Optional[np.ndarray]:
-        out = np.zeros(length, dtype=np.uint8)
+        out = np.empty(length, dtype=np.uint8)
         pos = offset
         end = offset + length
         while pos < end:
@@ -124,10 +131,10 @@ class ClientReader:
             block_start = block.first_chunk * meta.chunk_size
             block_len = block.n_chunks * meta.chunk_size
             take = min(end, block_start + block_len) - pos
-            piece = self._read_replica_block(block, pos - block_start, take)
-            if piece is None:
+            served = next(self._replica_pieces(block, pos - block_start, take), None)
+            if served is None:
                 return None
-            out[pos - offset : pos - offset + take] = piece
+            out[pos - offset : pos - offset + take] = served[1]
             pos += take
         return out
 
@@ -138,9 +145,11 @@ class ClientReader:
                 return block
         return None
 
-    def _read_replica_block(
+    def _replica_pieces(
         self, block: ReplicaBlockMeta, start: int, length: int
-    ) -> Optional[np.ndarray]:
+    ) -> Iterator[Tuple[ChunkMeta, np.ndarray]]:
+        """``(copy, its bytes of the range)`` from each readable copy in
+        turn; a caller that trusts the first one stops there."""
         # Hedged ordering: prefer copies on fast nodes; a copy on a
         # straggler disk serves only when no fast copy is available.
         ranked = sorted(
@@ -161,12 +170,11 @@ class ClientReader:
             self.fs.metrics.record_transfer(
                 copy.node_id, self.CLIENT, float(length), at=self.fs.clock, tag="read"
             )
-            return piece
-        return None
+            yield copy, piece
 
     # -- striped path ------------------------------------------------------------
     def _read_striped(self, meta: FileMeta, offset: int, length: int) -> np.ndarray:
-        out = np.zeros(length, dtype=np.uint8)
+        out = np.empty(length, dtype=np.uint8)
         chunk_size = meta.chunk_size
         pos = offset
         end = offset + length
@@ -178,15 +186,25 @@ class ClientReader:
             chunk_index = pos // chunk_size
             stripe, first_local = self._stripe_of(meta, chunk_index)
             stripe_first = chunk_index - first_local
-            last_needed = (end - 1) // chunk_size
-            last_local = min(first_local + (last_needed - chunk_index), stripe.k - 1)
-            locals_needed = list(range(first_local, last_local + 1))
-            fetched = self._read_data_chunks(meta, stripe, stripe_first, locals_needed)
-            for local in locals_needed:
+            last_local = min((end - 1) // chunk_size - stripe_first, stripe.k - 1)
+            # A chunk the range covers whole is delivered straight into
+            # its slice of the result. The range's first and last chunk
+            # may only be wanted in part (a zero-padded final chunk always
+            # is): those land in a scratch chunk and their part is copied.
+            dests: Dict[int, np.ndarray] = {}
+            partial: List[Tuple[int, int]] = []
+            for local in range(first_local, last_local + 1):
                 c_start = (stripe_first + local) * chunk_size
-                a = max(pos, c_start)
+                if offset <= c_start and c_start + chunk_size <= end:
+                    dests[local] = out[c_start - offset : c_start - offset + chunk_size]
+                else:
+                    dests[local] = np.empty(chunk_size, dtype=np.uint8)
+                    partial.append((local, c_start))
+            self._read_data_chunks(meta, stripe, stripe_first, dests)
+            for local, c_start in partial:
+                a = max(offset, c_start)
                 b = min(end, c_start + chunk_size)
-                out[a - offset : b - offset] = fetched[local][a - c_start : b - c_start]
+                out[a - offset : b - offset] = dests[local][a - c_start : b - c_start]
             pos = min(end, (stripe_first + last_local + 1) * chunk_size)
         return out
 
@@ -203,153 +221,157 @@ class ClientReader:
         meta: FileMeta,
         stripe: ECStripeMeta,
         stripe_first: int,
-        locals_needed: List[int],
-    ) -> Dict[int, np.ndarray]:
-        """Fetch several data chunks of one stripe (local index -> bytes).
+        dests: Dict[int, np.ndarray],
+    ) -> None:
+        """Deliver data chunks of one stripe into ``dests`` (local index ->
+        chunk-sized destination).
 
-        Live chunks read from their home node (verify-on-read, §6.1),
-        dead/corrupt ones fall back to a hybrid replica (§4.3), and
-        whatever is still missing decodes from one shared set of k
-        survivors in a single degraded read.
+        Whichever source produces a chunk, it is copied into its
+        destination once and checked there against the *data slot's*
+        recorded sum (verify-on-read, §6.1): the home node's copy, else
+        the chunk's range of a hybrid replica (§4.3), else — for
+        everything still missing — one degraded read from a shared set of
+        survivors. A source that fails the check is quarantined and the
+        next one tried.
         """
-        fetched: Dict[int, np.ndarray] = {}
+        fs = self.fs
         missing: List[int] = []
-        for local in locals_needed:
+        for local, dst in dests.items():
             chunk = stripe.data[local]
-            datanode = self.fs.datanodes[chunk.node_id]
-            readable = self.fs.chunk_readable(chunk)
-            hedge_away = readable and self._is_straggler(
+            readable = fs.chunk_readable(chunk)
+            if readable and self._is_straggler(
                 chunk.node_id
-            ) and self._has_fast_alternative(meta, stripe, stripe_first, local)
-            if hedge_away:
+            ) and self._has_fast_alternative(meta, stripe, stripe_first, local):
                 # The home copy works but sits on a straggler disk and a
                 # fast source exists: skip it (replica or decode below).
                 self._count_hedge()
             elif readable:
-                data = datanode.read(chunk.chunk_id, at=self.fs.clock)
-                self.fs.metrics.record_transfer(
-                    chunk.node_id, self.CLIENT, float(data.nbytes), at=self.fs.clock, tag="read"
+                data = fs.datanodes[chunk.node_id].read(chunk.chunk_id, at=fs.clock)
+                fs.metrics.record_transfer(
+                    chunk.node_id, self.CLIENT, float(data.nbytes), at=fs.clock, tag="read"
                 )
-                if self.fs.checksums.verify(chunk.chunk_id, data):
-                    fetched[local] = data
+                if fs.checksums.verify(chunk.chunk_id, data, into=dst):
                     continue
-                # Verify-on-read (§6.1): a corrupt chunk is treated as missing.
-                datanode.delete(chunk.chunk_id, at=self.fs.clock)
-            # Hybrid fast path for degraded reads: serve from a replica (§4.3).
-            if meta.replica_blocks:
-                block = self._block_covering(meta, (stripe_first + local) * meta.chunk_size)
-                if block is not None:
-                    start = (stripe_first + local - block.first_chunk) * meta.chunk_size
-                    piece = self._read_replica_block(block, start, meta.chunk_size)
-                    if piece is not None:
-                        fetched[local] = piece
-                        continue
-            missing.append(local)
-        if len(missing) == 1:
-            # Single erasure keeps the existing path (LRC local repair
-            # reads only the k/l group peers).
-            fetched[missing[0]] = self._degraded_read(meta, stripe, missing[0])
-        elif missing:
-            fetched.update(self._degraded_read_many(meta, stripe, missing))
-        return fetched
+                quarantine(fs, chunk)  # a corrupt chunk is treated as missing
+            if not self._replica_range_into(meta, chunk, stripe_first + local, dst):
+                missing.append(local)
+        if missing:
+            self._decode_into(meta, stripe, missing, dests)
 
-    def _degraded_read_many(
-        self, meta: FileMeta, stripe: ECStripeMeta, missing: List[int]
-    ) -> Dict[int, np.ndarray]:
-        """Decode several missing data chunks of one stripe at once."""
+    def _replica_range_into(
+        self, meta: FileMeta, chunk: ChunkMeta, chunk_index: int, dst: np.ndarray
+    ) -> bool:
+        """Serve data chunk ``chunk_index`` from its range of a replica."""
+        if not meta.replica_blocks:
+            return False
+        block = self._block_covering(meta, chunk_index * meta.chunk_size)
+        if block is None:
+            return False
+        start = (chunk_index - block.first_chunk) * meta.chunk_size
+        for copy, piece in self._replica_pieces(block, start, meta.chunk_size):
+            if self.fs.checksums.verify(chunk.chunk_id, piece, into=dst):
+                return True
+            quarantine(self.fs, copy)
+        return False
+
+    def _decode_into(
+        self,
+        meta: FileMeta,
+        stripe: ECStripeMeta,
+        missing: List[int],
+        dests: Dict[int, np.ndarray],
+    ) -> None:
+        """Degraded read: decode the ``missing`` data chunks and deliver
+        them like any other source, checked against their slots' sums.
+
+        Survivors are fetched unverified — k cold CRCs would be a tax on
+        every degraded read. A decoded chunk that fails its check means
+        one of them is rotten: only then are the survivors verified, the
+        rotten ones quarantined, and the decode retried once without them.
+        """
         with self.fs.obs.span(
             "degraded_read", file=meta.name, stripe=stripe.stripe_index
         ):
-            code = self.fs.codec_for_stripe(meta, stripe)
+            verify = self.fs.checksums.verify
             chunks = stripe.all_chunks()
-            missing_set = set(missing)
-            available: Dict[int, np.ndarray] = {}
-            # Survivors on fast disks are preferred; stragglers only fill
-            # in when fewer than k fast survivors exist.
-            order = sorted(
-                range(len(chunks)),
-                key=lambda i: (self._is_straggler(chunks[i].node_id), i),
+
+            def deliver(recovered: Dict[int, np.ndarray]) -> bool:
+                return all(
+                    verify(chunks[local].chunk_id, recovered[local], into=dests[local])
+                    for local in missing
+                )
+
+            available, recovered = self._decode(meta, stripe, missing)
+            if deliver(recovered):
+                return
+            rotten = [
+                idx
+                for idx, data in available.items()
+                if not verify(chunks[idx].chunk_id, data)
+            ]
+            for idx in rotten:
+                quarantine(self.fs, chunks[idx])  # unreadable from here on
+            if rotten and deliver(self._decode(meta, stripe, missing)[1]):
+                return
+            raise ReadError(
+                f"{meta.name}: stripe {stripe.stripe_index} decodes to bytes "
+                "that fail their checksums"
             )
-            for idx in order:
-                if idx in missing_set:
-                    continue
-                chunk = chunks[idx]
-                datanode = self.fs.datanodes[chunk.node_id]
-                if self.fs.chunk_readable(chunk):
-                    data = datanode.read(chunk.chunk_id, at=self.fs.clock)
-                    self.fs.metrics.record_transfer(
-                        chunk.node_id,
-                        self.CLIENT,
-                        float(data.nbytes),
-                        at=self.fs.clock,
-                        tag="degraded_read",
-                    )
-                    available[idx] = data
-                    if len(available) >= stripe.k:
-                        break
+
+    def _decode(
+        self, meta: FileMeta, stripe: ECStripeMeta, missing: List[int]
+    ) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
+        """``(survivors used, decoded chunks)`` for the ``missing`` data
+        chunks of one stripe, from k surviving stripe chunks."""
+        code = self.fs.codec_for_stripe(meta, stripe)
+        chunks = stripe.all_chunks()
+        available: Dict[int, np.ndarray] = {}
+
+        def try_fetch(idx: int) -> bool:
+            chunk = chunks[idx]
+            if not self.fs.chunk_readable(chunk):
+                return False
+            data = self.fs.datanodes[chunk.node_id].read(chunk.chunk_id, at=self.fs.clock)
+            self.fs.metrics.record_transfer(
+                chunk.node_id,
+                self.CLIENT,
+                float(data.nbytes),
+                at=self.fs.clock,
+                tag="degraded_read",
+            )
+            available[idx] = data
+            return True
+
+        # LRC-family codes: a single erasure tries the cheap local-repair
+        # set first (k/l reads).
+        if len(missing) == 1 and hasattr(code, "group_members"):
+            local = missing[0]
+            peers = [m for m in code.group_members(code.group_of(local)) if m != local]
+            if all(try_fetch(m) for m in peers):
+                recovered = code.decode(available, missing)
+                self.fs.charge_client_decode(code, meta.chunk_size, width=len(peers))
+                return available, recovered
+        # Survivors on fast disks are preferred; stragglers only fill in
+        # when fewer than k fast survivors exist.
+        pending = sorted(
+            (i for i in range(len(chunks)) if i not in missing and i not in available),
+            key=lambda i: (self._is_straggler(chunks[i].node_id), i),
+        )
+        error: Optional[DecodeError] = None
+        # k survivors decode any pattern of an MDS code; an LRC-family
+        # pattern may have to reach past the first k.
+        for need in (stripe.k, stripe.n):
+            while pending and len(available) < need:
+                try_fetch(pending.pop(0))
             try:
                 recovered = code.decode(available, missing)
             except DecodeError as exc:
-                raise ReadError(
-                    f"{meta.name}: stripe {stripe.stripe_index} unrecoverable"
-                ) from exc
+                error = exc
+                continue
             self.fs.charge_client_decode(
                 code, meta.chunk_size * len(missing), width=stripe.k
             )
-            return recovered
-
-    def _degraded_read(self, meta: FileMeta, stripe: ECStripeMeta, local: int) -> np.ndarray:
-        """Decode a missing data chunk from k surviving stripe chunks."""
-        with self.fs.obs.span(
-            "degraded_read", file=meta.name, stripe=stripe.stripe_index
-        ):
-            return self._degraded_read_impl(meta, stripe, local)
-
-    def _degraded_read_impl(
-        self, meta: FileMeta, stripe: ECStripeMeta, local: int
-    ) -> np.ndarray:
-        code = self.fs.codec_for_stripe(meta, stripe)
-        chunks = stripe.all_chunks()
-
-        def try_fetch(idx: int, available: Dict[int, np.ndarray]) -> bool:
-            chunk = chunks[idx]
-            datanode = self.fs.datanodes[chunk.node_id]
-            if self.fs.chunk_readable(chunk):
-                data = datanode.read(chunk.chunk_id, at=self.fs.clock)
-                self.fs.metrics.record_transfer(
-                    chunk.node_id,
-                    self.CLIENT,
-                    float(data.nbytes),
-                    at=self.fs.clock,
-                    tag="degraded_read",
-                )
-                available[idx] = data
-                return True
-            return False
-
-        available: Dict[int, np.ndarray] = {}
-        # LRC-family codes: try the cheap local-repair set first (k/l reads).
-        if hasattr(code, "group_members"):
-            peers = [m for m in code.group_members(code.group_of(local)) if m != local]
-            if all(try_fetch(m, available) for m in peers):
-                recovered = code.decode(available, [local])
-                self.fs.charge_client_decode(code, meta.chunk_size, width=len(peers))
-                return recovered[local]
-        scan = sorted(
-            range(len(chunks)),
-            key=lambda i: (self._is_straggler(chunks[i].node_id), i),
-        )
-        for idx in scan:
-            if idx == local or idx in available:
-                continue
-            if try_fetch(idx, available):
-                if len(available) >= stripe.k:
-                    break
-        try:
-            recovered = code.decode(available, [local])
-        except DecodeError as exc:
-            raise ReadError(
-                f"{meta.name}: stripe {stripe.stripe_index} unrecoverable"
-            ) from exc
-        self.fs.charge_client_decode(code, meta.chunk_size, width=stripe.k)
-        return recovered[local]
+            return available, recovered
+        raise ReadError(
+            f"{meta.name}: stripe {stripe.stripe_index} unrecoverable"
+        ) from error

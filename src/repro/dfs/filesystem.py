@@ -559,7 +559,14 @@ class MorphFS(AppendSupport, _BaseDFS):
         for s in range(0, len(chunks), ec.k):
             stripe_index = s // ec.k
             stripe_chunks = chunks[s : s + ec.k]
-            block_bytes = np.concatenate(stripe_chunks)
+            # The replica block is the stripe's span of the file: a view
+            # of ``data`` unless the stripe ends in padding.
+            span_end = (s + ec.k) * self.chunk_size
+            block_bytes = (
+                data[s * self.chunk_size : span_end]
+                if span_end <= len(data)
+                else np.concatenate(stripe_chunks)
+            )
             spots = placement.place_stripe(meta.name, stripe_index, ec.k, ec.n - ec.k)
             ec_nodes = spots["data"] + spots["parity"]
             persist_replicas = hy.copies + (1 if self.parity_mode == "none" else 0)
@@ -748,7 +755,7 @@ class MorphFS(AppendSupport, _BaseDFS):
                 continue
             if recovery is None:
                 recovery = RecoveryManager(self)
-            piece = recovery._replica_range(meta, first_chunk + local, reader_node)
+            piece = recovery._replica_range(meta, c, first_chunk + local, reader_node)
             if piece is None:
                 raise RecoveryError(
                     f"{meta.name}: stripe {stripe.stripe_index} data chunk "

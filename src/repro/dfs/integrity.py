@@ -20,11 +20,13 @@ from repro.dfs.blocks import ChunkMeta, FileMeta
 
 
 def chunk_checksum(data: np.ndarray) -> int:
-    """CRC32 of a chunk's bytes (what HDFS stores per block)."""
-    # The bytes copy stays on purpose: CRC-ing the array's buffer in place
-    # wins on a cache-warm array (1.1-1.3x per call) but loses 15-18 % on
-    # the cold 64 KiB-1 MiB chunks reads and scrubs actually checksum,
-    # where the memcpy is the prefetch that keeps zlib fed.
+    """CRC32 of a chunk's bytes (what HDFS stores per block), for bytes
+    nothing has touched lately."""
+    # The bytes copy is for cache-cold arrays (a scrub reading chunk after
+    # chunk off the datanodes): there the memcpy is the prefetch that
+    # keeps zlib fed, and CRC-ing the buffer in place is a quarter slower.
+    # Bytes the caller has just written or copied are CRC'd in place, by
+    # ``ChecksumRegistry.record`` and ``verify(..., into=)``.
     return zlib.crc32(np.ascontiguousarray(data, dtype=np.uint8).tobytes())
 
 
@@ -34,29 +36,66 @@ class ChecksumRegistry:
     Lives beside the Namenode metadata (in HDFS, checksums live in .meta
     files next to the blocks; a central registry is equivalent for the
     simulator and keeps verification independent of the possibly-corrupt
-    datanode).
+    datanode — and of whether the chunk's home node is up at all).
+
+    A CRC runs over the freshly written side of a copy the system makes
+    anyway: ``record`` follows the datanode store that just streamed the
+    array, ``verify(..., into=dst)`` *is* the delivery copy.
     """
 
     def __init__(self):
         self._sums: Dict[str, int] = {}
 
     def record(self, chunk_id: str, data: np.ndarray) -> None:
-        self._sums[chunk_id] = chunk_checksum(data)
+        """Remember the sum of bytes a datanode has just stored (warm)."""
+        if data.dtype != np.uint8 or not data.flags.c_contiguous:
+            data = np.ascontiguousarray(data, dtype=np.uint8)
+        self._sums[chunk_id] = zlib.crc32(data)
 
     def forget(self, chunk_id: str) -> None:
         self._sums.pop(chunk_id, None)
 
+    def rekey(self, old_id: str, new_id: str) -> None:
+        """The same bytes now live under ``new_id``: the sum moves with
+        them, it is not recomputed over whatever the new copy holds."""
+        expected = self._sums.pop(old_id, None)
+        if expected is not None:
+            self._sums[new_id] = expected
+
     def expected(self, chunk_id: str) -> Optional[int]:
         return self._sums.get(chunk_id)
 
-    def verify(self, chunk_id: str, data: np.ndarray) -> bool:
+    def verify(
+        self, chunk_id: str, data: np.ndarray, into: Optional[np.ndarray] = None
+    ) -> bool:
+        """Do ``data``'s bytes carry the sum recorded for ``chunk_id``?
+
+        With ``into`` — the contiguous, equally long destination the
+        caller is delivering the chunk to — the bytes are copied there
+        first and the CRC runs over the warm destination: the check
+        rides the delivery copy instead of making one of its own. After
+        a mismatch the destination holds the bad bytes; the caller
+        overwrites it from its next source.
+        """
         expected = self._sums.get(chunk_id)
-        if expected is None:
-            return True  # nothing recorded: cannot dispute
-        return chunk_checksum(data) == expected
+        if into is None:
+            # nothing recorded: cannot dispute
+            return expected is None or chunk_checksum(data) == expected
+        into[:] = data
+        return expected is None or zlib.crc32(into) == expected
 
     def __len__(self) -> int:
         return len(self._sums)
+
+
+def quarantine(fs, chunk: ChunkMeta) -> None:
+    """Drop a copy that failed verification, so it reads as missing.
+
+    The chunk stays listed and its sum stays recorded: that is how the
+    next scrub finds it absent and rebuilds it, and what the rebuilt
+    bytes are checked against.
+    """
+    fs.datanodes[chunk.node_id].delete(chunk.chunk_id, at=fs.clock)
 
 
 @dataclass
@@ -66,7 +105,8 @@ class ScrubReport:
     chunks_scanned: int = 0
     corrupt: List[Tuple[str, str]] = field(default_factory=list)  # (file, chunk_id)
     repaired: int = 0
-    #: the metadata behind ``corrupt`` — what the repair pass is handed
+    #: what the repair pass is handed: the metadata behind ``corrupt``,
+    #: plus listed chunks found absent from a reachable node
     quarantined: List[Tuple[FileMeta, ChunkMeta]] = field(
         default_factory=list, repr=False
     )
@@ -77,6 +117,8 @@ class Scrubber:
 
     ``scan()`` verifies every on-disk chunk against the registry and
     quarantines mismatches (deletes the bad copy so it reads as missing);
+    a listed chunk already gone from a reachable node — quarantined by a
+    read or a repair that caught it first — is reported alongside.
     ``scan_and_repair()`` additionally reconstructs them through the
     normal recovery path — corrupt and missing chunks share one pipeline,
     as in the paper.
@@ -98,18 +140,19 @@ class Scrubber:
         report = ScrubReport()
         registry = self.fs.checksums
         for meta, chunk in self._iter_chunks():
+            if not self.fs.node_reachable(chunk.node_id, NAMENODE):
+                continue  # a dead node's chunks are the heartbeat's to repair
             datanode = self.fs.datanodes[chunk.node_id]
-            if not (
-                self.fs.node_reachable(chunk.node_id, NAMENODE)
-                and datanode.chunk_on_disk(chunk.chunk_id)
-            ):
+            if not datanode.chunk_on_disk(chunk.chunk_id):
+                if not datanode.has_chunk(chunk.chunk_id):
+                    report.quarantined.append((meta, chunk))
                 continue
             report.chunks_scanned += 1
             data = datanode.read(chunk.chunk_id, at=self.fs.clock)
             if not registry.verify(chunk.chunk_id, data):
                 report.corrupt.append((meta.name, chunk.chunk_id))
                 report.quarantined.append((meta, chunk))
-                datanode.delete(chunk.chunk_id, at=self.fs.clock)  # quarantine
+                quarantine(self.fs, chunk)
         return report
 
     def scan_and_repair(self) -> ScrubReport:

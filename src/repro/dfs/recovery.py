@@ -17,6 +17,9 @@ alike — following the priority order the paper gives:
 
 Every reconstruction is metered: reads at the sources, one network
 transfer per source to the rebuilding node, a disk write per new chunk.
+And every one is checked: rebuilt bytes are committed only if they carry
+the sum recorded for the chunk they replace, so a rotten source can fail
+a repair but never be baked into one (§6.1).
 On the namenode a repaired stripe is two journal records however many
 chunks it lost: one MINT before any metadata changes, one NOTE after all
 of them.
@@ -30,6 +33,7 @@ import numpy as np
 
 from repro.codes.base import DecodeError
 from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta, ReplicaBlockMeta
+from repro.dfs.integrity import quarantine
 
 
 class RecoveryError(RuntimeError):
@@ -41,6 +45,9 @@ class RecoveryManager:
 
     def __init__(self, fs):
         self.fs = fs
+        #: sources the reconstruction in progress has read: (copy read,
+        #: chunk id whose recorded sum covers the bytes, the bytes)
+        self._reads: List[Tuple[ChunkMeta, str, np.ndarray]] = []
 
     # -- detection -------------------------------------------------------------
     def lost_chunks(
@@ -122,34 +129,67 @@ class RecoveryManager:
 
     # -- one damaged stripe / replica block ----------------------------------
     def _repair(self, meta: FileMeta, home, lost: List[ChunkMeta]) -> int:
-        """Plan, rebuild and commit the ``lost`` members of ``home``."""
+        """Plan, rebuild, check and commit the ``lost`` members of ``home``."""
         is_block = isinstance(home, ReplicaBlockMeta)
         members = _members(home)
         # Slots by identity, not the dataclass ``__eq__`` (a field-by-field
         # compare per candidate).
-        slots = [
+        erased = [
             slot for slot, m in enumerate(members) if any(m is c for c in lost)
         ]
+        verify = self.fs.checksums.verify
         with self.fs.obs.span(
             "repair",
             file=meta.name,
             kind="REPLICA" if is_block else "STRIPE",
-            lost=len(slots),
+            lost=len(erased),
         ):
             # Mutually distinct targets; the first one does the rebuilding.
             targets: Dict[int, str] = {}
-            taken: set = set()
-            for slot in slots:
-                targets[slot] = self._pick_target(meta, members[slot], taken)
-                taken.add(targets[slot])
-            rebuilder = targets[slots[0]]
-            if is_block:
-                span = self._block_bytes(meta, home, slots, rebuilder)
-                rebuilt = {slot: span[: members[slot].size] for slot in slots}
-            else:
-                rebuilt = self._stripe_bytes(meta, home, slots, rebuilder)
+            while True:
+                for slot in erased:
+                    if slot not in targets:
+                        targets[slot] = self._pick_target(
+                            meta, members[slot], set(targets.values())
+                        )
+                rebuilder = targets[erased[0]]
+                self._reads = []
+                if is_block:
+                    span = self._block_bytes(meta, home, erased, rebuilder)
+                    rebuilt = {slot: span[: members[slot].size] for slot in erased}
+                else:
+                    rebuilt = self._stripe_bytes(meta, home, erased, rebuilder)
+                # The one CRC pass a repair pays per chunk proves the
+                # rebuilt bytes are the lost ones.
+                if all(verify(members[slot].chunk_id, rebuilt[slot]) for slot in erased):
+                    break
+                erased = erased + self._quarantine_rotten_sources(meta, members, erased)
             self._commit(meta, members, targets, rebuilt, rebuilder)
-        return len(slots)
+        return len(erased)
+
+    def _quarantine_rotten_sources(
+        self, meta: FileMeta, members: List[ChunkMeta], erased: List[int]
+    ) -> List[int]:
+        """Rebuilt bytes failed their check, so a source is rotten: verify
+        each one read, quarantine the rotten — they no longer read as
+        sources — and return those that are slots of the group under
+        repair, which join its erased set for the redo."""
+        verify = self.fs.checksums.verify
+        rotten = [
+            copy for copy, sum_id, data in self._reads if not verify(sum_id, data)
+        ]
+        if not rotten:
+            raise RecoveryError(
+                f"{meta.name}: rebuilt bytes fail their checksum though every "
+                "source passes its own"
+            )
+        for copy in rotten:
+            quarantine(self.fs, copy)
+        return [
+            slot
+            for slot, m in enumerate(members)
+            if slot not in erased and any(m is copy for copy in rotten)
+        ]
 
     def _pick_target(
         self,
@@ -179,7 +219,8 @@ class RecoveryManager:
         rebuilt: Dict[int, np.ndarray],
         rebuilder: str,
     ) -> None:
-        """Store the rebuilt chunks and swap in their metadata.
+        """Store the rebuilt (and verified) chunks and swap in their
+        metadata; each keeps the sum of the chunk it replaces.
 
         Journal order (record-boundary invariant): MINT while the chunk
         metadata is untouched, then all ``e`` updates, then one NOTE. The
@@ -200,8 +241,7 @@ class RecoveryManager:
                 )
         for slot, target in targets.items():
             chunk = members[slot]
-            fs.checksums.forget(chunk.chunk_id)
-            fs.checksums.record(new_ids[slot], rebuilt[slot])
+            fs.checksums.rekey(chunk.chunk_id, new_ids[slot])
             chunk.chunk_id = new_ids[slot]
             chunk.node_id = target
         fs.namenode.note_file(meta)
@@ -223,7 +263,7 @@ class RecoveryManager:
         if meta.replica_blocks:
             for idx in erased:
                 if idx < stripe.k:
-                    data = self._replica_range(meta, first + idx, dst)
+                    data = self._replica_range(meta, stripe.data[idx], first + idx, dst)
                     if data is not None:
                         out[idx] = data
         todo = [idx for idx in erased if idx not in out]
@@ -267,7 +307,7 @@ class RecoveryManager:
         for idx in order:
             data = self._fetch(chunks[idx], dst)
             if data is None and idx < stripe.k:
-                data = self._replica_range(meta, first + idx, dst)
+                data = self._replica_range(meta, chunks[idx], first + idx, dst)
             if data is not None:
                 yield idx, data
 
@@ -305,6 +345,7 @@ class RecoveryManager:
         self.fs.metrics.record_transfer(
             src.node_id, target, float(data.nbytes), at=self.fs.clock, tag="repair"
         )
+        self._reads.append((src, src.chunk_id, data))
         return data
 
     def _first_data_index(self, meta: FileMeta, stripe: ECStripeMeta) -> int:
@@ -316,7 +357,11 @@ class RecoveryManager:
             passed += s.k
         raise RecoveryError("stripe not in file")
 
-    def _replica_range(self, meta: FileMeta, chunk_index: int, target: str) -> Optional[np.ndarray]:
+    def _replica_range(
+        self, meta: FileMeta, slot: ChunkMeta, chunk_index: int, target: str
+    ) -> Optional[np.ndarray]:
+        """Bytes of data chunk ``chunk_index`` (stripe slot ``slot``) from
+        the replica block covering it."""
         for block in meta.replica_blocks:
             if block.first_chunk <= chunk_index < block.first_chunk + block.n_chunks:
                 start = (chunk_index - block.first_chunk) * meta.chunk_size
@@ -332,9 +377,12 @@ class RecoveryManager:
                             at=self.fs.clock,
                             tag="repair",
                         )
-                        out = np.zeros(meta.chunk_size, dtype=np.uint8)
-                        out[: len(data)] = data
-                        return out
+                        if len(data) < meta.chunk_size:
+                            data = np.concatenate(
+                                [data, np.zeros(meta.chunk_size - len(data), np.uint8)]
+                            )
+                        self._reads.append((copy, slot.chunk_id, data))
+                        return data
         return None
 
 

@@ -359,8 +359,7 @@ class NativeTranscoder:
             self.fs.datanodes[fresh].receive_to_disk(
                 new_id, data, src=chunk.node_id, at=self.fs.clock
             )
-            self.fs.checksums.forget(chunk.chunk_id)
-            self.fs.checksums.record(new_id, data)
+            self.fs.checksums.rekey(chunk.chunk_id, new_id)
             source.delete(chunk.chunk_id)
             chunk.chunk_id = new_id
             chunk.node_id = fresh

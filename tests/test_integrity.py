@@ -1,10 +1,13 @@
 """Checksums, corruption detection and the scrubber (§6.1)."""
 
 import numpy as np
+import pytest
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import BaselineDFS, MorphFS
+from repro.dfs.client import ReadError
 from repro.dfs.integrity import ChecksumRegistry, Scrubber, chunk_checksum, corrupt_chunk
+from repro.dfs.recovery import RecoveryError, RecoveryManager
 
 KB = 1024
 
@@ -136,3 +139,284 @@ class TestScrubber:
         report = Scrubber(fs).scan_and_repair()
         assert report.repaired == 1
         assert np.array_equal(fs.read_file("f"), data)
+
+
+# -- every delivered or rebuilt chunk is checked against the sum it fills ------
+
+CC69 = ECScheme(CodeKind.CC, 6, 9)
+LRCC1222 = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
+HY = HybridScheme(1, CC69)
+
+
+def build(scheme, size, chunk_size=4 * KB, seed=5):
+    fs = MorphFS(chunk_size=chunk_size, future_widths=[6, 12], seed=seed)
+    data = np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8)
+    fs.write_file("f", data, scheme)
+    return fs, data, fs.namenode.lookup("f")
+
+
+def slot_bytes(fs, meta):
+    """Stored bytes per chunk slot, in layout order (None = not on disk)."""
+    return [
+        fs.datanodes[c.node_id]._disk[c.chunk_id].tobytes()
+        if fs.datanodes[c.node_id].chunk_on_disk(c.chunk_id)
+        else None
+        for c in meta.all_chunks()
+    ]
+
+
+def rotten_parity(fs, meta):
+    corrupt_chunk(fs, meta.stripes[0].parities[0])
+
+
+def rotten_local_parity_of_group_0(fs, meta):
+    stripe = meta.stripes[0]
+    corrupt_chunk(fs, stripe.all_chunks()[stripe.k], flip_byte=11)
+
+
+def rotten_replica_range(fs, meta):
+    # byte 5 of the replica block lies in data chunk 0's range
+    corrupt_chunk(fs, meta.replica_blocks[0].copies[0], flip_byte=5)
+
+
+ROT_CASES = {
+    # two faults under CC(6,9): the decode's survivors include the rot
+    "cc-rotten-survivor": (CC69, rotten_parity),
+    # the k/l local-repair set includes the rot
+    "lrcc-rotten-local-peer": (LRCC1222, rotten_local_parity_of_group_0),
+    # the lost chunk is served by a clean replica range; the parity rots on
+    "hybrid-replica-range-source": (HY, rotten_parity),
+    # the replica range that would serve the lost chunk is the rot
+    "hybrid-rotten-replica-range": (HY, rotten_replica_range),
+}
+
+
+@pytest.fixture(params=sorted(ROT_CASES))
+def rot_case(request):
+    scheme, rot = ROT_CASES[request.param]
+    fs, data, meta = build(scheme, 96 * KB)
+    pristine = slot_bytes(fs, meta)
+    ids = [c.chunk_id for c in meta.all_chunks()]
+    rot(fs, meta)
+    fs.datanodes[meta.stripes[0].data[0].node_id].fail()
+    return fs, data, meta, pristine, ids
+
+
+class TestRottenSources:
+    """One rotten chunk plus one dead node: reads and repairs that source
+    from the rot must notice, not pass it on."""
+
+    def test_degraded_read_is_exact(self, rot_case):
+        fs, data, meta, _, _ = rot_case
+        assert np.array_equal(fs.read_file("f", prefer_striped=True), data)
+
+    def test_repair_never_commits_rot_and_scrub_finishes_the_job(self, rot_case):
+        fs, data, meta, pristine, ids = rot_case
+        RecoveryManager(fs).recover_all()
+        # Whatever repair stored is what the slot held before the damage.
+        rebuilt = 0
+        for chunk, old_id, was, now in zip(
+            meta.all_chunks(), ids, pristine, slot_bytes(fs, meta)
+        ):
+            if chunk.chunk_id != old_id:
+                rebuilt += 1
+                assert now == was
+        assert rebuilt
+        assert RecoveryManager(fs).lost_chunks() == []
+        Scrubber(fs).scan_and_repair()
+        assert slot_bytes(fs, meta) == pristine
+        assert np.array_equal(fs.read_file("f", prefer_striped=True), data)
+        report = Scrubber(fs).scan()
+        assert report.corrupt == [] and report.quarantined == []
+
+    def test_repair_rebuilds_the_rotten_survivor_it_caught(self):
+        fs, data, meta = build(CC69, 96 * KB)
+        pristine = slot_bytes(fs, meta)
+        stripe = meta.stripes[0]
+        rotten_parity(fs, meta)
+        fs.datanodes[stripe.data[0].node_id].fail()
+        lost = [(meta, stripe.data[0])]
+        # the rotten parity joined the erased set: two chunks rebuilt
+        assert RecoveryManager(fs).recover_chunks(lost) == 2
+        assert slot_bytes(fs, meta)[: stripe.n] == pristine[: stripe.n]
+
+    def test_unrecoverable_rot_raises_instead_of_returning_bytes(self):
+        # CC(6,9) survives three faults; three dead nodes plus one rotten
+        # survivor is four.
+        fs, data, meta = build(CC69, 24 * KB)
+        stripe = meta.stripes[0]
+        for chunk in stripe.data[:3]:
+            fs.datanodes[chunk.node_id].fail()
+        rotten_parity(fs, meta)
+        with pytest.raises(ReadError):
+            fs.read_file("f")
+        with pytest.raises(RecoveryError):
+            RecoveryManager(fs).recover_all()
+
+
+class TestQuarantinedByRead:
+    def test_scrub_rebuilds_a_chunk_verify_on_read_quarantined(self):
+        fs, data = hybrid_fs()
+        meta = fs.namenode.lookup("f")
+        victim = meta.stripes[0].data[1]
+        corrupt_chunk(fs, victim)
+        fs.read_file("f", prefer_striped=True)
+        assert not fs.datanodes[victim.node_id].has_chunk(victim.chunk_id)
+        assert RecoveryManager(fs).lost_chunks() == []  # its node is alive
+        report = Scrubber(fs).scan_and_repair()
+        assert report.corrupt == []  # nothing left on disk to mismatch
+        assert [c for _m, c in report.quarantined] == [victim]
+        assert report.repaired == 1
+        assert fs.datanodes[victim.node_id].has_chunk(victim.chunk_id)
+        assert Scrubber(fs).scan().quarantined == []
+        assert np.array_equal(fs.read_file("f", prefer_striped=True), data)
+
+    def test_buffered_chunks_are_not_mistaken_for_quarantined(self):
+        fs, data = hybrid_fs()
+        fs.append_file("f", np.ones(5 * KB, np.uint8))  # open tail stripe
+        assert Scrubber(fs).scan().quarantined == []
+
+
+# -- the fused read against a fetch-verify-copy reference ----------------------
+
+def reference_read(fs, meta, offset, length):
+    """Fetch whole chunks (home, else replica range, else decode from
+    verified survivors), CRC each through a bytes copy, then slice them
+    into a zero-filled result. Reads only; quarantines nothing."""
+    cs = meta.chunk_size
+    expected = fs.checksums.expected
+
+    def sound(chunk_id, data):
+        return data is not None and chunk_checksum(data) == expected(chunk_id)
+
+    def stored(chunk, start=0, n=None):
+        if not fs.chunk_readable(chunk):
+            return None
+        datanode = fs.datanodes[chunk.node_id]
+        held = datanode._disk.get(chunk.chunk_id, datanode._memory.get(chunk.chunk_id))
+        return held[start : start + (n or len(held))]
+
+    out = np.zeros(length, dtype=np.uint8)
+    first = 0
+    for stripe in meta.stripes:
+        wanted = [
+            i for i in range(stripe.k)
+            if (first + i) * cs < offset + length and (first + i + 1) * cs > offset
+        ]
+        fetched = {}
+        for i in wanted:
+            slot = stripe.data[i]
+            data = stored(slot)
+            if not sound(slot.chunk_id, data):
+                data = None
+                for block in meta.replica_blocks:
+                    if block.first_chunk <= first + i < block.first_chunk + block.n_chunks:
+                        start = (first + i - block.first_chunk) * cs
+                        for copy in block.copies:
+                            piece = stored(copy, start, cs)
+                            if sound(slot.chunk_id, piece):
+                                data = piece
+                                break
+            if data is not None:
+                fetched[i] = data
+        missing = [i for i in wanted if i not in fetched]
+        if missing:
+            survivors = {
+                idx: stored(c)
+                for idx, c in enumerate(stripe.all_chunks())
+                if idx not in missing and sound(c.chunk_id, stored(c))
+            }
+            fetched.update(fs.codec_for_stripe(meta, stripe).decode(survivors, missing))
+        for i in wanted:
+            c_start = (first + i) * cs
+            a, b = max(offset, c_start), min(offset + length, c_start + cs)
+            out[a - offset : b - offset] = fetched[i][a - c_start : b - c_start]
+        first += stripe.k
+    return out
+
+
+def spy_on_verify(fs):
+    calls = []
+    verify = fs.checksums.verify
+
+    def spy(chunk_id, data, into=None):
+        calls.append((chunk_id, into))
+        return verify(chunk_id, data, into=into)
+
+    fs.checksums.verify = spy
+    return calls
+
+
+def ranges(size, cs):
+    """Whole file; mid-chunk to mid-chunk; into the padded tail; one byte."""
+    return [
+        (0, size),
+        (cs // 2, 3 * cs),
+        (cs + 7, size - cs - 7),
+        (size - cs // 3, cs // 3),
+        (2 * cs - 1, 1),
+        (cs, 2 * cs),
+    ]
+
+
+FUSED_SCHEMES = {"hybrid": HY, "cc": CC69, "lrcc": LRCC1222}
+
+
+def build_padded(scheme, chunk_size):
+    """Two stripes, the second ending in a part-filled chunk and padding."""
+    k = 12 if scheme == "lrcc" else 6
+    size = (k + k // 2) * chunk_size + chunk_size // 5
+    return (*build(FUSED_SCHEMES[scheme], size, chunk_size), size)
+
+
+class TestFusedReadDifferential:
+    @pytest.mark.parametrize("chunk_size", [4 * KB, 64 * KB, 1024 * KB])
+    @pytest.mark.parametrize("scheme", sorted(FUSED_SCHEMES))
+    def test_healthy_reads_match_and_verify_once_per_chunk(self, scheme, chunk_size):
+        fs, data, meta, size = build_padded(scheme, chunk_size)
+        calls = spy_on_verify(fs)
+        for offset, length in ranges(size, chunk_size):
+            want = reference_read(fs, meta, offset, length)
+            assert np.array_equal(want, data[offset : offset + length])
+            del calls[:]
+            out = fs.read_file("f", offset, length, prefer_striped=True)
+            assert out.tobytes() == want.tobytes()
+            first, last = offset // chunk_size, (offset + length - 1) // chunk_size
+            assert len(calls) == last - first + 1
+            # Whole chunks land in the result itself; a chunk wanted only
+            # in part — the padded final chunk always — gets a scratch.
+            for index, (_chunk_id, into) in zip(range(first, last + 1), calls):
+                whole = offset <= index * chunk_size and (index + 1) * chunk_size <= offset + length
+                assert np.shares_memory(into, out) == whole
+
+    @pytest.mark.parametrize("chunk_size", [4 * KB, 64 * KB])
+    @pytest.mark.parametrize(
+        "source,scheme",
+        [(source, scheme) for source in ("home", "survivor") for scheme in sorted(FUSED_SCHEMES)]
+        + [("replica-range", "hybrid")],  # only hybrid files have replica ranges
+    )
+    def test_one_corruption_at_each_source(self, source, scheme, chunk_size):
+        size = build_padded(scheme, chunk_size)[-1]
+        for offset, length in ranges(size, chunk_size):
+            # a fresh file per range: the first read to meet the rot heals it
+            fs, data, meta, _ = build_padded(scheme, chunk_size)
+            stripe = meta.stripes[0]
+            if source == "home":
+                corrupt_chunk(fs, stripe.data[2], flip_byte=chunk_size - 1)
+            else:
+                # the home copy is gone: the next source serves data chunk 2
+                fs.datanodes[stripe.data[2].node_id].fail()
+                if source == "replica-range":
+                    corrupt_chunk(
+                        fs, meta.replica_blocks[0].copies[0], flip_byte=2 * chunk_size
+                    )
+                else:
+                    for block in meta.replica_blocks:
+                        for copy in block.copies:
+                            fs.datanodes[copy.node_id].fail()
+                    # among the first k survivors, and (LRCC) a local peer
+                    corrupt_chunk(fs, stripe.parities[0])
+            want = reference_read(fs, meta, offset, length)
+            assert np.array_equal(want, data[offset : offset + length])
+            out = fs.read_file("f", offset, length, prefer_striped=True)
+            assert out.tobytes() == want.tobytes()
