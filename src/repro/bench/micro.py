@@ -20,8 +20,9 @@ generation, the *schema* is what CI checks.
 
 ``--quick`` shrinks chunk sizes and repeat counts (for CI); ``--check``
 validates the committed file's schema against the current metric set
-without overwriting it — no performance assertions, so CI never goes red
-on a slow runner.
+without overwriting it, and holds the current run to :data:`RATIO_GATES`
+— ratios of two timings taken back to back in one process, so a slow
+runner moves both sides alike. No absolute number is ever asserted.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 SCHEMA = "repro-bench/1"
+
+#: Upper bounds ``--check`` holds the current run to. Machine-independent
+#: ratios only (ROADMAP north-star 1: "gates on ratios").
+RATIO_GATES = {
+    # A 3-row apply must cost about what a 4-row apply costs: both gather
+    # 8-byte table rows. 1.53-1.65 was the price of 6-byte rows (numpy's
+    # take copies them byte by byte); 0.92-0.99 is the padded layout.
+    "gf_apply_m3_over_m4_time_ratio": 1.25,
+}
 
 #: Default output path: repo root (three levels up from this file when
 #: running from a checkout); falls back to the CWD for installed copies.
@@ -197,6 +207,31 @@ def bench_gf256_transcode(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     }
 
 
+def bench_gf_apply_ratio(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
+    """Time of a 3 x 12 apply over the time of a 4 x 12 apply on the same
+    rows, GF(2^8), min of interleaved repeats — the table-row layout as a
+    number: both shapes gather one (65536, 4) row per lane when the
+    column count is padded to a power of two."""
+    from repro.gf.kernels import MulPlan
+
+    rng = np.random.default_rng(5)
+    coeffs = rng.integers(1, 256, size=(4, 12), dtype=np.uint8)
+    rows = rng.integers(0, 256, size=(12, chunk_bytes), dtype=np.uint8)
+    plans = [MulPlan(coeffs[:3]), MulPlan(coeffs)]
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats + 2):  # the first pass builds the tables
+        for i, plan in enumerate(plans):
+            secs = _best_seconds(lambda: plan.apply(rows), repeats=1, warmup=0)
+            best[i] = min(best[i], secs)
+    return {
+        "gf_apply_m3_over_m4_time_ratio": _metric(
+            best[0] / best[1], "ratio", k=12, chunk_bytes=chunk_bytes,
+            m3_mb_s=round(rows.nbytes / best[0] / 1e6, 3),
+            m4_mb_s=round(rows.nbytes / best[1] / 1e6, 3),
+        )
+    }
+
+
 def bench_gf16_wide(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     from repro.codes.wide import WideConvertibleCode
 
@@ -211,8 +246,8 @@ def bench_gf16_wide(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     erased = [0, 9, 18]
     available = {i: c for i, c in enumerate(chunks) if i not in erased}
     dec_bytes = len(erased) * chunk_bytes
-    # Cold: recovery matrix and packed gather tables built inside the
-    # timer (fresh code); warm: the same pattern again.
+    # Cold: inverse, recovery matrix and its combined gather tables built
+    # inside the timer (fresh code); warm: the same pattern again.
     cold, warm = _cold_and_warm_seconds(
         lambda: WideConvertibleCode(k, n),
         lambda c: c.decode(available, erased),
@@ -611,6 +646,7 @@ def run_benchmarks(quick: bool = False) -> Dict[str, Dict]:
     # (16 KiB quick) stripes at a 64-stripe batch is the DFS ingest shape.
     metrics.update(bench_gf256_encode_batch(chunk // 16, repeats))
     metrics.update(bench_gf256_transcode(chunk, repeats))
+    metrics.update(bench_gf_apply_ratio(chunk, repeats))
     metrics.update(bench_gf16_wide(chunk, repeats))
     metrics.update(bench_repair_reads())
     metrics.update(bench_checksum_passes(chunk, repeats))
@@ -677,7 +713,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="validate the committed BENCH_codec.json schema; do not overwrite",
+        help="validate the committed BENCH_codec.json schema and hold this "
+        "run to the ratio gates; do not overwrite",
     )
     parser.add_argument(
         "--diff", action="store_true",
@@ -710,11 +747,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
         doc = json.loads(out.read_text())
         problems = validate_schema(doc, expected_names=sorted(metrics))
+        problems += [
+            f"{name} = {metrics[name]['value']} exceeds its gate {bound}"
+            for name, bound in RATIO_GATES.items()
+            if metrics[name]["value"] > bound
+        ]
         if problems:
             for p in problems:
                 print(f"check: {p}", file=sys.stderr)
             return 1
-        print(f"check: {out.name} schema OK ({len(doc['metrics'])} metrics)")
+        print(
+            f"check: {out.name} schema OK ({len(doc['metrics'])} metrics), "
+            f"{len(RATIO_GATES)} ratio gate(s) held"
+        )
         return 0
 
     doc = {

@@ -32,7 +32,7 @@ from repro.codes.base import DecodeError, ErasureCode, Stripe
 from repro.codes.convertible import ConversionIO, ConvertibleCode
 from repro.codes.pointsearch import find_family_points, vandermonde_parity
 from repro.gf.kernels import gf_scale_xor
-from repro.gf.matrix import SingularMatrixError, gf_identity, gf_matinv, gf_matmul
+from repro.gf.matrix import gf_identity, gf_matmul
 
 
 class BandwidthOptimalCC(ErasureCode):
@@ -133,22 +133,9 @@ class BandwidthOptimalCC(ErasureCode):
         chunk_size = len(next(iter(available.values())))
         sublen = self._substripe_len(chunk_size)
         r_i, r_f = self.r_initial, self.r_final
-        use = sorted(available)[: self.k]
-        # Per-substripe generator rows: data row t -> e_t, parity row j ->
-        # coefficient column j of the substripe code.
-        rows = []
-        for idx in use:
-            if idx < self.k:
-                row = np.zeros(self.k, dtype=np.uint8)
-                row[idx] = 1
-            else:
-                row = self._parity_coeffs[:, idx - self.k].copy()
-            rows.append(row)
-        mat = np.stack(rows)
-        try:
-            inv = gf_matinv(mat)
-        except SingularMatrixError as exc:  # family is verified; defensive
-            raise DecodeError("available chunks are not decodable") from exc
+        # Every substripe is the scalar code of :attr:`generator` (data
+        # rows + the r_I clean parity rows), so one inverse serves all.
+        inv, use = self._invert_survivors(sorted(available))
 
         recovered_data = np.zeros((self.k, chunk_size), dtype=np.uint8)
         # Pass 1: clean substripes.

@@ -2,23 +2,30 @@
 
 A *chunk* is a 1-D ``numpy.uint8`` array. A *stripe* is the ordered set of
 ``n`` equal-length chunks (``k`` data followed by ``n - k`` parity) that a
-code couples together. Codes are linear over GF(256) and systematic: the
-first ``k`` chunks of a stripe are the raw data.
+code couples together. Codes are linear over their field (GF(256) unless
+the class says otherwise) and systematic: the first ``k`` chunks of a
+stripe are the raw data.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.gf.field import gf_inv
+from repro.gf.kernels import (
+    GF8,
+    FusedDecode,
+    MulPlan,
+    PatternCache,
+    gf_scale,
+    gf_scale_xor,
+    plan_for_matrix,
+)
+from repro.gf.matrix import SingularMatrixError
 from repro.obs.codec import record_codec
-
-#: Decode-pattern inverses cached per code (LRU); degraded reads and
-#: repairs hit the same few erasure patterns over and over.
-_DECODE_CACHE_MAX = 16
 
 
 class DecodeError(Exception):
@@ -99,12 +106,19 @@ class Stripe:
 
 
 class ErasureCode:
-    """Base interface for systematic linear erasure codes over GF(256).
+    """Base interface for systematic linear erasure codes.
 
-    Subclasses define :attr:`generator`, an ``(n, k)`` uint8 matrix whose
-    top ``k`` rows are the identity; chunk ``i`` of a stripe equals row
-    ``i`` of the generator applied to the k data chunks.
+    Subclasses define :attr:`generator`, an ``(n, k)`` matrix over
+    :attr:`field` whose top ``k`` rows are the identity; chunk ``i`` of a
+    stripe equals row ``i`` of the generator applied to the k data
+    chunks. Everything here — encode, decode, their batched forms and the
+    recovery transform for a failure pattern — is written once against
+    the field value and serves every code in both fields.
     """
+
+    #: The field the generator's coefficients and the chunks' symbols
+    #: live in: GF(2^8) unless a subclass says otherwise (the wide code).
+    field = GF8
 
     #: True when every stored chunk is exactly a generator-row product of
     #: the data — the invariant the generic batched/fused paths rely on.
@@ -123,13 +137,8 @@ class ErasureCode:
         # construct the generator after this __init__ returns; pinned
         # here so the global plan LRU can never evict a live code's plan.
         self._encode_plan = None
-        self._decode_cache: "OrderedDict[Tuple[int, ...], Tuple[np.ndarray, List[int]]]" = (
-            OrderedDict()
-        )
         # Composed (e, k) recovery transforms keyed by failure pattern
         # (available-set, erased-set); see ErasureCode._recovery.
-        from repro.gf.kernels import PatternCache
-
         self._pattern_cache = PatternCache()
 
     @property
@@ -146,8 +155,6 @@ class ErasureCode:
     def encode_plan(self):
         """The cached multiply plan over this code's parity rows."""
         if self._encode_plan is None:
-            from repro.gf.kernels import plan_for_matrix
-
             self._encode_plan = plan_for_matrix(self.generator[self.k :])
         return self._encode_plan
 
@@ -155,15 +162,9 @@ class ErasureCode:
         """Compute the r parity chunks for k equal-length data chunks."""
         if len(data_chunks) != self.k:
             raise ValueError(f"expected {self.k} data chunks, got {len(data_chunks)}")
-        data = np.stack([np.asarray(c, dtype=np.uint8) for c in data_chunks])
-        from repro.gf.kernels import KERNEL_MIN_BYTES
-        from repro.gf.matrix import gf_matmul_reference
-
-        with record_codec("encode", data.nbytes):
-            if data.shape[1] >= KERNEL_MIN_BYTES:
-                parities = self.encode_plan().apply(data)
-            else:
-                parities = gf_matmul_reference(self.generator[self.k :], data)
+        rows = [self.field.symbols(c) for c in data_chunks]
+        with record_codec("encode", self.k * rows[0].nbytes):
+            parities = self.field.chunks(self.encode_plan().apply(rows))
         return [parities[i] for i in range(self.r)]
 
     def encode_stripe(self, data_chunks: Sequence[np.ndarray]) -> Stripe:
@@ -171,6 +172,29 @@ class ErasureCode:
         parities = self.encode(data_chunks)
         chunks = [np.asarray(c, dtype=np.uint8) for c in data_chunks] + parities
         return Stripe(self.k, self.n, chunks)
+
+    def _stacked(self, stripes: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+        """``(k, S*L)`` symbols: stripe ``j``'s k chunks side by side in
+        columns ``j*L : (j+1)*L`` — one kernel pass over S same-length
+        stripes."""
+        width = len(self.field.symbols(stripes[0][0]))
+        batch = np.empty((self.k, width * len(stripes)), dtype=self.field.dtype)
+        for j, chunks in enumerate(stripes):
+            for t, c in enumerate(chunks):
+                batch[t, j * width : (j + 1) * width] = self.field.symbols(c)
+        return batch
+
+    def _unstacked(self, product: np.ndarray, count: int) -> List[List[np.ndarray]]:
+        """Per stripe, the rows of a :meth:`_stacked` product over
+        ``count`` stripes, as chunks."""
+        width = product.shape[1] // count
+        return [
+            [
+                self.field.chunks(np.ascontiguousarray(row[j * width : (j + 1) * width]))
+                for row in product
+            ]
+            for j in range(count)
+        ]
 
     def encode_batch(
         self, stripes: Sequence[Sequence[np.ndarray]]
@@ -185,36 +209,20 @@ class ErasureCode:
         """
         if not self.generator_encoded:
             return [self.encode(chunks) for chunks in stripes]
-        arrays = [
-            [np.asarray(c, dtype=np.uint8) for c in chunks] for chunks in stripes
-        ]
-        for chunks in arrays:
+        results: List[Optional[List[np.ndarray]]] = [None] * len(stripes)
+        groups: Dict[int, List[int]] = {}
+        for s, chunks in enumerate(stripes):
             if len(chunks) != self.k:
                 raise ValueError(
                     f"expected {self.k} data chunks per stripe, got {len(chunks)}"
                 )
-        from repro.gf.kernels import KERNEL_MIN_BYTES
-        from repro.gf.matrix import gf_matmul_reference
-
-        results: List[Optional[List[np.ndarray]]] = [None] * len(arrays)
-        groups: Dict[int, List[int]] = {}
-        for s, chunks in enumerate(arrays):
             groups.setdefault(len(chunks[0]), []).append(s)
-        for length, members in groups.items():
-            batch = np.empty((self.k, length * len(members)), dtype=np.uint8)
-            for j, s in enumerate(members):
-                for t, c in enumerate(arrays[s]):
-                    batch[t, j * length : (j + 1) * length] = c
+        for members in groups.values():
+            batch = self._stacked([stripes[s] for s in members])
             with record_codec("encode", batch.nbytes):
-                if batch.shape[1] >= KERNEL_MIN_BYTES:
-                    parities = self.encode_plan().apply(batch)
-                else:
-                    parities = gf_matmul_reference(self.generator[self.k :], batch)
-            for j, s in enumerate(members):
-                sl = slice(j * length, (j + 1) * length)
-                results[s] = [
-                    np.ascontiguousarray(parities[i, sl]) for i in range(self.r)
-                ]
+                parities = self.encode_plan().apply(batch)
+            for s, chunks in zip(members, self._unstacked(parities, len(members))):
+                results[s] = chunks
         return results  # type: ignore[return-value]
 
     def decode_batch(
@@ -228,10 +236,9 @@ class ErasureCode:
         length) failure pattern — the shape of a node-failure burst —
         are stacked along the chunk axis and recovered with a single
         application of the fused pattern transform. Everything else
-        (short availability, unique patterns, subclass-specific repair
-        such as LRC local reconstruction) falls back to per-stripe
-        :meth:`decode`, so results are always bit-identical to the
-        per-stripe loop.
+        (short availability, unique patterns, patterns nothing recovers)
+        falls back to per-stripe :meth:`decode`, so results are always
+        bit-identical to the per-stripe loop.
         """
         if len(availables) != len(eraseds):
             raise ValueError("availables and eraseds must have equal length")
@@ -253,34 +260,25 @@ class ErasureCode:
             length = len(next(iter(available.values())))
             key = (tuple(sorted(available)), tuple(erased), length)
             groups.setdefault(key, []).append(s)
-        for key, members in groups.items():
-            avail_key, erased_key, length = key
+        for (_, erased_key, _), members in groups.items():
             fused = None
             if len(members) > 1:
                 try:
-                    fused = self._recovery(availables[members[0]], list(erased_key))
+                    fused = self._recovery(availables[members[0]], erased_key)
                 except DecodeError:
-                    fused = None
+                    pass
             if fused is None:
-                # Single-member groups and patterns the generic fused
-                # path cannot serve go through the subclass decode.
+                # Single-member groups and patterns nothing recovers go
+                # through decode (which raises for the latter).
                 fallback.extend(members)
                 continue
-            batch = np.empty((self.k, length * len(members)), dtype=np.uint8)
-            for j, s in enumerate(members):
-                avail = availables[s]
-                for t, idx in enumerate(fused.use):
-                    batch[t, j * length : (j + 1) * length] = np.asarray(
-                        avail[idx], dtype=np.uint8
-                    )
-            with record_codec("decode", len(erased_key) * batch.shape[1]):
-                recovered = fused.apply(batch)
-            for j, s in enumerate(members):
-                sl = slice(j * length, (j + 1) * length)
-                results[s] = {
-                    idx: np.ascontiguousarray(recovered[i, sl])
-                    for i, idx in enumerate(erased_key)
-                }
+            batch = self._stacked(
+                [[availables[s][idx] for idx in fused.use] for s in members]
+            )
+            with record_codec("decode", len(erased_key) * batch[0].nbytes):
+                recovered = fused.plan.apply(batch)
+            for s, chunks in zip(members, self._unstacked(recovered, len(members))):
+                results[s] = dict(zip(erased_key, chunks))
         for s in fallback:
             results[s] = self.decode(availables[s], list(eraseds[s]))
         return results  # type: ignore[return-value]
@@ -308,75 +306,69 @@ class ErasureCode:
                 f"need {self.k} chunks to decode, only {len(available)} available"
             )
         fused = self._recovery(available, erased)
-        stacked = np.stack(
-            [np.asarray(available[i], dtype=np.uint8) for i in fused.use]
-        )
-        with record_codec("decode", len(erased) * stacked.shape[1]):
-            recovered = fused.apply(stacked)
+        rows = [self.field.symbols(available[i]) for i in fused.use]
+        with record_codec("decode", len(erased) * rows[0].nbytes):
+            recovered = self.field.chunks(fused.plan.apply(rows))
         return {idx: recovered[j] for j, idx in enumerate(erased)}
 
-    def _recovery(self, available: Dict[int, np.ndarray], erased: Sequence[int]):
-        """The fused recovery transform for this failure pattern, cached.
+    def _recovery(
+        self, available: Dict[int, np.ndarray], erased: Sequence[int]
+    ) -> FusedDecode:
+        """The fused recovery transform for this failure pattern, cached
+        in the per-code pattern LRU — the one such routine for every code.
 
         Composes ``generator[erased] @ inv`` once in the symbol domain —
         an (e, k) by (k, k) product over single field elements — so the
         chunk-domain work per decode is one (e, k) product instead of a
         (k, k) data-recovery matmul chained into an (e, k) re-encode.
         """
-        from repro.gf.kernels import FusedDecode8
-        from repro.gf.matrix import gf_matmul_reference
-
-        key = ("mds", tuple(sorted(available)), tuple(erased))
+        rows = tuple(sorted(available))
+        key = (rows, tuple(erased))
         fused = self._pattern_cache.get(key)
         if fused is None:
-            inv, use = self._decode_inverse(available)
-            recovery = gf_matmul_reference(self.generator[list(erased), :], inv)
-            fused = FusedDecode8(recovery, use, erased)
+            inv, use = self._invert_survivors(rows)
+            recovery = self.field.matmul_reference(
+                self.generator[list(erased), :], inv
+            )
+            fused = FusedDecode(MulPlan(recovery), tuple(use))
             self._pattern_cache.put(key, fused)
         return fused
 
-    def _decode_inverse(self, available: Dict[int, np.ndarray]):
-        """(inverse, rows used) for this availability pattern, cached.
+    def _invert_survivors(self, rows: Sequence[int]) -> Tuple[np.ndarray, List[int]]:
+        """``(inverse, use)``: k of the surviving chunk indices ``rows``
+        (ascending) whose generator rows are independent, and the inverse
+        of those rows. Which independent rows are used does not show in
+        the output: the chunks they recover are unique.
 
-        The inverse depends only on *which* chunks survive, not their
-        bytes, and failure scenarios revisit the same few patterns — so
-        a small per-code LRU skips the Gauss-Jordan solve on repeats.
+        Raises:
+            DecodeError: if the survivors do not span the data.
         """
-        from repro.gf.matrix import SingularMatrixError, gf_matinv
-
-        # Key on the full availability pattern: the singular-subset
-        # fallback may pick rows beyond the first k survivors.
-        key = tuple(sorted(available))
-        use = list(key[: self.k])
-        hit = self._decode_cache.get(key)
-        if hit is not None:
-            self._decode_cache.move_to_end(key)
-            return hit
+        generator = self.generator
+        use = list(rows[: self.k])
         try:
-            inv = gf_matinv(self.generator[use, :])
+            return self.field.matinv(generator[use, :]), use
         except SingularMatrixError:
-            # A non-MDS code (or unlucky subset): retry with a different
-            # k-subset before giving up.
-            found = self._find_invertible_subset(available)
-            if found is None:
-                raise DecodeError("no invertible k-subset of available chunks")
-            inv, use = found
-        self._decode_cache[key] = (inv, use)
-        while len(self._decode_cache) > _DECODE_CACHE_MAX:
-            self._decode_cache.popitem(last=False)
-        return inv, use
-
-    def _find_invertible_subset(self, available: Dict[int, np.ndarray]):
-        from itertools import combinations
-
-        from repro.gf.matrix import SingularMatrixError, gf_matinv
-
-        for use in combinations(sorted(available), self.k):
-            try:
-                return gf_matinv(self.generator[list(use), :]), list(use)
-            except SingularMatrixError:
-                continue
-        return None
+            pass
+        # Not MDS (an LRC-family code), or an unlucky first k: take the
+        # survivors in order, each one that adds rank. A survivor is
+        # reduced against the ones taken before it — zeroing column p of
+        # v by b[p]*v + v[p]*b needs no division — and adds rank iff
+        # something is left.
+        mul = self.field.mul
+        use, reduced = [], []
+        for idx in rows:
+            v = generator[idx]
+            for p, b in reduced:
+                v = mul(b[p], v) ^ mul(v[p], b)
+            pivots = np.flatnonzero(v)
+            if pivots.size:
+                reduced.append((int(pivots[0]), v))
+                use.append(idx)
+            if len(use) == self.k:
+                return self.field.matinv(generator[use, :]), use
+        raise DecodeError(
+            f"chunks {list(rows)} of {self!r} do not span the data: unrecoverable"
+        )
 
     def decode_stripe(self, stripe: Stripe) -> Stripe:
         """Fill in every erased chunk of a stripe, returning a full copy."""
@@ -399,12 +391,13 @@ class ErasureCode:
         """
         from itertools import combinations
 
-        from repro.gf.matrix import gf_rank
-
+        generator = self.generator
         count = 0
         for erased in combinations(range(self.n), self.r):
             survivors = [i for i in range(self.n) if i not in erased]
-            if gf_rank(self.generator[survivors, :]) < self.k:
+            try:
+                self.field.matinv(generator[survivors, :])
+            except SingularMatrixError:
                 return False
             count += 1
             if max_patterns is not None and count >= max_patterns:
@@ -417,3 +410,107 @@ class ErasureCode:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.k},{self.n})"
+
+
+class LocalGroupCode(ErasureCode):
+    """What LRC and LRCC share: ``k`` data chunks in ``l`` local groups
+    with one local parity each, then ``r_global`` global parities, and a
+    decode that repairs inside a group before it reads the stripe.
+
+    Subclasses supply the generator; a group's one equation is read off
+    its local-parity row, so the repair does not care whether that row is
+    all ones (LRC: XOR) or a point-0 CC parity (LRCC).
+    """
+
+    def __init__(self, k: int, l: int, r_global: int):
+        if l < 1 or k % l != 0:
+            raise ValueError(f"k={k} must be divisible by l={l}")
+        if r_global < 0:
+            raise ValueError("r_global must be >= 0")
+        super().__init__(k, k + l + r_global)
+        self.l = l
+        self.r_global = r_global
+        self.group_size = k // l
+
+    # -- indices -------------------------------------------------------------
+    def group_of(self, index: int) -> int:
+        """Local group of a data or local-parity chunk index."""
+        if index < self.k:
+            return index // self.group_size
+        if index < self.k + self.l:
+            return index - self.k
+        raise ValueError(f"chunk {index} is a global parity; it has no group")
+
+    def group_members(self, group: int) -> List[int]:
+        """Data chunk indices of a group plus its local-parity index."""
+        data = list(range(group * self.group_size, (group + 1) * self.group_size))
+        return data + [self.k + group]
+
+    def local_parity_index(self, group: int) -> int:
+        return self.k + group
+
+    # -- repair ---------------------------------------------------------------
+    def local_repair(
+        self, failed: int, available: Dict[int, np.ndarray]
+    ) -> np.ndarray:
+        """Repair one failed group member from the rest of its group.
+
+        Reads exactly ``k/l`` chunks (group peers + local parity) and
+        solves the group's single-unknown equation
+        ``local_parity = sum_u c_u * d_u``.
+
+        Raises:
+            DecodeError: if any other group member is also unavailable.
+        """
+        group = self.group_of(failed)
+        parity_idx = self.local_parity_index(group)
+        peers = [m for m in self.group_members(group) if m != failed]
+        missing = [m for m in peers if m not in available]
+        if missing:
+            raise DecodeError(
+                f"local repair of {failed} needs group chunks {missing}"
+            )
+        coeffs = self.generator[parity_idx]
+        acc = np.zeros_like(np.asarray(available[peers[0]], dtype=np.uint8))
+        for m in peers:
+            gf_scale_xor(
+                acc,
+                1 if m == parity_idx else coeffs[m],
+                np.asarray(available[m], dtype=np.uint8),
+            )
+        if failed == parity_idx:
+            return acc
+        return gf_scale(gf_inv(int(coeffs[failed])), acc)
+
+    def decode(
+        self, available: Dict[int, np.ndarray], erased: Sequence[int]
+    ) -> Dict[int, np.ndarray]:
+        """Recover erased chunks, preferring local repair.
+
+        Single in-group failures use local repair; what is left goes, with
+        the repaired chunks as further survivors, to the generic decode
+        over the available rows (these codes are not MDS — some patterns
+        beyond l + r failures, and some unlucky smaller ones, are
+        unrecoverable and raise).
+        """
+        erased = list(erased)
+        out: Dict[int, np.ndarray] = {}
+        local = [
+            idx
+            for idx in erased
+            if idx < self.k + self.l
+            and all(
+                m in available
+                for m in self.group_members(self.group_of(idx))
+                if m != idx
+            )
+        ]
+        if local:
+            chunk_len = len(next(iter(available.values())))
+            with record_codec("decode", len(local) * chunk_len):
+                for idx in local:
+                    out[idx] = self.local_repair(idx, available)
+        remaining = [idx for idx in erased if idx not in out]
+        if remaining:
+            out.update(super().decode({**available, **out}, remaining))
+        return out

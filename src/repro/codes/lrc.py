@@ -13,34 +13,17 @@ This is the *non-convertible* baseline; its convertible counterpart is
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
 import numpy as np
 
-from repro.codes.base import DecodeError, ErasureCode
-from repro.obs.codec import record_codec
-from repro.gf.matrix import (
-    SingularMatrixError,
-    cauchy_matrix,
-    gf_identity,
-    gf_matinv,
-    gf_matmul_reference,
-    gf_rank,
-)
+from repro.codes.base import LocalGroupCode
+from repro.gf.matrix import cauchy_matrix, gf_identity
 
 
-class LocalReconstructionCode(ErasureCode):
-    """LRC(k, l, r): l local groups, one local parity each, r globals."""
+class LocalReconstructionCode(LocalGroupCode):
+    """LRC(k, l, r): l local groups, one XOR local parity each, r globals."""
 
     def __init__(self, k: int, l: int, r_global: int):
-        if l < 1 or k % l != 0:
-            raise ValueError(f"k={k} must be divisible by l={l}")
-        if r_global < 0:
-            raise ValueError("r_global must be >= 0")
-        super().__init__(k, k + l + r_global)
-        self.l = l
-        self.r_global = r_global
-        self.group_size = k // l
+        super().__init__(k, l, r_global)
         self._generator = self._build_generator()
 
     @property
@@ -57,117 +40,6 @@ class LocalReconstructionCode(ErasureCode):
             xs = list(range(self.k, self.k + self.r_global))
             rows.append(cauchy_matrix(xs, list(range(self.k))))
         return np.concatenate(rows, axis=0)
-
-    # -- indices -------------------------------------------------------------
-    def group_of(self, index: int) -> int:
-        """Local group of a data or local-parity chunk index."""
-        if index < self.k:
-            return index // self.group_size
-        if index < self.k + self.l:
-            return index - self.k
-        raise ValueError(f"chunk {index} is a global parity; it has no group")
-
-    def group_members(self, group: int) -> List[int]:
-        """Data chunk indices of a group plus its local-parity index."""
-        data = list(range(group * self.group_size, (group + 1) * self.group_size))
-        return data + [self.k + group]
-
-    def local_parity_index(self, group: int) -> int:
-        return self.k + group
-
-    # -- repair ---------------------------------------------------------------
-    def local_repair(
-        self, failed: int, available: Dict[int, np.ndarray]
-    ) -> np.ndarray:
-        """Repair one failed group member from the rest of its group.
-
-        Reads exactly ``k/l`` chunks (group peers + local parity, XOR).
-
-        Raises:
-            DecodeError: if any other group member is also unavailable.
-        """
-        group = self.group_of(failed)
-        members = self.group_members(group)
-        peers = [m for m in members if m != failed]
-        missing = [m for m in peers if m not in available]
-        if missing:
-            raise DecodeError(
-                f"local repair of {failed} needs group chunks {missing}"
-            )
-        acc = np.zeros_like(np.asarray(available[peers[0]], dtype=np.uint8))
-        for m in peers:
-            acc = acc ^ np.asarray(available[m], dtype=np.uint8)
-        return acc
-
-    def decode(
-        self, available: Dict[int, np.ndarray], erased: Sequence[int]
-    ) -> Dict[int, np.ndarray]:
-        """Recover erased chunks, preferring local repair.
-
-        Single in-group failures use local repair; anything else falls
-        back to solving the full linear system over the available rows
-        (LRCs are not MDS — some patterns beyond l + r failures, and some
-        unlucky smaller ones, are unrecoverable and raise).
-        """
-        erased = list(erased)
-        if not erased:
-            return {}
-        first = next(iter(available.values()), None)
-        chunk_len = 0 if first is None else len(first)
-        with record_codec("decode", len(erased) * chunk_len):
-            return self._decode_impl(available, erased)
-
-    def _decode_impl(
-        self, available: Dict[int, np.ndarray], erased: List[int]
-    ) -> Dict[int, np.ndarray]:
-        out: Dict[int, np.ndarray] = {}
-        remaining = []
-        for idx in erased:
-            if idx < self.k + self.l:
-                group = self.group_of(idx)
-                peers = [m for m in self.group_members(group) if m != idx]
-                if all(m in available for m in peers):
-                    out[idx] = self.local_repair(idx, available)
-                    continue
-            remaining.append(idx)
-        if not remaining:
-            return out
-        avail = dict(available)
-        avail.update(out)
-        rows = sorted(avail)
-        # Fused path: the row selection, inverse, and gen_rows @ inv
-        # composition depend only on the survivor/erasure pattern, so the
-        # composed (e, k) recovery matrix is cached per pattern and each
-        # repeat decode is a single chunk-domain product.
-        key = ("rows", tuple(rows), tuple(remaining))
-        fused = self._pattern_cache.get(key)
-        if fused is None:
-            if gf_rank(self.generator[rows, :]) < self.k:
-                raise DecodeError(
-                    f"erasure pattern {sorted(erased)} is unrecoverable for {self!r}"
-                )
-            # Select k independent rows, invert, compose the re-encode.
-            chosen: List[int] = []
-            for row_idx in rows:
-                trial = chosen + [row_idx]
-                if gf_rank(self.generator[trial, :]) == len(trial):
-                    chosen.append(row_idx)
-                if len(chosen) == self.k:
-                    break
-            try:
-                inv = gf_matinv(self.generator[chosen, :])
-            except SingularMatrixError as exc:
-                raise DecodeError("internal: chosen rows not invertible") from exc
-            from repro.gf.kernels import FusedDecode8
-
-            recovery = gf_matmul_reference(self.generator[remaining, :], inv)
-            fused = FusedDecode8(recovery, chosen, remaining)
-            self._pattern_cache.put(key, fused)
-        stacked = np.stack([np.asarray(avail[i], dtype=np.uint8) for i in fused.use])
-        recovered = fused.apply(stacked)
-        for j, idx in enumerate(remaining):
-            out[idx] = recovered[j]
-        return out
 
     def __repr__(self) -> str:
         return f"LRC({self.k},{self.l},{self.r_global})"

@@ -23,37 +23,23 @@ Consequences the paper relies on:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codes.base import DecodeError, ErasureCode, Stripe
+from repro.codes.base import DecodeError, LocalGroupCode, Stripe
 from repro.codes.convertible import ConversionIO, ConvertibleCode
 from repro.codes.pointsearch import find_family_points
 from repro.gf.field import gf_pow
-from repro.gf.kernels import gf_scale, gf_scale_xor
-from repro.obs.codec import record_codec
-from repro.gf.matrix import (
-    SingularMatrixError,
-    gf_identity,
-    gf_matinv,
-    gf_matmul_reference,
-    gf_rank,
-)
+from repro.gf.kernels import gf_scale_xor
+from repro.gf.matrix import gf_identity
 
 
-class LocallyRecoverableConvertibleCode(ErasureCode):
+class LocallyRecoverableConvertibleCode(LocalGroupCode):
     """LRCC(k, l, r): CC-mergeable LRC. Layout: k data, l locals, r globals."""
 
     def __init__(self, k: int, l: int, r_global: int, family_width: Optional[int] = None):
-        if l < 1 or k % l != 0:
-            raise ValueError(f"k={k} must be divisible by l={l}")
-        if r_global < 0:
-            raise ValueError("r_global must be >= 0")
-        super().__init__(k, k + l + r_global)
-        self.l = l
-        self.r_global = r_global
-        self.group_size = k // l
+        super().__init__(k, l, r_global)
         if family_width is None:
             from repro.codes.convertible import default_family_width
 
@@ -84,115 +70,6 @@ class LocallyRecoverableConvertibleCode(ErasureCode):
                     glob[j, t] = gf_pow(alpha, t)
             rows.append(glob)
         return np.concatenate(rows, axis=0)
-
-    # -- indices ---------------------------------------------------------
-    def group_of(self, index: int) -> int:
-        if index < self.k:
-            return index // self.group_size
-        if index < self.k + self.l:
-            return index - self.k
-        raise ValueError(f"chunk {index} is a global parity; it has no group")
-
-    def group_members(self, group: int) -> List[int]:
-        data = list(range(group * self.group_size, (group + 1) * self.group_size))
-        return data + [self.k + group]
-
-    def local_parity_index(self, group: int) -> int:
-        return self.k + group
-
-    # -- repair ------------------------------------------------------------
-    def local_repair(self, failed: int, available: Dict[int, np.ndarray]) -> np.ndarray:
-        """Repair one group member reading only its k/l group peers."""
-        group = self.group_of(failed)
-        members = self.group_members(group)
-        peers = [m for m in members if m != failed]
-        missing = [m for m in peers if m not in available]
-        if missing:
-            raise DecodeError(f"local repair of {failed} needs chunks {missing}")
-        # Solve the single-unknown group equation:
-        #   local_parity = sum_u alpha0^u * d_u
-        base = group * self.group_size
-        parity_idx = self.local_parity_index(group)
-        if failed == parity_idx:
-            acc = np.zeros_like(np.asarray(available[base], dtype=np.uint8))
-            for u in range(self.group_size):
-                gf_scale_xor(
-                    acc,
-                    self.generator[parity_idx, base + u],
-                    np.asarray(available[base + u], dtype=np.uint8),
-                )
-            return acc
-        acc = np.asarray(available[parity_idx], dtype=np.uint8).copy()
-        for u in range(self.group_size):
-            idx = base + u
-            if idx == failed:
-                continue
-            gf_scale_xor(
-                acc,
-                self.generator[parity_idx, idx],
-                np.asarray(available[idx], dtype=np.uint8),
-            )
-        coeff = int(self.generator[parity_idx, failed])
-        return gf_scale(gf_pow(coeff, -1), acc)
-
-    def decode(
-        self, available: Dict[int, np.ndarray], erased: Sequence[int]
-    ) -> Dict[int, np.ndarray]:
-        """Recover erased chunks, preferring local repair (as in LRC)."""
-        erased = list(erased)
-        if not erased:
-            return {}
-        first = next(iter(available.values()), None)
-        chunk_len = 0 if first is None else len(first)
-        with record_codec("decode", len(erased) * chunk_len):
-            return self._decode_impl(available, erased)
-
-    def _decode_impl(
-        self, available: Dict[int, np.ndarray], erased: List[int]
-    ) -> Dict[int, np.ndarray]:
-        out: Dict[int, np.ndarray] = {}
-        remaining = []
-        for idx in erased:
-            if idx < self.k + self.l:
-                peers = [m for m in self.group_members(self.group_of(idx)) if m != idx]
-                if all(m in available for m in peers):
-                    out[idx] = self.local_repair(idx, available)
-                    continue
-            remaining.append(idx)
-        if not remaining:
-            return out
-        avail = dict(available)
-        avail.update(out)
-        rows = sorted(avail)
-        # Same fused per-pattern recovery as LRC: compose gen_rows @ inv
-        # once, cache it, decode with a single (e, k) chunk product.
-        key = ("rows", tuple(rows), tuple(remaining))
-        fused = self._pattern_cache.get(key)
-        if fused is None:
-            if gf_rank(self.generator[rows, :]) < self.k:
-                raise DecodeError(
-                    f"erasure pattern {sorted(erased)} unrecoverable for {self!r}"
-                )
-            chosen: List[int] = []
-            for row_idx in rows:
-                if gf_rank(self.generator[chosen + [row_idx], :]) == len(chosen) + 1:
-                    chosen.append(row_idx)
-                if len(chosen) == self.k:
-                    break
-            try:
-                inv = gf_matinv(self.generator[chosen, :])
-            except SingularMatrixError as exc:
-                raise DecodeError("internal: chosen rows not invertible") from exc
-            from repro.gf.kernels import FusedDecode8
-
-            recovery = gf_matmul_reference(self.generator[remaining, :], inv)
-            fused = FusedDecode8(recovery, chosen, remaining)
-            self._pattern_cache.put(key, fused)
-        stacked = np.stack([np.asarray(avail[i], dtype=np.uint8) for i in fused.use])
-        recovered = fused.apply(stacked)
-        for j, idx in enumerate(remaining):
-            out[idx] = recovered[j]
-        return out
 
     def __repr__(self) -> str:
         return f"LRCC({self.k},{self.l},{self.r_global})"

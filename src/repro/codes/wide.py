@@ -21,21 +21,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codes.base import DecodeError
+from repro.codes.base import ErasureCode
 from repro.gf.field16 import (
     _EXP16,
     _LOG16,
     FIELD_ORDER_16,
-    bytes_to_symbols,
     gf16_batch_det,
     gf16_element,
-    gf16_matinv,
-    gf16_matmul,
-    gf16_matmul_reference,
     gf16_pow,
-    symbols_to_bytes,
 )
-from repro.gf.kernels import FusedDecode16, PatternCache, gf16_scale_xor
+from repro.gf.kernels import GF16, gf_scale_xor
 from repro.obs.codec import record_codec
 
 #: Curated nested exponent chain for GF(2^16) families (searched offline,
@@ -121,205 +116,32 @@ def wide_family_points(r: int, width: int) -> List[int]:
     return points
 
 
-class WideConvertibleCode:
+class WideConvertibleCode(ErasureCode):
     """CC(k, n) over GF(2^16): wide stripes, same conversion algebra.
 
-    Chunks are uint8 arrays of even length (packed into uint16 symbols
-    internally). API mirrors the byte-oriented codes: ``encode``,
-    ``decode``, ``encode_stripe``-free (stripes are plain chunk lists).
+    An :class:`~repro.codes.base.ErasureCode` whose field is GF(2^16):
+    encode, decode and their batched forms are the base class's. Chunks
+    are uint8 arrays holding whole 2-byte symbols (little-endian pairs) —
+    an odd-length chunk is a ``ValueError``, not a padded symbol.
     """
 
+    field = GF16
+
     def __init__(self, k: int, n: int, family_width: Optional[int] = None):
-        if not 0 < k < n:
-            raise ValueError(f"need 0 < k < n, got k={k} n={n}")
-        self.k = k
-        self.n = n
+        super().__init__(k, n)
         self.family_width = family_width or max(k, 40)
         self.points = wide_family_points(self.r, max(self.family_width, k))
-        self._parity_coeffs = vandermonde_parity_16(self.points, k)  # (k, r)
-        # Pinned multiply plan over the parity rows (built lazily, shared
-        # by every stripe; see ErasureCode.encode_plan for the rationale).
-        self._encode_plan = None
-        # Composed (e, k) recovery transforms keyed by failure pattern.
-        self._pattern_cache = PatternCache()
+        self._generator = np.concatenate(
+            [np.eye(k, dtype=np.uint16), vandermonde_parity_16(self.points, k).T]
+        )
 
     @property
-    def r(self) -> int:
-        return self.n - self.k
+    def generator(self) -> np.ndarray:
+        return self._generator
 
     def shift_coefficient(self, j: int, offset: int) -> int:
+        """Coefficient scaling parity j of a block shifted by ``offset``."""
         return gf16_pow(int(self.points[j]), offset)
-
-    # -- encode/decode -----------------------------------------------------
-    def encode_plan(self):
-        """The cached GF(2^16) multiply plan over this code's parity rows."""
-        if self._encode_plan is None:
-            from repro.gf.kernels import plan_for_matrix16
-
-            self._encode_plan = plan_for_matrix16(
-                np.ascontiguousarray(self._parity_coeffs.T)
-            )
-        return self._encode_plan
-
-    def encode(self, data_chunks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Parity chunks (uint8) for k equal-length uint8 data chunks."""
-        if len(data_chunks) != self.k:
-            raise ValueError(f"expected {self.k} chunks")
-        from repro.gf.kernels import KERNEL_MIN_BYTES
-
-        length = len(data_chunks[0])
-        rows = [bytes_to_symbols(c, copy=False) for c in data_chunks]
-        with record_codec("encode", self.k * length):
-            if 2 * len(rows[0]) >= KERNEL_MIN_BYTES:
-                parities = self.encode_plan().apply_rows(rows)
-            else:
-                parities = gf16_matmul(self._parity_coeffs.T, np.stack(rows))
-        return [symbols_to_bytes(parities[j], length) for j in range(self.r)]
-
-    def _generator_row(self, idx: int) -> np.ndarray:
-        """Row ``idx`` of the implicit (n, k) generator over GF(2^16)."""
-        if idx < self.k:
-            row = np.zeros(self.k, dtype=np.uint16)
-            row[idx] = 1
-            return row
-        return self._parity_coeffs[:, idx - self.k].copy()
-
-    def _recovery(self, use: Sequence[int], erased: Sequence[int]) -> FusedDecode16:
-        """The fused recovery transform for this failure pattern, cached.
-
-        Composes ``gen_rows @ inv`` once in the (cheap) symbol domain into
-        a single (e, k) recovery matrix — so each decode is one (e, k)
-        chunk product over the k survivors in ``use`` instead of a
-        fresh Gauss-Jordan inverse plus a (k, k) product chained into an
-        (e, k) re-encode.
-        """
-        key = (tuple(use), tuple(erased))
-        fused = self._pattern_cache.get(key)
-        if fused is None:
-            inv = gf16_matinv(np.stack([self._generator_row(i) for i in use]))
-            gen_rows = np.stack([self._generator_row(i) for i in erased])
-            recovery = gf16_matmul_reference(gen_rows, inv)
-            fused = FusedDecode16(recovery, use, erased)
-            self._pattern_cache.put(key, fused)
-        return fused
-
-    def decode(
-        self, available: Dict[int, np.ndarray], erased: Sequence[int]
-    ) -> Dict[int, np.ndarray]:
-        """Recover erased chunks from any k available ones."""
-        erased = list(erased)
-        if not erased:
-            return {}
-        if len(available) < self.k:
-            raise DecodeError(f"need {self.k} chunks, have {len(available)}")
-        use = sorted(available)[: self.k]
-        fused = self._recovery(use, erased)
-        length = len(next(iter(available.values())))
-        rows = [bytes_to_symbols(available[i], copy=False) for i in use]
-        with record_codec("decode", len(erased) * length):
-            recovered = fused.apply_rows(rows)
-        return {
-            idx: symbols_to_bytes(recovered[j], length)
-            for j, idx in enumerate(erased)
-        }
-
-    # -- multi-stripe batching ----------------------------------------------
-    def encode_batch(
-        self, stripes: Sequence[Sequence[np.ndarray]]
-    ) -> List[List[np.ndarray]]:
-        """Parity chunks for many stripes in one kernel invocation each.
-
-        GF(2^16) sibling of :meth:`repro.codes.base.ErasureCode.encode_batch`:
-        same-length stripes are packed into one ``(k, S*L)`` symbol batch
-        per length group. Bit-identical to per-stripe :meth:`encode`.
-        """
-        from repro.gf.kernels import KERNEL_MIN_BYTES
-
-        arrays = [
-            [np.asarray(c, dtype=np.uint8) for c in chunks] for chunks in stripes
-        ]
-        for chunks in arrays:
-            if len(chunks) != self.k:
-                raise ValueError(f"expected {self.k} chunks")
-        results: List[Optional[List[np.ndarray]]] = [None] * len(arrays)
-        groups: Dict[int, List[int]] = {}
-        for s, chunks in enumerate(arrays):
-            groups.setdefault(len(chunks[0]), []).append(s)
-        for length, members in groups.items():
-            width = (length + 1) // 2  # symbols per chunk
-            batch = np.empty((self.k, width * len(members)), dtype=np.uint16)
-            for j, s in enumerate(members):
-                for t, c in enumerate(arrays[s]):
-                    batch[t, j * width : (j + 1) * width] = bytes_to_symbols(c)
-            with record_codec("encode", self.k * length * len(members)):
-                if 2 * batch.shape[1] >= KERNEL_MIN_BYTES:
-                    parities = self.encode_plan().apply(batch)
-                else:
-                    parities = gf16_matmul(self._parity_coeffs.T, batch)
-            for j, s in enumerate(members):
-                sl = slice(j * width, (j + 1) * width)
-                results[s] = [
-                    symbols_to_bytes(np.ascontiguousarray(parities[i, sl]), length)
-                    for i in range(self.r)
-                ]
-        return results  # type: ignore[return-value]
-
-    def decode_batch(
-        self,
-        availables: Sequence[Dict[int, np.ndarray]],
-        eraseds: Sequence[Sequence[int]],
-    ) -> List[Dict[int, np.ndarray]]:
-        """Recover erased chunks for many stripes at once.
-
-        Stripes sharing one (available-set, erased-set, chunk length)
-        pattern are stacked along the symbol axis and recovered with a
-        single fused transform; unique patterns fall back to per-stripe
-        :meth:`decode`. Bit-identical to the per-stripe loop.
-        """
-        if len(availables) != len(eraseds):
-            raise ValueError("availables and eraseds must have equal length")
-        results: List[Optional[Dict[int, np.ndarray]]] = [None] * len(availables)
-        groups: Dict[Tuple, List[int]] = {}
-        fallback: List[int] = []
-        for s, (available, erased) in enumerate(zip(availables, eraseds)):
-            erased = list(erased)
-            if not erased:
-                results[s] = {}
-                continue
-            if len(available) < self.k:
-                fallback.append(s)
-                continue
-            length = len(next(iter(available.values())))
-            key = (tuple(sorted(available)), tuple(erased), length)
-            groups.setdefault(key, []).append(s)
-        for key, members in groups.items():
-            avail_key, erased_key, length = key
-            if len(members) == 1:
-                fallback.append(members[0])
-                continue
-            use = list(avail_key[: self.k])
-            fused = self._recovery(use, list(erased_key))
-            width = (length + 1) // 2
-            batch = np.empty((self.k, width * len(members)), dtype=np.uint16)
-            for j, s in enumerate(members):
-                avail = availables[s]
-                for t, idx in enumerate(use):
-                    batch[t, j * width : (j + 1) * width] = bytes_to_symbols(
-                        avail[idx]
-                    )
-            with record_codec("decode", len(erased_key) * length * len(members)):
-                recovered = fused.apply(batch)
-            for j, s in enumerate(members):
-                sl = slice(j * width, (j + 1) * width)
-                results[s] = {
-                    idx: symbols_to_bytes(
-                        np.ascontiguousarray(recovered[i, sl]), length
-                    )
-                    for i, idx in enumerate(erased_key)
-                }
-        for s in fallback:
-            results[s] = self.decode(availables[s], list(eraseds[s]))
-        return results  # type: ignore[return-value]
 
     # -- conversion ----------------------------------------------------------
     def merge_parities(
@@ -341,19 +163,14 @@ class WideConvertibleCode:
         out = []
         with record_codec("transcode", final.r * length):
             for j in range(final.r):
-                acc = np.zeros(
-                    len(bytes_to_symbols(stripe_parities[0][j])), dtype=np.uint16
-                )
+                acc = np.zeros_like(self.field.symbols(stripe_parities[0][j]))
                 for i in range(lam):
                     # Blocked scale-and-accumulate through the cached
                     # full-symbol table, like the CC/LRCC merge loops.
-                    gf16_scale_xor(
+                    gf_scale_xor(
                         acc,
                         final.shift_coefficient(j, i * self.k),
-                        bytes_to_symbols(stripe_parities[i][j]),
+                        self.field.symbols(stripe_parities[i][j]),
                     )
-                out.append(symbols_to_bytes(acc, length))
+                out.append(self.field.chunks(acc))
         return out
-
-    def __repr__(self) -> str:
-        return f"WideConvertibleCode({self.k},{self.n})"

@@ -1,20 +1,23 @@
-"""Galois-field GF(2^8) arithmetic substrate.
+"""Galois-field arithmetic substrate.
 
-All erasure codes in :mod:`repro.codes` are linear codes over GF(256).
-This package provides the field itself (log/exp tables, vectorised
-add/mul/div over numpy uint8 arrays) and the matrix algebra built on it
-(matmul, inversion, rank, Vandermonde and Cauchy constructions).
+The erasure codes in :mod:`repro.codes` are linear codes over GF(256)
+(the wide-stripe code: over GF(2^16), :mod:`repro.gf.field16`). This
+package provides the field itself (log/exp tables, vectorised
+add/mul/div over numpy uint8 arrays), the matrix algebra built on it
+(matmul, inversion, rank, Vandermonde and Cauchy constructions) and the
+bulk-multiply plan both fields share (:mod:`repro.gf.kernels`; ``GF8``
+and ``GF16`` are the two field values it tells apart by dtype).
 """
 
 from repro.gf.field import GF256, gf_add, gf_div, gf_inv, gf_mul, gf_pow
 from repro.gf.kernels import (
-    MulPlan8,
-    MulPlan16,
+    GF8,
+    GF16,
+    MulPlan,
     clear_plan_caches,
     gf_scale,
     gf_scale_xor,
     plan_for_matrix,
-    plan_for_matrix16,
 )
 from repro.gf.matrix import (
     SingularMatrixError,
@@ -32,8 +35,9 @@ from repro.gf.matrix import (
 
 __all__ = [
     "GF256",
-    "MulPlan8",
-    "MulPlan16",
+    "GF8",
+    "GF16",
+    "MulPlan",
     "clear_plan_caches",
     "gf_add",
     "gf_mul",
@@ -45,7 +49,6 @@ __all__ = [
     "gf_matmul",
     "gf_matmul_reference",
     "plan_for_matrix",
-    "plan_for_matrix16",
     "gf_matvec",
     "gf_matinv",
     "gf_identity",

@@ -93,9 +93,9 @@ def gf16_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reference matrix product over GF(2^16); shapes (m,k) @ (k,n).
 
     Per-column log/exp outer products with full zero masks — exact but
-    with per-element table math in the hot loop. :func:`gf16_matmul`
-    dispatches here for small operands; the differential tests pin the
-    kernel fast path to this implementation.
+    with per-element table math in the hot loop. A multiply plan answers
+    from here for small operands; the differential tests pin the kernel
+    fast path to this implementation.
     """
     a = np.asarray(a, dtype=np.uint16)
     b = np.asarray(b, dtype=np.uint16)
@@ -111,23 +111,16 @@ def gf16_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gf16_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2^16), dispatching on operand size.
-
-    Coefficient-sized operands use :func:`gf16_matmul_reference`; bulk
-    symbol data goes through the cached multiply plans in
-    :mod:`repro.gf.kernels` (per-coefficient 64 K symbol tables, or the
-    hoisted-log path for wide outputs), which are bit-identical.
-    """
-    from repro.gf.kernels import KERNEL_MIN_BYTES, plan_for_matrix16
+    """Matrix product over GF(2^16) through the cached plan for ``a``
+    (:func:`repro.gf.matrix.gf_matmul`'s sibling: the same plan class,
+    told apart by dtype, and bit-identical to the reference)."""
+    from repro.gf.kernels import plan_for_matrix
 
     a = np.asarray(a, dtype=np.uint16)
     b = np.asarray(b, dtype=np.uint16)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    # Threshold compares bytes per row: each uint16 symbol is two bytes.
-    if 2 * b.shape[1] >= KERNEL_MIN_BYTES and a.shape[0] > 0:
-        return plan_for_matrix16(a).apply(b)
-    return gf16_matmul_reference(a, b)
+    return plan_for_matrix(a).apply(b)
 
 
 def gf16_matinv(a: np.ndarray) -> np.ndarray:

@@ -1,55 +1,61 @@
-"""Cache-blocked bulk-multiply kernels for GF(2^8) and GF(2^16).
+"""Cache-blocked bulk-multiply kernels: one plan for GF(2^8) and GF(2^16).
 
 The reference matmuls in :mod:`repro.gf.matrix` and
 :mod:`repro.gf.field16` are exact but allocate a full ``(m, n, k)``
 intermediate (GF(2^8)) or do per-element log/exp lookups with a fresh
 zero mask per element (GF(2^16)). Production erasure codecs (ISA-L,
 Jerasure) instead stream small per-coefficient multiply tables over
-contiguous data. This module is the numpy rendition of that idea:
+contiguous data, through one entry point whatever the matrix is for.
+This module is the numpy rendition of that idea:
 
-* **Pair tables** — for a coefficient ``c`` over GF(2^8), a 65536-entry
-  ``uint16`` table maps a little pair of bytes ``(x0, x1)`` to
-  ``(c*x0, c*x1)`` in one gather, halving the index count versus a
-  256-entry byte table. Over GF(2^16) the analogous table maps a whole
-  symbol ``x`` to ``c*x`` (built from two 256-entry half-symbol tables,
-  never from an 8 GiB product table). Both are position-preserving
-  per-byte/symbol maps, so they are endianness-independent.
-* **Multiply plans** — :class:`MulPlan8` / :class:`MulPlan16` precompute,
-  for a fixed coefficient matrix, one *combined* ``(65536, m)`` table per
-  input row: a single ``np.take`` then yields the contribution of that
-  input row to **all** ``m`` outputs. Plans are built once per generator
-  (cached on the :class:`~repro.codes.base.ErasureCode` and in a global
-  LRU keyed by matrix bytes) and reused across every stripe of a code.
-* **Cache blocking** — ``apply`` walks the byte axis in tiles sized so
+* **Lanes and coefficient tables** — bulk data is walked as 16-bit
+  lanes in both fields, and a coefficient ``c`` is a 65536-entry
+  ``uint16`` table over one lane. Over GF(2^8) a lane is a pair of bytes
+  and the table maps ``(x0, x1)`` to ``(c*x0, c*x1)`` in one gather
+  (:func:`pair_table8`); over GF(2^16) a lane is a symbol and the table
+  maps ``x`` to ``c*x`` (:func:`mul_table16`, built from two 256-entry
+  half-symbol tables, never from an 8 GiB product table). A
+  :class:`Field` names which of the two a dtype means — the only thing
+  the fields do not share — and nothing a caller sets selects it: the
+  field of a plan is ``coeffs.dtype``.
+* **One multiply plan** — :class:`MulPlan` picks its strategy from the
+  row count ``m`` alone. For ``2 <= m <= COMBINE_MAX_ROWS`` it builds one
+  *combined* table per input row, ``(65536, m')`` with the column count
+  ``m'`` padded to a power of two: a single ``np.take`` then yields that
+  input row's contribution to **all** outputs, and the padding keeps a
+  table row at 4, 8 or 16 bytes — ``np.take`` copies 2/4/8/16-byte items
+  with one move and anything else (a 6-byte row at ``m = 3``) with a
+  byte loop, 1.5-1.7x slower. For ``m = 1`` (the recovery of one lost
+  chunk, which has nothing to combine) and ``m > COMBINE_MAX_ROWS``
+  (tables outgrow L2) it runs a row-at-a-time loop over the shared
+  per-coefficient tables and owns none. Tables are built on the first
+  bulk apply; below :data:`KERNEL_MIN_BYTES` per row a gather cannot
+  amortise and the plan itself answers with the field's reference
+  matmul, so no caller tests the threshold.
+* **Cache blocking** — ``apply`` walks the lane axis in tiles sized so
   the accumulator + gather scratch stay within :data:`TILE_BYTES`
   regardless of chunk length; no ``(m, n, k)`` intermediate is ever
   materialised, so memory is O(tile) instead of O(m*n*k).
 
-Wide matrices (``m`` above :data:`COMBINE_MAX_ROWS`) fall back to a
-row-at-a-time blocked loop over shared per-coefficient tables (GF(2^8))
-or a hoisted-log loop that applies the zero mask once per coefficient
-instead of once per element (GF(2^16)). So does a single-row GF(2^8)
-matrix (``m == 1``, the recovery of one lost chunk): the same gathers
-per byte straight from the shared tables, and the plan owns none.
-
-Dispatch policy lives with the callers (:func:`repro.gf.matrix.gf_matmul`
-and :func:`repro.gf.field16.gf16_matmul`): below
-:data:`KERNEL_MIN_BYTES` per row the reference path is faster because a
-gather cannot amortise; at or above it the kernels win by ~5-10x.
+Plans are cached per generator (pinned on the
+:class:`~repro.codes.base.ErasureCode`, and in a global LRU keyed by
+matrix bytes) and per failure pattern (:class:`PatternCache`).
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gf.field import _MUL_TABLE
+from repro.gf.field import _MUL_TABLE, gf_mul
+from repro.gf.field16 import gf16_matinv, gf16_matmul_reference, gf16_mul
+from repro.gf.matrix import gf_matinv, gf_matmul_reference
 
-#: Per-row byte count at which matmuls dispatch to the kernel layer.
-#: Below this the reference paths win (gathers cannot amortise).
+#: Per-row byte count from which a plan gathers through tables. Below
+#: this the reference paths win (gathers cannot amortise).
 KERNEL_MIN_BYTES = 4096
 
 #: Bytes of accumulator + scratch a blocked tile may occupy. Large
@@ -61,12 +67,6 @@ TILE_BYTES = 1 << 22
 #: Widest output (row count) a combined per-column table is built for.
 #: Beyond this the (65536, m) tables outgrow L2 and the row-loop wins.
 COMBINE_MAX_ROWS = 8
-
-#: Widest GF(2^16) output packed into single-uint64-lane tables. Up to
-#: four 16-bit products ride one (65536,) uint64 gather, so a narrow
-#: matrix (fused recovery, parity rows of a wide code) costs one gather
-#: per input column instead of one per (row, column).
-PACK_MAX_ROWS = 4
 
 #: LRU capacities: whole plans (global) and per-coefficient tables.
 _PLAN_CACHE_MAX = 16
@@ -81,7 +81,7 @@ _PAIR_IDX_LO = np.arange(1 << 16, dtype=np.uint32) & 0xFF
 _PAIR_IDX_HI = np.arange(1 << 16, dtype=np.uint32) >> 8
 
 #: Process-wide hit/miss/eviction counters across every kernel cache
-#: (global plan LRUs, per-coefficient table LRUs, per-code pattern LRUs).
+#: (global plan LRU, per-coefficient table LRUs, per-code pattern LRUs).
 _COUNTERS: Dict[str, int] = {
     "plan_hits": 0,
     "plan_misses": 0,
@@ -96,7 +96,7 @@ _COUNTERS: Dict[str, int] = {
 
 
 # ---------------------------------------------------------------------------
-# per-coefficient tables
+# per-coefficient tables and the field values
 # ---------------------------------------------------------------------------
 
 _pair8_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
@@ -119,7 +119,10 @@ def _cache_get(cache: OrderedDict, key: int, build) -> np.ndarray:
 
 
 def pair_table8(c: int) -> np.ndarray:
-    """(65536,) uint16 table: byte-pair ``x`` -> ``(c*x_lo, c*x_hi)``."""
+    """(65536,) uint16 table: byte-pair ``x`` -> ``(c*x_lo, c*x_hi)``.
+
+    A position-preserving per-byte map, so it is endianness-independent.
+    """
 
     def build() -> np.ndarray:
         row = _MUL_TABLE[c].astype(np.uint16)
@@ -137,8 +140,6 @@ def mul_table16(c: int) -> np.ndarray:
     """
 
     def build() -> np.ndarray:
-        from repro.gf.field16 import gf16_mul
-
         half = np.arange(256, dtype=np.uint16)
         lo_tab = gf16_mul(np.uint16(c), half)
         hi_tab = gf16_mul(np.uint16(gf16_mul(int(c), 0x100)), half)
@@ -147,92 +148,97 @@ def mul_table16(c: int) -> np.ndarray:
     return _cache_get(_full16_cache, int(c), build)
 
 
+class Field(NamedTuple):
+    """What GF(2^8) and GF(2^16) do not share, as one value.
+
+    A multiply plan reads it off ``coeffs.dtype``; an erasure code names
+    it once (``ErasureCode.field``) and is otherwise field-agnostic.
+    """
+
+    #: of a coefficient, and of the symbols a chunk's bytes are read as
+    dtype: np.dtype
+    #: ``c`` -> the (65536,) uint16 gather table of ``c`` over one lane
+    table: Callable[[int], np.ndarray]
+    #: elementwise product, for operands too small or strided to gather
+    mul: Callable
+    #: the exact matmul the differential tests pin every kernel to
+    matmul_reference: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    #: Gauss-Jordan inverse; raises ``SingularMatrixError``
+    matinv: Callable[[np.ndarray], np.ndarray]
+
+    def symbols(self, chunk) -> np.ndarray:
+        """A chunk's bytes viewed as field symbols — the one seam where
+        bytes become symbols (:meth:`chunks` is the way back).
+
+        A chunk must hold whole symbols: packing an odd byte with a zero
+        is lossless, but a *parity* of such symbols is not — trimming it
+        back to the chunk length drops the high byte a decode needs.
+        """
+        data = np.ascontiguousarray(chunk, dtype=np.uint8)
+        if data.shape[-1] % self.dtype.itemsize:
+            raise ValueError(
+                f"a chunk of {data.shape[-1]} bytes does not hold whole "
+                f"{self.dtype.itemsize}-byte symbols"
+            )
+        return data if data.dtype == self.dtype else data.view(self.dtype)
+
+    @staticmethod
+    def chunks(symbols: np.ndarray) -> np.ndarray:
+        """The bytes of an array of symbols (a view; rows stay rows)."""
+        return symbols.view(np.uint8)
+
+
+GF8 = Field(np.dtype(np.uint8), pair_table8, gf_mul, gf_matmul_reference, gf_matinv)
+GF16 = Field(
+    np.dtype("<u2"), mul_table16, gf16_mul, gf16_matmul_reference, gf16_matinv
+)
+_FIELDS = {field.dtype: field for field in (GF8, GF16)}
+
+
+def field_of(dtype: np.dtype) -> Field:
+    """The field whose symbols are stored as ``dtype`` (an array's)."""
+    field = _FIELDS.get(dtype)
+    if field is None:
+        raise ValueError(f"no Galois field is stored as {dtype}")
+    return field
+
+
 # ---------------------------------------------------------------------------
-# the blocked core (shared by both fields)
+# the blocked core (shared by both fields): 16-bit lanes in, 16-bit lanes out
 # ---------------------------------------------------------------------------
 
 def _combined_tables(
     coeffs: np.ndarray, cols: List[int], table_fn
 ) -> List[np.ndarray]:
-    """One (65536, m) uint16 table per nonzero input row of ``coeffs``."""
+    """One (65536, m') uint16 table per nonzero input row of ``coeffs``,
+    ``m'`` the row count padded to a power of two (the pad stays zero)."""
     m = coeffs.shape[0]
+    width = 1 << (m - 1).bit_length()
     out = []
     for t in cols:
-        tab = np.zeros((1 << 16, m), dtype=np.uint16)
+        tab = np.zeros((1 << 16, width), dtype=np.uint16)
         for i in range(m):
             c = int(coeffs[i, t])
             if c:
                 tab[:, i] = table_fn(c)
-        out.append(np.ascontiguousarray(tab))
-    return out
-
-
-def _packed_tables(
-    coeffs: np.ndarray, cols: List[int], table_fn
-) -> List[np.ndarray]:
-    """One (65536,) uint64 table per nonzero input row: the ``m <= 4``
-    per-output products for a symbol packed into one 64-bit lane."""
-    m = coeffs.shape[0]
-    out = []
-    for t in cols:
-        tab = np.zeros(1 << 16, dtype=np.uint64)
-        for i in range(m):
-            c = int(coeffs[i, t])
-            if c:
-                tab |= table_fn(c).astype(np.uint64) << np.uint64(16 * i)
         out.append(tab)
     return out
-
-
-def _apply_packed(
-    tables: List[np.ndarray],
-    cols: List[int],
-    b16: np.ndarray,
-    out16: np.ndarray,
-) -> None:
-    """out16 (m, L) rows unpacked from a single uint64 gather per column.
-
-    One ``np.take`` per input column produces all ``m`` output rows at
-    once (XOR distributes over the packed lanes), so a narrow fused
-    recovery or parity matrix costs ``k`` gathers total instead of
-    ``k`` per output row — the dominant win for wide GF(2^16) codes.
-    """
-    if not tables:
-        return  # all-zero coefficients: out16 is already zeroed
-    m, n16 = out16.shape
-    # acc + tmp (two (w,) uint64 buffers) together fill the tile budget.
-    w = max(1024, TILE_BYTES // 16)
-    acc = np.empty(min(w, n16), dtype=np.uint64)
-    tmp = np.empty_like(acc)
-    for start in range(0, n16, w):
-        stop = min(start + w, n16)
-        ww = stop - start
-        a = acc[:ww]
-        for j, (tab, t) in enumerate(zip(tables, cols)):
-            if j == 0:
-                np.take(tab, b16[t][start:stop], out=a, mode="clip")
-            else:
-                np.take(tab, b16[t][start:stop], out=tmp[:ww], mode="clip")
-                np.bitwise_xor(a, tmp[:ww], out=a)
-        out16[0, start:stop] = a.astype(np.uint16)
-        for i in range(1, m):
-            np.right_shift(a, np.uint64(16 * i), out=tmp[:ww])
-            out16[i, start:stop] = tmp[:ww].astype(np.uint16)
 
 
 def _apply_combined(
     tables: List[np.ndarray],
     cols: List[int],
-    b16: np.ndarray,
+    lanes: Sequence[np.ndarray],
     out16: np.ndarray,
 ) -> None:
-    """out16 (m, L) ^= sum_t tables[t][b16[t]], tiled along the symbol axis."""
+    """out16 (m, L) = sum_t tables[t][lanes[t]], tiled along the lane axis."""
     if not tables:
         return  # all-zero coefficients: out16 is already zeroed
     m, n16 = out16.shape
-    # Tile so acc + tmp (two (w, m) uint16 buffers) fit the tile budget.
-    w = max(1024, TILE_BYTES // (4 * max(m, 1)))
-    acc = np.empty((min(w, n16), m), dtype=np.uint16)
+    width = tables[0].shape[1]
+    # Tile so acc + tmp (two (w, m') uint16 buffers) fit the tile budget.
+    w = max(1024, TILE_BYTES // (4 * width))
+    acc = np.empty((min(w, n16), width), dtype=np.uint16)
     tmp = np.empty_like(acc)
     for start in range(0, n16, w):
         stop = min(start + w, n16)
@@ -244,18 +250,23 @@ def _apply_combined(
             if j == 0:
                 # First input row gathers straight into the accumulator —
                 # one fewer full pass over the tile.
-                np.take(tab, b16[t][start:stop], axis=0, out=a, mode="clip")
+                np.take(tab, lanes[t][start:stop], axis=0, out=a, mode="clip")
             else:
-                np.take(tab, b16[t][start:stop], axis=0, out=tmp[:ww], mode="clip")
+                np.take(tab, lanes[t][start:stop], axis=0, out=tmp[:ww], mode="clip")
                 np.bitwise_xor(a, tmp[:ww], out=a)
-        out16[:, start:stop] = a.T
+        out16[:, start:stop] = a[:, :m].T
 
 
-def _apply_rows8(
-    coeffs: np.ndarray, cols: List[int], b16: np.ndarray, out16: np.ndarray
+def _apply_rows(
+    coeffs: np.ndarray,
+    cols: List[int],
+    table_fn,
+    lanes: Sequence[np.ndarray],
+    out16: np.ndarray,
 ) -> None:
-    """Row-at-a-time blocked loop over the shared pair tables: outputs
-    too wide to combine, and single rows, which have nothing to combine.
+    """Row-at-a-time blocked loop over the shared coefficient tables:
+    outputs too wide to combine, and single rows, which have nothing to
+    combine.
 
     A single row gathers for a coefficient of 1 as for any other, like
     the ``(65536, 1)`` tables it replaces: rebuilding one chunk then
@@ -276,167 +287,84 @@ def _apply_rows8(
                 c = int(coeffs[i, t])
                 if c == 0:
                     continue
-                seg = b16[t, start:stop]
+                seg = lanes[t][start:stop]
                 if c == 1 and xor_ones:
                     np.bitwise_xor(acc, seg, out=acc)
                 else:
-                    np.take(pair_table8(c), seg, out=tmp[:ww], mode="clip")
+                    np.take(table_fn(c), seg, out=tmp[:ww], mode="clip")
                     np.bitwise_xor(acc, tmp[:ww], out=acc)
 
 
-def _apply_rows16(
-    coeffs: np.ndarray, cols: List[int], b: np.ndarray, out: np.ndarray
-) -> None:
-    """GF(2^16) wide-output path: per-coefficient log/exp with the
-    generator's logs hoisted out of the inner loop and the operand zero
-    mask computed once per input row (not once per element)."""
-    from repro.gf.field16 import _EXP16, _LOG16
-
-    m = out.shape[0]
-    log_coeffs = _LOG16[coeffs.astype(np.int64)]
-    for t in cols:
-        row = b[t]
-        log_row = _LOG16[row.astype(np.int64)]
-        zero = row == 0
-        any_zero = bool(zero.any())
-        for i in range(m):
-            c = int(coeffs[i, t])
-            if c == 0:
-                continue
-            prod = _EXP16[log_coeffs[i, t] + log_row].astype(np.uint16)
-            if any_zero:
-                prod[zero] = 0
-            out[i] ^= prod
-
-
 # ---------------------------------------------------------------------------
-# multiply plans
+# the multiply plan
 # ---------------------------------------------------------------------------
 
-class MulPlan8:
-    """A reusable bulk-multiply plan for a fixed GF(2^8) matrix.
+class MulPlan:
+    """A reusable bulk-multiply plan for a fixed coefficient matrix.
 
-    ``apply(b)`` computes ``coeffs @ b`` over GF(256) for bulk ``b``
-    without materialising an ``(m, n, k)`` intermediate. Build once per
-    generator (it gathers 128 KiB of tables per coefficient column) and
-    reuse across stripes; :func:`plan_for_matrix` does this caching.
+    ``apply(b)`` computes ``coeffs @ b`` over the field ``coeffs.dtype``
+    names (uint8: GF(2^8), uint16: GF(2^16)) without materialising an
+    ``(m, n, k)`` intermediate. Build once per generator and reuse across
+    stripes (:func:`plan_for_matrix` caches); the combined tables — 256
+    to 1024 KiB per coefficient column — are built on the first bulk
+    apply, and a single-row or wider-than-combinable plan owns none.
     """
 
     def __init__(self, coeffs: np.ndarray):
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.uint8)
+        coeffs = np.ascontiguousarray(coeffs)
         if coeffs.ndim != 2:
-            raise ValueError("MulPlan8 expects a 2-D coefficient matrix")
+            raise ValueError("MulPlan expects a 2-D coefficient matrix")
+        self.field = field_of(coeffs.dtype)
         self.coeffs = coeffs
         self.m, self.k = coeffs.shape
         self.cols = [t for t in range(self.k) if coeffs[:, t].any()]
         # A single-row transform (one lost chunk: the common repair) has
         # nothing to combine — its (65536, 1) tables would be private
-        # copies of the shared pair tables, k * 128 KiB rebuilt and pinned
-        # per failure pattern. It gathers from the shared LRU instead.
+        # copies of the shared coefficient tables, k * 128 KiB rebuilt
+        # and pinned per failure pattern. It gathers from the shared LRU.
         self.combined = 1 < self.m <= COMBINE_MAX_ROWS
-        self.tables: List[np.ndarray] = (
-            _combined_tables(coeffs, self.cols, pair_table8)
-            if self.combined
-            else []
-        )
+        self.tables: Optional[List[np.ndarray]] = None
 
     @property
     def nbytes(self) -> int:
-        return sum(t.nbytes for t in self.tables)
+        """Bytes of gather tables this plan owns (0 until a bulk apply)."""
+        return sum(t.nbytes for t in self.tables or ())
 
-    def apply(self, b: np.ndarray, check: bool = True) -> np.ndarray:
-        """``coeffs @ b`` over GF(256); ``b`` is (k, n) uint8."""
-        if check:
-            b = np.ascontiguousarray(b, dtype=np.uint8)
-            if b.ndim != 2 or b.shape[0] != self.k:
-                raise ValueError(
-                    f"plan shape mismatch: {self.coeffs.shape} @ {b.shape}"
-                )
-        n = b.shape[1]
-        if n % 2:
-            # Pad to an even byte count so the uint16 view is exact; the
-            # padded column is zero and multiplies to zero.
-            padded = np.zeros((self.k, n + 1), dtype=np.uint8)
-            padded[:, :n] = b
-            return np.ascontiguousarray(self.apply(padded, check=False)[:, :n])
-        out = np.zeros((self.m, n), dtype=np.uint8)
-        if n == 0:
-            return out
-        b16 = b.view(np.uint16)
-        out16 = out.view(np.uint16)
-        if self.combined:
-            _apply_combined(self.tables, self.cols, b16, out16)
-        else:
-            _apply_rows8(self.coeffs, self.cols, b16, out16)
-        return out
+    def apply(self, b) -> np.ndarray:
+        """``coeffs @ b``: (m, k) by (k, n) -> (m, n), in the plan's dtype.
 
-
-class MulPlan16:
-    """A reusable bulk-multiply plan for a fixed GF(2^16) matrix.
-
-    Same shape contract as :func:`repro.gf.field16.gf16_matmul`:
-    ``apply(b)`` with ``b`` of uint16 symbols, (k, L) -> (m, L).
-    """
-
-    def __init__(self, coeffs: np.ndarray):
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.uint16)
-        if coeffs.ndim != 2:
-            raise ValueError("MulPlan16 expects a 2-D coefficient matrix")
-        self.coeffs = coeffs
-        self.m, self.k = coeffs.shape
-        self.cols = [t for t in range(self.k) if coeffs[:, t].any()]
-        self.packed = self.m <= PACK_MAX_ROWS
-        self.combined = not self.packed and self.m <= COMBINE_MAX_ROWS
-        if self.packed:
-            self.tables: List[np.ndarray] = _packed_tables(
-                coeffs, self.cols, mul_table16
-            )
-        elif self.combined:
-            self.tables = _combined_tables(coeffs, self.cols, mul_table16)
-        else:
-            self.tables = []
-
-    @property
-    def nbytes(self) -> int:
-        return sum(t.nbytes for t in self.tables)
-
-    def apply(self, b: np.ndarray, check: bool = True) -> np.ndarray:
-        if check:
-            b = np.ascontiguousarray(b, dtype=np.uint16)
-            if b.ndim != 2 or b.shape[0] != self.k:
-                raise ValueError(
-                    f"plan shape mismatch: {self.coeffs.shape} @ {b.shape}"
-                )
-        out = np.zeros((self.m, b.shape[1]), dtype=np.uint16)
-        if b.shape[1] == 0:
-            return out
-        if self.packed:
-            _apply_packed(self.tables, self.cols, b, out)
-        elif self.combined:
-            _apply_combined(self.tables, self.cols, b, out)
-        else:
-            _apply_rows16(self.coeffs, self.cols, b, out)
-        return out
-
-    def apply_rows(self, rows: List[np.ndarray]) -> np.ndarray:
-        """:meth:`apply` over k separate 1-D symbol arrays, unstacked.
-
-        The gather kernels index input rows independently, so callers
-        holding k equal-length chunks need not pay a (k, L) stacking
-        copy — each row is gathered straight from its own buffer.
+        ``b`` is a 2-D array or a sequence of k equal-length 1-D rows —
+        the kernels gather from each input row independently, so callers
+        holding k separate chunks need not pay a (k, n) stacking copy.
         """
-        if len(rows) != self.k:
-            raise ValueError(f"plan expects {self.k} rows, got {len(rows)}")
-        n16 = len(rows[0])
-        out = np.zeros((self.m, n16), dtype=np.uint16)
-        if n16 == 0:
-            return out
-        if self.packed:
-            _apply_packed(self.tables, self.cols, rows, out)
-        elif self.combined:
-            _apply_combined(self.tables, self.cols, rows, out)
+        if len(b) != self.k:
+            raise ValueError(f"plan shape mismatch: {self.coeffs.shape} @ {len(b)} rows")
+        dtype = self.coeffs.dtype
+        n = len(b[0]) if self.k else 0
+        if n * dtype.itemsize < KERNEL_MIN_BYTES or not self.m:
+            return self.field.matmul_reference(self.coeffs, np.asarray(b, dtype=dtype))
+        if n % 2 and dtype.itemsize == 1:
+            # Pad to an even byte count so the byte-pair lanes are exact;
+            # the padded column is zero and multiplies to zero.
+            padded = np.zeros((self.k, n + 1), dtype=np.uint8)
+            for t, row in enumerate(b):
+                padded[t, :n] = row
+            return np.ascontiguousarray(self.apply(padded)[:, :n])
+        if isinstance(b, np.ndarray) and b.ndim == 2:
+            lanes = np.ascontiguousarray(b, dtype=dtype).view(np.uint16)
         else:
-            _apply_rows16(self.coeffs, self.cols, rows, out)
+            lanes = [np.ascontiguousarray(row, dtype=dtype).view(np.uint16) for row in b]
+            if any(lane.shape != lanes[0].shape for lane in lanes) or lanes[0].ndim != 1:
+                raise ValueError(f"plan expects {self.k} rows of {n} symbols each")
+        out = np.zeros((self.m, n), dtype=dtype)
+        if self.combined:
+            if self.tables is None:
+                self.tables = _combined_tables(self.coeffs, self.cols, self.field.table)
+            _apply_combined(self.tables, self.cols, lanes, out.view(np.uint16))
+        else:
+            _apply_rows(
+                self.coeffs, self.cols, self.field.table, lanes, out.view(np.uint16)
+            )
         return out
 
 
@@ -444,48 +372,37 @@ class MulPlan16:
 # global plan cache
 # ---------------------------------------------------------------------------
 
-_plan8_cache: "OrderedDict[Tuple[Tuple[int, int], bytes], MulPlan8]" = OrderedDict()
-_plan16_cache: "OrderedDict[Tuple[Tuple[int, int], bytes], MulPlan16]" = OrderedDict()
+_plan_cache: "OrderedDict[Tuple[str, Tuple[int, int], bytes], MulPlan]" = OrderedDict()
 
 
-def _plan_lookup(cache: OrderedDict, a: np.ndarray, cls):
-    key = (a.shape, a.tobytes())
-    plan = cache.get(key)
+def plan_for_matrix(a: np.ndarray) -> MulPlan:
+    """The cached :class:`MulPlan` for this coefficient matrix.
+
+    Keyed by the matrix dtype, shape and bytes in a small LRU, so
+    repeated matmuls against the same generator / inverse (every stripe
+    of a code, every code object built for the same scheme) reuse one
+    table set.
+    """
+    a = np.ascontiguousarray(a)
+    key = (a.dtype.char, a.shape, a.tobytes())
+    plan = _plan_cache.get(key)
     if plan is None:
         _COUNTERS["plan_misses"] += 1
-        plan = cls(a)
-        cache[key] = plan
-        while len(cache) > _PLAN_CACHE_MAX:
-            cache.popitem(last=False)
+        plan = MulPlan(a)
+        _plan_cache[key] = plan
+        while len(_plan_cache) > _PLAN_CACHE_MAX:
+            _plan_cache.popitem(last=False)
             _COUNTERS["plan_evictions"] += 1
     else:
         _COUNTERS["plan_hits"] += 1
-        cache.move_to_end(key)
+        _plan_cache.move_to_end(key)
     return plan
-
-
-def plan_for_matrix(a: np.ndarray) -> MulPlan8:
-    """The cached :class:`MulPlan8` for this coefficient matrix.
-
-    Keyed by the matrix bytes in a small LRU, so repeated matmuls against
-    the same generator / inverse (every stripe of a code, every degraded
-    read of the same erasure pattern) reuse one table set.
-    """
-    return _plan_lookup(_plan8_cache, np.ascontiguousarray(a, dtype=np.uint8), MulPlan8)
-
-
-def plan_for_matrix16(a: np.ndarray) -> MulPlan16:
-    """The cached :class:`MulPlan16` for this GF(2^16) matrix."""
-    return _plan_lookup(
-        _plan16_cache, np.ascontiguousarray(a, dtype=np.uint16), MulPlan16
-    )
 
 
 def clear_plan_caches() -> None:
     """Drop every cached plan, coefficient table, and pattern entry, and
     zero the hit/miss counters (tests / memory)."""
-    _plan8_cache.clear()
-    _plan16_cache.clear()
+    _plan_cache.clear()
     _pair8_cache.clear()
     _full16_cache.clear()
     for pc in list(_pattern_caches):
@@ -503,23 +420,41 @@ def clear_plan_caches() -> None:
 _pattern_caches: "weakref.WeakSet" = weakref.WeakSet()
 
 
+class FusedDecode(NamedTuple):
+    """A composed recovery transform for one failure pattern.
+
+    ``plan`` multiplies by ``R = generator[erased] @ inv(generator[use])``
+    — an (e, k) matrix composed in the symbol domain — so decode is a
+    single (e, k) chunk-domain product over the ``k`` survivor chunks
+    listed in ``use`` instead of a (k, k) data-recovery matmul chained
+    into an (e, k) re-encode. The plan is owned by this entry (not the
+    global plan LRU), so a churn of failure patterns cannot evict the
+    encode plans.
+    """
+
+    plan: MulPlan
+    use: Tuple[int, ...]
+
+    @property
+    def nbytes(self) -> int:
+        return self.plan.coeffs.nbytes + self.plan.nbytes
+
+
 class PatternCache:
-    """LRU of composed decode plans keyed by failure pattern.
+    """LRU of :class:`FusedDecode` entries keyed by failure pattern.
 
     One per code instance. The key is the caller's
-    ``(available-tuple, erased-tuple)`` pair; the value is a
-    :class:`FusedDecode8` / :class:`FusedDecode16` holding the composed
-    ``gen_rows @ inv`` recovery matrix and its lazily built multiply
-    plan. Capacity is small on purpose: a repair burst replays a handful
-    of patterns (one per failed chunk position) thousands of times.
+    ``(available-tuple, erased-tuple)`` pair. Capacity is small on
+    purpose: a repair burst replays a handful of patterns (one per
+    failed chunk position) thousands of times.
     """
 
     def __init__(self, capacity: int = _PATTERN_CACHE_MAX):
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, FusedDecode]" = OrderedDict()
         _pattern_caches.add(self)
 
-    def get(self, key: Tuple):
+    def get(self, key: Tuple) -> Optional[FusedDecode]:
         entry = self._entries.get(key)
         if entry is None:
             _COUNTERS["pattern_misses"] += 1
@@ -528,7 +463,7 @@ class PatternCache:
         self._entries.move_to_end(key)
         return entry
 
-    def put(self, key: Tuple, value) -> None:
+    def put(self, key: Tuple, value: FusedDecode) -> None:
         self._entries[key] = value
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -542,83 +477,7 @@ class PatternCache:
 
     @property
     def nbytes(self) -> int:
-        return sum(int(getattr(v, "nbytes", 0)) for v in self._entries.values())
-
-
-class FusedDecode8:
-    """A composed GF(2^8) recovery transform for one failure pattern.
-
-    Holds ``R = generator[erased] @ inv(generator[use])`` — an (e, k)
-    matrix composed in the symbol domain — so decode is a single (e, k)
-    chunk-domain product over the ``k`` survivor chunks listed in
-    ``use`` instead of a (k, k) data-recovery matmul chained into an
-    (e, k) re-encode. The multiply plan is built lazily on the first
-    bulk apply and owned by this object (not the global plan LRU), so a
-    churn of failure patterns cannot evict pinned encode plans.
-    """
-
-    __slots__ = ("matrix", "use", "erased", "_plan")
-
-    def __init__(self, matrix: np.ndarray, use, erased):
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
-        self.use = tuple(int(i) for i in use)
-        self.erased = tuple(int(i) for i in erased)
-        self._plan: Optional[MulPlan8] = None
-
-    @property
-    def nbytes(self) -> int:
-        n = self.matrix.nbytes
-        if self._plan is not None:
-            n += self._plan.nbytes
-        return n
-
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        """``R @ b``: (k, L) stacked survivor chunks -> (e, L) erased rows."""
-        if b.shape[1] >= KERNEL_MIN_BYTES:
-            if self._plan is None:
-                self._plan = MulPlan8(self.matrix)
-            return self._plan.apply(b)
-        from repro.gf.matrix import gf_matmul_reference
-
-        return gf_matmul_reference(self.matrix, b)
-
-
-class FusedDecode16:
-    """GF(2^16) sibling of :class:`FusedDecode8` (uint16 symbol chunks)."""
-
-    __slots__ = ("matrix", "use", "erased", "_plan")
-
-    def __init__(self, matrix: np.ndarray, use, erased):
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.uint16)
-        self.use = tuple(int(i) for i in use)
-        self.erased = tuple(int(i) for i in erased)
-        self._plan: Optional[MulPlan16] = None
-
-    @property
-    def nbytes(self) -> int:
-        n = self.matrix.nbytes
-        if self._plan is not None:
-            n += self._plan.nbytes
-        return n
-
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        if 2 * b.shape[1] >= KERNEL_MIN_BYTES:
-            if self._plan is None:
-                self._plan = MulPlan16(self.matrix)
-            return self._plan.apply(b)
-        from repro.gf.field16 import gf16_matmul_reference
-
-        return gf16_matmul_reference(self.matrix, b)
-
-    def apply_rows(self, rows: List[np.ndarray]) -> np.ndarray:
-        """:meth:`apply` over k separate symbol arrays (no stacking copy)."""
-        if rows and 2 * len(rows[0]) >= KERNEL_MIN_BYTES:
-            if self._plan is None:
-                self._plan = MulPlan16(self.matrix)
-            return self._plan.apply_rows(rows)
-        from repro.gf.field16 import gf16_matmul_reference
-
-        return gf16_matmul_reference(self.matrix, np.stack(rows))
+        return sum(entry.nbytes for entry in self._entries.values())
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +485,13 @@ class FusedDecode16:
 # ---------------------------------------------------------------------------
 
 def gf_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
-    """``acc ^= c * x`` over GF(2^8), in place, blocked for bulk chunks.
+    """``acc ^= c * x`` in place over the field ``acc.dtype`` names,
+    blocked for bulk chunks.
 
     The inner step of every parity merge in the transcoder: one
-    coefficient streamed over one contiguous chunk. Falls back to the
-    byte-table gather for small or odd-length operands.
+    coefficient streamed over one contiguous chunk through its shared
+    table. Falls back to the field's elementwise product for small,
+    odd-length or strided operands.
     """
     c = int(c)
     if c == 0:
@@ -638,17 +499,17 @@ def gf_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
     if c == 1:
         np.bitwise_xor(acc, x, out=acc)
         return acc
-    n = acc.shape[-1]
+    field = field_of(acc.dtype)
     if (
         acc.ndim != 1
-        or n < KERNEL_MIN_BYTES
-        or n % 2
+        or acc.nbytes < KERNEL_MIN_BYTES
+        or acc.nbytes % 2
         or not acc.flags.c_contiguous
         or not x.flags.c_contiguous
     ):
-        np.bitwise_xor(acc, _MUL_TABLE[c, x], out=acc)
+        np.bitwise_xor(acc, field.mul(c, x), out=acc)
         return acc
-    table = pair_table8(c)
+    table = field.table(c)
     a16 = acc.view(np.uint16)
     x16 = x.view(np.uint16)
     w = max(1024, TILE_BYTES // 4)
@@ -661,44 +522,8 @@ def gf_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def gf16_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
-    """``acc ^= c * x`` over GF(2^16), in place, for uint16 symbol arrays.
-
-    The GF(2^16) sibling of :func:`gf_scale_xor`, used by the wide-stripe
-    parity merge: one coefficient streamed over one contiguous symbol
-    chunk through the cached full-symbol table. Falls back to
-    :func:`repro.gf.field16.gf16_mul` for small or strided operands.
-    """
-    c = int(c)
-    if c == 0:
-        return acc
-    if c == 1:
-        np.bitwise_xor(acc, x, out=acc)
-        return acc
-    n = acc.shape[-1]
-    if (
-        acc.ndim != 1
-        or 2 * n < KERNEL_MIN_BYTES
-        or not acc.flags.c_contiguous
-        or not x.flags.c_contiguous
-    ):
-        from repro.gf.field16 import gf16_mul
-
-        np.bitwise_xor(acc, gf16_mul(np.uint16(c), x), out=acc)
-        return acc
-    table = mul_table16(c)
-    w = max(1024, TILE_BYTES // 4)
-    tmp = np.empty(min(w, n), dtype=np.uint16)
-    for start in range(0, n, w):
-        stop = min(start + w, n)
-        ww = stop - start
-        np.take(table, x[start:stop], out=tmp[:ww], mode="clip")
-        np.bitwise_xor(acc[start:stop], tmp[:ww], out=acc[start:stop])
-    return acc
-
-
 def gf_scale(c: int, x: np.ndarray) -> np.ndarray:
-    """``c * x`` over GF(2^8) for a contiguous chunk (allocating)."""
+    """``c * x`` for a contiguous chunk (allocating)."""
     c = int(c)
     if c == 0:
         return np.zeros_like(x)
@@ -721,25 +546,19 @@ def cache_stats() -> Dict[str, int]:
         pattern_entries += len(pc)
         pattern_bytes += pc.nbytes
     stats = {
-        "plans8": len(_plan8_cache),
-        "plans16": len(_plan16_cache),
-        "coeff_tables8": len(_pair8_cache),
-        "coeff_tables16": len(_full16_cache),
-        "plan8_bytes": sum(p.nbytes for p in _plan8_cache.values()),
-        "plan16_bytes": sum(p.nbytes for p in _plan16_cache.values()),
-        "pattern_caches": len(_pattern_caches),
-        "pattern_entries": pattern_entries,
-        "pattern_bytes": pattern_bytes,
+        "plans": len(_plan_cache),
+        "plan_bytes": sum(p.nbytes for p in _plan_cache.values()),
+        "coeff_tables": len(_pair8_cache) + len(_full16_cache),
         "coeff_table_bytes": (
             sum(t.nbytes for t in _pair8_cache.values())
             + sum(t.nbytes for t in _full16_cache.values())
         ),
+        "pattern_caches": len(_pattern_caches),
+        "pattern_entries": pattern_entries,
+        "pattern_bytes": pattern_bytes,
     }
     stats.update(_COUNTERS)
     stats["resident_bytes"] = (
-        stats["plan8_bytes"]
-        + stats["plan16_bytes"]
-        + stats["pattern_bytes"]
-        + stats["coeff_table_bytes"]
+        stats["plan_bytes"] + stats["pattern_bytes"] + stats["coeff_table_bytes"]
     )
     return stats

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gf.field import _EXP, _INV_TABLE, _LOG, FIELD_ORDER, _MUL_TABLE, gf_inv
-from repro.gf.kernels import KERNEL_MIN_BYTES, plan_for_matrix
 
 
 class SingularMatrixError(ValueError):
@@ -28,7 +27,7 @@ def gf_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Materialises the full ``(m, n, k)`` table-lookup product before the
     XOR-reduction — ideal for small matrices, quadratic-in-memory for
-    bulk chunk data. :func:`gf_matmul` dispatches here below the kernel
+    bulk chunk data. A multiply plan answers from here below the kernel
     threshold; the differential tests pin the fast path to this one.
     """
     a = np.asarray(a, dtype=np.uint8)
@@ -43,24 +42,24 @@ def gf_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(256), dispatching on operand size.
+    """Matrix product over GF(256) through the cached plan for ``a``.
 
     Shapes follow numpy matmul rules for 2-D inputs: (m, k) @ (k, n).
-    Small products (coefficient algebra: inverses, rank checks, narrow
-    solves) take :func:`gf_matmul_reference`; bulk chunk data dispatches
-    to the cache-blocked table kernels in :mod:`repro.gf.kernels`, which
-    are bit-identical but never materialise an ``(m, n, k)``
-    intermediate.
+    The plan (:class:`repro.gf.kernels.MulPlan`) sizes the work itself:
+    small products (coefficient algebra: inverses, rank checks, narrow
+    solves) come back from :func:`gf_matmul_reference`, bulk chunk data
+    from the cache-blocked table kernels, which are bit-identical but
+    never materialise an ``(m, n, k)`` intermediate.
     """
+    from repro.gf.kernels import plan_for_matrix
+
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("gf_matmul expects 2-D matrices")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    if b.shape[1] >= KERNEL_MIN_BYTES and a.shape[0] > 0:
-        return plan_for_matrix(a).apply(b)
-    return gf_matmul_reference(a, b)
+    return plan_for_matrix(a).apply(b)
 
 
 def gf_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -263,12 +263,12 @@ def _metadata_rows(fs) -> List[List[str]]:
 
 def _kernel_cache_rows(stats: Dict[str, int]) -> List[List[str]]:
     entries = {
-        "plan": stats.get("plans8", 0) + stats.get("plans16", 0),
-        "table": stats.get("coeff_tables8", 0) + stats.get("coeff_tables16", 0),
+        "plan": stats.get("plans", 0),
+        "table": stats.get("coeff_tables", 0),
         "pattern": stats.get("pattern_entries", 0),
     }
     resident = {
-        "plan": stats.get("plan8_bytes", 0) + stats.get("plan16_bytes", 0),
+        "plan": stats.get("plan_bytes", 0),
         "table": stats.get("coeff_table_bytes", 0),
         "pattern": stats.get("pattern_bytes", 0),
     }

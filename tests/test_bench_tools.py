@@ -131,3 +131,24 @@ class TestExperimentDriversSmoke:
         assert len(E.fig17_regimes()["rows"]) == 9
         sweep = E.fig18_general_sweep(k_range=range(7, 13))
         assert len(sweep["same_r"]) == 6
+
+
+class TestBenchRatioGates:
+    def test_check_holds_the_current_run_to_the_ratio_gates(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.bench import micro
+
+        def measured(ratio):
+            name = "gf_apply_m3_over_m4_time_ratio"
+            return lambda quick=False: {name: micro._metric(ratio, "ratio")}
+
+        out = tmp_path / "BENCH_codec.json"
+        monkeypatch.setattr(micro, "run_benchmarks", measured(0.97))
+        assert micro.main(["--out", str(out)]) == 0
+        assert micro.main(["--check", "--out", str(out)]) == 0
+        # A 6-byte table row is back: the committed file is still valid,
+        # the run is not.
+        monkeypatch.setattr(micro, "run_benchmarks", measured(1.6))
+        assert micro.main(["--check", "--out", str(out)]) == 1
+        assert "exceeds its gate 1.25" in capsys.readouterr().err

@@ -16,8 +16,10 @@ from repro.codes.lrc import LocalReconstructionCode
 from repro.codes.lrcc import LocallyRecoverableConvertibleCode
 from repro.codes.rs import ReedSolomon
 from repro.codes.wide import WideConvertibleCode
+from repro.codes.base import DecodeError
 from repro.gf import kernels
 from repro.gf.field16 import bytes_to_symbols, gf16_mul, symbols_to_bytes
+from repro.gf.matrix import gf_rank
 
 
 def _stripes(k, n_stripes, chunk_bytes, seed=0, ragged=False):
@@ -220,7 +222,7 @@ class TestFusedDecode:
 
     def test_wide_fused_small_and_large_chunks_agree(self):
         code = WideConvertibleCode(6, 9)
-        for size in (64, 50_000):  # reference path vs packed plan path
+        for size in (64, 50_000):  # reference path vs table path
             chunks = _stripes(6, 1, size, seed=13)[0]
             full = chunks + code.encode(chunks)
             erased = [0, 4, 7]
@@ -230,56 +232,153 @@ class TestFusedDecode:
                 assert np.array_equal(rec[idx], full[idx])
 
     def test_wide_decode_odd_length_chunks(self):
+        """A GF(2^16) chunk holds whole symbols. Padding an odd byte is
+        lossless for data, but trimming a *parity* of padded symbols back
+        to the chunk length drops the high byte the decode needs — every
+        rebuilt chunk used to come back with a wrong last byte, silently.
+        """
         code = WideConvertibleCode(6, 9)
-        chunks = _stripes(6, 1, 4097, seed=14)[0]
-        full = chunks + code.encode(chunks)
-        avail = {i: c for i, c in enumerate(full) if i != 3}
-        rec = code.decode(avail, [3])
-        assert np.array_equal(rec[3], chunks[3])
+        erased = [3, 4]
+
+        def availables(stripes, parities):
+            return [
+                {i: c for i, c in enumerate(chunks + pars) if i not in erased}
+                for chunks, pars in zip(stripes, parities)
+            ]
+
+        # 4096 bytes: every entry point round-trips.
+        even = _stripes(6, 2, 4096, seed=14)
+        parities = code.encode_batch(even)
+        assert all(np.array_equal(g, w) for g, w in zip(parities[0], code.encode(even[0])))
+        avail = availables(even, parities)
+        for chunks, single, rec in zip(
+            even,
+            [code.decode(a, erased) for a in avail],
+            code.decode_batch(avail, [erased, erased]),
+        ):
+            for idx in erased:
+                assert np.array_equal(single[idx], chunks[idx])
+                assert np.array_equal(rec[idx], chunks[idx])
+
+        # 4097 bytes: every entry point refuses, naming the length.
+        odd = _stripes(6, 2, 4097, seed=14)
+        avail = availables(odd, [chunks[:3] for chunks in odd])  # right-length stand-ins
+        for call in (
+            lambda: code.encode(odd[0]),
+            lambda: code.encode_batch(odd),
+            lambda: code.decode(avail[0], erased),
+            lambda: code.decode_batch(avail, [erased, erased]),
+        ):
+            with pytest.raises(ValueError, match="4097"):
+                call()
+
+    @pytest.mark.parametrize("size", [101, 4097])
+    def test_wide_17_20_odd_length_raises_instead_of_corrupting(self, size):
+        code = WideConvertibleCode(17, 20)
+        chunks = _stripes(17, 1, size, seed=21)[0]
+        with pytest.raises(ValueError, match=str(size)):
+            code.encode(chunks)
+        even = [np.append(c, np.uint8(0)) for c in chunks]
+        full = even + code.encode(even)
+        avail = {i: c for i, c in enumerate(full) if i not in (0, 5, 18)}
+        rec = code.decode(avail, [0, 5, 18])
+        assert all(np.array_equal(rec[i], full[i]) for i in (0, 5, 18))
 
 
-class TestPackedPlan16:
-    def test_packed_matches_reference(self):
-        from repro.gf.field16 import gf16_matmul_reference
-        from repro.gf.kernels import PACK_MAX_ROWS, MulPlan16
+def _local_group_codes():
+    return [LocalReconstructionCode(12, 2, 2), LocallyRecoverableConvertibleCode(12, 2, 2)]
 
-        rng = np.random.default_rng(15)
-        for m in range(1, PACK_MAX_ROWS + 1):
-            coeffs = rng.integers(0, 1 << 16, (m, 5), dtype=np.uint16)
-            b = rng.integers(0, 1 << 16, (5, 9001), dtype=np.uint16)
-            plan = MulPlan16(coeffs)
-            assert plan.packed
-            want = gf16_matmul_reference(coeffs, b)
-            assert np.array_equal(plan.apply(b), want)
-            assert np.array_equal(plan.apply_rows(list(b)), want)
 
-    def test_wider_than_pack_uses_combined(self):
-        from repro.gf.field16 import gf16_matmul_reference
-        from repro.gf.kernels import PACK_MAX_ROWS, MulPlan16
+def _triples_and_some_quads(code):
+    """Every 3-erasure pattern (560 for n = 16, all recoverable) and the
+    70 4-erasure patterns over half the stripe's slots (some are not)."""
+    from itertools import combinations
 
-        rng = np.random.default_rng(16)
-        m = PACK_MAX_ROWS + 1
-        coeffs = rng.integers(0, 1 << 16, (m, 4), dtype=np.uint16)
-        b = rng.integers(0, 1 << 16, (4, 8001), dtype=np.uint16)
-        plan = MulPlan16(coeffs)
-        assert not plan.packed and plan.combined
-        assert np.array_equal(
-            plan.apply(b), gf16_matmul_reference(coeffs, b)
-        )
+    slots = [0, 1, 2, code.group_size] + list(range(code.k, code.n))
+    return [list(e) for e in combinations(range(code.n), 3)] + [
+        list(e) for e in combinations(slots, 4)
+    ]
+
+
+class TestOneRecoveryPerPattern:
+    """LRC-family codes used to answer one failure pattern two ways: decode
+    picked rows greedily by rank under one cache key, decode_batch went
+    through the base class's first-k-then-enumerate search under another.
+    """
+
+    @pytest.mark.parametrize("code", _local_group_codes(), ids=repr)
+    def test_decode_and_decode_batch_agree_on_every_triple(self, code):
+        stripes = _stripes(code.k, 2, 64, seed=22)
+        fulls = [chunks + code.encode(chunks) for chunks in stripes]
+        undecodable = []
+        for erased in _triples_and_some_quads(code):
+            availables = [
+                {i: c for i, c in enumerate(full) if i not in erased} for full in fulls
+            ]
+            try:
+                singles = [code.decode(avail, erased) for avail in availables]
+            except DecodeError:
+                undecodable.append(erased)
+                with pytest.raises(DecodeError):
+                    code.decode_batch(availables, [erased, erased])
+                continue
+            batched = code.decode_batch(availables, [erased, erased])
+            for full, single, rec in zip(fulls, singles, batched):
+                for idx in erased:
+                    assert np.array_equal(single[idx], full[idx]), erased
+                    assert np.array_equal(rec[idx], full[idx]), erased
+        # Not MDS: four losses can leave group 0 with more unknowns than
+        # its local parity and the two globals have equations for.
+        assert all(len(e) == 4 for e in undecodable)
+        assert [0, 1, 2, 12] in undecodable and [0, 1, 2, 6] not in undecodable
+
+    @pytest.mark.parametrize("code", _local_group_codes(), ids=repr)
+    def test_a_pattern_is_built_once_whichever_entry_point_asks(self, code):
+        stripes = _stripes(code.k, 2, 64, seed=23)
+        fulls = [chunks + code.encode(chunks) for chunks in stripes]
+        erased = [0, 1, 15]  # two of one group: nothing to repair locally
+        availables = [
+            {i: c for i, c in enumerate(full) if i not in erased} for full in fulls
+        ]
+        kernels.clear_plan_caches()
+        code.decode(availables[0], erased)
+        code.decode_batch(availables, [erased, erased])
+        code.decode(availables[1], erased)
+        stats = kernels.cache_stats()
+        assert (stats["pattern_misses"], stats["pattern_hits"]) == (1, 2)
+
+    @pytest.mark.parametrize("code", _local_group_codes(), ids=repr)
+    def test_fallback_rows_are_the_greedy_by_rank_selection(self, code):
+        """When the first k survivors are dependent, the survivors are
+        taken in index order, each one that adds rank."""
+        fallbacks = 0
+        for erased in _triples_and_some_quads(code):
+            rows = [i for i in range(code.n) if i not in erased]
+            if gf_rank(code.generator[rows]) < code.k:
+                with pytest.raises(DecodeError):
+                    code._invert_survivors(rows)
+                continue
+            want = []
+            for idx in rows:
+                if gf_rank(code.generator[want + [idx]]) > len(want):
+                    want.append(idx)
+            _, use = code._invert_survivors(rows)
+            assert use == want[: code.k], erased
+            fallbacks += use != rows[: code.k]
+        assert fallbacks
 
 
 class TestGf16ScaleXor:
     @pytest.mark.parametrize("c", [0, 1, 2, 0x1234, 0xFFFF])
     @pytest.mark.parametrize("n", [7, 2048, 70_000])
     def test_matches_mul_xor(self, c, n):
-        from repro.gf.kernels import gf16_scale_xor
-
+        # The one scale-xor takes its field from the accumulator's dtype.
         rng = np.random.default_rng(17)
         acc = rng.integers(0, 1 << 16, n, dtype=np.uint16)
         x = rng.integers(0, 1 << 16, n, dtype=np.uint16)
         want = acc ^ gf16_mul(np.uint16(c), x)
         got = acc.copy()
-        gf16_scale_xor(got, c, x)
+        kernels.gf_scale_xor(got, c, x)
         assert np.array_equal(got, want)
 
 

@@ -12,6 +12,12 @@ from repro.codes.base import (
     split_into_chunks,
 )
 from repro.codes.rs import ReedSolomon
+from repro.codes.wide import WideConvertibleCode
+from repro.gf.kernels import GF8, GF16
+
+#: One code per field: everything below is the base class's machinery,
+#: written once against ``ErasureCode.field``.
+CODE_CLASSES = [ReedSolomon, WideConvertibleCode]
 
 
 class TestSplitJoin:
@@ -76,27 +82,74 @@ class TestStripe:
 
 class TestGenericCodeMachinery:
     def test_encode_wrong_chunk_count(self):
-        code = ReedSolomon(4, 6)
-        with pytest.raises(ValueError):
-            code.encode([np.zeros(4, np.uint8)] * 3)
+        for cls in CODE_CLASSES:
+            with pytest.raises(ValueError):
+                cls(4, 6).encode([np.zeros(4, np.uint8)] * 3)
+            with pytest.raises(ValueError):
+                cls(4, 6).encode_batch([[np.zeros(4, np.uint8)] * 3])
 
     def test_decode_insufficient_chunks(self):
-        code = ReedSolomon(4, 6)
-        with pytest.raises(DecodeError):
-            code.decode({0: np.zeros(4, np.uint8)}, [1])
+        for cls in CODE_CLASSES:
+            with pytest.raises(DecodeError):
+                cls(4, 6).decode({0: np.zeros(4, np.uint8)}, [1])
 
     def test_decode_nothing_returns_empty(self):
-        code = ReedSolomon(4, 6)
-        assert code.decode({}, []) == {}
+        for cls in CODE_CLASSES:
+            assert cls(4, 6).decode({}, []) == {}
 
     def test_storage_overhead(self):
-        assert ReedSolomon(6, 9).storage_overhead() == pytest.approx(1.5)
+        for cls in CODE_CLASSES:
+            assert cls(6, 9).storage_overhead() == pytest.approx(1.5)
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ReedSolomon(0, 3)
-        with pytest.raises(ValueError):
-            ReedSolomon(5, 5)
+        for cls in CODE_CLASSES:
+            with pytest.raises(ValueError):
+                cls(0, 3)
+            with pytest.raises(ValueError):
+                cls(5, 5)
 
     def test_repr(self):
         assert repr(ReedSolomon(6, 9)) == "ReedSolomon(6,9)"
+        assert repr(WideConvertibleCode(6, 9)) == "WideConvertibleCode(6,9)"
+
+    @pytest.mark.parametrize("cls", CODE_CLASSES, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("chunk_len", [2, 64, 4096, 10_000])
+    def test_every_entry_point_round_trips(self, cls, chunk_len):
+        """encode / encode_stripe / encode_batch agree, and decode /
+        decode_stripe / decode_batch give back what was erased — below
+        and above the kernel threshold, data and parity slots alike."""
+        code = cls(4, 7)
+        assert code.field is (GF8 if cls is ReedSolomon else GF16)
+        assert code.generator.dtype == code.field.dtype
+        assert np.array_equal(code.generator[:4], np.eye(4, dtype=code.field.dtype))
+        rng = np.random.default_rng(chunk_len)
+        stripes = [
+            [rng.integers(0, 256, chunk_len, dtype=np.uint8) for _ in range(4)]
+            for _ in range(3)
+        ]
+        fulls = [code.encode_stripe(chunks) for chunks in stripes]
+        for chunks, full, batched in zip(stripes, fulls, code.encode_batch(stripes)):
+            assert chunks_equal(full.chunks, chunks + code.encode(chunks))
+            assert chunks_equal(full.parity_chunks, batched)
+            assert all(c.dtype == np.uint8 and len(c) == chunk_len for c in batched)
+        erased = [1, 4, 6]
+        availables = [
+            {i: c for i, c in enumerate(full.chunks) if i not in erased} for full in fulls
+        ]
+        for full, avail, rec in zip(
+            fulls, availables, code.decode_batch(availables, [erased] * 3)
+        ):
+            single = code.decode(avail, erased)
+            assert chunks_equal(code.decode_stripe(full.erase(*erased)).chunks, full.chunks)
+            for idx in erased:
+                assert np.array_equal(single[idx], full.chunks[idx])
+                assert np.array_equal(rec[idx], full.chunks[idx])
+
+    @pytest.mark.parametrize("cls", CODE_CLASSES, ids=lambda c: c.__name__)
+    def test_is_mds_reads_the_code_s_own_field(self, cls):
+        code = cls(4, 7)
+        assert code.is_mds()
+        # Two equal parity rows: still full rank row by row, no longer MDS.
+        code._generator = code.generator.copy()
+        code._generator[5] = code._generator[4]
+        assert not code.is_mds()

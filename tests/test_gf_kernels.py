@@ -2,9 +2,11 @@
 
 Every fast path must be *bit-identical* to the straightforward reference
 implementation — a GF kernel that is fast but off by one symbol corrupts
-stripes silently. Shapes are randomized but seeded, and the edge cases
-the kernels special-case (chunk_len 1, odd lengths, k=1, all-zero
-coefficients, the GF(2^16) zero-operand mask) are pinned explicitly.
+stripes silently. One plan class serves both fields, so the shape matrix
+(``TestMulPlanMatrix``) runs field x m x k x edge case against the
+field's own reference; the randomized sweeps and the edge cases the
+kernels special-case (chunk_len 1, odd lengths, k=1, all-zero
+coefficients, zero operands) stay pinned explicitly.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from repro.gf.field16 import (
     gf16_mul,
     gf16_pow,
 )
+from repro.gf import kernels
 from repro.gf.kernels import (
     COMBINE_MAX_ROWS,
+    GF8,
+    GF16,
     KERNEL_MIN_BYTES,
-    MulPlan8,
-    MulPlan16,
+    MulPlan,
     cache_stats,
     clear_plan_caches,
     gf_scale,
@@ -31,10 +35,10 @@ from repro.gf.kernels import (
     mul_table16,
     pair_table8,
     plan_for_matrix,
-    plan_for_matrix16,
 )
 from repro.gf.matrix import (
     cauchy_matrix,
+    gf_matinv,
     gf_matmul,
     gf_matmul_reference,
     vandermonde,
@@ -49,6 +53,78 @@ def _rand16(rng, *shape):
     return rng.integers(0, 1 << 16, size=shape, dtype=np.uint16)
 
 
+def _rand(field, rng, *shape):
+    return rng.integers(0, 1 << (8 * field.dtype.itemsize), size=shape, dtype=field.dtype)
+
+
+def _zero_last_column(a):
+    a[:, -1] = 0
+
+
+def _zero_and_one(a):
+    a[0, :2] = (0, 1)
+
+
+#: name -> (row length in symbols, edit of the coefficients, rows as a list)
+_SHAPE_CASES = {
+    "odd_length": (KERNEL_MIN_BYTES + 1, None, False),
+    "below_kernel_threshold": (KERNEL_MIN_BYTES // 2 - 2, None, False),
+    "two_tiles": (2 * KERNEL_MIN_BYTES + 6, None, False),
+    "zero_column": (KERNEL_MIN_BYTES, _zero_last_column, False),
+    "zero_and_one": (KERNEL_MIN_BYTES, _zero_and_one, False),
+    "list_of_rows": (KERNEL_MIN_BYTES, None, True),
+}
+
+
+class TestMulPlanMatrix:
+    """Both strategies (combined tables for 2 <= m <= 8, the row loop for
+    m = 1 and m > 8), both fields, the widths the codes use."""
+
+    @pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
+    @pytest.mark.parametrize("k", [4, 6, 12, 34])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 12])
+    @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
+    def test_bit_identical_to_field_reference(self, monkeypatch, field, m, k, case):
+        # Tiles of 1024-2048 lanes, so a 4 K-lane row spans several.
+        monkeypatch.setattr(kernels, "TILE_BYTES", 1 << 13)
+        n, edit, as_list = _SHAPE_CASES[case]
+        rng = np.random.default_rng([field.dtype.itemsize, m, k, n])
+        # Coefficients from a small alphabet: a table is built per
+        # distinct one, and 12 x 34 distinct GF(2^16) tables are most of
+        # a second.
+        a = _rand(field, rng, 24)[rng.integers(0, 24, size=(m, k))]
+        if edit is not None:
+            edit(a)
+        b = _rand(field, rng, k, n)
+        b[0, ::5] = 0  # zero operands have no logarithm
+        got = MulPlan(a).apply(list(b) if as_list else b)
+        assert got.dtype == field.dtype
+        assert np.array_equal(got, field.matmul_reference(a, b))
+
+    @pytest.mark.parametrize("m", range(2, COMBINE_MAX_ROWS + 1))
+    @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
+    def test_combined_table_rows_are_a_power_of_two_wide(self, field, m):
+        """numpy's take moves 4/8/16-byte items with one copy and any
+        other size (6 bytes at m = 3) byte by byte, 1.5-1.7x slower."""
+        rng = np.random.default_rng(m)
+        plan = MulPlan(_rand(field, rng, m, 3))
+        assert plan.nbytes == 0  # tables wait for the first bulk apply
+        plan.apply(_rand(field, rng, 3, KERNEL_MIN_BYTES))
+        assert [t.strides[0] for t in plan.tables] == [2 << (m - 1).bit_length()] * 3
+
+    def test_field_is_the_coefficient_dtype_and_nothing_else(self):
+        assert MulPlan(np.zeros((2, 3), dtype=np.uint8)).field is GF8
+        assert MulPlan(np.zeros((2, 3), dtype=np.uint16)).field is GF16
+        with pytest.raises(ValueError):
+            MulPlan(np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(ValueError):
+            MulPlan(np.zeros((2, 3), dtype=np.uint8)).apply(np.zeros((4, 8), np.uint8))
+        with pytest.raises(ValueError):
+            MulPlan(np.zeros((2, 2), dtype=np.uint8)).apply(
+                [np.zeros(8192, np.uint8), np.zeros(8190, np.uint8)]
+            )
+
+
 class TestMulPlan8Differential:
     def test_randomized_shapes_bit_identical(self):
         rng = np.random.default_rng(0xBEEF)
@@ -58,7 +134,7 @@ class TestMulPlan8Differential:
             n = int(rng.integers(1, 6000))
             a = _rand8(rng, m, k)
             b = _rand8(rng, k, n)
-            got = MulPlan8(a).apply(b)
+            got = MulPlan(a).apply(b)
             want = gf_matmul_reference(a, b)
             assert got.dtype == np.uint8
             assert np.array_equal(got, want), (m, k, n)
@@ -68,19 +144,19 @@ class TestMulPlan8Differential:
         rng = np.random.default_rng(n)
         a = _rand8(rng, 4, 7)
         b = _rand8(rng, 7, n)
-        assert np.array_equal(MulPlan8(a).apply(b), gf_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), gf_matmul_reference(a, b))
 
     def test_k_equals_one(self):
         rng = np.random.default_rng(1)
         a = _rand8(rng, 5, 1)
         b = _rand8(rng, 1, 10_000)
-        assert np.array_equal(MulPlan8(a).apply(b), gf_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), gf_matmul_reference(a, b))
 
     def test_all_zero_coefficients(self):
         rng = np.random.default_rng(2)
         a = np.zeros((3, 6), dtype=np.uint8)
         b = _rand8(rng, 6, 9000)
-        out = MulPlan8(a).apply(b)
+        out = MulPlan(a).apply(b)
         assert np.array_equal(out, np.zeros((3, 9000), dtype=np.uint8))
 
     def test_wide_output_beyond_combine_limit(self):
@@ -89,7 +165,7 @@ class TestMulPlan8Differential:
         m = COMBINE_MAX_ROWS + 4
         a = _rand8(rng, m, 6)
         b = _rand8(rng, 6, 9000)
-        assert np.array_equal(MulPlan8(a).apply(b), gf_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), gf_matmul_reference(a, b))
 
     def test_noncontiguous_input(self):
         rng = np.random.default_rng(4)
@@ -97,56 +173,60 @@ class TestMulPlan8Differential:
         wide = _rand8(rng, 6, 12_000)
         b = wide[:, ::2]  # strided view
         assert np.array_equal(
-            MulPlan8(a).apply(np.ascontiguousarray(b)),
+            MulPlan(a).apply(np.ascontiguousarray(b)),
             gf_matmul_reference(a, b),
         )
 
 
 class TestSingleRowPlan:
     """``m == 1`` — the recovery of one lost chunk — gathers from the
-    shared pair tables and owns none of its own."""
+    shared coefficient tables and owns none of its own, in either field."""
 
     @pytest.mark.parametrize("k", [1, 2, 6, 12])
     @pytest.mark.parametrize("n", [4096, 4097, 8191, 65536])
     def test_bit_identical_to_reference(self, k, n):
         rng = np.random.default_rng(1000 * k + n)
-        a = _rand8(rng, 1, k)
-        b = _rand8(rng, k, n)
-        plan = MulPlan8(a)
-        assert np.array_equal(plan.apply(b), gf_matmul_reference(a, b))
-        assert not plan.combined and plan.nbytes == 0
+        for field in (GF8, GF16):
+            a = _rand(field, rng, 1, k)
+            b = _rand(field, rng, k, n)
+            plan = MulPlan(a)
+            assert np.array_equal(plan.apply(b), field.matmul_reference(a, b))
+            assert plan.nbytes == 0
 
     def test_coefficients_zero_and_one(self):
         rng = np.random.default_rng(5)
-        b = _rand8(rng, 6, 9001)
-        for row in ([0, 1, 0, 1, 7, 0], [1] * 6, [0] * 6, [0, 0, 0, 0, 0, 1]):
-            a = np.array([row], dtype=np.uint8)
-            plan = MulPlan8(a)
-            assert np.array_equal(plan.apply(b), gf_matmul_reference(a, b)), row
-            assert plan.nbytes == 0
+        for field in (GF8, GF16):
+            b = _rand(field, rng, 6, 9001)
+            for row in ([0, 1, 0, 1, 7, 0], [1] * 6, [0] * 6, [0, 0, 0, 0, 0, 1]):
+                a = np.array([row], dtype=field.dtype)
+                plan = MulPlan(a)
+                assert np.array_equal(plan.apply(b), field.matmul_reference(a, b)), row
+                assert plan.nbytes == 0
 
     def test_one_gather_per_nonzero_coefficient_ones_included(self):
         """What a single-row transform costs depends on how many inputs
         it reads, not on their coefficients: an all-ones row looks up the
-        pair table of 1 once per input instead of XORing it in."""
-        from repro.gf.kernels import cache_stats
+        table of 1 once per input instead of XORing it in."""
+        for field in (GF8, GF16):
+            b = _rand(field, np.random.default_rng(8), 6, 8192)
 
-        b = _rand8(np.random.default_rng(8), 6, 8192)
+            def lookups(row):
+                before = cache_stats()
+                MulPlan(np.array([row], dtype=field.dtype)).apply(b)
+                after = cache_stats()
+                return sum(
+                    after[key] - before[key] for key in ("table_hits", "table_misses")
+                )
 
-        def lookups(row):
-            before = cache_stats()
-            MulPlan8(np.array([row], dtype=np.uint8)).apply(b)
-            after = cache_stats()
-            return sum(
-                after[key] - before[key] for key in ("table_hits", "table_misses")
-            )
-
-        assert lookups([1] * 6) == lookups([2, 3, 5, 7, 11, 13]) == 6
-        assert lookups([1, 0, 1, 0, 0, 9]) == 3
+            assert lookups([1] * 6) == lookups([2, 3, 5, 7, 11, 13]) == 6
+            assert lookups([1, 0, 1, 0, 0, 9]) == 3
 
     def test_two_rows_still_combine(self):
-        plan = MulPlan8(_rand8(np.random.default_rng(6), 2, 6))
-        assert plan.combined and plan.nbytes > 0
+        rng = np.random.default_rng(6)
+        for field in (GF8, GF16):
+            plan = MulPlan(_rand(field, rng, 2, 6))
+            plan.apply(_rand(field, rng, 6, 8192))
+            assert plan.nbytes == 6 * 65536 * 2 * 2
 
     def test_single_erasure_pattern_pins_no_tables(self):
         from repro.codes.rs import ReedSolomon
@@ -170,22 +250,22 @@ class TestMulPlan16Differential:
             n = int(rng.integers(1, 4000))
             a = _rand16(rng, m, k)
             b = _rand16(rng, k, n)
-            got = MulPlan16(a).apply(b)
+            got = MulPlan(a).apply(b)
             want = gf16_matmul_reference(a, b)
             assert got.dtype == np.uint16
             assert np.array_equal(got, want), (m, k, n)
 
     def test_zero_operand_mask(self):
         # Zero symbols in the data must map to zero products even though
-        # the log-table route has no log(0): the mask is applied once per
-        # input row — verify a row that is *entirely* zeros and a row
-        # with scattered zeros.
+        # the log-table route the tables are built by has no log(0) —
+        # verify a row that is *entirely* zeros and a row with scattered
+        # zeros.
         rng = np.random.default_rng(5)
-        a = _rand16(rng, 9, 4)  # m > COMBINE_MAX_ROWS: hoisted-log path
+        a = _rand16(rng, 9, 4)  # m > COMBINE_MAX_ROWS: the row loop
         b = _rand16(rng, 4, 5000)
         b[1, :] = 0
         b[2, ::7] = 0
-        assert np.array_equal(MulPlan16(a).apply(b), gf16_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), gf16_matmul_reference(a, b))
 
     def test_zero_coefficients(self):
         rng = np.random.default_rng(6)
@@ -193,14 +273,14 @@ class TestMulPlan16Differential:
         a[:, 2] = 0
         a[1, :] = 0
         b = _rand16(rng, 5, 3000)
-        assert np.array_equal(MulPlan16(a).apply(b), gf16_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), gf16_matmul_reference(a, b))
 
     @pytest.mark.parametrize("n", [1, 3, 2047, 2049])
     def test_odd_lengths(self, n):
         rng = np.random.default_rng(n)
         a = _rand16(rng, 4, 6)
         b = _rand16(rng, 6, n)
-        assert np.array_equal(MulPlan16(a).apply(b), gf16_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), gf16_matmul_reference(a, b))
 
 
 class TestDispatch:
@@ -226,10 +306,14 @@ class TestDispatch:
         p1 = plan_for_matrix(a)
         p2 = plan_for_matrix(a.copy())  # same bytes, different object
         assert p1 is p2
+        # One LRU for both fields: the same shape — even the same bytes —
+        # in the other dtype is another plan.
         a16 = _rand16(rng, 3, 6)
-        assert plan_for_matrix16(a16) is plan_for_matrix16(a16.copy())
+        assert plan_for_matrix(a16) is plan_for_matrix(a16.copy())
+        assert plan_for_matrix(a.view(np.uint16)) is not p1
         stats = cache_stats()
-        assert stats["plans8"] >= 1 and stats["plans16"] >= 1
+        assert stats["plans"] == 3
+        assert (stats["plan_hits"], stats["plan_misses"]) == (2, 3)
 
 
 class TestScaleXor:
@@ -342,9 +426,10 @@ class TestDecodeRegression:
         }
         got = code.decode(available, erased)
 
-        # Reference: reconstruct each erased row separately from the same
-        # inverse (the pre-batching behaviour).
-        inv, use = code._decode_inverse(available)
+        # Reference: reconstruct each erased row separately from the
+        # inverse of the first k survivors (the pre-batching behaviour).
+        use = sorted(available)[: code.k]
+        inv = gf_matinv(code.generator[use])
         stacked = np.stack([available[i] for i in use])
         dmat = gf_matmul_reference(inv, stacked)
         for idx in erased:

@@ -6,7 +6,8 @@ latency simulator and the burst simulator drifted apart before — plus
 the check that moving Fig 14d's failures onto the shared injector did
 not move its victims.  The same for the namenode: its state has one
 write path, ``Namenode.apply``, and the journal and the shard router
-own nothing but their ``apply``.
+own nothing but their ``apply``.  And for the codec: one multiply plan
+for both fields, one recovery routine for every code.
 """
 
 import ast
@@ -204,3 +205,55 @@ def test_sharded_namenode_takes_no_shard_factory():
     assert not files_matching(r"shard_factory")
     with pytest.raises(TypeError):
         ShardedNamenode(2, shard_factory=lambda i: Namenode())
+
+
+# -- one codec path ------------------------------------------------------------
+
+RETIRED_CODEC_NAMES = (
+    "MulPlan8", "MulPlan16", "FusedDecode8", "FusedDecode16", "gf16_scale_xor",
+    "plan_for_matrix16", "_plan8_cache", "_plan16_cache", "_packed_tables",
+    "_apply_packed", "PACK_MAX_ROWS", "_apply_rows8", "_apply_rows16", "apply_rows",
+    "_decode_cache", "_decode_inverse", "_find_invertible_subset", "_DECODE_CACHE_MAX",
+)
+
+
+def test_retired_codec_paths_stay_deleted():
+    for name in RETIRED_CODEC_NAMES:
+        assert not files_matching(rf"\b{name}\b"), name
+
+
+def test_one_plan_class_and_one_place_that_sizes_the_work():
+    kernels = ast.parse(SOURCES["gf/kernels.py"])
+    appliers = [
+        klass.name for klass in kernels.body
+        if isinstance(klass, ast.ClassDef) and "apply" in functions(klass)
+    ]
+    assert appliers == ["MulPlan"]
+    # The kernel threshold is tested where the kernels are — by the plan
+    # and by the scale-xor — and no caller repeats it.
+    assert files_matching(r"KERNEL_MIN_BYTES") == ["gf/kernels.py"]
+    compared = re.findall(
+        r"[<>]=?\s*KERNEL_MIN_BYTES|KERNEL_MIN_BYTES\s*[<>]", SOURCES["gf/kernels.py"]
+    )
+    assert 1 <= len(compared) <= 2
+    # Nothing a caller passes selects a field or a strategy.
+    plan = class_def("gf/kernels.py", "MulPlan")
+    assert [a.arg for a in functions(plan)["__init__"].args.args] == ["self", "coeffs"]
+    assert [a.arg for a in functions(plan)["apply"].args.args] == ["self", "b"]
+
+
+def test_one_recovery_routine_and_one_set_of_entry_points():
+    assert files_matching(r"matinv\(", under="codes/") == ["codes/base.py"]
+    per_code = ("_decode_impl", "_recovery", "encode_batch", "decode_batch", "group_of")
+    for source in ("codes/lrc.py", "codes/lrcc.py", "codes/wide.py"):
+        defined = {
+            node.name for node in ast.walk(ast.parse(SOURCES[source]))
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert not defined & set(per_code), source
+    for name in ("encode", "decode", "encode_batch", "decode_batch", "_recovery"):
+        owners = files_matching(rf"def {name}\(", under="codes/")
+        # BWO's piggybacked chunks are not generator products: it keeps
+        # its own per-stripe encode/decode (``generator_encoded = False``).
+        assert set(owners) <= {"codes/base.py", "codes/bandwidth.py"}, name
+    assert files_matching(r"def _recovery\(") == ["codes/base.py"]
