@@ -45,6 +45,11 @@ RATIO_GATES = {
     # 8-byte table rows. 1.53-1.65 was the price of 6-byte rows (numpy's
     # take copies them byte by byte); 0.92-0.99 is the padded layout.
     "gf_apply_m3_over_m4_time_ratio": 1.25,
+    # Asking every node for its chunks must cost about what one walk of
+    # the namespace costs: both build the same (file, chunk) pairs.
+    # 8.6 was the names-only index re-walking every candidate file per
+    # node; 1.6-1.7 is the chunk-level index read straight out.
+    "namenode_sweep_over_scan_time_ratio": 2.5,
 }
 
 #: Default output path: repo root (three levels up from this file when
@@ -469,6 +474,58 @@ def bench_namenode_meta(n_files: int, repeats: int) -> Dict[str, Dict]:
     }
 
 
+def bench_namenode_sweep(repeats: int, n_files: int = 3_000) -> Dict[str, Dict]:
+    """Time of ``chunks_on_node`` over every node ÷ time of one walk of
+    the whole namespace, on the same plain ``Namenode``, min of
+    interleaved repeats.  Both sides build the same ``(file, chunk)``
+    pairs — nine-chunk files over 23 nodes, the ``morph-e2e`` metadata
+    shape — so the ratio is what the per-node index costs over not
+    having to look anything up: an index that walks files to answer
+    reads several times the namespace per sweep."""
+    from repro.core.schemes import CodeKind, ECScheme
+    from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta
+    from repro.dfs.namenode import Namenode
+
+    n_nodes = 23  # prime: any stride puts a file's nine chunks on nine nodes
+    nodes = [f"dn{i:03d}" for i in range(n_nodes)]
+    scheme = ECScheme(CodeKind.CC, 6, 9)
+    namenode = Namenode()
+    metas = []
+    for i in range(n_files):
+        chunks = [
+            ChunkMeta(f"f{i}/s0#{j}", nodes[(i + j * (1 + i % 22)) % n_nodes],
+                      ChunkKind.DATA if j < 6 else ChunkKind.PARITY, 4096)
+            for j in range(9)
+        ]
+        stripe = ECStripeMeta(0, 6, 9, chunks[:6], chunks[6:])
+        metas.append(FileMeta(f"file-{i:06d}", 6 * 4096, 4096, scheme, stripes=[stripe]))
+    namenode.register_files(metas)
+
+    def sweep() -> int:
+        query = namenode.chunks_on_node
+        return sum(len(query(node)) for node in nodes)
+
+    def scan() -> int:
+        return len([
+            (meta, chunk)
+            for meta in namenode.files.values()
+            for chunk in meta.all_chunks()
+        ])
+
+    assert sweep() == scan() == 9 * n_files
+    best = {sweep: float("inf"), scan: float("inf")}
+    for _ in range(repeats + 2):
+        for fn in best:
+            best[fn] = min(best[fn], _best_seconds(fn, repeats=1, warmup=0))
+    return {
+        "namenode_sweep_over_scan_time_ratio": _metric(
+            best[sweep] / best[scan], "ratio", n_files=n_files, n_nodes=n_nodes,
+            chunks=9 * n_files, sweep_ms=round(best[sweep] * 1e3, 3),
+            scan_ms=round(best[scan] * 1e3, 3),
+        )
+    }
+
+
 def bench_scenarios(quick: bool) -> Dict[str, Dict]:
     """Adversarial scenario suite outcomes as bench metrics.
 
@@ -652,6 +709,8 @@ def run_benchmarks(quick: bool = False) -> Dict[str, Dict]:
     metrics.update(bench_checksum_passes(chunk, repeats))
     metrics.update(bench_event_engine(events, repeats))
     metrics.update(bench_namenode_meta(files, repeats))
+    # Same size in both modes: the gate is set at this one.
+    metrics.update(bench_namenode_sweep(repeats))
     metrics.update(bench_scenarios(quick))
     return metrics
 

@@ -38,14 +38,18 @@ class AppendSupport:
         )
         region = np.concatenate([existing, data])
         self._drop_open_region(meta, open_start, ec)
-        # The drop rewrote placement metadata; note it before the rewrite
+        # The drop rewrote the file's layout; note it before the rewrite
         # below mints fresh chunk ids, so a journaled namenode stays
         # consistent at every record boundary.
         self.namenode.note_file(meta)
-        self._write_hybrid_region(meta, open_start // span, region, meta.scheme)
+        # The region is written into a staging area (minting ids as it
+        # goes) and published in one step: the registered file changes,
+        # and is noted, between two journal records.
+        staged = FileMeta(meta.name, 0, meta.chunk_size, meta.scheme)
+        self._write_hybrid_region(staged, open_start // span, region, meta.scheme)
+        meta.stripes.extend(staged.stripes)
+        meta.replica_blocks.extend(staged.replica_blocks)
         meta.size = open_start + len(region)
-        # Final placement note after the size update so a journaled
-        # namenode's last record for this append carries the final state.
         self.namenode.note_file(meta)
         return meta
 
@@ -76,7 +80,7 @@ class AppendSupport:
             )
             occupied.append(node)
             parity_nodes.append(node)
-        kinds = [ChunkKind.PARITY] * ec.r
+        sealed = []
         for j, parity in enumerate(parities):
             chunk_id = self.namenode.next_chunk_id(
                 f"{meta.name}/s{stripe.stripe_index}p{j}"
@@ -85,13 +89,13 @@ class AppendSupport:
                 chunk_id, parity, src=striper, at=self.clock
             )
             self.checksums.record(chunk_id, parity)
-            stripe.parities.append(
-                ChunkMeta(chunk_id, parity_nodes[j], kinds[j], parity.nbytes)
+            sealed.append(
+                ChunkMeta(chunk_id, parity_nodes[j], ChunkKind.PARITY, parity.nbytes)
             )
-            self.namenode.note_chunk(parity_nodes[j], meta.name)
+        # Published in one step once every id is minted (see append_file).
+        stripe.parities.extend(sealed)
         stripe.n = stripe.k + ec.r
         self._trim_extra_replica(meta, meta.replica_blocks[-1], meta.scheme.copies)
-        # Final note after the width update + replica trim (see append_file).
         self.namenode.note_file(meta)
         return meta
 

@@ -258,14 +258,12 @@ class _BaseDFS:
     ) -> ReplicaBlockMeta:
         """Mirror a block down a chain of nodes (HDFS-style pipeline).
 
-        The block meta is linked into ``meta.replica_blocks`` *before*
-        the per-copy placement notes: a journaled namenode turns each
-        note into a full-file record, and a recovery cut at any record
-        boundary must see exactly the placements made so far.
+        ``meta`` is a file being built — not yet registered, or an
+        append's staging area: the namenode learns the placements from
+        the ``register_file`` / ``note_file`` that publishes them.
         """
         copies: List[ChunkMeta] = []
         prev = CLIENT
-        note_chunk = self.namenode.note_chunk
         chunk_ids = self.namenode.next_chunk_ids(
             f"{meta.name}/r{block_index}c", len(nodes)
         )
@@ -288,7 +286,6 @@ class _BaseDFS:
                 copies.append(
                     ChunkMeta(chunk_id, node_id, ChunkKind.REPLICA, block_bytes.nbytes)
                 )
-                note_chunk(node_id, meta.name)
             prev = node_id
         if to_memory:
             for i in range(persist_count):
@@ -346,12 +343,11 @@ class _BaseDFS:
         src: str = CLIENT,
         parity_src: Optional[str] = None,
     ) -> ECStripeMeta:
+        """Store one stripe's chunks and list them in ``meta`` — a file
+        being built, see :meth:`_write_replica_pipeline`."""
         parity_src = parity_src or src
         k = len(data_chunks)
-        note_chunk = self.namenode.note_chunk
         data_ids = self.namenode.next_chunk_ids(f"{meta.name}/s{stripe_index}d", k)
-        # Linked into the meta before the first placement note — see
-        # _write_replica_pipeline for why (journal-boundary consistency).
         stripe_meta = ECStripeMeta(
             stripe_index=stripe_index,
             k=k,
@@ -367,7 +363,6 @@ class _BaseDFS:
             stripe_meta.data.append(
                 ChunkMeta(chunk_id, data_nodes[t], ChunkKind.DATA, chunk.nbytes)
             )
-            note_chunk(data_nodes[t], meta.name)
         kinds = self._parity_kinds(ec)
         parity_ids = self.namenode.next_chunk_ids(
             f"{meta.name}/s{stripe_index}p", len(parities)
@@ -381,7 +376,6 @@ class _BaseDFS:
             stripe_meta.parities.append(
                 ChunkMeta(chunk_id, parity_nodes[j], kinds[j], parity.nbytes)
             )
-            note_chunk(parity_nodes[j], meta.name)
         return stripe_meta
 
     @staticmethod
@@ -707,16 +701,10 @@ class MorphFS(AppendSupport, _BaseDFS):
             for stripe in meta.stripes:
                 if len(stripe.parities) < ec.r:
                     self._seal_stripe(meta, stripe, ec)
-        for block in meta.replica_blocks:
-            for copy in block.copies:
-                self.datanodes[copy.node_id].delete(copy.chunk_id, at=self.clock)
-                self.checksums.forget(copy.chunk_id)
-        meta.replica_blocks = []
-        meta.scheme = target
-        meta.version += 1
-        # Zero-IO or not, the switch rewrites placement metadata — emit a
-        # placement note so a journaled namenode records the transition.
-        self.namenode.note_file(meta)
+        # The metadata switch first, then the copies it no longer lists.
+        for copy in self.namenode.drop_replicas(meta.name, target):
+            self.datanodes[copy.node_id].delete(copy.chunk_id, at=self.clock)
+            self.checksums.forget(copy.chunk_id)
         return meta
 
     def _usable_node(
@@ -785,6 +773,7 @@ class MorphFS(AppendSupport, _BaseDFS):
         self.charge_node_encode(striper, stripe.k, len(parities), self.chunk_size)
         kinds = self._parity_kinds(ec)
         occupied = [c.node_id for c in stripe.all_chunks()]
+        sealed: List[ChunkMeta] = []
         for j, parity in enumerate(
             parities[len(stripe.parities) :], start=len(stripe.parities)
         ):
@@ -797,11 +786,11 @@ class MorphFS(AppendSupport, _BaseDFS):
             )
             self.datanodes[node].receive_to_disk(chunk_id, parity, src=striper, at=self.clock)
             self.checksums.record(chunk_id, parity)
-            stripe.parities.append(ChunkMeta(chunk_id, node, kinds[j], parity.nbytes))
-            self.namenode.note_chunk(node, meta.name)
+            sealed.append(ChunkMeta(chunk_id, node, kinds[j], parity.nbytes))
+        # Every id is minted: the registered file changes, and is noted,
+        # between two journal records.
+        stripe.parities.extend(sealed)
         stripe.n = stripe.k + len(stripe.parities)
-        # Final placement note after the width update so a journaled
-        # namenode's last record for this op carries the sealed state.
         self.namenode.note_file(meta)
 
     def _build_groups(

@@ -29,13 +29,14 @@ HDFS-style edit log:
 
 Record coverage
 ---------------
-Every op type writes its own opcode.  Chunk
-placements made *after* registration (repair, transcode relocation,
-stripe sealing, appends) flow through NOTE records: the PR-8 per-node
-index invariant — every path that homes a chunk must call
-``note_chunk``/``note_file`` — doubles as the durability hook, and a
-NOTE record carries the file's full metadata as an upsert.  Placements
-made before registration need no record: REGISTER carries final state.
+Every op type writes its own opcode.  What happens to a file *after*
+registration arrives as an op that carries the change: PLACE (chunks
+re-homed by repair or relocation: old id, new id, node), DROP_REPLICAS
+(the hybrid -> EC switch) and the transcode lifecycle.  The structural
+rewrites the data plane still does in place (append, close, seal) are
+followed by a NOTE, which carries the file's full metadata as an upsert.
+Placements made before registration need no record: REGISTER carries
+final state.
 
 Durable state is the canonical tuple (files in registration order,
 chunk_seq, ATQ, UTM).  The per-node chunk index and the absolute
@@ -44,15 +45,16 @@ recovery; relative registration order is preserved by construction.
 
 Encode each file once
 ---------------------
-Documents are positional lists (format v2, see ``docs/metadata.md``)
+Documents are positional lists (see ``docs/metadata.md``)
 and every body goes through one canonical encoder, so a file's document
 has exactly one byte form.  :class:`JournaledNamenode` remembers where
 the document of each file last landed in the log (REGISTER, each element
 of REGISTER_BATCH, NOTE) and forgets it when a record changes the file
-without carrying its document (UNREGISTER, RENAME, ENQUEUE, FINALIZE,
-ABORT).  Because live state equals the journaled prefix at every record
-boundary, a remembered range *is* the file's current document, and
-compaction joins those ranges instead of walking every chunk.
+without carrying its document (UNREGISTER, RENAME, PLACE, DROP_REPLICAS,
+ENQUEUE, FINALIZE, ABORT).  Because live state equals the journaled
+prefix at every record boundary, a remembered range *is* the file's
+current document, and compaction joins those ranges instead of walking
+every chunk.
 :func:`state_digest` never reads the index: it encodes live state from
 scratch, which is what makes it the oracle that checks the splice.
 """
@@ -100,12 +102,14 @@ from repro.dfs.namenode import (
     Abort,
     Complete,
     ConversionGroup,
+    DropReplicas,
     Enqueue,
     Finalize,
     Mint,
     Namenode,
     NewStripe,
     Note,
+    Place,
     Poll,
     Register,
     RegisterBatch,
@@ -117,7 +121,7 @@ from repro.dfs.namenode import (
 #: The only record format this module reads or writes.  Journals here
 #: never outlive a run, so a format change *replaces* the old one: any
 #: other version (older or newer) is rejected, there is no reader fork.
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 #: record header: payload length, format version, opcode, CRC32(payload)
 _HEADER = struct.Struct("<IHHI")
 #: sanity bound on one record's payload (a full-state snapshot of a very
@@ -144,8 +148,8 @@ class Op(IntEnum):
     REGISTER_BATCH = 2  # register_files
     UNREGISTER = 3      # unregister_file
     RENAME = 4          # rename
-    NOTE = 5            # full-file metadata upsert (post-registration
-    #                     placement: repair / relocate / seal / append)
+    NOTE = 5            # full-file metadata upsert (a structural rewrite
+    #                     in place: append / close / seal)
     MINT = 6            # next_chunk_id(s): chunk-sequence advance
     ENQUEUE = 7         # enqueue_transcode
     POLL = 8            # poll_work / poll_work_for (ATQ -> in-flight)
@@ -153,6 +157,8 @@ class Op(IntEnum):
     NEW_STRIPE = 10     # record_new_stripe
     FINALIZE = 11       # try_finalize (the atomic metadata switch)
     ABORT = 12          # abort_transcode
+    PLACE = 13          # place_chunks (repair / relocation: chunks re-homed)
+    DROP_REPLICAS = 14  # drop_replicas (the hybrid -> EC switch)
 
 
 class JournalError(RuntimeError):
@@ -163,7 +169,7 @@ class JournalCrash(RuntimeError):
     """Simulated process death at a record boundary (fault injection)."""
 
 
-# -- record payload codec (format v2: positional documents) -------------------
+# -- record payload codec (positional documents) ------------------------------
 #
 # Enum members cross the codec as their values.  Out: ``member._value_``
 # is a plain attribute read where ``.value`` is a descriptor call.  In:
@@ -220,7 +226,9 @@ def encode_chunk(c: ChunkMeta) -> List[Any]:
 
 
 def decode_chunk(d: List[Any]) -> ChunkMeta:
-    return ChunkMeta(_intern(d[0]), _intern(d[1]), _CHUNK_KIND[d[2]], d[3])
+    # Node ids repeat across the namespace and are interned; a chunk id
+    # occurs once, so interning it would only grow the intern table.
+    return ChunkMeta(d[0], _intern(d[1]), _CHUNK_KIND[d[2]], d[3])
 
 
 def encode_stripe(s: ECStripeMeta) -> List[Any]:
@@ -551,11 +559,11 @@ class Journal:
 # the live FileMeta *in place*, position-matched, so chunk objects keep
 # their identity: mid-transcode, a file's old data chunks are shared
 # between ``files[name].stripes`` and the UTM job's accumulated new
-# stripes, and a repair that moves one must be visible through both —
-# exactly as it is live, where the repair mutates the shared object.
+# stripes, and whatever touches one must be visible through both —
+# exactly as it is live, where the data plane mutates the shared object.
 
 def _merge_chunk(c: ChunkMeta, d: List[Any]) -> None:
-    c.chunk_id = _intern(d[0])
+    c.chunk_id = d[0]
     c.node_id = _intern(d[1])
     c.kind = _CHUNK_KIND[d[2]]
     c.size = d[3]
@@ -624,6 +632,11 @@ _RECORD = {
     # a write still in flight is covered wholesale by its REGISTER.
     Note: (Op.NOTE, lambda nn, op, out: op.name in nn.files, _named,
            lambda nn, op: (b'{"f":', (nn.files[op.name],), b"}")),
+    # The change, not the file: its fragment entry is dropped.
+    Place: (Op.PLACE, None, _named,
+            lambda nn, op: {"n": op.name, "m": op.moves}),
+    DropReplicas: (Op.DROP_REPLICAS, None, _named,
+                   lambda nn, op: {"n": op.name, "t": encode_scheme(op.scheme)}),
     Mint: (Op.MINT, None, None, lambda nn, op: {"c": op.count}),
     Enqueue: (Op.ENQUEUE, None, _named, lambda nn, op: {  # state -> TRANSCODING
         "n": op.name, "t": encode_scheme(op.target_scheme),
@@ -649,13 +662,13 @@ def _decode_note(nn: Namenode, p: Dict[str, Any]) -> Optional[Note]:
     """Replay differs from live.  Live, the data plane changed the
     file's metadata in place and then noted it; on replay the record's
     document *is* that change, so it is merged into the live FileMeta
-    (in place, see :func:`merge_file`) before the op indexes it."""
+    (in place, see :func:`merge_file`) before the op re-indexes it."""
     doc = p["f"]
     meta = nn.files.get(doc[0])
     if meta is None:
         return None
     merge_file(meta, doc)
-    return Note(meta.name, meta.node_ids())
+    return Note(meta.name)
 
 
 def _decode_new_stripe(nn: Namenode, p: Dict[str, Any]) -> NewStripe:
@@ -682,6 +695,8 @@ _DECODE = {
     Op.UNREGISTER: lambda nn, p: Unregister(p["n"]),
     Op.RENAME: lambda nn, p: Rename(p["o"], p["n"]),
     Op.NOTE: _decode_note,
+    Op.PLACE: lambda nn, p: Place(p["n"], p["m"]),
+    Op.DROP_REPLICAS: lambda nn, p: DropReplicas(p["n"], decode_scheme(p["t"])),
     Op.MINT: lambda nn, p: Mint(None, p["c"]),
     Op.ENQUEUE: lambda nn, p: Enqueue(
         p["n"], decode_scheme(p["t"]), [decode_group(g) for g in p["g"]],

@@ -17,13 +17,22 @@ The transcode module mirrors the paper's architecture:
 
 One write path: state (namespace, chunk sequence, ATQ, UTM and the
 derived caches) changes only inside :meth:`Namenode.apply`, which
-dispatches one of the twelve op types below to its handler.  The public
+dispatches one of the fourteen op types below to its handler.  The public
 mutators only build an op and hand it to ``self.apply``, so the journal
 (:mod:`repro.dfs.journal`) and the shard router (:mod:`repro.dfs.shards`)
 override ``apply`` and nothing else.  A handler validates before it
 mutates — a rejected op changes nothing — and does nested work through
 other handlers, never ``apply``: one public call is one op, and one op
 is at most one journal record.
+
+The per-node chunk index (``_node_files``) is one of those derived
+caches and is *exact*: the handlers that add, move or drop a chunk apply
+the matching index delta, so :meth:`Namenode.chunks_on_node` is a pure
+read.  That holds because chunk moves arrive as ops too — ``Place``
+rewrites the live :class:`ChunkMeta` and ``DropReplicas`` performs the
+hybrid -> EC switch, both inside the namenode.  A caller that rewrites a
+registered file's layout itself (append, close, seal) says so with a
+``Note``, which re-derives the file's entries from its metadata.
 """
 
 from __future__ import annotations
@@ -31,7 +40,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from sys import intern as _intern
-from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.schemes import RedundancyScheme
 from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta, FileState
@@ -76,6 +95,24 @@ class TranscodeJob:
         return self.total_bits > 0 and self.pending_bits == 0
 
 
+#: one (node, file) entry of the per-node chunk index
+_Entry = Union[ChunkMeta, List[ChunkMeta]]
+
+
+def _chunk_lists(meta: FileMeta) -> List[List[ChunkMeta]]:
+    """The chunk lists of ``meta`` in layout order — each stripe's data
+    then parities, then each replica block's copies: the order of a
+    namespace scan.  (The lists themselves, not ``meta.all_chunks()``:
+    at a million files the per-file concatenations dominate a batch.)"""
+    lists = []
+    for stripe in meta.stripes:
+        lists.append(stripe.data)
+        lists.append(stripe.parities)
+    for block in meta.replica_blocks:
+        lists.append(block.copies)
+    return lists
+
+
 # -- ops: the closed set of namenode mutations --------------------------------
 #
 # One immutable type per journal opcode (a SNAPSHOT is a state load, not
@@ -102,9 +139,18 @@ class Rename(NamedTuple):
 
 class Note(NamedTuple):
     name: str
-    #: where the data plane homed (placed, moved, sealed) chunks of
-    #: ``name``, in the file's metadata, before it noted them
-    nodes: Sequence[str]
+
+
+class Place(NamedTuple):
+    name: str
+    #: ``(old chunk id, new chunk id, node id)`` per moved chunk: the
+    #: chunk of ``name`` known as ``old`` is now ``new`` on ``node``
+    moves: Sequence[Tuple[str, str, str]]
+
+
+class DropReplicas(NamedTuple):
+    name: str
+    scheme: RedundancyScheme
 
 
 class Mint(NamedTuple):
@@ -158,15 +204,14 @@ class Namenode:
         #: undergoing-transcoding map: file -> job state
         self.utm: Dict[str, TranscodeJob] = {}
         self._chunk_seq = 0
-        #: per-node chunk index: node_id -> {file_name: None} for every
-        #: file with at least one chunk homed on the node.  A dict (not a
-        #: set) so iteration order is insertion order, independent of str
-        #: hash randomization — node-major scans stay run-deterministic.
-        #: Maintained incrementally on register/note/finalize; removals
-        #: are lazy (see chunks_on_node), so a stale name is harmless but
-        #: a *missing* one would be a bug: every code path that homes a
-        #: chunk on a node must call note_chunk/note_file.
-        self._node_files: Dict[str, Dict[str, None]] = {}
+        #: per-node chunk index: node_id -> {file_name: the file's chunks
+        #: homed on the node}, exactly — an entry exists iff the
+        #: registered file lists a chunk there.  An entry is the
+        #: ChunkMeta itself when the file has one chunk on the node (the
+        #: placement rule makes that the common case, and it costs no
+        #: allocation) and a list of them, in layout order, otherwise.
+        #: Written by the op handlers and ``load`` only.
+        self._node_files: Dict[str, Dict[str, _Entry]] = {}
         #: registration order of live files, so node-major queries can
         #: present results in the same file order as a full namespace
         #: scan would (keeps repair ordering identical to the O(files)
@@ -203,18 +248,29 @@ class Namenode:
         start = self.apply(Mint(prefix, count))
         return [f"{prefix}#{i:08d}" for i in range(start, start + count)]
 
-    def note_chunk(self, node_id: str, file_name: str) -> None:
-        """Record that ``file_name`` now has a chunk homed on ``node_id``.
-
-        Every path that places or moves a chunk must call this (or
-        :meth:`note_file`); the index has no other way to learn about
-        placements, and node-major queries trust it exhaustively.
-        """
-        self.apply(Note(file_name, (node_id,)))
-
     def note_file(self, meta: FileMeta) -> None:
-        """Index every current chunk placement of ``meta``."""
-        self.apply(Note(meta.name, meta.node_ids()))
+        """The caller rewrote the layout of registered file ``meta.name``
+        in place (a stripe sealed, an open tail re-written): re-derive
+        its index entries from its metadata — and, journaled, record its
+        full document.  Does nothing for a name that is not registered.
+        """
+        self.apply(Note(meta.name))
+
+    def note_chunk(self, node_id: str, file_name: str) -> None:
+        """:meth:`note_file` by name.  ``node_id`` — where the caller put
+        a chunk — is not consulted: the file's metadata says."""
+        self.apply(Note(file_name))
+
+    def place_chunks(self, name: str, moves: Sequence[Tuple[str, str, str]]) -> None:
+        """Chunks of ``name`` moved: each ``(old id, new id, node id)``
+        re-homes the chunk listed as ``old`` (repair, relocation)."""
+        self.apply(Place(name, moves))
+
+    def drop_replicas(self, name: str, scheme: RedundancyScheme) -> List[ChunkMeta]:
+        """The hybrid -> EC switch: ``name`` keeps its stripes under
+        ``scheme``.  Returns the replica copies it no longer lists, for
+        the caller to delete."""
+        return self.apply(DropReplicas(name, scheme))
 
     def enqueue_transcode(self, name: str, target_scheme: RedundancyScheme,
                           groups: List[ConversionGroup], parities_per_final_stripe: int,
@@ -271,41 +327,20 @@ class Namenode:
         self.files[name] = meta
         self._file_seq += 1
         self._file_order[name] = self._file_seq
-        self._note(name, meta.node_ids())
+        self._index(meta)
 
     def _register_batch(self, metas):
         self._check_new(metas)
         files = self.files
         order = self._file_order
-        node_files = self._node_files
+        index = self._index
         seq = self._file_seq
         for meta in metas:
             name = meta.name = _intern(meta.name)
             files[name] = meta
             seq += 1
             order[name] = seq
-            # Inlined chunk walk (not meta.all_chunks()): at a million
-            # files the per-file list concatenations dominate this loop.
-            for stripe in meta.stripes:
-                for chunk in stripe.data:
-                    index = node_files.get(chunk.node_id)
-                    if index is None:
-                        node_files[_intern(chunk.node_id)] = {name: None}
-                    else:
-                        index[name] = None
-                for chunk in stripe.parities:
-                    index = node_files.get(chunk.node_id)
-                    if index is None:
-                        node_files[_intern(chunk.node_id)] = {name: None}
-                    else:
-                        index[name] = None
-            for block in meta.replica_blocks:
-                for chunk in block.copies:
-                    index = node_files.get(chunk.node_id)
-                    if index is None:
-                        node_files[_intern(chunk.node_id)] = {name: None}
-                    else:
-                        index[name] = None
+            index(meta)
         self._file_seq = seq
 
     def _check_new(self, metas: List[FileMeta]) -> None:
@@ -322,8 +357,9 @@ class Namenode:
     def _unregister(self, name):
         meta = self.files.pop(name)
         self._file_order.pop(name, None)
-        # Per-node index entries are left behind and purged lazily by
-        # chunks_on_node — deletion stays O(1) regardless of file size.
+        # By ``name``, not ``meta.name``: a cross-shard rename has already
+        # re-labelled the object it is taking away.
+        self._unindex(name, meta)
         if name in self.utm:
             # Deleting (or renaming) a file mid-transcode drops its job:
             # a UTM entry and queued ATQ groups keyed by a name that no
@@ -342,14 +378,79 @@ class Namenode:
         meta.name = new
         self._register(meta)
 
-    def _note(self, name, nodes):
+    def _note(self, name):
+        meta = self.files.get(name)
+        if meta is None:
+            return
+        # The caller changed the layout behind the index's back, so the
+        # metadata cannot say where the old entries are: every node is
+        # asked.
+        for index in self._node_files.values():
+            index.pop(name, None)
+        self._index(meta)
+
+    def _place(self, name, moves):
+        meta = self.lookup(name)
+        # Every slot resolved before any is rewritten — to the live
+        # object: mid-transcode it is shared with the UTM job's new
+        # stripes, which must see the move.
+        chunks = [meta.chunk_by_id(old) for old, _new, _node in moves]
+        if None in chunks:
+            raise KeyError(f"{name} lists no chunk {moves[chunks.index(None)][0]}")
+        for chunk, (_old, new, node_id) in zip(chunks, moves):
+            self._unindex_chunk(name, chunk)
+            chunk.chunk_id = new
+            chunk.node_id = node_id = _intern(node_id)
+            index = self._node_files.setdefault(node_id, {})
+            if index.setdefault(name, chunk) is not chunk:
+                # The file already has chunks on the node (a cluster too
+                # small to avoid it): the entry keeps layout order.
+                index[name] = [c for c in meta.all_chunks() if c.node_id == node_id]
+
+    def _drop_replicas(self, name, scheme):
+        meta = self.lookup(name)
+        copies = [copy for block in meta.replica_blocks for copy in block.copies]
+        for copy in copies:
+            self._unindex_chunk(name, copy)
+        meta.replica_blocks = []
+        meta.scheme = scheme
+        meta.version += 1
+        return copies
+
+    # -- the per-node chunk index: written here and in ``load`` only ----------
+    def _index(self, meta: FileMeta) -> None:
+        """List every chunk of ``meta`` under its name."""
+        name = meta.name
         node_files = self._node_files
-        for node_id in nodes:
-            index = node_files.get(node_id)
-            if index is None:
-                node_files[_intern(node_id)] = {name: None}
-            else:
-                index[name] = None
+        for chunks in _chunk_lists(meta):
+            for chunk in chunks:
+                index = node_files.get(chunk.node_id)
+                if index is None:
+                    node_files[_intern(chunk.node_id)] = {name: chunk}
+                    continue
+                have = index.setdefault(name, chunk)
+                if have is not chunk:
+                    if type(have) is list:
+                        have.append(chunk)
+                    else:
+                        index[name] = [have, chunk]
+
+    def _unindex(self, name: str, meta: FileMeta) -> None:
+        """Drop every entry of ``meta``, listed under ``name``."""
+        node_files = self._node_files
+        for chunks in _chunk_lists(meta):
+            for chunk in chunks:
+                node_files[chunk.node_id].pop(name, None)
+
+    def _unindex_chunk(self, name: str, chunk: ChunkMeta) -> None:
+        """Drop one chunk of ``name``, keeping the file's others."""
+        index = self._node_files[chunk.node_id]
+        entry = index[name]
+        if entry is chunk:
+            del index[name]
+        else:
+            rest = [c for c in entry if c is not chunk]
+            index[name] = rest[0] if len(rest) == 1 else rest
 
     def _mint(self, _prefix, count):
         """Returns the first sequence number of the minted run."""
@@ -413,6 +514,7 @@ class Namenode:
         ordered = [job.new_stripes[key] for key in sorted(job.new_stripes)]
         for i, stripe in enumerate(ordered):
             stripe.stripe_index = i
+        self._unindex(name, meta)
         # THE atomic switch: one reference assignment.
         meta.stripes = ordered
         meta.scheme = job.target_scheme
@@ -420,9 +522,9 @@ class Namenode:
         meta.state = FileState.HEALTHY
         meta.version += 1
         del self.utm[name]
-        # The new stripes' parities may live on nodes the file never
-        # touched before the switch.
-        self._note(name, meta.node_ids())
+        # The data chunks are the ones just dropped, regrouped: the new
+        # layout interleaves them with new parities on other nodes.
+        self._index(meta)
         return old_parities
 
     def _abort(self, name):
@@ -442,6 +544,8 @@ class Namenode:
         Unregister: _unregister,
         Rename: _rename,
         Note: _note,
+        Place: _place,
+        DropReplicas: _drop_replicas,
         Mint: _mint,
         Enqueue: _enqueue,
         Poll: _poll,
@@ -500,7 +604,7 @@ class Namenode:
                 meta.state = FileState.HEALTHY
             self._file_seq += 1
             self._file_order[meta.name] = self._file_seq
-            self._note(meta.name, meta.node_ids())
+            self._index(meta)
 
     @classmethod
     def restore(cls, snapshot: dict) -> "Namenode":
@@ -528,46 +632,23 @@ class Namenode:
     def chunks_on_node(self, node_id: str) -> List[Tuple[FileMeta, ChunkMeta]]:
         """All (file, chunk) pairs currently homed on ``node_id``.
 
-        O(index entries for the node), not O(all files): only files the
-        per-node index knows to have touched the node are scanned.  Index
-        entries whose file no longer has a chunk here (deleted, moved by
-        repair or transcode) are purged as they are encountered, so the
-        index self-heals without any unindex hooks on the removal paths.
-        Results come out in file-registration order — the same order a
-        full namespace scan would produce.
+        A pure read of the node's index entries — O(chunks on the node),
+        no file is walked — in the order a full namespace scan would
+        produce: files in registration order, a file's chunks in layout
+        order.
         """
         index = self._node_files.get(node_id)
-        if index is None:
-            return []
-        out: List[Tuple[FileMeta, ChunkMeta]] = []
-        stale: List[str] = []
-        files = self.files
-        order = self._file_order
-        names = sorted(index, key=lambda n: order.get(n, 0)) if len(index) > 1 else index
-        for name in names:
-            meta = files.get(name)
-            found = False
-            if meta is not None:
-                # Inlined chunk walk — same results as meta.all_chunks()
-                # without building a throwaway list per file.
-                for stripe in meta.stripes:
-                    for chunk in stripe.data:
-                        if chunk.node_id == node_id:
-                            out.append((meta, chunk))
-                            found = True
-                    for chunk in stripe.parities:
-                        if chunk.node_id == node_id:
-                            out.append((meta, chunk))
-                            found = True
-                for block in meta.replica_blocks:
-                    for chunk in block.copies:
-                        if chunk.node_id == node_id:
-                            out.append((meta, chunk))
-                            found = True
-            if not found:
-                stale.append(name)
-        for name in stale:
-            del index[name]
         if not index:
-            del self._node_files[node_id]
+            return []
+        files = self.files
+        out: List[Tuple[FileMeta, ChunkMeta]] = []
+        # A node's entries sit in registration order until a move or a
+        # note appends an older file; sorting an ordered run is one pass.
+        for name in sorted(index, key=self._file_order.__getitem__):
+            meta = files[name]
+            entry = index[name]
+            if type(entry) is list:
+                out.extend([(meta, chunk) for chunk in entry])
+            else:
+                out.append((meta, entry))
         return out

@@ -20,9 +20,9 @@ transfer per source to the rebuilding node, a disk write per new chunk.
 And every one is checked: rebuilt bytes are committed only if they carry
 the sum recorded for the chunk they replace, so a rotten source can fail
 a repair but never be baked into one (§6.1).
-On the namenode a repaired stripe is two journal records however many
-chunks it lost: one MINT before any metadata changes, one NOTE after all
-of them.
+On the namenode a repaired stripe is two ops (two journal records)
+however many chunks it lost: one MINT for the new ids, one PLACE that
+re-homes every rebuilt chunk.
 """
 
 from __future__ import annotations
@@ -219,13 +219,11 @@ class RecoveryManager:
         rebuilt: Dict[int, np.ndarray],
         rebuilder: str,
     ) -> None:
-        """Store the rebuilt (and verified) chunks and swap in their
-        metadata; each keeps the sum of the chunk it replaces.
-
-        Journal order (record-boundary invariant): MINT while the chunk
-        metadata is untouched, then all ``e`` updates, then one NOTE. The
-        rebuilder writes its own chunk locally; every other target
-        receives its chunk from the rebuilder over the network.
+        """Store the rebuilt (and verified) chunks and have the namenode
+        re-home their metadata — one MINT, one PLACE; each keeps the sum
+        of the chunk it replaces. The rebuilder writes its own chunk
+        locally; every other target receives its chunk from the
+        rebuilder over the network.
         """
         fs = self.fs
         new_ids = dict(
@@ -239,12 +237,12 @@ class RecoveryManager:
                 node.receive_to_disk(
                     new_ids[slot], rebuilt[slot], src=rebuilder, at=fs.clock
                 )
+        moves = []
         for slot, target in targets.items():
-            chunk = members[slot]
-            fs.checksums.rekey(chunk.chunk_id, new_ids[slot])
-            chunk.chunk_id = new_ids[slot]
-            chunk.node_id = target
-        fs.namenode.note_file(meta)
+            old_id = members[slot].chunk_id
+            fs.checksums.rekey(old_id, new_ids[slot])
+            moves.append((old_id, new_ids[slot], target))
+        fs.namenode.place_chunks(meta.name, moves)
 
     # -- sources ---------------------------------------------------------------
     def _stripe_bytes(

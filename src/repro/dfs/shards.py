@@ -209,6 +209,8 @@ class ShardedNamenode:
     next_chunk_ids = Namenode.next_chunk_ids
     note_chunk = Namenode.note_chunk
     note_file = Namenode.note_file
+    place_chunks = Namenode.place_chunks
+    drop_replicas = Namenode.drop_replicas
     enqueue_transcode = Namenode.enqueue_transcode
     poll_work = Namenode.poll_work
     poll_work_for = Namenode.poll_work_for

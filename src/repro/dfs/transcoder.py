@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster.partition import NAMENODE
-from repro.codes.base import Stripe
+from repro.codes.base import DecodeError, Stripe
 from repro.codes.convertible import plan_conversion, convert
 from repro.codes.lrcc import (
     LocallyRecoverableConvertibleCode,
@@ -140,22 +140,29 @@ class NativeTranscoder:
         return stripes
 
     def _read_or_reconstruct(
-        self, meta: FileMeta, stripe_meta: ECStripeMeta, index: int, by: str
+        self, meta: FileMeta, stripe_meta: ECStripeMeta, index: int, by: str,
+        start: int = 0,
     ):
-        """Read a planned chunk for node ``by``; returns the bytes and
-        the node they are served from.
+        """Read a planned chunk — from byte ``start`` to its end — for
+        node ``by``; returns the bytes and the node they are served from.
 
         A transcode must not fail because a source chunk is temporarily
         unavailable — the paper keeps old stripes fully serviceable
         throughout; a degraded transcode simply decodes the needed chunk
         at ``by`` from the stripe's survivors it can reach (metered like
-        any degraded read).
+        any degraded read; whole chunks, whatever range was wanted).
         """
         fs = self.fs
         chunks = stripe_meta.all_chunks()
         chunk = chunks[index]
         if fs.chunk_readable(chunk, by=by):
-            data = fs.datanodes[chunk.node_id].read(chunk.chunk_id, at=fs.clock)
+            datanode = fs.datanodes[chunk.node_id]
+            if start:
+                data = datanode.read_range(
+                    chunk.chunk_id, start, chunk.size - start, at=fs.clock
+                )
+            else:
+                data = datanode.read(chunk.chunk_id, at=fs.clock)
             return data, chunk.node_id
         code = fs.codec_for_stripe(meta, stripe_meta)
         available = {}
@@ -168,9 +175,16 @@ class NativeTranscoder:
                 available[idx] = data
                 if len(available) >= stripe_meta.k:
                     break
-        recovered = code.decode(available, [index])
+        try:
+            recovered = code.decode(available, [index])
+        except DecodeError as exc:
+            raise TranscodeError(
+                f"{meta.name}: source chunk {chunk.chunk_id} on {chunk.node_id} is "
+                f"unreadable from {by} and stripe {stripe_meta.stripe_index} "
+                "cannot decode it"
+            ) from exc
         fs.charge_node_encode(by, stripe_meta.k, 1, meta.chunk_size)
-        return recovered[index], by
+        return recovered[index][start:], by
 
     def _parity_targets(
         self, stripe_metas: List[ECStripeMeta], n_parities: int
@@ -287,35 +301,29 @@ class NativeTranscoder:
             except Exception:
                 targets[j] = targets[0]
 
+        # Sources are read where readable and decoded from the stripe's
+        # survivors where not (a dead or cut-off home), like every other
+        # conversion's.
         stripes = []
         for sm in stripe_metas:
             chunks: List[Optional[np.ndarray]] = []
-            for t, chunk in enumerate(sm.data):
-                dn = self.fs.datanodes[chunk.node_id]
-                tail = dn.read_range(
-                    chunk.chunk_id, tail_start, chunk_size - tail_start, at=self.fs.clock
+            for t in range(sm.k):
+                tail, src = self._read_or_reconstruct(
+                    meta, sm, t, by=targets[0], start=tail_start
                 )
                 padded = np.zeros(chunk_size, dtype=np.uint8)
                 padded[tail_start:] = tail
                 chunks.append(padded)
                 for node in set(targets.values()):
                     self.fs.metrics.record_transfer(
-                        chunk.node_id,
-                        node,
-                        float(chunk_size - tail_start),
-                        at=self.fs.clock,
-                        tag="transcode",
+                        src, node, float(tail.nbytes), at=self.fs.clock, tag="transcode"
                     )
-            for j, parity in enumerate(sm.parities):
-                dn = self.fs.datanodes[parity.node_id]
-                data = dn.read(parity.chunk_id, at=self.fs.clock)
+            for j in range(len(sm.parities)):
+                by = targets.get(j, targets[0])
+                data, src = self._read_or_reconstruct(meta, sm, sm.k + j, by=by)
                 chunks.append(data)
                 self.fs.metrics.record_transfer(
-                    parity.node_id,
-                    targets.get(j, targets[0]),
-                    float(data.nbytes),
-                    at=self.fs.clock,
-                    tag="transcode",
+                    src, by, float(data.nbytes), at=self.fs.clock, tag="transcode"
                 )
             stripes.append(Stripe(sm.k, sm.n, chunks))
         merged, _io = bwo.convert_merge(stripes, final)
@@ -359,11 +367,12 @@ class NativeTranscoder:
             self.fs.datanodes[fresh].receive_to_disk(
                 new_id, data, src=chunk.node_id, at=self.fs.clock
             )
-            self.fs.checksums.rekey(chunk.chunk_id, new_id)
-            source.delete(chunk.chunk_id)
-            chunk.chunk_id = new_id
-            chunk.node_id = fresh
-            self.fs.namenode.note_chunk(fresh, meta.name)
+            old_id = chunk.chunk_id
+            self.fs.checksums.rekey(old_id, new_id)
+            # ``chunk`` is the file's live object, shared with the stripe
+            # being assembled: the namenode rewrites it in place.
+            self.fs.namenode.place_chunks(meta.name, [(old_id, new_id, fresh)])
+            source.delete(old_id)
             seen.add(fresh)
 
     def _assemble_final_meta(

@@ -139,16 +139,39 @@ class TestBenchRatioGates:
     ):
         from repro.bench import micro
 
-        def measured(ratio):
-            name = "gf_apply_m3_over_m4_time_ratio"
-            return lambda quick=False: {name: micro._metric(ratio, "ratio")}
+        good = {
+            "gf_apply_m3_over_m4_time_ratio": 0.97,
+            "namenode_sweep_over_scan_time_ratio": 1.3,
+        }
+        assert set(good) == set(micro.RATIO_GATES)
+
+        def measured(**changed):
+            values = {**good, **changed}
+            return lambda quick=False: {
+                name: micro._metric(ratio, "ratio") for name, ratio in values.items()
+            }
 
         out = tmp_path / "BENCH_codec.json"
-        monkeypatch.setattr(micro, "run_benchmarks", measured(0.97))
+        monkeypatch.setattr(micro, "run_benchmarks", measured())
         assert micro.main(["--out", str(out)]) == 0
         assert micro.main(["--check", "--out", str(out)]) == 0
         # A 6-byte table row is back: the committed file is still valid,
         # the run is not.
-        monkeypatch.setattr(micro, "run_benchmarks", measured(1.6))
+        monkeypatch.setattr(
+            micro, "run_benchmarks", measured(gf_apply_m3_over_m4_time_ratio=1.6)
+        )
         assert micro.main(["--check", "--out", str(out)]) == 1
         assert "exceeds its gate 1.25" in capsys.readouterr().err
+        # ... and so is an index that walks files to answer a node query.
+        monkeypatch.setattr(
+            micro, "run_benchmarks", measured(namenode_sweep_over_scan_time_ratio=6.4)
+        )
+        assert micro.main(["--check", "--out", str(out)]) == 1
+        assert "exceeds its gate 2.5" in capsys.readouterr().err
+
+    def test_the_sweep_ratio_is_measured_on_equal_work(self):
+        from repro.bench import micro
+
+        m = micro.bench_namenode_sweep(repeats=1, n_files=200)
+        ratio = m["namenode_sweep_over_scan_time_ratio"]
+        assert ratio["params"]["chunks"] == 1800 and ratio["value"] > 0

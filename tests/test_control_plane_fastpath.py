@@ -28,6 +28,8 @@ from repro.cluster.engine import (
 )
 from repro.obs import LogLinearHistogram
 
+from tests.index_oracle import assert_index_exact, full_scan as _full_scan
+
 
 # ---------------------------------------------------------------------------
 # Golden traces (captured on the pre-fast-path engine)
@@ -346,15 +348,6 @@ def _make_meta(name, placements, chunk_size=1024):
     )
 
 
-def _full_scan(namenode, node_id):
-    """The pre-index O(namespace) implementation, as the oracle."""
-    out = []
-    for meta in namenode.files.values():
-        for chunk in meta.all_chunks():
-            if chunk.node_id == node_id:
-                out.append((meta, chunk))
-    return out
-
 
 class TestNamenodeChunkIndex:
     def _populate(self, namenode, n_files=40, n_nodes=7, seed=3):
@@ -374,30 +367,26 @@ class TestNamenodeChunkIndex:
             assert nn.chunks_on_node(node) == _full_scan(nn, node)
 
     def test_index_self_heals_after_moves_and_deletes(self):
-        """The protocol is: additions call ``note_chunk``, removals call
-        nothing.  After a wave of moves (noted at the destination only)
-        and a deletion, stale source-side entries are purged on the next
-        query and every answer still matches the full-scan oracle."""
+        """An outside caller's protocol: rewrite the metadata in place,
+        then ``note_chunk``.  After a wave of moves and a deletion the
+        index already matches the full-scan oracle — the note re-derived
+        the moved file's entries, source side included; no query has to
+        purge anything."""
         from repro.dfs.namenode import Namenode
 
         nn = Namenode()
         nodes = self._populate(nn)
         rng = random.Random(11)
-        # Move a third of all chunks; index only the new placements —
-        # exactly what repair/transcode do.
+        # Move a third of all chunks (some onto a node the file already
+        # uses), noting each move.
         for meta in list(nn.files.values())[::3]:
             for chunk in meta.all_chunks():
                 chunk.node_id = rng.choice(nodes)
                 nn.note_chunk(chunk.node_id, meta.name)
         nn.unregister_file("f001")
+        assert_index_exact(nn)
         for node in nodes:
             assert nn.chunks_on_node(node) == _full_scan(nn, node)
-        # Purged: no index entry names a file without a chunk on the node.
-        for node, index in nn._node_files.items():
-            for name in index:
-                meta = nn.files.get(name)
-                assert meta is not None
-                assert any(c.node_id == node for c in meta.all_chunks())
 
     def test_note_chunk_indexes_new_placement(self):
         from repro.dfs.namenode import Namenode

@@ -116,3 +116,56 @@ class TestNativeBwoTranscode:
         fs.write_file("f", data, SRC)  # 3 stripes: not divisible by lam=2
         with pytest.raises(TranscodeError):
             fs.transcode("f", TGT)
+
+
+class TestDegradedSources:
+    """The BWO merge used to read its sources without asking whether
+    they were readable: a dead or cut-off home raised
+    ``ChunkNotFoundError`` out of a transcode the other conversions
+    serve degraded."""
+
+    @staticmethod
+    def assert_merged_parities_encode_the_data(fs):
+        meta = fs.namenode.lookup("f")
+        assert meta.scheme == TGT and [s.k for s in meta.stripes] == [12, 12]
+        code = fs.cc_codec(12, 14)
+        for stripe in meta.stripes:
+            want = code.encode(
+                [fs.datanodes[c.node_id].read(c.chunk_id) for c in stripe.data]
+            )
+            for parity, expected in zip(stripe.parities, want):
+                stored = fs.datanodes[parity.node_id].read(parity.chunk_id)
+                assert np.array_equal(stored, expected)
+
+    def test_merge_with_a_source_node_down(self):
+        fs, data = bwo_fs()
+        victim = fs.namenode.lookup("f").stripes[0].data[2].node_id
+        fs.cluster.fail_node(victim)
+        fs.transcode("f", TGT)
+        assert np.array_equal(fs.read_file("f"), data)  # degraded
+        fs.cluster.recover_node(victim)
+        self.assert_merged_parities_encode_the_data(fs)
+
+    def test_merge_across_a_partition_cut(self):
+        fs, data = bwo_fs()
+        stripe = fs.namenode.lookup("f").stripes[1]
+        far = stripe.data[4].node_id
+        assert far not in {p.node_id for p in stripe.parities}
+        fs.partition.isolate([far])
+        node = fs.metrics.node(far)
+        before = node.disk_bytes_read, node.net_bytes_out
+        fs.transcode("f", TGT)
+        assert (node.disk_bytes_read, node.net_bytes_out) == before
+        fs.partition.heal()
+        assert np.array_equal(fs.read_file("f"), data)
+        self.assert_merged_parities_encode_the_data(fs)
+
+    def test_a_stripe_that_cannot_decode_its_source_names_the_chunk(self):
+        fs, data = bwo_fs()
+        stripe = fs.namenode.lookup("f").stripes[0]
+        for chunk in stripe.data[:2]:  # CC(6,7) survives one loss
+            fs.cluster.fail_node(chunk.node_id)
+        with pytest.raises(TranscodeError, match=stripe.data[0].chunk_id):
+            fs.transcode("f", TGT)
+        # Nothing switched: the old stripes are still the file.
+        assert fs.namenode.lookup("f").scheme == SRC

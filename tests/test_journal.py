@@ -267,12 +267,12 @@ def test_future_record_version_rejected():
         Journal()._load(_raw_record(99))
 
 
-@pytest.mark.parametrize("version", [1, RECORD_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, RECORD_VERSION + 1])
 def test_only_the_current_record_version_is_read(version, tmp_path):
-    """v2 replaced v1: there is no reader for any other version, older
-    or newer, in memory or from a file — and a good record before the
-    foreign one does not make it a 'torn tail'."""
-    assert RECORD_VERSION == 2
+    """v3 replaced v2 as v2 replaced v1: there is no reader for any
+    other version, older or newer, in memory or from a file — and a
+    good record before the foreign one does not make it a 'torn tail'."""
+    assert RECORD_VERSION == 3
     good = _raw_record(RECORD_VERSION)
     assert Journal()._load(good) == len(good)
     with pytest.raises(JournalError, match=f"version {version}"):
@@ -471,6 +471,14 @@ INDEX_STEPS = [
      Op.NOTE, {"f"}, set()),
     ("note_chunk on an unknown file journals nothing",
      lambda nn: nn.note_chunk("dn01", "ghost"), None, set(), set()),
+    ("place carries the move, not the file",
+     lambda nn: nn.place_chunks("f", [("f/s0d1", "f/moved#1", "dn21")]),
+     Op.PLACE, set(), {"f"}),
+    ("place again: nothing left to drop",
+     lambda nn: nn.place_chunks("f", [("f/moved#1", "f/moved#2", "dn20")]),
+     Op.PLACE, set(), set()),
+    ("drop replicas flips the scheme", lambda nn: nn.drop_replicas("c", CC69),
+     Op.DROP_REPLICAS, set(), {"c"}),
     ("enqueue flips the state", lambda nn: nn.enqueue_transcode(
         "a", CC1215, [_group("a")], 3), Op.ENQUEUE, set(), {"a"}),
     ("note while transcoding", lambda nn: nn.note_file(nn.files["a"]),
@@ -524,8 +532,11 @@ def test_each_opcode_refreshes_or_drops_the_entries_it_should():
             assert after[name] == before[name], f"{label}: {name} moved"
         assert set(after) - set(before) <= refreshed, label
         _assert_index_sound(nn)
-    assert landed == set(Op), "the table must cover all 13 opcodes"
+    assert landed == set(Op), "the table must cover all 15 opcodes"
     assert nn.files["a"].scheme == CC1215 and nn.files["a"].version == 1
+    moved = nn.files["f"].stripes[0].data[1]
+    assert (moved.chunk_id, moved.node_id) == ("f/moved#2", "dn20")
+    assert nn.files["c"].version == 1
 
 
 def test_entry_is_written_only_after_its_record_landed():

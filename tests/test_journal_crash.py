@@ -1,6 +1,9 @@
 """Crash-recovery fault injection: kill the namenode at every record
 boundary of a full failure-burst workload and assert byte-identical
 recovery against the snapshot+replay oracle (ISSUE 9 acceptance bar).
+At every one of those boundaries the per-node chunk index — a derived
+cache the digest does not cover — must equal a full namespace scan, on
+the live namenode and on the replayed one.
 """
 
 from contextlib import contextmanager
@@ -18,10 +21,13 @@ from repro.dfs.journal import (
     Op,
     _encode,
     encode_state,
+    replay,
     state_digest,
 )
 from repro.dfs.recovery import RecoveryManager
 from repro.sched.tasks import ScrubTask, StripeRepairTask
+
+from tests.index_oracle import assert_index_exact
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -85,7 +91,7 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
     fs.transcode("f00", CC69)
     fs.transcode("f00", CC1215)
 
-    # Failure burst: degraded reads, then scheduled repairs (NOTE records).
+    # Failure burst: degraded reads, then scheduled repairs (PLACE records).
     chunk_homes = {
         c.node_id
         for meta in fs.namenode.files.values()
@@ -98,7 +104,7 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
         fs.read_file(name, 0, 8 * KB)
     repair_by_stripe(fs)
 
-    # Silent corruption caught by a scrub (repair relocations -> NOTE).
+    # Silent corruption caught by a scrub (repair relocations -> PLACE).
     meta = fs.namenode.lookup("f01")
     corrupt_chunk(fs, meta.stripes[0].data[0])
     fs.scheduler.submit(ScrubTask())
@@ -106,8 +112,8 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
 
     # A stripe that lost a data chunk *and* a parity (its two nodes take
     # chunks of other stripes and files with them). However many chunks a
-    # stripe lost, its repair is two records: MINT while the chunk
-    # metadata is untouched, one NOTE after all of it changed.
+    # stripe lost, its repair is two records: one MINT for the new ids,
+    # one PLACE that re-homes every rebuilt chunk.
     stripe = fs.namenode.lookup("f00").stripes[0]
     for victim in (stripe.data[3].node_id, stripe.parities[1].node_id):
         fs.cluster.fail_node(victim)
@@ -115,7 +121,7 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
     with appended_ops(fs.namenode) as ops:
         n_groups, n_chunks = repair_by_stripe(fs)
     assert n_chunks > n_groups >= 1
-    assert ops == [Op.MINT, Op.NOTE] * n_groups
+    assert ops == [Op.MINT, Op.PLACE] * n_groups
 
     # Appends re-open and re-seal the tail stripe of a hybrid file.
     extra = rng.integers(0, 256, 3 * chunk_kb * KB, dtype=np.uint8)
@@ -149,10 +155,13 @@ def burst():
     """One sharded, journaled failure-burst run with per-boundary digests."""
     nn = ShardedNamenode.journaled(n_shards=4)
     digests = [[] for _ in nn.shards]
+
+    def pin(node, op, shard_digests):
+        shard_digests.append(state_digest(node))
+        assert_index_exact(node)  # live, at this record boundary
+
     for si, shard in enumerate(nn.shards):
-        shard.after_append = (
-            lambda node, op, d=digests[si]: d.append(state_digest(node))
-        )
+        shard.after_append = lambda node, op, d=digests[si]: pin(node, op, d)
     fs, datasets = run_failure_burst(nn)
     return fs, datasets, digests
 
@@ -169,10 +178,18 @@ def test_crash_at_every_record_boundary_recovers_exactly(burst):
         assert n == len(digests[si])
         assert n > 0, f"shard {si} journal never written"
         for boundary in range(n + 1):
-            recovered = JournaledNamenode.recover(shard.journal.prefix(boundary))
+            prefix = shard.journal.prefix(boundary)
+            recovered = JournaledNamenode.recover(prefix)
             want = empty if boundary == 0 else digests[si][boundary - 1]
             got = state_digest(recovered)
             assert got == want, f"shard {si} boundary {boundary} diverged"
+            assert_index_exact(recovered)
+            # The same prefix into a plain namenode: nothing about replay
+            # — the index it rebuilds included — needs a journal.
+            plain = Namenode()
+            replay(plain, prefix.records())
+            assert state_digest(plain) == want
+            assert_index_exact(plain)
             total += 1
     assert total >= 80  # the trace is long enough to mean something
 
@@ -184,6 +201,12 @@ def test_full_recovery_matches_live_state(burst):
     for si, shard in enumerate(live.shards):
         assert state_digest(recovered.shards[si]) == state_digest(shard)
         assert recovered.shards[si].replayed == len(shard.journal)
+    assert_index_exact(live)
+    assert_index_exact(recovered)
+    for node_id in fs.datanodes:  # the same answers, object identity aside
+        assert [(m.name, c.chunk_id) for m, c in recovered.chunks_on_node(node_id)] == [
+            (m.name, c.chunk_id) for m, c in live.chunks_on_node(node_id)
+        ]
     assert sorted(recovered.files) == sorted(live.files)
     for name in datasets:
         assert recovered.lookup(name).size == live.lookup(name).size
@@ -250,8 +273,9 @@ def test_all_opcodes_exercised(burst):
         for op, _payload in shard.journal.records():
             seen.add(op)
     must_cover = {
-        Op.REGISTER, Op.UNREGISTER, Op.NOTE, Op.MINT, Op.ENQUEUE,
-        Op.POLL, Op.COMPLETE, Op.NEW_STRIPE, Op.FINALIZE, Op.ABORT,
+        Op.REGISTER, Op.UNREGISTER, Op.NOTE, Op.PLACE, Op.DROP_REPLICAS,
+        Op.MINT, Op.ENQUEUE, Op.POLL, Op.COMPLETE, Op.NEW_STRIPE,
+        Op.FINALIZE, Op.ABORT,
     }
     missing = must_cover - seen
     assert not missing, f"trace never journaled {sorted(o.name for o in missing)}"

@@ -11,6 +11,8 @@ from repro.dfs.namenode import (
     TranscodeStateError,
 )
 
+from tests.index_oracle import full_scan as _full_scan
+
 
 def file_meta(name="f", stripes=2, k=6, n=9):
     meta = FileMeta(name=name, size=k * stripes * 64, chunk_size=64,
@@ -94,19 +96,9 @@ class TestNamespace:
         assert len(found) == 2  # one data chunk per stripe
 
 
-def _full_scan(nn, node_id):
-    """The pre-index O(namespace) implementation, as the oracle."""
-    out = []
-    for meta in nn.files.values():
-        for chunk in meta.all_chunks():
-            if chunk.node_id == node_id:
-                out.append((meta, chunk))
-    return out
-
-
 class TestNodeIndexVsOracle:
-    """The lazy-purge per-node index against a full namespace scan, on
-    the namespace-churn paths where stale entries could survive."""
+    """The per-node index against a full namespace scan, on the
+    namespace-churn paths where stale entries could survive."""
 
     def _all_nodes(self, nn):
         return {c.node_id for m in nn.files.values() for c in m.all_chunks()}
@@ -118,7 +110,7 @@ class TestNodeIndexVsOracle:
         nn.rename("a", "a2")
         for node in self._all_nodes(nn):
             assert nn.chunks_on_node(node) == _full_scan(nn, node)
-        # The stale entries under the old name were purged by the query.
+        # Nothing is left under the old name.
         for index in nn._node_files.values():
             assert "a" not in index
 

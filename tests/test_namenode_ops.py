@@ -14,12 +14,14 @@ from repro.dfs.namenode import (
     Abort,
     Complete,
     ConversionGroup,
+    DropReplicas,
     Enqueue,
     Finalize,
     Mint,
     Namenode,
     NewStripe,
     Note,
+    Place,
     Poll,
     Register,
     RegisterBatch,
@@ -28,6 +30,8 @@ from repro.dfs.namenode import (
     Unregister,
 )
 from repro.dfs.shards import ShardedNamenode
+
+from tests.index_oracle import assert_index_exact
 
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 N_SHARDS = 4
@@ -165,6 +169,8 @@ steps = st.one_of(
     st.tuples(st.just("note_chunk"), pool, st.integers(0, 22)),
     st.tuples(st.just("note_file"), pool),
     st.tuples(st.just("move"), pool, st.integers(0, 22)),
+    st.tuples(st.just("place"), pool, st.integers(0, 17), st.integers(0, 22)),
+    st.tuples(st.just("drop_replicas"), pool),
     st.tuples(st.just("mint"), pool, st.integers(0, 9)),
     st.tuples(st.just("enqueue"), pool, st.sampled_from([2, 3])),
     st.tuples(st.just("poll"), st.one_of(st.none(), pool), st.integers(0, 3)),
@@ -198,6 +204,14 @@ def run_step(nn, step, serial):
         if meta is not None and meta.stripes:
             meta.stripes[0].data[0].node_id = f"dn{args[1]:02d}"
             nn.note_chunk(f"dn{args[1]:02d}", args[0])
+    elif kind == "place":
+        # A chunk the file lists — or, for an unknown file, one it cannot.
+        meta = nn.files.get(args[0])
+        chunks = meta.all_chunks() if meta is not None else []
+        old = chunks[args[1] % len(chunks)].chunk_id if chunks else "ghost"
+        nn.place_chunks(args[0], [(old, f"{args[0]}/moved#{serial}", f"dn{args[2]:02d}")])
+    elif kind == "drop_replicas":
+        nn.drop_replicas(args[0], CC69)
     elif kind == "mint":
         if args[1] == 0:
             nn.next_chunk_id(args[0])
@@ -243,8 +257,12 @@ def test_every_public_call_is_zero_or_one_record_and_replays_plain(compact_every
         if raised:
             assert moved == 0 and state_digest(nn) == digest, step
         # Nothing journal-specific is needed to replay: a plain namenode
-        # and the base-class apply reproduce live state from the records.
-        assert state_digest(replayed_plain(nn.journal)) == state_digest(nn), step
+        # and the base-class apply reproduce live state from the records
+        # — the derived per-node index included.
+        plain = replayed_plain(nn.journal)
+        assert state_digest(plain) == state_digest(nn), step
+        assert_index_exact(nn)
+        assert_index_exact(plain)
     recovered = JournaledNamenode.recover(nn.journal)
     assert state_digest(recovered) == state_digest(nn)
     assert len(recovered.journal) == len(nn.journal)  # replay appended nothing
@@ -267,9 +285,12 @@ def drive(nn, through_apply):
     call("next_chunk_ids", Mint(b, 9), b, 9)
     call("rename", Rename(b, d), b, d)                      # across shards
     call("rename", Rename(d, sibling(d)), d, sibling(d))    # within one shard
-    call("note_chunk", Note(a, ("dn22",)), "dn22", a)
-    call("note_chunk", Note("ghost", ("dn22",)), "dn22", "ghost")
-    call("note_file", Note(a, meta.node_ids()), meta)
+    call("note_chunk", Note(a), "dn22", a)
+    call("note_chunk", Note("ghost"), "dn22", "ghost")
+    call("note_file", Note(a), meta)
+    moves = [(f"{a}/s0d0", f"{a}/recovered#1", "dn21"), (f"{a}/s1p2", f"{a}/recovered#2", "dn22")]
+    call("place_chunks", Place(a, moves), a, moves)
+    assert call("drop_replicas", DropReplicas(c, CC69), c, CC69) == []
     groups = one_stripe_groups(a)
     call("enqueue_transcode", Enqueue(a, CC69, groups, 3, 7.5), a, CC69, groups, 3,
          deadline=7.5)

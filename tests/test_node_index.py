@@ -1,0 +1,330 @@
+"""The per-node chunk index is exact, and only op handlers write it.
+
+``chunks_on_node`` used to re-walk candidate files and purge stale names
+as it went, which hid every path that forgot to say a chunk had left a
+node.  These are the cases that purge hid: after each, the index must
+already equal a full namespace scan, with no query in between to heal
+it — on the live namenode and on one replayed from the journal.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.schemes import CodeKind, ECScheme, HybridScheme
+from repro.dfs import MorphFS, Namenode, ShardedNamenode
+from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta, ReplicaBlockMeta
+from repro.dfs.journal import JournaledNamenode, Op, replay, state_digest
+from repro.dfs.recovery import RecoveryManager
+
+from tests.index_oracle import assert_index_exact, full_scan
+
+KB = 1024
+CC69 = ECScheme(CodeKind.CC, 6, 9)
+CC1215 = ECScheme(CodeKind.CC, 12, 15)
+HY = HybridScheme(1, CC69)
+
+
+def listed(namenode, name):
+    """Nodes whose index lists ``name``, over every shard."""
+    return {
+        node_id
+        for shard in getattr(namenode, "shards", [namenode])
+        for node_id, index in shard._node_files.items()
+        if name in index
+    }
+
+
+def homes(meta):
+    return {c.node_id for c in meta.all_chunks()}
+
+
+def replayed(journaled):
+    """The journal into a plain namenode, digest-checked."""
+    plain = Namenode()
+    replay(plain, journaled.journal.records())
+    assert state_digest(plain) == state_digest(journaled)
+    return plain
+
+
+def hybrid_fs(namenode=None, n_kb=48, **kw):
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=3, namenode=namenode, **kw)
+    data = np.random.default_rng(3).integers(0, 256, n_kb * KB, dtype=np.uint8)
+    fs.write_file("f", data, HY)
+    return fs, data
+
+
+def tiny(name, nodes, copies=()):
+    """One CC(2,3) stripe on ``nodes``, plus a replica block on ``copies``."""
+    kinds = [ChunkKind.DATA, ChunkKind.DATA, ChunkKind.PARITY]
+    chunks = [ChunkMeta(f"{name}/c{i}", node, kinds[i], 64) for i, node in enumerate(nodes)]
+    blocks = [ReplicaBlockMeta(0, 0, 2, [
+        ChunkMeta(f"{name}/r{i}", node, ChunkKind.REPLICA, 128) for i, node in enumerate(copies)
+    ])] if copies else []
+    return FileMeta(name, 128, 64, ECScheme(CodeKind.CC, 2, 3),
+                    stripes=[ECStripeMeta(0, 2, 3, chunks[:2], chunks[2:])],
+                    replica_blocks=blocks)
+
+
+# -- the handlers, on hand-built metadata -------------------------------------
+
+def test_a_lone_chunk_is_stored_bare_and_several_as_a_list_in_layout_order():
+    nn = Namenode()
+    meta = tiny("f", ["a", "b", "a"], copies=["a", "c"])
+    nn.register_file(meta)
+    d0, d1, p0 = meta.stripes[0].data + meta.stripes[0].parities
+    r0, r1 = meta.replica_blocks[0].copies
+    assert nn._node_files["b"]["f"] is d1
+    assert nn._node_files["a"]["f"] == [d0, p0, r0]
+    assert nn.chunks_on_node("a") == [(meta, d0), (meta, p0), (meta, r0)]
+    assert nn.chunks_on_node("nowhere") == []
+    assert_index_exact(nn)
+    # Dropping the replicas takes r0 out of the middle of nothing: the
+    # entry shrinks, and collapses back to a bare chunk at one.
+    assert nn.drop_replicas("f", ECScheme(CodeKind.CC, 2, 3)) == [r0, r1]
+    assert nn._node_files["a"]["f"] == [d0, p0] and "f" not in nn._node_files["c"]
+    nn.place_chunks("f", [("f/c2", "f/c2'", "c")])
+    assert nn._node_files["a"]["f"] is d0 and nn._node_files["c"]["f"] is p0
+    assert_index_exact(nn)
+
+
+def test_place_rewrites_the_live_chunk_and_moves_its_entry():
+    nn = Namenode()
+    a, b = tiny("a", ["x", "y", "z"]), tiny("b", ["x", "y", "z"])
+    nn.register_file(a)
+    nn.register_file(b)
+    chunk = a.stripes[0].data[0]
+    nn.place_chunks("a", [("a/c0", "a/recovered#1", "w")])
+    assert a.stripes[0].data[0] is chunk  # identity kept
+    assert (chunk.chunk_id, chunk.node_id) == ("a/recovered#1", "w")
+    assert listed(nn, "a") == {"w", "y", "z"} and listed(nn, "b") == {"x", "y", "z"}
+    assert nn.chunks_on_node("w") == [(a, chunk)]
+    assert_index_exact(nn)
+    # Onto a node the file already uses: the entry is in layout order,
+    # whichever chunk arrived last.
+    nn.place_chunks("a", [("a/c2", "a/recovered#2", "w")])
+    assert nn._node_files["w"]["a"] == [chunk, a.stripes[0].parities[0]]
+    nn.place_chunks("a", [("a/recovered#1", "a/recovered#3", "z")])
+    assert nn._node_files["w"]["a"] is a.stripes[0].parities[0]
+    assert_index_exact(nn)
+
+
+@pytest.mark.parametrize("make", [Namenode, JournaledNamenode])
+def test_place_of_an_unlisted_chunk_is_rejected_whole(make):
+    nn = make()
+    nn.register_file(tiny("a", ["x", "y", "z"]))
+    before = state_digest(nn)
+    with pytest.raises(KeyError, match="ghost"):
+        nn.place_chunks("a", [("a/c0", "a/new", "w"), ("ghost", "a/new2", "w")])
+    with pytest.raises(KeyError):
+        nn.place_chunks("nobody", [("a/c0", "a/new", "w")])
+    assert state_digest(nn) == before and listed(nn, "a") == {"x", "y", "z"}
+    if make is JournaledNamenode:
+        assert [op for op, _ in nn.journal.records()] == [Op.REGISTER]
+    assert_index_exact(nn)
+
+
+def test_a_note_reindexes_a_file_an_outside_caller_rewrote():
+    """``note_chunk`` / ``note_file`` are the harness's API: whatever was
+    done to the metadata, a note brings the index back to it — and the
+    node argument is not what decides."""
+    nn = Namenode()
+    a, b = tiny("a", ["x", "y", "z"]), tiny("b", ["x", "y", "z"])
+    nn.register_files([a, b])
+    a.stripes[0].data[0].node_id = "w"           # moved
+    a.stripes[0].parities.pop()                  # dropped
+    a.stripes[0].data.append(ChunkMeta("a/c3", "y", ChunkKind.DATA, 64))  # doubled up
+    nn.note_chunk("nowhere", "a")
+    assert listed(nn, "a") == {"w", "y"} and "nowhere" not in nn._node_files
+    assert_index_exact(nn)
+    nn.note_file(a)                              # nothing changed: the same answers
+    assert listed(nn, "a") == {"w", "y"}
+    nn.note_chunk("x", "ghost")                  # not registered: nothing at all
+    nn.note_file(tiny("ghost", ["x", "y", "z"]))
+    assert_index_exact(nn)
+
+
+def test_unregister_rename_and_reregister_leave_nothing_behind():
+    nn = Namenode()
+    nn.register_files([tiny("a", ["x", "y", "z"]), tiny("b", ["x", "y", "z"])])
+    nn.unregister_file("a")
+    assert listed(nn, "a") == set()
+    nn.rename("b", "c")
+    assert listed(nn, "b") == set() and listed(nn, "c") == {"x", "y", "z"}
+    nn.register_file(tiny("a", ["p", "q", "r"]))  # the name, elsewhere
+    assert listed(nn, "a") == {"p", "q", "r"}
+    assert_index_exact(nn)
+
+
+def test_load_rebuilds_the_index():
+    nn = Namenode()
+    nn.register_files([tiny("a", ["x", "y", "x"]), tiny("b", ["x", "y", "z"])])
+    nn.place_chunks("b", [("b/c0", "b/m", "q")])
+    restored = Namenode.restore(nn.snapshot())
+    assert_index_exact(restored)
+    assert [(m.name, c.chunk_id) for m, c in restored.chunks_on_node("x")] == [
+        ("a", "a/c0"), ("a", "a/c2"),
+    ]
+
+
+# -- the data plane: every path that used to leave a name behind --------------
+
+def test_a_write_that_raises_before_registering_leaves_no_entry():
+    fs, _data = hybrid_fs()
+
+    def failing(*args, **kw):
+        raise RuntimeError("disk on fire")
+
+    for datanode in fs.datanodes.values():
+        datanode.receive_to_disk = failing  # replicas land in memory first
+    with pytest.raises(RuntimeError):
+        fs.write_file("g", np.zeros(48 * KB, np.uint8), HY)
+    assert "g" not in fs.namenode.files and listed(fs.namenode, "g") == set()
+    assert_index_exact(fs.namenode)
+
+
+def test_delete_and_free_leave_no_entry_on_the_old_nodes():
+    fs, data = hybrid_fs()
+    meta = fs.namenode.lookup("f")
+    replica_nodes = {c.node_id for b in meta.replica_blocks for c in b.copies}
+    stripe_nodes = {c.node_id for s in meta.stripes for c in s.all_chunks()}
+    assert replica_nodes - stripe_nodes  # the free transition vacates these
+    fs.transcode("f", CC69)
+    assert listed(fs.namenode, "f") == stripe_nodes
+    assert_index_exact(fs.namenode)
+    fs.delete_file("f")
+    assert listed(fs.namenode, "f") == set()
+    assert_index_exact(fs.namenode)
+
+
+def test_cross_shard_rename_leaves_no_entry_on_the_source_shard():
+    nn = ShardedNamenode(4)
+    fs, data = hybrid_fs(namenode=nn)
+    new = next(n for n in (f"g{i}" for i in range(100))
+               if nn.shard_index(n) != nn.shard_index("f"))
+    src, dst = nn.shard_for("f"), nn.shard_for(new)
+    fs.namenode.rename("f", new)
+    assert src._node_files and not any(src._node_files.values())
+    assert listed(dst, new) == homes(nn.lookup(new)) and listed(nn, "f") == set()
+    assert_index_exact(nn)
+    assert np.array_equal(fs.read_file(new), data)
+
+
+def test_merge_finalize_swaps_the_parities_entries():
+    fs, data = hybrid_fs()
+    fs.transcode("f", CC69)
+    old_parity_nodes = {p.node_id for s in fs.namenode.lookup("f").stripes for p in s.parities}
+    fs.transcode("f", CC1215)
+    meta = fs.namenode.lookup("f")
+    assert listed(fs.namenode, "f") == homes(meta)
+    assert len(meta.stripes) == 1 and len(old_parity_nodes) >= len(meta.stripes[0].parities)
+    assert_index_exact(fs.namenode)
+
+
+def test_collision_relocation_moves_the_entry_with_the_chunk():
+    """Placement that is not k*-aware puts two data chunks of the merged
+    stripe on one node (a list entry); the merge moves one away."""
+    nn = JournaledNamenode()
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6], seed=3, namenode=nn)
+    data = np.random.default_rng(3).integers(0, 256, 48 * KB, dtype=np.uint8)
+    fs.write_file("f", data, CC69)
+    doubled = [n for n, index in nn._node_files.items() if type(index.get("f")) is list]
+    assert doubled
+    assert_index_exact(nn)
+    before = len(nn.journal)
+    fs.transcode("f", CC1215)
+    assert Op.PLACE in [op for op, _ in nn.journal.records()][before:]
+    assert Op.NOTE not in [op for op, _ in nn.journal.records()]
+    meta = nn.lookup("f")
+    assert len(homes(meta)) == 15 and listed(nn, "f") == homes(meta)
+    assert_index_exact(nn)
+    assert_index_exact(replayed(nn))
+    assert np.array_equal(fs.read_file("f"), data)
+
+
+def test_a_two_chunk_stripe_repair_vacates_both_old_nodes():
+    nn = JournaledNamenode()
+    fs, data = hybrid_fs(namenode=nn)
+    fs.transcode("f", CC69)
+    stripe = nn.lookup("f").stripes[0]
+    victims = [stripe.data[3].node_id, stripe.parities[1].node_id]
+    for node_id in victims:
+        fs.cluster.fail_node(node_id)
+    lost = RecoveryManager(fs).lost_chunks()
+    assert len(lost) >= 2
+    before = len(nn.journal)
+    assert RecoveryManager(fs).recover_chunks(lost) == len(lost)
+    records = list(nn.journal.records())[before:]
+    places = [body for op, body in records if op is Op.PLACE]
+    assert sum(len(body["m"]) for body in places) == len(lost)
+    assert max(len(body["m"]) for body in places) >= 2  # one PLACE, two chunks
+    for node_id in victims:
+        assert nn.chunks_on_node(node_id) == [] and not nn._node_files[node_id]
+    assert RecoveryManager(fs).lost_chunks() == []
+    assert_index_exact(nn)
+    assert_index_exact(replayed(nn))
+    assert np.array_equal(fs.read_file("f"), data)
+
+
+def test_a_repair_mid_transcode_shows_through_old_and_new_stripes():
+    """The moved chunk is one object, shared by the file's old stripe and
+    the UTM job's accumulating new one — live, and after replay."""
+    nn = JournaledNamenode()
+    fs, data = hybrid_fs(namenode=nn, n_kb=96)
+    fs.transcode("f", CC69)
+    fs.transcode("f", CC1215, heartbeats=False)
+    fs.transcoder.execute_group(nn.poll_work_for("f", 1)[0])  # one of two groups
+    job = nn.utm["f"]
+    new_stripe, = job.new_stripes.values()
+    victim = new_stripe.data[7]
+    assert victim is nn.lookup("f").stripes[1].data[1]
+    old_id, old_node = victim.chunk_id, victim.node_id
+    fs.cluster.fail_node(old_node)
+    RecoveryManager(fs).recover_all()
+    assert victim.node_id != old_node and victim.chunk_id != old_id
+    assert nn.chunks_on_node(old_node) == []
+    assert (nn.lookup("f"), victim) in nn.chunks_on_node(victim.node_id)
+    assert_index_exact(nn)
+
+    plain = replayed(nn)
+    twin = plain.lookup("f").stripes[1].data[1]
+    assert (twin.chunk_id, twin.node_id) == (victim.chunk_id, victim.node_id)
+    new_twin, = plain.utm["f"].new_stripes.values()
+    assert new_twin.data[7] is twin
+    assert plain.chunks_on_node(old_node) == []
+    assert_index_exact(plain)
+
+    # The transcode finishes on the repaired layout, and the switch
+    # leaves the index on the new stripes.
+    fs.cluster.recover_node(old_node)
+    fs.run_transcode_heartbeats("f")
+    assert nn.lookup("f").scheme == CC1215
+    assert_index_exact(nn)
+    assert_index_exact(replayed(nn))
+    assert np.array_equal(fs.read_file("f"), data)
+
+
+def test_append_close_and_seal_publish_between_records():
+    """The structural paths that still note: at every record they write,
+    the registered file — and so the index — is whole."""
+    nn = JournaledNamenode()
+    nn.after_append = lambda node, op: assert_index_exact(node)
+    fs, data = hybrid_fs(namenode=nn, n_kb=40, parity_mode="none")
+    extra = np.arange(10 * KB, dtype=np.uint8)
+    fs.append_file("f", extra)
+    fs.close_file("f")
+    unsealed = [s for s in nn.lookup("f").stripes if not s.parities]
+    assert unsealed  # written with parity_mode="none", not re-written by the append
+    before = len(nn.journal)
+    fs.transcode("f", CC69)  # seals them, then frees
+    ops = [op for op, _ in nn.journal.records()][before:]
+    assert ops.count(Op.NOTE) == len(unsealed) and ops[-1] is Op.DROP_REPLICAS
+    assert_index_exact(replayed(nn))
+    assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra]))
+
+
+def test_full_scan_oracle_is_the_old_answer():
+    nn = Namenode()
+    nn.register_files([tiny("a", ["x", "y", "z"]), tiny("b", ["z", "x", "y"])])
+    assert [(m.name, c.chunk_id) for m, c in full_scan(nn, "x")] == [
+        ("a", "a/c0"), ("b", "b/c1"),
+    ]

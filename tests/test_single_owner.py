@@ -6,7 +6,9 @@ latency simulator and the burst simulator drifted apart before — plus
 the check that moving Fig 14d's failures onto the shared injector did
 not move its victims.  The same for the namenode: its state has one
 write path, ``Namenode.apply``, and the journal and the shard router
-own nothing but their ``apply``.  And for the codec: one multiply plan
+own nothing but their ``apply``; where a chunk lives changes only inside
+a handler, which is what keeps the per-node chunk index exact.  And for
+the codec: one multiply plan
 for both fields, one recovery routine for every code.
 """
 
@@ -108,14 +110,15 @@ def test_injector_on_sim_rng_reproduces_fig14d_victims(seed):
 
 MUTATORS = (
     "register_file", "register_files", "unregister_file", "rename", "note_chunk",
-    "note_file", "next_chunk_id", "next_chunk_ids", "enqueue_transcode",
-    "poll_work", "poll_work_for", "complete_parity", "record_new_stripe",
-    "try_finalize", "abort_transcode",
+    "note_file", "place_chunks", "drop_replicas", "next_chunk_id", "next_chunk_ids",
+    "enqueue_transcode", "poll_work", "poll_work_for", "complete_parity",
+    "record_new_stripe", "try_finalize", "abort_transcode",
 )
 OP_TYPES = {
     namenode.Register, namenode.RegisterBatch, namenode.Unregister, namenode.Rename,
-    namenode.Note, namenode.Mint, namenode.Enqueue, namenode.Poll,
-    namenode.Complete, namenode.NewStripe, namenode.Finalize, namenode.Abort,
+    namenode.Note, namenode.Place, namenode.DropReplicas, namenode.Mint,
+    namenode.Enqueue, namenode.Poll, namenode.Complete, namenode.NewStripe,
+    namenode.Finalize, namenode.Abort,
 }
 
 
@@ -199,6 +202,59 @@ def test_replay_goes_through_the_base_apply_and_one_forget_site():
     # "forgets" column.
     assert len(re.findall(r"frags\.pop\(", SOURCES["dfs/journal.py"])) == 1
     assert not files_matching(r"frags\.pop\(|_frags\b", under="dfs/shards")
+
+
+# -- chunk placement changes inside the namenode only --------------------------
+
+def test_only_the_namenode_and_the_journal_decoders_rehome_a_chunk():
+    # ``chunk.node_id = ...`` / ``chunk.chunk_id = ...`` behind the
+    # namenode's back is how the index used to go stale (a datanode's
+    # own ``self.node_id`` is not a chunk's).
+    assignment = r"(?<!self)\.(node_id|chunk_id)\s*=(?!=)"
+    assert files_matching(assignment) == ["dfs/journal.py", "dfs/namenode.py"]
+    decoders = [
+        node.name for node in ast.walk(ast.parse(SOURCES["dfs/journal.py"]))
+        if isinstance(node, ast.FunctionDef) and re.search(assignment, ast.unparse(node))
+    ]
+    assert decoders == ["_merge_chunk"]  # NOTE replay, merging in place
+
+
+def test_the_index_is_written_in_namenode_py_only():
+    assert files_matching(r"_node_files") == ["dfs/namenode.py"]
+    # ... by handlers and ``load``; the query does not write.
+    defined = functions(class_def("dfs/namenode.py", "Namenode"))
+    query = defined["chunks_on_node"]
+    assert not calls(query) & {"pop", "popitem", "setdefault", "update", "clear"}
+    assert not any(
+        isinstance(node, ast.Delete)
+        or isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(query)
+    )
+    writers = {
+        name for name, fn in defined.items()
+        if name != "chunks_on_node" and "_node_files" in ast.unparse(fn)
+    }
+    handlers = {fn.__name__ for fn in Namenode._HANDLERS.values()}
+    helpers = {"_index", "_unindex", "_unindex_chunk"}
+    assert writers <= handlers | helpers | {"__init__", "load"}
+    for name, fn in defined.items():  # the helpers are the handlers' own
+        if helpers & calls(fn):
+            assert name in handlers | {"load"}, name
+
+
+def test_notes_are_down_to_the_structural_rewrites():
+    # 14 note call sites kept the index and the journal honest by
+    # convention; what is left is the three paths that rewrite a
+    # registered file's layout in place, and nothing notes per chunk.
+    assert not files_matching(r"\.note_chunk\(")
+    sites = {
+        name: len(re.findall(r"\.note_file\(", text))
+        for name, text in SOURCES.items() if re.search(r"\.note_file\(", text)
+    }
+    assert sites == {"dfs/appends.py": 3, "dfs/filesystem.py": 1}
+    seal = functions(class_def("dfs/filesystem.py", "MorphFS"))["_seal_stripe"]
+    assert "note_file" in calls(seal)
+    assert len(OP_TYPES) == 14 and not hasattr(namenode.Note, "nodes")
 
 
 def test_sharded_namenode_takes_no_shard_factory():

@@ -1,9 +1,11 @@
 """Model-based stateful testing of MorphFS.
 
-Hypothesis drives random sequences of writes, appends, transcodes,
-failures, recoveries, scrubs and deletes against MorphFS, holding a plain
-dict of expected bytes as the reference model. After every step, every
-live file must read back byte-identical — regardless of operation order.
+Hypothesis drives random sequences of writes, appends, closes,
+transcodes, failures, recoveries, scrubs, renames and deletes against
+MorphFS, holding a plain dict of expected bytes as the reference model.
+After every step, every live file must read back byte-identical and the
+namenode's per-node chunk index must equal a full namespace scan —
+regardless of operation order.
 """
 
 import numpy as np
@@ -21,6 +23,8 @@ from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
 from repro.dfs.integrity import Scrubber, corrupt_chunk
 from repro.dfs.recovery import RecoveryManager
+
+from tests.index_oracle import assert_index_exact
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -56,6 +60,12 @@ class MorphModel(RuleBasedStateMachine):
         extra = self.rng.integers(0, 256, extra_kb * KB, dtype=np.uint8)
         self.fs.append_file(name, extra)
         self.expected[name] = np.concatenate([self.expected[name], extra])
+
+    @precondition(lambda self: any(s == 0 for s in self.stage.values()))
+    @rule()
+    def close(self):
+        name = next(n for n, s in self.stage.items() if s == 0)
+        self.fs.close_file(name)
 
     @precondition(lambda self: any(s == 0 for s in self.stage.values()))
     @rule()
@@ -108,18 +118,32 @@ class MorphModel(RuleBasedStateMachine):
 
     @precondition(lambda self: bool(self.expected))
     @rule()
+    def rename(self):
+        old = next(iter(self.expected))
+        new = f"r{self.counter}"
+        self.counter += 1
+        self.fs.namenode.rename(old, new)
+        self.expected[new] = self.expected.pop(old)
+        self.stage[new] = self.stage.pop(old)
+
+    @precondition(lambda self: bool(self.expected))
+    @rule()
     def delete(self):
         name = next(iter(self.expected))
         self.fs.delete_file(name)
         del self.expected[name]
         del self.stage[name]
 
-    # -- the invariant -----------------------------------------------------
+    # -- the invariants ----------------------------------------------------
     @invariant()
     def every_file_reads_back(self):
         for name, data in self.expected.items():
             out = self.fs.read_file(name)
             assert np.array_equal(out, data), f"{name} diverged"
+
+    @invariant()
+    def index_is_exact(self):
+        assert_index_exact(self.fs.namenode)
 
 
 MorphModelTest = MorphModel.TestCase

@@ -216,7 +216,7 @@ class TestDifferential:
 
 
 class TestJournalOrder:
-    def test_stripe_repair_is_one_mint_and_one_note(self):
+    def test_stripe_repair_is_one_mint_and_one_place(self):
         journal = Journal()
         fs, data = build(CC69, 96, namenode=JournaledNamenode(journal))
         stripe = fs.namenode.lookup("f").stripes[0]
@@ -226,7 +226,7 @@ class TestJournalOrder:
         before = len(journal)
         RecoveryManager(fs).recover_chunks(lost)
         ops = [op for op, _body in journal.records()][before:]
-        assert ops == [Op.MINT, Op.NOTE] * len(groups)
+        assert ops == [Op.MINT, Op.PLACE] * len(groups)
         assert len(lost) > len(groups)  # fewer records than chunks
         assert np.array_equal(fs.read_file("f"), data)
 
