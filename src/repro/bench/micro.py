@@ -42,9 +42,17 @@ SCHEMA = "repro-bench/1"
 #: ratios only (ROADMAP north-star 1: "gates on ratios").
 RATIO_GATES = {
     # A 3-row apply must cost about what a 4-row apply costs: both gather
-    # 8-byte table rows. 1.53-1.65 was the price of 6-byte rows (numpy's
-    # take copies them byte by byte); 0.92-0.99 is the padded layout.
+    # four slots in a uint64. 1.53-1.65 was the price of 6-byte table rows
+    # (numpy's take copies them byte by byte); 0.92-0.99 is the padded one.
     "gf_apply_m3_over_m4_time_ratio": 1.25,
+    # CC(6,9)'s three parities — an XOR row, a column of ones, two rows
+    # packed into uint32 slots — must cost at most about one and a half
+    # single-row repairs of the same six inputs. Four padded uint16
+    # columns gathered into 4 MiB accumulators and scattered back
+    # transposed read 1.62-1.79 at the 256 KiB rows `--quick` (and CI)
+    # runs and 1.39-1.47 at 1 MiB; the plan reading its matrix reads
+    # 1.16-1.20 and 1.07-1.13.
+    "gf_encode_3x6_over_1x6_time_ratio": 1.5,
     # Asking every node for its chunks must cost about what one walk of
     # the namespace costs: both build the same (file, chunk) pairs.
     # 8.6 was the names-only index re-walking every candidate file per
@@ -96,6 +104,17 @@ def _cold_and_warm_seconds(make: Callable[[], object], fn, repeats: int):
         cold.append(_best_seconds(lambda: fn(fresh), repeats=1, warmup=0))
         warm.append(_best_seconds(lambda: fn(fresh), repeats=1, warmup=0))
     return cold, warm
+
+
+def _round_robin_best(calls: List[Callable[[], object]], repeats: int) -> List[float]:
+    """Best seconds of each call, the calls taking turns so machine
+    drift hits them alike and their ratio holds on a noisy box. The
+    first two passes are warm-up in effect: they build tables."""
+    best = [float("inf")] * len(calls)
+    for _ in range(repeats + 2):
+        for i, call in enumerate(calls):
+            best[i] = min(best[i], _best_seconds(call, repeats=1, warmup=0))
+    return best
 
 
 def _metric(value: float, unit: str, **params) -> Dict:
@@ -215,24 +234,46 @@ def bench_gf256_transcode(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
 def bench_gf_apply_ratio(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     """Time of a 3 x 12 apply over the time of a 4 x 12 apply on the same
     rows, GF(2^8), min of interleaved repeats — the table-row layout as a
-    number: both shapes gather one (65536, 4) row per lane when the
-    column count is padded to a power of two."""
+    number: with no structure to read, both shapes gather one uint64 of
+    four 16-bit slots per lane (three rows pad to four)."""
     from repro.gf.kernels import MulPlan
 
     rng = np.random.default_rng(5)
     coeffs = rng.integers(1, 256, size=(4, 12), dtype=np.uint8)
     rows = rng.integers(0, 256, size=(12, chunk_bytes), dtype=np.uint8)
-    plans = [MulPlan(coeffs[:3]), MulPlan(coeffs)]
-    best = [float("inf"), float("inf")]
-    for _ in range(repeats + 2):  # the first pass builds the tables
-        for i, plan in enumerate(plans):
-            secs = _best_seconds(lambda: plan.apply(rows), repeats=1, warmup=0)
-            best[i] = min(best[i], secs)
+    m3, m4 = MulPlan(coeffs[:3]), MulPlan(coeffs)
+    best = _round_robin_best([lambda: m3.apply(rows), lambda: m4.apply(rows)], repeats)
     return {
         "gf_apply_m3_over_m4_time_ratio": _metric(
             best[0] / best[1], "ratio", k=12, chunk_bytes=chunk_bytes,
             m3_mb_s=round(rows.nbytes / best[0] / 1e6, 3),
             m4_mb_s=round(rows.nbytes / best[1] / 1e6, 3),
+        )
+    }
+
+
+def bench_gf_encode_over_repair_ratio(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
+    """Time of CC(6,9)'s encode plan — three parities — over the time of
+    rebuilding one of those parities from the same six inputs (a
+    one-erasure fused decode: a single-row plan), best of round-robin
+    repeats. What the matrix's structure is worth as a number: the XOR
+    row is nearly free and the other two share each gather, so three
+    rows cost little more than one."""
+    from repro.codes.convertible import ConvertibleCode
+
+    code = ConvertibleCode(6, 9)
+    data = _chunks(code.k, chunk_bytes, seed=6)
+    plan = code.encode_plan()
+    available = dict(enumerate(data))
+    best = _round_robin_best(
+        [lambda: plan.apply(data), lambda: code.decode(available, [code.k + 1])], repeats
+    )
+    nbytes = code.k * chunk_bytes
+    return {
+        "gf_encode_3x6_over_1x6_time_ratio": _metric(
+            best[0] / best[1], "ratio", code="CC(6,9)", chunk_bytes=chunk_bytes,
+            encode_mb_s=round(nbytes / best[0] / 1e6, 3),
+            one_row_mb_s=round(nbytes / best[1] / 1e6, 3),
         )
     }
 
@@ -617,7 +658,10 @@ def bench_checksum_passes(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     handed to ``ChecksumRegistry.record`` / ``verify`` while one file is
     ingested as Hy(1,CC(6,9)), read, freed to CC(6,9), merged to
     CC(12,15) and read again, over the file's size — CRC passes per user
-    byte. It moves only when a path starts or stops checksumming.
+    byte. It moves only when a path starts or stops checksumming: 3.75
+    today (ingest 1.5: data chunks and parities; two reads at 1 each;
+    0.25 for the merged parities), 4.75 while ingest also CRC'd the
+    replica block its data chunks' sums already determine.
 
     ``read_verify_overhead_ratio`` is what those passes cost a read in
     time: striped-read throughput with the registry filled over the same
@@ -704,6 +748,7 @@ def run_benchmarks(quick: bool = False) -> Dict[str, Dict]:
     metrics.update(bench_gf256_encode_batch(chunk // 16, repeats))
     metrics.update(bench_gf256_transcode(chunk, repeats))
     metrics.update(bench_gf_apply_ratio(chunk, repeats))
+    metrics.update(bench_gf_encode_over_repair_ratio(chunk, repeats))
     metrics.update(bench_gf16_wide(chunk, repeats))
     metrics.update(bench_repair_reads())
     metrics.update(bench_checksum_passes(chunk, repeats))

@@ -17,6 +17,7 @@ import numpy as np
 from repro.gf.field import gf_inv
 from repro.gf.kernels import (
     GF8,
+    PACKED_TILE_LANES,
     FusedDecode,
     MulPlan,
     PatternCache,
@@ -26,6 +27,15 @@ from repro.gf.kernels import (
 )
 from repro.gf.matrix import SingularMatrixError
 from repro.obs.codec import record_codec
+
+
+#: Chunk length below which the batch forms stack same-length stripes
+#: into one ``(k, S*L)`` kernel pass: one kernel tile. A shorter row
+#: leaves the kernel dispatch-bound, and a stacked pass amortises the
+#: dispatch over the batch; from a tile up the pass is bandwidth-bound
+#: and the stack is a batch-sized copy that buys nothing
+#: (docs/performance.md, "Multi-stripe batching").
+STACK_BELOW_BYTES = 2 * PACKED_TILE_LANES
 
 
 class DecodeError(Exception):
@@ -199,16 +209,16 @@ class ErasureCode:
     def encode_batch(
         self, stripes: Sequence[Sequence[np.ndarray]]
     ) -> List[List[np.ndarray]]:
-        """Parity chunks for many stripes in one kernel invocation each.
+        """Parity chunks for many stripes, bit-identical to calling
+        :meth:`encode` once per stripe.
 
-        Stacks same-length stripes along the chunk axis into a single
-        ``(k, S*L)`` multiply per length group (a ragged final stripe
-        lands in its own group), amortising plan lookup, ``np.take``
-        dispatch, and per-call overhead across the batch. Bit-identical
-        to calling :meth:`encode` once per stripe.
+        Stripes of chunks shorter than :data:`STACK_BELOW_BYTES` are
+        stacked along the chunk axis into a single ``(k, S*L)`` multiply
+        per length group (a ragged final stripe lands in its own group),
+        amortising plan lookup, ``np.take`` dispatch, and per-call
+        overhead across the batch. Longer chunks go to the plan as they
+        are, stripe by stripe.
         """
-        if not self.generator_encoded:
-            return [self.encode(chunks) for chunks in stripes]
         results: List[Optional[List[np.ndarray]]] = [None] * len(stripes)
         groups: Dict[int, List[int]] = {}
         for s, chunks in enumerate(stripes):
@@ -216,7 +226,11 @@ class ErasureCode:
                 raise ValueError(
                     f"expected {self.k} data chunks per stripe, got {len(chunks)}"
                 )
-            groups.setdefault(len(chunks[0]), []).append(s)
+            length = len(chunks[0])
+            if self.generator_encoded and length < STACK_BELOW_BYTES:
+                groups.setdefault(length, []).append(s)
+            else:
+                results[s] = self.encode(chunks)
         for members in groups.values():
             batch = self._stacked([stripes[s] for s in members])
             with record_codec("encode", batch.nbytes):
@@ -234,10 +248,11 @@ class ErasureCode:
 
         Stripes sharing the same (available-set, erased-set, chunk
         length) failure pattern — the shape of a node-failure burst —
-        are stacked along the chunk axis and recovered with a single
-        application of the fused pattern transform. Everything else
-        (short availability, unique patterns, patterns nothing recovers)
-        falls back to per-stripe :meth:`decode`, so results are always
+        with chunks shorter than :data:`STACK_BELOW_BYTES` are stacked
+        along the chunk axis and recovered with a single application of
+        the fused pattern transform. Everything else (long chunks, short
+        availability, unique patterns, patterns nothing recovers) falls
+        back to per-stripe :meth:`decode`, so results are always
         bit-identical to the per-stripe loop.
         """
         if len(availables) != len(eraseds):
@@ -258,6 +273,9 @@ class ErasureCode:
                 fallback.append(s)
                 continue
             length = len(next(iter(available.values())))
+            if length >= STACK_BELOW_BYTES:
+                fallback.append(s)
+                continue
             key = (tuple(sorted(available)), tuple(erased), length)
             groups.setdefault(key, []).append(s)
         for (_, erased_key, _), members in groups.items():

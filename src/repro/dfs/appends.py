@@ -149,7 +149,7 @@ class AppendSupport:
             replica_nodes = placement.place_replicas(
                 meta.name, stripe_index, n_targets, exclude=ec_nodes
             )
-            self._write_replica_pipeline(
+            block, temporary = self._write_replica_pipeline(
                 meta,
                 stripe_index,
                 first_chunk=first_stripe * ec.k + s,
@@ -169,13 +169,11 @@ class AppendSupport:
             else:
                 parities = code.encode(stripe_chunks)
                 self.charge_node_encode(striper, ec.k, ec.n - ec.k, self.chunk_size)
-                self._store_stripe(
+                stripe_meta = self._store_stripe(
                     meta, stripe_index, stripe_chunks, parities,
                     spots["data"], spots["parity"], ec, src=striper,
                 )
-            for i, node_id in enumerate(replica_nodes):
-                if i >= persist:
-                    self._drop_temp_replica(node_id, f"{meta.name}/r{stripe_index}c{i}")
+            self._settle_hybrid_block(block, temporary, stripe_meta)
 
     def _trim_extra_replica(self, meta: FileMeta, block, copies: int) -> None:
         """Drop the extra open-stripe replica once parities are durable."""

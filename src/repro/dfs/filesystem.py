@@ -255,14 +255,20 @@ class _BaseDFS:
         nodes: Sequence[str],
         persist_count: int,
         to_memory: bool,
-    ) -> ReplicaBlockMeta:
+    ) -> Tuple[ReplicaBlockMeta, List[Tuple[str, str]]]:
         """Mirror a block down a chain of nodes (HDFS-style pipeline).
 
         ``meta`` is a file being built — not yet registered, or an
         append's staging area: the namenode learns the placements from
         the ``register_file`` / ``note_file`` that publishes them.
+
+        Returns the block and the ``(node, chunk id)`` of every copy
+        past ``persist_count``: buffered, unlisted, the caller's to drop.
+        The persisted copies' sum is the caller's to record — computed
+        over ``block_bytes`` or derived from the chunks it repeats.
         """
         copies: List[ChunkMeta] = []
+        temporary: List[Tuple[str, str]] = []
         prev = CLIENT
         chunk_ids = self.namenode.next_chunk_ids(
             f"{meta.name}/r{block_index}c", len(nodes)
@@ -282,15 +288,16 @@ class _BaseDFS:
             else:
                 datanode.receive_to_disk(chunk_id, block_bytes, src=prev, at=self.clock)
             if i < persist_count:
-                self.checksums.record(chunk_id, block_bytes)
                 copies.append(
                     ChunkMeta(chunk_id, node_id, ChunkKind.REPLICA, block_bytes.nbytes)
                 )
+            else:
+                temporary.append((node_id, chunk_id))
             prev = node_id
         if to_memory:
-            for i in range(persist_count):
-                self.datanodes[nodes[i]].persist(copies[i].chunk_id, at=self.clock)
-        return block_meta
+            for copy in copies:
+                self.datanodes[copy.node_id].persist(copy.chunk_id, at=self.clock)
+        return block_meta, temporary
 
     def _write_replicated(self, meta: FileMeta, data: np.ndarray, copies: int) -> None:
         placement = DefaultPlacement(self.cluster, seed=self.seed + zlib.crc32(meta.name.encode()) % 997)
@@ -300,7 +307,7 @@ class _BaseDFS:
         for start in range(0, max(len(data), 1), span):
             block = np.asarray(data[start : start + span], dtype=np.uint8)
             nodes = placement.place_replicas(copies)
-            self._write_replica_pipeline(
+            stored, _ = self._write_replica_pipeline(
                 meta,
                 block_index,
                 first_chunk=start // self.chunk_size,
@@ -310,6 +317,10 @@ class _BaseDFS:
                 persist_count=copies,
                 to_memory=False,
             )
+            # One pass over the block, however many copies hold it.
+            self.checksums.record(stored.copies[0].chunk_id, block)
+            for copy in stored.copies[1:]:
+                self.checksums.record_concat(copy.chunk_id, stored.copies[:1])
             block_index += 1
 
     def _write_ec(self, meta: FileMeta, data: np.ndarray, ec: ECScheme) -> None:
@@ -569,7 +580,7 @@ class MorphFS(AppendSupport, _BaseDFS):
             replica_nodes = placement.place_replicas(
                 meta.name, stripe_index, n_replica_targets, exclude=ec_nodes
             )
-            self._write_replica_pipeline(
+            block, temporary = self._write_replica_pipeline(
                 meta,
                 stripe_index,
                 first_chunk=s,
@@ -601,20 +612,22 @@ class MorphFS(AppendSupport, _BaseDFS):
             )
             if self.parity_mode == "none":
                 stripe_meta.n = stripe_meta.k
-            # Parities persisted: temporary replicas leave memory for free.
-            for i, node_id in enumerate(replica_nodes):
-                if i >= persist_replicas:
-                    # Temp replica ids share the block's batched-mint
-                    # prefix; each pipeline node holds one copy, so the
-                    # (node, prefix) pair pins it exactly.
-                    chunk_id = f"{meta.name}/r{stripe_index}c"
-                    self._drop_temp_replica(node_id, chunk_id)
+            self._settle_hybrid_block(block, temporary, stripe_meta)
 
-    def _drop_temp_replica(self, node_id: str, chunk_id_prefix: str) -> None:
-        datanode = self.datanodes[node_id]
-        for cid in list(datanode._memory):
-            if cid.startswith(chunk_id_prefix):
-                datanode.drop_from_memory(cid)
+    def _settle_hybrid_block(
+        self,
+        block: ReplicaBlockMeta,
+        temporary: Sequence[Tuple[str, str]],
+        stripe: ECStripeMeta,
+    ) -> None:
+        """The stripe of a hybrid block is stored: the block's persisted
+        copies take their sum from its data chunks' — a replica block is,
+        byte for byte, those chunks end to end, padded tail included — and
+        its temporary copies leave memory for free."""
+        for copy in block.copies:
+            self.checksums.record_concat(copy.chunk_id, stripe.data)
+        for node_id, chunk_id in temporary:
+            self.datanodes[node_id].drop_from_memory(chunk_id)
 
     # -- native transcode ----------------------------------------------------------
     def transcode(self, name: str, target: RedundancyScheme, heartbeats: bool = True) -> FileMeta:

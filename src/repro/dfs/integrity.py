@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,75 @@ def chunk_checksum(data: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(data, dtype=np.uint8).tobytes())
 
 
+# -- the sum of a concatenation, from the sums of its parts ------------------
+#
+# A CRC is a remainder modulo the polynomial P, so crc(A + B) is crc(A)
+# multiplied by x^(8 * len(B)) mod P, XOR crc(B) (the pre- and
+# post-conditioning cancel). zlib has this as ``crc32_combine``; Python's
+# zlib module does not expose it. Polynomials are bit-reflected as in
+# zlib: bit 31 is x^0.
+
+_CRC_POLY = 0xEDB88320
+
+
+def _mul_mod_p(a: int, b: int) -> int:
+    """``a(x) * b(x) mod P(x)`` (zlib's ``multmodp``)."""
+    product = 0
+    bit = 1 << 31
+    while a:
+        if a & bit:
+            product ^= b
+            a ^= bit
+        bit >>= 1
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return product
+
+
+#: x^(2^i) mod P for i = 0..31, by repeated squaring from x^1
+_X_POW_2N = [1 << 30]
+for _ in range(31):
+    _X_POW_2N.append(_mul_mod_p(_X_POW_2N[-1], _X_POW_2N[-1]))
+
+
+@lru_cache(maxsize=64)
+def _append_zeros_operator(nbytes: int) -> Tuple[Tuple[int, ...], ...]:
+    """The map "append ``nbytes`` zero bytes" on 32-bit sums —
+    multiplication by x^(8 * nbytes) mod P — tabulated per byte of the
+    operand: four 256-entry tables, XORed together. Built once per
+    distinct length (a file system has a handful: its chunk size)."""
+    factor = 1 << 31  # x^0
+    power, n = 3, nbytes  # x^(n * 2^3)
+    while n:
+        if n & 1:
+            factor = _mul_mod_p(_X_POW_2N[power & 31], factor)
+        n >>= 1
+        power += 1
+    tables = []
+    for byte in range(4):
+        table = [0] * 256
+        for bit in range(8):
+            image = _mul_mod_p(factor, 1 << (8 * byte + bit))
+            for value in range(1 << bit, 2 << bit):
+                table[value] = table[value - (1 << bit)] ^ image
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def crc32_concat(crc1: int, crc2: int, len2: int) -> int:
+    """``zlib.crc32(a + b)`` from ``crc1 = zlib.crc32(a)``,
+    ``crc2 = zlib.crc32(b)`` and ``len2 = len(b)``, touching no byte."""
+    if not len2:
+        return crc1
+    t0, t1, t2, t3 = _append_zeros_operator(len2)
+    return (
+        t0[crc1 & 0xFF]
+        ^ t1[(crc1 >> 8) & 0xFF]
+        ^ t2[(crc1 >> 16) & 0xFF]
+        ^ t3[crc1 >> 24]
+        ^ crc2
+    )
+
+
 class ChecksumRegistry:
     """Write-time checksums, keyed by chunk id.
 
@@ -38,9 +108,12 @@ class ChecksumRegistry:
     simulator and keeps verification independent of the possibly-corrupt
     datanode — and of whether the chunk's home node is up at all).
 
-    A CRC runs over the freshly written side of a copy the system makes
-    anyway: ``record`` follows the datanode store that just streamed the
-    array, ``verify(..., into=dst)`` *is* the delivery copy.
+    A recorded sum is the CRC-32 of the bytes as written, computed or
+    derived. Computed, a CRC runs over the freshly written side of a copy
+    the system makes anyway: ``record`` follows the datanode store that
+    just streamed the array, ``verify(..., into=dst)`` *is* the delivery
+    copy. Derived, no byte is read again: ``record_concat`` folds the
+    sums of chunks the new one repeats end to end.
     """
 
     def __init__(self):
@@ -51,6 +124,16 @@ class ChecksumRegistry:
         if data.dtype != np.uint8 or not data.flags.c_contiguous:
             data = np.ascontiguousarray(data, dtype=np.uint8)
         self._sums[chunk_id] = zlib.crc32(data)
+
+    def record_concat(self, chunk_id: str, parts: Sequence[ChunkMeta]) -> None:
+        """Remember the sum of a chunk that is, byte for byte, the
+        recorded chunks ``parts`` end to end — a hybrid stripe's replica
+        block over its data chunks, one more copy of a block over the
+        first — exactly what ``record`` would compute over its bytes."""
+        crc = 0
+        for part in parts:
+            crc = crc32_concat(crc, self._sums[part.chunk_id], part.size)
+        self._sums[chunk_id] = crc
 
     def forget(self, chunk_id: str) -> None:
         self._sums.pop(chunk_id, None)

@@ -18,24 +18,32 @@ This module is the numpy rendition of that idea:
   :class:`Field` names which of the two a dtype means — the only thing
   the fields do not share — and nothing a caller sets selects it: the
   field of a plan is ``coeffs.dtype``.
-* **One multiply plan** — :class:`MulPlan` picks its strategy from the
-  row count ``m`` alone. For ``2 <= m <= COMBINE_MAX_ROWS`` it builds one
-  *combined* table per input row, ``(65536, m')`` with the column count
-  ``m'`` padded to a power of two: a single ``np.take`` then yields that
-  input row's contribution to **all** outputs, and the padding keeps a
-  table row at 4, 8 or 16 bytes — ``np.take`` copies 2/4/8/16-byte items
-  with one move and anything else (a 6-byte row at ``m = 3``) with a
-  byte loop, 1.5-1.7x slower. For ``m = 1`` (the recovery of one lost
-  chunk, which has nothing to combine) and ``m > COMBINE_MAX_ROWS``
-  (tables outgrow L2) it runs a row-at-a-time loop over the shared
-  per-coefficient tables and owns none. Tables are built on the first
-  bulk apply; below :data:`KERNEL_MIN_BYTES` per row a gather cannot
-  amortise and the plan itself answers with the field's reference
+* **One multiply plan that reads its matrix** — :class:`MulPlan` picks
+  its strategy from the coefficient matrix alone. For
+  ``2 <= m <= COMBINE_MAX_ROWS`` output rows, a row whose nonzero
+  coefficients are all 1 (CC's first parity, an LRC local parity) is the
+  plain XOR of its inputs — no table, no gather. The remaining rows are
+  combined four at a time with their 16-bit results *packed as slots of
+  one wide integer* per table row (two rows: a ``(65536,)`` ``uint32``
+  table per input, three or four: ``uint64``; a lone row gathers from
+  the shared per-coefficient table), so a single ``np.take`` yields an
+  input's contribution to every row of the group, the accumulator is one
+  flat array and each row is written out contiguously. An input whose
+  coefficients in a group are all 0/1 (CC's first column) contributes
+  ``lane * constant`` — a widening multiply, half a gather's price. For
+  ``m = 1`` (the recovery of one lost chunk, which has nothing to
+  combine, and gathers even for a coefficient of 1: see
+  :func:`_apply_rows`) and ``m > COMBINE_MAX_ROWS`` (a plan would pin
+  ``m/4 * k`` half-megabyte tables) it runs a row-at-a-time loop over
+  the shared per-coefficient tables and owns none. Tables are built on
+  the first bulk apply; below :data:`KERNEL_MIN_BYTES` per row a gather
+  cannot amortise and the plan itself answers with the field's reference
   matmul, so no caller tests the threshold.
-* **Cache blocking** — ``apply`` walks the lane axis in tiles sized so
-  the accumulator + gather scratch stay within :data:`TILE_BYTES`
-  regardless of chunk length; no ``(m, n, k)`` intermediate is ever
-  materialised, so memory is O(tile) instead of O(m*n*k).
+* **Cache blocking** — ``apply`` walks the lane axis in tiles; no
+  ``(m, n, k)`` intermediate is ever materialised, so memory is O(tile)
+  instead of O(m*n*k). A packed tile is :data:`PACKED_TILE_LANES` lanes:
+  numpy's index scratch, the accumulator, the gather scratch and the
+  table in use then share L2.
 
 Plans are cached per generator (pinned on the
 :class:`~repro.codes.base.ErasureCode`, and in a global LRU keyed by
@@ -64,8 +72,18 @@ KERNEL_MIN_BYTES = 4096
 #: matter how long the chunk axis is; measured optimum on 1 MiB chunks.
 TILE_BYTES = 1 << 22
 
-#: Widest output (row count) a combined per-column table is built for.
-#: Beyond this the (65536, m) tables outgrow L2 and the row-loop wins.
+#: Lanes per tile of the packed strategy. ``np.take`` widens its uint16
+#: indices to intp (8 bytes a lane) beside the accumulator and scratch
+#: (4-8 bytes a lane each) and the 256-512 KiB table in use; at 64 Ki
+#: lanes the four sit in L2 together. Measured on 3 x 6 over 1 MiB rows:
+#: 16 Ki lanes 6.0 ms, 32 Ki 5.3, 64 Ki 5.05, 128 Ki 5.1, 512 Ki 8.2
+#: (docs/performance.md, "The tile").
+PACKED_TILE_LANES = 1 << 16
+
+#: Widest output (row count) whose rows are packed into slot groups.
+#: Beyond it a plan would own ``m/4 * k`` tables of 512 KiB (a 12 x 12
+#: decode: 18 MiB pinned per plan) and the row loop, which owns none,
+#: runs instead.
 COMBINE_MAX_ROWS = 8
 
 #: LRU capacities: whole plans (global) and per-coefficient tables.
@@ -207,54 +225,119 @@ def field_of(dtype: np.dtype) -> Field:
 # the blocked core (shared by both fields): 16-bit lanes in, 16-bit lanes out
 # ---------------------------------------------------------------------------
 
-def _combined_tables(
-    coeffs: np.ndarray, cols: List[int], table_fn
-) -> List[np.ndarray]:
-    """One (65536, m') uint16 table per nonzero input row of ``coeffs``,
-    ``m'`` the row count padded to a power of two (the pad stays zero)."""
-    m = coeffs.shape[0]
-    width = 1 << (m - 1).bit_length()
-    out = []
-    for t in cols:
-        tab = np.zeros((1 << 16, width), dtype=np.uint16)
-        for i in range(m):
-            c = int(coeffs[i, t])
-            if c:
-                tab[:, i] = table_fn(c)
-        out.append(tab)
-    return out
+class _SlotGroup(NamedTuple):
+    """Up to four output rows combined in one pass: row ``rows[s]`` lives
+    in 16-bit slot ``s`` of one wide integer per lane."""
+
+    rows: Tuple[int, ...]
+    #: what a lane of slots is held in: uint16, uint32 or uint64
+    dtype: np.dtype
+    #: ``(input row, operand)`` per input with a nonzero coefficient
+    #: here. An input whose coefficients are all 0/1 contributes
+    #: ``lane * operand``, a scalar of ``dtype`` that copies the lane
+    #: into each slot whose coefficient is 1; any other a gather from
+    #: its operand, the ``(65536,)`` table of ``dtype``.
+    steps: List[Tuple[int, np.ndarray]]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of tables the group owns: a one-slot group gathers from
+        the shared per-coefficient tables."""
+        if self.dtype.itemsize == 2:
+            return 0
+        return sum(operand.nbytes for _t, operand in self.steps if operand.ndim)
 
 
-def _apply_combined(
-    tables: List[np.ndarray],
-    cols: List[int],
+def _read_matrix(
+    coeffs: np.ndarray, table_fn
+) -> Tuple[List[Tuple[int, List[int]]], List[_SlotGroup]]:
+    """What :func:`_apply_slots` does for this matrix: ``(xor rows, slot
+    groups)``.
+
+    A row whose nonzero coefficients are all 1 is ``(row, the inputs it
+    XORs)`` — none, for a row of zeros. The other rows go in groups of
+    at most four (a ``uint64`` of 16-bit slots), each with its per-input
+    steps. A table is built as a ``(65536, slots)`` ``uint16`` array —
+    the slot count padded to a power of two, the pad left zero — and
+    *viewed* as one integer per row, and so is a slot constant: slot
+    ``s`` is column ``s`` of that array and of the accumulator's
+    ``uint16`` view, whatever the byte order of the machine.
+    """
+    matrix = coeffs.tolist()  # plain ints: a dozen tiny numpy calls a column add up
+    top = [max(row, default=0) for row in matrix]
+    xor_rows = [
+        (i, [t for t, c in enumerate(row) if c])
+        for i, row in enumerate(matrix)
+        if top[i] <= 1
+    ]
+    rows = [i for i in range(len(matrix)) if top[i] > 1]
+    groups = []
+    for first in range(0, len(rows), 4):
+        members = tuple(rows[first : first + 4])
+        slots = 1 << (len(members) - 1).bit_length()
+        dtype = np.dtype(f"u{2 * slots}")
+        steps = []
+        for t in range(coeffs.shape[1]):
+            column = [matrix[i][t] for i in members] + [0] * (slots - len(members))
+            if max(column) <= 1:
+                if any(column):
+                    ones = np.array(column, dtype=np.uint16)
+                    steps.append((t, ones.view(dtype)[0]))
+            elif slots == 1:
+                steps.append((t, table_fn(column[0])))
+            else:
+                # every slot written below: no need to zero the array first
+                alloc = np.empty if all(column) else np.zeros
+                table = alloc((1 << 16, slots), dtype=np.uint16)
+                for s, c in enumerate(column):
+                    if c:
+                        table[:, s] = table_fn(c)
+                steps.append((t, table.view(dtype).ravel()))
+        groups.append(_SlotGroup(members, dtype, steps))
+    return xor_rows, groups
+
+
+def _apply_slots(
+    xor_rows: List[Tuple[int, List[int]]],
+    groups: List[_SlotGroup],
     lanes: Sequence[np.ndarray],
     out16: np.ndarray,
 ) -> None:
-    """out16 (m, L) = sum_t tables[t][lanes[t]], tiled along the lane axis."""
-    if not tables:
-        return  # all-zero coefficients: out16 is already zeroed
-    m, n16 = out16.shape
-    width = tables[0].shape[1]
-    # Tile so acc + tmp (two (w, m') uint16 buffers) fit the tile budget.
-    w = max(1024, TILE_BYTES // (4 * width))
-    acc = np.empty((min(w, n16), width), dtype=np.uint16)
-    tmp = np.empty_like(acc)
+    """out16 (m, L), zeroed on entry, tile by tile along the lane axis:
+    XOR rows as the XOR of their inputs, the rest a slot group at a time
+    — one gather (or widening multiply) per input into an accumulator of
+    packed slots, each slot then written out as its row."""
+    n16 = out16.shape[1]
+    w = min(PACKED_TILE_LANES, n16)
+    scratch = [
+        (np.empty(w, dtype=group.dtype), np.empty(w, dtype=group.dtype))
+        for group in groups
+    ]
     for start in range(0, n16, w):
         stop = min(start + w, n16)
         ww = stop - start
-        a = acc[:ww]
-        for j, (tab, t) in enumerate(zip(tables, cols)):
-            # mode="clip" is a no-op for uint16 indices into a 65536-row
-            # table but skips numpy's buffered bounds-checked take path.
-            if j == 0:
-                # First input row gathers straight into the accumulator —
-                # one fewer full pass over the tile.
-                np.take(tab, lanes[t][start:stop], axis=0, out=a, mode="clip")
-            else:
-                np.take(tab, lanes[t][start:stop], axis=0, out=tmp[:ww], mode="clip")
-                np.bitwise_xor(a, tmp[:ww], out=a)
-        out16[:, start:stop] = a[:, :m].T
+        segs = [lane[start:stop] for lane in lanes]
+        for i, cols in xor_rows:
+            row = out16[i, start:stop]
+            for t in cols:
+                np.bitwise_xor(row, segs[t], out=row)
+        for group, (acc, tmp) in zip(groups, scratch):
+            acc, tmp = acc[:ww], tmp[:ww]
+            dst = acc  # the first input lands in the accumulator itself
+            for t, operand in group.steps:
+                if operand.ndim:
+                    # mode="clip" is a no-op for uint16 indices into a
+                    # 65536-row table but skips numpy's buffered
+                    # bounds-checked take path.
+                    np.take(operand, segs[t], out=dst, mode="clip")
+                else:
+                    np.multiply(segs[t], operand, out=dst, dtype=group.dtype)
+                if dst is tmp:
+                    np.bitwise_xor(acc, tmp, out=acc)
+                dst = tmp
+            slots = acc.view(np.uint16).reshape(ww, -1)
+            for s, i in enumerate(group.rows):
+                out16[i, start:stop] = slots[:, s]
 
 
 def _apply_rows(
@@ -305,9 +388,10 @@ class MulPlan:
     ``apply(b)`` computes ``coeffs @ b`` over the field ``coeffs.dtype``
     names (uint8: GF(2^8), uint16: GF(2^16)) without materialising an
     ``(m, n, k)`` intermediate. Build once per generator and reuse across
-    stripes (:func:`plan_for_matrix` caches); the combined tables — 256
-    to 1024 KiB per coefficient column — are built on the first bulk
-    apply, and a single-row or wider-than-combinable plan owns none.
+    stripes (:func:`plan_for_matrix` caches); the slot tables — 256 or
+    512 KiB per input row and group of output rows — are built on the
+    first bulk apply, and a single-row or wider-than-combinable plan
+    owns none.
     """
 
     def __init__(self, coeffs: np.ndarray):
@@ -319,16 +403,17 @@ class MulPlan:
         self.m, self.k = coeffs.shape
         self.cols = [t for t in range(self.k) if coeffs[:, t].any()]
         # A single-row transform (one lost chunk: the common repair) has
-        # nothing to combine — its (65536, 1) tables would be private
-        # copies of the shared coefficient tables, k * 128 KiB rebuilt
-        # and pinned per failure pattern. It gathers from the shared LRU.
-        self.combined = 1 < self.m <= COMBINE_MAX_ROWS
-        self.tables: Optional[List[np.ndarray]] = None
+        # nothing to combine and gathers from the shared LRU, ones
+        # included (see _apply_rows); beyond COMBINE_MAX_ROWS a plan
+        # would pin megabytes of tables. Between, the first bulk apply
+        # reads the matrix into (xor rows, slot groups).
+        self.packed = 1 < self.m <= COMBINE_MAX_ROWS
+        self.passes: Optional[Tuple[list, List[_SlotGroup]]] = None
 
     @property
     def nbytes(self) -> int:
         """Bytes of gather tables this plan owns (0 until a bulk apply)."""
-        return sum(t.nbytes for t in self.tables or ())
+        return sum(group.nbytes for group in self.passes[1]) if self.passes else 0
 
     def apply(self, b) -> np.ndarray:
         """``coeffs @ b``: (m, k) by (k, n) -> (m, n), in the plan's dtype.
@@ -357,10 +442,10 @@ class MulPlan:
             if any(lane.shape != lanes[0].shape for lane in lanes) or lanes[0].ndim != 1:
                 raise ValueError(f"plan expects {self.k} rows of {n} symbols each")
         out = np.zeros((self.m, n), dtype=dtype)
-        if self.combined:
-            if self.tables is None:
-                self.tables = _combined_tables(self.coeffs, self.cols, self.field.table)
-            _apply_combined(self.tables, self.cols, lanes, out.view(np.uint16))
+        if self.packed:
+            if self.passes is None:
+                self.passes = _read_matrix(self.coeffs, self.field.table)
+            _apply_slots(*self.passes, lanes, out.view(np.uint16))
         else:
             _apply_rows(
                 self.coeffs, self.cols, self.field.table, lanes, out.view(np.uint16)

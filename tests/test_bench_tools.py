@@ -141,6 +141,7 @@ class TestBenchRatioGates:
 
         good = {
             "gf_apply_m3_over_m4_time_ratio": 0.97,
+            "gf_encode_3x6_over_1x6_time_ratio": 1.1,
             "namenode_sweep_over_scan_time_ratio": 1.3,
         }
         assert set(good) == set(micro.RATIO_GATES)
@@ -162,6 +163,12 @@ class TestBenchRatioGates:
         )
         assert micro.main(["--check", "--out", str(out)]) == 1
         assert "exceeds its gate 1.25" in capsys.readouterr().err
+        # ... so are three parities that cost two and a half rows again,
+        monkeypatch.setattr(
+            micro, "run_benchmarks", measured(gf_encode_3x6_over_1x6_time_ratio=2.4)
+        )
+        assert micro.main(["--check", "--out", str(out)]) == 1
+        assert "exceeds its gate 1.5" in capsys.readouterr().err
         # ... and so is an index that walks files to answer a node query.
         monkeypatch.setattr(
             micro, "run_benchmarks", measured(namenode_sweep_over_scan_time_ratio=6.4)

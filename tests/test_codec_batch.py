@@ -16,7 +16,7 @@ from repro.codes.lrc import LocalReconstructionCode
 from repro.codes.lrcc import LocallyRecoverableConvertibleCode
 from repro.codes.rs import ReedSolomon
 from repro.codes.wide import WideConvertibleCode
-from repro.codes.base import DecodeError
+from repro.codes.base import STACK_BELOW_BYTES, DecodeError
 from repro.gf import kernels
 from repro.gf.field16 import bytes_to_symbols, gf16_mul, symbols_to_bytes
 from repro.gf.matrix import gf_rank
@@ -96,6 +96,90 @@ class TestEncodeBatch:
             assert all(np.array_equal(g, w) for g, w in zip(parities, expected))
 
 
+# -- every family's parities, pinned at the commit before the kernels read
+# -- their matrix (sha256 prefix over a seeded batch's parities) --------------
+
+_FAMILIES = {
+    "CC(6,9)": lambda: ConvertibleCode(6, 9),
+    "CC(12,15)": lambda: ConvertibleCode(12, 15),
+    "LRCC(12,2,2)": lambda: LocallyRecoverableConvertibleCode(12, 2, 2),
+    "LRC(12,2,2)": lambda: LocalReconstructionCode(12, 2, 2),
+    "RS(6,9)": lambda: ReedSolomon(6, 9),
+    "wide CC(17,20)": lambda: WideConvertibleCode(17, 20),
+}
+#: chunk lengths of a batch: one stripe, a ragged tail, rows just below /
+#: at / above the stacking threshold, both sides of it in one batch
+_BATCHES = {
+    "one": [8192],
+    "ragged": [8192, 8192, 8192, 4098],
+    "below": [STACK_BELOW_BYTES - 2] * 2,
+    "at": [STACK_BELOW_BYTES] * 2,
+    "above": [STACK_BELOW_BYTES + 2] * 2,
+    "mixed": [STACK_BELOW_BYTES, 6000, STACK_BELOW_BYTES, 6000],
+}
+_PARITY_DIGESTS = {
+    ("CC(6,9)", "one"): "ced6bcf4028e55e8",
+    ("CC(6,9)", "ragged"): "b9c23a98b90e12be",
+    ("CC(6,9)", "below"): "1bd595eb2c666c15",
+    ("CC(6,9)", "at"): "d75e599aaf9c289b",
+    ("CC(6,9)", "above"): "3264c95412bf1274",
+    ("CC(6,9)", "mixed"): "63c51fcca2114523",
+    ("CC(12,15)", "one"): "6eef5305fbe8017a",
+    ("CC(12,15)", "ragged"): "37007aeb956bf03b",
+    ("CC(12,15)", "below"): "9929a6b3f8728cd6",
+    ("CC(12,15)", "at"): "493c109c9117e2d3",
+    ("CC(12,15)", "above"): "2f72931ac7956e66",
+    ("CC(12,15)", "mixed"): "923d5f5febac769c",
+    ("LRCC(12,2,2)", "one"): "1260cd4fbdefafa4",
+    ("LRCC(12,2,2)", "ragged"): "284c61b5f74fcc09",
+    ("LRCC(12,2,2)", "below"): "4fe8cde34a12f4ee",
+    ("LRCC(12,2,2)", "at"): "b690be8dbb1883e1",
+    ("LRCC(12,2,2)", "above"): "5abeee43c8179d64",
+    ("LRCC(12,2,2)", "mixed"): "d6f9f3b73d17e823",
+    ("LRC(12,2,2)", "one"): "a6f71e010093bcc5",
+    ("LRC(12,2,2)", "ragged"): "ffa8387f4e529615",
+    ("LRC(12,2,2)", "below"): "55926683759b8e16",
+    ("LRC(12,2,2)", "at"): "4a6daf5d0adbbee1",
+    ("LRC(12,2,2)", "above"): "3fc4dce58503bd0c",
+    ("LRC(12,2,2)", "mixed"): "d0f92624672b46f3",
+    ("RS(6,9)", "one"): "afd7d629cac6c2b0",
+    ("RS(6,9)", "ragged"): "4bd891e9d0d00516",
+    ("RS(6,9)", "below"): "08fd19daa28cea7e",
+    ("RS(6,9)", "at"): "9ed2084144ed11ec",
+    ("RS(6,9)", "above"): "d6e0719417f60278",
+    ("RS(6,9)", "mixed"): "64d8276946602da5",
+    ("wide CC(17,20)", "one"): "777050c06f3804fb",
+    ("wide CC(17,20)", "ragged"): "ce58dd36c1137d6e",
+    ("wide CC(17,20)", "below"): "0df91c8bd6c3d74b",
+    ("wide CC(17,20)", "at"): "a1bb125b51d96273",
+    ("wide CC(17,20)", "above"): "7ebeb7a7e7bbe8bc",
+    ("wide CC(17,20)", "mixed"): "4b920f717b148752",
+}
+
+
+class TestParitiesPinned:
+    @pytest.mark.parametrize("batch", list(_BATCHES))
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_encode_and_encode_batch_give_the_pinned_parities(self, family, batch):
+        import hashlib
+
+        assert STACK_BELOW_BYTES == 128 * 1024  # what the digests were cut at
+        code = _FAMILIES[family]()
+        rng = np.random.default_rng(list(_BATCHES).index(batch))
+        stripes = [
+            [rng.integers(0, 256, n, dtype=np.uint8) for _ in range(code.k)]
+            for n in _BATCHES[batch]
+        ]
+        digest = hashlib.sha256()
+        for chunks, parities in zip(stripes, code.encode_batch(stripes)):
+            single = code.encode(chunks)
+            assert len(single) == len(parities) == code.r
+            for one, batched in zip(single, parities):
+                assert np.array_equal(one, batched)
+                digest.update(np.ascontiguousarray(one).tobytes())
+        assert digest.hexdigest()[:16] == _PARITY_DIGESTS[family, batch]
+
+
 def _erasure_cases(code):
     """(erased, label) patterns: data-only, mixed, all-parity."""
     k, n = code.k, code.n
@@ -109,8 +193,8 @@ def _erasure_cases(code):
 
 class TestDecodeBatch:
     @pytest.mark.parametrize("code", _codes(), ids=lambda c: type(c).__name__)
-    def test_matches_per_stripe_loop(self, code):
-        stripes = _stripes(code.k, 4, _chunk_bytes(code), seed=6)
+    def test_matches_per_stripe_loop(self, code, size=None, count=4):
+        stripes = _stripes(code.k, count, size or _chunk_bytes(code), seed=6)
         parities = [code.encode(chunks) for chunks in stripes]
         for erased, label in _erasure_cases(code):
             availables, eraseds = [], []
@@ -130,6 +214,10 @@ class TestDecodeBatch:
                     assert np.array_equal(rec[idx], expected[idx]), label
                     full = list(chunks) + list(pars)
                     assert np.array_equal(rec[idx], full[idx]), label
+
+    @pytest.mark.parametrize("code", _codes(), ids=lambda c: type(c).__name__)
+    def test_chunks_of_a_kernel_tile_go_stripe_by_stripe_and_match(self, code):
+        self.test_matches_per_stripe_loop(code, size=STACK_BELOW_BYTES, count=2)
 
     def test_mixed_patterns_in_one_batch(self):
         code = ReedSolomon(4, 7)

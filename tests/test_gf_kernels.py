@@ -76,9 +76,84 @@ _SHAPE_CASES = {
 }
 
 
+def _xor_row_everywhere(a, rng):
+    for i in range(len(a)):
+        b = a.copy()
+        b[i] = 1
+        yield b
+
+
+def _two_xor_rows(a, rng):
+    a[0] = a[-1] = 1
+    yield a
+
+
+def _partial_xor_rows(a, rng):
+    # LRC local parities: ones over one half of the inputs, zeros over
+    # the other.
+    half = a.shape[1] // 2
+    a[0, :half], a[0, half:] = 1, 0
+    a[1, :half], a[1, half:] = 0, 1
+    yield a
+
+
+def _all_xor(a, rng):
+    yield rng.integers(0, 2, size=a.shape).astype(a.dtype)
+
+
+def _zero_row(a, rng):
+    a[len(a) // 2] = 0
+    yield a
+
+
+def _zero_one_column_everywhere(a, rng):
+    for t in range(a.shape[1]):
+        b = a.copy()
+        b[:, t] = rng.integers(0, 2, size=len(a))
+        b[t % len(a), t] = 1
+        yield b
+
+
+def _cc_like(a, rng):
+    # CC's parity block: an XOR row and a column of ones.
+    a[0] = 1
+    a[:, 0] = 1
+    yield a
+
+
+def _no_structure(a, rng):
+    yield a
+
+
+#: edits of a matrix whose coefficients are all >= 2, each yielding the
+#: matrices to try
+_STRUCTURES = {
+    "xor_row_everywhere": _xor_row_everywhere,
+    "two_xor_rows": _two_xor_rows,
+    "partial_xor_rows": _partial_xor_rows,
+    "all_xor": _all_xor,
+    "zero_row": _zero_row,
+    "zero_one_column_everywhere": _zero_one_column_everywhere,
+    "cc_like": _cc_like,
+    "no_structure": _no_structure,
+}
+_TEST_TILE_LANES = 1 << 12
+#: row lengths in bytes around a tile boundary (tile - 2, tile, tile + 2
+#: lanes), odd, and either side of the kernel threshold
+_STRUCTURE_BYTES = [
+    2 * _TEST_TILE_LANES - 4,
+    2 * _TEST_TILE_LANES,
+    2 * _TEST_TILE_LANES + 4,
+    2 * _TEST_TILE_LANES + 1,
+    4 * _TEST_TILE_LANES + 3,
+    KERNEL_MIN_BYTES - 2,
+    KERNEL_MIN_BYTES + 2,
+]
+
+
 class TestMulPlanMatrix:
-    """Both strategies (combined tables for 2 <= m <= 8, the row loop for
-    m = 1 and m > 8), both fields, the widths the codes use."""
+    """Both strategies (matrix-reading slot groups for 2 <= m <= 8, the
+    row loop for m = 1 and m > 8), both fields, the widths the codes use."""
 
     @pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
     @pytest.mark.parametrize("k", [4, 6, 12, 34])
@@ -87,6 +162,7 @@ class TestMulPlanMatrix:
     def test_bit_identical_to_field_reference(self, monkeypatch, field, m, k, case):
         # Tiles of 1024-2048 lanes, so a 4 K-lane row spans several.
         monkeypatch.setattr(kernels, "TILE_BYTES", 1 << 13)
+        monkeypatch.setattr(kernels, "PACKED_TILE_LANES", 1 << 10)
         n, edit, as_list = _SHAPE_CASES[case]
         rng = np.random.default_rng([field.dtype.itemsize, m, k, n])
         # Coefficients from a small alphabet: a table is built per
@@ -101,16 +177,54 @@ class TestMulPlanMatrix:
         assert got.dtype == field.dtype
         assert np.array_equal(got, field.matmul_reference(a, b))
 
+    @pytest.mark.parametrize("structure", sorted(_STRUCTURES))
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
+    def test_structured_matrices_bit_identical_to_field_reference(
+        self, monkeypatch, field, m, structure
+    ):
+        """A plan reads its matrix — XOR rows, 0/1 columns, slot groups —
+        and whatever it finds there, the product is the reference's."""
+        monkeypatch.setattr(kernels, "PACKED_TILE_LANES", _TEST_TILE_LANES)
+        k = 6
+        rng = np.random.default_rng([field.dtype.itemsize, m, len(structure)])
+        alphabet = _rand(field, rng, 24) | 2
+        base = alphabet[rng.integers(0, 24, size=(m, k))]
+        data = _rand(field, rng, k, max(_STRUCTURE_BYTES))
+        data[0, ::5] = 0  # zero operands have no logarithm
+        lengths = [nbytes // field.dtype.itemsize for nbytes in _STRUCTURE_BYTES]
+        for a in _STRUCTURES[structure](base, rng):
+            plan = MulPlan(a)
+            for j, n in enumerate(lengths):
+                b = data[:, :n]
+                assert np.array_equal(
+                    plan.apply(list(b) if j % 2 else b), field.matmul_reference(a, b)
+                ), (a, n)
+
     @pytest.mark.parametrize("m", range(2, COMBINE_MAX_ROWS + 1))
     @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
     def test_combined_table_rows_are_a_power_of_two_wide(self, field, m):
-        """numpy's take moves 4/8/16-byte items with one copy and any
-        other size (6 bytes at m = 3) byte by byte, 1.5-1.7x slower."""
+        """A table row is its group's 16-bit slots in one integer, the
+        slot count padded to a power of two: numpy's take moves 4/8-byte
+        items with one copy and any other size (three slots unpadded: 6
+        bytes) byte by byte, 1.5-1.7x slower. Rows go four to a group,
+        and a group of one gathers from the shared tables."""
         rng = np.random.default_rng(m)
-        plan = MulPlan(_rand(field, rng, m, 3))
+        plan = MulPlan(_rand(field, rng, m, 3) | 2)  # no coefficient is 0 or 1
         assert plan.nbytes == 0  # tables wait for the first bulk apply
         plan.apply(_rand(field, rng, 3, KERNEL_MIN_BYTES))
-        assert [t.strides[0] for t in plan.tables] == [2 << (m - 1).bit_length()] * 3
+        groups = plan.passes[1]
+        sizes = [len(group.rows) for group in groups]
+        assert sizes == [4] * (m // 4) + [m % 4] * bool(m % 4)
+        owned = 0
+        for group, size in zip(groups, sizes):
+            item = 2 << (size - 1).bit_length()
+            assert group.dtype.itemsize == item
+            assert [(tab.shape, tab.itemsize) for _t, tab in group.steps] == [
+                ((1 << 16,), item)
+            ] * 3
+            owned += 3 * (item << 16) if size > 1 else 0
+        assert plan.nbytes == owned
 
     def test_field_is_the_coefficient_dtype_and_nothing_else(self):
         assert MulPlan(np.zeros((2, 3), dtype=np.uint8)).field is GF8

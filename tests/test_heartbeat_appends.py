@@ -112,6 +112,29 @@ class TestAppends:
         combined = np.concatenate([data, extra])
         assert np.array_equal(fs.read_file("f"), combined)
 
+    def test_nothing_stays_buffered(self):
+        """A temporary replica leaves its striper's buffer cache once the
+        stripe is stored — after a write, after an append of full and of
+        open stripes, after a delete. (Appended full stripes used to keep
+        theirs forever: dropped by a prefix their ids never had.)"""
+
+        def nothing_buffered():
+            assert fs.memory_used() == 0
+            assert all(n.memory_in_use_bytes == 0 for n in fs.metrics.nodes.values())
+
+        fs, data = hybrid_fs(n_kb=24)  # one full stripe
+        nothing_buffered()
+        rng = np.random.default_rng(10)
+        fs.append_file("f", rng.integers(0, 256, 48 * KB, dtype=np.uint8))  # two full
+        nothing_buffered()
+        fs.append_file("f", rng.integers(0, 256, 30 * KB, dtype=np.uint8))  # full + open
+        nothing_buffered()
+        fs.close_file("f")
+        nothing_buffered()
+        fs.delete_file("f")
+        nothing_buffered()
+        assert fs.capacity_used() == 0
+
     def test_open_stripe_has_no_parities(self):
         fs, data = hybrid_fs(n_kb=24)  # exactly one full stripe
         fs.append_file("f", np.ones(10 * KB, dtype=np.uint8))

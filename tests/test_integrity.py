@@ -1,12 +1,22 @@
 """Checksums, corruption detection and the scrubber (§6.1)."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.schemes import CodeKind, ECScheme, HybridScheme
-from repro.dfs import BaselineDFS, MorphFS
+from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
+from repro.dfs import BaselineDFS, MorphFS, integrity
 from repro.dfs.client import ReadError
-from repro.dfs.integrity import ChecksumRegistry, Scrubber, chunk_checksum, corrupt_chunk
+from repro.dfs.integrity import (
+    ChecksumRegistry,
+    Scrubber,
+    chunk_checksum,
+    corrupt_chunk,
+    crc32_concat,
+)
 from repro.dfs.recovery import RecoveryError, RecoveryManager
 
 KB = 1024
@@ -57,6 +67,139 @@ class TestChecksumValue:
         for arr in (base, base[5:], base[::3], base[::-1], square[:, 7], base[:0]):
             assert chunk_checksum(arr) == zlib.crc32(bytes(arr.tolist()))
         assert chunk_checksum(base[:0]) == 0
+
+
+class TestCrc32Concat:
+    """``crc32_concat`` is zlib's ``crc32_combine``: the sum of a
+    concatenation from the sums of its parts, no byte touched."""
+
+    @given(data=st.binary(max_size=3000), cuts=st.lists(st.integers(0, 3000), max_size=11))
+    @settings(max_examples=200, deadline=None)
+    def test_chain_of_parts_equals_crc_of_the_whole(self, data, cuts):
+        # 1-12 parts, empty ones on either side included
+        bounds = [0] + sorted(min(c, len(data)) for c in cuts) + [len(data)]
+        crc = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            crc = crc32_concat(crc, zlib.crc32(data[lo:hi]), hi - lo)
+        assert crc == zlib.crc32(data)
+
+    @pytest.mark.parametrize("len2", [0, 1, 4 * KB, 1024 * KB])
+    @pytest.mark.parametrize("len1", [0, 1, 4 * KB, 1024 * KB])
+    def test_chunk_sized_parts(self, len1, len2):
+        rng = np.random.default_rng([len1, len2])
+        a = rng.integers(0, 256, len1, dtype=np.uint8).tobytes()
+        b = rng.integers(0, 256, len2, dtype=np.uint8).tobytes()
+        assert crc32_concat(zlib.crc32(a), zlib.crc32(b), len2) == zlib.crc32(a + b)
+
+    def test_record_concat_is_record_of_the_concatenation(self):
+        from repro.dfs.blocks import ChunkKind, ChunkMeta
+
+        rng = np.random.default_rng(4)
+        reg = ChecksumRegistry()
+        parts, arrays = [], []
+        for i, n in enumerate([4 * KB, 1, 0, 4 * KB, 777]):
+            arrays.append(rng.integers(0, 256, n, dtype=np.uint8))
+            parts.append(ChunkMeta(f"p{i}", "dn000", ChunkKind.DATA, n))
+            reg.record(f"p{i}", arrays[-1])
+        reg.record_concat("derived", parts)
+        reg.record("computed", np.concatenate(arrays))
+        assert reg.expected("derived") == reg.expected("computed")
+        reg.record_concat("copy", parts[:1])  # one part: the same bytes again
+        assert reg.expected("copy") == reg.expected("p0")
+
+
+class _CountingZlib:
+    """Stands in for the ``zlib`` module inside ``repro.dfs.integrity``:
+    every byte that goes through a CRC there is counted."""
+
+    def __init__(self):
+        self.nbytes = 0
+
+    def crc32(self, data, *args):
+        self.nbytes += memoryview(data).nbytes
+        return zlib.crc32(data, *args)
+
+
+def _ingest_cases():
+    hy = HybridScheme(1, ECScheme(CodeKind.CC, 6, 9))
+
+    def plain(size, **options):
+        def ingest():
+            fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], **options)
+            data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
+            fs.write_file("f", data, hy)
+            return fs, data
+        return ingest
+
+    def reopened():
+        fs, data = plain(30 * KB)()  # a full stripe and an open one
+        extra = np.random.default_rng(2).integers(0, 256, 50 * KB, dtype=np.uint8)
+        fs.append_file("f", extra)  # re-opens the tail: two more full, one open
+        return fs, np.concatenate([data, extra])
+
+    return {
+        "unpadded": plain(48 * KB),
+        "padded_final_stripe": plain(53 * KB + 17),
+        "parity_mode_none": plain(53 * KB + 17, parity_mode="none"),
+        "spanning_protocol": plain(53 * KB + 17, spanning_protocol=True),
+        "append_reopen": reopened,
+    }
+
+
+class TestDerivedSums:
+    """A hybrid stripe's replica block is its data chunks end to end, so
+    its sum is derived from theirs — and is, bit for bit, the CRC-32 of
+    the bytes the block's datanodes hold."""
+
+    @pytest.mark.parametrize("case", sorted(_ingest_cases()))
+    def test_every_recorded_sum_is_the_crc_of_the_stored_bytes(self, case):
+        fs, data = _ingest_cases()[case]()
+        meta = fs.namenode.lookup("f")
+        assert meta.replica_blocks and all(b.copies for b in meta.replica_blocks)
+        for chunk in meta.all_chunks():
+            stored = fs.datanodes[chunk.node_id]._disk[chunk.chunk_id]
+            assert fs.checksums.expected(chunk.chunk_id) == zlib.crc32(stored.tobytes())
+        assert len(fs.checksums) == len(list(meta.all_chunks()))
+        assert np.array_equal(fs.read_file("f"), data)
+        assert Scrubber(fs).scan().corrupt == []
+
+    @pytest.mark.parametrize("case", sorted(_ingest_cases()))
+    def test_a_flipped_replica_byte_is_found_by_scrub_and_refused_by_a_read(self, case):
+        for check in ("scrub", "read"):
+            fs, data = _ingest_cases()[case]()
+            meta = fs.namenode.lookup("f")
+            copy = meta.replica_blocks[-1].copies[0]
+            corrupt_chunk(fs, copy, flip_byte=4 * KB + 3)  # in the block's chunk 1
+            if check == "scrub":
+                assert Scrubber(fs).scan().corrupt == [("f", copy.chunk_id)]
+            else:
+                # with the chunk's home down its replica range serves it:
+                # refused, quarantined, and the next source tried
+                fs.datanodes[meta.stripes[-1].data[1].node_id].fail()
+                assert np.array_equal(fs.read_file("f"), data)
+            assert not fs.datanodes[copy.node_id].has_chunk(copy.chunk_id)
+
+    def test_hybrid_ingest_crcs_one_and_a_half_bytes_per_user_byte(self, monkeypatch):
+        """Data chunks once, three parities over six: 1.5. The replica
+        block's own pass (2.5) is derived instead."""
+        counter = _CountingZlib()
+        monkeypatch.setattr(integrity, "zlib", counter)
+        fs, data = _ingest_cases()["unpadded"]()
+        assert counter.nbytes == 1.5 * data.nbytes
+
+    def test_replicated_ingest_crcs_each_user_byte_once(self, monkeypatch):
+        """One pass per block, not one per persisted copy."""
+        counter = _CountingZlib()
+        monkeypatch.setattr(integrity, "zlib", counter)
+        fs = BaselineDFS(chunk_size=4 * KB)
+        data = np.random.default_rng(6).integers(0, 256, 70 * KB + 5, dtype=np.uint8)
+        meta = fs.write_file("f", data, Replication(3))
+        assert counter.nbytes == data.nbytes
+        copies = [c for block in meta.replica_blocks for c in block.copies]
+        assert len(copies) == 3 * len(meta.replica_blocks) > 3
+        for copy in copies:
+            stored = fs.datanodes[copy.node_id]._disk[copy.chunk_id]
+            assert fs.checksums.expected(copy.chunk_id) == zlib.crc32(stored.tobytes())
 
 
 class TestWritePathsRegisterChecksums:

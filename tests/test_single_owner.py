@@ -270,12 +270,20 @@ RETIRED_CODEC_NAMES = (
     "plan_for_matrix16", "_plan8_cache", "_plan16_cache", "_packed_tables",
     "_apply_packed", "PACK_MAX_ROWS", "_apply_rows8", "_apply_rows16", "apply_rows",
     "_decode_cache", "_decode_inverse", "_find_invertible_subset", "_DECODE_CACHE_MAX",
+    "_combined_tables", "_apply_combined",
 )
 
 
 def test_retired_codec_paths_stay_deleted():
     for name in RETIRED_CODEC_NAMES:
         assert not files_matching(rf"\b{name}\b"), name
+
+
+def test_temporary_replicas_are_dropped_by_id_not_by_scanning_a_buffer_cache():
+    # The prefix scan never matched an appended stripe's ids: every such
+    # stripe leaked k chunks of buffer cache.
+    assert not files_matching(r"\b_drop_temp_replica\b")
+    assert files_matching(r"\._memory\b") == ["dfs/datanode.py"]
 
 
 def test_one_plan_class_and_one_place_that_sizes_the_work():

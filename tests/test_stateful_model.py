@@ -3,9 +3,9 @@
 Hypothesis drives random sequences of writes, appends, closes,
 transcodes, failures, recoveries, scrubs, renames and deletes against
 MorphFS, holding a plain dict of expected bytes as the reference model.
-After every step, every live file must read back byte-identical and the
-namenode's per-node chunk index must equal a full namespace scan —
-regardless of operation order.
+After every step, every live file must read back byte-identical, the
+namenode's per-node chunk index must equal a full namespace scan and no
+buffer cache may hold a chunk — regardless of operation order.
 """
 
 import numpy as np
@@ -144,6 +144,16 @@ class MorphModel(RuleBasedStateMachine):
     @invariant()
     def index_is_exact(self):
         assert_index_exact(self.fs.namenode)
+
+    @invariant()
+    def nothing_is_left_buffered(self):
+        # Temporary replicas are dropped with their stripe stored and an
+        # open stripe persists its c + 1: between ops the buffer caches
+        # are empty, and the memory ledger agrees.
+        assert self.fs.memory_used() == 0
+        assert all(
+            node.memory_in_use_bytes == 0 for node in self.fs.metrics.nodes.values()
+        )
 
 
 MorphModelTest = MorphModel.TestCase
