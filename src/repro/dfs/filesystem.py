@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,10 +208,58 @@ class _BaseDFS:
             return self.reader.read(meta, offset, length, prefer_striped=prefer_striped)
 
     def delete_file(self, name: str) -> None:
-        meta = self.namenode.unregister_file(name)
-        for chunk in meta.all_chunks():
+        self.discard_chunks(self.namenode.unregister_file(name).all_chunks())
+
+    # -- the three doors: how a chunk enters, moves and leaves -----------------
+    def _put(self, node_id: str, chunk_id: str, data: np.ndarray, src: Optional[str]) -> None:
+        """Write a chunk to ``node_id``'s disk: sent by ``src``, or
+        computed on the node itself (``None``: no network)."""
+        datanode = self.datanodes[node_id]
+        if src is None:
+            datanode.store_local(chunk_id, data, at=self.clock)
+        else:
+            datanode.receive_to_disk(chunk_id, data, src=src, at=self.clock)
+
+    def store_chunk(
+        self,
+        node_id: str,
+        chunk_id: str,
+        data: np.ndarray,
+        kind: ChunkKind,
+        src: Optional[str] = None,
+    ) -> ChunkMeta:
+        """A new chunk enters: stored, and its sum recorded over the
+        array the store has just streamed (the warm side of the copy).
+        Returns the metadata for the caller to list."""
+        self._put(node_id, chunk_id, data, src)
+        self.checksums.record(chunk_id, data)
+        return ChunkMeta(chunk_id, node_id, kind, data.nbytes)
+
+    def discard_chunks(self, chunks: Iterable[ChunkMeta]) -> None:
+        """Chunks no metadata lists any more leave: bytes and sums."""
+        for chunk in chunks:
             self.datanodes[chunk.node_id].delete(chunk.chunk_id, at=self.clock)
             self.checksums.forget(chunk.chunk_id)
+
+    def rehome_chunks(
+        self,
+        meta: FileMeta,
+        moves: Sequence[Tuple[ChunkMeta, str, np.ndarray]],
+        src: str,
+        label: str,
+    ) -> None:
+        """Listed chunks move: each ``(chunk, node, bytes)`` is stored on
+        ``node`` — sent by ``src``, written locally where ``src`` is that
+        node — under a fresh ``label`` id, and the namenode re-homes the
+        metadata: one MINT, one PLACE, however many chunks. The sum
+        travels with the id; it is never recomputed over the new copy."""
+        new_ids = self.namenode.next_chunk_ids(f"{meta.name}/{label}", len(moves))
+        placed = []
+        for (chunk, node_id, data), new_id in zip(moves, new_ids):
+            self._put(node_id, new_id, data, None if node_id == src else src)
+            self.checksums.rekey(chunk.chunk_id, new_id)
+            placed.append((chunk.chunk_id, new_id, node_id))
+        self.namenode.place_chunks(meta.name, placed)
 
     def capacity_used(self) -> float:
         """Bytes at rest across all datanode disks.
@@ -299,9 +348,13 @@ class _BaseDFS:
                 self.datanodes[copy.node_id].persist(copy.chunk_id, at=self.clock)
         return block_meta, temporary
 
-    def _write_replicated(self, meta: FileMeta, data: np.ndarray, copies: int) -> None:
-        placement = DefaultPlacement(self.cluster, seed=self.seed + zlib.crc32(meta.name.encode()) % 997)
+    def _default_placement(self, name: str) -> DefaultPlacement:
+        placement = DefaultPlacement(self.cluster, seed=self.seed + zlib.crc32(name.encode()) % 997)
         placement.prefer_class = self.placement_prefer_class
+        return placement
+
+    def _write_replicated(self, meta: FileMeta, data: np.ndarray, copies: int) -> None:
+        placement = self._default_placement(meta.name)
         span = self.replication_block_chunks * self.chunk_size
         block_index = 0
         for start in range(0, max(len(data), 1), span):
@@ -323,10 +376,15 @@ class _BaseDFS:
                 self.checksums.record_concat(copy.chunk_id, stored.copies[:1])
             block_index += 1
 
-    def _write_ec(self, meta: FileMeta, data: np.ndarray, ec: ECScheme) -> None:
-        """Client-driven EC write: encode locally, fan chunks out."""
-        placement = DefaultPlacement(self.cluster, seed=self.seed + zlib.crc32(meta.name.encode()) % 997)
-        placement.prefer_class = self.placement_prefer_class
+    def _write_ec(
+        self,
+        meta: FileMeta,
+        data: np.ndarray,
+        ec: ECScheme,
+        place_stripe: Callable[[int], Dict[str, List[str]]],
+    ) -> None:
+        """Client-driven EC write: encode locally, fan chunks out to the
+        nodes ``place_stripe(stripe index)`` answers with."""
         code = self.codec_for(ec)
         chunks = self._data_chunks(data, ec.k)
         stripe_lists = [chunks[s : s + ec.k] for s in range(0, len(chunks), ec.k)]
@@ -335,11 +393,11 @@ class _BaseDFS:
         # stay per stripe).
         parities_batch = code.encode_batch(stripe_lists)
         for stripe_index, stripe_chunks in enumerate(stripe_lists):
-            parities = parities_batch[stripe_index]
             self.charge_client_encode(ec.k, ec.n - ec.k, self.chunk_size)
-            spots = placement.place_stripe(ec.k, ec.n - ec.k)
+            spots = place_stripe(stripe_index)
             self._store_stripe(
-                meta, stripe_index, stripe_chunks, parities, spots["data"], spots["parity"], ec
+                meta, stripe_index, stripe_chunks, parities_batch[stripe_index],
+                spots["data"], spots["parity"], ec,
             )
 
     def _store_stripe(
@@ -356,37 +414,22 @@ class _BaseDFS:
     ) -> ECStripeMeta:
         """Store one stripe's chunks and list them in ``meta`` — a file
         being built, see :meth:`_write_replica_pipeline`."""
-        parity_src = parity_src or src
-        k = len(data_chunks)
-        data_ids = self.namenode.next_chunk_ids(f"{meta.name}/s{stripe_index}d", k)
+        prefix = f"{meta.name}/s{stripe_index}"
+        data_ids = self.namenode.next_chunk_ids(f"{prefix}d", len(data_chunks))
+        data = [
+            self.store_chunk(data_nodes[t], data_ids[t], chunk, ChunkKind.DATA, src)
+            for t, chunk in enumerate(data_chunks)
+        ]
+        parity_ids = self.namenode.next_chunk_ids(f"{prefix}p", len(parities))
+        kinds = self._parity_kinds(ec)
+        stored = [
+            self.store_chunk(parity_nodes[j], parity_ids[j], parity, kinds[j], parity_src or src)
+            for j, parity in enumerate(parities)
+        ]
         stripe_meta = ECStripeMeta(
-            stripe_index=stripe_index,
-            k=k,
-            n=k + len(parities),
-            data=[],
-            parities=[],
+            stripe_index, len(data), len(data) + len(stored), data, stored
         )
         meta.stripes.append(stripe_meta)
-        for t, chunk in enumerate(data_chunks):
-            chunk_id = data_ids[t]
-            self.datanodes[data_nodes[t]].receive_to_disk(chunk_id, chunk, src=src, at=self.clock)
-            self.checksums.record(chunk_id, chunk)
-            stripe_meta.data.append(
-                ChunkMeta(chunk_id, data_nodes[t], ChunkKind.DATA, chunk.nbytes)
-            )
-        kinds = self._parity_kinds(ec)
-        parity_ids = self.namenode.next_chunk_ids(
-            f"{meta.name}/s{stripe_index}p", len(parities)
-        )
-        for j, parity in enumerate(parities):
-            chunk_id = parity_ids[j]
-            self.datanodes[parity_nodes[j]].receive_to_disk(
-                chunk_id, parity, src=parity_src, at=self.clock
-            )
-            self.checksums.record(chunk_id, parity)
-            stripe_meta.parities.append(
-                ChunkMeta(chunk_id, parity_nodes[j], kinds[j], parity.nbytes)
-            )
         return stripe_meta
 
     @staticmethod
@@ -416,7 +459,11 @@ class BaselineDFS(_BaseDFS):
             if isinstance(scheme, Replication):
                 self._write_replicated(meta, data, scheme.copies)
             elif isinstance(scheme, ECScheme):
-                self._write_ec(meta, data, scheme)
+                placement = self._default_placement(name)
+                self._write_ec(
+                    meta, data, scheme,
+                    lambda _index: placement.place_stripe(scheme.k, scheme.n - scheme.k),
+                )
             else:
                 raise ValueError(f"BaselineDFS does not support {scheme}")
         self.namenode.register_file(meta)
@@ -510,7 +557,13 @@ class MorphFS(AppendSupport, _BaseDFS):
             if isinstance(scheme, HybridScheme):
                 self._write_hybrid(meta, data, scheme)
             elif isinstance(scheme, ECScheme):
-                self._write_ec_planned(meta, data, scheme)
+                placement = self._placement_for(name, scheme)
+                self._write_ec(
+                    meta, data, scheme,
+                    lambda index: placement.place_stripe(
+                        name, index, scheme.k, scheme.n - scheme.k
+                    ),
+                )
             elif isinstance(scheme, Replication):
                 self._write_replicated(meta, data, scheme.copies)
             else:
@@ -518,24 +571,17 @@ class MorphFS(AppendSupport, _BaseDFS):
         self.namenode.register_file(meta)
         return meta
 
-    def _write_ec_planned(self, meta: FileMeta, data: np.ndarray, ec: ECScheme) -> None:
-        """EC write under the transcode-aware placement policy."""
-        placement = self._placement_for(meta.name, ec)
-        code = self.codec_for(ec)
-        chunks = self._data_chunks(data, ec.k)
-        stripe_lists = [chunks[s : s + ec.k] for s in range(0, len(chunks), ec.k)]
-        # Batched parity computation across every stripe of the file.
-        parities_batch = code.encode_batch(stripe_lists)
-        for stripe_index, stripe_chunks in enumerate(stripe_lists):
-            parities = parities_batch[stripe_index]
-            self.charge_client_encode(ec.k, ec.n - ec.k, self.chunk_size)
-            spots = placement.place_stripe(meta.name, stripe_index, ec.k, ec.n - ec.k)
-            self._store_stripe(
-                meta, stripe_index, stripe_chunks, parities, spots["data"], spots["parity"], ec
-            )
-
-    def _write_hybrid(self, meta: FileMeta, data: np.ndarray, hy: HybridScheme) -> None:
-        """Hybrid ingest (§4.2).
+    def _write_hybrid(
+        self,
+        meta: FileMeta,
+        data: np.ndarray,
+        hy: HybridScheme,
+        first_stripe: int = 0,
+        open_tail: bool = False,
+    ) -> None:
+        """Hybrid ingest (§4.2) of ``data`` as stripes ``first_stripe``
+        onward of ``meta`` — a file being built, or an append's staging
+        area.
 
         Small-write variant (default): the block is mirrored to two
         replica nodes in-memory; the second mirror acts as striper,
@@ -548,25 +594,28 @@ class MorphFS(AppendSupport, _BaseDFS):
         striper; "sync" encodes on the client (client CPU + client
         network for the parity sends); "none" skips parities and persists
         ``copies + 1`` replicas instead (§6.1).
+
+        A short last stripe is zero-padded to full width and encoded, or
+        — ``open_tail``, an append — stays *open* at its own width: data
+        chunks plus ``copies + 1`` persisted replicas, no parities until
+        it completes or the file is closed.
         """
         ec = hy.ec
         placement = self._placement_for(meta.name, ec)
-        code = self.codec_for(ec)
-        chunks = self._data_chunks(data, ec.k)
+        chunks = self._data_chunks(data, 1 if open_tail else ec.k)
         stripe_lists = [chunks[s : s + ec.k] for s in range(0, len(chunks), ec.k)]
-        # Parities for every stripe in one batched kernel invocation; the
-        # CPU charge (striper vs client, per parity_mode) stays per
+        # Parities for every full stripe in one batched kernel invocation;
+        # the CPU charge (striper vs client, per parity_mode) stays per
         # stripe below, so accounting totals are unchanged.
-        if self.parity_mode == "none":
-            parities_batch: List[List[np.ndarray]] = [[] for _ in stripe_lists]
-        else:
-            parities_batch = code.encode_batch(stripe_lists)
-        for s in range(0, len(chunks), ec.k):
-            stripe_index = s // ec.k
-            stripe_chunks = chunks[s : s + ec.k]
+        n_encoded = 0 if self.parity_mode == "none" else len(chunks) // ec.k
+        parities_batch = self.codec_for(ec).encode_batch(stripe_lists[:n_encoded])
+        for offset, stripe_chunks in enumerate(stripe_lists):
+            stripe_index = first_stripe + offset
+            s = offset * ec.k
+            parities = parities_batch[offset] if offset < n_encoded else []
             # The replica block is the stripe's span of the file: a view
             # of ``data`` unless the stripe ends in padding.
-            span_end = (s + ec.k) * self.chunk_size
+            span_end = (s + len(stripe_chunks)) * self.chunk_size
             block_bytes = (
                 data[s * self.chunk_size : span_end]
                 if span_end <= len(data)
@@ -574,7 +623,9 @@ class MorphFS(AppendSupport, _BaseDFS):
             )
             spots = placement.place_stripe(meta.name, stripe_index, ec.k, ec.n - ec.k)
             ec_nodes = spots["data"] + spots["parity"]
-            persist_replicas = hy.copies + (1 if self.parity_mode == "none" else 0)
+            # Replicas are a parity-less stripe's only redundancy: it
+            # persists one more.
+            persist_replicas = hy.copies + (0 if parities else 1)
             n_replica_targets = 3 if self.spanning_protocol else max(persist_replicas, 2)
             n_replica_targets = max(n_replica_targets, persist_replicas)
             replica_nodes = placement.place_replicas(
@@ -583,7 +634,7 @@ class MorphFS(AppendSupport, _BaseDFS):
             block, temporary = self._write_replica_pipeline(
                 meta,
                 stripe_index,
-                first_chunk=s,
+                first_chunk=first_stripe * ec.k + s,
                 n_chunks=len(stripe_chunks),
                 block_bytes=block_bytes,
                 nodes=replica_nodes,
@@ -593,25 +644,21 @@ class MorphFS(AppendSupport, _BaseDFS):
             # Striping (§4.2 / Fig 6): the last replica holder distributes
             # the data chunks (they are the extra durable copy).
             striper = replica_nodes[-1]
-            parities = parities_batch[stripe_index]
-            if self.parity_mode == "sync":
+            if parities and self.parity_mode == "sync":
                 self.charge_client_encode(ec.k, ec.n - ec.k, self.chunk_size)
-            elif self.parity_mode == "async":
+            elif parities:
                 self.charge_node_encode(striper, ec.k, ec.n - ec.k, self.chunk_size)
-            parity_src = CLIENT if self.parity_mode == "sync" else striper
             stripe_meta = self._store_stripe(
                 meta,
                 stripe_index,
                 stripe_chunks,
                 parities,
                 spots["data"],
-                spots["parity"][: len(parities)],
+                spots["parity"],
                 ec,
                 src=striper,
-                parity_src=parity_src,
+                parity_src=CLIENT if self.parity_mode == "sync" else striper,
             )
-            if self.parity_mode == "none":
-                stripe_meta.n = stripe_meta.k
             self._settle_hybrid_block(block, temporary, stripe_meta)
 
     def _settle_hybrid_block(
@@ -713,11 +760,10 @@ class MorphFS(AppendSupport, _BaseDFS):
         if isinstance(ec, ECScheme):
             for stripe in meta.stripes:
                 if len(stripe.parities) < ec.r:
-                    self._seal_stripe(meta, stripe, ec)
+                    self._seal_stripe(meta, stripe)
+                    self.namenode.note_file(meta)
         # The metadata switch first, then the copies it no longer lists.
-        for copy in self.namenode.drop_replicas(meta.name, target):
-            self.datanodes[copy.node_id].delete(copy.chunk_id, at=self.clock)
-            self.checksums.forget(copy.chunk_id)
+        self.discard_chunks(self.namenode.drop_replicas(meta.name, target))
         return meta
 
     def _usable_node(
@@ -765,31 +811,28 @@ class MorphFS(AppendSupport, _BaseDFS):
             chunks.append(piece)
         return chunks
 
-    def _seal_stripe(self, meta: FileMeta, stripe: ECStripeMeta, ec: ECScheme) -> None:
-        """Materialise missing parities for a parity-less stripe.
+    def _seal_stripe(self, meta: FileMeta, stripe: ECStripeMeta) -> None:
+        """Materialise the parities a hybrid file's stripe is missing —
+        deferred (``parity_mode="none"``) or never due (an open tail, at
+        its own width) — for the caller to note.
 
         Data is read from the stripe's chunks (one striper-local encode)
         with replica-range fallback for chunks on dead nodes; parities
         land on the reserved co-located parity nodes (or a live
-        substitute when a reserved node is down).
+        substitute when a reserved node is down). The code is the one
+        the stripe, once sealed, is read and repaired with.
         """
-        code = (
-            self.cc_codec(stripe.k, stripe.k + ec.r)
-            if ec.kind is CodeKind.CC
-            else self.codec_for(ec)
-        )
+        ec = meta.scheme.ec
+        code = self.codec_for_stripe(meta, replace(stripe, n=stripe.k + ec.r))
         striper = self._usable_node([c.node_id for c in stripe.data])
-        chunks = self._read_stripe_data_degraded(meta, stripe, striper)
-        parities = code.encode(chunks)
+        parities = code.encode(self._read_stripe_data_degraded(meta, stripe, striper))
         placement = self._placement_for(meta.name, ec)
         first_chunk = sum(s.k for s in meta.stripes[: stripe.stripe_index])
         self.charge_node_encode(striper, stripe.k, len(parities), self.chunk_size)
         kinds = self._parity_kinds(ec)
         occupied = [c.node_id for c in stripe.all_chunks()]
         sealed: List[ChunkMeta] = []
-        for j, parity in enumerate(
-            parities[len(stripe.parities) :], start=len(stripe.parities)
-        ):
+        for j in range(len(stripe.parities), len(parities)):
             node = self._usable_node(
                 [placement.parity_node(meta.name, first_chunk, j)], occupied
             )
@@ -797,14 +840,11 @@ class MorphFS(AppendSupport, _BaseDFS):
             chunk_id = self.namenode.next_chunk_id(
                 f"{meta.name}/s{stripe.stripe_index}p{j}"
             )
-            self.datanodes[node].receive_to_disk(chunk_id, parity, src=striper, at=self.clock)
-            self.checksums.record(chunk_id, parity)
-            sealed.append(ChunkMeta(chunk_id, node, kinds[j], parity.nbytes))
-        # Every id is minted: the registered file changes, and is noted,
-        # between two journal records.
+            sealed.append(self.store_chunk(node, chunk_id, parities[j], kinds[j], striper))
+        # Every id is minted: the registered file changes, and is noted
+        # by the caller, between two journal records.
         stripe.parities.extend(sealed)
         stripe.n = stripe.k + len(stripe.parities)
-        self.namenode.note_file(meta)
 
     def _build_groups(
         self, meta: FileMeta, target: RedundancyScheme

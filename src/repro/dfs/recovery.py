@@ -164,7 +164,15 @@ class RecoveryManager:
                 if all(verify(members[slot].chunk_id, rebuilt[slot]) for slot in erased):
                     break
                 erased = erased + self._quarantine_rotten_sources(meta, members, erased)
-            self._commit(meta, members, targets, rebuilt, rebuilder)
+            # Each rebuilt (and verified) chunk keeps the sum of the one it
+            # replaces. The rebuilder writes its own chunk locally; every
+            # other target receives its chunk from the rebuilder.
+            self.fs.rehome_chunks(
+                meta,
+                [(members[slot], node, rebuilt[slot]) for slot, node in targets.items()],
+                src=rebuilder,
+                label="recovered",
+            )
         return len(erased)
 
     def _quarantine_rotten_sources(
@@ -210,39 +218,6 @@ class RecoveryManager:
         if not alive:
             raise RecoveryError("no live nodes to rebuild onto")
         return alive[0]
-
-    def _commit(
-        self,
-        meta: FileMeta,
-        members: List[ChunkMeta],
-        targets: Dict[int, str],
-        rebuilt: Dict[int, np.ndarray],
-        rebuilder: str,
-    ) -> None:
-        """Store the rebuilt (and verified) chunks and have the namenode
-        re-home their metadata — one MINT, one PLACE; each keeps the sum
-        of the chunk it replaces. The rebuilder writes its own chunk
-        locally; every other target receives its chunk from the
-        rebuilder over the network.
-        """
-        fs = self.fs
-        new_ids = dict(
-            zip(targets, fs.namenode.next_chunk_ids(f"{meta.name}/recovered", len(targets)))
-        )
-        for slot, target in targets.items():
-            node = fs.datanodes[target]
-            if target == rebuilder:
-                node.store_local(new_ids[slot], rebuilt[slot], at=fs.clock)
-            else:
-                node.receive_to_disk(
-                    new_ids[slot], rebuilt[slot], src=rebuilder, at=fs.clock
-                )
-        moves = []
-        for slot, target in targets.items():
-            old_id = members[slot].chunk_id
-            fs.checksums.rekey(old_id, new_ids[slot])
-            moves.append((old_id, new_ids[slot], target))
-        fs.namenode.place_chunks(meta.name, moves)
 
     # -- sources ---------------------------------------------------------------
     def _stripe_bytes(

@@ -30,7 +30,7 @@ from repro.codes.lrcc import (
     convert_lrcc_to_lrcc,
 )
 from repro.core.schemes import CodeKind, ECScheme
-from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta
+from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta
 from repro.dfs.namenode import ConversionGroup
 
 
@@ -186,22 +186,37 @@ class NativeTranscoder:
         fs.charge_node_encode(by, stripe_meta.k, 1, meta.chunk_size)
         return recovered[index][start:], by
 
-    def _parity_targets(
+    def _parity_homes(
         self, stripe_metas: List[ECStripeMeta], n_parities: int
     ) -> Dict[int, str]:
-        """Computing node per final parity: the old parity-j home.
+        """Home per final parity: the old parity-j home.
 
         Under Morph's co-located placement every constituent stripe's
         parity j lives on one node, so the merge is local there. With
         unplanned placement we fall back to the first stripe's parity-j
         node (remote reads get charged as network IO).
         """
-        targets: Dict[int, str] = {}
+        homes: Dict[int, str] = {}
         for j in range(n_parities):
-            homes = [
+            held = [
                 sm.parities[j].node_id for sm in stripe_metas if j < len(sm.parities)
             ]
-            targets[j] = homes[0] if homes else stripe_metas[0].data[0].node_id
+            homes[j] = held[0] if held else stripe_metas[0].data[0].node_id
+        return homes
+
+    def _usable_targets(
+        self, stripe_metas: List[ECStripeMeta], homes: Dict[int, str]
+    ) -> Dict[int, str]:
+        """Computing node per final parity: its home, or — the home down
+        or cut off from the namenode — a reachable node holding no chunk
+        of the final stripe. Fixed before the reads, so a substitute's
+        remote reads are metered like any unplanned placement's."""
+        occupied = [c.node_id for sm in stripe_metas for c in sm.data]
+        occupied.extend(homes.values())
+        targets: Dict[int, str] = {}
+        for j, home in homes.items():
+            targets[j] = self.fs._usable_node([home], occupied)
+            occupied.append(targets[j])
         return targets
 
     def _execute_cc_group(self, meta: FileMeta, group: ConversionGroup, ec: ECScheme) -> None:
@@ -222,39 +237,18 @@ class NativeTranscoder:
         initial = self.fs.cc_codec(k_i, k_i + r_i)
         final = self.fs.cc_codec(k_f, k_f + r_f)
         plan = plan_conversion(initial, final, len(stripe_metas))
-        targets = self._parity_targets(stripe_metas, r_f)
+        targets = self._usable_targets(stripe_metas, self._parity_homes(stripe_metas, r_f))
         stripes = self._load_stripes(
             meta, stripe_metas, plan.data_reads, plan.parity_reads, targets
         )
         finals, _io = convert(initial, final, stripes, plan)
-        chunk_size = meta.chunk_size
+        # Each parity node combines one old parity per stripe plus the
+        # data chunks the plan reads.
+        width = len(stripe_metas) + len(plan.data_reads)
         for m, final_stripe in enumerate(finals):
-            new_meta = self._assemble_final_meta(
-                meta, group, m, stripe_metas, final_stripe, k_i, targets
+            self._commit_final_stripe(
+                meta, group, m, stripe_metas, final_stripe, targets, ec, width
             )
-            # Without k*-aware placement, merge partners may share servers;
-            # reliability demands moving the colliding chunks (§5.3 — the
-            # IO Morph's data-separation policy designs away).
-            self._relocate_collisions(meta, new_meta)
-            # Write the new parities (local when co-located) and charge CPU
-            # proportional to the combination width on each parity node.
-            for j in range(r_f):
-                node = targets[j]
-                self.fs.datanodes[node].store_local(
-                    new_meta.parities[j].chunk_id,
-                    final_stripe.chunks[final_stripe.k + j],
-                    at=self.fs.clock,
-                )
-                self.fs.checksums.record(
-                    new_meta.parities[j].chunk_id,
-                    final_stripe.chunks[final_stripe.k + j],
-                )
-                width = len(stripe_metas) + len(plan.data_reads)
-                self.fs.charge_node_encode(node, width, 1, chunk_size)
-                self.fs.namenode.complete_parity(
-                    meta.name, group.group_index, m, j, r_f
-                )
-            self.fs.namenode.record_new_stripe(meta.name, group.group_index, m, new_meta)
 
     def _execute_bwo_group(
         self,
@@ -291,15 +285,16 @@ class NativeTranscoder:
         chunk_size = meta.chunk_size
         sublen = chunk_size // r_f
         tail_start = r_i * sublen
-        targets = self._parity_targets(stripe_metas, r_i)
+        homes = self._parity_homes(stripe_metas, r_i)
         # Extra parity homes: reuse placement's reserved parity nodes.
         placement = self.fs._placement_for(meta.name, ec)
         first_chunk = group.initial_stripe_indices[0] * k_i
         for j in range(r_i, r_f):
             try:
-                targets[j] = placement.parity_node(meta.name, first_chunk, j)
+                homes[j] = placement.parity_node(meta.name, first_chunk, j)
             except Exception:
-                targets[j] = targets[0]
+                homes[j] = homes[0]
+        targets = self._usable_targets(stripe_metas, homes)
 
         # Sources are read where readable and decoded from the stripe's
         # survivors where not (a dead or cut-off home), like every other
@@ -327,28 +322,68 @@ class NativeTranscoder:
                 )
             stripes.append(Stripe(sm.k, sm.n, chunks))
         merged, _io = bwo.convert_merge(stripes, final)
-        new_meta = self._assemble_final_meta(
-            meta, group, 0, stripe_metas, merged, k_i, targets
+        self._commit_final_stripe(
+            meta, group, 0, stripe_metas, merged, targets, ec, lam * r_i + ec.k
         )
-        self._relocate_collisions(meta, new_meta)
-        for j in range(r_f):
-            node = targets[j]
-            self.fs.datanodes[node].store_local(
-                new_meta.parities[j].chunk_id,
-                merged.chunks[merged.k + j],
-                at=self.fs.clock,
-            )
-            self.fs.checksums.record(
-                new_meta.parities[j].chunk_id, merged.chunks[merged.k + j]
-            )
-            self.fs.charge_node_encode(node, lam * r_i + ec.k, 1, chunk_size)
-            self.fs.namenode.complete_parity(meta.name, group.group_index, 0, j, r_f)
-        self.fs.namenode.record_new_stripe(meta.name, group.group_index, 0, new_meta)
 
-    def _relocate_collisions(self, meta: FileMeta, stripe: ECStripeMeta) -> None:
-        """Move data chunks so no two chunks of the stripe share a node."""
-        seen = {p.node_id for p in stripe.parities}
-        for chunk in stripe.data:
+    def _commit_final_stripe(
+        self,
+        meta: FileMeta,
+        group: ConversionGroup,
+        m: int,
+        stripe_metas: List[ECStripeMeta],
+        final_stripe: Stripe,
+        targets: Dict[int, str],
+        ec: ECScheme,
+        width: int,
+    ) -> None:
+        """Final stripe ``m`` of a group is computed: list it, store it,
+        report it. Data chunks keep their homes (and their metadata);
+        parity ``j`` is written on ``targets[j]``, which combined
+        ``width`` chunks to compute it; each store clears a UTM bit."""
+        fs = self.fs
+        k_i = stripe_metas[0].k
+        data = [
+            stripe_metas[t // k_i].data[t % k_i]
+            for t in range(m * final_stripe.k, (m + 1) * final_stripe.k)
+        ]
+        r_f = final_stripe.n - final_stripe.k
+        parity_ids = [
+            fs.namenode.next_chunk_id(
+                f"{meta.name}/t{meta.version+1}/g{group.group_index}s{m}p{j}"
+            )
+            for j in range(r_f)
+        ]
+        # Without k*-aware placement, merge partners may share servers;
+        # reliability demands moving the colliding chunks (§5.3 — the
+        # IO Morph's data-separation policy designs away).
+        self._relocate_collisions(meta, data, {targets[j] for j in range(r_f)})
+        # The new parities (local when co-located), CPU charged in
+        # proportion to the combination width on each parity node.
+        kinds = fs._parity_kinds(ec)
+        parities = []
+        for j, chunk_id in enumerate(parity_ids):
+            parities.append(
+                fs.store_chunk(
+                    targets[j], chunk_id, final_stripe.chunks[final_stripe.k + j], kinds[j]
+                )
+            )
+            fs.charge_node_encode(targets[j], width, 1, meta.chunk_size)
+            fs.namenode.complete_parity(meta.name, group.group_index, m, j, r_f)
+        fs.namenode.record_new_stripe(
+            meta.name,
+            group.group_index,
+            m,
+            # stripe_index 0: renumbered at finalize
+            ECStripeMeta(0, final_stripe.k, final_stripe.n, data, parities),
+        )
+
+    def _relocate_collisions(
+        self, meta: FileMeta, data: List[ChunkMeta], seen: set
+    ) -> None:
+        """Move data chunks of a final stripe so that none shares a node
+        with another or with a parity (``seen``: the parity nodes)."""
+        for chunk in data:
             if chunk.node_id not in seen:
                 seen.add(chunk.node_id)
                 continue
@@ -362,62 +397,22 @@ class NativeTranscoder:
                 # collision (capacity pressure trade-off).
                 continue
             source = self.fs.datanodes[chunk.node_id]
-            data = source.read(chunk.chunk_id, at=self.fs.clock)
-            new_id = self.fs.namenode.next_chunk_id(f"{meta.name}/moved")
-            self.fs.datanodes[fresh].receive_to_disk(
-                new_id, data, src=chunk.node_id, at=self.fs.clock
-            )
             old_id = chunk.chunk_id
-            self.fs.checksums.rekey(old_id, new_id)
             # ``chunk`` is the file's live object, shared with the stripe
             # being assembled: the namenode rewrites it in place.
-            self.fs.namenode.place_chunks(meta.name, [(old_id, new_id, fresh)])
-            source.delete(old_id)
-            seen.add(fresh)
-
-    def _assemble_final_meta(
-        self,
-        meta: FileMeta,
-        group: ConversionGroup,
-        m: int,
-        stripe_metas: List[ECStripeMeta],
-        final_stripe: Stripe,
-        k_i: int,
-        targets: Dict[int, str],
-        parity_kinds: Optional[List[ChunkKind]] = None,
-    ) -> ECStripeMeta:
-        """Build the final stripe's metadata, reusing data-chunk homes."""
-        data_metas: List[ChunkMeta] = []
-        for t in range(m * final_stripe.k, (m + 1) * final_stripe.k):
-            stripe_i, local = divmod(t, k_i)
-            data_metas.append(stripe_metas[stripe_i].data[local])
-        parity_metas: List[ChunkMeta] = []
-        r_f = final_stripe.n - final_stripe.k
-        for j in range(r_f):
-            kind = parity_kinds[j] if parity_kinds else ChunkKind.PARITY
-            parity_metas.append(
-                ChunkMeta(
-                    chunk_id=self.fs.namenode.next_chunk_id(f"{meta.name}/t{meta.version+1}/g{group.group_index}s{m}p{j}"),
-                    node_id=targets[j],
-                    kind=kind,
-                    size=meta.chunk_size,
-                )
+            self.fs.rehome_chunks(
+                meta,
+                [(chunk, fresh, source.read(old_id, at=self.fs.clock))],
+                src=chunk.node_id,
+                label="moved",
             )
-        return ECStripeMeta(
-            stripe_index=0,  # renumbered at finalize
-            k=final_stripe.k,
-            n=final_stripe.n,
-            data=data_metas,
-            parities=parity_metas,
-        )
+            source.delete(old_id, at=self.fs.clock)
+            seen.add(fresh)
 
     def _execute_lrcc_group(self, meta: FileMeta, group: ConversionGroup, ec: ECScheme) -> None:
         stripe_metas = [meta.stripes[i] for i in group.initial_stripe_indices]
-        k_i = stripe_metas[0].k
         source_ec = meta.scheme.ec if hasattr(meta.scheme, "ec") else meta.scheme
         final = self.fs.lrcc_codec(ec.k, ec.local_groups, ec.r_global)
-        chunk_size = meta.chunk_size
-        n_parities = ec.local_groups + ec.r_global
         if isinstance(source_ec, ECScheme) and source_ec.kind is CodeKind.LRCC:
             initial = self.fs.lrcc_codec(
                 source_ec.k, source_ec.local_groups, source_ec.r_global
@@ -430,67 +425,51 @@ class NativeTranscoder:
                 for i in range(len(stripe_metas))
                 for j in range(ec.r_global)
             ]
-            targets = self._lrcc_targets(stripe_metas, initial, final)
-            stripes = self._load_stripes(meta, stripe_metas, [], parity_reads, targets)
-            final_stripe, _io = convert_lrcc_to_lrcc(initial, final, stripes)
+            homes = self._lrcc_homes(stripe_metas, initial, final)
+            conversion = convert_lrcc_to_lrcc
         else:
-            initial = self.fs.cc_codec(k_i, stripe_metas[0].n)
+            initial = self.fs.cc_codec(stripe_metas[0].k, stripe_metas[0].n)
             parity_reads = [
                 (i, j)
                 for i in range(len(stripe_metas))
                 for j in range(ec.r_global + 1)
             ]
-            targets = self._lrcc_targets(stripe_metas, None, final)
-            stripes = self._load_stripes(meta, stripe_metas, [], parity_reads, targets)
-            final_stripe, _io = convert_cc_to_lrcc(initial, final, stripes)
-        kinds = [ChunkKind.LOCAL_PARITY] * ec.local_groups + [
-            ChunkKind.GLOBAL_PARITY
-        ] * ec.r_global
-        new_meta = self._assemble_final_meta(
-            meta, group, 0, stripe_metas, final_stripe, k_i, targets, parity_kinds=kinds
+            homes = self._lrcc_homes(stripe_metas, None, final)
+            conversion = convert_cc_to_lrcc
+        targets = self._usable_targets(stripe_metas, homes)
+        stripes = self._load_stripes(meta, stripe_metas, [], parity_reads, targets)
+        final_stripe, _io = conversion(initial, final, stripes)
+        self._commit_final_stripe(
+            meta, group, 0, stripe_metas, final_stripe, targets, ec, len(stripe_metas)
         )
-        for j in range(n_parities):
-            node = targets[j]
-            self.fs.datanodes[node].store_local(
-                new_meta.parities[j].chunk_id,
-                final_stripe.chunks[final_stripe.k + j],
-                at=self.fs.clock,
-            )
-            self.fs.checksums.record(
-                new_meta.parities[j].chunk_id,
-                final_stripe.chunks[final_stripe.k + j],
-            )
-            self.fs.charge_node_encode(node, len(stripe_metas), 1, chunk_size)
-            self.fs.namenode.complete_parity(meta.name, group.group_index, 0, j, n_parities)
-        self.fs.namenode.record_new_stripe(meta.name, group.group_index, 0, new_meta)
 
-    def _lrcc_targets(
+    def _lrcc_homes(
         self,
         stripe_metas: List[ECStripeMeta],
         initial: Optional[LocallyRecoverableConvertibleCode],
         final: LocallyRecoverableConvertibleCode,
     ) -> Dict[int, str]:
-        """Computing node per final parity (locals then globals)."""
-        targets: Dict[int, str] = {}
+        """Home per final parity (locals then globals)."""
+        homes: Dict[int, str] = {}
         if initial is None:
             # CC source: local parity of group g inherits the first
             # constituent stripe's parity-0 home; globals inherit parity-j.
             stripes_per_group = final.group_size // stripe_metas[0].k
             for g in range(final.l):
                 src = stripe_metas[g * stripes_per_group]
-                targets[g] = src.parities[0].node_id
+                homes[g] = src.parities[0].node_id
             for j in range(final.r_global):
-                targets[final.l + j] = stripe_metas[0].parities[j + 1].node_id
+                homes[final.l + j] = stripe_metas[0].parities[j + 1].node_id
         else:
             groups_per_final = final.group_size // initial.group_size
             for g in range(final.l):
                 src_group = g * groups_per_final
                 stripe_i = src_group // initial.l
                 local_g = src_group - stripe_i * initial.l
-                targets[g] = stripe_metas[stripe_i].parities[local_g].node_id
+                homes[g] = stripe_metas[stripe_i].parities[local_g].node_id
             for j in range(final.r_global):
-                targets[final.l + j] = stripe_metas[0].parities[initial.l + j].node_id
-        return targets
+                homes[final.l + j] = stripe_metas[0].parities[initial.l + j].node_id
+        return homes
 
 
 class RRWTranscoder:

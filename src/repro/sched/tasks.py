@@ -226,9 +226,7 @@ class TranscodeFinalizeTask(MaintenanceTask):
         old = fs.namenode.try_finalize(self.name)
         if old is None:
             return "pending"
-        for chunk in old:
-            fs.datanodes[chunk.node_id].delete(chunk.chunk_id)
-            fs.checksums.forget(chunk.chunk_id)
+        fs.discard_chunks(old)
         return "finalized"
 
     def describe(self) -> str:

@@ -1,6 +1,7 @@
-"""The per-node chunk index against its oracle, a full namespace scan.
+"""The per-node chunk index against its oracle, a full namespace scan —
+and the checksum registry against the namespace.
 
-Not a test module: the helper the index-invariant tests share.
+Not a test module: the helpers the invariant tests share.
 """
 
 
@@ -59,3 +60,20 @@ def assert_index_exact(namenode):
             assert [(id(m), id(c)) for m, c in got] == [
                 (id(m), id(c)) for m, c in full_scan(namenode, node_id)
             ], node_id
+
+
+def assert_sums_exact(fs):
+    """The checksum registry holds a sum for exactly the chunks the
+    namenode answers for: those listed by registered files, plus the
+    final stripes a transcode in flight has stored and not yet switched
+    to.  Chunks enter, move and leave through ``store_chunk``,
+    ``rehome_chunks`` and ``discard_chunks``, which is what makes it so."""
+    listed = {c.chunk_id for meta in fs.namenode.files.values() for c in meta.all_chunks()}
+    for job in fs.namenode.utm.values():
+        for stripe in job.new_stripes.values():
+            listed.update(c.chunk_id for c in stripe.all_chunks())
+    recorded = set(fs.checksums._sums)
+    assert recorded == listed, (
+        f"sums without a listed chunk: {sorted(recorded - listed)}; "
+        f"listed chunks without a sum: {sorted(listed - recorded)}"
+    )

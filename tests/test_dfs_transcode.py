@@ -141,7 +141,13 @@ class TestLrccTargets:
         reads_before = fs.metrics.disk_bytes_read
         fs.transcode("f", lrcc)
         reads = fs.metrics.disk_bytes_read - reads_before
-        assert reads == pytest.approx(12 * 4 * KB)  # 3 parities x 4 stripes
+        # 3 parities x 4 stripes, plus one read per data chunk the merge
+        # had to move: 30 chunks on 23 nodes cannot all sit apart, and
+        # the commit spreads them as far as the cluster allows.
+        stripe = fs.namenode.lookup("f").stripes[0]
+        moved = sum("/moved#" in c.chunk_id for c in stripe.data)
+        assert reads == pytest.approx((12 + moved) * 4 * KB)
+        assert len(set(stripe.node_ids())) == len(fs.cluster.nodes)
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_lrcc_to_lrcc(self):
@@ -153,6 +159,36 @@ class TestLrccTargets:
         fs.transcode("f", big)
         meta = fs.namenode.lookup("f")
         assert meta.scheme == big
+        assert np.array_equal(fs.read_file("f"), data)
+
+
+LRCC1222 = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
+
+
+class TestMergeWithAnUnreachableParityHome:
+    """A merge never stores on a node the namenode cannot command: a
+    down or cut-off parity home is replaced, before the reads, by a
+    reachable node holding no chunk of the final stripe. (The new parity
+    used to be written to the dead node.)"""
+
+    @pytest.mark.parametrize("cut", ["killed", "isolated"])
+    @pytest.mark.parametrize("target", [CC1215, LRCC1222], ids=["CC(12,15)", "LRCC(12,2,2)"])
+    def test_new_parities_land_on_reachable_nodes(self, target, cut):
+        fs, data = morph_with_file(n_kb=48)  # two CC(6,9) stripes -> one final
+        fs.transcode("f", CC69)
+        home = fs.namenode.lookup("f").stripes[0].parities[0].node_id
+        if cut == "killed":
+            fs.cluster.fail_node(home)
+        else:
+            fs.partition.isolate([home])
+        written = fs.metrics.node(home).disk_bytes_written
+        fs.transcode("f", target)
+        assert fs.metrics.node(home).disk_bytes_written == written
+        (stripe,) = fs.namenode.lookup("f").stripes
+        assert (stripe.k, stripe.n) == (target.k, target.n)
+        for parity in stripe.parities:
+            assert fs.chunk_readable(parity, by="namenode"), parity
+        assert len(set(stripe.node_ids())) == stripe.n  # substitutes sit apart
         assert np.array_equal(fs.read_file("f"), data)
 
 

@@ -210,3 +210,49 @@ class TestAppends:
         fs.transcode("f", ECScheme(CodeKind.CC, 12, 15))
         combined = np.concatenate([data, extra])
         assert np.array_equal(fs.read_file("f"), combined)
+
+
+LRCC1222 = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
+
+
+class TestTailSealedWithTheCodeItIsReadWith:
+    """One sealer, and it asks ``codec_for_stripe`` — what reads and
+    repairs decode with. (``close_file`` used to encode a short
+    LRCC-family tail with a CC the decoder never built, so one dead data
+    node made the file unreadable; the seal at the free transition
+    refused the short tail outright.)"""
+
+    @pytest.mark.parametrize("close_first", [True, False], ids=["close", "seal-at-transition"])
+    @pytest.mark.parametrize("tail", ["full", "short"])
+    @pytest.mark.parametrize("ec", [CC69, LRCC1222], ids=["CC(6,9)", "LRCC(12,2,2)"])
+    def test_seal_then_degraded_read_and_clean_scrub(self, ec, tail, close_first):
+        from repro.dfs.integrity import Scrubber
+
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+        n_chunks = ec.k if tail == "full" else 5
+        data = np.random.default_rng(11).integers(0, 256, n_chunks * 4 * KB, dtype=np.uint8)
+        fs.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, ec))
+        fs.append_file("f", data)
+        if close_first:
+            fs.close_file("f")
+        fs.transcode("f", ec)
+
+        meta = fs.namenode.lookup("f")
+        (stripe,) = meta.stripes
+        assert (stripe.k, stripe.n, len(stripe.parities)) == (n_chunks, n_chunks + ec.r, ec.r)
+        assert [p.kind for p in stripe.parities] == fs._parity_kinds(ec)
+        stored = [fs.datanodes[p.node_id].read(p.chunk_id) for p in stripe.parities]
+        encoded = fs.codec_for_stripe(meta, stripe).encode(
+            [data[i : i + 4 * KB] for i in range(0, len(data), 4 * KB)]
+        )
+        assert len(encoded) == len(stored)
+        assert all(np.array_equal(a, b) for a, b in zip(encoded, stored))
+        assert len(set(stripe.node_ids())) == stripe.n
+
+        report = Scrubber(fs).scan_and_repair()
+        assert (report.corrupt, report.quarantined, report.repaired) == ([], [], 0)
+        kill(fs, stripe.data[0].node_id)
+        assert np.array_equal(fs.read_file("f"), data)
+        report = Scrubber(fs).scan_and_repair()
+        assert (report.corrupt, report.quarantined, report.repaired) == ([], [], 0)
+        assert fs.memory_used() == 0

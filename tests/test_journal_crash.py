@@ -27,7 +27,7 @@ from repro.dfs.journal import (
 from repro.dfs.recovery import RecoveryManager
 from repro.sched.tasks import ScrubTask, StripeRepairTask
 
-from tests.index_oracle import assert_index_exact
+from tests.index_oracle import assert_index_exact, assert_sums_exact
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -147,6 +147,7 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
 
     for name, data in datasets.items():
         assert np.array_equal(fs.read_file(name), data), f"{name} corrupted"
+    assert_sums_exact(fs)
     return fs, datasets
 
 
@@ -218,10 +219,12 @@ def test_recovered_namenode_serves_a_filesystem(burst):
     fs, datasets, _ = burst
     recovered = ShardedNamenode.recover([s.journal for s in fs.namenode.shards])
     fs.namenode = recovered
+    assert_sums_exact(fs)  # the recovered namespace lists what the live one did
     for name, data in datasets.items():
         assert np.array_equal(fs.read_file(name), data)
     extra = np.arange(2 * fs.chunk_size, dtype=np.uint8) % 251
     fs.append_file("f02", extra)
+    assert_sums_exact(fs)
     assert np.array_equal(
         fs.read_file("f02"), np.concatenate([datasets["f02"], extra])
     )

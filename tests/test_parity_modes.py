@@ -141,3 +141,58 @@ class TestNoneModeTransition:
         for stripe in meta.stripes:
             assert len(stripe.parities) == 3
         assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra]))
+
+
+MODES = [
+    pytest.param({"parity_mode": mode, "spanning_protocol": spanning}, id=f"{mode}-{name}")
+    for mode in ("async", "sync", "none")
+    for spanning, name in ((False, "small"), (True, "spanning"))
+]
+
+
+def shape(fs):
+    """What a write left behind: per stripe ``(k, n, #parities)`` and
+    persisted replica copies, then the IO it was charged."""
+    meta = fs.namenode.lookup("f")
+    m = fs.metrics
+    return {
+        "stripes": [(s.k, s.n, len(s.parities)) for s in meta.stripes],
+        "copies": [len(b.copies) for b in meta.replica_blocks],
+        "net": m.net_bytes_total,
+        "disk_written": m.disk_bytes_written,
+        "cpu": {n: v.cpu_seconds for n, v in m.nodes.items() if v.cpu_seconds},
+        "capacity": fs.capacity_used(),
+    }
+
+
+class TestAppendIsWriteInEveryMode:
+    """``append_file`` stages its region through the hybrid writer
+    ``write_file`` uses, so the options reach both. (The append path's
+    own writer knew neither ``parity_mode`` nor ``spanning_protocol``:
+    five of these six combinations stored a different file.)"""
+
+    @pytest.mark.parametrize("n_stripes", [1, 3])
+    @pytest.mark.parametrize("options", MODES)
+    def test_whole_stripes(self, options, n_stripes):
+        data = np.random.default_rng(5).integers(0, 256, n_stripes * 24 * KB, dtype=np.uint8)
+        written, appended = make_fs(**options), make_fs(**options)
+        written.write_file("f", data, HybridScheme(1, CC69))
+        appended.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, CC69))
+        appended.append_file("f", data)
+        assert shape(appended) == shape(written)
+        for fs in (written, appended):
+            assert fs.memory_used() == 0
+            assert np.array_equal(fs.read_file("f"), data)
+
+    @pytest.mark.parametrize("options", MODES)
+    def test_open_tail_persists_one_more_copy_and_no_parities(self, options):
+        fs = make_fs(**options)
+        data = np.random.default_rng(6).integers(0, 256, (24 + 8) * KB, dtype=np.uint8)
+        fs.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, CC69))
+        fs.append_file("f", data)
+        meta = fs.namenode.lookup("f")
+        tail, block = meta.stripes[-1], meta.replica_blocks[-1]
+        assert (tail.k, tail.n, tail.parities) == (2, 2, [])
+        assert len(block.copies) == 2  # c + 1
+        assert fs.memory_used() == 0
+        assert np.array_equal(fs.read_file("f"), data)

@@ -9,7 +9,10 @@ write path, ``Namenode.apply``, and the journal and the shard router
 own nothing but their ``apply``; where a chunk lives changes only inside
 a handler, which is what keeps the per-node chunk index exact.  And for
 the codec: one multiply plan
-for both fields, one recovery routine for every code.
+for both fields, one recovery routine for every code.  And for the write
+path: a chunk enters, moves and leaves through three ``_BaseDFS`` doors
+that own its checksum, and a hybrid stripe has one writer, one sealer
+and one transcode commit.
 """
 
 import ast
@@ -252,9 +255,49 @@ def test_notes_are_down_to_the_structural_rewrites():
         for name, text in SOURCES.items() if re.search(r"\.note_file\(", text)
     }
     assert sites == {"dfs/appends.py": 3, "dfs/filesystem.py": 1}
-    seal = functions(class_def("dfs/filesystem.py", "MorphFS"))["_seal_stripe"]
-    assert "note_file" in calls(seal)
+    # The one sealer mints and stores; each of its two callers — the
+    # free transition and ``close_file`` — publishes what it sealed.
+    morph = functions(class_def("dfs/filesystem.py", "MorphFS"))
+    appends = functions(class_def("dfs/appends.py", "AppendSupport"))
+    assert "note_file" not in calls(morph["_seal_stripe"])
+    for caller in (morph["_free_transition"], appends["close_file"]):
+        assert {"_seal_stripe", "note_file"} <= calls(caller)
+    assert "note_file" in calls(appends["append_file"])
     assert len(OP_TYPES) == 14 and not hasattr(namenode.Note, "nodes")
+
+
+# -- one way in, one way out ----------------------------------------------------
+
+def test_sums_and_stores_change_through_the_doors_only():
+    # 18 call sites in 5 files kept ``fs.checksums`` honest by convention;
+    # ``verify`` reads, and ``quarantine`` deliberately keeps the sum.
+    mutation = r"checksums\.(record|record_concat|rekey|forget)\("
+    assert files_matching(mutation) == ["dfs/filesystem.py"]
+    assert len(re.findall(mutation, SOURCES["dfs/filesystem.py"])) <= 6
+    store = r"\.(receive_to_disk|receive_to_memory|store_local)\("
+    callers = [name for name in files_matching(store) if name != "dfs/datanode.py"]
+    assert callers == ["dfs/filesystem.py"]
+    base = functions(class_def("dfs/filesystem.py", "_BaseDFS"))
+    assert {"store_chunk", "discard_chunks", "rehome_chunks"} <= set(base)
+    assert "record" in calls(base["store_chunk"])
+    assert "forget" in calls(base["discard_chunks"])
+    assert "rekey" in calls(base["rehome_chunks"]) and "record" not in calls(base["rehome_chunks"])
+
+
+def test_one_hybrid_writer_one_sealer_one_commit():
+    for name in ("_write_hybrid_region", "_trim_extra_replica", "_write_ec_planned"):
+        assert not files_matching(rf"\b{name}\b"), name
+    assert sum(len(re.findall(r"def _write_ec", text)) for text in SOURCES.values()) == 1
+    assert sum(len(re.findall(r"def _write_hybrid", text)) for text in SOURCES.values()) == 1
+    assert sum(len(re.findall(r"def _seal_stripe", text)) for text in SOURCES.values()) == 1
+    # The sealer encodes with what reads and repairs decode with.
+    seal = functions(class_def("dfs/filesystem.py", "MorphFS"))["_seal_stripe"]
+    assert "codec_for_stripe" in calls(seal) and not calls(seal) & {"cc_codec", "codec_for"}
+    transcoder = SOURCES["dfs/transcoder.py"]
+    assert len(re.findall(r"complete_parity\(", transcoder)) == 1
+    assert len(re.findall(r"record_new_stripe\(", transcoder)) == 1
+    # Every parity home passes the reachability rule, in one function.
+    assert len(re.findall(r"_usable_node\(", transcoder)) == 1
 
 
 def test_sharded_namenode_takes_no_shard_factory():

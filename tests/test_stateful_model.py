@@ -4,8 +4,9 @@ Hypothesis drives random sequences of writes, appends, closes,
 transcodes, failures, recoveries, scrubs, renames and deletes against
 MorphFS, holding a plain dict of expected bytes as the reference model.
 After every step, every live file must read back byte-identical, the
-namenode's per-node chunk index must equal a full namespace scan and no
-buffer cache may hold a chunk — regardless of operation order.
+namenode's per-node chunk index must equal a full namespace scan, no
+buffer cache may hold a chunk and the checksum registry must hold a sum
+for exactly the listed chunks — regardless of operation order.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.dfs import MorphFS
 from repro.dfs.integrity import Scrubber, corrupt_chunk
 from repro.dfs.recovery import RecoveryManager
 
-from tests.index_oracle import assert_index_exact
+from tests.index_oracle import assert_index_exact, assert_sums_exact
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -144,6 +145,10 @@ class MorphModel(RuleBasedStateMachine):
     @invariant()
     def index_is_exact(self):
         assert_index_exact(self.fs.namenode)
+
+    @invariant()
+    def sums_are_exact(self):
+        assert_sums_exact(self.fs)
 
     @invariant()
     def nothing_is_left_buffered(self):
