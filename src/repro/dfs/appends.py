@@ -37,7 +37,9 @@ class AppendSupport:
             if tail_len
             else np.zeros(0, dtype=np.uint8)
         )
+        # The concatenation is the door's one copy of the appended bytes.
         region = np.concatenate([existing, data])
+        region.setflags(write=False)
         self._drop_open_region(meta, open_start // span, ec.k)
         # The drop rewrote the file's layout; note it before the rewrite
         # below mints fresh chunk ids, so a journaled namenode stays

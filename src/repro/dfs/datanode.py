@@ -4,6 +4,12 @@ A chunk received into memory is durable (battery-backed RAM, §4.2) but
 costs no disk IO until persisted. Morph's hybrid write protocol exploits
 exactly this: temporary replicas live in memory and are deleted once the
 stripe's parities persist, so in the common case they never touch disk.
+
+Stored bytes are immutable. A store keeps the array it is handed —
+read-only, never copied — so whoever hands one over hands it over for
+good: the filesystem's private snapshot of what the client wrote (and
+views of it), a codec's output, another datanode's stored array. Chunks
+may therefore share a buffer; the sizes reported are logical bytes.
 """
 
 from __future__ import annotations
@@ -49,12 +55,22 @@ class Datanode:
     def is_alive(self) -> bool:
         return self.node.is_alive
 
+    @staticmethod
+    def _kept(data: np.ndarray) -> np.ndarray:
+        """The array as the store keeps it: bytes, read-only — the one
+        step every store shares. The sender's own reference is frozen
+        too, so a producer that reuses a buffer it handed over fails
+        loudly instead of rewriting a stored chunk."""
+        data = np.asarray(data, dtype=np.uint8)
+        data.setflags(write=False)
+        return data
+
     # -- ingest ---------------------------------------------------------------
     def receive_to_memory(
         self, chunk_id: str, data: np.ndarray, src: str, at: float = 0.0
     ) -> None:
         """Absorb a chunk into the buffer cache (durable, no disk IO)."""
-        data = np.asarray(data, dtype=np.uint8)
+        data = self._kept(data)
         in_use = self.metrics.node(self.node_id).memory_in_use_bytes
         if in_use + data.nbytes > self.buffer_cache_bytes:
             raise BufferCacheFullError(
@@ -62,14 +78,14 @@ class Datanode:
             )
         self.metrics.record_transfer(src, self.node_id, data.nbytes, at=at)
         self.metrics.node(self.node_id).use_memory(data.nbytes)
-        self._memory[chunk_id] = data.copy()
+        self._memory[chunk_id] = data
 
     def receive_to_disk(self, chunk_id: str, data: np.ndarray, src: str, at: float = 0.0) -> None:
         """Receive and write through to disk (one network + one disk write)."""
-        data = np.asarray(data, dtype=np.uint8)
+        data = self._kept(data)
         self.metrics.record_transfer(src, self.node_id, data.nbytes, at=at)
         self.metrics.record_disk_write(self.node_id, data.nbytes, at=at)
-        self._disk[chunk_id] = data.copy()
+        self._disk[chunk_id] = data
 
     def receive_many_to_disk(
         self,
@@ -104,7 +120,11 @@ class Datanode:
 
     # -- reads ----------------------------------------------------------------
     def read(self, chunk_id: str, at: float = 0.0) -> np.ndarray:
-        """Read a chunk; disk reads are metered, memory hits are free."""
+        """Read a chunk; disk reads are metered, memory hits are free.
+
+        The result is the stored array itself: read-only, and shared
+        with every other reader (and any chunk stored from the same
+        buffer). Copy it to change it."""
         if not self.node.is_alive:
             raise ChunkNotFoundError(f"{self.node_id} is down")
         if chunk_id in self._memory:
@@ -116,7 +136,8 @@ class Datanode:
         raise ChunkNotFoundError(chunk_id)
 
     def read_range(self, chunk_id: str, start: int, length: int, at: float = 0.0) -> np.ndarray:
-        """Partial chunk read (metered at the requested length)."""
+        """Partial chunk read (metered at the requested length): a
+        read-only view of the stored array, shared like :meth:`read`'s."""
         if not self.node.is_alive:
             raise ChunkNotFoundError(f"{self.node_id} is down")
         if chunk_id in self._memory:
@@ -135,9 +156,9 @@ class Datanode:
     # -- local compute ----------------------------------------------------------
     def store_local(self, chunk_id: str, data: np.ndarray, at: float = 0.0) -> None:
         """Write a locally computed chunk to disk (no network)."""
-        data = np.asarray(data, dtype=np.uint8)
+        data = self._kept(data)
         self.metrics.record_disk_write(self.node_id, data.nbytes, at=at)
-        self._disk[chunk_id] = data.copy()
+        self._disk[chunk_id] = data
 
     def store_local_many(
         self, items: Iterable[Tuple[str, np.ndarray]], at: float = 0.0
@@ -154,9 +175,11 @@ class Datanode:
         self.drop_from_memory(chunk_id)
 
     def bytes_at_rest(self) -> float:
+        """Logical bytes on disk: chunks sharing a buffer each count."""
         return float(sum(c.nbytes for c in self._disk.values()))
 
     def memory_bytes(self) -> float:
+        """Logical bytes buffered (see :meth:`bytes_at_rest`)."""
         return float(sum(c.nbytes for c in self._memory.values()))
 
     def fail(self) -> None:

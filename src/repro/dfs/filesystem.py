@@ -228,8 +228,8 @@ class _BaseDFS:
         kind: ChunkKind,
         src: Optional[str] = None,
     ) -> ChunkMeta:
-        """A new chunk enters: stored, and its sum recorded over the
-        array the store has just streamed (the warm side of the copy).
+        """A new chunk enters: ``data`` is handed over for good (the
+        store keeps it read-only, uncopied) and its sum recorded.
         Returns the metadata for the caller to list."""
         self._put(node_id, chunk_id, data, src)
         self.checksums.record(chunk_id, data)
@@ -251,8 +251,10 @@ class _BaseDFS:
         """Listed chunks move: each ``(chunk, node, bytes)`` is stored on
         ``node`` — sent by ``src``, written locally where ``src`` is that
         node — under a fresh ``label`` id, and the namenode re-homes the
-        metadata: one MINT, one PLACE, however many chunks. The sum
-        travels with the id; it is never recomputed over the new copy."""
+        metadata: one MINT, one PLACE, however many chunks. The bytes
+        are handed over like ``store_chunk``'s (a moved chunk is the
+        source datanode's own array); the sum travels with the id, it is
+        never recomputed over the new copy."""
         new_ids = self.namenode.next_chunk_ids(f"{meta.name}/{label}", len(moves))
         placed = []
         for (chunk, node_id, data), new_id in zip(moves, new_ids):
@@ -280,6 +282,16 @@ class _BaseDFS:
         return sum(dn.memory_bytes() for dn in self.datanodes.values())
 
     # -- write helpers ----------------------------------------------------------
+    @staticmethod
+    def _snapshot(data) -> np.ndarray:
+        """The door's one copy: a private, read-only snapshot of the
+        caller's buffer. Everything stored from it is a view of it (or a
+        codec's own output) and is never copied again; the caller's
+        buffer is the caller's to reuse the moment the write returns."""
+        data = np.array(data, dtype=np.uint8).reshape(-1)
+        data.setflags(write=False)
+        return data
+
     def _data_chunks(self, data: np.ndarray, k: int) -> List[np.ndarray]:
         """Split into chunk_size pieces, zero-padding the last stripe."""
         chunks = []
@@ -451,7 +463,7 @@ class BaselineDFS(_BaseDFS):
     """HDFS-like baseline: 3-r / RS ingest, client RRW transcode."""
 
     def write_file(self, name: str, data, scheme: RedundancyScheme) -> FileMeta:
-        data = np.asarray(data, dtype=np.uint8).reshape(-1)
+        data = self._snapshot(data)
         meta = FileMeta(
             name=name, size=len(data), chunk_size=self.chunk_size, scheme=scheme
         )
@@ -549,7 +561,7 @@ class MorphFS(AppendSupport, _BaseDFS):
 
     # -- writes -----------------------------------------------------------------
     def write_file(self, name: str, data, scheme: RedundancyScheme) -> FileMeta:
-        data = np.asarray(data, dtype=np.uint8).reshape(-1)
+        data = self._snapshot(data)
         meta = FileMeta(
             name=name, size=len(data), chunk_size=self.chunk_size, scheme=scheme
         )

@@ -26,8 +26,9 @@ def chunk_checksum(data: np.ndarray) -> int:
     # The bytes copy is for cache-cold arrays (a scrub reading chunk after
     # chunk off the datanodes): there the memcpy is the prefetch that
     # keeps zlib fed, and CRC-ing the buffer in place is a quarter slower.
-    # Bytes the caller has just written or copied are CRC'd in place, by
-    # ``ChecksumRegistry.record`` and ``verify(..., into=)``.
+    # Bytes about to be stored, or just copied to where they are
+    # delivered, are CRC'd in place, by ``ChecksumRegistry.record`` and
+    # ``verify(..., into=)``.
     return zlib.crc32(np.ascontiguousarray(data, dtype=np.uint8).tobytes())
 
 
@@ -109,18 +110,19 @@ class ChecksumRegistry:
     datanode — and of whether the chunk's home node is up at all).
 
     A recorded sum is the CRC-32 of the bytes as written, computed or
-    derived. Computed, a CRC runs over the freshly written side of a copy
-    the system makes anyway: ``record`` follows the datanode store that
-    just streamed the array, ``verify(..., into=dst)`` *is* the delivery
-    copy. Derived, no byte is read again: ``record_concat`` folds the
-    sums of chunks the new one repeats end to end.
+    derived. Computed, a CRC runs in place: ``record`` over the array a
+    datanode has just been handed (a store copies nothing, so these
+    bytes are as warm as their producer left them), ``verify(...,
+    into=dst)`` over the freshly written side of the delivery copy.
+    Derived, no byte is read again: ``record_concat`` folds the sums of
+    chunks the new one repeats end to end.
     """
 
     def __init__(self):
         self._sums: Dict[str, int] = {}
 
     def record(self, chunk_id: str, data: np.ndarray) -> None:
-        """Remember the sum of bytes a datanode has just stored (warm)."""
+        """Remember the sum of bytes a datanode has just stored."""
         if data.dtype != np.uint8 or not data.flags.c_contiguous:
             data = np.ascontiguousarray(data, dtype=np.uint8)
         self._sums[chunk_id] = zlib.crc32(data)
@@ -251,11 +253,17 @@ class Scrubber:
 
 
 def corrupt_chunk(fs, chunk: ChunkMeta, flip_byte: int = 0) -> None:
-    """Test helper: silently flip one byte of a stored chunk on disk."""
+    """Test helper: silently flip one byte of a stored chunk on disk.
+
+    The one sanctioned way to damage stored bytes, and copy-on-write: a
+    stored array is read-only and may share its buffer with other chunks
+    (a replica block and the data chunks it repeats), so the flip lands
+    in a private copy that replaces this chunk's array alone."""
     datanode = fs.datanodes[chunk.node_id]
     data = datanode._disk.get(chunk.chunk_id)
     if data is None:
         raise KeyError(f"{chunk.chunk_id} not on disk at {chunk.node_id}")
     data = data.copy()
     data[flip_byte % len(data)] ^= 0xFF
+    data.setflags(write=False)
     datanode._disk[chunk.chunk_id] = data

@@ -1,8 +1,11 @@
 """The per-node chunk index against its oracle, a full namespace scan —
-and the checksum registry against the namespace.
+the checksum registry against the namespace, and the stored bytes
+against the registry.
 
 Not a test module: the helpers the invariant tests share.
 """
+
+import zlib
 
 
 def full_scan(namenode, node_id):
@@ -77,3 +80,21 @@ def assert_sums_exact(fs):
         f"sums without a listed chunk: {sorted(recorded - listed)}; "
         f"listed chunks without a sum: {sorted(listed - recorded)}"
     )
+
+
+def assert_bytes_exact(fs, rotten=()):
+    """Every array a datanode holds, on disk or buffered, is read-only,
+    and every recorded sum is the CRC of the bytes stored under its id.
+    A store copies nothing, so this — not the flag alone — is what shows
+    that no producer wrote to a buffer after handing it over.  ``rotten``
+    names chunks a test damaged where no scrub can reach them yet (a
+    down node): their sums are expected to disagree."""
+    for node_id, datanode in fs.datanodes.items():
+        for held in (datanode._disk, datanode._memory):
+            for chunk_id, data in held.items():
+                assert data.flags.writeable is False, f"{node_id}: {chunk_id} is writeable"
+                expected = fs.checksums.expected(chunk_id)
+                if expected is not None and chunk_id not in rotten:
+                    assert zlib.crc32(data.tobytes()) == expected, (
+                        f"{node_id}: {chunk_id} no longer carries its recorded sum"
+                    )

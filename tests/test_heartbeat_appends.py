@@ -8,6 +8,8 @@ from repro.dfs import MorphFS
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.dfs.integrity import corrupt_chunk
 
+from tests.index_oracle import assert_bytes_exact
+
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 
@@ -121,6 +123,7 @@ class TestAppends:
         def nothing_buffered():
             assert fs.memory_used() == 0
             assert all(n.memory_in_use_bytes == 0 for n in fs.metrics.nodes.values())
+            assert_bytes_exact(fs)
 
         fs, data = hybrid_fs(n_kb=24)  # one full stripe
         nothing_buffered()

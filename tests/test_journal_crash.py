@@ -27,7 +27,7 @@ from repro.dfs.journal import (
 from repro.dfs.recovery import RecoveryManager
 from repro.sched.tasks import ScrubTask, StripeRepairTask
 
-from tests.index_oracle import assert_index_exact, assert_sums_exact
+from tests.index_oracle import assert_bytes_exact, assert_index_exact, assert_sums_exact
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -148,6 +148,7 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
     for name, data in datasets.items():
         assert np.array_equal(fs.read_file(name), data), f"{name} corrupted"
     assert_sums_exact(fs)
+    assert_bytes_exact(fs)
     return fs, datasets
 
 
@@ -225,6 +226,7 @@ def test_recovered_namenode_serves_a_filesystem(burst):
     extra = np.arange(2 * fs.chunk_size, dtype=np.uint8) % 251
     fs.append_file("f02", extra)
     assert_sums_exact(fs)
+    assert_bytes_exact(fs)
     assert np.array_equal(
         fs.read_file("f02"), np.concatenate([datasets["f02"], extra])
     )

@@ -12,7 +12,9 @@ the codec: one multiply plan
 for both fields, one recovery routine for every code.  And for the write
 path: a chunk enters, moves and leaves through three ``_BaseDFS`` doors
 that own its checksum, and a hybrid stripe has one writer, one sealer
-and one transcode commit.
+and one transcode commit.  And for stored bytes: a store never copies,
+nothing makes an array writable again, and a datanode's disk map is
+assigned by the datanode — and by the one helper that damages it.
 """
 
 import ast
@@ -282,6 +284,21 @@ def test_sums_and_stores_change_through_the_doors_only():
     assert "record" in calls(base["store_chunk"])
     assert "forget" in calls(base["discard_chunks"])
     assert "rekey" in calls(base["rehome_chunks"]) and "record" not in calls(base["rehome_chunks"])
+
+
+def test_a_store_never_copies_and_nothing_thaws_a_stored_array():
+    assert ".copy()" not in SOURCES["dfs/datanode.py"]
+    assert not files_matching(r"setflags\(\s*(write\s*=\s*)?(True|1)|writeable\s*=\s*True")
+    # A stored array is replaced, never rewritten, and only the datanode
+    # replaces one — bar ``corrupt_chunk``, the sanctioned, copy-on-write
+    # way to damage stored bytes.
+    assignment = r"\._disk\[[^\]]*\]\s*=(?!=)"
+    assert files_matching(assignment) == ["dfs/datanode.py", "dfs/integrity.py"]
+    writers = [
+        node.name for node in ast.walk(ast.parse(SOURCES["dfs/integrity.py"]))
+        if isinstance(node, ast.FunctionDef) and re.search(assignment, ast.unparse(node))
+    ]
+    assert writers == ["corrupt_chunk"]
 
 
 def test_one_hybrid_writer_one_sealer_one_commit():

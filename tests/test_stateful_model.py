@@ -5,8 +5,9 @@ transcodes, failures, recoveries, scrubs, renames and deletes against
 MorphFS, holding a plain dict of expected bytes as the reference model.
 After every step, every live file must read back byte-identical, the
 namenode's per-node chunk index must equal a full namespace scan, no
-buffer cache may hold a chunk and the checksum registry must hold a sum
-for exactly the listed chunks — regardless of operation order.
+buffer cache may hold a chunk, the checksum registry must hold a sum
+for exactly the listed chunks and every stored array must be read-only
+and carry its recorded sum — regardless of operation order.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.dfs import MorphFS
 from repro.dfs.integrity import Scrubber, corrupt_chunk
 from repro.dfs.recovery import RecoveryManager
 
-from tests.index_oracle import assert_index_exact, assert_sums_exact
+from tests.index_oracle import assert_bytes_exact, assert_index_exact, assert_sums_exact
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -41,6 +42,7 @@ class MorphModel(RuleBasedStateMachine):
         self.stage = {}  # name -> 0 hybrid, 1 cc69, 2 cc1215
         self.counter = 0
         self.down = []
+        self.rotten = set()  # damaged on a down node: no scrub reaches it
 
     # -- operations --------------------------------------------------------
     @rule(n_kb=st.integers(1, 60))
@@ -114,7 +116,10 @@ class MorphModel(RuleBasedStateMachine):
         ]
         if not chunks:
             return
-        corrupt_chunk(self.fs, chunks[flip % len(chunks)], flip_byte=flip)
+        victim = chunks[flip % len(chunks)]
+        if victim.node_id in self.down:
+            self.rotten.add(victim.chunk_id)
+        corrupt_chunk(self.fs, victim, flip_byte=flip)
         Scrubber(self.fs).scan_and_repair()
 
     @precondition(lambda self: bool(self.expected))
@@ -149,6 +154,10 @@ class MorphModel(RuleBasedStateMachine):
     @invariant()
     def sums_are_exact(self):
         assert_sums_exact(self.fs)
+
+    @invariant()
+    def stored_bytes_are_exact(self):
+        assert_bytes_exact(self.fs, rotten=self.rotten)
 
     @invariant()
     def nothing_is_left_buffered(self):
