@@ -144,8 +144,10 @@ class ECScheme(RedundancyScheme):
     def chunk_count(self) -> int:
         return self.n
 
-    def make_code(self, family_width: int = 40):
-        """Instantiate the codec implementing this scheme."""
+    def make_code(self):
+        """Instantiate the codec implementing this scheme (a CC-family
+        code in its parity count's default family: see
+        :func:`repro.codes.convertible.default_family_width`)."""
         if self.kind is CodeKind.RS:
             return ReedSolomon(self.k, self.n)
         if self.kind is CodeKind.CC:
@@ -155,13 +157,12 @@ class ECScheme(RedundancyScheme):
                 return BandwidthOptimalCC(
                     self.k, self.r, self.anticipate_parities
                 )
-            return ConvertibleCode(self.k, self.n, family_width=max(family_width, self.k))
+            return ConvertibleCode(self.k, self.n)
         if self.kind is CodeKind.LRC:
             return LocalReconstructionCode(self.k, self.local_groups, self.r_global)
         if self.kind is CodeKind.LRCC:
             return LocallyRecoverableConvertibleCode(
-                self.k, self.local_groups, self.r_global,
-                family_width=max(family_width, self.k),
+                self.k, self.local_groups, self.r_global
             )
         raise ValueError(f"unknown kind {self.kind}")
 

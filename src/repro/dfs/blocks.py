@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.schemes import RedundancyScheme
 
@@ -107,11 +107,42 @@ class FileMeta:
             return sum(s.k for s in self.stripes)
         return sum(b.n_chunks for b in self.replica_blocks)
 
+    # -- layout arithmetic: which stripe / replica block holds data chunk i --
+    def stripe_spans(self) -> Iterator[Tuple[int, ECStripeMeta]]:
+        """``(file-wide index of its first data chunk, stripe)`` in file
+        order — the one walk: stripes may differ in width."""
+        first = 0
+        for stripe in self.stripes:
+            yield first, stripe
+            first += stripe.k
+
+    def first_data_index(self, stripe: ECStripeMeta) -> int:
+        """File-wide index of the first data chunk of ``stripe`` (found by
+        identity: stripe indices are renumbered by a transcode)."""
+        for first, candidate in self.stripe_spans():
+            if candidate is stripe:
+                return first
+        raise ValueError(f"{self.name}: stripe {stripe.stripe_index} is not in the file")
+
+    def stripe_of(self, chunk_index: int) -> Tuple[ECStripeMeta, int]:
+        """The stripe holding data chunk ``chunk_index`` and the chunk's
+        slot in it."""
+        for first, stripe in self.stripe_spans():
+            if chunk_index < first + stripe.k:
+                return stripe, chunk_index - first
+        raise IndexError(f"{self.name}: data chunk {chunk_index} beyond file")
+
+    def block_covering(self, chunk_index: int) -> Optional[ReplicaBlockMeta]:
+        """The replica block repeating data chunk ``chunk_index``, if any."""
+        for block in self.replica_blocks:
+            if block.first_chunk <= chunk_index < block.first_chunk + block.n_chunks:
+                return block
+        return None
+
     def hybrid_blocks(self) -> List[HybridBlockMeta]:
         """Nested hybrid view: each stripe with the replicas covering it."""
         out = []
-        for stripe in self.stripes:
-            first = stripe.stripe_index * stripe.k
+        for first, stripe in self.stripe_spans():
             last = first + stripe.k
             covering = [
                 b

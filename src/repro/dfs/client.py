@@ -24,13 +24,12 @@ per chunk, and such a read need not cover one.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codes.base import DecodeError
 from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta, ReplicaBlockMeta
-from repro.dfs.integrity import quarantine
+from repro.dfs.integrity import quarantine, quarantine_rotten
 
 
 class ReadError(Exception):
@@ -73,7 +72,7 @@ class ClientReader:
         copy serves as usual.
         """
         if meta.replica_blocks:
-            block = self._block_covering(meta, (stripe_first + local) * meta.chunk_size)
+            block = meta.block_covering(stripe_first + local)
             if block is not None:
                 for copy in block.copies:
                     if self.fs.chunk_readable(copy) and not self._is_straggler(
@@ -125,52 +124,37 @@ class ClientReader:
         pos = offset
         end = offset + length
         while pos < end:
-            block = self._block_covering(meta, pos)
+            block = meta.block_covering(pos // meta.chunk_size)
             if block is None:
                 return None
             block_start = block.first_chunk * meta.chunk_size
             block_len = block.n_chunks * meta.chunk_size
             take = min(end, block_start + block_len) - pos
-            served = next(self._replica_pieces(block, pos - block_start, take), None)
+            served = self.fs.fetch_block_range(
+                block, pos - block_start, take, self.CLIENT, "read", self._prefer
+            )
             if served is None:
                 return None
+            self._note_hedge(block, served[0])
             out[pos - offset : pos - offset + take] = served[1]
             pos += take
         return out
 
-    def _block_covering(self, meta: FileMeta, pos: int) -> Optional[ReplicaBlockMeta]:
-        chunk_index = pos // meta.chunk_size
-        for block in meta.replica_blocks:
-            if block.first_chunk <= chunk_index < block.first_chunk + block.n_chunks:
-                return block
-        return None
+    def _prefer(self, chunk: ChunkMeta) -> bool:
+        """Source preference (a sort key): copies and survivors on fast
+        nodes first; a straggler disk serves only when they run out."""
+        return self._is_straggler(chunk.node_id)
 
-    def _replica_pieces(
-        self, block: ReplicaBlockMeta, start: int, length: int
-    ) -> Iterator[Tuple[ChunkMeta, np.ndarray]]:
-        """``(copy, its bytes of the range)`` from each readable copy in
-        turn; a caller that trusts the first one stops there."""
-        # Hedged ordering: prefer copies on fast nodes; a copy on a
-        # straggler disk serves only when no fast copy is available.
-        ranked = sorted(
-            enumerate(block.copies),
-            key=lambda pair: (self._is_straggler(pair[1].node_id), pair[0]),
-        )
-        for index, copy in ranked:
-            if not self.fs.chunk_readable(copy):
-                continue
-            if index != 0 and self.fs.chunk_readable(block.copies[0]) and self._is_straggler(
-                block.copies[0].node_id
-            ):
-                # The primary copy was readable but slow — this read hedged.
-                self._count_hedge()
-            piece = self.fs.datanodes[copy.node_id].read_range(
-                copy.chunk_id, start, length, at=self.fs.clock
-            )
-            self.fs.metrics.record_transfer(
-                copy.node_id, self.CLIENT, float(length), at=self.fs.clock, tag="read"
-            )
-            yield copy, piece
+    def _note_hedge(self, block: ReplicaBlockMeta, copy: ChunkMeta) -> None:
+        """A replica read hedged if it passed over a primary copy that
+        was readable but slow."""
+        primary = block.copies[0]
+        if (
+            copy is not primary
+            and self._is_straggler(primary.node_id)
+            and self.fs.chunk_readable(primary)
+        ):
+            self._count_hedge()
 
     # -- striped path ------------------------------------------------------------
     def _read_striped(self, meta: FileMeta, offset: int, length: int) -> np.ndarray:
@@ -184,7 +168,7 @@ class ClientReader:
             # pass (one set of k survivor fetches) instead of one
             # k-fetch degraded read per chunk.
             chunk_index = pos // chunk_size
-            stripe, first_local = self._stripe_of(meta, chunk_index)
+            stripe, first_local = meta.stripe_of(chunk_index)
             stripe_first = chunk_index - first_local
             last_local = min((end - 1) // chunk_size - stripe_first, stripe.k - 1)
             # A chunk the range covers whole is delivered straight into
@@ -208,14 +192,6 @@ class ClientReader:
             pos = min(end, (stripe_first + last_local + 1) * chunk_size)
         return out
 
-    def _stripe_of(self, meta: FileMeta, chunk_index: int):
-        passed = 0
-        for stripe in meta.stripes:
-            if chunk_index < passed + stripe.k:
-                return stripe, chunk_index - passed
-            passed += stripe.k
-        raise ReadError(f"{meta.name}: data chunk {chunk_index} beyond file")
-
     def _read_data_chunks(
         self,
         meta: FileMeta,
@@ -238,41 +214,43 @@ class ClientReader:
         missing: List[int] = []
         for local, dst in dests.items():
             chunk = stripe.data[local]
-            readable = fs.chunk_readable(chunk)
-            if readable and self._is_straggler(
-                chunk.node_id
-            ) and self._has_fast_alternative(meta, stripe, stripe_first, local):
+            if (
+                self._is_straggler(chunk.node_id)
+                and fs.chunk_readable(chunk)
+                and self._has_fast_alternative(meta, stripe, stripe_first, local)
+            ):
                 # The home copy works but sits on a straggler disk and a
                 # fast source exists: skip it (replica or decode below).
                 self._count_hedge()
-            elif readable:
-                data = fs.datanodes[chunk.node_id].read(chunk.chunk_id, at=fs.clock)
-                fs.metrics.record_transfer(
-                    chunk.node_id, self.CLIENT, float(data.nbytes), at=fs.clock, tag="read"
-                )
-                if fs.checksums.verify(chunk.chunk_id, data, into=dst):
-                    continue
-                quarantine(fs, chunk)  # a corrupt chunk is treated as missing
-            if not self._replica_range_into(meta, chunk, stripe_first + local, dst):
+            else:
+                data = fs.fetch_chunk(chunk, self.CLIENT, "read")
+                if data is not None:
+                    if fs.checksums.verify(chunk.chunk_id, data, into=dst):
+                        continue
+                    quarantine(fs, chunk)  # a corrupt chunk is treated as missing
+            if not self._replica_range_into(meta, stripe, stripe_first, local, dst):
                 missing.append(local)
         if missing:
             self._decode_into(meta, stripe, missing, dests)
 
     def _replica_range_into(
-        self, meta: FileMeta, chunk: ChunkMeta, chunk_index: int, dst: np.ndarray
+        self, meta: FileMeta, stripe: ECStripeMeta, stripe_first: int, local: int,
+        dst: np.ndarray,
     ) -> bool:
-        """Serve data chunk ``chunk_index`` from its range of a replica."""
-        if not meta.replica_blocks:
-            return False
-        block = self._block_covering(meta, chunk_index * meta.chunk_size)
-        if block is None:
-            return False
-        start = (chunk_index - block.first_chunk) * meta.chunk_size
-        for copy, piece in self._replica_pieces(block, start, meta.chunk_size):
-            if self.fs.checksums.verify(chunk.chunk_id, piece, into=dst):
+        """Serve a data chunk from its range of a replica: the first copy
+        that passes the slot's sum; one that fails it is quarantined,
+        which leaves the next one first in line."""
+        fs = self.fs
+        while True:
+            found = fs.fetch_replica_range(
+                meta, stripe, local, self.CLIENT, "read", self._prefer
+            )
+            if found is None:
+                return False
+            self._note_hedge(meta.block_covering(stripe_first + local), found[0])
+            if fs.checksums.verify(stripe.data[local].chunk_id, found[1], into=dst):
                 return True
-            quarantine(self.fs, copy)
-        return False
+            quarantine(fs, found[0])
 
     def _decode_into(
         self,
@@ -289,89 +267,25 @@ class ClientReader:
         one of them is rotten: only then are the survivors verified, the
         rotten ones quarantined, and the decode retried once without them.
         """
-        with self.fs.obs.span(
-            "degraded_read", file=meta.name, stripe=stripe.stripe_index
-        ):
-            verify = self.fs.checksums.verify
-            chunks = stripe.all_chunks()
+        fs = self.fs
+        with fs.obs.span("degraded_read", file=meta.name, stripe=stripe.stripe_index):
+            verify = fs.checksums.verify
 
-            def deliver(recovered: Dict[int, np.ndarray]) -> bool:
-                return all(
-                    verify(chunks[local].chunk_id, recovered[local], into=dests[local])
+            def decode():
+                """``(sources read, did every decoded chunk pass)``."""
+                read, rebuilt = fs.rebuild_slots(
+                    meta, stripe, missing, self.CLIENT, "degraded_read",
+                    prefer=self._prefer,
+                )
+                return read, all(
+                    verify(stripe.data[local].chunk_id, rebuilt[local], into=dests[local])
                     for local in missing
                 )
 
-            available, recovered = self._decode(meta, stripe, missing)
-            if deliver(recovered):
-                return
-            rotten = [
-                idx
-                for idx, data in available.items()
-                if not verify(chunks[idx].chunk_id, data)
-            ]
-            for idx in rotten:
-                quarantine(self.fs, chunks[idx])  # unreadable from here on
-            if rotten and deliver(self._decode(meta, stripe, missing)[1]):
+            read, delivered = decode()
+            if delivered or (quarantine_rotten(fs, read) and decode()[1]):
                 return
             raise ReadError(
                 f"{meta.name}: stripe {stripe.stripe_index} decodes to bytes "
                 "that fail their checksums"
             )
-
-    def _decode(
-        self, meta: FileMeta, stripe: ECStripeMeta, missing: List[int]
-    ) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
-        """``(survivors used, decoded chunks)`` for the ``missing`` data
-        chunks of one stripe, from k surviving stripe chunks."""
-        code = self.fs.codec_for_stripe(meta, stripe)
-        chunks = stripe.all_chunks()
-        available: Dict[int, np.ndarray] = {}
-
-        def try_fetch(idx: int) -> bool:
-            chunk = chunks[idx]
-            if not self.fs.chunk_readable(chunk):
-                return False
-            data = self.fs.datanodes[chunk.node_id].read(chunk.chunk_id, at=self.fs.clock)
-            self.fs.metrics.record_transfer(
-                chunk.node_id,
-                self.CLIENT,
-                float(data.nbytes),
-                at=self.fs.clock,
-                tag="degraded_read",
-            )
-            available[idx] = data
-            return True
-
-        # LRC-family codes: a single erasure tries the cheap local-repair
-        # set first (k/l reads).
-        if len(missing) == 1 and hasattr(code, "group_members"):
-            local = missing[0]
-            peers = [m for m in code.group_members(code.group_of(local)) if m != local]
-            if all(try_fetch(m) for m in peers):
-                recovered = code.decode(available, missing)
-                self.fs.charge_client_decode(code, meta.chunk_size, width=len(peers))
-                return available, recovered
-        # Survivors on fast disks are preferred; stragglers only fill in
-        # when fewer than k fast survivors exist.
-        pending = sorted(
-            (i for i in range(len(chunks)) if i not in missing and i not in available),
-            key=lambda i: (self._is_straggler(chunks[i].node_id), i),
-        )
-        error: Optional[DecodeError] = None
-        # k survivors decode any pattern of an MDS code; an LRC-family
-        # pattern may have to reach past the first k.
-        for need in (stripe.k, stripe.n):
-            while pending and len(available) < need:
-                try_fetch(pending.pop(0))
-            try:
-                recovered = code.decode(available, missing)
-            except DecodeError as exc:
-                error = exc
-                continue
-            self.fs.charge_client_decode(
-                code, meta.chunk_size * len(missing), width=stripe.k
-            )
-            return available, recovered
-        raise ReadError(
-            f"{meta.name}: stripe {stripe.stripe_index} unrecoverable"
-        ) from error

@@ -27,8 +27,7 @@ from repro.cluster.partition import CLIENT, NAMENODE, NetworkPartition
 from repro.obs import NOOP_OBS, Observability
 from repro.cluster.placement import DefaultPlacement, TranscodeAwarePlacement
 from repro.cluster.topology import Cluster
-from repro.codes.convertible import ConvertibleCode
-from repro.codes.lrcc import LocallyRecoverableConvertibleCode
+from repro.codes.base import DecodeError, LocalGroupCode
 from repro.core.planner import TranscodeKind, TranscodePlanner
 from repro.core.schemes import (
     CodeKind,
@@ -45,12 +44,19 @@ from repro.dfs.blocks import (
     ReplicaBlockMeta,
 )
 from repro.dfs.appends import AppendSupport
-from repro.dfs.client import ClientReader
+from repro.dfs.client import ClientReader, ReadError
 from repro.dfs.namenode import ConversionGroup, Namenode
+from repro.dfs.recovery import RecoveryError
 from repro.dfs.transcoder import NativeTranscoder, RRWTranscoder, TranscodeError
 from repro.sched.scheduler import MaintenanceScheduler
 
 MB = 1024 * 1024
+
+
+def _listed(chunk: ChunkMeta) -> int:
+    """The default source preference: none — copies as listed, survivors
+    in slot order."""
+    return 0
 
 
 class _BaseDFS:
@@ -107,27 +113,18 @@ class _BaseDFS:
         self.obs = obs or NOOP_OBS
         if self.obs.enabled:
             self.obs.attach_filesystem(self)
-        self._cc_cache: Dict[Tuple[int, int], ConvertibleCode] = {}
-        self._lrcc_cache: Dict[Tuple[int, int, int], LocallyRecoverableConvertibleCode] = {}
-        self._codec_cache: Dict[ECScheme, object] = {}
+        self._codecs: Dict[ECScheme, object] = {}
 
     # -- codecs ---------------------------------------------------------------
     def codec_for(self, ec: ECScheme):
-        if ec not in self._codec_cache:
-            self._codec_cache[ec] = ec.make_code()
-        return self._codec_cache[ec]
+        """The filesystem's one codec object per scheme: encode plans and
+        decode-pattern LRUs are per object, so every path shares them."""
+        if ec not in self._codecs:
+            self._codecs[ec] = ec.make_code()
+        return self._codecs[ec]
 
-    def cc_codec(self, k: int, n: int) -> ConvertibleCode:
-        key = (k, n)
-        if key not in self._cc_cache:
-            self._cc_cache[key] = ConvertibleCode(k, n)
-        return self._cc_cache[key]
-
-    def lrcc_codec(self, k: int, l: int, r_global: int) -> LocallyRecoverableConvertibleCode:
-        key = (k, l, r_global)
-        if key not in self._lrcc_cache:
-            self._lrcc_cache[key] = LocallyRecoverableConvertibleCode(k, l, r_global)
-        return self._lrcc_cache[key]
+    def cc_codec(self, k: int, n: int):
+        return self.codec_for(ECScheme(CodeKind.CC, k, n))
 
     def codec_for_stripe(self, meta: FileMeta, stripe: ECStripeMeta):
         """Codec matching a stripe's actual (possibly tail-short) width."""
@@ -140,27 +137,16 @@ class _BaseDFS:
         if stripe.k == ec.k and stripe.n == ec.n:
             return self.codec_for(ec)
         # Tail stripe with its own width; same family, same parity count.
-        if ec.kind is CodeKind.CC:
-            return self.cc_codec(stripe.k, stripe.n)
-        from repro.codes.rs import ReedSolomon
-
-        return ReedSolomon(stripe.k, stripe.n)
+        kind = CodeKind.CC if ec.kind is CodeKind.CC else CodeKind.RS
+        return self.codec_for(ECScheme(kind, stripe.k, stripe.n))
 
     # -- CPU accounting -----------------------------------------------------------
-    def encode_cpu_seconds(self, width: int, out_parities: int, nbytes: float) -> float:
+    def charge_encode(self, by: str, width: int, out_parities: int, nbytes: float) -> None:
+        """Bill ``by`` — a node, or the client — for combining ``width``
+        chunks of ``nbytes`` into each of ``out_parities`` outputs: the
+        one CPU-charge formula, encodes and decodes alike."""
         rate = self.cluster.spec.encode_mb_s * MB
-        return width * out_parities * nbytes / rate
-
-    def charge_client_encode(self, width: int, out_parities: int, nbytes: float) -> None:
-        self.metrics.record_cpu(CLIENT, self.encode_cpu_seconds(width, out_parities, nbytes))
-
-    def charge_client_decode(self, code, nbytes: float, width: Optional[int] = None) -> None:
-        self.metrics.record_cpu(
-            CLIENT, self.encode_cpu_seconds(width or code.k, 1, nbytes)
-        )
-
-    def charge_node_encode(self, node_id: str, width: int, out_parities: int, nbytes: float) -> None:
-        self.metrics.record_cpu(node_id, self.encode_cpu_seconds(width, out_parities, nbytes))
+        self.metrics.record_cpu(by, width * out_parities * nbytes / rate)
 
     # -- availability ----------------------------------------------------------
     @property
@@ -262,6 +248,131 @@ class _BaseDFS:
             self.checksums.rekey(chunk.chunk_id, new_id)
             placed.append((chunk.chunk_id, new_id, node_id))
         self.namenode.place_chunks(meta.name, placed)
+
+    # -- how a slot is read: home copy, replica range, the stripe's survivors --
+    def fetch_chunk(
+        self, chunk: ChunkMeta, by: str, tag: str, start: int = 0,
+        length: Optional[int] = None,
+    ) -> Optional[np.ndarray]:
+        """Bytes ``[start, start + length)`` of a listed copy (default: to
+        its end), delivered to ``by`` and metered under ``tag``; ``None``
+        when ``by`` cannot read it — nothing crosses a partition cut."""
+        if not self.chunk_readable(chunk, by=by):
+            return None
+        datanode = self.datanodes[chunk.node_id]
+        if start or length is not None:
+            span = chunk.size - start if length is None else length
+            data = datanode.read_range(chunk.chunk_id, start, span, at=self.clock)
+        else:
+            data = datanode.read(chunk.chunk_id, at=self.clock)
+        self.metrics.record_transfer(
+            chunk.node_id, by, float(data.nbytes), at=self.clock, tag=tag
+        )
+        return data
+
+    def fetch_block_range(
+        self, block: ReplicaBlockMeta, start: int, length: int, by: str, tag: str,
+        prefer=_listed,
+    ) -> Optional[Tuple[ChunkMeta, np.ndarray]]:
+        """``(copy read, bytes [start, start + length) of the block,
+        zero-padded)`` from the first copy ``by`` can read, in ``prefer``
+        order (a sort key over copies; by default, as listed)."""
+        for copy in sorted(block.copies, key=prefer):
+            data = self.fetch_chunk(copy, by, tag, start, length)
+            if data is not None:
+                if len(data) < length:
+                    data = np.concatenate([data, np.zeros(length - len(data), np.uint8)])
+                return copy, data
+        return None
+
+    def fetch_replica_range(
+        self, meta: FileMeta, stripe: ECStripeMeta, slot: int, by: str, tag: str,
+        prefer=_listed,
+    ) -> Optional[Tuple[ChunkMeta, np.ndarray]]:
+        """A data slot from its range of the replica block repeating it
+        (§4.3), if one does: see :meth:`fetch_block_range`."""
+        index = meta.first_data_index(stripe) + slot
+        block = meta.block_covering(index) if slot < stripe.k else None
+        if block is None:
+            return None
+        start = (index - block.first_chunk) * meta.chunk_size
+        return self.fetch_block_range(block, start, meta.chunk_size, by, tag, prefer)
+
+    def fetch_slot(
+        self, meta: FileMeta, stripe: ECStripeMeta, slot: int, by: str, tag: str,
+        prefer=_listed,
+    ) -> Optional[Tuple[ChunkMeta, np.ndarray]]:
+        """``(copy read, bytes)`` of one stripe slot where it survives:
+        its home copy, else its replica range."""
+        chunk = stripe.data[slot] if slot < stripe.k else stripe.parities[slot - stripe.k]
+        data = self.fetch_chunk(chunk, by, tag)
+        if data is not None:
+            return chunk, data
+        return self.fetch_replica_range(meta, stripe, slot, by, tag, prefer)
+
+    def rebuild_slots(
+        self, meta: FileMeta, stripe: ECStripeMeta, erased: Sequence[int], by: str,
+        tag: str, prefer=_listed,
+    ) -> Tuple[List[Tuple[ChunkMeta, str, np.ndarray]], Dict[int, np.ndarray]]:
+        """Bytes of the ``erased`` slots of one stripe — slots whose home
+        copy is gone — rebuilt at ``by`` from whichever source survives.
+
+        A hybrid file's data chunk is one sequential read of its replica
+        range (§4.4); whatever is left comes out of one ``decode`` over
+        those and survivors fetched lazily with :meth:`fetch_slot`: the
+        k/l group peers when an LRC-family code lost one in-group chunk,
+        then k (any MDS pattern), then every survivor (an LRC-family
+        pattern may have to reach past the first k) — in slot order,
+        ``prefer`` (a sort key over chunks) ranking them first. The
+        decode's CPU is charged to ``by``.
+
+        Returns ``(read, rebuilt)``: ``(copy read, id its sum is recorded
+        under, its bytes)`` per source fetched — unverified; the caller
+        that finds rebuilt bytes failing their sums hands these to
+        ``quarantine_rotten`` — and slot -> bytes for each erased slot.
+        Raises :class:`ReadError` when what ``by`` can reach cannot
+        decode the pattern.
+        """
+        chunks = stripe.all_chunks()
+        read: List[Tuple[ChunkMeta, str, np.ndarray]] = []
+        available: Dict[int, np.ndarray] = {}
+
+        def take(slot: int, found: Optional[Tuple[ChunkMeta, np.ndarray]]) -> None:
+            if found is not None:
+                read.append((found[0], chunks[slot].chunk_id, found[1]))
+                available[slot] = found[1]
+
+        for slot in erased:
+            take(slot, self.fetch_replica_range(meta, stripe, slot, by, tag, prefer))
+        todo = [slot for slot in erased if slot not in available]
+        if not todo:
+            return read, available
+        code = self.codec_for_stripe(meta, stripe)
+        order = sorted(
+            (s for s in range(stripe.n) if s not in erased), key=lambda s: prefer(chunks[s])
+        )
+        needs = [stripe.k, stripe.n]
+        if len(todo) == 1 and isinstance(code, LocalGroupCode) and todo[0] < stripe.k + code.l:
+            peers = [m for m in code.group_members(code.group_of(todo[0])) if m in order]
+            order = peers + [s for s in order if s not in peers]
+            needs.insert(0, len(available) + len(peers))
+        survivors = iter(order)
+        error: Optional[DecodeError] = None
+        for need in needs:
+            while len(available) < need and (slot := next(survivors, None)) is not None:
+                take(slot, self.fetch_slot(meta, stripe, slot, by, tag, prefer))
+            try:
+                rebuilt = code.decode(available, todo)
+            except DecodeError as exc:
+                error = exc
+                continue
+            self.charge_encode(by, len(available), len(todo), meta.chunk_size)
+            rebuilt.update((slot, available[slot]) for slot in erased if slot in available)
+            return read, rebuilt
+        raise ReadError(
+            f"{meta.name}: stripe {stripe.stripe_index} cannot be rebuilt from "
+            f"what {by} can reach"
+        ) from error
 
     def capacity_used(self) -> float:
         """Bytes at rest across all datanode disks.
@@ -405,7 +516,7 @@ class _BaseDFS:
         # stay per stripe).
         parities_batch = code.encode_batch(stripe_lists)
         for stripe_index, stripe_chunks in enumerate(stripe_lists):
-            self.charge_client_encode(ec.k, ec.n - ec.k, self.chunk_size)
+            self.charge_encode(CLIENT, ec.k, ec.n - ec.k, self.chunk_size)
             spots = place_stripe(stripe_index)
             self._store_stripe(
                 meta, stripe_index, stripe_chunks, parities_batch[stripe_index],
@@ -656,10 +767,9 @@ class MorphFS(AppendSupport, _BaseDFS):
             # Striping (§4.2 / Fig 6): the last replica holder distributes
             # the data chunks (they are the extra durable copy).
             striper = replica_nodes[-1]
-            if parities and self.parity_mode == "sync":
-                self.charge_client_encode(ec.k, ec.n - ec.k, self.chunk_size)
-            elif parities:
-                self.charge_node_encode(striper, ec.k, ec.n - ec.k, self.chunk_size)
+            encoder = CLIENT if self.parity_mode == "sync" else striper
+            if parities:
+                self.charge_encode(encoder, ec.k, ec.n - ec.k, self.chunk_size)
             stripe_meta = self._store_stripe(
                 meta,
                 stripe_index,
@@ -669,7 +779,7 @@ class MorphFS(AppendSupport, _BaseDFS):
                 spots["parity"],
                 ec,
                 src=striper,
-                parity_src=CLIENT if self.parity_mode == "sync" else striper,
+                parity_src=encoder,
             )
             self._settle_hybrid_block(block, temporary, stripe_meta)
 
@@ -788,59 +898,37 @@ class MorphFS(AppendSupport, _BaseDFS):
                 return node_id
         usable = self.reachable_nodes()
         if not usable:
-            from repro.dfs.recovery import RecoveryError
-
             raise RecoveryError("no live node to act as striper")
         return next((n for n in usable if n not in exclude), usable[0])
-
-    def _read_stripe_data_degraded(
-        self, meta: FileMeta, stripe: ECStripeMeta, reader_node: str
-    ) -> List[np.ndarray]:
-        """Read a stripe's data chunks, falling back to the covering
-        replica ranges when a chunk's home is down.
-
-        Sealing a parity-less stripe must work during failures — the
-        replicas are that stripe's only redundancy, so they are exactly
-        what survives when a data-chunk home dies.
-        """
-        from repro.dfs.recovery import RecoveryError, RecoveryManager
-
-        recovery = None
-        first_chunk = sum(s.k for s in meta.stripes[: stripe.stripe_index])
-        chunks: List[np.ndarray] = []
-        for local, c in enumerate(stripe.data):
-            if self.chunk_readable(c, by=reader_node):
-                chunks.append(self.datanodes[c.node_id].read(c.chunk_id, at=self.clock))
-                continue
-            if recovery is None:
-                recovery = RecoveryManager(self)
-            piece = recovery._replica_range(meta, c, first_chunk + local, reader_node)
-            if piece is None:
-                raise RecoveryError(
-                    f"{meta.name}: stripe {stripe.stripe_index} data chunk "
-                    f"{local} unavailable and no replica covers it"
-                )
-            chunks.append(piece)
-        return chunks
 
     def _seal_stripe(self, meta: FileMeta, stripe: ECStripeMeta) -> None:
         """Materialise the parities a hybrid file's stripe is missing —
         deferred (``parity_mode="none"``) or never due (an open tail, at
         its own width) — for the caller to note.
 
-        Data is read from the stripe's chunks (one striper-local encode)
-        with replica-range fallback for chunks on dead nodes; parities
-        land on the reserved co-located parity nodes (or a live
-        substitute when a reserved node is down). The code is the one
-        the stripe, once sealed, is read and repaired with.
+        Data reaches the striper from the stripe's chunks, else — sealing
+        must work during failures, and the replicas are exactly what
+        survives when a parity-less stripe's data home dies — their
+        replica ranges (one striper-local encode); parities land on the
+        reserved co-located parity nodes (or a live substitute when a
+        reserved node is down). The code is the one the stripe, once
+        sealed, is read and repaired with.
         """
         ec = meta.scheme.ec
         code = self.codec_for_stripe(meta, replace(stripe, n=stripe.k + ec.r))
         striper = self._usable_node([c.node_id for c in stripe.data])
-        parities = code.encode(self._read_stripe_data_degraded(meta, stripe, striper))
+        sources = [
+            self.fetch_slot(meta, stripe, slot, striper, "seal") for slot in range(stripe.k)
+        ]
+        if None in sources:
+            raise RecoveryError(
+                f"{meta.name}: stripe {stripe.stripe_index} data chunk "
+                f"{sources.index(None)} unavailable and no replica covers it"
+            )
+        parities = code.encode([data for _copy, data in sources])
         placement = self._placement_for(meta.name, ec)
-        first_chunk = sum(s.k for s in meta.stripes[: stripe.stripe_index])
-        self.charge_node_encode(striper, stripe.k, len(parities), self.chunk_size)
+        first_chunk = meta.first_data_index(stripe)
+        self.charge_encode(striper, stripe.k, len(parities), self.chunk_size)
         kinds = self._parity_kinds(ec)
         occupied = [c.node_id for c in stripe.all_chunks()]
         sealed: List[ChunkMeta] = []

@@ -183,6 +183,17 @@ def quarantine(fs, chunk: ChunkMeta) -> None:
     fs.datanodes[chunk.node_id].delete(chunk.chunk_id, at=fs.clock)
 
 
+def quarantine_rotten(fs, reads) -> List[ChunkMeta]:
+    """Rebuilt bytes failed their sums, so a source is rotten: verify
+    each ``(copy, id its sum is recorded under, bytes)`` read, quarantine
+    the copies that fail — they no longer read as sources — and return
+    them."""
+    rotten = [copy for copy, sum_id, data in reads if not fs.checksums.verify(sum_id, data)]
+    for copy in rotten:
+        quarantine(fs, copy)
+    return rotten
+
+
 @dataclass
 class ScrubReport:
     """Outcome of one scrub sweep."""

@@ -31,9 +31,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codes.base import DecodeError
 from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta, ReplicaBlockMeta
-from repro.dfs.integrity import quarantine
+from repro.dfs.client import ReadError
+from repro.dfs.integrity import quarantine_rotten
 
 
 class RecoveryError(RuntimeError):
@@ -178,21 +178,16 @@ class RecoveryManager:
     def _quarantine_rotten_sources(
         self, meta: FileMeta, members: List[ChunkMeta], erased: List[int]
     ) -> List[int]:
-        """Rebuilt bytes failed their check, so a source is rotten: verify
-        each one read, quarantine the rotten — they no longer read as
-        sources — and return those that are slots of the group under
-        repair, which join its erased set for the redo."""
-        verify = self.fs.checksums.verify
-        rotten = [
-            copy for copy, sum_id, data in self._reads if not verify(sum_id, data)
-        ]
+        """Rebuilt bytes failed their check, so a source is rotten:
+        quarantine the rotten among those read and return the ones that
+        are slots of the group under repair, which join its erased set
+        for the redo."""
+        rotten = quarantine_rotten(self.fs, self._reads)
         if not rotten:
             raise RecoveryError(
                 f"{meta.name}: rebuilt bytes fail their checksum though every "
                 "source passes its own"
             )
-        for copy in rotten:
-            quarantine(self.fs, copy)
         return [
             slot
             for slot, m in enumerate(members)
@@ -223,66 +218,17 @@ class RecoveryManager:
     def _stripe_bytes(
         self, meta: FileMeta, stripe: ECStripeMeta, erased: List[int], dst: str
     ) -> Dict[int, np.ndarray]:
-        """Bytes of the ``erased`` slots of one stripe, rebuilt at ``dst``.
-
-        Every source is read once: a hybrid file's lost data chunk is one
-        sequential replica-range read (§4.4); whatever is left comes out
-        of a single ``code.decode`` over the survivors (home chunk, else
-        the covering replica range) — k of them, or the k/l group peers
-        when an LRC-family code lost one in-group chunk.
-        """
-        first = self._first_data_index(meta, stripe)
-        out: Dict[int, np.ndarray] = {}
-        if meta.replica_blocks:
-            for idx in erased:
-                if idx < stripe.k:
-                    data = self._replica_range(meta, stripe.data[idx], first + idx, dst)
-                    if data is not None:
-                        out[idx] = data
-        todo = [idx for idx in erased if idx not in out]
-        if not todo:
-            return out
-        code = self.fs.codec_for_stripe(meta, stripe)
-        order = [idx for idx in range(stripe.n) if idx not in erased]
-        # How many sources to try with: the k/l group peers of a single
-        # in-group loss, then k, then (non-MDS patterns) every survivor.
-        needs = [stripe.k, stripe.n]
-        if hasattr(code, "group_members") and len(todo) == 1 and todo[0] < stripe.k + code.l:
-            peers = [m for m in code.group_members(code.group_of(todo[0])) if m in order]
-            order = peers + [idx for idx in order if idx not in peers]
-            needs.insert(0, len(out) + len(peers))
-        available = dict(out)
-        survivors = self._survivors(meta, stripe, first, order, dst)
-        error: Optional[DecodeError] = None
-        for need in needs:
-            while len(available) < need:
-                found = next(survivors, None)
-                if found is None:
-                    break
-                available[found[0]] = found[1]
-            try:
-                out.update(code.decode(available, todo))
-            except DecodeError as exc:
-                error = exc
-                continue
-            self.fs.charge_node_encode(dst, len(available), len(todo), meta.chunk_size)
-            return out
-        raise RecoveryError(
-            f"{meta.name}: stripe {stripe.stripe_index} beyond repair"
-        ) from error
-
-    def _survivors(
-        self, meta: FileMeta, stripe: ECStripeMeta, first: int, order: List[int], dst: str
-    ):
-        """Lazily read stripe slots in ``order``, skipping the unreadable:
-        the home chunk, else (data slots) the hybrid replica range."""
-        chunks = stripe.all_chunks()
-        for idx in order:
-            data = self._fetch(chunks[idx], dst)
-            if data is None and idx < stripe.k:
-                data = self._replica_range(meta, chunks[idx], first + idx, dst)
-            if data is not None:
-                yield idx, data
+        """Bytes of the ``erased`` slots of one stripe, rebuilt at ``dst``
+        with every source read once (:meth:`_BaseDFS.rebuild_slots`) and
+        remembered."""
+        try:
+            read, rebuilt = self.fs.rebuild_slots(meta, stripe, erased, dst, "repair")
+        except ReadError as exc:
+            raise RecoveryError(
+                f"{meta.name}: stripe {stripe.stripe_index} beyond repair"
+            ) from exc
+        self._reads.extend(read)
+        return rebuilt
 
     def _block_bytes(
         self, meta: FileMeta, block: ReplicaBlockMeta, lost: List[int], dst: str
@@ -294,8 +240,8 @@ class RecoveryManager:
                 if data is not None:
                     return data
         pieces: List[np.ndarray] = []
-        first, end = 0, block.first_chunk + block.n_chunks
-        for stripe in meta.stripes:
+        end = block.first_chunk + block.n_chunks
+        for first, stripe in meta.stripe_spans():
             wanted = range(
                 max(block.first_chunk, first) - first, min(end, first + stripe.k) - first
             )
@@ -304,59 +250,16 @@ class RecoveryManager:
             if missing:
                 got.update(self._stripe_bytes(meta, stripe, missing, dst))
             pieces.extend(got[idx] for idx in wanted)
-            first += stripe.k
         if not pieces:
             raise RecoveryError(f"{meta.name}: block {block.block_index} has no source")
         return np.concatenate(pieces)
 
     def _fetch(self, src: ChunkMeta, target: str) -> Optional[np.ndarray]:
-        # Reconstruction never sources bytes across a partition cut: the
-        # source must reach the rebuilding node.
-        if not self.fs.chunk_readable(src, by=target):
-            return None
-        data = self.fs.datanodes[src.node_id].read(src.chunk_id, at=self.fs.clock)
-        self.fs.metrics.record_transfer(
-            src.node_id, target, float(data.nbytes), at=self.fs.clock, tag="repair"
-        )
-        self._reads.append((src, src.chunk_id, data))
+        """A whole listed copy, read for ``target`` and remembered."""
+        data = self.fs.fetch_chunk(src, target, "repair")
+        if data is not None:
+            self._reads.append((src, src.chunk_id, data))
         return data
-
-    def _first_data_index(self, meta: FileMeta, stripe: ECStripeMeta) -> int:
-        """File-wide index of the stripe's first data chunk."""
-        passed = 0
-        for s in meta.stripes:
-            if s is stripe:
-                return passed
-            passed += s.k
-        raise RecoveryError("stripe not in file")
-
-    def _replica_range(
-        self, meta: FileMeta, slot: ChunkMeta, chunk_index: int, target: str
-    ) -> Optional[np.ndarray]:
-        """Bytes of data chunk ``chunk_index`` (stripe slot ``slot``) from
-        the replica block covering it."""
-        for block in meta.replica_blocks:
-            if block.first_chunk <= chunk_index < block.first_chunk + block.n_chunks:
-                start = (chunk_index - block.first_chunk) * meta.chunk_size
-                for copy in block.copies:
-                    if self.fs.chunk_readable(copy, by=target):
-                        data = self.fs.datanodes[copy.node_id].read_range(
-                            copy.chunk_id, start, meta.chunk_size, at=self.fs.clock
-                        )
-                        self.fs.metrics.record_transfer(
-                            copy.node_id,
-                            target,
-                            float(meta.chunk_size),
-                            at=self.fs.clock,
-                            tag="repair",
-                        )
-                        if len(data) < meta.chunk_size:
-                            data = np.concatenate(
-                                [data, np.zeros(meta.chunk_size - len(data), np.uint8)]
-                            )
-                        self._reads.append((copy, slot.chunk_id, data))
-                        return data
-        return None
 
 
 def _members(home) -> List[ChunkMeta]:

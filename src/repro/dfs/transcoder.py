@@ -17,12 +17,12 @@ encodes it, writes it as a new file and deletes the original.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.partition import NAMENODE
-from repro.codes.base import DecodeError, Stripe
+from repro.codes.base import Stripe
 from repro.codes.convertible import plan_conversion, convert
 from repro.codes.lrcc import (
     LocallyRecoverableConvertibleCode,
@@ -31,6 +31,7 @@ from repro.codes.lrcc import (
 )
 from repro.core.schemes import CodeKind, ECScheme
 from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta
+from repro.dfs.client import ReadError
 from repro.dfs.namenode import ConversionGroup
 
 
@@ -113,78 +114,53 @@ class NativeTranscoder:
         stripes = [
             Stripe(sm.k, sm.n, [None] * sm.n) for sm in stripe_metas
         ]
+        # Every parity-computing node combines a data chunk.
+        everyone = list(dict.fromkeys(parity_targets.values()))
         for t in sorted(data_reads):
             stripe_i, local = divmod(t, k_i)
-            data, src = self._read_or_reconstruct(
-                meta, stripe_metas[stripe_i], local, by=parity_targets[0]
+            stripes[stripe_i].chunks[local] = self._source(
+                meta, stripe_metas[stripe_i], local, everyone
             )
-            stripes[stripe_i].chunks[local] = data
-            # Every parity-computing node combines this chunk.
-            for node in set(parity_targets.values()):
-                self.fs.metrics.record_transfer(
-                    src, node, float(data.nbytes), at=self.fs.clock, tag="transcode"
-                )
         for (i, j) in sorted(parity_reads):
-            target_node = parity_targets.get(j)
-            data, src = self._read_or_reconstruct(
-                meta,
-                stripe_metas[i],
-                stripe_metas[i].k + j,
-                by=target_node or parity_targets[0],
+            sm = stripe_metas[i]
+            stripes[i].chunks[sm.k + j] = self._source(
+                meta, sm, sm.k + j, [parity_targets.get(j, parity_targets[0])]
             )
-            stripes[i].chunks[stripe_metas[i].k + j] = data
-            if target_node is not None:
-                self.fs.metrics.record_transfer(
-                    src, target_node, float(data.nbytes), at=self.fs.clock, tag="transcode"
-                )
         return stripes
 
-    def _read_or_reconstruct(
-        self, meta: FileMeta, stripe_meta: ECStripeMeta, index: int, by: str,
-        start: int = 0,
-    ):
-        """Read a planned chunk — from byte ``start`` to its end — for
-        node ``by``; returns the bytes and the node they are served from.
+    def _source(
+        self, meta: FileMeta, stripe_meta: ECStripeMeta, index: int,
+        to: Sequence[str], start: int = 0,
+    ) -> np.ndarray:
+        """A planned chunk — from byte ``start`` to its end — delivered to
+        the parity nodes ``to``: read (or rebuilt) for the first, which
+        is where the transfers to the others are charged from.
 
         A transcode must not fail because a source chunk is temporarily
         unavailable — the paper keeps old stripes fully serviceable
-        throughout; a degraded transcode simply decodes the needed chunk
-        at ``by`` from the stripe's survivors it can reach (metered like
+        throughout; a degraded transcode rebuilds the needed chunk at
+        ``to[0]`` from the stripe's survivors it can reach (metered like
         any degraded read; whole chunks, whatever range was wanted).
         """
         fs = self.fs
-        chunks = stripe_meta.all_chunks()
-        chunk = chunks[index]
-        if fs.chunk_readable(chunk, by=by):
-            datanode = fs.datanodes[chunk.node_id]
-            if start:
-                data = datanode.read_range(
-                    chunk.chunk_id, start, chunk.size - start, at=fs.clock
-                )
-            else:
-                data = datanode.read(chunk.chunk_id, at=fs.clock)
-            return data, chunk.node_id
-        code = fs.codec_for_stripe(meta, stripe_meta)
-        available = {}
-        for idx, other in enumerate(chunks):
-            if idx != index and fs.chunk_readable(other, by=by):
-                data = fs.datanodes[other.node_id].read(other.chunk_id, at=fs.clock)
-                fs.metrics.record_transfer(
-                    other.node_id, by, float(data.nbytes), at=fs.clock, tag="transcode"
-                )
-                available[idx] = data
-                if len(available) >= stripe_meta.k:
-                    break
-        try:
-            recovered = code.decode(available, [index])
-        except DecodeError as exc:
-            raise TranscodeError(
-                f"{meta.name}: source chunk {chunk.chunk_id} on {chunk.node_id} is "
-                f"unreadable from {by} and stripe {stripe_meta.stripe_index} "
-                "cannot decode it"
-            ) from exc
-        fs.charge_node_encode(by, stripe_meta.k, 1, meta.chunk_size)
-        return recovered[index][start:], by
+        by = to[0]
+        chunk = stripe_meta.all_chunks()[index]
+        data, src = fs.fetch_chunk(chunk, by, "transcode", start), chunk.node_id
+        if data is None:
+            try:
+                rebuilt = fs.rebuild_slots(meta, stripe_meta, [index], by, "transcode")[1]
+            except ReadError as exc:
+                raise TranscodeError(
+                    f"{meta.name}: source chunk {chunk.chunk_id} on {chunk.node_id} is "
+                    f"unreadable from {by} and stripe {stripe_meta.stripe_index} "
+                    "cannot decode it"
+                ) from exc
+            data, src = rebuilt[index][start:], by
+        for node in to[1:]:
+            fs.metrics.record_transfer(
+                src, node, float(data.nbytes), at=fs.clock, tag="transcode"
+            )
+        return data
 
     def _parity_homes(
         self, stripe_metas: List[ECStripeMeta], n_parities: int
@@ -288,7 +264,7 @@ class NativeTranscoder:
         homes = self._parity_homes(stripe_metas, r_i)
         # Extra parity homes: reuse placement's reserved parity nodes.
         placement = self.fs._placement_for(meta.name, ec)
-        first_chunk = group.initial_stripe_indices[0] * k_i
+        first_chunk = meta.first_data_index(stripe_metas[0])
         for j in range(r_i, r_f):
             try:
                 homes[j] = placement.parity_node(meta.name, first_chunk, j)
@@ -299,27 +275,16 @@ class NativeTranscoder:
         # Sources are read where readable and decoded from the stripe's
         # survivors where not (a dead or cut-off home), like every other
         # conversion's.
+        everyone = list(dict.fromkeys(targets.values()))
         stripes = []
         for sm in stripe_metas:
             chunks: List[Optional[np.ndarray]] = []
             for t in range(sm.k):
-                tail, src = self._read_or_reconstruct(
-                    meta, sm, t, by=targets[0], start=tail_start
-                )
                 padded = np.zeros(chunk_size, dtype=np.uint8)
-                padded[tail_start:] = tail
+                padded[tail_start:] = self._source(meta, sm, t, everyone, tail_start)
                 chunks.append(padded)
-                for node in set(targets.values()):
-                    self.fs.metrics.record_transfer(
-                        src, node, float(tail.nbytes), at=self.fs.clock, tag="transcode"
-                    )
             for j in range(len(sm.parities)):
-                by = targets.get(j, targets[0])
-                data, src = self._read_or_reconstruct(meta, sm, sm.k + j, by=by)
-                chunks.append(data)
-                self.fs.metrics.record_transfer(
-                    src, by, float(data.nbytes), at=self.fs.clock, tag="transcode"
-                )
+                chunks.append(self._source(meta, sm, sm.k + j, [targets.get(j, targets[0])]))
             stripes.append(Stripe(sm.k, sm.n, chunks))
         merged, _io = bwo.convert_merge(stripes, final)
         self._commit_final_stripe(
@@ -368,7 +333,7 @@ class NativeTranscoder:
                     targets[j], chunk_id, final_stripe.chunks[final_stripe.k + j], kinds[j]
                 )
             )
-            fs.charge_node_encode(targets[j], width, 1, meta.chunk_size)
+            fs.charge_encode(targets[j], width, 1, meta.chunk_size)
             fs.namenode.complete_parity(meta.name, group.group_index, m, j, r_f)
         fs.namenode.record_new_stripe(
             meta.name,
@@ -412,11 +377,9 @@ class NativeTranscoder:
     def _execute_lrcc_group(self, meta: FileMeta, group: ConversionGroup, ec: ECScheme) -> None:
         stripe_metas = [meta.stripes[i] for i in group.initial_stripe_indices]
         source_ec = meta.scheme.ec if hasattr(meta.scheme, "ec") else meta.scheme
-        final = self.fs.lrcc_codec(ec.k, ec.local_groups, ec.r_global)
+        final = self.fs.codec_for(ec)
         if isinstance(source_ec, ECScheme) and source_ec.kind is CodeKind.LRCC:
-            initial = self.fs.lrcc_codec(
-                source_ec.k, source_ec.local_groups, source_ec.r_global
-            )
+            initial = self.fs.codec_for(source_ec)
             # Reads: all local parities + the globals that merge.
             parity_reads = [
                 (i, g) for i in range(len(stripe_metas)) for g in range(initial.l)

@@ -112,18 +112,12 @@ def classify_repair(fs, meta, chunk) -> TaskClass:
 
     def replicas_cover(first: int, count: int) -> bool:
         """Every data-chunk index in [first, first+count) has a live copy."""
-        for idx in range(first, first + count):
-            hit = False
-            for block in meta.replica_blocks:
-                if block.first_chunk <= idx < block.first_chunk + block.n_chunks:
-                    hit = any(available(c) for c in block.copies)
-                    if hit:
-                        break
-            if not hit:
-                return False
-        return count > 0
+        blocks = (meta.block_covering(idx) for idx in range(first, first + count))
+        return count > 0 and all(
+            block is not None and any(available(c) for c in block.copies)
+            for block in blocks
+        )
 
-    passed = 0
     for stripe in meta.stripes:
         chunks = stripe.all_chunks()
         if any(c is chunk for c in chunks):
@@ -134,10 +128,9 @@ def classify_repair(fs, meta, chunk) -> TaskClass:
             # the stripe's data span are the remaining safety margin.
             return (
                 TaskClass.REPAIR
-                if replicas_cover(passed, stripe.k)
+                if replicas_cover(meta.first_data_index(stripe), stripe.k)
                 else TaskClass.CRITICAL_REPAIR
             )
-        passed += stripe.k
 
     # Replica chunk: other copies of its block, else a decodable stripe.
     for block in meta.replica_blocks:
@@ -145,11 +138,9 @@ def classify_repair(fs, meta, chunk) -> TaskClass:
             others = [c for c in block.copies if c is not chunk]
             if any(available(c) for c in others):
                 return TaskClass.REPAIR
-            span_start = 0
-            for stripe in meta.stripes:
-                span_end = span_start + stripe.k
+            for span_start, stripe in meta.stripe_spans():
                 overlaps = (
-                    block.first_chunk < span_end
+                    block.first_chunk < span_start + stripe.k
                     and block.first_chunk + block.n_chunks > span_start
                 )
                 if overlaps:
@@ -157,7 +148,6 @@ def classify_repair(fs, meta, chunk) -> TaskClass:
                     unavailable = sum(1 for c in chunks if not available(c))
                     if unavailable > stripe.n - stripe.k:
                         return TaskClass.CRITICAL_REPAIR
-                span_start = span_end
             if not meta.stripes:
                 return TaskClass.CRITICAL_REPAIR
             return TaskClass.REPAIR

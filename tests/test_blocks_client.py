@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
-from repro.dfs.blocks import FileState
+from repro.dfs.blocks import ECStripeMeta, FileState
 from repro.dfs.client import ReadError
 from repro.dfs.namenode import Namenode
 
@@ -29,6 +29,40 @@ class TestFileMetaHelpers:
             for block in hb.replicas:
                 assert block.first_chunk < first + hb.stripe.k
                 assert block.first_chunk + block.n_chunks > first
+
+    @pytest.fixture
+    def mixed(self):
+        """12 chunks + a 2-chunk appended tail: stripes of width 6, 6, 2."""
+        fs, _ = hybrid_fs(n_kb=48)
+        fs.append_file("f", np.ones(8 * KB, dtype=np.uint8))
+        meta = fs.namenode.lookup("f")
+        assert [s.k for s in meta.stripes] == [6, 6, 2]
+        return meta
+
+    def test_hybrid_blocks_pair_a_short_tail_with_its_own_block(self, mixed):
+        # ``stripe_index * k`` put the 2-wide tail at chunk 4: block 0.
+        pairs = [(hb.stripe, hb.replicas) for hb in mixed.hybrid_blocks()]
+        assert pairs == [(s, [b]) for s, b in zip(mixed.stripes, mixed.replica_blocks)]
+
+    def test_first_data_index(self, mixed):
+        assert list(mixed.stripe_spans()) == list(zip([0, 6, 12], mixed.stripes))
+        assert [mixed.first_data_index(s) for s in mixed.stripes] == [0, 6, 12]
+        twin = ECStripeMeta(**vars(mixed.stripes[1]))  # equal, not a stripe of the file
+        with pytest.raises(ValueError):
+            mixed.first_data_index(twin)
+
+    def test_stripe_of(self, mixed):
+        s0, s1, s2 = mixed.stripes
+        found = [mixed.stripe_of(i) for i in (0, 5, 6, 11, 12, 13)]
+        assert found == [(s0, 0), (s0, 5), (s1, 0), (s1, 5), (s2, 0), (s2, 1)]
+        assert all(a is b for (a, _), b in zip(found, (s0, s0, s1, s1, s2, s2)))
+        with pytest.raises(IndexError):
+            mixed.stripe_of(14)
+
+    def test_block_covering(self, mixed):
+        b0, b1, b2 = mixed.replica_blocks
+        assert [mixed.block_covering(i) for i in (0, 5, 6, 11, 12, 13)] == [b0, b0, b1, b1, b2, b2]
+        assert mixed.block_covering(14) is None
 
     def test_chunk_by_id(self):
         fs, _ = hybrid_fs()

@@ -158,3 +158,39 @@ class TestWriteValidation:
         fs.write_file("f", data_of(8 * KB), Replication(3))
         with pytest.raises(ValueError):
             fs.write_file("f", data_of(8 * KB), Replication(3))
+
+
+class TestOneCodecPerScheme:
+    """One cache, one construction rule: ``write_file`` used to force a
+    width-40 family (no r = 4 family is that wide) where the transcoder's
+    constructor took the default, and each kept its own CC(6,9) object."""
+
+    CC610 = ECScheme(CodeKind.CC, 6, 10)
+
+    @pytest.mark.parametrize("scheme", [CC610, HybridScheme(1, CC610)], ids=str)
+    def test_four_parity_cc_is_written_read_degraded_and_repaired(self, scheme):
+        from repro.dfs.recovery import RecoveryManager
+
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+        data = data_of(48 * KB)
+        meta = fs.write_file("f", data, scheme)
+        fs.cluster.fail_node(meta.stripes[0].data[2].node_id)
+        assert np.array_equal(fs.read_file("f", prefer_striped=True), data)
+        assert RecoveryManager(fs).recover_all() > 0
+        assert RecoveryManager(fs).lost_chunks() == []
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_every_path_shares_the_scheme_s_codec_object(self):
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+        cc69 = ECScheme(CodeKind.CC, 6, 9)
+        meta = fs.write_file("f", data_of(24 * KB), cc69)
+        code = fs.codec_for(cc69)
+        assert code is fs.cc_codec(6, 9) is fs.codec_for_stripe(meta, meta.stripes[0])
+        assert self.CC610.make_code().family_width == fs.codec_for(self.CC610).family_width == 24
+        rs = BaselineDFS(chunk_size=4 * KB)
+        tail = rs.write_file("f", data_of(24 * KB), ECScheme(CodeKind.RS, 6, 9)).stripes[0]
+        tail.k, tail.n = 4, 7  # a tail stripe at its own width
+        assert rs.codec_for_stripe(rs.namenode.lookup("f"), tail) is rs.codec_for_stripe(
+            rs.namenode.lookup("f"), tail
+        )
+

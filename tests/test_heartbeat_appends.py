@@ -164,6 +164,15 @@ class TestAppends:
         combined = np.concatenate([data, extra])
         assert np.array_equal(fs.read_file("f"), combined)
 
+    def test_close_meters_the_tail_chunks_it_gathers(self):
+        """A 3-chunk open tail sealed at its first data home: 2 data
+        chunks in, 3 parities out — 5 chunks of network, none free."""
+        fs, _ = hybrid_fs(n_kb=24)
+        fs.append_file("f", np.ones(10 * KB, dtype=np.uint8))
+        before = fs.metrics.net_bytes_total
+        fs.close_file("f")
+        assert fs.metrics.net_bytes_total - before == (2 + 3) * 4 * KB
+
     def test_closed_tail_survives_failures(self):
         fs, data = hybrid_fs(n_kb=24)
         extra = np.random.default_rng(5).integers(0, 256, 10 * KB, dtype=np.uint8)

@@ -130,6 +130,20 @@ class TestNoneModeTransition:
         # 2 stripes x 3 parities of 4 KB each.
         assert fs.metrics.disk_bytes_written - w0 == pytest.approx(6 * 4 * KB)
 
+    def test_sealing_meters_the_network_it_uses(self):
+        """One stripe, its first data home the striper: the other 5 data
+        chunks reach it over the network and the 3 parities leave it —
+        8 chunks, tagged ``seal`` (the 5 used to travel for free)."""
+        fs = make_fs(parity_mode="none")
+        write(fs, n_kb=24)
+        meta = fs.namenode.lookup("f")
+        m = fs.metrics
+        before = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
+        fs._seal_stripe(meta, meta.stripes[0])
+        after = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
+        assert [b - a for a, b in zip(before, after)] == [6 * 4 * KB, 3 * 4 * KB, 8 * 4 * KB]
+        assert [s.nbytes for s in m.timeline if s.tag == "seal"] == [4 * KB] * 5
+
     def test_open_append_tail_also_sealed(self):
         fs = make_fs()
         data = write(fs, n_kb=24)

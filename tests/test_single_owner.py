@@ -14,7 +14,10 @@ path: a chunk enters, moves and leaves through three ``_BaseDFS`` doors
 that own its checksum, and a hybrid stripe has one writer, one sealer
 and one transcode commit.  And for stored bytes: a store never copies,
 nothing makes an array writable again, and a datanode's disk map is
-assigned by the datanode — and by the one helper that damages it.
+assigned by the datanode — and by the one helper that damages it.  And
+for the read path: one function reads a datanode on behalf of a reader,
+one decodes, and "which stripe / replica block holds data chunk i" is
+``FileMeta``'s to answer.
 """
 
 import ast
@@ -315,6 +318,77 @@ def test_one_hybrid_writer_one_sealer_one_commit():
     assert len(re.findall(r"record_new_stripe\(", transcoder)) == 1
     # Every parity home passes the reachability rule, in one function.
     assert len(re.findall(r"_usable_node\(", transcoder)) == 1
+
+
+# -- one way to read a slot -------------------------------------------------------
+
+def test_datanodes_are_read_by_the_reader_the_scrubber_and_relocation_only():
+    # 11 call sites in 5 files each spelled "can I reach it, read it,
+    # meter the transfer"; four of them went on to decode.
+    sites = {}
+    for name, text in SOURCES.items():
+        if not name.startswith("dfs/") or name == "dfs/datanode.py":
+            continue
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                hits = len(re.findall(r"(?<!\.reader)\.read(_range)?\(", ast.unparse(fn)))
+                if hits:
+                    sites[f"{name}:{fn.name}"] = hits
+    assert sites == {
+        "dfs/filesystem.py:fetch_chunk": 2,
+        "dfs/integrity.py:_scan_impl": 1,
+        "dfs/transcoder.py:_relocate_collisions": 1,
+    }
+    reader = functions(class_def("dfs/filesystem.py", "_BaseDFS"))
+    assert {"chunk_readable", "record_transfer"} <= calls(reader["fetch_chunk"])
+    # ... and every other way to a slot's bytes goes through it.
+    for name in ("fetch_block_range", "fetch_slot"):
+        assert "fetch_chunk" in calls(reader[name]), name
+    assert "fetch_block_range" in calls(reader["fetch_replica_range"])
+    assert {"fetch_replica_range", "fetch_slot"} <= calls(reader["rebuild_slots"])
+
+
+def test_one_decode_and_one_local_peers_first_rule_under_dfs():
+    assert files_matching(r"\.decode\(", under="dfs/") == ["dfs/filesystem.py"]
+    assert files_matching(r"group_members", under="dfs/") == ["dfs/filesystem.py"]
+    for pattern in (r"\.decode\(", r"group_members"):
+        assert len(re.findall(pattern, SOURCES["dfs/filesystem.py"])) == 1, pattern
+    assert not files_matching(r"group_members", under="sched/")
+    for name in (
+        "_read_or_reconstruct", "_read_stripe_data_degraded", "_block_covering",
+        "_stripe_of", "_first_data_index", "_replica_pieces", "_survivors",
+        "charge_client_decode",
+    ):
+        assert not files_matching(rf"\b{name}\b"), name
+    # The sealer no longer borrows repair's private reader.
+    assert "RecoveryManager" not in SOURCES["dfs/filesystem.py"]
+
+
+def test_layout_walks_live_on_filemeta():
+    walk = r"first_chunk\s*<=|(?:passed|first)\s*\+=|stripe_index\s*\*|stripes\[\s*:"
+    assert files_matching(walk, under="dfs/") == ["dfs/appends.py", "dfs/blocks.py"]
+    assert not files_matching(walk, under="sched/")
+    # appends.py truncates the stripe list at the open stripe; it finds nothing by it.
+    assert re.findall(walk, SOURCES["dfs/appends.py"]) == ["stripes[:"]
+    meta = functions(class_def("dfs/blocks.py", "FileMeta"))
+    assert {"stripe_spans", "first_data_index", "stripe_of", "block_covering"} <= set(meta)
+    # One walk of the stripe widths; the lookups are built on it.
+    assert len(re.findall(r"\+=", ast.unparse(class_def("dfs/blocks.py", "FileMeta")))) == 1
+
+
+def test_one_dict_of_codecs():
+    base = class_def("dfs/filesystem.py", "_BaseDFS")
+    caches = {
+        target.attr
+        for node in ast.walk(base) if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and re.search(r"cache|codecs", target.attr)
+    }
+    assert caches == {"_codecs"}
+    constructed = r"\b(ConvertibleCode|LocallyRecoverableConvertibleCode|ReedSolomon)\("
+    assert not files_matching(constructed, under="dfs/")
+    make_code = functions(class_def("core/schemes.py", "ECScheme"))["make_code"]
+    assert [a.arg for a in make_code.args.args] == ["self"]
 
 
 def test_sharded_namenode_takes_no_shard_factory():

@@ -12,8 +12,10 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.cluster.topology import Cluster, ClusterSpec
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
+from repro.dfs.integrity import quarantine
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.dfs.journal import Journal, JournaledNamenode, Op
 from repro.dfs.recovery import RecoveryError, RecoveryManager
@@ -37,6 +39,20 @@ def build(scheme, n_kb, seed=3, **fs_kw):
     fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=seed, **fs_kw)
     data = np.random.default_rng(seed).integers(0, 256, n_kb * KB, dtype=np.uint8)
     fs.write_file("f", data, scheme)
+    return fs, data
+
+
+LRCC2422 = ECScheme(CodeKind.LRCC, 24, 28, local_groups=2, r_global=2)
+
+
+def lrcc_file():
+    """24 chunks written hybrid, freed, merged: two LRCC(12,2,2) stripes
+    on a cluster wide enough to merge them again."""
+    fs = MorphFS(Cluster(ClusterSpec(n_datanodes=40)), chunk_size=4 * KB, future_widths=[12, 24])
+    data = np.random.default_rng(3).integers(0, 256, 96 * KB, dtype=np.uint8)
+    fs.write_file("f", data, SCHEMES["hy1-cc69"])
+    for target in (CC69, SCHEMES["lrcc1222"]):
+        fs.transcode("f", target)
     return fs, data
 
 
@@ -198,6 +214,34 @@ class TestDifferential:
         kill(fs, stripe.data[0].node_id, stripe.data[1].node_id)
         RecoveryManager(fs).recover_all()
         assert RecoveryManager(fs).lost_chunks() == []
+        assert np.array_equal(fs.read_file("f"), data)
+
+    @pytest.mark.parametrize("reader", ["read", "repair", "transcode"])
+    def test_every_reader_reaches_past_the_first_k_survivors(self, reader):
+        """A data chunk and a global parity of an LRCC(12,2,2) stripe
+        gone: the first k readable slots (11 data + local parity 0) have
+        rank 11. The client and repair read on; the transcoder used to
+        stop there and fail a conversion inside the code's tolerance."""
+        fs, data = lrcc_file()
+        stripe = fs.namenode.lookup("f").stripes[0]
+        kill(fs, stripe.data[7].node_id, stripe.parities[2].node_id)
+        if reader == "repair":
+            RecoveryManager(fs).recover_all()
+            assert RecoveryManager(fs).lost_chunks() == []
+        elif reader == "transcode":
+            fs.transcode("f", LRCC2422)
+            assert fs.namenode.lookup("f").scheme == LRCC2422
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_transcode_rebuilds_a_lost_local_parity_from_its_group(self):
+        """LRCC -> LRCC reads the 8 parities of its two stripes; one
+        local parity gone is the XOR of its 6 group peers (it used to be
+        a k = 12 chunk decode)."""
+        fs, data = lrcc_file()
+        quarantine(fs, fs.namenode.lookup("f").stripes[0].parities[0])
+        before = fs.metrics.disk_bytes_read
+        fs.transcode("f", LRCC2422)
+        assert fs.metrics.disk_bytes_read - before == (7 + 6) * 4 * KB
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_beyond_tolerance_raises(self):
