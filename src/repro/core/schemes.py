@@ -56,6 +56,12 @@ class RedundancyScheme:
         """Chunks per stripe-equivalent unit (placement footprint)."""
         raise NotImplementedError
 
+    @property
+    def ec_part(self) -> Optional["ECScheme"]:
+        """The EC scheme the stripes are coded with — an EC scheme is its
+        own, a hybrid's is the one it embeds — or ``None`` (replication)."""
+        return None
+
 
 @dataclass(frozen=True)
 class Replication(RedundancyScheme):
@@ -144,6 +150,10 @@ class ECScheme(RedundancyScheme):
     def chunk_count(self) -> int:
         return self.n
 
+    @property
+    def ec_part(self) -> "ECScheme":
+        return self
+
     def make_code(self):
         """Instantiate the codec implementing this scheme (a CC-family
         code in its parity count's default family: see
@@ -208,6 +218,10 @@ class HybridScheme(RedundancyScheme):
         # Temporary extra replicas are deleted from buffer cache before
         # reaching disk in the common case (§4.2).
         return self.storage_overhead
+
+    @property
+    def ec_part(self) -> ECScheme:
+        return self.ec
 
     def __str__(self) -> str:
         return f"Hy({self.copies},{self.ec})"

@@ -7,6 +7,8 @@ deferring parity computation until a stripe is *complete*.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.schemes import HybridScheme
@@ -40,22 +42,18 @@ class AppendSupport:
         # The concatenation is the door's one copy of the appended bytes.
         region = np.concatenate([existing, data])
         region.setflags(write=False)
-        self._drop_open_region(meta, open_start // span, ec.k)
-        # The drop rewrote the file's layout; note it before the rewrite
-        # below mints fresh chunk ids, so a journaled namenode stays
-        # consistent at every record boundary.
-        self.namenode.note_file(meta)
-        # The region is written into a staging area (minting ids as it
-        # goes) and published in one step: the registered file changes,
-        # and is noted, between two journal records.
+        # Stage, switch, discard (§6.2): the region is written beside the
+        # tail it replaces, one op publishes it, and only then do the
+        # chunks the file no longer lists go — whichever record a crash
+        # precedes, every listed chunk is still stored.
+        keep = open_start // span
         staged = FileMeta(meta.name, 0, meta.chunk_size, meta.scheme)
-        self._write_hybrid(
-            staged, region, meta.scheme, first_stripe=open_start // span, open_tail=True
+        self._write_hybrid(staged, region, meta.scheme, first_stripe=keep, open_tail=True)
+        self.discard_chunks(
+            self.namenode.relayout_file(
+                name, keep, staged.stripes, staged.replica_blocks, open_start + len(region)
+            )
         )
-        meta.stripes.extend(staged.stripes)
-        meta.replica_blocks.extend(staged.replica_blocks)
-        meta.size = open_start + len(region)
-        self.namenode.note_file(meta)
         return meta
 
     def close_file(self, name: str) -> FileMeta:
@@ -67,24 +65,14 @@ class AppendSupport:
             return meta
         if not meta.stripes or meta.stripes[-1].parities:
             return meta  # nothing open
-        self._seal_stripe(meta, meta.stripes[-1])
-        # Parities are durable: the open stripe's extra replica goes.
-        copies = meta.replica_blocks[-1].copies
-        extra = copies[meta.scheme.copies :]
-        del copies[meta.scheme.copies :]
-        self.discard_chunks(extra)
-        # Published in one step once every id is minted (see append_file).
-        self.namenode.note_file(meta)
+        sealed = self._seal_stripe(meta, meta.stripes[-1])
+        # Parities are durable: the open stripe's extra replica goes —
+        # once the file has stopped listing it (see append_file).
+        block = meta.replica_blocks[-1]
+        trimmed = replace(block, copies=block.copies[: meta.scheme.copies])
+        self.discard_chunks(
+            self.namenode.relayout_file(
+                name, len(meta.stripes) - 1, [sealed], [trimmed], meta.size
+            )
+        )
         return meta
-
-    # -- internals -------------------------------------------------------------
-    def _drop_open_region(self, meta: FileMeta, open_stripe: int, k: int) -> None:
-        """Remove the open stripe (and its replica block) before rewrite."""
-        first_open = open_stripe * k
-        dropped = [c for stripe in meta.stripes[open_stripe:] for c in stripe.all_chunks()]
-        for block in meta.replica_blocks:
-            if block.first_chunk >= first_open:
-                dropped.extend(block.copies)
-        self.discard_chunks(dropped)
-        meta.stripes = meta.stripes[:open_stripe]
-        meta.replica_blocks = [b for b in meta.replica_blocks if b.first_chunk < first_open]

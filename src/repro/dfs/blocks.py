@@ -139,6 +139,12 @@ class FileMeta:
                 return block
         return None
 
+    def blocks_under(self, n_stripes: int) -> int:
+        """How many replica blocks — the leading ones — repeat data of
+        the first ``n_stripes`` stripes."""
+        end = sum(stripe.k for stripe in self.stripes[:n_stripes])
+        return sum(block.first_chunk < end for block in self.replica_blocks)
+
     def hybrid_blocks(self) -> List[HybridBlockMeta]:
         """Nested hybrid view: each stripe with the replicas covering it."""
         out = []

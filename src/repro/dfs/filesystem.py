@@ -128,9 +128,8 @@ class _BaseDFS:
 
     def codec_for_stripe(self, meta: FileMeta, stripe: ECStripeMeta):
         """Codec matching a stripe's actual (possibly tail-short) width."""
-        scheme = meta.scheme
-        ec = scheme.ec if isinstance(scheme, HybridScheme) else scheme
-        if not isinstance(ec, ECScheme):
+        ec = meta.scheme.ec_part
+        if ec is None:
             raise ValueError(f"{meta.name} has no EC component")
         if ec.kind in (CodeKind.LRC, CodeKind.LRCC) and stripe.k == ec.k:
             return self.codec_for(ec)
@@ -432,7 +431,7 @@ class _BaseDFS:
 
         ``meta`` is a file being built — not yet registered, or an
         append's staging area: the namenode learns the placements from
-        the ``register_file`` / ``note_file`` that publishes them.
+        the ``register_file`` / ``relayout_file`` that publishes them.
 
         Returns the block and the ``(node, chunk id)`` of every copy
         past ``persist_count``: buffered, unlisted, the caller's to drop.
@@ -848,10 +847,8 @@ class MorphFS(AppendSupport, _BaseDFS):
         meta = self.namenode.lookup(name)
         step = self.planner.plan(meta.scheme, target)
         if step.kind is TranscodeKind.FREE:
-            ec = target.ec if isinstance(target, HybridScheme) else target
-            sealed = not isinstance(ec, ECScheme) or all(
-                len(s.parities) >= ec.r for s in meta.stripes
-            )
+            ec = target.ec_part
+            sealed = ec is None or all(len(s.parities) >= ec.r for s in meta.stripes)
             self.scheduler.submit(
                 FreeTransitionTask(
                     name, target, metadata_only=sealed, deadline=deadline
@@ -878,12 +875,19 @@ class MorphFS(AppendSupport, _BaseDFS):
         only redundancy such stripes have, so deleting them without
         parities in place would silently lose protection.
         """
-        ec = target.ec if isinstance(target, HybridScheme) else target
-        if isinstance(ec, ECScheme):
-            for stripe in meta.stripes:
-                if len(stripe.parities) < ec.r:
-                    self._seal_stripe(meta, stripe)
-                    self.namenode.note_file(meta)
+        ec = target.ec_part
+        r = 0 if ec is None else ec.r
+        keep = next((i for i, s in enumerate(meta.stripes) if len(s.parities) < r), None)
+        if keep is not None:
+            # Every missing parity is stored, then one op publishes them:
+            # the file's tail from its first unsealed stripe, blocks as
+            # they were.
+            tail = [
+                self._seal_stripe(meta, s) if len(s.parities) < r else s
+                for s in meta.stripes[keep:]
+            ]
+            blocks = meta.replica_blocks[meta.blocks_under(keep):]
+            self.namenode.relayout_file(meta.name, keep, tail, blocks, meta.size)
         # The metadata switch first, then the copies it no longer lists.
         self.discard_chunks(self.namenode.drop_replicas(meta.name, target))
         return meta
@@ -901,10 +905,11 @@ class MorphFS(AppendSupport, _BaseDFS):
             raise RecoveryError("no live node to act as striper")
         return next((n for n in usable if n not in exclude), usable[0])
 
-    def _seal_stripe(self, meta: FileMeta, stripe: ECStripeMeta) -> None:
+    def _seal_stripe(self, meta: FileMeta, stripe: ECStripeMeta) -> ECStripeMeta:
         """Materialise the parities a hybrid file's stripe is missing —
         deferred (``parity_mode="none"``) or never due (an open tail, at
-        its own width) — for the caller to note.
+        its own width) — and return the stripe sealed, for the caller to
+        publish (``relayout_file``); ``stripe`` itself is not touched.
 
         Data reaches the striper from the stripe's chunks, else — sealing
         must work during failures, and the replicas are exactly what
@@ -941,18 +946,16 @@ class MorphFS(AppendSupport, _BaseDFS):
                 f"{meta.name}/s{stripe.stripe_index}p{j}"
             )
             sealed.append(self.store_chunk(node, chunk_id, parities[j], kinds[j], striper))
-        # Every id is minted: the registered file changes, and is noted
-        # by the caller, between two journal records.
-        stripe.parities.extend(sealed)
-        stripe.n = stripe.k + len(stripe.parities)
+        parity_chunks = stripe.parities + sealed
+        return replace(stripe, parities=parity_chunks, n=stripe.k + len(parity_chunks))
 
     def _build_groups(
         self, meta: FileMeta, target: RedundancyScheme
     ) -> Tuple[List[ConversionGroup], int]:
         from math import gcd
 
-        ec = target.ec if isinstance(target, HybridScheme) else target
-        if not isinstance(ec, ECScheme):
+        ec = target.ec_part
+        if ec is None:
             raise TranscodeError(f"cannot transcode into {target}")
         n_stripes = len(meta.stripes)
         if ec.kind is CodeKind.LRCC:

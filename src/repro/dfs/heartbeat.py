@@ -38,6 +38,10 @@ from repro.sched.tasks import (
 )
 
 
+#: ATQ groups of one file polled into the scheduler per heartbeat (§6.2)
+MAX_TRANSCODE_GROUPS_PER_TICK = 8
+
+
 @dataclass
 class HeartbeatConfig:
     interval_s: float = 3.0
@@ -46,8 +50,6 @@ class HeartbeatConfig:
     dead_after_missed: int = 3
     #: run the scrubber every this many ticks (0 = never)
     scrub_every_ticks: int = 0
-    #: ATQ groups polled into the scheduler per heartbeat (§6.2)
-    max_transcode_groups_per_tick: int = 8
     #: re-enumerate lost chunks on declared-dead nodes every this many
     #: ticks even without a new death (0 = only on ``newly_dead``).
     #: This is what requeues a repair that dead-lettered: the buried
@@ -168,9 +170,7 @@ class HeartbeatMonitor:
         scheduler = self.fs.scheduler
         for name in list(namenode.utm):
             job = namenode.utm[name]
-            for group in namenode.poll_work_for(
-                name, self.config.max_transcode_groups_per_tick
-            ):
+            for group in namenode.poll_work_for(name, MAX_TRANSCODE_GROUPS_PER_TICK):
                 scheduler.submit(ConversionGroupTask(group, deadline=job.deadline))
             pending_finalize = scheduler.queue.find(
                 lambda t: isinstance(t, TranscodeFinalizeTask) and t.name == name

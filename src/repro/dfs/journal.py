@@ -31,12 +31,12 @@ Record coverage
 ---------------
 Every op type writes its own opcode.  What happens to a file *after*
 registration arrives as an op that carries the change: PLACE (chunks
-re-homed by repair or relocation: old id, new id, node), DROP_REPLICAS
-(the hybrid -> EC switch) and the transcode lifecycle.  The structural
-rewrites the data plane still does in place (append, close, seal) are
-followed by a NOTE, which carries the file's full metadata as an upsert.
-Placements made before registration need no record: REGISTER carries
-final state.
+re-homed by repair or relocation: old id, new id, node), RELAYOUT (an
+append, a close or a seal: the stripes kept, the new tail), DROP_REPLICAS
+(the hybrid -> EC switch) and the transcode lifecycle.  Placements made
+before registration need no record: REGISTER carries final state.  A
+NOTE — the benchmark harness's ``note_chunk`` — carries the file's full
+document and changes nothing: it replays as a re-index.
 
 Durable state is the canonical tuple (files in registration order,
 chunk_seq, ATQ, UTM).  The per-node chunk index and the absolute
@@ -50,11 +50,11 @@ and every body goes through one canonical encoder, so a file's document
 has exactly one byte form.  :class:`JournaledNamenode` remembers where
 the document of each file last landed in the log (REGISTER, each element
 of REGISTER_BATCH, NOTE) and forgets it when a record changes the file
-without carrying its document (UNREGISTER, RENAME, PLACE, DROP_REPLICAS,
-ENQUEUE, FINALIZE, ABORT).  Because live state equals the journaled
-prefix at every record boundary, a remembered range *is* the file's
-current document, and compaction joins those ranges instead of walking
-every chunk.
+without carrying its document (UNREGISTER, RENAME, PLACE, RELAYOUT,
+DROP_REPLICAS, ENQUEUE, FINALIZE, ABORT).  Because live state equals the
+journaled prefix at every record boundary, a remembered range *is* the
+file's current document, and compaction joins those ranges instead of
+walking every chunk.
 :func:`state_digest` never reads the index: it encodes live state from
 scratch, which is what makes it the oracle that checks the splice.
 """
@@ -113,6 +113,7 @@ from repro.dfs.namenode import (
     Poll,
     Register,
     RegisterBatch,
+    Relayout,
     Rename,
     TranscodeJob,
     Unregister,
@@ -121,7 +122,7 @@ from repro.dfs.namenode import (
 #: The only record format this module reads or writes.  Journals here
 #: never outlive a run, so a format change *replaces* the old one: any
 #: other version (older or newer) is rejected, there is no reader fork.
-RECORD_VERSION = 3
+RECORD_VERSION = 4
 #: record header: payload length, format version, opcode, CRC32(payload)
 _HEADER = struct.Struct("<IHHI")
 #: sanity bound on one record's payload (a full-state snapshot of a very
@@ -148,8 +149,7 @@ class Op(IntEnum):
     REGISTER_BATCH = 2  # register_files
     UNREGISTER = 3      # unregister_file
     RENAME = 4          # rename
-    NOTE = 5            # full-file metadata upsert (a structural rewrite
-    #                     in place: append / close / seal)
+    NOTE = 5            # note_chunk (the harness shim: the file's document)
     MINT = 6            # next_chunk_id(s): chunk-sequence advance
     ENQUEUE = 7         # enqueue_transcode
     POLL = 8            # poll_work / poll_work_for (ATQ -> in-flight)
@@ -159,6 +159,7 @@ class Op(IntEnum):
     ABORT = 12          # abort_transcode
     PLACE = 13          # place_chunks (repair / relocation: chunks re-homed)
     DROP_REPLICAS = 14  # drop_replicas (the hybrid -> EC switch)
+    RELAYOUT = 15       # relayout_file (append / close / seal: a new tail)
 
 
 class JournalError(RuntimeError):
@@ -553,53 +554,6 @@ class Journal:
             self._fh = None
 
 
-# -- in-place metadata merge (NOTE replay) ------------------------------------
-#
-# A NOTE record upserts one file's full metadata.  Replay merges it into
-# the live FileMeta *in place*, position-matched, so chunk objects keep
-# their identity: mid-transcode, a file's old data chunks are shared
-# between ``files[name].stripes`` and the UTM job's accumulated new
-# stripes, and whatever touches one must be visible through both —
-# exactly as it is live, where the data plane mutates the shared object.
-
-def _merge_chunk(c: ChunkMeta, d: List[Any]) -> None:
-    c.chunk_id = d[0]
-    c.node_id = _intern(d[1])
-    c.kind = _CHUNK_KIND[d[2]]
-    c.size = d[3]
-
-
-def _merge_list(live: list, docs: list, decode: Callable, merge: Callable) -> None:
-    del live[len(docs):]
-    for i, d in enumerate(docs):
-        if i < len(live):
-            merge(live[i], d)
-        else:
-            live.append(decode(d))
-
-
-def _merge_stripe(s: ECStripeMeta, d: List[Any]) -> None:
-    s.stripe_index, s.k, s.n = d[0], d[1], d[2]
-    _merge_list(s.data, d[3], decode_chunk, _merge_chunk)
-    _merge_list(s.parities, d[4], decode_chunk, _merge_chunk)
-
-
-def _merge_block(b: ReplicaBlockMeta, d: List[Any]) -> None:
-    b.block_index, b.first_chunk, b.n_chunks = d[0], d[1], d[2]
-    _merge_list(b.copies, d[3], decode_chunk, _merge_chunk)
-
-
-def merge_file(meta: FileMeta, d: List[Any]) -> None:
-    """Mutate ``meta`` to match an encoded file document, in place."""
-    meta.size = d[1]
-    meta.chunk_size = d[2]
-    meta.scheme = decode_scheme(d[3])
-    _merge_list(meta.stripes, d[4], decode_stripe, _merge_stripe)
-    _merge_list(meta.replica_blocks, d[5], decode_block, _merge_block)
-    meta.state = _FILE_STATE[d[6]]
-    meta.version = d[7]
-
-
 # -- ops <-> records ----------------------------------------------------------
 #
 # The two tables below are the whole mapping between the op types of
@@ -628,13 +582,16 @@ _RECORD = {
     Unregister: (Op.UNREGISTER, None, _named, lambda nn, op: {"n": op.name}),
     Rename: (Op.RENAME, None, lambda op: (op.old, op.new),
              lambda nn, op: {"o": op.old, "n": op.new}),
-    # A registered file's note carries its full document, as an upsert;
-    # a write still in flight is covered wholesale by its REGISTER.
+    # A registered file's note carries its full document; a name that is
+    # not registered writes nothing.
     Note: (Op.NOTE, lambda nn, op, out: op.name in nn.files, _named,
            lambda nn, op: (b'{"f":', (nn.files[op.name],), b"}")),
     # The change, not the file: its fragment entry is dropped.
     Place: (Op.PLACE, None, _named,
             lambda nn, op: {"n": op.name, "m": op.moves}),
+    Relayout: (Op.RELAYOUT, None, _named, lambda nn, op: {
+        "n": op.name, "k": op.keep, "s": [encode_stripe(s) for s in op.stripes],
+        "b": [encode_block(b) for b in op.blocks], "z": op.size}),
     DropReplicas: (Op.DROP_REPLICAS, None, _named,
                    lambda nn, op: {"n": op.name, "t": encode_scheme(op.scheme)}),
     Mint: (Op.MINT, None, None, lambda nn, op: {"c": op.count}),
@@ -656,19 +613,6 @@ _RECORD = {
     # Only if there was a job to forget (state -> HEALTHY).
     Abort: (Op.ABORT, lambda nn, op, out: out, _named, lambda nn, op: {"n": op.name}),
 }
-
-
-def _decode_note(nn: Namenode, p: Dict[str, Any]) -> Optional[Note]:
-    """Replay differs from live.  Live, the data plane changed the
-    file's metadata in place and then noted it; on replay the record's
-    document *is* that change, so it is merged into the live FileMeta
-    (in place, see :func:`merge_file`) before the op re-indexes it."""
-    doc = p["f"]
-    meta = nn.files.get(doc[0])
-    if meta is None:
-        return None
-    merge_file(meta, doc)
-    return Note(meta.name)
 
 
 def _decode_new_stripe(nn: Namenode, p: Dict[str, Any]) -> NewStripe:
@@ -694,8 +638,12 @@ _DECODE = {
     Op.REGISTER_BATCH: lambda nn, p: RegisterBatch([decode_file(fd) for fd in p["fs"]]),
     Op.UNREGISTER: lambda nn, p: Unregister(p["n"]),
     Op.RENAME: lambda nn, p: Rename(p["o"], p["n"]),
-    Op.NOTE: _decode_note,
+    Op.NOTE: lambda nn, p: Note(p["f"][0]),
     Op.PLACE: lambda nn, p: Place(p["n"], p["m"]),
+    Op.RELAYOUT: lambda nn, p: Relayout(
+        p["n"], p["k"], [decode_stripe(s) for s in p["s"]],
+        [decode_block(b) for b in p["b"]], p["z"],
+    ),
     Op.DROP_REPLICAS: lambda nn, p: DropReplicas(p["n"], decode_scheme(p["t"])),
     Op.MINT: lambda nn, p: Mint(None, p["c"]),
     Op.ENQUEUE: lambda nn, p: Enqueue(
@@ -817,11 +765,9 @@ class JournaledNamenode(Namenode):
     def compact(self) -> None:
         """Fold the whole log into one SNAPSHOT record.
 
-        At a record boundary (where automatic compaction runs) that is
-        the live state.  Called by hand while live state is ahead of the
-        log — an in-place change not yet noted — indexed files keep
-        their journaled document, i.e. the snapshot is of the journaled
-        prefix, which is what the log recovered to before compaction.
+        Live state changes only through ops, so between any two of
+        them — by hand, or where automatic compaction runs — that is the
+        live state.
         """
         t0 = perf_counter()
         body, index, spliced = self._snapshot_body()

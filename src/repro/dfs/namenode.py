@@ -17,7 +17,7 @@ The transcode module mirrors the paper's architecture:
 
 One write path: state (namespace, chunk sequence, ATQ, UTM and the
 derived caches) changes only inside :meth:`Namenode.apply`, which
-dispatches one of the fourteen op types below to its handler.  The public
+dispatches one of the fifteen op types below to its handler.  The public
 mutators only build an op and hand it to ``self.apply``, so the journal
 (:mod:`repro.dfs.journal`) and the shard router (:mod:`repro.dfs.shards`)
 override ``apply`` and nothing else.  A handler validates before it
@@ -28,11 +28,13 @@ is at most one journal record.
 The per-node chunk index (``_node_files``) is one of those derived
 caches and is *exact*: the handlers that add, move or drop a chunk apply
 the matching index delta, so :meth:`Namenode.chunks_on_node` is a pure
-read.  That holds because chunk moves arrive as ops too — ``Place``
-rewrites the live :class:`ChunkMeta` and ``DropReplicas`` performs the
-hybrid -> EC switch, both inside the namenode.  A caller that rewrites a
-registered file's layout itself (append, close, seal) says so with a
-``Note``, which re-derives the file's entries from its metadata.
+read.  That holds because every change to a registered file arrives as
+an op too — ``Place`` rewrites the live :class:`ChunkMeta`, ``Relayout``
+swaps a file's tail (append, close, seal) and ``DropReplicas`` performs
+the hybrid -> EC switch, all inside the namenode.  Nothing outside it
+writes a registered :class:`FileMeta`; an op that stops listing chunks
+returns them, and the caller deletes them only then (§6.2: the switch
+first, then the copies it no longer lists).
 """
 
 from __future__ import annotations
@@ -53,7 +55,13 @@ from typing import (
 )
 
 from repro.core.schemes import RedundancyScheme
-from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta, FileState
+from repro.dfs.blocks import (
+    ChunkMeta,
+    ECStripeMeta,
+    FileMeta,
+    FileState,
+    ReplicaBlockMeta,
+)
 
 
 class FileNotFoundError_(KeyError):
@@ -99,16 +107,18 @@ class TranscodeJob:
 _Entry = Union[ChunkMeta, List[ChunkMeta]]
 
 
-def _chunk_lists(meta: FileMeta) -> List[List[ChunkMeta]]:
-    """The chunk lists of ``meta`` in layout order — each stripe's data
-    then parities, then each replica block's copies: the order of a
-    namespace scan.  (The lists themselves, not ``meta.all_chunks()``:
-    at a million files the per-file concatenations dominate a batch.)"""
+def _chunk_lists(
+    stripes: Sequence[ECStripeMeta], blocks: Sequence[ReplicaBlockMeta]
+) -> List[List[ChunkMeta]]:
+    """The chunk lists of a layout in order — each stripe's data then
+    parities, then each replica block's copies: the order of a namespace
+    scan.  (The lists themselves, not ``meta.all_chunks()``: at a
+    million files the per-file concatenations dominate a batch.)"""
     lists = []
-    for stripe in meta.stripes:
+    for stripe in stripes:
         lists.append(stripe.data)
         lists.append(stripe.parities)
-    for block in meta.replica_blocks:
+    for block in blocks:
         lists.append(block.copies)
     return lists
 
@@ -146,6 +156,16 @@ class Place(NamedTuple):
     #: ``(old chunk id, new chunk id, node id)`` per moved chunk: the
     #: chunk of ``name`` known as ``old`` is now ``new`` on ``node``
     moves: Sequence[Tuple[str, str, str]]
+
+
+class Relayout(NamedTuple):
+    name: str
+    #: the file keeps its first ``keep`` stripes and the replica blocks
+    #: under them, and continues with ``stripes`` / ``blocks`` at ``size``
+    keep: int
+    stripes: Sequence[ECStripeMeta]
+    blocks: Sequence[ReplicaBlockMeta]
+    size: int
 
 
 class DropReplicas(NamedTuple):
@@ -248,23 +268,28 @@ class Namenode:
         start = self.apply(Mint(prefix, count))
         return [f"{prefix}#{i:08d}" for i in range(start, start + count)]
 
-    def note_file(self, meta: FileMeta) -> None:
-        """The caller rewrote the layout of registered file ``meta.name``
-        in place (a stripe sealed, an open tail re-written): re-derive
-        its index entries from its metadata — and, journaled, record its
-        full document.  Does nothing for a name that is not registered.
-        """
-        self.apply(Note(meta.name))
-
     def note_chunk(self, node_id: str, file_name: str) -> None:
-        """:meth:`note_file` by name.  ``node_id`` — where the caller put
-        a chunk — is not consulted: the file's metadata says."""
+        """Benchmark-harness shim (nothing under ``src/`` calls it):
+        re-derive ``file_name``'s index entries from its metadata — and,
+        journaled, record its full document.  ``node_id`` is not
+        consulted, and a name that is not registered does nothing."""
         self.apply(Note(file_name))
 
     def place_chunks(self, name: str, moves: Sequence[Tuple[str, str, str]]) -> None:
         """Chunks of ``name`` moved: each ``(old id, new id, node id)``
         re-homes the chunk listed as ``old`` (repair, relocation)."""
         self.apply(Place(name, moves))
+
+    def relayout_file(
+        self, name: str, keep: int, stripes: Sequence[ECStripeMeta],
+        blocks: Sequence[ReplicaBlockMeta], size: int,
+    ) -> List[ChunkMeta]:
+        """``name``'s tail changes (an append, a sealed stripe): it keeps
+        its first ``keep`` stripes and the replica blocks under them, and
+        continues with ``stripes`` / ``blocks``, ``size`` bytes long.
+        Returns the chunks it no longer lists, for the caller to delete.
+        """
+        return self.apply(Relayout(name, keep, stripes, blocks, size))
 
     def drop_replicas(self, name: str, scheme: RedundancyScheme) -> List[ChunkMeta]:
         """The hybrid -> EC switch: ``name`` keeps its stripes under
@@ -382,9 +407,8 @@ class Namenode:
         meta = self.files.get(name)
         if meta is None:
             return
-        # The caller changed the layout behind the index's back, so the
-        # metadata cannot say where the old entries are: every node is
-        # asked.
+        # The metadata need not say where the old entries are (a harness
+        # may have edited it): every node is asked.
         for index in self._node_files.values():
             index.pop(name, None)
         self._index(meta)
@@ -407,6 +431,30 @@ class Namenode:
                 # small to avoid it): the entry keeps layout order.
                 index[name] = [c for c in meta.all_chunks() if c.node_id == node_id]
 
+    def _relayout(self, name, keep, stripes, blocks, size):
+        meta = self.lookup(name)
+        if name in self.utm:
+            raise TranscodeStateError(f"{name} is transcoding")
+        if not 0 <= keep <= len(meta.stripes):
+            raise ValueError(f"{name} has no {keep} stripes to keep")
+        under = meta.blocks_under(keep)
+        relisted = {
+            chunk.chunk_id for chunks in _chunk_lists(stripes, blocks) for chunk in chunks
+        }
+        dropped = [
+            chunk
+            for chunks in _chunk_lists(meta.stripes[keep:], meta.replica_blocks[under:])
+            for chunk in chunks
+            if chunk.chunk_id not in relisted
+        ]
+        self._unindex(name, meta)
+        # The switch: the lists the file owns change, nothing they hold.
+        meta.stripes[keep:] = stripes
+        meta.replica_blocks[under:] = blocks
+        meta.size = size
+        self._index(meta)
+        return dropped
+
     def _drop_replicas(self, name, scheme):
         meta = self.lookup(name)
         copies = [copy for block in meta.replica_blocks for copy in block.copies]
@@ -422,7 +470,7 @@ class Namenode:
         """List every chunk of ``meta`` under its name."""
         name = meta.name
         node_files = self._node_files
-        for chunks in _chunk_lists(meta):
+        for chunks in _chunk_lists(meta.stripes, meta.replica_blocks):
             for chunk in chunks:
                 index = node_files.get(chunk.node_id)
                 if index is None:
@@ -438,7 +486,7 @@ class Namenode:
     def _unindex(self, name: str, meta: FileMeta) -> None:
         """Drop every entry of ``meta``, listed under ``name``."""
         node_files = self._node_files
-        for chunks in _chunk_lists(meta):
+        for chunks in _chunk_lists(meta.stripes, meta.replica_blocks):
             for chunk in chunks:
                 node_files[chunk.node_id].pop(name, None)
 
@@ -545,6 +593,7 @@ class Namenode:
         Rename: _rename,
         Note: _note,
         Place: _place,
+        Relayout: _relayout,
         DropReplicas: _drop_replicas,
         Mint: _mint,
         Enqueue: _enqueue,

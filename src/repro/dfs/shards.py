@@ -208,8 +208,8 @@ class ShardedNamenode:
     next_chunk_id = Namenode.next_chunk_id
     next_chunk_ids = Namenode.next_chunk_ids
     note_chunk = Namenode.note_chunk
-    note_file = Namenode.note_file
     place_chunks = Namenode.place_chunks
+    relayout_file = Namenode.relayout_file
     drop_replicas = Namenode.drop_replicas
     enqueue_transcode = Namenode.enqueue_transcode
     poll_work = Namenode.poll_work

@@ -87,7 +87,7 @@ class NativeTranscoder:
     def _execute_group_impl(self, group: ConversionGroup) -> None:
         meta = self.fs.namenode.lookup(group.file_name)
         target = group.target_scheme
-        ec = target.ec if hasattr(target, "ec") else target
+        ec = target.ec_part
         if not isinstance(ec, ECScheme):
             raise TranscodeError(f"cannot natively transcode into {target}")
         if ec.kind is CodeKind.CC:
@@ -241,7 +241,7 @@ class NativeTranscoder:
         """
         from repro.codes.bandwidth import BandwidthOptimalCC
 
-        source = meta.scheme.ec if hasattr(meta.scheme, "ec") else meta.scheme
+        source = meta.scheme.ec_part
         if (
             not isinstance(source, ECScheme)
             or source.anticipate_parities != ec.r
@@ -376,7 +376,7 @@ class NativeTranscoder:
 
     def _execute_lrcc_group(self, meta: FileMeta, group: ConversionGroup, ec: ECScheme) -> None:
         stripe_metas = [meta.stripes[i] for i in group.initial_stripe_indices]
-        source_ec = meta.scheme.ec if hasattr(meta.scheme, "ec") else meta.scheme
+        source_ec = meta.scheme.ec_part
         final = self.fs.codec_for(ec)
         if isinstance(source_ec, ECScheme) and source_ec.kind is CodeKind.LRCC:
             initial = self.fs.codec_for(source_ec)

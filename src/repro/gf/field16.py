@@ -8,8 +8,9 @@ x^16 + x^12 + x^3 + x + 1 (0x1100B).
 
 A full multiplication table would be 8 GiB, so multiplication is
 log/exp-table based with explicit zero handling; symbols are
-``numpy.uint16``. Chunks of bytes map to symbols via
-:func:`bytes_to_symbols` (little-endian pairs, zero-padded).
+``numpy.uint16``. Chunks of bytes map to symbols through
+:meth:`repro.gf.kernels.GF16.symbols` (little-endian pairs; a chunk holds
+whole symbols).
 """
 
 from __future__ import annotations
@@ -166,31 +167,3 @@ def gf16_batch_det(mats: np.ndarray) -> np.ndarray:
         minor = mats[:, 1:, :][:, :, cols[cols != j]]
         out ^= gf16_mul(mats[:, 0, j], gf16_batch_det(minor))
     return out
-
-
-# ---------------------------------------------------------------------------
-# byte <-> symbol packing
-# ---------------------------------------------------------------------------
-
-def bytes_to_symbols(data: np.ndarray, copy: bool = True) -> np.ndarray:
-    """Pack a uint8 chunk into uint16 symbols (little-endian pairs).
-
-    ``copy=False`` returns a zero-copy view when the input is contiguous
-    and even-length — safe for read-only consumers (gather kernels); the
-    view aliases the caller's buffer.
-    """
-    data = np.asarray(data, dtype=np.uint8).reshape(-1)
-    if len(data) % 2:
-        data = np.concatenate([data, np.zeros(1, dtype=np.uint8)])
-        return data.view("<u2")  # already a private buffer
-    if not data.flags.c_contiguous:
-        data = np.ascontiguousarray(data)
-        return data.view("<u2")
-    view = data.view("<u2")
-    return view.copy() if copy else view
-
-
-def symbols_to_bytes(symbols: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of :func:`bytes_to_symbols`, trimmed to ``length`` bytes."""
-    out = np.asarray(symbols, dtype="<u2").view(np.uint8)
-    return out[:length].copy()

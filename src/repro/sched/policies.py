@@ -23,6 +23,14 @@ from repro.cluster.partition import NAMENODE
 from repro.sched.tasks import MaintenanceTask, TaskClass
 
 
+#: a transcode is boosted when ``clock >= deadline - window``
+DEADLINE_BOOST_WINDOW_S = 600.0
+#: backoff after the i-th failure is ``base * factor**(i-1)`` ticks, capped
+BACKOFF_BASE_TICKS = 1
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_TICKS = 64
+
+
 def _default_bands() -> Dict[TaskClass, float]:
     return {
         TaskClass.CRITICAL_REPAIR: 0.0,
@@ -34,15 +42,13 @@ def _default_bands() -> Dict[TaskClass, float]:
 
 @dataclass
 class SchedulerPolicy:
-    """All the knobs of the maintenance control plane in one place."""
+    """The knobs of the maintenance control plane in one place."""
 
     #: base priority per task class; smaller runs first
     priority_bands: Dict[TaskClass, float] = field(default_factory=_default_bands)
     #: priority a deadline-boosted transcode is promoted to (between the
     #: repair and transcode bands)
     boosted_transcode_priority: float = 15.0
-    #: a transcode is boosted when ``clock >= deadline - window``
-    deadline_boost_window_s: float = 600.0
     #: how much a waiting task's effective priority improves per tick
     aging_per_tick: float = 0.5
     #: aging floor — aged tasks never outrank the critical-repair band
@@ -51,10 +57,6 @@ class SchedulerPolicy:
     # -- retries -------------------------------------------------------------
     #: attempts before a task is dead-lettered (task-level override wins)
     max_attempts: int = 4
-    #: backoff after the i-th failure is ``base * factor**(i-1)`` ticks
-    backoff_base_ticks: int = 1
-    backoff_factor: float = 2.0
-    max_backoff_ticks: int = 64
 
     # -- budgets -------------------------------------------------------------
     #: per-node maintenance byte budgets refilled each tick; None = unlimited
@@ -67,8 +69,6 @@ class SchedulerPolicy:
     #: for it (prevents small tasks starving a large urgent one);
     #: metadata-only tasks still run
     block_on_head: bool = True
-    #: cap on tasks executed per tick (None = unbounded)
-    max_tasks_per_tick: Optional[int] = None
 
     def attempts_allowed(self, task: MaintenanceTask) -> int:
         return task.max_attempts if task.max_attempts is not None else self.max_attempts
@@ -82,7 +82,7 @@ def effective_priority(
     if (
         task.klass is TaskClass.TRANSCODE
         and task.deadline is not None
-        and clock >= task.deadline - policy.deadline_boost_window_s
+        and clock >= task.deadline - DEADLINE_BOOST_WINDOW_S
     ):
         base = min(base, policy.boosted_transcode_priority)
     if base <= policy.aged_priority_floor:
@@ -91,10 +91,10 @@ def effective_priority(
     return max(policy.aged_priority_floor, base - policy.aging_per_tick * waited)
 
 
-def backoff_ticks(policy: SchedulerPolicy, attempts: int) -> int:
+def backoff_ticks(attempts: int) -> int:
     """Ticks to wait before retrying after the ``attempts``-th failure."""
-    raw = policy.backoff_base_ticks * policy.backoff_factor ** max(0, attempts - 1)
-    return int(min(policy.max_backoff_ticks, max(1, raw)))
+    raw = BACKOFF_BASE_TICKS * BACKOFF_FACTOR ** max(0, attempts - 1)
+    return int(min(MAX_BACKOFF_TICKS, max(1, raw)))
 
 
 def classify_repair(fs, meta, chunk) -> TaskClass:

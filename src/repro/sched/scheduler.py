@@ -129,11 +129,7 @@ class MaintenanceScheduler:
         ready = self.queue.ready(self.policy, self.tick_count, self.clock())
         report.deferred_backoff = len(self.queue) - len(ready)
         head_blocked = False
-        executed = 0
-        cap = self.policy.max_tasks_per_tick
         for task in ready:
-            if cap is not None and executed >= cap:
-                break
             if not task.metadata_only:
                 if head_blocked:
                     report.deferred_budget += 1
@@ -145,7 +141,6 @@ class MaintenanceScheduler:
                     continue
             self.queue.remove(task)
             self._execute(task, report)
-            executed += 1
         return report
 
     def run_until_drained(self, max_ticks: int = 10_000) -> List[SchedulerTickReport]:
@@ -249,9 +244,7 @@ class MaintenanceScheduler:
                 if metrics is not None and hasattr(metrics, "record_maintenance"):
                     metrics.record_maintenance(str(task.klass), dead_lettered=1)
             else:
-                task.not_before_tick = self.tick_count + backoff_ticks(
-                    self.policy, task.attempts
-                )
+                task.not_before_tick = self.tick_count + backoff_ticks(task.attempts)
                 self.queue.push(task)
         else:
             task.state = TaskState.DONE

@@ -135,7 +135,7 @@ class StripeRepairTask(MaintenanceTask):
         # on. Only a non-MDS (LRC-family) code can need more than k
         # sources, and never more than the stripe's survivors.
         e = len(self.chunks)
-        ec = getattr(self.meta.scheme, "ec", self.meta.scheme)
+        ec = self.meta.scheme.ec_part
         non_mds = bool(getattr(ec, "local_groups", None))
         reads = max(
             (max(s.n - e, s.k) if non_mds else s.k for s in self.meta.stripes),
@@ -193,7 +193,7 @@ class ConversionGroupTask(MaintenanceTask):
         total_chunks = sum(s.n for s in stripes)
         total_data = sum(s.k for s in stripes)
         target = self.group.target_scheme
-        ec = target.ec if hasattr(target, "ec") else target
+        ec = target.ec_part
         # For LRC-family schemes n - k == local_groups + r_global already.
         parities = max(getattr(ec, "n", 0) - getattr(ec, "k", 0), 1)
         writes = self.group.n_final_stripes * parities + total_data  # + relocations
@@ -257,7 +257,7 @@ class FreeTransitionTask(MaintenanceTask):
         if meta is None:
             return TaskCost()
         # Sealing reads each unsealed stripe's data and writes r parities.
-        ec = self.target.ec if hasattr(self.target, "ec") else self.target
+        ec = self.target.ec_part
         r = max(getattr(ec, "n", 0) - getattr(ec, "k", 0), 1)
         chunk = float(meta.chunk_size)
         unsealed = [s for s in meta.stripes if len(s.parities) < r]

@@ -18,7 +18,7 @@ from repro.codes.rs import ReedSolomon
 from repro.codes.wide import WideConvertibleCode
 from repro.codes.base import STACK_BELOW_BYTES, DecodeError
 from repro.gf import kernels
-from repro.gf.field16 import bytes_to_symbols, gf16_mul, symbols_to_bytes
+from repro.gf.field16 import gf16_mul
 from repro.gf.matrix import gf_rank
 
 
@@ -480,24 +480,3 @@ class TestWideMergeParities:
         direct = final.encode(stripes[0] + stripes[1])
         for got, want in zip(merged, direct):
             assert np.array_equal(got, want)
-
-
-class TestSymbolPacking:
-    def test_view_mode_round_trips(self):
-        rng = np.random.default_rng(19)
-        data = rng.integers(0, 256, 4096, dtype=np.uint8)
-        view = bytes_to_symbols(data, copy=False)
-        copied = bytes_to_symbols(data)
-        assert np.array_equal(view, copied)
-        assert np.array_equal(symbols_to_bytes(view, len(data)), data)
-        # The view aliases; the copy does not.
-        assert view.base is not None
-
-    def test_odd_length_always_private(self):
-        rng = np.random.default_rng(20)
-        data = rng.integers(0, 256, 4097, dtype=np.uint8)
-        sym = bytes_to_symbols(data, copy=False)
-        sym[0] ^= 0xFFFF  # must not corrupt the caller's buffer
-        assert np.array_equal(
-            symbols_to_bytes(bytes_to_symbols(data), 4097), data
-        )

@@ -366,11 +366,10 @@ class TestNamenodeChunkIndex:
         for node in nodes:
             assert nn.chunks_on_node(node) == _full_scan(nn, node)
 
-    def test_index_self_heals_after_moves_and_deletes(self):
-        """An outside caller's protocol: rewrite the metadata in place,
-        then ``note_chunk``.  After a wave of moves and a deletion the
-        index already matches the full-scan oracle — the note re-derived
-        the moved file's entries, source side included; no query has to
+    def test_index_stays_exact_after_moves_and_deletes(self):
+        """After a wave of ``place_chunks`` moves and a deletion the
+        index already matches the full-scan oracle — each move took the
+        chunk's entry with it, source side included; no query has to
         purge anything."""
         from repro.dfs.namenode import Namenode
 
@@ -378,26 +377,27 @@ class TestNamenodeChunkIndex:
         nodes = self._populate(nn)
         rng = random.Random(11)
         # Move a third of all chunks (some onto a node the file already
-        # uses), noting each move.
+        # uses), one op per move.
         for meta in list(nn.files.values())[::3]:
             for chunk in meta.all_chunks():
-                chunk.node_id = rng.choice(nodes)
-                nn.note_chunk(chunk.node_id, meta.name)
+                nn.place_chunks(
+                    meta.name, [(chunk.chunk_id, chunk.chunk_id + "'", rng.choice(nodes))]
+                )
         nn.unregister_file("f001")
         assert_index_exact(nn)
         for node in nodes:
             assert nn.chunks_on_node(node) == _full_scan(nn, node)
 
-    def test_note_chunk_indexes_new_placement(self):
+    def test_place_chunks_indexes_new_placement(self):
         from repro.dfs.namenode import Namenode
 
         nn = Namenode()
         nn.register_file(_make_meta("f", (["a", "b"], ["c"])))
         meta = nn.lookup("f")
         chunk = meta.stripes[0].data[0]
-        chunk.node_id = "z"
-        nn.note_chunk("z", "f")
+        nn.place_chunks("f", [(chunk.chunk_id, chunk.chunk_id, "z")])
         assert nn.chunks_on_node("z") == [(meta, chunk)]
+        assert nn.chunks_on_node("a") == []
 
     def test_register_files_matches_individual_registration(self):
         from repro.dfs.namenode import Namenode

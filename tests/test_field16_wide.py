@@ -11,14 +11,12 @@ from repro.codes.wide import (
 )
 from repro.gf.field16 import (
     FIELD_ORDER_16,
-    bytes_to_symbols,
     gf16_batch_det,
     gf16_inv,
     gf16_matinv,
     gf16_matmul,
     gf16_mul,
     gf16_pow,
-    symbols_to_bytes,
 )
 
 el16 = st.integers(min_value=0, max_value=65535)
@@ -76,19 +74,6 @@ class TestField16:
         regular = np.array([[[1, 0], [0, 1]]], dtype=np.uint16)
         assert gf16_batch_det(singular)[0] == 0
         assert gf16_batch_det(regular)[0] == 1
-
-
-class TestSymbolPacking:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 300), st.integers(0, 1000))
-    def test_roundtrip(self, n, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 256, n, dtype=np.uint8)
-        assert np.array_equal(symbols_to_bytes(bytes_to_symbols(data), n), data)
-
-    def test_odd_length_padded(self):
-        symbols = bytes_to_symbols(np.array([1, 2, 3], dtype=np.uint8))
-        assert len(symbols) == 2
 
 
 class TestWideFamilies:

@@ -32,7 +32,7 @@ from repro.dfs.journal import (
     encode_scheme,
     encode_state,
     load_state,
-    merge_file,
+    replay,
     state_digest,
 )
 from repro.dfs.namenode import ConversionGroup, Namenode, TranscodeJob
@@ -143,18 +143,32 @@ def test_file_record_roundtrip(meta):
 
 
 @settings(max_examples=60, deadline=None)
-@given(file_metas, file_metas)
-def test_note_merge_reaches_any_document_in_place(live, target):
-    """NOTE replay: merging a document into a live FileMeta leaves it
-    equal to a fresh decode, reusing the position-matched objects."""
-    doc = _through_json(encode_file(target))
-    kept_stripes = live.stripes[: len(target.stripes)]
-    kept_chunks = [s.data[0] for s in kept_stripes]
-    merge_file(live, doc)
-    live.name = target.name  # a NOTE never renames; merge leaves the name
-    assert live == target
-    assert [s.data[0] for s in live.stripes[: len(kept_chunks)]] == kept_chunks
-    assert all(a is b for a, b in zip(live.stripes, kept_stripes))
+@given(file_metas, st.lists(stripes, max_size=3), st.lists(blocks, max_size=2),
+       st.integers(0, 3), st.integers(0, 1 << 30))
+def test_relayout_record_carries_the_change_and_replays_to_live_state(
+    meta, tail, tail_blocks, keep, size
+):
+    """RELAYOUT: the record is the stripes kept and the new tail — not
+    the file — and replaying it into a plain namenode reaches what the
+    live handler left, kept objects untouched."""
+    meta.state = FileState.HEALTHY
+    keep = min(keep, len(meta.stripes))
+    kept = meta.stripes[:keep]
+    nn = JournaledNamenode()
+    nn.register_file(meta)
+    nn.relayout_file(meta.name, keep, tail, tail_blocks, size)
+    assert meta.stripes == kept + tail and meta.size == size
+    assert all(a is b for a, b in zip(meta.stripes, kept + tail))
+    assert meta.replica_blocks[len(meta.replica_blocks) - len(tail_blocks):] == tail_blocks
+    (_, _), (op, body) = nn.journal.records()
+    assert op is Op.RELAYOUT and sorted(body) == ["b", "k", "n", "s", "z"]
+    assert (body["n"], body["k"], body["z"]) == (meta.name, keep, size)
+    assert len(body["s"]) == len(tail) and len(body["b"]) == len(tail_blocks)
+    assert meta.name not in nn._frags  # the change, not the file
+    plain = Namenode()
+    replay(plain, nn.journal.records())
+    assert state_digest(plain) == state_digest(nn)
+    assert plain.files[meta.name] == meta
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,12 +281,12 @@ def test_future_record_version_rejected():
         Journal()._load(_raw_record(99))
 
 
-@pytest.mark.parametrize("version", [1, 2, RECORD_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, 3, RECORD_VERSION + 1])
 def test_only_the_current_record_version_is_read(version, tmp_path):
-    """v3 replaced v2 as v2 replaced v1: there is no reader for any
+    """v4 replaced v3 as v3 replaced v2: there is no reader for any
     other version, older or newer, in memory or from a file — and a
     good record before the foreign one does not make it a 'torn tail'."""
-    assert RECORD_VERSION == 3
+    assert RECORD_VERSION == 4
     good = _raw_record(RECORD_VERSION)
     assert Journal()._load(good) == len(good)
     with pytest.raises(JournalError, match=f"version {version}"):
@@ -431,10 +445,6 @@ def _assert_index_sound(nn):
     assert state_digest(JournaledNamenode.recover(nn.journal)) == state_digest(nn)
 
 
-def _move_first_chunk(nn, name, node):
-    nn.files[name].stripes[0].data[0].node_id = node
-
-
 def _merged_stripe(nn, name):
     meta = nn.files[name]
     data = [c for s in meta.stripes for c in s.data]
@@ -464,11 +474,13 @@ INDEX_STEPS = [
     ("rename drops the old name and indexes nothing for the new",
      lambda nn: nn.rename("e", "g"), Op.RENAME, set(), {"e"}),
     ("rename back", lambda nn: nn.rename("g", "e"), Op.RENAME, set(), set()),
-    ("note_file fills the renamed file in",
-     lambda nn: nn.note_file(nn.files["e"]), Op.NOTE, {"e"}, set()),
-    ("note_chunk after an in-place move",
-     lambda nn: (_move_first_chunk(nn, "f", "dn22"), nn.note_chunk("dn22", "f")),
-     Op.NOTE, {"f"}, set()),
+    ("note_chunk fills the renamed file in",
+     lambda nn: nn.note_chunk("dn00", "e"), Op.NOTE, {"e"}, set()),
+    ("note_chunk of an unchanged file re-records its document",
+     lambda nn: nn.note_chunk("dn22", "f"), Op.NOTE, {"f"}, set()),
+    ("relayout carries the new tail, not the file",
+     lambda nn: nn.relayout_file("d", 0, _striped("d'", size=256).stripes, [], 6 * 256),
+     Op.RELAYOUT, set(), {"d"}),
     ("note_chunk on an unknown file journals nothing",
      lambda nn: nn.note_chunk("dn01", "ghost"), None, set(), set()),
     ("place carries the move, not the file",
@@ -481,7 +493,7 @@ INDEX_STEPS = [
      Op.DROP_REPLICAS, set(), {"c"}),
     ("enqueue flips the state", lambda nn: nn.enqueue_transcode(
         "a", CC1215, [_group("a")], 3), Op.ENQUEUE, set(), {"a"}),
-    ("note while transcoding", lambda nn: nn.note_file(nn.files["a"]),
+    ("note while transcoding", lambda nn: nn.note_chunk("dn00", "a"),
      Op.NOTE, {"a"}, set()),
     ("poll", lambda nn: nn.poll_work(8), Op.POLL, set(), set()),
     ("complete 0", lambda nn: nn.complete_parity("a", 0, 0, 0, 3),
@@ -499,7 +511,7 @@ INDEX_STEPS = [
         "b", CC1215, [_group("b")], 3), Op.ENQUEUE, set(), {"b"}),
     ("poll for one file", lambda nn: nn.poll_work_for("b", 1),
      Op.POLL, set(), set()),
-    ("note it", lambda nn: nn.note_file(nn.files["b"]), Op.NOTE, {"b"}, set()),
+    ("note it", lambda nn: nn.note_chunk("dn00", "b"), Op.NOTE, {"b"}, set()),
     ("abort", lambda nn: nn.abort_transcode("b"), Op.ABORT, set(), {"b"}),
     ("abort with no job changes nothing",
      lambda nn: nn.abort_transcode("c"), None, set(), set()),
@@ -532,7 +544,7 @@ def test_each_opcode_refreshes_or_drops_the_entries_it_should():
             assert after[name] == before[name], f"{label}: {name} moved"
         assert set(after) - set(before) <= refreshed, label
         _assert_index_sound(nn)
-    assert landed == set(Op), "the table must cover all 15 opcodes"
+    assert landed == set(Op), "the table must cover all 16 opcodes"
     assert nn.files["a"].scheme == CC1215 and nn.files["a"].version == 1
     moved = nn.files["f"].stripes[0].data[1]
     assert (moved.chunk_id, moved.node_id) == ("f/moved#2", "dn20")
@@ -548,9 +560,7 @@ def test_entry_is_written_only_after_its_record_landed():
     with pytest.raises(JournalCrash):
         nn.register_files([_striped("d"), _striped("e")])
     assert set(nn._frags) == {"a", "b"}
-    # A record that would have refreshed an entry leaves none behind:
-    # the file's journaled document is no longer its live one.
-    _move_first_chunk(nn, "a", "dn22")
+    # A record that would have refreshed an entry leaves none behind.
     with pytest.raises(JournalCrash):
         nn.note_chunk("dn22", "a")
     assert set(nn._frags) == {"b"}
@@ -580,13 +590,13 @@ def test_oserror_from_the_file_handle_leaves_no_entry_and_no_record(tmp_path):
     with pytest.raises(OSError):
         nn.register_file(_striped("b"))
     with pytest.raises(OSError):
-        nn.note_file(nn.files["a"])
+        nn.note_chunk("dn00", "a")
     assert nn._frags == {}
     assert nn.journal.stats() == before  # the mirror took nothing either
     # The disk recovers: later records land, compaction re-encodes the
     # two files it has no entry for and the log agrees with live state.
     nn.journal._fh = good_handle
-    nn.note_file(nn.files["b"])
+    nn.note_chunk("dn00", "b")
     assert set(nn._frags) == {"b"}
     nn.unregister_file("a")
     nn.compact()
@@ -613,23 +623,6 @@ def test_index_starts_empty_after_recover_and_first_compaction_fills_it():
     assert (s["files_spliced"], s["files_reencoded"]) == (7, 5)
     assert s["compactions"] == 2 and s["compact_seconds"] > 0
     _assert_index_sound(recovered)
-
-
-def test_manual_compaction_snapshots_the_journaled_prefix():
-    """Live state ahead of the log (an in-place move not yet noted): a
-    manual compact() must not smuggle the unjournaled change into the
-    snapshot — the log recovers to what it recovered to before."""
-    nn = JournaledNamenode()
-    nn.register_files([_striped("a"), _striped("b")])
-    journaled = state_digest(JournaledNamenode.recover(nn.journal))
-    _move_first_chunk(nn, "a", "dn22")
-    assert state_digest(nn) != journaled
-    nn.compact()
-    assert len(nn.journal) == 1
-    assert state_digest(JournaledNamenode.recover(nn.journal)) == journaled
-    # The note that acknowledges the move brings log and live together.
-    nn.note_chunk("dn22", "a")
-    _assert_index_sound(nn)
 
 
 def test_rename_onto_an_existing_name_is_refused_before_any_mutation():

@@ -4,6 +4,12 @@ recovery against the snapshot+replay oracle (ISSUE 9 acceptance bar).
 At every one of those boundaries the per-node chunk index — a derived
 cache the digest does not cover — must equal a full namespace scan, on
 the live namenode and on the replayed one.
+
+Metadata digests say nothing about bytes, so the paths that change a
+registered file's layout (append, close, seal) are also swept with a
+*data* oracle: crash before each record they write, recover the
+namenode from the journal prefix, attach it to the surviving datanodes,
+and every acknowledged byte must read back from chunks the nodes hold.
 """
 
 from contextlib import contextmanager
@@ -250,7 +256,9 @@ def test_spliced_snapshot_is_byte_identical_at_every_boundary():
 
     for shard in nn.shards:
         shard.after_append = check
-    fs, datasets = run_failure_burst(nn)
+    # Twice the files of the sweep above: the trace rewrites four, the
+    # rest only ever get repaired.
+    fs, datasets = run_failure_burst(nn, n_files=8)
 
     assert len(boundaries) >= 80
     stats = [shard.journal.stats() for shard in nn.shards]
@@ -258,8 +266,8 @@ def test_spliced_snapshot_is_byte_identical_at_every_boundary():
     spliced = sum(s["files_spliced"] for s in stats)
     reencoded = sum(s["files_reencoded"] for s in stats)
     # Most documents ride through compaction untouched; the re-encoded
-    # ones are files a record changed without carrying (rename, the
-    # transcode state flips).
+    # ones are files a record changed without carrying (rename, repair,
+    # append / close, the transcode state flips).
     assert spliced > reencoded > 0
     for shard in nn.shards:
         assert len(shard.journal) <= 3
@@ -278,12 +286,13 @@ def test_all_opcodes_exercised(burst):
         for op, _payload in shard.journal.records():
             seen.add(op)
     must_cover = {
-        Op.REGISTER, Op.UNREGISTER, Op.NOTE, Op.PLACE, Op.DROP_REPLICAS,
+        Op.REGISTER, Op.UNREGISTER, Op.PLACE, Op.RELAYOUT, Op.DROP_REPLICAS,
         Op.MINT, Op.ENQUEUE, Op.POLL, Op.COMPLETE, Op.NEW_STRIPE,
         Op.FINALIZE, Op.ABORT,
     }
     missing = must_cover - seen
     assert not missing, f"trace never journaled {sorted(o.name for o in missing)}"
+    assert Op.NOTE not in seen  # nothing under src/ notes: every change is an op
 
 
 def test_injected_crash_loses_only_the_unacked_op():
@@ -328,3 +337,85 @@ def test_file_backed_journal_survives_torn_tail(tmp_path):
     assert path.read_bytes() == raw[: reopened.byte_size]  # disk truncated too
     recovered = JournaledNamenode.recover(reopened)
     assert sorted(recovered.files) == ["f0", "f1", "f2", "f3"]
+
+
+# -- the data oracle: acknowledged bytes survive a crash at any record ----------
+
+def _bytes(seed, n_chunks, chunk=4 * KB):
+    return np.random.default_rng(seed).integers(0, 256, int(n_chunks * chunk), dtype=np.uint8)
+
+
+def _padded_tail(fs):
+    """9 chunks as (6, 6): the second stripe zero-padded and encoded."""
+    return fs.write_file("f", _bytes(1, 9), HybridScheme(1, CC69)).size
+
+
+def _open_tail(fs):
+    """(6, 2): a full stripe and an open tail, durable through replicas."""
+    fs.write_file("f", _bytes(1, 6), HybridScheme(1, CC69))
+    return fs.append_file("f", _bytes(2, 2)).size
+
+
+#: scenario -> (parity_mode, what leaves the file in its starting state,
+#: the op swept, the bytes it acknowledges on return)
+LAYOUT_CHANGES = {
+    "append onto a padded tail": (
+        "async", _padded_tail, lambda fs: fs.append_file("f", _bytes(3, 2)), _bytes(3, 2)),
+    "append onto an open tail": (
+        "async", _open_tail, lambda fs: fs.append_file("f", _bytes(3, 1.5)), _bytes(3, 1.5)),
+    "close": ("async", _open_tail, lambda fs: fs.close_file("f"), _bytes(0, 0)),
+    "free transition seal": (
+        "none", _padded_tail, lambda fs: fs.transcode("f", CC69), _bytes(0, 0)),
+}
+
+
+def _layout_change_run(scenario, crash_after=None):
+    """The scenario on a fresh journaled filesystem, the journal dying
+    before the op's record number ``crash_after`` (None: it completes).
+    Returns (fs, bytes acknowledged, records the prelude wrote)."""
+    parity_mode, prelude, op, added = LAYOUT_CHANGES[scenario]
+    nn = JournaledNamenode()
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=5, namenode=nn,
+                 parity_mode=parity_mode)
+    prelude(fs)
+    acknowledged = fs.read_file("f")
+    base = len(nn.journal)
+    if crash_after is None:
+        op(fs)
+        return fs, np.concatenate([acknowledged, added]), base
+    nn.journal.fail_after = base + crash_after
+    with pytest.raises(JournalCrash):
+        op(fs)
+    return fs, acknowledged, base
+
+
+@pytest.mark.parametrize("scenario", sorted(LAYOUT_CHANGES))
+def test_acknowledged_bytes_survive_a_crash_at_every_record_of_a_layout_change(scenario):
+    fs, after, base = _layout_change_run(scenario)
+    n_records = len(fs.namenode.journal) - base
+    assert n_records >= 2 and np.array_equal(fs.read_file("f"), after)
+    ops = [op for op, _ in fs.namenode.journal.records()][base:]
+    assert ops.count(Op.RELAYOUT) == 1 and Op.NOTE not in ops
+    orphans = []
+    for boundary in range(n_records + 1):
+        crashed = boundary < n_records
+        fs, acknowledged, base = _layout_change_run(scenario, boundary if crashed else None)
+        journal = fs.namenode.journal
+        assert len(journal) == base + boundary
+        # The namenode process is gone; a new one comes up from the log
+        # and serves the datanodes that survived it.
+        recovered = JournaledNamenode.recover(journal.prefix(len(journal)))
+        fs.namenode = recovered
+        assert_index_exact(recovered)
+        listed = recovered.lookup("f").all_chunks()
+        missing = [c.chunk_id for c in listed if not fs.datanodes[c.node_id].has_chunk(c.chunk_id)]
+        assert not missing, f"{scenario}, before record {boundary}: listed, not held: {missing}"
+        assert np.array_equal(fs.read_file("f"), acknowledged), (
+            f"{scenario}: acknowledged bytes lost by a crash before record {boundary}")
+        stored = sum(len(datanode._disk) for datanode in fs.datanodes.values())
+        orphans.append(stored - len(listed))
+    # Chunks stored but not (yet, or no longer) listed when the crash hit:
+    # staged parities and regions, replaced tails.  Reported, not asserted
+    # on — reclaiming them is ROADMAP item 1d's.
+    print(f"{scenario}: orphan chunks per boundary {orphans}")
+    assert orphans[0] == 0 and orphans[-1] == 0

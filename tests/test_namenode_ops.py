@@ -2,6 +2,7 @@
 sharded namenodes — a rejected op leaves neither state nor record, and
 a journal replays into a plain ``Namenode``."""
 
+from dataclasses import replace
 from zlib import crc32
 
 import pytest
@@ -25,6 +26,7 @@ from repro.dfs.namenode import (
     Poll,
     Register,
     RegisterBatch,
+    Relayout,
     Rename,
     TranscodeStateError,
     Unregister,
@@ -38,14 +40,14 @@ N_SHARDS = 4
 REJECTED = (ValueError, KeyError, TranscodeStateError)
 
 
-def striped(name, n_stripes=2, shift=0):
+def striped(name, n_stripes=2, shift=0, tag="s"):
     """A CC(6,9) file: nine chunks per stripe on nine distinct nodes."""
     stripes = [
         ECStripeMeta(
             si, 6, 9,
-            [ChunkMeta(f"{name}/s{si}d{j}", f"dn{(shift + si * 9 + j) % 23:02d}",
+            [ChunkMeta(f"{name}/{tag}{si}d{j}", f"dn{(shift + si * 9 + j) % 23:02d}",
                        ChunkKind.DATA, 64) for j in range(6)],
-            [ChunkMeta(f"{name}/s{si}p{j}", f"dn{(shift + si * 9 + 6 + j) % 23:02d}",
+            [ChunkMeta(f"{name}/{tag}{si}p{j}", f"dn{(shift + si * 9 + 6 + j) % 23:02d}",
                        ChunkKind.PARITY, 64) for j in range(3)],
         )
         for si in range(n_stripes)
@@ -167,8 +169,8 @@ steps = st.one_of(
     st.tuples(st.just("unregister"), pool),
     st.tuples(st.just("rename"), pool, pool),
     st.tuples(st.just("note_chunk"), pool, st.integers(0, 22)),
-    st.tuples(st.just("note_file"), pool),
-    st.tuples(st.just("move"), pool, st.integers(0, 22)),
+    st.tuples(st.just("relayout"), pool, st.integers(0, 3), st.integers(0, 2),
+              st.booleans()),
     st.tuples(st.just("place"), pool, st.integers(0, 17), st.integers(0, 22)),
     st.tuples(st.just("drop_replicas"), pool),
     st.tuples(st.just("mint"), pool, st.integers(0, 9)),
@@ -194,16 +196,18 @@ def run_step(nn, step, serial):
         nn.rename(*args)
     elif kind == "note_chunk":
         nn.note_chunk(f"dn{args[1]:02d}", args[0])
-    elif kind == "note_file":
-        # A registered file, or one still being written.
-        nn.note_file(nn.files.get(args[0]) or striped(args[0]))
-    elif kind == "move":
-        # The data plane's convention: change the metadata in place,
-        # then note it.
-        meta = nn.files.get(args[0])
-        if meta is not None and meta.stripes:
-            meta.stripes[0].data[0].node_id = f"dn{args[1]:02d}"
-            nn.note_chunk(f"dn{args[1]:02d}", args[0])
+    elif kind == "relayout":
+        # Keep some stripes (or more than there are: rejected), continue
+        # with fresh ones — after, as a seal does, the first dropped
+        # stripe re-listed with the chunk objects it had.
+        name, keep, n_new, relist = args
+        meta = nn.files.get(name)
+        tail = striped(name, n_new, shift=serial, tag=f"t{serial}s").stripes
+        if relist and meta is not None:
+            relisted = meta.stripes[keep:keep + 1]
+            tail = [replace(s, parities=s.parities[:2], n=8) for s in relisted] + tail
+        dropped = nn.relayout_file(name, keep, tail, [], 6 * 64 * (keep + len(tail)))
+        assert not {c.chunk_id for c in dropped} & {c.chunk_id for c in meta.all_chunks()}
     elif kind == "place":
         # A chunk the file lists — or, for an unknown file, one it cannot.
         meta = nn.files.get(args[0])
@@ -287,7 +291,8 @@ def drive(nn, through_apply):
     call("rename", Rename(d, sibling(d)), d, sibling(d))    # within one shard
     call("note_chunk", Note(a), "dn22", a)
     call("note_chunk", Note("ghost"), "dn22", "ghost")
-    call("note_file", Note(a), meta)
+    tail = striped(c, 1, shift=7, tag="t").stripes
+    assert len(call("relayout_file", Relayout(c, 1, tail, [], 768), c, 1, tail, [], 768)) == 9
     moves = [(f"{a}/s0d0", f"{a}/recovered#1", "dn21"), (f"{a}/s1p2", f"{a}/recovered#2", "dn22")]
     call("place_chunks", Place(a, moves), a, moves)
     assert call("drop_replicas", DropReplicas(c, CC69), c, CC69) == []

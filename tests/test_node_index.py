@@ -14,6 +14,7 @@ from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS, Namenode, ShardedNamenode
 from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta, ReplicaBlockMeta
 from repro.dfs.journal import JournaledNamenode, Op, replay, state_digest
+from repro.dfs.namenode import TranscodeStateError
 from repro.dfs.recovery import RecoveryManager
 
 from tests.index_oracle import assert_index_exact, full_scan
@@ -123,23 +124,64 @@ def test_place_of_an_unlisted_chunk_is_rejected_whole(make):
     assert_index_exact(nn)
 
 
-def test_a_note_reindexes_a_file_an_outside_caller_rewrote():
-    """``note_chunk`` / ``note_file`` are the harness's API: whatever was
-    done to the metadata, a note brings the index back to it — and the
-    node argument is not what decides."""
-    nn = Namenode()
-    a, b = tiny("a", ["x", "y", "z"]), tiny("b", ["x", "y", "z"])
-    nn.register_files([a, b])
-    a.stripes[0].data[0].node_id = "w"           # moved
-    a.stripes[0].parities.pop()                  # dropped
-    a.stripes[0].data.append(ChunkMeta("a/c3", "y", ChunkKind.DATA, 64))  # doubled up
-    nn.note_chunk("nowhere", "a")
-    assert listed(nn, "a") == {"w", "y"} and "nowhere" not in nn._node_files
+@pytest.mark.parametrize("make", [Namenode, JournaledNamenode])
+def test_a_relayout_swaps_the_tail_and_its_entries(make):
+    """The file keeps ``keep`` stripes and the blocks under them; what
+    the new tail re-lists keeps its identity and its entry, what it does
+    not is returned to the caller and leaves the index."""
+    nn = make()
+    a = tiny("a", ["x", "y", "z"], copies=["u", "v"])
+    two = tiny("a2", ["p", "q", "r"], copies=["s"])
+    two.stripes[0].stripe_index, two.replica_blocks[0].first_chunk = 1, 2
+    a.stripes += two.stripes
+    a.replica_blocks += two.replica_blocks
+    nn.register_files([a, tiny("b", ["x", "y", "z"])])
+    head, old = a.stripes
+    head_block, old_block = a.replica_blocks
+    # A seal: stripe 1 re-listed without its parity, its block trimmed to
+    # nothing, one stripe more.
+    sealed = ECStripeMeta(1, 2, 2, old.data, [])
+    more = tiny("a3", ["y", "w", "y"]).stripes[0]
+    dropped = nn.relayout_file("a", 1, [sealed, more], [ReplicaBlockMeta(1, 2, 2, [])], 384)
+    assert dropped == old.parities + old_block.copies
+    assert a.stripes == [head, sealed, more] and a.stripes[0] is head and a.size == 384
+    assert a.replica_blocks[0] is head_block and sealed.data[0] is old.data[0]
+    assert listed(nn, "a") == {"x", "y", "z", "u", "v", "p", "q", "w"}
+    assert nn._node_files["p"]["a"] is old.data[0]
+    assert nn._node_files["y"]["a"] == [head.data[1], more.data[0], more.parities[0]]
+    assert listed(nn, "b") == {"x", "y", "z"}
     assert_index_exact(nn)
-    nn.note_file(a)                              # nothing changed: the same answers
-    assert listed(nn, "a") == {"w", "y"}
+    # Rejected whole: more stripes kept than there are, an unknown file,
+    # a file mid-transcode.
+    before = state_digest(nn)
+    with pytest.raises(ValueError):
+        nn.relayout_file("a", 4, [], [], 0)
+    with pytest.raises(KeyError):
+        nn.relayout_file("ghost", 0, [], [], 0)
+    nn.enqueue_transcode("b", CC69, [], 3)
+    with pytest.raises(TranscodeStateError):
+        nn.relayout_file("b", 0, [], [], 0)
+    nn.abort_transcode("b")
+    assert nn.relayout_file("a", 3, [], [], 384) == []  # keeps everything
+    assert_index_exact(nn)
+    if make is JournaledNamenode:
+        assert [op for op, _ in nn.journal.records()].count(Op.RELAYOUT) == 2
+        assert_index_exact(replayed(nn))
+    else:
+        assert state_digest(nn) == before
+
+
+def test_a_note_changes_nothing():
+    """``note_chunk`` is the benchmark harness's shim: the index comes
+    out as the metadata says — as it was — and the node argument is not
+    what decides."""
+    nn = Namenode()
+    nn.register_files([tiny("a", ["x", "y", "z"]), tiny("b", ["x", "y", "z"])])
+    before = state_digest(nn)
+    nn.note_chunk("nowhere", "a")
+    assert listed(nn, "a") == {"x", "y", "z"} and "nowhere" not in nn._node_files
     nn.note_chunk("x", "ghost")                  # not registered: nothing at all
-    nn.note_file(tiny("ghost", ["x", "y", "z"]))
+    assert state_digest(nn) == before
     assert_index_exact(nn)
 
 
@@ -304,8 +346,8 @@ def test_a_repair_mid_transcode_shows_through_old_and_new_stripes():
 
 
 def test_append_close_and_seal_publish_between_records():
-    """The structural paths that still note: at every record they write,
-    the registered file — and so the index — is whole."""
+    """The structural paths publish through one op each: at every record
+    they write, the registered file — and so the index — is whole."""
     nn = JournaledNamenode()
     nn.after_append = lambda node, op: assert_index_exact(node)
     fs, data = hybrid_fs(namenode=nn, n_kb=40, parity_mode="none")
@@ -316,8 +358,10 @@ def test_append_close_and_seal_publish_between_records():
     assert unsealed  # written with parity_mode="none", not re-written by the append
     before = len(nn.journal)
     fs.transcode("f", CC69)  # seals them, then frees
-    ops = [op for op, _ in nn.journal.records()][before:]
-    assert ops.count(Op.NOTE) == len(unsealed) and ops[-1] is Op.DROP_REPLICAS
+    ops = [op for op, _ in nn.journal.records()]
+    assert Op.NOTE not in ops and ops.count(Op.RELAYOUT) == 3  # append, close, seal
+    assert ops[before:].count(Op.RELAYOUT) == 1 and len(unsealed) > 1  # one for all
+    assert ops[-2:] == [Op.RELAYOUT, Op.DROP_REPLICAS]
     assert_index_exact(replayed(nn))
     assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra]))
 

@@ -151,8 +151,7 @@ class TestPolicies:
         assert effective_priority(crit, policy, 500, 0.0) == 0.0
 
     def test_backoff_progression_and_cap(self):
-        policy = SchedulerPolicy()
-        delays = [backoff_ticks(policy, i) for i in range(1, 9)]
+        delays = [backoff_ticks(i) for i in range(1, 9)]
         assert delays == [1, 2, 4, 8, 16, 32, 64, 64]
 
 

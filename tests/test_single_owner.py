@@ -7,7 +7,9 @@ the check that moving Fig 14d's failures onto the shared injector did
 not move its victims.  The same for the namenode: its state has one
 write path, ``Namenode.apply``, and the journal and the shard router
 own nothing but their ``apply``; where a chunk lives changes only inside
-a handler, which is what keeps the per-node chunk index exact.  And for
+a handler, which is what keeps the per-node chunk index exact; and a
+registered file's layout changes only there too — append, close and seal
+stage, publish through ``relayout_file``, then discard.  And for
 the codec: one multiply plan
 for both fields, one recovery routine for every code.  And for the write
 path: a chunk enters, moves and leaves through three ``_BaseDFS`` doors
@@ -118,13 +120,13 @@ def test_injector_on_sim_rng_reproduces_fig14d_victims(seed):
 
 MUTATORS = (
     "register_file", "register_files", "unregister_file", "rename", "note_chunk",
-    "note_file", "place_chunks", "drop_replicas", "next_chunk_id", "next_chunk_ids",
+    "place_chunks", "relayout_file", "drop_replicas", "next_chunk_id", "next_chunk_ids",
     "enqueue_transcode", "poll_work", "poll_work_for", "complete_parity",
     "record_new_stripe", "try_finalize", "abort_transcode",
 )
 OP_TYPES = {
     namenode.Register, namenode.RegisterBatch, namenode.Unregister, namenode.Rename,
-    namenode.Note, namenode.Place, namenode.DropReplicas, namenode.Mint,
+    namenode.Note, namenode.Place, namenode.Relayout, namenode.DropReplicas, namenode.Mint,
     namenode.Enqueue, namenode.Poll, namenode.Complete, namenode.NewStripe,
     namenode.Finalize, namenode.Abort,
 }
@@ -160,6 +162,8 @@ def test_the_op_tables_are_closed_in_both_directions():
     assert set(journal._DECODE) == set(Op)
     opcodes = [row[0] for row in journal._RECORD.values()]
     assert sorted(opcodes) == sorted(set(Op) - {Op.SNAPSHOT})  # one opcode each
+    assert (len(journal._RECORD), len(journal._DECODE)) == (15, 16)
+    assert len(MUTATORS) == 17
 
 
 def test_journal_and_router_own_apply_and_no_mutator_body():
@@ -214,17 +218,20 @@ def test_replay_goes_through_the_base_apply_and_one_forget_site():
 
 # -- chunk placement changes inside the namenode only --------------------------
 
-def test_only_the_namenode_and_the_journal_decoders_rehome_a_chunk():
+def test_only_the_namenode_rehomes_a_chunk():
     # ``chunk.node_id = ...`` / ``chunk.chunk_id = ...`` behind the
     # namenode's back is how the index used to go stale (a datanode's
-    # own ``self.node_id`` is not a chunk's).
+    # own ``self.node_id`` is not a chunk's).  The journal decodes ops;
+    # it merges nothing into live metadata.
     assignment = r"(?<!self)\.(node_id|chunk_id)\s*=(?!=)"
-    assert files_matching(assignment) == ["dfs/journal.py", "dfs/namenode.py"]
+    assert files_matching(assignment) == ["dfs/namenode.py"]
+    assert not files_matching(r"merge_file|\b_merge_|_decode_note")
+    # One decoder is more than a constructor call: NEW_STRIPE's re-link.
     decoders = [
-        node.name for node in ast.walk(ast.parse(SOURCES["dfs/journal.py"]))
-        if isinstance(node, ast.FunctionDef) and re.search(assignment, ast.unparse(node))
+        node.name for node in ast.parse(SOURCES["dfs/journal.py"]).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_decode_")
     ]
-    assert decoders == ["_merge_chunk"]  # NOTE replay, merging in place
+    assert decoders == ["_decode_new_stripe"]
 
 
 def test_the_index_is_written_in_namenode_py_only():
@@ -250,25 +257,73 @@ def test_the_index_is_written_in_namenode_py_only():
             assert name in handlers | {"load"}, name
 
 
-def test_notes_are_down_to_the_structural_rewrites():
-    # 14 note call sites kept the index and the journal honest by
-    # convention; what is left is the three paths that rewrite a
-    # registered file's layout in place, and nothing notes per chunk.
-    assert not files_matching(r"\.note_chunk\(")
-    sites = {
-        name: len(re.findall(r"\.note_file\(", text))
-        for name, text in SOURCES.items() if re.search(r"\.note_file\(", text)
+def test_the_only_note_builder_is_the_harness_shim_and_nothing_calls_it():
+    # 34 note call sites kept the index and the journal honest by
+    # convention; none is left.  ``Note`` stays for the benchmark
+    # harness: built by ``note_chunk`` (and decoded by the journal).
+    assert not files_matching(r"\.note_chunk\(|\.note_file\(|def note_file")
+    built = {name: len(re.findall(r"\bNote\(", text)) for name, text in SOURCES.items()}
+    assert {name: n for name, n in built.items() if n} == {
+        "dfs/journal.py": 1, "dfs/namenode.py": 2,  # the class, and note_chunk
     }
-    assert sites == {"dfs/appends.py": 3, "dfs/filesystem.py": 1}
-    # The one sealer mints and stores; each of its two callers — the
-    # free transition and ``close_file`` — publishes what it sealed.
+    defined = functions(class_def("dfs/namenode.py", "Namenode"))
+    assert "Note(" in ast.unparse(defined["note_chunk"])
+    assert len(OP_TYPES) == 15 and not hasattr(namenode.Note, "nodes")
+
+
+# -- a registered file's layout changes inside the namenode only ----------------
+
+def written_through(fn: ast.FunctionDef, name: str) -> set:
+    """What ``fn`` assigns, deletes or grows in place under local ``name``."""
+    targets = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            targets.append(node)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("append", "extend", "insert", "pop", "remove", "clear")):
+            targets.append(node.func.value)
+    paths = {ast.unparse(target) for target in targets}
+    return {path for path in paths if path.split(".")[0] == name}
+
+
+def test_append_close_and_seal_stage_then_publish_through_one_op():
+    appends = SOURCES["dfs/appends.py"]
+    for pattern in (
+        r"meta\.stripes\s*=", r"\.stripes\.extend", r"\.replica_blocks(\s*=|\.extend)",
+        r"meta\.size\s*=", r"\.parities\.extend", r"del copies\[",
+    ):
+        assert not re.search(pattern, appends), pattern
+    assert not files_matching(r"_drop_open_region")
+    # A layout list grows only while its file is being built.
+    growers = {
+        fn.name
+        for fn in ast.walk(ast.parse(SOURCES["dfs/filesystem.py"]))
+        if isinstance(fn, ast.FunctionDef)
+        and re.search(r"\.(stripes|replica_blocks)\.append\(", ast.unparse(fn))
+    }
+    assert growers == {"_store_stripe", "_write_replica_pipeline"}
+    layout_write = (
+        r"\.(stripes|replica_blocks)(\[[^\]]*\])?\s*=(?!=)"
+        r"|\.(stripes|replica_blocks)\.(extend|pop|clear|insert)\("
+    )
+    assert files_matching(layout_write, under="dfs/") == ["dfs/namenode.py"]
+    # The sealer returns the stripe sealed; it writes nothing of its own.
     morph = functions(class_def("dfs/filesystem.py", "MorphFS"))
-    appends = functions(class_def("dfs/appends.py", "AppendSupport"))
-    assert "note_file" not in calls(morph["_seal_stripe"])
-    for caller in (morph["_free_transition"], appends["close_file"]):
-        assert {"_seal_stripe", "note_file"} <= calls(caller)
-    assert "note_file" in calls(appends["append_file"])
-    assert len(OP_TYPES) == 14 and not hasattr(namenode.Note, "nodes")
+    assert written_through(morph["_seal_stripe"], "stripe") == set()
+    assert written_through(morph["_free_transition"], "meta") == set()
+    # Stage -> switch -> discard: each caller publishes once, and hands
+    # what the op stopped listing to the door.
+    appenders = functions(class_def("dfs/appends.py", "AppendSupport"))
+    publishers = (appenders["append_file"], appenders["close_file"], morph["_free_transition"])
+    for fn in publishers:
+        assert ast.unparse(fn).count("relayout_file(") == 1, fn.name
+        assert "discard_chunks" in calls(fn), fn.name
+    assert "_seal_stripe" in calls(appenders["close_file"]) & calls(morph["_free_transition"])
+    # ... and nobody else does.
+    assert sum(len(re.findall(r"\.relayout_file\(", text)) for text in SOURCES.values()) == 3
+    # The handler finds the blocks under the kept stripes by asking.
+    handler = functions(class_def("dfs/namenode.py", "Namenode"))["_relayout"]
+    assert "blocks_under" in calls(handler)
 
 
 # -- one way in, one way out ----------------------------------------------------
@@ -366,12 +421,12 @@ def test_one_decode_and_one_local_peers_first_rule_under_dfs():
 
 def test_layout_walks_live_on_filemeta():
     walk = r"first_chunk\s*<=|(?:passed|first)\s*\+=|stripe_index\s*\*|stripes\[\s*:"
-    assert files_matching(walk, under="dfs/") == ["dfs/appends.py", "dfs/blocks.py"]
+    assert files_matching(walk, under="dfs/") == ["dfs/blocks.py"]
     assert not files_matching(walk, under="sched/")
-    # appends.py truncates the stripe list at the open stripe; it finds nothing by it.
-    assert re.findall(walk, SOURCES["dfs/appends.py"]) == ["stripes[:"]
     meta = functions(class_def("dfs/blocks.py", "FileMeta"))
-    assert {"stripe_spans", "first_data_index", "stripe_of", "block_covering"} <= set(meta)
+    assert {
+        "stripe_spans", "first_data_index", "stripe_of", "block_covering", "blocks_under",
+    } <= set(meta)
     # One walk of the stripe widths; the lookups are built on it.
     assert len(re.findall(r"\+=", ast.unparse(class_def("dfs/blocks.py", "FileMeta")))) == 1
 

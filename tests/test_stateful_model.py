@@ -6,8 +6,9 @@ MorphFS, holding a plain dict of expected bytes as the reference model.
 After every step, every live file must read back byte-identical, the
 namenode's per-node chunk index must equal a full namespace scan, no
 buffer cache may hold a chunk, the checksum registry must hold a sum
-for exactly the listed chunks and every stored array must be read-only
-and carry its recorded sum — regardless of operation order.
+for exactly the listed chunks, every stored array must be read-only
+and carry its recorded sum, and the namenode's journal must replay to
+the live state — regardless of operation order.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
 from repro.dfs.integrity import Scrubber, corrupt_chunk
+from repro.dfs.journal import JournaledNamenode, state_digest
 from repro.dfs.recovery import RecoveryManager
 
 from tests.index_oracle import assert_bytes_exact, assert_index_exact, assert_sums_exact
@@ -36,7 +38,9 @@ CC1215 = ECScheme(CodeKind.CC, 12, 15)
 class MorphModel(RuleBasedStateMachine):
     @initialize(seed=st.integers(0, 2**16))
     def setup(self, seed):
-        self.fs = MorphFS(chunk_size=2 * KB, future_widths=[6, 12], seed=seed)
+        self.fs = MorphFS(
+            chunk_size=2 * KB, future_widths=[6, 12], seed=seed, namenode=JournaledNamenode()
+        )
         self.rng = np.random.default_rng(seed)
         self.expected = {}  # name -> bytes
         self.stage = {}  # name -> 0 hybrid, 1 cc69, 2 cc1215
@@ -150,6 +154,14 @@ class MorphModel(RuleBasedStateMachine):
     @invariant()
     def index_is_exact(self):
         assert_index_exact(self.fs.namenode)
+
+    @invariant()
+    def live_state_is_the_journal_replayed(self):
+        # Whatever wrote a registered file without an op would show here.
+        live = self.fs.namenode
+        recovered = JournaledNamenode.recover(live.journal.prefix(len(live.journal)))
+        assert state_digest(recovered) == state_digest(live)
+        assert_index_exact(recovered)
 
     @invariant()
     def sums_are_exact(self):
