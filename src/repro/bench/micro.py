@@ -50,8 +50,11 @@ RATIO_GATES = {
     # single-row repairs of the same six inputs. Four padded uint16
     # columns gathered into 4 MiB accumulators and scattered back
     # transposed read 1.62-1.79 at the 256 KiB rows `--quick` (and CI)
-    # runs and 1.39-1.47 at 1 MiB; the plan reading its matrix reads
-    # 1.16-1.20 and 1.07-1.13.
+    # runs and 1.39-1.47 at 1 MiB; the plan reading its matrix read
+    # 1.16-1.20 and 1.07-1.13 while the single row gathered a whole row
+    # at once. The denominator now walks the same 64 Ki-lane tile and is
+    # faster, so the readings rose: 1.2-1.4 at 256 KiB (1.40-1.50 when
+    # the bench runs alone in a fresh process) and 1.36-1.39 at 1 MiB.
     "gf_encode_3x6_over_1x6_time_ratio": 1.5,
     # Asking every node for its chunks must cost about what one walk of
     # the namespace costs: both build the same (file, chunk) pairs.
@@ -274,6 +277,38 @@ def bench_gf_encode_over_repair_ratio(chunk_bytes: int, repeats: int) -> Dict[st
             best[0] / best[1], "ratio", code="CC(6,9)", chunk_bytes=chunk_bytes,
             encode_mb_s=round(nbytes / best[0] / 1e6, 3),
             one_row_mb_s=round(nbytes / best[1] / 1e6, 3),
+        )
+    }
+
+
+def bench_gf_row_tile_ratio(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
+    """Time per byte of a single-row ``1 x 6`` apply (one lost chunk's
+    repair) on ``chunk_bytes`` rows over the same on 64 KiB rows, best of
+    round-robin repeats. Both sides sweep the same bytes — the 64 KiB
+    side as consecutive slices of the long rows — so the ratio is what a
+    long row costs beyond its length: about 1 when the row loop walks
+    the one L2 tile, more when a gather spans the whole row. Report
+    only: at ``--quick``'s 256 KiB rows the two barely differ."""
+    from repro.gf.kernels import MulPlan
+
+    short = 64 * 1024
+    rng = np.random.default_rng(7)
+    plan = MulPlan(rng.integers(2, 256, size=(1, 6), dtype=np.uint8))
+    rows = _chunks(6, chunk_bytes, seed=7)
+    slices = [[row[s : s + short] for row in rows] for s in range(0, chunk_bytes, short)]
+
+    def short_rows() -> None:
+        for part in slices:
+            plan.apply(part)
+
+    best = _round_robin_best([lambda: plan.apply(rows), short_rows], repeats)
+    nbytes = 6 * chunk_bytes
+    return {
+        "gf_row_1mib_over_64kib_byte_time_ratio": _metric(
+            best[0] / best[1], "ratio", k=6, chunk_bytes=chunk_bytes,
+            short_bytes=short,
+            long_mb_s=round(nbytes / best[0] / 1e6, 3),
+            short_mb_s=round(nbytes / best[1] / 1e6, 3),
         )
     }
 
@@ -749,6 +784,7 @@ def run_benchmarks(quick: bool = False) -> Dict[str, Dict]:
     metrics.update(bench_gf256_transcode(chunk, repeats))
     metrics.update(bench_gf_apply_ratio(chunk, repeats))
     metrics.update(bench_gf_encode_over_repair_ratio(chunk, repeats))
+    metrics.update(bench_gf_row_tile_ratio(chunk, repeats))
     metrics.update(bench_gf16_wide(chunk, repeats))
     metrics.update(bench_repair_reads())
     metrics.update(bench_checksum_passes(chunk, repeats))

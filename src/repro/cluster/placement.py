@@ -17,7 +17,7 @@ Placement is where Convertible Codes meet the physical cluster:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,11 +142,42 @@ class TranscodeAwarePlacement(PlacementPolicy):
         self.r_star = r_star
         # (file_id, window) -> {"data": [...k_star], "parity": [...r_star]}
         self._windows: Dict[tuple, Dict[str, List[str]]] = {}
+        # (file_id, window) -> the window's k_star + r_star slots, a node
+        # where a chunk of the file already sits (see ``adopt``), else None
+        self._listed: Dict[tuple, List[Optional[str]]] = {}
+
+    def adopt(
+        self,
+        file_id: str,
+        stripes: Iterable[Tuple[int, Sequence[str], Sequence[str]]],
+    ) -> None:
+        """Bind the windows of a file that is already placed to where its
+        chunks are, before any of them is drawn: ``stripes`` gives, per
+        stripe, the file-wide index of its first data chunk, its data
+        homes and its parity homes. Data slots take the data homes,
+        parity slot ``j`` of a window the home of the first parity ``j``
+        listed in it; a window's other slots are drawn when it is first
+        used, away from every node listed in it."""
+        width = self.k_star + self.r_star
+        for first, data, parity in stripes:
+            for t, node in enumerate(data):
+                window, slot = divmod(first + t, self.k_star)
+                self._listed.setdefault((file_id, window), [None] * width)[slot] = node
+            slots = self._listed.setdefault((file_id, first // self.k_star), [None] * width)
+            for j, node in enumerate(parity[: self.r_star]):
+                if slots[self.k_star + j] is None:
+                    slots[self.k_star + j] = node
 
     def _window_nodes(self, file_id: str, window: int) -> Dict[str, List[str]]:
         key = (file_id, window)
         if key not in self._windows:
-            nodes = self.pick_nodes(self.k_star + self.r_star)
+            slots = self._listed.pop(key, None)
+            if slots is None:
+                nodes = self.pick_nodes(self.k_star + self.r_star)
+            else:
+                listed = [node for node in slots if node is not None]
+                drawn = iter(self.pick_nodes(len(slots) - len(listed), exclude=listed))
+                nodes = [next(drawn) if node is None else node for node in slots]
             self._windows[key] = {
                 "data": nodes[: self.k_star],
                 "parity": nodes[self.k_star :],

@@ -48,7 +48,10 @@ class AppendSupport:
         # precedes, every listed chunk is still stored.
         keep = open_start // span
         staged = FileMeta(meta.name, 0, meta.chunk_size, meta.scheme)
-        self._write_hybrid(staged, region, meta.scheme, first_stripe=keep, open_tail=True)
+        self._write_hybrid(
+            staged, region, meta.scheme, self._placement_for(meta, ec),
+            first_stripe=keep, open_tail=True,
+        )
         self.discard_chunks(
             self.namenode.relayout_file(
                 name, keep, staged.stripes, staged.replica_blocks, open_start + len(region)

@@ -633,41 +633,53 @@ class MorphFS(AppendSupport, _BaseDFS):
         #: holders before ack, then stripe asynchronously — one extra
         #: network copy versus the small-write variant.
         self.spanning_protocol = spanning_protocol
-        self._placements: Dict[str, TranscodeAwarePlacement] = {}
+        #: name -> (the file a placement policy was built for, the policy)
+        self._placements: Dict[str, Tuple[FileMeta, TranscodeAwarePlacement]] = {}
         self.transcoder = NativeTranscoder(self)
 
     # -- placement ------------------------------------------------------------
-    def _placement_for(self, name: str, ec: ECScheme) -> TranscodeAwarePlacement:
-        if name in self._placements:
-            # Keep the cached policy's tier preference in sync — the knob
-            # may change between writes (e.g. as a file cools).
-            self._placements[name].prefer_class = self.placement_prefer_class
-        if name not in self._placements:
-            from repro.core.schemes import lcm_of_widths
+    def _placement_for(self, meta: FileMeta, ec: ECScheme) -> TranscodeAwarePlacement:
+        """The placement policy of the file ``meta`` — registered, or being
+        written — built on first use. Policies are kept by name but belong
+        to a file: one another file left under the name (renamed away,
+        deleted, written anew) is not reused, and a new policy takes its
+        windows from the chunks ``meta`` already lists, not from its
+        name's seed."""
+        owner, policy = self._placements.get(meta.name, (None, None))
+        if owner is not meta:
+            policy = self._new_placement(meta.name, ec)
+            if meta.stripes and isinstance(policy, TranscodeAwarePlacement):
+                policy.adopt(meta.name, (
+                    (first, [c.node_id for c in s.data], [c.node_id for c in s.parities])
+                    for first, s in meta.stripe_spans()
+                ))
+            self._placements[meta.name] = (meta, policy)
+        # Keep the policy's tier preference in sync — the knob may change
+        # between writes (e.g. as a file cools).
+        policy.prefer_class = self.placement_prefer_class
+        return policy
 
-            if not self.transcode_aware:
-                from repro.cluster.placement import UnplannedPlacement
+    def _new_placement(self, name: str, ec: ECScheme) -> TranscodeAwarePlacement:
+        seed = self.seed + zlib.crc32(name.encode()) % 997
+        if not self.transcode_aware:
+            from repro.cluster.placement import UnplannedPlacement
 
-                self._placements[name] = UnplannedPlacement(
-                    self.cluster,
-                    seed=self.seed + zlib.crc32(name.encode()) % 997,
-                )
-                self._placements[name].prefer_class = self.placement_prefer_class
-                return self._placements[name]
+            return UnplannedPlacement(self.cluster, seed=seed)
+        from repro.core.schemes import lcm_of_widths
 
-            widths = [ec.k] + [w for w in self.future_widths]
-            k_star = lcm_of_widths(*widths)
-            r_star = max(self.max_parities, ec.n - ec.k)
-            alive = len(self.cluster.alive_nodes())
-            if k_star + r_star > alive:
-                # Fall back to the largest feasible window (documented
-                # trade-off: merges beyond the window may need data moves).
-                k_star = max(w for w in widths if w + r_star <= alive)
-            self._placements[name] = TranscodeAwarePlacement(
-                self.cluster, k_star, r_star, seed=self.seed + zlib.crc32(name.encode()) % 997
-            )
-            self._placements[name].prefer_class = self.placement_prefer_class
-        return self._placements[name]
+        widths = [ec.k] + [w for w in self.future_widths]
+        k_star = lcm_of_widths(*widths)
+        r_star = max(self.max_parities, ec.n - ec.k)
+        alive = len(self.cluster.alive_nodes())
+        if k_star + r_star > alive:
+            # Fall back to the largest feasible window (documented
+            # trade-off: merges beyond the window may need data moves).
+            k_star = max(w for w in widths if w + r_star <= alive)
+        return TranscodeAwarePlacement(self.cluster, k_star, r_star, seed=seed)
+
+    def delete_file(self, name: str) -> None:
+        super().delete_file(name)
+        self._placements.pop(name, None)
 
     # -- writes -----------------------------------------------------------------
     def write_file(self, name: str, data, scheme: RedundancyScheme) -> FileMeta:
@@ -677,9 +689,9 @@ class MorphFS(AppendSupport, _BaseDFS):
         )
         with self.obs.span("ingest", file=name, nbytes=len(data)):
             if isinstance(scheme, HybridScheme):
-                self._write_hybrid(meta, data, scheme)
+                self._write_hybrid(meta, data, scheme, self._placement_for(meta, scheme.ec))
             elif isinstance(scheme, ECScheme):
-                placement = self._placement_for(name, scheme)
+                placement = self._placement_for(meta, scheme)
                 self._write_ec(
                     meta, data, scheme,
                     lambda index: placement.place_stripe(
@@ -698,12 +710,13 @@ class MorphFS(AppendSupport, _BaseDFS):
         meta: FileMeta,
         data: np.ndarray,
         hy: HybridScheme,
+        placement: TranscodeAwarePlacement,
         first_stripe: int = 0,
         open_tail: bool = False,
     ) -> None:
         """Hybrid ingest (§4.2) of ``data`` as stripes ``first_stripe``
         onward of ``meta`` — a file being built, or an append's staging
-        area.
+        area — where ``placement`` (the file's policy) says.
 
         Small-write variant (default): the block is mirrored to two
         replica nodes in-memory; the second mirror acts as striper,
@@ -723,7 +736,6 @@ class MorphFS(AppendSupport, _BaseDFS):
         it completes or the file is closed.
         """
         ec = hy.ec
-        placement = self._placement_for(meta.name, ec)
         chunks = self._data_chunks(data, 1 if open_tail else ec.k)
         stripe_lists = [chunks[s : s + ec.k] for s in range(0, len(chunks), ec.k)]
         # Parities for every full stripe in one batched kernel invocation;
@@ -931,7 +943,7 @@ class MorphFS(AppendSupport, _BaseDFS):
                 f"{sources.index(None)} unavailable and no replica covers it"
             )
         parities = code.encode([data for _copy, data in sources])
-        placement = self._placement_for(meta.name, ec)
+        placement = self._placement_for(meta, ec)
         first_chunk = meta.first_data_index(stripe)
         self.charge_encode(striper, stripe.k, len(parities), self.chunk_size)
         kinds = self._parity_kinds(ec)

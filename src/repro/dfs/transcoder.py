@@ -263,7 +263,7 @@ class NativeTranscoder:
         tail_start = r_i * sublen
         homes = self._parity_homes(stripe_metas, r_i)
         # Extra parity homes: reuse placement's reserved parity nodes.
-        placement = self.fs._placement_for(meta.name, ec)
+        placement = self.fs._placement_for(meta, ec)
         first_chunk = meta.first_data_index(stripe_metas[0])
         for j in range(r_i, r_f):
             try:

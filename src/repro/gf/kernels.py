@@ -39,11 +39,12 @@ This module is the numpy rendition of that idea:
   the first bulk apply; below :data:`KERNEL_MIN_BYTES` per row a gather
   cannot amortise and the plan itself answers with the field's reference
   matmul, so no caller tests the threshold.
-* **Cache blocking** — ``apply`` walks the lane axis in tiles; no
-  ``(m, n, k)`` intermediate is ever materialised, so memory is O(tile)
-  instead of O(m*n*k). A packed tile is :data:`PACKED_TILE_LANES` lanes:
-  numpy's index scratch, the accumulator, the gather scratch and the
-  table in use then share L2.
+* **Cache blocking** — every loop here (the slot groups, the row loop,
+  :func:`gf_scale_xor`) walks the lane axis in tiles of
+  :data:`PACKED_TILE_LANES` lanes; no ``(m, n, k)`` intermediate is ever
+  materialised, so memory is O(tile) instead of O(m*n*k), and no gather
+  touches more than one tile: numpy's index scratch, the accumulator,
+  the gather scratch and the table in use share L2.
 
 Plans are cached per generator (pinned on the
 :class:`~repro.codes.base.ErasureCode`, and in a global LRU keyed by
@@ -66,17 +67,13 @@ from repro.gf.matrix import gf_matinv, gf_matmul_reference
 #: this the reference paths win (gathers cannot amortise).
 KERNEL_MIN_BYTES = 4096
 
-#: Bytes of accumulator + scratch a blocked tile may occupy. Large
-#: enough to amortise per-call numpy dispatch over each gather, small
-#: enough that scratch stays bounded (and last-level-cache resident) no
-#: matter how long the chunk axis is; measured optimum on 1 MiB chunks.
-TILE_BYTES = 1 << 22
-
-#: Lanes per tile of the packed strategy. ``np.take`` widens its uint16
+#: Lanes per tile — the one tile every kernel loop walks (the packed
+#: slots, the row loop, ``gf_scale_xor``). ``np.take`` widens its uint16
 #: indices to intp (8 bytes a lane) beside the accumulator and scratch
-#: (4-8 bytes a lane each) and the 256-512 KiB table in use; at 64 Ki
+#: (2-8 bytes a lane each) and the 128-512 KiB table in use; at 64 Ki
 #: lanes the four sit in L2 together. Measured on 3 x 6 over 1 MiB rows:
-#: 16 Ki lanes 6.0 ms, 32 Ki 5.3, 64 Ki 5.05, 128 Ki 5.1, 512 Ki 8.2
+#: 16 Ki lanes 6.0 ms, 32 Ki 5.3, 64 Ki 5.05, 128 Ki 5.1, 512 Ki 8.2; on
+#: 1 x 6, the whole 512 Ki-lane row in one gather 5.0 ms, 64 Ki 4.3
 #: (docs/performance.md, "The tile").
 PACKED_TILE_LANES = 1 << 16
 
@@ -359,8 +356,8 @@ def _apply_rows(
     patterns of equal severity (docs/performance.md, "Repair path")."""
     m, n16 = out16.shape
     xor_ones = m > 1
-    w = max(1024, TILE_BYTES // 4)
-    tmp = np.empty(min(w, n16), dtype=np.uint16)
+    w = min(PACKED_TILE_LANES, n16)
+    tmp = np.empty(w, dtype=np.uint16)
     for start in range(0, n16, w):
         stop = min(start + w, n16)
         ww = stop - start
@@ -571,11 +568,12 @@ class PatternCache:
 
 def gf_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
     """``acc ^= c * x`` in place over the field ``acc.dtype`` names,
-    blocked for bulk chunks.
+    tile by tile for bulk chunks.
 
     The inner step of every parity merge in the transcoder: one
     coefficient streamed over one contiguous chunk through its shared
-    table. Falls back to the field's elementwise product for small,
+    table, :data:`PACKED_TILE_LANES` lanes a gather like every loop
+    here. Falls back to the field's elementwise product for small,
     odd-length or strided operands.
     """
     c = int(c)
@@ -597,8 +595,8 @@ def gf_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
     table = field.table(c)
     a16 = acc.view(np.uint16)
     x16 = x.view(np.uint16)
-    w = max(1024, TILE_BYTES // 4)
-    tmp = np.empty(min(w, a16.shape[0]), dtype=np.uint16)
+    w = min(PACKED_TILE_LANES, a16.shape[0])
+    tmp = np.empty(w, dtype=np.uint16)
     for start in range(0, a16.shape[0], w):
         stop = min(start + w, a16.shape[0])
         ww = stop - start

@@ -160,8 +160,7 @@ class TestMulPlanMatrix:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 12])
     @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
     def test_bit_identical_to_field_reference(self, monkeypatch, field, m, k, case):
-        # Tiles of 1024-2048 lanes, so a 4 K-lane row spans several.
-        monkeypatch.setattr(kernels, "TILE_BYTES", 1 << 13)
+        # Tiles of 1024 lanes, so a 4 K-lane row spans several.
         monkeypatch.setattr(kernels, "PACKED_TILE_LANES", 1 << 10)
         n, edit, as_list = _SHAPE_CASES[case]
         rng = np.random.default_rng([field.dtype.itemsize, m, k, n])
@@ -200,6 +199,26 @@ class TestMulPlanMatrix:
                 assert np.array_equal(
                     plan.apply(list(b) if j % 2 else b), field.matmul_reference(a, b)
                 ), (a, n)
+
+    @pytest.mark.parametrize("m", [1, COMBINE_MAX_ROWS + 1])
+    @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
+    def test_row_loop_bit_identical_across_tile_boundaries(self, monkeypatch, field, m):
+        """The row loop walks the same tiles as the slot groups: a row
+        that ends a lane short of, on, or past a tile, or in an odd byte,
+        is the reference's — ones included, which a single row gathers."""
+        monkeypatch.setattr(kernels, "PACKED_TILE_LANES", _TEST_TILE_LANES)
+        k = 6
+        rng = np.random.default_rng([field.dtype.itemsize, m])
+        a = _rand(field, rng, 24)[rng.integers(0, 24, size=(m, k))]
+        a[0, :2] = (0, 1)
+        data = _rand(field, rng, k, max(_STRUCTURE_BYTES))
+        data[0, ::5] = 0
+        plan = MulPlan(a)
+        for j, nbytes in enumerate(_STRUCTURE_BYTES):
+            b = data[:, : nbytes // field.dtype.itemsize]
+            got = plan.apply(list(b) if j % 2 else b)
+            assert np.array_equal(got, field.matmul_reference(a, b)), nbytes
+        assert plan.nbytes == 0
 
     @pytest.mark.parametrize("m", range(2, COMBINE_MAX_ROWS + 1))
     @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
@@ -449,6 +468,19 @@ class TestScaleXor:
             want = acc ^ _MUL_TABLE[c, x]
             assert np.array_equal(gf_scale_xor(acc.copy(), c, x), want), (n, c)
 
+    @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
+    def test_bit_identical_across_tile_boundaries(self, monkeypatch, field):
+        monkeypatch.setattr(kernels, "PACKED_TILE_LANES", _TEST_TILE_LANES)
+        rng = np.random.default_rng(field.dtype.itemsize)
+        ragged = 2 * (3 * _TEST_TILE_LANES + 3)  # three tiles and 3 lanes
+        for nbytes in _STRUCTURE_BYTES + [ragged]:
+            n = nbytes // field.dtype.itemsize
+            x, acc = _rand(field, rng, n), _rand(field, rng, n)
+            x[::5] = 0
+            c = int(rng.integers(2, 1 << (8 * field.dtype.itemsize)))
+            want = acc ^ field.mul(c, x)
+            assert np.array_equal(gf_scale_xor(acc.copy(), c, x), want), (nbytes, c)
+
     def test_in_place_through_views(self):
         # bandwidth.py accumulates into row slices of a 2-D parity array.
         rng = np.random.default_rng(12)
@@ -464,6 +496,45 @@ class TestScaleXor:
         assert np.array_equal(gf_scale(9, x), _MUL_TABLE[9, x])
         assert np.array_equal(gf_scale(0, x), np.zeros_like(x))
         assert np.array_equal(gf_scale(1, x), x)
+
+
+class TestOneTile:
+    """Every gather in the module indexes at most one tile of lanes —
+    the slot groups, the row loop (m = 1 and m > COMBINE_MAX_ROWS) and
+    the merge's scale-and-XOR alike — so its intp index scratch, output
+    and table share L2 whatever the chunk size."""
+
+    MIB = 1 << 20
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        widths = []
+        take = np.take
+
+        def spy(a, indices, *args, **kwargs):
+            widths.append(np.size(indices))
+            return take(a, indices, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", spy)
+        return widths
+
+    @pytest.mark.parametrize("m", [1, 3, COMBINE_MAX_ROWS + 1])
+    def test_mul_plan(self, gathers, m):
+        rng = np.random.default_rng(m)
+        a = _rand8(rng, m, 6) | 2  # no coefficient is 0 or 1: all gathers
+        b = _rand8(rng, 6, self.MIB)
+        MulPlan(a).apply(b)
+        assert gathers and max(gathers) <= kernels.PACKED_TILE_LANES
+        # every lane of every input, once per slot group or per row
+        passes = -(-m // 4) if 1 < m <= COMBINE_MAX_ROWS else m
+        assert sum(gathers) == self.MIB // 2 * 6 * passes
+
+    def test_gf_scale_xor(self, gathers):
+        rng = np.random.default_rng(16)
+        acc, x = _rand8(rng, self.MIB), _rand8(rng, self.MIB)
+        gf_scale_xor(acc, 7, x)
+        assert gathers and max(gathers) <= kernels.PACKED_TILE_LANES
+        assert sum(gathers) == self.MIB // 2
 
 
 class TestCoefficientTables:
