@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.partition import NAMENODE
 from repro.dfs.blocks import ChunkMeta, FileMeta
+from repro.gf.kernels import SPLIT_FROM_BYTES, split
 
 
 def chunk_checksum(data: np.ndarray) -> int:
@@ -29,7 +30,49 @@ def chunk_checksum(data: np.ndarray) -> int:
     # Bytes about to be stored, or just copied to where they are
     # delivered, are CRC'd in place, by ``ChecksumRegistry.record`` and
     # ``verify(..., into=)``.
-    return zlib.crc32(np.ascontiguousarray(data, dtype=np.uint8).tobytes())
+    data = np.ascontiguousarray(data, dtype=np.uint8)
+    if data.nbytes < SPLIT_FROM_BYTES:
+        return zlib.crc32(data.tobytes())
+    return _split_crc(partial(_copied_crc, data), data.nbytes)
+
+
+# -- one CRC on every core ---------------------------------------------------
+#
+# A CRC of SPLIT_FROM_BYTES or more is cut into contiguous parts that run
+# at once (``repro.gf.kernels.split``; zlib releases the GIL), and the
+# parts' sums fold into the whole's with ``crc32_concat`` below. Each
+# part returns ``(its sum, its length)``.
+
+
+def _crc(data: np.ndarray, lo: int, hi: int) -> Tuple[int, int]:
+    return zlib.crc32(data[lo:hi]), hi - lo
+
+
+def _copied_crc(data: np.ndarray, lo: int, hi: int) -> Tuple[int, int]:
+    """``chunk_checksum``'s copy-then-CRC, over bytes ``lo:hi``. The copy
+    is numpy's: ``tobytes`` holds the GIL through its memcpy, so the
+    parts' copies would take turns."""
+    return zlib.crc32(data[lo:hi].copy()), hi - lo
+
+
+def _delivered_crc(
+    into: np.ndarray, data: np.ndarray, lo: int, hi: int
+) -> Tuple[int, int]:
+    """``verify(..., into=)``'s delivery copy, then its CRC, over bytes
+    ``lo:hi``."""
+    part = into[lo:hi]
+    part[:] = data[lo:hi]
+    return zlib.crc32(part), hi - lo
+
+
+def _split_crc(part, nbytes: int) -> int:
+    """The CRC of ``nbytes`` bytes from ``part(lo, hi)`` over ranges of
+    them, split across the cores and folded on the calling thread."""
+    sums = split(part, nbytes, nbytes)
+    crc = sums[0][0]
+    for part_crc, length in sums[1:]:
+        crc = crc32_concat(crc, part_crc, length)
+    return crc
 
 
 # -- the sum of a concatenation, from the sums of its parts ------------------
@@ -125,7 +168,10 @@ class ChecksumRegistry:
         """Remember the sum of bytes a datanode has just stored."""
         if data.dtype != np.uint8 or not data.flags.c_contiguous:
             data = np.ascontiguousarray(data, dtype=np.uint8)
-        self._sums[chunk_id] = zlib.crc32(data)
+        if data.nbytes < SPLIT_FROM_BYTES:
+            self._sums[chunk_id] = zlib.crc32(data)
+        else:
+            self._sums[chunk_id] = _split_crc(partial(_crc, data), data.nbytes)
 
     def record_concat(self, chunk_id: str, parts: Sequence[ChunkMeta]) -> None:
         """Remember the sum of a chunk that is, byte for byte, the
@@ -160,14 +206,17 @@ class ChecksumRegistry:
         first and the CRC runs over the warm destination: the check
         rides the delivery copy instead of making one of its own. After
         a mismatch the destination holds the bad bytes; the caller
-        overwrites it from its next source.
+        overwrites it from its next source. From ``SPLIT_FROM_BYTES`` on,
+        each core copies and CRCs a range of its own.
         """
         expected = self._sums.get(chunk_id)
         if into is None:
             # nothing recorded: cannot dispute
             return expected is None or chunk_checksum(data) == expected
-        into[:] = data
-        return expected is None or zlib.crc32(into) == expected
+        if into.nbytes < SPLIT_FROM_BYTES or expected is None:
+            into[:] = data
+            return expected is None or zlib.crc32(into) == expected
+        return _split_crc(partial(_delivered_crc, into, data), into.nbytes) == expected
 
     def __len__(self) -> int:
         return len(self._sums)
