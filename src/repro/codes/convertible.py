@@ -114,9 +114,10 @@ class ConversionPlan:
     """Which chunks a conversion must touch, before any byte moves.
 
     ``data_reads`` holds *global* data-chunk indices (position in the file
-    region being converted); ``parity_reads`` holds ``(stripe, j)`` pairs.
-    ``derived_finals`` maps a final-stripe index to the initial stripe
-    whose parities will be used to derive it by subtraction.
+    region being converted); ``parity_reads`` is the table of old
+    parities a final parity combines: ``(stripe, j) -> (final stripe,
+    j)``. ``derived_finals`` maps a final-stripe index to the initial
+    stripe whose parities will be used to derive it by subtraction.
     """
 
     k_initial: int
@@ -126,7 +127,7 @@ class ConversionPlan:
     n_initial_stripes: int
     n_final_stripes: int
     data_reads: Set[int] = field(default_factory=set)
-    parity_reads: Set[Tuple[int, int]] = field(default_factory=set)
+    parity_reads: Dict[Tuple[int, int], Tuple[int, int]] = field(default_factory=dict)
     derived_finals: Dict[int, int] = field(default_factory=dict)
 
     def io(self) -> ConversionIO:
@@ -173,7 +174,7 @@ def plan_conversion(
         if i_lo // k_f == (i_hi - 1) // k_f:
             if final.r < k_i:
                 for j in range(final.r):
-                    plan.parity_reads.add((i, j))
+                    plan.parity_reads[(i, j)] = (i_lo // k_f, j)
             else:
                 plan.data_reads.update(range(i_lo, i_hi))
             continue
@@ -191,7 +192,7 @@ def plan_conversion(
         if derived is not None:
             plan.derived_finals[derived] = i
             for j in range(final.r):
-                plan.parity_reads.add((i, j))
+                plan.parity_reads[(i, j)] = (derived, j)
         for t in range(i_lo, i_hi):
             if derived is not None and derived * k_f <= t < (derived + 1) * k_f:
                 continue
@@ -236,31 +237,21 @@ def convert(
 
     # Accumulate each final parity; derived finals are filled by subtraction.
     parities = np.zeros((plan.n_final_stripes, r_f, chunk_size), dtype=np.uint8)
+    derived_from = {i: m for m, i in plan.derived_finals.items()}
+    for (i, j), (m, _j) in plan.parity_reads.items():
+        if derived_from.get(i) != m:
+            # A whole stripe contributes via its parities, shifted into place.
+            coeff = final.shift_coefficient(j, i * k_i - m * k_f)
+            gf_scale_xor(parities[m, j], coeff, parity_chunk(i, j))
     for i in range(plan.n_initial_stripes):
+        derived = derived_from.get(i)
+        if derived is None and (i, 0) in plan.parity_reads:
+            continue
+        # The stripe's data is read: a narrow or straddling stripe.
         i_lo, i_hi = i * k_i, (i + 1) * k_i
-        contained_in = i_lo // k_f if i_lo // k_f == (i_hi - 1) // k_f else None
-        if contained_in is not None and (i, 0) in plan.parity_reads:
-            # Whole stripe contributes via its parities, shifted into place.
-            offset = i_lo - contained_in * k_f
-            for j in range(r_f):
-                coeff = final.shift_coefficient(j, offset)
-                gf_scale_xor(parities[contained_in, j], coeff, parity_chunk(i, j))
-            continue
-        if contained_in is not None:
-            # Narrow stripe: its data was cheaper to read than parities.
-            for t in range(i_lo, i_hi):
-                local = t - contained_in * k_f
-                chunk = data_chunk(t)
-                for j in range(r_f):
-                    coeff = final.shift_coefficient(j, local)
-                    gf_scale_xor(parities[contained_in, j], coeff, chunk)
-            continue
-        derived = next(
-            (m for m, src in plan.derived_finals.items() if src == i), None
-        )
         for t in range(i_lo, i_hi):
             m = t // k_f
-            if derived is not None and m == derived:
+            if m == derived:
                 continue
             local = t - m * k_f
             chunk = data_chunk(t)

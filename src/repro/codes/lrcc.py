@@ -23,11 +23,11 @@ Consequences the paper relies on:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codes.base import DecodeError, LocalGroupCode, Stripe
+from repro.codes.base import DecodeError, ErasureCode, LocalGroupCode, Stripe
 from repro.codes.convertible import ConversionIO, ConvertibleCode
 from repro.codes.pointsearch import find_family_points
 from repro.gf.field import gf_pow
@@ -75,6 +75,63 @@ class LocallyRecoverableConvertibleCode(LocalGroupCode):
         return f"LRCC({self.k},{self.l},{self.r_global})"
 
 
+def merge_sources(
+    initial: ErasureCode, final: LocallyRecoverableConvertibleCode, n_stripes: int
+) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """The one table of an LRCC merge: ``(initial stripe, parity) ->
+    (0, final parity)`` it is merged into — every parity the merge reads,
+    and nothing else. A final local parity merges the first parities (a
+    CC source: "the first parity of each initial stripe remains unchanged
+    and is used as the corresponding local parity") or the local
+    parities (an LRCC source) of the groups it covers; final global ``j``
+    merges every stripe's parity ``j + 1`` (CC) or global ``j`` (LRCC)."""
+    span = initial.group_size if isinstance(initial, LocalGroupCode) else initial.k
+    locals_per_stripe = initial.k // span
+    table: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for i in range(n_stripes):
+        for g in range(locals_per_stripe):
+            table[(i, g)] = (0, (i * initial.k + g * span) // final.group_size)
+        for j in range(final.r_global):
+            table[(i, locals_per_stripe + j)] = (0, final.l + j)
+    return table
+
+
+def _merge(
+    initial: ErasureCode,
+    final: LocallyRecoverableConvertibleCode,
+    stripes: Sequence[Stripe],
+) -> Tuple[Stripe, ConversionIO]:
+    """Combine what :func:`merge_sources` names. A source's coefficient
+    shifts it by the offset of the data it covers: within its final
+    group for a local (point 0), within the stripe for global ``j``
+    (point ``j + 1``)."""
+    lam, k_i = len(stripes), initial.k
+    if initial.points[: final.r_global + 1] != final.points[: final.r_global + 1]:
+        raise ValueError("codes are from different CC families")
+    table = merge_sources(initial, final, lam)
+    span = initial.group_size if isinstance(initial, LocalGroupCode) else k_i
+    out = np.zeros((final.n - final.k, stripes[0].chunk_size()), dtype=np.uint8)
+    for (i, j), (_final, p) in table.items():
+        chunk = stripes[i].chunks[k_i + j]
+        if chunk is None:
+            raise DecodeError(f"conversion requires erased parity ({i},{j})")
+        if p < final.l:
+            point, offset = final.points[0], i * k_i + j * span - p * final.group_size
+        else:
+            point, offset = final.points[p - final.l + 1], i * k_i
+        gf_scale_xor(out[p], gf_pow(point, offset), chunk)
+    chunks: List[np.ndarray] = []
+    for i in range(lam):
+        chunks.extend(stripes[i].chunks[:k_i])
+    chunks.extend(out)
+    io = ConversionIO(
+        data_chunks_read=0,
+        parity_chunks_read=len(table),
+        parity_chunks_written=final.l + final.r_global,
+    )
+    return Stripe(final.k, final.n, chunks), io
+
+
 def convert_cc_to_lrcc(
     initial: ConvertibleCode,
     final: LocallyRecoverableConvertibleCode,
@@ -86,10 +143,9 @@ def convert_cc_to_lrcc(
     integral number of initial stripes, ``final.r_global <= initial.r - 1``,
     and both codes drawn from the same point family.
     """
-    lam = len(stripes)
     k_i = initial.k
-    if final.k != lam * k_i:
-        raise ValueError(f"need {final.k // k_i} stripes, got {lam}")
+    if final.k != len(stripes) * k_i:
+        raise ValueError(f"need {final.k // k_i} stripes, got {len(stripes)}")
     if final.group_size % k_i != 0:
         raise ValueError(
             f"LRCC group size {final.group_size} is not a multiple of k_I={k_i}"
@@ -98,46 +154,7 @@ def convert_cc_to_lrcc(
         raise ValueError(
             "LRCC needs r_global <= r_I - 1 (one initial parity becomes local)"
         )
-    if initial.points[: final.r_global + 1] != final.points[: final.r_global + 1]:
-        raise ValueError("codes are from different CC families")
-    chunk_size = stripes[0].chunk_size()
-    stripes_per_group = final.group_size // k_i
-
-    def parity(i: int, j: int) -> np.ndarray:
-        chunk = stripes[i].chunks[k_i + j]
-        if chunk is None:
-            raise DecodeError(f"conversion requires erased parity ({i},{j})")
-        return chunk
-
-    # Local parity of group g: point-0 merge of constituent first parities.
-    locals_out: List[np.ndarray] = []
-    for g in range(final.l):
-        acc = np.zeros(chunk_size, dtype=np.uint8)
-        for s in range(stripes_per_group):
-            i = g * stripes_per_group + s
-            coeff = gf_pow(final.points[0], s * k_i)  # group-local offset
-            gf_scale_xor(acc, coeff, parity(i, 0))
-        locals_out.append(acc)
-    # Global parity j: point-(j+1) merge of initial parities j+1.
-    globals_out: List[np.ndarray] = []
-    for j in range(final.r_global):
-        acc = np.zeros(chunk_size, dtype=np.uint8)
-        for i in range(lam):
-            coeff = gf_pow(final.points[j + 1], i * k_i)  # stripe-global offset
-            gf_scale_xor(acc, coeff, parity(i, j + 1))
-        globals_out.append(acc)
-
-    chunks: List[np.ndarray] = []
-    for i in range(lam):
-        chunks.extend(stripes[i].chunks[:k_i])
-    chunks.extend(locals_out)
-    chunks.extend(globals_out)
-    io = ConversionIO(
-        data_chunks_read=0,
-        parity_chunks_read=lam * (final.r_global + 1),
-        parity_chunks_written=final.l + final.r_global,
-    )
-    return Stripe(final.k, final.n, chunks), io
+    return _merge(initial, final, stripes)
 
 
 def convert_lrcc_to_lrcc(
@@ -152,55 +169,10 @@ def convert_lrcc_to_lrcc(
     initial globals. Requires final groups to be integral numbers of
     initial groups and ``final.r_global <= initial.r_global``.
     """
-    lam = len(stripes)
-    k_i = initial.k
-    if final.k != lam * k_i:
-        raise ValueError(f"need {final.k // k_i} stripes, got {lam}")
+    if final.k != len(stripes) * initial.k:
+        raise ValueError(f"need {final.k // initial.k} stripes, got {len(stripes)}")
     if final.group_size % initial.group_size != 0:
         raise ValueError("final groups must be integral numbers of initial groups")
     if final.r_global > initial.r_global:
         raise ValueError("LRCC merge cannot add global parities")
-    if initial.points[: final.r_global + 1] != final.points[: final.r_global + 1]:
-        raise ValueError("codes are from different CC families")
-    chunk_size = stripes[0].chunk_size()
-    groups_per_final = final.group_size // initial.group_size
-
-    def chunk_at(i: int, idx: int) -> np.ndarray:
-        chunk = stripes[i].chunks[idx]
-        if chunk is None:
-            raise DecodeError(f"conversion requires erased chunk ({i},{idx})")
-        return chunk
-
-    locals_out: List[np.ndarray] = []
-    for g in range(final.l):
-        acc = np.zeros(chunk_size, dtype=np.uint8)
-        for s in range(groups_per_final):
-            global_group = g * groups_per_final + s
-            i = global_group * initial.group_size // k_i
-            local_group_in_stripe = global_group - i * initial.l
-            src = chunk_at(i, initial.local_parity_index(local_group_in_stripe))
-            coeff = gf_pow(final.points[0], s * initial.group_size)
-            gf_scale_xor(acc, coeff, src)
-        locals_out.append(acc)
-    globals_out: List[np.ndarray] = []
-    for j in range(final.r_global):
-        acc = np.zeros(chunk_size, dtype=np.uint8)
-        for i in range(lam):
-            src = chunk_at(i, initial.k + initial.l + j)
-            coeff = gf_pow(final.points[j + 1], i * k_i)
-            gf_scale_xor(acc, coeff, src)
-        globals_out.append(acc)
-
-    chunks: List[np.ndarray] = []
-    for i in range(lam):
-        chunks.extend(stripes[i].chunks[:k_i])
-    chunks.extend(locals_out)
-    chunks.extend(globals_out)
-    io = ConversionIO(
-        data_chunks_read=0,
-        parity_chunks_read=lam * initial.l
-        if final.r_global == 0
-        else lam * (initial.l + final.r_global),
-        parity_chunks_written=final.l + final.r_global,
-    )
-    return Stripe(final.k, final.n, chunks), io
+    return _merge(initial, final, stripes)

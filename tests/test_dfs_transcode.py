@@ -138,17 +138,58 @@ class TestLrccTargets:
         fs, data = morph_with_file(n_kb=96, widths=(6, 24))
         fs.transcode("f", CC69)
         lrcc = ECScheme(CodeKind.LRCC, 24, 30, local_groups=4, r_global=2)
-        reads_before = fs.metrics.disk_bytes_read
+        before = fs.metrics.disk_bytes_read, fs.metrics.disk_bytes_written
         fs.transcode("f", lrcc)
-        reads = fs.metrics.disk_bytes_read - reads_before
-        # 3 parities x 4 stripes, plus one read per data chunk the merge
-        # had to move: 30 chunks on 23 nodes cannot all sit apart, and
-        # the commit spreads them as far as the cluster allows.
+        reads = fs.metrics.disk_bytes_read - before[0]
+        writes = fs.metrics.disk_bytes_written - before[1]
+        # 3 parities x 4 stripes read and 6 parities written, plus one
+        # read and one write per data chunk the merge had to move: 30
+        # chunks on 23 nodes cannot all sit apart (k* falls back to 6,
+        # so the stripes' windows overlap), and the commit spreads them
+        # as far as the cluster allows. The parities take nodes that
+        # hold no data chunk of the stripe, so only data chunks move.
         stripe = fs.namenode.lookup("f").stripes[0]
         moved = sum("/moved#" in c.chunk_id for c in stripe.data)
+        assert moved > 0
         assert reads == pytest.approx((12 + moved) * 4 * KB)
+        assert writes == pytest.approx((6 + moved) * 4 * KB)
         assert len(set(stripe.node_ids())) == len(fs.cluster.nodes)
         assert np.array_equal(fs.read_file("f"), data)
+
+    def test_cc_to_lrcc_keeps_the_locals_apart(self):
+        """CC(6,9) -> LRCC(12,2,2) over seeds 0-9: every final stripe on
+        12 + 4 distinct nodes (both local parities used to share the
+        co-located parity-0 node: 20 of 20 stripes), metering what the
+        cost model predicts per stripe — 6 parity reads and 4 writes —
+        plus one chunk of network: the second local's source shares a
+        node with the first's, so it ships to a fresh node (l - 1 = 1;
+        old parity j used to ship to final parity j's home, 4)."""
+        from repro.codes.costmodel import lrcc_from_cc_cost
+
+        lrcc = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
+        cost = lrcc_from_cc_cost(6, 3, 12, 2, 2)
+        colocated = stripes = 0
+        for seed in range(10):
+            fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=seed)
+            data = np.random.default_rng(seed).integers(0, 256, 96 * KB, dtype=np.uint8)
+            fs.write_file("f", data, HybridScheme(1, CC69))
+            fs.transcode("f", CC69)
+            m = fs.metrics
+            before = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
+            fs.transcode("f", lrcc)
+            finals = fs.namenode.lookup("f").stripes
+            per_stripe = [
+                (after - was) / (4 * KB) / len(finals)
+                for after, was in zip(
+                    (m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total), before
+                )
+            ]
+            assert per_stripe == [cost.read * 12, cost.write * 12, 1] == [6, 4, 1]
+            for stripe in finals:
+                stripes += 1
+                colocated += len(set(stripe.node_ids())) != stripe.n
+            assert np.array_equal(fs.read_file("f"), data)
+        assert (colocated, stripes) == (0, 20)
 
     def test_lrcc_to_lrcc(self):
         fs = MorphFS(chunk_size=4 * KB, future_widths=[12, 24])
@@ -159,6 +200,46 @@ class TestLrccTargets:
         fs.transcode("f", big)
         meta = fs.namenode.lookup("f")
         assert meta.scheme == big
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_lrcc_to_lrcc_ships_each_source_to_the_parity_it_feeds(self):
+        """LRCC(12,2,2) -> LRCC(24,4,2), both stripes in one k*-window (30
+        nodes hold k* + r* = 28): locals 0 and 1 of each stripe feed final
+        locals 0-3, globals j feed final global j. A final parity is
+        computed where its first source sits unless a chunk of the final
+        stripe is already there, and each source is metered to that node:
+        the second stripe's locals ship to two fresh nodes, nothing else
+        moves. (Old parity j used to be metered to final parity j.)"""
+        from repro.cluster.topology import Cluster, ClusterSpec
+        from repro.codes.lrcc import merge_sources
+
+        fs = MorphFS(Cluster(ClusterSpec(n_datanodes=30)), chunk_size=4 * KB,
+                     future_widths=[12, 24])
+        data = np.random.default_rng(7).integers(0, 256, 96 * KB, dtype=np.uint8)
+        small = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
+        big = ECScheme(CodeKind.LRCC, 24, 30, local_groups=4, r_global=2)
+        fs.write_file("f", data, small)
+        old = [[c.node_id for c in s.parities] for s in fs.namenode.lookup("f").stripes]
+        assert old[0] == old[1]  # co-located by the window
+        sent = []
+        record = fs.metrics.record_transfer
+
+        def spy(src, dst, nbytes, at=0.0, tag=""):
+            if tag == "transcode" and src != dst:
+                sent.append((src, dst))
+            record(src, dst, nbytes, at=at, tag=tag)
+
+        fs.metrics.record_transfer = spy
+        fs.transcode("f", big)
+        (stripe,) = fs.namenode.lookup("f").stripes
+        homes = [c.node_id for c in stripe.parities]
+        table = merge_sources(fs.codec_for(small), fs.codec_for(big), 2)
+        assert sorted(table) == [(i, j) for i in range(2) for j in range(4)]
+        want = [(old[i][j], homes[p]) for (i, j), (_m, p) in sorted(table.items())]
+        assert sorted(sent) == sorted((src, dst) for src, dst in want if src != dst)
+        assert homes[:2] + homes[4:] == old[0][:2] + old[0][2:]
+        assert len(sent) == 2 and len(set(stripe.node_ids())) == stripe.n
+        assert not any("/moved#" in c.chunk_id for c in stripe.data)
         assert np.array_equal(fs.read_file("f"), data)
 
 

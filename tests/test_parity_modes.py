@@ -139,7 +139,7 @@ class TestNoneModeTransition:
         meta = fs.namenode.lookup("f")
         m = fs.metrics
         before = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
-        fs._seal_stripe(meta, meta.stripes[0])
+        fs._seal_stripe(meta, meta.stripes[0], fs._placement_for(meta))
         after = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
         assert [b - a for a, b in zip(before, after)] == [6 * 4 * KB, 3 * 4 * KB, 8 * 4 * KB]
         assert [s.nbytes for s in m.timeline if s.tag == "seal"] == [4 * KB] * 5
