@@ -18,6 +18,7 @@ import numpy as np
 from repro.bench.reporting import print_table
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
+from repro.dfs.audit import audit
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.dfs.integrity import Scrubber, corrupt_chunk
 from repro.dfs.recovery import RecoveryManager
@@ -52,6 +53,7 @@ def main():
     for v in victims:
         fs.cluster.recover_node(v)
         fs.datanodes[v].recover()
+        fs.drop_unlisted(v)  # what was re-homed while it was away
 
     # --- 2. silent corruption ---------------------------------------------
     corrupt_chunk(fs, meta.stripes[1].data[0])
@@ -85,6 +87,9 @@ def main():
     print_table("Repair IO ledger", ["operation", "read KB", "write KB", "net KB"], rows)
     assert np.array_equal(fs.read_file("f"), data)
     print("\nFinal read-back: byte-identical. The file never lost a byte.")
+    violations = audit(fs)
+    assert violations == [], violations
+    print("Audit: 0 violations — metadata, stored bytes and parities agree.")
 
 
 if __name__ == "__main__":

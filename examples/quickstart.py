@@ -13,6 +13,7 @@ import numpy as np
 from repro.bench.reporting import print_table
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import BaselineDFS, MorphFS
+from repro.dfs.audit import audit
 
 MB = 1024 * 1024
 
@@ -54,6 +55,11 @@ def main():
     net_cut = 1 - m["network"] / b["network"]
     print(f"\nMorph: {disk_cut:.0%} less disk IO, {net_cut:.0%} less network IO"
           f" (paper Fig 11: 58% / 55%).")
+    # Both filesystems end whole: namenode and datanodes agree, every
+    # stored byte carries its sum, every parity encodes its data.
+    for fs in (baseline, morph):
+        assert audit(fs) == [], audit(fs)
+    print("audit: both filesystems whole, 0 violations.")
 
 
 if __name__ == "__main__":

@@ -236,6 +236,15 @@ class TranscodeAwarePlacement(PlacementPolicy):
             if slots is None:
                 nodes = self.pick_nodes(self.k_star + self.r_star)
             else:
+                # A node listed in two slots — a repair put a data chunk on
+                # a node of its window — keeps the first of them, parity
+                # slots first: the other is drawn afresh, so a stripe
+                # written there does not stack on its own parity home.
+                kept = set()
+                for slot in [*range(self.k_star, len(slots)), *range(self.k_star)]:
+                    if slots[slot] in kept:
+                        slots[slot] = None
+                    kept.add(slots[slot])
                 listed = [node for node in slots if node is not None]
                 drawn = iter(self.pick_nodes(len(slots) - len(listed), exclude=listed))
                 nodes = [next(drawn) if node is None else node for node in slots]
@@ -290,17 +299,6 @@ class TranscodeAwarePlacement(PlacementPolicy):
     ) -> List[str]:
         """Replica nodes for a hybrid block, excluding its EC chunk nodes."""
         return self.pick_nodes(copies, exclude=exclude)
-
-    def verify_no_future_overlap(self, file_id: str, n_chunks: int) -> bool:
-        """True if every k*-window of the file has fully distinct nodes."""
-        for window_start in range(0, n_chunks, self.k_star):
-            window_nodes = [
-                self.data_node(file_id, t)
-                for t in range(window_start, min(window_start + self.k_star, n_chunks))
-            ]
-            if len(set(window_nodes)) != len(window_nodes):
-                return False
-        return True
 
 
 class UnplannedPlacement(PlacementPolicy):

@@ -15,9 +15,11 @@ Each scenario pairs two runs:
    p99 stays at or below the unthrottled run's.
 
 Every run is seeded and emits a canonical event trace whose sha256
-digest is the determinism oracle: same seed, same digest. The partition
-scenario additionally proves namenode convergence after heal — the live
-state digest must equal a from-scratch journal replay's digest.
+digest is the determinism oracle: same seed, same digest. Every
+functional run ends on :func:`repro.dfs.audit.audit` — namenode and
+datanodes agree, stored bytes carry their sums, parities encode their
+data, the partition scenario's journal replays to its live state — and
+reports what it finds as ``violations``.
 
 Scenarios::
 
@@ -43,12 +45,13 @@ import numpy as np
 
 from repro.cluster.failure import FailureInjector
 from repro.cluster.topology import Cluster, ClusterSpec, NodeClass
+from repro.dfs.audit import Violation, audit
 
 KB = 1024
 
 
 class ScenarioError(AssertionError):
-    """A scenario invariant (zero loss, convergence, latency) failed."""
+    """A scenario invariant (zero loss, latency) failed."""
 
 
 @dataclass
@@ -68,8 +71,9 @@ class ScenarioResult:
     repairs_cancelled: int = 0
     hedged_reads: int = 0
     ticks: int = 0
-    #: partition scenario: live namenode state == journal replay?
-    journal_converged: Optional[bool] = None
+    #: what :func:`repro.dfs.audit.audit` finds at the end of the
+    #: functional run (must be empty)
+    violations: List[Violation] = field(default_factory=list)
     #: event-driven companion run: foreground p99 with budgets on/off
     fg_p99_ms: float = 0.0
     fg_p99_unthrottled_ms: float = 0.0
@@ -86,15 +90,14 @@ class ScenarioResult:
             parts.append(f"{self.repairs_cancelled} stale repairs cancelled")
         if self.hedged_reads:
             parts.append(f"{self.hedged_reads} hedged reads")
-        if self.journal_converged is not None:
-            parts.append(
-                "journal converged" if self.journal_converged else "journal DIVERGED"
-            )
+        parts.append(f"{len(self.violations)} audit violations")
         parts.append(
             f"fg p99 {self.fg_p99_ms:.1f} ms budgeted"
             f" vs {self.fg_p99_unthrottled_ms:.1f} ms unthrottled"
         )
-        return "  ".join(parts)
+        return "\n    ".join(
+            ["  ".join(parts)] + [" ".join(violation) for violation in self.violations]
+        )
 
 
 def _digest(events: List[dict]) -> str:
@@ -109,12 +112,10 @@ def _make_fs(seed: int, spec: ClusterSpec, journaled: bool = False):
     from repro.dfs.filesystem import MorphFS
 
     namenode = None
-    journal = None
     if journaled:
-        from repro.dfs.journal import Journal, JournaledNamenode
+        from repro.dfs.journal import JournaledNamenode
 
-        journal = Journal()
-        namenode = JournaledNamenode(journal)
+        namenode = JournaledNamenode()
     fs = MorphFS(
         cluster=Cluster(spec),
         chunk_size=4 * KB,
@@ -122,7 +123,7 @@ def _make_fs(seed: int, spec: ClusterSpec, journaled: bool = False):
         future_widths=[6, 12],
         namenode=namenode,
     )
-    return fs, journal
+    return fs
 
 
 def _write_workload(fs, seed: int, quick: bool) -> Dict[str, str]:
@@ -248,7 +249,7 @@ def run_rack_burst(seed: int = 0, quick: bool = False) -> ScenarioResult:
 
     result = ScenarioResult(name="rack_burst", seed=seed)
     spec = ClusterSpec(n_datanodes=16 if quick else 20, n_racks=4)
-    fs, _ = _make_fs(seed, spec)
+    fs = _make_fs(seed, spec)
     digests = _write_workload(fs, seed, quick)
     injector = FailureInjector(fs.cluster, seed=seed)
     rack = injector.fail_random_rack()
@@ -263,6 +264,7 @@ def run_rack_burst(seed: int = 0, quick: bool = False) -> ScenarioResult:
     if result.lost_chunks:
         raise ScenarioError(f"rack_burst: {result.lost_chunks} chunks lost")
     result.files_verified = _verify_readback(fs, digests)
+    result.violations = audit(fs)
 
     # Companion event-driven burst: a rack of simultaneous repairs.
     sim = SimConfig(
@@ -282,16 +284,16 @@ def run_partition_heal(seed: int = 0, quick: bool = False) -> ScenarioResult:
     While the partition holds, the namenode declares the island dead
     (missed beats) and re-homes its chunks on the majority side, never
     sourcing bytes across the cut. After heal, stale queued repairs for
-    chunks the island still holds are cancelled, and the live namenode
-    state must be byte-identical to a from-scratch journal replay.
+    chunks the island still holds are cancelled, the island drops the
+    copies re-homed while it was away, and the audit's journal check
+    holds the live namenode to a from-scratch replay of its journal.
     """
     from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
-    from repro.dfs.journal import JournaledNamenode, state_digest
     from repro.sched.simulate import SimConfig
 
     result = ScenarioResult(name="partition_heal", seed=seed)
     spec = ClusterSpec(n_datanodes=16 if quick else 20, n_racks=4)
-    fs, journal = _make_fs(seed, spec, journaled=True)
+    fs = _make_fs(seed, spec, journaled=True)
     digests = _write_workload(fs, seed, quick)
 
     rng = np.random.default_rng(seed)
@@ -319,13 +321,7 @@ def run_partition_heal(seed: int = 0, quick: bool = False) -> ScenarioResult:
     if result.lost_chunks:
         raise ScenarioError(f"partition_heal: {result.lost_chunks} chunks lost")
     result.files_verified = _verify_readback(fs, digests)
-
-    # Convergence after heal: the live namenode equals a from-scratch
-    # replay of its own journal, byte for byte.
-    replayed = JournaledNamenode.recover(journal)
-    result.journal_converged = state_digest(fs.namenode) == state_digest(replayed)
-    if not result.journal_converged:
-        raise ScenarioError("partition_heal: namenode diverged from journal replay")
+    result.violations = audit(fs)
 
     sim = SimConfig(
         n_nodes=12,
@@ -351,7 +347,7 @@ def run_straggler(seed: int = 0, quick: bool = False) -> ScenarioResult:
 
     result = ScenarioResult(name="straggler", seed=seed)
     spec = ClusterSpec(n_datanodes=16 if quick else 20, n_racks=4)
-    fs, _ = _make_fs(seed, spec)
+    fs = _make_fs(seed, spec)
     digests = _write_workload(fs, seed, quick)
 
     rng = np.random.default_rng(seed)
@@ -373,6 +369,7 @@ def run_straggler(seed: int = 0, quick: bool = False) -> ScenarioResult:
             raise ScenarioError("straggler: slow node wrongly declared dead")
     result.ticks = 3
     result.lost_chunks = 0
+    result.violations = audit(fs)
 
     # Event-driven: same burst with and without hedging; hedging must
     # strictly improve the foreground tail on a cluster with one node as
@@ -418,7 +415,7 @@ def run_tiers(seed: int = 0, quick: bool = False) -> ScenarioResult:
     ssd = NodeClass("ssd", count=n_nodes // 2, disk_multiplier=0.25)
     hdd = NodeClass("hdd", count=n_nodes - n_nodes // 2, disk_multiplier=1.0)
     spec = ClusterSpec(n_datanodes=n_nodes, n_racks=4, node_classes=[ssd, hdd])
-    fs, _ = _make_fs(seed, spec)
+    fs = _make_fs(seed, spec)
 
     # Hot files prefer the tier the lifecycle mapping names for age 0.
     policy = morph_microbench_policy()
@@ -450,6 +447,7 @@ def run_tiers(seed: int = 0, quick: bool = False) -> ScenarioResult:
     if result.lost_chunks:
         raise ScenarioError(f"tiers: {result.lost_chunks} chunks lost")
     result.files_verified = _verify_readback(fs, digests)
+    result.violations = audit(fs)
 
     # Companion burst on a cluster split the same way (half at the ssd
     # tier's multiplier). The burst is sized to saturate: under-sized
@@ -500,7 +498,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="small clusters and short sims (CI smoke)")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero if any scenario invariant fails")
+                        help="exit non-zero if any scenario invariant fails or "
+                             "the audit finds any violation")
     args = parser.parse_args(argv)
     try:
         results = run_scenarios(args.names, seed=args.seed, quick=args.quick)
@@ -514,5 +513,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(result.summary())
         print(f"  trace sha256 {result.trace_digest}")
     if args.check:
+        failed = [result.name for result in results.values() if result.violations]
+        if failed:
+            print(f"FAIL: audit violations in {', '.join(failed)}")
+            return 1
         print(f"check: {len(results)} scenario(s) passed all invariants")
     return 0

@@ -14,7 +14,7 @@ may therefore share a buffer; the sizes reported are logical bytes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -146,6 +146,13 @@ class Datanode:
             self.metrics.record_disk_read(self.node_id, float(length), at=at)
             return self._disk[chunk_id][start : start + length]
         raise ChunkNotFoundError(chunk_id)
+
+    def held(self) -> Iterator[Tuple[str, np.ndarray]]:
+        """Every ``(chunk id, stored array)`` on disk, then in the buffer
+        cache — up or down, and metering nothing: what an auditor sees,
+        not what a reader is served."""
+        yield from self._disk.items()
+        yield from self._memory.items()
 
     def has_chunk(self, chunk_id: str) -> bool:
         return chunk_id in self._disk or chunk_id in self._memory

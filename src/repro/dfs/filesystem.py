@@ -245,6 +245,23 @@ class _BaseDFS:
             self.datanodes[chunk.node_id].delete(chunk.chunk_id, at=self.clock)
             self.checksums.forget(chunk.chunk_id)
 
+    def drop_unlisted(self, node_id: str) -> int:
+        """A node is back: what it holds that the namenode no longer lists
+        there — a copy re-homed while it was away — leaves through
+        :meth:`discard_chunks`, as HDFS invalidates the blocks a returning
+        datanode reports and the namenode does not map to it
+        (:meth:`~repro.dfs.namenode.Namenode.listed_chunks`). Returns how
+        many chunks left."""
+        listed = self.namenode.listed_chunks(node_id)
+        # The datanode keeps bytes, not roles: the kind is a placeholder.
+        stale = [
+            ChunkMeta(chunk_id, node_id, ChunkKind.DATA, data.nbytes)
+            for chunk_id, data in self.datanodes[node_id].held()
+            if chunk_id not in listed
+        ]
+        self.discard_chunks(stale)
+        return len(stale)
+
     def rehome_chunks(
         self,
         meta: FileMeta,
@@ -392,19 +409,25 @@ class _BaseDFS:
             f"what {by} can reach"
         ) from error
 
-    def capacity_used(self) -> float:
-        """Bytes at rest across all datanode disks.
-
-        Also cross-checks the metrics ledger: every disk write and delete
-        is metered, so ``IOMetrics.capacity_used()`` (written − deleted)
-        must agree with the physical chunk maps.
-        """
+    def capacity_check(self) -> Tuple[float, Optional[str]]:
+        """``(bytes at rest across all datanode disks, how the metrics
+        ledger disagrees with them — None when it does not)``. Every disk
+        write and delete is metered, so ``IOMetrics.capacity_used()``
+        (written − deleted) must agree with the physical chunk maps."""
         physical = sum(dn.bytes_at_rest() for dn in self.datanodes.values())
         ledger = self.metrics.capacity_used()
-        assert math.isclose(physical, ledger, rel_tol=1e-9, abs_tol=1.0), (
+        if math.isclose(physical, ledger, rel_tol=1e-9, abs_tol=1.0):
+            return physical, None
+        return physical, (
             f"capacity ledger drift: datanode disks hold {physical} bytes "
             f"but metrics say {ledger} (written - deleted)"
         )
+
+    def capacity_used(self) -> float:
+        """Bytes at rest across all datanode disks, asserting that the
+        metrics ledger agrees (:meth:`capacity_check`)."""
+        physical, drift = self.capacity_check()
+        assert drift is None, drift
         return physical
 
     def memory_used(self) -> float:

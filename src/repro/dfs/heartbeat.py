@@ -15,7 +15,10 @@ scheduler tick per heartbeat:
   conversion group becomes a deadline-carrying
   :class:`~repro.sched.tasks.ConversionGroupTask`, plus one metadata-only
   finalize task per transcoding file;
-* on scrub ticks a :class:`~repro.sched.tasks.ScrubTask` is queued.
+* on scrub ticks a :class:`~repro.sched.tasks.ScrubTask` is queued;
+* a declared-dead node that beats again has its stale queued repairs
+  cancelled and drops what it holds that was re-homed while it was away
+  (``drop_unlisted``, HDFS's block-report invalidation).
 
 The scheduler then applies priorities, per-node byte budgets, retries
 and dead-lettering uniformly across all of it. With the default
@@ -205,11 +208,14 @@ class HeartbeatMonitor:
                     self._declared_dead.add(node_id)
                     report.newly_dead.append(node_id)
         # A returning node makes queued repairs for its still-present
-        # chunks stale; drop them before they waste budget.
+        # chunks stale; drop them before they waste budget. What it holds
+        # that was re-homed while it was away is garbage: it leaves.
         if report.newly_alive:
             report.repairs_cancelled = self._cancel_stale_repairs(
                 report.newly_alive
             )
+            for node_id in report.newly_alive:
+                self.fs.drop_unlisted(node_id)
         # Reconstruction only starts once the Namenode *declares* a node
         # dead — and goes through the scheduler's priority/budget gate.
         # The periodic resweep keeps dead-lettered repairs from orphaning

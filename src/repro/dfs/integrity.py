@@ -12,7 +12,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,6 +220,10 @@ class ChecksumRegistry:
 
     def __len__(self) -> int:
         return len(self._sums)
+
+    def __iter__(self) -> Iterator[str]:
+        """The ids a sum is recorded under."""
+        return iter(self._sums)
 
 
 def quarantine(fs, chunk: ChunkMeta) -> None:

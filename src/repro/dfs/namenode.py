@@ -46,6 +46,7 @@ from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -101,6 +102,11 @@ class TranscodeJob:
 
     def is_complete(self) -> bool:
         return self.total_bits > 0 and self.pending_bits == 0
+
+    def staged_chunks(self) -> List[ChunkMeta]:
+        """The chunks of the final stripes stored so far: no file lists
+        them until the switch, yet the namenode answers for them."""
+        return [chunk for stripe in self.new_stripes.values() for chunk in stripe.all_chunks()]
 
 
 #: one (node, file) entry of the per-node chunk index
@@ -701,3 +707,30 @@ class Namenode:
             else:
                 out.append((meta, entry))
         return out
+
+    def listed_chunks(self, node_id: Optional[str] = None) -> Dict[str, ChunkMeta]:
+        """id -> chunk for every chunk the namenode answers for, on
+        ``node_id`` or anywhere: those its registered files list, plus
+        the staged stripes of any transcode in flight, which no file
+        lists until the switch.  What a returning node keeps, and what
+        :mod:`repro.dfs.audit` holds the datanodes to."""
+        if node_id is None:
+            pairs = [(m, c) for m in self.files.values() for c in m.all_chunks()]
+        else:
+            pairs = self.chunks_on_node(node_id)
+        listed = {chunk.chunk_id: chunk for _meta, chunk in pairs}
+        for job in self.utm.values():
+            listed.update(
+                (chunk.chunk_id, chunk) for chunk in job.staged_chunks()
+                if node_id is None or chunk.node_id == node_id
+            )
+        return listed
+
+
+def index_entries(namenode: Namenode) -> Iterator[Tuple[str, List[Tuple[str, _Entry]]]]:
+    """Every node key of the per-node chunk index, an emptied one too,
+    with its ``(file, entry)`` pairs, all in dict order — for
+    :mod:`repro.dfs.audit`, which reads it against a full namespace scan
+    and writes nothing."""
+    for node_id, index in namenode._node_files.items():
+        yield node_id, list(index.items())

@@ -234,6 +234,8 @@ class ShardedNamenode:
                 out.extend(found)
         return out
 
+    listed_chunks = Namenode.listed_chunks
+
     @property
     def atq(self) -> List[ConversionGroup]:
         """Combined awaiting-transcoding queue (read-only snapshot)."""

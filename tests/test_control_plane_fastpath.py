@@ -26,9 +26,8 @@ from repro.cluster.engine import (
     Resource,
     Timeout,
 )
+from repro.dfs.audit import audit_namenode, full_scan as _full_scan
 from repro.obs import LogLinearHistogram
-
-from tests.index_oracle import assert_index_exact, full_scan as _full_scan
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +383,7 @@ class TestNamenodeChunkIndex:
                     meta.name, [(chunk.chunk_id, chunk.chunk_id + "'", rng.choice(nodes))]
                 )
         nn.unregister_file("f001")
-        assert_index_exact(nn)
+        assert audit_namenode(nn) == []
         for node in nodes:
             assert nn.chunks_on_node(node) == _full_scan(nn, node)
 

@@ -12,6 +12,7 @@ import pytest
 from repro.core.planner import TranscodeKind, TranscodePlanner
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
+from repro.dfs.audit import audit
 from repro.dfs.transcoder import TranscodeError
 
 KB = 1024
@@ -71,15 +72,8 @@ class TestNativeBwoTranscode:
     def test_result_byte_identical_to_direct_encode(self):
         fs, data = bwo_fs()
         fs.transcode("f", TGT)
-        meta = fs.namenode.lookup("f")
-        assert meta.scheme == TGT
-        code = fs.cc_codec(12, 14)
-        for stripe in meta.stripes:
-            chunks = [fs.datanodes[c.node_id].read(c.chunk_id) for c in stripe.data]
-            expected = code.encode(chunks)
-            for j, parity in enumerate(stripe.parities):
-                stored = fs.datanodes[parity.node_id].read(parity.chunk_id)
-                assert np.array_equal(stored, expected[j])
+        assert fs.namenode.lookup("f").scheme == TGT
+        assert audit(fs) == []  # every parity is the encode of its stripe's data
 
     def test_readback_and_degraded_read(self):
         fs, data = bwo_fs()
@@ -138,7 +132,7 @@ class TestParityHomes:
     )
     def test_no_final_stripe_shares_a_node(self, source, target, n_chunks, aware):
         chunk = 20 * KB  # divisible by r_F = 4 and 5
-        colocated = stripes = 0
+        stripes = 0
         for seed in range(10):
             fs = MorphFS(chunk_size=chunk, future_widths=[6, 12], seed=seed,
                          transcode_aware=aware)
@@ -148,11 +142,16 @@ class TestParityHomes:
             fs.write_file("f", data, HybridScheme(1, source))
             fs.transcode("f", source)
             fs.transcode("f", target)
-            for stripe in fs.namenode.lookup("f").stripes:
-                stripes += 1
-                colocated += len(set(stripe.node_ids())) != stripe.n
+            stripes += len(fs.namenode.lookup("f").stripes)
+            assert audit(fs) == []
             assert np.array_equal(fs.read_file("f"), data)
-        assert (colocated, stripes) == (0, n_chunks // 12 * 10)
+        assert stripes == n_chunks // 12 * 10
+
+
+def assert_merged_whole(fs):
+    meta = fs.namenode.lookup("f")
+    assert meta.scheme == TGT and [s.k for s in meta.stripes] == [12, 12]
+    assert audit(fs) == []  # every parity is the encode of its stripe's data
 
 
 class TestDegradedSources:
@@ -161,19 +160,6 @@ class TestDegradedSources:
     ``ChunkNotFoundError`` out of a transcode the other conversions
     serve degraded."""
 
-    @staticmethod
-    def assert_merged_parities_encode_the_data(fs):
-        meta = fs.namenode.lookup("f")
-        assert meta.scheme == TGT and [s.k for s in meta.stripes] == [12, 12]
-        code = fs.cc_codec(12, 14)
-        for stripe in meta.stripes:
-            want = code.encode(
-                [fs.datanodes[c.node_id].read(c.chunk_id) for c in stripe.data]
-            )
-            for parity, expected in zip(stripe.parities, want):
-                stored = fs.datanodes[parity.node_id].read(parity.chunk_id)
-                assert np.array_equal(stored, expected)
-
     def test_merge_with_a_source_node_down(self):
         fs, data = bwo_fs()
         victim = fs.namenode.lookup("f").stripes[0].data[2].node_id
@@ -181,7 +167,7 @@ class TestDegradedSources:
         fs.transcode("f", TGT)
         assert np.array_equal(fs.read_file("f"), data)  # degraded
         fs.cluster.recover_node(victim)
-        self.assert_merged_parities_encode_the_data(fs)
+        assert_merged_whole(fs)
 
     def test_merge_across_a_partition_cut(self):
         fs, data = bwo_fs()
@@ -195,7 +181,7 @@ class TestDegradedSources:
         assert (node.disk_bytes_read, node.net_bytes_out) == before
         fs.partition.heal()
         assert np.array_equal(fs.read_file("f"), data)
-        self.assert_merged_parities_encode_the_data(fs)
+        assert_merged_whole(fs)
 
     def test_merge_after_the_spare_nodes_die(self):
         """Every node the file does not use but one is dead, so the
@@ -213,7 +199,7 @@ class TestDegradedSources:
             assert all(fs.node_reachable(n, "namenode") for n in homes)
             assert not set(homes) & {c.node_id for c in stripe.data}
         assert np.array_equal(fs.read_file("f"), data)
-        self.assert_merged_parities_encode_the_data(fs)
+        assert_merged_whole(fs)
 
     def test_a_stripe_that_cannot_decode_its_source_names_the_chunk(self):
         fs, data = bwo_fs()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import BaselineDFS, MorphFS
+from repro.dfs.audit import audit
 from repro.dfs.blocks import FileState
 
 KB = 1024
@@ -75,14 +76,8 @@ class TestNativeCcMerge:
         fs, data = morph_with_file()
         fs.transcode("f", CC69)
         fs.transcode("f", CC1215)
-        meta = fs.namenode.lookup("f")
-        code = fs.cc_codec(12, 15)
-        for stripe in meta.stripes:
-            chunks = [fs.datanodes[c.node_id].read(c.chunk_id) for c in stripe.data]
-            parities = code.encode(chunks)
-            for j, parity_meta in enumerate(stripe.parities):
-                stored = fs.datanodes[parity_meta.node_id].read(parity_meta.chunk_id)
-                assert np.array_equal(stored, parities[j])
+        assert fs.namenode.lookup("f").scheme == CC1215
+        assert audit(fs) == []  # every parity is the encode of its stripe's data
 
     def test_old_parities_deleted_after_switch(self):
         fs, data = morph_with_file()
@@ -168,7 +163,7 @@ class TestLrccTargets:
 
         lrcc = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
         cost = lrcc_from_cc_cost(6, 3, 12, 2, 2)
-        colocated = stripes = 0
+        stripes = 0
         for seed in range(10):
             fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=seed)
             data = np.random.default_rng(seed).integers(0, 256, 96 * KB, dtype=np.uint8)
@@ -185,11 +180,10 @@ class TestLrccTargets:
                 )
             ]
             assert per_stripe == [cost.read * 12, cost.write * 12, 1] == [6, 4, 1]
-            for stripe in finals:
-                stripes += 1
-                colocated += len(set(stripe.node_ids())) != stripe.n
+            stripes += len(finals)
+            assert audit(fs) == []
             assert np.array_equal(fs.read_file("f"), data)
-        assert (colocated, stripes) == (0, 20)
+        assert stripes == 20
 
     def test_lrcc_to_lrcc(self):
         fs = MorphFS(chunk_size=4 * KB, future_widths=[12, 24])
@@ -238,7 +232,7 @@ class TestLrccTargets:
         want = [(old[i][j], homes[p]) for (i, j), (_m, p) in sorted(table.items())]
         assert sorted(sent) == sorted((src, dst) for src, dst in want if src != dst)
         assert homes[:2] + homes[4:] == old[0][:2] + old[0][2:]
-        assert len(sent) == 2 and len(set(stripe.node_ids())) == stripe.n
+        assert len(sent) == 2 and audit(fs) == []
         assert not any("/moved#" in c.chunk_id for c in stripe.data)
         assert np.array_equal(fs.read_file("f"), data)
 
@@ -269,7 +263,7 @@ class TestMergeWithAnUnreachableParityHome:
         assert (stripe.k, stripe.n) == (target.k, target.n)
         for parity in stripe.parities:
             assert fs.chunk_readable(parity, by="namenode"), parity
-        assert len(set(stripe.node_ids())) == stripe.n  # substitutes sit apart
+        assert audit(fs) == []  # substitutes sit apart
         assert np.array_equal(fs.read_file("f"), data)
 
 

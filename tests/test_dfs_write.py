@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import BaselineDFS, MorphFS
+from repro.dfs.audit import audit
 
 KB = 1024
 
@@ -46,9 +47,7 @@ class TestECWrite:
     def test_stripe_nodes_distinct(self):
         fs = BaselineDFS(chunk_size=4 * KB)
         fs.write_file("f", data_of(96 * KB), ECScheme(CodeKind.RS, 6, 9))
-        meta = fs.namenode.lookup("f")
-        for stripe in meta.stripes:
-            assert len(set(stripe.node_ids())) == 9
+        assert audit(fs) == []
 
     def test_client_cpu_charged_for_encode(self):
         fs = BaselineDFS(chunk_size=4 * KB)

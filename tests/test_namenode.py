@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.schemes import CodeKind, ECScheme
+from repro.dfs.audit import full_scan as _full_scan
 from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta, FileState
 from repro.dfs.namenode import (
     ConversionGroup,
@@ -10,8 +11,6 @@ from repro.dfs.namenode import (
     Namenode,
     TranscodeStateError,
 )
-
-from tests.index_oracle import full_scan as _full_scan
 
 
 def file_meta(name="f", stripes=2, k=6, n=9):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import CodeKind, ECScheme
+from repro.dfs.audit import audit_namenode
 from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta
 from repro.dfs.journal import JournaledNamenode, Op, replay, state_digest
 from repro.dfs.namenode import (
@@ -32,8 +33,6 @@ from repro.dfs.namenode import (
     Unregister,
 )
 from repro.dfs.shards import ShardedNamenode
-
-from tests.index_oracle import assert_index_exact
 
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 N_SHARDS = 4
@@ -66,12 +65,6 @@ def merged_stripe(meta, group_index):
     parities = [ChunkMeta(f"{meta.name}/g{group_index}p{j}", f"dn{19 + j}",
                           ChunkKind.PARITY, 64) for j in range(3)]
     return ECStripeMeta(0, 6, 9, list(old.data), parities)
-
-
-def replayed_plain(journal):
-    plain = Namenode()
-    assert replay(plain, journal.records()) == len(journal)
-    return plain
 
 
 def sibling(name):
@@ -263,10 +256,7 @@ def test_every_public_call_is_zero_or_one_record_and_replays_plain(compact_every
         # Nothing journal-specific is needed to replay: a plain namenode
         # and the base-class apply reproduce live state from the records
         # — the derived per-node index included.
-        plain = replayed_plain(nn.journal)
-        assert state_digest(plain) == state_digest(nn), step
-        assert_index_exact(nn)
-        assert_index_exact(plain)
+        assert audit_namenode(nn) == [], step
     recovered = JournaledNamenode.recover(nn.journal)
     assert state_digest(recovered) == state_digest(nn)
     assert len(recovered.journal) == len(nn.journal)  # replay appended nothing
@@ -325,5 +315,4 @@ def test_sharded_apply_and_public_methods_write_the_same_journals():
     assert [state_digest(s) for s in by_op.shards] == [state_digest(s) for s in by_method.shards]
     seen = {op for s in by_method.shards for op, _ in s.journal.records()}
     assert seen == set(Op) - {Op.SNAPSHOT}
-    for shard in by_method.shards:
-        assert state_digest(replayed_plain(shard.journal)) == state_digest(shard)
+    assert audit_namenode(by_method) == []

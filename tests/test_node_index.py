@@ -12,12 +12,11 @@ import pytest
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS, Namenode, ShardedNamenode
+from repro.dfs.audit import audit_namenode, full_scan
 from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta, ReplicaBlockMeta
 from repro.dfs.journal import JournaledNamenode, Op, replay, state_digest
 from repro.dfs.namenode import TranscodeStateError
 from repro.dfs.recovery import RecoveryManager
-
-from tests.index_oracle import assert_index_exact, full_scan
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -78,14 +77,14 @@ def test_a_lone_chunk_is_stored_bare_and_several_as_a_list_in_layout_order():
     assert nn._node_files["a"]["f"] == [d0, p0, r0]
     assert nn.chunks_on_node("a") == [(meta, d0), (meta, p0), (meta, r0)]
     assert nn.chunks_on_node("nowhere") == []
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
     # Dropping the replicas takes r0 out of the middle of nothing: the
     # entry shrinks, and collapses back to a bare chunk at one.
     assert nn.drop_replicas("f", ECScheme(CodeKind.CC, 2, 3)) == [r0, r1]
     assert nn._node_files["a"]["f"] == [d0, p0] and "f" not in nn._node_files["c"]
     nn.place_chunks("f", [("f/c2", "f/c2'", "c")])
     assert nn._node_files["a"]["f"] is d0 and nn._node_files["c"]["f"] is p0
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
 
 
 def test_place_rewrites_the_live_chunk_and_moves_its_entry():
@@ -99,14 +98,14 @@ def test_place_rewrites_the_live_chunk_and_moves_its_entry():
     assert (chunk.chunk_id, chunk.node_id) == ("a/recovered#1", "w")
     assert listed(nn, "a") == {"w", "y", "z"} and listed(nn, "b") == {"x", "y", "z"}
     assert nn.chunks_on_node("w") == [(a, chunk)]
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
     # Onto a node the file already uses: the entry is in layout order,
     # whichever chunk arrived last.
     nn.place_chunks("a", [("a/c2", "a/recovered#2", "w")])
     assert nn._node_files["w"]["a"] == [chunk, a.stripes[0].parities[0]]
     nn.place_chunks("a", [("a/recovered#1", "a/recovered#3", "z")])
     assert nn._node_files["w"]["a"] is a.stripes[0].parities[0]
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
 
 
 @pytest.mark.parametrize("make", [Namenode, JournaledNamenode])
@@ -121,7 +120,7 @@ def test_place_of_an_unlisted_chunk_is_rejected_whole(make):
     assert state_digest(nn) == before and listed(nn, "a") == {"x", "y", "z"}
     if make is JournaledNamenode:
         assert [op for op, _ in nn.journal.records()] == [Op.REGISTER]
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
 
 
 @pytest.mark.parametrize("make", [Namenode, JournaledNamenode])
@@ -150,7 +149,7 @@ def test_a_relayout_swaps_the_tail_and_its_entries(make):
     assert nn._node_files["p"]["a"] is old.data[0]
     assert nn._node_files["y"]["a"] == [head.data[1], more.data[0], more.parities[0]]
     assert listed(nn, "b") == {"x", "y", "z"}
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
     # Rejected whole: more stripes kept than there are, an unknown file,
     # a file mid-transcode.
     before = state_digest(nn)
@@ -163,10 +162,9 @@ def test_a_relayout_swaps_the_tail_and_its_entries(make):
         nn.relayout_file("b", 0, [], [], 0)
     nn.abort_transcode("b")
     assert nn.relayout_file("a", 3, [], [], 384) == []  # keeps everything
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
     if make is JournaledNamenode:
         assert [op for op, _ in nn.journal.records()].count(Op.RELAYOUT) == 2
-        assert_index_exact(replayed(nn))
     else:
         assert state_digest(nn) == before
 
@@ -182,7 +180,7 @@ def test_a_note_changes_nothing():
     assert listed(nn, "a") == {"x", "y", "z"} and "nowhere" not in nn._node_files
     nn.note_chunk("x", "ghost")                  # not registered: nothing at all
     assert state_digest(nn) == before
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
 
 
 def test_unregister_rename_and_reregister_leave_nothing_behind():
@@ -194,7 +192,7 @@ def test_unregister_rename_and_reregister_leave_nothing_behind():
     assert listed(nn, "b") == set() and listed(nn, "c") == {"x", "y", "z"}
     nn.register_file(tiny("a", ["p", "q", "r"]))  # the name, elsewhere
     assert listed(nn, "a") == {"p", "q", "r"}
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
 
 
 def test_load_rebuilds_the_index():
@@ -202,7 +200,7 @@ def test_load_rebuilds_the_index():
     nn.register_files([tiny("a", ["x", "y", "x"]), tiny("b", ["x", "y", "z"])])
     nn.place_chunks("b", [("b/c0", "b/m", "q")])
     restored = Namenode.restore(nn.snapshot())
-    assert_index_exact(restored)
+    assert audit_namenode(restored) == []
     assert [(m.name, c.chunk_id) for m, c in restored.chunks_on_node("x")] == [
         ("a", "a/c0"), ("a", "a/c2"),
     ]
@@ -221,7 +219,7 @@ def test_a_write_that_raises_before_registering_leaves_no_entry():
     with pytest.raises(RuntimeError):
         fs.write_file("g", np.zeros(48 * KB, np.uint8), HY)
     assert "g" not in fs.namenode.files and listed(fs.namenode, "g") == set()
-    assert_index_exact(fs.namenode)
+    assert audit_namenode(fs.namenode) == []
 
 
 def test_delete_and_free_leave_no_entry_on_the_old_nodes():
@@ -232,10 +230,10 @@ def test_delete_and_free_leave_no_entry_on_the_old_nodes():
     assert replica_nodes - stripe_nodes  # the free transition vacates these
     fs.transcode("f", CC69)
     assert listed(fs.namenode, "f") == stripe_nodes
-    assert_index_exact(fs.namenode)
+    assert audit_namenode(fs.namenode) == []
     fs.delete_file("f")
     assert listed(fs.namenode, "f") == set()
-    assert_index_exact(fs.namenode)
+    assert audit_namenode(fs.namenode) == []
 
 
 def test_cross_shard_rename_leaves_no_entry_on_the_source_shard():
@@ -247,7 +245,7 @@ def test_cross_shard_rename_leaves_no_entry_on_the_source_shard():
     fs.namenode.rename("f", new)
     assert src._node_files and not any(src._node_files.values())
     assert listed(dst, new) == homes(nn.lookup(new)) and listed(nn, "f") == set()
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
     assert np.array_equal(fs.read_file(new), data)
 
 
@@ -259,7 +257,7 @@ def test_merge_finalize_swaps_the_parities_entries():
     meta = fs.namenode.lookup("f")
     assert listed(fs.namenode, "f") == homes(meta)
     assert len(meta.stripes) == 1 and len(old_parity_nodes) >= len(meta.stripes[0].parities)
-    assert_index_exact(fs.namenode)
+    assert audit_namenode(fs.namenode) == []
 
 
 def test_collision_relocation_moves_the_entry_with_the_chunk():
@@ -271,15 +269,14 @@ def test_collision_relocation_moves_the_entry_with_the_chunk():
     fs.write_file("f", data, CC69)
     doubled = [n for n, index in nn._node_files.items() if type(index.get("f")) is list]
     assert doubled
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
     before = len(nn.journal)
     fs.transcode("f", CC1215)
     assert Op.PLACE in [op for op, _ in nn.journal.records()][before:]
     assert Op.NOTE not in [op for op, _ in nn.journal.records()]
     meta = nn.lookup("f")
     assert len(homes(meta)) == 15 and listed(nn, "f") == homes(meta)
-    assert_index_exact(nn)
-    assert_index_exact(replayed(nn))
+    assert audit_namenode(nn) == []
     assert np.array_equal(fs.read_file("f"), data)
 
 
@@ -302,8 +299,7 @@ def test_a_two_chunk_stripe_repair_vacates_both_old_nodes():
     for node_id in victims:
         assert nn.chunks_on_node(node_id) == [] and not nn._node_files[node_id]
     assert RecoveryManager(fs).lost_chunks() == []
-    assert_index_exact(nn)
-    assert_index_exact(replayed(nn))
+    assert audit_namenode(nn) == []
     assert np.array_equal(fs.read_file("f"), data)
 
 
@@ -325,7 +321,7 @@ def test_a_repair_mid_transcode_shows_through_old_and_new_stripes():
     assert victim.node_id != old_node and victim.chunk_id != old_id
     assert nn.chunks_on_node(old_node) == []
     assert (nn.lookup("f"), victim) in nn.chunks_on_node(victim.node_id)
-    assert_index_exact(nn)
+    assert audit_namenode(nn) == []
 
     plain = replayed(nn)
     twin = plain.lookup("f").stripes[1].data[1]
@@ -333,15 +329,14 @@ def test_a_repair_mid_transcode_shows_through_old_and_new_stripes():
     new_twin, = plain.utm["f"].new_stripes.values()
     assert new_twin.data[7] is twin
     assert plain.chunks_on_node(old_node) == []
-    assert_index_exact(plain)
+    assert audit_namenode(plain) == []
 
     # The transcode finishes on the repaired layout, and the switch
     # leaves the index on the new stripes.
     fs.cluster.recover_node(old_node)
     fs.run_transcode_heartbeats("f")
     assert nn.lookup("f").scheme == CC1215
-    assert_index_exact(nn)
-    assert_index_exact(replayed(nn))
+    assert audit_namenode(nn) == []
     assert np.array_equal(fs.read_file("f"), data)
 
 
@@ -349,7 +344,11 @@ def test_append_close_and_seal_publish_between_records():
     """The structural paths publish through one op each: at every record
     they write, the registered file — and so the index — is whole."""
     nn = JournaledNamenode()
-    nn.after_append = lambda node, op: assert_index_exact(node)
+
+    def whole(node, _op):
+        assert audit_namenode(node) == []
+
+    nn.after_append = whole
     fs, data = hybrid_fs(namenode=nn, n_kb=40, parity_mode="none")
     extra = np.arange(10 * KB, dtype=np.uint8)
     fs.append_file("f", extra)
@@ -362,7 +361,7 @@ def test_append_close_and_seal_publish_between_records():
     assert Op.NOTE not in ops and ops.count(Op.RELAYOUT) == 3  # append, close, seal
     assert ops[before:].count(Op.RELAYOUT) == 1 and len(unsealed) > 1  # one for all
     assert ops[-2:] == [Op.RELAYOUT, Op.DROP_REPLICAS]
-    assert_index_exact(replayed(nn))
+    assert audit_namenode(nn) == []
     assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra]))
 
 

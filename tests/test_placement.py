@@ -92,9 +92,10 @@ class TestTranscodeAwarePlacement:
         with pytest.raises(PlacementError):
             TranscodeAwarePlacement(cluster(10), k_star=12, r_star=4)
 
-    def test_verify_helper(self):
+    def test_every_window_of_a_long_file_is_distinct(self):
         p = TranscodeAwarePlacement(cluster(), k_star=12, r_star=4, seed=12)
-        assert p.verify_no_future_overlap("f", 48)
+        for start in range(0, 48, 12):
+            assert len({p.data_node("f", t) for t in range(start, start + 12)}) == 12
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 1000))

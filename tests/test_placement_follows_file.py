@@ -16,6 +16,7 @@ from repro.cluster.placement import TranscodeAwarePlacement
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
+from repro.dfs.audit import audit
 
 KB = 1024
 CHUNK = 4 * KB
@@ -33,14 +34,12 @@ def _data(seed, n_chunks):
 
 
 def _window_violations(meta):
-    """Broken promises of one 12-chunk window: its data chunks not on 12
-    distinct nodes, a parity j of its two stripes not co-located, a
-    stripe with two chunks on one node."""
+    """Does one 12-chunk window break its promise: its data chunks not on
+    12 distinct nodes, or a parity j of its two stripes not co-located?
+    (A stripe with two chunks on one node is the audit's to find.)"""
     data = [c.node_id for s in meta.stripes for c in s.data]
-    bad = len(set(data)) != len(data)
     homes = [[c.node_id for c in s.parities] for s in meta.stripes]
-    bad |= any(len(set(column)) != 1 for column in zip(*homes))
-    return bad + sum(len(set(s.node_ids())) != len(s.node_ids()) for s in meta.stripes)
+    return len(set(data)) != len(data) or any(len(set(column)) != 1 for column in zip(*homes))
 
 
 class TestRenameThenAppend:
@@ -53,7 +52,8 @@ class TestRenameThenAppend:
             fs.append_file("g", _data(seed + 1000, 6))
             meta = fs.namenode.lookup("g")
             assert [s.k for s in meta.stripes] == [6, 6]
-            violations += bool(_window_violations(meta))
+            violations += _window_violations(meta)
+            assert audit(fs) == []
             assert np.array_equal(
                 fs.read_file("g"),
                 np.concatenate([_data(seed, 6), _data(seed + 1000, 6)]),
@@ -72,8 +72,9 @@ class TestRenameThenAppend:
             fs.write_file("f", _data(seed + 2, 6), HY)
             fs.namenode.rename("f", "g")
             fs.append_file("g", _data(seed + 3, 6))
-            violations += bool(_window_violations(fs.namenode.lookup("g")))
+            violations += _window_violations(fs.namenode.lookup("g"))
             assert not _window_violations(fs.namenode.lookup("h"))
+            assert audit(fs) == []
         assert violations == 0
 
     def test_without_rename_nothing_changes(self):
@@ -82,6 +83,7 @@ class TestRenameThenAppend:
             fs.write_file("f", _data(seed, 6), HY)
             fs.append_file("f", _data(seed + 1000, 6))
             assert not _window_violations(fs.namenode.lookup("f"))
+            assert audit(fs) == []
 
 
 class TestRenameThenSeal:
@@ -89,20 +91,18 @@ class TestRenameThenSeal:
         """``parity_mode="none"``: the free transition seals both stripes
         of a renamed file; no parity lands beside a chunk of its stripe,
         and parity j of both stripes shares one node."""
-        collided = stripes = 0
+        stripes = 0
         for seed in SEEDS:
             fs = _fs(seed, parity_mode="none")
             fs.write_file("f", _data(seed, 12), HY)
             fs.namenode.rename("f", "g")
             fs.transcode("g", CC69)
             meta = fs.namenode.lookup("g")
-            for stripe in meta.stripes:
-                stripes += 1
-                assert len(stripe.parities) == 3
-                collided += len(set(stripe.node_ids())) != len(stripe.node_ids())
-            assert not _window_violations(meta)
+            stripes += len(meta.stripes)
+            assert [len(stripe.parities) for stripe in meta.stripes] == [3, 3]
+            assert not _window_violations(meta) and audit(fs) == []
             assert np.array_equal(fs.read_file("g"), _data(seed, 12))
-        assert (collided, stripes) == (0, 80)
+        assert stripes == 80
 
 
 class TestAppendDraws:
@@ -123,6 +123,31 @@ class TestAppendDraws:
                 fs.read_file("f"), np.concatenate([_data(seed, 12), _data(seed + 1, 12)])
             )
         assert reused == 0
+
+
+    def test_an_append_does_not_stack_a_stripe_on_its_parity_home(self):
+        """A data repair can land on a node the window keeps for a parity
+        (ROADMAP item 5): here stripe 1's open tail has its first chunk
+        moved onto stripe 0's parity-1 home. The append that completes
+        the stripe draws that slot afresh; it used to write the stripe's
+        parity 1 beside it — 9 chunks on 8 nodes, which the audit found
+        in a deep run of the stateful model."""
+        for seed in SEEDS[:10]:
+            fs = _fs(seed)
+            fs.write_file("f", _data(seed, 6), HY)
+            fs.append_file("f", _data(seed + 1, 2))
+            meta = fs.namenode.lookup("f")
+            chunk, home = meta.stripes[1].data[0], meta.stripes[0].parities[1].node_id
+            was = chunk.node_id
+            data = dict(fs.datanodes[was].held())[chunk.chunk_id]
+            fs.rehome_chunks(meta, [(chunk, home, data)], was, "recovered")
+            fs.drop_unlisted(was)
+            assert audit(fs) == []
+            fs.append_file("f", _data(seed + 2, 4))
+            assert audit(fs) == []
+            assert np.array_equal(fs.read_file("f"), np.concatenate(
+                [_data(seed, 6), _data(seed + 1, 2), _data(seed + 2, 4)]
+            ))
 
 
 class TestShrunkenCluster:

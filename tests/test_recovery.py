@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import BaselineDFS, MorphFS
+from repro.dfs.audit import audit
 from repro.dfs.recovery import RecoveryError, RecoveryManager
 
 KB = 1024
@@ -114,8 +115,7 @@ class TestReconstruction:
         chunk = meta.stripes[0].data[0]
         kill(fs, chunk.node_id)
         RecoveryManager(fs).recover_all()
-        stripe_nodes = [c.node_id for c in meta.stripes[0].all_chunks()]
-        assert len(set(stripe_nodes)) == len(stripe_nodes)
+        assert audit(fs) == []
 
     def test_repair_target_follows_the_stripe_not_the_file(self):
         """A file that spans every node still repairs each stripe onto a
@@ -126,7 +126,7 @@ class TestReconstruction:
         for every rebuilt chunk of every seed (11 of 80 stripes doubled
         up on it)."""
         cc69 = ECScheme(CodeKind.CC, 6, 9)
-        doubled = stripes = 0
+        stripes = 0
         targets = []
         for seed in range(10):
             fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=seed)
@@ -139,12 +139,10 @@ class TestReconstruction:
             kill(fs, victim)
             assert RecoveryManager(fs).recover_all() == len(lost)
             targets += [c.node_id for c in lost]
-            for stripe in meta.stripes:
-                nodes = stripe.node_ids()
-                stripes += 1
-                doubled += len(set(nodes)) != len(nodes)
+            stripes += len(meta.stripes)
+            assert audit(fs) == []
             assert np.array_equal(fs.read_file("f"), data)
-        assert (doubled, stripes) == (0, 80)
+        assert stripes == 80
         assert len(set(targets)) >= len(targets) // 3  # spread, not one node
 
     @pytest.mark.parametrize("n_kb", [48, 192])
@@ -204,8 +202,7 @@ class TestReconstruction:
             assert RecoveryManager(fs).recover_all() == 2
             homes = {s.parities[j].node_id for s in meta.stripes}
             assert len(homes) == 1 and fs.node_reachable(homes.pop(), "namenode")
-            for stripe in meta.stripes:
-                assert len(set(stripe.node_ids())) == stripe.n
+            assert audit(fs) == []
             net = fs.metrics.net_bytes_total
             fs.transcode("f", ECScheme(CodeKind.CC, 12, 15))
             shipped.append((fs.metrics.net_bytes_total - net) / (4 * KB))

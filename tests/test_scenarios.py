@@ -11,8 +11,9 @@ Covers:
   constructed (used to ``KeyError``), plus cancellation of stale queued
   repairs when their node returns intact;
 * the scenario suite itself: seeded determinism via trace digests,
-  partition-heal convergence against the journal replay digest, and the
-  hedged-read latency win under a straggler.
+  every run ending on a clean audit (partition-heal's journal replaying
+  to its live state included; ``--check`` fails on any violation), and
+  the hedged-read latency win under a straggler.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.cluster.partition import NetworkPartition
 from repro.cluster.topology import Cluster, ClusterSpec, NodeClass
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
+from repro.dfs.audit import audit
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.sched.policies import SchedulerPolicy
 from repro.sched.scheduler import MaintenanceScheduler
@@ -239,16 +241,6 @@ class TestMaskHonouredEverywhere:
         node = fs.metrics.node(node_id)
         return node.disk_bytes_read, node.net_bytes_out
 
-    @staticmethod
-    def assert_parities_encode_the_data(fs, name):
-        code = fs.cc_codec(6, 9)
-        for s in fs.namenode.lookup(name).stripes:
-            want = code.encode([fs.datanodes[c.node_id].read(c.chunk_id) for c in s.data])
-            for parity, expected in zip(s.parities, want):
-                assert np.array_equal(
-                    fs.datanodes[parity.node_id].read(parity.chunk_id), expected
-                )
-
     def test_transcode_decodes_around_an_unreachable_source(self):
         from repro.codes.convertible import plan_conversion
 
@@ -267,7 +259,7 @@ class TestMaskHonouredEverywhere:
         assert [s.k for s in fs.namenode.lookup("f").stripes] == [6, 6, 6, 6]
         fs.partition.heal()
         assert np.array_equal(fs.read_file("f"), data)
-        self.assert_parities_encode_the_data(fs, "f")
+        assert audit(fs) == []
 
     def test_seal_reads_replicas_around_an_unreachable_data_chunk(self):
         fs, data = hybrid_fs(n_kb=48, parity_mode="none")
@@ -280,7 +272,7 @@ class TestMaskHonouredEverywhere:
         meta = fs.namenode.lookup("f")
         assert all(len(s.parities) == 3 for s in meta.stripes)
         fs.partition.heal()
-        self.assert_parities_encode_the_data(fs, "f")
+        assert audit(fs) == []
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_repair_is_critical_when_reachable_redundancy_is_spent(self):
@@ -360,9 +352,22 @@ class TestScenarioSuite:
         from repro.cluster.scenarios import run_partition_heal
 
         result = run_partition_heal(seed=0, quick=True)
-        assert result.journal_converged is True
+        assert result.violations == []
         assert result.lost_chunks == 0
         assert result.files_verified > 0
+
+    def test_check_fails_on_a_violation(self, monkeypatch, capsys):
+        """A healed island that keeps the copies re-homed while it was
+        away: the audit sees them, and ``--check`` exits 1."""
+        from repro.cluster.scenarios import main
+        from repro.dfs.filesystem import _BaseDFS
+
+        assert main(["partition_heal", "--quick", "--check"]) == 0
+        monkeypatch.setattr(_BaseDFS, "drop_unlisted", lambda fs, node_id: 0)
+        assert main(["partition_heal", "--quick", "--check"]) == 1
+        out = capsys.readouterr().out
+        assert "5 audit violations" in out and "unlisted" in out
+        assert "FAIL: audit violations in partition_heal" in out
 
     def test_straggler_hedged_reads_win(self):
         from repro.sched.simulate import SimConfig, run_failure_burst

@@ -13,10 +13,9 @@ import pytest
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import BaselineDFS, MorphFS
+from repro.dfs.audit import audit
 from repro.dfs.integrity import Scrubber, corrupt_chunk
 from repro.dfs.recovery import RecoveryManager
-
-from tests.index_oracle import assert_bytes_exact, assert_sums_exact
 
 KB = 1024
 CHUNK = 4 * KB
@@ -82,7 +81,7 @@ class TestTheCallersBufferIsTheCallers:
         fs.write_file("f", buffer, scheme)
         buffer[:] = 0xAA
         assert buffer.flags.writeable  # the door froze its snapshot, not this
-        assert_bytes_exact(fs)
+        assert audit(fs) == []
         assert_every_read_path(fs, "f", want)
 
     @pytest.mark.parametrize("mode", ["async", "sync", "none"])
@@ -95,11 +94,10 @@ class TestTheCallersBufferIsTheCallers:
         first[:] = 0x55
         fs.append_file("f", extra)  # re-opens the short tail, adds full stripes
         extra[:] = 0x55
-        assert_bytes_exact(fs)
-        assert_sums_exact(fs)
+        assert audit(fs) == []
         assert_every_read_path(fs, "f", want)
         fs.close_file("f")
-        assert_bytes_exact(fs)
+        assert audit(fs) == []
         assert_every_read_path(fs, "f", want)
 
     def test_a_non_array_buffer_is_snapshotted_too(self):
@@ -109,7 +107,7 @@ class TestTheCallersBufferIsTheCallers:
         fs.write_file("f", np.frombuffer(raw, dtype=np.uint8), HY)
         raw[:] = bytes(len(raw))
         assert np.array_equal(fs.read_file("f"), want)
-        assert_bytes_exact(fs)
+        assert audit(fs) == []
 
 
 class TestWhatAReadHandsOut:
@@ -123,7 +121,7 @@ class TestWhatAReadHandsOut:
             assert out.flags.writeable and out.flags.owndata
             out[:] = 0
         assert np.array_equal(fs.read_file("f"), want)
-        assert_bytes_exact(fs)
+        assert audit(fs) == []
 
     def test_writing_through_a_datanode_read_raises(self):
         fs = morph()
@@ -135,7 +133,7 @@ class TestWhatAReadHandsOut:
                 datanode.read(chunk.chunk_id)[0] = 1
             with pytest.raises(ValueError, match="read-only"):
                 datanode.read_range(chunk.chunk_id, 8, 16)[0] = 1
-        assert_bytes_exact(fs)
+        assert audit(fs) == []
 
     def test_an_array_handed_to_a_datanode_is_handed_over_for_good(self):
         fs = morph()
@@ -185,8 +183,7 @@ class TestDamageStaysWhereItWasInjected:
         assert report.corrupt == [("f", injected)]
         assert report.repaired == 1
         assert Scrubber(fs).scan().corrupt == []
-        assert_bytes_exact(fs)
-        assert_sums_exact(fs)
+        assert audit(fs) == []
         assert np.array_equal(fs.read_file("f"), want)
         assert np.array_equal(fs.read_file("f", prefer_striped=True), want)
 
@@ -219,8 +216,7 @@ class TestEveryProducerHandsOverForGood:
             c for c in fs.namenode.lookup("f").all_chunks() if "/recovered#" in c.chunk_id
         ]
         assert len(rebuilt) >= 2
-        assert_bytes_exact(fs)
-        assert_sums_exact(fs)
+        assert audit(fs) == []
         assert np.array_equal(fs.read_file("f"), want)
 
     @pytest.mark.parametrize("target", [CC1215, LRCC1222], ids=["CC(12,15)", "LRCC(12,2,2)"])
@@ -229,18 +225,17 @@ class TestEveryProducerHandsOverForGood:
         want = payload(96 * KB)
         fs.write_file("f", want, HY)
         fs.transcode("f", CC69)
-        assert_bytes_exact(fs)
+        assert audit(fs) == []
         fs.transcode("f", target)
         meta = fs.namenode.lookup("f")
         assert meta.scheme == target
-        assert_bytes_exact(fs)
-        assert_sums_exact(fs)
+        assert audit(fs) == []
         assert Scrubber(fs).scan().corrupt == []
         assert np.array_equal(fs.read_file("f"), want)
         # ... and the merged file still repairs from what it stored.
         fs.cluster.fail_node(meta.stripes[0].data[0].node_id)
         assert RecoveryManager(fs).recover_all() >= 1
-        assert_bytes_exact(fs)
+        assert audit(fs) == []
         assert np.array_equal(fs.read_file("f"), want)
 
     def test_after_a_merge_that_relocates_colliding_chunks(self):
@@ -251,8 +246,7 @@ class TestEveryProducerHandsOverForGood:
         fs.transcode("f", CC1215)
         moved = [c for c in fs.namenode.lookup("f").all_chunks() if "/moved#" in c.chunk_id]
         assert moved, "the fixture no longer relocates anything"
-        assert_bytes_exact(fs)
-        assert_sums_exact(fs)
+        assert audit(fs) == []
         assert np.array_equal(fs.read_file("f"), want)
 
 
