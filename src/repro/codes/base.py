@@ -10,7 +10,7 @@ stripe are the raw data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -399,28 +399,29 @@ class ErasureCode:
         return Stripe(stripe.k, stripe.n, chunks)
 
     # -- verification ------------------------------------------------------
-    def is_mds(self, max_patterns: Optional[int] = None) -> bool:
-        """Check the MDS property by enumerating r-erasure patterns.
+    def decodable(self, slots: Iterable[int]) -> bool:
+        """Do the generator rows of ``slots`` span the data? Any k rows of
+        an MDS code do, so counting answers; a non-MDS code asks :meth:`spans`."""
+        return len(set(slots)) >= self.k
 
-        An (n, k) code is MDS iff every k columns of the generator span
-        the data, i.e. every pattern of exactly r erasures is decodable.
-        ``max_patterns`` caps the enumeration (deterministic prefix) for
-        wide codes; None means exhaustive.
-        """
+    def spans(self, slots: Iterable[int]) -> bool:
+        """The rank answer: the survivor selection the decoder itself
+        uses (:meth:`_invert_survivors`) finds k independent rows."""
+        rows = sorted(set(slots))
+        if len(rows) < self.k:
+            return False
+        try:
+            self._invert_survivors(rows)
+        except DecodeError:
+            return False
+        return True
+
+    def is_mds(self) -> bool:
+        """The MDS property: every k generator rows span the data, i.e.
+        every pattern of exactly r erasures is decodable."""
         from itertools import combinations
 
-        generator = self.generator
-        count = 0
-        for erased in combinations(range(self.n), self.r):
-            survivors = [i for i in range(self.n) if i not in erased]
-            try:
-                self.field.matinv(generator[survivors, :])
-            except SingularMatrixError:
-                return False
-            count += 1
-            if max_patterns is not None and count >= max_patterns:
-                break
-        return True
+        return all(self.spans(rows) for rows in combinations(range(self.n), self.k))
 
     def storage_overhead(self) -> float:
         """Ratio of raw bytes stored to logical bytes (n / k)."""
@@ -466,6 +467,10 @@ class LocalGroupCode(ErasureCode):
 
     def local_parity_index(self, group: int) -> int:
         return self.k + group
+
+    def decodable(self, slots: Iterable[int]) -> bool:
+        """By rank: k slots may not span the data, nor n - k lost break it."""
+        return self.spans(slots)
 
     # -- repair ---------------------------------------------------------------
     def local_repair(

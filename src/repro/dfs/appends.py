@@ -70,13 +70,14 @@ class AppendSupport:
         if not meta.stripes or meta.stripes[-1].parities:
             return meta  # nothing open
         tail = meta.stripes[-1]
-        sealed = self._seal_stripe(
-            meta, tail, self._placement_for(meta, meta.n_data_chunks - tail.k)
-        )
         # Parities are durable: the open stripe's extra replica goes —
         # once the file has stopped listing it (see append_file).
         block = meta.replica_blocks[-1]
         trimmed = replace(block, copies=block.copies[: meta.scheme.copies])
+        sealed = self._seal_stripe(
+            meta, tail, self._placement_for(meta, meta.n_data_chunks - tail.k),
+            kept=trimmed.copies,
+        )
         self.discard_chunks(
             self.namenode.relayout_file(
                 name, len(meta.stripes) - 1, [sealed], [trimmed], meta.size

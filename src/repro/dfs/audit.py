@@ -36,7 +36,8 @@ What it checks, by ``kind``:
 ``missing``
     every listed chunk is held by the node it is listed on.
 ``colocated``
-    no current stripe has two chunks on one node.
+    no hybrid block (a current stripe with the replica copies covering
+    it, or a lone replica block) has two sources on one node.
 ``parity``
     every current stripe stores as many parities as its code makes, and
     they are the encode of its stored data (stripes with a ``missing``
@@ -265,12 +266,16 @@ def audit(fs) -> List[Violation]:
     )
 
     for meta in fs.namenode.files.values():
-        for stripe in meta.stripes:
-            nodes = stripe.node_ids()
+        for group in meta.hybrid_blocks():
+            nodes = [source.node_id for source in group.chunks()]
             if len(set(nodes)) < len(nodes):
+                where = (
+                    f"s{group.stripe.stripe_index}" if group.stripe
+                    else f"b{group.replicas[0].block_index}"
+                )
                 out.append(Violation(
-                    "colocated", f"{meta.name}/s{stripe.stripe_index}",
-                    f"{len(nodes)} chunks on {len(set(nodes))} nodes",
+                    "colocated", f"{meta.name}/{where}",
+                    f"{len(nodes)} sources on {len(set(nodes))} nodes",
                 ))
 
     # Re-encoding is checking, not codec work: the process-global codec

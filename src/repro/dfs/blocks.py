@@ -3,14 +3,14 @@
 A file is a list of blocks. A *hybrid block* is a single metadata entity
 nesting one EC stripe and its replica blocks — keeping it one entity is
 what makes the hybrid -> EC transition a pure metadata change (drop the
-replica list) and simplifies recovery lookups.
+replica list) and makes it the one protection group recovery asks about.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.schemes import RedundancyScheme
 
@@ -51,10 +51,6 @@ class ECStripeMeta:
     data: List[ChunkMeta] = field(default_factory=list)
     parities: List[ChunkMeta] = field(default_factory=list)
 
-    @property
-    def r(self) -> int:
-        return self.n - self.k
-
     def all_chunks(self) -> List[ChunkMeta]:
         return self.data + self.parities
 
@@ -75,10 +71,39 @@ class ReplicaBlockMeta:
 
 @dataclass
 class HybridBlockMeta:
-    """Hybrid block: an EC stripe joined to its replica blocks (§6.1)."""
+    """Hybrid block (§6.1), the file's one protection group: an EC stripe
+    with every replica block covering its data, or a replica block no
+    stripe covers, alone (``stripe`` None)."""
 
-    stripe: ECStripeMeta
-    replicas: List[ReplicaBlockMeta] = field(default_factory=list)
+    stripe: Optional[ECStripeMeta]
+    replicas: List[ReplicaBlockMeta]
+    #: file-wide index of the group's first data chunk, and its data slots
+    first: int
+    k: int
+
+    def covered(self, block: ReplicaBlockMeta) -> range:
+        """The group's data slots ``block`` repeats."""
+        start = block.first_chunk - self.first
+        return range(max(0, start), min(self.k, start + block.n_chunks))
+
+    def sources(self) -> Iterator[Tuple[ChunkMeta, Sequence[int]]]:
+        """Each chunk holding the group's data, with the slots whose rows
+        it brings: a stripe chunk its own, a replica copy those it repeats."""
+        if self.stripe is not None:
+            for slot, chunk in enumerate(self.stripe.all_chunks()):
+                yield chunk, (slot,)
+        for block in self.replicas:
+            for copy in block.copies:
+                yield copy, self.covered(block)
+
+    def chunks(self) -> List[ChunkMeta]:
+        """The sources without their slots: stripe chunks, then copies."""
+        chunks = self.stripe.all_chunks() if self.stripe is not None else []
+        return chunks + [copy for block in self.replicas for copy in block.copies]
+
+    def slots(self, keep: Callable[[ChunkMeta], bool]) -> Set[int]:
+        """The slots the sources ``keep`` lets through bring."""
+        return {slot for chunk, slots in self.sources() if keep(chunk) for slot in slots}
 
 
 @dataclass
@@ -145,18 +170,27 @@ class FileMeta:
         end = sum(stripe.k for stripe in self.stripes[:n_stripes])
         return sum(block.first_chunk < end for block in self.replica_blocks)
 
-    def hybrid_blocks(self) -> List[HybridBlockMeta]:
-        """Nested hybrid view: each stripe with the replicas covering it."""
-        out = []
+    def hybrid_blocks(self, member=None) -> List[HybridBlockMeta]:
+        """The file's protection groups — each stripe with the replica
+        blocks covering it, then each block no stripe covers — or those
+        ``member`` (a stripe, block or chunk) is part of, by identity."""
+        groups, paired = [], set()
         for first, stripe in self.stripe_spans():
-            last = first + stripe.k
             covering = [
-                b
-                for b in self.replica_blocks
-                if b.first_chunk < last and b.first_chunk + b.n_chunks > first
+                b for b in self.replica_blocks
+                if b.first_chunk < first + stripe.k and first < b.first_chunk + b.n_chunks
             ]
-            out.append(HybridBlockMeta(stripe=stripe, replicas=covering))
-        return out
+            paired.update(map(id, covering))
+            groups.append(HybridBlockMeta(stripe, covering, first, stripe.k))
+        groups.extend(
+            HybridBlockMeta(None, [block], block.first_chunk, block.n_chunks)
+            for block in self.replica_blocks if id(block) not in paired
+        )
+        return [
+            group for group in groups
+            if member is None or member is group.stripe
+            or any(member is part for part in (*group.replicas, *group.chunks()))
+        ]
 
     def chunk_by_id(self, chunk_id: str) -> Optional[ChunkMeta]:
         for stripe in self.stripes:
@@ -176,6 +210,3 @@ class FileMeta:
         for block in self.replica_blocks:
             out.extend(block.copies)
         return out
-
-    def node_ids(self) -> List[str]:
-        return [c.node_id for c in self.all_chunks()]

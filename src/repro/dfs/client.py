@@ -61,33 +61,15 @@ class ClientReader:
         if obs.enabled and obs.registry is not None:
             obs.registry.counter("dfs_hedged_reads_total").inc()
 
-    def _has_fast_alternative(
-        self, meta: FileMeta, stripe: ECStripeMeta, stripe_first: int, local: int
-    ) -> bool:
-        """Can this data chunk be served without touching its slow home?
-
-        True when a replica copy sits on a fast reachable node, or the
-        stripe has k fast reachable survivors to decode from. Hedging
-        never makes a read *fail*: with no fast source, the slow home
-        copy serves as usual.
-        """
-        if meta.replica_blocks:
-            block = meta.block_covering(stripe_first + local)
-            if block is not None:
-                for copy in block.copies:
-                    if self.fs.chunk_readable(copy) and not self._is_straggler(
-                        copy.node_id
-                    ):
-                        return True
-        fast = 0
-        for idx, chunk in enumerate(stripe.all_chunks()):
-            if idx == local:
-                continue
-            if self.fs.chunk_readable(chunk) and not self._is_straggler(chunk.node_id):
-                fast += 1
-                if fast >= stripe.k:
-                    return True
-        return False
+    def _hedges_past(self, meta: FileMeta, stripe: ECStripeMeta, home: ChunkMeta) -> bool:
+        """Skip a slow but readable ``home`` copy? Only when the fast readable
+        sources left in its hybrid block decode: a hedge never fails a read."""
+        fs = self.fs
+        (group,) = meta.hybrid_blocks(stripe)
+        fast = group.slots(
+            lambda c: c is not home and not self._is_straggler(c.node_id) and fs.chunk_readable(c)
+        )
+        return fs.rank_rule(meta, group)(fast)
 
     # -- public ------------------------------------------------------------
     def read(
@@ -217,7 +199,7 @@ class ClientReader:
             if (
                 self._is_straggler(chunk.node_id)
                 and fs.chunk_readable(chunk)
-                and self._has_fast_alternative(meta, stripe, stripe_first, local)
+                and self._hedges_past(meta, stripe, chunk)
             ):
                 # The home copy works but sits on a straggler disk and a
                 # fast source exists: skip it (replica or decode below).

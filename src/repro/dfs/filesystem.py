@@ -19,7 +19,7 @@ import math
 import sys
 import zlib
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from repro.dfs.blocks import (
     ChunkMeta,
     ECStripeMeta,
     FileMeta,
+    HybridBlockMeta,
     ReplicaBlockMeta,
 )
 from repro.dfs.appends import AppendSupport
@@ -146,6 +147,14 @@ class _BaseDFS:
         # Tail stripe with its own width; same family, same parity count.
         kind = CodeKind.CC if ec.kind is CodeKind.CC else CodeKind.RS
         return self.codec_for(ECScheme(kind, stripe.k, stripe.n))
+
+    def rank_rule(self, meta: FileMeta, group: HybridBlockMeta) -> Callable[[Set[int]], bool]:
+        """Do the rows of a set of slots span the data of ``meta``'s
+        ``group``? Its stripe's code answers (``ErasureCode.decodable``);
+        with no parity, counting does."""
+        if group.stripe is None or not group.stripe.parities:
+            return lambda slots: len(slots) >= group.k
+        return self.codec_for_stripe(meta, group.stripe).decodable
 
     # -- CPU accounting -----------------------------------------------------------
     def charge_encode(self, by: str, width: int, out_parities: int, nbytes: float) -> None:
@@ -931,22 +940,24 @@ class MorphFS(AppendSupport, _BaseDFS):
         r = 0 if ec is None else ec.r
         keep = next((i for i, s in enumerate(meta.stripes) if len(s.parities) < r), None)
         if keep is not None:
-            # Every missing parity is stored, then one op publishes them:
-            # the file's tail from its first unsealed stripe, blocks as
-            # they were.
+            # Every missing parity is stored, then one op publishes them
+            # and drops the tail's replicas: no record lists a parity
+            # beside a copy of its stripe.
             placement = self._placement_for(meta, meta.first_data_index(meta.stripes[keep]))
             tail = [
                 self._seal_stripe(meta, s, placement) if len(s.parities) < r else s
                 for s in meta.stripes[keep:]
             ]
-            blocks = meta.replica_blocks[meta.blocks_under(keep):]
-            self.namenode.relayout_file(meta.name, keep, tail, blocks, meta.size)
+            self.discard_chunks(
+                self.namenode.relayout_file(meta.name, keep, tail, [], meta.size)
+            )
         # The metadata switch first, then the copies it no longer lists.
         self.discard_chunks(self.namenode.drop_replicas(meta.name, target))
         return meta
 
     def _seal_stripe(
-        self, meta: FileMeta, stripe: ECStripeMeta, placement: PlacementPolicy
+        self, meta: FileMeta, stripe: ECStripeMeta, placement: PlacementPolicy,
+        kept: Sequence[ChunkMeta] = (),
     ) -> ECStripeMeta:
         """Materialise the parities a hybrid file's stripe is missing —
         deferred (``parity_mode="none"``) or never due (an open tail, at
@@ -958,9 +969,9 @@ class MorphFS(AppendSupport, _BaseDFS):
         survives when a parity-less stripe's data home dies — their
         replica ranges (one striper-local encode); parities land on the
         slots the file's ``placement`` reserves — co-located — or a fresh
-        node where a slot is unreachable or holds a chunk of the stripe.
-        The code is the one the stripe, once sealed, is read and repaired
-        with.
+        node where a slot is unreachable or holds a chunk of the stripe
+        or a replica copy ``kept`` beside it. The code is the one the
+        stripe, once sealed, is read and repaired with.
         """
         ec = meta.scheme.ec
         code = self.codec_for_stripe(meta, replace(stripe, n=stripe.k + ec.r))
@@ -980,7 +991,7 @@ class MorphFS(AppendSupport, _BaseDFS):
         first_chunk = meta.first_data_index(stripe)
         self.charge_encode(striper, stripe.k, len(parities), self.chunk_size)
         kinds = self._parity_kinds(ec)
-        occupied = {c.node_id for c in stripe.all_chunks()}
+        occupied = {c.node_id for c in (*stripe.all_chunks(), *kept)}
         held = [c.node_id for c in meta.all_chunks()]
         sealed: List[ChunkMeta] = []
         for j in range(len(stripe.parities), len(parities)):

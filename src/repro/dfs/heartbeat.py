@@ -134,7 +134,7 @@ class HeartbeatMonitor:
         ]
         groups = recovery.damaged_groups(fresh)
         for meta, _home, chunks in groups:
-            # Spare redundancy is a property of the stripe / block, so
+            # Spare redundancy is a property of the hybrid block, so
             # every lost member classifies alike: ask about the first.
             klass = classify_repair(self.fs, meta, chunks[0])
             scheduler.submit(StripeRepairTask(meta, chunks, klass=klass))

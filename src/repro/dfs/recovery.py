@@ -198,17 +198,18 @@ class RecoveryManager:
     def _pick_target(self, meta: FileMeta, home, slot: int, chosen: set) -> str:
         """Where the rebuilt ``slot`` of the group ``home`` goes.
 
-        Never beside another member of the group, nor on a target
-        already ``chosen`` for it: one node lost must not cost the group
-        two chunks. A stripe's parity goes where the file's placement
+        Never on a node of its hybrid block (:meth:`FileMeta.hybrid_blocks`)
+        nor on a target already ``chosen`` for it: one node lost must not
+        cost the block two sources. A stripe's parity goes where the file's placement
         ``reserved`` it — by its k*-window's other parities of its index —
         so a later merge stays server-local; the first rebuilt picks the
         node the rest follow. Else a node holding none of the file, else
         fewest, ties in cluster order (:func:`home_for`). Only a cluster
         with no such node live reuses one."""
-        members = _members(home)
-        chunk = members[slot]
-        occupied = {m.node_id for m in members if m is not chunk} | chosen
+        chunk = _members(home)[slot]
+        occupied = chosen | {
+            c.node_id for group in meta.hybrid_blocks(home) for c in group.chunks() if c is not chunk
+        }
         held = [c.node_id for c in meta.all_chunks() if c is not chunk]
         prefer: List[str] = []
         if not isinstance(home, ReplicaBlockMeta) and slot >= home.k:
@@ -239,18 +240,17 @@ class RecoveryManager:
     def _block_bytes(
         self, meta: FileMeta, block: ReplicaBlockMeta, lost: List[int], dst: str
     ) -> np.ndarray:
-        """The block's span: a surviving copy, else the stripes' data."""
+        """The block's span: a surviving copy, else its stripes' data."""
         for slot, copy in enumerate(block.copies):
             if slot not in lost:
                 data = self._fetch(copy, dst)
                 if data is not None:
                     return data
         pieces: List[np.ndarray] = []
-        end = block.first_chunk + block.n_chunks
-        for first, stripe in meta.stripe_spans():
-            wanted = range(
-                max(block.first_chunk, first) - first, min(end, first + stripe.k) - first
-            )
+        for group in meta.hybrid_blocks(block):
+            stripe, wanted = group.stripe, group.covered(block)
+            if stripe is None:
+                continue
             got = {idx: self._fetch(stripe.data[idx], dst) for idx in wanted}
             missing = [idx for idx in wanted if got[idx] is None]
             if missing:

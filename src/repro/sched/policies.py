@@ -6,8 +6,8 @@ measured the cost of getting wrong):
     critical repair  >  repair  >  deadline-boosted transcode
                      >  transcode  >  scrub
 
-*Critical repair* is reconstruction of a chunk whose stripe or replica
-block has no spare redundancy left — one more loss is data loss.
+*Critical repair* is reconstruction of a chunk whose hybrid block has no
+spare redundancy left — one more node lost is data loss.
 Transcodes whose lifetime-policy transition date is inside the boost
 window move up a band (still below repair: durability first). Waiting
 tasks age toward higher priority so a steady repair stream can never
@@ -98,57 +98,17 @@ def backoff_ticks(attempts: int) -> int:
 
 
 def classify_repair(fs, meta, chunk) -> TaskClass:
-    """CRITICAL_REPAIR when the chunk's redundancy group (its stripe or
-    replica block, found by identity) is at its tolerance limit — losing
-    one more source loses data — else REPAIR.
-
-    Heuristic, erring toward REPAIR: replica ranges covering an EC span
-    count as redundancy, so a hybrid file's EC chunk is never critical
-    while its replicas survive.
-    """
-
-    def available(c) -> bool:
-        return fs.chunk_readable(c, by=NAMENODE)
-
-    def replicas_cover(first: int, count: int) -> bool:
-        """Every data-chunk index in [first, first+count) has a live copy."""
-        blocks = (meta.block_covering(idx) for idx in range(first, first + count))
-        return count > 0 and all(
-            block is not None and any(available(c) for c in block.copies)
-            for block in blocks
-        )
-
-    for stripe in meta.stripes:
-        chunks = stripe.all_chunks()
-        if any(c is chunk for c in chunks):
-            unavailable = sum(1 for c in chunks if not available(c))
-            if unavailable < stripe.n - stripe.k:
-                return TaskClass.REPAIR
-            # Stripe at (or past) its tolerance limit: replicas covering
-            # the stripe's data span are the remaining safety margin.
-            return (
-                TaskClass.REPAIR
-                if replicas_cover(meta.first_data_index(stripe), stripe.k)
-                else TaskClass.CRITICAL_REPAIR
-            )
-
-    # Replica chunk: other copies of its block, else a decodable stripe.
-    for block in meta.replica_blocks:
-        if any(c is chunk for c in block.copies):
-            others = [c for c in block.copies if c is not chunk]
-            if any(available(c) for c in others):
-                return TaskClass.REPAIR
-            for span_start, stripe in meta.stripe_spans():
-                overlaps = (
-                    block.first_chunk < span_start + stripe.k
-                    and block.first_chunk + block.n_chunks > span_start
-                )
-                if overlaps:
-                    chunks = stripe.all_chunks()
-                    unavailable = sum(1 for c in chunks if not available(c))
-                    if unavailable > stripe.n - stripe.k:
-                        return TaskClass.CRITICAL_REPAIR
-            if not meta.stripes:
+    """CRITICAL_REPAIR when the chunk's hybrid block cannot deliver its
+    data from the sources the namenode reaches, or could not once one
+    more node holding one fails (one question per node); else REPAIR."""
+    for group in meta.hybrid_blocks(chunk):
+        live = [
+            (source.node_id, slots) for source, slots in group.sources()
+            if fs.chunk_readable(source, by=NAMENODE)
+        ]
+        decodable = fs.rank_rule(meta, group)
+        # As things stand (None), then with each node holding a source lost.
+        for lost in (None, *dict.fromkeys(node for node, _ in live)):
+            if not decodable({slot for node, slots in live if node != lost for slot in slots}):
                 return TaskClass.CRITICAL_REPAIR
-            return TaskClass.REPAIR
     return TaskClass.REPAIR

@@ -7,7 +7,7 @@ they were re-homed (item 1d) — are pinned."""
 import numpy as np
 import pytest
 
-from repro.core.schemes import CodeKind, ECScheme, HybridScheme
+from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import JournaledNamenode, MorphFS, Namenode
 from repro.dfs.audit import KINDS, audit
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
@@ -126,6 +126,33 @@ def test_a_planted_fault_is_reported_as_exactly_its_violation(kind):
     fs = whole_fs(JournaledNamenode() if kind == "journal" else Namenode())
     subject = PLANTED[kind](fs)
     assert [(v.kind, v.subject) for v in audit(fs)] == [(kind, subject)]
+
+
+def moved(fs, chunk, node_id):
+    """Re-home ``chunk`` onto ``node_id`` the way a repair would."""
+    old_node, old_id, data = chunk.node_id, chunk.chunk_id, held(fs, chunk)
+    fs.rehome_chunks(fs.namenode.lookup("f"), [(chunk, node_id, data)], old_node, "moved")
+    fs.datanodes[old_node].delete(old_id)
+
+
+def test_a_replica_copy_moved_onto_a_node_of_its_stripe_is_colocated():
+    """Two sources of one hybrid block on one node: the stripe's chunks
+    are distinct, the copy covering them is not."""
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=1)
+    fs.write_file("f", np.ones(48 * KB, np.uint8), HybridScheme(1, CC69))
+    assert audit(fs) == []
+    meta = fs.namenode.lookup("f")
+    moved(fs, meta.replica_blocks[1].copies[0], meta.stripes[1].parities[2].node_id)
+    assert [(v.kind, v.subject) for v in audit(fs)] == [("colocated", "f/s1")]
+
+
+def test_two_copies_of_a_replica_block_on_one_node_are_colocated():
+    fs = MorphFS(chunk_size=4 * KB, seed=1)
+    fs.write_file("f", np.ones(48 * KB, np.uint8), Replication(2))
+    assert audit(fs) == []
+    copies = fs.namenode.lookup("f").replica_blocks[1].copies
+    moved(fs, copies[1], copies[0].node_id)
+    assert [(v.kind, v.subject) for v in audit(fs)] == [("colocated", "f/b1")]
 
 
 def test_the_audit_moves_no_counter():

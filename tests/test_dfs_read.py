@@ -17,11 +17,6 @@ def hybrid_fs(n_bytes=96 * KB, seed=1, copies=1):
     return fs, data
 
 
-def kill(fs, node_id):
-    fs.cluster.fail_node(node_id)
-    fs.datanodes[node_id].fail()
-
-
 class TestBasicReads:
     def test_full_read_roundtrip(self):
         fs, data = hybrid_fs()
@@ -85,7 +80,7 @@ class TestStrategySelection:
         meta = fs.namenode.lookup("f")
         for block in meta.replica_blocks:
             for copy in block.copies:
-                kill(fs, copy.node_id)
+                fs.cluster.fail_node(copy.node_id)
         assert np.array_equal(fs.read_file("f"), data)
 
 
@@ -95,7 +90,7 @@ class TestDegradedReads:
         fs, data = hybrid_fs()
         meta = fs.namenode.lookup("f")
         victim = meta.stripes[0].data[2].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         out = fs.read_file("f", prefer_striped=True)
         assert np.array_equal(out, data)
         # No decode CPU should have been charged to the client.
@@ -106,7 +101,7 @@ class TestDegradedReads:
         data = np.random.default_rng(4).integers(0, 256, 96 * KB, dtype=np.uint8)
         fs.write_file("f", data, ECScheme(CodeKind.RS, 6, 9))
         meta = fs.namenode.lookup("f")
-        kill(fs, meta.stripes[0].data[0].node_id)
+        fs.cluster.fail_node(meta.stripes[0].data[0].node_id)
         out = fs.read_file("f")
         assert np.array_equal(out, data)
         assert fs.metrics.node("client").cpu_seconds > 0  # decode happened
@@ -117,7 +112,7 @@ class TestDegradedReads:
         fs.write_file("f", data, ECScheme(CodeKind.RS, 6, 9))
         meta = fs.namenode.lookup("f")
         for chunk in meta.stripes[0].all_chunks()[:4]:
-            kill(fs, chunk.node_id)
+            fs.cluster.fail_node(chunk.node_id)
         with pytest.raises(ReadError):
             fs.read_file("f")
 
@@ -127,9 +122,9 @@ class TestDegradedReads:
         meta = fs.namenode.lookup("f")
         stripe = meta.stripes[0]
         block = meta.hybrid_blocks()[0].replicas[0]
-        kill(fs, block.copies[0].node_id)  # the replica
+        fs.cluster.fail_node(block.copies[0].node_id)  # the replica
         for chunk in stripe.all_chunks()[:3]:  # 3 = n - k stripe chunks
-            kill(fs, chunk.node_id)
+            fs.cluster.fail_node(chunk.node_id)
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_lrc_degraded_read_local(self):
@@ -138,7 +133,7 @@ class TestDegradedReads:
         lrcc = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
         fs.write_file("f", data, lrcc)
         meta = fs.namenode.lookup("f")
-        kill(fs, meta.stripes[0].data[1].node_id)
+        fs.cluster.fail_node(meta.stripes[0].data[1].node_id)
         before = fs.metrics.disk_bytes_read
         out = fs.read_file("f")
         assert np.array_equal(out, data)

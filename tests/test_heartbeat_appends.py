@@ -20,17 +20,12 @@ def hybrid_fs(seed=1, n_kb=96):
     return fs, data
 
 
-def kill(fs, node_id):
-    fs.cluster.fail_node(node_id)
-    fs.datanodes[node_id].fail()
-
-
 class TestHeartbeatMonitor:
     def test_transient_blip_never_triggers_recovery(self):
         fs, data = hybrid_fs()
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=3))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         r1 = monitor.tick()
         r2 = monitor.tick()
         assert r1.newly_dead == [] and r2.newly_dead == []
@@ -46,7 +41,7 @@ class TestHeartbeatMonitor:
         fs, data = hybrid_fs()
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         monitor.tick()
         report = monitor.tick()
         assert victim in report.newly_dead
@@ -60,7 +55,7 @@ class TestHeartbeatMonitor:
         fs, data = hybrid_fs()
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
         victim = fs.cluster.nodes[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         monitor.tick()
         assert victim in monitor.declared_dead()
         fs.cluster.recover_node(victim)
@@ -178,7 +173,7 @@ class TestAppends:
         fs.append_file("f", extra)
         fs.close_file("f")
         meta = fs.namenode.lookup("f")
-        kill(fs, meta.stripes[-1].data[0].node_id)
+        fs.cluster.fail_node(meta.stripes[-1].data[0].node_id)
         combined = np.concatenate([data, extra])
         assert np.array_equal(fs.read_file("f"), combined)
 
@@ -201,7 +196,7 @@ class TestAppends:
         extra = np.random.default_rng(7).integers(0, 256, 10 * KB, dtype=np.uint8)
         fs.append_file("f", extra)
         meta = fs.namenode.lookup("f")
-        kill(fs, meta.replica_blocks[-1].copies[0].node_id)
+        fs.cluster.fail_node(meta.replica_blocks[-1].copies[0].node_id)
         combined = np.concatenate([data, extra])
         assert np.array_equal(fs.read_file("f"), combined)
 
@@ -256,7 +251,7 @@ class TestTailSealedWithTheCodeItIsReadWith:
 
         report = Scrubber(fs).scan_and_repair()
         assert (report.corrupt, report.quarantined, report.repaired) == ([], [], 0)
-        kill(fs, stripe.data[0].node_id)
+        fs.cluster.fail_node(stripe.data[0].node_id)
         assert np.array_equal(fs.read_file("f"), data)
         report = Scrubber(fs).scan_and_repair()
         assert (report.corrupt, report.quarantined, report.repaired) == ([], [], 0)

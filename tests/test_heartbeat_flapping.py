@@ -26,16 +26,6 @@ def hybrid_fs(seed=1, n_kb=96):
     return fs, data
 
 
-def kill(fs, node_id):
-    fs.cluster.fail_node(node_id)
-    fs.datanodes[node_id].fail()
-
-
-def revive(fs, node_id):
-    fs.cluster.recover_node(node_id)
-    fs.datanodes[node_id].recover()
-
-
 class TestFlappingNode:
     @pytest.mark.parametrize("dead_after_missed", [2, 3, 5])
     def test_flapping_node_is_never_declared_dead(self, dead_after_missed):
@@ -45,13 +35,13 @@ class TestFlappingNode:
         )
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
         for _cycle in range(4):
-            kill(fs, victim)
+            fs.cluster.fail_node(victim)
             # Miss one beat fewer than the declaration threshold...
             for _ in range(dead_after_missed - 1):
                 report = monitor.tick()
                 assert report.newly_dead == []
             # ...then come back: the miss counter must reset fully.
-            revive(fs, victim)
+            fs.cluster.recover_node(victim)
             report = monitor.tick()
             assert report.newly_dead == []
             assert victim not in monitor.declared_dead()
@@ -62,9 +52,9 @@ class TestFlappingNode:
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=3))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
         for _cycle in range(5):
-            kill(fs, victim)
+            fs.cluster.fail_node(victim)
             reports = [monitor.tick(), monitor.tick()]
-            revive(fs, victim)
+            fs.cluster.recover_node(victim)
             reports.append(monitor.tick())
             for report in reports:
                 assert report.chunks_recovered == 0
@@ -95,15 +85,15 @@ class TestFlappingNode:
         fs.scheduler = MaintenanceScheduler(fs, SchedulerPolicy(disk_bytes_per_tick=1.0))
         for node_id in fs.datanodes:
             fs.scheduler.budgets.charge(node_id, disk_bytes=1e12)
-        kill(fs, gone_node)
-        kill(fs, flap_node)
+        fs.cluster.fail_node(gone_node)
+        fs.cluster.fail_node(flap_node)
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
         monitor.tick()
         (task,) = fs.scheduler.queue.backlog()
         assert isinstance(task, StripeRepairTask)
         assert {id(c) for c in task.chunks} == {id(gone), id(flapper)}
 
-        revive(fs, flap_node)
+        fs.cluster.recover_node(flap_node)
         report = monitor.tick()
         assert report.repairs_cancelled == 1
         assert [id(c) for c in task.chunks] == [id(gone)]
@@ -130,12 +120,12 @@ class TestFlappingNode:
         fs.write_file("f", data, CC69)
         meta = fs.namenode.lookup("f")
         stripe = meta.stripes[0]
-        kill(fs, stripe.data[0].node_id)
-        kill(fs, stripe.data[4].node_id)
+        fs.cluster.fail_node(stripe.data[0].node_id)
+        fs.cluster.fail_node(stripe.data[4].node_id)
         recovery = RecoveryManager(fs)
         ((_meta, _home, chunks),) = recovery.damaged_groups(recovery.lost_chunks())
         task = StripeRepairTask(meta, chunks)
-        revive(fs, stripe.data[4].node_id)
+        fs.cluster.recover_node(stripe.data[4].node_id)
         assert task.execute(fs) == "repaired"
         assert [id(c) for c in task.chunks] == [id(stripe.data[0])]
         assert task.execute(fs) == "skipped" and task.chunks == []
@@ -146,11 +136,11 @@ class TestFlappingNode:
         fs, _ = hybrid_fs()
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
         victim = fs.cluster.nodes[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         monitor.tick()  # missed 1 of 2
-        revive(fs, victim)
+        fs.cluster.recover_node(victim)
         monitor.tick()  # beat: counter back to zero
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         report = monitor.tick()  # missed 1 of 2 again — still alive
         assert report.newly_dead == []
         assert victim not in monitor.declared_dead()

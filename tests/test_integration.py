@@ -26,11 +26,6 @@ KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 
 
-def kill(fs, node_id):
-    fs.cluster.fail_node(node_id)
-    fs.datanodes[node_id].fail()
-
-
 class TestFullLifetimeUnderFailures:
     def test_lifetime_with_mid_life_node_loss(self):
         """Ingest -> fail a node -> recover -> transcode chain -> verify."""
@@ -38,7 +33,7 @@ class TestFullLifetimeUnderFailures:
         data = np.random.default_rng(1).integers(0, 256, 192 * KB, dtype=np.uint8)
         fs.write_file("f", data, HybridScheme(1, CC69))
         victim = fs.namenode.lookup("f").stripes[1].data[2].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         RecoveryManager(fs).recover_all()
         fs.transcode("f", CC69)
         fs.transcode("f", ECScheme(CodeKind.CC, 12, 15))
@@ -56,7 +51,7 @@ class TestFullLifetimeUnderFailures:
         for g in fs.namenode.poll_work(len(groups) // 2):
             fs.transcoder.execute_group(g)
         victim = meta.stripes[-1].parities[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         # Old metadata is still authoritative; recovery rebuilds from it.
         RecoveryManager(fs).recover_all()
         assert np.array_equal(fs.read_file("f"), data)
@@ -76,7 +71,7 @@ class TestFullLifetimeUnderFailures:
         fs.append_file("f", extra)
         fs.close_file("f")
         victim = fs.namenode.lookup("f").stripes[-1].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         Scrubber(fs).scan_and_repair()
         RecoveryManager(fs).recover_all()
         assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra]))
@@ -95,7 +90,7 @@ class TestFullLifetimeUnderFailures:
             monitor.tick()
             manager.tick()
             if not victim_killed and fs.clock >= 120:
-                kill(fs, fs.namenode.lookup("f").stripes[0].data[0].node_id)
+                fs.cluster.fail_node(fs.namenode.lookup("f").stripes[0].data[0].node_id)
                 victim_killed = True
         meta = fs.namenode.lookup("f")
         assert meta.scheme == ECScheme(CodeKind.CC, 20, 23)
@@ -163,5 +158,5 @@ class TestCustomPolicies:
         assert meta.scheme == wide
         assert np.array_equal(fs.read_file("f"), data)
         # Late-life repair is local: kill one node, read still fine.
-        kill(fs, meta.stripes[0].data[3].node_id)
+        fs.cluster.fail_node(meta.stripes[0].data[3].node_id)
         assert np.array_equal(fs.read_file("f"), data)

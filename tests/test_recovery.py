@@ -19,17 +19,12 @@ def hybrid_fs(n_kb=96, seed=1, copies=1):
     return fs, data
 
 
-def kill(fs, node_id):
-    fs.cluster.fail_node(node_id)
-    fs.datanodes[node_id].fail()
-
-
 class TestDetection:
     def test_lost_chunks_found(self):
         fs, data = hybrid_fs()
         meta = fs.namenode.lookup("f")
         victim = meta.stripes[0].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         rm = RecoveryManager(fs)
         lost = rm.lost_chunks()
         assert lost
@@ -46,7 +41,7 @@ class TestReconstruction:
         fs, data = hybrid_fs()
         meta = fs.namenode.lookup("f")
         chunk = meta.stripes[0].data[2]
-        kill(fs, chunk.node_id)
+        fs.cluster.fail_node(chunk.node_id)
         rm = RecoveryManager(fs)
         n = rm.recover_all()
         assert n >= 1
@@ -59,7 +54,7 @@ class TestReconstruction:
         fs, data = hybrid_fs()
         meta = fs.namenode.lookup("f")
         block = meta.replica_blocks[0]
-        kill(fs, block.copies[0].node_id)
+        fs.cluster.fail_node(block.copies[0].node_id)
         RecoveryManager(fs).recover_all()
         assert np.array_equal(fs.read_file("f"), data)
         node = block.copies[0].node_id
@@ -69,7 +64,7 @@ class TestReconstruction:
         fs, data = hybrid_fs(copies=2)
         meta = fs.namenode.lookup("f")
         block = meta.replica_blocks[0]
-        kill(fs, block.copies[0].node_id)
+        fs.cluster.fail_node(block.copies[0].node_id)
         reads_before = fs.metrics.disk_bytes_read
         # Recover just this replica: one sequential peer-copy read.
         RecoveryManager(fs).recover_chunk(meta, block.copies[0])
@@ -81,7 +76,7 @@ class TestReconstruction:
         meta = fs.namenode.lookup("f")
         parity = meta.stripes[0].parities[1]
         expected = fs.datanodes[parity.node_id].read(parity.chunk_id).copy()
-        kill(fs, parity.node_id)
+        fs.cluster.fail_node(parity.node_id)
         RecoveryManager(fs).recover_all()
         rebuilt = fs.datanodes[meta.stripes[0].parities[1].node_id].read(
             meta.stripes[0].parities[1].chunk_id
@@ -93,7 +88,7 @@ class TestReconstruction:
         data = np.random.default_rng(5).integers(0, 256, 96 * KB, dtype=np.uint8)
         fs.write_file("f", data, ECScheme(CodeKind.RS, 6, 9))
         meta = fs.namenode.lookup("f")
-        kill(fs, meta.stripes[0].data[1].node_id)
+        fs.cluster.fail_node(meta.stripes[0].data[1].node_id)
         RecoveryManager(fs).recover_all()
         assert np.array_equal(fs.read_file("f"), data)
 
@@ -101,7 +96,7 @@ class TestReconstruction:
         fs, data = hybrid_fs(n_kb=192)
         victims = [n.node_id for n in fs.cluster.nodes[:3]]
         for v in victims:
-            kill(fs, v)
+            fs.cluster.fail_node(v)
         count = RecoveryManager(fs).recover_all()
         assert count == len(
             [c for c in []]
@@ -113,7 +108,7 @@ class TestReconstruction:
         fs, data = hybrid_fs()
         meta = fs.namenode.lookup("f")
         chunk = meta.stripes[0].data[0]
-        kill(fs, chunk.node_id)
+        fs.cluster.fail_node(chunk.node_id)
         RecoveryManager(fs).recover_all()
         assert audit(fs) == []
 
@@ -136,7 +131,7 @@ class TestReconstruction:
             meta = fs.namenode.lookup("f")
             victim = meta.stripes[0].data[0].node_id
             lost = [c for c in meta.all_chunks() if c.node_id == victim]
-            kill(fs, victim)
+            fs.cluster.fail_node(victim)
             assert RecoveryManager(fs).recover_all() == len(lost)
             targets += [c.node_id for c in lost]
             stripes += len(meta.stripes)
@@ -157,7 +152,7 @@ class TestReconstruction:
         fs, _data = hybrid_fs(n_kb=n_kb, seed=n_kb)
         fs.transcode("f", ECScheme(CodeKind.CC, 6, 9))
         meta = fs.namenode.lookup("f")
-        kill(fs, meta.stripes[0].data[0].node_id)
+        fs.cluster.fail_node(meta.stripes[0].data[0].node_id)
         alive = fs.reachable_nodes()
         placement = fs._placement_for(meta)
         picks = set()
@@ -198,7 +193,7 @@ class TestReconstruction:
             fs.write_file("f", data, HybridScheme(1, cc69))
             fs.transcode("f", cc69)
             meta = fs.namenode.lookup("f")
-            kill(fs, meta.stripes[0].parities[j].node_id)
+            fs.cluster.fail_node(meta.stripes[0].parities[j].node_id)
             assert RecoveryManager(fs).recover_all() == 2
             homes = {s.parities[j].node_id for s in meta.stripes}
             assert len(homes) == 1 and fs.node_reachable(homes.pop(), "namenode")
@@ -221,7 +216,7 @@ class TestReconstruction:
             fs.transcode("f", cc69)
             meta = fs.namenode.lookup("f")
             lost = [s.parities[0] for s in meta.stripes]
-            kill(fs, lost[0].node_id)
+            fs.cluster.fail_node(lost[0].node_id)
             RecoveryManager(fs).recover_chunks([(meta, c) for c in reversed(lost)])
             assert len({s.parities[0].node_id for s in meta.stripes}) == 1
 
@@ -239,7 +234,7 @@ class TestReconstruction:
             data = np.random.default_rng(8).integers(0, 256, 24 * KB, dtype=np.uint8)
             fs.write_file("f", data, ECScheme(CodeKind.CC, 6, 9))
             stripe = fs.namenode.lookup("f").stripes[0]
-            kill(fs, stripe.all_chunks()[victim].node_id)
+            fs.cluster.fail_node(stripe.all_chunks()[victim].node_id)
             assert RecoveryManager(fs).recover_all() == 1
             assert RecoveryManager(fs).lost_chunks() == []
             assert np.array_equal(fs.read_file("f"), data)
@@ -252,7 +247,7 @@ class TestReconstruction:
         fs.write_file("f", data, ECScheme(CodeKind.RS, 6, 9))
         meta = fs.namenode.lookup("f")
         for chunk in meta.stripes[0].all_chunks()[:4]:
-            kill(fs, chunk.node_id)
+            fs.cluster.fail_node(chunk.node_id)
         with pytest.raises(RecoveryError):
             RecoveryManager(fs).recover_all()
 
@@ -261,7 +256,7 @@ class TestReconstruction:
         data = np.random.default_rng(7).integers(0, 256, 32 * KB, dtype=np.uint8)
         fs.write_file("f", data, Replication(3))
         meta = fs.namenode.lookup("f")
-        kill(fs, meta.replica_blocks[0].copies[0].node_id)
+        fs.cluster.fail_node(meta.replica_blocks[0].copies[0].node_id)
         RecoveryManager(fs).recover_all()
         assert np.array_equal(fs.read_file("f"), data)
         assert RecoveryManager(fs).lost_chunks() == []

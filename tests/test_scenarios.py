@@ -41,16 +41,6 @@ def hybrid_fs(seed=1, n_kb=96, **fs_kw):
     return fs, data
 
 
-def kill(fs, node_id):
-    fs.cluster.fail_node(node_id)
-    fs.datanodes[node_id].fail()
-
-
-def revive(fs, node_id):
-    fs.cluster.recover_node(node_id)
-    fs.datanodes[node_id].recover()
-
-
 # -- bugfix 1: fail_fraction samples the alive population --------------------
 
 class TestFailFractionAliveOnly:
@@ -96,7 +86,7 @@ class TestRepairResubmission:
         # One failed attempt dead-letters the task immediately.
         fs.scheduler = MaintenanceScheduler(fs, policy=SchedulerPolicy(max_attempts=1))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         monitor = HeartbeatMonitor(
             fs, HeartbeatConfig(dead_after_missed=2, repair_resubmit_every_ticks=3)
         )
@@ -135,7 +125,7 @@ class TestRepairResubmission:
         fs, _ = hybrid_fs()
         fs.scheduler = MaintenanceScheduler(fs, policy=SchedulerPolicy(max_attempts=1))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         monitor = HeartbeatMonitor(
             fs, HeartbeatConfig(dead_after_missed=2, repair_resubmit_every_ticks=0)
         )
@@ -175,7 +165,7 @@ class TestLateRegistrationAndStaleRepairs:
             fs, policy=SchedulerPolicy(disk_bytes_per_tick=1.0)
         )
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
         monitor.tick(), monitor.tick()
         queued = [
@@ -185,7 +175,7 @@ class TestLateRegistrationAndStaleRepairs:
         assert all(c.node_id == victim for t in queued for c in t.chunks)
         n_queued_chunks = sum(len(t.chunks) for t in queued)
 
-        revive(fs, victim)
+        fs.cluster.recover_node(victim)
         report = monitor.tick()
         assert victim in report.newly_alive
         # Every queued chunk sat on the one dead node: each counts as a

@@ -31,11 +31,6 @@ def hybrid_fs(seed=1, n_kb=96, **kw):
     return fs, data
 
 
-def kill(fs, node_id):
-    fs.cluster.fail_node(node_id)
-    fs.datanodes[node_id].fail()
-
-
 def io_task(order, name, klass=TaskClass.REPAIR, node="n1", nbytes=10):
     return CallbackTask(
         lambda: order.append(name),
@@ -179,7 +174,7 @@ class TestMorphFSIntegration:
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
         n_lost = len(fs.namenode.chunks_on_node(victim))
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         reports = [monitor.tick() for _ in range(40)]
         recovered = sum(r.chunks_recovered for r in reports)
         assert n_lost >= 2
@@ -194,7 +189,7 @@ class TestMorphFSIntegration:
         fs, data = hybrid_fs()
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         monitor.tick()
         summary = fs.metrics.maintenance_summary()
         repair_classes = {"repair", "critical_repair"} & set(summary)
@@ -242,7 +237,7 @@ class TestMorphFSIntegration:
             fs.scheduler.budgets.charge(node_id, disk_bytes=1e12)
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
-        kill(fs, victim)
+        fs.cluster.fail_node(victim)
         monitor.tick()  # declares dead; repairs blocked on budget
         assert fs.scheduler.has_pending()
         fs.cluster.recover_node(victim)
@@ -277,7 +272,7 @@ class TestStripeRepairBudgets:
         fs.write_file("f", data, scheme)
         homes = sorted({c.node_id for c in fs.namenode.lookup("f").all_chunks()})
         for victim in homes[:2]:
-            kill(fs, victim)
+            fs.cluster.fail_node(victim)
         return fs, data
 
     @pytest.mark.parametrize("scheme", SCHEMES, ids=str)

@@ -1,5 +1,10 @@
-"""Redundancy scheme descriptors, Appendix-B probability, k*."""
+"""Redundancy scheme descriptors, Appendix-B probability, k*, and the
+nominal fault tolerance each scheme claims, pinned against the rank rule."""
 
+import inspect
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from repro.core.schemes import (
@@ -10,6 +15,12 @@ from repro.core.schemes import (
     degraded_read_probability,
     lcm_of_widths,
 )
+from repro.codes.bandwidth import BandwidthOptimalCC
+from repro.codes.base import ErasureCode
+from repro.codes.convertible import ConvertibleCode
+from repro.codes.rs import ReedSolomon
+from repro.codes.wide import WideConvertibleCode
+from repro.dfs import MorphFS
 
 
 class TestReplication:
@@ -120,3 +131,65 @@ class TestKStar:
         assert lcm_of_widths(5, 10, 20) == 20
         assert lcm_of_widths(6, 15) == 30
         assert lcm_of_widths() == 1
+
+
+# -- nominal tolerance against the rule ------------------------------------------
+
+KB = 1024
+CC69 = ECScheme(CodeKind.CC, 6, 9)
+
+
+def survived_losses(scheme) -> int:
+    """How many node losses a one-group file always survives, found by a
+    search over node subsets of an ideal layout (one source per node):
+    the size of the smallest lost set that leaves the group's sources
+    not ``decodable``, less one."""
+    ec = scheme.ec_part
+    k = ec.k if ec is not None else 1
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[k])
+    fs.write_file("f", np.ones(k * 4 * KB, np.uint8), scheme)
+    meta = fs.namenode.lookup("f")
+    (group,) = meta.hybrid_blocks()
+    nodes = [source.node_id for source, _slots in group.sources()]
+    assert len(set(nodes)) == len(nodes)
+    for size in range(len(nodes) + 1):
+        for lost in combinations(nodes, size):
+            left = group.slots(lambda c: c.node_id not in lost)
+            if not fs.rank_rule(meta, group)(left):
+                return size - 1
+    raise AssertionError("losing every node left the data readable")
+
+
+@pytest.mark.parametrize("scheme", [
+    ECScheme(CodeKind.RS, 12, 15),
+    CC69,
+    ECScheme(CodeKind.CC, 12, 15),
+    ECScheme(CodeKind.LRC, 12, 16, local_groups=2, r_global=2),
+    ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2),
+    HybridScheme(1, CC69),
+    HybridScheme(2, CC69),
+    Replication(2),
+    Replication(3),
+], ids=str)
+def test_the_nominal_tolerance_is_what_the_rank_rule_finds(scheme):
+    assert survived_losses(scheme) == scheme.fault_tolerance
+
+
+MDS_CODES = [
+    ReedSolomon(4, 7),
+    ConvertibleCode(4, 7),
+    WideConvertibleCode(4, 7),
+    BandwidthOptimalCC(4, 2, 3),
+]
+
+
+@pytest.mark.parametrize("code", MDS_CODES, ids=repr)
+def test_counting_answers_as_rank_does_for_an_mds_code(code):
+    assert code.is_mds()
+    for size in range(code.n + 1):
+        for slots in combinations(range(code.n), size):
+            assert code.decodable(slots) == code.spans(slots), slots
+
+
+def test_is_mds_enumerates_every_pattern():
+    assert list(inspect.signature(ErasureCode.is_mds).parameters) == ["self"]

@@ -492,6 +492,37 @@ def test_layout_walks_live_on_filemeta():
     assert len(re.findall(r"\+=", ast.unparse(class_def("dfs/blocks.py", "FileMeta")))) == 1
 
 
+def test_one_protection_group_and_one_rank_rule():
+    # ``FileMeta`` pairs a stripe with the replica blocks covering it: no
+    # other code compares a block's span with a stripe's, or builds the
+    # group itself.
+    overlap = r"\.first_chunk\s*[<>+]|[<>]=?\s*[\w.]+\.first_chunk\b"
+    assert files_matching(overlap) == ["dfs/blocks.py"]
+    assert files_matching(r"\bHybridBlockMeta\(") == ["dfs/blocks.py"]
+    assert "hybrid_blocks" in functions(class_def("dfs/blocks.py", "FileMeta"))
+    for name in ("replicas_cover", "_has_fast_alternative"):
+        assert not files_matching(rf"\b{name}\b"), name
+    # Whether what is left suffices is the code's to say (``decodable``),
+    # never a count of survivors against ``n - k`` or ``k``.
+    survivors = re.compile(r"\bn\s*-\s*[\w.]*\bk\b|>=\s*[\w.]*\bk\b")
+    code = {name: ast.unparse(ast.parse(text)) for name, text in SOURCES.items()}
+    assert not [
+        name for name, text in code.items()
+        if (name.startswith("sched/") or name == "dfs/client.py") and survivors.search(text)
+    ]
+    for name, owner in (
+        ("sched/policies.py", "classify_repair"), ("dfs/client.py", "_hedges_past"),
+    ):
+        fn = next(
+            f for f in ast.walk(ast.parse(SOURCES[name]))
+            if isinstance(f, ast.FunctionDef) and f.name == owner
+        )
+        assert {"hybrid_blocks", "rank_rule"} <= calls(fn), owner
+    # ... at most one question per node, no search over node subsets.
+    for under in ("dfs/", "sched/"):
+        assert not files_matching(r"\bcombinations\b", under=under), under
+
+
 def test_one_dict_of_codecs():
     base = class_def("dfs/filesystem.py", "_BaseDFS")
     caches = {

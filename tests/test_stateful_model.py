@@ -1,14 +1,18 @@
 """Model-based stateful testing of MorphFS.
 
 Hypothesis drives random sequences of writes, appends, closes,
-transcodes, failures, recoveries, scrubs, renames and deletes against
-MorphFS, holding a plain dict of expected bytes as the reference model.
-After every step, every live file must read back byte-identical and
-:func:`repro.dfs.audit.audit` must find the filesystem whole —
-regardless of operation order — bar one thing it must report exactly:
-rot planted on a down node, which no scrub can reach.  No buffer cache
-may hold a chunk between steps.
+transcodes (on to CC(12,15) or LRCC(12,2,2)), failures, recoveries,
+scrubs, renames and deletes against MorphFS, holding a plain dict of
+expected bytes as the reference model. After every step, every live file
+must read back byte-identical, every hybrid block must be ``decodable``
+from the sources a client can reach (two nodes down at most: within
+every scheme's tolerance), and :func:`repro.dfs.audit.audit` must find
+the filesystem whole — regardless of operation order — bar one thing it
+must report exactly: rot planted on a down node, which no scrub can
+reach.  No buffer cache may hold a chunk between steps.
 """
+
+from itertools import groupby
 
 import numpy as np
 from hypothesis import settings
@@ -31,6 +35,13 @@ from repro.dfs.recovery import RecoveryManager
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 CC1215 = ECScheme(CodeKind.CC, 12, 15)
+LRCC = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
+
+
+def merges_to_lrcc(meta) -> bool:
+    """Does every run of equal-width stripes fill whole LRCC(12) stripes?"""
+    runs = [(k, len(list(run))) for k, run in groupby(s.k for s in meta.stripes)]
+    return all(12 % k == 0 and n % (12 // k) == 0 for k, n in runs)
 
 
 class MorphModel(RuleBasedStateMachine):
@@ -41,14 +52,16 @@ class MorphModel(RuleBasedStateMachine):
         )
         self.rng = np.random.default_rng(seed)
         self.expected = {}  # name -> bytes
-        self.stage = {}  # name -> 0 hybrid, 1 cc69, 2 cc1215
+        self.stage = {}  # name -> 0 hybrid, 1 cc69, 2 cc1215 or lrcc
         self.counter = 0
         self.down = []
         self.rotten = set()  # damaged on a down node: no scrub reaches it
 
     # -- operations --------------------------------------------------------
-    @rule(n_kb=st.integers(1, 60))
+    @rule(n_kb=st.one_of(st.integers(1, 60), st.sampled_from([24, 48])))
     def write(self, n_kb):
+        # 24 and 48 KiB fill whole k*-windows: an LRCC(12,2,2) merge
+        # needs its CC(6,9) stripes in pairs.
         if len(self.expected) >= 4:
             return
         name = f"f{self.counter}"
@@ -81,10 +94,13 @@ class MorphModel(RuleBasedStateMachine):
         self.stage[name] = 1
 
     @precondition(lambda self: any(s == 1 for s in self.stage.values()))
-    @rule()
-    def advance_to_wide(self):
+    @rule(lrcc=st.booleans())
+    def advance_to_wide(self, lrcc):
+        """On to CC(12,15) — or to LRCC(12,2,2), whose decode and
+        ``decodable`` answer by rank, when the stripe widths allow."""
         name = next(n for n, s in self.stage.items() if s == 1)
-        self.fs.transcode(name, CC1215)
+        lrcc = lrcc and merges_to_lrcc(self.fs.namenode.lookup(name))
+        self.fs.transcode(name, LRCC if lrcc else CC1215)
         self.stage[name] = 2
 
     @rule(pick=st.integers(0, 22))
@@ -95,7 +111,6 @@ class MorphModel(RuleBasedStateMachine):
         if node_id in self.down:
             return
         self.fs.cluster.fail_node(node_id)
-        self.fs.datanodes[node_id].fail()
         self.down.append(node_id)
 
     @precondition(lambda self: bool(self.down))
@@ -104,7 +119,6 @@ class MorphModel(RuleBasedStateMachine):
         RecoveryManager(self.fs).recover_all()
         for node_id in self.down:
             self.fs.cluster.recover_node(node_id)
-            self.fs.datanodes[node_id].recover()
             self.fs.drop_unlisted(node_id)
         self.down.clear()
 
@@ -151,6 +165,14 @@ class MorphModel(RuleBasedStateMachine):
             assert np.array_equal(out, data), f"{name} diverged"
 
     @invariant()
+    def every_hybrid_block_decodes_from_what_a_client_reaches(self):
+        fs = self.fs
+        for name in self.expected:
+            meta = fs.namenode.lookup(name)
+            for group in meta.hybrid_blocks():
+                assert fs.rank_rule(meta, group)(group.slots(fs.chunk_readable)), name
+
+    @invariant()
     def the_filesystem_is_whole_bar_the_planted_rot(self):
         # Rot on a down node is seen and reported for what it is — its
         # bytes no longer carry their sum — while the chunk stays listed.
@@ -168,6 +190,8 @@ class MorphModel(RuleBasedStateMachine):
 
 
 MorphModelTest = MorphModel.TestCase
+# 40 examples of 24 steps: about five LRCC merges a run, some under
+# failures, in ~4 s.
 MorphModelTest.settings = settings(
-    max_examples=12, stateful_step_count=14, deadline=None
+    max_examples=40, stateful_step_count=24, deadline=None
 )

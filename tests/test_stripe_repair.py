@@ -59,7 +59,6 @@ def lrcc_file():
 def kill(fs, *node_ids):
     for node_id in node_ids:
         fs.cluster.fail_node(node_id)
-        fs.datanodes[node_id].fail()
 
 
 def layout(fs):
