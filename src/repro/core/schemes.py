@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.codes.convertible import ConvertibleCode
 from repro.codes.lrc import LocalReconstructionCode
@@ -89,6 +89,11 @@ class Replication(RedundancyScheme):
         return f"{self.copies}-r"
 
 
+#: Every codec made so far, one per distinct :class:`ECScheme`: see
+#: :meth:`ECScheme.make_code`.
+_CODES: Dict["ECScheme", object] = {}
+
+
 @dataclass(frozen=True)
 class ECScheme(RedundancyScheme):
     """An erasure-coding scheme: kind + (k, n) [+ LRC group structure].
@@ -155,9 +160,19 @@ class ECScheme(RedundancyScheme):
         return self
 
     def make_code(self):
-        """Instantiate the codec implementing this scheme (a CC-family
+        """The process's one codec implementing this scheme (a CC-family
         code in its parity count's default family: see
-        :func:`repro.codes.convertible.default_family_width`)."""
+        :func:`repro.codes.convertible.default_family_width`).
+
+        Equal schemes share the object, so its encode plan and its
+        failure-pattern LRU outlive any one filesystem, as the global
+        plan LRU does; a codec holds nothing else that changes."""
+        code = _CODES.get(self)
+        if code is None:
+            code = _CODES.setdefault(self, self._new_code())
+        return code
+
+    def _new_code(self):
         if self.kind is CodeKind.RS:
             return ReedSolomon(self.k, self.n)
         if self.kind is CodeKind.CC:

@@ -244,20 +244,25 @@ class ClientReader:
         """Degraded read: decode the ``missing`` data chunks and deliver
         them like any other source, checked against their slots' sums.
 
-        Survivors are fetched unverified — k cold CRCs would be a tax on
-        every degraded read. A decoded chunk that fails its check means
-        one of them is rotten: only then are the survivors verified, the
-        rotten ones quarantined, and the decode retried once without them.
+        The chunks of ``dests`` already delivered — verified — are handed
+        to the decode as held survivors, so none is fetched twice: one
+        lost data chunk of a whole-stripe read costs k reads, not
+        2k − 1. The other survivors are fetched unverified — k cold CRCs
+        would be a tax on every degraded read. A decoded chunk that fails
+        its check means one of them is rotten: only then are the fetched
+        survivors verified, the rotten ones quarantined, and the decode
+        retried once without them.
         """
         fs = self.fs
         with fs.obs.span("degraded_read", file=meta.name, stripe=stripe.stripe_index):
             verify = fs.checksums.verify
+            held = {local: dst for local, dst in dests.items() if local not in missing}
 
             def decode():
                 """``(sources read, did every decoded chunk pass)``."""
                 read, rebuilt = fs.rebuild_slots(
                     meta, stripe, missing, self.CLIENT, "degraded_read",
-                    prefer=self._prefer,
+                    prefer=self._prefer, held=held,
                 )
                 return read, all(
                     verify(stripe.data[local].chunk_id, rebuilt[local], into=dests[local])

@@ -122,15 +122,14 @@ class _BaseDFS:
         self.obs = obs or NOOP_OBS
         if self.obs.enabled:
             self.obs.attach_filesystem(self)
-        self._codecs: Dict[ECScheme, object] = {}
 
     # -- codecs ---------------------------------------------------------------
     def codec_for(self, ec: ECScheme):
-        """The filesystem's one codec object per scheme: encode plans and
-        decode-pattern LRUs are per object, so every path shares them."""
-        if ec not in self._codecs:
-            self._codecs[ec] = ec.make_code()
-        return self._codecs[ec]
+        """The process's one codec object per scheme
+        (:meth:`ECScheme.make_code`): encode plans and decode-pattern
+        LRUs are per object, so every path and every filesystem shares
+        them."""
+        return ec.make_code()
 
     def cc_codec(self, k: int, n: int):
         return self.codec_for(ECScheme(CodeKind.CC, k, n))
@@ -356,7 +355,7 @@ class _BaseDFS:
 
     def rebuild_slots(
         self, meta: FileMeta, stripe: ECStripeMeta, erased: Sequence[int], by: str,
-        tag: str, prefer=_listed,
+        tag: str, prefer=_listed, held: Optional[Dict[int, np.ndarray]] = None,
     ) -> Tuple[List[Tuple[ChunkMeta, str, np.ndarray]], Dict[int, np.ndarray]]:
         """Bytes of the ``erased`` slots of one stripe — slots whose home
         copy is gone — rebuilt at ``by`` from whichever source survives.
@@ -367,14 +366,17 @@ class _BaseDFS:
         k/l group peers when an LRC-family code lost one in-group chunk,
         then k (any MDS pattern), then every survivor (an LRC-family
         pattern may have to reach past the first k) — in slot order,
-        ``prefer`` (a sort key over chunks) ranking them first. The
+        ``prefer`` (a sort key over chunks) ranking them first. A slot
+        in ``held`` (slot -> bytes ``by`` already has and has verified)
+        is taken in its turn like any survivor, but never fetched. The
         decode's CPU is charged to ``by``.
 
         Returns ``(read, rebuilt)``: ``(copy read, id its sum is recorded
         under, its bytes)`` per source fetched — unverified; the caller
         that finds rebuilt bytes failing their sums hands these to
         ``quarantine_rotten`` — and slot -> bytes for each erased slot.
-        Raises :class:`ReadError` when what ``by`` can reach cannot
+        Held slots are not in ``read``: their bytes already passed their
+        sums. Raises :class:`ReadError` when what ``by`` can reach cannot
         decode the pattern.
         """
         chunks = stripe.all_chunks()
@@ -401,10 +403,14 @@ class _BaseDFS:
             order = peers + [s for s in order if s not in peers]
             needs.insert(0, len(available) + len(peers))
         survivors = iter(order)
+        held = held or {}
         error: Optional[DecodeError] = None
         for need in needs:
             while len(available) < need and (slot := next(survivors, None)) is not None:
-                take(slot, self.fetch_slot(meta, stripe, slot, by, tag, prefer))
+                if slot in held:
+                    available[slot] = held[slot]
+                else:
+                    take(slot, self.fetch_slot(meta, stripe, slot, by, tag, prefer))
             try:
                 rebuilt = code.decode(available, todo)
             except DecodeError as exc:

@@ -314,9 +314,17 @@ class TestSplitCrcEqualsWhole:
 class TestSplitThreads:
     @pytest.fixture
     def seen(self, monkeypatch):
-        """Threads that looked up a table, started a split, gathered."""
+        """Threads that looked up a table, started a split, gathered.
+
+        The caller's first gather inside a split waits until a pool
+        thread has gathered too, so a part runs on the pool however
+        loaded the machine is: left alone, a caller that is never
+        descheduled claims every part itself."""
         seen = {"lookups": [], "splits": [], "gathers": []}
         cache_get, split, take = kernels._cache_get, kernels.split, np.take
+        me = threading.current_thread()
+        splitting = []
+        pooled = threading.Event()
 
         def spy_cache_get(*args):
             seen["lookups"].append(threading.current_thread())
@@ -324,10 +332,18 @@ class TestSplitThreads:
 
         def spy_split(*args):
             seen["splits"].append(threading.current_thread())
-            return split(*args)
+            splitting.append(1)
+            try:
+                return split(*args)
+            finally:
+                splitting.pop()
 
         def spy_take(*args, **kwargs):
             seen["gathers"].append(threading.current_thread())
+            if threading.current_thread() is not me:
+                pooled.set()
+            elif splitting:
+                pooled.wait(timeout=30)
             return take(*args, **kwargs)
 
         monkeypatch.setattr(kernels, "_cache_get", spy_cache_get)

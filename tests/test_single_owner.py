@@ -523,19 +523,30 @@ def test_one_protection_group_and_one_rank_rule():
         assert not files_matching(r"\bcombinations\b", under=under), under
 
 
-def test_one_dict_of_codecs():
+def test_one_map_of_codecs_per_process():
+    # A codec is a value of its scheme: the filesystem keeps no codec and
+    # no cache of its own, and never builds one ...
     base = class_def("dfs/filesystem.py", "_BaseDFS")
     caches = {
         target.attr
         for node in ast.walk(base) if isinstance(node, (ast.Assign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        if isinstance(target, ast.Attribute) and re.search(r"cache|codecs", target.attr)
+        if isinstance(target, ast.Attribute) and re.search(r"cache|codec", target.attr)
     }
-    assert caches == {"_codecs"}
+    assert not caches
     constructed = r"\b(ConvertibleCode|LocallyRecoverableConvertibleCode|ReedSolomon)\("
     assert not files_matching(constructed, under="dfs/")
+    # ... the scheme hands out the process's one, asked by the scheme alone ...
     make_code = functions(class_def("core/schemes.py", "ECScheme"))["make_code"]
     assert [a.arg for a in make_code.args.args] == ["self"]
+    # ... and one function under dfs/ decodes with it.
+    decoders = {
+        f"{name}:{fn.name}"
+        for name, text in SOURCES.items() if name.startswith("dfs/")
+        for fn in ast.walk(ast.parse(text))
+        if isinstance(fn, ast.FunctionDef) and "decode" in calls(fn)
+    }
+    assert decoders == {"dfs/filesystem.py:rebuild_slots"}
 
 
 def test_sharded_namenode_takes_no_shard_factory():
