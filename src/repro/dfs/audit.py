@@ -17,7 +17,7 @@ What it checks, by ``kind``:
     plain namenode, and the result equals live state (its index must be
     exact too).
 ``queue``
-    every ATQ group and every UTM job names a registered file.
+    every UTM job names a registered file.
 ``sums``
     the checksum registry holds a sum for exactly the chunks the namenode
     answers for (:meth:`~repro.dfs.namenode.Namenode.listed_chunks`):
@@ -131,17 +131,11 @@ def _index(shard: Namenode) -> List[Violation]:
 
 
 def _queues(shard: Namenode) -> List[Violation]:
-    out = [
-        Violation("queue", group.file_name, f"ATQ group {group.group_index} of no registered file")
-        for group in shard.atq
-        if group.file_name not in shard.files
-    ]
-    out.extend(
+    return [
         Violation("queue", name, "UTM job of no registered file")
         for name in shard.utm
         if name not in shard.files
-    )
-    return out
+    ]
 
 
 def _journal(shard: Namenode, subject: str) -> List[Violation]:

@@ -9,7 +9,7 @@ policy:
 ingest             3-way replication or RS     hybrid Hy(c, EC) (§4.2)
 codes              RS / LRC                    CC / LRCC
 placement          per-stripe random           k*-window + parity co-location
-transcode          client RRW                  native (ATQ/UTM, CC merges)
+transcode          client RRW                  native (UTM jobs, CC merges)
 =================  ==========================  ============================
 """
 
@@ -269,6 +269,22 @@ class _BaseDFS:
         ]
         self.discard_chunks(stale)
         return len(stale)
+
+    def restart(self, namenode: Namenode) -> None:
+        """The namenode process came back as ``namenode`` — recovered
+        from its journal, a crash being a prefix of it. The filesystem
+        serves from it, with a work queue of its own (queued tasks hold
+        the old process's files; the heartbeat derives repairs and
+        pending transcode groups anew), and every datanode it can command
+        sends a block report: what it holds that the new namenode does
+        not list there — a chunk stored for a record the crash lost —
+        leaves through :meth:`drop_unlisted`. A node that is down
+        reports when the heartbeat sees it return."""
+        self.namenode = namenode
+        self.scheduler = MaintenanceScheduler(self, self.scheduler.policy)
+        for node_id in self.datanodes:
+            if self.commandable(node_id):
+                self.drop_unlisted(node_id)
 
     def rehome_chunks(
         self,
@@ -865,14 +881,12 @@ class MorphFS(AppendSupport, _BaseDFS):
             self.datanodes[node_id].drop_from_memory(chunk_id)
 
     # -- native transcode ----------------------------------------------------------
-    def transcode(self, name: str, target: RedundancyScheme, heartbeats: bool = True) -> FileMeta:
+    def transcode(self, name: str, target: RedundancyScheme) -> FileMeta:
         """Native transcode (§6.2): plan, enqueue, execute, atomic switch."""
         with self.obs.span("transcode_request", file=name):
-            return self._transcode_impl(name, target, heartbeats)
+            return self._transcode_impl(name, target)
 
-    def _transcode_impl(
-        self, name: str, target: RedundancyScheme, heartbeats: bool = True
-    ) -> FileMeta:
+    def _transcode_impl(self, name: str, target: RedundancyScheme) -> FileMeta:
         meta = self.namenode.lookup(name)
         step = self.planner.plan(meta.scheme, target)
         if step.kind is TranscodeKind.FREE:
@@ -881,17 +895,11 @@ class MorphFS(AppendSupport, _BaseDFS):
             if isinstance(meta.scheme, HybridScheme):
                 # Drop replicas first (free), then convert the EC part.
                 self._free_transition(meta, meta.scheme.ec)
-            groups, parities = self._build_groups(meta, target)
-            self.namenode.enqueue_transcode(name, target, groups, parities)
-            if heartbeats:
-                self.transcoder.run_pending(name)
+            self.namenode.enqueue_transcode(name, target, self._build_groups(meta, target))
+            self.transcoder.run_pending(name)
             return self.namenode.lookup(name)
         # RRW fallback (e.g. into plain RS/LRC targets).
         return RRWTranscoder(self).transcode(name, target)
-
-    def run_transcode_heartbeats(self, name: str) -> None:
-        """Drive a previously enqueued transcode to completion."""
-        self.transcoder.run_pending(name)
 
     def schedule_transcode(
         self,
@@ -905,8 +913,8 @@ class MorphFS(AppendSupport, _BaseDFS):
         Free (hybrid -> EC) transitions become a single metadata-only
         task when every stripe already has its parities — the scheduler
         runs those regardless of budget pressure. Convertible
-        conversions go through the ATQ; the heartbeat loop feeds the
-        queued groups into the scheduler tick by tick, where ``deadline``
+        conversions open a UTM job; the heartbeat loop feeds its pending
+        groups into the scheduler tick by tick, where ``deadline``
         boosts them as the lifetime policy's transition date nears.
         """
         from repro.sched.tasks import FreeTransitionTask
@@ -926,9 +934,8 @@ class MorphFS(AppendSupport, _BaseDFS):
             if isinstance(meta.scheme, HybridScheme):
                 # Replica drop first (free); the EC part converts queued.
                 self._free_transition(meta, meta.scheme.ec)
-            groups, parities = self._build_groups(meta, target)
             self.namenode.enqueue_transcode(
-                name, target, groups, parities, deadline=deadline
+                name, target, self._build_groups(meta, target), deadline=deadline
             )
             return meta
         # RRW fallback has no incremental work units; run it inline.
@@ -1015,17 +1022,13 @@ class MorphFS(AppendSupport, _BaseDFS):
 
     def _build_groups(
         self, meta: FileMeta, target: RedundancyScheme
-    ) -> Tuple[List[ConversionGroup], int]:
+    ) -> List[ConversionGroup]:
         from math import gcd
 
         ec = target.ec_part
         if ec is None:
             raise TranscodeError(f"cannot transcode into {target}")
         n_stripes = len(meta.stripes)
-        if ec.kind is CodeKind.LRCC:
-            parities = ec.local_groups + ec.r_global
-        else:
-            parities = ec.n - ec.k
         groups: List[ConversionGroup] = []
         index = 0
         # Conversion groups must be width-homogeneous: appended/short tail
@@ -1066,5 +1069,5 @@ class MorphFS(AppendSupport, _BaseDFS):
                 )
                 index += 1
             run_start = run_end
-        return groups, parities
+        return groups
 

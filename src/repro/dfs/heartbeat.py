@@ -11,10 +11,11 @@ scheduler tick per heartbeat:
   :class:`~repro.sched.tasks.StripeRepairTask` per damaged stripe (or
   replica block), classified critical when that redundancy group has no
   spare redundancy left;
-* the file's ATQ is polled (bounded per heartbeat, §6.2) and each
-  conversion group becomes a deadline-carrying
-  :class:`~repro.sched.tasks.ConversionGroupTask`, plus one metadata-only
-  finalize task per transcoding file;
+* each pending conversion group of a transcoding file — one with a
+  final stripe not yet staged; bounded per heartbeat (§6.2) — becomes a
+  deadline-carrying :class:`~repro.sched.tasks.ConversionGroupTask`,
+  plus one metadata-only finalize task per file
+  (:meth:`~repro.dfs.transcoder.NativeTranscoder.submit_pending`);
 * on scrub ticks a :class:`~repro.sched.tasks.ScrubTask` is queued;
 * a declared-dead node that beats again has its stale queued repairs
   cancelled and drops what it holds that was re-homed while it was away
@@ -33,16 +34,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.cluster.partition import NAMENODE
 from repro.sched.scheduler import SchedulerTickReport
-from repro.sched.tasks import (
-    ConversionGroupTask,
-    ScrubTask,
-    StripeRepairTask,
-    TranscodeFinalizeTask,
-)
-
-
-#: ATQ groups of one file polled into the scheduler per heartbeat (§6.2)
-MAX_TRANSCODE_GROUPS_PER_TICK = 8
+from repro.sched.tasks import ConversionGroupTask, ScrubTask, StripeRepairTask
 
 
 @dataclass
@@ -58,7 +50,8 @@ class HeartbeatConfig:
     #: This is what requeues a repair that dead-lettered: the buried
     #: task is out of the pending queue, so the periodic sweep submits a
     #: fresh one with a clean retry budget — a lost chunk is never
-    #: abandoned while its node stays dead.
+    #: abandoned while its node stays dead. A dead-lettered conversion
+    #: group is submitted again on the same cadence.
     repair_resubmit_every_ticks: int = 4
 
 
@@ -167,19 +160,17 @@ class HeartbeatMonitor:
                 task.result = "cancelled"
         return cancelled
 
-    def _submit_transcode_work(self) -> None:
-        """Poll the ATQ (bounded) and keep a finalize task per UTM file."""
-        namenode = self.fs.namenode
+    def _submit_transcode_work(self, resweep: bool) -> None:
+        """Every transcoding file's pending groups go to the scheduler,
+        by the transcoder's intake rule. A group that dead-lettered is
+        pending and queued nowhere: it goes again on a resweep tick."""
         scheduler = self.fs.scheduler
-        for name in list(namenode.utm):
-            job = namenode.utm[name]
-            for group in namenode.poll_work_for(name, MAX_TRANSCODE_GROUPS_PER_TICK):
-                scheduler.submit(ConversionGroupTask(group, deadline=job.deadline))
-            pending_finalize = scheduler.queue.find(
-                lambda t: isinstance(t, TranscodeFinalizeTask) and t.name == name
-            )
-            if pending_finalize is None:
-                scheduler.submit(TranscodeFinalizeTask(name))
+        buried = () if resweep else {
+            (task.group.file_name, task.group.group_index)
+            for task in scheduler.dead_letter
+            if isinstance(task, ConversionGroupTask)
+        }
+        self.fs.transcoder.submit_pending(scheduler, list(self.fs.namenode.utm), buried)
 
     # -- the tick ----------------------------------------------------------------
     def tick(self, recover: bool = True) -> TickReport:
@@ -220,16 +211,14 @@ class HeartbeatMonitor:
         # dead — and goes through the scheduler's priority/budget gate.
         # The periodic resweep keeps dead-lettered repairs from orphaning
         # their chunks: still-lost chunks are resubmitted as fresh tasks.
-        resubmit = self.config.repair_resubmit_every_ticks and (
-            self._declared_dead
-            and self.tick_count % self.config.repair_resubmit_every_ticks == 0
-        )
-        if recover and (report.newly_dead or resubmit):
+        every = self.config.repair_resubmit_every_ticks
+        resweep = bool(every) and self.tick_count % every == 0
+        if recover and (report.newly_dead or (resweep and self._declared_dead)):
             self._submit_repairs()
-        # ATQ draining: bounded intake per heartbeat (§6.2). Only Morph
-        # has a native transcoder; the baseline transcodes client-side.
+        # Transcode intake: bounded per heartbeat (§6.2). Only Morph has
+        # a native transcoder; the baseline transcodes client-side.
         if hasattr(self.fs, "transcoder"):
-            self._submit_transcode_work()
+            self._submit_transcode_work(resweep)
         # Periodic scrub.
         if (
             self.config.scrub_every_ticks

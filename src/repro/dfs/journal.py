@@ -1,10 +1,10 @@
 """Crash-consistent namenode persistence: op-log journal + snapshots.
 
 The paper keeps the namenode's transcode bookkeeping (ATQ/UTM) in memory
-and leans on the atomic metadata switch for crash safety (§6.2).  That
-is correct but lossy: a restart forgets every queued and half-finished
-conversion.  This module adds the missing durability layer as an
-HDFS-style edit log:
+and leans on the atomic metadata switch for crash safety (§6.2): a
+restart re-runs any unfinished conversion.  This module makes the whole
+namenode durable as an HDFS-style edit log, and a crash is a prefix of
+it — a conversion resumes at its first unstaged final stripe:
 
 * :class:`Journal` — an append-only log of versioned, checksummed
   records (length/version/opcode/CRC32 header + canonical-JSON payload),
@@ -33,13 +33,14 @@ Every op type writes its own opcode.  What happens to a file *after*
 registration arrives as an op that carries the change: PLACE (chunks
 re-homed by repair or relocation: old id, new id, node), RELAYOUT (an
 append, a close or a seal: the stripes kept, the new tail), DROP_REPLICAS
-(the hybrid -> EC switch) and the transcode lifecycle.  Placements made
-before registration need no record: REGISTER carries final state.  A
-NOTE — the benchmark harness's ``note_chunk`` — carries the file's full
-document and changes nothing: it replays as a re-index.
+(the hybrid -> EC switch) and the transcode lifecycle (ENQUEUE,
+NEW_STRIPE, FINALIZE).  Placements made before registration need no
+record: REGISTER carries final state.  A NOTE — the benchmark harness's
+``note_chunk`` — carries the file's full document and changes nothing:
+it replays as a re-index.
 
 Durable state is the canonical tuple (files in registration order,
-chunk_seq, ATQ, UTM).  The per-node chunk index and the absolute
+chunk_seq, UTM).  The per-node chunk index and the absolute
 ``_file_order`` sequence numbers are derived caches, rebuilt on
 recovery; relative registration order is preserved by construction.
 
@@ -51,7 +52,7 @@ has exactly one byte form.  :class:`JournaledNamenode` remembers where
 the document of each file last landed in the log (REGISTER, each element
 of REGISTER_BATCH, NOTE) and forgets it when a record changes the file
 without carrying its document (UNREGISTER, RENAME, PLACE, RELAYOUT,
-DROP_REPLICAS, ENQUEUE, FINALIZE, ABORT).  Because live state equals the
+DROP_REPLICAS, ENQUEUE, FINALIZE).  Because live state equals the
 journaled prefix at every record boundary, a remembered range *is* the
 file's current document, and compaction joins those ranges instead of
 walking every chunk.
@@ -99,8 +100,6 @@ from repro.dfs.blocks import (
     ReplicaBlockMeta,
 )
 from repro.dfs.namenode import (
-    Abort,
-    Complete,
     ConversionGroup,
     DropReplicas,
     Enqueue,
@@ -110,7 +109,6 @@ from repro.dfs.namenode import (
     NewStripe,
     Note,
     Place,
-    Poll,
     Register,
     RegisterBatch,
     Relayout,
@@ -122,7 +120,7 @@ from repro.dfs.namenode import (
 #: The only record format this module reads or writes.  Journals here
 #: never outlive a run, so a format change *replaces* the old one: any
 #: other version (older or newer) is rejected, there is no reader fork.
-RECORD_VERSION = 4
+RECORD_VERSION = 5
 #: record header: payload length, format version, opcode, CRC32(payload)
 _HEADER = struct.Struct("<IHHI")
 #: sanity bound on one record's payload (a full-state snapshot of a very
@@ -152,14 +150,11 @@ class Op(IntEnum):
     NOTE = 5            # note_chunk (the harness shim: the file's document)
     MINT = 6            # next_chunk_id(s): chunk-sequence advance
     ENQUEUE = 7         # enqueue_transcode
-    POLL = 8            # poll_work / poll_work_for (ATQ -> in-flight)
-    COMPLETE = 9        # complete_parity
-    NEW_STRIPE = 10     # record_new_stripe
-    FINALIZE = 11       # try_finalize (the atomic metadata switch)
-    ABORT = 12          # abort_transcode
-    PLACE = 13          # place_chunks (repair / relocation: chunks re-homed)
-    DROP_REPLICAS = 14  # drop_replicas (the hybrid -> EC switch)
-    RELAYOUT = 15       # relayout_file (append / close / seal: a new tail)
+    NEW_STRIPE = 8      # record_new_stripe (a final stripe staged)
+    FINALIZE = 9        # try_finalize (the atomic metadata switch)
+    PLACE = 10          # place_chunks (repair / relocation: chunks re-homed)
+    DROP_REPLICAS = 11  # drop_replicas (the hybrid -> EC switch)
+    RELAYOUT = 12       # relayout_file (append / close / seal: a new tail)
 
 
 class JournalError(RuntimeError):
@@ -291,12 +286,11 @@ def decode_group(d: List[Any]) -> ConversionGroup:
 
 
 def encode_job(j: TranscodeJob) -> List[Any]:
-    """``[file, target, [groups], pending_bits, total_bits,
-    [[group, final_idx, stripe], ...], deadline]``"""
+    """``[file, target, [groups], [[group, final_idx, stripe], ...],
+    deadline]``"""
     return [
         j.file_name, encode_scheme(j.target_scheme),
         [encode_group(g) for g in j.groups],
-        j.pending_bits, j.total_bits,
         [[g, i, encode_stripe(s)] for (g, i), s in sorted(j.new_stripes.items())],
         j.deadline,
     ]
@@ -306,39 +300,33 @@ def decode_job(d: List[Any]) -> TranscodeJob:
     return TranscodeJob(
         file_name=_intern(d[0]), target_scheme=decode_scheme(d[1]),
         groups=[decode_group(g) for g in d[2]],
-        pending_bits=d[3], total_bits=d[4],
-        new_stripes={(g, i): decode_stripe(s) for g, i, s in d[5]},
-        deadline=d[6],
+        new_stripes={(g, i): decode_stripe(s) for g, i, s in d[3]},
+        deadline=d[4],
     )
 
 
 # -- canonical state ----------------------------------------------------------
 
 def encode_state(nn: Namenode) -> Dict[str, Any]:
-    """Canonical durable state, built on ``snapshot(include_transcode=True)``.
+    """Canonical durable state: files, the chunk sequence and the UTM.
 
     Files appear in registration order (dict order); the per-node index
     and absolute ``_file_order`` values are derived caches and excluded.
     """
-    snap = nn.snapshot(include_transcode=True)
     return {
-        "files": [encode_file(m) for m in snap["files"].values()],
-        "chunk_seq": snap["chunk_seq"],
-        "atq": [encode_group(g) for g in snap["atq"]],
-        "utm": [encode_job(j) for j in snap["utm"].values()],
+        "files": [encode_file(m) for m in nn.files.values()],
+        "chunk_seq": nn._chunk_seq,
+        "utm": [encode_job(j) for j in nn.utm.values()],
     }
 
 
 def load_state(nn: Namenode, doc: Dict[str, Any]) -> None:
     """Reset ``nn`` to the decoded canonical state (recovery path)."""
-    files = [decode_file(fd) for fd in doc["files"]]
-    jobs = [decode_job(jd) for jd in doc["utm"]]
-    nn.load({
-        "files": {meta.name: meta for meta in files},
-        "chunk_seq": doc["chunk_seq"],
-        "atq": [decode_group(gd) for gd in doc["atq"]],
-        "utm": {job.file_name: job for job in jobs},
-    })
+    nn.load(
+        [decode_file(fd) for fd in doc["files"]],
+        doc["chunk_seq"],
+        [decode_job(jd) for jd in doc["utm"]],
+    )
 
 
 def state_digest(nn: Namenode) -> str:
@@ -597,21 +585,13 @@ _RECORD = {
     Mint: (Op.MINT, None, None, lambda nn, op: {"c": op.count}),
     Enqueue: (Op.ENQUEUE, None, _named, lambda nn, op: {  # state -> TRANSCODING
         "n": op.name, "t": encode_scheme(op.target_scheme),
-        "g": [encode_group(g) for g in op.groups], "p": op.parities,
-        "dl": op.deadline}),
-    Poll: (Op.POLL, lambda nn, op, out: bool(out), None,
-           lambda nn, op: {"n": op.name, "m": op.max_items}),
-    Complete: (Op.COMPLETE, None, None, lambda nn, op: {
-        "n": op.name, "g": op.group_index, "i": op.final_idx,
-        "j": op.parity_j, "p": op.parities}),
+        "g": [encode_group(g) for g in op.groups], "dl": op.deadline}),
     NewStripe: (Op.NEW_STRIPE, None, None, lambda nn, op: {
         "n": op.name, "g": op.group_index, "i": op.final_idx,
         "s": encode_stripe(op.stripe)}),
     # The metadata switch itself, not a call that found parities pending.
     Finalize: (Op.FINALIZE, lambda nn, op, out: out is not None, _named,
                lambda nn, op: {"n": op.name}),
-    # Only if there was a job to forget (state -> HEALTHY).
-    Abort: (Op.ABORT, lambda nn, op, out: out, _named, lambda nn, op: {"n": op.name}),
 }
 
 
@@ -647,14 +627,10 @@ _DECODE = {
     Op.DROP_REPLICAS: lambda nn, p: DropReplicas(p["n"], decode_scheme(p["t"])),
     Op.MINT: lambda nn, p: Mint(None, p["c"]),
     Op.ENQUEUE: lambda nn, p: Enqueue(
-        p["n"], decode_scheme(p["t"]), [decode_group(g) for g in p["g"]],
-        p["p"], p["dl"],
+        p["n"], decode_scheme(p["t"]), [decode_group(g) for g in p["g"]], p["dl"],
     ),
-    Op.POLL: lambda nn, p: Poll(p["n"], p["m"]),
-    Op.COMPLETE: lambda nn, p: Complete(p["n"], p["g"], p["i"], p["j"], p["p"]),
     Op.NEW_STRIPE: _decode_new_stripe,
     Op.FINALIZE: lambda nn, p: Finalize(p["n"]),
-    Op.ABORT: lambda nn, p: Abort(p["n"]),
 }
 
 
@@ -741,8 +717,7 @@ class JournaledNamenode(Namenode):
         number of documents spliced.  The log views die with this frame,
         before the log is replaced."""
         # Keys in sorted order, as the canonical encoder emits them.
-        head = b'{"atq":%s,"chunk_seq":%d,"files":[' % (
-            _encode([encode_group(g) for g in self.atq]), self._chunk_seq)
+        head = b'{"chunk_seq":%d,"files":[' % self._chunk_seq
         tail = b'],"utm":%s}' % _encode([encode_job(j) for j in self.utm.values()])
         frags = self._frags
         parts = []

@@ -2,22 +2,23 @@
 
 The transcode module mirrors the paper's architecture:
 
-* ``transcode(file, scheme)`` enqueues work; the Namenode forms new
-  stripes over *sequential* data chunks and pushes conversion groups into
-  the **awaiting-transcoding queue (ATQ)**.
-* Work is polled from the ATQ (bounded per heartbeat) and tracked in the
-  **undergoing-transcoding map (UTM)** — per file, a bitmap of pending
-  final parities.
-* Completion of every parity of every stripe triggers the **atomic
+* ``transcode(file, scheme)`` enqueues work: the Namenode forms new
+  stripes over *sequential* data chunks, in conversion groups, and
+  tracks the file's job in the **undergoing-transcoding map (UTM)**.
+* The job's staged final stripes are the one record of its progress: a
+  group whose final stripes are not all staged is pending
+  (:meth:`TranscodeJob.pending_groups` — the paper's awaiting-transcoding
+  queue is derived, never stored), and a staged one is never replaced.
+* Once every final stripe of every group is staged, the **atomic
   metadata switch**: new stripes replace old, old parities become
   garbage, the file version bumps. Old parities are deleted only after
   the switch, so reads/degraded-reads/reconstruction work mid-transcode,
-  and a crash before the switch simply leaves the (still valid) old
-  metadata in place — restart re-runs the conversion idempotently.
+  and a restart from any journal prefix resumes the conversion at the
+  first unstaged final stripe.
 
-One write path: state (namespace, chunk sequence, ATQ, UTM and the
-derived caches) changes only inside :meth:`Namenode.apply`, which
-dispatches one of the fifteen op types below to its handler.  The public
+One write path: state (namespace, chunk sequence, UTM and the derived
+caches) changes only inside :meth:`Namenode.apply`, which dispatches one
+of the twelve op types below to its handler.  The public
 mutators only build an op and hand it to ``self.apply``, so the journal
 (:mod:`repro.dfs.journal`) and the shard router (:mod:`repro.dfs.shards`)
 override ``apply`` and nothing else.  A handler validates before it
@@ -39,11 +40,9 @@ first, then the copies it no longer lists).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from sys import intern as _intern
 from typing import (
-    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -91,17 +90,25 @@ class TranscodeJob:
     file_name: str
     target_scheme: RedundancyScheme
     groups: List[ConversionGroup] = field(default_factory=list)
-    #: bitmap over (group, final_stripe, parity) completion — int bitmask
-    pending_bits: int = 0
-    total_bits: int = 0
-    #: final stripes accumulated by the transcoder, keyed by (group, idx)
+    #: final stripes staged by the transcoder, keyed by (group, idx): the
+    #: job's one record of progress
     new_stripes: Dict[Tuple[int, int], ECStripeMeta] = field(default_factory=dict)
     #: absolute DFS-clock time the lifetime policy wants this transcode
     #: done by; the maintenance scheduler boosts the job as it nears
     deadline: Optional[float] = None
 
+    def pending_groups(self) -> List[ConversionGroup]:
+        """The groups with a final stripe not yet staged, in order."""
+        staged = self.new_stripes
+        return [
+            group for group in self.groups
+            if any((group.group_index, m) not in staged
+                   for m in range(group.n_final_stripes))
+        ]
+
     def is_complete(self) -> bool:
-        return self.total_bits > 0 and self.pending_bits == 0
+        """Every final stripe of every group is staged."""
+        return not self.pending_groups()
 
     def staged_chunks(self) -> List[ChunkMeta]:
         """The chunks of the final stripes stored so far: no file lists
@@ -188,21 +195,7 @@ class Enqueue(NamedTuple):
     name: str
     target_scheme: RedundancyScheme
     groups: List[ConversionGroup]
-    parities: int
     deadline: Optional[float]
-
-
-class Poll(NamedTuple):
-    name: Optional[str]  # one file's groups, or (None) any file's
-    max_items: int
-
-
-class Complete(NamedTuple):
-    name: str
-    group_index: int
-    final_idx: int
-    parity_j: int
-    parities: int
 
 
 class NewStripe(NamedTuple):
@@ -216,17 +209,11 @@ class Finalize(NamedTuple):
     name: str
 
 
-class Abort(NamedTuple):
-    name: str
-
-
 class Namenode:
-    """Namespace + block map + ATQ/UTM transcode bookkeeping."""
+    """Namespace + block map + UTM transcode bookkeeping."""
 
     def __init__(self):
         self.files: Dict[str, FileMeta] = {}
-        #: awaiting-transcoding queue: conversion groups not yet assigned
-        self.atq: Deque[ConversionGroup] = deque()
         #: undergoing-transcoding map: file -> job state
         self.utm: Dict[str, TranscodeJob] = {}
         self._chunk_seq = 0
@@ -304,35 +291,19 @@ class Namenode:
         return self.apply(DropReplicas(name, scheme))
 
     def enqueue_transcode(self, name: str, target_scheme: RedundancyScheme,
-                          groups: List[ConversionGroup], parities_per_final_stripe: int,
+                          groups: List[ConversionGroup],
                           deadline: Optional[float] = None) -> TranscodeJob:
-        """Queue a file's conversion groups into the ATQ (transcode())."""
-        return self.apply(
-            Enqueue(name, target_scheme, groups, parities_per_final_stripe, deadline)
-        )
-
-    def poll_work(self, max_items: int = 8) -> List[ConversionGroup]:
-        """Pop up to ``max_items`` groups from the ATQ (per heartbeat)."""
-        return self.apply(Poll(None, max_items))
-
-    def poll_work_for(self, name: str, max_items: int = 8) -> List[ConversionGroup]:
-        """Pop up to ``max_items`` of one file's groups from the ATQ,
-        leaving other files' groups queued in order."""
-        return self.apply(Poll(name, max_items))
-
-    def complete_parity(self, name: str, group_index: int, final_idx: int,
-                        parity_j: int, parities_per_final_stripe: int) -> None:
-        """Mark one new parity persisted (UTM bitmap update)."""
-        self.apply(
-            Complete(name, group_index, final_idx, parity_j, parities_per_final_stripe)
-        )
+        """Open a file's transcode job over its conversion groups."""
+        return self.apply(Enqueue(name, target_scheme, groups, deadline))
 
     def record_new_stripe(self, name: str, group_index: int, final_idx: int,
                           stripe: ECStripeMeta) -> None:
+        """Stage final stripe ``final_idx`` of a group, its parities
+        stored: once staged, it is never replaced."""
         self.apply(NewStripe(name, group_index, final_idx, stripe))
 
     def try_finalize(self, name: str) -> Optional[List[ChunkMeta]]:
-        """Atomic metadata switch once every parity bit has cleared.
+        """Atomic metadata switch once every final stripe is staged.
 
         Returns the now-garbage old parity chunks (for deletion by the
         caller) or None if the job is still pending. The switch itself is
@@ -340,12 +311,6 @@ class Namenode:
         fully consistent metadata in effect.
         """
         return self.apply(Finalize(name))
-
-    def abort_transcode(self, name: str) -> None:
-        """Simulate a crash: forget in-flight transcode state (UTM is
-        in-memory only; the paper avoids persisting it). Old metadata
-        stays in effect; the ATQ entries for the file are dropped."""
-        self.apply(Abort(name))
 
     # -- handlers: the only code that changes state ---------------------------
     # Called as ``handler(self, *op)``: a handler's parameters are the
@@ -391,12 +356,10 @@ class Namenode:
         # By ``name``, not ``meta.name``: a cross-shard rename has already
         # re-labelled the object it is taking away.
         self._unindex(name, meta)
-        if name in self.utm:
+        if self.utm.pop(name, None) is not None:
             # Deleting (or renaming) a file mid-transcode drops its job:
-            # a UTM entry and queued ATQ groups keyed by a name that no
-            # longer resolves would otherwise leak forever and crash any
-            # worker that later polls them.
-            self._abort(name)
+            # a UTM entry keyed by a name that no longer resolves would
+            # otherwise leak forever, its groups pending for good.
             meta.state = FileState.HEALTHY
         return meta
 
@@ -512,51 +475,28 @@ class Namenode:
         self._chunk_seq += count
         return start
 
-    def _enqueue(self, name, target_scheme, groups, parities, deadline):
+    def _enqueue(self, name, target_scheme, groups, deadline):
         meta = self.lookup(name)
         if name in self.utm:
             raise TranscodeStateError(f"{name} is already transcoding")
-        bits = sum(group.n_final_stripes for group in groups) * parities
         job = TranscodeJob(
-            file_name=name, target_scheme=target_scheme, groups=groups,
-            pending_bits=(1 << bits) - 1, total_bits=bits, deadline=deadline,
+            file_name=name, target_scheme=target_scheme, groups=groups, deadline=deadline,
         )
         self.utm[name] = job
-        self.atq.extend(groups)
         meta.state = FileState.TRANSCODING
         return job
-
-    def _poll(self, name, max_items):
-        out, rest, atq = [], [], self.atq
-        while atq and len(out) < max_items:
-            group = atq.popleft()
-            if name is None or group.file_name == name:
-                out.append(group)
-            else:
-                rest.append(group)
-        atq.extendleft(reversed(rest))
-        return out
-
-    def _complete(self, name, group_index, final_idx, parity_j, parities):
-        job = self.utm.get(name)
-        if job is None:
-            raise TranscodeStateError(f"{name} is not transcoding")
-        if sum(g.n_final_stripes for g in job.groups) * parities != job.total_bits:
-            raise TranscodeStateError(f"{name}: not {parities} parities per final stripe")
-        offset = 0
-        for group in job.groups:
-            if group.group_index == group_index:
-                if not (0 <= final_idx < group.n_final_stripes and 0 <= parity_j < parities):
-                    raise TranscodeStateError(f"{name}: no parity ({final_idx}, {parity_j})")
-                job.pending_bits &= ~(1 << (offset + final_idx * parities + parity_j))
-                return
-            offset += group.n_final_stripes * parities
-        raise TranscodeStateError(f"unknown group {group_index}")
 
     def _new_stripe(self, name, group_index, final_idx, stripe):
         job = self.utm.get(name)
         if job is None:
             raise TranscodeStateError(f"{name} is not transcoding")
+        group = next((g for g in job.groups if g.group_index == group_index), None)
+        if group is None or not 0 <= final_idx < group.n_final_stripes:
+            raise TranscodeStateError(f"{name}: no final stripe ({group_index}, {final_idx})")
+        if (group_index, final_idx) in job.new_stripes:
+            raise TranscodeStateError(
+                f"{name}: final stripe ({group_index}, {final_idx}) is already staged"
+            )
         job.new_stripes[(group_index, final_idx)] = stripe
 
     def _finalize(self, name):
@@ -581,15 +521,6 @@ class Namenode:
         self._index(meta)
         return old_parities
 
-    def _abort(self, name):
-        """Returns whether there was a job to forget."""
-        had_job = self.utm.pop(name, None) is not None
-        self.atq = deque(g for g in self.atq if g.file_name != name)
-        meta = self.files.get(name)
-        if meta is not None:
-            meta.state = FileState.HEALTHY
-        return had_job
-
     #: op type -> handler.  Closed and static: a subclass changes what
     #: happens around an op by overriding ``apply``, not a handler.
     _HANDLERS = {
@@ -603,11 +534,8 @@ class Namenode:
         DropReplicas: _drop_replicas,
         Mint: _mint,
         Enqueue: _enqueue,
-        Poll: _poll,
-        Complete: _complete,
         NewStripe: _new_stripe,
         Finalize: _finalize,
-        Abort: _abort,
     }
 
     def lookup(self, name: str) -> FileMeta:
@@ -617,56 +545,19 @@ class Namenode:
             raise FileNotFoundError_(name) from None
 
     # -- persistence --------------------------------------------------------
-    def snapshot(self, include_transcode: bool = False) -> dict:
-        """Durable Namenode state.
-
-        By default the ATQ and UTM are absent (§6.2): the transcode
-        completion signal is the reference point for filesystem state, so
-        in-flight transcode bookkeeping never needs to be persisted — a
-        restart simply re-runs any unfinished conversion.
-
-        ``include_transcode=True`` captures them anyway; the op-log
-        journal (:mod:`repro.dfs.journal`) uses this so queued and
-        half-finished conversions survive a restart instead of being
-        redone from scratch.
-        """
-        snap = {
-            "files": dict(self.files),
-            "chunk_seq": self._chunk_seq,
-        }
-        if include_transcode:
-            snap["atq"] = list(self.atq)
-            snap["utm"] = dict(self.utm)
-        return snap
-
-    def load(self, snapshot: dict) -> None:
-        """Replace all state with a :meth:`snapshot`'s and rebuild the
-        derived caches.  A state load is the one change that is not an
-        op: it is where a restart begins (:meth:`restore`, and the
-        journal's SNAPSHOT record)."""
-        with_transcode = "utm" in snapshot
-        self.files = dict(snapshot["files"])
-        self._chunk_seq = snapshot["chunk_seq"]
-        self.atq = deque(snapshot["atq"] if with_transcode else ())
-        self.utm = dict(snapshot["utm"] if with_transcode else ())
+    def load(self, files: Iterable[FileMeta], chunk_seq: int,
+             jobs: Iterable[TranscodeJob]) -> None:
+        """Replace all state and rebuild the derived caches.  A state
+        load is the one change that is not an op: it is where recovery
+        from a journal's SNAPSHOT record begins."""
+        self.files = {meta.name: meta for meta in files}
+        self._chunk_seq = chunk_seq
+        self.utm = {job.file_name: job for job in jobs}
         self._node_files, self._file_order, self._file_seq = {}, {}, 0
         for meta in self.files.values():
-            if not with_transcode:
-                # In-flight transcodes died with the old process; their
-                # files revert to HEALTHY under the old (still valid)
-                # metadata.  With transcode state captured, file states
-                # were consistent at snapshot time and stay as they are.
-                meta.state = FileState.HEALTHY
             self._file_seq += 1
             self._file_order[meta.name] = self._file_seq
             self._index(meta)
-
-    @classmethod
-    def restore(cls, snapshot: dict) -> "Namenode":
-        """Bring up a fresh Namenode from a snapshot (post-crash)."""
-        node = cls()
-        node.load(snapshot)
-        return node
 
     # -- capacity / health --------------------------------------------------
     def metadata_stats(self) -> dict:
@@ -680,7 +571,6 @@ class Namenode:
         return {
             "files": len(self.files),
             "chunks": n_chunks,
-            "atq": len(self.atq),
             "utm": len(self.utm),
         }
 

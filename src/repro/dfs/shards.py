@@ -14,15 +14,14 @@ The facade exposes the existing Namenode surface, so ``filesystem.py``,
 work unchanged.  Its public mutators *are* ``Namenode``'s — each builds
 an op — and :meth:`ShardedNamenode.apply` is the router:
 
-* an op goes, whole, to the shard its key hashes to, except three: a
+* an op goes, whole, to the shard its key hashes to, except two: a
   batch registration is bucketed per shard (every bucket validated
-  before any is applied), a cross-shard rename registers under the new
-  name first and then unregisters the old one, so a crash between the
-  two journals leaves a duplicate, never a loss, and an any-file poll
-  fans out;
-* fan-outs merge deterministically: ``chunks_on_node`` and
-  ``poll_work`` concatenate per-shard results in shard order (shard
-  order is itself deterministic because routing is);
+  before any is applied), and a cross-shard rename registers under the
+  new name first and then unregisters the old one, so a crash between
+  the two journals leaves a duplicate, never a loss;
+* fan-outs merge deterministically: ``chunks_on_node`` concatenates
+  per-shard results in shard order (shard order is itself deterministic
+  because routing is);
 * ``files`` and ``utm`` are read-only mapping views (lookups route,
   iteration chains shards in order), and ``_file_order`` yields
   globally comparable ``(shard_local_seq, shard_index)`` keys so
@@ -37,10 +36,8 @@ from zlib import crc32
 from repro.dfs.blocks import ChunkMeta, FileMeta, FileState
 from repro.dfs.journal import Journal, JournaledNamenode
 from repro.dfs.namenode import (
-    ConversionGroup,
     FileNotFoundError_,
     Namenode,
-    Poll,
     Register,
     RegisterBatch,
     Rename,
@@ -154,8 +151,6 @@ class ShardedNamenode:
         kind = type(op)
         if kind is RegisterBatch:
             return self._register_batch(op.metas)
-        if kind is Poll and op.name is None:
-            return self._poll_any(op.max_items)
         n = self.n_shards
         if kind is Rename and crc32(op.old.encode()) % n != crc32(op.new.encode()) % n:
             return self._rename_across(op.old, op.new)
@@ -191,14 +186,6 @@ class ShardedNamenode:
         dst.apply(Register(meta))
         src.apply(Unregister(old))
 
-    def _poll_any(self, max_items: int) -> List[ConversionGroup]:
-        out: List[ConversionGroup] = []
-        for shard in self.shards:
-            if len(out) >= max_items:
-                break
-            out.extend(shard.apply(Poll(None, max_items - len(out))))
-        return out
-
     # The public mutators are Namenode's own definitions (not copies, not
     # forwarders): they only build an op and call ``self.apply``.
     register_file = Namenode.register_file
@@ -212,12 +199,8 @@ class ShardedNamenode:
     relayout_file = Namenode.relayout_file
     drop_replicas = Namenode.drop_replicas
     enqueue_transcode = Namenode.enqueue_transcode
-    poll_work = Namenode.poll_work
-    poll_work_for = Namenode.poll_work_for
-    complete_parity = Namenode.complete_parity
     record_new_stripe = Namenode.record_new_stripe
     try_finalize = Namenode.try_finalize
-    abort_transcode = Namenode.abort_transcode
 
     # -- reads ----------------------------------------------------------------
     def lookup(self, name: str) -> FileMeta:
@@ -236,25 +219,7 @@ class ShardedNamenode:
 
     listed_chunks = Namenode.listed_chunks
 
-    @property
-    def atq(self) -> List[ConversionGroup]:
-        """Combined awaiting-transcoding queue (read-only snapshot)."""
-        out: List[ConversionGroup] = []
-        for shard in self.shards:
-            out.extend(shard.atq)
-        return out
-
     # -- persistence ------------------------------------------------------------
-    def snapshot(self, include_transcode: bool = False) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "shards": [s.snapshot(include_transcode) for s in self.shards],
-        }
-
-    @classmethod
-    def restore(cls, snapshot: dict) -> "ShardedNamenode":
-        return cls(shards=[Namenode.restore(sub) for sub in snapshot["shards"]])
-
     def compact(self) -> None:
         for shard in self.shards:
             if isinstance(shard, JournaledNamenode):
@@ -265,7 +230,7 @@ class ShardedNamenode:
         shards = [s.metadata_stats() for s in self.shards]
         # Every per-shard stat is an additive count (namespace sizes,
         # and for journaled shards the journal/compaction ledger).
-        total: Dict[str, Any] = {"files": 0, "chunks": 0, "atq": 0, "utm": 0}
+        total: Dict[str, Any] = {"files": 0, "chunks": 0, "utm": 0}
         for s in shards:
             for key, value in s.items():
                 total[key] = total.get(key, 0) + value

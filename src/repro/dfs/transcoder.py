@@ -1,15 +1,17 @@
 """Transcode execution: native CC/LRCC conversions and baseline RRW.
 
-The native path executes :class:`ConversionGroup` work items the Namenode
-queued (ATQ -> UTM), moving only the chunks the conversion plan names:
+The native path executes the :class:`ConversionGroup` work items of a
+file's UTM job, moving only the chunks the conversion plan names:
 
 * same-r merges read co-located old parities **locally** on each parity
   node and write the merged parity back locally — zero network IO (§5.3);
 * split/general-regime data reads are transferred to every parity node
   that combines them;
-* completion of each new parity clears a UTM bit; when the file's bitmap
-  empties, the Namenode performs the atomic metadata switch and only then
-  are the old parities deleted (crash consistency, §6.2).
+* a final stripe, its parities stored, is staged with the Namenode; a
+  group that runs again stages only the final stripes its job lacks.
+  Once every final stripe is staged the Namenode performs the atomic
+  metadata switch, and only then are the old parities deleted (crash
+  consistency, §6.2).
 
 The RRW path is the baseline: the *client* reads the whole file, re-
 encodes it, writes it as a new file and deletes the original.
@@ -31,51 +33,79 @@ from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta
 from repro.dfs.client import ReadError
 from repro.dfs.namenode import ConversionGroup
 
+#: pending conversion groups of one file submitted to a scheduler per
+#: intake — per heartbeat (§6.2)
+MAX_TRANSCODE_GROUPS_PER_TICK = 8
+
 
 class TranscodeError(RuntimeError):
     """A conversion group could not be executed."""
 
 
 class NativeTranscoder:
-    """Executes queued conversion groups against the datanodes."""
+    """Executes conversion groups against the datanodes."""
 
     def __init__(self, fs):
         self.fs = fs
 
     # -- work loop ------------------------------------------------------------
-    def run_pending(self, name: str, max_per_heartbeat: int = 8) -> None:
-        """Drain the ATQ for a file, then finalize (the heartbeat loop).
+    def submit_pending(self, scheduler, names: Iterable[str], skip=frozenset()) -> None:
+        """The one transcode intake rule, for the heartbeat and
+        :meth:`run_pending` alike: per transcoding file of ``names``,
+        submit to ``scheduler`` the job's pending groups that no task in
+        its backlog holds — matched by ``(file, group_index)``, as are
+        ``skip``'s keys — at most :data:`MAX_TRANSCODE_GROUPS_PER_TICK`
+        of them, and one finalize task unless one is queued."""
+        from repro.sched.tasks import ConversionGroupTask, TranscodeFinalizeTask
 
-        Work flows through a private, unthrottled maintenance scheduler:
-        each ATQ batch becomes a tick of :class:`ConversionGroupTask`s.
+        utm = self.fs.namenode.utm
+        jobs = [utm[name] for name in names if name in utm]
+        if not jobs:
+            return
+        queued = set(skip)
+        finalizing = set()
+        for task in scheduler.queue.backlog():
+            if isinstance(task, ConversionGroupTask):
+                queued.add((task.group.file_name, task.group.group_index))
+            elif isinstance(task, TranscodeFinalizeTask):
+                finalizing.add(task.name)
+        for job in jobs:
+            name = job.file_name
+            fresh = [
+                group for group in job.pending_groups()
+                if (name, group.group_index) not in queued
+            ]
+            for group in fresh[:MAX_TRANSCODE_GROUPS_PER_TICK]:
+                scheduler.submit(ConversionGroupTask(group, deadline=job.deadline))
+            if name not in finalizing:
+                scheduler.submit(TranscodeFinalizeTask(name))
+
+    def run_pending(self, name: str) -> None:
+        """Run a file's transcode to its switch, intake by intake.
+
+        Work flows through a private, unthrottled maintenance scheduler.
         ``max_attempts=1`` keeps the inline path fail-fast — an
         unexecutable group (planner/width errors) surfaces to the caller
         as the original exception, via the scheduler's dead-letter list.
         """
         from repro.sched.policies import SchedulerPolicy
         from repro.sched.scheduler import MaintenanceScheduler
-        from repro.sched.tasks import ConversionGroupTask, TranscodeFinalizeTask
 
-        namenode = self.fs.namenode
-        job = namenode.utm.get(name)
-        deadline = job.deadline if job is not None else None
         sched = MaintenanceScheduler(self.fs, SchedulerPolicy(max_attempts=1))
-        while True:
-            groups = namenode.poll_work_for(name, max_per_heartbeat)
-            if not groups:
-                break
-            for group in groups:
-                sched.submit(ConversionGroupTask(group, deadline=deadline))
+        while name in self.fs.namenode.utm:
+            self.submit_pending(sched, [name])
             sched.run_until_drained()
             if sched.dead_letter:
                 raise sched.dead_letter[0].last_error
-        sched.submit(TranscodeFinalizeTask(name))
-        sched.run_until_drained()
-        if sched.dead_letter:
-            raise sched.dead_letter[0].last_error
 
     # -- group execution ----------------------------------------------------------
     def execute_group(self, group: ConversionGroup) -> None:
+        """Run ``group`` if its file's job still holds it — a task can
+        outlive its job: the switch, a delete, a restart — committing
+        only the final stripes the job has not staged."""
+        job = self.fs.namenode.utm.get(group.file_name)
+        if job is None or group not in job.groups:
+            return
         with self.fs.obs.span(
             "transcode", file=group.file_name, group=group.group_index
         ):
@@ -292,11 +322,14 @@ class NativeTranscoder:
         ec: ECScheme,
         width: int,
     ) -> None:
-        """Final stripe ``m`` of a group is computed: list it, store it,
-        report it. Data chunks keep their homes (and their metadata);
+        """Final stripe ``m`` of a group is computed: store it, stage it
+        — unless the job has staged it already (the group ran before a
+        restart). Data chunks keep their homes (and their metadata);
         parity ``j`` is written on ``homes[j]``, which combined ``width``
-        chunks to compute it; each store clears a UTM bit."""
+        chunks to compute it."""
         fs = self.fs
+        if (group.group_index, m) in fs.namenode.utm[meta.name].new_stripes:
+            return
         k_i = stripe_metas[0].k
         data = [
             stripe_metas[t // k_i].data[t % k_i]
@@ -324,7 +357,6 @@ class NativeTranscoder:
                 )
             )
             fs.charge_encode(homes[j], width, 1, meta.chunk_size)
-            fs.namenode.complete_parity(meta.name, group.group_index, m, j, r_f)
         fs.namenode.record_new_stripe(
             meta.name,
             group.group_index,

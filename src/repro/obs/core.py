@@ -120,18 +120,19 @@ class Observability:
             )
             self.set_clock(CostModelClock(fs.metrics, disk_mb_s, net_mb_s))
         self.attach_metrics(fs.metrics, capacity_fn=fs.capacity_used)
-        if hasattr(fs.namenode, "metadata_stats"):
-            self.attach_namenode(fs.namenode)
+        self.attach_namenode(fs)
         return self
 
-    def attach_namenode(self, namenode) -> "Observability":
-        """Metadata-plane gauges: namespace size plus, when the control
-        plane is journaled/sharded, journal depth and recovery counters.
-        Per-shard series carry a ``shard`` label; the totals row uses
-        ``shard="all"`` so single-node and sharded reports line up."""
+    def attach_namenode(self, fs) -> "Observability":
+        """Metadata-plane gauges of ``fs.namenode``, read at collection
+        — after a restart, the recovered one's: namespace size plus,
+        when the control plane is journaled/sharded, journal depth and
+        recovery counters. Per-shard series carry a ``shard`` label; the
+        totals row uses ``shard="all"`` so single-node and sharded
+        reports line up."""
 
         def collect() -> Iterable[Tuple[str, str, dict, float]]:
-            stats = namenode.metadata_stats()
+            stats = fs.namenode.metadata_stats()
             per_shard = stats.pop("shards", None)
             rows = [("all", stats)]
             if per_shard is not None:
@@ -140,7 +141,6 @@ class Observability:
                 labels = {"shard": shard}
                 yield "dfs_meta_files", GAUGE, labels, s["files"]
                 yield "dfs_meta_chunks", GAUGE, labels, s["chunks"]
-                yield "dfs_meta_transcode_queued", GAUGE, labels, s["atq"]
                 yield "dfs_meta_transcode_inflight", GAUGE, labels, s["utm"]
                 if "journal_records" in s:
                     yield "dfs_journal_records", GAUGE, labels, s["journal_records"]
@@ -207,7 +207,7 @@ class NoopObservability:
     def attach_metrics(self, metrics, capacity_fn=None) -> "NoopObservability":
         return self
 
-    def attach_namenode(self, namenode) -> "NoopObservability":
+    def attach_namenode(self, fs) -> "NoopObservability":
         return self
 
     def attach_codec(self, stats=None) -> "NoopObservability":

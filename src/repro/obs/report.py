@@ -237,7 +237,7 @@ def _metadata_rows(fs) -> List[List[str]]:
 
     def row(label: str, s: dict) -> List[str]:
         cells = [label, f"{s['files']}", f"{s['chunks']}",
-                 f"{s['atq'] + s['utm']}"]
+                 f"{s['utm']}"]
         if "journal_records" in s:
             # Splice ratio: of the file documents compaction wrote, the
             # share it took from the log instead of encoding again
@@ -323,7 +323,7 @@ def render_report(fs) -> str:
     if meta_rows:
         lines.append("Metadata plane (namenode)")
         lines += _fmt_table(
-            ["shard", "files", "chunks", "queued",
+            ["shard", "files", "chunks", "transcoding",
              "jrnl recs", "jrnl KB", "since snap", "replayed",
              "compactions", "spliced"],
             meta_rows,

@@ -172,7 +172,7 @@ class StripeRepairTask(MaintenanceTask):
 
 
 class ConversionGroupTask(MaintenanceTask):
-    """Execute one queued transcode conversion group (ATQ work, §6.2)."""
+    """Execute one pending transcode conversion group (§6.2)."""
 
     def __init__(self, group, deadline: Optional[float] = None, **kw):
         super().__init__(TaskClass.TRANSCODE, deadline=deadline, **kw)

@@ -12,7 +12,7 @@ from repro.dfs import JournaledNamenode, MorphFS, Namenode
 from repro.dfs.audit import KINDS, audit
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.dfs.integrity import Scrubber, corrupt_chunk
-from repro.dfs.namenode import ConversionGroup
+from repro.dfs.namenode import TranscodeJob
 from repro.obs.codec import CODEC_STATS
 
 KB = 1024
@@ -58,8 +58,8 @@ def mutation_around_the_journal(fs):
     return "namenode"
 
 
-def atq_group_of_a_deleted_file(fs):
-    fs.namenode.atq.append(ConversionGroup("gone", 0, [0], 1, CC1215))
+def utm_job_of_a_deleted_file(fs):
+    fs.namenode.utm["gone"] = TranscodeJob("gone", CC1215)
     return "gone"
 
 
@@ -105,7 +105,7 @@ PLANTED = {
     "bytes": flipped_byte,
     "index": dropped_index_entry,
     "journal": mutation_around_the_journal,
-    "queue": atq_group_of_a_deleted_file,
+    "queue": utm_job_of_a_deleted_file,
     "sums": forgotten_sum,
     "capacity": metered_delete_with_no_disk_delete,
     "unlisted": unlisted_stored_chunk,
@@ -122,7 +122,7 @@ def test_every_kind_has_a_planted_fault():
 @pytest.mark.parametrize("kind", sorted(PLANTED))
 def test_a_planted_fault_is_reported_as_exactly_its_violation(kind):
     # Journaled only where the journal is the point: an op-free change to
-    # the ATQ is also a state the journal does not hold.
+    # the UTM is also a state the journal does not hold.
     fs = whole_fs(JournaledNamenode() if kind == "journal" else Namenode())
     subject = PLANTED[kind](fs)
     assert [(v.kind, v.subject) for v in audit(fs)] == [(kind, subject)]
@@ -247,11 +247,11 @@ def test_a_returning_node_keeps_a_running_transcodes_staged_parities():
     fs = whole_fs()
     fs.write_file("g", np.ones(96 * KB, np.uint8), HybridScheme(1, CC69))
     fs.transcode("g", CC69)
-    fs.transcode("g", CC1215, heartbeats=False)
-    fs.transcoder.execute_group(fs.namenode.poll_work_for("g", 1)[0])  # one of two
+    fs.schedule_transcode("g", CC1215)
+    fs.transcoder.execute_group(fs.namenode.utm["g"].groups[0])  # one of two
     (staged,) = fs.namenode.utm["g"].new_stripes.values()
     for parity in staged.parities:
         assert fs.drop_unlisted(parity.node_id) == 0
     assert audit(fs) == []
-    fs.run_transcode_heartbeats("g")
+    fs.transcoder.run_pending("g")
     assert audit(fs) == []

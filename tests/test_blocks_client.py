@@ -5,16 +5,19 @@ import pytest
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
+from repro.dfs.audit import audit
 from repro.dfs.blocks import ECStripeMeta, FileState
 from repro.dfs.client import ReadError
-from repro.dfs.namenode import Namenode
+from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
+from repro.dfs.journal import JournaledNamenode
+from repro.sched.tasks import StripeRepairTask
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 
 
 def hybrid_fs(n_kb=96, seed=1):
-    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], namenode=JournaledNamenode())
     data = np.random.default_rng(seed).integers(0, 256, n_kb * KB, dtype=np.uint8)
     fs.write_file("f", data, HybridScheme(1, CC69))
     return fs, data
@@ -122,36 +125,62 @@ class TestClientErrorPaths:
         assert np.array_equal(out, data[23 * KB : 49 * KB])
 
 
-class TestNamenodeRestart:
-    def test_snapshot_restore_roundtrip(self):
-        fs, data = hybrid_fs()
-        snap = fs.namenode.snapshot()
-        fs.namenode = Namenode.restore(snap)
-        assert np.array_equal(fs.read_file("f"), data)
+def restarted(fs):
+    """The namenode process dies and comes back from its journal."""
+    fs.restart(JournaledNamenode.recover(fs.namenode.journal))
+    return fs.namenode
 
-    def test_restart_mid_transcode_drops_utm_keeps_files(self):
+
+class TestNamenodeRestart:
+    def test_a_restarted_namenode_serves_the_files(self):
+        fs, data = hybrid_fs()
+        restarted(fs)
+        assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []
+
+    def test_restart_mid_transcode_resumes_at_the_unstaged_groups(self):
         fs, data = hybrid_fs(n_kb=192)
         fs.transcode("f", CC69)
         target = ECScheme(CodeKind.CC, 12, 15)
-        groups, parities = fs._build_groups(fs.namenode.lookup("f"), target)
-        fs.namenode.enqueue_transcode("f", target, groups, parities)
-        for g in fs.namenode.poll_work(2):
-            fs.transcoder.execute_group(g)
-        assert fs.namenode.lookup("f").state is FileState.TRANSCODING
-        # Crash + restart from the durable namespace.
-        fs.namenode = Namenode.restore(fs.namenode.snapshot())
-        meta = fs.namenode.lookup("f")
-        assert meta.state is FileState.HEALTHY
-        assert meta.scheme == CC69  # old metadata authoritative
+        fs.schedule_transcode("f", target)
+        groups = fs.namenode.utm["f"].groups
+        for group in groups[:2]:
+            fs.transcoder.execute_group(group)
+        nn = restarted(fs)
+        meta = nn.lookup("f")
+        assert meta.state is FileState.TRANSCODING
+        assert meta.scheme == CC69  # old metadata authoritative until the switch
         assert np.array_equal(fs.read_file("f"), data)
-        # Re-run the whole conversion cleanly.
-        fs.transcode("f", target)
-        assert fs.namenode.lookup("f").scheme == target
+        assert nn.utm["f"].pending_groups() == groups[2:]
+        assert audit(fs) == []  # the staged parities are still answered for
+        fs.transcoder.run_pending("f")
+        assert nn.lookup("f").scheme == target
         assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []
+
+    def test_a_restart_starts_an_empty_queue_the_heartbeat_refills(self):
+        """Queued tasks hold the old process's files: the restarted
+        namenode's queue starts empty, and the heartbeat derives the
+        repairs from the recovered metadata."""
+        fs, data = hybrid_fs()
+        fs.transcode("f", CC69)
+        monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
+        victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
+        fs.cluster.fail_node(victim)
+        old = fs.namenode.lookup("f")
+        fs.scheduler.submit(StripeRepairTask(old, [old.stripes[0].data[0]]))
+        policy = fs.scheduler.policy
+        nn = restarted(fs)
+        assert not fs.scheduler.has_pending() and fs.scheduler.policy is policy
+        monitor.run_ticks(2)
+        chunk = nn.lookup("f").stripes[0].data[0]
+        assert chunk.node_id != victim
+        assert old.stripes[0].data[0].node_id == victim  # the old process's copy
+        assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []
 
     def test_chunk_ids_stay_unique_after_restart(self):
         fs, data = hybrid_fs()
         before = fs.namenode.next_chunk_id("x")
-        fs.namenode = Namenode.restore(fs.namenode.snapshot())
-        after = fs.namenode.next_chunk_id("x")
+        after = restarted(fs).next_chunk_id("x")
         assert before != after

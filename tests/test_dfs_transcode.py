@@ -8,14 +8,15 @@ from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import BaselineDFS, MorphFS
 from repro.dfs.audit import audit
 from repro.dfs.blocks import FileState
+from repro.dfs.journal import JournaledNamenode
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 CC1215 = ECScheme(CodeKind.CC, 12, 15)
 
 
-def morph_with_file(n_kb=96, seed=1, scheme=None, widths=(6, 12)):
-    fs = MorphFS(chunk_size=4 * KB, future_widths=list(widths))
+def morph_with_file(n_kb=96, seed=1, scheme=None, widths=(6, 12), namenode=None):
+    fs = MorphFS(chunk_size=4 * KB, future_widths=list(widths), namenode=namenode)
     data = np.random.default_rng(seed).integers(0, 256, n_kb * KB, dtype=np.uint8)
     fs.write_file("f", data, scheme or HybridScheme(1, CC69))
     return fs, data
@@ -292,13 +293,12 @@ class TestRrwBaseline:
 
 
 class TestCrashConsistency:
-    def _mid_transcode(self):
-        fs, data = morph_with_file(n_kb=192)  # 8 stripes -> 4 groups
+    def _mid_transcode(self, namenode=None):
+        fs, data = morph_with_file(n_kb=192, namenode=namenode)  # 8 stripes -> 4 groups
         fs.transcode("f", CC69)
-        groups, parities = fs._build_groups(fs.namenode.lookup("f"), CC1215)
-        fs.namenode.enqueue_transcode("f", CC1215, groups, parities)
-        half = fs.namenode.poll_work(len(groups) // 2)
-        for g in half:
+        fs.schedule_transcode("f", CC1215)
+        groups = fs.namenode.utm["f"].groups
+        for g in groups[: len(groups) // 2]:
             fs.transcoder.execute_group(g)
         return fs, data
 
@@ -321,14 +321,21 @@ class TestCrashConsistency:
         fs.datanodes[victim].fail()
         assert np.array_equal(fs.read_file("f"), data)
 
-    def test_crash_and_idempotent_restart(self):
-        fs, data = self._mid_transcode()
-        fs.namenode.abort_transcode("f")  # Namenode crash: UTM is in-memory
+    def test_crash_and_resumed_restart(self):
+        fs, data = self._mid_transcode(JournaledNamenode())
+        staged = [
+            p.chunk_id for s in fs.namenode.utm["f"].new_stripes.values() for p in s.parities
+        ]
+        # Namenode crash: a new process comes up from the journal.
+        fs.restart(JournaledNamenode.recover(fs.namenode.journal))
         assert np.array_equal(fs.read_file("f"), data)
-        fs.transcode("f", CC1215)  # restart re-runs the whole conversion
+        fs.transcoder.run_pending("f")  # resumes at the unstaged groups
         meta = fs.namenode.lookup("f")
         assert meta.scheme == CC1215
+        listed = [p.chunk_id for s in meta.stripes for p in s.parities]
+        assert len(staged) == 6 and listed[:6] == staged  # not computed again
         assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []
 
     def test_completion_triggers_single_atomic_switch(self):
         fs, data = morph_with_file()

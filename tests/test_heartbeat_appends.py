@@ -8,9 +8,12 @@ from repro.dfs import MorphFS
 from repro.dfs.audit import audit
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.dfs.integrity import corrupt_chunk
+from repro.dfs import transcoder
+from repro.sched.tasks import ConversionGroupTask
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
+CC1215 = ECScheme(CodeKind.CC, 12, 15)
 
 
 def hybrid_fs(seed=1, n_kb=96):
@@ -64,22 +67,59 @@ class TestHeartbeatMonitor:
         assert victim in report.newly_alive
         assert victim not in monitor.declared_dead()
 
-    def test_heartbeat_drives_transcode_in_bounded_steps(self):
+    def test_heartbeat_drives_transcode_in_bounded_steps(self, monkeypatch):
+        monkeypatch.setattr(transcoder, "MAX_TRANSCODE_GROUPS_PER_TICK", 1)
         fs, data = hybrid_fs(n_kb=192)  # 8 stripes -> 4 merge groups
         fs.transcode("f", CC69)
-        meta = fs.namenode.lookup("f")
-        groups, parities = fs._build_groups(meta, ECScheme(CodeKind.CC, 12, 15))
-        fs.namenode.enqueue_transcode("f", ECScheme(CodeKind.CC, 12, 15), groups, parities)
+        fs.schedule_transcode("f", CC1215)
         monitor = HeartbeatMonitor(fs)
-        done_in = 0
+        runs = []
         for _ in range(10):
-            report = monitor.tick()
-            done_in += 1
+            runs.append(monitor.tick().transcode_groups_run)
             if not fs.namenode.utm:
                 break
-        assert not fs.namenode.utm  # finalized
-        assert fs.namenode.lookup("f").scheme == ECScheme(CodeKind.CC, 12, 15)
+        assert runs == [1, 1, 1, 1]  # one group per intake, none twice
+        assert fs.namenode.lookup("f").scheme == CC1215  # finalized
         assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []
+
+    def test_a_dead_lettered_group_goes_again_on_the_resweep(self, monkeypatch):
+        """A group that failed out of its retries is pending and queued
+        nowhere: the heartbeat submits it again on the repair resweep
+        cadence — not every tick — and the file finishes."""
+        fs, data = hybrid_fs()  # 4 stripes -> 2 merge groups
+        fs.transcode("f", CC69)
+        fs.schedule_transcode("f", CC1215)
+        real = transcoder.NativeTranscoder._execute_group_impl
+        broken = {"on": True}
+        ran = []
+
+        def flaky(self, group):
+            if broken["on"] and group.group_index == 1:
+                raise transcoder.TranscodeError("planted")
+            ran.append((monitor.tick_count, group.group_index))
+            return real(self, group)
+
+        monkeypatch.setattr(transcoder.NativeTranscoder, "_execute_group_impl", flaky)
+        monitor = HeartbeatMonitor(fs)
+        while not fs.scheduler.dead_letter:
+            monitor.tick()
+        assert [t.group.group_index for t in fs.scheduler.dead_letter] == [1]
+        broken["on"] = False
+        buried_at = monitor.tick_count
+        for _ in range(8):
+            monitor.tick()
+            if not fs.namenode.utm:
+                break
+        every = monitor.config.repair_resubmit_every_ticks
+        (again,) = [tick for tick, g in ran if g == 1]
+        assert again > buried_at and again % every == 0
+        assert not any(
+            isinstance(t, ConversionGroupTask) for t in fs.scheduler.queue.backlog()
+        )
+        assert fs.namenode.lookup("f").scheme == CC1215
+        assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []
 
     def test_periodic_scrub_repairs_corruption(self):
         fs, data = hybrid_fs()

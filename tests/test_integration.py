@@ -45,10 +45,10 @@ class TestFullLifetimeUnderFailures:
         fs.write_file("f", data, HybridScheme(1, CC69))
         fs.transcode("f", CC69)
         meta = fs.namenode.lookup("f")
-        groups, parities = fs._build_groups(meta, ECScheme(CodeKind.CC, 12, 15))
-        fs.namenode.enqueue_transcode("f", ECScheme(CodeKind.CC, 12, 15), groups, parities)
+        fs.schedule_transcode("f", ECScheme(CodeKind.CC, 12, 15))
+        groups = fs.namenode.utm["f"].groups
         # Execute half, then lose a node holding an old parity.
-        for g in fs.namenode.poll_work(len(groups) // 2):
+        for g in groups[: len(groups) // 2]:
             fs.transcoder.execute_group(g)
         victim = meta.stripes[-1].parities[0].node_id
         fs.cluster.fail_node(victim)
@@ -56,7 +56,7 @@ class TestFullLifetimeUnderFailures:
         RecoveryManager(fs).recover_all()
         assert np.array_equal(fs.read_file("f"), data)
         # Resume and finish.
-        fs.run_transcode_heartbeats("f")
+        fs.transcoder.run_pending("f")
         assert fs.namenode.lookup("f").scheme == ECScheme(CodeKind.CC, 12, 15)
         assert np.array_equal(fs.read_file("f"), data)
 

@@ -103,8 +103,6 @@ jobs = st.builds(
     TranscodeJob,
     file_name=names, target_scheme=schemes,
     groups=st.lists(groups, max_size=3),
-    pending_bits=st.integers(0, (1 << 24) - 1),
-    total_bits=st.integers(0, 24),
     new_stripes=st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)), stripes, max_size=3
     ),
@@ -194,7 +192,7 @@ def test_lrc_scheme_roundtrip():
 @given(jobs)
 def test_job_record_roundtrip(job):
     doc = encode_job(job)
-    assert isinstance(doc, list) and len(doc) == 7
+    assert isinstance(doc, list) and len(doc) == 5
     back = decode_job(_through_json(doc))
     assert back == job
     assert encode_job(back) == doc
@@ -206,8 +204,8 @@ def test_job_record_roundtrip(job):
     st.integers(0, 1 << 20),
 )
 def test_state_roundtrip_with_inflight_transcode(metas, chunk_seq):
-    """snapshot/restore through the journal's canonical state codec,
-    including queued ATQ groups and a half-finished UTM job."""
+    """Encode and load through the journal's canonical state codec,
+    including a half-finished UTM job (one of its final stripes staged)."""
     nn = Namenode()
     for meta in metas:
         nn.register_file(meta)
@@ -218,12 +216,13 @@ def test_state_roundtrip_with_inflight_transcode(metas, chunk_seq):
         gs = [ConversionGroup(
             file_name=meta.name, group_index=0,
             initial_stripe_indices=list(range(len(meta.stripes))),
-            n_final_stripes=1, target_scheme=target,
+            n_final_stripes=2, target_scheme=target,
         )]
-        nn.enqueue_transcode(meta.name, target, gs, 3)
-        nn.complete_parity(meta.name, 0, 0, 0, 3)
+        nn.enqueue_transcode(meta.name, target, gs)
+        nn.record_new_stripe(meta.name, 0, 1, ECStripeMeta(0, 12, 15))
     fresh = Namenode()
     load_state(fresh, encode_state(nn))
+    assert sorted(encode_state(nn)) == ["chunk_seq", "files", "utm"]
     assert state_digest(fresh) == state_digest(nn)
     assert list(fresh.files) == list(nn.files)
     # Derived caches were rebuilt, not copied.
@@ -281,12 +280,12 @@ def test_future_record_version_rejected():
         Journal()._load(_raw_record(99))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, RECORD_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, RECORD_VERSION + 1])
 def test_only_the_current_record_version_is_read(version, tmp_path):
-    """v4 replaced v3 as v3 replaced v2: there is no reader for any
+    """v5 replaced v4 as v4 replaced v3: there is no reader for any
     other version, older or newer, in memory or from a file — and a
     good record before the foreign one does not make it a 'torn tail'."""
-    assert RECORD_VERSION == 4
+    assert RECORD_VERSION == 5
     good = _raw_record(RECORD_VERSION)
     assert Journal()._load(good) == len(good)
     with pytest.raises(JournalError, match=f"version {version}"):
@@ -301,10 +300,10 @@ def test_only_the_current_record_version_is_read(version, tmp_path):
 def test_append_takes_a_pre_encoded_body():
     doc = {"n": "a", "m": [1, 2]}
     a, b = Journal(), Journal()
-    a.append(Op.POLL, doc)
-    b.append(Op.POLL, _encode(doc))
+    a.append(Op.PLACE, doc)
+    b.append(Op.PLACE, _encode(doc))
     assert a.data == b.data
-    assert list(b.records()) == [(Op.POLL, doc)]
+    assert list(b.records()) == [(Op.PLACE, doc)]
     assert b.body_offset(0) == struct.calcsize("<IHHI")
     assert b.data[b.body_offset(0):] == _encode(doc)
 
@@ -492,29 +491,17 @@ INDEX_STEPS = [
     ("drop replicas flips the scheme", lambda nn: nn.drop_replicas("c", CC69),
      Op.DROP_REPLICAS, set(), {"c"}),
     ("enqueue flips the state", lambda nn: nn.enqueue_transcode(
-        "a", CC1215, [_group("a")], 3), Op.ENQUEUE, set(), {"a"}),
+        "a", CC1215, [_group("a")]), Op.ENQUEUE, set(), {"a"}),
     ("note while transcoding", lambda nn: nn.note_chunk("dn00", "a"),
      Op.NOTE, {"a"}, set()),
-    ("poll", lambda nn: nn.poll_work(8), Op.POLL, set(), set()),
-    ("complete 0", lambda nn: nn.complete_parity("a", 0, 0, 0, 3),
-     Op.COMPLETE, set(), set()),
-    ("complete 1", lambda nn: nn.complete_parity("a", 0, 0, 1, 3),
-     Op.COMPLETE, set(), set()),
+    ("finalize with a final stripe unstaged is not a switch",
+     lambda nn: nn.try_finalize("a"), None, set(), set()),
     ("new stripe", lambda nn: nn.record_new_stripe(
         "a", 0, 0, _merged_stripe(nn, "a")), Op.NEW_STRIPE, set(), set()),
-    ("finalize with a parity pending is not a switch",
-     lambda nn: nn.try_finalize("a"), None, set(), set()),
-    ("complete 2", lambda nn: nn.complete_parity("a", 0, 0, 2, 3),
-     Op.COMPLETE, set(), set()),
     ("finalize", lambda nn: nn.try_finalize("a"), Op.FINALIZE, set(), {"a"}),
     ("enqueue another", lambda nn: nn.enqueue_transcode(
-        "b", CC1215, [_group("b")], 3), Op.ENQUEUE, set(), {"b"}),
-    ("poll for one file", lambda nn: nn.poll_work_for("b", 1),
-     Op.POLL, set(), set()),
+        "b", CC1215, [_group("b")]), Op.ENQUEUE, set(), {"b"}),
     ("note it", lambda nn: nn.note_chunk("dn00", "b"), Op.NOTE, {"b"}, set()),
-    ("abort", lambda nn: nn.abort_transcode("b"), Op.ABORT, set(), {"b"}),
-    ("abort with no job changes nothing",
-     lambda nn: nn.abort_transcode("c"), None, set(), set()),
     ("compact re-homes every entry", lambda nn: nn.compact(),
      Op.SNAPSHOT, {"a", "b", "c", "d", "e", "f"}, set()),
 ]
@@ -544,7 +531,7 @@ def test_each_opcode_refreshes_or_drops_the_entries_it_should():
             assert after[name] == before[name], f"{label}: {name} moved"
         assert set(after) - set(before) <= refreshed, label
         _assert_index_sound(nn)
-    assert landed == set(Op), "the table must cover all 16 opcodes"
+    assert landed == set(Op), "the table must cover all 13 opcodes"
     assert nn.files["a"].scheme == CC1215 and nn.files["a"].version == 1
     moved = nn.files["f"].stripes[0].data[1]
     assert (moved.chunk_id, moved.node_id) == ("f/moved#2", "dn20")

@@ -1,17 +1,17 @@
 """Crash-recovery fault injection: kill the namenode at every record
 boundary of a full failure-burst workload and assert byte-identical
-recovery against the snapshot+replay oracle (ISSUE 9 acceptance bar).
-At every one of those boundaries the per-node chunk index — a derived
-cache the digest does not cover — must equal a full namespace scan, on
-the live namenode and on the replayed one.
+recovery against the snapshot+replay oracle.  At every one of those
+boundaries the per-node chunk index — a derived cache the digest does
+not cover — must equal a full namespace scan, on the live namenode and
+on the replayed one.
 
 Metadata digests say nothing about bytes, so the paths that change a
-registered file's layout (append, close, seal) are also swept with a
-*data* oracle: crash before each record they write, recover the
-namenode from the journal prefix, attach it to the surviving datanodes,
-and every acknowledged byte must read back from chunks the nodes hold —
-while the audit finds nothing wrong but the chunks the crash left
-staged, as many as pinned per boundary.
+registered file (append, close, seal, a native merge) are also swept
+with a *data* oracle: crash before each record they write, restart the
+filesystem on the namenode recovered from the journal prefix — every
+datanode sends a block report — and every acknowledged byte must read
+back while the audit finds nothing wrong; a merge, driven on by the
+heartbeat, must also reach its target.
 """
 
 from contextlib import contextmanager
@@ -22,6 +22,8 @@ import pytest
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS, Namenode, ShardedNamenode
 from repro.dfs.audit import audit, audit_namenode
+from repro.dfs.blocks import FileState
+from repro.dfs.heartbeat import HeartbeatMonitor
 from repro.dfs.integrity import corrupt_chunk
 from repro.dfs.journal import (
     Journal,
@@ -39,6 +41,7 @@ from repro.sched.tasks import ScrubTask, StripeRepairTask
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 CC1215 = ECScheme(CodeKind.CC, 12, 15)
+LRCC = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
 
 
 @contextmanager
@@ -79,7 +82,8 @@ def repair_by_stripe(fs):
 
 def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
     """The report demo's failure-burst trace, plus the ops it skips
-    (append/close, rename, abort), driven over a supplied namenode."""
+    (append/close, rename, a merge left half done), driven over a
+    supplied namenode."""
     fs = MorphFS(
         chunk_size=chunk_kb * KB, future_widths=[6, 12], seed=seed, namenode=nn
     )
@@ -94,7 +98,7 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
     for name in datasets:
         fs.read_file(name, 0, 8 * KB)
 
-    # Native transcodes: ENQUEUE / POLL / COMPLETE / NEW_STRIPE / FINALIZE.
+    # Native transcodes: ENQUEUE / MINT / NEW_STRIPE / FINALIZE.
     fs.transcode("f00", CC69)
     fs.transcode("f00", CC1215)
 
@@ -142,15 +146,13 @@ def run_failure_burst(nn, seed=0, n_files=4, file_kb=48, chunk_kb=4):
     fs.append_file("f02", extra2)
     datasets["f02"] = np.concatenate([datasets["f02"], extra2])
 
-    # Namespace churn: rename (cross-shard when hashes differ) + an
-    # enqueued-then-aborted conversion (ABORT record).
+    # Namespace churn: rename (cross-shard when hashes differ) + a merge
+    # left in flight, one of its two groups staged.
     fs.namenode.rename("f03", "renamed/f03")
     datasets["renamed/f03"] = datasets.pop("f03")
-    meta = fs.namenode.lookup("f01")
-    groups, parities = fs._build_groups(meta, CC1215)
-    fs.namenode.enqueue_transcode("f01", CC1215, groups, parities)
-    fs.namenode.poll_work(2)
-    fs.namenode.abort_transcode("f01")
+    fs.transcode("f01", CC69)
+    fs.schedule_transcode("f01", CC1215)
+    fs.transcoder.execute_group(fs.namenode.utm["f01"].groups[0])
 
     for name, data in datasets.items():
         assert np.array_equal(fs.read_file(name), data), f"{name} corrupted"
@@ -222,11 +224,17 @@ def test_full_recovery_matches_live_state(burst):
 
 def test_recovered_namenode_serves_a_filesystem(burst):
     """A recovered sharded namenode is a working control plane: reads,
-    repairs and appends keep functioning against the same datanodes."""
+    repairs and appends keep functioning against the same datanodes, and
+    the merge in flight at the crash finishes."""
     fs, datasets, _ = burst
-    recovered = ShardedNamenode.recover([s.journal for s in fs.namenode.shards])
-    fs.namenode = recovered
+    fs.restart(ShardedNamenode.recover([s.journal for s in fs.namenode.shards]))
     assert audit(fs) == []  # the recovered namespace lists what the live one did
+    assert list(fs.namenode.utm) == ["f01"]
+    monitor = HeartbeatMonitor(fs)
+    while fs.namenode.utm:
+        monitor.tick()
+    assert fs.namenode.lookup("f01").scheme == CC1215
+    assert audit(fs) == []
     for name, data in datasets.items():
         assert np.array_equal(fs.read_file(name), data)
     extra = np.arange(2 * fs.chunk_size, dtype=np.uint8) % 251
@@ -286,8 +294,7 @@ def test_all_opcodes_exercised(burst):
             seen.add(op)
     must_cover = {
         Op.REGISTER, Op.UNREGISTER, Op.PLACE, Op.RELAYOUT, Op.DROP_REPLICAS,
-        Op.MINT, Op.ENQUEUE, Op.POLL, Op.COMPLETE, Op.NEW_STRIPE,
-        Op.FINALIZE, Op.ABORT,
+        Op.MINT, Op.ENQUEUE, Op.NEW_STRIPE, Op.FINALIZE,
     }
     missing = must_cover - seen
     assert not missing, f"trace never journaled {sorted(o.name for o in missing)}"
@@ -388,15 +395,11 @@ def _layout_change_run(scenario, crash_after=None):
     return fs, acknowledged, base
 
 
-#: per scenario, the chunks a crash before each of the op's records leaves
-#: stored and unlisted — staged parities and regions, replaced tails —
-#: until ROADMAP item 1d reclaims them (the last entry: the op completed)
-STRANDED = {
-    "append onto a padded tail": [0, 2, 7, 7, 0],
-    "append onto an open tail": [0, 2, 6, 6, 0],
-    "close": [0, 1, 2, 3, 0],
-    "free transition seal": [0, 1, 2, 3, 4, 5, 6, 0, 0],
-}
+def _restarted(fs):
+    """The namenode process dies; a new one comes up from the journal as
+    it stood and serves the datanodes that survived it."""
+    journal = fs.namenode.journal
+    fs.restart(JournaledNamenode.recover(journal.prefix(len(journal))))
 
 
 @pytest.mark.parametrize("scenario", sorted(LAYOUT_CHANGES))
@@ -406,25 +409,79 @@ def test_acknowledged_bytes_survive_a_crash_at_every_record_of_a_layout_change(s
     assert n_records >= 2 and np.array_equal(fs.read_file("f"), after)
     ops = [op for op, _ in fs.namenode.journal.records()][base:]
     assert ops.count(Op.RELAYOUT) == 1 and Op.NOTE not in ops
-    stranded = []
     for boundary in range(n_records + 1):
         crashed = boundary < n_records
         fs, acknowledged, base = _layout_change_run(scenario, boundary if crashed else None)
-        journal = fs.namenode.journal
-        assert len(journal) == base + boundary
-        # The namenode process is gone; a new one comes up from the log
-        # and serves the datanodes that survived it: every listed chunk
-        # is held, and all that is wrong is what the crash left staged.
-        fs.namenode = JournaledNamenode.recover(journal.prefix(len(journal)))
-        listed = {c.chunk_id for c in fs.namenode.lookup("f").all_chunks()}
-        staged = {
-            chunk_id for datanode in fs.datanodes.values()
-            for chunk_id, _data in datanode.held() if chunk_id not in listed
-        }
-        violations = audit(fs)
-        assert {v.subject for v in violations} <= staged, (
-            f"{scenario}, before record {boundary}: {violations}")
-        stranded.append(len({v.subject for v in violations}))
+        assert len(fs.namenode.journal) == base + boundary
+        # What the crash left stored and unlisted — staged parities and
+        # regions, replaced tails — leaves with the block reports.
+        _restarted(fs)
+        assert audit(fs) == [], f"{scenario}, before record {boundary}"
         assert np.array_equal(fs.read_file("f"), acknowledged), (
             f"{scenario}: acknowledged bytes lost by a crash before record {boundary}")
-    assert stranded == STRANDED[scenario]
+
+
+#: merge -> (the scheme the file starts from, its chunks, future widths,
+#: the target)
+MERGES = {
+    "CC(6,9) -> CC(12,15)": (CC69, 24, [6, 12], CC1215),
+    "CC(6,9) -> LRCC(12,2,2)": (CC69, 24, [6, 12], LRCC),
+    # a split: each group converts into two final stripes
+    "CC(12,15) -> CC(6,9)": (CC1215, 24, [12, 6], CC69),
+}
+
+
+def _merge_run(case, crash_before=None):
+    """``case``'s file on a fresh journaled filesystem, its conversion
+    dying before record number ``crash_before`` of it (None: it
+    completes). Returns (fs, the file's bytes, records before the merge)."""
+    start, n_chunks, widths, target = MERGES[case]
+    nn = JournaledNamenode()
+    fs = MorphFS(chunk_size=4 * KB, future_widths=widths, seed=3, namenode=nn)
+    data = _bytes(3, n_chunks)
+    fs.write_file("f", data, HybridScheme(1, start))
+    fs.transcode("f", start)  # the free transition: the merge starts from EC
+    base = len(nn.journal)
+    if crash_before is None:
+        fs.transcode("f", target)
+    else:
+        nn.journal.fail_after = base + crash_before
+        with pytest.raises(JournalCrash):
+            fs.transcode("f", target)
+    return fs, data, base
+
+
+def test_a_merge_journals_its_staged_stripes_and_nothing_else():
+    """The 96 KiB CC(6,9) -> CC(12,15) merge: one ENQUEUE, per group the
+    ids of its three parities and the stripe that stages them, one
+    FINALIZE — no queue to poll, no per-parity bit."""
+    fs, _data, base = _merge_run("CC(6,9) -> CC(12,15)")
+    ops = [op for op, _ in fs.namenode.journal.records()][base:]
+    group = [Op.MINT] * 3 + [Op.NEW_STRIPE]
+    assert ops == [Op.ENQUEUE] + group * 2 + [Op.FINALIZE]
+
+
+@pytest.mark.parametrize("case", sorted(MERGES))
+def test_a_restarted_merge_finishes_from_a_crash_at_every_record(case):
+    start, _n, _widths, target = MERGES[case]
+    fs, _data, base = _merge_run(case)
+    n_records = len(fs.namenode.journal) - base
+    assert fs.namenode.lookup("f").scheme == target
+    for boundary in range(n_records):
+        fs, data, base = _merge_run(case, boundary)
+        _restarted(fs)
+        job = fs.namenode.utm.get("f")
+        staged = set() if job is None else {c.chunk_id for c in job.staged_chunks()}
+        monitor = HeartbeatMonitor(fs)
+        for _ in range(5):
+            monitor.tick()
+            if not fs.scheduler.has_pending():
+                break
+        meta = fs.namenode.lookup("f")
+        # A crash before ENQUEUE: the merge was never accepted.
+        want = start if boundary == 0 else target
+        assert (meta.scheme, meta.state) == (want, FileState.HEALTHY), (
+            f"{case}: a crash before record {boundary} stranded the merge")
+        assert staged <= {c.chunk_id for c in meta.all_chunks()}  # none replaced
+        assert np.array_equal(fs.read_file("f"), data), f"{case}, record {boundary}"
+        assert audit(fs) == [], f"{case}, before record {boundary}"

@@ -1,4 +1,4 @@
-"""Namenode: namespace and the ATQ/UTM transcode lifecycle."""
+"""Namenode: namespace and the UTM transcode lifecycle."""
 
 import pytest
 
@@ -132,12 +132,11 @@ class TestNodeIndexVsOracle:
         meta = file_meta("a")
         nn.register_file(meta)
         target = ECScheme(CodeKind.CC, 12, 15)
-        nn.enqueue_transcode("a", target, groups_for(meta, target), 3)
+        nn.enqueue_transcode("a", target, groups_for(meta, target))
         nn.rename("a", "b")
-        # The job was keyed by the old name; keeping it would leave UTM
-        # and ATQ entries no worker can ever resolve.
+        # The job was keyed by the old name; keeping it would leave a UTM
+        # entry, its groups pending, that no worker can ever resolve.
         assert nn.utm == {}
-        assert len(nn.atq) == 0
         assert nn.lookup("b").state is FileState.HEALTHY
 
     def test_unregister_mid_transcode_drops_job(self):
@@ -145,60 +144,58 @@ class TestNodeIndexVsOracle:
         meta = file_meta("a")
         nn.register_file(meta)
         target = ECScheme(CodeKind.CC, 12, 15)
-        nn.enqueue_transcode("a", target, groups_for(meta, target), 3)
+        nn.enqueue_transcode("a", target, groups_for(meta, target))
         other = file_meta("keep", stripes=2)
         nn.register_file(other)
-        nn.enqueue_transcode("keep", target, groups_for(other, target), 3)
+        nn.enqueue_transcode("keep", target, groups_for(other, target))
         dropped = nn.unregister_file("a")
         assert dropped.state is FileState.HEALTHY
         assert "a" not in nn.utm and "keep" in nn.utm
-        assert all(g.file_name == "keep" for g in nn.atq)
+        assert nn.utm["keep"].pending_groups() == groups_for(other, target)
+
+
+def final_stripe(tag="n"):
+    stripe = ECStripeMeta(stripe_index=0, k=12, n=15)
+    for t in range(12):
+        stripe.data.append(ChunkMeta(f"{tag}/d{t}", "dn000", ChunkKind.DATA, 64))
+    for j in range(3):
+        stripe.parities.append(ChunkMeta(f"{tag}/p{j}", "dn001", ChunkKind.PARITY, 64))
+    return stripe
 
 
 class TestTranscodeLifecycle:
-    def _setup(self):
+    def _setup(self, stripes=2, n_finals=1):
         nn = Namenode()
-        meta = file_meta()
+        meta = file_meta(stripes=stripes)
         nn.register_file(meta)
         target = ECScheme(CodeKind.CC, 12, 15)
-        groups = groups_for(meta, target)
-        job = nn.enqueue_transcode("f", target, groups, parities_per_final_stripe=3)
+        groups = groups_for(meta, target, n_finals=n_finals)
+        job = nn.enqueue_transcode("f", target, groups)
         return nn, meta, target, groups, job
 
-    def test_enqueue_populates_atq_and_utm(self):
+    def test_enqueue_opens_a_job_with_every_group_pending(self):
         nn, meta, target, groups, job = self._setup()
         assert meta.state is FileState.TRANSCODING
-        assert len(nn.atq) == 1
-        assert job.total_bits == 3
+        assert nn.utm["f"] is job and job.pending_groups() == groups
         assert not job.is_complete()
 
     def test_double_enqueue_rejected(self):
         nn, meta, target, groups, _ = self._setup()
         with pytest.raises(TranscodeStateError):
-            nn.enqueue_transcode("f", target, groups, 3)
+            nn.enqueue_transcode("f", target, groups)
 
-    def test_poll_respects_budget(self):
-        nn = Namenode()
-        meta = file_meta(stripes=8)
-        nn.register_file(meta)
-        target = ECScheme(CodeKind.CC, 12, 15)
-        groups = groups_for(meta, target)
-        nn.enqueue_transcode("f", target, groups, 3)
-        first = nn.poll_work(max_items=2)
-        assert len(first) == 2
-        rest = nn.poll_work(max_items=10)
-        assert len(rest) == 2
+    def test_a_group_is_pending_until_its_last_final_stripe_is_staged(self):
+        nn, meta, target, groups, job = self._setup(stripes=8, n_finals=2)
+        assert job.pending_groups() == groups
+        nn.record_new_stripe("f", 1, 0, final_stripe("a"))
+        assert job.pending_groups() == groups  # group 1 still lacks final 1
+        nn.record_new_stripe("f", 1, 1, final_stripe("b"))
+        assert job.pending_groups() == [groups[0], groups[2], groups[3]]
 
-    def test_finalize_requires_all_bits(self):
+    def test_finalize_requires_every_final_stripe_staged(self):
         nn, meta, target, groups, job = self._setup()
         assert nn.try_finalize("f") is None
-        new_stripe = ECStripeMeta(stripe_index=0, k=12, n=15)
-        for t in range(12):
-            new_stripe.data.append(ChunkMeta(f"n/d{t}", "dn000", ChunkKind.DATA, 64))
-        for j in range(3):
-            new_stripe.parities.append(ChunkMeta(f"n/p{j}", "dn001", ChunkKind.PARITY, 64))
-            nn.complete_parity("f", 0, 0, j, 3)
-        nn.record_new_stripe("f", 0, 0, new_stripe)
+        nn.record_new_stripe("f", 0, 0, final_stripe())
         old = nn.try_finalize("f")
         assert old is not None and len(old) == 6  # 2 old stripes x 3 parities
         assert meta.scheme == target
@@ -206,29 +203,33 @@ class TestTranscodeLifecycle:
         assert meta.version == 1
         assert [s.k for s in meta.stripes] == [12]
 
-    def test_abort_clears_state_keeps_metadata(self):
+    def test_a_staged_final_stripe_is_never_replaced(self):
         nn, meta, target, groups, job = self._setup()
-        nn.complete_parity("f", 0, 0, 0, 3)
-        nn.abort_transcode("f")
-        assert "f" not in nn.utm
-        assert len(nn.atq) == 0
-        assert meta.state is FileState.HEALTHY
-        assert meta.scheme == ECScheme(CodeKind.CC, 6, 9)  # unchanged
+        first = final_stripe("a")
+        nn.record_new_stripe("f", 0, 0, first)
+        with pytest.raises(TranscodeStateError):
+            nn.record_new_stripe("f", 0, 0, final_stripe("b"))
+        assert job.new_stripes == {(0, 0): first}
 
-    def test_complete_parity_unknown_file(self):
+    @pytest.mark.parametrize("group_index, final_idx", [(1, 0), (0, 1), (0, -1)])
+    def test_staging_a_final_stripe_outside_the_job_is_rejected(self, group_index, final_idx):
+        nn, meta, target, groups, job = self._setup()
+        with pytest.raises(TranscodeStateError):
+            nn.record_new_stripe("f", group_index, final_idx, final_stripe())
+        assert job.new_stripes == {}
+
+    def test_staging_for_a_file_not_transcoding_is_rejected(self):
         nn = Namenode()
         with pytest.raises(TranscodeStateError):
-            nn.complete_parity("ghost", 0, 0, 0, 3)
+            nn.record_new_stripe("ghost", 0, 0, final_stripe())
 
-    def test_bitmap_tracks_multi_group_jobs(self):
-        nn = Namenode()
-        meta = file_meta(stripes=4)
-        nn.register_file(meta)
-        target = ECScheme(CodeKind.CC, 12, 15)
-        groups = groups_for(meta, target)
-        job = nn.enqueue_transcode("f", target, groups, 3)
-        assert job.total_bits == 6
-        for g in range(2):
-            for j in range(3):
-                nn.complete_parity("f", g, 0, j, 3)
+    def test_multi_group_job_completes_when_every_group_is_staged(self):
+        nn, meta, target, groups, job = self._setup(stripes=4)
+        nn.record_new_stripe("f", 1, 0, final_stripe("b"))
+        assert not job.is_complete() and job.pending_groups() == [groups[0]]
+        nn.record_new_stripe("f", 0, 0, final_stripe("a"))
         assert job.is_complete()
+        nn.try_finalize("f")
+        # Final stripes land in group order, whatever order they staged in.
+        assert [s.data[0].chunk_id for s in meta.stripes] == ["a/d0", "b/d0"]
+        assert [s.stripe_index for s in meta.stripes] == [0, 1]

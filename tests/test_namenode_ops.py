@@ -11,10 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.schemes import CodeKind, ECScheme
 from repro.dfs.audit import audit_namenode
 from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta
-from repro.dfs.journal import JournaledNamenode, Op, replay, state_digest
+from repro.dfs.journal import JournaledNamenode, Op, state_digest
 from repro.dfs.namenode import (
-    Abort,
-    Complete,
     ConversionGroup,
     DropReplicas,
     Enqueue,
@@ -24,7 +22,6 @@ from repro.dfs.namenode import (
     NewStripe,
     Note,
     Place,
-    Poll,
     Register,
     RegisterBatch,
     Relayout,
@@ -123,33 +120,31 @@ def test_sharded_batch_with_one_taken_name_changes_no_shard():
     assert [len(s.journal) for s in nn.shards] == records
 
 
-# -- complete_parity checks its indices ---------------------------------------
+# -- a final stripe stages once, inside its job --------------------------------
 
 @pytest.mark.parametrize("make", [Namenode, JournaledNamenode])
-def test_complete_parity_rejects_indices_outside_its_group(make):
+def test_new_stripe_rejects_a_stripe_outside_its_job_or_staged_before(make):
     nn = make()
-    nn.register_file(striped("x"))
-    job = nn.enqueue_transcode("x", CC69, one_stripe_groups("x"), 3)
-    assert job.pending_bits == 0b111111
+    meta = striped("x")
+    nn.register_file(meta)
+    job = nn.enqueue_transcode("x", CC69, one_stripe_groups("x"))
+    nn.record_new_stripe("x", 1, 0, merged_stripe(meta, 1))
     before = state_digest(nn)
     bad = [
-        (0, 1, 0, 3),   # final stripe 1 of a one-stripe group: group 1's bit
-        (0, -1, 0, 3),
-        (1, 0, 3, 3),   # parity 3 of 3
-        (0, 0, -1, 3),
-        (0, 0, 0, 2),   # not the parity count the job was enqueued with
-        (0, 0, 0, 6),
-        (2, 0, 0, 3),   # no such group
+        (0, 1),   # final stripe 1 of a one-stripe group
+        (0, -1),
+        (2, 0),   # no such group
+        (1, 0),   # staged already: a staged parity is never replaced
     ]
-    for group_index, final_idx, parity_j, parities in bad:
+    for group_index, final_idx in bad:
         with pytest.raises(TranscodeStateError):
-            nn.complete_parity("x", group_index, final_idx, parity_j, parities)
-    assert job.pending_bits == 0b111111 and state_digest(nn) == before
+            nn.record_new_stripe("x", group_index, final_idx, merged_stripe(meta, group_index))
+    assert list(job.new_stripes) == [(1, 0)] and state_digest(nn) == before
     if make is JournaledNamenode:
-        assert [op for op, _ in nn.journal.records()] == [Op.REGISTER, Op.ENQUEUE]
-    nn.complete_parity("x", 1, 0, 2, 3)
-    assert job.pending_bits == 0b011111
-    assert nn.try_finalize("x") is None  # five parities were never written
+        ops = [op for op, _ in nn.journal.records()]
+        assert ops == [Op.REGISTER, Op.ENQUEUE, Op.NEW_STRIPE]
+    assert job.pending_groups() == one_stripe_groups("x")[:1]
+    assert nn.try_finalize("x") is None  # group 0 never staged
 
 
 # -- the public API, rejected ops included, against the log -------------------
@@ -167,13 +162,9 @@ steps = st.one_of(
     st.tuples(st.just("place"), pool, st.integers(0, 17), st.integers(0, 22)),
     st.tuples(st.just("drop_replicas"), pool),
     st.tuples(st.just("mint"), pool, st.integers(0, 9)),
-    st.tuples(st.just("enqueue"), pool, st.sampled_from([2, 3])),
-    st.tuples(st.just("poll"), st.one_of(st.none(), pool), st.integers(0, 3)),
-    st.tuples(st.just("complete"), pool, st.integers(0, 2), st.integers(0, 1),
-              st.integers(0, 3), st.sampled_from([2, 3])),
-    st.tuples(st.just("new_stripe"), pool, st.integers(0, 1)),
+    st.tuples(st.just("enqueue"), pool),
+    st.tuples(st.just("new_stripe"), pool, st.integers(0, 2), st.integers(0, 1)),
     st.tuples(st.just("finalize"), pool),
-    st.tuples(st.just("abort"), pool),
 )
 
 
@@ -215,22 +206,13 @@ def run_step(nn, step, serial):
         else:
             nn.next_chunk_ids(args[0], args[1])
     elif kind == "enqueue":
-        nn.enqueue_transcode(args[0], CC69, one_stripe_groups(args[0]), args[1])
-    elif kind == "poll":
-        if args[0] is None:
-            nn.poll_work(args[1])
-        else:
-            nn.poll_work_for(args[0], args[1])
-    elif kind == "complete":
-        nn.complete_parity(*args)
+        nn.enqueue_transcode(args[0], CC69, one_stripe_groups(args[0]))
     elif kind == "new_stripe":
         meta = nn.lookup(args[0])
         if meta.stripes:
-            nn.record_new_stripe(args[0], args[1], 0, merged_stripe(meta, args[1]))
-    elif kind == "finalize":
-        nn.try_finalize(args[0])
+            nn.record_new_stripe(args[0], args[1], args[2], merged_stripe(meta, args[1]))
     else:
-        nn.abort_transcode(args[0])
+        nn.try_finalize(args[0])
 
 
 @pytest.mark.parametrize("compact_every", [0, 4])
@@ -287,23 +269,16 @@ def drive(nn, through_apply):
     call("place_chunks", Place(a, moves), a, moves)
     assert call("drop_replicas", DropReplicas(c, CC69), c, CC69) == []
     groups = one_stripe_groups(a)
-    call("enqueue_transcode", Enqueue(a, CC69, groups, 3, 7.5), a, CC69, groups, 3,
+    call("enqueue_transcode", Enqueue(a, CC69, groups, 7.5), a, CC69, groups,
          deadline=7.5)
     groups_c = one_stripe_groups(c)
-    call("enqueue_transcode", Enqueue(c, CC69, groups_c, 3, None), c, CC69, groups_c, 3)
-    assert len(call("poll_work", Poll(None, 3), 3)) == 3
-    assert len(call("poll_work_for", Poll(c, 8), c, 8)) == 1
-    assert call("poll_work", Poll(None, 8)) == []           # nothing left: no record
+    call("enqueue_transcode", Enqueue(c, CC69, groups_c, None), c, CC69, groups_c)
     for g in (0, 1):
-        for j in range(3):
-            call("complete_parity", Complete(a, g, 0, j, 3), a, g, 0, j, 3)
         stripe = merged_stripe(meta, g)
         call("record_new_stripe", NewStripe(a, g, 0, stripe), a, g, 0, stripe)
     assert call("try_finalize", Finalize(c), c) is None     # pending: no record
     assert call("try_finalize", Finalize(a), a) is not None
-    call("abort_transcode", Abort(c), c)
-    call("abort_transcode", Abort(c), c)                    # no job: no record
-    assert call("unregister_file", Unregister(c), c).name == c
+    assert call("unregister_file", Unregister(c), c).name == c  # drops c's job
 
 
 def test_sharded_apply_and_public_methods_write_the_same_journals():

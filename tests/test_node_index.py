@@ -157,16 +157,17 @@ def test_a_relayout_swaps_the_tail_and_its_entries(make):
         nn.relayout_file("a", 4, [], [], 0)
     with pytest.raises(KeyError):
         nn.relayout_file("ghost", 0, [], [], 0)
-    nn.enqueue_transcode("b", CC69, [], 3)
-    with pytest.raises(TranscodeStateError):
-        nn.relayout_file("b", 0, [], [], 0)
-    nn.abort_transcode("b")
     assert nn.relayout_file("a", 3, [], [], 384) == []  # keeps everything
     assert audit_namenode(nn) == []
     if make is JournaledNamenode:
         assert [op for op, _ in nn.journal.records()].count(Op.RELAYOUT) == 2
     else:
         assert state_digest(nn) == before
+    nn.enqueue_transcode("b", CC69, [])
+    before = state_digest(nn)
+    with pytest.raises(TranscodeStateError):
+        nn.relayout_file("b", 0, [], [], 0)
+    assert state_digest(nn) == before
 
 
 def test_a_note_changes_nothing():
@@ -196,10 +197,11 @@ def test_unregister_rename_and_reregister_leave_nothing_behind():
 
 
 def test_load_rebuilds_the_index():
-    nn = Namenode()
+    nn = JournaledNamenode()
     nn.register_files([tiny("a", ["x", "y", "x"]), tiny("b", ["x", "y", "z"])])
     nn.place_chunks("b", [("b/c0", "b/m", "q")])
-    restored = Namenode.restore(nn.snapshot())
+    nn.compact()  # one SNAPSHOT record: recovery is a state load
+    restored = JournaledNamenode.recover(nn.journal)
     assert audit_namenode(restored) == []
     assert [(m.name, c.chunk_id) for m, c in restored.chunks_on_node("x")] == [
         ("a", "a/c0"), ("a", "a/c2"),
@@ -309,8 +311,8 @@ def test_a_repair_mid_transcode_shows_through_old_and_new_stripes():
     nn = JournaledNamenode()
     fs, data = hybrid_fs(namenode=nn, n_kb=96)
     fs.transcode("f", CC69)
-    fs.transcode("f", CC1215, heartbeats=False)
-    fs.transcoder.execute_group(nn.poll_work_for("f", 1)[0])  # one of two groups
+    fs.schedule_transcode("f", CC1215)
+    fs.transcoder.execute_group(nn.utm["f"].groups[0])  # one of two groups
     job = nn.utm["f"]
     new_stripe, = job.new_stripes.values()
     victim = new_stripe.data[7]
@@ -334,7 +336,7 @@ def test_a_repair_mid_transcode_shows_through_old_and_new_stripes():
     # The transcode finishes on the repaired layout, and the switch
     # leaves the index on the new stripes.
     fs.cluster.recover_node(old_node)
-    fs.run_transcode_heartbeats("f")
+    fs.transcoder.run_pending("f")
     assert nn.lookup("f").scheme == CC1215
     assert audit_namenode(nn) == []
     assert np.array_equal(fs.read_file("f"), data)

@@ -313,6 +313,23 @@ class TestDfsIntegration:
         total = next(r for r in rows if r.split()[0] == "total")
         assert total.split()[-2:] == [str(stats["journal_compactions"]), want]
 
+    def test_metadata_gauges_read_the_namenode_a_restart_brings_up(self):
+        from repro.dfs import MorphFS, ShardedNamenode
+
+        obs = Observability()
+        namenode = ShardedNamenode.journaled(n_shards=2)
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], obs=obs,
+                     namenode=namenode)
+        _write_and_read(fs)
+        files = obs.registry.value("dfs_meta_files", shard="all")
+        assert obs.registry.value("dfs_journal_replayed", shard="all") == 0
+        recovered = ShardedNamenode.recover([s.journal for s in namenode.shards])
+        fs.restart(recovered)
+        replayed = sum(shard.replayed for shard in recovered.shards)
+        assert replayed > 0
+        assert obs.registry.value("dfs_journal_replayed", shard="all") == replayed
+        assert obs.registry.value("dfs_meta_files", shard="all") == files
+
 
 # ---------------------------------------------------------------------------
 # Simulation percentiles and the report CLI

@@ -147,10 +147,10 @@ def test_cross_shard_rename_mid_transcode_journals_the_state_it_leaves():
     nn.register_file(meta)
     target = ECScheme(CodeKind.CC, 6, 7)
     group = ConversionGroup(a, 0, [0, 1], 1, target)
-    nn.enqueue_transcode(a, target, [group], 1)
+    nn.enqueue_transcode(a, target, [group])
     nn.rename(a, b)
     assert nn.lookup(b).state is FileState.HEALTHY
-    assert len(nn.utm) == 0 and nn.atq == []
+    assert len(nn.utm) == 0
     recovered = ShardedNamenode.recover([s.journal for s in nn.shards])
     for live, back in zip(nn.shards, recovered.shards):
         assert state_digest(back) == state_digest(live)
@@ -192,22 +192,22 @@ def test_file_order_keys_compare_globally():
         assert [n for n in by_key if nn.shard_index(n) == si] == mine
 
 
-def test_poll_work_budget_spans_shards():
+def test_transcode_jobs_live_on_their_files_shards():
     nn = ShardedNamenode(N_SHARDS)
     target = ECScheme(CodeKind.CC, 6, 8)
-    for name in names_on_distinct_shards():
+    names = names_on_distinct_shards()
+    for name in names:
         meta = make_meta(name)
         nn.register_file(meta)
         gs = [ConversionGroup(file_name=name, group_index=0,
                               initial_stripe_indices=[0, 1],
                               n_final_stripes=1, target_scheme=target)]
-        nn.enqueue_transcode(name, target, gs, 2)
-    assert len(nn.atq) == N_SHARDS
-    first = nn.poll_work(max_items=3)
-    assert len(first) == 3
-    assert len(nn.poll_work(max_items=8)) == 1
-    # Per-file poll still routes to the owning shard.
-    assert nn.poll_work_for("anything", 4) == []
+        nn.enqueue_transcode(name, target, gs)
+    # The utm view chains the shards in order; each job is its shard's.
+    assert list(nn.utm) == names
+    for si, name in enumerate(names):
+        assert list(nn.shards[si].utm) == [name]
+        assert [g.file_name for g in nn.utm[name].pending_groups()] == [name]
 
 
 def test_transcode_lifecycle_through_facade():
@@ -219,15 +219,14 @@ def test_transcode_lifecycle_through_facade():
     gs = [ConversionGroup(file_name=name, group_index=0,
                           initial_stripe_indices=[0, 1],
                           n_final_stripes=1, target_scheme=target)]
-    nn.enqueue_transcode(name, target, gs, 2)
+    nn.enqueue_transcode(name, target, gs)
     assert name in nn.utm
-    nn.poll_work_for(name, 4)
     stripe = ECStripeMeta(stripe_index=0, k=6, n=8)
     for t in range(6):
         stripe.data.append(ChunkMeta(f"n/d{t}", "dn000", ChunkKind.DATA, 64))
     for j in range(2):
         stripe.parities.append(ChunkMeta(f"n/p{j}", "dn001", ChunkKind.PARITY, 64))
-        nn.complete_parity(name, 0, 0, j, 2)
+    assert nn.try_finalize(name) is None
     nn.record_new_stripe(name, 0, 0, stripe)
     old = nn.try_finalize(name)
     assert old is not None
@@ -235,12 +234,11 @@ def test_transcode_lifecycle_through_facade():
     assert name not in nn.utm
 
 
-def test_snapshot_restore_roundtrip():
-    nn = ShardedNamenode(N_SHARDS)
+def test_recover_roundtrip():
+    nn = ShardedNamenode.journaled(N_SHARDS)
     for i in range(10):
         nn.register_file(make_meta(f"f{i:03d}", node_base=i))
-    snap = nn.snapshot()
-    back = ShardedNamenode.restore(snap)
+    back = ShardedNamenode.recover([s.journal for s in nn.shards])
     assert back.n_shards == N_SHARDS
     for si in range(N_SHARDS):
         assert state_digest(back.shards[si]) == state_digest(nn.shards[si])

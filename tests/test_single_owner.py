@@ -121,14 +121,12 @@ def test_injector_on_sim_rng_reproduces_fig14d_victims(seed):
 MUTATORS = (
     "register_file", "register_files", "unregister_file", "rename", "note_chunk",
     "place_chunks", "relayout_file", "drop_replicas", "next_chunk_id", "next_chunk_ids",
-    "enqueue_transcode", "poll_work", "poll_work_for", "complete_parity",
-    "record_new_stripe", "try_finalize", "abort_transcode",
+    "enqueue_transcode", "record_new_stripe", "try_finalize",
 )
 OP_TYPES = {
     namenode.Register, namenode.RegisterBatch, namenode.Unregister, namenode.Rename,
     namenode.Note, namenode.Place, namenode.Relayout, namenode.DropReplicas, namenode.Mint,
-    namenode.Enqueue, namenode.Poll, namenode.Complete, namenode.NewStripe,
-    namenode.Finalize, namenode.Abort,
+    namenode.Enqueue, namenode.NewStripe, namenode.Finalize,
 }
 
 
@@ -170,8 +168,8 @@ def test_the_op_tables_are_closed_in_both_directions():
     assert set(journal._DECODE) == set(Op)
     opcodes = [row[0] for row in journal._RECORD.values()]
     assert sorted(opcodes) == sorted(set(Op) - {Op.SNAPSHOT})  # one opcode each
-    assert (len(journal._RECORD), len(journal._DECODE)) == (15, 16)
-    assert len(MUTATORS) == 17
+    assert (len(journal._RECORD), len(journal._DECODE)) == (12, 13)
+    assert len(MUTATORS) == 13
 
 
 def test_journal_and_router_own_apply_and_no_mutator_body():
@@ -189,7 +187,7 @@ def test_journal_and_router_own_apply_and_no_mutator_body():
 
 def test_public_mutators_only_build_an_op_and_handlers_never_call_apply():
     defined = functions(class_def("dfs/namenode.py", "Namenode"))
-    state = {"files", "atq", "utm", "_chunk_seq", "_node_files", "_file_order", "_file_seq"}
+    state = {"files", "utm", "_chunk_seq", "_node_files", "_file_order", "_file_seq"}
     for mutator in MUTATORS:
         body = defined[mutator]
         assert "apply" in calls(body), mutator
@@ -203,10 +201,23 @@ def test_public_mutators_only_build_an_op_and_handlers_never_call_apply():
 
 def test_only_namenode_py_assigns_namenode_state():
     assignment = (
-        r"\._chunk_seq\s*[-+]?=(?!=)|\.atq\s*=(?!=)|\.utm\[[^\]]*\]\s*=(?!=)"
-        r"|del\s+\w+(\.\w+)*\.utm\[|\.(atq|utm)\.(pop|append|extend|popleft|clear)"
+        r"\._chunk_seq\s*[-+]?=(?!=)|\.utm\[[^\]]*\]\s*=(?!=)"
+        r"|del\s+\w+(\.\w+)*\.utm\[|\.utm\.(pop|clear|update)"
     )
     assert files_matching(assignment) == ["dfs/namenode.py"]
+
+
+def test_one_record_of_transcode_progress_one_intake_one_crash_model():
+    # The staged final stripes are the record: no queue, no bitmap, no
+    # abort, no second persistence path beside the journal.
+    gone = (
+        r"\batq\b|poll_work|complete_parity|pending_bits|abort_transcode"
+        r"|\.snapshot\(|\.restore\(|include_transcode|run_transcode_heartbeats"
+    )
+    assert files_matching(gone) == []
+    # One intake rule, which the heartbeat and the inline path both call.
+    assert files_matching(r"(?<!class )ConversionGroupTask\(") == ["dfs/transcoder.py"]
+    assert files_matching(r"\.submit_pending\(") == ["dfs/heartbeat.py", "dfs/transcoder.py"]
 
 
 def test_replay_goes_through_the_base_apply_and_one_forget_site():
@@ -276,7 +287,7 @@ def test_the_only_note_builder_is_the_harness_shim_and_nothing_calls_it():
     }
     defined = functions(class_def("dfs/namenode.py", "Namenode"))
     assert "Note(" in ast.unparse(defined["note_chunk"])
-    assert len(OP_TYPES) == 15 and not hasattr(namenode.Note, "nodes")
+    assert len(OP_TYPES) == 12 and not hasattr(namenode.Note, "nodes")
 
 
 # -- a registered file's layout changes inside the namenode only ----------------
@@ -377,7 +388,6 @@ def test_one_hybrid_writer_one_sealer_one_commit():
     seal = functions(class_def("dfs/filesystem.py", "MorphFS"))["_seal_stripe"]
     assert "codec_for_stripe" in calls(seal) and not calls(seal) & {"cc_codec", "codec_for"}
     transcoder = SOURCES["dfs/transcoder.py"]
-    assert len(re.findall(r"complete_parity\(", transcoder)) == 1
     assert len(re.findall(r"record_new_stripe\(", transcoder)) == 1
     # Every parity home passes the reachability rule, in one function.
     assert len(re.findall(r"home_for\(", transcoder)) == 2

@@ -2,7 +2,7 @@
 
 Hypothesis drives random sequences of writes, appends, closes,
 transcodes (on to CC(12,15) or LRCC(12,2,2)), failures, recoveries,
-scrubs, renames and deletes against MorphFS, holding a plain dict of
+scrubs, renames, deletes and namenode restarts against MorphFS, holding a plain dict of
 expected bytes as the reference model. After every step, every live file
 must read back byte-identical, every hybrid block must be ``decodable``
 from the sources a client can reach (two nodes down at most: within
@@ -148,6 +148,13 @@ class MorphModel(RuleBasedStateMachine):
         self.fs.namenode.rename(old, new)
         self.expected[new] = self.expected.pop(old)
         self.stage[new] = self.stage.pop(old)
+
+    @rule()
+    def restart_namenode(self):
+        """The namenode process dies between operations and comes back
+        from its journal; every node it can command sends a block
+        report (a down one does when it returns)."""
+        self.fs.restart(JournaledNamenode.recover(self.fs.namenode.journal))
 
     @precondition(lambda self: bool(self.expected))
     @rule()
