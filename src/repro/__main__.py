@@ -9,7 +9,7 @@ Usage::
     python -m repro report               # cluster health report (obs demo)
     python -m repro report --selftest    # verify observability invariants
     python -m repro bench                # codec perf -> BENCH_codec.json
-    python -m repro bench --quick --check  # CI schema smoke, no overwrite
+    python -m repro bench --quick --check --diff  # CI: schema, ratio gates, delta
     python -m repro profile              # cProfile the failure-burst sim
     python -m repro scenarios            # adversarial scenario suite
     python -m repro scenarios --quick --check  # CI scenario smoke

@@ -1,8 +1,10 @@
 """Codec microbenchmarks — the repo's perf trajectory, one JSON per PR.
 
 ``python -m repro bench`` measures encode/decode/transcode throughput for
-representative (k, n) points in both fields plus the event-engine rate,
-and writes ``BENCH_codec.json`` at the repo root in a stable schema::
+representative (k, n) points in both fields, the kernel and namenode
+ratios :data:`RATIO_GATES` holds, two exact IO counts and the
+event-engine rate, and writes ``BENCH_codec.json`` at the repo root in a
+stable schema::
 
     {
       "schema": "repro-bench/1",
@@ -20,9 +22,18 @@ generation, the *schema* is what CI checks.
 
 ``--quick`` shrinks chunk sizes and repeat counts (for CI); ``--check``
 validates the committed file's schema against the current metric set
-without overwriting it, and holds the current run to :data:`RATIO_GATES`
-— ratios of two timings taken back to back in one process, so a slow
-runner moves both sides alike. No absolute number is ever asserted.
+(no row missing, none left over) without overwriting it, and holds the
+current run to :data:`RATIO_GATES` — ratios of two timings taken back
+to back in one process, so a slow runner moves both sides alike. No
+absolute number is ever asserted.
+
+It keeps only what ``benchmarks/e2e`` cannot see. Metadata throughput,
+journal and shard overhead and failure-burst enumeration are read there
+(``meta_ops_per_s``, ``recover_s``, ``dfs.journal.overhead_ratio``,
+``dfs.shards.overhead_ratio``, ``dfs.recovery.lost_enum_s``). The
+scenario suite's durability and foreground p99 are held by ``python -m
+repro scenarios --check``: it raises on a lost byte, an audit violation
+or a budgeted p99 above 1.05x the unthrottled one.
 """
 
 from __future__ import annotations
@@ -409,181 +420,6 @@ def bench_event_engine(n_events: int, repeats: int) -> Dict[str, Dict]:
     }
 
 
-def bench_namenode_meta(n_files: int, repeats: int) -> Dict[str, Dict]:
-    """Namenode metadata throughput on a synthetic large namespace.
-
-    Builds ``n_files`` single-stripe files (2 data + 1 parity chunk,
-    round-robin over 64 nodes), then times the metadata ops the control
-    plane lives on: batched registration, lookups, batched chunk-id
-    minting and node-major chunk queries.  Also reports the wall-clock
-    of the metadata half of a failure burst — enumerating every chunk
-    homed on two dead nodes — which exercises the per-node chunk index
-    the way recovery's ``lost_chunks`` does.
-
-    The same fixture is measured twice: a single in-memory ``Namenode``
-    and an 8-way :class:`~repro.dfs.shards.ShardedNamenode`, so the
-    sharding facade's routing overhead (and any win from smaller
-    per-shard dicts) shows up in the perf trajectory.
-
-    The journal's cost is timed on a bounded slice of the namespace
-    (the log is mirrored in memory), registered in ingest-sized batches:
-    the same mix through a plain ``Namenode`` and through a
-    ``JournaledNamenode`` on a file-backed journal (flush per record, no
-    fsync).  ``namenode_journal_overhead_ratio`` is journaled ÷
-    unjournaled ops/s — machine-independent, 1.0 would be a free journal.
-    """
-    import gc
-    import tempfile
-
-    from repro.core.schemes import CodeKind, ECScheme
-    from repro.dfs.blocks import ChunkKind, ChunkMeta, ECStripeMeta, FileMeta
-    from repro.dfs.journal import Journal, JournaledNamenode
-    from repro.dfs.namenode import Namenode
-    from repro.dfs.shards import ShardedNamenode
-
-    n_nodes = 64
-    n_shards = 8
-    nodes = [f"node{i:02d}" for i in range(n_nodes)]
-    scheme = ECScheme(CodeKind.RS, 2, 3)
-    chunk_size = 1 << 20
-
-    metas = []
-    for i in range(n_files):
-        base = (i * 3) % n_nodes
-        data = [
-            ChunkMeta(f"f{i}d0", nodes[base], ChunkKind.DATA, chunk_size),
-            ChunkMeta(f"f{i}d1", nodes[(base + 1) % n_nodes], ChunkKind.DATA, chunk_size),
-        ]
-        parity = [
-            ChunkMeta(f"f{i}p0", nodes[(base + 2) % n_nodes], ChunkKind.PARITY, chunk_size)
-        ]
-        stripe = ECStripeMeta(stripe_index=0, k=2, n=3, data=data, parities=parity)
-        metas.append(
-            FileMeta(
-                name=f"file-{i:07d}",
-                size=2 * chunk_size,
-                chunk_size=chunk_size,
-                scheme=scheme,
-                stripes=[stripe],
-            )
-        )
-
-    mint_batches, mint_width = 1_000, 64
-    dead = nodes[:2]
-
-    def measure(make_namenode, files=metas, batch=None):
-        n_lookups = min(len(files), 200_000)
-        step = max(1, len(files) // n_lookups)
-        names = [m.name for m in files[::step]][:n_lookups]
-        batch = batch or len(files)
-        # Registration rebuilds a fresh namenode per repeat; bound the
-        # repeat count at large scale (one pass is seconds long — noise
-        # amortizes).
-        reg_repeats = min(repeats, 2) if len(files) >= 200_000 else repeats
-        namenode = make_namenode()
-        reg_best = float("inf")
-        for _ in range(reg_repeats):
-            namenode = make_namenode()
-            t0 = time.perf_counter()
-            for i in range(0, len(files), batch):
-                namenode.register_files(files[i:i + batch])
-            reg_best = min(reg_best, time.perf_counter() - t0)
-
-        def do_lookups() -> None:
-            lookup = namenode.lookup
-            for name in names:
-                lookup(name)
-
-        def do_mint() -> None:
-            next_ids = namenode.next_chunk_ids
-            for _ in range(mint_batches):
-                next_ids("bench", mint_width)
-
-        def do_queries() -> None:
-            query = namenode.chunks_on_node
-            for node in nodes:
-                query(node)
-
-        look_secs = _best_seconds(do_lookups, repeats, warmup=1)
-        mint_secs = _best_seconds(do_mint, repeats, warmup=1)
-        query_secs = _best_seconds(do_queries, max(2, repeats // 2), warmup=1)
-
-        ops = len(files) + len(names) + mint_batches * mint_width + n_nodes
-        secs = reg_best + look_secs + mint_secs + query_secs
-
-        burst_best = float("inf")
-        lost = 0
-        for _ in range(max(2, repeats // 2)):
-            t0 = time.perf_counter()
-            lost = sum(len(namenode.chunks_on_node(node)) for node in dead)
-            burst_best = min(burst_best, time.perf_counter() - t0)
-        return ops / secs, burst_best, lost
-
-    single_ops, single_burst, lost = measure(Namenode)
-    gc.collect()  # drop the single namespace before building the shards
-    sharded_ops, sharded_burst, lost_sharded = measure(
-        lambda: ShardedNamenode(n_shards)
-    )
-    gc.collect()
-    assert lost_sharded == lost
-
-    journal_files = metas[:min(n_files, 100_000)]
-    journal_batch = 1_000
-    plain_ops, _, _ = measure(Namenode, journal_files, journal_batch)
-    with tempfile.TemporaryDirectory(prefix="bench-journal-") as tmp:
-        path = Path(tmp) / "edits.log"
-        journal = Journal(path)
-
-        def make_journaled():
-            # One live journal at a time: each mirrors its whole log.
-            nonlocal journal
-            journal.close()
-            path.unlink(missing_ok=True)
-            journal = Journal(path)
-            return JournaledNamenode(journal=journal)
-
-        try:
-            journaled_ops, _, _ = measure(make_journaled, journal_files, journal_batch)
-            journal_stats = journal.stats()
-        finally:
-            journal.close()
-    gc.collect()
-    journal_params = dict(
-        n_files=len(journal_files), register_batch=journal_batch,
-        minted_ids=mint_batches * mint_width, node_queries=n_nodes,
-        flush="per record, no fsync",
-    )
-
-    params = dict(
-        n_files=n_files,
-        n_nodes=n_nodes,
-        lookups=min(n_files, 200_000),
-        minted_ids=mint_batches * mint_width,
-        node_queries=n_nodes,
-    )
-    burst_params = dict(
-        n_files=n_files, n_nodes=n_nodes, dead_nodes=len(dead), lost_chunks=lost
-    )
-    return {
-        "namenode_meta_ops_per_s": _metric(single_ops, "ops/s", **params),
-        "namenode_meta_ops_per_s_sharded": _metric(
-            sharded_ops, "ops/s", n_shards=n_shards, **params
-        ),
-        "namenode_meta_ops_per_s_journaled": _metric(
-            journaled_ops, "ops/s", unjournaled_ops_per_s=round(plain_ops, 1),
-            journal_records=journal_stats["records"],
-            journal_bytes=journal_stats["bytes"], **journal_params
-        ),
-        "namenode_journal_overhead_ratio": _metric(
-            journaled_ops / plain_ops, "ratio", **journal_params
-        ),
-        "meta_failure_burst_wall_s": _metric(single_burst, "s", **burst_params),
-        "meta_failure_burst_wall_s_sharded": _metric(
-            sharded_burst, "s", n_shards=n_shards, **burst_params
-        ),
-    }
-
-
 def bench_namenode_sweep(repeats: int, n_files: int = 3_000) -> Dict[str, Dict]:
     """Time of ``chunks_on_node`` over every node ÷ time of one walk of
     the whole namespace, on the same plain ``Namenode``, min of
@@ -634,37 +470,6 @@ def bench_namenode_sweep(repeats: int, n_files: int = 3_000) -> Dict[str, Dict]:
             scan_ms=round(best[scan] * 1e3, 3),
         )
     }
-
-
-def bench_scenarios(quick: bool) -> Dict[str, Dict]:
-    """Adversarial scenario suite outcomes as bench metrics.
-
-    Two metrics per scenario: ``scenario_<name>_durability`` is the
-    fraction of workload files that read back byte-exact after the
-    adversity (the suite itself raises unless every invariant holds, so
-    a committed value is always 1.0 — the point of the metric is that a
-    regression fails bench generation outright), and
-    ``scenario_<name>_fg_p99_ms`` is the budgeted foreground p99 of the
-    scenario-shaped failure burst, the latency the scheduler guarantees.
-    """
-    from repro.cluster.scenarios import run_scenarios
-
-    metrics: Dict[str, Dict] = {}
-    for name, result in run_scenarios(seed=0, quick=quick).items():
-        metrics[f"scenario_{name}_durability"] = _metric(
-            result.files_verified / max(result.files_verified, 1),
-            "fraction",
-            files=result.files_verified,
-            lost_chunks=result.lost_chunks,
-            trace=result.trace_digest[:16],
-        )
-        metrics[f"scenario_{name}_fg_p99_ms"] = _metric(
-            result.fg_p99_ms,
-            "ms",
-            unthrottled_ms=round(result.fg_p99_unthrottled_ms, 3),
-            seed=result.seed,
-        )
-    return metrics
 
 
 def bench_repair_reads() -> Dict[str, Dict]:
@@ -805,9 +610,6 @@ def run_benchmarks(quick: bool = False) -> Dict[str, Dict]:
     # 200k events keeps one timed run ~60ms — long enough that scheduler
     # jitter on a shared box doesn't dominate the best-of-N sample.
     events = 2_000 if quick else 200_000
-    # The namenode bench is the million-file target from the control-plane
-    # work; quick mode shrinks the namespace so CI stays fast.
-    files = 50_000 if quick else 1_000_000
 
     metrics: Dict[str, Dict] = {}
     metrics.update(bench_gf256_encode(chunk, repeats))
@@ -824,10 +626,8 @@ def run_benchmarks(quick: bool = False) -> Dict[str, Dict]:
     metrics.update(bench_repair_reads())
     metrics.update(bench_checksum_passes(chunk, repeats))
     metrics.update(bench_event_engine(events, repeats))
-    metrics.update(bench_namenode_meta(files, repeats))
     # Same size in both modes: the gate is set at this one.
     metrics.update(bench_namenode_sweep(repeats))
-    metrics.update(bench_scenarios(quick))
     return metrics
 
 
@@ -843,6 +643,8 @@ def validate_schema(doc: Dict, expected_names) -> List[str]:
         if name not in metrics:
             problems.append(f"missing metric {name!r}")
     for name, m in metrics.items():
+        if name not in expected_names:
+            problems.append(f"{name}: no longer measured")
         if not isinstance(m, dict):
             problems.append(f"{name}: not an object")
             continue

@@ -7,9 +7,9 @@ functions by cumulative time.  This is the loop the control-plane fast
 path was tuned against; when a regression lands, the table points at the
 layer that regressed before anyone has to bisect.
 
-``--target namenode`` profiles the synthetic large-namespace metadata
-benchmark instead (batched registration + lookups + per-node chunk
-queries), which is the other half of the control plane.
+The metadata half of the control plane is timed per layer by
+``benchmarks/e2e/run.py --trace`` (``dfs.namenode``, ``dfs.shards``,
+``dfs.journal``).
 """
 
 from __future__ import annotations
@@ -36,26 +36,9 @@ def profile_failure_burst(scale: float = 1.0) -> cProfile.Profile:
     return prof
 
 
-def profile_namenode(n_files: int = 200_000) -> cProfile.Profile:
-    """Profile the synthetic namespace metadata benchmark."""
-    from repro.bench.micro import bench_namenode_meta
-
-    prof = cProfile.Profile()
-    prof.enable()
-    bench_namenode_meta(n_files, repeats=2)
-    prof.disable()
-    return prof
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro profile", description=__doc__
-    )
-    parser.add_argument(
-        "--target",
-        choices=("burst", "namenode"),
-        default="burst",
-        help="workload to profile (default: the failure-burst simulation)",
     )
     parser.add_argument(
         "--top", type=int, default=25, help="rows to print (default 25)"
@@ -67,24 +50,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="burst load multiplier (repairs and read rate)",
     )
     parser.add_argument(
-        "--files",
-        type=int,
-        default=200_000,
-        help="namespace size for --target namenode",
-    )
-    parser.add_argument(
         "--sort",
         choices=("cumulative", "tottime", "ncalls"),
         default="cumulative",
     )
     args = parser.parse_args(argv)
 
-    if args.target == "burst":
-        prof = profile_failure_burst(scale=args.scale)
-    else:
-        prof = profile_namenode(n_files=args.files)
-
-    stats = pstats.Stats(prof)
+    stats = pstats.Stats(profile_failure_burst(scale=args.scale))
     stats.sort_stats(args.sort)
     stats.print_stats(args.top)
     return 0

@@ -104,13 +104,7 @@ class PlacementPolicy:
         ``chunk_index``, best first, if it keeps any (by default: none)."""
         return []
 
-    def pick_nodes(
-        self,
-        count: int,
-        exclude: Optional[Sequence[str]] = None,
-        spread_racks: bool = True,
-        prefer_class: Optional[str] = None,
-    ) -> List[str]:
+    def pick_nodes(self, count: int, exclude: Optional[Sequence[str]] = None) -> List[str]:
         """Pick ``count`` distinct live nodes, avoiding ``exclude``."""
         excluded = set(exclude or [])
         pool = [n for n in self.cluster.alive_nodes() if n.node_id not in excluded]
@@ -118,16 +112,7 @@ class PlacementPolicy:
             raise PlacementError(
                 f"need {count} nodes, only {len(pool)} available after exclusions"
             )
-        prefer = prefer_class if prefer_class is not None else self.prefer_class
-        if not spread_racks:
-            idx = self.rng.choice(len(pool), size=count, replace=False)
-            picked_nodes = [pool[int(i)] for i in idx]
-            if prefer:
-                # Stable reorder: preferred-class picks first. The rng
-                # draw is identical with or without a preference, so a
-                # homogeneous cluster is unaffected.
-                picked_nodes.sort(key=lambda n: n.node_class != prefer)
-            return [n.node_id for n in picked_nodes]
+        prefer = self.prefer_class
         by_rack: dict = {}
         klass = {n.node_id: n.node_class for n in pool}
         for node in pool:
@@ -164,14 +149,20 @@ class DefaultPlacement(PlacementPolicy):
 
     Each stripe independently lands on random distinct nodes, so a later
     merge of two stripes usually finds overlapping servers and must move
-    chunks (exactly the overhead Morph's policy designs away).
+    chunks, and parities are scattered, so CC merges pay network IO
+    (exactly the overhead Morph's policy designs away). It reserves no
+    parity node. The baseline DFS places with it, and so does MorphFS
+    with planning disabled (the placement ablation); its signatures are
+    :class:`TranscodeAwarePlacement`'s.
     """
 
-    def place_stripe(self, k: int, r: int) -> Dict[str, List[str]]:
+    def place_stripe(self, file_id: str, stripe_index: int, k: int, r: int) -> Dict[str, List[str]]:
         nodes = self.pick_nodes(k + r)
         return {"data": nodes[:k], "parity": nodes[k:]}
 
-    def place_replicas(self, copies: int, exclude: Optional[Sequence[str]] = None) -> List[str]:
+    def place_replicas(
+        self, file_id: str, block_index: int, copies: int, exclude: Sequence[str]
+    ) -> List[str]:
         return self.pick_nodes(copies, exclude=exclude)
 
 
@@ -298,31 +289,4 @@ class TranscodeAwarePlacement(PlacementPolicy):
         self, file_id: str, block_index: int, copies: int, exclude: Sequence[str]
     ) -> List[str]:
         """Replica nodes for a hybrid block, excluding its EC chunk nodes."""
-        return self.pick_nodes(copies, exclude=exclude)
-
-
-class UnplannedPlacement(PlacementPolicy):
-    """Ablation policy: per-stripe random placement, nothing planned.
-
-    API-compatible with :class:`TranscodeAwarePlacement` so MorphFS can
-    run with planning disabled: stripes still get distinct nodes, but
-    merge partners may collide across stripes and parities are scattered,
-    so CC merges pay network IO (and real systems would also move data).
-    It reserves no parity node. Used by the placement ablation benchmark.
-    """
-
-    def __init__(self, cluster: Cluster, seed: int = 0):
-        super().__init__(cluster, seed)
-        self._stripes: Dict[tuple, Dict[str, List[str]]] = {}
-
-    def place_stripe(self, file_id: str, stripe_index: int, k: int, r: int) -> Dict[str, List[str]]:
-        key = (file_id, stripe_index, k, r)
-        if key not in self._stripes:
-            nodes = self.pick_nodes(k + r)
-            self._stripes[key] = {"data": nodes[:k], "parity": nodes[k:]}
-        return self._stripes[key]
-
-    def place_replicas(
-        self, file_id: str, block_index: int, copies: int, exclude: Sequence[str]
-    ) -> List[str]:
         return self.pick_nodes(copies, exclude=exclude)

@@ -222,23 +222,3 @@ def transcode_cost(
     if strategy is Strategy.STRIPEMERGE:
         return stripemerge_cost(k_i, r_i, k_f, r_f)
     raise ValueError(f"unknown strategy {strategy}")
-
-
-def ingest_disk_multiplier_replication(copies: int = 3) -> float:
-    """Disk bytes written per logical byte for c-way replication."""
-    return float(copies)
-
-
-def ingest_disk_multiplier_hybrid(copies: int, k: int, n: int) -> float:
-    """Disk bytes at rest per logical byte for Hy(copies, EC(k, n)).
-
-    Temporary replicas are normally deleted from buffer cache before ever
-    reaching disk (§4.2), so steady-state ingest disk IO equals the
-    resting footprint.
-    """
-    return copies + n / k
-
-
-def ingest_disk_multiplier_ec(k: int, n: int) -> float:
-    """Disk bytes written per logical byte for direct EC(k, n) ingest."""
-    return n / k

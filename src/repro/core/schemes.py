@@ -48,7 +48,10 @@ class RedundancyScheme:
 
     @property
     def ingest_disk_multiplier(self) -> float:
-        """Disk bytes written per logical byte during ingest."""
+        """Disk bytes written per logical byte during ingest. A hybrid's
+        temporary extra replicas are deleted from buffer cache before
+        they reach disk in the common case (§4.2), so for every scheme
+        this is the resting footprint."""
         return self.storage_overhead
 
     @property
@@ -227,12 +230,6 @@ class HybridScheme(RedundancyScheme):
     def chunk_count(self) -> int:
         # One replica block is one chunk-equivalent per data-chunk span.
         return self.copies * self.ec.k + self.ec.n
-
-    @property
-    def ingest_disk_multiplier(self) -> float:
-        # Temporary extra replicas are deleted from buffer cache before
-        # reaching disk in the common case (§4.2).
-        return self.storage_overhead
 
     @property
     def ec_part(self) -> ECScheme:

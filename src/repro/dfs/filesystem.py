@@ -30,7 +30,6 @@ from repro.cluster.placement import (
     DefaultPlacement,
     PlacementPolicy,
     TranscodeAwarePlacement,
-    UnplannedPlacement,
     home_for,
 )
 from repro.cluster.topology import Cluster
@@ -554,7 +553,7 @@ class _BaseDFS:
         block_index = 0
         for start in range(0, max(len(data), 1), span):
             block = np.asarray(data[start : start + span], dtype=np.uint8)
-            nodes = placement.place_replicas(copies)
+            nodes = placement.place_replicas(meta.name, block_index, copies, exclude=())
             stored, _ = self._write_replica_pipeline(
                 meta,
                 block_index,
@@ -657,7 +656,9 @@ class BaselineDFS(_BaseDFS):
                 placement = self._default_placement(name)
                 self._write_ec(
                     meta, data, scheme,
-                    lambda _index: placement.place_stripe(scheme.k, scheme.n - scheme.k),
+                    lambda index: placement.place_stripe(
+                        name, index, scheme.k, scheme.n - scheme.k
+                    ),
                 )
             else:
                 raise ValueError(f"BaselineDFS does not support {scheme}")
@@ -722,7 +723,7 @@ class MorphFS(AppendSupport, _BaseDFS):
         ec = meta.scheme.ec_part
         seed = self.seed + zlib.crc32(meta.name.encode()) % 997 + len(meta.stripes)
         if not self.transcode_aware:
-            policy: PlacementPolicy = UnplannedPlacement(self.cluster, seed=seed)
+            policy: PlacementPolicy = DefaultPlacement(self.cluster, seed=seed)
         else:
             k_star, r_star = self._window(ec)
             policy = TranscodeAwarePlacement(self.cluster, k_star, r_star, seed=seed)

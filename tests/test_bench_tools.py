@@ -176,6 +176,16 @@ class TestBenchRatioGates:
         assert micro.main(["--check", "--out", str(out)]) == 1
         assert "exceeds its gate 2.5" in capsys.readouterr().err
 
+    def test_check_fails_on_a_committed_row_the_run_no_longer_measures(self):
+        from repro.bench import micro
+
+        doc = {
+            "schema": micro.SCHEMA,
+            "metrics": {name: micro._metric(1.0, "ratio") for name in ("kept", "dropped")},
+        }
+        assert micro.validate_schema(doc, ["kept", "dropped"]) == []
+        assert micro.validate_schema(doc, ["kept"]) == ["dropped: no longer measured"]
+
     def test_the_sweep_ratio_is_measured_on_equal_work(self):
         from repro.bench import micro
 

@@ -10,9 +10,6 @@ from repro.codes.costmodel import (
     access_optimal_read_chunks,
     bandwidth_optimal_read_chunks,
     convertible_cost,
-    ingest_disk_multiplier_ec,
-    ingest_disk_multiplier_hybrid,
-    ingest_disk_multiplier_replication,
     lrc_rrw_cost,
     lrcc_from_cc_cost,
     lrcc_merge_cost,
@@ -21,6 +18,7 @@ from repro.codes.costmodel import (
     stripemerge_cost,
     transcode_cost,
 )
+from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 
 
 class TestCrossCheckWithRealPlans:
@@ -136,17 +134,19 @@ class TestLrccCosts:
 
 class TestIngestMultipliers:
     def test_replication(self):
-        assert ingest_disk_multiplier_replication(3) == 3.0
+        assert Replication(3).ingest_disk_multiplier == 3.0
 
     def test_hybrid(self):
         # Hy(1, EC(6,9)): 1 replica + 1.5x EC = 2.5x (paper: 150% overhead).
-        assert ingest_disk_multiplier_hybrid(1, 6, 9) == pytest.approx(2.5)
+        hy = HybridScheme(1, ECScheme(CodeKind.RS, 6, 9))
+        assert hy.ingest_disk_multiplier == pytest.approx(2.5)
 
     def test_ec(self):
-        assert ingest_disk_multiplier_ec(6, 9) == pytest.approx(1.5)
+        assert ECScheme(CodeKind.RS, 6, 9).ingest_disk_multiplier == pytest.approx(1.5)
 
     def test_hybrid_cheaper_than_replication(self):
-        assert ingest_disk_multiplier_hybrid(1, 12, 15) < 3.0
+        hy = HybridScheme(1, ECScheme(CodeKind.RS, 12, 15))
+        assert hy.ingest_disk_multiplier < 3.0
 
 
 class TestErrors:

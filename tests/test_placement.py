@@ -19,7 +19,7 @@ def cluster(n=23):
 class TestDefaultPlacement:
     def test_stripe_nodes_distinct(self):
         p = DefaultPlacement(cluster(), seed=1)
-        spots = p.place_stripe(6, 3)
+        spots = p.place_stripe("f", 0, 6, 3)
         nodes = spots["data"] + spots["parity"]
         assert len(set(nodes)) == 9
 
@@ -123,25 +123,19 @@ class TestRackAwareness:
         c = cluster(23)  # 4 racks by default
         p = DefaultPlacement(c, seed=21)
         for _ in range(10):
-            spots = p.place_stripe(4, 0)
+            spots = p.place_stripe("f", 0, 4, 0)
             racks = {c.node(n).rack for n in spots["data"]}
             assert len(racks) == 4  # one chunk per rack
 
     def test_wide_stripe_spreads_evenly(self):
         c = cluster(23)
         p = DefaultPlacement(c, seed=22)
-        spots = p.place_stripe(8, 4)
+        spots = p.place_stripe("f", 0, 8, 4)
         nodes = spots["data"] + spots["parity"]
         per_rack = {}
         for n in nodes:
             per_rack[c.node(n).rack] = per_rack.get(c.node(n).rack, 0) + 1
         assert max(per_rack.values()) - min(per_rack.values()) <= 1
-
-    def test_rack_spread_can_be_disabled(self):
-        c = cluster(23)
-        p = DefaultPlacement(c, seed=23)
-        nodes = p.pick_nodes(6, spread_racks=False)
-        assert len(set(nodes)) == 6
 
     def test_transcode_aware_windows_also_spread(self):
         c = cluster(23)

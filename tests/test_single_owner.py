@@ -19,7 +19,8 @@ nothing makes an array writable again, and a datanode's disk map is
 assigned by the datanode — and by the one helper that damages it.  And
 for the read path: one function reads a datanode on behalf of a reader,
 one decodes, and "which stripe / replica block holds data chunk i" is
-``FileMeta``'s to answer.
+``FileMeta``'s to answer.  And for the bench: ``repro bench`` times
+nothing ``benchmarks/e2e`` already times.
 """
 
 import ast
@@ -579,6 +580,15 @@ RETIRED_CODEC_NAMES = (
 def test_retired_codec_paths_stay_deleted():
     for name in RETIRED_CODEC_NAMES:
         assert not files_matching(rf"\b{name}\b"), name
+
+
+def test_the_codec_bench_measures_nothing_the_e2e_bench_owns():
+    # Metadata throughput, journal and shard overhead and failure-burst
+    # enumeration are read from benchmarks/e2e on a journaled sharded
+    # namenode; a scenario's durability and p99 from `scenarios --check`.
+    built = r"\b(ShardedNamenode|JournaledNamenode|Journal)\(|\brun_scenarios\b"
+    assert not files_matching(built, under="bench/")
+    assert '"--target"' not in SOURCES["bench/profile.py"]
 
 
 def test_temporary_replicas_are_dropped_by_id_not_by_scanning_a_buffer_cache():
