@@ -7,9 +7,9 @@ namenode durable as an HDFS-style edit log, and a crash is a prefix of
 it — a conversion resumes at its first unstaged final stripe:
 
 * :class:`Journal` — an append-only log of versioned, checksummed
-  records (length/version/opcode/CRC32 header + canonical-JSON payload),
-  file-backed or in-memory.  A torn tail (crash mid-write) is detected
-  and truncated on open; corruption *before* the tail raises.
+  records (length/version/opcode/CRC32 header + ``marshal`` version-2
+  payload), file-backed or in-memory.  A torn tail (crash mid-write) is
+  detected and truncated on open; corruption *before* the tail raises.
 * :class:`JournaledNamenode` — a :class:`~repro.dfs.namenode.Namenode`
   whose ``apply`` runs the op in memory first and appends its one record
   on success (write-behind: a crash between apply and append loses only
@@ -47,15 +47,17 @@ recovery; relative registration order is preserved by construction.
 Encode each file once
 ---------------------
 Documents are positional lists (see ``docs/metadata.md``)
-and every body goes through one canonical encoder, so a file's document
-has exactly one byte form.  :class:`JournaledNamenode` remembers where
+and every body goes through one encoder, ``_encode`` (``marshal`` at
+version 2: no back-references, so a document's bytes do not depend on
+what else the same call encodes), so a file's document has exactly one
+byte form wherever it sits.  :class:`JournaledNamenode` remembers where
 the document of each file last landed in the log (REGISTER, each element
 of REGISTER_BATCH, NOTE) and forgets it when a record changes the file
 without carrying its document (UNREGISTER, RENAME, PLACE, RELAYOUT,
 DROP_REPLICAS, ENQUEUE, FINALIZE).  Because live state equals the
 journaled prefix at every record boundary, a remembered range *is* the
-file's current document, and compaction joins those ranges instead of
-walking every chunk.
+file's current document, and compaction joins those ranges — back to
+back behind a list header — instead of walking every chunk.
 :func:`state_digest` never reads the index: it encodes live state from
 scratch, which is what makes it the oracle that checks the splice.
 """
@@ -63,7 +65,7 @@ scratch, which is what makes it the oracle that checks the splice.
 from __future__ import annotations
 
 import hashlib
-import json
+import marshal
 import os
 import struct
 import zlib
@@ -120,23 +122,42 @@ from repro.dfs.namenode import (
 #: The only record format this module reads or writes.  Journals here
 #: never outlive a run, so a format change *replaces* the old one: any
 #: other version (older or newer) is rejected, there is no reader fork.
-RECORD_VERSION = 5
+RECORD_VERSION = 6
 #: record header: payload length, format version, opcode, CRC32(payload)
 _HEADER = struct.Struct("<IHHI")
 #: sanity bound on one record's payload (a full-state snapshot of a very
 #: large shard still fits; anything bigger is corruption, not data)
 _MAX_PAYLOAD = 1 << 31
-#: The one encoder behind every record body and the state digest:
-#: canonical JSON (sorted keys, no whitespace, ASCII-only output, so a
-#: document's character offsets are its byte offsets).  Documents are
-#: trees this module builds, never cyclic.
-_ENCODER = json.JSONEncoder(
-    separators=(",", ":"), sort_keys=True, check_circular=False
-)
 
 
 def _encode(doc: Any) -> bytes:
-    return _ENCODER.encode(doc).encode()
+    """The one encoder behind every record body and the state digest:
+    ``marshal`` at version 2 exactly.  Version 3 and up emit
+    back-references whose presence depends on refcounts and whose
+    indices count from the start of one ``dumps`` call, so a document
+    encoded alone would not be the bytes of the same document inside a
+    snapshot.  Version 2 writes every value in full, in a form that has
+    not changed across Python releases.  Dicts are written in insertion
+    order; documents are trees of lists, str, int, float, bool and None
+    this module builds (no tuples, so a decoded body re-encodes to
+    itself)."""
+    return marshal.dumps(doc, 2)
+
+
+# The marshal v2 framing the splices write by hand: a dict is "{", its
+# key/value pairs back to back, then "0"; a list is "[", its length as a
+# little-endian int32, then its items back to back with no separator.
+_DICT_END = b"0"
+_LIST_HEAD = struct.Struct("<ci")
+
+
+def _dict_head(key: str) -> bytes:
+    """A dict opened up to the value of its first key."""
+    return b"{" + _encode(key)
+
+
+def _list_head(n: int) -> bytes:
+    return _LIST_HEAD.pack(b"[", n)
 
 
 class Op(IntEnum):
@@ -332,8 +353,11 @@ def load_state(nn: Namenode, doc: Dict[str, Any]) -> None:
 def state_digest(nn: Namenode) -> str:
     """sha256 over the canonical state — the byte-identity oracle.
 
-    Always encodes live state from scratch; it must never consult the
-    fragment index, whose correctness it is used to check.
+    The bytes hashed are the SNAPSHOT body this state would be, through
+    the journal's one encoder (``_encode``), so the digest is the same
+    on every Python that writes the same log.  Always encodes live state
+    from scratch; it must never consult the fragment index, whose
+    correctness it is used to check.
     """
     return hashlib.sha256(_encode(encode_state(nn))).hexdigest()
 
@@ -464,16 +488,17 @@ class Journal:
     def records(self) -> Iterator[Tuple[Op, Dict[str, Any]]]:
         """Decoded (opcode, payload) pairs; offsets were validated on load.
 
-        Bodies are decoded straight out of one view of the log (one copy,
-        into the ``str`` the parser reads).  The view lives as long as
-        the iteration: exhaust or close it before appending.
+        ``marshal.loads`` reads each body straight out of one view of the
+        log, with no intermediate copy; a payload is what ``_encode``
+        was given, and re-encoding it gives back the body byte for byte.
+        The view lives as long as the iteration: exhaust or close it
+        before appending.
         """
         with self.view() as view:
             for start in self._offsets:
                 length, _version, opcode, _crc = _HEADER.unpack_from(view, start)
                 body_at = start + _HEADER.size
-                body = str(view[body_at:body_at + length], "utf-8")
-                yield Op(opcode), json.loads(body)
+                yield Op(opcode), marshal.loads(view[body_at:body_at + length])
 
     def prefix(self, n: int) -> "Journal":
         """In-memory copy of the first ``n`` records (crash-test harness)."""
@@ -562,21 +587,25 @@ def _named(op) -> Tuple[str, ...]:
 #:   ``None`` where the record touches no file.
 #: * payload: ``(node, op) ->`` the record's document, or ``(head,
 #:   files, tail)`` for a record that carries file documents.
+_F_HEAD = _dict_head("f")    # {"f": file}
+_FS_HEAD = _dict_head("fs")  # {"fs": [file...]}
+
 _RECORD = {
     Register: (Op.REGISTER, None, lambda op: (op.meta.name,),
-               lambda nn, op: (b'{"f":', (op.meta,), b"}")),
+               lambda nn, op: (_F_HEAD, (op.meta,), _DICT_END)),
     RegisterBatch: (Op.REGISTER_BATCH, None, lambda op: [m.name for m in op.metas],
-                    lambda nn, op: (b'{"fs":[', op.metas, b"]}")),
+                    lambda nn, op: (_FS_HEAD + _list_head(len(op.metas)),
+                                    op.metas, _DICT_END)),
     Unregister: (Op.UNREGISTER, None, _named, lambda nn, op: {"n": op.name}),
     Rename: (Op.RENAME, None, lambda op: (op.old, op.new),
              lambda nn, op: {"o": op.old, "n": op.new}),
     # A registered file's note carries its full document; a name that is
     # not registered writes nothing.
     Note: (Op.NOTE, lambda nn, op, out: op.name in nn.files, _named,
-           lambda nn, op: (b'{"f":', (nn.files[op.name],), b"}")),
+           lambda nn, op: (_F_HEAD, (nn.files[op.name],), _DICT_END)),
     # The change, not the file: its fragment entry is dropped.
     Place: (Op.PLACE, None, _named,
-            lambda nn, op: {"n": op.name, "m": op.moves}),
+            lambda nn, op: {"n": op.name, "m": [list(m) for m in op.moves]}),
     Relayout: (Op.RELAYOUT, None, _named, lambda nn, op: {
         "n": op.name, "k": op.keep, "s": [encode_stripe(s) for s in op.stripes],
         "b": [encode_block(b) for b in op.blocks], "z": op.size}),
@@ -698,11 +727,11 @@ class JournaledNamenode(Namenode):
             # Encode each carried file once, and index where it landed.
             head, metas, tail = body
             docs = [_encode(encode_file(meta)) for meta in metas]
-            index = journal.append(opcode, head + b",".join(docs) + tail)
+            index = journal.append(opcode, head + b"".join(docs) + tail)
             at = journal.body_offset(index) + len(head)
             for meta, doc in zip(metas, docs):
                 frags[meta.name] = (at, len(doc))
-                at += len(doc) + 1
+                at += len(doc)
         if self.after_append is not None:
             self.after_append(self, opcode)
         if self.compact_every and journal.records_since_snapshot >= self.compact_every:
@@ -712,13 +741,18 @@ class JournaledNamenode(Namenode):
     def _snapshot_body(self) -> Tuple[bytes, Dict[str, Tuple[int, int]], int]:
         """The SNAPSHOT body — byte-identical to ``_encode(encode_state(
         self))`` at a record boundary — with indexed file documents
-        spliced from the log rather than re-encoded.  Also returns the
-        fragment index of the log that holds only this snapshot, and the
-        number of documents spliced.  The log views die with this frame,
-        before the log is replaced."""
-        # Keys in sorted order, as the canonical encoder emits them.
-        head = b'{"chunk_seq":%d,"files":[' % self._chunk_seq
-        tail = b'],"utm":%s}' % _encode([encode_job(j) for j in self.utm.values()])
+        spliced from the log rather than re-encoded: a list header, then
+        the documents back to back.  Also returns the fragment index of
+        the log that holds only this snapshot, and the number of
+        documents spliced.  The log views die with this frame, before
+        the log is replaced."""
+        # The keys in encode_state's order, framed as marshal frames them.
+        head = _dict_head("files") + _list_head(len(self.files))
+        tail = b"".join((
+            _encode("chunk_seq"), _encode(self._chunk_seq),
+            _encode("utm"), _encode([encode_job(j) for j in self.utm.values()]),
+            _DICT_END,
+        ))
         frags = self._frags
         parts = []
         index: Dict[str, Tuple[int, int]] = {}
@@ -734,8 +768,8 @@ class JournaledNamenode(Namenode):
                     spliced += 1
                 parts.append(part)
                 index[name] = (at, len(part))
-                at += len(part) + 1
-            return head + b",".join(parts) + tail, index, spliced
+                at += len(part)
+            return head + b"".join(parts) + tail, index, spliced
 
     def compact(self) -> None:
         """Fold the whole log into one SNAPSHOT record.

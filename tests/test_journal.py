@@ -1,7 +1,8 @@
 """Journal record codec, log mechanics and snapshot compaction."""
 
-import json
+import hashlib
 import struct
+import sys
 import zlib
 
 import pytest
@@ -114,10 +115,13 @@ jobs = st.builds(
 
 # -- codec round-trips --------------------------------------------------------
 
-def _through_json(doc):
+def _through_the_log(doc):
     """What a reader gets: the document after one trip through the
-    journal's own encoder (canonical bytes) and the JSON parser."""
-    return json.loads(_encode(doc))
+    journal's own encoder and its own record reader."""
+    journal = Journal()
+    journal.append(Op.NOTE, {"d": doc})
+    ((_op, payload),) = journal.records()
+    return payload["d"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,9 +133,10 @@ def test_file_record_roundtrip(meta):
     assert doc[0] == meta.name and doc[6] == meta.state.value
     assert all(isinstance(s, list) and len(s) == 5 for s in doc[4])
     assert all(isinstance(b, list) and len(b) == 4 for b in doc[5])
-    back = decode_file(_through_json(doc))
+    back = decode_file(_through_the_log(doc))
     assert back == meta
     assert encode_file(back) == doc
+    assert _encode(encode_file(back)) == _encode(doc)
     assert back.state is meta.state
     assert all(
         c.kind is want.kind
@@ -174,7 +179,7 @@ def test_relayout_record_carries_the_change_and_replays_to_live_state(
 def test_scheme_roundtrip(scheme):
     doc = encode_scheme(scheme)
     assert all(not isinstance(x, (list, dict)) for x in doc)  # flat
-    assert decode_scheme(_through_json(doc)) == scheme
+    assert decode_scheme(_through_the_log(doc)) == scheme
 
 
 def test_lrc_scheme_roundtrip():
@@ -193,7 +198,7 @@ def test_lrc_scheme_roundtrip():
 def test_job_record_roundtrip(job):
     doc = encode_job(job)
     assert isinstance(doc, list) and len(doc) == 5
-    back = decode_job(_through_json(doc))
+    back = decode_job(_through_the_log(doc))
     assert back == job
     assert encode_job(back) == doc
 
@@ -271,7 +276,7 @@ def test_torn_tail_is_truncated_in_memory():
     assert len(fresh) == 3
 
 
-def _raw_record(version, op=Op.NOTE, body=b"{}"):
+def _raw_record(version, op=Op.NOTE, body=_encode({})):
     return struct.pack("<IHHI", len(body), version, int(op), zlib.crc32(body)) + body
 
 
@@ -280,12 +285,12 @@ def test_future_record_version_rejected():
         Journal()._load(_raw_record(99))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, RECORD_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, RECORD_VERSION + 1])
 def test_only_the_current_record_version_is_read(version, tmp_path):
-    """v5 replaced v4 as v4 replaced v3: there is no reader for any
+    """v6 replaced v5 as v5 replaced v4: there is no reader for any
     other version, older or newer, in memory or from a file — and a
     good record before the foreign one does not make it a 'torn tail'."""
-    assert RECORD_VERSION == 5
+    assert RECORD_VERSION == 6
     good = _raw_record(RECORD_VERSION)
     assert Journal()._load(good) == len(good)
     with pytest.raises(JournalError, match=f"version {version}"):
@@ -295,6 +300,39 @@ def test_only_the_current_record_version_is_read(version, tmp_path):
     with pytest.raises(JournalError, match=f"version {version}"):
         Journal(path)
     assert path.read_bytes() == good + _raw_record(version)  # not truncated
+
+
+#: One fixed state document holding every kind of value a record carries
+#: and a few that stress the encoder's byte form: the same interned node
+#: id repeated (marshal 3+ would back-reference it), a chunk sequence
+#: above 2**31 (marshal's long form), a float deadline, None and a bool.
+_PINNED_STATE = {
+    "files": [[
+        "pinned", 3 << 31, 4096, ["ec", "cc", 6, 9, None, None, None],
+        [[0, 6, 9,
+          [[f"pinned/s0d{j}", sys.intern("dn003"), "data", 4096] for j in range(2)],
+          [["pinned/s0p0", sys.intern("dn003"), "parity", 4096]]]],
+        [], "transcoding", 1,
+    ]],
+    "chunk_seq": (1 << 40) + 7,
+    "utm": [["pinned", ["ec", "cc", 12, 15, None, None, None],
+             [["pinned", 0, [0, 1], 1, ["ec", "cc", 12, 15, None, None, None]]],
+             [], 86400.25]],
+    "flag": True,
+}
+
+
+def test_the_byte_form_is_pinned():
+    """The journal's bytes are the same on every Python the project
+    supports (CI runs 3.9 and 3.12): marshal version 2 has no
+    back-references and no interned-string flag, and dicts keep their
+    literal key order.  A change of encoder or version moves this."""
+    body = _encode(_PINNED_STATE)
+    assert hashlib.sha256(body).hexdigest() == (
+        "1ccddc00cd0fa91f7e65179de474f665a145d9648b46ff1444b320e1a08bc36a"
+    )
+    assert body.count(b"dn003") == 3  # written in full each time
+    assert _through_the_log(_PINNED_STATE) == _PINNED_STATE
 
 
 def test_append_takes_a_pre_encoded_body():
@@ -636,3 +674,48 @@ def test_compaction_counters_reach_metadata_stats():
     assert stats["journal_files_reencoded"] == 0
     assert stats["journal_compact_seconds"] > 0
     assert nn.journal.stats()["compactions"] == 2
+
+
+# -- canonical bytes: one document, one byte form -----------------------------
+
+def _bodies(journal):
+    """Each record's body, as the bytes that sit in the log."""
+    data = journal.data
+    for index in range(len(journal)):
+        at = journal.body_offset(index)
+        (length,) = struct.unpack_from("<I", data, at - struct.calcsize("<IHHI"))
+        yield data[at:at + length]
+
+
+def test_every_record_a_crash_sweep_writes_re_encodes_to_its_body():
+    """For every record the crash sweep's failure-burst trace writes on a
+    compacting journal — all twelve op types and the SNAPSHOTs they fold
+    into — the payload the reader decodes encodes back to the record's
+    body byte for byte.  Splice compaction and the state digest rest on
+    a document having exactly one byte form."""
+    from tests.test_journal_crash import run_failure_burst
+
+    nn = JournaledNamenode(compact_every=3)
+    seen = set()
+
+    def no_tuples(doc):
+        assert not isinstance(doc, tuple)
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            if isinstance(value, (list, dict, tuple)):
+                no_tuples(value)
+
+    def check(node, _op):
+        journal = node.journal
+        for (opcode, payload), body in zip(journal.records(), _bodies(journal)):
+            assert _encode(payload) == body, opcode.name
+            no_tuples(payload)  # one byte form whatever sequence a caller passed
+            seen.add(opcode)
+
+    nn.after_append = check
+    run_failure_burst(nn)
+    # What the trace does not issue on one namenode: a batch
+    # registration, the benchmark harness's note and a removal.
+    nn.register_files([_striped("batch/a"), _striped("batch/b", 2)])
+    nn.note_chunk("dn00", "batch/b")
+    nn.unregister_file("batch/a")
+    assert seen == set(Op)

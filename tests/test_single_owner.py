@@ -236,6 +236,25 @@ def test_replay_goes_through_the_base_apply_and_one_forget_site():
     assert not files_matching(r"frags\.pop\(|_frags\b", under="dfs/shards")
 
 
+def test_the_journal_has_one_record_encoder():
+    # Every body, splice and digest has one byte form because it comes
+    # out of one encoder: no JSON beside it, and marshal's dumps called
+    # once — at version 2, inside ``_encode``.
+    tree = ast.parse(SOURCES["dfs/journal.py"])
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "json" not in modules and "marshal" in modules
+
+    def dumps_calls(root):
+        return [ast.unparse(node) for node in ast.walk(root) if isinstance(node, ast.Call)
+                and ast.unparse(node.func).endswith("dumps")]
+
+    encode = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_encode")
+    assert dumps_calls(tree) == dumps_calls(encode) == ["marshal.dumps(doc, 2)"]
+
+
 # -- chunk placement changes inside the namenode only --------------------------
 
 def test_only_the_namenode_rehomes_a_chunk():
