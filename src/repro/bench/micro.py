@@ -23,9 +23,10 @@ generation, the *schema* is what CI checks.
 ``--quick`` shrinks chunk sizes and repeat counts (for CI); ``--check``
 validates the committed file's schema against the current metric set
 (no row missing, none left over) without overwriting it, and holds the
-current run to :data:`RATIO_GATES` — ratios of two timings taken back
-to back in one process, so a slow runner moves both sides alike. No
-absolute number is ever asserted.
+current run to :data:`RATIO_GATES` — ratios of two CPU times taken
+back to back in one process, so a slow runner moves both sides alike
+and a busy neighbour's preemption counts on neither. No absolute number
+is ever asserted.
 
 It keeps only what ``benchmarks/e2e`` cannot see. Metadata throughput,
 journal and shard overhead and failure-burst enumeration are read there
@@ -43,7 +44,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -84,11 +85,31 @@ def default_output() -> Path:
     return Path.cwd() / "BENCH_codec.json"
 
 
-def _best_seconds(fn: Callable[[], None], repeats: int, warmup: int = 2) -> float:
-    """Best-of-N wall seconds for one call of ``fn`` (min is the most
-    repeatable point statistic for a throughput benchmark).  The cyclic
-    GC is paused during timed runs — same policy as ``timeit`` — so an
-    unlucky collection inside one repeat doesn't pollute the sample."""
+class Best(NamedTuple):
+    """Best-of-N seconds of one call, on two clocks."""
+
+    #: ``time.perf_counter``: what throughputs are computed from
+    wall: float
+    #: ``time.process_time``: CPU seconds of every thread of this
+    #: process, what the :data:`RATIO_GATES` ratios are computed from
+    cpu: float
+
+
+def _best_seconds(fn: Callable[[], None], repeats: int, warmup: int = 2) -> Best:
+    """Best-of-N seconds for one call of ``fn``, wall and CPU (min is
+    the most repeatable point statistic for a throughput benchmark).
+    The cyclic GC is paused during timed runs — same policy as
+    ``timeit`` — so an unlucky collection inside one repeat doesn't
+    pollute the sample.
+
+    The gates read CPU time: a busy neighbour preempts one side of a
+    ratio more than the other, and wall time counts the wait while CPU
+    time counts only what this process ran. The CPU clock is
+    ``process_time`` on both sides of ``SPLIT_FROM_BYTES``: from it on,
+    a call runs parts on pool threads, which ``thread_time`` would miss;
+    below it no pool thread runs, so ``process_time`` is the calling
+    thread's own time and a gate's two sides read one clock whether or
+    not one of them splits."""
     import gc
 
     for _ in range(warmup):
@@ -96,38 +117,40 @@ def _best_seconds(fn: Callable[[], None], repeats: int, warmup: int = 2) -> floa
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        best = float("inf")
+        wall = cpu = float("inf")
         for _ in range(repeats):
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             fn()
-            best = min(best, time.perf_counter() - t0)
+            c1, t1 = time.process_time(), time.perf_counter()
+            wall, cpu = min(wall, t1 - t0), min(cpu, c1 - c0)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return best
+    return Best(wall, cpu)
 
 
 def _cold_and_warm_seconds(make: Callable[[], object], fn, repeats: int):
-    """Per repeat, time ``fn`` on a fresh ``make()`` (cold: nothing it
-    caches on the object exists yet) and again on the same object (warm).
-    The two sample lists interleave in time, so machine drift hits both
-    alike and their ratio stays usable on a noisy box."""
+    """Per repeat, wall seconds of ``fn`` on a fresh ``make()`` (cold:
+    nothing it caches on the object exists yet) and again on the same
+    object (warm). The two sample lists interleave in time, so machine
+    drift hits both alike and their ratio stays usable on a noisy box."""
     cold, warm = [], []
     for _ in range(repeats):
         fresh = make()
-        cold.append(_best_seconds(lambda: fn(fresh), repeats=1, warmup=0))
-        warm.append(_best_seconds(lambda: fn(fresh), repeats=1, warmup=0))
+        cold.append(_best_seconds(lambda: fn(fresh), repeats=1, warmup=0).wall)
+        warm.append(_best_seconds(lambda: fn(fresh), repeats=1, warmup=0).wall)
     return cold, warm
 
 
-def _round_robin_best(calls: List[Callable[[], object]], repeats: int) -> List[float]:
+def _round_robin_best(calls: List[Callable[[], object]], repeats: int) -> List[Best]:
     """Best seconds of each call, the calls taking turns so machine
     drift hits them alike and their ratio holds on a noisy box. The
     first two passes are warm-up in effect: they build tables."""
-    best = [float("inf")] * len(calls)
+    best = [Best(float("inf"), float("inf"))] * len(calls)
     for _ in range(repeats + 2):
         for i, call in enumerate(calls):
-            best[i] = min(best[i], _best_seconds(call, repeats=1, warmup=0))
+            wall, cpu = _best_seconds(call, repeats=1, warmup=0)
+            best[i] = Best(min(best[i].wall, wall), min(best[i].cpu, cpu))
     return best
 
 
@@ -149,13 +172,13 @@ def bench_gf256_encode(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     data = _chunks(k, chunk_bytes, seed=1)
     nbytes = k * chunk_bytes
 
-    fast = _best_seconds(lambda: code.encode(data), repeats)
+    fast = _best_seconds(lambda: code.encode(data), repeats).wall
 
     from repro.gf.matrix import gf_matmul_reference
 
     stacked = np.stack(data)
     parity_rows = code.generator[k:]
-    ref = _best_seconds(lambda: gf_matmul_reference(parity_rows, stacked), repeats)
+    ref = _best_seconds(lambda: gf_matmul_reference(parity_rows, stacked), repeats).wall
 
     params = {"k": k, "n": n, "chunk_bytes": chunk_bytes}
     return {
@@ -209,10 +232,10 @@ def bench_gf256_encode_batch(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
         for _ in range(stripes)
     ]
     nbytes = k * chunk_bytes * stripes
-    batched = _best_seconds(lambda: code.encode_batch(batch), repeats)
+    batched = _best_seconds(lambda: code.encode_batch(batch), repeats).wall
     looped = _best_seconds(
         lambda: [code.encode(chunks) for chunks in batch], repeats
-    )
+    ).wall
     return {
         "gf256_encode_batch_mb_s": _metric(
             nbytes / batched / 1e6, "MB/s",
@@ -236,7 +259,7 @@ def bench_gf256_transcode(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     nbytes = final.k * chunk_bytes
     secs = _best_seconds(
         lambda: convert(initial, final, stripes, plan), repeats
-    )
+    ).wall
     return {
         "gf256_transcode_mb_s": _metric(
             nbytes / secs / 1e6, "MB/s",
@@ -259,9 +282,9 @@ def bench_gf_apply_ratio(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     best = _round_robin_best([lambda: m3.apply(rows), lambda: m4.apply(rows)], repeats)
     return {
         "gf_apply_m3_over_m4_time_ratio": _metric(
-            best[0] / best[1], "ratio", k=12, chunk_bytes=chunk_bytes,
-            m3_mb_s=round(rows.nbytes / best[0] / 1e6, 3),
-            m4_mb_s=round(rows.nbytes / best[1] / 1e6, 3),
+            best[0].cpu / best[1].cpu, "ratio", k=12, chunk_bytes=chunk_bytes,
+            m3_mb_s=round(rows.nbytes / best[0].wall / 1e6, 3),
+            m4_mb_s=round(rows.nbytes / best[1].wall / 1e6, 3),
         )
     }
 
@@ -285,9 +308,9 @@ def bench_gf_encode_over_repair_ratio(chunk_bytes: int, repeats: int) -> Dict[st
     nbytes = code.k * chunk_bytes
     return {
         "gf_encode_3x6_over_1x6_time_ratio": _metric(
-            best[0] / best[1], "ratio", code="CC(6,9)", chunk_bytes=chunk_bytes,
-            encode_mb_s=round(nbytes / best[0] / 1e6, 3),
-            one_row_mb_s=round(nbytes / best[1] / 1e6, 3),
+            best[0].cpu / best[1].cpu, "ratio", code="CC(6,9)", chunk_bytes=chunk_bytes,
+            encode_mb_s=round(nbytes / best[0].wall / 1e6, 3),
+            one_row_mb_s=round(nbytes / best[1].wall / 1e6, 3),
         )
     }
 
@@ -320,10 +343,10 @@ def bench_gf_row_tile_ratio(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     nbytes = 6 * chunk_bytes
     return {
         "gf_row_1mib_over_64kib_byte_time_ratio": _metric(
-            best[0] / best[1], "ratio", k=6, chunk_bytes=chunk_bytes,
+            best[0].wall / best[1].wall, "ratio", k=6, chunk_bytes=chunk_bytes,
             short_bytes=short,
-            long_mb_s=round(nbytes / best[0] / 1e6, 3),
-            short_mb_s=round(nbytes / best[1] / 1e6, 3),
+            long_mb_s=round(nbytes / best[0].wall / 1e6, 3),
+            short_mb_s=round(nbytes / best[1].wall / 1e6, 3),
         )
     }
 
@@ -351,9 +374,9 @@ def bench_split(repeats: int) -> Dict[str, Dict]:
     return {
         "cores": _metric(CORES, "count"),
         "crc_6mib_split_over_whole_time_ratio": _metric(
-            best[0] / best[1], "ratio", nbytes=data.nbytes, cores=CORES,
+            best[0].wall / best[1].wall, "ratio", nbytes=data.nbytes, cores=CORES,
             split=data.nbytes >= SPLIT_FROM_BYTES,
-            whole_mb_s=round(data.nbytes / best[1] / 1e6, 3),
+            whole_mb_s=round(data.nbytes / best[1].wall / 1e6, 3),
         ),
     }
 
@@ -365,7 +388,7 @@ def bench_gf16_wide(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     code = WideConvertibleCode(k, n)
     data = _chunks(k, chunk_bytes, seed=3)
     nbytes = k * chunk_bytes
-    enc = _best_seconds(lambda: code.encode(data), repeats)
+    enc = _best_seconds(lambda: code.encode(data), repeats).wall
 
     parities = code.encode(data)
     chunks = data + parities
@@ -411,7 +434,7 @@ def bench_event_engine(n_events: int, repeats: int) -> Dict[str, Dict]:
             env.process(ticker(env, per))
         env.run()
 
-    secs = _best_seconds(run_once, repeats)
+    secs = _best_seconds(run_once, repeats).wall
     total = 8 * max(1, n_events // 8)
     return {
         "event_engine_events_per_s": _metric(
@@ -459,15 +482,12 @@ def bench_namenode_sweep(repeats: int, n_files: int = 3_000) -> Dict[str, Dict]:
         ])
 
     assert sweep() == scan() == 9 * n_files
-    best = {sweep: float("inf"), scan: float("inf")}
-    for _ in range(repeats + 2):
-        for fn in best:
-            best[fn] = min(best[fn], _best_seconds(fn, repeats=1, warmup=0))
+    best = _round_robin_best([sweep, scan], repeats)
     return {
         "namenode_sweep_over_scan_time_ratio": _metric(
-            best[sweep] / best[scan], "ratio", n_files=n_files, n_nodes=n_nodes,
-            chunks=9 * n_files, sweep_ms=round(best[sweep] * 1e3, 3),
-            scan_ms=round(best[scan] * 1e3, 3),
+            best[0].cpu / best[1].cpu, "ratio", n_files=n_files, n_nodes=n_nodes,
+            chunks=9 * n_files, sweep_ms=round(best[0].wall * 1e3, 3),
+            scan_ms=round(best[1].wall * 1e3, 3),
         )
     }
 
@@ -529,7 +549,7 @@ def bench_checksum_passes(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     """What block integrity (§6.1) costs a file over its lifetime.
 
     ``checksum_bytes_per_user_byte_lifetime`` is an exact count: bytes
-    handed to ``ChecksumRegistry.record`` / ``verify`` while one file is
+    handed to ``ChecksumRegistry.record`` / ``verify_many`` while one file is
     ingested as Hy(1,CC(6,9)), read, freed to CC(6,9), merged to
     CC(12,15) and read again, over the file's size — CRC passes per user
     byte. It moves only when a path starts or stops checksumming: 3.75
@@ -554,9 +574,9 @@ def bench_checksum_passes(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
             self.nbytes += data.nbytes
             super().record(chunk_id, data)
 
-        def verify(self, chunk_id, data, into=None):
-            self.nbytes += data.nbytes
-            return super().verify(chunk_id, data, into=into)
+        def verify_many(self, items):  # ``verify`` is its one-item case
+            self.nbytes += sum(data.nbytes for _chunk_id, data, _into in items)
+            return super().verify_many(items)
 
     cc69, cc1215 = ECScheme(CodeKind.CC, 6, 9), ECScheme(CodeKind.CC, 12, 15)
     rng = np.random.default_rng(0)
@@ -582,9 +602,9 @@ def bench_checksum_passes(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
 
     verified, unverified = [], []
     for _ in range(repeats):
-        verified.append(_best_seconds(read, repeats=3, warmup=1))
+        verified.append(_best_seconds(read, repeats=3, warmup=1).wall)
         fs.checksums._sums = {}
-        unverified.append(_best_seconds(read, repeats=3, warmup=1))
+        unverified.append(_best_seconds(read, repeats=3, warmup=1).wall)
         fs.checksums._sums = sums
     ratio = float(np.median([u / v for v, u in zip(verified, unverified)]))
     return {

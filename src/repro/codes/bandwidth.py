@@ -35,6 +35,11 @@ from repro.gf.kernels import gf_scale_xor
 from repro.gf.matrix import gf_identity, gf_matmul
 
 
+#: Every merge code made so far, one per shape ``(k, r_I, r_F,
+#: family_width)``: see :meth:`BandwidthOptimalCC.for_merge`.
+_MERGE_CODES: Dict[Tuple[int, int, int, int], "BandwidthOptimalCC"] = {}
+
+
 class BandwidthOptimalCC(ErasureCode):
     #: Parities carry piggybacked substripe sums, not plain generator-row
     #: products — the generic batched/fused codec paths must defer to the
@@ -64,6 +69,20 @@ class BandwidthOptimalCC(ErasureCode):
         self.points = find_family_points(r_final, self.family_width)
         # (k, r_F) parity coefficients shared by every substripe.
         self._parity_coeffs = vandermonde_parity(self.points, k)
+
+    @classmethod
+    def for_merge(
+        cls, k: int, r_initial: int, r_final: int, family_width: int
+    ) -> "BandwidthOptimalCC":
+        """The process's one code of this shape, as a scheme's codec is
+        (:meth:`repro.core.schemes.ECScheme.make_code`): every
+        parity-growing merge of these stripes into a ``family_width``
+        stripe finds its points and coefficients built."""
+        key = (k, r_initial, r_final, family_width)
+        code = _MERGE_CODES.get(key)
+        if code is None:
+            code = _MERGE_CODES.setdefault(key, cls(k, r_initial, r_final, family_width))
+        return code
 
     @property
     def generator(self) -> np.ndarray:

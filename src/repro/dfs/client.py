@@ -17,9 +17,12 @@ network transfer per chunk delivered to the reading client.
 
 Every chunk a striped read delivers is checked against the CRC recorded
 for its data slot, whichever of the three sources produced it (§6.1);
-the check rides the copy into the result (``verify(..., into=)``).
-Replica-first reads of a sub-stripe range are not verified: the sums are
-per chunk, and such a read need not cover one.
+the check rides the copy into the result (``verify_many``'s
+destinations). A stripe's home copies are checked in one call, and so
+are the chunks one decode delivers: over 1 MiB chunks that call runs
+on every core, a chunk a part. Replica-first reads of a sub-stripe
+range are not verified — the sums are per chunk, and such a read need
+not cover one — and are counted instead (``unverified_bytes``).
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ class ClientReader:
         #: reads served from an alternative source because the primary
         #: copy sat on a known-slow (straggler) node
         self.hedged_reads = 0
+        #: bytes the replica path served unchecked: it checks nothing,
+        #: since a range need not cover a recorded sum
+        self.unverified_bytes = 0
 
     # -- hedging -----------------------------------------------------------
     def _is_straggler(self, node_id: str) -> bool:
@@ -120,6 +126,10 @@ class ClientReader:
             self._note_hedge(block, served[0])
             out[pos - offset : pos - offset + take] = served[1]
             pos += take
+        self.unverified_bytes += length
+        obs = self.fs.obs
+        if obs.enabled and obs.registry is not None:
+            obs.registry.counter("dfs_unverified_read_bytes_total").inc(length)
         return out
 
     def _prefer(self, chunk: ChunkMeta) -> bool:
@@ -189,31 +199,66 @@ class ClientReader:
         recorded sum (verify-on-read, §6.1): the home node's copy, else
         the chunk's range of a hybrid replica (§4.3), else — for
         everything still missing — one degraded read from a shared set of
-        survivors. A source that fails the check is quarantined and the
-        next one tried.
+        survivors. The home copies are checked together, in one
+        ``verify_many`` call; then, chunk by chunk in order, a copy that
+        failed is quarantined and the next source tried.
         """
         fs = self.fs
         missing: List[int] = []
+        checks: List[Tuple[str, np.ndarray, np.ndarray]] = []  # the copies fetched
+        skipped: List[int] = []  # local indices whose home copy was not fetched
         for local, dst in dests.items():
             chunk = stripe.data[local]
-            if (
-                self._is_straggler(chunk.node_id)
-                and fs.chunk_readable(chunk)
-                and self._hedges_past(meta, stripe, chunk)
-            ):
-                # The home copy works but sits on a straggler disk and a
-                # fast source exists: skip it (replica or decode below).
-                self._count_hedge()
+            if self._is_straggler(chunk.node_id) and fs.chunk_readable(chunk):
+                # Whether a fast source is left turns on the copies
+                # fetched so far: settle them before deciding.
+                self._settle(meta, stripe, stripe_first, dests, checks, skipped, missing)
+                if self._hedges_past(meta, stripe, chunk):
+                    # The home copy works but sits on a straggler disk and
+                    # a fast source exists: skip it (replica or decode).
+                    self._count_hedge()
+                    skipped.append(local)
+                    continue
+            data = fs.fetch_chunk(chunk, self.CLIENT, "read")
+            if data is None:
+                skipped.append(local)
             else:
-                data = fs.fetch_chunk(chunk, self.CLIENT, "read")
-                if data is not None:
-                    if fs.checksums.verify(chunk.chunk_id, data, into=dst):
-                        continue
-                    quarantine(fs, chunk)  # a corrupt chunk is treated as missing
-            if not self._replica_range_into(meta, stripe, stripe_first, local, dst):
-                missing.append(local)
+                checks.append((chunk.chunk_id, data, dst))
+        self._settle(meta, stripe, stripe_first, dests, checks, skipped, missing)
         if missing:
             self._decode_into(meta, stripe, missing, dests)
+
+    def _settle(
+        self,
+        meta: FileMeta,
+        stripe: ECStripeMeta,
+        stripe_first: int,
+        dests: Dict[int, np.ndarray],
+        checks: List[Tuple[str, np.ndarray, np.ndarray]],
+        skipped: List[int],
+        missing: List[int],
+    ) -> None:
+        """Check the home copies ``checks`` holds into their destinations
+        in one call. Then, in stripe order, serve each chunk whose copy
+        failed (quarantined: a corrupt chunk is treated as missing) or
+        was ``skipped`` from its replica range, else note it ``missing``.
+        Empties both lists."""
+        fs = self.fs
+        verdicts = fs.checksums.verify_many(checks)
+        fall_back = skipped
+        if not all(verdicts):
+            failed = {chunk_id for (chunk_id, _data, _dst), good in zip(checks, verdicts) if not good}
+            fall_back = [
+                local for local in dests
+                if local in skipped or stripe.data[local].chunk_id in failed
+            ]
+        for local in fall_back:
+            if local not in skipped:  # its copy failed its sum
+                quarantine(fs, stripe.data[local])
+            if not self._replica_range_into(meta, stripe, stripe_first, local, dests[local]):
+                missing.append(local)
+        checks.clear()
+        skipped.clear()
 
     def _replica_range_into(
         self, meta: FileMeta, stripe: ECStripeMeta, stripe_first: int, local: int,
@@ -255,7 +300,6 @@ class ClientReader:
         """
         fs = self.fs
         with fs.obs.span("degraded_read", file=meta.name, stripe=stripe.stripe_index):
-            verify = fs.checksums.verify
             held = {local: dst for local, dst in dests.items() if local not in missing}
 
             def decode():
@@ -264,10 +308,10 @@ class ClientReader:
                     meta, stripe, missing, self.CLIENT, "degraded_read",
                     prefer=self._prefer, held=held,
                 )
-                return read, all(
-                    verify(stripe.data[local].chunk_id, rebuilt[local], into=dests[local])
+                return read, all(fs.checksums.verify_many([
+                    (stripe.data[local].chunk_id, rebuilt[local], dests[local])
                     for local in missing
-                )
+                ]))
 
             read, delivered = decode()
             if delivered or (quarantine_rotten(fs, read) and decode()[1]):

@@ -12,12 +12,13 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.partition import NAMENODE
 from repro.dfs.blocks import ChunkMeta, FileMeta
+from repro.gf import kernels
 from repro.gf.kernels import SPLIT_FROM_BYTES, split
 
 
@@ -33,15 +34,24 @@ def chunk_checksum(data: np.ndarray) -> int:
     data = np.ascontiguousarray(data, dtype=np.uint8)
     if data.nbytes < SPLIT_FROM_BYTES:
         return zlib.crc32(data.tobytes())
-    return _split_crc(partial(_copied_crc, data), data.nbytes)
+    return _crcs([partial(_copied_crc, data)], [data.nbytes])[0]
 
 
-# -- one CRC on every core ---------------------------------------------------
+# -- one CRC rule on every core ----------------------------------------------
 #
-# A CRC of SPLIT_FROM_BYTES or more is cut into contiguous parts that run
-# at once (``repro.gf.kernels.split``; zlib releases the GIL), and the
-# parts' sums fold into the whole's with ``crc32_concat`` below. Each
-# part returns ``(its sum, its length)``.
+# Every split CRC here runs through ``_crcs``, one chunk or many: a
+# stripe's deliveries or a file's scrub checked together
+# (``verify_many``), one replica block's sum (``record``), one cold chunk
+# (``chunk_checksum``). Once the bytes of one call reach SPLIT_FROM_BYTES
+# — and each chunk reads SPLIT_MIN_BYTES, so no part is a group of small
+# chunks — its work is cut into pieces that run at once
+# (``repro.gf.kernels.split``; zlib and numpy's copies release the GIL):
+# a whole chunk, or a range of at least SPLIT_MIN_BYTES of a chunk that
+# reaches SPLIT_FROM_BYTES on its own. A 1 MiB chunk is never cut:
+# halved, its gain followed the neighbours' load. A stripe of them is six
+# to twelve pieces, one a part, and ranges' sums fold into their chunk's
+# with ``crc32_concat`` below. Each piece returns ``(its sum, its
+# length)``.
 
 
 def _crc(data: np.ndarray, lo: int, hi: int) -> Tuple[int, int]:
@@ -65,14 +75,25 @@ def _delivered_crc(
     return zlib.crc32(part), hi - lo
 
 
-def _split_crc(part, nbytes: int) -> int:
-    """The CRC of ``nbytes`` bytes from ``part(lo, hi)`` over ranges of
-    them, split across the cores and folded on the calling thread."""
-    sums = split(part, nbytes, nbytes)
-    crc = sums[0][0]
-    for part_crc, length in sums[1:]:
-        crc = crc32_concat(crc, part_crc, length)
-    return crc
+def _crcs(
+    work: Sequence[Callable[[int, int], Tuple[int, int]]], sizes: Sequence[int]
+) -> List[int]:
+    """The CRC of each of ``sizes[i]`` bytes that ``work[i](lo, hi)``
+    sums range by range, split across the cores by the rule above and
+    folded on the calling thread."""
+    pieces = []
+    for item, n in enumerate(sizes):
+        cuts = n // kernels.SPLIT_MIN_BYTES if n >= SPLIT_FROM_BYTES else 1
+        pieces += [(item, n * p // cuts, n * (p + 1) // cuts) for p in range(cuts)]
+
+    def run(lo: int, hi: int) -> List[Tuple[int, int, Tuple[int, int]]]:
+        return [(item, a, work[item](a, b)) for item, a, b in pieces[lo:hi]]
+
+    crcs = [0] * len(sizes)
+    for part in split(run, len(pieces), sum(sizes)):
+        for item, start, (crc, length) in part:
+            crcs[item] = crc32_concat(crcs[item], crc, length) if start else crc
+    return crcs
 
 
 # -- the sum of a concatenation, from the sums of its parts ------------------
@@ -171,7 +192,7 @@ class ChecksumRegistry:
         if data.nbytes < SPLIT_FROM_BYTES:
             self._sums[chunk_id] = zlib.crc32(data)
         else:
-            self._sums[chunk_id] = _split_crc(partial(_crc, data), data.nbytes)
+            self._sums[chunk_id] = _crcs([partial(_crc, data)], [data.nbytes])[0]
 
     def record_concat(self, chunk_id: str, parts: Sequence[ChunkMeta]) -> None:
         """Remember the sum of a chunk that is, byte for byte, the
@@ -206,17 +227,63 @@ class ChecksumRegistry:
         first and the CRC runs over the warm destination: the check
         rides the delivery copy instead of making one of its own. After
         a mismatch the destination holds the bad bytes; the caller
-        overwrites it from its next source. From ``SPLIT_FROM_BYTES`` on,
-        each core copies and CRCs a range of its own.
+        overwrites it from its next source. The one-chunk case of
+        :meth:`verify_many`.
         """
-        expected = self._sums.get(chunk_id)
-        if into is None:
-            # nothing recorded: cannot dispute
-            return expected is None or chunk_checksum(data) == expected
-        if into.nbytes < SPLIT_FROM_BYTES or expected is None:
-            into[:] = data
-            return expected is None or zlib.crc32(into) == expected
-        return _split_crc(partial(_delivered_crc, into, data), into.nbytes) == expected
+        return self.verify_many(((chunk_id, data, into),))[0]
+
+    def verify_many(
+        self, items: Sequence[Tuple[str, np.ndarray, Optional[np.ndarray]]]
+    ) -> List[bool]:
+        """:meth:`verify` of many deliveries at once: one verdict per
+        ``(chunk_id, data, into or None)`` item, each what ``verify``
+        answers and each destination left as it leaves it.
+
+        Once the items' bytes reach ``SPLIT_FROM_BYTES`` and each item
+        reads ``SPLIT_MIN_BYTES`` or more, the cores share them, a chunk
+        a part (the rule above ``_crcs``); otherwise they run one after
+        another on the calling thread, as ``verify`` always did. Either
+        way the caller acts on the verdicts — quarantine, the next
+        source — itself.
+        """
+        expected_of = self._sums.get
+        min_bytes = kernels.SPLIT_MIN_BYTES
+        nbytes = 0
+        for _chunk_id, data, _into in items:
+            if data.nbytes < min_bytes:
+                nbytes = 0  # a part would be a piece of a chunk group
+                break
+            nbytes += data.nbytes
+        if nbytes < SPLIT_FROM_BYTES:
+            crc32 = zlib.crc32
+            verdicts = []
+            for chunk_id, data, into in items:
+                expected = expected_of(chunk_id)
+                if into is None:
+                    # nothing recorded: cannot dispute
+                    verdicts.append(expected is None or chunk_checksum(data) == expected)
+                else:
+                    into[:] = data
+                    verdicts.append(expected is None or crc32(into) == expected)
+            return verdicts
+        verdicts = [True] * len(items)
+        checked, work, sizes = [], [], []
+        for i, (chunk_id, data, into) in enumerate(items):
+            expected = expected_of(chunk_id)
+            if expected is None:
+                if into is not None:
+                    into[:] = data
+                continue
+            if into is None:
+                data = np.ascontiguousarray(data, dtype=np.uint8)
+                work.append(partial(_copied_crc, data))
+            else:
+                work.append(partial(_delivered_crc, into, data))
+            checked.append((i, expected))
+            sizes.append(data.nbytes)
+        for (i, expected), crc in zip(checked, _crcs(work, sizes)):
+            verdicts[i] = crc == expected
+        return verdicts
 
     def __len__(self) -> int:
         return len(self._sums)
@@ -241,7 +308,8 @@ def quarantine_rotten(fs, reads) -> List[ChunkMeta]:
     each ``(copy, id its sum is recorded under, bytes)`` read, quarantine
     the copies that fail — they no longer read as sources — and return
     them."""
-    rotten = [copy for copy, sum_id, data in reads if not fs.checksums.verify(sum_id, data)]
+    verdicts = fs.checksums.verify_many([(sum_id, data, None) for _copy, sum_id, data in reads])
+    rotten = [copy for (copy, _sum_id, _data), good in zip(reads, verdicts) if not good]
     for copy in rotten:
         quarantine(fs, copy)
     return rotten
@@ -276,32 +344,38 @@ class Scrubber:
     def __init__(self, fs):
         self.fs = fs
 
-    def _iter_chunks(self):
-        for meta in self.fs.namenode.files.values():
-            for chunk in meta.all_chunks():
-                yield meta, chunk
-
     def scan(self) -> ScrubReport:
         with self.fs.obs.span("scrub"):
             return self._scan_impl()
 
     def _scan_impl(self) -> ScrubReport:
+        """File by file: read every chunk a reachable node holds on disk,
+        check them in one call, then report and quarantine in chunk
+        order."""
+        fs = self.fs
         report = ScrubReport()
-        registry = self.fs.checksums
-        for meta, chunk in self._iter_chunks():
-            if not self.fs.node_reachable(chunk.node_id, NAMENODE):
-                continue  # a dead node's chunks are the heartbeat's to repair
-            datanode = self.fs.datanodes[chunk.node_id]
-            if not datanode.chunk_on_disk(chunk.chunk_id):
-                if not datanode.has_chunk(chunk.chunk_id):
-                    report.quarantined.append((meta, chunk))
-                continue
-            report.chunks_scanned += 1
-            data = datanode.read(chunk.chunk_id, at=self.fs.clock)
-            if not registry.verify(chunk.chunk_id, data):
-                report.corrupt.append((meta.name, chunk.chunk_id))
+        for meta in fs.namenode.files.values():
+            listed: List[Tuple[ChunkMeta, bool]] = []  # (chunk, was it read)
+            items = []
+            for chunk in meta.all_chunks():
+                if not fs.node_reachable(chunk.node_id, NAMENODE):
+                    continue  # a dead node's chunks are the heartbeat's to repair
+                datanode = fs.datanodes[chunk.node_id]
+                if datanode.chunk_on_disk(chunk.chunk_id):
+                    listed.append((chunk, True))
+                    data = datanode.read(chunk.chunk_id, at=fs.clock)
+                    items.append((chunk.chunk_id, data, None))
+                elif not datanode.has_chunk(chunk.chunk_id):
+                    listed.append((chunk, False))
+            report.chunks_scanned += len(items)
+            verdicts = iter(fs.checksums.verify_many(items))
+            for chunk, was_read in listed:
+                if was_read:
+                    if next(verdicts):
+                        continue
+                    report.corrupt.append((meta.name, chunk.chunk_id))
+                    quarantine(fs, chunk)
                 report.quarantined.append((meta, chunk))
-                quarantine(self.fs, chunk)
         return report
 
     def scan_and_repair(self) -> ScrubReport:

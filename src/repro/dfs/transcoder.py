@@ -295,7 +295,7 @@ class NativeTranscoder:
         lam = len(stripe_metas)
         if ec.k != lam * k_i:
             raise TranscodeError("BWO conversion supports the merge regime only")
-        bwo = BandwidthOptimalCC(k_i, r_i, r_f, family_width=ec.k)
+        bwo = BandwidthOptimalCC.for_merge(k_i, r_i, r_f, family_width=ec.k)
         final = self.fs.cc_codec(ec.k, ec.n)
         reads = {(i, j): (0, j) for i in range(lam) for j in range(r_i)}
         homes = self._homes(meta, stripe_metas, reads, 1, r_f)

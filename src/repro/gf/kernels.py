@@ -51,8 +51,9 @@ This module is the numpy rendition of that idea:
   time (:func:`split`); ``np.take``, ``bitwise_xor`` and the copies
   release the GIL. Tables are resolved on the calling thread first, so a
   part runs numpy only and never splits again. ``dfs.integrity`` splits
-  its CRCs through the same function. A product does not depend on
-  where the lane range is cut.
+  its CRCs through the same function, a whole chunk or a long chunk's
+  range a part. A product does not depend on where the lane range is
+  cut.
 
 Plans are cached per generator (pinned on the
 :class:`~repro.codes.base.ErasureCode`, and in a global LRU keyed by
@@ -144,14 +145,14 @@ SPLIT_MIN_BYTES = 512 << 10
 
 #: The one comparison a caller makes before it splits: bytes read from
 #: which :func:`split` runs a call on every core, ``sys.maxsize`` on one
-#: CPU. A 1 MiB chunk's CRC, copy or merge step stays whole: split, it
-#: gains only while the second CPU is idle, so on a shared machine its
-#: rate follows the neighbours' load, which the single-threaded parent
-#: never felt. A whole stripe's encode or decode over 1 MiB chunks (6 or
-#: 12 MiB) and a 6 MiB replica block's CRC split. bulk_lifetime's
-#: read_mb_s, whose every chunk a 1 MiB split used to check, read +52 %
-#: on a quiet box and +5 % beside the spinning neighbour; with this gate
-#: it reads the parent's rate in both (docs/performance.md).
+#: CPU. A call on one 1 MiB chunk — its CRC, copy or merge step — stays
+#: whole: split in two, it gained only while the second CPU was idle, so
+#: on a shared machine its rate followed the neighbours' load. What
+#: splits is a whole stripe over 1 MiB chunks (6 or 12 MiB): its encode
+#: or decode, a 6 MiB replica block's CRC, and a striped read's, a
+#: degraded read's or a scrub's checks, which ``dfs.integrity`` takes in
+#: one call with a whole chunk a part (docs/performance.md, "A stripe
+#: per call").
 SPLIT_FROM_BYTES = 4 << 20 if CORES > 1 else sys.maxsize
 
 #: Widest output (row count) whose rows are packed into slot groups.

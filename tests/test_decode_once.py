@@ -66,6 +66,32 @@ class TestOneCodecPerScheme:
         assert bwo.make_code() is ECScheme(CodeKind.CC, 6, 9, anticipate_parities=4).make_code()
 
 
+    def test_parity_growing_merges_of_one_shape_share_their_code(self, monkeypatch):
+        """Two BWO merges, two groups each, in two filesystems: one code."""
+        from repro.codes import bandwidth
+        from repro.core.schemes import HybridScheme
+
+        src = ECScheme(CodeKind.CC, 6, 7, anticipate_parities=2)
+        used = []
+        for_merge = bandwidth.BandwidthOptimalCC.for_merge.__func__
+
+        def spy(cls, *args, **kwargs):
+            used.append(for_merge(cls, *args, **kwargs))
+            return used[-1]
+
+        monkeypatch.setattr(bandwidth, "_MERGE_CODES", {})
+        monkeypatch.setattr(bandwidth.BandwidthOptimalCC, "for_merge", classmethod(spy))
+        for seed in (1, 2):
+            fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+            data = np.random.default_rng(seed).integers(0, 256, 96 * KB, dtype=np.uint8)
+            fs.write_file("f", data, HybridScheme(1, src))
+            fs.transcode("f", src)
+            fs.transcode("f", ECScheme(CodeKind.CC, 12, 14))
+            assert np.array_equal(fs.read_file("f"), data)
+        assert len(used) == 4 and all(code is used[0] for code in used)
+        assert list(bandwidth._MERGE_CODES.values()) == [used[0]]
+
+
 class TestPatternsOutliveAFilesystem:
     @pytest.mark.parametrize("scheme", [CC69, LRCC], ids=str)
     def test_a_second_filesystem_finds_the_first_ones_patterns(self, scheme):

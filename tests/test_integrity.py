@@ -18,6 +18,8 @@ from repro.dfs.integrity import (
     crc32_concat,
 )
 from repro.dfs.recovery import RecoveryError, RecoveryManager
+from repro.gf import kernels
+from tests.test_kernel_split import force_split
 
 KB = 1024
 
@@ -53,6 +55,55 @@ class TestRegistry:
         b = a.copy()
         b[63] = 1
         assert chunk_checksum(a) != chunk_checksum(b)
+
+
+class TestVerifyMany:
+    """One verdict per ``(chunk_id, data, into or None)`` item, each what
+    ``verify`` answers alone, whether the call runs inline or split — a
+    whole chunk a part, a long chunk's ranges folded — and a batch with a
+    chunk under ``SPLIT_MIN_BYTES`` never splits: its parts would be
+    groups of small chunks."""
+
+    SIZES = [20 * KB + 3, 4 * KB, 6 * KB, 9 * KB, 4 * KB, 17 * KB]
+
+    def check(self, monkeypatch, sizes):
+        splits = []
+        crc_split = integrity.split
+        monkeypatch.setattr(
+            integrity, "split", lambda fn, n, nbytes: splits.append(n) or crc_split(fn, n, nbytes)
+        )
+        rng = np.random.default_rng(7)
+        data = [rng.integers(0, 256, n, dtype=np.uint8) for n in sizes]
+        reg = ChecksumRegistry()
+        for i, chunk in enumerate(data):
+            if i != 3:  # chunk 3 has nothing recorded: it cannot be disputed
+                reg.record(f"c{i}", chunk)
+        served = [chunk.copy() for chunk in data]
+        served[0][-1] ^= 1  # the last range of the long chunk
+        served[4][0] ^= 1
+        intos = [np.zeros(n, np.uint8) if i % 2 else None for i, n in enumerate(sizes)]
+        items = [(f"c{i}", chunk, into) for i, (chunk, into) in enumerate(zip(served, intos))]
+        del splits[:]  # the records' splits
+        assert reg.verify_many(items) == [False, True, True, True, False, True][: len(sizes)]
+        for chunk, into in zip(served, intos):
+            assert into is None or np.array_equal(into, chunk)
+        return splits
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_mixed_batch_answers_item_by_item(self, monkeypatch, cores):
+        force_split(monkeypatch, cores, 4 * KB)  # a chunk of 8 KiB or more is cut
+        # the long chunks' ranges and the whole ones, the sum-less one left out
+        assert self.check(monkeypatch, self.SIZES) == [5 + 1 + 1 + 1 + 4]
+
+    def test_a_chunk_under_a_part_keeps_the_batch_inline(self, monkeypatch):
+        force_split(monkeypatch, 2, 4 * KB)
+        # only the long cold chunk splits, by ``chunk_checksum``'s own rule
+        assert self.check(monkeypatch, self.SIZES[:5] + [3 * KB]) == [5]
+        assert self.check(monkeypatch, [3 * KB] + self.SIZES[1:]) == []
+
+    def test_unsplit_and_empty(self, monkeypatch):
+        assert self.check(monkeypatch, self.SIZES) == []
+        assert ChecksumRegistry().verify_many([]) == []
 
 
 class TestChecksumValue:
@@ -479,15 +530,42 @@ def reference_read(fs, meta, offset, length):
 
 
 def spy_on_verify(fs):
+    """Every check ``fs.checksums`` makes, as ``(chunk_id, into)``, in
+    order. ``verify`` is the one-item ``verify_many``, so the batch call
+    is the one seam."""
     calls = []
-    verify = fs.checksums.verify
+    verify_many = fs.checksums.verify_many
 
-    def spy(chunk_id, data, into=None):
-        calls.append((chunk_id, into))
-        return verify(chunk_id, data, into=into)
+    def spy(items):
+        calls.extend((chunk_id, into) for chunk_id, _data, into in items)
+        return verify_many(items)
 
-    fs.checksums.verify = spy
+    fs.checksums.verify_many = spy
     return calls
+
+
+#: How a test cuts the CRCs a read makes, whatever the runner: as the
+#: machine would; one whole chunk a part, a stripe's checks across two
+#: cores; every chunk also cut into ranges of a quarter chunk.
+SPLITS = ["machine", "chunk-parts", "range-parts"]
+
+
+def force_crc_split(monkeypatch, split, chunk_size):
+    """Force ``split`` (one of :data:`SPLITS`) and count the CRC calls
+    that reach ``kernels.split`` with two parts or more."""
+    splits = []
+    if split == "machine":
+        return splits
+    force_split(monkeypatch, 2, chunk_size if split == "chunk-parts" else chunk_size // 4)
+    crc_split = integrity.split
+
+    def spy(fn, n, nbytes_read):
+        if min(n, nbytes_read // kernels.SPLIT_MIN_BYTES) >= 2:
+            splits.append(n)
+        return crc_split(fn, n, nbytes_read)
+
+    monkeypatch.setattr(integrity, "split", spy)
+    return splits
 
 
 def ranges(size, cs):
@@ -513,9 +591,17 @@ def build_padded(scheme, chunk_size):
 
 
 class TestFusedReadDifferential:
-    @pytest.mark.parametrize("chunk_size", [4 * KB, 64 * KB, 1024 * KB])
+    @pytest.mark.parametrize(
+        "chunk_size,split",
+        [(4 * KB, split) for split in SPLITS]
+        + [(64 * KB, split) for split in SPLITS]
+        + [(1024 * KB, "machine")],
+    )
     @pytest.mark.parametrize("scheme", sorted(FUSED_SCHEMES))
-    def test_healthy_reads_match_and_verify_once_per_chunk(self, scheme, chunk_size):
+    def test_healthy_reads_match_and_verify_once_per_chunk(
+        self, monkeypatch, scheme, chunk_size, split
+    ):
+        splits = force_crc_split(monkeypatch, split, chunk_size)
         fs, data, meta, size = build_padded(scheme, chunk_size)
         calls = spy_on_verify(fs)
         for offset, length in ranges(size, chunk_size):
@@ -531,21 +617,31 @@ class TestFusedReadDifferential:
             for index, (_chunk_id, into) in zip(range(first, last + 1), calls):
                 whole = offset <= index * chunk_size and (index + 1) * chunk_size <= offset + length
                 assert np.shares_memory(into, out) == whole
+        assert bool(splits) == (split != "machine")
 
+    @pytest.mark.parametrize("split", SPLITS)
     @pytest.mark.parametrize("chunk_size", [4 * KB, 64 * KB])
     @pytest.mark.parametrize(
         "source,scheme",
-        [(source, scheme) for source in ("home", "survivor") for scheme in sorted(FUSED_SCHEMES)]
+        [
+            (source, scheme)
+            for source in ("home", "two-homes", "survivor")
+            for scheme in sorted(FUSED_SCHEMES)
+        ]
         + [("replica-range", "hybrid")],  # only hybrid files have replica ranges
     )
-    def test_one_corruption_at_each_source(self, source, scheme, chunk_size):
+    def test_one_corruption_at_each_source(self, monkeypatch, source, scheme, chunk_size, split):
+        splits = force_crc_split(monkeypatch, split, chunk_size)
         size = build_padded(scheme, chunk_size)[-1]
         for offset, length in ranges(size, chunk_size):
             # a fresh file per range: the first read to meet the rot heals it
             fs, data, meta, _ = build_padded(scheme, chunk_size)
             stripe = meta.stripes[0]
-            if source == "home":
+            if source in ("home", "two-homes"):
+                # the last byte: the last range of a chunk cut in ranges
                 corrupt_chunk(fs, stripe.data[2], flip_byte=chunk_size - 1)
+                if source == "two-homes":
+                    corrupt_chunk(fs, stripe.data[3], flip_byte=chunk_size // 3)
             else:
                 # the home copy is gone: the next source serves data chunk 2
                 fs.datanodes[stripe.data[2].node_id].fail()
@@ -563,3 +659,21 @@ class TestFusedReadDifferential:
             assert np.array_equal(want, data[offset : offset + length])
             out = fs.read_file("f", offset, length, prefer_striped=True)
             assert out.tobytes() == want.tobytes()
+        assert bool(splits) == (split != "machine")
+
+
+class TestUnverifiedReplicaBytes:
+    def test_a_replica_range_counts_and_a_whole_file_read_does_not(self):
+        """A replica-first read serves a range no recorded sum need
+        cover: its bytes are counted, a striped read's are not."""
+        from repro.obs import Observability
+
+        obs = Observability()
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], obs=obs)
+        data = np.random.default_rng(3).integers(0, 256, 96 * KB, dtype=np.uint8)
+        fs.write_file("f", data, HY)
+        assert fs.read_file("f", 5 * KB + 3, 1).tobytes() == data[5 * KB + 3 :][:1].tobytes()
+        assert fs.reader.unverified_bytes == 1
+        assert np.array_equal(fs.read_file("f"), data)
+        assert fs.reader.unverified_bytes == 1
+        assert obs.registry.value("dfs_unverified_read_bytes_total") == 1
