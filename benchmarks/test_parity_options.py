@@ -43,24 +43,25 @@ def test_parity_computation_options(once):
 
 def test_wide_stripe_merge_17_to_34(once):
     """Functional GF(2^16) version of the paper's EC(17,20)->EC(34,37)."""
+    from repro.codes.convertible import convert
     from repro.codes.wide import WideConvertibleCode
 
     def run():
         rng = np.random.default_rng(4)
         small = WideConvertibleCode(17, 20, family_width=34)
         big = WideConvertibleCode(34, 37, family_width=34)
-        parities, alldata = [], []
+        stripes, alldata = [], []
         for _ in range(2):
             data = [rng.integers(0, 256, 64 * 1024, dtype=np.uint8) for _ in range(17)]
             alldata.extend(data)
-            parities.append(small.encode(data))
-        merged = small.merge_parities(big, parities)
+            stripes.append(small.encode_stripe(data))
+        (merged,), io = convert(small, big, stripes)
         direct = big.encode(alldata)
-        assert all(np.array_equal(a, b) for a, b in zip(merged, direct))
-        return {"reads": 2 * 3, "rs_reads": 34}
+        assert all(np.array_equal(a, b) for a, b in zip(merged.parity_chunks, direct))
+        return {"reads": io.chunks_read, "rs_reads": 34}
 
     result = once(run)
     saving = 1 - result["reads"] / result["rs_reads"]
-    print(f"\nEC(17,20) x2 -> EC(34,37): {result['reads']} parity reads vs "
+    print(f"\nEC(17,20) x2 -> EC(34,37): {result['reads']:.0f} parity reads vs "
           f"{result['rs_reads']} data reads ({saving:.0%} saving; paper: >80%)")
     assert saving > 0.80

@@ -18,6 +18,7 @@ Run:  python examples/wide_stripes.py
 import numpy as np
 
 from repro.bench.reporting import print_table
+from repro.codes.convertible import convert
 from repro.codes.pointsearch import MAX_FEASIBLE_WIDTH
 from repro.codes.wide import MAX_WIDTH_16, WideConvertibleCode
 from repro.codes.lrcc import LocallyRecoverableConvertibleCode
@@ -63,18 +64,18 @@ def paper_wide_merge():
     rng = np.random.default_rng(5)
     small = WideConvertibleCode(17, 20, family_width=34)
     big = WideConvertibleCode(34, 37, family_width=34)
-    parities, alldata = [], []
+    stripes, alldata = [], []
     for _ in range(2):
         data = [rng.integers(0, 256, 32 * 1024, dtype=np.uint8) for _ in range(17)]
         alldata.extend(data)
-        parities.append(small.encode(data))
-    merged = big_parities = small.merge_parities(big, parities)
+        stripes.append(small.encode_stripe(data))
+    (merged,), io = convert(small, big, stripes)
     direct = big.encode(alldata)
-    assert all(np.array_equal(a, b) for a, b in zip(merged, direct))
+    assert all(np.array_equal(a, b) for a, b in zip(merged.parity_chunks, direct))
     print("\nEC(17,20) x2 -> EC(34,37) over GF(2^16): byte-identical to a "
           "direct encode;")
-    print(f"reads 6 parity chunks instead of 34 data chunks "
-          f"({1 - 6 / 34:.0%} less — paper: 'saves > 80% of bandwidth').")
+    print(f"reads {io.chunks_read:.0f} parity chunks instead of 34 data chunks "
+          f"({1 - io.chunks_read / 34:.0%} less — paper: 'saves > 80% of bandwidth').")
 
 
 def wide_lrcc_repair():

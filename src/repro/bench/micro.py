@@ -43,6 +43,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -105,11 +106,10 @@ def _best_seconds(fn: Callable[[], None], repeats: int, warmup: int = 2) -> Best
     The gates read CPU time: a busy neighbour preempts one side of a
     ratio more than the other, and wall time counts the wait while CPU
     time counts only what this process ran. The CPU clock is
-    ``process_time`` on both sides of ``SPLIT_FROM_BYTES``: from it on,
-    a call runs parts on pool threads, which ``thread_time`` would miss;
-    below it no pool thread runs, so ``process_time`` is the calling
-    thread's own time and a gate's two sides read one clock whether or
-    not one of them splits."""
+    ``process_time``: a call that splits runs parts on pool threads,
+    which ``thread_time`` would miss. The GF gates run under
+    :func:`_one_core`, so no pool thread runs and ``process_time`` is the
+    calling thread's own time."""
     import gc
 
     for _ in range(warmup):
@@ -140,6 +140,23 @@ def _cold_and_warm_seconds(make: Callable[[], object], fn, repeats: int):
         cold.append(_best_seconds(lambda: fn(fresh), repeats=1, warmup=0).wall)
         warm.append(_best_seconds(lambda: fn(fresh), repeats=1, warmup=0).wall)
     return cold, warm
+
+
+@contextmanager
+def _one_core():
+    """Hold every GF call in the block to the calling thread. A GF gate
+    measures table layout; at full size (1 MiB rows) both of its sides
+    would reach ``SPLIT_FROM_BYTES`` and split, and CPU time would count
+    what the two threads cost each other (``gf_encode_3x6_over_1x6``
+    read 1.20-1.47 against its 1.5 bound over eight full runs)."""
+    from repro.gf import kernels
+
+    split_from = kernels.SPLIT_FROM_BYTES
+    kernels.SPLIT_FROM_BYTES = sys.maxsize
+    try:
+        yield
+    finally:
+        kernels.SPLIT_FROM_BYTES = split_from
 
 
 def _round_robin_best(calls: List[Callable[[], object]], repeats: int) -> List[Best]:
@@ -174,11 +191,11 @@ def bench_gf256_encode(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
 
     fast = _best_seconds(lambda: code.encode(data), repeats).wall
 
-    from repro.gf.matrix import gf_matmul_reference
-
     stacked = np.stack(data)
     parity_rows = code.generator[k:]
-    ref = _best_seconds(lambda: gf_matmul_reference(parity_rows, stacked), repeats).wall
+    ref = _best_seconds(
+        lambda: code.field.matmul_reference(parity_rows, stacked), repeats
+    ).wall
 
     params = {"k": k, "n": n, "chunk_bytes": chunk_bytes}
     return {
@@ -279,7 +296,8 @@ def bench_gf_apply_ratio(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     coeffs = rng.integers(1, 256, size=(4, 12), dtype=np.uint8)
     rows = rng.integers(0, 256, size=(12, chunk_bytes), dtype=np.uint8)
     m3, m4 = MulPlan(coeffs[:3]), MulPlan(coeffs)
-    best = _round_robin_best([lambda: m3.apply(rows), lambda: m4.apply(rows)], repeats)
+    with _one_core():
+        best = _round_robin_best([lambda: m3.apply(rows), lambda: m4.apply(rows)], repeats)
     return {
         "gf_apply_m3_over_m4_time_ratio": _metric(
             best[0].cpu / best[1].cpu, "ratio", k=12, chunk_bytes=chunk_bytes,
@@ -302,9 +320,11 @@ def bench_gf_encode_over_repair_ratio(chunk_bytes: int, repeats: int) -> Dict[st
     data = _chunks(code.k, chunk_bytes, seed=6)
     plan = code.encode_plan()
     available = dict(enumerate(data))
-    best = _round_robin_best(
-        [lambda: plan.apply(data), lambda: code.decode(available, [code.k + 1])], repeats
-    )
+    with _one_core():
+        best = _round_robin_best(
+            [lambda: plan.apply(data), lambda: code.decode(available, [code.k + 1])],
+            repeats,
+        )
     nbytes = code.k * chunk_bytes
     return {
         "gf_encode_3x6_over_1x6_time_ratio": _metric(

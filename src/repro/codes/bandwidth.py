@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.codes.base import DecodeError, ErasureCode, Stripe
 from repro.codes.convertible import ConversionIO, ConvertibleCode
-from repro.codes.pointsearch import find_family_points, vandermonde_parity
+from repro.codes.pointsearch import FAMILY
 from repro.gf.kernels import gf_scale_xor
 from repro.gf.matrix import gf_identity, gf_matmul
 
@@ -62,13 +62,11 @@ class BandwidthOptimalCC(ErasureCode):
         self.r_initial = r_initial
         self.r_final = r_final
         if family_width is None:
-            from repro.codes.convertible import default_family_width
-
-            family_width = default_family_width(r_final, k)
+            family_width = FAMILY.default_width(r_final, k)
         self.family_width = max(family_width, k)
-        self.points = find_family_points(r_final, self.family_width)
+        self.points = FAMILY.points(r_final, self.family_width)
         # (k, r_F) parity coefficients shared by every substripe.
-        self._parity_coeffs = vandermonde_parity(self.points, k)
+        self._parity_coeffs = self.field.vandermonde(self.points, k)
 
     @classmethod
     def for_merge(

@@ -14,9 +14,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gf.field import gf_inv
+from repro.gf.field import GF8, SingularMatrixError
 from repro.gf.kernels import (
-    GF8,
     PACKED_TILE_LANES,
     FusedDecode,
     MulPlan,
@@ -25,7 +24,6 @@ from repro.gf.kernels import (
     gf_scale_xor,
     plan_for_matrix,
 )
-from repro.gf.matrix import SingularMatrixError
 from repro.obs.codec import record_codec
 
 
@@ -127,7 +125,8 @@ class ErasureCode:
     """
 
     #: The field the generator's coefficients and the chunks' symbols
-    #: live in: GF(2^8) unless a subclass says otherwise (the wide code).
+    #: live in: GF(2^8) unless a subclass says otherwise (a convertible
+    #: code's is its point family's: GF(2^16) for the wide code).
     field = GF8
 
     #: True when every stored chunk is exactly a generator-row product of
@@ -503,7 +502,7 @@ class LocalGroupCode(ErasureCode):
             )
         if failed == parity_idx:
             return acc
-        return gf_scale(gf_inv(int(coeffs[failed])), acc)
+        return gf_scale(self.field.inv(int(coeffs[failed])), acc)
 
     def decode(
         self, available: Dict[int, np.ndarray], erased: Sequence[int]

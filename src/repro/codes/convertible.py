@@ -1,7 +1,9 @@
-"""Access-optimal Convertible Codes (CC).
+"""Access-optimal Convertible Codes (CC), over either field.
 
-A CC *family* is fixed by ``r`` verified evaluation points (see
-:mod:`repro.codes.pointsearch`). A member code of width ``k`` has parity
+A CC *family* is fixed by ``r`` verified evaluation points in a field (see
+:mod:`repro.codes.pointsearch`; GF(2^8) here, GF(2^16) for the wide codes
+of :mod:`repro.codes.wide`, which differ from this class in nothing but
+their family). A member code of width ``k`` has parity
 ``p_j = sum_t d_t * alpha_j**t`` — i.e. a polynomial evaluation where the
 coefficient of a data symbol depends only on its *position*. Shifting a
 block of symbols by ``o`` positions multiplies its contribution to parity
@@ -21,7 +23,9 @@ below exploits:
   initial stripe is derived by subtraction (paper: EC(6,9)->EC(15,18)
   reads 40% less).
 
-Conversions that *increase* the parity count need vector codes — see
+Every regime is written once for both fields: :func:`convert`
+accumulates in the final code's symbols. Conversions that *increase* the
+parity count need vector codes — see
 :class:`repro.codes.bandwidth.BandwidthOptimalCC`.
 """
 
@@ -33,44 +37,35 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.codes.base import DecodeError, ErasureCode, Stripe
-from repro.codes.pointsearch import find_family_points, vandermonde_parity
-from repro.gf.field import gf_pow
+from repro.codes.pointsearch import FAMILY, PointFamily
+from repro.gf.field import GaloisField
 from repro.gf.kernels import gf_scale_xor
-from repro.gf.matrix import gf_identity
-
-#: Default maximum stripe width a family is verified for (r <= 3). Wide
-#: enough for every functional parameter the paper's system evaluation
-#: uses; wider sweeps are analytical (repro.codes.costmodel).
-DEFAULT_FAMILY_WIDTH = 40
-
-
-def default_family_width(r: int, k: int) -> int:
-    """Widest default family for this parity count over GF(256)."""
-    from repro.codes.pointsearch import MAX_FEASIBLE_WIDTH
-
-    feasible = MAX_FEASIBLE_WIDTH.get(r, 0)
-    return max(k, min(DEFAULT_FAMILY_WIDTH, feasible))
 
 
 class ConvertibleCode(ErasureCode):
     """CC(k, n): RS-equivalent fault tolerance, IO-efficient transcode.
 
-    Codes constructed with the same ``r`` and ``family_width`` share
-    evaluation points and are mutually convertible.
+    Codes of one family with the same ``r`` share evaluation points and
+    are mutually convertible; so are codes whose points share a prefix.
     """
+
+    #: where the points come from; its field is the code's
+    family: PointFamily = FAMILY
 
     def __init__(self, k: int, n: int, family_width: Optional[int] = None):
         super().__init__(k, n)
         if family_width is None:
-            family_width = default_family_width(self.r, k)
-        if k > family_width:
-            family_width = k
-        self.family_width = family_width
-        self.points = find_family_points(self.r, family_width)
-        parity = vandermonde_parity(self.points, k)  # (k, r)
+            family_width = self.family.default_width(self.r, k)
+        self.family_width = max(k, family_width)
+        self.points = self.family.points(self.r, self.family_width)
+        field = self.field
         self._generator = np.concatenate(
-            [gf_identity(k), parity.T.astype(np.uint8)], axis=0
+            [np.eye(k, dtype=field.dtype), field.vandermonde(self.points, k).T]
         )
+
+    @property
+    def field(self) -> GaloisField:
+        return self.family.field
 
     @property
     def generator(self) -> np.ndarray:
@@ -78,12 +73,16 @@ class ConvertibleCode(ErasureCode):
 
     def shift_coefficient(self, j: int, offset: int) -> int:
         """Coefficient scaling parity j of a block shifted by ``offset``."""
-        return gf_pow(self.points[j], offset)
+        return self.field.pow(self.points[j], offset)
 
     def compatible_with(self, other: "ConvertibleCode") -> bool:
-        """True if ``other`` shares this code's evaluation-point prefix."""
+        """True if ``other`` is over this code's field and shares its
+        evaluation-point prefix."""
         shared = min(self.r, other.r)
-        return self.points[:shared] == other.points[:shared]
+        return (
+            self.field is other.field
+            and self.points[:shared] == other.points[:shared]
+        )
 
 
 @dataclass
@@ -210,24 +209,26 @@ def convert(
 
     Returns the final stripes (byte-identical to re-encoding from scratch
     with ``final``) and the IO actually performed. Chunks the plan does
-    not read are never accessed — erase them first to prove it.
+    not read are never accessed — erase them first to prove it. The
+    arithmetic is over ``final.field``'s symbols: a chunk that does not
+    hold whole symbols is a ``ValueError``.
     """
     if plan is None:
         plan = plan_conversion(initial, final, len(stripes))
     k_i, k_f, r_f = initial.k, final.k, final.r
-    chunk_size = stripes[0].chunk_size()
+    field = final.field
 
     def data_chunk(t: int) -> np.ndarray:
         chunk = stripes[t // k_i].chunks[t % k_i]
         if chunk is None:
             raise DecodeError(f"plan requires data chunk {t} but it is erased")
-        return chunk
+        return field.symbols(chunk)
 
     def parity_chunk(i: int, j: int) -> np.ndarray:
         chunk = stripes[i].chunks[k_i + j]
         if chunk is None:
             raise DecodeError(f"plan requires parity ({i},{j}) but it is erased")
-        return chunk
+        return field.symbols(chunk)
 
     io = ConversionIO(
         data_chunks_read=len(plan.data_reads),
@@ -235,14 +236,17 @@ def convert(
         parity_chunks_written=plan.n_final_stripes * r_f,
     )
 
-    # Accumulate each final parity; derived finals are filled by subtraction.
-    parities = np.zeros((plan.n_final_stripes, r_f, chunk_size), dtype=np.uint8)
+    # Accumulate each final parity, in final.field's symbols (``sums``);
+    # derived finals are filled by subtraction.
+    shape = (plan.n_final_stripes, r_f, stripes[0].chunk_size())
+    parities = np.zeros(shape, dtype=np.uint8)
+    sums = field.symbols(parities)
     derived_from = {i: m for m, i in plan.derived_finals.items()}
     for (i, j), (m, _j) in plan.parity_reads.items():
         if derived_from.get(i) != m:
             # A whole stripe contributes via its parities, shifted into place.
             coeff = final.shift_coefficient(j, i * k_i - m * k_f)
-            gf_scale_xor(parities[m, j], coeff, parity_chunk(i, j))
+            gf_scale_xor(sums[m, j], coeff, parity_chunk(i, j))
     for i in range(plan.n_initial_stripes):
         derived = derived_from.get(i)
         if derived is None and (i, 0) in plan.parity_reads:
@@ -257,7 +261,7 @@ def convert(
             chunk = data_chunk(t)
             for j in range(r_f):
                 coeff = final.shift_coefficient(j, local)
-                gf_scale_xor(parities[m, j], coeff, chunk)
+                gf_scale_xor(sums[m, j], coeff, chunk)
         if derived is not None:
             # initial parity = sum over the stripe's span with *initial-local*
             # exponents; re-expressed per final stripe that gives, for each j:
@@ -274,7 +278,7 @@ def convert(
                     gf_scale_xor(acc, coeff, data_chunk(t))
                 # acc == alpha_j**(derived_start - i_lo) * missing contribution
                 inv = final.shift_coefficient(j, i_lo - derived * k_f)
-                gf_scale_xor(parities[derived, j], inv, acc)
+                gf_scale_xor(sums[derived, j], inv, acc)
 
     out: List[Stripe] = []
     for m in range(plan.n_final_stripes):

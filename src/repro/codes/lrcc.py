@@ -29,10 +29,8 @@ import numpy as np
 
 from repro.codes.base import DecodeError, ErasureCode, LocalGroupCode, Stripe
 from repro.codes.convertible import ConversionIO, ConvertibleCode
-from repro.codes.pointsearch import find_family_points
-from repro.gf.field import gf_pow
+from repro.codes.pointsearch import FAMILY
 from repro.gf.kernels import gf_scale_xor
-from repro.gf.matrix import gf_identity
 
 
 class LocallyRecoverableConvertibleCode(LocalGroupCode):
@@ -41,35 +39,26 @@ class LocallyRecoverableConvertibleCode(LocalGroupCode):
     def __init__(self, k: int, l: int, r_global: int, family_width: Optional[int] = None):
         super().__init__(k, l, r_global)
         if family_width is None:
-            from repro.codes.convertible import default_family_width
-
-            family_width = default_family_width(r_global + 1, k)
+            family_width = FAMILY.default_width(r_global + 1, k)
         self.family_width = max(family_width, k)
         # Point 0 -> local parities; points 1..r_global -> globals. The
         # family is shared with CC codes of r >= r_global + 1.
-        self.points = find_family_points(r_global + 1, self.family_width)
-        self._generator = self._build_generator()
+        self.points = FAMILY.points(r_global + 1, self.family_width)
+        # A group's local parity has group-local exponents, a global
+        # parity stripe-global ones.
+        powers = self.field.vandermonde(self.points[:1], self.group_size)[:, 0]
+        local = np.zeros((self.l, self.k), dtype=np.uint8)
+        for g in range(self.l):
+            local[g, g * self.group_size : (g + 1) * self.group_size] = powers
+        self._generator = np.concatenate([
+            np.eye(k, dtype=np.uint8),
+            local,
+            self.field.vandermonde(self.points[1:], k).T,
+        ])
 
     @property
     def generator(self) -> np.ndarray:
         return self._generator
-
-    def _build_generator(self) -> np.ndarray:
-        rows = [gf_identity(self.k)]
-        local = np.zeros((self.l, self.k), dtype=np.uint8)
-        alpha0 = self.points[0]
-        for g in range(self.l):
-            for u in range(self.group_size):
-                local[g, g * self.group_size + u] = gf_pow(alpha0, u)
-        rows.append(local)
-        if self.r_global:
-            glob = np.zeros((self.r_global, self.k), dtype=np.uint8)
-            for j in range(self.r_global):
-                alpha = self.points[j + 1]
-                for t in range(self.k):
-                    glob[j, t] = gf_pow(alpha, t)
-            rows.append(glob)
-        return np.concatenate(rows, axis=0)
 
     def __repr__(self) -> str:
         return f"LRCC({self.k},{self.l},{self.r_global})"
@@ -119,7 +108,7 @@ def _merge(
             point, offset = final.points[0], i * k_i + j * span - p * final.group_size
         else:
             point, offset = final.points[p - final.l + 1], i * k_i
-        gf_scale_xor(out[p], gf_pow(point, offset), chunk)
+        gf_scale_xor(out[p], final.field.pow(point, offset), chunk)
     chunks: List[np.ndarray] = []
     for i in range(lam):
         chunks.extend(stripes[i].chunks[:k_i])

@@ -1,227 +1,139 @@
-"""Search for MDS-safe evaluation points for Convertible Codes.
+"""Verified evaluation points for Convertible-Code families, in either field.
 
-A Convertible-Code family over GF(256) is defined by ``r`` evaluation
-points ``alpha_0 .. alpha_{r-1}``. A code of width ``w`` in the family has
-parity block ``P[t, j] = alpha_j ** t`` (t = 0..w-1). The family supports
-conversion among all its widths because a data symbol's parity coefficient
-factors through its position: shifting a stripe by ``o`` positions scales
-its parity contribution by ``alpha_j ** o``.
+A Convertible-Code family is defined by ``r`` evaluation points
+``alpha_0 .. alpha_{r-1}`` in a field. A code of width ``w`` in the family
+has parity block ``P[t, j] = alpha_j ** t`` (t = 0..w-1). The family
+supports conversion among all its widths because a data symbol's parity
+coefficient factors through its position: shifting a stripe by ``o``
+positions scales its parity contribution by ``alpha_j ** o``.
 
 ``[I | P]`` is MDS iff every square submatrix of ``P`` is nonsingular
 (superregularity). Generalized Vandermonde matrices over a small field are
-*not* automatically superregular, so this module searches for point sets
-and **verifies** superregularity up to the requested width with vectorised
-batch determinants. Verified families are cached per ``(r, width)``.
+*not* automatically superregular, so a family's points are curated
+(searched offline) and **verified** here up to the requested width with
+batched determinants, within the field's budget (:func:`is_superregular`).
+One lookup serves both fields: a :class:`PointFamily` names a field, its
+curated exponents and the widths they are verified to reach. GF(2^8)'s is
+:data:`FAMILY`; GF(2^16)'s is :data:`repro.codes.wide.WIDE_FAMILY`.
+Verified widths are cached per field and point set.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from math import comb
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from repro.gf.field import _EXP, _LOG, _MUL_TABLE, FIELD_ORDER, GF256
+from repro.gf.field import GF8, GaloisField
 
-#: Above this many submatrix determinants, fall back to sampled checking.
-EXHAUSTIVE_DET_LIMIT = 3_000_000
-
-#: How many submatrices to sample per size when exhaustive is too costly.
-SAMPLE_COUNT = 200_000
-
-#: Curated generator-exponent tuples, pre-searched offline and re-verified
-#: at construction time. Tried before the generic candidate stream.
-#:
-#: The tuples are *nested prefixes* of one chain (0, 13, 71, 197, 46):
-#: a code with r parities uses the first r points, so codes of different
-#: parity counts share point prefixes and are mutually convertible
-#: (e.g. a CC(6,9) -> CC(12,14) merge that drops a parity).
-CURATED_EXPONENTS: Dict[int, List[Tuple[int, ...]]] = {
-    2: [(0, 13)],
-    3: [(0, 13, 71)],
-    4: [(0, 13, 71, 197)],
-    5: [(0, 13, 71, 197, 46)],
+#: Curated generator exponents per parity count, searched offline and
+#: re-verified at first use. For r >= 2 they are *nested prefixes* of one
+#: chain (0, 13, 71, 197, 46): a code with r parities uses the first r
+#: points, so codes of different parity counts share point prefixes and
+#: are mutually convertible (e.g. a CC(6,9) -> CC(12,14) merge that drops
+#: a parity). For r = 1 any nonzero point is superregular.
+CURATED_EXPONENTS: Dict[int, Tuple[int, ...]] = {
+    1: (1,),
+    2: (0, 13),
+    3: (0, 13, 71),
+    4: (0, 13, 71, 197),
+    5: (0, 13, 71, 197, 46),
 }
 
 #: Maximum verified-feasible family width per parity count over GF(256).
 #: Superregular generalized-Vandermonde matrices need larger fields as r
 #: and width grow (the CC papers' field-size bounds); over GF(2^8) these
-#: are the practical ceilings found by exhaustive search. Wider codes
-#: with r >= 4 are handled analytically by repro.codes.costmodel (as in
-#: the paper, whose *system* evaluation also stays at moderate widths).
+#: are the practical ceilings found by exhaustive search (each is checked
+#: exhaustively). Wider codes use GF(2^16) (:mod:`repro.codes.wide`) or
+#: are handled analytically by repro.codes.costmodel.
 MAX_FEASIBLE_WIDTH: Dict[int, int] = {1: 255, 2: 255, 3: 128, 4: 24, 5: 12}
 
-_FAMILY_CACHE: Dict[Tuple[int, int], List[int]] = {}
+#: Default maximum stripe width a family is verified for. Wide enough for
+#: every functional parameter the paper's system evaluation uses; wider
+#: sweeps are analytical (repro.codes.costmodel).
+DEFAULT_FAMILY_WIDTH = 40
+
+#: ``(field, points)`` -> the widest width they are verified for.
+_VERIFIED: Dict[Tuple[GaloisField, Tuple[int, ...]], int] = {}
 
 
 class FamilyWidthError(ValueError):
-    """Requested (r, width) exceeds what GF(256) can support."""
+    """Requested (r, width) exceeds what the family's field supports."""
 
 
-def batch_det(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a batch of small square GF(256) matrices.
+def is_superregular(field: GaloisField, m: np.ndarray) -> bool:
+    """True if every square submatrix of ``m`` is nonsingular over ``field``.
 
-    Args:
-        mats: uint8 array of shape (N, s, s), s <= 6.
-
-    Returns:
-        uint8 array of shape (N,) with each determinant.
+    Each submatrix size is checked exhaustively when it has at most
+    ``field.exhaustive_dets`` determinants, else on ``field.sampled_dets``
+    row sets drawn from a generator seeded with ``field.sample_seed`` — a
+    documented, deterministic sample. (The generator is made on first
+    use: importing numpy's random module costs a cold process ~20 ms.)
     """
-    mats = np.asarray(mats, dtype=np.uint8)
-    n, s, s2 = mats.shape
-    if s != s2:
-        raise ValueError("matrices must be square")
-    if s == 1:
-        return mats[:, 0, 0]
-    if s == 2:
-        return _MUL_TABLE[mats[:, 0, 0], mats[:, 1, 1]] ^ _MUL_TABLE[
-            mats[:, 0, 1], mats[:, 1, 0]
-        ]
-    # Laplace expansion along the first row (char 2: no signs).
-    out = np.zeros(n, dtype=np.uint8)
-    cols = np.arange(s)
-    for j in range(s):
-        minor_cols = cols[cols != j]
-        minor = mats[:, 1:, :][:, :, minor_cols]
-        out ^= _MUL_TABLE[mats[:, 0, j], batch_det(minor)]
-    return out
-
-
-def vandermonde_parity(points: List[int], width: int) -> np.ndarray:
-    """Parity block P[t, j] = points[j] ** t, shape (width, r).
-
-    Same orientation as :func:`repro.gf.matrix.vandermonde` but without
-    the distinctness check — superregularity tests probe deliberately
-    degenerate point sets. Vectorized: one log-space outer product and
-    one exp gather replace the width * r scalar ``gf_pow`` loop.
-    """
-    arr = np.asarray([int(p) for p in points], dtype=np.int64)
-    if width == 0 or arr.size == 0:
-        return np.zeros((width, arr.size), dtype=np.uint8)
-    exponents = (
-        np.arange(width, dtype=np.int64)[:, None] * _LOG[arr][None, :]
-    ) % FIELD_ORDER
-    out = _EXP[exponents].astype(np.uint8)
-    zero_cols = arr == 0
-    if zero_cols.any():
-        out[:, zero_cols] = 0
-        out[0, zero_cols] = 1  # 0**0 == 1, matching gf_pow
-    return out
-
-
-def _submatrix_count(width: int, r: int) -> int:
-    from math import comb
-
-    return sum(comb(width, s) * comb(r, s) for s in range(1, r + 1))
-
-
-def _check_size(parity: np.ndarray, size: int, rng: Optional[np.random.Generator]) -> bool:
-    """Check all (or a sample of) size x size submatrices are nonsingular."""
-    from math import comb
-
-    width, r = parity.shape
-    col_sets = list(combinations(range(r), size))
-    n_row_sets = comb(width, size)
-    if rng is None or n_row_sets * len(col_sets) <= SAMPLE_COUNT:
-        row_sets = np.array(list(combinations(range(width), size)), dtype=np.intp)
-    else:
-        per_colset = max(1, SAMPLE_COUNT // len(col_sets))
-        row_sets = np.stack(
-            [
-                np.sort(rng.choice(width, size=size, replace=False))
-                for _ in range(per_colset)
-            ]
-        )
-    for cols in col_sets:
-        sub = parity[row_sets][:, :, list(cols)]  # (N, size, size)
-        if np.any(batch_det(sub) == 0):
-            return False
-    return True
-
-
-def is_superregular_parity(parity: np.ndarray, exhaustive: Optional[bool] = None) -> bool:
-    """True if every square submatrix of ``parity`` is nonsingular.
-
-    Falls back to seeded sampling when the exhaustive determinant count
-    exceeds :data:`EXHAUSTIVE_DET_LIMIT` (unless ``exhaustive`` forces it).
-    """
-    width, r = parity.shape
-    if exhaustive is None:
-        exhaustive = _submatrix_count(width, r) <= EXHAUSTIVE_DET_LIMIT
-    rng = None if exhaustive else np.random.default_rng(0xC0DE)
+    m = np.asarray(m, dtype=field.dtype)
+    width, r = m.shape
+    rng = None
     for size in range(1, min(width, r) + 1):
-        if not _check_size(parity, size, rng):
-            return False
+        col_sets = list(combinations(range(r), size))
+        if comb(width, size) * len(col_sets) <= field.exhaustive_dets:
+            row_sets = np.array(list(combinations(range(width), size)), dtype=np.intp)
+        else:
+            rng = rng or np.random.default_rng(field.sample_seed)
+            per = max(1, field.sampled_dets // len(col_sets))
+            row_sets = np.stack(
+                [np.sort(rng.choice(width, size=size, replace=False)) for _ in range(per)]
+            )
+        for cols in col_sets:
+            if np.any(field.det(m[row_sets][:, :, list(cols)]) == 0):
+                return False
     return True
 
 
-def _candidate_exponent_tuples(r: int):
-    """Deterministic stream of candidate exponent tuples for the points.
+class PointFamily(NamedTuple):
+    """Curated evaluation points over one field, per parity count."""
 
-    Points are powers of the field generator g: alpha_j = g ** a_j. The
-    2x2 superregularity condition requires (a_j - a_l) * (t - s) != 0
-    mod 255 for all used row gaps, so exponent *differences* coprime to
-    255 are strongly preferred; we enumerate those first.
-    """
-    units = [d for d in range(1, 255) if np.gcd(d, 255) == 1]
-    # Arithmetic progressions with unit step.
-    for step in units[:64]:
-        yield tuple((j * step) % 255 for j in range(r))
-    # Then general combinations with unit pairwise differences.
-    seen = 0
-    for combo in combinations(units[:40], r - 1):
-        exps = (0,) + combo
-        diffs = {(b - a) % 255 for a in exps for b in exps if a != b}
-        if all(np.gcd(d, 255) == 1 for d in diffs):
-            yield exps
-            seen += 1
-            if seen > 500:
-                return
+    field: GaloisField
+    #: r -> generator exponents of the r points
+    exponents: Dict[int, Tuple[int, ...]]
+    #: r -> the widest family the points are verified to reach
+    ceilings: Dict[int, int]
+
+    def points(self, r: int, width: int) -> List[int]:
+        """The r points, verified superregular up to ``width`` (once per
+        field, point set and width: a wider verification serves any
+        narrower request).
+
+        Raises:
+            FamilyWidthError: past the family's ceiling for r.
+        """
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        if width < 1:
+            raise ValueError("width must be >= 1")
+        ceiling = self.ceilings.get(r)
+        if ceiling is None or width > ceiling:
+            raise FamilyWidthError(
+                f"r={r} convertible-code families over {self.field} are verified "
+                f"only up to width {ceiling or 0} (requested {width}); use "
+                "repro.codes.costmodel for wider analytical results"
+            )
+        points = [self.field.element(e) for e in self.exponents[r]]
+        key = (self.field, tuple(points))
+        if _VERIFIED.get(key, 0) < width:
+            if not is_superregular(self.field, self.field.vandermonde(points, width)):
+                raise RuntimeError(
+                    f"curated points over {self.field} failed verification at "
+                    f"r={r}, width={width}"
+                )
+            _VERIFIED[key] = width
+        return points
+
+    def default_width(self, r: int, k: int) -> int:
+        """Widest default family for this parity count: at least ``k``."""
+        return max(k, min(DEFAULT_FAMILY_WIDTH, self.ceilings.get(r, 0)))
 
 
-def find_family_points(r: int, width: int) -> List[int]:
-    """Find (and verify) r evaluation points superregular up to ``width``.
-
-    Results are cached; a cached family for a wider width satisfies any
-    narrower request for the same r.
-
-    Raises:
-        RuntimeError: if no verified point set is found.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    max_width = MAX_FEASIBLE_WIDTH.get(r)
-    if max_width is None:
-        raise FamilyWidthError(
-            f"no convertible-code families with r={r} over GF(256); "
-            "use repro.codes.costmodel for analytical results"
-        )
-    if width > max_width:
-        raise FamilyWidthError(
-            f"r={r} convertible-code families over GF(256) are verified "
-            f"only up to width {max_width} (requested {width}); use "
-            "repro.codes.costmodel for wider analytical results"
-        )
-    for (cr, cw), pts in _FAMILY_CACHE.items():
-        if cr == r and cw >= width:
-            return pts
-    if r == 1:
-        # Any nonzero point works: 1x1 submatrices are powers, all nonzero.
-        pts = [GF256.element(1)]
-        _FAMILY_CACHE[(r, 255)] = pts
-        return pts
-    for exps in list(CURATED_EXPONENTS.get(r, [])) + list(
-        _candidate_exponent_tuples(r)
-    ):
-        points = [GF256.element(e) for e in exps]
-        if len(set(points)) != r:
-            continue
-        parity = vandermonde_parity(points, width)
-        if is_superregular_parity(parity):
-            _FAMILY_CACHE[(r, width)] = points
-            return points
-    raise RuntimeError(
-        f"no verified convertible-code points found for r={r}, width={width}"
-    )
+#: The GF(2^8) family every CC, LRCC and BWO-CC code draws its points from.
+FAMILY = PointFamily(GF8, CURATED_EXPONENTS, MAX_FEASIBLE_WIDTH)

@@ -165,7 +165,7 @@ class ECScheme(RedundancyScheme):
     def make_code(self):
         """The process's one codec implementing this scheme (a CC-family
         code in its parity count's default family: see
-        :func:`repro.codes.convertible.default_family_width`).
+        :meth:`repro.codes.pointsearch.PointFamily.default_width`).
 
         Equal schemes share the object, so its encode plan and its
         failure-pattern LRU outlive any one filesystem, as the global

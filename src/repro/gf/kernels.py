@@ -1,10 +1,10 @@
 """Cache-blocked bulk-multiply kernels: one plan for GF(2^8) and GF(2^16).
 
-The reference matmuls in :mod:`repro.gf.matrix` and
-:mod:`repro.gf.field16` are exact but allocate a full ``(m, n, k)``
-intermediate (GF(2^8)) or do per-element log/exp lookups with a fresh
-zero mask per element (GF(2^16)). Production erasure codecs (ISA-L,
-Jerasure) instead stream small per-coefficient multiply tables over
+The fields' reference matmuls
+(:meth:`repro.gf.field.GaloisField.matmul_reference`) are exact but
+allocate a full ``(m, n, k)`` intermediate (GF(2^8)) or do per-element
+log/exp lookups with a fresh zero mask per element (GF(2^16)).
+Production erasure codecs (ISA-L, Jerasure) instead stream small per-coefficient multiply tables over
 contiguous data, through one entry point whatever the matrix is for.
 This module is the numpy rendition of that idea:
 
@@ -14,10 +14,11 @@ This module is the numpy rendition of that idea:
   and the table maps ``(x0, x1)`` to ``(c*x0, c*x1)`` in one gather
   (:func:`pair_table8`); over GF(2^16) a lane is a symbol and the table
   maps ``x`` to ``c*x`` (:func:`mul_table16`, built from two 256-entry
-  half-symbol tables, never from an 8 GiB product table). A
-  :class:`Field` names which of the two a dtype means — the only thing
-  the fields do not share — and nothing a caller sets selects it: the
-  field of a plan is ``coeffs.dtype``.
+  half-symbol tables, never from an 8 GiB product table). Which of the
+  two a field's lanes take is the only thing the fields do not share
+  here (:data:`LANE_TABLE`), and nothing a caller sets selects it: the
+  field of a plan is the one ``coeffs.dtype`` stores
+  (:func:`field_of`).
 * **One multiply plan that reads its matrix** — :class:`MulPlan` picks
   its strategy from the coefficient matrix alone. For
   ``2 <= m <= COMBINE_MAX_ROWS`` output rows, a row whose nonzero
@@ -75,9 +76,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from repro.gf.field import _MUL_TABLE, gf_mul
-from repro.gf.field16 import gf16_matinv, gf16_matmul_reference, gf16_mul
-from repro.gf.matrix import gf_matinv, gf_matmul_reference
+from repro.gf.field import GF8, GF16, GaloisField
 
 #: Per-row byte count from which a plan gathers through tables. Below
 #: this the reference paths win (gathers cannot amortise).
@@ -316,7 +315,7 @@ def pair_table8(c: int) -> np.ndarray:
     """
 
     def build() -> np.ndarray:
-        row = _MUL_TABLE[c].astype(np.uint16)
+        row = GF8.mul_table[c].astype(np.uint16)
         return (row[_PAIR_IDX_LO] | (row[_PAIR_IDX_HI] << 8)).astype(np.uint16)
 
     return _cache_get(_pair8_cache, int(c), build)
@@ -332,61 +331,23 @@ def mul_table16(c: int) -> np.ndarray:
 
     def build() -> np.ndarray:
         half = np.arange(256, dtype=np.uint16)
-        lo_tab = gf16_mul(np.uint16(c), half)
-        hi_tab = gf16_mul(np.uint16(gf16_mul(int(c), 0x100)), half)
+        lo_tab = GF16.mul(np.uint16(c), half)
+        hi_tab = GF16.mul(np.uint16(GF16.mul(int(c), 0x100)), half)
         return (lo_tab[_PAIR_IDX_LO] ^ hi_tab[_PAIR_IDX_HI]).astype(np.uint16)
 
     return _cache_get(_full16_cache, int(c), build)
 
 
-class Field(NamedTuple):
-    """What GF(2^8) and GF(2^16) do not share, as one value.
-
-    A multiply plan reads it off ``coeffs.dtype``; an erasure code names
-    it once (``ErasureCode.field``) and is otherwise field-agnostic.
-    """
-
-    #: of a coefficient, and of the symbols a chunk's bytes are read as
-    dtype: np.dtype
-    #: ``c`` -> the (65536,) uint16 gather table of ``c`` over one lane
-    table: Callable[[int], np.ndarray]
-    #: elementwise product, for operands too small or strided to gather
-    mul: Callable
-    #: the exact matmul the differential tests pin every kernel to
-    matmul_reference: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    #: Gauss-Jordan inverse; raises ``SingularMatrixError``
-    matinv: Callable[[np.ndarray], np.ndarray]
-
-    def symbols(self, chunk) -> np.ndarray:
-        """A chunk's bytes viewed as field symbols — the one seam where
-        bytes become symbols (:meth:`chunks` is the way back).
-
-        A chunk must hold whole symbols: packing an odd byte with a zero
-        is lossless, but a *parity* of such symbols is not — trimming it
-        back to the chunk length drops the high byte a decode needs.
-        """
-        data = np.ascontiguousarray(chunk, dtype=np.uint8)
-        if data.shape[-1] % self.dtype.itemsize:
-            raise ValueError(
-                f"a chunk of {data.shape[-1]} bytes does not hold whole "
-                f"{self.dtype.itemsize}-byte symbols"
-            )
-        return data if data.dtype == self.dtype else data.view(self.dtype)
-
-    @staticmethod
-    def chunks(symbols: np.ndarray) -> np.ndarray:
-        """The bytes of an array of symbols (a view; rows stay rows)."""
-        return symbols.view(np.uint8)
+#: A field's ``c`` -> the (65536,) uint16 gather table of ``c`` over one
+#: 16-bit lane.
+LANE_TABLE: Dict[GaloisField, Callable[[int], np.ndarray]] = {
+    GF8: pair_table8,
+    GF16: mul_table16,
+}
+_FIELDS = {field.dtype: field for field in LANE_TABLE}
 
 
-GF8 = Field(np.dtype(np.uint8), pair_table8, gf_mul, gf_matmul_reference, gf_matinv)
-GF16 = Field(
-    np.dtype("<u2"), mul_table16, gf16_mul, gf16_matmul_reference, gf16_matinv
-)
-_FIELDS = {field.dtype: field for field in (GF8, GF16)}
-
-
-def field_of(dtype: np.dtype) -> Field:
+def field_of(dtype: np.dtype) -> GaloisField:
     """The field whose symbols are stored as ``dtype`` (an array's)."""
     field = _FIELDS.get(dtype)
     if field is None:
@@ -595,6 +556,7 @@ class MulPlan:
         if coeffs.ndim != 2:
             raise ValueError("MulPlan expects a 2-D coefficient matrix")
         self.field = field_of(coeffs.dtype)
+        self.table = LANE_TABLE[self.field]
         self.coeffs = coeffs
         self.m, self.k = coeffs.shape
         self.cols = [t for t in range(self.k) if coeffs[:, t].any()]
@@ -641,11 +603,11 @@ class MulPlan:
         out16 = out.view(np.uint16)
         if self.packed:
             if self.passes is None:
-                self.passes = _read_matrix(self.coeffs, self.field.table)
+                self.passes = _read_matrix(self.coeffs, self.table)
             loop, passes = _apply_slots, self.passes
         else:
             loop = _apply_rows
-            passes = (_row_steps(self.coeffs, self.cols, self.field.table),)
+            passes = (_row_steps(self.coeffs, self.cols, self.table),)
         nbytes_read = self.k * n * dtype.itemsize
         if nbytes_read < SPLIT_FROM_BYTES:
             loop(*passes, lanes, out16)
@@ -803,7 +765,7 @@ def gf_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
     ):
         np.bitwise_xor(acc, field.mul(c, x), out=acc)
         return acc
-    table = field.table(c)
+    table = LANE_TABLE[field](c)
     a16 = acc.view(np.uint16)
     x16 = x.view(np.uint16)
     if 2 * acc.nbytes >= SPLIT_FROM_BYTES:

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from repro.codes.bandwidth import BandwidthOptimalCC
-from repro.codes.convertible import ConvertibleCode
+from repro.codes.convertible import ConvertibleCode, convert
 from repro.codes.lrc import LocalReconstructionCode
 from repro.codes.lrcc import LocallyRecoverableConvertibleCode
 from repro.codes.rs import ReedSolomon
 from repro.codes.wide import WideConvertibleCode
 from repro.codes.base import STACK_BELOW_BYTES, DecodeError
 from repro.gf import kernels
-from repro.gf.field16 import gf16_mul
-from repro.gf.matrix import gf_rank
+from repro.gf.field import GF8, GF16
 
 
 def _stripes(k, n_stripes, chunk_bytes, seed=0, ragged=False):
@@ -442,13 +441,13 @@ class TestOneRecoveryPerPattern:
         fallbacks = 0
         for erased in _triples_and_some_quads(code):
             rows = [i for i in range(code.n) if i not in erased]
-            if gf_rank(code.generator[rows]) < code.k:
+            if GF8.rank(code.generator[rows]) < code.k:
                 with pytest.raises(DecodeError):
                     code._invert_survivors(rows)
                 continue
             want = []
             for idx in rows:
-                if gf_rank(code.generator[want + [idx]]) > len(want):
+                if GF8.rank(code.generator[want + [idx]]) > len(want):
                     want.append(idx)
             _, use = code._invert_survivors(rows)
             assert use == want[: code.k], erased
@@ -464,19 +463,19 @@ class TestGf16ScaleXor:
         rng = np.random.default_rng(17)
         acc = rng.integers(0, 1 << 16, n, dtype=np.uint16)
         x = rng.integers(0, 1 << 16, n, dtype=np.uint16)
-        want = acc ^ gf16_mul(np.uint16(c), x)
+        want = acc ^ GF16.mul(np.uint16(c), x)
         got = acc.copy()
         kernels.gf_scale_xor(got, c, x)
         assert np.array_equal(got, want)
 
 
-class TestWideMergeParities:
+class TestWideMerge:
     def test_merge_matches_direct_encode(self):
         initial = WideConvertibleCode(4, 6)
         final = WideConvertibleCode(8, 10)
         stripes = _stripes(4, 2, 5000, seed=18)
-        stripe_parities = [initial.encode(chunks) for chunks in stripes]
-        merged = initial.merge_parities(final, stripe_parities)
+        encoded = [initial.encode_stripe(chunks) for chunks in stripes]
+        (merged,), _ = convert(initial, final, encoded)
         direct = final.encode(stripes[0] + stripes[1])
-        for got, want in zip(merged, direct):
+        for got, want in zip(merged.parity_chunks, direct):
             assert np.array_equal(got, want)

@@ -181,19 +181,15 @@ class TestShiftCoefficients:
             assert code.shift_coefficient(j, 0) == 1
 
     def test_shift_additivity(self):
-        from repro.gf.field import gf_mul
-
         code = ConvertibleCode(6, 9)
         for j in range(3):
             a = code.shift_coefficient(j, 5)
             b = code.shift_coefficient(j, 7)
-            assert gf_mul(a, b) == code.shift_coefficient(j, 12)
+            assert code.field.mul(a, b) == code.shift_coefficient(j, 12)
 
     def test_negative_shift_inverts(self):
-        from repro.gf.field import gf_mul
-
         code = ConvertibleCode(6, 9)
         for j in range(3):
-            assert gf_mul(
+            assert code.field.mul(
                 code.shift_coefficient(j, 9), code.shift_coefficient(j, -9)
             ) == 1

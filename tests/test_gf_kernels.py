@@ -14,13 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gf.field import _INV_TABLE, _MUL_TABLE, gf_pow
-from repro.gf.field16 import (
-    gf16_matmul,
-    gf16_matmul_reference,
-    gf16_mul,
-    gf16_pow,
-)
 from repro.gf import kernels
 from repro.gf.kernels import (
     COMBINE_MAX_ROWS,
@@ -36,13 +29,7 @@ from repro.gf.kernels import (
     pair_table8,
     plan_for_matrix,
 )
-from repro.gf.matrix import (
-    cauchy_matrix,
-    gf_matinv,
-    gf_matmul,
-    gf_matmul_reference,
-    vandermonde,
-)
+from repro.gf.matrix import gf_matmul
 
 
 def _rand8(rng, *shape):
@@ -268,7 +255,7 @@ class TestMulPlan8Differential:
             a = _rand8(rng, m, k)
             b = _rand8(rng, k, n)
             got = MulPlan(a).apply(b)
-            want = gf_matmul_reference(a, b)
+            want = GF8.matmul_reference(a, b)
             assert got.dtype == np.uint8
             assert np.array_equal(got, want), (m, k, n)
 
@@ -277,13 +264,13 @@ class TestMulPlan8Differential:
         rng = np.random.default_rng(n)
         a = _rand8(rng, 4, 7)
         b = _rand8(rng, 7, n)
-        assert np.array_equal(MulPlan(a).apply(b), gf_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), GF8.matmul_reference(a, b))
 
     def test_k_equals_one(self):
         rng = np.random.default_rng(1)
         a = _rand8(rng, 5, 1)
         b = _rand8(rng, 1, 10_000)
-        assert np.array_equal(MulPlan(a).apply(b), gf_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), GF8.matmul_reference(a, b))
 
     def test_all_zero_coefficients(self):
         rng = np.random.default_rng(2)
@@ -298,7 +285,7 @@ class TestMulPlan8Differential:
         m = COMBINE_MAX_ROWS + 4
         a = _rand8(rng, m, 6)
         b = _rand8(rng, 6, 9000)
-        assert np.array_equal(MulPlan(a).apply(b), gf_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), GF8.matmul_reference(a, b))
 
     def test_noncontiguous_input(self):
         rng = np.random.default_rng(4)
@@ -307,7 +294,7 @@ class TestMulPlan8Differential:
         b = wide[:, ::2]  # strided view
         assert np.array_equal(
             MulPlan(a).apply(np.ascontiguousarray(b)),
-            gf_matmul_reference(a, b),
+            GF8.matmul_reference(a, b),
         )
 
 
@@ -384,7 +371,7 @@ class TestMulPlan16Differential:
             a = _rand16(rng, m, k)
             b = _rand16(rng, k, n)
             got = MulPlan(a).apply(b)
-            want = gf16_matmul_reference(a, b)
+            want = GF16.matmul_reference(a, b)
             assert got.dtype == np.uint16
             assert np.array_equal(got, want), (m, k, n)
 
@@ -398,7 +385,7 @@ class TestMulPlan16Differential:
         b = _rand16(rng, 4, 5000)
         b[1, :] = 0
         b[2, ::7] = 0
-        assert np.array_equal(MulPlan(a).apply(b), gf16_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), GF16.matmul_reference(a, b))
 
     def test_zero_coefficients(self):
         rng = np.random.default_rng(6)
@@ -406,14 +393,14 @@ class TestMulPlan16Differential:
         a[:, 2] = 0
         a[1, :] = 0
         b = _rand16(rng, 5, 3000)
-        assert np.array_equal(MulPlan(a).apply(b), gf16_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), GF16.matmul_reference(a, b))
 
     @pytest.mark.parametrize("n", [1, 3, 2047, 2049])
     def test_odd_lengths(self, n):
         rng = np.random.default_rng(n)
         a = _rand16(rng, 4, 6)
         b = _rand16(rng, 6, n)
-        assert np.array_equal(MulPlan(a).apply(b), gf16_matmul_reference(a, b))
+        assert np.array_equal(MulPlan(a).apply(b), GF16.matmul_reference(a, b))
 
 
 class TestDispatch:
@@ -422,15 +409,17 @@ class TestDispatch:
         a = _rand8(rng, 3, 6)
         for n in (KERNEL_MIN_BYTES - 1, KERNEL_MIN_BYTES, KERNEL_MIN_BYTES + 1):
             b = _rand8(rng, 6, n)
-            assert np.array_equal(gf_matmul(a, b), gf_matmul_reference(a, b))
+            assert np.array_equal(gf_matmul(a, b), GF8.matmul_reference(a, b))
 
-    def test_gf16_matmul_dispatches_above_threshold(self):
+    def test_gf16_plan_dispatches_above_threshold(self):
         rng = np.random.default_rng(8)
         a = _rand16(rng, 3, 6)
         half = KERNEL_MIN_BYTES // 2
         for n in (half - 1, half, half + 1):
             b = _rand16(rng, 6, n)
-            assert np.array_equal(gf16_matmul(a, b), gf16_matmul_reference(a, b))
+            assert np.array_equal(
+                plan_for_matrix(a).apply(b), GF16.matmul_reference(a, b)
+            )
 
     def test_plan_cache_reuses_plans(self):
         clear_plan_caches()
@@ -455,7 +444,7 @@ class TestScaleXor:
         x = _rand8(rng, 1 << 20)
         for c in (0, 1, 2, 7, 255):
             acc = _rand8(rng, 1 << 20)
-            want = acc ^ _MUL_TABLE[c, x]
+            want = acc ^ GF8.mul_table[c, x]
             got = gf_scale_xor(acc.copy(), c, x)
             assert np.array_equal(got, want), c
 
@@ -465,7 +454,7 @@ class TestScaleXor:
             x = _rand8(rng, n)
             acc = _rand8(rng, n)
             c = int(rng.integers(0, 256))
-            want = acc ^ _MUL_TABLE[c, x]
+            want = acc ^ GF8.mul_table[c, x]
             assert np.array_equal(gf_scale_xor(acc.copy(), c, x), want), (n, c)
 
     @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
@@ -487,13 +476,13 @@ class TestScaleXor:
         parities = np.zeros((3, 12_000), dtype=np.uint8)
         x = _rand8(rng, 6000)
         gf_scale_xor(parities[1, 3000:9000], 7, x)
-        assert np.array_equal(parities[1, 3000:9000], _MUL_TABLE[7, x])
+        assert np.array_equal(parities[1, 3000:9000], GF8.mul_table[7, x])
         assert not parities[0].any() and not parities[2].any()
 
     def test_gf_scale(self):
         rng = np.random.default_rng(13)
         x = _rand8(rng, 10_000)
-        assert np.array_equal(gf_scale(9, x), _MUL_TABLE[9, x])
+        assert np.array_equal(gf_scale(9, x), GF8.mul_table[9, x])
         assert np.array_equal(gf_scale(0, x), np.zeros_like(x))
         assert np.array_equal(gf_scale(1, x), x)
 
@@ -547,51 +536,15 @@ class TestCoefficientTables:
             tab = pair_table8(c)
             pairs = rng.integers(0, 1 << 16, size=256, dtype=np.uint16)
             raw = pairs.view(np.uint8).reshape(-1, 2)
-            expect = _MUL_TABLE[c, raw].reshape(-1, 2).copy().view(np.uint16).ravel()
+            expect = GF8.mul_table[c, raw].reshape(-1, 2).copy().view(np.uint16).ravel()
             assert np.array_equal(tab[pairs], expect), c
 
-    def test_mul_table16_matches_gf16_mul(self):
+    def test_mul_table16_matches_field_mul(self):
         rng = np.random.default_rng(15)
         for c in (1, 2, 0x1234, 0xFFFF):
             tab = mul_table16(c)
             xs = rng.integers(0, 1 << 16, size=1000, dtype=np.uint16)
-            assert np.array_equal(tab[xs], gf16_mul(np.uint16(c), xs)), c
-
-
-class TestMatrixBuilders:
-    def test_vandermonde_matches_scalar_definition(self):
-        points = [1, 2, 3, 7, 0]
-        v = vandermonde(points, 6)
-        for i in range(6):
-            for j, p in enumerate(points):
-                assert v[i, j] == gf_pow(p, i), (i, j)
-
-    def test_vandermonde_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            vandermonde([1, 1], 3)
-
-    def test_cauchy_matches_scalar_definition(self):
-        xs, ys = [4, 5, 6], [0, 1, 2]
-        c = cauchy_matrix(xs, ys)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                assert c[i, j] == _INV_TABLE[x ^ y], (i, j)
-
-    def test_vandermonde_parity_16_matches_scalar(self):
-        from repro.codes.wide import vandermonde_parity_16
-
-        points = [1, 2, 0x1234]
-        p = vandermonde_parity_16(points, 8)
-        for t in range(8):
-            for j, pt in enumerate(points):
-                assert p[t, j] == gf16_pow(pt, t), (t, j)
-
-    def test_vandermonde_parity_accepts_duplicates(self):
-        # Superregularity tests deliberately probe degenerate families.
-        from repro.codes.pointsearch import vandermonde_parity
-
-        p = vandermonde_parity([1, 1], 4)
-        assert np.array_equal(p[:, 0], p[:, 1])
+            assert np.array_equal(tab[xs], GF16.mul(np.uint16(c), xs)), c
 
 
 class TestDecodeRegression:
@@ -614,11 +567,11 @@ class TestDecodeRegression:
         # Reference: reconstruct each erased row separately from the
         # inverse of the first k survivors (the pre-batching behaviour).
         use = sorted(available)[: code.k]
-        inv = gf_matinv(code.generator[use])
+        inv = GF8.matinv(code.generator[use])
         stacked = np.stack([available[i] for i in use])
-        dmat = gf_matmul_reference(inv, stacked)
+        dmat = GF8.matmul_reference(inv, stacked)
         for idx in erased:
-            row = gf_matmul_reference(code.generator[idx : idx + 1, :], dmat)[0]
+            row = GF8.matmul_reference(code.generator[idx : idx + 1, :], dmat)[0]
             assert np.array_equal(got[idx], row), idx
 
     def test_decode_inverse_cache_consistent_across_patterns(self):

@@ -1,135 +1,175 @@
-"""Matrix algebra over GF(256): matmul, inversion, rank, constructions."""
+"""Matrix algebra over both fields: matmul, inversion, rank, determinants
+and the Vandermonde power matrix — each written once on the field value
+and tested here once per property, the field as its input — plus the
+GF(2^8) constructions (Cauchy) and the plan-backed ``gf_matmul``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gf.field import gf_mul
-from repro.gf.matrix import (
-    SingularMatrixError,
-    cauchy_matrix,
-    gf_identity,
-    gf_matinv,
-    gf_matmul,
-    gf_matvec,
-    gf_rank,
-    gf_solve,
-    is_superregular,
-    vandermonde,
-)
+from repro.gf.field import GF8, GF16, SingularMatrixError
+from repro.gf.matrix import cauchy_matrix, gf_identity, gf_matmul
+
+FIELDS = pytest.mark.parametrize("field", [GF8, GF16], ids=repr)
 
 
-def random_matrix(rng, rows, cols):
-    return rng.integers(0, 256, (rows, cols), dtype=np.uint8)
+def random_matrix(field, rng, *shape):
+    return rng.integers(0, field.size, shape).astype(field.dtype)
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        a = random_matrix(rng, 5, 5)
-        assert np.array_equal(gf_matmul(gf_identity(5), a), a)
-        assert np.array_equal(gf_matmul(a, gf_identity(5)), a)
+def eye(field, n):
+    return np.eye(n, dtype=field.dtype)
 
-    def test_matches_scalar_definition(self):
+
+@FIELDS
+class TestMatmulReference:
+    def test_identity(self, field):
+        a = random_matrix(field, np.random.default_rng(1), 5, 5)
+        assert np.array_equal(field.matmul_reference(eye(field, 5), a), a)
+        assert np.array_equal(field.matmul_reference(a, eye(field, 5)), a)
+
+    def test_matches_scalar_definition(self, field):
         rng = np.random.default_rng(2)
-        a = random_matrix(rng, 3, 4)
-        b = random_matrix(rng, 4, 2)
-        out = gf_matmul(a, b)
+        a = random_matrix(field, rng, 3, 4)
+        b = random_matrix(field, rng, 4, 2)
+        out = field.matmul_reference(a, b)
         for i in range(3):
             for j in range(2):
                 acc = 0
                 for t in range(4):
-                    acc ^= gf_mul(int(a[i, t]), int(b[t, j]))
+                    acc ^= field.mul(int(a[i, t]), int(b[t, j]))
                 assert out[i, j] == acc
 
-    def test_shape_mismatch_raises(self):
+    def test_shape_mismatch_raises(self, field):
         with pytest.raises(ValueError):
-            gf_matmul(np.zeros((2, 3), np.uint8), np.zeros((2, 3), np.uint8))
-
-    def test_matvec(self):
-        rng = np.random.default_rng(3)
-        a = random_matrix(rng, 4, 4)
-        x = rng.integers(0, 256, 4, dtype=np.uint8)
-        assert np.array_equal(gf_matvec(a, x), gf_matmul(a, x.reshape(-1, 1)).reshape(-1))
+            field.matmul_reference(eye(field, 3)[:2], eye(field, 3)[:2])
 
 
+def test_gf_matmul_is_the_plan_product():
+    rng = np.random.default_rng(3)
+    a = random_matrix(GF8, rng, 4, 4)
+    x = random_matrix(GF8, rng, 4, 5000)
+    assert np.array_equal(gf_matmul(a, x), GF8.matmul_reference(a, x))
+    with pytest.raises(ValueError):
+        gf_matmul(np.zeros((2, 3), np.uint8), np.zeros((2, 3), np.uint8))
+
+
+@FIELDS
 class TestInversion:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
-    def test_inverse_roundtrip(self, seed):
+    def test_inverse_roundtrip(self, field, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
-        a = random_matrix(rng, n, n)
+        a = random_matrix(field, rng, n, n)
+        if seed % 3 == 0 and n > 1:
+            a[-1] = a[0]  # singular on purpose
         try:
-            inv = gf_matinv(a)
+            inv = field.matinv(a)
         except SingularMatrixError:
-            assert gf_rank(a) < n
+            assert field.rank(a) < n
             return
-        assert np.array_equal(gf_matmul(a, inv), gf_identity(n))
-        assert np.array_equal(gf_matmul(inv, a), gf_identity(n))
+        assert field.rank(a) == n
+        assert np.array_equal(field.matmul_reference(a, inv), eye(field, n))
+        assert np.array_equal(field.matmul_reference(inv, a), eye(field, n))
 
-    def test_singular_raises(self):
-        a = np.array([[1, 2], [1, 2]], dtype=np.uint8)
-        with pytest.raises(SingularMatrixError):
-            gf_matinv(a)
+    def test_singular_raises(self, field):
+        for a in ([[1, 2], [1, 2]], [[0, 1], [0, 1]], [[1, 1, 0], [0, 0, 0], [0, 1, 1]]):
+            with pytest.raises(SingularMatrixError):
+                field.matinv(np.array(a, dtype=field.dtype))
 
-    def test_non_square_raises(self):
+    def test_non_square_raises(self, field):
         with pytest.raises(ValueError):
-            gf_matinv(np.zeros((2, 3), np.uint8))
+            field.matinv(np.zeros((2, 3), field.dtype))
 
-    def test_solve_vector(self):
-        rng = np.random.default_rng(7)
-        a = cauchy_matrix(range(5), range(10, 15))
-        x = rng.integers(0, 256, 5, dtype=np.uint8)
-        b = gf_matvec(a, x)
-        assert np.array_equal(gf_solve(a, b), x)
-
-    def test_solve_matrix(self):
-        rng = np.random.default_rng(8)
-        a = cauchy_matrix(range(4), range(10, 14))
-        x = random_matrix(rng, 4, 6)
-        b = gf_matmul(a, x)
-        assert np.array_equal(gf_solve(a, b), x)
+    def test_input_is_not_modified(self, field):
+        a = eye(field, 4)
+        a[0, 3] = a[2, 1] = 9
+        before = a.copy()
+        field.matinv(a)
+        field.rank(a)
+        assert np.array_equal(a, before)
 
 
+@FIELDS
 class TestRank:
-    def test_full_rank_identity(self):
-        assert gf_rank(gf_identity(6)) == 6
+    def test_full_rank_identity(self, field):
+        assert field.rank(eye(field, 6)) == 6
 
-    def test_rank_deficient(self):
-        a = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 0]], dtype=np.uint8)
-        # Row 2 = 2 * row 1 in GF(256): 2*1=2, 2*2=4, 2*3=6.
-        assert gf_rank(a) == 1
+    def test_rank_deficient(self, field):
+        # Row 1 = 2 * row 0 in both fields (no reduction below x^8).
+        a = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 0]], dtype=field.dtype)
+        assert field.rank(a) == 1
 
-    def test_rank_of_wide_matrix(self):
-        a = np.concatenate([gf_identity(3), gf_identity(3)], axis=1)
-        assert gf_rank(a) == 3
+    def test_rank_skips_a_column_without_pivot(self, field):
+        a = np.array([[0, 1, 5], [0, 1, 7]], dtype=field.dtype)
+        assert field.rank(a) == 2
+
+    def test_rank_of_wide_and_tall_matrices(self, field):
+        a = np.concatenate([eye(field, 3), eye(field, 3)], axis=1)
+        assert field.rank(a) == 3
+        assert field.rank(a.T) == 3
 
 
-class TestConstructions:
-    def test_vandermonde_values(self):
-        v = vandermonde([1, 2], 3)
-        assert v[:, 0].tolist() == [1, 1, 1]
-        assert v[0, 1] == 1 and v[1, 1] == 2 and v[2, 1] == 4
+@FIELDS
+class TestDeterminant:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_zero_exactly_when_rank_deficient(self, field, s):
+        rng = np.random.default_rng(s)
+        mats = rng.integers(0, 4, (150, s, s)).astype(field.dtype)  # small: often singular
+        mats[:50] = random_matrix(field, rng, 50, s, s)
+        dets = field.det(mats)
+        assert dets.dtype == field.dtype
+        for i in range(len(mats)):
+            assert (dets[i] == 0) == (field.rank(mats[i]) < s), i
 
-    def test_vandermonde_distinct_points(self):
+    def test_identity_det_one(self, field):
+        assert field.det(np.stack([eye(field, 3)] * 4)).tolist() == [1, 1, 1, 1]
+
+    def test_non_square_raises(self, field):
         with pytest.raises(ValueError):
-            vandermonde([3, 3], 2)
+            field.det(np.zeros((2, 2, 3), field.dtype))
 
-    def test_cauchy_is_superregular(self):
-        c = cauchy_matrix(range(4), range(10, 14))
-        assert is_superregular(c)
 
-    def test_cauchy_validation(self):
+@FIELDS
+class TestVandermonde:
+    def test_matches_scalar_pow_loop(self, field):
+        points = [1, 2, 3, 7, 0, field.order]
+        v = field.vandermonde(points, 6)
+        assert v.shape == (6, len(points)) and v.dtype == field.dtype
+        for t in range(6):
+            for j, p in enumerate(points):
+                assert v[t, j] == field.pow(p, t), (t, j)
+
+    def test_first_row_all_ones_and_duplicates_allowed(self, field):
+        # Superregularity tests deliberately probe degenerate families.
+        v = field.vandermonde([5, 5], 4)
+        assert v[0].tolist() == [1, 1]
+        assert np.array_equal(v[:, 0], v[:, 1])
+
+    def test_empty(self, field):
+        assert field.vandermonde([], 3).shape == (3, 0)
+        assert field.vandermonde([1, 2], 0).shape == (0, 2)
+
+
+class TestCauchy:
+    def test_matches_scalar_definition(self):
+        xs, ys = [4, 5, 6], [0, 1, 2]
+        c = cauchy_matrix(xs, ys)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert c[i, j] == GF8.inv(x ^ y), (i, j)
+
+    def test_every_square_submatrix_is_invertible(self):
+        from repro.codes.pointsearch import is_superregular
+
+        assert is_superregular(GF8, cauchy_matrix(range(4), range(10, 14)))
+
+    def test_validation(self):
         with pytest.raises(ValueError):
             cauchy_matrix([1, 2], [2, 3])
         with pytest.raises(ValueError):
             cauchy_matrix([1, 1], [2, 3])
 
-    def test_superregular_detects_singular_submatrix(self):
-        m = np.array([[1, 1], [1, 1]], dtype=np.uint8)
-        assert not is_superregular(m)
-
-    def test_superregular_rejects_zero_entry(self):
-        m = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-        assert not is_superregular(m)
+    def test_identity_helper(self):
+        assert np.array_equal(gf_identity(3), np.eye(3, dtype=np.uint8))

@@ -1,93 +1,87 @@
-"""Evaluation-point search and superregularity verification."""
+"""Evaluation-point families and the superregularity check, once per
+property over both fields: :data:`repro.codes.pointsearch.FAMILY`
+(GF(2^8)) and :data:`repro.codes.wide.WIDE_FAMILY` (GF(2^16))."""
 
 import numpy as np
 import pytest
 
-from repro.codes.pointsearch import (
-    batch_det,
-    find_family_points,
-    is_superregular_parity,
-    vandermonde_parity,
+from repro.codes.pointsearch import FAMILY, FamilyWidthError, is_superregular
+from repro.codes.wide import MAX_WIDTH_16, WIDE_FAMILY
+from repro.gf.field import GF8, GF16
+
+FAMILIES = pytest.mark.parametrize(
+    "family", [FAMILY, WIDE_FAMILY], ids=lambda family: repr(family.field)
 )
-from repro.gf.matrix import gf_rank
 
 
-class TestBatchDet:
-    def test_matches_rank_for_2x2(self):
-        rng = np.random.default_rng(0)
-        mats = rng.integers(0, 256, (200, 2, 2), dtype=np.uint8)
-        dets = batch_det(mats)
-        for i in range(200):
-            singular = gf_rank(mats[i]) < 2
-            assert (dets[i] == 0) == singular
-
-    def test_matches_rank_for_3x3_and_4x4(self):
-        rng = np.random.default_rng(1)
-        for s in (3, 4):
-            mats = rng.integers(0, 256, (100, s, s), dtype=np.uint8)
-            dets = batch_det(mats)
-            for i in range(100):
-                assert (dets[i] == 0) == (gf_rank(mats[i]) < s)
-
-    def test_identity_det_one(self):
-        eye = np.stack([np.eye(3, dtype=np.uint8)] * 4)
-        assert batch_det(eye).tolist() == [1, 1, 1, 1]
-
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError):
-            batch_det(np.zeros((2, 2, 3), np.uint8))
-
-
+@pytest.mark.parametrize("field", [GF8, GF16], ids=repr)
 class TestSuperregularity:
-    def test_known_bad_matrix(self):
+    def test_repeated_point_fails(self, field):
         # Point 1 repeated: columns identical -> 2x2 dets vanish.
-        parity = vandermonde_parity([1, 1], 4)
-        assert not is_superregular_parity(parity)
+        assert not is_superregular(field, field.vandermonde([1, 1], 4))
 
-    def test_family_points_are_verified(self):
-        for r in (1, 2, 3):
-            points = find_family_points(r, 24)
-            parity = vandermonde_parity(points, 24)
-            assert is_superregular_parity(parity)
+    def test_singular_and_zero_entries_fail(self, field):
+        assert not is_superregular(field, np.array([[1, 1], [1, 1]], field.dtype))
+        assert not is_superregular(field, np.array([[1, 0], [1, 1]], field.dtype))
 
-    def test_r4_points(self):
-        points = find_family_points(4, 24)
-        assert len(set(points)) == 4
-        assert is_superregular_parity(vandermonde_parity(points, 24))
+    def test_agrees_with_rank_on_every_submatrix(self, field):
+        from itertools import combinations
 
-    def test_r5_points(self):
-        points = find_family_points(5, 12)
-        assert len(set(points)) == 5
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            m = rng.integers(1, 6, (5, 3)).astype(field.dtype)
+            exhaustive = all(
+                field.rank(m[list(rows)][:, list(cols)]) == size
+                for size in (1, 2, 3)
+                for rows in combinations(range(5), size)
+                for cols in combinations(range(3), size)
+            )
+            assert is_superregular(field, m) == exhaustive
 
-    def test_width_beyond_feasible_raises(self):
-        from repro.codes.pointsearch import FamilyWidthError
+    def test_sampled_sizes_still_find_a_singular_submatrix(self, field):
+        # Past the exhaustive budget a size is sampled; a matrix whose
+        # every 2x2 with the first two columns is singular still fails.
+        width = 2 * int(np.sqrt(field.exhaustive_dets)) + 10
+        m = field.vandermonde([2, 2, 3], width)
+        assert not is_superregular(field, m)
 
+
+@FAMILIES
+class TestFamilies:
+    def test_curated_points_verified_at_every_ceiling(self, family):
+        for r, ceiling in family.ceilings.items():
+            points = family.points(r, ceiling)
+            assert len(set(points)) == r and 0 not in points
+            if ceiling <= 40:
+                assert is_superregular(family.field, family.field.vandermonde(points, ceiling))
+
+    def test_nested_prefixes(self, family):
+        assert family.points(5, 12)[:3] == family.points(3, 12)
+
+    def test_width_ceiling_enforced(self, family):
         with pytest.raises(FamilyWidthError):
-            find_family_points(5, 37)
+            family.points(5, family.ceilings[5] + 1)
         with pytest.raises(FamilyWidthError):
-            find_family_points(6, 8)
+            family.points(6, 8)
 
-    def test_cache_returns_wider_family(self):
-        wide = find_family_points(3, 40)
-        narrow = find_family_points(3, 12)
-        assert narrow == wide  # cached wide family satisfies narrow request
+    def test_a_wider_verification_serves_a_narrower_request(self, family):
+        assert family.points(3, 40) == family.points(3, 12)
 
-    def test_r1_any_width(self):
-        points = find_family_points(1, 255)
-        assert len(points) == 1 and points[0] != 0
-
-    def test_invalid_args(self):
+    def test_invalid_args(self, family):
         with pytest.raises(ValueError):
-            find_family_points(0, 10)
+            family.points(0, 10)
         with pytest.raises(ValueError):
-            find_family_points(2, 0)
+            family.points(2, 0)
+
+    def test_default_width(self, family):
+        assert family.default_width(3, 6) == 40
+        assert family.default_width(3, 50) == 50
 
 
-class TestVandermondeParity:
-    def test_first_row_all_ones(self):
-        parity = vandermonde_parity([1, 2, 4], 5)
-        assert parity[0].tolist() == [1, 1, 1]
-
-    def test_column_is_powers(self):
-        parity = vandermonde_parity([2], 4)
-        assert parity[:, 0].tolist() == [1, 2, 4, 8]
+def test_gf8_ceilings_and_r1():
+    with pytest.raises(FamilyWidthError):
+        FAMILY.points(5, 37)
+    # r = 1: any nonzero point is superregular; GF(2^8)'s is the generator.
+    assert FAMILY.points(1, 255) == [2]
+    assert FAMILY.default_width(5, 6) == 12
+    assert MAX_WIDTH_16[5] == 80

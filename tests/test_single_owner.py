@@ -20,7 +20,10 @@ assigned by the datanode — and by the one helper that damages it.  And
 for the read path: one function reads a datanode on behalf of a reader,
 one decodes, and "which stripe / replica block holds data chunk i" is
 ``FileMeta``'s to answer.  And for the bench: ``repro bench`` times
-nothing ``benchmarks/e2e`` already times.
+nothing ``benchmarks/e2e`` already times.  And for the field: GF(2^8)
+and GF(2^16) are two values of one type, every algorithm over a field
+is written once, and the wide code is a convertible code that names
+only its point family.
 """
 
 import ast
@@ -652,3 +655,56 @@ def test_one_recovery_routine_and_one_set_of_entry_points():
         # its own per-stripe encode/decode (``generator_encoded = False``).
         assert set(owners) <= {"codes/base.py", "codes/bandwidth.py"}, name
     assert files_matching(r"def _recovery\(") == ["codes/base.py"]
+
+
+# -- one Galois field ------------------------------------------------------------
+
+#: What is written once, against the field value, with the pattern that
+#: finds each copy: the exp/log builder's shift, the pivot search of a
+#: Gauss-Jordan elimination, the definitions of the batched determinant,
+#: the Vandermonde power matrix and the superregularity check, and the
+#: power matrix's log-space outer product.
+WRITTEN_ONCE = {
+    "exp/log table builder": r"<<=\s*1\b",
+    "Gauss-Jordan elimination": r"nonzero\(\w+\[\w+:, \w+\]\)",
+    "batched determinant": r"def (\w+_)?det\(",
+    "Vandermonde power matrix": r"def \w*vandermonde\w*\(",
+    "Vandermonde outer product": r"\[:, None\] \* [\w.]*(?i:log)\w*\[",
+    "superregularity check": r"def \w*superregular\w*\(",
+}
+
+
+def test_one_galois_field_written_once():
+    for what, pattern in WRITTEN_ONCE.items():
+        hits = [
+            (name, match.group())
+            for name, text in SOURCES.items()
+            for match in re.finditer(pattern, text)
+        ]
+        assert len(hits) == 1, (what, hits)
+    # No second field module, no field-specific copies of the scalar
+    # arithmetic, no per-field handle beside the field value, and the
+    # wide code merges through the one convert.
+    assert "gf/field16.py" not in SOURCES
+    retired = (
+        r"\bfield16\b|\bgf16_\w+\(|\bGF256\b|class Field\b|merge_parities"
+        r"|def gf_(add|div|solve|matvec|inv|pow|mul|matinv|rank|matmul_reference)\("
+    )
+    assert not files_matching(retired)
+    assert files_matching(r"= GaloisField\(") == ["gf/field.py"]
+
+
+def test_the_wide_code_names_only_its_family():
+    from repro.codes.convertible import ConvertibleCode
+    from repro.codes.wide import WideConvertibleCode
+
+    wide = class_def("codes/wide.py", "WideConvertibleCode")
+    assert not functions(wide)
+    assert [
+        target.id for node in wide.body if isinstance(node, ast.Assign)
+        for target in node.targets
+    ] == ["family"]
+    for cls in (ConvertibleCode, WideConvertibleCode):
+        init = cls.__init__.__code__
+        assert init.co_varnames[: init.co_argcount] == ("self", "k", "n", "family_width")
+        assert cls.__init__.__defaults__ == (None,)
