@@ -14,6 +14,7 @@ import pytest
 from repro.bench import experiments as E
 from repro.bench.reporting import print_table
 from repro.codes.convertible import ConvertibleCode, convert, plan_conversion
+from repro.core.schemes import CodeKind, ECScheme
 
 
 def test_fig15_simulated_latencies(once):
@@ -47,7 +48,7 @@ def merge_inputs():
         data = [rng.integers(0, 256, 256 * 1024, dtype=np.uint8) for _ in range(6)]
         alldata.extend(data)
         stripes.append(cc6.encode_stripe(data))
-    plan = plan_conversion(cc6, cc12, 2)
+    plan = plan_conversion(ECScheme(CodeKind.CC, 6, 9), 2, ECScheme(CodeKind.CC, 12, 15))
     return cc6, cc12, stripes, alldata, plan
 
 

@@ -43,8 +43,9 @@ def test_parity_computation_options(once):
 
 def test_wide_stripe_merge_17_to_34(once):
     """Functional GF(2^16) version of the paper's EC(17,20)->EC(34,37)."""
-    from repro.codes.convertible import convert
+    from repro.codes.convertible import convert, plan_conversion
     from repro.codes.wide import WideConvertibleCode
+    from repro.core.schemes import CodeKind, ECScheme
 
     def run():
         rng = np.random.default_rng(4)
@@ -55,7 +56,10 @@ def test_wide_stripe_merge_17_to_34(once):
             data = [rng.integers(0, 256, 64 * 1024, dtype=np.uint8) for _ in range(17)]
             alldata.extend(data)
             stripes.append(small.encode_stripe(data))
-        (merged,), io = convert(small, big, stripes)
+        plan = plan_conversion(
+            ECScheme(CodeKind.CC, 17, 20), 2, ECScheme(CodeKind.CC, 34, 37)
+        )
+        (merged,), io = convert(small, big, stripes, plan)
         direct = big.encode(alldata)
         assert all(np.array_equal(a, b) for a, b in zip(merged.parity_chunks, direct))
         return {"reads": io.chunks_read, "rs_reads": 34}

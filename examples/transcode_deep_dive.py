@@ -29,8 +29,13 @@ from repro.codes.base import chunks_equal
 from repro.codes.convertible import convert, plan_conversion
 from repro.codes.lrcc import convert_cc_to_lrcc
 from repro.core.advisor import SchemeAdvisor
+from repro.core.schemes import CodeKind, ECScheme
 
 rng = np.random.default_rng(7)
+
+
+def cc(k, n, anticipate_parities=None):
+    return ECScheme(CodeKind.CC, k, n, anticipate_parities=anticipate_parities)
 
 
 def stripes_of(code, count, chunk_len=64):
@@ -52,14 +57,14 @@ def main():
     # 1. Merge.
     cc6, cc12 = ConvertibleCode(6, 9), ConvertibleCode(12, 15)
     stripes, alldata = stripes_of(cc6, 2)
-    out, io = convert(cc6, cc12, stripes)
+    out, io = convert(cc6, cc12, stripes, plan_conversion(cc(6, 9), 2, cc(12, 15)))
     assert chunks_equal(out[0].chunks, cc12.encode_stripe(alldata).chunks)
     show("1. merge 2x CC(6,9) -> CC(12,15) [Fig 7]", io, 12)
 
     # 2. Split.
     cc12b, cc4 = ConvertibleCode(12, 14), ConvertibleCode(4, 6)
     stripes, alldata = stripes_of(cc12b, 1)
-    out, io = convert(cc12b, cc4, stripes)
+    out, io = convert(cc12b, cc4, stripes, plan_conversion(cc(12, 14), 1, cc(4, 6)))
     for m in range(3):
         assert chunks_equal(out[m].chunks,
                             cc4.encode_stripe(alldata[m * 4 : (m + 1) * 4]).chunks)
@@ -68,8 +73,7 @@ def main():
     # 3. General regime.
     cc15 = ConvertibleCode(15, 18)
     stripes, alldata = stripes_of(cc6, 5)
-    plan = plan_conversion(cc6, cc15, 5)
-    out, io = convert(cc6, cc15, stripes, plan)
+    out, io = convert(cc6, cc15, stripes, plan_conversion(cc(6, 9), 5, cc(15, 18)))
     for m in range(2):
         assert chunks_equal(out[m].chunks,
                             cc15.encode_stripe(alldata[m * 15 : (m + 1) * 15]).chunks)
@@ -79,14 +83,16 @@ def main():
     bwo = BandwidthOptimalCC(4, 1, 2, family_width=8)
     final = ConvertibleCode(8, 10, family_width=8)
     stripes, alldata = stripes_of(bwo, 2)
-    merged, io = bwo.convert_merge(stripes, final)
+    plan = plan_conversion(cc(4, 5, anticipate_parities=2), 2, cc(8, 10))
+    (merged,), io = bwo.convert_merge(final, stripes, plan)
     assert chunks_equal(merged.chunks, final.encode_stripe(alldata).chunks)
     show("4. BWO-CC merge CC(4,5) -> CC(8,10) [Fig 8, piggybacked]", io, 8)
 
     # 5. CC -> LRCC.
     lrcc = LocallyRecoverableConvertibleCode(24, 4, 2)
     stripes, alldata = stripes_of(cc6, 4)
-    merged, io = convert_cc_to_lrcc(cc6, lrcc, stripes)
+    plan = plan_conversion(cc(6, 9), 4, ECScheme(CodeKind.LRCC, 24, 30, 4, 2))
+    (merged,), io = convert_cc_to_lrcc(cc6, lrcc, stripes, plan)
     assert chunks_equal(merged.chunks, lrcc.encode_stripe(alldata).chunks)
     for g in range(4):
         assert np.array_equal(merged.chunks[24 + g], stripes[g].chunks[6])

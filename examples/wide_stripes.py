@@ -18,7 +18,7 @@ Run:  python examples/wide_stripes.py
 import numpy as np
 
 from repro.bench.reporting import print_table
-from repro.codes.convertible import convert
+from repro.codes.convertible import convert, plan_conversion
 from repro.codes.pointsearch import MAX_FEASIBLE_WIDTH
 from repro.codes.wide import MAX_WIDTH_16, WideConvertibleCode
 from repro.codes.lrcc import LocallyRecoverableConvertibleCode
@@ -69,7 +69,8 @@ def paper_wide_merge():
         data = [rng.integers(0, 256, 32 * 1024, dtype=np.uint8) for _ in range(17)]
         alldata.extend(data)
         stripes.append(small.encode_stripe(data))
-    (merged,), io = convert(small, big, stripes)
+    plan = plan_conversion(ECScheme(CodeKind.CC, 17, 20), 2, ECScheme(CodeKind.CC, 34, 37))
+    (merged,), io = convert(small, big, stripes, plan)
     direct = big.encode(alldata)
     assert all(np.array_equal(a, b) for a, b in zip(merged.parity_chunks, direct))
     print("\nEC(17,20) x2 -> EC(34,37) over GF(2^16): byte-identical to a "

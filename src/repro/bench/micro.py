@@ -265,13 +265,16 @@ def bench_gf256_encode_batch(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
 def bench_gf256_transcode(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     """Access-optimal CC merge: 2 x CC(6,9) -> CC(12,15)."""
     from repro.codes.convertible import ConvertibleCode, convert, plan_conversion
+    from repro.core.schemes import CodeKind, ECScheme
 
     initial = ConvertibleCode(6, 9)
     final = ConvertibleCode(12, 15)
     stripes = [
         initial.encode_stripe(_chunks(6, chunk_bytes, seed=10 + i)) for i in range(2)
     ]
-    plan = plan_conversion(initial, final, len(stripes))
+    plan = plan_conversion(
+        ECScheme(CodeKind.CC, 6, 9), len(stripes), ECScheme(CodeKind.CC, 12, 15)
+    )
     # Throughput denominator: logical data governed by the conversion.
     nbytes = final.k * chunk_bytes
     secs = _best_seconds(

@@ -11,8 +11,10 @@
 * :class:`LocallyRecoverableConvertibleCode` — LRCC: LRCs whose local and
   global parities are CC-mergeable (Morph §5.1).
 * :mod:`repro.codes.stripemerge` — StripeMerge baseline (related work).
-* :mod:`repro.codes.costmodel` — closed-form transcode IO accounting for
-  every strategy; drives the trace analyses and Figs 17/18.
+* :mod:`repro.codes.costmodel` — transcode IO accounting for every
+  strategy, native conversions priced from their plan
+  (:func:`repro.codes.convertible.plan_conversion`); drives the trace
+  analyses and Figs 17/18.
 """
 
 from repro.codes.base import (

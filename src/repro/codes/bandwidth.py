@@ -29,15 +29,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.codes.base import DecodeError, ErasureCode, Stripe
-from repro.codes.convertible import ConversionIO, ConvertibleCode
+from repro.codes.convertible import (
+    ConversionIO,
+    ConversionPath,
+    ConversionPlan,
+    ConvertibleCode,
+)
 from repro.codes.pointsearch import FAMILY
 from repro.gf.kernels import gf_scale_xor
 from repro.gf.matrix import gf_identity, gf_matmul
-
-
-#: Every merge code made so far, one per shape ``(k, r_I, r_F,
-#: family_width)``: see :meth:`BandwidthOptimalCC.for_merge`.
-_MERGE_CODES: Dict[Tuple[int, int, int, int], "BandwidthOptimalCC"] = {}
 
 
 class BandwidthOptimalCC(ErasureCode):
@@ -67,20 +67,6 @@ class BandwidthOptimalCC(ErasureCode):
         self.points = FAMILY.points(r_final, self.family_width)
         # (k, r_F) parity coefficients shared by every substripe.
         self._parity_coeffs = self.field.vandermonde(self.points, k)
-
-    @classmethod
-    def for_merge(
-        cls, k: int, r_initial: int, r_final: int, family_width: int
-    ) -> "BandwidthOptimalCC":
-        """The process's one code of this shape, as a scheme's codec is
-        (:meth:`repro.core.schemes.ECScheme.make_code`): every
-        parity-growing merge of these stripes into a ``family_width``
-        stripe finds its points and coefficients built."""
-        key = (k, r_initial, r_final, family_width)
-        code = _MERGE_CODES.get(key)
-        if code is None:
-            code = _MERGE_CODES.setdefault(key, cls(k, r_initial, r_final, family_width))
-        return code
 
     @property
     def generator(self) -> np.ndarray:
@@ -184,29 +170,25 @@ class BandwidthOptimalCC(ErasureCode):
         return out
 
     # -- conversion ----------------------------------------------------------
-    def conversion_read_chunks(self, n_stripes: int) -> float:
-        """Chunk-equivalents read to merge ``n_stripes`` stripes."""
-        frac = (self.r_final - self.r_initial) / self.r_final
-        return n_stripes * (self.r_initial + self.k * frac)
-
     def convert_merge(
-        self, stripes: Sequence[Stripe], final: ConvertibleCode
-    ) -> Tuple[Stripe, ConversionIO]:
-        """Merge stripes into one scalar CC stripe with r_F parities.
+        self,
+        final: ConvertibleCode,
+        stripes: Sequence[Stripe],
+        plan: ConversionPlan,
+    ) -> Tuple[List[Stripe], ConversionIO]:
+        """Merge stripes into one scalar CC stripe with r_F parities, as
+        the plan (:func:`repro.codes.convertible.plan_conversion`) reads.
 
         Reads all stored parities plus the last ``r_F - r_I`` substripes
         of every data chunk (a single contiguous tail range per chunk —
         hop-and-couple). The output is byte-identical to encoding the
         concatenated data with ``final`` directly.
         """
+        plan.check(ConversionPath.BANDWIDTH_OPTIMAL, self, final, stripes)
         lam = len(stripes)
         k_i, r_i, r_f = self.k, self.r_initial, self.r_final
-        if final.k != lam * k_i or final.r != r_f:
-            raise ValueError(
-                f"final code must be CC({lam * k_i},{lam * k_i + r_f})"
-            )
-        if final.points[:r_f] != self.points[:r_f]:
-            raise ValueError("final code is from a different point family")
+        if final.r != r_f or final.points[:r_f] != self.points[:r_f]:
+            raise ValueError("final code is not the one this code anticipates")
         chunk_size = stripes[0].chunk_size()
         sublen = self._substripe_len(chunk_size)
 
@@ -261,10 +243,4 @@ class BandwidthOptimalCC(ErasureCode):
         for i in range(lam):
             chunks.extend(stripes[i].chunks[:k_i])
         chunks.extend(final_parities[j] for j in range(r_f))
-        io = ConversionIO(
-            data_chunks_read=lam * k_i,
-            parity_chunks_read=lam * r_i,
-            parity_chunks_written=r_f,
-            data_read_fraction=(r_f - r_i) / r_f,
-        )
-        return Stripe(final.k, final.n, chunks), io
+        return [Stripe(final.k, final.n, chunks)], plan.io()

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gf.field import GF8, SingularMatrixError
+from repro.gf.field import GF8
 from repro.gf.kernels import (
     PACKED_TILE_LANES,
     FusedDecode,
@@ -360,32 +360,20 @@ class ErasureCode:
         Raises:
             DecodeError: if the survivors do not span the data.
         """
-        generator = self.generator
-        use = list(rows[: self.k])
-        try:
-            return self.field.matinv(generator[use, :]), use
-        except SingularMatrixError:
-            pass
-        # Not MDS (an LRC-family code), or an unlucky first k: take the
-        # survivors in order, each one that adds rank. A survivor is
-        # reduced against the ones taken before it — zeroing column p of
-        # v by b[p]*v + v[p]*b needs no division — and adds rank iff
-        # something is left.
-        mul = self.field.mul
-        use, reduced = [], []
-        for idx in rows:
-            v = generator[idx]
-            for p, b in reduced:
-                v = mul(b[p], v) ^ mul(v[p], b)
-            pivots = np.flatnonzero(v)
-            if pivots.size:
-                reduced.append((int(pivots[0]), v))
-                use.append(idx)
-            if len(use) == self.k:
-                return self.field.matinv(generator[use, :]), use
-        raise DecodeError(
-            f"chunks {list(rows)} of {self!r} do not span the data: unrecoverable"
+        # The survivors in order, each one that adds rank (for an MDS code
+        # the first k; for an LRC-family code maybe not): the pivot columns
+        # of one Gauss-Jordan over their generator rows taken as columns.
+        # Carried along, the identity becomes the inverse of those rows.
+        k = self.k
+        aug = np.concatenate(
+            [self.generator[list(rows), :].T, np.eye(k, dtype=self.field.dtype)], axis=1
         )
+        if self.field._reduce(aug, len(rows)) < k:
+            raise DecodeError(
+                f"chunks {list(rows)} of {self!r} do not span the data: unrecoverable"
+            )
+        use = [rows[int(np.flatnonzero(aug[i])[0])] for i in range(k)]
+        return np.ascontiguousarray(aug[:, len(rows):].T), use
 
     def decode_stripe(self, stripe: Stripe) -> Stripe:
         """Fill in every erased chunk of a stripe, returning a full copy."""

@@ -13,14 +13,12 @@ Strategies:
 * ``NATIVE_RS`` — DFS-native transcode with traditional codes: read all
   data, write only the new parities (data chunks stay in place because
   the DFS forms stripes over sequential chunks, §5.3).
-* ``CONVERTIBLE`` — access-optimal CC when ``r_F <= r_I``; bandwidth-
-  optimal vector CC when ``r_F > r_I``. The access-optimal arithmetic is
-  the same containment logic :func:`repro.codes.convertible.plan_conversion`
-  executes on real stripes; the two are cross-checked by tests.
+* ``CONVERTIBLE`` — a native conversion, priced from the plan the DFS
+  executes (:func:`repro.codes.convertible.plan_conversion`): access-
+  optimal CC, the bandwidth-optimal merge, CC -> LRCC and LRCC -> LRCC
+  (:func:`native_cost`). Only the bandwidth-optimal split and general
+  regimes, which have no code here, are closed-form bounds.
 * ``STRIPEMERGE`` — the related-work baseline (one supported transition).
-
-The ``lrcc_*`` helpers cover the LRC-targeted transitions (mid -> late and
-late -> later life).
 """
 
 from __future__ import annotations
@@ -28,6 +26,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING, Optional
+
+from repro.codes.convertible import ConversionPath, plan_conversion
+
+if TYPE_CHECKING:
+    from repro.core.schemes import ECScheme
 
 
 class Strategy(enum.Enum):
@@ -65,57 +69,20 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def access_optimal_read_chunks(k_i: int, r_i: int, k_f: int, r_f: int) -> float:
-    """Chunks read per lcm-span for an access-optimal CC conversion.
-
-    Mirrors :func:`repro.codes.convertible.plan_conversion` arithmetic:
-    contained initial stripes contribute parities; straddling stripes are
-    read except that one fully-contained final stripe per initial stripe
-    is derived by subtraction. Requires ``r_f <= r_i``.
-    """
-    if r_f > r_i:
-        raise ValueError("access-optimal CC cannot add parities")
-    span = _lcm(k_i, k_f)
-    n_i = span // k_i
-    reads = 0.0
-    for i in range(n_i):
-        i_lo, i_hi = i * k_i, (i + 1) * k_i
-        if i_lo // k_f == (i_hi - 1) // k_f:
-            reads += min(r_f, k_i)  # contained: parities, unless data wins
-            continue
-        contained = [
-            m
-            for m in range(i_lo // k_f, (i_hi - 1) // k_f + 1)
-            if i_lo <= m * k_f and (m + 1) * k_f <= i_hi
-        ]
-        if contained and r_f < k_f:
-            reads += r_f + (k_i - k_f)  # derive one final by subtraction
-        else:
-            reads += k_i
-    return reads
-
-
 def bandwidth_optimal_read_chunks(k_i: int, r_i: int, k_f: int, r_f: int) -> float:
-    """Chunks read per lcm-span for BWO-CC when parities increase.
-
-    Merge regime is exact (matches :class:`BandwidthOptimalCC`); split and
-    general regimes use the read-parities-plus-data-fraction bound from
-    the bandwidth-conversion literature (documented approximation).
-    """
+    """Chunks read per lcm-span by a parity-growing split or general
+    conversion: the read-parities-plus-data-fraction bound from the
+    bandwidth-conversion literature (documented approximation; the merge
+    regime is priced from its plan)."""
     if r_f <= r_i:
-        raise ValueError("use access_optimal_read_chunks when r does not grow")
+        raise ValueError("a bound for conversions that add parities")
     frac = (r_f - r_i) / r_f
-    span = _lcm(k_i, k_f)
-    n_i = span // k_i
-    if k_f % k_i == 0:
-        # Merge: per initial stripe, r_I parities + data-tail fraction.
-        return n_i * (r_i + k_i * frac)
     if k_i % k_f == 0:
         # Split: parities + fraction of all data (piggyback pre-computation).
         return r_i + k_i * frac
     # General: contained stripes behave like merge members; straddlers read.
     reads = 0.0
-    for i in range(n_i):
+    for i in range(_lcm(k_i, k_f) // k_i):
         i_lo, i_hi = i * k_i, (i + 1) * k_i
         if i_lo // k_f == (i_hi - 1) // k_f:
             reads += r_i + k_i * frac
@@ -124,22 +91,40 @@ def bandwidth_optimal_read_chunks(k_i: int, r_i: int, k_f: int, r_f: int) -> flo
     return reads
 
 
+def native_cost(source: "ECScheme", target: "ECScheme") -> Optional[TranscodeCost]:
+    """Per-data-chunk cost of the native conversion of ``source`` stripes
+    into ``target``, priced from the plan of one lcm span of them — or
+    ``None`` where no native path exists. A merge that grows no parity
+    is server-local (parity co-location, §5.3): no network."""
+    span = _lcm(source.k, target.k)
+    plan = plan_conversion(source, span // source.k, target)
+    if plan is None:
+        return None
+    io = plan.io()
+    reads = io.chunks_read
+    local = plan.path is not ConversionPath.BANDWIDTH_OPTIMAL and target.k % source.k == 0
+    network = 0.0 if local else reads
+    return TranscodeCost(reads / span, io.parity_chunks_written / span, network / span)
+
+
 def convertible_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
-    """Per-data-chunk cost of a CC transcode from (k_i, r_i) to (k_f, r_f)."""
+    """Per-data-chunk cost of a CC transcode from (k_i, r_i) to (k_f, r_f),
+    stripes coded anticipating a parity growth: :func:`native_cost`, else
+    the bound of a parity-growing split or general conversion."""
+    from repro.core.schemes import CodeKind, ECScheme
+
+    grows = r_f > r_i
+    cost = native_cost(
+        ECScheme(CodeKind.CC, k_i, k_i + r_i, anticipate_parities=r_f if grows else None),
+        ECScheme(CodeKind.CC, k_f, k_f + r_f),
+    )
+    if cost is not None:
+        return cost
+    if not grows:
+        raise ValueError(f"CC with {r_i} and {r_f} parities share no point family")
     span = _lcm(k_i, k_f)
-    if r_f <= r_i:
-        reads = access_optimal_read_chunks(k_i, r_i, k_f, r_f)
-    else:
-        reads = bandwidth_optimal_read_chunks(k_i, r_i, k_f, r_f)
-    writes = (span // k_f) * r_f
-    # Parity co-location (§5.3) makes same-r merges server-local: the only
-    # network transfers are reads that cross to the computing server. With
-    # placement planned, parity merges move no data; data reads do.
-    if r_f <= r_i and k_f % k_i == 0:
-        network = 0.0
-    else:
-        network = reads
-    return TranscodeCost(reads / span, writes / span, network / span)
+    reads = bandwidth_optimal_read_chunks(k_i, r_i, k_f, r_f)
+    return TranscodeCost(reads / span, (span // k_f) * r_f / span, reads / span)
 
 
 def rrw_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
@@ -168,38 +153,6 @@ def stripemerge_cost(
     read = model.read_chunks(k_i, r_i, k_f, r_f) / k_f
     write = model.write_chunks(k_i, r_i, k_f, r_f) / k_f
     return TranscodeCost(read, write, read + write)
-
-
-def lrcc_from_cc_cost(k_i: int, r_i: int, big_k: int, l: int, r_global: int) -> TranscodeCost:
-    """CC(k_i, k_i + r_i) -> LRCC(big_k, l, r_global), parities only.
-
-    Requires groups to be integral numbers of initial stripes and
-    ``r_global <= r_i - 1``.
-    """
-    if big_k % k_i != 0:
-        raise ValueError("LRCC width must be a multiple of the initial width")
-    if (big_k // l) % k_i != 0:
-        raise ValueError("LRCC groups must be integral numbers of initial stripes")
-    if r_global > r_i - 1:
-        raise ValueError("LRCC needs r_global <= r_I - 1")
-    lam = big_k // k_i
-    reads = lam * (r_global + 1)
-    writes = l + r_global
-    return TranscodeCost(reads / big_k, writes / big_k, 0.0)
-
-
-def lrcc_merge_cost(
-    k_i: int, l_i: int, rg_i: int, k_f: int, l_f: int, rg_f: int
-) -> TranscodeCost:
-    """LRCC(k_i, l_i, rg_i) -> LRCC(k_f, l_f, rg_f) merge, parities only."""
-    if k_f % k_i != 0:
-        raise ValueError("LRCC merge needs integral width ratio")
-    if rg_f > rg_i:
-        raise ValueError("LRCC merge cannot add global parities")
-    lam = k_f // k_i
-    reads = lam * (l_i + rg_f)
-    writes = l_f + rg_f
-    return TranscodeCost(reads / k_f, writes / k_f, 0.0)
 
 
 def lrc_rrw_cost(k_i: int, k_f: int, l_f: int, rg_f: int) -> TranscodeCost:

@@ -23,12 +23,17 @@ Consequences the paper relies on:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.codes.base import DecodeError, ErasureCode, LocalGroupCode, Stripe
-from repro.codes.convertible import ConversionIO, ConvertibleCode
+from repro.codes.convertible import (
+    ConversionIO,
+    ConversionPath,
+    ConversionPlan,
+    ConvertibleCode,
+)
 from repro.codes.pointsearch import FAMILY
 from repro.gf.kernels import gf_scale_xor
 
@@ -64,43 +69,22 @@ class LocallyRecoverableConvertibleCode(LocalGroupCode):
         return f"LRCC({self.k},{self.l},{self.r_global})"
 
 
-def merge_sources(
-    initial: ErasureCode, final: LocallyRecoverableConvertibleCode, n_stripes: int
-) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """The one table of an LRCC merge: ``(initial stripe, parity) ->
-    (0, final parity)`` it is merged into — every parity the merge reads,
-    and nothing else. A final local parity merges the first parities (a
-    CC source: "the first parity of each initial stripe remains unchanged
-    and is used as the corresponding local parity") or the local
-    parities (an LRCC source) of the groups it covers; final global ``j``
-    merges every stripe's parity ``j + 1`` (CC) or global ``j`` (LRCC)."""
-    span = initial.group_size if isinstance(initial, LocalGroupCode) else initial.k
-    locals_per_stripe = initial.k // span
-    table: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for i in range(n_stripes):
-        for g in range(locals_per_stripe):
-            table[(i, g)] = (0, (i * initial.k + g * span) // final.group_size)
-        for j in range(final.r_global):
-            table[(i, locals_per_stripe + j)] = (0, final.l + j)
-    return table
-
-
 def _merge(
+    path: ConversionPath,
     initial: ErasureCode,
     final: LocallyRecoverableConvertibleCode,
     stripes: Sequence[Stripe],
-) -> Tuple[Stripe, ConversionIO]:
-    """Combine what :func:`merge_sources` names. A source's coefficient
-    shifts it by the offset of the data it covers: within its final
-    group for a local (point 0), within the stripe for global ``j``
-    (point ``j + 1``)."""
-    lam, k_i = len(stripes), initial.k
-    if initial.points[: final.r_global + 1] != final.points[: final.r_global + 1]:
-        raise ValueError("codes are from different CC families")
-    table = merge_sources(initial, final, lam)
+    plan: ConversionPlan,
+) -> Tuple[List[Stripe], ConversionIO]:
+    """Combine the parities the plan reads (``parity_reads``: ``(stripe,
+    j) -> (0, final parity)``). A source's coefficient shifts it by the
+    offset of the data it covers: within its final group for a local
+    (point 0), within the stripe for global ``j`` (point ``j + 1``)."""
+    plan.check(path, initial, final, stripes)
+    k_i = initial.k
     span = initial.group_size if isinstance(initial, LocalGroupCode) else k_i
     out = np.zeros((final.n - final.k, stripes[0].chunk_size()), dtype=np.uint8)
-    for (i, j), (_final, p) in table.items():
+    for (i, j), (_final, p) in plan.parity_reads.items():
         chunk = stripes[i].chunks[k_i + j]
         if chunk is None:
             raise DecodeError(f"conversion requires erased parity ({i},{j})")
@@ -110,58 +94,32 @@ def _merge(
             point, offset = final.points[p - final.l + 1], i * k_i
         gf_scale_xor(out[p], final.field.pow(point, offset), chunk)
     chunks: List[np.ndarray] = []
-    for i in range(lam):
-        chunks.extend(stripes[i].chunks[:k_i])
+    for stripe in stripes:
+        chunks.extend(stripe.chunks[:k_i])
     chunks.extend(out)
-    io = ConversionIO(
-        data_chunks_read=0,
-        parity_chunks_read=len(table),
-        parity_chunks_written=final.l + final.r_global,
-    )
-    return Stripe(final.k, final.n, chunks), io
+    return [Stripe(final.k, final.n, chunks)], plan.io()
 
 
 def convert_cc_to_lrcc(
     initial: ConvertibleCode,
     final: LocallyRecoverableConvertibleCode,
     stripes: Sequence[Stripe],
-) -> Tuple[Stripe, ConversionIO]:
-    """Merge CC stripes into one LRCC stripe, reading parities only.
-
-    Requires: ``final.k == len(stripes) * initial.k``, each LRCC group an
-    integral number of initial stripes, ``final.r_global <= initial.r - 1``,
-    and both codes drawn from the same point family.
-    """
-    k_i = initial.k
-    if final.k != len(stripes) * k_i:
-        raise ValueError(f"need {final.k // k_i} stripes, got {len(stripes)}")
-    if final.group_size % k_i != 0:
-        raise ValueError(
-            f"LRCC group size {final.group_size} is not a multiple of k_I={k_i}"
-        )
-    if final.r_global > initial.r - 1:
-        raise ValueError(
-            "LRCC needs r_global <= r_I - 1 (one initial parity becomes local)"
-        )
-    return _merge(initial, final, stripes)
+    plan: ConversionPlan,
+) -> Tuple[List[Stripe], ConversionIO]:
+    """Merge CC stripes into one LRCC stripe, reading parities only: the
+    first parity of each stripe feeds the local of its group, parities
+    ``1..`` the globals. Where the merge is possible is the plan's
+    (:func:`repro.codes.convertible.plan_conversion`)."""
+    return _merge(ConversionPath.CC_TO_LRCC, initial, final, stripes, plan)
 
 
 def convert_lrcc_to_lrcc(
     initial: LocallyRecoverableConvertibleCode,
     final: LocallyRecoverableConvertibleCode,
     stripes: Sequence[Stripe],
-) -> Tuple[Stripe, ConversionIO]:
-    """Merge LRCC stripes into a wider LRCC stripe (cool -> frigid).
-
-    Local parities of the final groups are point-0 merges of constituent
-    initial local parities; global parities are point-(j+1) merges of the
-    initial globals. Requires final groups to be integral numbers of
-    initial groups and ``final.r_global <= initial.r_global``.
-    """
-    if final.k != len(stripes) * initial.k:
-        raise ValueError(f"need {final.k // initial.k} stripes, got {len(stripes)}")
-    if final.group_size % initial.group_size != 0:
-        raise ValueError("final groups must be integral numbers of initial groups")
-    if final.r_global > initial.r_global:
-        raise ValueError("LRCC merge cannot add global parities")
-    return _merge(initial, final, stripes)
+    plan: ConversionPlan,
+) -> Tuple[List[Stripe], ConversionIO]:
+    """Merge LRCC stripes into a wider LRCC stripe (cool -> frigid):
+    final locals are point-0 merges of the initial locals they cover,
+    globals point-(j+1) merges of the initial globals."""
+    return _merge(ConversionPath.LRCC_MERGE, initial, final, stripes, plan)

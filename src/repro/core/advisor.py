@@ -20,7 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.codes.costmodel import convertible_cost
+from repro.codes.costmodel import TranscodeCost, convertible_cost, rrw_cost
+
+
+def _transition_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
+    """What moving (k_i, r_i) stripes into (k_f, r_f) costs: the CC
+    conversion, or — where none exists, as between parity counts whose
+    point families do not nest (r = 1 stands apart) — the RRW the
+    planner falls back to."""
+    try:
+        return convertible_cost(k_i, r_i, k_f, r_f)
+    except ValueError:
+        return rrw_cost(k_i, r_i, k_f, r_f)
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,7 @@ class SchemeAdvisor:
                 if (k, r) in seen:
                     continue
                 seen.add((k, r))
-                cost = convertible_cost(k_initial, r_initial, k, r)
+                cost = _transition_cost(k_initial, r_initial, k, r)
                 out.append(
                     Suggestion(
                         k=k,
@@ -112,7 +123,7 @@ class SchemeAdvisor:
         best = self.suggest(k_initial, r_initial, k_final, r_final)
         if best.is_requested:
             return None
-        requested = convertible_cost(k_initial, r_initial, k_final, r_final)
+        requested = _transition_cost(k_initial, r_initial, k_final, r_final)
         if requested.disk_io == 0:
             return None
         return 1.0 - best.transcode_io / requested.disk_io

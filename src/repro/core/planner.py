@@ -6,8 +6,9 @@ the arithmetic). Given (from_scheme, to_scheme) it decides:
 
 * **free** — hybrid -> its own embedded EC scheme: delete replicas,
   flip metadata (§4.5);
-* **convertible** — CC/LRCC transitions within a point family: merge /
-  split / general-regime conversion (§5);
+* **convertible** — a native conversion exists
+  (:func:`repro.codes.convertible.plan_conversion`): CC/LRCC merge /
+  split / general regime (§5), priced from its plan;
 * **rrw** — anything else (the baseline read-re-encode-write).
 """
 
@@ -17,14 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.codes.costmodel import (
-    TranscodeCost,
-    convertible_cost,
-    lrcc_from_cc_cost,
-    lrcc_merge_cost,
-    lrc_rrw_cost,
-    rrw_cost,
-)
+from repro.codes.costmodel import TranscodeCost, lrc_rrw_cost, native_cost, rrw_cost
 from repro.core.schemes import (
     CodeKind,
     ECScheme,
@@ -81,42 +75,12 @@ class TranscodePlanner:
             return TranscodeStep(source, target, TranscodeKind.RRW, cost)
         if src_ec is None or tgt_ec is None:
             raise ValueError(f"cannot plan {source} -> {target}")
-        if self._convertible_pair(src_ec, tgt_ec):
-            cost = self._cc_cost(src_ec, tgt_ec)
-            if cost is not None:
-                if isinstance(source, HybridScheme):
-                    # The replicas are deleted as part of the transition;
-                    # conversion cost applies to the EC part only.
-                    pass
-                return TranscodeStep(source, target, TranscodeKind.CONVERTIBLE, cost)
+        cost = native_cost(src_ec, tgt_ec)
+        if cost is not None:
+            return TranscodeStep(source, target, TranscodeKind.CONVERTIBLE, cost)
         return TranscodeStep(source, target, TranscodeKind.RRW, self._rrw(source, target))
 
     # -- helpers -----------------------------------------------------------
-    def _convertible_pair(self, src: ECScheme, tgt: ECScheme) -> bool:
-        return src.kind.convertible and tgt.kind.convertible
-
-    def _cc_cost(self, src: ECScheme, tgt: ECScheme) -> Optional[TranscodeCost]:
-        """Cost of a CC-based conversion, or None if unsupported."""
-        try:
-            if src.kind is CodeKind.CC and tgt.kind is CodeKind.CC:
-                if tgt.r > src.r and src.anticipate_parities != tgt.r:
-                    # Adding parities without the piggybacked pre-compute
-                    # (vector codes) means reading all data anyway.
-                    return None
-                return convertible_cost(src.k, src.r, tgt.k, tgt.r)
-            if src.kind is CodeKind.CC and tgt.kind is CodeKind.LRCC:
-                return lrcc_from_cc_cost(
-                    src.k, src.r, tgt.k, tgt.local_groups, tgt.r_global
-                )
-            if src.kind is CodeKind.LRCC and tgt.kind is CodeKind.LRCC:
-                return lrcc_merge_cost(
-                    src.k, src.local_groups, src.r_global,
-                    tgt.k, tgt.local_groups, tgt.r_global,
-                )
-        except ValueError:
-            return None
-        return None
-
     def _rrw(self, source: RedundancyScheme, target: RedundancyScheme) -> TranscodeCost:
         tgt_ec = _ec_of(target)
         if isinstance(target, Replication):

@@ -162,6 +162,15 @@ class ECScheme(RedundancyScheme):
     def ec_part(self) -> "ECScheme":
         return self
 
+    def at_width(self, k: int) -> "ECScheme":
+        """The scheme a width-``k`` stripe of this scheme is coded with:
+        this one at full width; a short tail stripe its own width with
+        the same parity count, a CC family member (else RS)."""
+        if k == self.k:
+            return self
+        kind = CodeKind.CC if self.kind is CodeKind.CC else CodeKind.RS
+        return ECScheme(kind, k, k + self.r)
+
     def make_code(self):
         """The process's one codec implementing this scheme (a CC-family
         code in its parity count's default family: see

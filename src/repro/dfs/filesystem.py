@@ -19,6 +19,7 @@ import math
 import sys
 import zlib
 from dataclasses import replace
+from itertools import groupby
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.cluster.placement import (
 )
 from repro.cluster.topology import Cluster
 from repro.codes.base import DecodeError, LocalGroupCode
+from repro.codes.convertible import plan_conversion
 from repro.core.planner import TranscodeKind, TranscodePlanner
 from repro.core.schemes import (
     CodeKind,
@@ -130,21 +132,12 @@ class _BaseDFS:
         them."""
         return ec.make_code()
 
-    def cc_codec(self, k: int, n: int):
-        return self.codec_for(ECScheme(CodeKind.CC, k, n))
-
     def codec_for_stripe(self, meta: FileMeta, stripe: ECStripeMeta):
         """Codec matching a stripe's actual (possibly tail-short) width."""
         ec = meta.scheme.ec_part
         if ec is None:
             raise ValueError(f"{meta.name} has no EC component")
-        if ec.kind in (CodeKind.LRC, CodeKind.LRCC) and stripe.k == ec.k:
-            return self.codec_for(ec)
-        if stripe.k == ec.k and stripe.n == ec.n:
-            return self.codec_for(ec)
-        # Tail stripe with its own width; same family, same parity count.
-        kind = CodeKind.CC if ec.kind is CodeKind.CC else CodeKind.RS
-        return self.codec_for(ECScheme(kind, stripe.k, stripe.n))
+        return self.codec_for(ec.at_width(stripe.k))
 
     def rank_rule(self, meta: FileMeta, group: HybridBlockMeta) -> Callable[[Set[int]], bool]:
         """Do the rows of a set of slots span the data of ``meta``'s
@@ -885,22 +878,15 @@ class MorphFS(AppendSupport, _BaseDFS):
     def transcode(self, name: str, target: RedundancyScheme) -> FileMeta:
         """Native transcode (§6.2): plan, enqueue, execute, atomic switch."""
         with self.obs.span("transcode_request", file=name):
-            return self._transcode_impl(name, target)
-
-    def _transcode_impl(self, name: str, target: RedundancyScheme) -> FileMeta:
-        meta = self.namenode.lookup(name)
-        step = self.planner.plan(meta.scheme, target)
-        if step.kind is TranscodeKind.FREE:
-            return self._free_transition(meta, target)
-        if step.kind is TranscodeKind.CONVERTIBLE:
-            if isinstance(meta.scheme, HybridScheme):
-                # Drop replicas first (free), then convert the EC part.
-                self._free_transition(meta, meta.scheme.ec)
-            self.namenode.enqueue_transcode(name, target, self._build_groups(meta, target))
-            self.transcoder.run_pending(name)
-            return self.namenode.lookup(name)
-        # RRW fallback (e.g. into plain RS/LRC targets).
-        return RRWTranscoder(self).transcode(name, target)
+            meta = self.namenode.lookup(name)
+            kind = self._open_transcode(meta, target)
+            if kind is TranscodeKind.FREE:
+                return self._free_transition(meta, target)
+            if kind is TranscodeKind.CONVERTIBLE:
+                self.transcoder.run_pending(name)
+                return self.namenode.lookup(name)
+            # RRW fallback (e.g. into plain RS/LRC targets).
+            return RRWTranscoder(self).transcode(name, target)
 
     def schedule_transcode(
         self,
@@ -921,8 +907,8 @@ class MorphFS(AppendSupport, _BaseDFS):
         from repro.sched.tasks import FreeTransitionTask
 
         meta = self.namenode.lookup(name)
-        step = self.planner.plan(meta.scheme, target)
-        if step.kind is TranscodeKind.FREE:
+        kind = self._open_transcode(meta, target, deadline)
+        if kind is TranscodeKind.FREE:
             ec = target.ec_part
             sealed = ec is None or all(len(s.parities) >= ec.r for s in meta.stripes)
             self.scheduler.submit(
@@ -930,17 +916,25 @@ class MorphFS(AppendSupport, _BaseDFS):
                     name, target, metadata_only=sealed, deadline=deadline
                 )
             )
-            return meta
-        if step.kind is TranscodeKind.CONVERTIBLE:
+        elif kind is TranscodeKind.RRW:
+            # RRW has no incremental work units; run it inline.
+            return RRWTranscoder(self).transcode(name, target)
+        return meta
+
+    def _open_transcode(
+        self, meta: FileMeta, target: RedundancyScheme, deadline: Optional[float] = None
+    ) -> TranscodeKind:
+        """The planner's kind of ``meta`` -> ``target``. A convertible
+        transcode is opened here, inline or scheduled alike: its groups
+        planned (:meth:`_build_groups`), a hybrid source's replicas
+        dropped (free), then its UTM job enqueued."""
+        kind = self.planner.plan(meta.scheme, target).kind
+        if kind is TranscodeKind.CONVERTIBLE:
+            groups = self._build_groups(meta, target)
             if isinstance(meta.scheme, HybridScheme):
-                # Replica drop first (free); the EC part converts queued.
                 self._free_transition(meta, meta.scheme.ec)
-            self.namenode.enqueue_transcode(
-                name, target, self._build_groups(meta, target), deadline=deadline
-            )
-            return meta
-        # RRW fallback has no incremental work units; run it inline.
-        return RRWTranscoder(self).transcode(name, target)
+            self.namenode.enqueue_transcode(meta.name, target, groups, deadline=deadline)
+        return kind
 
     def _free_transition(self, meta: FileMeta, target: RedundancyScheme) -> FileMeta:
         """Hybrid -> EC: delete replicas, flip metadata. Zero IO (§4.5).
@@ -988,7 +982,7 @@ class MorphFS(AppendSupport, _BaseDFS):
         stripe, once sealed, is read and repaired with.
         """
         ec = meta.scheme.ec
-        code = self.codec_for_stripe(meta, replace(stripe, n=stripe.k + ec.r))
+        code = self.codec_for_stripe(meta, stripe)
         # The first data home the namenode can command, else any node.
         striper = home_for(
             self.datanodes, self.commandable, (), prefer=[c.node_id for c in stripe.data]
@@ -1024,51 +1018,30 @@ class MorphFS(AppendSupport, _BaseDFS):
     def _build_groups(
         self, meta: FileMeta, target: RedundancyScheme
     ) -> List[ConversionGroup]:
-        from math import gcd
-
-        ec = target.ec_part
-        if ec is None:
-            raise TranscodeError(f"cannot transcode into {target}")
-        n_stripes = len(meta.stripes)
+        """One conversion group per lcm span of each run of equal-width
+        stripes — appended or short tail stripes form their own runs and
+        convert at their own width — each with a native plan
+        (:func:`plan_conversion`), or a ``TranscodeError``."""
+        ec, source = target.ec_part, meta.scheme.ec_part
         groups: List[ConversionGroup] = []
-        index = 0
-        # Conversion groups must be width-homogeneous: appended/short tail
-        # stripes form their own runs and convert at their own width.
-        run_start = 0
-        while run_start < n_stripes:
-            k_run = meta.stripes[run_start].k
-            run_end = run_start
-            while run_end < n_stripes and meta.stripes[run_end].k == k_run:
-                run_end += 1
-            run_len = run_end - run_start
-            if ec.kind is CodeKind.LRCC:
-                lam = ec.k // k_run if ec.k % k_run == 0 else 0
-                if not lam or run_len % lam:
+        for k_run, run in groupby(range(len(meta.stripes)), lambda i: meta.stripes[i].k):
+            run = list(run)
+            size = ec.k // math.gcd(k_run, ec.k)  # stripes in an lcm span
+            for start in range(0, len(run), size):
+                members = run[start : start + size]
+                plan = plan_conversion(source.at_width(k_run), len(members), ec)
+                if plan is None:
                     raise TranscodeError(
-                        f"LRCC({ec.k}) needs runs of stripes divisible by "
-                        f"width {k_run}"
+                        f"{meta.name}: no native conversion of {len(members)} "
+                        f"width-{k_run} stripes of {source} into {ec}"
                     )
-                group_size = lam
-            else:
-                span = k_run * ec.k // gcd(k_run, ec.k)
-                group_size = span // k_run
-            for start in range(run_start, run_end, group_size):
-                members = list(range(start, min(start + group_size, run_end)))
-                total = sum(meta.stripes[i].k for i in members)
-                if ec.kind is CodeKind.LRCC or total % ec.k != 0:
-                    n_finals = 1  # short tail merges into one narrower stripe
-                else:
-                    n_finals = total // ec.k
                 groups.append(
                     ConversionGroup(
                         file_name=meta.name,
-                        group_index=index,
+                        group_index=len(groups),
                         initial_stripe_indices=members,
-                        n_final_stripes=n_finals,
+                        n_final_stripes=plan.n_final_stripes,
                         target_scheme=target,
                     )
                 )
-                index += 1
-            run_start = run_end
         return groups
-

@@ -25,10 +25,15 @@ import numpy as np
 
 from repro.cluster.partition import NAMENODE
 from repro.cluster.placement import home_for
+from repro.codes.bandwidth import BandwidthOptimalCC
 from repro.codes.base import Stripe
-from repro.codes.convertible import plan_conversion, convert
-from repro.codes.lrcc import convert_cc_to_lrcc, convert_lrcc_to_lrcc, merge_sources
-from repro.core.schemes import CodeKind, ECScheme
+from repro.codes.convertible import (
+    ConversionPath,
+    ConversionPlan,
+    convert,
+    plan_conversion,
+)
+from repro.codes.lrcc import convert_cc_to_lrcc, convert_lrcc_to_lrcc
 from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta
 from repro.dfs.client import ReadError
 from repro.dfs.namenode import ConversionGroup
@@ -112,45 +117,58 @@ class NativeTranscoder:
             self._execute_group_impl(group)
 
     def _execute_group_impl(self, group: ConversionGroup) -> None:
-        meta = self.fs.namenode.lookup(group.file_name)
-        target = group.target_scheme
-        ec = target.ec_part
-        if not isinstance(ec, ECScheme):
-            raise TranscodeError(f"cannot natively transcode into {target}")
-        if ec.kind is CodeKind.CC:
-            self._execute_cc_group(meta, group, ec)
-        elif ec.kind is CodeKind.LRCC:
-            self._execute_lrcc_group(meta, group, ec)
-        else:
-            raise TranscodeError(f"native transcode needs a convertible code, got {ec}")
+        """The one executor: the group's plan, the homes of its final
+        parities, the planned reads, the conversion, one commit per
+        final stripe."""
+        fs = self.fs
+        meta = fs.namenode.lookup(group.file_name)
+        stripe_metas = [meta.stripes[i] for i in group.initial_stripe_indices]
+        target = group.target_scheme.ec_part
+        plan = plan_conversion(
+            meta.scheme.ec_part.at_width(stripe_metas[0].k), len(stripe_metas), target
+        )
+        if plan is None:
+            raise TranscodeError(f"{meta.name}: no native conversion into {target}")
+        homes = self._homes(meta, stripe_metas, plan)
+        stripes = self._load_stripes(meta, stripe_metas, plan, homes)
+        conversion = {
+            ConversionPath.ACCESS_OPTIMAL: convert,
+            ConversionPath.BANDWIDTH_OPTIMAL: BandwidthOptimalCC.convert_merge,
+            ConversionPath.CC_TO_LRCC: convert_cc_to_lrcc,
+            ConversionPath.LRCC_MERGE: convert_lrcc_to_lrcc,
+        }[plan.path]
+        finals, _io = conversion(
+            fs.codec_for(plan.initial), fs.codec_for(plan.final), stripes, plan
+        )
+        for m, final_stripe in enumerate(finals):
+            self._commit_final_stripe(meta, group, m, stripe_metas, final_stripe, homes[m], plan)
 
     def _load_stripes(
         self,
         meta: FileMeta,
         stripe_metas: List[ECStripeMeta],
-        data_reads: Iterable[int],
-        parity_reads: Dict[Tuple[int, int], Tuple[int, int]],
+        plan: ConversionPlan,
         homes: List[List[str]],
-        start: int = 0,
     ) -> List[Stripe]:
         """Fetch exactly the planned chunks into Stripe objects: an old
         parity to the node computing the final parity it feeds
-        (``parity_reads``: ``(stripe, j) -> (final stripe, parity)``,
-        ``homes[final stripe][parity]``), a data chunk — from byte
-        ``start``, zero-padded in front — to every computing node, so
+        (``plan.parity_reads``: ``(stripe, j) -> (final stripe, parity)``,
+        ``homes[final stripe][parity]``), a data chunk — from the plan's
+        first byte, zero-padded in front — to every computing node, so
         every remote read is charged as network."""
         k_i = stripe_metas[0].k
+        start = plan.read_from(meta.chunk_size)
         stripes = [
             Stripe(sm.k, sm.n, [None] * sm.n) for sm in stripe_metas
         ]
         everyone = list(dict.fromkeys(node for row in homes for node in row))
-        for t in sorted(data_reads):
+        for t in sorted(plan.data_reads):
             stripe_i, local = divmod(t, k_i)
             chunk = self._source(meta, stripe_metas[stripe_i], local, everyone, start)
             if start:
                 chunk = np.concatenate([np.zeros(start, dtype=np.uint8), chunk])
             stripes[stripe_i].chunks[local] = chunk
-        for (i, j), (m, p) in sorted(parity_reads.items()):
+        for (i, j), (m, p) in sorted(plan.parity_reads.items()):
             sm = stripe_metas[i]
             stripes[i].chunks[sm.k + j] = self._source(meta, sm, sm.k + j, [homes[m][p]])
         return stripes
@@ -190,27 +208,22 @@ class NativeTranscoder:
         return data
 
     def _homes(
-        self,
-        meta: FileMeta,
-        stripe_metas: List[ECStripeMeta],
-        parity_reads: Dict[Tuple[int, int], Tuple[int, int]],
-        n_finals: int,
-        r_f: int,
+        self, meta: FileMeta, stripe_metas: List[ECStripeMeta], plan: ConversionPlan
     ) -> List[List[str]]:
         """Where each final parity is computed — ``homes[final stripe][j]``
         — fixed before the reads: where the old parities it merges sit
-        (``parity_reads``), else — none merges into it — the slot its
+        (``plan.parity_reads``), else — none merges into it — the slot its
         k*-window reserves (the file's policy, built when first needed),
         unless that node is unreachable or already holds a chunk of the
         final stripe; then a fresh node (:func:`home_for`)."""
         fs = self.fs
         held = [c.node_id for c in meta.all_chunks()]
         k_i = stripe_metas[0].k
-        k_f = sum(sm.k for sm in stripe_metas) // n_finals
+        k_f, n_finals = plan.final.k, plan.n_final_stripes
         start = meta.first_data_index(stripe_metas[0])
         placement = None
         sources: Dict[Tuple[int, int], List[str]] = {}
-        for (i, j), final in parity_reads.items():
+        for (i, j), final in plan.parity_reads.items():
             sources.setdefault(final, []).append(stripe_metas[i].parities[j].node_id)
         homes: List[List[str]] = []
         for m in range(n_finals):
@@ -219,7 +232,7 @@ class NativeTranscoder:
                 for t in range(m * k_f, (m + 1) * k_f)
             }
             row: List[str] = []
-            for j in range(r_f):
+            for j in range(plan.final.r):
                 prefer = sources.get((m, j))
                 if prefer is None:
                     placement = placement or fs._placement_for(
@@ -231,86 +244,6 @@ class NativeTranscoder:
             homes.append(row)
         return homes
 
-    def _execute_cc_group(self, meta: FileMeta, group: ConversionGroup, ec: ECScheme) -> None:
-        stripe_metas = [meta.stripes[i] for i in group.initial_stripe_indices]
-        k_i = stripe_metas[0].k
-        r_i = stripe_metas[0].n - k_i
-        total_data = sum(sm.k for sm in stripe_metas)
-        if any(sm.k != k_i for sm in stripe_metas[:-1]):
-            raise TranscodeError("conversion group has inconsistent widths")
-        if ec.r > r_i:
-            # Parity growth: needs the bandwidth-optimal vector-code path
-            # (only valid when the stripes were encoded anticipating it).
-            self._execute_bwo_group(meta, group, ec, stripe_metas)
-            return
-        # Short tail groups merge into one stripe of their own total width.
-        k_f = ec.k if total_data % ec.k == 0 else total_data
-        r_f = ec.r
-        initial = self.fs.cc_codec(k_i, k_i + r_i)
-        final = self.fs.cc_codec(k_f, k_f + r_f)
-        plan = plan_conversion(initial, final, len(stripe_metas))
-        homes = self._homes(meta, stripe_metas, plan.parity_reads, plan.n_final_stripes, r_f)
-        stripes = self._load_stripes(
-            meta, stripe_metas, plan.data_reads, plan.parity_reads, homes
-        )
-        finals, _io = convert(initial, final, stripes, plan)
-        # Each parity node combines one old parity per stripe plus the
-        # data chunks the plan reads.
-        width = len(stripe_metas) + len(plan.data_reads)
-        for m, final_stripe in enumerate(finals):
-            self._commit_final_stripe(
-                meta, group, m, stripe_metas, final_stripe, homes[m], ec, width
-            )
-
-    def _execute_bwo_group(
-        self,
-        meta: FileMeta,
-        group: ConversionGroup,
-        ec: ECScheme,
-        stripe_metas: List[ECStripeMeta],
-    ) -> None:
-        """Merge BWO-encoded stripes into a wider stripe with more parities.
-
-        Reads every old parity in full — to the node computing the final
-        parity of its index — plus only the **tail fraction** ``(r_F -
-        r_I) / r_F`` of each data chunk (hop-and-couple: one contiguous
-        range per chunk, metered as a partial read). A parity with no old
-        one of its index is computed on the slot the file's k*-window
-        reserves for it, where there is one.
-        """
-        from repro.codes.bandwidth import BandwidthOptimalCC
-
-        source = meta.scheme.ec_part
-        if (
-            not isinstance(source, ECScheme)
-            or source.anticipate_parities != ec.r
-        ):
-            raise TranscodeError(
-                "parity growth requires stripes encoded with "
-                f"anticipate_parities={ec.r}"
-            )
-        k_i = stripe_metas[0].k
-        r_i = stripe_metas[0].n - k_i
-        r_f = ec.r
-        lam = len(stripe_metas)
-        if ec.k != lam * k_i:
-            raise TranscodeError("BWO conversion supports the merge regime only")
-        bwo = BandwidthOptimalCC.for_merge(k_i, r_i, r_f, family_width=ec.k)
-        final = self.fs.cc_codec(ec.k, ec.n)
-        reads = {(i, j): (0, j) for i in range(lam) for j in range(r_i)}
-        homes = self._homes(meta, stripe_metas, reads, 1, r_f)
-        # Sources are read where readable and decoded from the stripe's
-        # survivors where not (a dead or cut-off home), like every other
-        # conversion's.
-        tail_start = r_i * (meta.chunk_size // r_f)
-        stripes = self._load_stripes(
-            meta, stripe_metas, range(lam * k_i), reads, homes, tail_start
-        )
-        merged, _io = bwo.convert_merge(stripes, final)
-        self._commit_final_stripe(
-            meta, group, 0, stripe_metas, merged, homes[0], ec, lam * r_i + ec.k
-        )
-
     def _commit_final_stripe(
         self,
         meta: FileMeta,
@@ -319,14 +252,13 @@ class NativeTranscoder:
         stripe_metas: List[ECStripeMeta],
         final_stripe: Stripe,
         homes: List[str],
-        ec: ECScheme,
-        width: int,
+        plan: ConversionPlan,
     ) -> None:
         """Final stripe ``m`` of a group is computed: store it, stage it
         — unless the job has staged it already (the group ran before a
         restart). Data chunks keep their homes (and their metadata);
-        parity ``j`` is written on ``homes[j]``, which combined ``width``
-        chunks to compute it."""
+        parity ``j`` is written on ``homes[j]``, which combined the
+        plan's ``width`` chunks to compute it."""
         fs = self.fs
         if (group.group_index, m) in fs.namenode.utm[meta.name].new_stripes:
             return
@@ -348,7 +280,7 @@ class NativeTranscoder:
         self._relocate_collisions(meta, data, set(homes))
         # The new parities (local when co-located), CPU charged in
         # proportion to the combination width on each parity node.
-        kinds = fs._parity_kinds(ec)
+        kinds = fs._parity_kinds(plan.final)
         parities = []
         for j, chunk_id in enumerate(parity_ids):
             parities.append(
@@ -356,7 +288,7 @@ class NativeTranscoder:
                     homes[j], chunk_id, final_stripe.chunks[final_stripe.k + j], kinds[j]
                 )
             )
-            fs.charge_encode(homes[j], width, 1, meta.chunk_size)
+            fs.charge_encode(homes[j], plan.width, 1, meta.chunk_size)
         fs.namenode.record_new_stripe(
             meta.name,
             group.group_index,
@@ -398,27 +330,6 @@ class NativeTranscoder:
             )
             source.delete(old_id, at=fs.clock)
             seen.add(fresh)
-
-    def _execute_lrcc_group(self, meta: FileMeta, group: ConversionGroup, ec: ECScheme) -> None:
-        """Merge stripes into one LRCC stripe, reading the parities
-        :func:`merge_sources` names: the first parity (CC) or the locals
-        (LRCC) of every stripe, and the globals that merge."""
-        stripe_metas = [meta.stripes[i] for i in group.initial_stripe_indices]
-        source_ec = meta.scheme.ec_part
-        final = self.fs.codec_for(ec)
-        if isinstance(source_ec, ECScheme) and source_ec.kind is CodeKind.LRCC:
-            initial = self.fs.codec_for(source_ec)
-            conversion = convert_lrcc_to_lrcc
-        else:
-            initial = self.fs.cc_codec(stripe_metas[0].k, stripe_metas[0].n)
-            conversion = convert_cc_to_lrcc
-        reads = merge_sources(initial, final, len(stripe_metas))
-        homes = self._homes(meta, stripe_metas, reads, 1, final.n - final.k)
-        stripes = self._load_stripes(meta, stripe_metas, (), reads, homes)
-        final_stripe, _io = conversion(initial, final, stripes)
-        self._commit_final_stripe(
-            meta, group, 0, stripe_metas, final_stripe, homes[0], ec, len(stripe_metas)
-        )
 
 
 class RRWTranscoder:

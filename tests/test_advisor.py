@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codes.costmodel import convertible_cost
+from repro.codes.costmodel import convertible_cost, rrw_cost
 from repro.core.advisor import SchemeAdvisor
 
 
@@ -18,6 +18,19 @@ class TestSuggestions:
         # narrows but the integral multiple still wins clearly.
         improvement = advisor.improvement_over_request(6, 3, 27, 3)
         assert improvement is not None and improvement > 0.05
+
+    def test_request_without_a_native_conversion_is_priced_as_rrw(self):
+        """r = 1 does not share the nested point chain: CC(6,9) -> CC(12,13)
+        has no native conversion. The request is priced as the RRW the
+        planner falls back to; the CC-friendly r = 2 candidates beat it."""
+        with pytest.raises(ValueError):
+            convertible_cost(6, 3, 12, 1)
+        advisor = SchemeAdvisor()
+        by_shape = {(s.k, s.r): s for s in advisor.candidates(6, 3, 12, 1)}
+        assert by_shape[(12, 1)].transcode_io == rrw_cost(6, 3, 12, 1).disk_io
+        assert by_shape[(12, 2)].transcode_io == convertible_cost(6, 3, 12, 2).disk_io
+        best = advisor.suggest(6, 3, 12, 1)
+        assert best.r == 2 and advisor.improvement_over_request(6, 3, 12, 1) > 0.5
 
     def test_integral_multiple_always_wins_nearby(self):
         advisor = SchemeAdvisor()

@@ -216,7 +216,7 @@ def test_a_journal_record_that_does_not_replay_is_seen():
 
 def test_a_stripe_short_of_parities_is_seen():
     fs = whole_fs()
-    fs.codec_for_stripe = lambda meta, stripe: fs.cc_codec(6, 10)  # one parity more
+    fs.codec_for_stripe = lambda meta, stripe: fs.codec_for(ECScheme(CodeKind.CC, 6, 10))  # one parity more
     assert [(v.kind, v.subject) for v in audit(fs)] == [("parity", "f/s0"), ("parity", "f/s1")]
 
 

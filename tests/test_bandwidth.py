@@ -7,7 +7,8 @@ import pytest
 
 from repro.codes.bandwidth import BandwidthOptimalCC
 from repro.codes.base import DecodeError, chunks_equal
-from repro.codes.convertible import ConvertibleCode
+from repro.codes.convertible import ConvertibleCode, plan_conversion
+from repro.core.schemes import CodeKind, ECScheme
 
 
 def make_stripes(code, n_stripes, chunk_len=32, seed=0):
@@ -18,6 +19,15 @@ def make_stripes(code, n_stripes, chunk_len=32, seed=0):
         alldata.extend(data)
         stripes.append(code.encode_stripe(data))
     return stripes, alldata
+
+
+def bwo_plan(k, r_i, r_f, lam):
+    """The plan merging ``lam`` stripes coded anticipating ``r_f``
+    parities into one CC with ``r_f``."""
+    return plan_conversion(
+        ECScheme(CodeKind.CC, k, k + r_i, anticipate_parities=r_f), lam,
+        ECScheme(CodeKind.CC, lam * k, lam * k + r_f),
+    )
 
 
 class TestConstruction:
@@ -67,7 +77,7 @@ class TestConversion:
         code = BandwidthOptimalCC(k, r_i, r_f, family_width=lam * k)
         final = ConvertibleCode(lam * k, lam * k + r_f, family_width=lam * k)
         stripes, alldata = make_stripes(code, lam, chunk_len=r_f * 12, seed=lam)
-        merged, io = code.convert_merge(stripes, final)
+        (merged,), io = code.convert_merge(final, stripes, bwo_plan(k, r_i, r_f, lam))
         direct = final.encode_stripe(alldata)
         assert chunks_equal(merged.chunks, direct.chunks)
 
@@ -77,20 +87,25 @@ class TestConversion:
         code = BandwidthOptimalCC(4, 1, 2, family_width=8)
         final = ConvertibleCode(8, 10, family_width=8)
         stripes, _ = make_stripes(code, 2, chunk_len=16, seed=3)
-        _, io = code.convert_merge(stripes, final)
+        _, io = code.convert_merge(final, stripes, bwo_plan(4, 1, 2, 2))
         assert io.chunks_read == pytest.approx(6.0)
         assert io.data_read_fraction == pytest.approx(0.5)
 
-    def test_conversion_read_chunks_formula(self):
+    def test_plan_read_chunks_formula(self):
+        """The plan prices the merge; the merge returns the plan's IO."""
         code = BandwidthOptimalCC(4, 2, 3, family_width=12)
+        final = ConvertibleCode(12, 15, family_width=12)
+        stripes, _ = make_stripes(code, 3, chunk_len=24, seed=6)
+        plan = bwo_plan(4, 2, 3, 3)
         # Per stripe: 2 parities + 4 * (1/3) data.
-        assert code.conversion_read_chunks(3) == pytest.approx(3 * (2 + 4 / 3))
+        assert plan.io().chunks_read == pytest.approx(3 * (2 + 4 / 3))
+        assert code.convert_merge(final, stripes, plan)[1] == plan.io()
 
     def test_merged_stripe_decodes(self):
         code = BandwidthOptimalCC(4, 1, 2, family_width=8)
         final = ConvertibleCode(8, 10, family_width=8)
         stripes, _ = make_stripes(code, 2, chunk_len=16, seed=5)
-        merged, _ = code.convert_merge(stripes, final)
+        (merged,), _ = code.convert_merge(final, stripes, bwo_plan(4, 1, 2, 2))
         rec = final.decode_stripe(merged.erase(1, 9))
         assert chunks_equal(rec.chunks, merged.chunks)
 
@@ -98,7 +113,8 @@ class TestConversion:
         code = BandwidthOptimalCC(4, 1, 2)
         stripes, _ = make_stripes(code, 2, chunk_len=16)
         with pytest.raises(ValueError):
-            code.convert_merge(stripes, ConvertibleCode(8, 9))  # r_F mismatch
+            # r_F mismatch
+            code.convert_merge(ConvertibleCode(8, 9), stripes, bwo_plan(4, 1, 2, 2))
 
     def test_erased_chunk_blocks_conversion(self):
         code = BandwidthOptimalCC(4, 1, 2)
@@ -106,7 +122,7 @@ class TestConversion:
         stripes, _ = make_stripes(code, 2, chunk_len=16, seed=6)
         stripes[0] = stripes[0].erase(2)
         with pytest.raises(DecodeError):
-            code.convert_merge(stripes, final)
+            code.convert_merge(final, stripes, bwo_plan(4, 1, 2, 2))
 
 
 class TestHopAndCouple:
@@ -124,12 +140,12 @@ class TestHopAndCouple:
         # Zero out the head (unread) halves of all data chunks; parities
         # and tails must suffice to produce correct *tail* substripes of
         # final parities, proving only the tail is consumed from data.
-        merged_ref, _ = code.convert_merge(stripes, final)
+        (merged_ref,), _ = code.convert_merge(final, stripes, bwo_plan(4, 1, 2, 2))
         for s in stripes:
             for t in range(4):
                 s.chunks[t] = s.chunks[t].copy()
                 s.chunks[t][:8] = 0  # corrupt the head half
-        merged_corrupt, _ = code.convert_merge(stripes, final)
+        (merged_corrupt,), _ = code.convert_merge(final, stripes, bwo_plan(4, 1, 2, 2))
         # Every final parity must be unaffected: the stored parities carry
         # the head information, so conversion never reads the heads.
         for j in (8, 9):

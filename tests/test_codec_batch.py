@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from repro.codes.bandwidth import BandwidthOptimalCC
-from repro.codes.convertible import ConvertibleCode, convert
+from repro.codes.convertible import ConvertibleCode, convert, plan_conversion
 from repro.codes.lrc import LocalReconstructionCode
 from repro.codes.lrcc import LocallyRecoverableConvertibleCode
 from repro.codes.rs import ReedSolomon
 from repro.codes.wide import WideConvertibleCode
+from repro.core.schemes import CodeKind, ECScheme
 from repro.codes.base import STACK_BELOW_BYTES, DecodeError
 from repro.gf import kernels
 from repro.gf.field import GF8, GF16
@@ -475,7 +476,10 @@ class TestWideMerge:
         final = WideConvertibleCode(8, 10)
         stripes = _stripes(4, 2, 5000, seed=18)
         encoded = [initial.encode_stripe(chunks) for chunks in stripes]
-        (merged,), _ = convert(initial, final, encoded)
+        plan = plan_conversion(
+            ECScheme(CodeKind.CC, 4, 6), 2, ECScheme(CodeKind.CC, 8, 10)
+        )
+        (merged,), _ = convert(initial, final, encoded, plan)
         direct = final.encode(stripes[0] + stripes[1])
         for got, want in zip(merged.parity_chunks, direct):
             assert np.array_equal(got, want)

@@ -14,6 +14,11 @@ import pytest
 from repro.codes.base import DecodeError, chunks_equal
 from repro.codes.convertible import ConvertibleCode, convert, plan_conversion
 from repro.codes.rs import ReedSolomon
+from repro.core.schemes import CodeKind, ECScheme
+
+
+def cc(k, n):
+    return ECScheme(CodeKind.CC, k, n)
 
 
 def make_stripes(code, n_stripes, chunk_len=24, seed=0):
@@ -30,7 +35,7 @@ def assert_conversion_correct(k_i, n_i, k_f, n_f, n_stripes, seed=0):
     initial = ConvertibleCode(k_i, n_i)
     final = ConvertibleCode(k_f, n_f)
     stripes, alldata = make_stripes(initial, n_stripes, seed=seed)
-    plan = plan_conversion(initial, final, n_stripes)
+    plan = plan_conversion(cc(k_i, n_i), n_stripes, cc(k_f, n_f))
     out, io = convert(initial, final, stripes, plan)
     assert len(out) == plan.n_final_stripes
     for m, stripe in enumerate(out):
@@ -84,7 +89,7 @@ class TestMergeRegime:
         initial = ConvertibleCode(6, 9)
         final = ConvertibleCode(12, 15)
         stripes, alldata = make_stripes(initial, 2, seed=6)
-        out, _ = convert(initial, final, stripes)
+        out, _ = convert(initial, final, stripes, plan_conversion(cc(6, 9), 2, cc(12, 15)))
         rec = final.decode_stripe(out[0].erase(0, 7, 13))
         assert chunks_equal(rec.chunks, out[0].chunks)
 
@@ -119,8 +124,12 @@ class TestGeneralRegime:
     def test_non_tiling_raises(self):
         initial = ConvertibleCode(6, 9)
         final = ConvertibleCode(8, 11)
+        stripes, _ = make_stripes(initial, 3)
+        # Planned as a short tail: one final stripe of the group's width.
+        plan = plan_conversion(cc(6, 9), 3, cc(8, 11))
+        assert (plan.final, plan.n_final_stripes) == (cc(18, 21), 1)
         with pytest.raises(ValueError):
-            plan_conversion(initial, final, 3)  # 18 % 8 != 0
+            convert(initial, final, stripes, plan)  # 18 % 8 != 0
 
 
 class TestPlanEnforcement:
@@ -129,7 +138,7 @@ class TestPlanEnforcement:
         initial = ConvertibleCode(6, 9)
         final = ConvertibleCode(12, 15)
         stripes, alldata = make_stripes(initial, 2, seed=11)
-        plan = plan_conversion(initial, final, 2)
+        plan = plan_conversion(cc(6, 9), 2, cc(12, 15))
         blinded = []
         for i, stripe in enumerate(stripes):
             chunks = []
@@ -153,23 +162,29 @@ class TestPlanEnforcement:
         stripes, _ = make_stripes(initial, 2, seed=12)
         stripes[0] = stripes[0].erase(6)  # parity 0 of stripe 0 is planned
         with pytest.raises(DecodeError):
-            convert(initial, final, stripes)
+            convert(initial, final, stripes, plan_conversion(cc(6, 9), 2, cc(12, 15)))
 
     def test_parity_increase_requires_vector_codes(self):
         initial = ConvertibleCode(6, 7)
         final = ConvertibleCode(12, 14)
+        assert plan_conversion(cc(6, 7), 2, cc(12, 14)) is None
+        # nor does a plan that keeps one parity run as one that adds one
         with pytest.raises(ValueError):
-            plan_conversion(initial, final, 2)
+            convert(
+                initial, final, make_stripes(initial, 2)[0],
+                plan_conversion(cc(6, 7), 2, cc(12, 13)),
+            )
 
     def test_incompatible_families_rejected(self):
         # Same r but a mismatched point family must be caught.
         a = ConvertibleCode(6, 9)
         b = ConvertibleCode(12, 15)
         b_points = list(b.points)
+        stripes, _ = make_stripes(a, 2)
         try:
             b.points = [p ^ 1 or 1 for p in b_points]
             with pytest.raises(ValueError):
-                plan_conversion(a, b, 2)
+                convert(a, b, stripes, plan_conversion(cc(6, 9), 2, cc(12, 15)))
         finally:
             b.points = b_points
 

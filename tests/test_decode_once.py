@@ -67,20 +67,20 @@ class TestOneCodecPerScheme:
 
 
     def test_parity_growing_merges_of_one_shape_share_their_code(self, monkeypatch):
-        """Two BWO merges, two groups each, in two filesystems: one code."""
-        from repro.codes import bandwidth
+        """Two BWO merges, two groups each, in two filesystems: one code,
+        the scheme's own."""
+        from repro.codes.bandwidth import BandwidthOptimalCC
         from repro.core.schemes import HybridScheme
 
         src = ECScheme(CodeKind.CC, 6, 7, anticipate_parities=2)
         used = []
-        for_merge = bandwidth.BandwidthOptimalCC.for_merge.__func__
+        convert_merge = BandwidthOptimalCC.convert_merge
 
-        def spy(cls, *args, **kwargs):
-            used.append(for_merge(cls, *args, **kwargs))
-            return used[-1]
+        def spy(code, *args, **kwargs):
+            used.append(code)
+            return convert_merge(code, *args, **kwargs)
 
-        monkeypatch.setattr(bandwidth, "_MERGE_CODES", {})
-        monkeypatch.setattr(bandwidth.BandwidthOptimalCC, "for_merge", classmethod(spy))
+        monkeypatch.setattr(BandwidthOptimalCC, "convert_merge", spy)
         for seed in (1, 2):
             fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
             data = np.random.default_rng(seed).integers(0, 256, 96 * KB, dtype=np.uint8)
@@ -88,8 +88,7 @@ class TestOneCodecPerScheme:
             fs.transcode("f", src)
             fs.transcode("f", ECScheme(CodeKind.CC, 12, 14))
             assert np.array_equal(fs.read_file("f"), data)
-        assert len(used) == 4 and all(code is used[0] for code in used)
-        assert list(bandwidth._MERGE_CODES.values()) == [used[0]]
+        assert len(used) == 4 and all(code is src.make_code() for code in used)
 
 
 class TestPatternsOutliveAFilesystem:

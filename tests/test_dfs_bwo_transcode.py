@@ -210,3 +210,46 @@ class TestDegradedSources:
             fs.transcode("f", TGT)
         # Nothing switched: the old stripes are still the file.
         assert fs.namenode.lookup("f").scheme == SRC
+
+
+class TestNoNativePath:
+    """Where no native conversion exists the planner says RRW, and the
+    transcode completes by it — inline, or scheduled and drained.
+
+    A parity-growing split or general conversion: BWO in the DFS is
+    merge-only, yet the planner priced both as convertible and the
+    transcoder raised ``TranscodeError: BWO conversion supports the merge
+    regime only``. A parity-keeping merge of BWO-coded stripes, or into a
+    BWO-coded target, ran the access-optimal merge and wrote parities the
+    audit rejects; CC(6,8) -> CC(12,13) crosses point families (r = 1
+    stands apart) and raised ``ValueError``."""
+
+    @pytest.mark.parametrize("scheduled", [False, True], ids=["inline", "scheduled"])
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (ECScheme(CodeKind.CC, 12, 15, anticipate_parities=4), ECScheme(CodeKind.CC, 6, 10)),
+            (ECScheme(CodeKind.CC, 6, 9, anticipate_parities=4), ECScheme(CodeKind.CC, 9, 13)),
+            (ECScheme(CodeKind.CC, 6, 8, anticipate_parities=4), ECScheme(CodeKind.CC, 12, 14)),
+            (ECScheme(CodeKind.CC, 6, 9), ECScheme(CodeKind.CC, 12, 15, anticipate_parities=4)),
+            (ECScheme(CodeKind.CC, 6, 8), ECScheme(CodeKind.CC, 12, 13)),
+        ],
+        ids=["bwo-split", "bwo-general", "bwo-source-kept-r", "bwo-target", "r1-family"],
+    )
+    def test_completes_by_rrw_and_reads_back(self, source, target, scheduled):
+        assert TranscodePlanner().plan(source, target).kind is TranscodeKind.RRW
+        chunk = 12 * KB  # divisible by r_F = 4
+        fs = MorphFS(chunk_size=chunk, future_widths=sorted({source.k, target.k}))
+        data = np.random.default_rng(5).integers(0, 256, 36 * chunk, dtype=np.uint8)
+        fs.write_file("f", data, HybridScheme(1, source))
+        fs.transcode("f", source)
+        read = fs.metrics.disk_bytes_read
+        if scheduled:
+            fs.schedule_transcode("f", target)
+            fs.scheduler.run_until_drained()
+        else:
+            fs.transcode("f", target)
+        assert fs.metrics.disk_bytes_read - read >= len(data)  # the client read it all
+        assert fs.namenode.lookup("f").scheme == target
+        assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []

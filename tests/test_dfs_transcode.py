@@ -15,6 +15,21 @@ CC69 = ECScheme(CodeKind.CC, 6, 9)
 CC1215 = ECScheme(CodeKind.CC, 12, 15)
 
 
+@pytest.fixture(autouse=True)
+def conversions_return_their_plans_io(monkeypatch):
+    """Every conversion in this file returns the IO its plan prices:
+    ``plan.io()``, the one ``ConversionIO`` there is."""
+    from repro.dfs import transcoder
+
+    for name in ("convert", "convert_cc_to_lrcc", "convert_lrcc_to_lrcc"):
+        def checked(initial, final, stripes, plan, _convert=getattr(transcoder, name)):
+            out, io = _convert(initial, final, stripes, plan)
+            assert io == plan.io()
+            return out, io
+
+        monkeypatch.setattr(transcoder, name, checked)
+
+
 def morph_with_file(n_kb=96, seed=1, scheme=None, widths=(6, 12), namenode=None):
     fs = MorphFS(chunk_size=4 * KB, future_widths=list(widths), namenode=namenode)
     data = np.random.default_rng(seed).integers(0, 256, n_kb * KB, dtype=np.uint8)
@@ -160,10 +175,10 @@ class TestLrccTargets:
         plus one chunk of network: the second local's source shares a
         node with the first's, so it ships to a fresh node (l - 1 = 1;
         old parity j used to ship to final parity j's home, 4)."""
-        from repro.codes.costmodel import lrcc_from_cc_cost
+        from repro.core.planner import TranscodePlanner
 
         lrcc = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
-        cost = lrcc_from_cc_cost(6, 3, 12, 2, 2)
+        cost = TranscodePlanner().plan(CC69, lrcc).cost
         stripes = 0
         for seed in range(10):
             fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=seed)
@@ -206,7 +221,7 @@ class TestLrccTargets:
         the second stripe's locals ship to two fresh nodes, nothing else
         moves. (Old parity j used to be metered to final parity j.)"""
         from repro.cluster.topology import Cluster, ClusterSpec
-        from repro.codes.lrcc import merge_sources
+        from repro.codes.convertible import plan_conversion
 
         fs = MorphFS(Cluster(ClusterSpec(n_datanodes=30)), chunk_size=4 * KB,
                      future_widths=[12, 24])
@@ -228,7 +243,7 @@ class TestLrccTargets:
         fs.transcode("f", big)
         (stripe,) = fs.namenode.lookup("f").stripes
         homes = [c.node_id for c in stripe.parities]
-        table = merge_sources(fs.codec_for(small), fs.codec_for(big), 2)
+        table = plan_conversion(small, 2, big).parity_reads
         assert sorted(table) == [(i, j) for i in range(2) for j in range(4)]
         want = [(old[i][j], homes[p]) for (i, j), (_m, p) in sorted(table.items())]
         assert sorted(sent) == sorted((src, dst) for src, dst in want if src != dst)

@@ -184,7 +184,7 @@ class TestOneCodecPerScheme:
         cc69 = ECScheme(CodeKind.CC, 6, 9)
         meta = fs.write_file("f", data_of(24 * KB), cc69)
         code = fs.codec_for(cc69)
-        assert code is fs.cc_codec(6, 9) is fs.codec_for_stripe(meta, meta.stripes[0])
+        assert code is fs.codec_for(ECScheme(CodeKind.CC, 6, 9)) is fs.codec_for_stripe(meta, meta.stripes[0])
         assert self.CC610.make_code().family_width == fs.codec_for(self.CC610).family_width == 24
         rs = BaselineDFS(chunk_size=4 * KB)
         tail = rs.write_file("f", data_of(24 * KB), ECScheme(CodeKind.RS, 6, 9)).stripes[0]

@@ -44,7 +44,7 @@ GENERATORS = {
     ),
     # Its clean parity rows are CC(6,9)'s: the r = 4 chain's prefix.
     "BWO(6,3->4)@12": (
-        lambda: BandwidthOptimalCC.for_merge(6, 3, 4, family_width=12),
+        lambda: BandwidthOptimalCC(6, 3, 4, family_width=12),
         "c9da1bae78c00b66a694ec9c3c83b7c3ccbd95a34567c67f215f2bd6f3307c88",
     ),
     "wide CC(6,9)": (

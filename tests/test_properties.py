@@ -5,15 +5,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.codes.base import chunks_equal
-from repro.codes.convertible import ConvertibleCode, convert
+from repro.codes.convertible import ConvertibleCode, convert, plan_conversion
 from repro.codes.lrcc import LocallyRecoverableConvertibleCode
 from repro.codes.rs import ReedSolomon
+from repro.core.schemes import CodeKind, ECScheme
 
 common = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def cc(k, r, anticipate_parities=None):
+    return ECScheme(CodeKind.CC, k, k + r, anticipate_parities=anticipate_parities)
+
+
+def lrcc(k, l, r):
+    return ECScheme(CodeKind.LRCC, k, k + l + r, l, r)
 
 
 def random_data(rng, k, chunk_len):
@@ -72,7 +81,8 @@ class TestConversionEqualsDirectEncode:
             data = random_data(rng, k_i, 12)
             alldata.extend(data)
             stripes.append(initial.encode_stripe(data))
-        out, io = convert(initial, final, stripes)
+        plan = plan_conversion(cc(k_i, r), lam, cc(lam * k_i, r))
+        out, io = convert(initial, final, stripes, plan)
         direct = final.encode_stripe(alldata)
         assert chunks_equal(out[0].chunks, direct.chunks)
         if r < k_i:
@@ -94,7 +104,7 @@ class TestConversionEqualsDirectEncode:
         final = ConvertibleCode(k_f, k_f + r, family_width=k_i)
         data = random_data(rng, k_i, 12)
         stripe = initial.encode_stripe(data)
-        out, io = convert(initial, final, [stripe])
+        out, io = convert(initial, final, [stripe], plan_conversion(cc(k_i, r), 1, cc(k_f, r)))
         for m in range(lam):
             direct = final.encode_stripe(data[m * k_f : (m + 1) * k_f])
             assert chunks_equal(out[m].chunks, direct.chunks)
@@ -121,7 +131,8 @@ class TestConversionEqualsDirectEncode:
             data = random_data(rng, k_i, 8)
             alldata.extend(data)
             stripes.append(initial.encode_stripe(data))
-        out, io = convert(initial, final, stripes)
+        plan = plan_conversion(cc(k_i, r), n_stripes, cc(k_f, r))
+        out, io = convert(initial, final, stripes, plan)
         for m, stripe in enumerate(out):
             direct = final.encode_stripe(alldata[m * k_f : (m + 1) * k_f])
             assert chunks_equal(stripe.chunks, direct.chunks)
@@ -183,7 +194,8 @@ class TestLrccConversionProperties:
             data = random_data(rng, k_i, 8)
             alldata.extend(data)
             stripes.append(initial.encode_stripe(data))
-        merged, io = convert_cc_to_lrcc(initial, final, stripes)
+        plan = plan_conversion(cc(k_i, r_i), lam, lrcc(big_k, lam, r_g))
+        (merged,), io = convert_cc_to_lrcc(initial, final, stripes, plan)
         direct = final.encode_stripe(alldata)
         assert chunks_equal(merged.chunks, direct.chunks)
         assert io.data_chunks_read == 0
@@ -211,7 +223,8 @@ class TestLrccConversionProperties:
             data = random_data(rng, k_i, 8)
             alldata.extend(data)
             stripes.append(initial.encode_stripe(data))
-        merged, io = convert_lrcc_to_lrcc(initial, final, stripes)
+        plan = plan_conversion(lrcc(k_i, l_i, 2), lam, lrcc(lam * k_i, lam * l_i, 2))
+        (merged,), io = convert_lrcc_to_lrcc(initial, final, stripes, plan)
         direct = final.encode_stripe(alldata)
         assert chunks_equal(merged.chunks, direct.chunks)
         assert io.data_chunks_read == 0
@@ -231,7 +244,8 @@ class TestLrccConversionProperties:
             data = random_data(rng, k, r_f * 4)
             alldata.extend(data)
             stripes.append(code.encode_stripe(data))
-        merged, io = code.convert_merge(stripes, final)
+        plan = plan_conversion(cc(k, r_i, r_f), lam, cc(lam * k, r_f))
+        (merged,), io = code.convert_merge(final, stripes, plan)
         direct = final.encode_stripe(alldata)
         assert chunks_equal(merged.chunks, direct.chunks)
         # Bandwidth bound: r_I parities + (r_F-r_I)/r_F of the data.

@@ -238,7 +238,7 @@ class TestMaskHonouredEverywhere:
         data = np.random.default_rng(1).integers(0, 256, 24 * 4 * KB, dtype=np.uint8)
         fs.write_file("f", data, ECScheme(CodeKind.CC, 12, 15))
         # The split reads some data chunks over the network: cut one off.
-        plan = plan_conversion(fs.cc_codec(12, 15), fs.cc_codec(6, 9), 1)
+        plan = plan_conversion(ECScheme(CodeKind.CC, 12, 15), 1, CC69)
         stripe = fs.namenode.lookup("f").stripes[0]
         far = stripe.data[min(plan.data_reads)].node_id
         assert far != stripe.parities[0].node_id

@@ -409,7 +409,7 @@ def test_one_hybrid_writer_one_sealer_one_commit():
     assert sum(len(re.findall(r"def _seal_stripe", text)) for text in SOURCES.values()) == 1
     # The sealer encodes with what reads and repairs decode with.
     seal = functions(class_def("dfs/filesystem.py", "MorphFS"))["_seal_stripe"]
-    assert "codec_for_stripe" in calls(seal) and not calls(seal) & {"cc_codec", "codec_for"}
+    assert "codec_for_stripe" in calls(seal) and "codec_for" not in calls(seal)
     transcoder = SOURCES["dfs/transcoder.py"]
     assert len(re.findall(r"record_new_stripe\(", transcoder)) == 1
     # Every parity home passes the reachability rule, in one function.
@@ -451,21 +451,50 @@ def test_placement_owns_every_home():
         "dfs/filesystem.py", "dfs/recovery.py", "dfs/transcoder.py",
     ]
     assert files_matching(r"\bk_star\b", under="dfs/") == ["dfs/filesystem.py"]
-    # One table says which old parity feeds which final parity: the CC
-    # plan's ``parity_reads`` or the LRCC ``merge_sources``. The homes and
-    # the metered reads take it; the LRCC combine is driven by it.
+    # One plan decides a native conversion — which path runs, what it
+    # reads, what it costs: ``plan_conversion``. No cost function, parity
+    # table or executor mirrors it, no codec is mapped back to a plan;
+    # its ``io()`` is the one ConversionIO.
+    assert files_matching(r"def plan_conversion\(") == ["codes/convertible.py"]
+    for name in (
+        "access_optimal_read_chunks", "lrcc_from_cc_cost", "lrcc_merge_cost",
+        "conversion_read_chunks", "merge_sources", "_cc_cost", "for_merge",
+        "plan_for_codes", "_scheme_of",
+    ):
+        assert not files_matching(rf"\b{name}\b"), name
+    sites = [
+        (name, match.group()) for name, text in SOURCES.items()
+        for match in re.finditer(r"\bConversionIO\(", text)
+    ]
+    assert sites == [("codes/convertible.py", "ConversionIO(")], sites
     transcoder = functions(class_def("dfs/transcoder.py", "NativeTranscoder"))
-    for name in ("_homes", "_load_stripes"):
-        assert "parity_reads" in [a.arg for a in transcoder[name].args.args], name
-    assert "merge_sources" in named_calls(transcoder["_execute_lrcc_group"])
-    assert files_matching(r"def merge_sources\(") == ["codes/lrcc.py"]
+    assert [name for name in transcoder if name.startswith("_execute")] == [
+        "_execute_group_impl"
+    ]
+    for name in ("_homes", "_load_stripes", "_commit_final_stripe"):
+        assert "plan" in [a.arg for a in transcoder[name].args.args], name
+    # The e2e tracer rebinds these four as the transcoder's globals: the
+    # executor must reach each by that name.
+    from repro.dfs import transcoder as module
+
+    traced = ("plan_conversion", "convert", "convert_cc_to_lrcc", "convert_lrcc_to_lrcc")
+    names = {
+        node.id for node in ast.walk(transcoder["_execute_group_impl"])
+        if isinstance(node, ast.Name)
+    }
+    for name in traced:
+        assert callable(getattr(module, name)) and name in names, name
+    # Both LRCC conversions share the one combine, and the plan's
+    # parity table drives it.
     lrcc = {
         fn.name: fn for fn in ast.walk(ast.parse(SOURCES["codes/lrcc.py"]))
         if isinstance(fn, ast.FunctionDef)
     }
-    assert "merge_sources" in named_calls(lrcc["_merge"])
     for name in ("convert_cc_to_lrcc", "convert_lrcc_to_lrcc"):
         assert named_calls(lrcc[name]) & {"_merge", "gf_scale_xor"} == {"_merge"}, name
+    assert "parity_reads" in {
+        node.attr for node in ast.walk(lrcc["_merge"]) if isinstance(node, ast.Attribute)
+    }
     assert not files_matching(r"parity_reads\.add\(")
 
 
@@ -641,7 +670,7 @@ def test_one_plan_class_and_one_place_that_sizes_the_work():
 
 
 def test_one_recovery_routine_and_one_set_of_entry_points():
-    assert files_matching(r"matinv\(", under="codes/") == ["codes/base.py"]
+    assert files_matching(r"matinv\(|_reduce\(", under="codes/") == ["codes/base.py"]
     per_code = ("_decode_impl", "_recovery", "encode_batch", "decode_batch", "group_of")
     for source in ("codes/lrc.py", "codes/lrcc.py", "codes/wide.py"):
         defined = {
@@ -667,6 +696,8 @@ def test_one_recovery_routine_and_one_set_of_entry_points():
 WRITTEN_ONCE = {
     "exp/log table builder": r"<<=\s*1\b",
     "Gauss-Jordan elimination": r"nonzero\(\w+\[\w+:, \w+\]\)",
+    # a row XORed with a multiple of another: an elimination step
+    "elimination row update": r"\^=?\s*[\w.]*\bmul\(\w+\[\w+\]",
     "batched determinant": r"def (\w+_)?det\(",
     "Vandermonde power matrix": r"def \w*vandermonde\w*\(",
     "Vandermonde outer product": r"\[:, None\] \* [\w.]*(?i:log)\w*\[",

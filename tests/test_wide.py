@@ -15,6 +15,7 @@ import pytest
 from repro.codes.base import chunks_equal
 from repro.codes.convertible import ConvertibleCode, convert, plan_conversion
 from repro.codes.wide import MAX_WIDTH_16, WIDE_FAMILY, WideConvertibleCode
+from repro.core.schemes import CodeKind, ECScheme
 from repro.gf.field import GF16
 
 
@@ -43,9 +44,17 @@ def blinded(initial, stripes, plan):
     return out
 
 
+def plan_of(initial, n_stripes, final):
+    """The plan of a CC -> CC conversion between these codes' shapes."""
+    return plan_conversion(
+        ECScheme(CodeKind.CC, initial.k, initial.n), n_stripes,
+        ECScheme(CodeKind.CC, final.k, final.n),
+    )
+
+
 def assert_converts(initial, final, n_stripes, chunk_len=48, seed=0):
     stripes, alldata = make_stripes(initial, n_stripes, chunk_len, seed)
-    plan = plan_conversion(initial, final, n_stripes)
+    plan = plan_of(initial, n_stripes, final)
     out, io = convert(initial, final, blinded(initial, stripes, plan), plan)
     assert len(out) == plan.n_final_stripes
     for m, stripe in enumerate(out):
@@ -93,14 +102,17 @@ class TestWideConversions:
         small = WideConvertibleCode(4, 6)
         stripes, _ = make_stripes(small, 2, chunk_len=48, seed=9)
         stripes[0].chunks[4] = stripes[0].chunks[4][:47]
+        final = WideConvertibleCode(8, 10)
         with pytest.raises(ValueError):
-            convert(small, WideConvertibleCode(8, 10), stripes)
+            convert(small, final, stripes, plan_of(small, 2, final))
 
     def test_fields_do_not_mix(self):
+        narrow, wide = ConvertibleCode(6, 9), WideConvertibleCode(6, 9)
+        plan = plan_of(narrow, 2, ConvertibleCode(12, 15))
         with pytest.raises(ValueError):
-            plan_conversion(ConvertibleCode(6, 9), WideConvertibleCode(12, 15), 2)
+            convert(narrow, WideConvertibleCode(12, 15), make_stripes(narrow, 2, 48, 0)[0], plan)
         with pytest.raises(ValueError):
-            plan_conversion(WideConvertibleCode(6, 9), ConvertibleCode(12, 15), 2)
+            convert(wide, ConvertibleCode(12, 15), make_stripes(wide, 2, 48, 0)[0], plan)
 
 
 class TestWideConvertibleCode:
