@@ -287,7 +287,7 @@ def fig17_regimes(file_mb: int = 1024) -> Dict:
     """Fig 17: disk IO to transcode a 1 GB file, RRW vs RS vs CC."""
     rows = []
     for label, k_i, r_i, k_f, r_f in FIG17_CASES:
-        rrw = rrw_cost(k_i, r_i, k_f, r_f).disk_io * file_mb
+        rrw = rrw_cost(ECScheme(CodeKind.CC, k_f, k_f + r_f)).disk_io * file_mb
         rs = native_rs_cost(k_i, r_i, k_f, r_f).disk_io * file_mb
         cc = convertible_cost(k_i, r_i, k_f, r_f).disk_io * file_mb
         rows.append({"case": label, "rrw_mb": rrw, "rs_mb": rs, "cc_mb": cc,

@@ -32,8 +32,6 @@ from repro.codes.lrc import LocalReconstructionCode
 from repro.codes.lrcc import LocallyRecoverableConvertibleCode
 from repro.codes.costmodel import (
     TranscodeCost,
-    Strategy,
-    transcode_cost,
     rrw_cost,
     native_rs_cost,
     convertible_cost,
@@ -54,8 +52,6 @@ __all__ = [
     "LocalReconstructionCode",
     "LocallyRecoverableConvertibleCode",
     "TranscodeCost",
-    "Strategy",
-    "transcode_cost",
     "rrw_cost",
     "native_rs_cost",
     "convertible_cost",

@@ -4,26 +4,26 @@ Every trace-driven result in the paper (Figs 1, 12) and the appendix
 sweeps (Figs 17, 18) are IO arithmetic: how many chunk-reads and
 chunk-writes does moving a file from scheme A to scheme B cost under each
 strategy? This module provides that arithmetic, normalised per *logical
-data chunk* so callers can scale by bytes.
+data chunk* so callers can scale by bytes:
 
-Strategies:
-
-* ``RRW`` — application-level read-re-encode-write (today's DFSs): read
-  all data, write all data in the new layout plus new parities.
-* ``NATIVE_RS`` — DFS-native transcode with traditional codes: read all
-  data, write only the new parities (data chunks stay in place because
-  the DFS forms stripes over sequential chunks, §5.3).
-* ``CONVERTIBLE`` — a native conversion, priced from the plan the DFS
-  executes (:func:`repro.codes.convertible.plan_conversion`): access-
-  optimal CC, the bandwidth-optimal merge, CC -> LRCC and LRCC -> LRCC
-  (:func:`native_cost`). Only the bandwidth-optimal split and general
-  regimes, which have no code here, are closed-form bounds.
-* ``STRIPEMERGE`` — the related-work baseline (one supported transition).
+* :func:`rrw_cost` — read-re-encode-write (today's DFSs, and Morph
+  wherever no native conversion exists): read all data, write the
+  target's whole footprint. The one price of a rewrite.
+* :func:`native_rs_cost` — DFS-native transcode with traditional codes:
+  read all data, write only the new parities (data chunks stay in place
+  because the DFS forms stripes over sequential chunks, §5.3).
+* :func:`native_cost` / :func:`convertible_cost` — a native conversion,
+  priced from the plan the DFS executes
+  (:func:`repro.codes.convertible.plan_conversion`): access-optimal CC,
+  the bandwidth-optimal merge, CC -> LRCC and LRCC -> LRCC. Only the
+  bandwidth-optimal split and general regimes, which have no code here,
+  are closed-form bounds.
+* :func:`stripemerge_cost` — the related-work baseline (one supported
+  transition).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING, Optional
@@ -31,14 +31,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.codes.convertible import ConversionPath, plan_conversion
 
 if TYPE_CHECKING:
-    from repro.core.schemes import ECScheme
-
-
-class Strategy(enum.Enum):
-    RRW = "rrw"
-    NATIVE_RS = "native_rs"
-    CONVERTIBLE = "convertible"
-    STRIPEMERGE = "stripemerge"
+    from repro.core.schemes import ECScheme, RedundancyScheme
 
 
 @dataclass(frozen=True)
@@ -127,11 +120,16 @@ def convertible_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
     return TranscodeCost(reads / span, (span // k_f) * r_f / span, reads / span)
 
 
-def rrw_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
-    """Application-level read-re-encode-write (baseline DFSs)."""
-    read = 1.0
-    write = 1.0 + r_f / k_f
-    return TranscodeCost(read, write, read + write)
+def rrw_cost(target: "RedundancyScheme") -> TranscodeCost:
+    """Read-re-encode-write into ``target``, whatever the source: read the
+    data once, write the target's footprint — its replica copies plus
+    its stripes' data and parities (``1 + r/k``, which is not always
+    ``n/k`` to the last bit)."""
+    ec = target.ec_part
+    stripes = 0.0 if ec is None else 1.0 + ec.r / ec.k
+    copies = 0 if ec is target else target.copies  # an EC scheme is its own ec_part
+    write = copies + stripes
+    return TranscodeCost(1.0, write, 1.0 + write)
 
 
 def native_rs_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
@@ -146,32 +144,11 @@ def stripemerge_cost(
 ) -> TranscodeCost:
     """StripeMerge baseline; outside its one scenario it degrades to RRW."""
     from repro.codes.stripemerge import StripeMergeModel
+    from repro.core.schemes import CodeKind, ECScheme
 
     model = StripeMergeModel(conflict_rate=conflict_rate)
     if not model.supports(k_i, r_i, k_f, r_f):
-        return rrw_cost(k_i, r_i, k_f, r_f)
+        return rrw_cost(ECScheme(CodeKind.RS, k_f, k_f + r_f))
     read = model.read_chunks(k_i, r_i, k_f, r_f) / k_f
     write = model.write_chunks(k_i, r_i, k_f, r_f) / k_f
     return TranscodeCost(read, write, read + write)
-
-
-def lrc_rrw_cost(k_i: int, k_f: int, l_f: int, rg_f: int) -> TranscodeCost:
-    """Baseline RRW into an LRC target (what Services A/B do today)."""
-    read = 1.0
-    write = 1.0 + (l_f + rg_f) / k_f
-    return TranscodeCost(read, write, read + write)
-
-
-def transcode_cost(
-    strategy: Strategy, k_i: int, r_i: int, k_f: int, r_f: int
-) -> TranscodeCost:
-    """Dispatch on strategy for plain (non-LRC) EC-to-EC transitions."""
-    if strategy is Strategy.RRW:
-        return rrw_cost(k_i, r_i, k_f, r_f)
-    if strategy is Strategy.NATIVE_RS:
-        return native_rs_cost(k_i, r_i, k_f, r_f)
-    if strategy is Strategy.CONVERTIBLE:
-        return convertible_cost(k_i, r_i, k_f, r_f)
-    if strategy is Strategy.STRIPEMERGE:
-        return stripemerge_cost(k_i, r_i, k_f, r_f)
-    raise ValueError(f"unknown strategy {strategy}")

@@ -144,7 +144,7 @@ class AdaptiveRedundancyPlanner:
             scheme = self.scheme_for_afr(afr)
             plan.schedule.append(scheme)
             if current is not None and scheme != current:
-                rrw = rrw_cost(current.k, current.r, scheme.k, scheme.r).disk_io
+                rrw = rrw_cost(scheme).disk_io
                 cc = convertible_cost(current.k, current.r, scheme.k, scheme.r).disk_io
                 plan.transitions.append(
                     AdaptiveTransition(month, current, scheme, rrw, cc)

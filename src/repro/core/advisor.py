@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.codes.costmodel import TranscodeCost, convertible_cost, rrw_cost
+from repro.core.schemes import CodeKind, ECScheme
 
 
 def _transition_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
@@ -31,7 +32,7 @@ def _transition_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
     try:
         return convertible_cost(k_i, r_i, k_f, r_f)
     except ValueError:
-        return rrw_cost(k_i, r_i, k_f, r_f)
+        return rrw_cost(ECScheme(CodeKind.CC, k_f, k_f + r_f))
 
 
 @dataclass(frozen=True)

@@ -36,24 +36,12 @@ class LifetimeReport:
 
 
 class LifetimeManager:
-    """Watches file ages and drives their scheduled transitions.
+    """Watches file ages and drives their scheduled transitions:
+    ``transcode()`` runs inline on the tick that crosses a stage
+    boundary."""
 
-    Two modes:
-
-    * foreground (default) — ``transcode()`` runs inline on the tick that
-      crosses a stage boundary, matching the classic behavior;
-    * background (``background=True``) — transitions are handed to the
-      filesystem's maintenance scheduler via ``schedule_transcode`` with
-      the stage boundary as the task deadline. ``lookahead_s`` submits
-      the work that much *before* the boundary, giving a budget-throttled
-      scheduler slack to finish by the deadline (the scheduler's deadline
-      boost kicks in as it nears).
-    """
-
-    def __init__(self, fs, background: bool = False, lookahead_s: float = 0.0):
+    def __init__(self, fs):
         self.fs = fs
-        self.background = background
-        self.lookahead_s = max(0.0, float(lookahead_s))
         self._files: Dict[str, ManagedFile] = {}
 
     def register(self, name: str, policy: LifetimePolicy, now: Optional[float] = None) -> None:
@@ -84,43 +72,15 @@ class LifetimeManager:
         report = LifetimeReport(now=self.fs.clock)
         for managed in self._files.values():
             age = self.fs.clock - managed.ingested_at
-            horizon = age + (self.lookahead_s if self.background else 0.0)
-            target_stage = managed.policy.stage_index_at(horizon)
-            if target_stage <= managed.current_stage:
+            if managed.policy.stage_index_at(age) <= managed.current_stage:
                 continue
-            if self.background and self._transition_in_flight(managed.name):
-                continue  # stay sequential: previous stage must land first
             next_stage = managed.current_stage + 1
             stage = managed.policy.stages[next_stage]
-            meta = self.fs.namenode.lookup(managed.name)
-            source = meta.scheme
-            if self.background and hasattr(self.fs, "schedule_transcode"):
-                self.fs.schedule_transcode(
-                    managed.name,
-                    stage.scheme,
-                    deadline=managed.ingested_at + stage.start_age,
-                )
-            else:
-                self.fs.transcode(managed.name, stage.scheme)
+            source = self.fs.namenode.lookup(managed.name).scheme
+            self.fs.transcode(managed.name, stage.scheme)
             managed.current_stage = next_stage
             report.transitions.append((managed.name, source, stage.scheme))
         return report
-
-    def _transition_in_flight(self, name: str) -> bool:
-        """True while a previously issued transition is still queued."""
-        if name in self.fs.namenode.utm:
-            return True
-        scheduler = getattr(self.fs, "scheduler", None)
-        if scheduler is None:
-            return False
-        from repro.sched.tasks import FreeTransitionTask
-
-        return (
-            scheduler.queue.find(
-                lambda t: isinstance(t, FreeTransitionTask) and t.name == name
-            )
-            is not None
-        )
 
     def run_until(self, end_clock: float, tick_interval: float) -> List[LifetimeReport]:
         """Tick on a cadence until the DFS clock reaches ``end_clock``."""

@@ -9,23 +9,22 @@ the arithmetic). Given (from_scheme, to_scheme) it decides:
 * **convertible** — a native conversion exists
   (:func:`repro.codes.convertible.plan_conversion`): CC/LRCC merge /
   split / general regime (§5), priced from its plan;
-* **rrw** — anything else (the baseline read-re-encode-write).
+* **rrw** — anything else (the baseline read-re-encode-write), into a
+  replicated or hybrid target in particular: only ingest lays replica
+  blocks. Priced by :func:`repro.codes.costmodel.rrw_cost` of the target.
+
+The kind is per scheme. A file whose stripes do not tile the plan's
+spans (a DFS file's own groups, :meth:`repro.dfs.MorphFS._open_transcode`)
+goes by RRW instead.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.codes.costmodel import TranscodeCost, lrc_rrw_cost, native_cost, rrw_cost
-from repro.core.schemes import (
-    CodeKind,
-    ECScheme,
-    HybridScheme,
-    RedundancyScheme,
-    Replication,
-)
+from repro.codes.costmodel import TranscodeCost, native_cost, rrw_cost
+from repro.core.schemes import ECScheme, HybridScheme, RedundancyScheme
 
 
 class TranscodeKind(enum.Enum):
@@ -48,14 +47,6 @@ class TranscodeStep:
         return self.kind is TranscodeKind.FREE
 
 
-def _ec_of(scheme: RedundancyScheme) -> Optional[ECScheme]:
-    if isinstance(scheme, ECScheme):
-        return scheme
-    if isinstance(scheme, HybridScheme):
-        return scheme.ec
-    return None
-
-
 class TranscodePlanner:
     """Chooses the cheapest supported strategy for each transition."""
 
@@ -67,31 +58,10 @@ class TranscodePlanner:
             return TranscodeStep(
                 source, target, TranscodeKind.FREE, TranscodeCost(0.0, 0.0, 0.0)
             )
-        src_ec = _ec_of(source)
-        tgt_ec = _ec_of(target)
-        # Replication -> anything, or anything -> replication: RRW.
-        if isinstance(source, Replication) or isinstance(target, Replication):
-            cost = self._rrw(source, target)
-            return TranscodeStep(source, target, TranscodeKind.RRW, cost)
-        if src_ec is None or tgt_ec is None:
-            raise ValueError(f"cannot plan {source} -> {target}")
-        cost = native_cost(src_ec, tgt_ec)
-        if cost is not None:
-            return TranscodeStep(source, target, TranscodeKind.CONVERTIBLE, cost)
-        return TranscodeStep(source, target, TranscodeKind.RRW, self._rrw(source, target))
-
-    # -- helpers -----------------------------------------------------------
-    def _rrw(self, source: RedundancyScheme, target: RedundancyScheme) -> TranscodeCost:
-        tgt_ec = _ec_of(target)
-        if isinstance(target, Replication):
-            return TranscodeCost(1.0, float(target.copies), 1.0 + target.copies)
-        assert tgt_ec is not None
-        if tgt_ec.kind in (CodeKind.LRC, CodeKind.LRCC):
-            return lrc_rrw_cost(
-                _ec_of(source).k if _ec_of(source) else 1,
-                tgt_ec.k, tgt_ec.local_groups, tgt_ec.r_global,
-            )
-        src_ec = _ec_of(source)
-        src_k = src_ec.k if src_ec else 1
-        src_r = src_ec.r if src_ec else 0
-        return rrw_cost(src_k, src_r, tgt_ec.k, tgt_ec.r)
+        # Into a replicated or hybrid target it is a rewrite: only ingest
+        # lays replica blocks.
+        if source.ec_part is not None and isinstance(target, ECScheme):
+            cost = native_cost(source.ec_part, target)
+            if cost is not None:
+                return TranscodeStep(source, target, TranscodeKind.CONVERTIBLE, cost)
+        return TranscodeStep(source, target, TranscodeKind.RRW, rrw_cost(target))

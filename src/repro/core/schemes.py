@@ -2,9 +2,9 @@
 
 A *scheme* describes how a file's bytes are made redundant — replication,
 erasure coding, or Morph's hybrid of both — independent of any particular
-file. Schemes know their storage overhead, fault tolerance, and ingest IO
-multipliers, and can instantiate the matching codec from
-:mod:`repro.codes`.
+file. Schemes know their storage overhead (which is also their ingest
+disk IO), fault tolerance and chunk footprint, and can instantiate the
+matching codec from :mod:`repro.codes`.
 """
 
 from __future__ import annotations
@@ -38,21 +38,16 @@ class RedundancyScheme:
 
     @property
     def storage_overhead(self) -> float:
-        """Bytes at rest per logical byte."""
+        """Bytes at rest per logical byte — and disk bytes written per
+        logical byte at ingest: a hybrid's temporary extra replicas leave
+        the buffer cache before they reach disk in the common case
+        (§4.2)."""
         raise NotImplementedError
 
     @property
     def fault_tolerance(self) -> int:
         """Number of arbitrary simultaneous chunk failures tolerated."""
         raise NotImplementedError
-
-    @property
-    def ingest_disk_multiplier(self) -> float:
-        """Disk bytes written per logical byte during ingest. A hybrid's
-        temporary extra replicas are deleted from buffer cache before
-        they reach disk in the common case (§4.2), so for every scheme
-        this is the resting footprint."""
-        return self.storage_overhead
 
     @property
     def chunk_count(self) -> int:

@@ -35,13 +35,18 @@ What it checks, by ``kind``:
     the rule by which a returning node drops what it holds.
 ``missing``
     every listed chunk is held by the node it is listed on.
+``layout``
+    a file's layout is its scheme's: every stripe of a hybrid file is
+    covered by at least ``copies`` replica copies, slot by slot; an EC
+    file lists no replica block; a replicated file lists no stripe.
 ``colocated``
     no hybrid block (a current stripe with the replica copies covering
     it, or a lone replica block) has two sources on one node.
 ``parity``
     every current stripe stores as many parities as its code makes, and
     they are the encode of its stored data (stripes with a ``missing``
-    or ``bytes`` chunk are reported under those kinds instead).
+    or ``bytes`` chunk, or of a replicated file, are reported under those
+    kinds and ``layout`` instead).
 
 :func:`audit_namenode` is the namenode-only part (``index``, ``journal``,
 ``queue``) — for a control plane with no datanodes.  The k*-window
@@ -56,6 +61,7 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from repro.cluster.partition import NAMENODE
+from repro.core.schemes import ECScheme, HybridScheme, Replication
 from repro.dfs.blocks import ChunkMeta, FileMeta
 from repro.dfs.journal import JournaledNamenode, replay, state_digest
 from repro.dfs.namenode import Namenode, index_entries
@@ -64,7 +70,7 @@ from repro.obs.codec import CODEC_STATS
 #: every kind a violation can be, in the order :func:`audit` checks them
 KINDS = (
     "index", "journal", "queue", "sums", "bytes", "capacity", "unlisted", "missing",
-    "colocated", "parity",
+    "layout", "colocated", "parity",
 )
 
 
@@ -176,9 +182,38 @@ def audit_namenode(namenode) -> List[Violation]:
     return out
 
 
+def _layout(meta: FileMeta) -> List[Violation]:
+    scheme = meta.scheme
+    if isinstance(scheme, ECScheme) and meta.replica_blocks:
+        return [Violation("layout", meta.name, (
+            f"a {scheme} file lists {len(meta.replica_blocks)} replica blocks"
+        ))]
+    if isinstance(scheme, Replication) and meta.stripes:
+        return [Violation("layout", meta.name, (
+            f"a {scheme} file lists {len(meta.stripes)} stripes"
+        ))]
+    if not isinstance(scheme, HybridScheme):
+        return []
+    out = []
+    for group in meta.hybrid_blocks():
+        if group.stripe is None:
+            continue
+        depth = min(
+            sum(len(b.copies) for b in group.replicas if slot in group.covered(b))
+            for slot in range(group.k)
+        )
+        if depth < scheme.copies:
+            out.append(Violation("layout", f"{meta.name}/s{group.stripe.stripe_index}", (
+                f"covered by {depth} replica copies, {scheme} keeps {scheme.copies}"
+            )))
+    return out
+
+
 def _parity(fs, held: Dict[str, Dict[str, np.ndarray]], bad: set) -> List[Violation]:
     out = []
     for meta in fs.namenode.files.values():
+        if meta.scheme.ec_part is None:
+            continue  # stripes it should not list: ``layout``
         for stripe in meta.stripes:
             chunks = stripe.all_chunks()
             arrays = [held.get(c.node_id, {}).get(c.chunk_id) for c in chunks]
@@ -259,6 +294,8 @@ def audit(fs) -> List[Violation]:
         if chunk_id not in held.get(chunk.node_id, ())
     )
 
+    for meta in fs.namenode.files.values():
+        out.extend(_layout(meta))
     for meta in fs.namenode.files.values():
         for group in meta.hybrid_blocks():
             nodes = [source.node_id for source in group.chunks()]

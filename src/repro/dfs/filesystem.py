@@ -57,7 +57,7 @@ from repro.dfs.appends import AppendSupport
 from repro.dfs.client import ClientReader, ReadError
 from repro.dfs.namenode import ConversionGroup, Namenode
 from repro.dfs.recovery import RecoveryError
-from repro.dfs.transcoder import NativeTranscoder, RRWTranscoder, TranscodeError
+from repro.dfs.transcoder import NativeTranscoder, RRWTranscoder
 from repro.sched.scheduler import MaintenanceScheduler
 
 MB = 1024 * 1024
@@ -735,15 +735,16 @@ class MorphFS(AppendSupport, _BaseDFS):
     def _window(self, ec: ECScheme) -> Tuple[int, int]:
         """``(k*, r*)`` of a file of scheme ``ec``: the LCM of its width and
         every future width, and the parity slots its windows reserve."""
-        widths = [ec.k] + [w for w in self.future_widths]
-        k_star = lcm_of_widths(*widths)
+        k_star = lcm_of_widths(ec.k, *self.future_widths)
         r_star = max(self.max_parities, ec.n - ec.k)
         alive = len(self.cluster.alive_nodes())
         if k_star + r_star > alive:
-            # Fall back to the largest feasible window (documented
-            # trade-off: merges beyond the window may need data moves),
-            # else the narrowest: a repair or seal there draws nothing new.
-            k_star = max((w for w in widths if w + r_star <= alive), default=min(widths))
+            # Fall back to the largest feasible window that still tiles
+            # the file's stripes (documented trade-off: merges beyond the
+            # window may need data moves), else the file's own width: a
+            # repair or seal there draws nothing new.
+            tiles = [lcm_of_widths(ec.k, w) for w in self.future_widths]
+            k_star = max((w for w in tiles if w + r_star <= alive), default=ec.k)
         return k_star, r_star
 
     # -- writes -----------------------------------------------------------------
@@ -885,7 +886,7 @@ class MorphFS(AppendSupport, _BaseDFS):
             if kind is TranscodeKind.CONVERTIBLE:
                 self.transcoder.run_pending(name)
                 return self.namenode.lookup(name)
-            # RRW fallback (e.g. into plain RS/LRC targets).
+            # RRW: no native plan for this file, or a replicated / hybrid target.
             return RRWTranscoder(self).transcode(name, target)
 
     def schedule_transcode(
@@ -924,13 +925,16 @@ class MorphFS(AppendSupport, _BaseDFS):
     def _open_transcode(
         self, meta: FileMeta, target: RedundancyScheme, deadline: Optional[float] = None
     ) -> TranscodeKind:
-        """The planner's kind of ``meta`` -> ``target``. A convertible
-        transcode is opened here, inline or scheduled alike: its groups
-        planned (:meth:`_build_groups`), a hybrid source's replicas
-        dropped (free), then its UTM job enqueued."""
+        """The kind ``meta`` -> ``target`` goes by, inline or scheduled
+        alike: the planner's, except that a convertible one whose file has
+        a group no native plan covers (:meth:`_build_groups`) is an RRW.
+        A convertible transcode is opened here: a hybrid source's
+        replicas dropped (free), then its UTM job enqueued."""
         kind = self.planner.plan(meta.scheme, target).kind
         if kind is TranscodeKind.CONVERTIBLE:
             groups = self._build_groups(meta, target)
+            if groups is None:
+                return TranscodeKind.RRW
             if isinstance(meta.scheme, HybridScheme):
                 self._free_transition(meta, meta.scheme.ec)
             self.namenode.enqueue_transcode(meta.name, target, groups, deadline=deadline)
@@ -949,15 +953,28 @@ class MorphFS(AppendSupport, _BaseDFS):
         keep = next((i for i, s in enumerate(meta.stripes) if len(s.parities) < r), None)
         if keep is not None:
             # Every missing parity is stored, then one op publishes them
-            # and drops the tail's replicas: no record lists a parity
-            # beside a copy of its stripe.
-            placement = self._placement_for(meta, meta.first_data_index(meta.stripes[keep]))
+            # with the tail's replica blocks trimmed to ``copies`` — those
+            # off the tail's reserved parity slots first, and no parity
+            # lands beside one kept — so a crash before the switch leaves
+            # a whole hybrid file; the switch drops every copy.
+            first = meta.first_data_index(meta.stripes[keep])
+            placement = self._placement_for(meta, first)
+            slots = {
+                node for start, _s in meta.stripe_spans() if start >= first
+                for j in range(r) for node in placement.reserved(meta.name, start, j)
+            }
+            copies = meta.scheme.copies
+            blocks = [
+                replace(b, copies=sorted(b.copies, key=lambda c: c.node_id in slots)[:copies])
+                for b in meta.replica_blocks[meta.blocks_under(keep):]
+            ]
+            kept = [copy for block in blocks for copy in block.copies]
             tail = [
-                self._seal_stripe(meta, s, placement) if len(s.parities) < r else s
+                self._seal_stripe(meta, s, placement, kept) if len(s.parities) < r else s
                 for s in meta.stripes[keep:]
             ]
             self.discard_chunks(
-                self.namenode.relayout_file(meta.name, keep, tail, [], meta.size)
+                self.namenode.relayout_file(meta.name, keep, tail, blocks, meta.size)
             )
         # The metadata switch first, then the copies it no longer lists.
         self.discard_chunks(self.namenode.drop_replicas(meta.name, target))
@@ -1017,11 +1034,11 @@ class MorphFS(AppendSupport, _BaseDFS):
 
     def _build_groups(
         self, meta: FileMeta, target: RedundancyScheme
-    ) -> List[ConversionGroup]:
+    ) -> Optional[List[ConversionGroup]]:
         """One conversion group per lcm span of each run of equal-width
         stripes — appended or short tail stripes form their own runs and
         convert at their own width — each with a native plan
-        (:func:`plan_conversion`), or a ``TranscodeError``."""
+        (:func:`plan_conversion`), or ``None`` if one has none."""
         ec, source = target.ec_part, meta.scheme.ec_part
         groups: List[ConversionGroup] = []
         for k_run, run in groupby(range(len(meta.stripes)), lambda i: meta.stripes[i].k):
@@ -1031,10 +1048,7 @@ class MorphFS(AppendSupport, _BaseDFS):
                 members = run[start : start + size]
                 plan = plan_conversion(source.at_width(k_run), len(members), ec)
                 if plan is None:
-                    raise TranscodeError(
-                        f"{meta.name}: no native conversion of {len(members)} "
-                        f"width-{k_run} stripes of {source} into {ec}"
-                    )
+                    return None
                 groups.append(
                     ConversionGroup(
                         file_name=meta.name,

@@ -1,9 +1,10 @@
 """Per-hour IO accounting over service traces (Figs 1 and 12).
 
 For each hour: ingest disk IO = ingested bytes x the ingest scheme's
-disk multiplier; transcode disk IO = for every flow, the bytes ingested
-``delay`` hours ago (times the flow's byte fraction) x the per-byte IO of
-the planned transition strategy. Baseline transitions are RRW; Morph
+footprint (``storage_overhead``); transcode disk IO = for every flow, the
+bytes ingested ``delay`` hours ago (times the flow's byte fraction) x the
+per-byte IO of the planned transition strategy. Baseline transitions are RRW
+(:func:`repro.codes.costmodel.rrw_cost` of the target); Morph
 transitions go through :class:`repro.core.planner.TranscodePlanner`
 (free for hybrid -> EC, parities-only for CC/LRCC merges).
 """
@@ -15,10 +16,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.codes.costmodel import lrc_rrw_cost, rrw_cost
+from repro.codes.costmodel import rrw_cost
 from repro.core.planner import TranscodePlanner
-from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
-from repro.traces.services import ServiceModel, TransitionFlow
+from repro.traces.services import ServiceModel
 
 
 @dataclass
@@ -49,32 +49,6 @@ class TraceAnalysis:
         return float(np.mean(self.transcode_total))
 
 
-def _baseline_transition_io(flow: TransitionFlow) -> float:
-    """Per-byte disk IO of the baseline's RRW execution of a flow."""
-    target = flow.target
-    if isinstance(target, ECScheme) and target.kind in (CodeKind.LRC, CodeKind.LRCC):
-        return lrc_rrw_cost(1, target.k, target.local_groups, target.r_global).disk_io
-    if isinstance(target, ECScheme):
-        return rrw_cost(1, 0, target.k, target.r).disk_io
-    raise ValueError(f"baseline flow into {target}?")
-
-
-def _morph_transition_io(planner: TranscodePlanner, flow: TransitionFlow) -> float:
-    """Per-byte disk IO of Morph's planned execution of a flow."""
-    step = planner.plan(flow.source, flow.target)
-    return step.cost.disk_io
-
-
-def _ingest_multiplier(scheme) -> float:
-    if isinstance(scheme, Replication):
-        return float(scheme.copies)
-    if isinstance(scheme, HybridScheme):
-        return scheme.storage_overhead
-    if isinstance(scheme, ECScheme):
-        return scheme.storage_overhead
-    raise ValueError(f"unknown ingest scheme {scheme}")
-
-
 def analyze_service(
     service: ServiceModel, system: str, hours: int = 24 * 30
 ) -> TraceAnalysis:
@@ -87,26 +61,24 @@ def analyze_service(
     analysis = TraceAnalysis(service=service.name, system=system, hours=hours)
 
     if system == "baseline":
-        mult = _ingest_multiplier(service.baseline_ingest_scheme)
+        mult = service.baseline_ingest_scheme.storage_overhead
         analysis.ingest_io = window * mult
         flows = service.baseline_flows
-        planner = None
     else:
         mult = sum(
-            frac * _ingest_multiplier(scheme)
+            frac * scheme.storage_overhead
             for frac, scheme in service.morph_ingest_schemes
         )
         analysis.ingest_io = window * mult
         flows = service.morph_flows
-        planner = TranscodePlanner()
 
     for flow in flows:
         delayed = series.values[warmup - flow.delay_hours : warmup - flow.delay_hours + hours]
         volume = delayed * flow.fraction
         if system == "baseline":
-            per_byte = _baseline_transition_io(flow)
+            per_byte = rrw_cost(flow.target).disk_io
         else:
-            per_byte = _morph_transition_io(planner, flow)
+            per_byte = TranscodePlanner().plan(flow.source, flow.target).cost.disk_io
         analysis.transcode_io[flow.label] = volume * per_byte
     return analysis
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.codes.costmodel import convertible_cost, rrw_cost
 from repro.core.advisor import SchemeAdvisor
+from repro.core.schemes import CodeKind, ECScheme
 
 
 class TestSuggestions:
@@ -27,7 +28,7 @@ class TestSuggestions:
             convertible_cost(6, 3, 12, 1)
         advisor = SchemeAdvisor()
         by_shape = {(s.k, s.r): s for s in advisor.candidates(6, 3, 12, 1)}
-        assert by_shape[(12, 1)].transcode_io == rrw_cost(6, 3, 12, 1).disk_io
+        assert by_shape[(12, 1)].transcode_io == rrw_cost(ECScheme(CodeKind.CC, 12, 13)).disk_io
         assert by_shape[(12, 2)].transcode_io == convertible_cost(6, 3, 12, 2).disk_io
         best = advisor.suggest(6, 3, 12, 1)
         assert best.r == 2 and advisor.improvement_over_request(6, 3, 12, 1) > 0.5

@@ -7,9 +7,12 @@ they were re-homed (item 1d) — are pinned."""
 import numpy as np
 import pytest
 
+from repro.codes.costmodel import TranscodeCost
+from repro.core.planner import TranscodeKind, TranscodeStep
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import JournaledNamenode, MorphFS, Namenode
 from repro.dfs.audit import KINDS, audit
+from repro.dfs.blocks import ReplicaBlockMeta
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.dfs.integrity import Scrubber, corrupt_chunk
 from repro.dfs.namenode import TranscodeJob
@@ -85,6 +88,11 @@ def listed_chunk_gone_from_its_home(fs):
     return chunk.chunk_id
 
 
+def replica_block_listed_by_an_ec_file(fs):
+    fs.namenode.lookup("f").replica_blocks.append(ReplicaBlockMeta(0, 0, 6))
+    return "f"
+
+
 def chunk_moved_onto_a_stripe_mate(fs):
     stripe = stripe0(fs)
     chunk, mate = stripe.data[0], stripe.data[1]
@@ -110,6 +118,7 @@ PLANTED = {
     "capacity": metered_delete_with_no_disk_delete,
     "unlisted": unlisted_stored_chunk,
     "missing": listed_chunk_gone_from_its_home,
+    "layout": replica_block_listed_by_an_ec_file,
     "colocated": chunk_moved_onto_a_stripe_mate,
     "parity": corrupted_parity_under_a_fresh_sum,
 }
@@ -153,6 +162,24 @@ def test_two_copies_of_a_replica_block_on_one_node_are_colocated():
     copies = fs.namenode.lookup("f").replica_blocks[1].copies
     moved(fs, copies[1], copies[0].node_id)
     assert [(v.kind, v.subject) for v in audit(fs)] == [("colocated", "f/b1")]
+
+
+def test_a_native_merge_into_a_hybrid_leaves_a_layout_fault():
+    """The rule the planner used to follow — a hybrid target converted
+    natively — left the file labelled ``Hy(1,CC(12,15))`` with no replica
+    copy, every other kind clean: the planner now says RRW for it."""
+    fs = whole_fs()
+    fs.planner.plan = lambda source, target: TranscodeStep(
+        source, target, TranscodeKind.CONVERTIBLE, TranscodeCost(0.0, 0.0, 0.0)
+    )
+    fs.transcode("f", HybridScheme(1, CC1215))
+    assert [(v.kind, v.subject) for v in audit(fs)] == [("layout", "f/s0")]
+
+
+def test_a_replicated_file_listing_a_stripe_is_a_layout_fault():
+    fs = whole_fs()
+    fs.namenode.lookup("f").scheme = Replication(2)
+    assert [(v.kind, v.subject) for v in audit(fs)] == [("layout", "f")]
 
 
 def test_the_audit_moves_no_counter():

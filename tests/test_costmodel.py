@@ -6,19 +6,17 @@ import pytest
 from repro.codes.bandwidth import BandwidthOptimalCC
 from repro.codes.convertible import ConvertibleCode, plan_conversion
 from repro.codes.costmodel import (
-    Strategy,
     bandwidth_optimal_read_chunks,
     convertible_cost,
-    lrc_rrw_cost,
     native_rs_cost,
     rrw_cost,
     stripemerge_cost,
-    transcode_cost,
 )
 from repro.core.planner import TranscodeKind, TranscodePlanner
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 
 CC69 = ECScheme(CodeKind.CC, 6, 9)
+RS1215 = ECScheme(CodeKind.RS, 12, 15)
 
 
 def lrcc(k, l, r_global):
@@ -83,7 +81,7 @@ class TestCrossCheckWithRealPlans:
 
 class TestStrategies:
     def test_rrw_reads_and_rewrites_everything(self):
-        cost = rrw_cost(6, 3, 12, 3)
+        cost = rrw_cost(RS1215)
         assert cost.read == 1.0
         assert cost.write == pytest.approx(1.25)
         assert cost.disk_io == pytest.approx(2.25)
@@ -107,18 +105,13 @@ class TestStrategies:
 
     def test_stripemerge_supported_case(self):
         cost = stripemerge_cost(6, 3, 12, 3)
-        assert cost.disk_io < rrw_cost(6, 3, 12, 3).disk_io
+        assert cost.disk_io < rrw_cost(RS1215).disk_io
 
     def test_stripemerge_unsupported_falls_back_to_rrw(self):
-        assert stripemerge_cost(6, 3, 18, 3) == rrw_cost(6, 3, 18, 3)
-
-    def test_dispatch(self):
-        for strategy in Strategy:
-            cost = transcode_cost(strategy, 6, 3, 12, 3)
-            assert cost.read >= 0 and cost.write >= 0
+        assert stripemerge_cost(6, 3, 18, 3) == rrw_cost(ECScheme(CodeKind.RS, 18, 21))
 
     def test_scaled(self):
-        cost = rrw_cost(6, 3, 12, 3).scaled(100.0)
+        cost = rrw_cost(RS1215).scaled(100.0)
         assert cost.read == pytest.approx(100.0)
 
 
@@ -128,11 +121,6 @@ class TestLrccCosts:
         assert cost.read == pytest.approx(10 / 72)
         assert cost.write == pytest.approx(8 / 72)
         assert cost.network == 0.0
-
-    def test_lrc_rrw_cost(self):
-        cost = lrc_rrw_cost(6, 36, 3, 2)
-        assert cost.read == 1.0
-        assert cost.write == pytest.approx(1 + 5 / 36)
 
     @pytest.mark.parametrize(
         "source, target",
@@ -149,21 +137,48 @@ class TestLrccCosts:
         assert TranscodePlanner().plan(source, target).kind is TranscodeKind.RRW
 
 
-class TestIngestMultipliers:
-    def test_replication(self):
-        assert Replication(3).ingest_disk_multiplier == 3.0
+class TestOneRrwPrice:
+    """A rewrite is priced by its target alone: read the data once, write
+    the target's footprint — ``1 + r/k`` for a stripe, ``copies`` for
+    replication, the two summed for a hybrid."""
 
-    def test_hybrid(self):
+    @pytest.mark.parametrize(
+        "target, write",
+        [
+            (RS1215, 1.25),
+            (lrcc(36, 3, 2), 1 + 5 / 36),  # locals and globals alike
+            (Replication(3), 3.0),
+            (HybridScheme(2, CC69), 3.5),
+        ],
+        ids=str,
+    )
+    def test_write_is_the_target_footprint(self, target, write):
+        cost = rrw_cost(target)
+        assert (cost.read, cost.network) == (1.0, 1.0 + cost.write)
+        assert cost.write == pytest.approx(write)
+
+    def test_ec_write_keeps_one_plus_r_over_k_to_the_last_bit(self):
+        # n/k differs in the last bit for (6, 10): figures pinned on the
+        # old arithmetic stay bit-identical.
+        assert rrw_cost(ECScheme(CodeKind.CC, 6, 10)).write == 1.0 + 4 / 6 != 10 / 6
+
+    def test_the_planner_prices_every_rrw_by_its_target(self):
+        for source, target in [
+            (Replication(3), CC69),
+            (CC69, Replication(2)),
+            (CC69, HybridScheme(1, RS1215)),
+            (ECScheme(CodeKind.RS, 6, 9), RS1215),
+        ]:
+            step = TranscodePlanner().plan(source, target)
+            assert step.kind is TranscodeKind.RRW
+            assert step.cost == rrw_cost(target)
+
+    def test_ingest_writes_the_footprint(self):
         # Hy(1, EC(6,9)): 1 replica + 1.5x EC = 2.5x (paper: 150% overhead).
-        hy = HybridScheme(1, ECScheme(CodeKind.RS, 6, 9))
-        assert hy.ingest_disk_multiplier == pytest.approx(2.5)
-
-    def test_ec(self):
-        assert ECScheme(CodeKind.RS, 6, 9).ingest_disk_multiplier == pytest.approx(1.5)
-
-    def test_hybrid_cheaper_than_replication(self):
-        hy = HybridScheme(1, ECScheme(CodeKind.RS, 12, 15))
-        assert hy.ingest_disk_multiplier < 3.0
+        assert Replication(3).storage_overhead == 3.0
+        assert HybridScheme(1, ECScheme(CodeKind.RS, 6, 9)).storage_overhead == pytest.approx(2.5)
+        assert ECScheme(CodeKind.RS, 6, 9).storage_overhead == pytest.approx(1.5)
+        assert HybridScheme(1, RS1215).storage_overhead < 3.0
 
 
 class TestErrors:

@@ -104,12 +104,16 @@ class TestNativeBwoTranscode:
         assert fs.metrics.disk_bytes_read - r0 >= len(data)
         assert np.array_equal(fs.read_file("f"), data)
 
-    def test_tail_misalignment_rejected(self):
+    def test_tail_misalignment_completes_by_rrw(self):
         fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
         data = np.random.default_rng(3).integers(0, 256, 72 * KB, dtype=np.uint8)
         fs.write_file("f", data, SRC)  # 3 stripes: not divisible by lam=2
-        with pytest.raises(TranscodeError):
-            fs.transcode("f", TGT)
+        r0 = fs.metrics.disk_bytes_read
+        fs.transcode("f", TGT)
+        assert fs.metrics.disk_bytes_read - r0 >= len(data)  # the client read it all
+        assert fs.namenode.lookup("f").scheme == TGT
+        assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []
 
 
 class TestParityHomes:
@@ -239,7 +243,7 @@ class TestNoNativePath:
     def test_completes_by_rrw_and_reads_back(self, source, target, scheduled):
         assert TranscodePlanner().plan(source, target).kind is TranscodeKind.RRW
         chunk = 12 * KB  # divisible by r_F = 4
-        fs = MorphFS(chunk_size=chunk, future_widths=sorted({source.k, target.k}))
+        fs = MorphFS(chunk_size=chunk, future_widths=[6, 12])
         data = np.random.default_rng(5).integers(0, 256, 36 * chunk, dtype=np.uint8)
         fs.write_file("f", data, HybridScheme(1, source))
         fs.transcode("f", source)

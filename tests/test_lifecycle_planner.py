@@ -73,16 +73,26 @@ class TestPlanner:
     def test_cc_to_cc_convertible(self):
         step = self.planner.plan(self.cc69, self.cc1215)
         assert step.kind is TranscodeKind.CONVERTIBLE
-        assert step.cost.disk_io < rrw_cost(6, 3, 12, 3).disk_io
+        assert step.cost.disk_io < rrw_cost(self.cc1215).disk_io
 
     def test_rs_to_rs_is_rrw(self):
         step = self.planner.plan(self.rs69, ECScheme(CodeKind.RS, 12, 15))
         assert step.kind is TranscodeKind.RRW
-        assert step.cost.disk_io == pytest.approx(rrw_cost(6, 3, 12, 3).disk_io)
+        assert step.cost == rrw_cost(ECScheme(CodeKind.RS, 12, 15))
 
     def test_replication_source_is_rrw(self):
         step = self.planner.plan(Replication(3), self.rs69)
         assert step.kind is TranscodeKind.RRW
+
+    @pytest.mark.parametrize("source", ["cc69", "hy69"])
+    def test_a_hybrid_target_is_rrw(self, source):
+        """Only ingest lays replica blocks: a native conversion into a
+        hybrid would leave the file labelled with copies it lacks."""
+        src = HybridScheme(1, self.cc69) if source == "hy69" else self.cc69
+        for target in (HybridScheme(2, self.cc69), HybridScheme(1, self.cc1215)):
+            step = self.planner.plan(src, target)
+            assert step.kind is TranscodeKind.RRW
+            assert step.cost == rrw_cost(target)
 
     def test_cc_to_lrcc(self):
         lrcc = ECScheme(CodeKind.LRCC, 24, 30, local_groups=4, r_global=2)

@@ -82,7 +82,6 @@ class TestHybrid:
     def test_overheads(self):
         hy = HybridScheme(1, ECScheme(CodeKind.CC, 6, 9))
         assert hy.storage_overhead == pytest.approx(2.5)
-        assert hy.ingest_disk_multiplier == pytest.approx(2.5)
         assert str(hy) == "Hy(1,CC(6,9))"
 
     def test_fault_tolerance_c_plus_r(self):

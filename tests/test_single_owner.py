@@ -739,3 +739,29 @@ def test_the_wide_code_names_only_its_family():
         init = cls.__init__.__code__
         assert init.co_varnames[: init.co_argcount] == ("self", "k", "n", "family_width")
         assert cls.__init__.__defaults__ == (None,)
+
+
+def test_one_rrw_price_and_one_rule_for_a_transition():
+    # A rewrite was priced five times — two rrw_cost signatures, the
+    # planner's own, the trace analyzer's and a strategy dispatch — and
+    # ingest twice. Now one function of the target prices every RRW and
+    # ``storage_overhead`` is the ingest footprint.
+    for name in (
+        "lrc_rrw_cost", "transcode_cost", "_rrw", "_ec_of", "_baseline_transition_io",
+        "_ingest_multiplier", "ingest_disk_multiplier",
+    ):
+        assert not files_matching(rf"\b{name}\b"), name
+    assert not files_matching(r"class Strategy\b|\bStrategy\.")
+    assert files_matching(r"def rrw_cost\(target: ") == ["codes/costmodel.py"]
+    assert files_matching(r"\brrw_cost\(") == [
+        "bench/experiments.py", "codes/costmodel.py", "core/adaptive.py",
+        "core/advisor.py", "core/planner.py", "traces/analyzer.py",
+    ]
+    # The planner decides a transition's kind; the DFS asks it in one
+    # place, inline and scheduled alike, and only downgrades to RRW.
+    assert files_matching(r"\.plan\(", under="dfs/") == ["dfs/filesystem.py"]
+    morph = functions(class_def("dfs/filesystem.py", "MorphFS"))
+    askers = [name for name, fn in morph.items() if ".plan(" in ast.unparse(fn)]
+    assert askers == ["_open_transcode"]
+    for name in ("transcode", "schedule_transcode"):
+        assert "_open_transcode" in calls(morph[name]), name
