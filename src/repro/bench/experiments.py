@@ -18,7 +18,7 @@ from repro.codes.costmodel import (
     rrw_cost,
     stripemerge_cost,
 )
-from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication, degraded_read_probability
+from repro.core.schemes import CodeKind, ECScheme, Replication, degraded_read_probability
 from repro.sim import protocols as P
 from repro.sim.cluster import SimCluster
 from repro.sim.workload import ClosedLoopWorkload
@@ -392,9 +392,11 @@ def fig11_micro(file_mb: int = 8, chunk_kb: int = 16, seed: int = 5) -> Dict:
     """Fig 11a/b: one file through its lifetime on both systems.
 
     The paper's 8 GB file is scaled to ``file_mb`` (IO *ratios* are scale
-    free); phases are ingest -> EC(6,9) -> EC(12,15).
+    free); phases are ingest -> EC(6,9) -> EC(12,15), the stages of
+    :func:`~repro.core.lifecycle.baseline_microbench_policy` and
+    :func:`~repro.core.lifecycle.morph_microbench_policy`.
     """
-    from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
+    from repro.core.lifecycle import baseline_microbench_policy, morph_microbench_policy
     from repro.dfs import BaselineDFS, MorphFS
     from repro.obs import Observability
 
@@ -413,28 +415,22 @@ def fig11_micro(file_mb: int = 8, chunk_kb: int = 16, seed: int = 5) -> Dict:
             "capacity": registry.value("dfs_capacity_bytes"),
         }
 
+    def lifetime(fs, policy) -> Dict:
+        fs.write_file("f", data, policy.stages[0].scheme)
+        phases = {"ingest": snapshot(fs)}
+        for stage in policy.stages[1:]:
+            fs.transcode("f", stage.scheme)
+            phases[f"to_ec_{stage.scheme.k}_{stage.scheme.n}"] = snapshot(fs)
+        return phases
+
     results: Dict = {"file_bytes": float(len(data))}
-
     baseline = BaselineDFS(chunk_size=chunk_kb * 1024, obs=Observability())
-    baseline.write_file("f", data, Replication(3))
-    phases_b = {"ingest": snapshot(baseline)}
-    baseline.transcode("f", ECScheme(CodeKind.RS, 6, 9))
-    phases_b["to_ec_6_9"] = snapshot(baseline)
-    baseline.transcode("f", ECScheme(CodeKind.RS, 12, 15))
-    phases_b["to_ec_12_15"] = snapshot(baseline)
-    results["baseline"] = phases_b
-
-    cc69 = ECScheme(CodeKind.CC, 6, 9)
+    phases_b = results["baseline"] = lifetime(baseline, baseline_microbench_policy())
+    policy = morph_microbench_policy()
     morph = MorphFS(
-        chunk_size=chunk_kb * 1024, future_widths=[6, 12], obs=Observability()
+        chunk_size=chunk_kb * 1024, future_widths=policy.ec_widths(), obs=Observability()
     )
-    morph.write_file("f", data, HybridScheme(1, cc69))
-    phases_m = {"ingest": snapshot(morph)}
-    morph.transcode("f", cc69)
-    phases_m["to_ec_6_9"] = snapshot(morph)
-    morph.transcode("f", ECScheme(CodeKind.CC, 12, 15))
-    phases_m["to_ec_12_15"] = snapshot(morph)
-    results["morph"] = phases_m
+    phases_m = results["morph"] = lifetime(morph, policy)
 
     b, m = phases_b["to_ec_12_15"], phases_m["to_ec_12_15"]
     b_disk = b["disk_read"] + b["disk_write"]
@@ -467,10 +463,11 @@ def fig11_macro(
     data reaches each lifetime step. Here every file is ingested and the
     first ``transcode_fraction`` of files advance through each step of
     the chain EC(5,8) -> EC(10,13) -> EC(20,23) (CC + native transcode on
-    Morph, RS + client RRW on baseline). Both systems execute the exact
-    same logical work.
+    Morph, the stages of :func:`~repro.core.lifecycle.morph_macrobench_policy`;
+    RS + client RRW on baseline). Both systems execute the exact same
+    logical work.
     """
-    from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
+    from repro.core.lifecycle import morph_macrobench_policy
     from repro.dfs import BaselineDFS, MorphFS
     from repro.obs import Observability
 
@@ -478,28 +475,27 @@ def fig11_macro(
     datasets = [
         rng.integers(0, 256, file_kb * 1024, dtype=np.uint8) for _ in range(n_files)
     ]
-    chain_rs = [ECScheme(CodeKind.RS, 5, 8), ECScheme(CodeKind.RS, 10, 13), ECScheme(CodeKind.RS, 20, 23)]
-    chain_cc = [ECScheme(CodeKind.CC, 5, 8), ECScheme(CodeKind.CC, 10, 13), ECScheme(CodeKind.CC, 20, 23)]
+    policy = morph_macrobench_policy()
     n_advance = max(1, int(round(transcode_fraction * n_files)))
 
     def run(system: str) -> Dict:
         if system == "baseline":
             fs = BaselineDFS(chunk_size=chunk_kb * 1024, obs=Observability())
+            ingest = Replication(3)
+            # The RS chain has no lifetime policy of its own.
+            chain = [ECScheme(CodeKind.RS, k, k + 3) for k in (5, 10, 20)]
         else:
             fs = MorphFS(
                 chunk_size=chunk_kb * 1024,
-                future_widths=[5, 10, 20],
+                future_widths=policy.ec_widths(),
                 obs=Observability(),
             )
+            ingest = policy.stages[0].scheme
+            chain = [stage.scheme for stage in policy.stages[1:]]
         capacity_series = []
         for i, data in enumerate(datasets):
-            name = f"f{i:03d}"
-            if system == "baseline":
-                fs.write_file(name, data, Replication(3))
-            else:
-                fs.write_file(name, data, HybridScheme(1, chain_cc[0]))
+            fs.write_file(f"f{i:03d}", data, ingest)
             capacity_series.append(fs.capacity_used())
-        chain = chain_rs if system == "baseline" else chain_cc
         for step, scheme in enumerate(chain):
             # Files deep enough into their lifetime advance one step.
             for i in range(min(n_advance * (len(chain) - step), n_files)):

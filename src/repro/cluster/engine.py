@@ -246,54 +246,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are granted lowest-priority-value first.
-
-    Foreground/background interference modeling: foreground reads request
-    at priority 0, maintenance IO at a higher value, so a backlogged disk
-    serves user work first. Ties break FIFO.
-    """
-
-    __slots__ = ("_pq", "_pq_seq")
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: int = 1,
-        name: Optional[str] = None,
-        registry=None,
-    ):
-        super().__init__(env, capacity, name=name, registry=registry)
-        self._pq: List = []  # (priority, seq, event)
-        self._pq_seq = 0
-
-    def request(self, priority: float = 0.0) -> Event:
-        ev = Event(self.env)
-        self._track_wait(ev)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed()
-        else:
-            heapq.heappush(self._pq, (priority, self._pq_seq, ev))
-            self._pq_seq += 1
-        return ev
-
-    def release(self, _request: Optional[Event] = None) -> None:
-        if self._pq:
-            _, _, ev = heapq.heappop(self._pq)
-            ev.succeed()
-        else:
-            self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pq)
-
 
 class Environment:
     """Simulation clock plus the pending-event schedule.

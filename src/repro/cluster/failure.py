@@ -84,6 +84,3 @@ class FailureInjector:
         for node_id in list(self.failed_nodes):
             self.cluster.recover_node(node_id)
         self.failed_nodes.clear()
-
-    def is_available(self, node_id: str) -> bool:
-        return node_id not in self.failed_nodes

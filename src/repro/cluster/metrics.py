@@ -175,17 +175,3 @@ class IOMetrics:
             "network": self.net_bytes_total,
             "cpu_seconds": self.cpu_seconds_total,
         }
-
-    def maintenance_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-task-class maintenance totals, for benchmarks and reports."""
-        return {
-            klass: {
-                "disk_bytes": m.disk_bytes,
-                "net_bytes": m.net_bytes,
-                "cpu_seconds": m.cpu_seconds,
-                "completed": m.tasks_completed,
-                "failed": m.tasks_failed,
-                "dead_lettered": m.tasks_dead_lettered,
-            }
-            for klass, m in sorted(self.maintenance.items())
-        }

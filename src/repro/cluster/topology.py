@@ -29,17 +29,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.partition import NetworkPartition
 
-TB = 1024 ** 4
-
 
 @dataclass
 class Node:
-    """One server: identity, rack, disk capacity, live/dead state and
-    disk slowdown."""
+    """One server: identity, rack, live/dead state and disk slowdown."""
 
     node_id: str
     rack: int
-    disk_capacity_bytes: float = 1 * TB
     is_alive: bool = True
     #: hardware tier this node belongs to ("" = untiered cluster)
     node_class: str = ""
@@ -68,7 +64,6 @@ class NodeClass:
     count: int
     #: disk service-time scaling of the tier's nodes (<1 = faster)
     disk_multiplier: float = 1.0
-    disk_capacity_bytes: Optional[float] = None
 
 
 @dataclass
@@ -78,7 +73,6 @@ class ClusterSpec:
 
     n_datanodes: int = 23
     n_racks: int = 4
-    disk_capacity_bytes: float = 1 * TB
     #: battery-backed buffer cache per Datanode (paper: 512 MB)
     buffer_cache_bytes: float = 512 * 1024 * 1024
     #: GF(256) coding rate of one core per unit of generator width: a
@@ -102,15 +96,11 @@ class Cluster:
         self.nodes: List[Node] = []
         for i in range(self.spec.n_datanodes):
             klass = classes[i] if classes else None
-            capacity = self.spec.disk_capacity_bytes
-            if klass is not None and klass.disk_capacity_bytes is not None:
-                capacity = klass.disk_capacity_bytes
             node_id = f"dn{i:03d}"
             self.nodes.append(
                 Node(
                     node_id=node_id,
                     rack=i % self.spec.n_racks,
-                    disk_capacity_bytes=capacity,
                     node_class=klass.name if klass is not None else "",
                     disk_multiplier=self.spec.node_disk_multipliers.get(
                         node_id, klass.disk_multiplier if klass is not None else 1.0

@@ -22,8 +22,6 @@ from repro.codes.base import (
     ErasureCode,
     Stripe,
     chunks_equal,
-    join_chunks,
-    split_into_chunks,
 )
 from repro.codes.rs import ReedSolomon
 from repro.codes.convertible import ConvertibleCode, ConversionPlan
@@ -42,8 +40,6 @@ __all__ = [
     "ErasureCode",
     "Stripe",
     "DecodeError",
-    "split_into_chunks",
-    "join_chunks",
     "chunks_equal",
     "ReedSolomon",
     "ConvertibleCode",

@@ -40,29 +40,6 @@ class DecodeError(Exception):
     """Raised when the available chunks cannot recover the erased ones."""
 
 
-def split_into_chunks(data: np.ndarray, k: int) -> List[np.ndarray]:
-    """Split a byte buffer into k equal chunks, zero-padding the tail.
-
-    >>> [c.tolist() for c in split_into_chunks(np.arange(5, dtype=np.uint8), 2)]
-    [[0, 1, 2], [3, 4, 0]]
-    """
-    data = np.asarray(data, dtype=np.uint8).reshape(-1)
-    chunk_len = (len(data) + k - 1) // k
-    if chunk_len == 0:
-        chunk_len = 1
-    padded = np.zeros(chunk_len * k, dtype=np.uint8)
-    padded[: len(data)] = data
-    return [padded[i * chunk_len : (i + 1) * chunk_len] for i in range(k)]
-
-
-def join_chunks(chunks: Sequence[np.ndarray], length: Optional[int] = None) -> np.ndarray:
-    """Inverse of :func:`split_into_chunks`; optionally trim padding."""
-    joined = np.concatenate([np.asarray(c, dtype=np.uint8) for c in chunks])
-    if length is not None:
-        joined = joined[:length]
-    return joined
-
-
 def chunks_equal(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> bool:
     """True if two chunk lists are element-wise identical."""
     if len(a) != len(b):
@@ -92,9 +69,6 @@ class Stripe:
     @property
     def parity_chunks(self) -> List[Optional[np.ndarray]]:
         return self.chunks[self.k :]
-
-    def available_indices(self) -> List[int]:
-        return [i for i, c in enumerate(self.chunks) if c is not None]
 
     def erased_indices(self) -> List[int]:
         return [i for i, c in enumerate(self.chunks) if c is None]

@@ -52,11 +52,6 @@ class TranscodeCost:
     def disk_io(self) -> float:
         return self.read + self.write
 
-    def scaled(self, data_bytes: float) -> "TranscodeCost":
-        return TranscodeCost(
-            self.read * data_bytes, self.write * data_bytes, self.network * data_bytes
-        )
-
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)

@@ -16,7 +16,6 @@ from repro.core.schemes import (
 )
 from repro.core.advisor import SchemeAdvisor, Suggestion
 from repro.core.lifecycle import LifetimePhase, LifetimePolicy, LifetimeStage
-from repro.core.manager import LifetimeManager
 from repro.core.planner import TranscodePlanner, TranscodeStep
 from repro.core.durability import (
     FailureEnvironment,
@@ -37,7 +36,6 @@ __all__ = [
     "LifetimePhase",
     "LifetimePolicy",
     "LifetimeStage",
-    "LifetimeManager",
     "TranscodePlanner",
     "TranscodeStep",
     "FailureEnvironment",

@@ -151,10 +151,3 @@ class AdaptiveRedundancyPlanner:
                 )
             current = scheme
         return plan
-
-    def savings(self, months: int = 72) -> float:
-        """Fractional transition-IO saving of CC execution over RRW."""
-        plan = self.plan(months)
-        if plan.total_rrw_io == 0:
-            return 0.0
-        return 1.0 - plan.total_cc_io / plan.total_rrw_io

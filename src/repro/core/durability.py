@@ -101,28 +101,3 @@ def nines(probability_of_loss: float) -> float:
     if probability_of_loss <= 0:
         return float("inf")
     return float(-np.log10(probability_of_loss))
-
-
-def durability_table(env: Optional[FailureEnvironment] = None, groups: int = 1):
-    """Annual-loss comparison of the paper's scheme ladder."""
-    from repro.core.schemes import CodeKind
-
-    env = env or FailureEnvironment()
-    schemes = [
-        ("3-r", Replication(3)),
-        ("RS(6,9)", ECScheme(CodeKind.RS, 6, 9)),
-        ("Hy(1,CC(6,9))", HybridScheme(1, ECScheme(CodeKind.CC, 6, 9))),
-        ("Hy(2,CC(6,9))", HybridScheme(2, ECScheme(CodeKind.CC, 6, 9))),
-        ("RS(12,15)", ECScheme(CodeKind.RS, 12, 15)),
-    ]
-    rows = []
-    for name, scheme in schemes:
-        p = annual_loss_probability(scheme, env, groups)
-        rows.append({
-            "scheme": name,
-            "tolerates": _scheme_shape(scheme)[1],
-            "annual_loss_p": p,
-            "nines": nines(p),
-            "overhead": scheme.storage_overhead,
-        })
-    return rows

@@ -21,7 +21,6 @@ from repro.core.schemes import (
     HybridScheme,
     RedundancyScheme,
     Replication,
-    lcm_of_widths,
 )
 
 
@@ -32,11 +31,11 @@ class LifetimePhase(enum.Enum):
     FRIGID = "frigid"
 
 
-#: default phase -> storage-tier mapping for heterogeneous clusters:
+#: phase -> storage-tier mapping for heterogeneous clusters:
 #: latency-sensitive phases live on the fast (ssd) tier, cold phases on
 #: the dense (hdd) tier. A homogeneous cluster simply has no nodes of
 #: either class and the preference is a no-op.
-DEFAULT_PHASE_TIERS = {
+PHASE_TIERS = {
     LifetimePhase.HOT: "ssd",
     LifetimePhase.WARM: "ssd",
     LifetimePhase.COOL: "hdd",
@@ -66,29 +65,15 @@ class LifetimePolicy:
             raise ValueError("stages must be in increasing age order")
         self.stages: List[LifetimeStage] = list(stages)
 
-    def scheme_at(self, age: float) -> RedundancyScheme:
-        """The scheme a file of the given age should be stored in."""
-        current = self.stages[0].scheme
-        for stage in self.stages:
-            if age >= stage.start_age:
-                current = stage.scheme
-            else:
-                break
-        return current
-
     def phase_at(self, age: float) -> LifetimePhase:
         """The lifetime phase a file of the given age is in."""
         return self.stages[self.stage_index_at(age)].phase
 
-    def tier_at(self, age: float, tiers: dict = None) -> str:
-        """Preferred storage-tier (node class) for a file of this age.
-
-        ``tiers`` maps :class:`LifetimePhase` to a node-class name and
-        defaults to :data:`DEFAULT_PHASE_TIERS`. The result feeds
-        :attr:`PlacementPolicy.prefer_class`.
-        """
-        mapping = DEFAULT_PHASE_TIERS if tiers is None else tiers
-        return mapping.get(self.phase_at(age), "")
+    def tier_at(self, age: float) -> str:
+        """Preferred storage-tier (node class) for a file of this age,
+        through :data:`PHASE_TIERS`. The result feeds
+        :attr:`PlacementPolicy.prefer_class`."""
+        return PHASE_TIERS[self.phase_at(age)]
 
     def stage_index_at(self, age: float) -> int:
         idx = 0
@@ -96,13 +81,6 @@ class LifetimePolicy:
             if age >= stage.start_age:
                 idx = i
         return idx
-
-    def transitions(self) -> List[tuple]:
-        """(age, from_scheme, to_scheme) for each stage boundary."""
-        out = []
-        for prev, nxt in zip(self.stages, self.stages[1:]):
-            out.append((nxt.start_age, prev.scheme, nxt.scheme))
-        return out
 
     def ec_widths(self) -> List[int]:
         """Stripe widths (k) of every EC stage, for k* placement planning."""
@@ -114,11 +92,6 @@ class LifetimePolicy:
             elif isinstance(scheme, ECScheme):
                 widths.append(scheme.k)
         return widths
-
-    def k_star(self) -> int:
-        """LCM of all potential stripe widths (§5.3 data separation)."""
-        widths = self.ec_widths()
-        return lcm_of_widths(*widths) if widths else 1
 
 
 HOUR = 3600.0

@@ -42,10 +42,6 @@ class TranscodeStep:
     kind: TranscodeKind
     cost: TranscodeCost  # per logical byte
 
-    @property
-    def is_free(self) -> bool:
-        return self.kind is TranscodeKind.FREE
-
 
 class TranscodePlanner:
     """Chooses the cheapest supported strategy for each transition."""

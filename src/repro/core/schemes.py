@@ -50,11 +50,6 @@ class RedundancyScheme:
         raise NotImplementedError
 
     @property
-    def chunk_count(self) -> int:
-        """Chunks per stripe-equivalent unit (placement footprint)."""
-        raise NotImplementedError
-
-    @property
     def ec_part(self) -> Optional["ECScheme"]:
         """The EC scheme the stripes are coded with — an EC scheme is its
         own, a hybrid's is the one it embeds — or ``None`` (replication)."""
@@ -78,10 +73,6 @@ class Replication(RedundancyScheme):
     @property
     def fault_tolerance(self) -> int:
         return self.copies - 1
-
-    @property
-    def chunk_count(self) -> int:
-        return self.copies
 
     def __str__(self) -> str:
         return f"{self.copies}-r"
@@ -148,10 +139,6 @@ class ECScheme(RedundancyScheme):
             # count is r_global + 1 (one local failure anywhere plus globals).
             return (self.r_global or 0) + 1
         return self.r
-
-    @property
-    def chunk_count(self) -> int:
-        return self.n
 
     @property
     def ec_part(self) -> "ECScheme":
@@ -229,11 +216,6 @@ class HybridScheme(RedundancyScheme):
     @property
     def fault_tolerance(self) -> int:
         return self.copies + (self.ec.n - self.ec.k)
-
-    @property
-    def chunk_count(self) -> int:
-        # One replica block is one chunk-equivalent per data-chunk span.
-        return self.copies * self.ec.k + self.ec.n
 
     @property
     def ec_part(self) -> ECScheme:

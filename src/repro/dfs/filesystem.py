@@ -61,6 +61,8 @@ from repro.dfs.transcoder import NativeTranscoder, RRWTranscoder
 from repro.sched.scheduler import MaintenanceScheduler
 
 MB = 1024 * 1024
+#: chunks per replica block of a replicated file (``Replication`` ingest)
+REPLICATION_BLOCK_CHUNKS = 8
 
 
 def _listed(chunk: ChunkMeta) -> int:
@@ -76,7 +78,6 @@ class _BaseDFS:
         self,
         cluster: Optional[Cluster] = None,
         chunk_size: int = 64 * 1024,
-        replication_block_chunks: int = 8,
         seed: int = 0,
         obs: Optional[Observability] = None,
         namenode: Optional[Namenode] = None,
@@ -85,7 +86,6 @@ class _BaseDFS:
 
         self.cluster = cluster or Cluster()
         self.chunk_size = chunk_size
-        self.replication_block_chunks = replication_block_chunks
         self.metrics = IOMetrics()
         self.datanodes: Dict[str, Datanode] = {
             node.node_id: Datanode(
@@ -175,15 +175,6 @@ class _BaseDFS:
     def commandable(self, node_id: str) -> bool:
         """Can the namenode command the node: may a chunk be put there?"""
         return self.node_reachable(node_id, NAMENODE)
-
-    def reachable_nodes(self, by: str = NAMENODE) -> List[str]:
-        """Ids of the nodes ``by`` can use (by default: the namenode can
-        command), in cluster order."""
-        return [
-            node.node_id
-            for node in self.cluster.nodes
-            if self.node_reachable(node.node_id, by)
-        ]
 
     def chunk_readable(self, chunk: ChunkMeta, by: str = CLIENT) -> bool:
         """Can ``by`` read the chunk where the namenode lists it: its
@@ -542,7 +533,7 @@ class _BaseDFS:
 
     def _write_replicated(self, meta: FileMeta, data: np.ndarray, copies: int) -> None:
         placement = self._default_placement(meta.name)
-        span = self.replication_block_chunks * self.chunk_size
+        span = REPLICATION_BLOCK_CHUNKS * self.chunk_size
         block_index = 0
         for start in range(0, max(len(data), 1), span):
             block = np.asarray(data[start : start + span], dtype=np.uint8)
@@ -671,7 +662,6 @@ class MorphFS(AppendSupport, _BaseDFS):
         self,
         cluster: Optional[Cluster] = None,
         chunk_size: int = 64 * 1024,
-        replication_block_chunks: int = 8,
         seed: int = 0,
         future_widths: Optional[Sequence[int]] = None,
         max_parities: int = 4,
@@ -681,10 +671,7 @@ class MorphFS(AppendSupport, _BaseDFS):
         obs: Optional[Observability] = None,
         namenode: Optional[Namenode] = None,
     ):
-        super().__init__(
-            cluster, chunk_size, replication_block_chunks, seed,
-            obs=obs, namenode=namenode,
-        )
+        super().__init__(cluster, chunk_size, seed, obs=obs, namenode=namenode)
         self.future_widths = list(future_widths or [])
         self.max_parities = max_parities
         #: ablation switch: False disables k*-window planning and parity

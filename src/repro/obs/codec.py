@@ -36,13 +36,6 @@ class CodecStats:
         self.seconds[op] = self.seconds.get(op, 0.0) + seconds
         self.ops[op] = self.ops.get(op, 0.0) + 1
 
-    def rate_mb_s(self, op: str) -> float:
-        """Lifetime mean throughput of one op kind, MB/s (0 if unused)."""
-        secs = self.seconds.get(op, 0.0)
-        if secs <= 0:
-            return 0.0
-        return self.bytes.get(op, 0.0) / secs / 1e6
-
     def reset(self) -> None:
         self.bytes.clear()
         self.seconds.clear()

@@ -29,6 +29,10 @@ from repro.obs.registry import COUNTER, GAUGE, MetricsRegistry
 from repro.obs.tracer import NOOP_TRACER, Span, Tracer
 
 MB = 1024 * 1024
+#: the bandwidth models a :class:`CostModelClock` prices bytes at: one
+#: HDD per node, one 40 GbE NIC
+DISK_BYTES_PER_S = 120.0 * MB
+NET_BYTES_PER_S = 4500.0 * MB
 
 #: (attribute on NodeMetrics aggregate, exported metric name)
 _CLUSTER_SERIES = (
@@ -67,21 +71,14 @@ class CostModelClock:
     the modeled cost of what that operation moved.
     """
 
-    def __init__(
-        self,
-        metrics,
-        disk_mb_s: float = 120.0,
-        net_mb_s: float = 4500.0,
-    ):
+    def __init__(self, metrics):
         self.metrics = metrics
-        self.disk_bytes_per_s = disk_mb_s * MB
-        self.net_bytes_per_s = net_mb_s * MB
 
     def __call__(self) -> float:
         m = self.metrics
         return (
-            m.disk_bytes_total / self.disk_bytes_per_s
-            + m.net_bytes_total / self.net_bytes_per_s
+            m.disk_bytes_total / DISK_BYTES_PER_S
+            + m.net_bytes_total / NET_BYTES_PER_S
             + m.cpu_seconds_total
         )
 
@@ -112,13 +109,7 @@ class Observability:
     def attach_filesystem(self, fs) -> "Observability":
         """Expose a DFS's IOMetrics ledger through the registry."""
         if not self._clock_explicit:
-            disk_mb_s = getattr(
-                getattr(fs.cluster.spec, "disk", None), "bandwidth_mb_s", 120.0
-            )
-            net_mb_s = getattr(
-                getattr(fs.cluster.spec, "network", None), "bandwidth_mb_s", 4500.0
-            )
-            self.set_clock(CostModelClock(fs.metrics, disk_mb_s, net_mb_s))
+            self.set_clock(CostModelClock(fs.metrics))
         self.attach_metrics(fs.metrics, capacity_fn=fs.capacity_used)
         self.attach_namenode(fs)
         return self

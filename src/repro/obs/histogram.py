@@ -159,9 +159,6 @@ class LogLinearHistogram:
         v_hi = self._value_at(min(lo + 1, self.count - 1))
         return v_lo * (1.0 - frac) + v_hi * frac
 
-    def percentiles(self, ps: Iterable[float]) -> List[float]:
-        return [self.percentile(p) for p in ps]
-
     def bucket_bounds(self) -> List[Tuple[float, int]]:
         """(upper_bound, count) per non-empty bucket, ascending."""
         out: List[Tuple[float, int]] = []

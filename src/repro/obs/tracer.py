@@ -118,9 +118,6 @@ class Tracer:
             return list(self.finished)
         return [s for s in self.finished if s.name == name]
 
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.finished if s.parent_id == span.span_id]
-
 
 class _NoopSpan:
     """Shared do-nothing span; the cost of disabled tracing."""

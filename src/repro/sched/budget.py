@@ -7,13 +7,13 @@ maintenance bytes in a tick than its budget" a hard invariant rather
 than a soft target (when exact per-node charges are known — the
 simulation path — admission checks exactly those instead).
 
-One escape hatch preserves liveness: a task whose estimate exceeds the
-bucket *capacity* could otherwise never run. Such a task is admitted
-when the bucket is full, overdrafting it — the debt is paid down by
-subsequent refills before anything else is admitted on that node. With
-budgets sized at or above the largest single task (the sane
-configuration) the overdraft never triggers and the per-tick cap is
-exact.
+A bucket holds one tick's rate, so idle ticks bank nothing. One escape
+hatch preserves liveness: a task whose estimate exceeds a bucket could
+otherwise never run. Such a task is admitted when the bucket is full,
+overdrafting it — the debt is paid down by subsequent refills before
+anything else is admitted on that node. With budgets sized at or above
+the largest single task (the sane configuration) the overdraft never
+triggers and the per-tick cap is exact.
 """
 
 from __future__ import annotations
@@ -24,17 +24,16 @@ from repro.sched.tasks import TaskCost
 
 
 class TokenBucket:
-    """Byte tokens refilled per tick, capped at ``capacity``."""
+    """Byte tokens refilled per tick, capped at one tick's rate."""
 
-    def __init__(self, rate_per_tick: float, capacity: Optional[float] = None):
+    def __init__(self, rate_per_tick: float):
         if rate_per_tick <= 0:
             raise ValueError("rate_per_tick must be positive")
         self.rate = float(rate_per_tick)
-        self.capacity = float(capacity if capacity is not None else rate_per_tick)
-        self.tokens = self.capacity  # start full: first tick gets a budget
+        self.tokens = self.rate  # start full: first tick gets a budget
 
     def refill(self) -> None:
-        self.tokens = min(self.capacity, self.tokens + self.rate)
+        self.tokens = min(self.rate, self.tokens + self.rate)
 
     def can(self, nbytes: float) -> bool:
         if nbytes <= 0:
@@ -43,7 +42,7 @@ class TokenBucket:
             return True
         # Liveness overdraft: a task bigger than the bucket itself is
         # admitted only against a full bucket.
-        return nbytes > self.capacity and self.tokens >= self.capacity
+        return nbytes > self.rate and self.tokens >= self.rate
 
     def take(self, nbytes: float) -> None:
         """Charge bytes (may overdraft below zero; refills pay it down)."""
@@ -88,11 +87,9 @@ class BudgetManager:
         self,
         disk_bytes_per_tick: Optional[float] = None,
         net_bytes_per_tick: Optional[float] = None,
-        burst_ticks: float = 1.0,
     ):
         self.disk_rate = disk_bytes_per_tick
         self.net_rate = net_bytes_per_tick
-        self.burst_ticks = max(1.0, float(burst_ticks))
         self._nodes: Dict[str, NodeBudget] = {}
 
     @property
@@ -102,16 +99,8 @@ class BudgetManager:
     def node(self, node_id: str) -> NodeBudget:
         if node_id not in self._nodes:
             self._nodes[node_id] = NodeBudget(
-                disk=(
-                    TokenBucket(self.disk_rate, self.disk_rate * self.burst_ticks)
-                    if self.disk_rate
-                    else None
-                ),
-                net=(
-                    TokenBucket(self.net_rate, self.net_rate * self.burst_ticks)
-                    if self.net_rate
-                    else None
-                ),
+                disk=TokenBucket(self.disk_rate) if self.disk_rate else None,
+                net=TokenBucket(self.net_rate) if self.net_rate else None,
             )
         return self._nodes[node_id]
 

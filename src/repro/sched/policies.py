@@ -16,8 +16,8 @@ starve scrubs forever, but aging floors just below the critical band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.cluster.partition import NAMENODE
 from repro.sched.tasks import MaintenanceTask, TaskClass
@@ -31,64 +31,50 @@ BACKOFF_FACTOR = 2.0
 MAX_BACKOFF_TICKS = 64
 
 
-def _default_bands() -> Dict[TaskClass, float]:
-    return {
-        TaskClass.CRITICAL_REPAIR: 0.0,
-        TaskClass.REPAIR: 10.0,
-        TaskClass.TRANSCODE: 20.0,
-        TaskClass.SCRUB: 30.0,
-    }
+#: base priority per task class; smaller runs first
+PRIORITY_BANDS = {
+    TaskClass.CRITICAL_REPAIR: 0.0,
+    TaskClass.REPAIR: 10.0,
+    TaskClass.TRANSCODE: 20.0,
+    TaskClass.SCRUB: 30.0,
+}
+#: priority a deadline-boosted transcode is promoted to (between the
+#: repair and transcode bands)
+BOOSTED_TRANSCODE_PRIORITY = 15.0
+#: how much a waiting task's effective priority improves per tick
+AGING_PER_TICK = 0.5
+#: aging floor — aged tasks never outrank the critical-repair band
+AGED_PRIORITY_FLOOR = 1.0
 
 
 @dataclass
 class SchedulerPolicy:
-    """The knobs of the maintenance control plane in one place."""
+    """What callers of the maintenance control plane set: retries and
+    per-node byte budgets."""
 
-    #: base priority per task class; smaller runs first
-    priority_bands: Dict[TaskClass, float] = field(default_factory=_default_bands)
-    #: priority a deadline-boosted transcode is promoted to (between the
-    #: repair and transcode bands)
-    boosted_transcode_priority: float = 15.0
-    #: how much a waiting task's effective priority improves per tick
-    aging_per_tick: float = 0.5
-    #: aging floor — aged tasks never outrank the critical-repair band
-    aged_priority_floor: float = 1.0
-
-    # -- retries -------------------------------------------------------------
     #: attempts before a task is dead-lettered (task-level override wins)
     max_attempts: int = 4
-
-    # -- budgets -------------------------------------------------------------
     #: per-node maintenance byte budgets refilled each tick; None = unlimited
     disk_bytes_per_tick: Optional[float] = None
     net_bytes_per_tick: Optional[float] = None
-    #: bucket capacity in ticks of refill — >1 lets idle ticks bank budget
-    budget_burst_ticks: float = 1.0
-    #: when the highest-priority IO task does not fit the budget, stop
-    #: admitting lower-priority IO work this tick so the bucket can fill
-    #: for it (prevents small tasks starving a large urgent one);
-    #: metadata-only tasks still run
-    block_on_head: bool = True
 
     def attempts_allowed(self, task: MaintenanceTask) -> int:
         return task.max_attempts if task.max_attempts is not None else self.max_attempts
 
 
-def effective_priority(
-    task: MaintenanceTask, policy: SchedulerPolicy, tick: int, clock: float
-) -> float:
+def effective_priority(task: MaintenanceTask, tick: int, clock: float) -> float:
     """The priority a task competes with *now* (smaller = sooner)."""
-    base = policy.priority_bands.get(task.klass, 20.0)
+    base = PRIORITY_BANDS[task.klass]
     if (
         task.klass is TaskClass.TRANSCODE
         and task.deadline is not None
         and clock >= task.deadline - DEADLINE_BOOST_WINDOW_S
     ):
-        base = min(base, policy.boosted_transcode_priority)
-    if base <= policy.aged_priority_floor:
+        base = min(base, BOOSTED_TRANSCODE_PRIORITY)
+    if base <= AGED_PRIORITY_FLOOR:
         return base
     waited = max(0, tick - task.submitted_tick)
-    return max(policy.aged_priority_floor, base - policy.aging_per_tick * waited)
+    return max(AGED_PRIORITY_FLOOR, base - AGING_PER_TICK * waited)
 
 
 def backoff_ticks(attempts: int) -> int:

@@ -9,9 +9,9 @@ themselves move.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
-from repro.sched.policies import SchedulerPolicy, effective_priority
+from repro.sched.policies import effective_priority
 from repro.sched.tasks import MaintenanceTask, TaskState
 
 
@@ -40,26 +40,14 @@ class PriorityTaskQueue:
     def backlog(self) -> List[MaintenanceTask]:
         return list(self._pending)
 
-    def find(
-        self, predicate: Callable[[MaintenanceTask], bool]
-    ) -> Optional[MaintenanceTask]:
-        for task in self._pending:
-            if predicate(task):
-                return task
-        return None
-
-    def ready(
-        self, policy: SchedulerPolicy, tick: int, clock: float
-    ) -> List[MaintenanceTask]:
+    def ready(self, tick: int, clock: float) -> List[MaintenanceTask]:
         """Runnable tasks this tick, most urgent first.
 
         Tasks inside a backoff hold (``not_before_tick`` in the future)
         are excluded. FIFO within equal effective priority.
         """
         runnable = [t for t in self._pending if t.not_before_tick <= tick]
-        runnable.sort(
-            key=lambda t: (effective_priority(t, policy, tick, clock), t.task_id)
-        )
+        runnable.sort(key=lambda t: (effective_priority(t, tick, clock), t.task_id))
         return runnable
 
     # -- transitions ----------------------------------------------------------

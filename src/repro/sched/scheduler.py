@@ -8,7 +8,8 @@ admits tasks in order:
   a transcode finalize is never delayed by budget exhaustion;
 * IO tasks run only when their worst-case bytes fit the budgets; when
   the most urgent IO task does not fit, lower-priority IO work is held
-  back too (``block_on_head``) so the bucket can fill for it;
+  back too so the bucket can fill for it (a stream of small tasks never
+  starves a large urgent one);
 * a task that raises is retried with exponential backoff, and after
   ``max_attempts`` failures lands in the dead-letter list — never
   silently dropped.
@@ -60,7 +61,6 @@ class MaintenanceScheduler:
         self.budgets = BudgetManager(
             disk_bytes_per_tick=self.policy.disk_bytes_per_tick,
             net_bytes_per_tick=self.policy.net_bytes_per_tick,
-            burst_ticks=self.policy.budget_burst_ticks,
         )
         self.tick_count = 0
         #: cached (registry -> metric handle) tuple for run_tick, so the
@@ -126,18 +126,16 @@ class MaintenanceScheduler:
         self.tick_count += 1
         self.budgets.refill_all()
         report = SchedulerTickReport(tick=self.tick_count)
-        ready = self.queue.ready(self.policy, self.tick_count, self.clock())
+        ready = self.queue.ready(self.tick_count, self.clock())
         report.deferred_backoff = len(self.queue) - len(ready)
         head_blocked = False
         for task in ready:
             if not task.metadata_only:
-                if head_blocked:
+                # Past the first IO task that does not fit, no IO task
+                # runs this tick; metadata-only tasks still do.
+                if head_blocked or not self._admit(task):
                     report.deferred_budget += 1
-                    continue
-                if not self._admit(task):
-                    report.deferred_budget += 1
-                    if self.policy.block_on_head:
-                        head_blocked = True
+                    head_blocked = True
                     continue
             self.queue.remove(task)
             self._execute(task, report)

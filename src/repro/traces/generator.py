@@ -28,19 +28,6 @@ class HourlySeries:
     def window(self, start: int, length: int) -> np.ndarray:
         return self.values[start : start + length]
 
-    def shifted(self, hours: int) -> np.ndarray:
-        """The series delayed by ``hours`` (values from ``hours`` ago).
-
-        Requires the series to have been generated with enough warm-up
-        history; indices below zero clamp to the series start.
-        """
-        if hours == 0:
-            return self.values
-        out = np.empty_like(self.values)
-        out[:hours] = self.values[0]
-        out[hours:] = self.values[:-hours] if hours < len(self.values) else self.values[0]
-        return out
-
 
 @dataclass
 class IngestGenerator:

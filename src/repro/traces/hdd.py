@@ -50,14 +50,6 @@ class HddTrendModel:
         """Bandwidth-per-TB decay per year (~8.5 %/year, paper §2)."""
         return 1.0 - (1.0 + self.bandwidth_growth) / (1.0 + self.capacity_growth)
 
-    def bandwidth_per_tb(self, year: int, base_year: int = 2014) -> float:
-        """Modelled MB/s per TB for a drive of the given model year."""
-        base_cap, base_bw = 4.0, 150.0
-        years = year - base_year
-        cap = base_cap * (1.0 + self.capacity_growth) ** years
-        bw = base_bw * (1.0 + self.bandwidth_growth) ** years
-        return bw / cap
-
     @staticmethod
     def measured_series() -> Tuple[np.ndarray, np.ndarray]:
         """(years, MB/s-per-TB) from the anchor table."""

@@ -56,7 +56,8 @@ class TestPlanner:
             assert t.cc_io < t.rrw_io
 
     def test_savings_band(self):
-        saving = AdaptiveRedundancyPlanner().savings(72)
+        plan = AdaptiveRedundancyPlanner().plan(72)
+        saving = 1.0 - plan.total_cc_io / plan.total_rrw_io
         assert 0.40 < saving < 0.80  # CC removes most of the spike IO
 
     def test_io_series_spikes_at_transition_months(self):

@@ -105,6 +105,31 @@ class TestExperimentDriversSmoke:
         assert r["disk_reduction"] > 0.1
         assert r["speedup"] > 1.0
 
+    def test_fig11_micro_phases_are_the_policies_stages(self):
+        from repro.bench import experiments as E
+        from repro.core.lifecycle import baseline_microbench_policy, morph_microbench_policy
+
+        r = E.fig11_micro(file_mb=1, chunk_kb=4)
+        for system, policy in (
+            ("baseline", baseline_microbench_policy()),
+            ("morph", morph_microbench_policy()),
+        ):
+            steps = [f"to_ec_{s.scheme.k}_{s.scheme.n}" for s in policy.stages[1:]]
+            assert list(r[system]) == ["ingest", *steps]
+        # Both chains end in the same width, so their last phases compare.
+        assert list(r["baseline"]) == list(r["morph"])
+
+    def test_fig11_macro_walks_the_policy_chain_on_both_systems(self):
+        from repro.bench import experiments as E
+        from repro.core.lifecycle import morph_macrobench_policy
+
+        chain = [stage.scheme for stage in morph_macrobench_policy().stages[1:]]
+        # The baseline's RS chain (a literal) has these widths and parities.
+        assert [(s.k, s.n - s.k) for s in chain] == [(5, 3), (10, 3), (20, 3)]
+        r = E.fig11_macro(n_files=6, file_kb=80)
+        for system in ("baseline", "morph"):
+            assert len(r[system]["capacity_series"]) == 6 + len(chain)
+
     def test_fig13_parity(self):
         from repro.bench import experiments as E
 

@@ -2,15 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.codes.base import (
-    DecodeError,
-    Stripe,
-    chunks_equal,
-    join_chunks,
-    split_into_chunks,
-)
+from repro.codes.base import DecodeError, Stripe, chunks_equal
 from repro.codes.rs import ReedSolomon
 from repro.codes.wide import WideConvertibleCode
 from repro.gf.kernels import GF8, GF16
@@ -20,31 +13,7 @@ from repro.gf.kernels import GF8, GF16
 CODE_CLASSES = [ReedSolomon, WideConvertibleCode]
 
 
-class TestSplitJoin:
-    def test_split_even(self):
-        data = np.arange(12, dtype=np.uint8)
-        chunks = split_into_chunks(data, 3)
-        assert len(chunks) == 3
-        assert all(len(c) == 4 for c in chunks)
-        assert np.array_equal(join_chunks(chunks), data)
-
-    def test_split_pads_tail(self):
-        data = np.arange(10, dtype=np.uint8)
-        chunks = split_into_chunks(data, 4)
-        assert all(len(c) == 3 for c in chunks)
-        assert np.array_equal(join_chunks(chunks, length=10), data)
-
-    def test_split_empty(self):
-        chunks = split_into_chunks(np.array([], dtype=np.uint8), 2)
-        assert len(chunks) == 2
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 200), st.integers(1, 12))
-    def test_roundtrip_property(self, n, k):
-        rng = np.random.default_rng(n * 31 + k)
-        data = rng.integers(0, 256, n, dtype=np.uint8)
-        assert np.array_equal(join_chunks(split_into_chunks(data, k), length=n), data)
-
+class TestChunksEqual:
     def test_chunks_equal(self):
         a = [np.array([1, 2], np.uint8)]
         b = [np.array([1, 2], np.uint8)]
@@ -72,7 +41,6 @@ class TestStripe:
         e = s.erase(0, 5)
         assert e.erased_indices() == [0, 5]
         assert s.erased_indices() == []
-        assert e.available_indices() == [1, 2, 3, 4]
 
     def test_chunk_size_requires_data(self):
         s = Stripe(2, 3, [None, None, None])

@@ -22,7 +22,6 @@ from repro.cluster.engine import (
     AllOf,
     AnyOf,
     Environment,
-    PriorityResource,
     Resource,
     Timeout,
 )
@@ -48,12 +47,14 @@ BURST_THROTTLED_SHA256 = (
 
 def _engine_trace(seed=42):
     """A mixed workload touching every engine feature: shared resources,
-    a priority resource, AnyOf/AllOf combinators and seeded timeouts."""
+    two processes taking turns on a single slot, AnyOf/AllOf combinators
+    and seeded timeouts. (The turn-takers once held a priority resource;
+    with two of them its grants are FIFO's, and the digest never moved.)"""
     rng = random.Random(seed)
     env = Environment()
     log = []
     disks = [Resource(env, capacity=2) for _ in range(3)]
-    pq = PriorityResource(env, capacity=1)
+    slot = Resource(env, capacity=1)
 
     def worker(tag):
         for i in range(20):
@@ -64,12 +65,12 @@ def _engine_trace(seed=42):
             d.release(req)
             log.append((env.now, tag, i))
 
-    def prio_worker(tag, prio):
+    def turn_worker(tag):
         for i in range(10):
-            req = pq.request(priority=prio)
+            req = slot.request()
             yield req
             yield env.timeout(0.25)
-            pq.release(req)
+            slot.release(req)
             log.append((env.now, "p", tag, i))
 
     def combo():
@@ -80,8 +81,8 @@ def _engine_trace(seed=42):
 
     for t in range(4):
         env.process(worker(t))
-    env.process(prio_worker("hi", 0))
-    env.process(prio_worker("lo", 5))
+    env.process(turn_worker("hi"))
+    env.process(turn_worker("lo"))
     env.process(combo())
     env.run()
     return hashlib.sha256(repr(log).encode()).hexdigest(), len(log), env.now
@@ -283,27 +284,6 @@ class TestResourceQueues:
             env.process(p(tag))
         env.run()
         assert order == list(range(8))
-
-    def test_priority_resource_orders_grants(self):
-        env = Environment()
-        order = []
-        res = PriorityResource(env, capacity=1)
-
-        def p(tag, prio, delay):
-            yield env.timeout(delay)
-            req = res.request(priority=prio)
-            yield req
-            yield env.timeout(5.0)
-            res.release(req)
-            order.append(tag)
-
-        # "first" grabs the resource; the rest queue with priorities.
-        env.process(p("first", 9, 0.0))
-        env.process(p("low", 5, 1.0))
-        env.process(p("high", 0, 2.0))
-        env.process(p("mid", 3, 3.0))
-        env.run()
-        assert order == ["first", "high", "mid", "low"]
 
 
 class TestEngineValidation:

@@ -110,9 +110,6 @@ class TestStrategies:
     def test_stripemerge_unsupported_falls_back_to_rrw(self):
         assert stripemerge_cost(6, 3, 18, 3) == rrw_cost(ECScheme(CodeKind.RS, 18, 21))
 
-    def test_scaled(self):
-        cost = rrw_cost(RS1215).scaled(100.0)
-        assert cost.read == pytest.approx(100.0)
 
 
 class TestLrccCosts:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import BaselineDFS, MorphFS
+from repro.dfs.filesystem import REPLICATION_BLOCK_CHUNKS
 from repro.dfs.client import ReadError
 
 KB = 1024
@@ -38,6 +39,18 @@ class TestBasicReads:
         fs = BaselineDFS(chunk_size=4 * KB)
         data = np.random.default_rng(2).integers(0, 256, 64 * KB, dtype=np.uint8)
         fs.write_file("f", data, Replication(3))
+        assert np.array_equal(fs.read_file("f"), data)
+
+    @pytest.mark.parametrize("system", [MorphFS, BaselineDFS], ids=["morph", "baseline"])
+    def test_replicated_file_is_cut_into_blocks_of_eight_chunks(self, system):
+        fs = system(chunk_size=4 * KB)
+        data = np.random.default_rng(4).integers(0, 256, 84 * KB + 100, dtype=np.uint8)
+        fs.write_file("f", data, Replication(3))
+        blocks = fs.namenode.lookup("f").replica_blocks
+        assert REPLICATION_BLOCK_CHUNKS == 8
+        assert [(b.first_chunk, b.n_chunks) for b in blocks] == [(0, 8), (8, 8), (16, 6)]
+        for block in blocks:
+            assert len({copy.node_id for copy in block.copies}) == 3
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_ec_read(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.core.durability import (
     FailureEnvironment,
     annual_loss_probability,
-    durability_table,
     mttdl_hours,
     nines,
 )
@@ -60,13 +59,6 @@ class TestPaperClaims:
     def test_nines_helper(self):
         assert nines(1e-6) == pytest.approx(6.0)
         assert nines(0.0) == float("inf")
-
-    def test_table_shape(self):
-        rows = durability_table(groups=1000)
-        names = [r["scheme"] for r in rows]
-        assert "Hy(1,CC(6,9))" in names
-        by_name = {r["scheme"]: r for r in rows}
-        assert by_name["Hy(1,CC(6,9))"]["annual_loss_p"] <= by_name["3-r"]["annual_loss_p"]
 
     def test_groups_scale_risk(self):
         env = FailureEnvironment()

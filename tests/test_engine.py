@@ -157,13 +157,14 @@ class TestResources:
         env.run()
         assert order == [("a", 1.0), ("b", 1.0), ("c", 2.0)]
 
-    def test_queue_length(self):
+    def test_requests_past_capacity_wait_for_a_release(self):
         env = Environment()
         disk = Resource(env, capacity=1)
-        disk.request()
-        disk.request()
-        disk.request()
-        assert disk.queue_length == 2
+        requests = [disk.request() for _ in range(3)]
+        assert [r.triggered for r in requests] == [True, False, False]
+        disk.release(requests[0])
+        assert [r.triggered for r in requests] == [True, True, False]
+        assert disk.in_use == 1  # the slot passed on, not freed
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

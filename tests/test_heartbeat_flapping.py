@@ -62,8 +62,8 @@ class TestFlappingNode:
                     isinstance(t, StripeRepairTask)
                     for t in report.scheduler.executed
                 )
-            assert not fs.scheduler.queue.find(
-                lambda t: isinstance(t, StripeRepairTask)
+            assert not any(
+                isinstance(t, StripeRepairTask) for t in fs.scheduler.queue.backlog()
             )
         # Chunks were never re-homed away from the flapping node.
         meta = fs.namenode.lookup("f")

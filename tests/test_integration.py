@@ -1,7 +1,7 @@
 """Full-system integration: complete lifetimes under adversity.
 
 These tests run the whole stack together — hybrid ingest, lifetime
-management, heartbeat maintenance, failures, corruption, appends,
+transitions, heartbeat maintenance, failures, corruption, appends,
 transcodes — and assert that data stays byte-identical and the IO ledger
 stays consistent with the cost model throughout.
 """
@@ -15,7 +15,6 @@ from repro.core.lifecycle import (
     LifetimeStage,
     morph_macrobench_policy,
 )
-from repro.core.manager import LifetimeManager
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 from repro.dfs import BaselineDFS, MorphFS
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
@@ -76,19 +75,20 @@ class TestFullLifetimeUnderFailures:
         RecoveryManager(fs).recover_all()
         assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra]))
 
-    def test_heartbeat_manager_combo(self):
-        """Heartbeat maintenance + lifetime manager driving real time."""
+    def test_heartbeat_drives_a_lifetime_in_real_time(self):
+        """Heartbeat maintenance while the file's age crosses each stage."""
         policy = morph_macrobench_policy()
         fs = MorphFS(chunk_size=4 * KB, future_widths=policy.ec_widths())
-        manager = LifetimeManager(fs)
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(interval_s=30.0, dead_after_missed=2))
         data = np.random.default_rng(4).integers(0, 256, 160 * KB, dtype=np.uint8)
         fs.write_file("f", data, policy.stages[0].scheme)
-        manager.register("f", policy)
+        stage = 0
         victim_killed = False
         for _ in range(16):
             monitor.tick()
-            manager.tick()
+            if policy.stage_index_at(fs.clock) > stage:
+                stage += 1
+                fs.transcode("f", policy.stages[stage].scheme)
             if not victim_killed and fs.clock >= 120:
                 fs.cluster.fail_node(fs.namenode.lookup("f").stripes[0].data[0].node_id)
                 victim_killed = True
@@ -149,11 +149,10 @@ class TestCustomPolicies:
             LifetimeStage(30.0, wide, LifetimePhase.FRIGID),
         ])
         fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12, 24])
-        manager = LifetimeManager(fs)
         data = np.random.default_rng(7).integers(0, 256, 96 * KB, dtype=np.uint8)
         fs.write_file("f", data, hy)
-        manager.register("f", policy)
-        manager.run_until(end_clock=50.0, tick_interval=5.0)
+        for stage in policy.stages[1:]:
+            fs.transcode("f", stage.scheme)
         meta = fs.namenode.lookup("f")
         assert meta.scheme == wide
         assert np.array_equal(fs.read_file("f"), data)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.codes.costmodel import rrw_cost
 from repro.core.lifecycle import (
+    PHASE_TIERS,
     LifetimePhase,
     LifetimePolicy,
     LifetimeStage,
@@ -12,34 +13,43 @@ from repro.core.lifecycle import (
     morph_microbench_policy,
 )
 from repro.core.planner import TranscodeKind, TranscodePlanner
-from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
+from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication, lcm_of_widths
 
 
 class TestLifetimePolicy:
-    def test_scheme_at_progression(self):
-        policy = baseline_microbench_policy(t1=100, t2=200)
-        assert isinstance(policy.scheme_at(0), Replication)
-        assert policy.scheme_at(150) == ECScheme(CodeKind.RS, 6, 9)
-        assert policy.scheme_at(5000) == ECScheme(CodeKind.RS, 12, 15)
-
     def test_stage_index(self):
         policy = baseline_microbench_policy(t1=100, t2=200)
         assert policy.stage_index_at(0) == 0
         assert policy.stage_index_at(100) == 1
         assert policy.stage_index_at(1e9) == 2
 
-    def test_transitions(self):
+    def test_the_scheme_held_progresses_with_age(self):
         policy = morph_microbench_policy(t1=100, t2=200)
-        transitions = policy.transitions()
-        assert len(transitions) == 2
-        age, src, dst = transitions[0]
-        assert age == 100
-        assert isinstance(src, HybridScheme)
-        assert dst == src.ec  # the free transition
+        cc69, cc1215 = ECScheme(CodeKind.CC, 6, 9), ECScheme(CodeKind.CC, 12, 15)
+        held = {age: policy.stages[policy.stage_index_at(age)].scheme
+                for age in (0, 99.9, 100, 199.9, 200, 1e9)}
+        assert held == {
+            0: HybridScheme(1, cc69), 99.9: HybridScheme(1, cc69),
+            100: cc69, 199.9: cc69, 200: cc1215, 1e9: cc1215,
+        }
 
-    def test_k_star(self):
-        assert morph_macrobench_policy().k_star() == 20  # lcm(5,10,20)
-        assert morph_microbench_policy().k_star() == 12  # lcm(6,12)
+    def test_tier_follows_the_phase(self):
+        policy = morph_macrobench_policy()
+        for stage in policy.stages:
+            assert policy.phase_at(stage.start_age) is stage.phase
+            assert policy.tier_at(stage.start_age) == PHASE_TIERS[stage.phase]
+
+    def test_first_transition_is_the_free_one(self):
+        policy = morph_microbench_policy(t1=100, t2=200)
+        assert len(policy.stages) == 3
+        ingest, first = policy.stages[:2]
+        assert first.start_age == 100
+        assert isinstance(ingest.scheme, HybridScheme)
+        assert first.scheme == ingest.scheme.ec
+
+    def test_k_star_of_the_ec_widths(self):
+        assert lcm_of_widths(*morph_macrobench_policy().ec_widths()) == 20
+        assert lcm_of_widths(*morph_microbench_policy().ec_widths()) == 12
 
     def test_validation(self):
         stage = LifetimeStage(10.0, Replication(3), LifetimePhase.HOT)
@@ -64,7 +74,6 @@ class TestPlanner:
         step = self.planner.plan(HybridScheme(1, self.cc69), self.cc69)
         assert step.kind is TranscodeKind.FREE
         assert step.cost.disk_io == 0.0
-        assert step.is_free
 
     def test_hybrid_to_other_ec_not_free(self):
         step = self.planner.plan(HybridScheme(1, self.cc69), self.cc1215)
@@ -120,7 +129,7 @@ class TestPlanner:
         ]
         src = HybridScheme(1, chain[0])
         step = self.planner.plan(src, chain[0])
-        assert step.is_free
+        assert step.kind is TranscodeKind.FREE
         for a, b in zip(chain, chain[1:]):
             step = self.planner.plan(a, b)
             assert step.kind is TranscodeKind.CONVERTIBLE

@@ -155,11 +155,12 @@ class TestFailureInjector:
         assert len(inj.cluster.alive_nodes()) == 23
         assert not inj.failed_nodes
 
-    def test_availability_query(self):
+    def test_victims_are_down_and_the_rest_up(self):
         inj = FailureInjector(Cluster(), seed=3)
-        victims = inj.fail_random_nodes(1)
-        assert not inj.is_available(victims[0])
-        assert inj.is_available("dn999-nonexistent")
+        victims = inj.fail_random_nodes(2)
+        down = {n.node_id for n in inj.cluster.nodes if not n.is_alive}
+        assert down == set(victims) == inj.failed_nodes
+        assert len(inj.cluster.alive_nodes()) == 21
 
     def test_cannot_fail_more_than_alive(self):
         inj = FailureInjector(Cluster(ClusterSpec(n_datanodes=3)), seed=4)

@@ -153,7 +153,7 @@ class TestReconstruction:
         fs.transcode("f", ECScheme(CodeKind.CC, 6, 9))
         meta = fs.namenode.lookup("f")
         fs.cluster.fail_node(meta.stripes[0].data[0].node_id)
-        alive = fs.reachable_nodes()
+        alive = [n.node_id for n in fs.cluster.nodes if fs.commandable(n.node_id)]
         placement = fs._placement_for(meta)
         picks = set()
         followed = 0

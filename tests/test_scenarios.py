@@ -104,7 +104,7 @@ class TestRepairResubmission:
         monitor.tick(), monitor.tick()
         buried = list(fs.scheduler.dead_letter)
         assert buried and all(isinstance(t, StripeRepairTask) for t in buried)
-        assert not fs.scheduler.queue.find(lambda t: isinstance(t, StripeRepairTask))
+        assert not any(isinstance(t, StripeRepairTask) for t in fs.scheduler.queue.backlog())
         n_lost = sum(len(t.chunks) for t in buried)
 
         # Source recovers; the periodic sweep must resubmit fresh tasks —
@@ -138,7 +138,7 @@ class TestRepairResubmission:
             monitor.tick()
         # Legacy behavior when the sweep is off: buried tasks stay buried.
         assert fs.scheduler.dead_letter
-        assert not fs.scheduler.queue.find(lambda t: isinstance(t, StripeRepairTask))
+        assert not any(isinstance(t, StripeRepairTask) for t in fs.scheduler.queue.backlog())
 
 
 # -- bugfix 3: late-registered datanodes + stale-repair cancellation ---------

@@ -8,13 +8,18 @@ from repro.sched import (
     MaintenanceTask,
     NodeBudget,
     PriorityTaskQueue,
-    SchedulerPolicy,
     TaskClass,
     TaskCost,
     TaskState,
     TokenBucket,
     backoff_ticks,
     effective_priority,
+)
+from repro.sched.policies import (
+    AGED_PRIORITY_FLOOR,
+    AGING_PER_TICK,
+    BOOSTED_TRANSCODE_PRIORITY,
+    PRIORITY_BANDS,
 )
 
 
@@ -28,14 +33,12 @@ class TestTaskCost:
 
 
 class TestTokenBucket:
-    def test_starts_full_and_caps_at_capacity(self):
-        bucket = TokenBucket(100, capacity=250)
-        assert bucket.tokens == 250
-        bucket.take(200)
+    def test_starts_full_and_caps_at_one_ticks_rate(self):
+        bucket = TokenBucket(100)
+        assert bucket.tokens == 100
+        bucket.take(80)
         bucket.refill()
-        assert bucket.tokens == 150
-        bucket.refill()
-        assert bucket.tokens == 250  # capped
+        assert bucket.tokens == 100  # capped: an idle tick banks nothing
 
     def test_can_within_tokens(self):
         bucket = TokenBucket(100)
@@ -90,10 +93,10 @@ class TestBudgetManager:
         assert budget.can(TaskCost(disk_bytes=50, net_bytes=5))
 
     def test_refill_all_only_touches_materialised_nodes(self):
-        budgets = BudgetManager(disk_bytes_per_tick=100, burst_ticks=2.0)
+        budgets = BudgetManager(disk_bytes_per_tick=100)
         budgets.charge("a", disk_bytes=150)
         budgets.refill_all()
-        assert budgets.node("a").disk.tokens == 150  # 200-150+100
+        assert budgets.node("a").disk.tokens == 50  # 100-150+100
 
 
 class TestPolicies:
@@ -103,10 +106,9 @@ class TestPolicies:
         return task
 
     def test_band_order(self):
-        policy = SchedulerPolicy()
         tick, clock = 0, 0.0
         prios = [
-            effective_priority(self.make(k), policy, tick, clock)
+            effective_priority(self.make(k), tick, clock)
             for k in (
                 TaskClass.CRITICAL_REPAIR,
                 TaskClass.REPAIR,
@@ -118,37 +120,42 @@ class TestPolicies:
         assert len(set(prios)) == 4
 
     def test_deadline_boost_moves_transcode_between_bands(self):
-        policy = SchedulerPolicy()
         near = self.make(TaskClass.TRANSCODE, deadline=500.0)
         far = self.make(TaskClass.TRANSCODE, deadline=5000.0)
         repair = self.make(TaskClass.REPAIR)
         # clock 0, window 600: the 500s deadline is inside the window.
-        p_near = effective_priority(near, policy, 0, 0.0)
-        p_far = effective_priority(far, policy, 0, 0.0)
-        p_repair = effective_priority(repair, policy, 0, 0.0)
-        assert p_near == policy.boosted_transcode_priority
+        p_near = effective_priority(near, 0, 0.0)
+        p_far = effective_priority(far, 0, 0.0)
+        p_repair = effective_priority(repair, 0, 0.0)
+        assert p_near == BOOSTED_TRANSCODE_PRIORITY
         assert p_repair < p_near < p_far
 
+    @pytest.mark.parametrize("klass", list(TaskClass), ids=lambda k: k.value)
+    def test_a_fresh_task_competes_at_its_band(self, klass):
+        assert effective_priority(self.make(klass), 0, 0.0) == PRIORITY_BANDS[klass]
+
+    def test_aging_is_linear_in_ticks_waited(self):
+        scrub = self.make(TaskClass.SCRUB)
+        base = PRIORITY_BANDS[TaskClass.SCRUB]
+        for tick in (1, 4, 20):
+            assert effective_priority(scrub, tick, 0.0) == base - AGING_PER_TICK * tick
+
     def test_aging_improves_priority_but_floors(self):
-        policy = SchedulerPolicy(aging_per_tick=1.0)
         scrub = self.make(TaskClass.SCRUB)
         scrub.submitted_tick = 0
-        p0 = effective_priority(scrub, policy, 0, 0.0)
-        p10 = effective_priority(scrub, policy, 10, 0.0)
-        p1000 = effective_priority(scrub, policy, 1000, 0.0)
+        p0 = effective_priority(scrub, 0, 0.0)
+        p10 = effective_priority(scrub, 10, 0.0)
+        p1000 = effective_priority(scrub, 1000, 0.0)
         assert p10 < p0
-        assert p1000 == policy.aged_priority_floor
+        assert p1000 == AGED_PRIORITY_FLOOR
         # Aged work still never outranks the critical band.
-        critical = effective_priority(
-            self.make(TaskClass.CRITICAL_REPAIR), policy, 1000, 0.0
-        )
+        critical = effective_priority(self.make(TaskClass.CRITICAL_REPAIR), 1000, 0.0)
         assert critical < p1000
 
     def test_critical_band_does_not_age(self):
-        policy = SchedulerPolicy()
         crit = self.make(TaskClass.CRITICAL_REPAIR)
         crit.submitted_tick = 0
-        assert effective_priority(crit, policy, 500, 0.0) == 0.0
+        assert effective_priority(crit, 500, 0.0) == 0.0
 
     def test_backoff_progression_and_cap(self):
         delays = [backoff_ticks(i) for i in range(1, 9)]
@@ -158,21 +165,19 @@ class TestPolicies:
 class TestPriorityTaskQueue:
     def test_ready_orders_by_effective_priority_then_fifo(self):
         queue = PriorityTaskQueue()
-        policy = SchedulerPolicy()
         scrub = queue.push(MaintenanceTask(TaskClass.SCRUB))
         repair_a = queue.push(MaintenanceTask(TaskClass.REPAIR))
         repair_b = queue.push(MaintenanceTask(TaskClass.REPAIR))
         critical = queue.push(MaintenanceTask(TaskClass.CRITICAL_REPAIR))
-        ready = queue.ready(policy, 0, 0.0)
+        ready = queue.ready(0, 0.0)
         assert ready == [critical, repair_a, repair_b, scrub]
 
     def test_backoff_holds_excluded_until_due(self):
         queue = PriorityTaskQueue()
-        policy = SchedulerPolicy()
         task = queue.push(MaintenanceTask(TaskClass.REPAIR))
         task.not_before_tick = 5
-        assert queue.ready(policy, 4, 0.0) == []
-        assert queue.ready(policy, 5, 0.0) == [task]
+        assert queue.ready(4, 0.0) == []
+        assert queue.ready(5, 0.0) == [task]
 
     def test_bury_moves_to_dead_letter(self):
         queue = PriorityTaskQueue()
@@ -181,13 +186,6 @@ class TestPriorityTaskQueue:
         assert len(queue) == 0
         assert queue.dead_letter == [task]
         assert task.state is TaskState.DEAD
-
-    def test_find(self):
-        queue = PriorityTaskQueue()
-        queue.push(MaintenanceTask(TaskClass.REPAIR))
-        scrub = queue.push(MaintenanceTask(TaskClass.SCRUB))
-        assert queue.find(lambda t: t.klass is TaskClass.SCRUB) is scrub
-        assert queue.find(lambda t: t.klass is TaskClass.TRANSCODE) is None
 
 
 class TestCallbackTask:

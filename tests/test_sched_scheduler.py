@@ -7,7 +7,6 @@ into MorphFS through the heartbeat loop.
 import numpy as np
 import pytest
 
-from repro.cluster.engine import Environment, PriorityResource
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
@@ -78,18 +77,18 @@ class TestBudgets:
         report = sched.run_tick()
         assert len(report.executed) == 2  # different nodes, both fit
 
-    def test_block_on_head_banks_budget_for_urgent_work(self):
-        policy = SchedulerPolicy(disk_bytes_per_tick=10, budget_burst_ticks=2.0)
+    def test_a_blocked_head_banks_budget_for_urgent_work(self):
+        policy = SchedulerPolicy(disk_bytes_per_tick=10)
         sched = MaintenanceScheduler(policy=policy)
         order = []
-        sched.submit(io_task(order, "big-repair", TaskClass.REPAIR, nbytes=20))
+        sched.submit(io_task(order, "big-repair", TaskClass.REPAIR, nbytes=8))
         sched.submit(io_task(order, "small-scrub", TaskClass.SCRUB, nbytes=5))
-        sched.budgets.charge("n1", disk_bytes=15)  # drain before tick 1
-        r1 = sched.run_tick()  # refills to 15: head (20) doesn't fit
-        # The scrub COULD fit in the remaining 15 but is held back so the
+        sched.budgets.charge("n1", disk_bytes=15)  # in debt before tick 1
+        r1 = sched.run_tick()  # refills to 5: head (8) doesn't fit
+        # The scrub COULD fit in the remaining 5 but is held back so the
         # bucket banks up for the more urgent repair.
         assert r1.executed == [] and r1.deferred_budget == 2
-        r2 = sched.run_tick()  # refilled to 20 (capacity): head runs
+        r2 = sched.run_tick()  # refilled to 10 (one tick's rate): head runs
         assert [t.label for t in r2.executed] == ["big-repair"]
         r3 = sched.run_tick()  # scrub follows once budget refills
         assert [t.label for t in r3.executed] == ["small-scrub"]
@@ -191,11 +190,11 @@ class TestMorphFSIntegration:
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
         fs.cluster.fail_node(victim)
         monitor.tick()
-        summary = fs.metrics.maintenance_summary()
-        repair_classes = {"repair", "critical_repair"} & set(summary)
+        ledger = fs.metrics.maintenance
+        repair_classes = {"repair", "critical_repair"} & set(ledger)
         assert repair_classes
-        assert sum(summary[c]["completed"] for c in repair_classes) >= 1
-        assert sum(summary[c]["disk_bytes"] for c in repair_classes) > 0
+        assert sum(ledger[c].tasks_completed for c in repair_classes) >= 1
+        assert sum(ledger[c].disk_bytes for c in repair_classes) > 0
 
     def test_free_transition_completes_in_one_tick_under_exhausted_budget(self):
         fs, data = hybrid_fs()
@@ -322,54 +321,3 @@ class TestStripeRepairBudgets:
 
         assert RecoveryManager(fs).lost_chunks(monitor.declared_dead()) == []
         assert np.array_equal(fs.read_file("f"), data)
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_granted_first(self):
-        env = Environment()
-        disk = PriorityResource(env)
-        grants = []
-
-        def holder():
-            req = disk.request(priority=0)
-            yield req
-            yield env.timeout(1.0)
-            disk.release(req)
-
-        def waiter(name, prio):
-            yield env.timeout(0.1)  # queue while held
-            req = disk.request(priority=prio)
-            yield req
-            grants.append(name)
-            yield env.timeout(0.1)
-            disk.release(req)
-
-        env.process(holder())
-        env.process(waiter("background", 10))
-        env.process(waiter("foreground", 0))
-        env.run()
-        assert grants == ["foreground", "background"]
-
-    def test_fifo_within_equal_priority(self):
-        env = Environment()
-        disk = PriorityResource(env)
-        grants = []
-
-        def holder():
-            req = disk.request()
-            yield req
-            yield env.timeout(1.0)
-            disk.release(req)
-
-        def waiter(name):
-            yield env.timeout(0.1)
-            req = disk.request(priority=5)
-            yield req
-            grants.append(name)
-            disk.release(req)
-
-        env.process(holder())
-        for name in ("first", "second", "third"):
-            env.process(waiter(name))
-        env.run()
-        assert grants == ["first", "second", "third"]

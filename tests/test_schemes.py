@@ -28,7 +28,6 @@ class TestReplication:
         r = Replication(3)
         assert r.storage_overhead == 3.0
         assert r.fault_tolerance == 2
-        assert r.chunk_count == 3
         assert str(r) == "3-r"
 
     def test_invalid(self):

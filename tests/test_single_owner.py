@@ -23,7 +23,8 @@ one decodes, and "which stripe / replica block holds data chunk i" is
 nothing ``benchmarks/e2e`` already times.  And for the field: GF(2^8)
 and GF(2^16) are two values of one type, every algorithm over a field
 is written once, and the wide code is a convertible code that names
-only its point family.
+only its point family.  And for the source as a whole: nothing under
+``src/repro`` is reached only by its own tests.
 """
 
 import ast
@@ -765,3 +766,135 @@ def test_one_rrw_price_and_one_rule_for_a_transition():
     assert askers == ["_open_transcode"]
     for name in ("transcode", "schedule_transcode"):
         assert "_open_transcode" in calls(morph[name]), name
+
+
+# -- nothing under src is reached only by its own tests ---------------------------
+
+REPO = SRC.parent.parent
+#: a string literal that names code: an identifier or a dotted path (how
+#: the e2e tracer wraps a method by name)
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+#: Definitions kept although nothing outside ``tests/`` names them.
+REACHED_ONLY_BY_TESTS = {
+    # Appendability (paper §4.2): a hybrid file grows, then seals.
+    "append_file": "appendability, paper §4.2",
+    "close_file": "appendability, paper §4.2: seals an appended tail",
+    # The one crash model: a recovered namenode takes the filesystem over.
+    "restart": "the crash-recovery seam",
+    "is_mds": "the MDS verification of every code family",
+    # Seams that tests observe through or isolate with.
+    "erase": "a stripe with chunks erased, the decode tests' input",
+    "memory_used": "the buffer-cache oracle: 0 between operations",
+    "clear_plan_caches": "cold decode caches for a test that counts misses",
+    "shard_index": "which shard owns a name",
+    # A reference implementation that tests compare against.
+    "matinv": "the inverse a batched decode is checked against",
+}
+
+
+def referenced_names(tree: ast.AST) -> set:
+    """Every name a module's code uses: ``Name``, ``Attribute``, keyword
+    arguments and string literals that name code; docstrings excluded."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings and DOTTED.fullmatch(node.value)
+        ):
+            names.update(node.value.split("."))
+    return names
+
+
+def definitions(sources: dict) -> list:
+    """``(module, node)`` for every non-dunder function, method and class."""
+    return [
+        (name, node)
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def unreached(sources: dict, used: set) -> list:
+    """Definitions in ``sources`` that ``used`` does not name and that
+    no exemption covers."""
+    return sorted(
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in definitions(sources)
+        if node.name not in used and node.name not in REACHED_ONLY_BY_TESTS
+    )
+
+
+def test_nothing_under_src_is_reached_only_by_tests():
+    # Every function, method and class under src/repro is named by code
+    # outside tests/: src/repro itself (an __init__ re-export does not
+    # count), benchmarks/ or examples/. A name two definitions share can
+    # only hide a dead one, never flag a live one.
+    users = [path for path in SRC.rglob("*.py") if path.name != "__init__.py"]
+    users += [*(REPO / "benchmarks").rglob("*.py"), *(REPO / "examples").rglob("*.py")]
+    used = set().union(*(referenced_names(ast.parse(path.read_text())) for path in users))
+    assert unreached(SOURCES, used) == []
+    # An exemption that code outside tests/ now names is no longer needed.
+    assert not set(REACHED_ONLY_BY_TESTS) & used
+
+
+@pytest.mark.parametrize("name", sorted(REACHED_ONLY_BY_TESTS))
+def test_every_exemption_names_a_definition_that_still_exists(name):
+    # An exemption that outlives its code would wave through a new
+    # test-only helper that happens to share its name.
+    assert name in {node.name for _module, node in definitions(SOURCES)}
+
+
+#: a module with one live class, one dunder, one helper nothing calls and
+#: one function the cases below call or not
+HELPER_MODULE = '''"""orphan() named in a docstring does not count."""
+
+
+class Live:
+    def used(self):
+        return self.__repr__()
+
+    def __repr__(self):
+        return "Live"
+
+
+def orphan():
+    """Only a test calls this."""
+
+
+def caller():
+    return Live().used()
+'''
+
+
+@pytest.mark.parametrize(
+    "user, flagged",
+    [
+        ("", ["helper.py:12 orphan", "helper.py:16 caller"]),
+        ("caller()", ["helper.py:12 orphan"]),
+        ("caller(); run(orphan)", []),
+        ("caller(); wrap(module, 'helper.orphan')", []),
+        ("caller(); call(orphan=1)", []),
+        ("caller()  # orphan()", ["helper.py:12 orphan"]),
+        ("caller(); print('orphan() is prose, not a name')", ["helper.py:12 orphan"]),
+    ],
+    ids=["unused", "called", "named", "dotted-literal", "keyword", "comment", "prose-literal"],
+)
+def test_the_scan_flags_a_helper_that_only_tests_call(user, flagged):
+    # The module's own code counts as a user, the way src/repro does.
+    used = referenced_names(ast.parse(HELPER_MODULE)) | referenced_names(ast.parse(user))
+    assert unreached({"helper.py": HELPER_MODULE}, used) == flagged

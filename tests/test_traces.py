@@ -113,10 +113,6 @@ class TestHddTrend:
         _sy, speculated = model.speculated_series()
         assert speculated.min() < measured.min()
 
-    def test_model_extrapolation_monotone(self):
-        model = HddTrendModel()
-        values = [model.bandwidth_per_tb(y) for y in range(2014, 2030)]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestTransitionQueue:
