@@ -20,7 +20,12 @@ from repro.bench.reporting import print_table
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
 from repro.sched import MaintenanceScheduler, SchedulerPolicy
-from repro.sched.simulate import SimConfig, compare_budgets, format_report
+from repro.sched.simulate import (
+    BUDGET_DISK_BYTES_PER_TICK,
+    SimConfig,
+    compare_budgets,
+    format_report,
+)
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -41,8 +46,8 @@ def test_budgets_protect_foreground_tail_latency(once):
     assert capped.repairs_completed == capped.n_repairs
 
     # The budget is a hard per-node, per-tick ceiling on maintenance IO.
-    assert capped.max_node_tick_disk_bytes <= cfg.budget_disk_bytes_per_tick
-    assert free.max_node_tick_disk_bytes > cfg.budget_disk_bytes_per_tick
+    assert capped.max_node_tick_disk_bytes <= BUDGET_DISK_BYTES_PER_TICK
+    assert free.max_node_tick_disk_bytes > BUDGET_DISK_BYTES_PER_TICK
 
     # Headline: the burst inflates unthrottled foreground p99 well above
     # the throttled run's.

@@ -18,6 +18,7 @@ from repro.codes.costmodel import (
     rrw_cost,
     stripemerge_cost,
 )
+from repro.codes.convertible import plan_conversion
 from repro.core.schemes import CodeKind, ECScheme, Replication, degraded_read_probability
 from repro.sim import protocols as P
 from repro.sim.cluster import SimCluster
@@ -73,8 +74,8 @@ def fig12_production(hours: int = 24 * 30) -> Dict:
 # ---------------------------------------------------------------------------
 
 def _run_workload(op_factory, n_threads: int, ops: int, op_bytes: float, seed: int = 42,
-                  fail_fraction: float = 0.0, calibration=None):
-    sim = SimCluster(seed=seed, calibration=calibration)
+                  fail_fraction: float = 0.0):
+    sim = SimCluster(seed=seed)
     if fail_fraction:
         FailureInjector(sim, seed=sim.rng).fail_fraction(fail_fraction)
     workload = ClosedLoopWorkload(
@@ -211,25 +212,18 @@ def fig14_read_tput(threads: Sequence[int] = (12, 25), ops: int = 30, seed: int 
 # ---------------------------------------------------------------------------
 
 #: The paper's three scenarios: (label, reader kwargs, compute widths).
+#: Fig 15's conversions: ``(label, initial scheme, stripes, final scheme,
+#: CC compute width, CC vector overhead)``. What each reads, its parities
+#: and the RS side's widths come from its plan. The CC compute width stays
+#: typed: ``plan.width`` counts the chunks one parity node combines per
+#: step — 2 on the two merges — not the matrix width Fig 15a prices.
 FIG15_SCENARIOS = [
-    {
-        "label": "EC(6,9)->EC(12,15)",
-        "rs": {"k_final": 12},
-        "cc": {"k_final": 12, "n_parity_reads": 6},
-        "rs_width": 12, "cc_width": 6, "parities": 3, "cc_vector_overhead": 1.0,
-    },
-    {
-        "label": "EC(6,7)->EC(12,14)",
-        "rs": {"k_final": 12},
-        "cc": {"k_final": 12, "n_parity_reads": 2, "data_fraction": 0.5, "n_data_reads": 12},
-        "rs_width": 12, "cc_width": 14, "parities": 2, "cc_vector_overhead": 1.8,
-    },
-    {
-        "label": "EC(6,9)->LRC(12,2,2)",
-        "rs": {"k_final": 12},
-        "cc": {"k_final": 12, "n_parity_reads": 6},
-        "rs_width": 12, "cc_width": 6, "parities": 4, "cc_vector_overhead": 1.0,
-    },
+    ("EC(6,9)->EC(12,15)", ECScheme(CodeKind.CC, 6, 9), 2,
+     ECScheme(CodeKind.CC, 12, 15), 6, 1.0),
+    ("EC(6,7)->EC(12,14)", ECScheme(CodeKind.CC, 6, 7, anticipate_parities=2), 2,
+     ECScheme(CodeKind.CC, 12, 14), 14, 1.8),
+    ("EC(6,9)->LRC(12,2,2)", ECScheme(CodeKind.CC, 6, 9), 2,
+     ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2), 6, 1.0),
 ]
 
 
@@ -237,32 +231,36 @@ def fig15_transcode(n_files: int = 20, file_mb: int = 96, seed: int = 42) -> Dic
     """Fig 15: per-file transcode read and compute latency, CC vs RS."""
     size = file_mb * MB
     out: Dict = {}
-    for scen in FIG15_SCENARIOS:
+    for label, initial, n_stripes, final, cc_width, cc_vector_overhead in FIG15_SCENARIOS:
+        plan = plan_conversion(initial, n_stripes, final)
+        k_final = plan.final.k
         results = {}
         for codec in ("rs", "cc"):
             read_sim = SimCluster(seed=seed)
             if codec == "rs":
                 def op(s):
-                    return P.transcode_read_rs(s, size, scen["rs"]["k_final"], 6)
+                    return P.transcode_read_rs(s, size, k_final, plan.initial.k)
             else:
                 def op(s):
-                    return P.transcode_read_cc(s, size, **scen["cc"])
+                    return P.transcode_read_cc(
+                        s, size, k_final, len(plan.parity_reads),
+                        plan.data_read_fraction, len(plan.data_reads),
+                    )
             wl = ClosedLoopWorkload(read_sim, op, n_threads=n_files, ops_per_thread=5, op_bytes=size)
             read_res = wl.run()
             comp_sim = SimCluster(seed=seed + 1)
-            width = scen["rs_width"] if codec == "rs" else scen["cc_width"]
-            overhead = 1.0 if codec == "rs" else scen["cc_vector_overhead"]
+            width = k_final if codec == "rs" else cc_width
+            overhead = 1.0 if codec == "rs" else cc_vector_overhead
             wl2 = ClosedLoopWorkload(
                 comp_sim,
-                lambda s: P.transcode_compute(s, size, scen["rs"]["k_final"],
-                                              width, scen["parities"], overhead),
+                lambda s: P.transcode_compute(s, size, k_final, width, plan.final.r, overhead),
                 n_threads=n_files, ops_per_thread=5, op_bytes=size)
             comp_res = wl2.run()
             results[codec] = {
                 "read_p50_ms": read_res.p(50) * 1e3,
                 "compute_p50_ms": comp_res.p(50) * 1e3,
             }
-        out[scen["label"]] = results
+        out[label] = results
     return out
 
 

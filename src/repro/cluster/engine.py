@@ -79,17 +79,10 @@ class Event:
 
 
 class Timeout(Event):
-    """Fires after a fixed simulated delay."""
+    """Fires after a fixed simulated delay; built (and recycled) by
+    :meth:`Environment.timeout` only."""
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.triggered = True
-        self.value = value
-        env._schedule_event(self, delay)
 
 
 class Process(Event):

@@ -28,7 +28,7 @@ class FailureInjector:
     cluster: Cluster
     #: an int, or a Generator to continue drawing from (a simulation's)
     seed: Union[int, np.random.Generator] = 0
-    failed_nodes: Set[str] = field(default_factory=set)
+    failed_nodes: Set[str] = field(default_factory=set, init=False)
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.seed)

@@ -9,21 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple
-
-
-class TimelineSample(NamedTuple):
-    """One metered IO event: when, how many bytes, and what kind.
-
-    ``tag`` distinguishes disk reads/writes/deletes from network
-    transfers (and lets instrumented call sites attach finer labels like
-    ``"ingest"`` or ``"repair"``), so throughput-over-time plots can
-    filter by flow instead of indexing blind.
-    """
-
-    at: float
-    nbytes: float
-    tag: str
+from typing import Dict
 
 
 @dataclass
@@ -69,12 +55,9 @@ class MaintenanceClassMetrics:
 
 @dataclass
 class IOMetrics:
-    """Cluster-wide counters plus a per-node breakdown and a time series."""
+    """Cluster-wide counters plus a per-node breakdown."""
 
     nodes: Dict[str, NodeMetrics] = field(default_factory=lambda: defaultdict(NodeMetrics))
-    #: (at, nbytes, tag) samples — disk *and* network IO — for
-    #: throughput-over-time plots; filter by ``tag`` to split flows
-    timeline: List[TimelineSample] = field(default_factory=list)
     #: per-task-class maintenance accounting, recorded by the scheduler
     maintenance: Dict[str, MaintenanceClassMetrics] = field(
         default_factory=lambda: defaultdict(MaintenanceClassMetrics)
@@ -83,27 +66,21 @@ class IOMetrics:
     def node(self, node_id: str) -> NodeMetrics:
         return self.nodes[node_id]
 
-    def record_disk_read(self, node_id: str, nbytes: float, at: float = 0.0, tag: str = "") -> None:
+    def record_disk_read(self, node_id: str, nbytes: float) -> None:
         self.nodes[node_id].disk_bytes_read += nbytes
-        self.timeline.append(TimelineSample(at, nbytes, tag or "disk_read"))
 
-    def record_disk_write(self, node_id: str, nbytes: float, at: float = 0.0, tag: str = "") -> None:
+    def record_disk_write(self, node_id: str, nbytes: float) -> None:
         self.nodes[node_id].disk_bytes_written += nbytes
-        self.timeline.append(TimelineSample(at, nbytes, tag or "disk_write"))
 
-    def record_disk_delete(self, node_id: str, nbytes: float, at: float = 0.0, tag: str = "") -> None:
+    def record_disk_delete(self, node_id: str, nbytes: float) -> None:
         """Bytes freed from a node's disk (capacity leaves, no IO cost)."""
         self.nodes[node_id].disk_bytes_deleted += nbytes
-        self.timeline.append(TimelineSample(at, nbytes, tag or "disk_delete"))
 
-    def record_transfer(
-        self, src: str, dst: str, nbytes: float, at: float = 0.0, tag: str = ""
-    ) -> None:
+    def record_transfer(self, src: str, dst: str, nbytes: float) -> None:
         if src == dst:
             return  # server-local: no network IO (parity co-location wins)
         self.nodes[src].net_bytes_out += nbytes
         self.nodes[dst].net_bytes_in += nbytes
-        self.timeline.append(TimelineSample(at, nbytes, tag or "net_transfer"))
 
     def record_cpu(self, node_id: str, seconds: float) -> None:
         self.nodes[node_id].cpu_seconds += seconds

@@ -209,14 +209,16 @@ def _fg_guarantee(
 ) -> None:
     """Run the burst budgeted and unthrottled; enforce the guarantee and
     record the foreground figures on ``result``."""
-    throttled = _burst(sim_cfg.budget_disk_bytes_per_tick, sim_cfg, slowdown)
+    from repro.sched.simulate import BUDGET_DISK_BYTES_PER_TICK
+
+    throttled = _burst(BUDGET_DISK_BYTES_PER_TICK, sim_cfg, slowdown)
     unthrottled = _burst(None, sim_cfg, slowdown)
     if throttled.repairs_completed != sim_cfg.n_repairs:
         raise ScenarioError(
             f"budgeted run left {sim_cfg.n_repairs - throttled.repairs_completed}"
             " repairs unfinished"
         )
-    if throttled.max_node_tick_disk_bytes > sim_cfg.budget_disk_bytes_per_tick + 1e-6:
+    if throttled.max_node_tick_disk_bytes > BUDGET_DISK_BYTES_PER_TICK + 1e-6:
         raise ScenarioError(
             "budget violated: a node-tick admitted "
             f"{throttled.max_node_tick_disk_bytes:.0f} bytes"

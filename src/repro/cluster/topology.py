@@ -10,16 +10,18 @@ functional DFS's datanodes, the timed :class:`repro.sim.cluster.SimCluster`
 and the failure injector all read and write that record; the cluster's
 :class:`~repro.cluster.partition.NetworkPartition` says who can reach it.
 
-Two inputs shape the nodes at construction:
+Two inputs shape the nodes:
 
-* **Per-node hardware skew.** ``ClusterSpec.node_disk_multipliers``
-  scales one node's disk service times — 8.0 models a slow disk
-  (straggler), 0.1 an SSD. The timed simulations multiply device time
-  by it; the functional DFS consults it for hedged-read decisions.
 * **Node classes (tiers).** ``ClusterSpec.node_classes`` partitions the
   cluster into named hardware tiers (e.g. ``ssd`` / ``hdd``) that feed
   placement preferences and the lifecycle planner. Classes are assigned
   round-robin across racks so a tier never concentrates in one rack.
+* **Per-node hardware skew.** A node starts at its class's
+  ``NodeClass.disk_multiplier`` (else 1.0); ``Node.disk_multiplier``
+  scales its disk service times — 8.0 models a slow disk (straggler),
+  0.1 an SSD. Assign it to turn a running node slow. The timed
+  simulations multiply device time by it; the functional DFS consults it
+  for hedged-read decisions.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class Node:
 
     node_id: str
     rack: int
-    is_alive: bool = True
+    is_alive: bool = field(default=True, init=False)
     #: hardware tier this node belongs to ("" = untiered cluster)
     node_class: str = ""
     #: disk service-time scaling (straggler > 1, SSD tier < 1); assign
@@ -73,15 +75,6 @@ class ClusterSpec:
 
     n_datanodes: int = 23
     n_racks: int = 4
-    #: battery-backed buffer cache per Datanode (paper: 512 MB)
-    buffer_cache_bytes: float = 512 * 1024 * 1024
-    #: GF(256) coding rate of one core per unit of generator width: a
-    #: w-wide encode of one s-byte parity costs w * s / (encode_mb_s * MB)
-    #: seconds, so compute scales with matrix width (Fig 15a)
-    encode_mb_s: float = 2800.0
-    #: initial per-node disk multipliers (a listed node overrides its
-    #: class's); nodes not listed start at their class's, else 1.0
-    node_disk_multipliers: Dict[str, float] = field(default_factory=dict)
     #: hardware tiers; counts must sum to <= n_datanodes (the remainder
     #: gets the last class)
     node_classes: Optional[Sequence[NodeClass]] = None
@@ -96,15 +89,12 @@ class Cluster:
         self.nodes: List[Node] = []
         for i in range(self.spec.n_datanodes):
             klass = classes[i] if classes else None
-            node_id = f"dn{i:03d}"
             self.nodes.append(
                 Node(
-                    node_id=node_id,
+                    node_id=f"dn{i:03d}",
                     rack=i % self.spec.n_racks,
                     node_class=klass.name if klass is not None else "",
-                    disk_multiplier=self.spec.node_disk_multipliers.get(
-                        node_id, klass.disk_multiplier if klass is not None else 1.0
-                    ),
+                    disk_multiplier=klass.disk_multiplier if klass is not None else 1.0,
                 )
             )
         self._by_id: Dict[str, Node] = {n.node_id: n for n in self.nodes}

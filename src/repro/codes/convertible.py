@@ -96,7 +96,6 @@ class ConversionIO:
     data_chunks_read: int = 0
     parity_chunks_read: int = 0
     parity_chunks_written: int = 0
-    data_chunks_moved: int = 0
     #: fraction of each counted data-chunk read actually transferred
     #: (1.0 for scalar codes; (r_F-r_I)/r_F for vector-code conversions).
     data_read_fraction: float = 1.0
@@ -109,7 +108,7 @@ class ConversionIO:
         return self.chunks_read * chunk_size
 
     def write_bytes(self, chunk_size: int) -> float:
-        return (self.parity_chunks_written + self.data_chunks_moved) * chunk_size
+        return self.parity_chunks_written * chunk_size
 
 
 class ConversionPath(enum.Enum):
@@ -151,7 +150,7 @@ class ConversionPlan:
     width: int = 0
     data_reads: Set[int] = field(default_factory=set)
     parity_reads: Dict[Tuple[int, int], Tuple[int, int]] = field(default_factory=dict)
-    derived_finals: Dict[int, int] = field(default_factory=dict)
+    derived_finals: Dict[int, int] = field(default_factory=dict, init=False)
     data_read_fraction: float = 1.0
 
     def io(self) -> ConversionIO:

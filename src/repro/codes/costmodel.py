@@ -134,14 +134,12 @@ def native_rs_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
     return TranscodeCost(read, write, read + write)
 
 
-def stripemerge_cost(
-    k_i: int, r_i: int, k_f: int, r_f: int, conflict_rate: float = 0.05
-) -> TranscodeCost:
+def stripemerge_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
     """StripeMerge baseline; outside its one scenario it degrades to RRW."""
     from repro.codes.stripemerge import StripeMergeModel
     from repro.core.schemes import CodeKind, ECScheme
 
-    model = StripeMergeModel(conflict_rate=conflict_rate)
+    model = StripeMergeModel()
     if not model.supports(k_i, r_i, k_f, r_f):
         return rrw_cost(ECScheme(CodeKind.RS, k_f, k_f + r_f))
     read = model.read_chunks(k_i, r_i, k_f, r_f) / k_f

@@ -10,27 +10,22 @@ For the Fig 18 comparison we model it as:
 
 * applicable only when ``k_F == 2 * k_I`` and ``r_F == r_I``;
 * when applicable, parity merge reads the 2 r parities (like CC merge)
-  plus moves a (configurable) expected number of conflicting data chunks,
+  plus moves an expected number (``CONFLICT_RATE``) of conflicting data chunks,
   since placement was not planned around the merge;
 * anywhere else its cost is the RS/RRW cost (no support).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: expected fraction of data chunks relocated because the two merged
+#: stripes overlapped on a server. The paper's placement-aware Morph needs
+#: none; StripeMerge's cluster-wide pairing typically leaves a small
+#: residue even with a good matching.
+CONFLICT_RATE = 0.05
 
 
-@dataclass
 class StripeMergeModel:
-    """Cost model for StripeMerge in chunk-equivalents per final stripe.
-
-    ``conflict_rate`` is the expected fraction of data chunks that must be
-    relocated because the two merged stripes overlapped on a server. The
-    paper's placement-aware Morph needs none; StripeMerge's cluster-wide
-    pairing typically leaves a small residue even with a good matching.
-    """
-
-    conflict_rate: float = 0.05
+    """Cost model for StripeMerge in chunk-equivalents per final stripe."""
 
     def supports(self, k_initial: int, r_initial: int, k_final: int, r_final: int) -> bool:
         return k_final == 2 * k_initial and r_final == r_initial
@@ -40,12 +35,12 @@ class StripeMergeModel:
         if not self.supports(k_initial, r_initial, k_final, r_final):
             # Falls back to read-re-encode-write over all data.
             return float(k_final)
-        moved = self.conflict_rate * k_final
+        moved = CONFLICT_RATE * k_final
         return 2 * r_initial + moved
 
     def write_chunks(self, k_initial: int, r_initial: int, k_final: int, r_final: int) -> float:
         """Chunks written to produce one final stripe (parities + moves)."""
         if not self.supports(k_initial, r_initial, k_final, r_final):
             return float(k_final + r_final)
-        moved = self.conflict_rate * k_final
+        moved = CONFLICT_RATE * k_final
         return r_final + moved

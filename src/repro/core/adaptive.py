@@ -17,7 +17,7 @@ removes. This module builds that composition:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,31 +26,38 @@ from repro.core.durability import FailureEnvironment, annual_loss_probability
 from repro.core.schemes import CodeKind, ECScheme
 
 
+#: useful-life AFR floor of the bathtub
+FLOOR_AFR = 0.012
+#: wear-out starts at this age, adding ``WEAROUT_SLOPE`` AFR per year
+WEAROUT_YEARS = 4.0
+WEAROUT_SLOPE = 0.03
+#: the planner's protection groups, and hours to repair a failed disk
+PROTECTION_GROUPS = 100_000
+MTTR_HOURS = 12.0
+
+
 @dataclass(frozen=True)
 class BathtubCurve:
     """Annualised failure rate of a disk cohort as a function of age.
 
     Classic three-phase shape: infant mortality decaying over the first
-    year, a useful-life floor, and wear-out growth after ``wearout_years``.
+    year, a useful-life floor, and wear-out growth after ``WEAROUT_YEARS``.
     """
 
     infant_afr: float = 0.06
-    floor_afr: float = 0.012
-    wearout_years: float = 4.0
-    wearout_slope: float = 0.03  # AFR added per year past wear-out
 
     def afr(self, age_years: float) -> float:
         if age_years < 0:
             raise ValueError("age must be non-negative")
-        infant = (self.infant_afr - self.floor_afr) * np.exp(-3.0 * age_years)
-        wearout = max(0.0, age_years - self.wearout_years) * self.wearout_slope
-        return float(self.floor_afr + infant + wearout)
+        infant = (self.infant_afr - FLOOR_AFR) * np.exp(-3.0 * age_years)
+        wearout = max(0.0, age_years - WEAROUT_YEARS) * WEAROUT_SLOPE
+        return float(FLOOR_AFR + infant + wearout)
 
 
 #: The CC-friendly scheme ladder the planner chooses from: one family
 #: (r = 3), widths in integral-multiple steps so every adjacent move is a
 #: pure merge or split.
-DEFAULT_LADDER: Tuple[ECScheme, ...] = (
+LADDER: Tuple[ECScheme, ...] = (
     ECScheme(CodeKind.CC, 6, 9),
     ECScheme(CodeKind.CC, 12, 15),
     ECScheme(CodeKind.CC, 24, 27),
@@ -99,39 +106,28 @@ class AdaptiveRedundancyPlanner:
 
     For each month of a cohort's life, the planner evaluates the ladder
     under the current AFR and picks the most space-efficient scheme whose
-    annual data-loss probability (across ``groups`` protection groups)
+    annual data-loss probability (across ``PROTECTION_GROUPS`` groups)
     stays below ``loss_budget``. Scheme changes become transitions costed
     under both RRW and native CC.
     """
 
-    def __init__(
-        self,
-        curve: Optional[BathtubCurve] = None,
-        ladder: Sequence[ECScheme] = DEFAULT_LADDER,
-        loss_budget: float = 1e-7,
-        groups: int = 100_000,
-        mttr_hours: float = 12.0,
-    ):
+    def __init__(self, curve: Optional[BathtubCurve] = None, loss_budget: float = 1e-7):
         self.curve = curve or BathtubCurve()
-        self.ladder = list(ladder)
         self.loss_budget = loss_budget
-        self.groups = groups
-        self.mttr_hours = mttr_hours
 
     def scheme_for_afr(self, afr: float) -> ECScheme:
         """Most space-efficient ladder scheme meeting the loss budget."""
-        env = FailureEnvironment(afr=afr, mttr_hours=self.mttr_hours)
+        env = FailureEnvironment(afr=afr, mttr_hours=MTTR_HOURS)
         best = None
-        for scheme in self.ladder:
-            p = annual_loss_probability(scheme, env, groups=self.groups)
+        for scheme in LADDER:
+            p = annual_loss_probability(scheme, env, groups=PROTECTION_GROUPS)
             if p <= self.loss_budget:
                 if best is None or scheme.storage_overhead < best.storage_overhead:
                     best = scheme
         # Nothing qualifies: take the most durable (lowest loss) option.
         if best is None:
             best = min(
-                self.ladder,
-                key=lambda s: annual_loss_probability(s, env, groups=self.groups),
+                LADDER, key=lambda s: annual_loss_probability(s, env, groups=PROTECTION_GROUPS)
             )
         return best
 

@@ -61,8 +61,7 @@ class SchemeAdvisor:
     better durability and a trivial space-efficiency decline.
     """
 
-    def __init__(self, width_window: int = 1, max_extra_parities: int = 1):
-        self.width_window = width_window
+    def __init__(self, max_extra_parities: int = 1):
         self.max_extra_parities = max_extra_parities
 
     def candidates(
@@ -76,8 +75,9 @@ class SchemeAdvisor:
         """
         seen = set()
         out: List[Suggestion] = []
-        width_lo = max(k_initial, k_final - self.width_window * k_initial)
-        width_hi = k_final + self.width_window * k_initial
+        # Widths within one initial width of the request.
+        width_lo = max(k_initial, k_final - k_initial)
+        width_hi = k_final + k_initial
         for k in range(width_lo, width_hi + 1):
             for r in range(r_final, r_final + self.max_extra_parities + 1):
                 if (k, r) in seen:

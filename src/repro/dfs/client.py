@@ -119,7 +119,7 @@ class ClientReader:
             block_len = block.n_chunks * meta.chunk_size
             take = min(end, block_start + block_len) - pos
             served = self.fs.fetch_block_range(
-                block, pos - block_start, take, self.CLIENT, "read", self._prefer
+                block, pos - block_start, take, self.CLIENT, self._prefer
             )
             if served is None:
                 return None
@@ -219,7 +219,7 @@ class ClientReader:
                     self._count_hedge()
                     skipped.append(local)
                     continue
-            data = fs.fetch_chunk(chunk, self.CLIENT, "read")
+            data = fs.fetch_chunk(chunk, self.CLIENT)
             if data is None:
                 skipped.append(local)
             else:
@@ -269,9 +269,7 @@ class ClientReader:
         which leaves the next one first in line."""
         fs = self.fs
         while True:
-            found = fs.fetch_replica_range(
-                meta, stripe, local, self.CLIENT, "read", self._prefer
-            )
+            found = fs.fetch_replica_range(meta, stripe, local, self.CLIENT, self._prefer)
             if found is None:
                 return False
             self._note_hedge(meta.block_covering(stripe_first + local), found[0])
@@ -305,8 +303,7 @@ class ClientReader:
             def decode():
                 """``(sources read, did every decoded chunk pass)``."""
                 read, rebuilt = fs.rebuild_slots(
-                    meta, stripe, missing, self.CLIENT, "degraded_read",
-                    prefer=self._prefer, held=held,
+                    meta, stripe, missing, self.CLIENT, prefer=self._prefer, held=held
                 )
                 return read, all(fs.checksums.verify_many([
                     (stripe.data[local].chunk_id, rebuilt[local], dests[local])

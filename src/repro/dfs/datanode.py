@@ -66,9 +66,7 @@ class Datanode:
         return data
 
     # -- ingest ---------------------------------------------------------------
-    def receive_to_memory(
-        self, chunk_id: str, data: np.ndarray, src: str, at: float = 0.0
-    ) -> None:
+    def receive_to_memory(self, chunk_id: str, data: np.ndarray, src: str) -> None:
         """Absorb a chunk into the buffer cache (durable, no disk IO)."""
         data = self._kept(data)
         in_use = self.metrics.node(self.node_id).memory_in_use_bytes
@@ -76,32 +74,27 @@ class Datanode:
             raise BufferCacheFullError(
                 f"{self.node_id}: buffer cache full ({in_use} + {data.nbytes})"
             )
-        self.metrics.record_transfer(src, self.node_id, data.nbytes, at=at)
+        self.metrics.record_transfer(src, self.node_id, data.nbytes)
         self.metrics.node(self.node_id).use_memory(data.nbytes)
         self._memory[chunk_id] = data
 
-    def receive_to_disk(self, chunk_id: str, data: np.ndarray, src: str, at: float = 0.0) -> None:
+    def receive_to_disk(self, chunk_id: str, data: np.ndarray, src: str) -> None:
         """Receive and write through to disk (one network + one disk write)."""
         data = self._kept(data)
-        self.metrics.record_transfer(src, self.node_id, data.nbytes, at=at)
-        self.metrics.record_disk_write(self.node_id, data.nbytes, at=at)
+        self.metrics.record_transfer(src, self.node_id, data.nbytes)
+        self.metrics.record_disk_write(self.node_id, data.nbytes)
         self._disk[chunk_id] = data
 
-    def receive_many_to_disk(
-        self,
-        items: Iterable[Tuple[str, np.ndarray]],
-        src: str,
-        at: float = 0.0,
-    ) -> None:
+    def receive_many_to_disk(self, items: Iterable[Tuple[str, np.ndarray]], src: str) -> None:
         """Receive a batch of chunks from one sender in a single call.
 
         Metering is per chunk (one network transfer + one disk write
         each), identical to calling :meth:`receive_to_disk` in a loop.
         """
         for chunk_id, data in items:
-            self.receive_to_disk(chunk_id, data, src, at=at)
+            self.receive_to_disk(chunk_id, data, src)
 
-    def persist(self, chunk_id: str, at: float = 0.0) -> None:
+    def persist(self, chunk_id: str) -> None:
         """Flush a buffered chunk to disk (frees the cache slot)."""
         if chunk_id not in self._memory:
             if chunk_id in self._disk:
@@ -109,7 +102,7 @@ class Datanode:
             raise ChunkNotFoundError(chunk_id)
         data = self._memory.pop(chunk_id)
         self.metrics.node(self.node_id).free_memory(data.nbytes)
-        self.metrics.record_disk_write(self.node_id, data.nbytes, at=at)
+        self.metrics.record_disk_write(self.node_id, data.nbytes)
         self._disk[chunk_id] = data
 
     def drop_from_memory(self, chunk_id: str) -> None:
@@ -119,7 +112,7 @@ class Datanode:
             self.metrics.node(self.node_id).free_memory(data.nbytes)
 
     # -- reads ----------------------------------------------------------------
-    def read(self, chunk_id: str, at: float = 0.0) -> np.ndarray:
+    def read(self, chunk_id: str) -> np.ndarray:
         """Read a chunk; disk reads are metered, memory hits are free.
 
         The result is the stored array itself: read-only, and shared
@@ -131,11 +124,11 @@ class Datanode:
             return self._memory[chunk_id]
         if chunk_id in self._disk:
             data = self._disk[chunk_id]
-            self.metrics.record_disk_read(self.node_id, data.nbytes, at=at)
+            self.metrics.record_disk_read(self.node_id, data.nbytes)
             return data
         raise ChunkNotFoundError(chunk_id)
 
-    def read_range(self, chunk_id: str, start: int, length: int, at: float = 0.0) -> np.ndarray:
+    def read_range(self, chunk_id: str, start: int, length: int) -> np.ndarray:
         """Partial chunk read (metered at the requested length): a
         read-only view of the stored array, shared like :meth:`read`'s."""
         if not self.node.is_alive:
@@ -143,7 +136,7 @@ class Datanode:
         if chunk_id in self._memory:
             return self._memory[chunk_id][start : start + length]
         if chunk_id in self._disk:
-            self.metrics.record_disk_read(self.node_id, float(length), at=at)
+            self.metrics.record_disk_read(self.node_id, float(length))
             return self._disk[chunk_id][start : start + length]
         raise ChunkNotFoundError(chunk_id)
 
@@ -161,24 +154,22 @@ class Datanode:
         return chunk_id in self._disk
 
     # -- local compute ----------------------------------------------------------
-    def store_local(self, chunk_id: str, data: np.ndarray, at: float = 0.0) -> None:
+    def store_local(self, chunk_id: str, data: np.ndarray) -> None:
         """Write a locally computed chunk to disk (no network)."""
         data = self._kept(data)
-        self.metrics.record_disk_write(self.node_id, data.nbytes, at=at)
+        self.metrics.record_disk_write(self.node_id, data.nbytes)
         self._disk[chunk_id] = data
 
-    def store_local_many(
-        self, items: Iterable[Tuple[str, np.ndarray]], at: float = 0.0
-    ) -> None:
+    def store_local_many(self, items: Iterable[Tuple[str, np.ndarray]]) -> None:
         """Write a batch of locally computed chunks (per-chunk metering)."""
         for chunk_id, data in items:
-            self.store_local(chunk_id, data, at=at)
+            self.store_local(chunk_id, data)
 
     # -- deletion / capacity ------------------------------------------------------
-    def delete(self, chunk_id: str, at: float = 0.0) -> None:
+    def delete(self, chunk_id: str) -> None:
         data = self._disk.pop(chunk_id, None)
         if data is not None:
-            self.metrics.record_disk_delete(self.node_id, data.nbytes, at=at)
+            self.metrics.record_disk_delete(self.node_id, data.nbytes)
         self.drop_from_memory(chunk_id)
 
     def bytes_at_rest(self) -> float:

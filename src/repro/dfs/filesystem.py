@@ -61,6 +61,10 @@ from repro.dfs.transcoder import NativeTranscoder, RRWTranscoder
 from repro.sched.scheduler import MaintenanceScheduler
 
 MB = 1024 * 1024
+#: GF(256) coding rate of one core per unit of generator width: a w-wide
+#: encode of one s-byte parity costs w * s / (ENCODE_MB_S * MB) seconds,
+#: so compute scales with matrix width (Fig 15a)
+ENCODE_MB_S = 2800.0
 #: chunks per replica block of a replicated file (``Replication`` ingest)
 REPLICATION_BLOCK_CHUNKS = 8
 
@@ -88,10 +92,7 @@ class _BaseDFS:
         self.chunk_size = chunk_size
         self.metrics = IOMetrics()
         self.datanodes: Dict[str, Datanode] = {
-            node.node_id: Datanode(
-                node, self.metrics, self.cluster.spec.buffer_cache_bytes
-            )
-            for node in self.cluster.nodes
+            node.node_id: Datanode(node, self.metrics) for node in self.cluster.nodes
         }
         from repro.dfs.integrity import ChecksumRegistry
 
@@ -152,8 +153,7 @@ class _BaseDFS:
         """Bill ``by`` — a node, or the client — for combining ``width``
         chunks of ``nbytes`` into each of ``out_parities`` outputs: the
         one CPU-charge formula, encodes and decodes alike."""
-        rate = self.cluster.spec.encode_mb_s * MB
-        self.metrics.record_cpu(by, width * out_parities * nbytes / rate)
+        self.metrics.record_cpu(by, width * out_parities * nbytes / (ENCODE_MB_S * MB))
 
     # -- availability ----------------------------------------------------------
     @property
@@ -211,9 +211,9 @@ class _BaseDFS:
         computed on the node itself (``None``: no network)."""
         datanode = self.datanodes[node_id]
         if src is None:
-            datanode.store_local(chunk_id, data, at=self.clock)
+            datanode.store_local(chunk_id, data)
         else:
-            datanode.receive_to_disk(chunk_id, data, src=src, at=self.clock)
+            datanode.receive_to_disk(chunk_id, data, src=src)
 
     def store_chunk(
         self,
@@ -233,7 +233,7 @@ class _BaseDFS:
     def discard_chunks(self, chunks: Iterable[ChunkMeta]) -> None:
         """Chunks no metadata lists any more leave: bytes and sums."""
         for chunk in chunks:
-            self.datanodes[chunk.node_id].delete(chunk.chunk_id, at=self.clock)
+            self.datanodes[chunk.node_id].delete(chunk.chunk_id)
             self.checksums.forget(chunk.chunk_id)
 
     def drop_unlisted(self, node_id: str) -> int:
@@ -293,34 +293,30 @@ class _BaseDFS:
 
     # -- how a slot is read: home copy, replica range, the stripe's survivors --
     def fetch_chunk(
-        self, chunk: ChunkMeta, by: str, tag: str, start: int = 0,
-        length: Optional[int] = None,
+        self, chunk: ChunkMeta, by: str, start: int = 0, length: Optional[int] = None
     ) -> Optional[np.ndarray]:
         """Bytes ``[start, start + length)`` of a listed copy (default: to
-        its end), delivered to ``by`` and metered under ``tag``; ``None``
+        its end), delivered to ``by`` and metered; ``None``
         when ``by`` cannot read it — nothing crosses a partition cut."""
         if not self.chunk_readable(chunk, by=by):
             return None
         datanode = self.datanodes[chunk.node_id]
         if start or length is not None:
             span = chunk.size - start if length is None else length
-            data = datanode.read_range(chunk.chunk_id, start, span, at=self.clock)
+            data = datanode.read_range(chunk.chunk_id, start, span)
         else:
-            data = datanode.read(chunk.chunk_id, at=self.clock)
-        self.metrics.record_transfer(
-            chunk.node_id, by, float(data.nbytes), at=self.clock, tag=tag
-        )
+            data = datanode.read(chunk.chunk_id)
+        self.metrics.record_transfer(chunk.node_id, by, float(data.nbytes))
         return data
 
     def fetch_block_range(
-        self, block: ReplicaBlockMeta, start: int, length: int, by: str, tag: str,
-        prefer=_listed,
+        self, block: ReplicaBlockMeta, start: int, length: int, by: str, prefer=_listed
     ) -> Optional[Tuple[ChunkMeta, np.ndarray]]:
         """``(copy read, bytes [start, start + length) of the block,
         zero-padded)`` from the first copy ``by`` can read, in ``prefer``
         order (a sort key over copies; by default, as listed)."""
         for copy in sorted(block.copies, key=prefer):
-            data = self.fetch_chunk(copy, by, tag, start, length)
+            data = self.fetch_chunk(copy, by, start, length)
             if data is not None:
                 if len(data) < length:
                     data = np.concatenate([data, np.zeros(length - len(data), np.uint8)])
@@ -328,8 +324,7 @@ class _BaseDFS:
         return None
 
     def fetch_replica_range(
-        self, meta: FileMeta, stripe: ECStripeMeta, slot: int, by: str, tag: str,
-        prefer=_listed,
+        self, meta: FileMeta, stripe: ECStripeMeta, slot: int, by: str, prefer=_listed
     ) -> Optional[Tuple[ChunkMeta, np.ndarray]]:
         """A data slot from its range of the replica block repeating it
         (§4.3), if one does: see :meth:`fetch_block_range`."""
@@ -338,23 +333,22 @@ class _BaseDFS:
         if block is None:
             return None
         start = (index - block.first_chunk) * meta.chunk_size
-        return self.fetch_block_range(block, start, meta.chunk_size, by, tag, prefer)
+        return self.fetch_block_range(block, start, meta.chunk_size, by, prefer)
 
     def fetch_slot(
-        self, meta: FileMeta, stripe: ECStripeMeta, slot: int, by: str, tag: str,
-        prefer=_listed,
+        self, meta: FileMeta, stripe: ECStripeMeta, slot: int, by: str, prefer=_listed
     ) -> Optional[Tuple[ChunkMeta, np.ndarray]]:
         """``(copy read, bytes)`` of one stripe slot where it survives:
         its home copy, else its replica range."""
         chunk = stripe.data[slot] if slot < stripe.k else stripe.parities[slot - stripe.k]
-        data = self.fetch_chunk(chunk, by, tag)
+        data = self.fetch_chunk(chunk, by)
         if data is not None:
             return chunk, data
-        return self.fetch_replica_range(meta, stripe, slot, by, tag, prefer)
+        return self.fetch_replica_range(meta, stripe, slot, by, prefer)
 
     def rebuild_slots(
         self, meta: FileMeta, stripe: ECStripeMeta, erased: Sequence[int], by: str,
-        tag: str, prefer=_listed, held: Optional[Dict[int, np.ndarray]] = None,
+        prefer=_listed, held: Optional[Dict[int, np.ndarray]] = None,
     ) -> Tuple[List[Tuple[ChunkMeta, str, np.ndarray]], Dict[int, np.ndarray]]:
         """Bytes of the ``erased`` slots of one stripe — slots whose home
         copy is gone — rebuilt at ``by`` from whichever source survives.
@@ -388,7 +382,7 @@ class _BaseDFS:
                 available[slot] = found[1]
 
         for slot in erased:
-            take(slot, self.fetch_replica_range(meta, stripe, slot, by, tag, prefer))
+            take(slot, self.fetch_replica_range(meta, stripe, slot, by, prefer))
         todo = [slot for slot in erased if slot not in available]
         if not todo:
             return read, available
@@ -409,7 +403,7 @@ class _BaseDFS:
                 if slot in held:
                     available[slot] = held[slot]
                 else:
-                    take(slot, self.fetch_slot(meta, stripe, slot, by, tag, prefer))
+                    take(slot, self.fetch_slot(meta, stripe, slot, by, prefer))
             try:
                 rebuilt = code.decode(available, todo)
             except DecodeError as exc:
@@ -513,7 +507,7 @@ class _BaseDFS:
             if to_memory:
                 datanode.receive_to_memory(chunk_id, block_bytes, src=prev)
             else:
-                datanode.receive_to_disk(chunk_id, block_bytes, src=prev, at=self.clock)
+                datanode.receive_to_disk(chunk_id, block_bytes, src=prev)
             if i < persist_count:
                 copies.append(
                     ChunkMeta(chunk_id, node_id, ChunkKind.REPLICA, block_bytes.nbytes)
@@ -523,7 +517,7 @@ class _BaseDFS:
             prev = node_id
         if to_memory:
             for copy in copies:
-                self.datanodes[copy.node_id].persist(copy.chunk_id, at=self.clock)
+                self.datanodes[copy.node_id].persist(copy.chunk_id)
         return block_meta, temporary
 
     def _default_placement(self, name: str) -> DefaultPlacement:
@@ -992,7 +986,7 @@ class MorphFS(AppendSupport, _BaseDFS):
             self.datanodes, self.commandable, (), prefer=[c.node_id for c in stripe.data]
         )
         sources = [
-            self.fetch_slot(meta, stripe, slot, striper, "seal") for slot in range(stripe.k)
+            self.fetch_slot(meta, stripe, slot, striper) for slot in range(stripe.k)
         ]
         if None in sources:
             raise RecoveryError(

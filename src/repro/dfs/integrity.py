@@ -300,7 +300,7 @@ def quarantine(fs, chunk: ChunkMeta) -> None:
     next scrub finds it absent and rebuilds it, and what the rebuilt
     bytes are checked against.
     """
-    fs.datanodes[chunk.node_id].delete(chunk.chunk_id, at=fs.clock)
+    fs.datanodes[chunk.node_id].delete(chunk.chunk_id)
 
 
 def quarantine_rotten(fs, reads) -> List[ChunkMeta]:
@@ -363,7 +363,7 @@ class Scrubber:
                 datanode = fs.datanodes[chunk.node_id]
                 if datanode.chunk_on_disk(chunk.chunk_id):
                     listed.append((chunk, True))
-                    data = datanode.read(chunk.chunk_id, at=fs.clock)
+                    data = datanode.read(chunk.chunk_id)
                     items.append((chunk.chunk_id, data, None))
                 elif not datanode.has_chunk(chunk.chunk_id):
                     listed.append((chunk, False))

@@ -229,7 +229,7 @@ class RecoveryManager:
         with every source read once (:meth:`_BaseDFS.rebuild_slots`) and
         remembered."""
         try:
-            read, rebuilt = self.fs.rebuild_slots(meta, stripe, erased, dst, "repair")
+            read, rebuilt = self.fs.rebuild_slots(meta, stripe, erased, dst)
         except ReadError as exc:
             raise RecoveryError(
                 f"{meta.name}: stripe {stripe.stripe_index} beyond repair"
@@ -262,7 +262,7 @@ class RecoveryManager:
 
     def _fetch(self, src: ChunkMeta, target: str) -> Optional[np.ndarray]:
         """A whole listed copy, read for ``target`` and remembered."""
-        data = self.fs.fetch_chunk(src, target, "repair")
+        data = self.fs.fetch_chunk(src, target)
         if data is not None:
             self._reads.append((src, src.chunk_id, data))
         return data

@@ -190,10 +190,10 @@ class NativeTranscoder:
         fs = self.fs
         by = to[0]
         chunk = stripe_meta.all_chunks()[index]
-        data, src = fs.fetch_chunk(chunk, by, "transcode", start), chunk.node_id
+        data, src = fs.fetch_chunk(chunk, by, start), chunk.node_id
         if data is None:
             try:
-                rebuilt = fs.rebuild_slots(meta, stripe_meta, [index], by, "transcode")[1]
+                rebuilt = fs.rebuild_slots(meta, stripe_meta, [index], by)[1]
             except ReadError as exc:
                 raise TranscodeError(
                     f"{meta.name}: source chunk {chunk.chunk_id} on {chunk.node_id} is "
@@ -202,9 +202,7 @@ class NativeTranscoder:
                 ) from exc
             data, src = rebuilt[index][start:], by
         for node in to[1:]:
-            fs.metrics.record_transfer(
-                src, node, float(data.nbytes), at=fs.clock, tag="transcode"
-            )
+            fs.metrics.record_transfer(src, node, float(data.nbytes))
         return data
 
     def _homes(
@@ -324,11 +322,11 @@ class NativeTranscoder:
             # being assembled: the namenode rewrites it in place.
             fs.rehome_chunks(
                 meta,
-                [(chunk, fresh, source.read(old_id, at=fs.clock))],
+                [(chunk, fresh, source.read(old_id))],
                 src=chunk.node_id,
                 label="moved",
             )
-            source.delete(old_id, at=fs.clock)
+            source.delete(old_id)
             seen.add(fresh)
 
 

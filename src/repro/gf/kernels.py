@@ -702,8 +702,7 @@ class PatternCache:
     failed chunk position) thousands of times.
     """
 
-    def __init__(self, capacity: int = _PATTERN_CACHE_MAX):
-        self.capacity = capacity
+    def __init__(self):
         self._entries: "OrderedDict[Tuple, FusedDecode]" = OrderedDict()
         _pattern_caches.add(self)
 
@@ -718,7 +717,7 @@ class PatternCache:
 
     def put(self, key: Tuple, value: FusedDecode) -> None:
         self._entries[key] = value
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > _PATTERN_CACHE_MAX:
             self._entries.popitem(last=False)
             _COUNTERS["pattern_evictions"] += 1
 

@@ -88,12 +88,8 @@ class Observability:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self.registry = registry or MetricsRegistry()
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
+        self.registry = MetricsRegistry()
         self.tracer = Tracer(clock, self.registry)
         self._clock_explicit = clock is not None
 

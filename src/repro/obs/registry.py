@@ -13,7 +13,7 @@ benchmark numbers can never disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.histogram import LogLinearHistogram
@@ -44,27 +44,18 @@ class Counter:
 
 
 class Gauge:
-    """A settable value, or a live view through a callback."""
+    """A settable value."""
 
-    __slots__ = ("_value", "fn")
+    __slots__ = ("value",)
 
-    def __init__(self, fn: Optional[Callable[[], float]] = None):
-        self._value = 0.0
-        self.fn = fn
+    def __init__(self):
+        self.value = 0.0
 
     def set(self, value: float) -> None:
-        if self.fn is not None:
-            raise ValueError("callback gauges cannot be set")
-        self._value = float(value)
+        self.value = float(value)
 
     def add(self, amount: float) -> None:
-        if self.fn is not None:
-            raise ValueError("callback gauges cannot be set")
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        return float(self.fn()) if self.fn is not None else self._value
+        self.value += amount
 
 
 @dataclass
@@ -82,15 +73,13 @@ class Sample:
         return (self.name, self.labels)
 
 
-@dataclass
 class MetricsRegistry:
     """Holds every named metric; the single source of reported numbers."""
 
-    _metrics: Dict[Tuple[str, LabelPairs], object] = field(default_factory=dict)
-    _kinds: Dict[str, str] = field(default_factory=dict)
-    _collectors: List[Callable[[], Iterable[Tuple[str, str, Dict, float]]]] = field(
-        default_factory=list
-    )
+    def __init__(self):
+        self._metrics: Dict[Tuple[str, LabelPairs], object] = {}
+        self._kinds: Dict[str, str] = {}
+        self._collectors: List[Callable[[], Iterable[Tuple[str, str, Dict, float]]]] = []
 
     # -- registration -------------------------------------------------------
     def _get_or_create(self, name: str, kind: str, labels: Dict, factory):

@@ -26,6 +26,8 @@ from typing import Callable, Dict, List, Optional
 from repro.obs.registry import MetricsRegistry
 
 OP_LATENCY_METRIC = "op_latency_seconds"
+#: finished spans a tracer keeps; later ones are only counted (``dropped``)
+MAX_FINISHED_SPANS = 100_000
 
 
 @dataclass
@@ -38,16 +40,12 @@ class Span:
     parent_id: Optional[int]
     start: float
     attrs: Dict[str, object] = field(default_factory=dict)
-    end: Optional[float] = None
-    error: bool = False
+    end: Optional[float] = field(default=None, init=False)
+    error: bool = field(default=False, init=False)
 
     @property
     def duration(self) -> float:
         return (self.end if self.end is not None else self.start) - self.start
-
-    def set(self, **attrs) -> "Span":
-        self.attrs.update(attrs)
-        return self
 
     def __enter__(self) -> "Span":
         return self
@@ -67,11 +65,9 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         registry: Optional[MetricsRegistry] = None,
-        max_finished: int = 100_000,
     ):
         self.clock = clock or (lambda: 0.0)
         self.registry = registry
-        self.max_finished = max_finished
         self.finished: List[Span] = []
         self.dropped = 0
         self._stack: List[Span] = []
@@ -101,7 +97,7 @@ class Tracer:
             self._stack.pop()
         if self._stack:
             self._stack.pop()
-        if len(self.finished) < self.max_finished:
+        if len(self.finished) < MAX_FINISHED_SPANS:
             self.finished.append(span)
         else:
             self.dropped += 1
@@ -112,20 +108,11 @@ class Tracer:
                 self._op_hists[span.name] = hist
             hist.record(span.duration)
 
-    # -- views ---------------------------------------------------------------
-    def spans(self, name: Optional[str] = None) -> List[Span]:
-        if name is None:
-            return list(self.finished)
-        return [s for s in self.finished if s.name == name]
-
 
 class _NoopSpan:
     """Shared do-nothing span; the cost of disabled tracing."""
 
     __slots__ = ()
-
-    def set(self, **attrs) -> "_NoopSpan":
-        return self
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -146,9 +133,6 @@ class NoopTracer:
 
     def span(self, name: str, **attrs) -> _NoopSpan:
         return _NOOP_SPAN
-
-    def spans(self, name: Optional[str] = None) -> List[Span]:
-        return []
 
 
 NOOP_TRACER = NoopTracer()

@@ -52,14 +52,11 @@ class SchedulerPolicy:
     """What callers of the maintenance control plane set: retries and
     per-node byte budgets."""
 
-    #: attempts before a task is dead-lettered (task-level override wins)
+    #: attempts before a task is dead-lettered
     max_attempts: int = 4
     #: per-node maintenance byte budgets refilled each tick; None = unlimited
     disk_bytes_per_tick: Optional[float] = None
     net_bytes_per_tick: Optional[float] = None
-
-    def attempts_allowed(self, task: MaintenanceTask) -> int:
-        return task.max_attempts if task.max_attempts is not None else self.max_attempts
 
 
 def effective_priority(task: MaintenanceTask, tick: int, clock: float) -> float:

@@ -29,7 +29,7 @@ from repro.obs import NOOP_OBS
 from repro.sched.budget import BudgetManager
 from repro.sched.policies import SchedulerPolicy, backoff_ticks
 from repro.sched.queue import PriorityTaskQueue
-from repro.sched.tasks import MaintenanceTask, TaskClass, TaskState
+from repro.sched.tasks import MaintenanceTask, TaskState
 
 
 @dataclass
@@ -44,11 +44,6 @@ class SchedulerTickReport:
     deferred_backoff: int = 0
     disk_bytes: float = 0.0
     net_bytes: float = 0.0
-
-    def completed(self, klass: Optional[TaskClass] = None) -> List[MaintenanceTask]:
-        if klass is None:
-            return list(self.executed)
-        return [t for t in self.executed if t.klass is klass]
 
 
 class MaintenanceScheduler:
@@ -235,7 +230,7 @@ class MaintenanceScheduler:
             task.state = TaskState.FAILED
             self._settle(task, before, report, completed=False)
             report.failed.append(task)
-            if task.attempts >= self.policy.attempts_allowed(task):
+            if task.attempts >= self.policy.max_attempts:
                 self.queue.bury(task)
                 report.dead_lettered.append(task)
                 metrics = self._metrics()

@@ -24,11 +24,24 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.engine import Resource
-from repro.obs import LogLinearHistogram, MetricsRegistry, exact_percentile
+from repro.obs import LogLinearHistogram, MetricsRegistry
 from repro.sched.policies import SchedulerPolicy
 from repro.sched.scheduler import MaintenanceScheduler
 from repro.sched.tasks import CallbackTask, TaskClass, TaskCost
 from repro.sim.cluster import SimCluster
+
+
+#: every node's disk bandwidth
+DISK_BW_BYTES_PER_S = 100e6
+#: size of one foreground read
+READ_BYTES = 4e6
+#: each repair reads one chunk from ``REPAIR_SOURCES`` nodes and writes
+#: one chunk on a target node
+CHUNK_BYTES = 8e6
+REPAIR_SOURCES = 4
+#: scheduler cadence and the per-node disk budget under test
+TICK_S = 0.5
+BUDGET_DISK_BYTES_PER_TICK = 16e6
 
 
 @dataclass
@@ -36,20 +49,11 @@ class SimConfig:
     """Shape of the failure-burst experiment."""
 
     n_nodes: int = 12
-    disk_bw_bytes_per_s: float = 100e6
-    #: foreground read stream: size and mean exponential interarrival
-    read_bytes: float = 4e6
+    #: mean exponential interarrival of the foreground reads
     read_interarrival_s: float = 0.04
     #: the burst: how many chunk repairs land, and when
     n_repairs: int = 96
     burst_at_s: float = 2.0
-    #: each repair reads one chunk from ``repair_sources`` nodes and
-    #: writes one chunk on a target node
-    chunk_bytes: float = 8e6
-    repair_sources: int = 4
-    #: scheduler cadence and the per-node disk budget under test
-    tick_s: float = 0.5
-    budget_disk_bytes_per_tick: float = 16e6
     duration_s: float = 30.0
     seed: int = 0
     #: hedged foreground reads: when a read's primary lands on a node
@@ -86,19 +90,11 @@ class SimResult:
         return max(self.node_tick_disk_bytes.values(), default=0.0)
 
     def latency_percentile(self, p: float) -> float:
-        if self.latency_hist is not None:
-            return self.latency_hist.percentile(p)
-        return percentile(self.foreground_latencies, p)
+        return self.latency_hist.percentile(p)
 
     @property
     def p99_latency_s(self) -> float:
         return self.latency_percentile(99.0)
-
-
-def percentile(values: List[float], p: float) -> float:
-    """Exact percentile over raw samples (kept for spot checks against
-    the histogram numbers; delegates to the shared implementation)."""
-    return exact_percentile(values, p)
 
 
 def run_failure_burst(
@@ -135,19 +131,19 @@ def run_failure_burst(
     node_tick_bytes: Dict[Tuple[str, int], float] = defaultdict(float)
 
     def disk_io(node, nbytes: float):
-        return env.process(sim.disk_op(node, nbytes / cfg.disk_bw_bytes_per_s))
+        return env.process(sim.disk_op(node, nbytes / DISK_BW_BYTES_PER_S))
 
     def one_read():
         start = env.now
         primary = rng.choice(nodes)
-        attempts = [lambda: disk_io(primary, cfg.read_bytes)]
+        attempts = [lambda: disk_io(primary, READ_BYTES)]
         if cfg.hedge_after_s is not None and primary.disk_multiplier > 1.0:
             # Straggler primary: give it a grace period, then race a
             # backup replica read on a fast node.
             def backup():
                 fast = [n for n in nodes if n.disk_multiplier <= 1.0]
                 hedges["n"] += 1
-                return disk_io(rng.choice(fast or nodes), cfg.read_bytes)
+                return disk_io(rng.choice(fast or nodes), READ_BYTES)
 
             attempts.append(backup)
         yield from sim.hedged(attempts, cfg.hedge_after_s)
@@ -159,19 +155,18 @@ def run_failure_burst(
             env.process(one_read())
 
     def make_repair(index: int) -> CallbackTask:
-        involved = rng.sample(nodes, cfg.repair_sources + 1)
+        involved = rng.sample(nodes, REPAIR_SOURCES + 1)
         charges = {
-            s.node_id: TaskCost(disk_bytes=cfg.chunk_bytes, net_bytes=cfg.chunk_bytes)
+            s.node_id: TaskCost(disk_bytes=CHUNK_BYTES, net_bytes=CHUNK_BYTES)
             for s in involved[:-1]
         }
         charges[involved[-1].node_id] = TaskCost(
-            disk_bytes=cfg.chunk_bytes,
-            net_bytes=cfg.repair_sources * cfg.chunk_bytes,
+            disk_bytes=CHUNK_BYTES, net_bytes=REPAIR_SOURCES * CHUNK_BYTES
         )
         pending = {"n": len(involved)}
 
         def leg(node):
-            yield from sim.disk_op(node, cfg.chunk_bytes / cfg.disk_bw_bytes_per_s)
+            yield from sim.disk_op(node, CHUNK_BYTES / DISK_BW_BYTES_PER_S)
             pending["n"] -= 1
             if pending["n"] == 0:
                 repairs_done["n"] += 1
@@ -195,7 +190,7 @@ def run_failure_burst(
 
     def ticker():
         while env.now < cfg.duration_s:
-            yield env.timeout(cfg.tick_s)
+            yield env.timeout(TICK_S)
             sched.run_tick()
 
     env.process(foreground())
@@ -226,9 +221,7 @@ def compare_budgets(config: Optional[SimConfig] = None) -> Dict[str, SimResult]:
     cfg = config or SimConfig()
     return {
         "unthrottled": run_failure_burst(None, cfg, label="unthrottled"),
-        "throttled": run_failure_burst(
-            cfg.budget_disk_bytes_per_tick, cfg, label="throttled"
-        ),
+        "throttled": run_failure_burst(BUDGET_DISK_BYTES_PER_TICK, cfg, label="throttled"),
     }
 
 
@@ -237,9 +230,9 @@ def format_report(results: Dict[str, SimResult], cfg: Optional[SimConfig] = None
     cfg = cfg or SimConfig()
     lines = [
         "Failure-burst maintenance simulation",
-        f"  nodes={cfg.n_nodes}  repairs={cfg.n_repairs} x {cfg.chunk_bytes / 1e6:.0f} MB"
-        f"  burst at t={cfg.burst_at_s:.1f}s  tick={cfg.tick_s}s",
-        f"  budget under test: {cfg.budget_disk_bytes_per_tick / 1e6:.0f} MB/node/tick",
+        f"  nodes={cfg.n_nodes}  repairs={cfg.n_repairs} x {CHUNK_BYTES / 1e6:.0f} MB"
+        f"  burst at t={cfg.burst_at_s:.1f}s  tick={TICK_S}s",
+        f"  budget under test: {BUDGET_DISK_BYTES_PER_TICK / 1e6:.0f} MB/node/tick",
         "",
         f"  {'run':<12} {'fg reads':>8} {'p50 (ms)':>9} {'p99 (ms)':>9}"
         f" {'repairs':>8} {'max node-tick MB':>17}",

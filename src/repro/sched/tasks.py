@@ -73,7 +73,6 @@ class MaintenanceTask:
         klass: TaskClass,
         deadline: Optional[float] = None,
         metadata_only: bool = False,
-        max_attempts: Optional[int] = None,
     ):
         self.klass = klass
         #: absolute DFS-clock time by which this task should have run
@@ -81,8 +80,6 @@ class MaintenanceTask:
         self.deadline = deadline
         #: metadata-only tasks move no bytes and bypass budget admission
         self.metadata_only = metadata_only
-        #: per-task override of the policy's retry cap (None = policy's)
-        self.max_attempts = max_attempts
         # -- scheduler-managed state --
         self.task_id: int = -1
         self.state: TaskState = TaskState.PENDING
@@ -310,7 +307,6 @@ class CallbackTask(MaintenanceTask):
         self,
         fn: Callable[..., Any],
         klass: TaskClass = TaskClass.REPAIR,
-        cost: TaskCost = TaskCost(),
         charges: Optional[Dict[str, TaskCost]] = None,
         label: str = "",
         **kw,
@@ -319,16 +315,12 @@ class CallbackTask(MaintenanceTask):
         import inspect
 
         self.fn = fn
-        self.cost = cost
         self.charges = charges
         self.label = label or getattr(fn, "__name__", "callback")
         try:
             self._wants_fs = len(inspect.signature(fn).parameters) >= 1
         except (TypeError, ValueError):
             self._wants_fs = False
-
-    def estimated_cost(self, fs) -> TaskCost:
-        return self.cost
 
     def node_charges(self, fs) -> Optional[Dict[str, TaskCost]]:
         return self.charges

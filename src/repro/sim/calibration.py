@@ -14,57 +14,54 @@ path) does the differentiating work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 MB = 1024 * 1024
 
 
-@dataclass
 class SimCalibration:
-    """Service-time parameters, all in seconds."""
+    """Service-time parameters, all in seconds: constants, fit once."""
 
     # Per-node software overhead of absorbing a replicated/streamed block
     # into the buffer cache (HDFS pipeline stage).
-    replica_absorb_median_s: float = 0.062
-    replica_absorb_sigma: float = 0.55
+    replica_absorb_median_s = 0.062
+    replica_absorb_sigma = 0.55
     #: effective per-node pipeline ingest bandwidth (HDFS receive path is
     #: far below wire speed: checksumming, packet handling, copying).
-    pipeline_mb_s: float = 800.0
+    pipeline_mb_s = 800.0
 
     # Per-node overhead of an EC chunk write: synchronous cell handling,
     # smaller writes, more seeks. Applied per chunk on the stripe path.
-    ec_write_median_s: float = 0.075
-    ec_write_sigma: float = 0.32
+    ec_write_median_s = 0.075
+    ec_write_sigma = 0.32
 
     # Disk service: positioning + transfer.
-    disk_seek_median_s: float = 0.0085
-    disk_seek_sigma: float = 0.45
-    disk_bandwidth_mb_s: float = 120.0
+    disk_seek_median_s = 0.0085
+    disk_seek_sigma = 0.45
+    disk_bandwidth_mb_s = 120.0
 
     # Read-side software overhead per chunk request.
-    read_overhead_median_s: float = 0.024
-    read_overhead_sigma: float = 0.55
+    read_overhead_median_s = 0.024
+    read_overhead_sigma = 0.55
 
     # Striped (EC) reads pay more per chunk: k remote block opens, cell
     # reassembly, no hedging alternative. Applied per stripe chunk.
-    ec_read_overhead_median_s: float = 0.050
-    ec_read_overhead_sigma: float = 0.60
+    ec_read_overhead_median_s = 0.050
+    ec_read_overhead_sigma = 0.60
 
     # Degraded-mode decode rate (Java HDFS codec, per unit matrix width).
-    decode_mb_s: float = 60.0
+    decode_mb_s = 60.0
 
     # Client / Datanode GF(256) coding rate per unit generator width.
-    encode_mb_s: float = 1400.0
+    encode_mb_s = 1400.0
 
     # Network (40 GbE).
-    net_rtt_s: float = 0.0002
-    net_bandwidth_mb_s: float = 4500.0
+    net_rtt_s = 0.0002
+    net_bandwidth_mb_s = 4500.0
 
     # Hedged read trigger: issue a second request at this deadline.
-    hedge_deadline_s: float = 0.220
+    hedge_deadline_s = 0.220
 
-    # Background parity persistence delay knobs (Fig 13c).
-    striper_poll_s: float = 0.050
+    # Background parity persistence delay (Fig 13c).
+    striper_poll_s = 0.050
 
     def disk_time(self, rng, size_bytes: float) -> float:
         import numpy as np

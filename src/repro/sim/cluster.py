@@ -11,7 +11,7 @@ from. Failures are injected the same way as anywhere else —
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -23,15 +23,10 @@ from repro.sim.calibration import SimCalibration
 class SimCluster(Cluster):
     """Nodes + queues + models + helper processes used by the protocols."""
 
-    def __init__(
-        self,
-        n_datanodes: int = 23,
-        seed: int = 0,
-        calibration: Optional[SimCalibration] = None,
-    ):
+    def __init__(self, n_datanodes: int = 23, seed: int = 0):
         super().__init__(ClusterSpec(n_datanodes=n_datanodes))
         self.env = Environment()
-        self.cal = calibration or SimCalibration()
+        self.cal = SimCalibration()
         self.rng = np.random.default_rng(seed)
         #: per-node queues, by node id
         self.disks: Dict[str, Resource] = {

@@ -62,14 +62,12 @@ class ClosedLoopWorkload:
         n_threads: int,
         ops_per_thread: int,
         op_bytes: float = 0.0,
-        think_time_s: float = 0.0,
     ):
         self.sim = sim
         self.op_factory = op_factory
         self.n_threads = n_threads
         self.ops_per_thread = ops_per_thread
         self.op_bytes = op_bytes
-        self.think_time_s = think_time_s
 
     def _worker(self, result: ClosedLoopResult):
         sim = self.sim
@@ -78,8 +76,6 @@ class ClosedLoopWorkload:
             yield sim.env.process(self.op_factory(sim))
             result.latencies.append(sim.env.now - start)
             self._client_end = max(self._client_end, sim.env.now)
-            if self.think_time_s:
-                yield sim.env.timeout(self.think_time_s)
 
     def run(self) -> ClosedLoopResult:
         result = ClosedLoopResult(op_bytes=self.op_bytes, n_threads=self.n_threads)

@@ -25,9 +25,6 @@ class HourlySeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def window(self, start: int, length: int) -> np.ndarray:
-        return self.values[start : start + length]
-
 
 @dataclass
 class IngestGenerator:
@@ -56,6 +53,12 @@ class IngestGenerator:
         return HourlySeries(values=values, start_hour=warmup_hours)
 
 
+#: mean transition-chain length of a file, and the lognormal sigma of the
+#: pending-queue bursts
+TRANSITIONS_PER_FILE = 2.2
+BURSTINESS_SIGMA = 0.35
+
+
 @dataclass
 class TransitionRateGenerator:
     """File transitions per hour for a cluster (Fig 4).
@@ -66,8 +69,6 @@ class TransitionRateGenerator:
 
     ingest: IngestGenerator = field(default_factory=IngestGenerator)
     mean_file_mb: float = 256.0
-    transitions_per_file: float = 2.2
-    burstiness_sigma: float = 0.35
     seed: int = 1
 
     def generate(self, hours: int) -> np.ndarray:
@@ -75,8 +76,8 @@ class TransitionRateGenerator:
         series = self.ingest.generate(hours)
         rng = np.random.default_rng(self.seed)
         files_per_hour = series.values * 1e9 / self.mean_file_mb  # PB -> MB
-        bursts = rng.lognormal(0.0, self.burstiness_sigma, size=hours)
-        return files_per_hour * self.transitions_per_file * bursts / 1e6
+        bursts = rng.lognormal(0.0, BURSTINESS_SIGMA, size=hours)
+        return files_per_hour * TRANSITIONS_PER_FILE * bursts / 1e6
 
 
 @dataclass

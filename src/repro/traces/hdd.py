@@ -9,7 +9,6 @@ minimising IO-per-byte-stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -38,17 +37,17 @@ HAMR_SPECULATED: List[Tuple[int, float, float]] = [
 ]
 
 
-@dataclass
+CAPACITY_GROWTH = 0.118  # ~11.8 %/year
+BANDWIDTH_GROWTH = 0.051  # ~5.1 %/year
+
+
 class HddTrendModel:
     """Fitted exponential trends for capacity, bandwidth and their ratio."""
-
-    capacity_growth: float = 0.118  # ~11.8 %/year
-    bandwidth_growth: float = 0.051  # ~5.1 %/year
 
     @property
     def ratio_decay(self) -> float:
         """Bandwidth-per-TB decay per year (~8.5 %/year, paper §2)."""
-        return 1.0 - (1.0 + self.bandwidth_growth) / (1.0 + self.capacity_growth)
+        return 1.0 - (1.0 + BANDWIDTH_GROWTH) / (1.0 + CAPACITY_GROWTH)
 
     @staticmethod
     def measured_series() -> Tuple[np.ndarray, np.ndarray]:

@@ -97,6 +97,11 @@ class ReplayResult:
     logical_bytes: float = 0.0
 
 
+#: every replayed file's size, and the chunk size both systems use
+FILE_KB = 48
+CHUNK_KB = 4
+
+
 @dataclass
 class TraceReplayer:
     """Drives a class-structured workload hour by hour through a DFS."""
@@ -104,8 +109,6 @@ class TraceReplayer:
     system: str  # "baseline" | "morph"
     hours: int = 12
     files_per_hour: int = 2
-    file_kb: int = 48
-    chunk_kb: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -115,11 +118,11 @@ class TraceReplayer:
     def run(self) -> ReplayResult:
         rng = np.random.default_rng(self.seed)
         if self.system == "baseline":
-            fs = BaselineDFS(chunk_size=self.chunk_kb * KB, seed=self.seed)
+            fs = BaselineDFS(chunk_size=CHUNK_KB * KB, seed=self.seed)
             classes = baseline_classes()
         else:
             fs = MorphFS(
-                chunk_size=self.chunk_kb * KB,
+                chunk_size=CHUNK_KB * KB,
                 future_widths=[6, 12],
                 seed=self.seed,
             )
@@ -137,7 +140,7 @@ class TraceReplayer:
                 cls = classes[int(rng.choice(len(classes), p=weights))]
                 name = f"f{counter:05d}"
                 counter += 1
-                data = rng.integers(0, 256, self.file_kb * KB, dtype=np.uint8)
+                data = rng.integers(0, 256, FILE_KB * KB, dtype=np.uint8)
                 fs.write_file(name, data, cls.chain[0][1])
                 live[name] = {"class": cls, "born": hour, "stage": 0}
                 expected[name] = data

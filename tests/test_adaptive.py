@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import (
-    AdaptiveRedundancyPlanner,
-    BathtubCurve,
-    DEFAULT_LADDER,
-)
+from repro.core.adaptive import FLOOR_AFR, LADDER, AdaptiveRedundancyPlanner, BathtubCurve
 
 
 class TestBathtubCurve:
@@ -18,7 +14,7 @@ class TestBathtubCurve:
         wearout = curve.afr(6.0)
         assert infant > floor
         assert wearout > floor
-        assert floor == pytest.approx(curve.floor_afr, rel=0.05)
+        assert floor == pytest.approx(FLOOR_AFR, rel=0.05)
 
     def test_monotone_decay_then_growth(self):
         curve = BathtubCurve()
@@ -44,7 +40,7 @@ class TestPlanner:
 
     def test_transitions_are_ladder_neighbors(self):
         plan = AdaptiveRedundancyPlanner().plan(72)
-        ladder_pairs = {(a.k, b.k) for a in DEFAULT_LADDER for b in DEFAULT_LADDER}
+        ladder_pairs = {(a.k, b.k) for a in LADDER for b in LADDER}
         for t in plan.transitions:
             assert (t.source.k, t.target.k) in ladder_pairs
             # Integral-multiple ladder: always a clean merge or split.
@@ -81,7 +77,7 @@ class TestPlanner:
     def test_tight_budget_never_widens(self):
         planner = AdaptiveRedundancyPlanner(loss_budget=1e-15)
         plan = planner.plan(72)
-        assert all(s.k == DEFAULT_LADDER[0].k for s in plan.schedule)
+        assert all(s.k == LADDER[0].k for s in plan.schedule)
         assert plan.transitions == []
 
     def test_scheme_for_afr_monotone(self):

@@ -4,6 +4,8 @@ and the faults it found that nothing else reports — a merged parity that
 encodes rot (ROADMAP item 6) and the copies a returning node kept after
 they were re-homed (item 1d) — are pinned."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,11 +188,11 @@ def test_the_audit_moves_no_counter():
     fs = whole_fs(JournaledNamenode())
     fs.transcode("f", CC1215)
     corrupt_chunk(fs, fs.namenode.lookup("f").stripes[0].data[3])
-    ledger = fs.metrics.summary(), len(fs.metrics.timeline)
+    ledger = {node: replace(m) for node, m in fs.metrics.nodes.items()}
     codec = [dict(d) for d in (CODEC_STATS.bytes, CODEC_STATS.seconds, CODEC_STATS.ops)]
     journal = len(fs.namenode.journal)
     assert [v.kind for v in audit(fs)] == ["bytes"]
-    assert (fs.metrics.summary(), len(fs.metrics.timeline)) == ledger
+    assert fs.metrics.nodes == ledger
     assert [dict(d) for d in (CODEC_STATS.bytes, CODEC_STATS.seconds, CODEC_STATS.ops)] == codec
     assert len(fs.namenode.journal) == journal
 

@@ -134,9 +134,9 @@ class TestFetchOncePerRead:
         log = []
         read = Datanode.read
 
-        def spy(datanode, chunk_id, at=0.0):
+        def spy(datanode, chunk_id):
             log.append(chunk_id)
-            return read(datanode, chunk_id, at=at)
+            return read(datanode, chunk_id)
 
         monkeypatch.setattr(Datanode, "read", spy)
         return log

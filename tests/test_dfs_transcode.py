@@ -232,14 +232,14 @@ class TestLrccTargets:
         old = [[c.node_id for c in s.parities] for s in fs.namenode.lookup("f").stripes]
         assert old[0] == old[1]  # co-located by the window
         sent = []
-        record = fs.metrics.record_transfer
+        fetch = fs.fetch_chunk
 
-        def spy(src, dst, nbytes, at=0.0, tag=""):
-            if tag == "transcode" and src != dst:
-                sent.append((src, dst))
-            record(src, dst, nbytes, at=at, tag=tag)
+        def spy(chunk, by, *args):
+            if chunk.node_id != by:
+                sent.append((chunk.node_id, by))
+            return fetch(chunk, by, *args)
 
-        fs.metrics.record_transfer = spy
+        fs.fetch_chunk = spy
         fs.transcode("f", big)
         (stripe,) = fs.namenode.lookup("f").stripes
         homes = [c.node_id for c in stripe.parities]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.failure import FailureInjector
-from repro.cluster.metrics import IOMetrics, NodeMetrics, TimelineSample
+from repro.cluster.metrics import IOMetrics, NodeMetrics
 from repro.cluster.topology import Cluster, ClusterSpec
 
 
@@ -57,49 +57,16 @@ class TestIOMetrics:
         assert summary["disk_read"] == 10
         assert summary["disk_write"] == 20
 
-    def test_timeline_records(self):
-        metrics = IOMetrics()
-        metrics.record_disk_write("a", 10, at=1.0, tag="ingest")
-        metrics.record_disk_read("a", 5, at=2.0)
-        assert metrics.timeline == [(1.0, 10, "ingest"), (2.0, 5, "disk_read")]
-
-    def test_timeline_samples_have_named_fields(self):
-        metrics = IOMetrics()
-        metrics.record_disk_write("a", 10, at=1.0, tag="ingest")
-        sample = metrics.timeline[0]
-        assert isinstance(sample, TimelineSample)
-        assert sample.at == 1.0
-        assert sample.nbytes == 10
-        assert sample.tag == "ingest"
-
-    def test_transfer_lands_in_timeline(self):
-        # Regression: record_transfer used to meter the per-node counters
-        # but never append a timeline sample, so throughput plots were
-        # blind to every network transfer.
-        metrics = IOMetrics()
-        metrics.record_transfer("a", "b", 100, at=3.0, tag="repair")
-        metrics.record_transfer("c", "d", 50, at=4.0)
-        assert metrics.timeline == [
-            TimelineSample(3.0, 100, "repair"),
-            TimelineSample(4.0, 50, "net_transfer"),
-        ]
-
-    def test_local_transfer_not_in_timeline(self):
-        metrics = IOMetrics()
-        metrics.record_transfer("a", "a", 100, at=1.0)
-        assert metrics.timeline == []
-
     def test_capacity_used_nets_out_deletes(self):
         # Regression: capacity_used() promised "written minus deleted"
         # but returned gross writes (deletes were never tracked at all).
         metrics = IOMetrics()
         metrics.record_disk_write("a", 100)
         metrics.record_disk_write("b", 50)
-        metrics.record_disk_delete("a", 30, at=2.0)
+        metrics.record_disk_delete("a", 30)
         assert metrics.disk_bytes_deleted == 30
         assert metrics.capacity_used() == 120
         assert metrics.summary()["disk_deleted"] == 30
-        assert metrics.timeline[-1] == TimelineSample(2.0, 30, "disk_delete")
 
     def test_dfs_capacity_ledger_agrees_with_disks(self):
         # The DFS override sums physical chunk maps and asserts the

@@ -133,16 +133,19 @@ class TestNoneModeTransition:
     def test_sealing_meters_the_network_it_uses(self):
         """One stripe, its first data home the striper: the other 5 data
         chunks reach it over the network and the 3 parities leave it —
-        8 chunks, tagged ``seal`` (the 5 used to travel for free)."""
+        8 chunks (the 5 used to travel for free)."""
         fs = make_fs(parity_mode="none")
         write(fs, n_kb=24)
         meta = fs.namenode.lookup("f")
         m = fs.metrics
+        homes = [chunk.node_id for chunk in meta.stripes[0].data]
+        sent = {node: (m.node(node).net_bytes_in, m.node(node).net_bytes_out) for node in homes}
         before = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
         fs._seal_stripe(meta, meta.stripes[0], fs._placement_for(meta))
         after = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
         assert [b - a for a, b in zip(before, after)] == [6 * 4 * KB, 3 * 4 * KB, 8 * 4 * KB]
-        assert [s.nbytes for s in m.timeline if s.tag == "seal"] == [4 * KB] * 5
+        assert m.node(homes[0]).net_bytes_in - sent[homes[0]][0] == 5 * 4 * KB
+        assert [m.node(node).net_bytes_out - sent[node][1] for node in homes[1:]] == [4 * KB] * 5
 
     def test_open_append_tail_also_sealed(self):
         fs = make_fs()

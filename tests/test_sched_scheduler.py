@@ -149,19 +149,6 @@ class TestRetries:
         assert task.result == "ok"
         assert sched.dead_letter == []
 
-    def test_per_task_max_attempts_override(self):
-        sched = MaintenanceScheduler(policy=SchedulerPolicy(max_attempts=5))
-
-        def fail():
-            raise RuntimeError("nope")
-
-        task = CallbackTask(fail, label="once")
-        task.max_attempts = 1
-        sched.submit(task)
-        sched.run_tick()
-        assert task.state is TaskState.DEAD
-        assert sched.dead_letter == [task]
-
 
 class TestMorphFSIntegration:
     def test_budgeted_repairs_spread_over_heartbeats_then_complete(self):

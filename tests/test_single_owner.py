@@ -91,7 +91,7 @@ def test_duplicates_stay_deleted():
     assert "cluster/latency.py" not in SOURCES
     assert not files_matching(r"SimNode")
     assert not files_matching(r"net_multiplier")
-    assert not files_matching(r"node_disk_multipliers", under="sched/")
+    assert not files_matching(r"node_disk_multipliers")
     assert '"sim0' not in SOURCES["cluster/scenarios.py"]
 
 
@@ -788,8 +788,9 @@ REACHED_ONLY_BY_TESTS = {
     "memory_used": "the buffer-cache oracle: 0 between operations",
     "clear_plan_caches": "cold decode caches for a test that counts misses",
     "shard_index": "which shard owns a name",
-    # A reference implementation that tests compare against.
+    # Reference implementations that tests compare against.
     "matinv": "the inverse a batched decode is checked against",
+    "exact_percentile": "the exact percentile the histogram is held to",
 }
 
 
@@ -898,3 +899,256 @@ def test_the_scan_flags_a_helper_that_only_tests_call(user, flagged):
     # The module's own code counts as a user, the way src/repro does.
     used = referenced_names(ast.parse(HELPER_MODULE)) | referenced_names(ast.parse(user))
     assert unreached({"helper.py": HELPER_MODULE}, used) == flagged
+
+
+# -- no option without a setter -------------------------------------------------
+
+#: Classes whose defaulted fields are initial state, not options: the
+#: owner builds one empty, or at zero, and fills it in as it runs.
+INITIAL_STATE = {
+    "NodeMetrics": "a node's IO counters, from 0",
+    "MaintenanceClassMetrics": "a task class's maintenance counters, from 0",
+    "IOMetrics": "the ledger: no node and no task class until one is metered",
+    "CodecStats": "codec odometers, empty until a codec runs",
+    "TickReport": "what one heartbeat round did, counted as it runs",
+    "ScrubReport": "what one scrub sweep found, counted as it runs",
+    "SchedulerTickReport": "what one scheduler tick did, counted as it runs",
+    "ScenarioResult": "one scenario's outcome, filled in as it runs",
+    "ReplayResult": "a replay's hourly ledger, filled in hour by hour",
+    "ClosedLoopResult": "a workload's latencies, appended as its ops finish",
+    "TraceAnalysis": "a service's series, filled in by analyze_service",
+    "AdaptivePlan": "a cohort's schedule, appended month by month",
+}
+
+
+def base_names(klass) -> tuple:
+    return tuple(ast.unparse(base).split(".")[-1] for base in klass.bases) if klass else ()
+
+
+def decorators(klass: ast.ClassDef) -> set:
+    return {ast.unparse(getattr(dec, "func", dec)).split(".")[-1] for dec in klass.decorator_list}
+
+
+def parameters(fn: ast.FunctionDef) -> list:
+    """``(node, defaulted, positional)`` for each parameter of ``fn``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    return [(arg, default is not None, True) for arg, default in zip(positional, defaults)] + [
+        (arg, default is not None, False) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+    ]
+
+
+def own_options(klass: ast.ClassDef):
+    """``(node, defaulted, positional)`` for each parameter of the class's
+    own ``__init__`` after ``self``, or for each field its dataclass or
+    NamedTuple constructor takes; ``None`` when it takes its base's."""
+    init = functions(klass).get("__init__")
+    if init is not None:
+        return parameters(init)[1:]
+    if "dataclass" not in decorators(klass) and "NamedTuple" not in base_names(klass):
+        return None
+    fields = []
+    for stmt in klass.body:
+        if not isinstance(stmt, ast.AnnAssign) or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and ast.unparse(value.func).split(".")[-1] == "field":
+            given = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(given.get("init"), "value", True) is False:
+                continue
+            fields.append((stmt.target, "default" in given or "default_factory" in given, True))
+        else:
+            fields.append((stmt.target, value is not None, True))
+    return fields
+
+
+def option_name(node: ast.AST) -> str:
+    return node.arg if isinstance(node, ast.arg) else node.id
+
+
+def class_defs(sources: dict) -> dict:
+    return {
+        node.name: (module, node)
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def signature(name: str, classes: dict) -> list:
+    """``(class, option, positional)`` for what calling class ``name``
+    takes: its own ``__init__``, its dataclass fields after its base's, or
+    else what its first base that takes anything takes."""
+    if name not in classes:
+        return []
+    klass = classes[name][1]
+    inherited = next((sig for base in base_names(klass) if (sig := signature(base, classes))), [])
+    own = own_options(klass)
+    if own is None:
+        return inherited
+    mine = [(name, option_name(node), positional) for node, _defaulted, positional in own]
+    if "dataclass" not in decorators(klass):
+        return mine
+    return [entry for entry in inherited if entry[1] not in {m[1] for m in mine}] + mine
+
+
+def option_calls(tree: ast.AST) -> tuple:
+    """Every call in ``tree`` as ``(callees, positional count, keywords)``
+    — ``callees`` the names it may construct, in order: for
+    ``super().__init__`` the class's bases, for ``cls(...)`` the class —
+    and the forwards: a function (an ``__init__`` under its class's name)
+    that hands its ``**kwargs``, or a defaulted parameter ``x`` as
+    ``x=x``, to a call, as ``(callees, keyword or None for all, position
+    of the parameter)``. A forwarded default sets nothing by itself."""
+    found, forwards = [], {}
+
+    def callees(func: ast.AST, klass) -> tuple:
+        """The names a call may construct, and how many of its positional
+        arguments are ``self``."""
+        if isinstance(func, ast.Name):
+            return ((klass.name,) if func.id == "cls" and klass else (func.id,)), 0
+        if not isinstance(func, ast.Attribute):
+            return (), 0
+        if func.attr != "__init__":
+            return (func.attr,), 0
+        if isinstance(func.value, ast.Call) and ast.unparse(func.value.func) == "super":
+            return base_names(klass), 0
+        return (ast.unparse(func.value).split(".")[-1],), 1
+
+    def record(call: ast.Call, klass, function) -> None:
+        names, skip = callees(call.func, klass)
+        init = function is not None and function.name == "__init__" and klass is not None
+        forwarder = klass.name if init else getattr(function, "name", None)
+        params = parameters(function)[init:] if function else []
+        positions = {option_name(arg): i for i, (arg, _, positional) in enumerate(params) if positional}
+        defaulted = {option_name(arg) for arg, has_default, _ in params if has_default}
+        kwargs = function.args.kwarg.arg if function and function.args.kwarg else None
+        keywords = set()
+        for kw in call.keywords:
+            if kw.arg in defaulted and isinstance(kw.value, ast.Name) and kw.value.id == kw.arg:
+                forwards.setdefault(forwarder, []).append((names, kw.arg, positions.get(kw.arg)))
+            elif kw.arg:
+                keywords.add(kw.arg)
+            elif isinstance(kw.value, ast.Dict):
+                keywords.update(key.value for key in kw.value.keys if isinstance(key, ast.Constant))
+            elif kwargs and ast.unparse(kw.value) == kwargs:
+                forwards.setdefault(forwarder, []).append((names, None, None))
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        found.append((names, len(call.args) * (1000 if starred else 1) - skip, keywords))
+
+    def visit(node: ast.AST, klass, function) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                record(child, klass, function)
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, function)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, klass, child)
+            else:
+                visit(child, klass, function)
+
+    visit(tree, None, None)
+    return found, forwards
+
+
+def unset_options(sources: dict, users: list) -> list:
+    """Defaulted options of the classes in ``sources`` that no call in
+    ``users`` (parsed modules) passes, and no exemption covers."""
+    classes = class_defs(sources)
+    found, forwards = [], {}
+    for tree in users:
+        calls_here, forwards_here = option_calls(tree)
+        found += calls_here
+        for name, targets in forwards_here.items():
+            forwards.setdefault(name, []).extend(targets)
+    passed = set()
+
+    def mark(names: tuple, positional: int, keywords: set, depth: int = 0) -> None:
+        takes = next((sig for name in names if (sig := signature(name, classes))), [])
+        passed.update((owner, option) for owner, option, _ in [e for e in takes if e[2]][:positional])
+        passed.update((owner, option) for owner, option, _ in takes if option in keywords)
+        for name in names if depth < 4 else ():
+            for target, keyword, position in forwards.get(name, []):
+                if keyword is None:
+                    mark(target, 0, keywords, depth + 1)
+                elif keyword in keywords or (position is not None and position < positional):
+                    mark(target, 0, {keyword}, depth + 1)
+
+    for names, positional, keywords in found:
+        mark(names, positional, keywords)
+    return sorted(
+        f"{module}:{node.lineno} {name}.{option_name(node)}"
+        for name, (module, klass) in classes.items()
+        if name not in INITIAL_STATE
+        for node, defaulted, _ in own_options(klass) or []
+        if defaulted and (name, option_name(node)) not in passed
+    )
+
+
+def test_every_option_has_a_setter():
+    # Every defaulted __init__ parameter or dataclass field of a class
+    # under src/repro is passed by some call in src/, benchmarks/,
+    # examples/ or tests/; one no call passes is a constant.
+    users = [*SRC.rglob("*.py")]
+    users += [path for part in ("benchmarks", "examples", "tests") for path in (REPO / part).rglob("*.py")]
+    assert unset_options(SOURCES, [ast.parse(path.read_text()) for path in users]) == []
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_STATE))
+def test_every_state_record_names_a_class_that_still_exists(name):
+    # An entry that outlives its class would wave through a new class of
+    # the same name whose defaults are options.
+    assert name in class_defs(SOURCES)
+
+
+#: three classes, each with one defaulted option: one nothing passes, one
+#: passed only by a subclass's ``super().__init__``, one only through a
+#: ``**`` dict literal
+OPTIONS_MODULE = '''"""Unset(width=2) in a docstring does not count."""
+from dataclasses import dataclass
+
+
+class Unset:
+    def __init__(self, width=4):
+        self.width = width
+
+
+class Base:
+    def __init__(self, depth=2):
+        self.depth = depth
+
+
+class Child(Base):
+    def __init__(self):
+        super().__init__(depth=3)
+
+
+@dataclass
+class Spread:
+    size: int = 1
+
+
+def build():
+    return Unset(), Child(), Spread(**{"size": 2})
+'''
+
+
+@pytest.mark.parametrize(
+    "user, flagged",
+    [
+        ("", ["options.py:6 Unset.width"]),
+        ("Unset(width=1)", []),
+        ("Unset(1)", []),
+        ("def make(width=4):\n    return Unset(width=width)", ["options.py:6 Unset.width"]),
+        ("def make(width=4):\n    return Unset(width=width)\nmake(width=1)", []),
+        ("def make(**kw):\n    return Unset(**kw)\nmake(width=1)", []),
+    ],
+    ids=["unset", "keyword", "position", "forwarded-default", "forwarded-set", "forwarded-kwargs"],
+)
+def test_the_scan_flags_an_option_no_call_passes(user, flagged):
+    # The module's own calls count, the way src/repro's do: they pass
+    # Base's option through super().__init__ and Spread's through a **
+    # dict literal, and construct Unset with its default.
+    users = [ast.parse(OPTIONS_MODULE), ast.parse(user)]
+    assert unset_options({"options.py": OPTIONS_MODULE}, users) == flagged
