@@ -8,8 +8,9 @@ of them. Byte counts are floats so cost-model fractions stay exact.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass
@@ -53,9 +54,46 @@ class MaintenanceClassMetrics:
     tasks_dead_lettered: int = 0
 
 
+class MeterWindow:
+    """What the IO recorded while it was open moved, per node:
+    ``nodes[node_id] = [disk, net, cpu]`` — disk bytes read + written,
+    network bytes in + out, CPU seconds (:meth:`IOMetrics.metering`)."""
+
+    DISK, NET, CPU = 0, 1, 2
+
+    def __init__(self):
+        self.nodes: Dict[str, List[float]] = {}
+
+    def add(self, node_id: str, column: int, amount: float) -> None:
+        row = self.nodes.get(node_id)
+        if row is None:
+            row = self.nodes[node_id] = [0.0, 0.0, 0.0]
+        row[column] += amount
+
+    def absorb(self, inner: "MeterWindow") -> None:
+        for node_id, row in inner.nodes.items():
+            for column, amount in enumerate(row):
+                self.add(node_id, column, amount)
+
+    def totals(self) -> Tuple[float, float, float]:
+        """Disk, network and CPU summed over the nodes."""
+        disk = net = cpu = 0.0
+        for d, n, c in self.nodes.values():
+            disk += d
+            net += n
+            cpu += c
+        return disk, net, cpu
+
+
 @dataclass
 class IOMetrics:
-    """Cluster-wide counters plus a per-node breakdown."""
+    """Cluster-wide counters plus a per-node breakdown.
+
+    A *metering window* (:meth:`metering`) attributes IO to the
+    operation that moved it: while one is open, every disk, network and
+    CPU charge is added to it too, per node. With none open a charge
+    pays one ``is None`` test.
+    """
 
     nodes: Dict[str, NodeMetrics] = field(default_factory=lambda: defaultdict(NodeMetrics))
     #: per-task-class maintenance accounting, recorded by the scheduler
@@ -63,14 +101,37 @@ class IOMetrics:
         default_factory=lambda: defaultdict(MaintenanceClassMetrics)
     )
 
+    def __post_init__(self):
+        #: the innermost open metering window
+        self._window: Optional[MeterWindow] = None
+
     def node(self, node_id: str) -> NodeMetrics:
         return self.nodes[node_id]
 
+    @contextmanager
+    def metering(self) -> Iterator[MeterWindow]:
+        """A window open for the block: it holds, per node, the disk,
+        network and CPU recorded inside it. A window opened inside
+        another adds what it holds into the enclosing one as it closes,
+        so both are charged."""
+        outer = self._window
+        window = self._window = MeterWindow()
+        try:
+            yield window
+        finally:
+            self._window = outer
+            if outer is not None:
+                outer.absorb(window)
+
     def record_disk_read(self, node_id: str, nbytes: float) -> None:
         self.nodes[node_id].disk_bytes_read += nbytes
+        if self._window is not None:
+            self._window.add(node_id, MeterWindow.DISK, nbytes)
 
     def record_disk_write(self, node_id: str, nbytes: float) -> None:
         self.nodes[node_id].disk_bytes_written += nbytes
+        if self._window is not None:
+            self._window.add(node_id, MeterWindow.DISK, nbytes)
 
     def record_disk_delete(self, node_id: str, nbytes: float) -> None:
         """Bytes freed from a node's disk (capacity leaves, no IO cost)."""
@@ -81,9 +142,14 @@ class IOMetrics:
             return  # server-local: no network IO (parity co-location wins)
         self.nodes[src].net_bytes_out += nbytes
         self.nodes[dst].net_bytes_in += nbytes
+        if self._window is not None:
+            self._window.add(src, MeterWindow.NET, nbytes)
+            self._window.add(dst, MeterWindow.NET, nbytes)
 
     def record_cpu(self, node_id: str, seconds: float) -> None:
         self.nodes[node_id].cpu_seconds += seconds
+        if self._window is not None:
+            self._window.add(node_id, MeterWindow.CPU, seconds)
 
     def record_maintenance(
         self,

@@ -196,7 +196,14 @@ class _BaseDFS:
             return self.reader.read(meta, offset, length, prefer_striped=prefer_striped)
 
     def delete_file(self, name: str) -> None:
+        """The file's chunks leave, and so do the parities of the final
+        stripes its open transcode staged."""
+        job = self.namenode.utm.get(name)
+        staged = [] if job is None else [
+            parity for stripe in job.new_stripes.values() for parity in stripe.parities
+        ]
         self.discard_chunks(self.namenode.unregister_file(name).all_chunks())
+        self.discard_chunks(staged)
 
     def _placement_for(
         self, meta: FileMeta, first_chunk: int = 0, end_chunk: Optional[int] = None

@@ -40,7 +40,7 @@ first, then the copies it no longer lists).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from sys import intern as _intern
 from typing import (
     Dict,
@@ -357,9 +357,10 @@ class Namenode:
         # re-labelled the object it is taking away.
         self._unindex(name, meta)
         if self.utm.pop(name, None) is not None:
-            # Deleting (or renaming) a file mid-transcode drops its job:
-            # a UTM entry keyed by a name that no longer resolves would
-            # otherwise leak forever, its groups pending for good.
+            # Deleting a file mid-transcode (or renaming it to another
+            # shard) drops its job: a UTM entry keyed by a name that no
+            # longer resolves would otherwise leak forever, its groups
+            # pending for good.
             meta.state = FileState.HEALTHY
         return meta
 
@@ -368,9 +369,16 @@ class Namenode:
             raise FileNotFoundError_(old)
         if new != old and new in self.files:
             raise ValueError(f"file exists: {new}")
+        job = self.utm.pop(old, None)
         meta = self._unregister(old)
         meta.name = new
         self._register(meta)
+        if job is not None:
+            # The transcode follows its file, staged stripes and all: a
+            # dropped job would leave those parities stored for no one.
+            job.file_name = meta.name
+            job.groups = [replace(group, file_name=meta.name) for group in job.groups]
+            self.utm[meta.name] = job
 
     def _note(self, name):
         meta = self.files.get(name)

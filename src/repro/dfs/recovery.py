@@ -198,8 +198,9 @@ class RecoveryManager:
     def _pick_target(self, meta: FileMeta, home, slot: int, chosen: set) -> str:
         """Where the rebuilt ``slot`` of the group ``home`` goes.
 
-        Never on a node of its hybrid block (:meth:`FileMeta.hybrid_blocks`)
-        nor on a target already ``chosen`` for it: one node lost must not
+        Never on a node of its hybrid block (:meth:`FileMeta.hybrid_blocks`),
+        of a final stripe a transcode staged it in, nor on a target
+        already ``chosen`` for it: one node lost must not
         cost the block two sources. A stripe's parity goes where the file's placement
         ``reserved`` it — by its k*-window's other parities of its index —
         so a later merge stays server-local; the first rebuilt picks the
@@ -210,6 +211,12 @@ class RecoveryManager:
         occupied = chosen | {
             c.node_id for group in meta.hybrid_blocks(home) for c in group.chunks() if c is not chunk
         }
+        # Mid-transcode, a data chunk is also a member of the final
+        # stripe its job staged: the switch publishes that one as is.
+        job = self.fs.namenode.utm.get(meta.name)
+        for staged in () if job is None else job.new_stripes.values():
+            if any(c is chunk for c in staged.data):
+                occupied.update(c.node_id for c in staged.all_chunks() if c is not chunk)
         held = [c.node_id for c in meta.all_chunks() if c is not chunk]
         prefer: List[str] = []
         if not isinstance(home, ReplicaBlockMeta) and slot >= home.k:

@@ -19,7 +19,7 @@ encodes it, writes it as a new file and deletes the original.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,15 +36,26 @@ from repro.codes.convertible import (
 from repro.codes.lrcc import convert_cc_to_lrcc, convert_lrcc_to_lrcc
 from repro.dfs.blocks import ChunkMeta, ECStripeMeta, FileMeta
 from repro.dfs.client import ReadError
-from repro.dfs.namenode import ConversionGroup
+from repro.dfs.namenode import ConversionGroup, TranscodeJob
+from repro.sched.tasks import ConversionGroupTask, TaskClass, TranscodeFinalizeTask
 
-#: pending conversion groups of one file submitted to a scheduler per
-#: intake — per heartbeat (§6.2)
+#: pending conversion groups of one file taken per intake — per
+#: heartbeat, or per pass of an inline transcode (§6.2)
 MAX_TRANSCODE_GROUPS_PER_TICK = 8
 
 
 class TranscodeError(RuntimeError):
     """A conversion group could not be executed."""
+
+
+def intake(job: TranscodeJob, held: Collection[Tuple[str, int]] = ()) -> List[ConversionGroup]:
+    """The one transcode intake rule, for the heartbeat and the inline
+    path alike: ``job``'s pending groups — a final stripe unstaged —
+    that no queued task holds (``held``: their ``(file, group_index)``),
+    at most :data:`MAX_TRANSCODE_GROUPS_PER_TICK` of them."""
+    name = job.file_name
+    fresh = [group for group in job.pending_groups() if (name, group.group_index) not in held]
+    return fresh[:MAX_TRANSCODE_GROUPS_PER_TICK]
 
 
 class NativeTranscoder:
@@ -55,53 +66,68 @@ class NativeTranscoder:
 
     # -- work loop ------------------------------------------------------------
     def submit_pending(self, scheduler, names: Iterable[str], skip=frozenset()) -> None:
-        """The one transcode intake rule, for the heartbeat and
-        :meth:`run_pending` alike: per transcoding file of ``names``,
-        submit to ``scheduler`` the job's pending groups that no task in
-        its backlog holds — matched by ``(file, group_index)``, as are
-        ``skip``'s keys — at most :data:`MAX_TRANSCODE_GROUPS_PER_TICK`
-        of them, and one finalize task unless one is queued."""
-        from repro.sched.tasks import ConversionGroupTask, TranscodeFinalizeTask
-
+        """The heartbeat's intake: per transcoding file of ``names``,
+        submit to ``scheduler`` the groups :func:`intake` picks — past
+        those a task in its backlog holds, and ``skip``'s keys — and one
+        finalize task unless one is queued."""
         utm = self.fs.namenode.utm
         jobs = [utm[name] for name in names if name in utm]
         if not jobs:
             return
-        queued = set(skip)
+        held = set(skip)
         finalizing = set()
         for task in scheduler.queue.backlog():
             if isinstance(task, ConversionGroupTask):
-                queued.add((task.group.file_name, task.group.group_index))
+                held.add((task.group.file_name, task.group.group_index))
             elif isinstance(task, TranscodeFinalizeTask):
                 finalizing.add(task.name)
         for job in jobs:
-            name = job.file_name
-            fresh = [
-                group for group in job.pending_groups()
-                if (name, group.group_index) not in queued
-            ]
-            for group in fresh[:MAX_TRANSCODE_GROUPS_PER_TICK]:
+            for group in intake(job, held):
                 scheduler.submit(ConversionGroupTask(group, deadline=job.deadline))
-            if name not in finalizing:
-                scheduler.submit(TranscodeFinalizeTask(name))
+            if job.file_name not in finalizing:
+                scheduler.submit(TranscodeFinalizeTask(job.file_name))
 
     def run_pending(self, name: str) -> None:
-        """Run a file's transcode to its switch, intake by intake.
+        """Run a file's transcode to its switch on the calling thread,
+        intake by intake: every group :func:`intake` picks, then one
+        switch attempt — the heartbeat's rule and order, without a
+        queue. Each group and each switch attempt is one ``transcode``
+        row of the maintenance ledger, metered by its own window. The
+        first exception propagates as raised (counted ``failed``), the
+        job left open at its first unstaged final stripe for a heartbeat
+        to resume."""
+        utm = self.fs.namenode.utm
+        while name in utm:
+            for group in intake(utm[name]):
+                self._metered(self.execute_group, group)
+            self._metered(self.finalize, name)
 
-        Work flows through a private, unthrottled maintenance scheduler.
-        ``max_attempts=1`` keeps the inline path fail-fast — an
-        unexecutable group (planner/width errors) surfaces to the caller
-        as the original exception, via the scheduler's dead-letter list.
-        """
-        from repro.sched.policies import SchedulerPolicy
-        from repro.sched.scheduler import MaintenanceScheduler
+    def _metered(self, step, arg) -> None:
+        """``step(arg)`` inside a metering window, recorded in the
+        ``transcode`` ledger row as one completed — or failed — task."""
+        metrics = self.fs.metrics
+        completed = False
+        try:
+            with metrics.metering() as window:
+                step(arg)
+            completed = True
+        finally:
+            disk, net, cpu = window.totals()
+            metrics.record_maintenance(
+                str(TaskClass.TRANSCODE), disk_bytes=disk, net_bytes=net,
+                cpu_seconds=cpu, completed=int(completed), failed=int(not completed),
+            )
 
-        sched = MaintenanceScheduler(self.fs, SchedulerPolicy(max_attempts=1))
-        while name in self.fs.namenode.utm:
-            self.submit_pending(sched, [name])
-            sched.run_until_drained()
-            if sched.dead_letter:
-                raise sched.dead_letter[0].last_error
+    def finalize(self, name: str) -> bool:
+        """The switch, once every final stripe is staged: the namenode
+        publishes the new stripes in one op, then the old parities it
+        returns leave (stage → switch → discard). False while a final
+        stripe is unstaged."""
+        old = self.fs.namenode.try_finalize(name)
+        if old is None:
+            return False
+        self.fs.discard_chunks(old)
+        return True
 
     # -- group execution ----------------------------------------------------------
     def execute_group(self, group: ConversionGroup) -> None:

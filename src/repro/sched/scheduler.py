@@ -14,16 +14,18 @@ admits tasks in order:
   ``max_attempts`` failures lands in the dead-letter list — never
   silently dropped.
 
-Actual bytes and CPU are metered from the filesystem's
-:class:`~repro.cluster.metrics.IOMetrics` deltas around each execution
-and recorded per task class into the same metrics object, so benchmarks
-can read "repair moved X bytes, scrub moved Y" directly.
+Actual bytes and CPU are metered by a window the filesystem's
+:class:`~repro.cluster.metrics.IOMetrics` holds open around each
+execution — per node, only the nodes the task touched — and recorded
+per task class into the same metrics object, so benchmarks can read
+"repair moved X bytes, scrub moved Y" directly.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.obs import NOOP_OBS
 from repro.sched.budget import BudgetManager
@@ -165,28 +167,22 @@ class MaintenanceScheduler:
         return [n.node_id for n in cluster.alive_nodes()]
 
     # -- execution ------------------------------------------------------------
-    def _snapshot(self) -> Dict[str, Tuple[float, float, float]]:
+    def _metering(self):
+        """A metering window around one task; none without a filesystem
+        (the standalone simulation charges each task's listed costs)."""
         metrics = self._metrics()
-        if metrics is None:
-            return {}
-        return {
-            node_id: (
-                m.disk_bytes_read + m.disk_bytes_written,
-                m.net_bytes_in + m.net_bytes_out,
-                m.cpu_seconds,
-            )
-            for node_id, m in metrics.nodes.items()
-        }
+        return nullcontext() if metrics is None else metrics.metering()
 
     def _settle(
         self,
         task: MaintenanceTask,
-        before: Dict[str, Tuple[float, float, float]],
+        window,
         report: SchedulerTickReport,
         completed: bool,
     ) -> None:
-        """Charge budgets with what the task actually moved and record
-        per-class accounting into the metrics ledger."""
+        """Charge budgets with what the task actually moved — its listed
+        charges, else what its window metered on each node it touched —
+        and record per-class accounting into the metrics ledger."""
         disk_total = net_total = cpu_total = 0.0
         charges = task.node_charges(self.fs)
         if charges is not None:
@@ -194,22 +190,15 @@ class MaintenanceScheduler:
                 self.budgets.charge(node_id, cost.disk_bytes, cost.net_bytes)
                 disk_total += cost.disk_bytes
                 net_total += cost.net_bytes
-        else:
-            metrics = self._metrics()
-            if metrics is not None:
-                after = self._snapshot()
-                for node_id, (disk, net, cpu) in after.items():
-                    b_disk, b_net, b_cpu = before.get(node_id, (0.0, 0.0, 0.0))
-                    d_disk, d_net = disk - b_disk, net - b_net
-                    if d_disk or d_net:
-                        self.budgets.charge(node_id, d_disk, d_net)
-                    disk_total += d_disk
-                    net_total += d_net
-                    cpu_total += cpu - b_cpu
+        elif window is not None:
+            for node_id, (disk, net, _cpu) in window.nodes.items():
+                if disk or net:
+                    self.budgets.charge(node_id, disk, net)
+            disk_total, net_total, cpu_total = window.totals()
         report.disk_bytes += disk_total
         report.net_bytes += net_total
         metrics = self._metrics()
-        if metrics is not None and hasattr(metrics, "record_maintenance"):
+        if metrics is not None:
             metrics.record_maintenance(
                 str(task.klass),
                 disk_bytes=disk_total,
@@ -220,26 +209,28 @@ class MaintenanceScheduler:
             )
 
     def _execute(self, task: MaintenanceTask, report: SchedulerTickReport) -> None:
-        before = self._snapshot()
-        try:
-            with self._obs().span("maintenance_task", klass=str(task.klass)):
-                task.result = task.execute(self.fs)
-        except Exception as exc:  # noqa: BLE001 — any task failure retries
-            task.attempts += 1
-            task.last_error = exc
-            task.state = TaskState.FAILED
-            self._settle(task, before, report, completed=False)
-            report.failed.append(task)
-            if task.attempts >= self.policy.max_attempts:
-                self.queue.bury(task)
-                report.dead_lettered.append(task)
-                metrics = self._metrics()
-                if metrics is not None and hasattr(metrics, "record_maintenance"):
-                    metrics.record_maintenance(str(task.klass), dead_lettered=1)
-            else:
-                task.not_before_tick = self.tick_count + backoff_ticks(task.attempts)
-                self.queue.push(task)
-        else:
+        error = None
+        with self._metering() as window:
+            try:
+                with self._obs().span("maintenance_task", klass=str(task.klass)):
+                    task.result = task.execute(self.fs)
+            except Exception as exc:  # noqa: BLE001 — any task failure retries
+                error = exc
+        self._settle(task, window, report, completed=error is None)
+        if error is None:
             task.state = TaskState.DONE
-            self._settle(task, before, report, completed=True)
             report.executed.append(task)
+            return
+        task.attempts += 1
+        task.last_error = error
+        task.state = TaskState.FAILED
+        report.failed.append(task)
+        if task.attempts >= self.policy.max_attempts:
+            self.queue.bury(task)
+            report.dead_lettered.append(task)
+            metrics = self._metrics()
+            if metrics is not None:
+                metrics.record_maintenance(str(task.klass), dead_lettered=1)
+        else:
+            task.not_before_tick = self.tick_count + backoff_ticks(task.attempts)
+            self.queue.push(task)

@@ -176,27 +176,51 @@ class ConversionGroupTask(MaintenanceTask):
         self.group = group
 
     def estimated_cost(self, fs) -> TaskCost:
-        meta = None
-        if fs is not None:
-            meta = fs.namenode.files.get(self.group.file_name)
+        """What the group's conversion plan moves: its reads (a data
+        read from the plan's first byte, shipped to every final parity
+        home; a parity read, shipped to the one it feeds), its parity
+        writes, a whole-stripe decode for each planned source whose home
+        the namenode cannot command, and a move for each data chunk that
+        shares a node with another of its final stripe."""
+        from repro.codes.convertible import plan_conversion
+
+        meta = None if fs is None else fs.namenode.files.get(self.group.file_name)
         if meta is None:
             return TaskCost()
-        chunk = float(meta.chunk_size)
         stripes = [
             meta.stripes[i]
             for i in self.group.initial_stripe_indices
             if i < len(meta.stripes)
         ]
-        total_chunks = sum(s.n for s in stripes)
-        total_data = sum(s.k for s in stripes)
-        target = self.group.target_scheme
-        ec = target.ec_part
-        # For LRC-family schemes n - k == local_groups + r_global already.
-        parities = max(getattr(ec, "n", 0) - getattr(ec, "k", 0), 1)
-        writes = self.group.n_final_stripes * parities + total_data  # + relocations
+        if not stripes:
+            return TaskCost()
+        plan = plan_conversion(
+            meta.scheme.ec_part.at_width(stripes[0].k), len(stripes),
+            self.group.target_scheme.ec_part,
+        )
+        if plan is None:
+            return TaskCost()  # the executor raises before a byte moves
+        chunk = float(meta.chunk_size)
+        k_i, k_f = stripes[0].k, plan.final.k
+        data_read = chunk - plan.read_from(meta.chunk_size)
+        data = [stripes[t // k_i].data[t % k_i] for t in range(plan.n_final_stripes * k_f)]
+        sources = [(stripes[t // k_i], data[t]) for t in plan.data_reads]
+        sources += [(stripes[i], stripes[i].parities[j]) for i, j in plan.parity_reads]
+        non_mds = bool(getattr(meta.scheme.ec_part, "local_groups", None))
+        decodes = chunk * sum(
+            s.n - 1 if non_mds else s.k
+            for s, source in sources if not fs.commandable(source.node_id)
+        )
+        moves = chunk * sum(
+            k_f - len({c.node_id for c in data[m * k_f:(m + 1) * k_f]})
+            for m in range(plan.n_final_stripes)
+        )
+        reads = len(plan.data_reads) * data_read + len(plan.parity_reads) * chunk
+        fan_out = plan.n_final_stripes * plan.final.r
         return TaskCost(
-            disk_bytes=(total_chunks + writes) * chunk,
-            net_bytes=(total_chunks * max(parities, 1) + total_data) * chunk,
+            disk_bytes=reads + plan.io().write_bytes(meta.chunk_size) + decodes + 2 * moves,
+            net_bytes=len(plan.data_reads) * data_read * fan_out
+            + len(plan.parity_reads) * chunk + decodes + moves,
         )
 
     def execute(self, fs):
@@ -220,11 +244,7 @@ class TranscodeFinalizeTask(MaintenanceTask):
         self.name = name
 
     def execute(self, fs):
-        old = fs.namenode.try_finalize(self.name)
-        if old is None:
-            return "pending"
-        fs.discard_chunks(old)
-        return "finalized"
+        return "finalized" if fs.transcoder.finalize(self.name) else "pending"
 
     def describe(self) -> str:
         return f"finalize {self.name}"

@@ -360,6 +360,72 @@ class TestCrashConsistency:
         assert fs.namenode.lookup("f").version == version + 1
 
 
+def per_node(fs):
+    """Every node's disk read + written, network in + out and CPU."""
+    return {
+        node: (m.disk_bytes_total, m.net_bytes_total, m.cpu_seconds)
+        for node, m in fs.metrics.nodes.items()
+    }
+
+
+class TestTheInlinePath:
+    """``fs.transcode`` runs a merge on the caller: its ledger row is what
+    the merge moved, and a failure leaves the job for a heartbeat."""
+
+    @pytest.mark.parametrize("down", [False, True], ids=["healthy", "parity-home-down"])
+    def test_the_transcode_row_is_what_the_merge_moved(self, down):
+        fs, data = morph_with_file(n_kb=192)  # 8 stripes -> 4 groups
+        fs.transcode("f", CC69)
+        meta = fs.namenode.lookup("f")
+        groups = len(meta.stripes) // 2
+        if down:  # its parity 0 is rebuilt where the merge needs it
+            fs.cluster.fail_node(meta.stripes[0].parities[0].node_id)
+        row = fs.metrics.maintenance["transcode"]
+        row0 = (row.disk_bytes, row.net_bytes, row.cpu_seconds, row.tasks_completed)
+        before = per_node(fs)
+        fs.transcode("f", CC1215)
+        moved = [
+            tuple(a - b for a, b in zip(after, before.get(node, (0.0, 0.0, 0.0))))
+            for node, after in per_node(fs).items()
+        ]
+        disk, net, cpu = (sum(column) for column in zip(*moved))
+        assert disk > 0 and cpu > 0 and (net > 0) == down
+        assert row.disk_bytes - row0[0] == disk
+        assert row.net_bytes - row0[1] == net
+        assert row.cpu_seconds - row0[2] == pytest.approx(cpu)
+        # Four groups in one intake, then one switch.
+        assert row.tasks_completed - row0[3] == groups + 1
+        assert fs.namenode.lookup("f").scheme == CC1215
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_an_unrebuildable_source_raises_and_a_heartbeat_finishes_the_merge(self):
+        from repro.dfs.heartbeat import HeartbeatMonitor
+        from repro.dfs.transcoder import TranscodeError
+
+        fs, data = morph_with_file(n_kb=192)
+        fs.transcode("f", CC69)
+        stripe = fs.namenode.lookup("f").stripes[0]
+        # Parity 0 and three data chunks of stripe 0 down: five of its
+        # nine chunks left, fewer than the k = 6 a rebuild needs.
+        victims = [stripe.parities[0].node_id] + [c.node_id for c in stripe.data[:3]]
+        for node_id in victims:
+            fs.cluster.fail_node(node_id)
+        failed = fs.metrics.maintenance["transcode"].tasks_failed
+        with pytest.raises(TranscodeError, match="cannot decode"):
+            fs.transcode("f", CC1215)
+        assert fs.metrics.maintenance["transcode"].tasks_failed > failed
+        assert "f" in fs.namenode.utm
+        assert fs.namenode.lookup("f").scheme == CC69
+        assert audit(fs) == []
+        for node_id in victims:
+            fs.cluster.recover_node(node_id)
+        HeartbeatMonitor(fs).tick()
+        assert "f" not in fs.namenode.utm
+        assert fs.namenode.lookup("f").scheme == CC1215
+        assert np.array_equal(fs.read_file("f"), data)
+        assert audit(fs) == []
+
+
 class TestCollisionRelocationAsksTheReachabilitySeam:
     """A CC merge over placement that is not k*-aware collides on nodes
     and relocates the colliding data chunks; both ends of that move go

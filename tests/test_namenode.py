@@ -127,17 +127,20 @@ class TestNodeIndexVsOracle:
             assert nn.chunks_on_node(node) == _full_scan(nn, node)
         assert nn.chunks_on_node("dn000") == []
 
-    def test_rename_mid_transcode_drops_job(self):
+    def test_rename_mid_transcode_carries_the_job(self):
         nn = Namenode()
         meta = file_meta("a")
         nn.register_file(meta)
         target = ECScheme(CodeKind.CC, 12, 15)
         nn.enqueue_transcode("a", target, groups_for(meta, target))
         nn.rename("a", "b")
-        # The job was keyed by the old name; keeping it would leave a UTM
-        # entry, its groups pending, that no worker can ever resolve.
-        assert nn.utm == {}
-        assert nn.lookup("b").state is FileState.HEALTHY
+        # The job follows the file, re-keyed: no UTM entry is left under
+        # the old name, which no worker could ever resolve, and none of
+        # its staged stripes is left stored for no one.
+        assert list(nn.utm) == ["b"]
+        job = nn.utm["b"]
+        assert job.file_name == "b" and {g.file_name for g in job.groups} == {"b"}
+        assert nn.lookup("b").state is FileState.TRANSCODING
 
     def test_unregister_mid_transcode_drops_job(self):
         nn = Namenode()

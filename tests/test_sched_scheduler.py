@@ -308,3 +308,154 @@ class TestStripeRepairBudgets:
 
         assert RecoveryManager(fs).lost_chunks(monitor.declared_dead()) == []
         assert np.array_equal(fs.read_file("f"), data)
+
+
+def per_node(fs):
+    """Every node's disk read + written, network in + out and CPU."""
+    return {
+        node: (m.disk_bytes_total, m.net_bytes_total, m.cpu_seconds)
+        for node, m in fs.metrics.nodes.items()
+    }
+
+
+def moved(before, after):
+    """The reference a window must match: a before/after diff of every
+    node's counters, the nodes that moved nothing left out."""
+    out = {}
+    for node, now in after.items():
+        delta = tuple(a - b for a, b in zip(now, before.get(node, (0.0, 0.0, 0.0))))
+        if any(delta):
+            out[node] = delta
+    return out
+
+
+def row(entry):
+    return entry.disk_bytes, entry.net_bytes, entry.cpu_seconds
+
+
+class TestMeteringWindow:
+    """The scheduler charges each task what the metering window around it
+    saw on the nodes it touched; that must be what a diff of every node's
+    counters says, per node and in the ledger."""
+
+    LRCC = ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2)
+
+    @staticmethod
+    def budgeted(fs, rate):
+        fs.scheduler = MaintenanceScheduler(
+            fs, SchedulerPolicy(disk_bytes_per_tick=rate, net_bytes_per_tick=rate)
+        )
+        return fs.scheduler
+
+    @staticmethod
+    def spy_on_charges(sched, monkeypatch):
+        """Every budget charge the scheduler makes, summed per node."""
+        charged = {}
+        real = sched.budgets.charge
+
+        def charge(node_id, disk_bytes=0.0, net_bytes=0.0):
+            disk, net = charged.get(node_id, (0.0, 0.0))
+            charged[node_id] = (disk + disk_bytes, net + net_bytes)
+            real(node_id, disk_bytes, net_bytes)
+
+        monkeypatch.setattr(sched.budgets, "charge", charge)
+        return charged
+
+    @staticmethod
+    def assert_charged(charged, reference):
+        assert charged == {
+            node: (disk, net) for node, (disk, net, _cpu) in reference.items() if disk or net
+        }
+
+    @staticmethod
+    def assert_ledger(ledger, classes, rows_before, reference):
+        disk, net, cpu = (sum(column) for column in zip(*reference.values()))
+        got = [
+            sum(row(ledger[c])[i] - rows_before[c][i] for c in classes) for i in range(3)
+        ]
+        assert got[:2] == [disk, net]
+        assert got[2] == pytest.approx(cpu)
+
+    def test_a_repair_tick_and_a_conversion_group_are_charged_what_they_moved(
+        self, monkeypatch
+    ):
+        fs, data = hybrid_fs(n_kb=96)
+        fs.transcode("f", CC69)
+        sched = self.budgeted(fs, 1 << 20)  # fits every task: nothing overdrafts
+        charged = self.spy_on_charges(sched, monkeypatch)
+        monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
+        ledger = fs.metrics.maintenance
+        fs.cluster.fail_node(fs.namenode.lookup("f").stripes[0].data[0].node_id)
+        for classes, prepare in (
+            (("repair", "critical_repair"), lambda: None),
+            (("transcode",), lambda: fs.schedule_transcode("f", self.LRCC)),
+        ):
+            prepare()
+            rows_before = {c: row(ledger[c]) for c in classes}
+            charged.clear()
+            before = per_node(fs)
+            report = monitor.tick()
+            reference = moved(before, per_node(fs))
+            assert report.scheduler.executed and not report.scheduler.failed
+            assert reference and all(disk for disk, _net, _cpu in reference.values())
+            self.assert_charged(charged, reference)
+            self.assert_ledger(ledger, classes, rows_before, reference)
+        assert fs.namenode.lookup("f").scheme == self.LRCC
+        assert sum(net for _disk, net in charged.values()) > 0
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_an_inline_transcode_inside_a_task_charges_both_windows(self, monkeypatch):
+        fs, data = hybrid_fs(n_kb=96)
+        fs.transcode("f", CC69)
+        sched = self.budgeted(fs, 1 << 20)
+        charged = self.spy_on_charges(sched, monkeypatch)
+        sched.submit(CallbackTask(
+            lambda fs: fs.transcode("f", self.LRCC), klass=TaskClass.SCRUB, label="inline"
+        ))
+        ledger = fs.metrics.maintenance
+        rows_before = {c: row(ledger[c]) for c in ("scrub", "transcode")}
+        before = per_node(fs)
+        report = sched.run_tick()
+        reference = moved(before, per_node(fs))
+        assert [task.label for task in report.executed] == ["inline"]
+        self.assert_charged(charged, reference)
+        # The task's own row and the inline groups' row both hold it all.
+        self.assert_ledger(ledger, ("scrub",), rows_before, reference)
+        self.assert_ledger(ledger, ("transcode",), rows_before, reference)
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_a_task_that_overruns_its_budget_is_charged_in_full(self, monkeypatch):
+        fs, data = hybrid_fs(n_kb=96)
+        fs.transcode("f", CC69)
+        rate = 1 * KB  # under one 4 KiB chunk: every group overdrafts
+        sched = self.budgeted(fs, rate)
+        charged = self.spy_on_charges(sched, monkeypatch)
+        fs.schedule_transcode("f", self.LRCC)
+        monitor = HeartbeatMonitor(fs)
+        before = per_node(fs)
+        report = monitor.tick()
+        reference = moved(before, per_node(fs))
+        # One group, admitted against full buckets; the next waits.
+        assert report.transcode_groups_run == 1 and report.scheduler.deferred_budget
+        self.assert_charged(charged, reference)
+        assert max(disk for disk, _net in charged.values()) > rate
+        for node_id in fs.datanodes:
+            budget = sched.budgets.node(node_id)
+            disk, net = charged.get(node_id, (0.0, 0.0))
+            assert (budget.disk.tokens, budget.net.tokens) == (rate - disk, rate - net)
+        for _ in range(20):
+            if "f" not in fs.namenode.utm:
+                break
+            monitor.tick()
+        assert fs.namenode.lookup("f").scheme == self.LRCC
+        assert np.array_equal(fs.read_file("f"), data)
+
+    def test_a_scheduler_without_a_filesystem_still_ticks(self):
+        sched = MaintenanceScheduler(policy=SchedulerPolicy(disk_bytes_per_tick=100))
+        order = []
+        sched.submit(io_task(order, "listed", nbytes=30))
+        sched.submit(CallbackTask(lambda: order.append("unlisted"), label="unlisted"))
+        report = sched.run_tick()
+        assert order == ["listed", "unlisted"]
+        assert report.disk_bytes == 30 and report.net_bytes == 0
+        assert sched.budgets.node("n1").disk.tokens == 70

@@ -220,9 +220,28 @@ def test_one_record_of_transcode_progress_one_intake_one_crash_model():
         r"|\.snapshot\(|\.restore\(|include_transcode|run_transcode_heartbeats"
     )
     assert files_matching(gone) == []
-    # One intake rule, which the heartbeat and the inline path both call.
+    # One intake rule, ``intake``, which the heartbeat (through
+    # ``submit_pending``) and the inline path (``run_pending``) both call.
     assert files_matching(r"(?<!class )ConversionGroupTask\(") == ["dfs/transcoder.py"]
-    assert files_matching(r"\.submit_pending\(") == ["dfs/heartbeat.py", "dfs/transcoder.py"]
+    assert files_matching(r"\.submit_pending\(") == ["dfs/heartbeat.py"]
+    assert files_matching(r"def intake\(") == ["dfs/transcoder.py"]
+    assert files_matching(r"(?<!def )\bintake\(") == ["dfs/transcoder.py"]
+    transcoder = functions(class_def("dfs/transcoder.py", "NativeTranscoder"))
+    assert {
+        name for name, fn in transcoder.items() if "intake" in named_calls(fn)
+    } == {"submit_pending", "run_pending"}
+
+
+def test_an_inline_transcode_is_a_call_and_a_task_is_metered_by_what_it_touched():
+    # The inline path runs each group on the caller: under dfs/ only the
+    # filesystem builds a scheduler (its one shared queue, anew at a
+    # restart), so there is no private one to tick.
+    assert files_matching(r"MaintenanceScheduler\(", under="dfs/") == ["dfs/filesystem.py"]
+    # A task is charged from the metering window around it, which holds
+    # only the nodes it touched: nothing under sched/ walks every node's
+    # counters.
+    assert files_matching(r"metrics(\(\))?\.nodes\b", under="sched/") == []
+    assert files_matching(r"\.metering\(", under="sched/") == ["sched/scheduler.py"]
 
 
 def test_replay_goes_through_the_base_apply_and_one_forget_site():

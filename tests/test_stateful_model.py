@@ -1,8 +1,10 @@
 """Model-based stateful testing of MorphFS.
 
 Hypothesis drives random sequences of writes, appends, closes,
-transcodes (on to CC(12,15) or LRCC(12,2,2)), failures, recoveries,
-scrubs, renames, deletes and namenode restarts against MorphFS, holding a plain dict of
+transcodes (on to CC(12,15) or LRCC(12,2,2), inline or scheduled and
+finished by heartbeat ticks under a small disk budget), failures,
+recoveries, scrubs, renames, deletes and namenode restarts against
+MorphFS, holding a plain dict of
 expected bytes as the reference model. After every step, every live file
 must read back byte-identical, every hybrid block must be ``decodable``
 from the sources a client can reach (two nodes down at most: within
@@ -28,9 +30,11 @@ from hypothesis import strategies as st
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
 from repro.dfs.audit import audit
+from repro.dfs.heartbeat import HeartbeatMonitor
 from repro.dfs.integrity import Scrubber, corrupt_chunk
 from repro.dfs.journal import JournaledNamenode
 from repro.dfs.recovery import RecoveryManager
+from repro.sched import MaintenanceScheduler, SchedulerPolicy
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -50,12 +54,22 @@ class MorphModel(RuleBasedStateMachine):
         self.fs = MorphFS(
             chunk_size=2 * KB, future_widths=[6, 12], seed=seed, namenode=JournaledNamenode()
         )
+        # Four 2 KiB chunks a tick: a conversion group overdrafts it, so
+        # the shared scheduler's windowed charges decide what waits.
+        self.fs.scheduler = MaintenanceScheduler(
+            self.fs, SchedulerPolicy(disk_bytes_per_tick=8 * KB)
+        )
+        self.monitor = HeartbeatMonitor(self.fs)
         self.rng = np.random.default_rng(seed)
         self.expected = {}  # name -> bytes
-        self.stage = {}  # name -> 0 hybrid, 1 cc69, 2 cc1215 or lrcc
+        # name -> 0 hybrid, 1 cc69, 2 cc1215 or lrcc (or scheduled to be)
+        self.stage = {}
         self.counter = 0
         self.down = []
         self.rotten = set()  # damaged on a down node: no scrub reaches it
+        # One file starts at CC(6,9), ready for either wide move.
+        self.write(48)
+        self.advance_to_cc()
 
     # -- operations --------------------------------------------------------
     @rule(n_kb=st.one_of(st.integers(1, 60), st.sampled_from([24, 48])))
@@ -102,6 +116,20 @@ class MorphModel(RuleBasedStateMachine):
         lrcc = lrcc and merges_to_lrcc(self.fs.namenode.lookup(name))
         self.fs.transcode(name, LRCC if lrcc else CC1215)
         self.stage[name] = 2
+
+    @precondition(lambda self: any(s == 1 for s in self.stage.values()))
+    @rule(lrcc=st.booleans())
+    def schedule_wide(self, lrcc):
+        """The same move, left to the heartbeat: the file stays readable
+        in its old layout until a tick's finalize switches it."""
+        name = next(n for n, s in self.stage.items() if s == 1)
+        lrcc = lrcc and merges_to_lrcc(self.fs.namenode.lookup(name))
+        self.fs.schedule_transcode(name, LRCC if lrcc else CC1215)
+        self.stage[name] = 2
+
+    @rule()
+    def heartbeat_tick(self):
+        self.monitor.tick()
 
     @rule(pick=st.integers(0, 22))
     def fail_node(self, pick):
@@ -197,8 +225,9 @@ class MorphModel(RuleBasedStateMachine):
 
 
 MorphModelTest = MorphModel.TestCase
-# 40 examples of 24 steps: about five LRCC merges a run, some under
-# failures, in ~4 s.
+# 40 examples of 24 steps, each from a CC(6,9) file: a few dozen wide
+# merges a run, about a quarter scheduled and finished by budgeted
+# heartbeat ticks, some under failures, restarts and scrubs, in ~4 s.
 MorphModelTest.settings = settings(
     max_examples=40, stateful_step_count=24, deadline=None
 )

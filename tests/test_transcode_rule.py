@@ -136,9 +136,7 @@ class TestConversionEstimates:
     def test_metered_bytes_never_exceed_the_estimate(self, source, target, down):
         fs, data = written(source, 24)
         # Parity 0 of stripe 0: every conversion here reads it, so the
-        # group rebuilds it where it is down (worst seen: 0.79 of the
-        # disk estimate on the split, 0.60 of the network one on the
-        # bandwidth-optimal merge).
+        # group rebuilds it where it is down.
         victim = fs.namenode.lookup("f").stripes[0].parities[0].node_id
         if down:
             fs.cluster.fail_node(victim)
@@ -152,6 +150,13 @@ class TestConversionEstimates:
             assert task.execute(fs) == "converted"
             assert fs.metrics.disk_bytes_total - disk0 <= estimate.disk_bytes
             assert fs.metrics.net_bytes_total - net0 <= estimate.net_bytes
+            if (source, target, down) == (CC69, CC1215, False):
+                # Priced from the plan, not the group's chunk count: six
+                # parity reads and three writes, exactly what it moves;
+                # on the network at most the six parities (they are local).
+                chunk = 4 * KB
+                assert fs.metrics.disk_bytes_total - disk0 == estimate.disk_bytes == 9 * chunk
+                assert estimate.net_bytes <= 6 * chunk
         assert TranscodeFinalizeTask("f").execute(fs) == "finalized"
         assert fs.namenode.lookup("f").scheme == target
         assert np.array_equal(fs.read_file("f"), data)
