@@ -441,6 +441,12 @@ def bench_gf16_wide(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
 
 
 def bench_event_engine(n_events: int, repeats: int) -> Dict[str, Dict]:
+    """Dispatch rate of bare timeouts: 8 processes each yield ``n / 8``
+    one-second timeouts in lock-step, so every timestamp holds 8 events
+    (one heap push, seven bucket appends) and every event has a sole
+    waiter.  No resource, combinator or callback runs.  It times the
+    kernel's cheapest shape, not the latency experiments' traffic; a
+    commentary row that no gate reads."""
     from repro.cluster.engine import Environment
 
     def run_once() -> None:
@@ -450,8 +456,6 @@ def bench_event_engine(n_events: int, repeats: int) -> Dict[str, Dict]:
             for _ in range(count):
                 yield env.timeout(1.0)
 
-        # A handful of interleaved processes exercises the heap the way
-        # the latency experiments do (not one giant timeout chain).
         per = max(1, n_events // 8)
         for _ in range(8):
             env.process(ticker(env, per))

@@ -327,17 +327,8 @@ class Namenode:
 
     def _register_batch(self, metas):
         self._check_new(metas)
-        files = self.files
-        order = self._file_order
-        index = self._index
-        seq = self._file_seq
         for meta in metas:
-            name = meta.name = _intern(meta.name)
-            files[name] = meta
-            seq += 1
-            order[name] = seq
-            index(meta)
-        self._file_seq = seq
+            self._register(meta)
 
     def _check_new(self, metas: List[FileMeta]) -> None:
         """Reject a batch — before any of it registers — if a name is
@@ -356,11 +347,12 @@ class Namenode:
         # By ``name``, not ``meta.name``: a cross-shard rename has already
         # re-labelled the object it is taking away.
         self._unindex(name, meta)
-        if self.utm.pop(name, None) is not None:
-            # Deleting a file mid-transcode (or renaming it to another
-            # shard) drops its job: a UTM entry keyed by a name that no
-            # longer resolves would otherwise leak forever, its groups
-            # pending for good.
+        if self.utm.pop(name, None) is not None and meta.name == name:
+            # Deleting a file mid-transcode drops its job: a UTM entry
+            # keyed by a name that no longer resolves would otherwise
+            # leak forever, its groups pending for good.  A file renamed
+            # to another shard took its job along; its state is that
+            # shard's now.
             meta.state = FileState.HEALTHY
         return meta
 

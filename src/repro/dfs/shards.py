@@ -17,8 +17,9 @@ an op — and :meth:`ShardedNamenode.apply` is the router:
 * an op goes, whole, to the shard its key hashes to, except two: a
   batch registration is bucketed per shard (every bucket validated
   before any is applied), and a cross-shard rename registers under the
-  new name first and then unregisters the old one, so a crash between
-  the two journals leaves a duplicate, never a loss;
+  new name first (with its transcode job and staged stripes, if any)
+  and then unregisters the old one, so a crash between the two journals
+  leaves a duplicate, never a loss;
 * fan-outs merge deterministically: ``chunks_on_node`` concatenates
   per-shard results in shard order (shard order is itself deterministic
   because routing is);
@@ -30,14 +31,17 @@ an op — and :meth:`ShardedNamenode.apply` is the router:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from zlib import crc32
 
 from repro.dfs.blocks import ChunkMeta, FileMeta, FileState
 from repro.dfs.journal import Journal, JournaledNamenode
 from repro.dfs.namenode import (
+    Enqueue,
     FileNotFoundError_,
     Namenode,
+    NewStripe,
     Register,
     RegisterBatch,
     Rename,
@@ -179,11 +183,18 @@ class ShardedNamenode:
             raise ValueError(f"file exists: {new}")
         # Register under the new name before dropping the old one: a
         # crash between the two shard journals leaves a (self-healing)
-        # duplicate entry rather than losing the file.  The rename drops
-        # an in-flight transcode (the Unregister below), so the
-        # destination registers — and journals — the file HEALTHY.
+        # duplicate entry rather than losing the file.  An in-flight
+        # transcode follows its file, staged stripes and all, as on a
+        # same-shard rename: the destination journals the file HEALTHY,
+        # then its job, then each staged stripe.
+        job = src.utm.get(old)
         meta.name, meta.state = new, FileState.HEALTHY
         dst.apply(Register(meta))
+        if job is not None:
+            groups = [replace(group, file_name=new) for group in job.groups]
+            dst.apply(Enqueue(new, job.target_scheme, groups, job.deadline))
+            for (group_index, final_idx), stripe in job.new_stripes.items():
+                dst.apply(NewStripe(new, group_index, final_idx, stripe))
         src.apply(Unregister(old))
 
     # The public mutators are Namenode's own definitions (not copies, not

@@ -19,7 +19,7 @@ two paths and callers with small sample sets can stay exact.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def exact_percentile(values: Sequence[float], p: float) -> float:
@@ -68,42 +68,6 @@ class LogLinearHistogram:
             return
         idx = self._index(value)
         self._counts[idx] = self._counts.get(idx, 0) + count
-
-    def record_many(self, values: Iterable[float]) -> None:
-        """Bulk record: one call for a whole batch of samples.
-
-        Equivalent to ``record(v)`` per value but resolves the instance
-        attributes once, so hot loops can buffer samples in a plain list
-        and flush them here at a fraction of the per-call cost.
-        """
-        counts = self._counts
-        get = counts.get
-        floor = math.floor
-        log2 = math.log2
-        sub = self.subbuckets
-        n = 0
-        total = 0.0
-        lo = self.min
-        hi = self.max
-        zeros = 0
-        for value in values:
-            value = float(value)
-            n += 1
-            total += value
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-            if value <= 0.0:
-                zeros += 1
-                continue
-            idx = floor(log2(value) * sub)
-            counts[idx] = get(idx, 0) + 1
-        self.count += n
-        self.sum += total
-        self.min = lo
-        self.max = hi
-        self.zero_count += zeros
 
     def merge(self, other: "LogLinearHistogram") -> None:
         if other.subbuckets != self.subbuckets:

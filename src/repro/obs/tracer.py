@@ -72,9 +72,6 @@ class Tracer:
         self.dropped = 0
         self._stack: List[Span] = []
         self._next_id = 0
-        #: op name -> latency histogram, so _finish resolves the
-        #: (metric, labels) registry lookup once per op, not per span.
-        self._op_hists: dict = {}
 
     def span(self, name: str, **attrs) -> Span:
         parent = self._stack[-1] if self._stack else None
@@ -102,11 +99,9 @@ class Tracer:
         else:
             self.dropped += 1
         if self.registry is not None:
-            hist = self._op_hists.get(span.name)
-            if hist is None:
-                hist = self.registry.histogram(OP_LATENCY_METRIC, op=span.name)
-                self._op_hists[span.name] = hist
-            hist.record(span.duration)
+            self.registry.histogram(OP_LATENCY_METRIC, op=span.name).record(
+                span.duration
+            )
 
 
 class _NoopSpan:

@@ -60,9 +60,6 @@ class MaintenanceScheduler:
             net_bytes_per_tick=self.policy.net_bytes_per_tick,
         )
         self.tick_count = 0
-        #: cached (registry -> metric handle) tuple for run_tick, so the
-        #: per-tick accounting skips the (name, labels) registry lookups.
-        self._tick_handles = None
 
     # -- intake ---------------------------------------------------------------
     def submit(self, task: MaintenanceTask) -> MaintenanceTask:
@@ -93,30 +90,18 @@ class MaintenanceScheduler:
         with obs.span("sched_tick", tick=self.tick_count + 1):
             report = self._run_tick_impl()
         if obs.enabled and obs.registry is not None:
+            # Every counter is registered on the first tick, even at 0.
             reg = obs.registry
-            handles = self._tick_handles
-            if handles is None or handles[0] is not reg:
-                handles = (
-                    reg,
-                    reg.counter("sched_ticks_total"),
-                    reg.gauge("sched_queue_depth"),
-                    reg.counter("sched_tasks_executed_total"),
-                    reg.counter("sched_tasks_failed_total"),
-                    reg.counter("sched_tasks_dead_lettered_total"),
-                    reg.counter("sched_tasks_deferred_budget_total"),
-                )
-                self._tick_handles = handles
-            _, ticks, depth, executed, failed, dead, deferred = handles
-            ticks.inc()
-            depth.set(len(self.queue))
-            if report.executed:
-                executed.inc(len(report.executed))
-            if report.failed:
-                failed.inc(len(report.failed))
-            if report.dead_lettered:
-                dead.inc(len(report.dead_lettered))
-            if report.deferred_budget:
-                deferred.inc(report.deferred_budget)
+            reg.counter("sched_ticks_total").inc()
+            reg.gauge("sched_queue_depth").set(len(self.queue))
+            reg.counter("sched_tasks_executed_total").inc(len(report.executed))
+            reg.counter("sched_tasks_failed_total").inc(len(report.failed))
+            reg.counter("sched_tasks_dead_lettered_total").inc(
+                len(report.dead_lettered)
+            )
+            reg.counter("sched_tasks_deferred_budget_total").inc(
+                report.deferred_budget
+            )
         return report
 
     def _run_tick_impl(self) -> SchedulerTickReport:

@@ -197,9 +197,8 @@ def run_failure_burst(
     env.process(burst())
     env.process(ticker())
     env.run(until=cfg.duration_s)
-    # One bulk flush instead of a histogram call per foreground read —
-    # the event loop stays free of per-sample metric bookkeeping.
-    latency_hist.record_many(latencies)
+    for latency in latencies:
+        latency_hist.record(latency)
 
     return SimResult(
         label=label

@@ -3,14 +3,14 @@
 Two layers of protection:
 
 * **Golden traces** — the event engine rewrite (bucketed scheduling,
-  sole-waiter lane, timeout free-list) must be *behaviour-invisible*.
+  sole-waiter lane) must be *behaviour-invisible*.
   These tests pin sha256 hashes of fixed-seed traces captured on the
   pre-optimisation engine; any reordering, value change or clock drift
   flips the hash.
 * **Edge cases** — the specific mechanisms the fast path introduced
-  (same-timestamp FIFO, free-list reuse, AnyOf detach, per-node chunk
-  index with lazy purge, batched registration, ``record_many``) each get
-  a direct test, so a future refactor can't silently drop one.
+  (same-timestamp FIFO, timeout handles, per-node chunk index with lazy
+  purge, batched registration) each get a direct test, so a future
+  refactor can't silently drop one.
 """
 
 import hashlib
@@ -26,7 +26,6 @@ from repro.cluster.engine import (
     Timeout,
 )
 from repro.dfs.audit import audit_namenode, full_scan as _full_scan
-from repro.obs import LogLinearHistogram
 
 
 # ---------------------------------------------------------------------------
@@ -167,53 +166,78 @@ class TestSameTimestampOrdering:
         assert order == ["a", "c", ("b", 1.0)]
 
 
-class TestTimeoutFreeList:
-    def test_unreferenced_timeouts_are_recycled(self):
-        """Timeouts yielded-and-forgotten go back to the pool and come
-        out again as the same objects."""
-        env = Environment()
-        seen = []
-
-        def p():
-            for _ in range(4):
-                t = env.timeout(1.0)
-                seen.append(id(t))
-                yield t
-
-        env.process(p())
-        env.run()
-        assert len(env._timeout_pool) == 1
-        assert len(set(seen)) < len(seen)  # at least one object was reused
-
-    def test_user_held_timeout_is_not_recycled(self):
-        """A timeout the program still references must never be handed
-        out again — the refcount guard keeps it out of the pool."""
+class TestTimeoutHandles:
+    def test_held_timeout_keeps_its_value_and_can_be_yielded_again(self):
+        """A timeout the program still references keeps its value after
+        it dispatched, and yielding it again resumes at once with that
+        value."""
         env = Environment()
         held = []
+        seen = []
 
         def p():
             t = env.timeout(1.0, value="mine")
             held.append(t)
-            yield t
+            seen.append((yield t))
+            for _ in range(3):
+                yield env.timeout(1.0, value="other")
+            seen.append(((yield t), env.now))
 
         env.process(p())
         env.run()
-        assert held[0] not in env._timeout_pool
         assert held[0].value == "mine"
+        assert seen == ["mine", ("mine", 4.0)]
 
-    def test_recycled_timeout_carries_fresh_value(self):
+    def test_new_timeout_never_carries_a_stale_value(self):
         env = Environment()
         values = []
 
         def p():
-            v = yield env.timeout(1.0, value="first")
-            values.append(v)
-            v = yield env.timeout(1.0, value="second")
-            values.append(v)
+            values.append((yield env.timeout(1.0, value="first")))
+            values.append((yield env.timeout(1.0)))
+            values.append((yield env.timeout(1.0, value="third")))
 
         env.process(p())
         env.run()
-        assert values == ["first", "second"]
+        assert values == ["first", None, "third"]
+
+
+class TestSharedWaits:
+    def test_every_process_waiting_on_one_event_resumes(self):
+        """The first waiter takes the sole-waiter lane; a second one
+        queues behind it and resumes in the same dispatch."""
+        env = Environment()
+        log = []
+        t = env.timeout(1.0, value="x")
+
+        def first():
+            log.append(("first", (yield t), env.now))
+
+        def second():
+            yield env.timeout(0.5)
+            log.append(("second", (yield t), env.now))
+
+        env.process(first())
+        env.process(second())
+        env.run()
+        assert log == [("first", "x", 1.0), ("second", "x", 1.0)]
+
+    def test_anyof_over_an_event_a_process_waits_on(self):
+        env = Environment()
+        log = []
+        t = env.timeout(1.0, value="x")
+
+        def waiter():
+            yield t
+
+        def racer():
+            yield env.timeout(0.5)
+            log.append(((yield AnyOf(env, [t, env.timeout(5.0)])), env.now))
+
+        env.process(waiter())
+        env.process(racer())
+        env.run()
+        assert log == [((0, "x"), 1.0)]
 
 
 class TestCombinatorEdgeCases:
@@ -248,23 +272,6 @@ class TestCombinatorEdgeCases:
         env.run()
         # The already-processed child wins immediately at t=2.
         assert done == [(0, "early", 2.0)]
-
-    def test_anyof_detaches_loser_callbacks(self):
-        """Once a winner fires, the losers' callback lists no longer hold
-        the AnyOf's closures — long-lived events don't accumulate stale
-        callbacks from decided races."""
-        env = Environment()
-        winner = env.timeout(1.0, value="w")
-        loser = env.timeout(10.0, value="l")
-        results = []
-
-        def p():
-            results.append((yield AnyOf(env, [winner, loser])))
-
-        env.process(p())
-        env.run(until=5.0)
-        assert results == [(0, "w")]
-        assert loser.callbacks == []
 
 
 class TestResourceQueues:
@@ -403,32 +410,3 @@ class TestNamenodeChunkIndex:
         assert batch == singles
         # The counter keeps advancing across calls.
         assert a.next_chunk_ids("x", 1)[0] == b.next_chunk_id("x")
-
-
-# ---------------------------------------------------------------------------
-# Histogram bulk recording
-# ---------------------------------------------------------------------------
-
-
-class TestRecordMany:
-    def test_equivalent_to_per_record(self):
-        rng = random.Random(5)
-        values = [rng.uniform(-0.5, 100.0) for _ in range(2000)] + [0.0, 0.0]
-        one, bulk = LogLinearHistogram(), LogLinearHistogram()
-        for v in values:
-            one.record(v)
-        bulk.record_many(values)
-        assert bulk.count == one.count
-        assert bulk.sum == one.sum  # bit-identical: same accumulation order
-        assert bulk.min == one.min
-        assert bulk.max == one.max
-        assert bulk.zero_count == one.zero_count
-        assert bulk._counts == one._counts
-        for p in (1, 50, 90, 99, 99.9):
-            assert bulk.percentile(p) == one.percentile(p)
-
-    def test_empty_batch_is_a_noop(self):
-        hist = LogLinearHistogram()
-        hist.record_many([])
-        assert hist.count == 0
-        assert hist.to_dict()["min"] is None

@@ -2,6 +2,7 @@
 
 from zlib import crc32
 
+import numpy as np
 import pytest
 
 from repro.core.schemes import CodeKind, ECScheme
@@ -138,19 +139,66 @@ def test_rename_onto_existing_name_keeps_both_files_and_both_journals(same_shard
 
 
 def test_cross_shard_rename_mid_transcode_journals_the_state_it_leaves():
-    """The rename drops the in-flight job (as unregister_file does), so
-    the destination shard must journal the file HEALTHY — registering
-    it TRANSCODING left that journal replaying a state live never had."""
+    """The job and its staged stripes follow the file to the destination
+    shard, as on a same-shard rename, and every shard's journal replays
+    to the live state."""
     a, b, *_ = names_on_distinct_shards()
     nn = ShardedNamenode.journaled(N_SHARDS)
     meta = make_meta(a)
     nn.register_file(meta)
     target = ECScheme(CodeKind.CC, 6, 7)
     group = ConversionGroup(a, 0, [0, 1], 1, target)
-    nn.enqueue_transcode(a, target, [group])
+    nn.enqueue_transcode(a, target, [group], deadline=5.0)
+    staged = ECStripeMeta(stripe_index=0, k=6, n=7)
+    staged.data = [c for s in meta.stripes for c in s.data]
+    staged.parities = [ChunkMeta(f"{a}/m0p0", "dn007", ChunkKind.PARITY, 64)]
+    nn.record_new_stripe(a, 0, 0, staged)
     nn.rename(a, b)
-    assert nn.lookup(b).state is FileState.HEALTHY
-    assert len(nn.utm) == 0
+    assert nn.lookup(b).state is FileState.TRANSCODING
+    assert list(nn.utm) == [b]
+    job = nn.utm[b]
+    assert job.file_name == b and job.deadline == 5.0
+    assert [g.file_name for g in job.groups] == [b]
+    assert job.new_stripes == {(0, 0): staged}
+    assert a not in nn.shard_for(a).utm
+    recovered = ShardedNamenode.recover([s.journal for s in nn.shards])
+    for live, back in zip(nn.shards, recovered.shards):
+        assert state_digest(back) == state_digest(live)
+
+
+def test_cross_shard_rename_mid_transcode_finishes_under_the_new_name():
+    """A scheduled CC(6,9) -> CC(12,15) merge one heartbeat in (one
+    final stripe staged under an 8 KiB disk budget), renamed to another
+    shard: heartbeats finish it under the new name, every byte reads
+    back and nothing is stored for no file."""
+    from repro.dfs import MorphFS
+    from repro.dfs.audit import audit
+    from repro.dfs.heartbeat import HeartbeatMonitor
+    from repro.sched.scheduler import MaintenanceScheduler, SchedulerPolicy
+
+    kb = 1024
+    nn = ShardedNamenode.journaled(N_SHARDS)
+    fs = MorphFS(chunk_size=4 * kb, future_widths=[6, 12], namenode=nn)
+    fs.scheduler = MaintenanceScheduler(fs, SchedulerPolicy(disk_bytes_per_tick=8 * kb))
+    data = np.random.default_rng(7).integers(0, 256, 96 * kb, dtype=np.uint8)
+    fs.write_file("f", data, ECScheme(CodeKind.CC, 6, 9))
+    fs.schedule_transcode("f", ECScheme(CodeKind.CC, 12, 15))
+    monitor = HeartbeatMonitor(fs)
+    monitor.tick()
+    assert len(nn.utm["f"].new_stripes) == 1
+    new = next(n for n in (f"g{i}" for i in range(100))
+               if nn.shard_index(n) != nn.shard_index("f"))
+    nn.rename("f", new)
+    assert list(nn.utm) == [new] and len(nn.utm[new].new_stripes) == 1
+    assert audit(fs) == []
+    for _ in range(10):
+        monitor.tick()
+        if new not in nn.utm:
+            break
+    assert new not in nn.utm
+    assert nn.lookup(new).scheme == ECScheme(CodeKind.CC, 12, 15)
+    assert np.array_equal(fs.read_file(new), data)
+    assert audit(fs) == []
     recovered = ShardedNamenode.recover([s.journal for s in nn.shards])
     for live, back in zip(nn.shards, recovered.shards):
         assert state_digest(back) == state_digest(live)

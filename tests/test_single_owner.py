@@ -23,8 +23,9 @@ one decodes, and "which stripe / replica block holds data chunk i" is
 nothing ``benchmarks/e2e`` already times.  And for the field: GF(2^8)
 and GF(2^16) are two values of one type, every algorithm over a field
 is written once, and the wide code is a convertible code that names
-only its point family.  And for the source as a whole: nothing under
-``src/repro`` is reached only by its own tests.
+only its point family.  And for the event engine: one place schedules
+an event and one resumes a process.  And for the source as a whole:
+nothing under ``src/repro`` is reached only by its own tests.
 """
 
 import ast
@@ -785,6 +786,17 @@ def test_one_rrw_price_and_one_rule_for_a_transition():
     assert askers == ["_open_transcode"]
     for name in ("transcode", "schedule_transcode"):
         assert "_open_transcode" in calls(morph[name]), name
+
+
+def test_the_event_engine_schedules_and_advances_in_one_place():
+    # The engine once carried a copy of its scheduler inside ``timeout``,
+    # a copy of ``_advance`` inside ``run`` ("keep the two in sync") and a
+    # refcount-guarded timeout free-list.  One push onto the timestamp
+    # heap, one generator send, no refcount.
+    engine = SOURCES["cluster/engine.py"]
+    assert len(re.findall(r"heappush\(", engine)) == 1
+    assert len(re.findall(r"\._send\(", engine)) == 1
+    assert "getrefcount" not in engine
 
 
 # -- nothing under src is reached only by its own tests ---------------------------
