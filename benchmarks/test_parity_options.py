@@ -26,7 +26,8 @@ def _run(op, t=12, ops=60, size=8 * MB, seed=42):
 def test_parity_computation_options(once):
     async_ = once(lambda: _run(lambda s: P.write_hybrid(s, 8 * MB, 6, 9, 1)))
     sync = _run(lambda s: P.write_hybrid_sync_parity(s, 8 * MB, 6, 9, 1))
-    none = _run(lambda s: P.write_hybrid_no_parity(s, 8 * MB, 1))
+    # Parities disabled, Hy(1) is 2-way replication.
+    none = _run(lambda s: P.write_replicated(s, 8 * MB, 2))
     rows = [
         ("async (default)", async_.p(50) * 1e3, async_.p(90) * 1e3),
         ("synchronous", sync.p(50) * 1e3, sync.p(90) * 1e3),

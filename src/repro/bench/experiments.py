@@ -211,17 +211,18 @@ def fig14_read_tput(threads: Sequence[int] = (12, 25), ops: int = 30, seed: int 
 # Fig 15 — transcode read / compute latency
 # ---------------------------------------------------------------------------
 
-#: The paper's three scenarios: (label, reader kwargs, compute widths).
 #: Fig 15's conversions: ``(label, initial scheme, stripes, final scheme,
 #: CC compute width, CC vector overhead)``. What each reads, its parities
-#: and the RS side's widths come from its plan. The CC compute width stays
-#: typed: ``plan.width`` counts the chunks one parity node combines per
-#: step — 2 on the two merges — not the matrix width Fig 15a prices.
+#: and the RS side's widths come from its plan, and so does the
+#: bandwidth-optimal merge's compute width (``None``): ``plan.width``, 14.
+#: The two merges keep a typed width of 6, the paper's dense encode:
+#: their ``plan.width``, 2, counts the chunks one parity node combines
+#: per step — the DFS ledger's price of this repo's parity-local merge.
 FIG15_SCENARIOS = [
     ("EC(6,9)->EC(12,15)", ECScheme(CodeKind.CC, 6, 9), 2,
      ECScheme(CodeKind.CC, 12, 15), 6, 1.0),
     ("EC(6,7)->EC(12,14)", ECScheme(CodeKind.CC, 6, 7, anticipate_parities=2), 2,
-     ECScheme(CodeKind.CC, 12, 14), 14, 1.8),
+     ECScheme(CodeKind.CC, 12, 14), None, 1.8),
     ("EC(6,9)->LRC(12,2,2)", ECScheme(CodeKind.CC, 6, 9), 2,
      ECScheme(CodeKind.LRCC, 12, 16, local_groups=2, r_global=2), 6, 1.0),
 ]
@@ -249,7 +250,7 @@ def fig15_transcode(n_files: int = 20, file_mb: int = 96, seed: int = 42) -> Dic
             wl = ClosedLoopWorkload(read_sim, op, n_threads=n_files, ops_per_thread=5, op_bytes=size)
             read_res = wl.run()
             comp_sim = SimCluster(seed=seed + 1)
-            width = k_final if codec == "rs" else cc_width
+            width = k_final if codec == "rs" else cc_width or plan.width
             overhead = 1.0 if codec == "rs" else cc_vector_overhead
             wl2 = ClosedLoopWorkload(
                 comp_sim,

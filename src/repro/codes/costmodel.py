@@ -25,7 +25,7 @@ data chunk* so callers can scale by bytes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import TYPE_CHECKING, Optional
 
 from repro.codes.convertible import ConversionPath, plan_conversion
@@ -53,10 +53,6 @@ class TranscodeCost:
         return self.read + self.write
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def bandwidth_optimal_read_chunks(k_i: int, r_i: int, k_f: int, r_f: int) -> float:
     """Chunks read per lcm-span by a parity-growing split or general
     conversion: the read-parities-plus-data-fraction bound from the
@@ -70,7 +66,7 @@ def bandwidth_optimal_read_chunks(k_i: int, r_i: int, k_f: int, r_f: int) -> flo
         return r_i + k_i * frac
     # General: contained stripes behave like merge members; straddlers read.
     reads = 0.0
-    for i in range(_lcm(k_i, k_f) // k_i):
+    for i in range(lcm(k_i, k_f) // k_i):
         i_lo, i_hi = i * k_i, (i + 1) * k_i
         if i_lo // k_f == (i_hi - 1) // k_f:
             reads += r_i + k_i * frac
@@ -84,7 +80,7 @@ def native_cost(source: "ECScheme", target: "ECScheme") -> Optional[TranscodeCos
     into ``target``, priced from the plan of one lcm span of them — or
     ``None`` where no native path exists. A merge that grows no parity
     is server-local (parity co-location, §5.3): no network."""
-    span = _lcm(source.k, target.k)
+    span = lcm(source.k, target.k)
     plan = plan_conversion(source, span // source.k, target)
     if plan is None:
         return None
@@ -110,7 +106,7 @@ def convertible_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
         return cost
     if not grows:
         raise ValueError(f"CC with {r_i} and {r_f} parities share no point family")
-    span = _lcm(k_i, k_f)
+    span = lcm(k_i, k_f)
     reads = bandwidth_optimal_read_chunks(k_i, r_i, k_f, r_f)
     return TranscodeCost(reads / span, (span // k_f) * r_f / span, reads / span)
 

@@ -10,7 +10,6 @@ matching codec from :mod:`repro.codes`.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -241,11 +240,3 @@ def degraded_read_probability(f: float, k: int, n: int, copies: int = 1) -> floa
     if not 0 <= f <= 1:
         raise ValueError("f must be a probability")
     return (f ** copies) * f * (1.0 - f) ** (n - 2)
-
-
-def lcm_of_widths(*widths: int) -> int:
-    """k*: the LCM of potential future stripe widths (§5.3 placement)."""
-    out = 1
-    for w in widths:
-        out = out * w // math.gcd(out, w)
-    return out

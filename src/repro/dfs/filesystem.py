@@ -43,7 +43,6 @@ from repro.core.schemes import (
     HybridScheme,
     RedundancyScheme,
     Replication,
-    lcm_of_widths,
 )
 from repro.dfs.blocks import (
     ChunkKind,
@@ -723,7 +722,7 @@ class MorphFS(AppendSupport, _BaseDFS):
     def _window(self, ec: ECScheme) -> Tuple[int, int]:
         """``(k*, r*)`` of a file of scheme ``ec``: the LCM of its width and
         every future width, and the parity slots its windows reserve."""
-        k_star = lcm_of_widths(ec.k, *self.future_widths)
+        k_star = math.lcm(ec.k, *self.future_widths)
         r_star = max(self.max_parities, ec.n - ec.k)
         alive = len(self.cluster.alive_nodes())
         if k_star + r_star > alive:
@@ -731,7 +730,7 @@ class MorphFS(AppendSupport, _BaseDFS):
             # the file's stripes (documented trade-off: merges beyond the
             # window may need data moves), else the file's own width: a
             # repair or seal there draws nothing new.
-            tiles = [lcm_of_widths(ec.k, w) for w in self.future_widths]
+            tiles = [math.lcm(ec.k, w) for w in self.future_widths]
             k_star = max((w for w in tiles if w + r_star <= alive), default=ec.k)
         return k_star, r_star
 

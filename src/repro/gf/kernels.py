@@ -743,8 +743,8 @@ def gf_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
     The inner step of every parity merge in the transcoder: one
     coefficient streamed over one contiguous chunk through its shared
     table, :data:`PACKED_TILE_LANES` lanes a gather like every loop
-    here, and split across the cores as the row loop it then is once
-    ``acc`` and ``x`` together reach :data:`SPLIT_FROM_BYTES`. Falls
+    here, on the calling thread: a merge step reads two chunks, under
+    :data:`SPLIT_FROM_BYTES` at every chunk size a workload uses. Falls
     back to the field's elementwise product for small, odd-length or
     strided operands.
     """
@@ -767,19 +767,6 @@ def gf_scale_xor(acc: np.ndarray, c: int, x: np.ndarray) -> np.ndarray:
     table = LANE_TABLE[field](c)
     a16 = acc.view(np.uint16)
     x16 = x.view(np.uint16)
-    if 2 * acc.nbytes >= SPLIT_FROM_BYTES:
-        steps = ([[(0, table)]],)
-        w = PACKED_TILE_LANES
-        split(
-            partial(_apply_tiles, _apply_rows, steps, [x16], a16[None], w),
-            -(-len(a16) // w),
-            2 * acc.nbytes,
-        )
-        return acc
-    # The row loop above computes this too, but calling it costs a
-    # merge step 0.9 us (+11 %) at 4 KiB, +7 % at 16 KiB and +2 % at
-    # 64 KiB on a 2-CPU Sapphire Rapids guest (median of 7 rounds), so
-    # the unsplit step keeps its own loop.
     w = min(PACKED_TILE_LANES, a16.shape[0])
     tmp = np.empty(w, dtype=np.uint16)
     for start in range(0, a16.shape[0], w):

@@ -1,24 +1,23 @@
 """Per-node maintenance byte budgets: token buckets refilled per tick.
 
-Each node gets a disk bucket and a network bucket. Admission is
-conservative: a task runs only when every node it might touch has budget
-for the task's full worst-case bytes, which makes "no node moves more
-maintenance bytes in a tick than its budget" a hard invariant rather
-than a soft target (when exact per-node charges are known — the
-simulation path — admission checks exactly those instead).
+Each node gets a disk bucket and a network bucket. A task is admitted
+when every node it lists can absorb its listed bytes; a task that lists
+nothing has an unknown, so unbounded, cost on every live node, and runs
+only when all their buckets are full. Either way a task is charged after
+it ran: its listed bytes, else what the DFS metered on each node.
 
 A bucket holds one tick's rate, so idle ticks bank nothing. One escape
-hatch preserves liveness: a task whose estimate exceeds a bucket could
-otherwise never run. Such a task is admitted when the bucket is full,
-overdrafting it — the debt is paid down by subsequent refills before
-anything else is admitted on that node. With budgets sized at or above
-the largest single task (the sane configuration) the overdraft never
-triggers and the per-tick cap is exact.
+hatch preserves liveness: a task bigger than a bucket could otherwise
+never run. Such a task is admitted when the bucket is full, overdrafting
+it — the debt is paid down by subsequent refills before anything else is
+admitted on that node. With budgets sized at or above the largest single
+task (the sane configuration) no node moves more maintenance bytes in a
+tick than its budget: the per-tick cap is exact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.sched.tasks import TaskCost
 
@@ -113,13 +112,6 @@ class BudgetManager:
         if self.unlimited:
             return True
         return all(self.node(n).can(c) for n, c in charges.items())
-
-    def admits_everywhere(self, node_ids: Iterable[str], cost: TaskCost) -> bool:
-        """Conservative admission: the full cost must fit on every node
-        the task might touch (used when per-node charges are unknown)."""
-        if self.unlimited:
-            return True
-        return all(self.node(n).can(cost) for n in node_ids)
 
     def charge(self, node_id: str, disk_bytes: float = 0.0, net_bytes: float = 0.0) -> None:
         if self.unlimited:

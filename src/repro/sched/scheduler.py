@@ -6,19 +6,21 @@ admits tasks in order:
 
 * metadata-only tasks always run — a zero-IO hybrid -> EC transition or
   a transcode finalize is never delayed by budget exhaustion;
-* IO tasks run only when their worst-case bytes fit the budgets; when
-  the most urgent IO task does not fit, lower-priority IO work is held
-  back too so the bucket can fill for it (a stream of small tasks never
-  starves a large urgent one);
+* an IO task that lists its per-node charges runs when those fit the
+  budgets; any other IO task has an unknown cost and runs only when
+  every live node's buckets are full (so under a budget, one that moves
+  bytes holds the next until the refill); when the most urgent IO task does not fit, lower-priority IO
+  work is held back too so the buckets can fill for it (a stream of
+  small tasks never starves a large urgent one);
 * a task that raises is retried with exponential backoff, and after
   ``max_attempts`` failures lands in the dead-letter list — never
   silently dropped.
 
 Actual bytes and CPU are metered by a window the filesystem's
 :class:`~repro.cluster.metrics.IOMetrics` holds open around each
-execution — per node, only the nodes the task touched — and recorded
-per task class into the same metrics object, so benchmarks can read
-"repair moved X bytes, scrub moved Y" directly.
+execution — per node, only the nodes the task touched — charged to the
+budgets and recorded per task class into the same metrics object, so
+benchmarks can read "repair moved X bytes, scrub moved Y" directly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from repro.obs import NOOP_OBS
 from repro.sched.budget import BudgetManager
 from repro.sched.policies import SchedulerPolicy, backoff_ticks
 from repro.sched.queue import PriorityTaskQueue
-from repro.sched.tasks import MaintenanceTask, TaskState
+from repro.sched.tasks import MaintenanceTask, TaskCost, TaskState
+
+#: the cost of a task that lists no charges, on each live node
+UNBOUNDED = TaskCost(float("inf"), float("inf"))
 
 
 @dataclass
@@ -134,22 +139,19 @@ class MaintenanceScheduler:
 
     # -- admission ------------------------------------------------------------
     def _admit(self, task: MaintenanceTask) -> bool:
+        """A task's listed charges must fit; a task that lists none may
+        touch any live node for any number of bytes, so it waits for
+        every live node's buckets to be full (an oversized cost is
+        admitted only against a full bucket). ``_settle`` charges it
+        what its window metered."""
         if self.budgets.unlimited:
             return True
         charges = task.node_charges(self.fs)
-        if charges is not None:
-            return self.budgets.admits(charges)
-        cost = task.estimated_cost(self.fs)
-        return self.budgets.admits_everywhere(self._charge_domain(), cost)
-
-    def _charge_domain(self) -> List[str]:
-        """Nodes a cost-unattributed task might touch: every live node."""
-        if self.fs is None:
-            return []
-        cluster = getattr(self.fs, "cluster", None)
-        if cluster is None:
-            return []
-        return [n.node_id for n in cluster.alive_nodes()]
+        if charges is None:
+            cluster = getattr(self.fs, "cluster", None)
+            live = [] if cluster is None else cluster.alive_nodes()
+            charges = dict.fromkeys((n.node_id for n in live), UNBOUNDED)
+        return self.budgets.admits(charges)
 
     # -- execution ------------------------------------------------------------
     def _metering(self):

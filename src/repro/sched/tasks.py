@@ -4,14 +4,13 @@ Every kind of background work the cluster performs — chunk
 reconstruction, transcode conversion groups, transcode finalization,
 free (metadata-only) redundancy transitions, integrity scrubs — is a
 :class:`MaintenanceTask`. Tasks carry a class (which fixes their base
-priority band), an optional deadline (which can boost transcodes), a
-conservative worst-case cost estimate (what budget admission checks),
-and an ``execute`` hook the scheduler calls.
+priority band), an optional deadline (which can boost transcodes) and
+an ``execute`` hook the scheduler calls.
 
-``estimated_cost`` is deliberately an *upper bound*: admission charges
-the full estimate against every node the task might touch, so the
-per-node per-tick byte cap is a hard invariant, not a soft target (the
-actual bytes, metered by the DFS, are always <= the estimate).
+A task predicts nothing about its IO. What its executor moves is
+metered by the DFS while it runs, and that is what the budgets are
+charged; only a task that lists exact per-node charges ahead of time
+(:class:`CallbackTask`) is admitted and charged by that list instead.
 
 The module never imports ``repro.dfs`` at module level — the scheduler
 is also used standalone by the event-driven interference simulation
@@ -54,15 +53,10 @@ class TaskState(enum.Enum):
 
 @dataclass(frozen=True)
 class TaskCost:
-    """Bytes a task may move, for budget admission and accounting."""
+    """Bytes a task moves on one node, for budget admission and charging."""
 
     disk_bytes: float = 0.0
     net_bytes: float = 0.0
-
-    def __add__(self, other: "TaskCost") -> "TaskCost":
-        return TaskCost(
-            self.disk_bytes + other.disk_bytes, self.net_bytes + other.net_bytes
-        )
 
 
 class MaintenanceTask:
@@ -90,16 +84,12 @@ class MaintenanceTask:
         self.result: Any = None
 
     # -- hooks ---------------------------------------------------------------
-    def estimated_cost(self, fs) -> TaskCost:
-        """Worst-case bytes this task may move (aggregate, upper bound)."""
-        return TaskCost()
-
     def node_charges(self, fs) -> Optional[Dict[str, TaskCost]]:
         """Exact per-node cost when known ahead of time, else None.
 
-        When None the scheduler admits conservatively (the aggregate
-        estimate must fit every node it might touch) and charges actual
-        per-node bytes from the metrics deltas after execution.
+        When None the cost is unknown, so unbounded on every live node:
+        the scheduler admits the task only against full buckets and
+        charges what its metering window saw on each node it touched.
         """
         return None
 
@@ -125,23 +115,6 @@ class StripeRepairTask(MaintenanceTask):
         self.meta = meta
         #: the lost chunks, all members of one stripe / replica block
         self.chunks = list(chunks)
-
-    def estimated_cost(self, fs) -> TaskCost:
-        # Worst case is a full-stripe decode at the rebuilding node: k
-        # source reads shipped in, e writes, e - 1 rebuilt chunks shipped
-        # on. Only a non-MDS (LRC-family) code can need more than k
-        # sources, and never more than the stripe's survivors.
-        e = len(self.chunks)
-        ec = self.meta.scheme.ec_part
-        non_mds = bool(getattr(ec, "local_groups", None))
-        reads = max(
-            (max(s.n - e, s.k) if non_mds else s.k for s in self.meta.stripes),
-            default=1,
-        )
-        size = float(max((c.size for c in self.chunks), default=0) or self.meta.chunk_size)
-        return TaskCost(
-            disk_bytes=(reads + e) * size, net_bytes=(reads + e - 1) * size
-        )
 
     def execute(self, fs):
         # Re-check every chunk: the file may have been deleted or replaced
@@ -174,54 +147,6 @@ class ConversionGroupTask(MaintenanceTask):
     def __init__(self, group, deadline: Optional[float] = None, **kw):
         super().__init__(TaskClass.TRANSCODE, deadline=deadline, **kw)
         self.group = group
-
-    def estimated_cost(self, fs) -> TaskCost:
-        """What the group's conversion plan moves: its reads (a data
-        read from the plan's first byte, shipped to every final parity
-        home; a parity read, shipped to the one it feeds), its parity
-        writes, a whole-stripe decode for each planned source whose home
-        the namenode cannot command, and a move for each data chunk that
-        shares a node with another of its final stripe."""
-        from repro.codes.convertible import plan_conversion
-
-        meta = None if fs is None else fs.namenode.files.get(self.group.file_name)
-        if meta is None:
-            return TaskCost()
-        stripes = [
-            meta.stripes[i]
-            for i in self.group.initial_stripe_indices
-            if i < len(meta.stripes)
-        ]
-        if not stripes:
-            return TaskCost()
-        plan = plan_conversion(
-            meta.scheme.ec_part.at_width(stripes[0].k), len(stripes),
-            self.group.target_scheme.ec_part,
-        )
-        if plan is None:
-            return TaskCost()  # the executor raises before a byte moves
-        chunk = float(meta.chunk_size)
-        k_i, k_f = stripes[0].k, plan.final.k
-        data_read = chunk - plan.read_from(meta.chunk_size)
-        data = [stripes[t // k_i].data[t % k_i] for t in range(plan.n_final_stripes * k_f)]
-        sources = [(stripes[t // k_i], data[t]) for t in plan.data_reads]
-        sources += [(stripes[i], stripes[i].parities[j]) for i, j in plan.parity_reads]
-        non_mds = bool(getattr(meta.scheme.ec_part, "local_groups", None))
-        decodes = chunk * sum(
-            s.n - 1 if non_mds else s.k
-            for s, source in sources if not fs.commandable(source.node_id)
-        )
-        moves = chunk * sum(
-            k_f - len({c.node_id for c in data[m * k_f:(m + 1) * k_f]})
-            for m in range(plan.n_final_stripes)
-        )
-        reads = len(plan.data_reads) * data_read + len(plan.parity_reads) * chunk
-        fan_out = plan.n_final_stripes * plan.final.r
-        return TaskCost(
-            disk_bytes=reads + plan.io().write_bytes(meta.chunk_size) + decodes + 2 * moves,
-            net_bytes=len(plan.data_reads) * data_read * fan_out
-            + len(plan.parity_reads) * chunk + decodes + moves,
-        )
 
     def execute(self, fs):
         fs.transcoder.execute_group(self.group)
@@ -267,20 +192,6 @@ class FreeTransitionTask(MaintenanceTask):
         self.name = name
         self.target = target
 
-    def estimated_cost(self, fs) -> TaskCost:
-        if self.metadata_only or fs is None:
-            return TaskCost()
-        meta = fs.namenode.files.get(self.name)
-        if meta is None:
-            return TaskCost()
-        # Sealing reads each unsealed stripe's data and writes r parities.
-        ec = self.target.ec_part
-        r = max(getattr(ec, "n", 0) - getattr(ec, "k", 0), 1)
-        chunk = float(meta.chunk_size)
-        unsealed = [s for s in meta.stripes if len(s.parities) < r]
-        bytes_moved = sum((s.k + r) * chunk for s in unsealed)
-        return TaskCost(disk_bytes=bytes_moved, net_bytes=bytes_moved)
-
     def execute(self, fs):
         meta = fs.namenode.files.get(self.name)
         if meta is None:
@@ -297,14 +208,6 @@ class ScrubTask(MaintenanceTask):
 
     def __init__(self, **kw):
         super().__init__(TaskClass.SCRUB, **kw)
-
-    def estimated_cost(self, fs) -> TaskCost:
-        if fs is None:
-            return TaskCost()
-        at_rest = float(fs.capacity_used())
-        # Scanning reads everything once; repairs of what it finds can
-        # roughly double that in the worst case.
-        return TaskCost(disk_bytes=2.0 * at_rest, net_bytes=at_rest)
 
     def execute(self, fs):
         from repro.dfs.integrity import Scrubber

@@ -34,7 +34,11 @@ MB = 1024 * 1024
 # ---------------------------------------------------------------------------
 
 def write_replicated(sim: SimCluster, size_bytes: float, copies: int = 3):
-    """c-way replicated write: pipeline transfer + slowest-of-c absorb."""
+    """c-way replicated write: pipeline transfer + slowest-of-c absorb.
+
+    Also the hybrid write's parities-disabled option (§6.1): ``Hy(c)``
+    with parities disabled is ``c + 1`` replicas and nothing else, so its
+    durability and its (maximum) throughput are this write's."""
     nodes = sim.pick_nodes(copies)
     # First-byte latency of the pipeline: one hop per stage.
     yield sim.env.timeout(sim.cal.net_time(size_bytes) + (copies - 1) * sim.cal.net_rtt_s)
@@ -145,17 +149,6 @@ def write_hybrid_sync_parity(sim: SimCluster, size_bytes: float, k: int, n: int,
     yield sim.env.timeout(sim.cal.encode_time(k, n - k, chunk))
     parity_nodes = sim.pick_nodes(n - k)
     yield AllOf(sim.env, [sim.ec_chunk_write(node, chunk) for node in parity_nodes])
-
-
-def write_hybrid_no_parity(sim: SimCluster, size_bytes: float, copies: int = 1):
-    """Hybrid write, parities-disabled option (§6.1): durability comes
-    solely from ``copies + 1`` replicas; maximum throughput."""
-    nodes = sim.pick_nodes(copies + 1)
-    yield sim.env.timeout(sim.cal.net_time(size_bytes) + copies * sim.cal.net_rtt_s)
-    absorbs = [sim.replica_absorb(node, size_bytes) for node in nodes]
-    yield AllOf(sim.env, absorbs)
-    for node in nodes:
-        sim.background_flush(node, size_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,19 @@ class TestExperimentDriversSmoke:
             "EC(6,9)->EC(12,15)", "EC(6,7)->EC(12,14)", "EC(6,9)->LRC(12,2,2)",
         }
 
+    def test_fig15_prices_the_dense_encode_the_dfs_the_parity_local_merge(self):
+        """Two compute models, one per consumer: the DFS ledger bills a
+        native merge at ``plan.width`` (``charge_encode``), Fig 15 at the
+        paper's dense-encode width; they agree on the BWO merge only."""
+        from repro.bench import experiments as E
+        from repro.codes.convertible import plan_conversion
+
+        widths = [
+            (plan_conversion(initial, n, final).width, typed)
+            for _label, initial, n, final, typed, _overhead in E.FIG15_SCENARIOS
+        ]
+        assert widths == [(2, 6), (14, None), (2, 6)]
+
     def test_fig17_and_18(self):
         from repro.bench import experiments as E
 

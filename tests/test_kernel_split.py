@@ -1,8 +1,9 @@
-"""One call on every core: ``repro.gf.kernels.split`` and its five users.
+"""One call on every core: ``repro.gf.kernels.split`` and its four users.
 
-A GF apply, a merge's scale-and-XOR or a CRC that reads at least
-``SPLIT_FROM_BYTES`` cuts its range into contiguous parts that run at
-once. Nothing a caller sees may depend on that: products and sums are
+A GF apply or a CRC that reads at least ``SPLIT_FROM_BYTES`` cuts its
+range into contiguous parts that run at once; a merge's scale-and-XOR
+never splits (no chunk a workload uses reaches the threshold with it),
+and its cases here check equality under the same forcing, not a split. Nothing a caller sees may depend on that: products and sums are
 bit-identical to the whole call's, tables and caches are touched on the
 calling thread only, a part never splits again, and below the threshold
 no thread is ever started. ``CORES`` and ``SPLIT_MIN_BYTES`` are
@@ -252,6 +253,8 @@ class TestSplitKernelsBitIdentical:
 
     @pytest.mark.parametrize("field", [GF8, GF16], ids=["gf8", "gf16"])
     def test_gf_scale_xor(self, field, cores):
+        """Equality only: a scale-and-XOR runs whole on the caller, so
+        no split is observed here."""
         rng = np.random.default_rng([cores, field.dtype.itemsize])
         for nbytes in _ROW_BYTES:
             n = nbytes // field.dtype.itemsize

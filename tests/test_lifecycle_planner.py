@@ -1,5 +1,7 @@
 """Lifetime policies (Fig 2) and the transcode planner."""
 
+import math
+
 import pytest
 
 from repro.codes.costmodel import rrw_cost
@@ -13,7 +15,7 @@ from repro.core.lifecycle import (
     morph_microbench_policy,
 )
 from repro.core.planner import TranscodeKind, TranscodePlanner
-from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication, lcm_of_widths
+from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
 
 
 class TestLifetimePolicy:
@@ -48,8 +50,8 @@ class TestLifetimePolicy:
         assert first.scheme == ingest.scheme.ec
 
     def test_k_star_of_the_ec_widths(self):
-        assert lcm_of_widths(*morph_macrobench_policy().ec_widths()) == 20
-        assert lcm_of_widths(*morph_microbench_policy().ec_widths()) == 12
+        assert math.lcm(*morph_macrobench_policy().ec_widths()) == 20
+        assert math.lcm(*morph_microbench_policy().ec_widths()) == 12
 
     def test_validation(self):
         stage = LifetimeStage(10.0, Replication(3), LifetimePhase.HOT)

@@ -14,6 +14,7 @@ from repro.sched import (
     CallbackTask,
     MaintenanceScheduler,
     SchedulerPolicy,
+    ScrubTask,
     TaskClass,
     TaskCost,
     TaskState,
@@ -107,6 +108,61 @@ class TestBudgets:
         report = sched.run_tick()
         assert order == ["meta"]
         assert report.deferred_budget >= 1
+
+
+class TestAdmission:
+    """A task that lists per-node charges is admitted on those nodes; any
+    other IO task may touch any live node for any number of bytes, so it
+    waits until every live node's buckets are full, then runs and is
+    charged what its window metered."""
+
+    RATE = 1 << 20
+
+    def budgeted(self):
+        fs, _data = hybrid_fs()
+        fs.scheduler = MaintenanceScheduler(
+            fs, SchedulerPolicy(disk_bytes_per_tick=self.RATE, net_bytes_per_tick=self.RATE)
+        )
+        return fs, fs.scheduler
+
+    def test_an_unlisted_task_waits_for_full_buckets_then_pays_what_it_moved(self):
+        fs, sched = self.budgeted()
+        sched.budgets.charge(sorted(fs.datanodes)[0], disk_bytes=1.5 * self.RATE)
+        first, second = sched.submit(ScrubTask()), sched.submit(ScrubTask())
+        r1 = sched.run_tick()  # one node refilled to half a tick: both wait
+        assert r1.executed == [] and r1.deferred_budget == 2
+        before = per_node(fs)
+        r2 = sched.run_tick()  # every bucket full: one runs, and only one
+        reference = moved(before, per_node(fs))
+        assert r2.executed == [first] and r2.deferred_budget == 1
+        assert reference
+        for node_id in fs.datanodes:
+            disk, net, _cpu = reference.get(node_id, (0.0, 0.0, 0.0))
+            budget = sched.budgets.node(node_id)
+            assert (budget.disk.tokens, budget.net.tokens) == (self.RATE - disk, self.RATE - net)
+        assert sched.run_tick().executed == [second]
+
+    def test_a_dead_nodes_debt_holds_nothing(self):
+        fs, sched = self.budgeted()
+        victim = sorted(fs.datanodes)[0]
+        sched.budgets.charge(victim, disk_bytes=1e12)
+        fs.cluster.fail_node(victim)
+        task = sched.submit(ScrubTask())
+        assert sched.run_tick().executed == [task]
+
+    def test_a_listed_task_is_admitted_on_its_own_nodes(self):
+        fs, sched = self.budgeted()
+        busy, idle = sorted(fs.datanodes)[:2]
+        sched.budgets.charge(busy, disk_bytes=1.5 * self.RATE)
+        order = []
+        sched.submit(io_task(order, "idle", node=idle, nbytes=self.RATE))
+        sched.submit(io_task(order, "busy", node=busy, nbytes=self.RATE // 2))
+        sched.submit(CallbackTask(lambda: order.append("unlisted"), label="unlisted"))
+        r1 = sched.run_tick()  # busy refilled to half: its half-tick task fits
+        assert order == ["idle", "busy"] and r1.deferred_budget == 1
+        assert sched.budgets.node(idle).disk.tokens == sched.budgets.node(busy).disk.tokens == 0
+        r2 = sched.run_tick()  # both refilled full: the unlisted task runs
+        assert order == ["idle", "busy", "unlisted"] and r2.disk_bytes == 0
 
 
 class TestRetries:
@@ -239,8 +295,8 @@ class TestMorphFSIntegration:
 
 
 class TestStripeRepairBudgets:
-    """Stripe-granular repair tasks under the byte budgets: the estimate
-    is an upper bound, the per-node per-tick cap is never exceeded."""
+    """Stripe-granular repair tasks under the byte budgets: one task a
+    damaged group, and the per-node per-tick cap is never exceeded."""
 
     SCHEMES = [
         HybridScheme(1, CC69),
@@ -262,7 +318,7 @@ class TestStripeRepairBudgets:
         return fs, data
 
     @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
-    def test_metered_bytes_never_exceed_the_estimate(self, scheme):
+    def test_each_damaged_group_is_repaired_by_one_task(self, scheme):
         from repro.dfs.recovery import RecoveryManager
         from repro.sched import StripeRepairTask
 
@@ -271,12 +327,8 @@ class TestStripeRepairBudgets:
         groups = recovery.damaged_groups(recovery.lost_chunks())
         assert any(len(chunks) > 1 for _m, _h, chunks in groups) or len(groups) > 1
         for meta, _home, chunks in groups:
-            task = StripeRepairTask(meta, chunks)
-            estimate = task.estimated_cost(fs)
-            disk0, net0 = fs.metrics.disk_bytes_total, fs.metrics.net_bytes_total
-            assert task.execute(fs) == "repaired"
-            assert fs.metrics.disk_bytes_total - disk0 <= estimate.disk_bytes
-            assert fs.metrics.net_bytes_total - net0 <= estimate.net_bytes
+            assert StripeRepairTask(meta, chunks).execute(fs) == "repaired"
+        assert recovery.lost_chunks() == []
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_no_node_exceeds_its_per_tick_cap(self):
@@ -376,9 +428,11 @@ class TestMeteringWindow:
         assert got[:2] == [disk, net]
         assert got[2] == pytest.approx(cpu)
 
-    def test_a_repair_tick_and_a_conversion_group_are_charged_what_they_moved(
+    def test_repairs_and_a_conversion_group_are_charged_what_they_moved(
         self, monkeypatch
     ):
+        """The repairs drain first, one a tick (a repair lists no charges,
+        so it waits for full buckets); then one conversion group runs."""
         fs, data = hybrid_fs(n_kb=96)
         fs.transcode("f", CC69)
         sched = self.budgeted(fs, 1 << 20)  # fits every task: nothing overdrafts
@@ -386,22 +440,41 @@ class TestMeteringWindow:
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
         ledger = fs.metrics.maintenance
         fs.cluster.fail_node(fs.namenode.lookup("f").stripes[0].data[0].node_id)
-        for classes, prepare in (
-            (("repair", "critical_repair"), lambda: None),
-            (("transcode",), lambda: fs.schedule_transcode("f", self.LRCC)),
+
+        def repairs():
+            reports = [monitor.tick()]
+            for _ in range(20):
+                if not sched.has_pending():
+                    break
+                reports.append(monitor.tick())
+            assert not sched.has_pending() and len(reports) > 1  # one a tick
+            return reports
+
+        def one_group():
+            fs.schedule_transcode("f", self.LRCC)
+            return [monitor.tick()]
+
+        for classes, run in (
+            (("repair", "critical_repair"), repairs),
+            (("transcode",), one_group),
         ):
-            prepare()
             rows_before = {c: row(ledger[c]) for c in classes}
             charged.clear()
             before = per_node(fs)
-            report = monitor.tick()
+            reports = run()
             reference = moved(before, per_node(fs))
-            assert report.scheduler.executed and not report.scheduler.failed
+            assert reports[-1].scheduler.executed
+            assert not any(r.scheduler.failed for r in reports)
             assert reference and all(disk for disk, _net, _cpu in reference.values())
             self.assert_charged(charged, reference)
             self.assert_ledger(ledger, classes, rows_before, reference)
-        assert fs.namenode.lookup("f").scheme == self.LRCC
+        assert reports[0].transcode_groups_run == 1
         assert sum(net for _disk, net in charged.values()) > 0
+        for _ in range(20):
+            if "f" not in fs.namenode.utm:
+                break
+            monitor.tick()
+        assert fs.namenode.lookup("f").scheme == self.LRCC
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_an_inline_transcode_inside_a_task_charges_both_windows(self, monkeypatch):

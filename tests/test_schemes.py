@@ -13,7 +13,6 @@ from repro.core.schemes import (
     HybridScheme,
     Replication,
     degraded_read_probability,
-    lcm_of_widths,
 )
 from repro.codes.bandwidth import BandwidthOptimalCC
 from repro.codes.base import ErasureCode
@@ -121,14 +120,6 @@ class TestDegradedReadProbability:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             degraded_read_probability(1.5, 6, 9)
-
-
-class TestKStar:
-    def test_lcm(self):
-        assert lcm_of_widths(6, 12) == 12
-        assert lcm_of_widths(5, 10, 20) == 20
-        assert lcm_of_widths(6, 15) == 30
-        assert lcm_of_widths() == 1
 
 
 # -- nominal tolerance against the rule ------------------------------------------

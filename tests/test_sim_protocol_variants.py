@@ -22,13 +22,14 @@ class TestParityOptionProtocols:
         assert sync.p(50) > 1.2 * asyn.p(50)
 
     def test_no_parity_fastest(self):
+        # Parities disabled, Hy(c) is (c + 1)-way replication.
         asyn = run(lambda s: P.write_hybrid(s, 8 * MB, 6, 9, 1))
-        none = run(lambda s: P.write_hybrid_no_parity(s, 8 * MB, 1))
+        none = run(lambda s: P.write_replicated(s, 8 * MB, 2))
         assert none.p(50) <= asyn.p(50) * 1.05
 
     def test_no_parity_copies_scale_latency(self):
-        one = run(lambda s: P.write_hybrid_no_parity(s, 8 * MB, 1))
-        three = run(lambda s: P.write_hybrid_no_parity(s, 8 * MB, 3))
+        one = run(lambda s: P.write_replicated(s, 8 * MB, 2))
+        three = run(lambda s: P.write_replicated(s, 8 * MB, 4))
         # More in-memory receivers -> deeper max; strictly not faster.
         assert three.p(90) >= one.p(90) * 0.9
 

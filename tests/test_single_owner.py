@@ -799,6 +799,15 @@ def test_the_event_engine_schedules_and_advances_in_one_place():
     assert "getrefcount" not in engine
 
 
+def test_the_scheduler_prices_nothing():
+    # Each DFS task once carried a hand-written worst-case model of what
+    # its executor moves, and the scheduler admitted against it; no
+    # workload ever did. A task is charged what its window metered, and
+    # admission is one bucket rule over listed or unbounded charges.
+    assert files_matching(r"\bdef estimated_cost\b|\badmits_everywhere\b") == []
+    assert len(re.findall(r"budgets\.admits\(", SOURCES["sched/scheduler.py"])) == 1
+
+
 # -- nothing under src is reached only by its own tests ---------------------------
 
 REPO = SRC.parent.parent

@@ -7,14 +7,15 @@ hybrid (only ingest lays replica blocks). Each case here used to end
 wrong: the misaligned merges raised ``TranscodeError: no native
 conversion of 1 width-6 stripes`` after the planner had said convertible,
 and the hybrid targets ran as native EC merges that left the file
-labelled hybrid with no replica copy. A conversion group's scheduler
-estimate bounds what it moves, and a plain file's k*-window tiles its own
-width when the full window does not fit the cluster.
+labelled hybrid with no replica copy. A conversion group moves what its
+plan reads and writes, and a plain file's k*-window tiles its own width
+when the full window does not fit the cluster.
 """
 
 import numpy as np
 import pytest
 
+from repro.codes.convertible import plan_conversion
 from repro.core.planner import TranscodeKind, TranscodePlanner
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
@@ -117,10 +118,10 @@ def test_a_window_that_nothing_fits_is_the_width_itself():
     assert fs._window(ECScheme(CodeKind.CC, 9, 13)) == (9, 4)
 
 
-class TestConversionEstimates:
-    """A conversion group's scheduler estimate bounds the disk and network
-    bytes its execution meters, healthy and with a source node down —
-    as ``TestStripeRepairBudgets`` holds a repair's."""
+class TestConversionGroupIO:
+    """A scheduled conversion group converts, healthy and with a source
+    node down; healthy, it moves on disk exactly what its plan reads and
+    writes."""
 
     CASES = [
         (CC69, CC1215),   # access-optimal merge
@@ -133,8 +134,9 @@ class TestConversionEstimates:
     @pytest.mark.parametrize(
         "source, target", CASES, ids=["merge", "split", "cc-to-lrcc", "bwo-merge"]
     )
-    def test_metered_bytes_never_exceed_the_estimate(self, source, target, down):
-        fs, data = written(source, 24)
+    def test_a_group_moves_what_its_plan_reads_and_writes(self, source, target, down):
+        chunk = 4 * KB
+        fs, data = written(source, 24, chunk=chunk)
         # Parity 0 of stripe 0: every conversion here reads it, so the
         # group rebuilds it where it is down.
         victim = fs.namenode.lookup("f").stripes[0].parities[0].node_id
@@ -144,19 +146,22 @@ class TestConversionEstimates:
         groups = fs.namenode.utm["f"].pending_groups()
         assert groups
         for group in groups:
-            task = ConversionGroupTask(group)
-            estimate = task.estimated_cost(fs)
+            meta = fs.namenode.lookup("f")
+            stripes = [meta.stripes[i] for i in group.initial_stripe_indices]
+            io = plan_conversion(
+                source.at_width(stripes[0].k), len(stripes), target
+            ).io()
             disk0, net0 = fs.metrics.disk_bytes_total, fs.metrics.net_bytes_total
-            assert task.execute(fs) == "converted"
-            assert fs.metrics.disk_bytes_total - disk0 <= estimate.disk_bytes
-            assert fs.metrics.net_bytes_total - net0 <= estimate.net_bytes
+            assert ConversionGroupTask(group).execute(fs) == "converted"
+            if not down:
+                assert fs.metrics.disk_bytes_total - disk0 == io.read_bytes(
+                    chunk
+                ) + io.write_bytes(chunk)
             if (source, target, down) == (CC69, CC1215, False):
-                # Priced from the plan, not the group's chunk count: six
-                # parity reads and three writes, exactly what it moves;
-                # on the network at most the six parities (they are local).
-                chunk = 4 * KB
-                assert fs.metrics.disk_bytes_total - disk0 == estimate.disk_bytes == 9 * chunk
-                assert estimate.net_bytes <= 6 * chunk
+                # Six parity reads and three writes; on the network at
+                # most the six parities (they are local).
+                assert fs.metrics.disk_bytes_total - disk0 == 9 * chunk
+                assert fs.metrics.net_bytes_total - net0 <= 6 * chunk
         assert TranscodeFinalizeTask("f").execute(fs) == "finalized"
         assert fs.namenode.lookup("f").scheme == target
         assert np.array_equal(fs.read_file("f"), data)
