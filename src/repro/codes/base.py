@@ -106,8 +106,8 @@ class ErasureCode:
     #: True when every stored chunk is exactly a generator-row product of
     #: the data — the invariant the generic batched/fused paths rely on.
     #: Codes with extra structure folded into their chunks (e.g. the BWO
-    #: piggybacked parities) set this False, and encode_batch /
-    #: decode_batch then defer to their per-stripe encode / decode.
+    #: piggybacked parities) set this False, and encode_batch then
+    #: defers to their per-stripe encode.
     generator_encoded = True
 
     def __init__(self, k: int, n: int):
@@ -217,62 +217,11 @@ class ErasureCode:
         availables: Sequence[Dict[int, np.ndarray]],
         eraseds: Sequence[Sequence[int]],
     ) -> List[Dict[int, np.ndarray]]:
-        """Recover erased chunks for many stripes at once.
-
-        Stripes sharing the same (available-set, erased-set, chunk
-        length) failure pattern — the shape of a node-failure burst —
-        with chunks shorter than :data:`STACK_BELOW_BYTES` are stacked
-        along the chunk axis and recovered with a single application of
-        the fused pattern transform. Everything else (long chunks, short
-        availability, unique patterns, patterns nothing recovers) falls
-        back to per-stripe :meth:`decode`, so results are always
-        bit-identical to the per-stripe loop.
-        """
+        """Recover erased chunks for many stripes: :meth:`decode` once
+        per stripe."""
         if len(availables) != len(eraseds):
             raise ValueError("availables and eraseds must have equal length")
-        if not self.generator_encoded:
-            return [
-                self.decode(a, list(e)) for a, e in zip(availables, eraseds)
-            ]
-        results: List[Optional[Dict[int, np.ndarray]]] = [None] * len(availables)
-        groups: Dict[Tuple, List[int]] = {}
-        fallback: List[int] = []
-        for s, (available, erased) in enumerate(zip(availables, eraseds)):
-            erased = list(erased)
-            if not erased:
-                results[s] = {}
-                continue
-            if len(available) < self.k:
-                fallback.append(s)
-                continue
-            length = len(next(iter(available.values())))
-            if length >= STACK_BELOW_BYTES:
-                fallback.append(s)
-                continue
-            key = (tuple(sorted(available)), tuple(erased), length)
-            groups.setdefault(key, []).append(s)
-        for (_, erased_key, _), members in groups.items():
-            fused = None
-            if len(members) > 1:
-                try:
-                    fused = self._recovery(availables[members[0]], erased_key)
-                except DecodeError:
-                    pass
-            if fused is None:
-                # Single-member groups and patterns nothing recovers go
-                # through decode (which raises for the latter).
-                fallback.extend(members)
-                continue
-            batch = self._stacked(
-                [[availables[s][idx] for idx in fused.use] for s in members]
-            )
-            with record_codec("decode", len(erased_key) * batch[0].nbytes):
-                recovered = fused.plan.apply(batch)
-            for s, chunks in zip(members, self._unstacked(recovered, len(members))):
-                results[s] = dict(zip(erased_key, chunks))
-        for s in fallback:
-            results[s] = self.decode(availables[s], list(eraseds[s]))
-        return results  # type: ignore[return-value]
+        return [self.decode(a, e) for a, e in zip(availables, eraseds)]
 
     def decode(
         self, available: Dict[int, np.ndarray], erased: Sequence[int]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING, Optional
 
-from repro.codes.convertible import ConversionPath, plan_conversion
+from repro.codes.convertible import plan_conversion
 
 if TYPE_CHECKING:
     from repro.core.schemes import ECScheme, RedundancyScheme
@@ -40,13 +40,11 @@ class TranscodeCost:
 
     ``read`` and ``write`` are in units of "chunk-reads per data chunk of
     the file": multiply by file bytes to get byte IO. ``disk_io`` is their
-    sum (the paper's Figs 1/12/17 metric); ``network`` counts chunk
-    transfers that cross servers (parity-local merges are free, §5.3).
+    sum (the paper's Figs 1/12/17 metric).
     """
 
     read: float
     write: float
-    network: float
 
     @property
     def disk_io(self) -> float:
@@ -78,17 +76,13 @@ def bandwidth_optimal_read_chunks(k_i: int, r_i: int, k_f: int, r_f: int) -> flo
 def native_cost(source: "ECScheme", target: "ECScheme") -> Optional[TranscodeCost]:
     """Per-data-chunk cost of the native conversion of ``source`` stripes
     into ``target``, priced from the plan of one lcm span of them — or
-    ``None`` where no native path exists. A merge that grows no parity
-    is server-local (parity co-location, §5.3): no network."""
+    ``None`` where no native path exists."""
     span = lcm(source.k, target.k)
     plan = plan_conversion(source, span // source.k, target)
     if plan is None:
         return None
     io = plan.io()
-    reads = io.chunks_read
-    local = plan.path is not ConversionPath.BANDWIDTH_OPTIMAL and target.k % source.k == 0
-    network = 0.0 if local else reads
-    return TranscodeCost(reads / span, io.parity_chunks_written / span, network / span)
+    return TranscodeCost(io.chunks_read / span, io.parity_chunks_written / span)
 
 
 def convertible_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
@@ -108,7 +102,7 @@ def convertible_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
         raise ValueError(f"CC with {r_i} and {r_f} parities share no point family")
     span = lcm(k_i, k_f)
     reads = bandwidth_optimal_read_chunks(k_i, r_i, k_f, r_f)
-    return TranscodeCost(reads / span, (span // k_f) * r_f / span, reads / span)
+    return TranscodeCost(reads / span, (span // k_f) * r_f / span)
 
 
 def rrw_cost(target: "RedundancyScheme") -> TranscodeCost:
@@ -119,15 +113,12 @@ def rrw_cost(target: "RedundancyScheme") -> TranscodeCost:
     ec = target.ec_part
     stripes = 0.0 if ec is None else 1.0 + ec.r / ec.k
     copies = 0 if ec is target else target.copies  # an EC scheme is its own ec_part
-    write = copies + stripes
-    return TranscodeCost(1.0, write, 1.0 + write)
+    return TranscodeCost(1.0, copies + stripes)
 
 
 def native_rs_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
     """DFS-native transcode with RS: read all data, write new parities."""
-    read = 1.0
-    write = r_f / k_f
-    return TranscodeCost(read, write, read + write)
+    return TranscodeCost(1.0, r_f / k_f)
 
 
 def stripemerge_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
@@ -140,4 +131,4 @@ def stripemerge_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
         return rrw_cost(ECScheme(CodeKind.RS, k_f, k_f + r_f))
     read = model.read_chunks(k_i, r_i, k_f, r_f) / k_f
     write = model.write_chunks(k_i, r_i, k_f, r_f) / k_f
-    return TranscodeCost(read, write, read + write)
+    return TranscodeCost(read, write)

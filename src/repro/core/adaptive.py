@@ -31,12 +31,15 @@ FLOOR_AFR = 0.012
 #: wear-out starts at this age, adding ``WEAROUT_SLOPE`` AFR per year
 WEAROUT_YEARS = 4.0
 WEAROUT_SLOPE = 0.03
+#: a new cohort's AFR, decaying to ``FLOOR_AFR`` over the first year
+INFANT_AFR = 0.06
 #: the planner's protection groups, and hours to repair a failed disk
 PROTECTION_GROUPS = 100_000
 MTTR_HOURS = 12.0
+#: the annual data-loss probability a planned scheme must stay under
+LOSS_BUDGET = 1e-7
 
 
-@dataclass(frozen=True)
 class BathtubCurve:
     """Annualised failure rate of a disk cohort as a function of age.
 
@@ -44,12 +47,10 @@ class BathtubCurve:
     year, a useful-life floor, and wear-out growth after ``WEAROUT_YEARS``.
     """
 
-    infant_afr: float = 0.06
-
     def afr(self, age_years: float) -> float:
         if age_years < 0:
             raise ValueError("age must be non-negative")
-        infant = (self.infant_afr - FLOOR_AFR) * np.exp(-3.0 * age_years)
+        infant = (INFANT_AFR - FLOOR_AFR) * np.exp(-3.0 * age_years)
         wearout = max(0.0, age_years - WEAROUT_YEARS) * WEAROUT_SLOPE
         return float(FLOOR_AFR + infant + wearout)
 
@@ -107,13 +108,9 @@ class AdaptiveRedundancyPlanner:
     For each month of a cohort's life, the planner evaluates the ladder
     under the current AFR and picks the most space-efficient scheme whose
     annual data-loss probability (across ``PROTECTION_GROUPS`` groups)
-    stays below ``loss_budget``. Scheme changes become transitions costed
+    stays below ``LOSS_BUDGET``. Scheme changes become transitions costed
     under both RRW and native CC.
     """
-
-    def __init__(self, curve: Optional[BathtubCurve] = None, loss_budget: float = 1e-7):
-        self.curve = curve or BathtubCurve()
-        self.loss_budget = loss_budget
 
     def scheme_for_afr(self, afr: float) -> ECScheme:
         """Most space-efficient ladder scheme meeting the loss budget."""
@@ -121,7 +118,7 @@ class AdaptiveRedundancyPlanner:
         best = None
         for scheme in LADDER:
             p = annual_loss_probability(scheme, env, groups=PROTECTION_GROUPS)
-            if p <= self.loss_budget:
+            if p <= LOSS_BUDGET:
                 if best is None or scheme.storage_overhead < best.storage_overhead:
                     best = scheme
         # Nothing qualifies: take the most durable (lowest loss) option.
@@ -135,8 +132,9 @@ class AdaptiveRedundancyPlanner:
         """Monthly schedule + transitions over a cohort lifetime."""
         plan = AdaptivePlan()
         current: Optional[ECScheme] = None
+        curve = BathtubCurve()
         for month in range(months):
-            afr = self.curve.afr(month / 12.0)
+            afr = curve.afr(month / 12.0)
             scheme = self.scheme_for_afr(afr)
             plan.schedule.append(scheme)
             if current is not None and scheme != current:

@@ -23,6 +23,9 @@ from typing import List, Optional, Tuple
 from repro.codes.costmodel import TranscodeCost, convertible_cost, rrw_cost
 from repro.core.schemes import CodeKind, ECScheme
 
+#: parities a suggestion may add beyond the request
+MAX_EXTRA_PARITIES = 1
+
 
 def _transition_cost(k_i: int, r_i: int, k_f: int, r_f: int) -> TranscodeCost:
     """What moving (k_i, r_i) stripes into (k_f, r_f) costs: the CC
@@ -61,9 +64,6 @@ class SchemeAdvisor:
     better durability and a trivial space-efficiency decline.
     """
 
-    def __init__(self, max_extra_parities: int = 1):
-        self.max_extra_parities = max_extra_parities
-
     def candidates(
         self, k_initial: int, r_initial: int, k_final: int, r_final: int
     ) -> List[Suggestion]:
@@ -79,7 +79,7 @@ class SchemeAdvisor:
         width_lo = max(k_initial, k_final - k_initial)
         width_hi = k_final + k_initial
         for k in range(width_lo, width_hi + 1):
-            for r in range(r_final, r_final + self.max_extra_parities + 1):
+            for r in range(r_final, r_final + MAX_EXTRA_PARITIES + 1):
                 if (k, r) in seen:
                     continue
                 seen.add((k, r))

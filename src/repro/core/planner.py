@@ -52,7 +52,7 @@ class TranscodePlanner:
         # Hybrid -> its embedded EC: free (delete replicas).
         if isinstance(source, HybridScheme) and source.ec == target:
             return TranscodeStep(
-                source, target, TranscodeKind.FREE, TranscodeCost(0.0, 0.0, 0.0)
+                source, target, TranscodeKind.FREE, TranscodeCost(0.0, 0.0)
             )
         # Into a replicated or hybrid target it is a rewrite: only ingest
         # lays replica blocks.

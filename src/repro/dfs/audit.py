@@ -18,6 +18,11 @@ What it checks, by ``kind``:
     exact too).
 ``queue``
     every UTM job names a registered file.
+``owner``
+    every chunk id the namenode answers for is listed by exactly one
+    registered file — a staged stripe counts as its job's file.
+    (:meth:`~repro.dfs.namenode.Namenode.listed_chunks` keys a dict by
+    id, so a chunk two files list shows up there once.)
 ``sums``
     the checksum registry holds a sum for exactly the chunks the namenode
     answers for (:meth:`~repro.dfs.namenode.Namenode.listed_chunks`):
@@ -49,7 +54,7 @@ What it checks, by ``kind``:
     kinds and ``layout`` instead).
 
 :func:`audit_namenode` is the namenode-only part (``index``, ``journal``,
-``queue``) — for a control plane with no datanodes.  The k*-window
+``queue``, ``owner``) — for a control plane with no datanodes.  The k*-window
 promise is not here: breaking it costs a relocation, not bytes.
 """
 
@@ -69,8 +74,8 @@ from repro.obs.codec import CODEC_STATS
 
 #: every kind a violation can be, in the order :func:`audit` checks them
 KINDS = (
-    "index", "journal", "queue", "sums", "bytes", "capacity", "unlisted", "missing",
-    "layout", "colocated", "parity",
+    "index", "journal", "queue", "owner", "sums", "bytes", "capacity", "unlisted",
+    "missing", "layout", "colocated", "parity",
 )
 
 
@@ -162,9 +167,25 @@ def _journal(shard: Namenode, subject: str) -> List[Violation]:
     return out
 
 
+def _owners(namenode) -> List[Violation]:
+    owners: Dict[str, set] = {}
+    for meta in namenode.files.values():
+        for chunk in meta.all_chunks():
+            owners.setdefault(chunk.chunk_id, set()).add(meta.name)
+    for name, job in namenode.utm.items():
+        for chunk in job.staged_chunks():
+            owners.setdefault(chunk.chunk_id, set()).add(name)
+    return [
+        Violation("owner", chunk_id, f"listed by {len(names)} files: {sorted(names)}")
+        for chunk_id, names in sorted(owners.items())
+        if len(names) > 1
+    ]
+
+
 def audit_namenode(namenode) -> List[Violation]:
-    """The namenode-only part of :func:`audit` — ``index``, ``journal``
-    and ``queue`` — for a plain, journaled or sharded namenode."""
+    """The namenode-only part of :func:`audit` — ``index``, ``journal``,
+    ``queue`` and ``owner`` — for a plain, journaled or sharded
+    namenode."""
     shards = getattr(namenode, "shards", None)
     out: List[Violation] = []
     for i, shard in enumerate(shards or [namenode]):
@@ -179,6 +200,7 @@ def audit_namenode(namenode) -> List[Violation]:
             if _pairs(namenode.chunks_on_node(node_id)) != _pairs(full_scan(namenode, node_id)):
                 out.append(Violation("index", node_id, "the shards' answers, concatenated, "
                                      "are not a scan of the namespace"))
+    out.extend(_owners(namenode))
     return out
 
 

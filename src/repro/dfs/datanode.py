@@ -22,6 +22,10 @@ from repro.cluster.metrics import IOMetrics
 from repro.cluster.topology import Node
 
 
+#: a datanode's battery-backed buffer cache
+BUFFER_CACHE_BYTES = 512 * 1024 * 1024
+
+
 class ChunkNotFoundError(KeyError):
     """Requested chunk is on neither disk nor memory of this node."""
 
@@ -38,16 +42,10 @@ class Datanode:
     Given a bare id, the datanode stands alone on a private node.
     """
 
-    def __init__(
-        self,
-        node: Union[Node, str],
-        metrics: IOMetrics,
-        buffer_cache_bytes: float = 512 * 1024 * 1024,
-    ):
+    def __init__(self, node: Union[Node, str], metrics: IOMetrics):
         self.node = node if isinstance(node, Node) else Node(node, rack=0)
         self.node_id = self.node.node_id
         self.metrics = metrics
-        self.buffer_cache_bytes = buffer_cache_bytes
         self._disk: Dict[str, np.ndarray] = {}
         self._memory: Dict[str, np.ndarray] = {}
 
@@ -70,7 +68,7 @@ class Datanode:
         """Absorb a chunk into the buffer cache (durable, no disk IO)."""
         data = self._kept(data)
         in_use = self.metrics.node(self.node_id).memory_in_use_bytes
-        if in_use + data.nbytes > self.buffer_cache_bytes:
+        if in_use + data.nbytes > BUFFER_CACHE_BYTES:
             raise BufferCacheFullError(
                 f"{self.node_id}: buffer cache full ({in_use} + {data.nbytes})"
             )

@@ -66,6 +66,9 @@ MB = 1024 * 1024
 ENCODE_MB_S = 2800.0
 #: chunks per replica block of a replicated file (``Replication`` ingest)
 REPLICATION_BLOCK_CHUNKS = 8
+#: parity slots a k*-window reserves at least (r*), so a later code with
+#: more parities finds its homes co-located
+MAX_PARITIES = 4
 
 
 def _listed(chunk: ChunkMeta) -> int:
@@ -588,7 +591,6 @@ class _BaseDFS:
         parity_nodes: Sequence[str],
         ec: ECScheme,
         src: str = CLIENT,
-        parity_src: Optional[str] = None,
     ) -> ECStripeMeta:
         """Store one stripe's chunks and list them in ``meta`` — a file
         being built, see :meth:`_write_replica_pipeline`."""
@@ -601,7 +603,7 @@ class _BaseDFS:
         parity_ids = self.namenode.next_chunk_ids(f"{prefix}p", len(parities))
         kinds = self._parity_kinds(ec)
         stored = [
-            self.store_chunk(parity_nodes[j], parity_ids[j], parity, kinds[j], parity_src or src)
+            self.store_chunk(parity_nodes[j], parity_ids[j], parity, kinds[j], src)
             for j, parity in enumerate(parities)
         ]
         stripe_meta = ECStripeMeta(
@@ -664,29 +666,15 @@ class MorphFS(AppendSupport, _BaseDFS):
         chunk_size: int = 64 * 1024,
         seed: int = 0,
         future_widths: Optional[Sequence[int]] = None,
-        max_parities: int = 4,
         transcode_aware: bool = True,
-        parity_mode: str = "async",
-        spanning_protocol: bool = False,
         obs: Optional[Observability] = None,
         namenode: Optional[Namenode] = None,
     ):
         super().__init__(cluster, chunk_size, seed, obs=obs, namenode=namenode)
         self.future_widths = list(future_widths or [])
-        self.max_parities = max_parities
         #: ablation switch: False disables k*-window planning and parity
         #: co-location (placement falls back to per-stripe random).
         self.transcode_aware = transcode_aware
-        #: hybrid parity computation option (§6.1): "async" (Datanode
-        #: striper, the default), "sync" (client computes on its critical
-        #: path), or "none" (durability from c+1 persisted replicas only).
-        if parity_mode not in ("async", "sync", "none"):
-            raise ValueError(f"unknown parity_mode {parity_mode!r}")
-        self.parity_mode = parity_mode
-        #: spanning-write protocol (§4.2 / Fig 6): mirror to THREE replica
-        #: holders before ack, then stripe asynchronously — one extra
-        #: network copy versus the small-write variant.
-        self.spanning_protocol = spanning_protocol
         self.transcoder = NativeTranscoder(self)
 
     # -- placement ------------------------------------------------------------
@@ -723,7 +711,7 @@ class MorphFS(AppendSupport, _BaseDFS):
         """``(k*, r*)`` of a file of scheme ``ec``: the LCM of its width and
         every future width, and the parity slots its windows reserve."""
         k_star = math.lcm(ec.k, *self.future_widths)
-        r_star = max(self.max_parities, ec.n - ec.k)
+        r_star = max(MAX_PARITIES, ec.n - ec.k)
         alive = len(self.cluster.alive_nodes())
         if k_star + r_star > alive:
             # Fall back to the largest feasible window that still tiles
@@ -732,6 +720,9 @@ class MorphFS(AppendSupport, _BaseDFS):
             # repair or seal there draws nothing new.
             tiles = [math.lcm(ec.k, w) for w in self.future_widths]
             k_star = max((w for w in tiles if w + r_star <= alive), default=ec.k)
+        if k_star + r_star > len(self.cluster):
+            # No room to reserve MAX_PARITIES: the file's own parities.
+            r_star = ec.n - ec.k
         return k_star, r_star
 
     # -- writes -----------------------------------------------------------------
@@ -771,17 +762,10 @@ class MorphFS(AppendSupport, _BaseDFS):
         onward of ``meta`` — a file being built, or an append's staging
         area — where ``placement`` (the file's policy) says.
 
-        Small-write variant (default): the block is mirrored to two
-        replica nodes in-memory; the second mirror acts as striper,
-        distributing data chunks (the third durable copy) and the
-        parities. Spanning variant (``spanning_protocol=True``): three
-        full replicas are mirrored before the ack and the last one
-        stripes asynchronously (Fig 6), costing one extra network copy.
-
-        Parity handling follows ``parity_mode``: "async" encodes on the
-        striper; "sync" encodes on the client (client CPU + client
-        network for the parity sends); "none" skips parities and persists
-        ``copies + 1`` replicas instead (§6.1).
+        The small-write variant: the block is mirrored to two replica
+        nodes in-memory; the second mirror acts as striper, encoding the
+        parities (§6.1's asynchronous option) and distributing them and
+        the data chunks (the third durable copy).
 
         A short last stripe is zero-padded to full width and encoded, or
         — ``open_tail``, an append — stays *open* at its own width: data
@@ -792,9 +776,8 @@ class MorphFS(AppendSupport, _BaseDFS):
         chunks = self._data_chunks(data, 1 if open_tail else ec.k)
         stripe_lists = [chunks[s : s + ec.k] for s in range(0, len(chunks), ec.k)]
         # Parities for every full stripe in one batched kernel invocation;
-        # the CPU charge (striper vs client, per parity_mode) stays per
-        # stripe below, so accounting totals are unchanged.
-        n_encoded = 0 if self.parity_mode == "none" else len(chunks) // ec.k
+        # the striper's CPU charge stays per stripe below.
+        n_encoded = len(chunks) // ec.k
         parities_batch = self.codec_for(ec).encode_batch(stripe_lists[:n_encoded])
         for offset, stripe_chunks in enumerate(stripe_lists):
             stripe_index = first_stripe + offset
@@ -813,10 +796,8 @@ class MorphFS(AppendSupport, _BaseDFS):
             # Replicas are a parity-less stripe's only redundancy: it
             # persists one more.
             persist_replicas = hy.copies + (0 if parities else 1)
-            n_replica_targets = 3 if self.spanning_protocol else max(persist_replicas, 2)
-            n_replica_targets = max(n_replica_targets, persist_replicas)
             replica_nodes = placement.place_replicas(
-                meta.name, stripe_index, n_replica_targets, exclude=ec_nodes
+                meta.name, stripe_index, max(persist_replicas, 2), exclude=ec_nodes
             )
             block, temporary = self._write_replica_pipeline(
                 meta,
@@ -831,9 +812,8 @@ class MorphFS(AppendSupport, _BaseDFS):
             # Striping (§4.2 / Fig 6): the last replica holder distributes
             # the data chunks (they are the extra durable copy).
             striper = replica_nodes[-1]
-            encoder = CLIENT if self.parity_mode == "sync" else striper
             if parities:
-                self.charge_encode(encoder, ec.k, ec.n - ec.k, self.chunk_size)
+                self.charge_encode(striper, ec.k, ec.n - ec.k, self.chunk_size)
             stripe_meta = self._store_stripe(
                 meta,
                 stripe_index,
@@ -843,7 +823,6 @@ class MorphFS(AppendSupport, _BaseDFS):
                 spots["parity"],
                 ec,
                 src=striper,
-                parity_src=encoder,
             )
             self._settle_hybrid_block(block, temporary, stripe_meta)
 
@@ -930,9 +909,8 @@ class MorphFS(AppendSupport, _BaseDFS):
     def _free_transition(self, meta: FileMeta, target: RedundancyScheme) -> FileMeta:
         """Hybrid -> EC: delete replicas, flip metadata. Zero IO (§4.5).
 
-        Stripes whose parities were deferred (``parity_mode="none"`` or a
-        still-open appended tail) must be sealed first — replicas are the
-        only redundancy such stripes have, so deleting them without
+        A still-open appended tail must be sealed first — replicas are
+        the only redundancy its stripe has, so deleting them without
         parities in place would silently lose protection.
         """
         ec = target.ec_part
@@ -971,10 +949,10 @@ class MorphFS(AppendSupport, _BaseDFS):
         self, meta: FileMeta, stripe: ECStripeMeta, placement: PlacementPolicy,
         kept: Sequence[ChunkMeta] = (),
     ) -> ECStripeMeta:
-        """Materialise the parities a hybrid file's stripe is missing —
-        deferred (``parity_mode="none"``) or never due (an open tail, at
-        its own width) — and return the stripe sealed, for the caller to
-        publish (``relayout_file``); ``stripe`` itself is not touched.
+        """Materialise the parities a hybrid file's open tail stripe is
+        missing — never due at its own width — and return the stripe
+        sealed, for the caller to publish (``relayout_file``); ``stripe``
+        itself is not touched.
 
         Data reaches the striper from the stripe's chunks, else — sealing
         must work during failures, and the replicas are exactly what

@@ -16,7 +16,6 @@ scheduler tick per heartbeat:
   deadline-carrying :class:`~repro.sched.tasks.ConversionGroupTask`,
   plus one metadata-only finalize task per file
   (:meth:`~repro.dfs.transcoder.NativeTranscoder.submit_pending`);
-* on scrub ticks a :class:`~repro.sched.tasks.ScrubTask` is queued;
 * a declared-dead node that beats again has its stale queued repairs
   cancelled and drops what it holds that was re-homed while it was away
   (``drop_unlisted``, HDFS's block-report invalidation).
@@ -34,25 +33,24 @@ from typing import Dict, List, Optional, Set
 
 from repro.cluster.partition import NAMENODE
 from repro.sched.scheduler import SchedulerTickReport
-from repro.sched.tasks import ConversionGroupTask, ScrubTask, StripeRepairTask
+from repro.sched.tasks import ConversionGroupTask, StripeRepairTask
+
+#: DFS-clock seconds between heartbeat rounds
+INTERVAL_S = 3.0
+#: re-enumerate lost chunks on declared-dead nodes every this many ticks
+#: even without a new death. This is what requeues a repair that
+#: dead-lettered: the buried task is out of the pending queue, so the
+#: periodic sweep submits a fresh one with a clean retry budget — a lost
+#: chunk is never abandoned while its node stays dead. A dead-lettered
+#: conversion group is submitted again on the same cadence.
+REPAIR_RESUBMIT_EVERY_TICKS = 4
 
 
 @dataclass
 class HeartbeatConfig:
-    interval_s: float = 3.0
     #: consecutive missed beats before a node is declared dead (HDFS
     #: defaults to ~10 minutes; scaled down for simulation)
     dead_after_missed: int = 3
-    #: run the scrubber every this many ticks (0 = never)
-    scrub_every_ticks: int = 0
-    #: re-enumerate lost chunks on declared-dead nodes every this many
-    #: ticks even without a new death (0 = only on ``newly_dead``).
-    #: This is what requeues a repair that dead-lettered: the buried
-    #: task is out of the pending queue, so the periodic sweep submits a
-    #: fresh one with a clean retry budget — a lost chunk is never
-    #: abandoned while its node stays dead. A dead-lettered conversion
-    #: group is submitted again on the same cadence.
-    repair_resubmit_every_ticks: int = 4
 
 
 @dataclass
@@ -67,8 +65,6 @@ class TickReport:
     #: chunks rebuilt this tick (a stripe task rebuilds one or more)
     chunks_recovered: int = 0
     transcode_groups_run: int = 0
-    chunks_scrubbed: int = 0
-    corruptions_repaired: int = 0
     #: the underlying scheduler tick (admissions, deferrals, dead letters)
     scheduler: Optional[SchedulerTickReport] = None
 
@@ -173,11 +169,11 @@ class HeartbeatMonitor:
         self.fs.transcoder.submit_pending(scheduler, list(self.fs.namenode.utm), buried)
 
     # -- the tick ----------------------------------------------------------------
-    def tick(self, recover: bool = True) -> TickReport:
+    def tick(self) -> TickReport:
         """One heartbeat round: update health, submit work, run the
         scheduler for one tick."""
         self.tick_count += 1
-        self.fs.clock += self.config.interval_s
+        self.fs.clock += INTERVAL_S
         report = TickReport(tick=self.tick_count)
         beats = self._collect_beats()
         for node_id in self.fs.datanodes:
@@ -211,20 +207,13 @@ class HeartbeatMonitor:
         # dead — and goes through the scheduler's priority/budget gate.
         # The periodic resweep keeps dead-lettered repairs from orphaning
         # their chunks: still-lost chunks are resubmitted as fresh tasks.
-        every = self.config.repair_resubmit_every_ticks
-        resweep = bool(every) and self.tick_count % every == 0
-        if recover and (report.newly_dead or (resweep and self._declared_dead)):
+        resweep = self.tick_count % REPAIR_RESUBMIT_EVERY_TICKS == 0
+        if report.newly_dead or (resweep and self._declared_dead):
             self._submit_repairs()
         # Transcode intake: bounded per heartbeat (§6.2). Only Morph has
         # a native transcoder; the baseline transcodes client-side.
         if hasattr(self.fs, "transcoder"):
             self._submit_transcode_work(resweep)
-        # Periodic scrub.
-        if (
-            self.config.scrub_every_ticks
-            and self.tick_count % self.config.scrub_every_ticks == 0
-        ):
-            self.fs.scheduler.submit(ScrubTask())
         sched_report = self.fs.scheduler.run_tick()
         report.scheduler = sched_report
         for task in sched_report.executed:
@@ -232,9 +221,6 @@ class HeartbeatMonitor:
                 report.chunks_recovered += len(task.chunks)
             elif isinstance(task, ConversionGroupTask):
                 report.transcode_groups_run += 1
-            elif isinstance(task, ScrubTask):
-                report.chunks_scrubbed += task.result.chunks_scanned
-                report.corruptions_repaired += task.result.repaired
         return report
 
     def run_ticks(self, count: int) -> List[TickReport]:

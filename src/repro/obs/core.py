@@ -14,8 +14,8 @@ exposed as collector-backed series that read the live counters at
 collect time. Benchmarks that report through the registry therefore
 cannot drift from the telemetry — both read the same cells.
 
-When no explicit clock is given the filesystem attach installs a
-:class:`CostModelClock`: modeled elapsed seconds derived from the IO
+The filesystem attach installs a :class:`CostModelClock` as the
+tracer's clock: modeled elapsed seconds derived from the IO
 ledger and the hardware bandwidth models, monotone because the counters
 only grow. Span durations then measure the modeled cost of exactly the
 bytes and CPU the operation moved.
@@ -23,7 +23,7 @@ bytes and CPU the operation moved.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from repro.obs.registry import COUNTER, GAUGE, MetricsRegistry
 from repro.obs.tracer import NOOP_TRACER, Span, Tracer
@@ -88,24 +88,18 @@ class Observability:
 
     enabled = True
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(self):
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock, self.registry)
-        self._clock_explicit = clock is not None
+        self.tracer = Tracer(self.registry)
 
     # -- tracing -------------------------------------------------------------
     def span(self, name: str, **attrs) -> Span:
         return self.tracer.span(name, **attrs)
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        self.tracer.clock = clock
-        self._clock_explicit = True
-
     # -- wiring --------------------------------------------------------------
     def attach_filesystem(self, fs) -> "Observability":
         """Expose a DFS's IOMetrics ledger through the registry."""
-        if not self._clock_explicit:
-            self.set_clock(CostModelClock(fs.metrics))
+        self.tracer.clock = CostModelClock(fs.metrics)
         self.attach_metrics(fs.metrics, capacity_fn=fs.capacity_used)
         self.attach_namenode(fs)
         return self
@@ -164,17 +158,13 @@ class Observability:
         self.registry.add_collector(collect)
         return self
 
-    def attach_codec(self, stats=None) -> "Observability":
-        """Expose the codec throughput ledger as registry series.
-
-        Defaults to the process-global
-        :data:`~repro.obs.codec.CODEC_STATS` that every
-        encode/decode in :mod:`repro.codes` records into.
-        """
+    def attach_codec(self) -> "Observability":
+        """Expose the codec throughput ledger as registry series: the
+        process-global :data:`~repro.obs.codec.CODEC_STATS` that every
+        encode/decode in :mod:`repro.codes` records into."""
         from repro.obs.codec import CODEC_STATS, codec_samples
 
-        ledger = stats if stats is not None else CODEC_STATS
-        self.registry.add_collector(lambda: codec_samples(ledger))
+        self.registry.add_collector(lambda: codec_samples(CODEC_STATS))
         return self
 
 
@@ -197,7 +187,7 @@ class NoopObservability:
     def attach_namenode(self, fs) -> "NoopObservability":
         return self
 
-    def attach_codec(self, stats=None) -> "NoopObservability":
+    def attach_codec(self) -> "NoopObservability":
         return self
 
 

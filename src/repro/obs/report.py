@@ -41,21 +41,17 @@ def run_failure_burst_demo(
     file_kb: int = 96,
     chunk_kb: int = 4,
     n_failures: int = 2,
-    namenode=None,
 ):
     """A deterministic failure-burst run on an instrumented MorphFS.
 
-    The control plane defaults to a sharded, journaled namenode so the
-    report shows the metadata plane the paper's cluster would run with;
-    pass ``namenode=Namenode()`` for the bare in-memory one.
+    The control plane is a sharded, journaled namenode so the report
+    shows the metadata plane the paper's cluster would run with.
     """
     from repro.core.schemes import CodeKind, ECScheme, HybridScheme
     from repro.dfs import MorphFS, ShardedNamenode
     from repro.dfs.integrity import corrupt_chunk
     from repro.sched.tasks import ScrubTask, StripeRepairTask
 
-    if namenode is None:
-        namenode = ShardedNamenode.journaled(n_shards=4, compact_every=256)
     cc69 = ECScheme(CodeKind.CC, 6, 9)
     cc1215 = ECScheme(CodeKind.CC, 12, 15)
     obs = Observability()
@@ -67,7 +63,7 @@ def run_failure_burst_demo(
     obs.attach_codec()
     fs = MorphFS(
         chunk_size=chunk_kb * KB, future_widths=[6, 12], seed=seed, obs=obs,
-        namenode=namenode,
+        namenode=ShardedNamenode.journaled(n_shards=4, compact_every=256),
     )
     rng = np.random.default_rng(seed)
 

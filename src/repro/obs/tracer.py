@@ -3,10 +3,10 @@
 A span brackets one logical operation (``with trace.span("repair",
 file=name):``). Spans nest: entering a span while another is open makes
 it a child, so a transcode request shows the conversion-group executions
-and any degraded reads it triggered underneath it. Time comes from an
-injectable clock — the event engine's ``env.now`` in simulations, a
-cost-model clock over the IO ledger in the functional DFS — never the
-wall clock, so traces stay deterministic.
+and any degraded reads it triggered underneath it. Time comes from the
+tracer's ``clock`` — the cost-model clock over the IO ledger a
+filesystem attach installs — never the wall clock, so traces stay
+deterministic.
 
 Every finished span lands in ``tracer.finished`` (bounded) and its
 duration is recorded into the registry histogram
@@ -57,16 +57,13 @@ class Span:
 
 
 class Tracer:
-    """Records nested spans against an injectable simulated clock."""
+    """Records nested spans against a simulated clock."""
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self.clock = clock or (lambda: 0.0)
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
+        #: simulated time; the filesystem attach installs its cost model
+        self.clock: Callable[[], float] = lambda: 0.0
         self.registry = registry
         self.finished: List[Span] = []
         self.dropped = 0

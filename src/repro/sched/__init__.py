@@ -7,7 +7,7 @@ scrubs become typed :class:`~repro.sched.tasks.MaintenanceTask`s with
 * **priorities** — repair of a last-surviving copy outranks ordinary
   repair, which outranks deadline-driven transcodes, which outrank
   scrubs (`repro.sched.policies`);
-* **budgets** — per-node disk/network byte token buckets refilled each
+* **budgets** — per-node disk byte token buckets refilled each
   scheduler tick bound how much background IO can be admitted, keeping
   maintenance off foreground tail latencies (`repro.sched.budget`);
 * **failure handling** — failed tasks retry with exponential backoff
@@ -20,7 +20,7 @@ transcode finalize) bypasses budgets entirely: it always completes in
 the tick it is admitted, however saturated the IO budgets are.
 """
 
-from repro.sched.budget import BudgetManager, NodeBudget, TokenBucket
+from repro.sched.budget import BudgetManager, TokenBucket
 from repro.sched.policies import (
     SchedulerPolicy,
     backoff_ticks,
@@ -49,7 +49,6 @@ __all__ = [
     "FreeTransitionTask",
     "MaintenanceScheduler",
     "MaintenanceTask",
-    "NodeBudget",
     "PriorityTaskQueue",
     "SchedulerPolicy",
     "SchedulerTickReport",

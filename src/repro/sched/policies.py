@@ -29,6 +29,8 @@ DEADLINE_BOOST_WINDOW_S = 600.0
 BACKOFF_BASE_TICKS = 1
 BACKOFF_FACTOR = 2.0
 MAX_BACKOFF_TICKS = 64
+#: attempts before a task is dead-lettered
+MAX_ATTEMPTS = 4
 
 
 #: base priority per task class; smaller runs first
@@ -49,14 +51,11 @@ AGED_PRIORITY_FLOOR = 1.0
 
 @dataclass
 class SchedulerPolicy:
-    """What callers of the maintenance control plane set: retries and
-    per-node byte budgets."""
+    """What callers of the maintenance control plane set: the per-node
+    disk budget."""
 
-    #: attempts before a task is dead-lettered
-    max_attempts: int = 4
-    #: per-node maintenance byte budgets refilled each tick; None = unlimited
+    #: per-node maintenance disk bytes refilled each tick; None = unlimited
     disk_bytes_per_tick: Optional[float] = None
-    net_bytes_per_tick: Optional[float] = None
 
 
 def effective_priority(task: MaintenanceTask, tick: int, clock: float) -> float:

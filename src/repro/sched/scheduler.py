@@ -8,12 +8,12 @@ admits tasks in order:
   a transcode finalize is never delayed by budget exhaustion;
 * an IO task that lists its per-node charges runs when those fit the
   budgets; any other IO task has an unknown cost and runs only when
-  every live node's buckets are full (so under a budget, one that moves
+  every live node's bucket is full (so under a budget, one that moves
   bytes holds the next until the refill); when the most urgent IO task does not fit, lower-priority IO
   work is held back too so the buckets can fill for it (a stream of
   small tasks never starves a large urgent one);
 * a task that raises is retried with exponential backoff, and after
-  ``max_attempts`` failures lands in the dead-letter list — never
+  ``MAX_ATTEMPTS`` failures lands in the dead-letter list — never
   silently dropped.
 
 Actual bytes and CPU are metered by a window the filesystem's
@@ -31,12 +31,12 @@ from typing import List, Optional
 
 from repro.obs import NOOP_OBS
 from repro.sched.budget import BudgetManager
-from repro.sched.policies import SchedulerPolicy, backoff_ticks
+from repro.sched.policies import MAX_ATTEMPTS, SchedulerPolicy, backoff_ticks
 from repro.sched.queue import PriorityTaskQueue
 from repro.sched.tasks import MaintenanceTask, TaskCost, TaskState
 
 #: the cost of a task that lists no charges, on each live node
-UNBOUNDED = TaskCost(float("inf"), float("inf"))
+UNBOUNDED = TaskCost(float("inf"))
 
 
 @dataclass
@@ -60,10 +60,7 @@ class MaintenanceScheduler:
         self.fs = fs
         self.policy = policy or SchedulerPolicy()
         self.queue = PriorityTaskQueue()
-        self.budgets = BudgetManager(
-            disk_bytes_per_tick=self.policy.disk_bytes_per_tick,
-            net_bytes_per_tick=self.policy.net_bytes_per_tick,
-        )
+        self.budgets = BudgetManager(self.policy.disk_bytes_per_tick)
         self.tick_count = 0
 
     # -- intake ---------------------------------------------------------------
@@ -141,7 +138,7 @@ class MaintenanceScheduler:
     def _admit(self, task: MaintenanceTask) -> bool:
         """A task's listed charges must fit; a task that lists none may
         touch any live node for any number of bytes, so it waits for
-        every live node's buckets to be full (an oversized cost is
+        every live node's bucket to be full (an oversized cost is
         admitted only against a full bucket). ``_settle`` charges it
         what its window metered."""
         if self.budgets.unlimited:
@@ -167,20 +164,21 @@ class MaintenanceScheduler:
         report: SchedulerTickReport,
         completed: bool,
     ) -> None:
-        """Charge budgets with what the task actually moved — its listed
-        charges, else what its window metered on each node it touched —
-        and record per-class accounting into the metrics ledger."""
+        """Charge the disk budgets with what the task actually moved —
+        its listed charges, else what its window metered on each node it
+        touched — and record per-class accounting into the metrics
+        ledger."""
         disk_total = net_total = cpu_total = 0.0
         charges = task.node_charges(self.fs)
         if charges is not None:
             for node_id, cost in charges.items():
-                self.budgets.charge(node_id, cost.disk_bytes, cost.net_bytes)
+                self.budgets.charge(node_id, cost.disk_bytes)
                 disk_total += cost.disk_bytes
                 net_total += cost.net_bytes
         elif window is not None:
-            for node_id, (disk, net, _cpu) in window.nodes.items():
-                if disk or net:
-                    self.budgets.charge(node_id, disk, net)
+            for node_id, (disk, _net, _cpu) in window.nodes.items():
+                if disk:
+                    self.budgets.charge(node_id, disk)
             disk_total, net_total, cpu_total = window.totals()
         report.disk_bytes += disk_total
         report.net_bytes += net_total
@@ -212,7 +210,7 @@ class MaintenanceScheduler:
         task.last_error = error
         task.state = TaskState.FAILED
         report.failed.append(task)
-        if task.attempts >= self.policy.max_attempts:
+        if task.attempts >= MAX_ATTEMPTS:
             self.queue.bury(task)
             report.dead_lettered.append(task)
             metrics = self._metrics()

@@ -180,9 +180,8 @@ class FreeTransitionTask(MaintenanceTask):
 
     Zero IO when every stripe already has its parities — in that case the
     task is metadata-only and completes within one scheduler tick however
-    exhausted the budgets are. When some stripes still need sealing
-    (``parity_mode="none"`` or an open appended tail) the caller marks it
-    budgeted instead.
+    exhausted the budgets are. When an open appended tail still needs
+    sealing the caller marks it budgeted instead.
     """
 
     def __init__(self, name: str, target, metadata_only: bool = True, **kw):

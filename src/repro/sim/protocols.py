@@ -161,7 +161,6 @@ def read_replica_hedged(
     n_copies: int,
     stripe_k: int = 0,
     stripe_n: int = 0,
-    degraded_fallback: bool = True,
 ):
     """Replica read with hedging (§6.1).
 
@@ -171,14 +170,13 @@ def read_replica_hedged(
     """
     candidates = sim.pick_nodes_any(max(n_copies, 1))
     live = [node for node in candidates if node.is_alive][:n_copies]
-    fallback = stripe_k and degraded_fallback
     if not live:
         # No live replica at all: go to the stripe immediately.
-        if fallback:
+        if stripe_k:
             yield from read_striped(sim, size_bytes, stripe_k, stripe_n, degraded=True)
         return
     attempts = [lambda node=node: sim.disk_read(node, size_bytes) for node in live]
-    if fallback:
+    if stripe_k:
         attempts.append(
             lambda: sim.env.process(
                 read_striped(sim, size_bytes, stripe_k, stripe_n, degraded=False)

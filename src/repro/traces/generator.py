@@ -13,6 +13,11 @@ from typing import List
 import numpy as np
 
 HOURS_PER_DAY = 24
+#: relative amplitude of the daily and the weekly cycle, and the
+#: lognormal sigma of the hourly noise
+DIURNAL_AMPLITUDE = 0.25
+WEEKLY_AMPLITUDE = 0.10
+NOISE_SIGMA = 0.08
 
 
 @dataclass
@@ -31,9 +36,6 @@ class IngestGenerator:
     """Generates PB/hour ingest with diurnal + weekly structure."""
 
     base_pb_per_hour: float = 3.0
-    diurnal_amplitude: float = 0.25
-    weekly_amplitude: float = 0.10
-    noise_sigma: float = 0.08
     seed: int = 0
 
     def generate(self, hours: int, warmup_hours: int = 0) -> HourlySeries:
@@ -42,20 +44,21 @@ class IngestGenerator:
         total = hours + warmup_hours
         rng = np.random.default_rng(self.seed)
         t = np.arange(total, dtype=float)
-        diurnal = 1.0 + self.diurnal_amplitude * np.sin(
+        diurnal = 1.0 + DIURNAL_AMPLITUDE * np.sin(
             2 * np.pi * (t % HOURS_PER_DAY) / HOURS_PER_DAY - np.pi / 2
         )
-        weekly = 1.0 + self.weekly_amplitude * np.sin(
+        weekly = 1.0 + WEEKLY_AMPLITUDE * np.sin(
             2 * np.pi * (t % (7 * HOURS_PER_DAY)) / (7 * HOURS_PER_DAY)
         )
-        noise = rng.lognormal(0.0, self.noise_sigma, size=total)
+        noise = rng.lognormal(0.0, NOISE_SIGMA, size=total)
         values = self.base_pb_per_hour * diurnal * weekly * noise
         return HourlySeries(values=values, start_hour=warmup_hours)
 
 
-#: mean transition-chain length of a file, and the lognormal sigma of the
-#: pending-queue bursts
+#: mean transition-chain length of a file, the mean file size, and the
+#: lognormal sigma of the pending-queue bursts
 TRANSITIONS_PER_FILE = 2.2
+MEAN_FILE_MB = 256.0
 BURSTINESS_SIGMA = 0.35
 
 
@@ -68,14 +71,13 @@ class TransitionRateGenerator:
     """
 
     ingest: IngestGenerator = field(default_factory=IngestGenerator)
-    mean_file_mb: float = 256.0
     seed: int = 1
 
     def generate(self, hours: int) -> np.ndarray:
         """Transitions per hour, in millions."""
         series = self.ingest.generate(hours)
         rng = np.random.default_rng(self.seed)
-        files_per_hour = series.values * 1e9 / self.mean_file_mb  # PB -> MB
+        files_per_hour = series.values * 1e9 / MEAN_FILE_MB  # PB -> MB
         bursts = rng.lognormal(0.0, BURSTINESS_SIGMA, size=hours)
         return files_per_hour * TRANSITIONS_PER_FILE * bursts / 1e6
 

@@ -49,7 +49,7 @@ class TestSuggestions:
         assert best.transcode_io <= convertible_cost(6, 3, 12, 3).disk_io
 
     def test_keeps_parity_count_when_possible(self):
-        advisor = SchemeAdvisor(max_extra_parities=1)
+        advisor = SchemeAdvisor()
         best = advisor.suggest(6, 3, 18, 3)
         assert best.r == 3  # adding a parity would force vector codes
 

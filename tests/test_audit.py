@@ -1,8 +1,9 @@
 """``repro.dfs.audit``: each kind of damage, planted on a whole filesystem,
 is reported as exactly that violation; the audit itself moves nothing;
 and the faults it found that nothing else reports — a merged parity that
-encodes rot (ROADMAP item 6) and the copies a returning node kept after
-they were re-homed (item 1d) — are pinned."""
+encodes rot (ROADMAP item 5), the copies a returning node kept after
+they were re-homed (item 1d) and the chunks two names list after a crash
+mid cross-shard rename (item 2) — are pinned."""
 
 from dataclasses import replace
 
@@ -12,11 +13,12 @@ import pytest
 from repro.codes.costmodel import TranscodeCost
 from repro.core.planner import TranscodeKind, TranscodeStep
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme, Replication
-from repro.dfs import JournaledNamenode, MorphFS, Namenode
+from repro.dfs import JournaledNamenode, MorphFS, Namenode, ShardedNamenode
 from repro.dfs.audit import KINDS, audit
-from repro.dfs.blocks import ReplicaBlockMeta
+from repro.dfs.blocks import FileMeta, ReplicaBlockMeta
 from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.dfs.integrity import Scrubber, corrupt_chunk
+from repro.dfs.journal import JournalCrash
 from repro.dfs.namenode import TranscodeJob
 from repro.obs.codec import CODEC_STATS
 
@@ -68,6 +70,16 @@ def utm_job_of_a_deleted_file(fs):
     return "gone"
 
 
+def chunk_listed_by_a_second_file(fs):
+    chunk = stripe0(fs).data[0]
+    copy = replace(chunk)
+    fs.namenode.register_file(FileMeta(
+        "g", chunk.size, chunk.size, Replication(1),
+        replica_blocks=[ReplicaBlockMeta(0, 0, 1, [copy])],
+    ))
+    return chunk.chunk_id
+
+
 def forgotten_sum(fs):
     chunk = stripe0(fs).parities[1]
     fs.checksums.forget(chunk.chunk_id)
@@ -116,6 +128,7 @@ PLANTED = {
     "index": dropped_index_entry,
     "journal": mutation_around_the_journal,
     "queue": utm_job_of_a_deleted_file,
+    "owner": chunk_listed_by_a_second_file,
     "sums": forgotten_sum,
     "capacity": metered_delete_with_no_disk_delete,
     "unlisted": unlisted_stored_chunk,
@@ -172,7 +185,7 @@ def test_a_native_merge_into_a_hybrid_leaves_a_layout_fault():
     copy, every other kind clean: the planner now says RRW for it."""
     fs = whole_fs()
     fs.planner.plan = lambda source, target: TranscodeStep(
-        source, target, TranscodeKind.CONVERTIBLE, TranscodeCost(0.0, 0.0, 0.0)
+        source, target, TranscodeKind.CONVERTIBLE, TranscodeCost(0.0, 0.0)
     )
     fs.transcode("f", HybridScheme(1, CC1215))
     assert [(v.kind, v.subject) for v in audit(fs)] == [("layout", "f/s0")]
@@ -198,7 +211,7 @@ def test_the_audit_moves_no_counter():
 
 
 def test_a_merge_bakes_a_rotten_parity_into_one_scrub_cannot_see():
-    """ROADMAP item 6, found by machine: stripe 0's rotten parity 0 is
+    """ROADMAP item 5, found by machine: stripe 0's rotten parity 0 is
     merged into a new parity stored under a fresh sum of its wrong
     bytes. Scrub finds nothing; the audit's re-encode does."""
     fs = whole_fs()
@@ -207,6 +220,31 @@ def test_a_merge_bakes_a_rotten_parity_into_one_scrub_cannot_see():
     (merged,) = fs.namenode.lookup("f").stripes
     assert Scrubber(fs).scan().corrupt == []
     assert [(v.kind, v.subject) for v in audit(fs)] == [("parity", merged.parities[0].chunk_id)]
+
+
+def test_a_crash_mid_cross_shard_rename_leaves_chunks_two_names_list():
+    """ROADMAP item 2's repro: a rename to a name on another shard
+    journals the destination's Register, and the source journal dies
+    before its Unregister. Recovered, both names list the same 18 chunk
+    ids — one delete away from losing the other name's bytes."""
+    nn = ShardedNamenode.journaled(4)
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=1, namenode=nn)
+    data = np.random.default_rng(1).integers(0, 256, 48 * KB, dtype=np.uint8)
+    fs.write_file("a", data, HybridScheme(1, CC69))
+    fs.transcode("a", CC69)
+    new = next(name for name in (f"b{i}" for i in range(64))
+               if nn.shard_index(name) != nn.shard_index("a"))
+    source = nn.shard_for("a").journal
+    source.fail_after = len(source)
+    with pytest.raises(JournalCrash):
+        nn.rename("a", new)
+    fs.restart(ShardedNamenode.recover(
+        [shard.journal.prefix(len(shard.journal)) for shard in nn.shards]
+    ))
+    shared = sorted(c.chunk_id for c in fs.namenode.lookup("a").all_chunks())
+    assert len(shared) == 18
+    assert sorted(c.chunk_id for c in fs.namenode.lookup(new).all_chunks()) == shared
+    assert [(v.kind, v.subject) for v in audit(fs)] == [("owner", c) for c in shared]
 
 
 # -- the faults a looser reading would miss -----------------------------------------

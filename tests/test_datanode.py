@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.metrics import IOMetrics
+from repro.dfs import datanode
 from repro.dfs.datanode import BufferCacheFullError, ChunkNotFoundError, Datanode
 
 
-def make(buffer_bytes=1024):
+def make():
     metrics = IOMetrics()
-    return Datanode("dn0", metrics, buffer_cache_bytes=buffer_bytes), metrics
+    return Datanode("dn0", metrics), metrics
 
 
 class TestBufferCache:
@@ -36,14 +37,15 @@ class TestBufferCache:
         assert metrics.node("dn0").disk_bytes_written == 0
         assert not dn.has_chunk("c1")
 
-    def test_cache_capacity_enforced(self):
-        dn, _ = make(buffer_bytes=150)
+    def test_cache_capacity_enforced(self, monkeypatch):
+        monkeypatch.setattr(datanode, "BUFFER_CACHE_BYTES", 150)
+        dn, _ = make()
         dn.receive_to_memory("c1", np.ones(100, np.uint8), src="client")
         with pytest.raises(BufferCacheFullError):
             dn.receive_to_memory("c2", np.ones(100, np.uint8), src="client")
 
     def test_memory_peak_tracked(self):
-        dn, metrics = make(buffer_bytes=1000)
+        dn, metrics = make()
         dn.receive_to_memory("c1", np.ones(300, np.uint8), src="client")
         dn.receive_to_memory("c2", np.ones(200, np.uint8), src="client")
         dn.drop_from_memory("c1")

@@ -1,4 +1,12 @@
-"""DFS read paths: replica-first, striped, degraded (§4.3)."""
+"""DFS read paths: replica-first, striped, degraded (§4.3).
+
+One reader serves the client, repair, the transcoder and the sealer. A
+degraded read fetches each survivor once — the data chunks it already
+delivered are decode survivors, never fetched again — and a stripe's
+checks are one call: a rotten home, two rotten homes, a rotten replica
+range and a rotten decode survivor are each caught, every delivered
+chunk checked once into its slice. Bytes a replica read serves
+unchecked are counted (``ClientReader.unverified_bytes``)."""
 
 import numpy as np
 import pytest

@@ -1,5 +1,13 @@
 """Native transcode through the DFS: free transitions, CC merges,
-LRCC targets, RRW baseline, crash consistency (§4.5, §6.2)."""
+LRCC targets, RRW baseline, crash consistency (§4.5, §6.2).
+
+Every DFS conversion returns its plan's io, and a healthy merge's disk
+bytes are exactly the plan's. One rule per file: a file with a group no
+plan covers, or a hybrid target, completes by RRW, inline and scheduled
+alike; a k*-window that does not fit falls back to a multiple of the
+file's width. An inline transcode is a call, not a scheduler tick: its
+ledger row equals the per-node deltas, and an unrebuildable source
+raises and leaves the job for a heartbeat."""
 
 import numpy as np
 import pytest

@@ -1,5 +1,7 @@
 """Field axioms and table consistency, one test per property over both
-fields: GF(2^8) and GF(2^16) are two values of one type."""
+fields: GF(2^8) and GF(2^16) are two values of one type, and every
+algorithm over a field is written once (the source scan in
+``test_single_owner.py``)."""
 
 import numpy as np
 import pytest

@@ -6,7 +6,9 @@ stripes silently. One plan class serves both fields, so the shape matrix
 (``TestMulPlanMatrix``) runs field x m x k x edge case against the
 field's own reference; the randomized sweeps and the edge cases the
 kernels special-case (chunk_len 1, odd lengths, k=1, all-zero
-coefficients, zero operands) stay pinned explicitly.
+coefficients, zero operands) stay pinned explicitly. ``TestOneTile``
+holds every ``np.take`` in :mod:`repro.gf.kernels` to at most
+``PACKED_TILE_LANES`` lanes, whole or split.
 """
 
 from __future__ import annotations

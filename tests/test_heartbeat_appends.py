@@ -6,10 +6,15 @@ import pytest
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
 from repro.dfs.audit import audit
-from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
+from repro.dfs.heartbeat import (
+    INTERVAL_S,
+    REPAIR_RESUBMIT_EVERY_TICKS,
+    HeartbeatConfig,
+    HeartbeatMonitor,
+)
 from repro.dfs.integrity import corrupt_chunk
 from repro.dfs import transcoder
-from repro.sched.tasks import ConversionGroupTask
+from repro.sched.tasks import ConversionGroupTask, ScrubTask
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -111,9 +116,8 @@ class TestHeartbeatMonitor:
             monitor.tick()
             if not fs.namenode.utm:
                 break
-        every = monitor.config.repair_resubmit_every_ticks
         (again,) = [tick for tick, g in ran if g == 1]
-        assert again > buried_at and again % every == 0
+        assert again > buried_at and again % REPAIR_RESUBMIT_EVERY_TICKS == 0
         assert not any(
             isinstance(t, ConversionGroupTask) for t in fs.scheduler.queue.backlog()
         )
@@ -121,23 +125,20 @@ class TestHeartbeatMonitor:
         assert np.array_equal(fs.read_file("f"), data)
         assert audit(fs) == []
 
-    def test_periodic_scrub_repairs_corruption(self):
+    def test_a_submitted_scrub_repairs_corruption(self):
         fs, data = hybrid_fs()
         meta = fs.namenode.lookup("f")
         corrupt_chunk(fs, meta.stripes[0].data[0])
-        monitor = HeartbeatMonitor(fs, HeartbeatConfig(scrub_every_ticks=2))
-        r1 = monitor.tick()
-        assert r1.chunks_scrubbed == 0  # not a scrub tick
-        r2 = monitor.tick()
-        assert r2.chunks_scrubbed > 0
-        assert r2.corruptions_repaired == 1
+        task = fs.scheduler.submit(ScrubTask())
+        HeartbeatMonitor(fs).tick()
+        assert task.result.chunks_scanned > 0
+        assert task.result.repaired == 1
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_clock_advances(self):
         fs, data = hybrid_fs()
-        monitor = HeartbeatMonitor(fs, HeartbeatConfig(interval_s=5.0))
-        monitor.run_ticks(4)
-        assert fs.clock == pytest.approx(20.0)
+        HeartbeatMonitor(fs).run_ticks(4)
+        assert fs.clock == pytest.approx(4 * INTERVAL_S)
 
 
 class TestAppends:

@@ -147,24 +147,13 @@ class TestFlappingNode:
 
 
 class TestScrubGating:
-    def test_scrub_every_ticks_zero_never_instantiates_scrubber(
-        self, monkeypatch
-    ):
+    def test_the_heartbeat_never_instantiates_the_scrubber(self, monkeypatch):
         fs, _ = hybrid_fs()
 
         def explode(*args, **kwargs):
-            raise AssertionError("Scrubber must not run with scrubbing off")
+            raise AssertionError("the heartbeat submits no scrub")
 
         monkeypatch.setattr(integrity, "Scrubber", explode)
-        monitor = HeartbeatMonitor(fs, HeartbeatConfig(scrub_every_ticks=0))
+        monitor = HeartbeatMonitor(fs)
         for _ in range(25):
-            report = monitor.tick()
-            assert report.chunks_scrubbed == 0
-
-    def test_scrub_every_ticks_runs_on_cadence(self):
-        fs, _ = hybrid_fs()
-        monitor = HeartbeatMonitor(fs, HeartbeatConfig(scrub_every_ticks=3))
-        scrub_ticks = [
-            monitor.tick().chunks_scrubbed > 0 for _ in range(6)
-        ]
-        assert scrub_ticks == [False, False, True, False, False, True]
+            monitor.tick()

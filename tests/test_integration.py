@@ -79,12 +79,12 @@ class TestFullLifetimeUnderFailures:
         """Heartbeat maintenance while the file's age crosses each stage."""
         policy = morph_macrobench_policy()
         fs = MorphFS(chunk_size=4 * KB, future_widths=policy.ec_widths())
-        monitor = HeartbeatMonitor(fs, HeartbeatConfig(interval_s=30.0, dead_after_missed=2))
+        monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
         data = np.random.default_rng(4).integers(0, 256, 160 * KB, dtype=np.uint8)
         fs.write_file("f", data, policy.stages[0].scheme)
         stage = 0
         victim_killed = False
-        for _ in range(16):
+        for _ in range(160):
             monitor.tick()
             if policy.stage_index_at(fs.clock) > stage:
                 stage += 1

@@ -174,9 +174,9 @@ class _CountingZlib:
 def _ingest_cases():
     hy = HybridScheme(1, ECScheme(CodeKind.CC, 6, 9))
 
-    def plain(size, **options):
+    def plain(size):
         def ingest():
-            fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], **options)
+            fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
             data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
             fs.write_file("f", data, hy)
             return fs, data
@@ -191,8 +191,6 @@ def _ingest_cases():
     return {
         "unpadded": plain(48 * KB),
         "padded_final_stripe": plain(53 * KB + 17),
-        "parity_mode_none": plain(53 * KB + 17, parity_mode="none"),
-        "spanning_protocol": plain(53 * KB + 17, spanning_protocol=True),
         "append_reopen": reopened,
     }
 

@@ -1,4 +1,7 @@
-"""Journal record codec, log mechanics and snapshot compaction."""
+"""Journal record codec, log mechanics and snapshot compaction.
+
+One record encoder: every body re-encodes to itself, in marshal version
+2 only, and the state document's sha256 is pinned."""
 
 import hashlib
 import struct

@@ -11,7 +11,9 @@ with a *data* oracle: crash before each record they write, restart the
 filesystem on the namenode recovered from the journal prefix — every
 datanode sends a block report — and every acknowledged byte must read
 back while the audit finds nothing wrong; a merge, driven on by the
-heartbeat, must also reach its target.
+heartbeat, must also reach its target. The merges swept are CC to CC,
+CC to LRCC and a split into two final stripes a group: each reaches
+its target from the staged final stripes alone.
 """
 
 from contextlib import contextmanager
@@ -362,16 +364,15 @@ def _open_tail(fs):
     return fs.append_file("f", _bytes(2, 2)).size
 
 
-#: scenario -> (parity_mode, what leaves the file in its starting state,
-#: the op swept, the bytes it acknowledges on return)
+#: scenario -> (what leaves the file in its starting state, the op
+#: swept, the bytes it acknowledges on return)
 LAYOUT_CHANGES = {
     "append onto a padded tail": (
-        "async", _padded_tail, lambda fs: fs.append_file("f", _bytes(3, 2)), _bytes(3, 2)),
+        _padded_tail, lambda fs: fs.append_file("f", _bytes(3, 2)), _bytes(3, 2)),
     "append onto an open tail": (
-        "async", _open_tail, lambda fs: fs.append_file("f", _bytes(3, 1.5)), _bytes(3, 1.5)),
-    "close": ("async", _open_tail, lambda fs: fs.close_file("f"), _bytes(0, 0)),
-    "free transition seal": (
-        "none", _padded_tail, lambda fs: fs.transcode("f", CC69), _bytes(0, 0)),
+        _open_tail, lambda fs: fs.append_file("f", _bytes(3, 1.5)), _bytes(3, 1.5)),
+    "close": (_open_tail, lambda fs: fs.close_file("f"), _bytes(0, 0)),
+    "free transition seal": (_open_tail, lambda fs: fs.transcode("f", CC69), _bytes(0, 0)),
 }
 
 
@@ -379,10 +380,9 @@ def _layout_change_run(scenario, crash_after=None):
     """The scenario on a fresh journaled filesystem, the journal dying
     before the op's record number ``crash_after`` (None: it completes).
     Returns (fs, bytes acknowledged, records the prelude wrote)."""
-    parity_mode, prelude, op, added = LAYOUT_CHANGES[scenario]
+    prelude, op, added = LAYOUT_CHANGES[scenario]
     nn = JournaledNamenode()
-    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=5, namenode=nn,
-                 parity_mode=parity_mode)
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=5, namenode=nn)
     prelude(fs)
     acknowledged = fs.read_file("f")
     base = len(nn.journal)

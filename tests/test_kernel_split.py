@@ -6,7 +6,11 @@ never splits (no chunk a workload uses reaches the threshold with it),
 and its cases here check equality under the same forcing, not a split. Nothing a caller sees may depend on that: products and sums are
 bit-identical to the whole call's, tables and caches are touched on the
 calling thread only, a part never splits again, and below the threshold
-no thread is ever started. ``CORES`` and ``SPLIT_MIN_BYTES`` are
+no thread is ever started. One CRC rule covers a batch of chunks (a
+whole chunk a part, a long chunk's ranges) as it covers one; the caller
+claims parts beside the pool, so a busy pool thread never holds it; a
+4 KiB-chunk round starts no thread, one CPU never splits, and a cgroup
+CPU quota narrows ``CORES``. ``CORES`` and ``SPLIT_MIN_BYTES`` are
 monkeypatched here so the split runs on any machine, one CPU included.
 """
 

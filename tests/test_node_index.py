@@ -46,8 +46,8 @@ def replayed(journaled):
     return plain
 
 
-def hybrid_fs(namenode=None, n_kb=48, **kw):
-    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=3, namenode=namenode, **kw)
+def hybrid_fs(namenode=None, n_kb=48):
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], seed=3, namenode=namenode)
     data = np.random.default_rng(3).integers(0, 256, n_kb * KB, dtype=np.uint8)
     fs.write_file("f", data, HY)
     return fs, data
@@ -351,20 +351,22 @@ def test_append_close_and_seal_publish_between_records():
         assert audit_namenode(node) == []
 
     nn.after_append = whole
-    fs, data = hybrid_fs(namenode=nn, n_kb=40, parity_mode="none")
+    fs, data = hybrid_fs(namenode=nn, n_kb=40)
     extra = np.arange(10 * KB, dtype=np.uint8)
     fs.append_file("f", extra)
     fs.close_file("f")
+    more = np.arange(6 * KB, dtype=np.uint8)[::-1].copy()
+    fs.append_file("f", more)
     unsealed = [s for s in nn.lookup("f").stripes if not s.parities]
-    assert unsealed  # written with parity_mode="none", not re-written by the append
+    assert len(unsealed) == 1  # the open tail the second append left
     before = len(nn.journal)
-    fs.transcode("f", CC69)  # seals them, then frees
+    fs.transcode("f", CC69)  # seals it, then frees
     ops = [op for op, _ in nn.journal.records()]
-    assert Op.NOTE not in ops and ops.count(Op.RELAYOUT) == 3  # append, close, seal
-    assert ops[before:].count(Op.RELAYOUT) == 1 and len(unsealed) > 1  # one for all
+    assert Op.NOTE not in ops and ops.count(Op.RELAYOUT) == 4  # append, close, append, seal
+    assert ops[before:].count(Op.RELAYOUT) == 1
     assert ops[-2:] == [Op.RELAYOUT, Op.DROP_REPLICAS]
     assert audit_namenode(nn) == []
-    assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra]))
+    assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra, more]))
 
 
 def test_full_scan_oracle_is_the_old_answer():

@@ -193,7 +193,8 @@ class TestTracer:
     def test_nesting_and_duration(self):
         clock = {"t": 0.0}
         reg = MetricsRegistry()
-        tracer = Tracer(clock=lambda: clock["t"], registry=reg)
+        tracer = Tracer(registry=reg)
+        tracer.clock = lambda: clock["t"]
         with tracer.span("outer") as outer:
             clock["t"] = 1.0
             with tracer.span("inner"):
@@ -206,7 +207,8 @@ class TestTracer:
     def test_durations_feed_op_histogram(self):
         clock = {"t": 0.0}
         reg = MetricsRegistry()
-        tracer = Tracer(clock=lambda: clock["t"], registry=reg)
+        tracer = Tracer(registry=reg)
+        tracer.clock = lambda: clock["t"]
         with tracer.span("repair"):
             clock["t"] = 0.5
         (labels, hist), = reg.histogram_series(OP_LATENCY_METRIC)
@@ -283,14 +285,6 @@ class TestDfsIntegration:
             + m.cpu_seconds_total
         )
         assert (DISK_BYTES_PER_S, NET_BYTES_PER_S) == (120 * 1024 * 1024, 4500 * 1024 * 1024)
-
-    def test_an_explicit_clock_survives_attach(self):
-        from repro.dfs import MorphFS
-
-        obs = Observability(clock=lambda: 42.0)
-        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], obs=obs)
-        _write_and_read(fs)
-        assert obs.tracer.clock() == 42.0
 
     def test_ledger_and_exporters_agree_end_to_end(self):
         from repro.dfs import MorphFS

@@ -1,4 +1,7 @@
-"""§6.1 parity options and the §4.2 spanning-write protocol, functional."""
+"""The §4.2 small-write protocol with §6.1's asynchronous parities,
+functional: the striper encodes, an appended open tail waits for its
+parities until it is sealed. The sync / async / none study runs in the
+timed model (``benchmarks/test_parity_options.py``)."""
 
 import numpy as np
 import pytest
@@ -10,8 +13,8 @@ KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 
 
-def make_fs(**kwargs):
-    return MorphFS(chunk_size=4 * KB, future_widths=[6, 12], **kwargs)
+def make_fs():
+    return MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
 
 
 def write(fs, n_kb=48, seed=1):
@@ -27,90 +30,30 @@ class TestAsyncDefault:
         assert fs.metrics.node("client").cpu_seconds == 0
         assert fs.metrics.cpu_seconds_total > 0
 
-
-class TestSyncMode:
-    def test_client_pays_encode_and_parity_network(self):
-        fs = make_fs(parity_mode="sync")
-        data = write(fs)
-        assert fs.metrics.node("client").cpu_seconds > 0
-        # Parities travel from the client: client net_out includes them
-        # in addition to the initial block send.
-        client_out = fs.metrics.node("client").net_bytes_out
-        assert client_out == pytest.approx(len(data) + 0.5 * len(data))
-
-    def test_same_resting_state_as_async(self):
-        sync = make_fs(parity_mode="sync")
-        asyn = make_fs(parity_mode="async")
-        d1 = write(sync)
-        d2 = write(asyn)
-        assert sync.capacity_used() == asyn.capacity_used()
-        assert np.array_equal(sync.read_file("f"), d1)
-
-
-class TestNoneMode:
-    def test_no_parities_extra_replica(self):
-        fs = make_fs(parity_mode="none")
-        data = write(fs)
-        meta = fs.namenode.lookup("f")
-        for stripe in meta.stripes:
-            assert stripe.parities == []
-        for block in meta.replica_blocks:
-            assert len(block.copies) == 2  # c + 1
-        # Footprint: 2 replicas + data chunks = 3.0x (same as c+1 rep + stripe).
-        assert fs.capacity_used() == pytest.approx(3.0 * len(data))
-
-    def test_reads_and_failures(self):
-        fs = make_fs(parity_mode="none")
-        data = write(fs)
-        meta = fs.namenode.lookup("f")
-        victim = meta.stripes[0].data[0].node_id
-        fs.cluster.fail_node(victim)
-        fs.datanodes[victim].fail()
-        assert np.array_equal(fs.read_file("f"), data)
-
-    def test_no_encode_cpu_anywhere(self):
-        fs = make_fs(parity_mode="none")
-        write(fs)
-        assert fs.metrics.cpu_seconds_total == 0
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            make_fs(parity_mode="lazy")
-
-
-class TestSpanningProtocol:
-    def test_extra_network_copy(self):
-        small = make_fs(spanning_protocol=False)
-        spanning = make_fs(spanning_protocol=True)
-        d1 = write(small)
-        write(spanning)
-        # Spanning mirrors 3 full copies before striping: one extra block
-        # transfer per stripe versus the 2-mirror small-write variant.
-        assert spanning.metrics.net_bytes_total == pytest.approx(
-            small.metrics.net_bytes_total + len(d1)
-        )
-
-    def test_same_resting_state(self):
-        small = make_fs(spanning_protocol=False)
-        spanning = make_fs(spanning_protocol=True)
-        d = write(small)
-        write(spanning)
-        assert small.capacity_used() == spanning.capacity_used()
-        assert np.array_equal(spanning.read_file("f"), d)
-
     def test_temporaries_never_hit_disk(self):
-        fs = make_fs(spanning_protocol=True)
+        fs = make_fs()
         data = write(fs)
+        # One persisted replica, the data chunks and the parities.
         assert fs.metrics.disk_bytes_written == pytest.approx(2.5 * len(data))
         assert fs.memory_used() == 0
 
 
-class TestNoneModeTransition:
+def write_open_tail(fs, n_kb=16, seed=1):
+    """An empty file appended ``n_kb`` (under one stripe): one open tail
+    stripe, data chunks and ``c + 1`` replicas, no parities."""
+    data = np.random.default_rng(seed).integers(0, 256, n_kb * KB, dtype=np.uint8)
+    fs.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, CC69))
+    fs.append_file("f", data)
+    assert fs.namenode.lookup("f").stripes[-1].parities == []
+    return data
+
+
+class TestOpenTailTransition:
     def test_free_transition_seals_stripes_first(self):
-        """Dropping replicas must not strand parity-less stripes (§4.5
+        """Dropping replicas must not strand a parity-less stripe (§4.5
         is only free when the EC side already exists)."""
-        fs = make_fs(parity_mode="none")
-        data = write(fs)
+        fs = make_fs()
+        data = write_open_tail(fs)
         fs.transcode("f", CC69)
         meta = fs.namenode.lookup("f")
         assert meta.replica_blocks == []
@@ -123,19 +66,19 @@ class TestNoneModeTransition:
         assert np.array_equal(fs.read_file("f"), data)
 
     def test_sealing_costs_parity_writes_only_once(self):
-        fs = make_fs(parity_mode="none")
-        data = write(fs)
+        fs = make_fs()
+        write_open_tail(fs)
         w0 = fs.metrics.disk_bytes_written
         fs.transcode("f", CC69)
-        # 2 stripes x 3 parities of 4 KB each.
-        assert fs.metrics.disk_bytes_written - w0 == pytest.approx(6 * 4 * KB)
+        # 1 stripe x 3 parities of 4 KB each.
+        assert fs.metrics.disk_bytes_written - w0 == pytest.approx(3 * 4 * KB)
 
     def test_sealing_meters_the_network_it_uses(self):
-        """One stripe, its first data home the striper: the other 5 data
-        chunks reach it over the network and the 3 parities leave it —
-        8 chunks (the 5 used to travel for free)."""
-        fs = make_fs(parity_mode="none")
-        write(fs, n_kb=24)
+        """One open 4-chunk tail, its first data home the striper: the
+        other 3 data chunks reach it over the network and the 3 parities
+        leave it — 6 chunks (the 3 used to travel for free)."""
+        fs = make_fs()
+        write_open_tail(fs)
         meta = fs.namenode.lookup("f")
         m = fs.metrics
         homes = [chunk.node_id for chunk in meta.stripes[0].data]
@@ -143,9 +86,9 @@ class TestNoneModeTransition:
         before = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
         fs._seal_stripe(meta, meta.stripes[0], fs._placement_for(meta))
         after = m.disk_bytes_read, m.disk_bytes_written, m.net_bytes_total
-        assert [b - a for a, b in zip(before, after)] == [6 * 4 * KB, 3 * 4 * KB, 8 * 4 * KB]
-        assert m.node(homes[0]).net_bytes_in - sent[homes[0]][0] == 5 * 4 * KB
-        assert [m.node(node).net_bytes_out - sent[node][1] for node in homes[1:]] == [4 * KB] * 5
+        assert [b - a for a, b in zip(before, after)] == [4 * 4 * KB, 3 * 4 * KB, 6 * 4 * KB]
+        assert m.node(homes[0]).net_bytes_in - sent[homes[0]][0] == 3 * 4 * KB
+        assert [m.node(node).net_bytes_out - sent[node][1] for node in homes[1:]] == [4 * KB] * 3
 
     def test_open_append_tail_also_sealed(self):
         fs = make_fs()
@@ -158,13 +101,6 @@ class TestNoneModeTransition:
         for stripe in meta.stripes:
             assert len(stripe.parities) == 3
         assert np.array_equal(fs.read_file("f"), np.concatenate([data, extra]))
-
-
-MODES = [
-    pytest.param({"parity_mode": mode, "spanning_protocol": spanning}, id=f"{mode}-{name}")
-    for mode in ("async", "sync", "none")
-    for spanning, name in ((False, "small"), (True, "spanning"))
-]
 
 
 def shape(fs):
@@ -182,17 +118,14 @@ def shape(fs):
     }
 
 
-class TestAppendIsWriteInEveryMode:
+class TestAppendIsWrite:
     """``append_file`` stages its region through the hybrid writer
-    ``write_file`` uses, so the options reach both. (The append path's
-    own writer knew neither ``parity_mode`` nor ``spanning_protocol``:
-    five of these six combinations stored a different file.)"""
+    ``write_file`` uses, so both store the same file."""
 
     @pytest.mark.parametrize("n_stripes", [1, 3])
-    @pytest.mark.parametrize("options", MODES)
-    def test_whole_stripes(self, options, n_stripes):
+    def test_whole_stripes(self, n_stripes):
         data = np.random.default_rng(5).integers(0, 256, n_stripes * 24 * KB, dtype=np.uint8)
-        written, appended = make_fs(**options), make_fs(**options)
+        written, appended = make_fs(), make_fs()
         written.write_file("f", data, HybridScheme(1, CC69))
         appended.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, CC69))
         appended.append_file("f", data)
@@ -201,9 +134,8 @@ class TestAppendIsWriteInEveryMode:
             assert fs.memory_used() == 0
             assert np.array_equal(fs.read_file("f"), data)
 
-    @pytest.mark.parametrize("options", MODES)
-    def test_open_tail_persists_one_more_copy_and_no_parities(self, options):
-        fs = make_fs(**options)
+    def test_open_tail_persists_one_more_copy_and_no_parities(self):
+        fs = make_fs()
         data = np.random.default_rng(6).integers(0, 256, (24 + 8) * KB, dtype=np.uint8)
         fs.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, CC69))
         fs.append_file("f", data)

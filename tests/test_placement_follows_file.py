@@ -25,8 +25,8 @@ HY = HybridScheme(1, CC69)
 SEEDS = range(40)
 
 
-def _fs(seed, **kwargs):
-    return MorphFS(chunk_size=CHUNK, future_widths=[6, 12], seed=seed, **kwargs)
+def _fs(seed):
+    return MorphFS(chunk_size=CHUNK, future_widths=[6, 12], seed=seed)
 
 
 def _data(seed, n_chunks):
@@ -88,20 +88,23 @@ class TestRenameThenAppend:
 
 class TestRenameThenSeal:
     def test_sealed_parities_avoid_the_stripes_nodes(self):
-        """``parity_mode="none"``: the free transition seals both stripes
-        of a renamed file; no parity lands beside a chunk of its stripe,
-        and parity j of both stripes shares one node."""
+        """The free transition seals the open appended tail of a renamed
+        file; no parity lands beside a chunk of its stripe, and parity j
+        of both stripes shares one node."""
         stripes = 0
         for seed in SEEDS:
-            fs = _fs(seed, parity_mode="none")
-            fs.write_file("f", _data(seed, 12), HY)
+            fs = _fs(seed)
+            fs.write_file("f", _data(seed, 6), HY)
+            fs.append_file("f", _data(seed + 1000, 4))
             fs.namenode.rename("f", "g")
             fs.transcode("g", CC69)
             meta = fs.namenode.lookup("g")
             stripes += len(meta.stripes)
             assert [len(stripe.parities) for stripe in meta.stripes] == [3, 3]
             assert not _window_violations(meta) and audit(fs) == []
-            assert np.array_equal(fs.read_file("g"), _data(seed, 12))
+            assert np.array_equal(
+                fs.read_file("g"), np.concatenate([_data(seed, 6), _data(seed + 1000, 4)])
+            )
         assert stripes == 80
 
 
@@ -127,7 +130,7 @@ class TestAppendDraws:
 
     def test_an_append_does_not_stack_a_stripe_on_its_parity_home(self):
         """A data repair can land on a node the window keeps for a parity
-        (ROADMAP item 5): here stripe 1's open tail has its first chunk
+        (ROADMAP item 10): here stripe 1's open tail has its first chunk
         moved onto stripe 0's parity-1 home. The append that completes
         the stripe draws that slot afresh; it used to write the stripe's
         parity 1 beside it — 9 chunks on 8 nodes, which the audit found
@@ -152,27 +155,30 @@ class TestAppendDraws:
 
 class TestShrunkenCluster:
     def test_a_seal_commits_when_no_window_fits(self):
-        """Eleven nodes, three spares dead: no k*-window of 6 or 12 data
-        and 3 parity slots fits the eight left. The free transition of a
-        ``parity_mode="none"`` file still seals its stripe, on live
-        nodes (one of them twice: eight for nine chunks), instead of
-        failing to build the file's placement."""
+        """Eleven nodes, the five that hold nothing of the file dead: no
+        k*-window of 6 or 12 data and 4 parity slots fits the six left.
+        The free transition still seals the file's open 4-chunk tail, on
+        live nodes off its kept replica copy (five nodes for seven
+        chunks), instead of failing to build the file's placement."""
         fs = MorphFS(
-            Cluster(ClusterSpec(n_datanodes=11)), chunk_size=CHUNK,
-            future_widths=[6, 12], max_parities=3, parity_mode="none",
+            Cluster(ClusterSpec(n_datanodes=11)), chunk_size=CHUNK, future_widths=[6, 12]
         )
-        fs.write_file("f", _data(3, 6), HY)
-        data_homes = {c.node_id for c in fs.namenode.lookup("f").stripes[0].data}
-        spares = [n.node_id for n in fs.cluster.nodes if n.node_id not in data_homes]
-        for node_id in spares[:3]:
+        fs.write_file("f", np.zeros(0, np.uint8), HY)
+        fs.append_file("f", _data(3, 4))
+        meta = fs.namenode.lookup("f")
+        listed = {c.node_id for c in meta.stripes[0].data}
+        listed |= {c.node_id for block in meta.replica_blocks for c in block.copies}
+        spares = [n.node_id for n in fs.cluster.nodes if n.node_id not in listed]
+        assert len(spares) == 5
+        for node_id in spares:
             fs.cluster.fail_node(node_id)
             fs.datanodes[node_id].fail()
         fs.transcode("f", CC69)
         stripe = fs.namenode.lookup("f").stripes[0]
         assert len(stripe.parities) == 3
-        assert len(set(stripe.node_ids())) == 8
+        assert len(set(stripe.node_ids())) == 5
         assert all(fs.node_reachable(n, "namenode") for n in stripe.node_ids())
-        assert np.array_equal(fs.read_file("f"), _data(3, 6))
+        assert np.array_equal(fs.read_file("f"), _data(3, 4))
 
     def test_an_undrawable_reserved_slot_is_no_preference(self):
         """Too few live nodes to draw a window: ``reserved`` offers none

@@ -229,7 +229,7 @@ class TestReconstruction:
         cluster too small for any k*-window: it must not fail for it."""
         for victim in (0, 7):
             fs = MorphFS(
-                Cluster(ClusterSpec(n_datanodes=n_nodes)), chunk_size=4 * KB, max_parities=3
+                Cluster(ClusterSpec(n_datanodes=n_nodes)), chunk_size=4 * KB
             )
             data = np.random.default_rng(8).integers(0, 256, 24 * KB, dtype=np.uint8)
             fs.write_file("f", data, ECScheme(CodeKind.CC, 6, 9))

@@ -25,7 +25,7 @@ from repro.cluster.topology import Cluster, ClusterSpec, NodeClass
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
 from repro.dfs.audit import audit
-from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
+from repro.dfs.heartbeat import REPAIR_RESUBMIT_EVERY_TICKS, HeartbeatConfig, HeartbeatMonitor
 from repro.sched.policies import SchedulerPolicy
 from repro.sched.scheduler import MaintenanceScheduler
 from repro.sched.tasks import StripeRepairTask
@@ -34,8 +34,8 @@ KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
 
 
-def hybrid_fs(seed=1, n_kb=96, **fs_kw):
-    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12], **fs_kw)
+def hybrid_fs(seed=1, n_kb=96):
+    fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
     data = np.random.default_rng(seed).integers(0, 256, n_kb * KB, dtype=np.uint8)
     fs.write_file("f", data, HybridScheme(1, CC69))
     return fs, data
@@ -83,13 +83,9 @@ class TestRepairResubmission:
         from repro.dfs import recovery as recovery_mod
 
         fs, data = hybrid_fs()
-        # One failed attempt dead-letters the task immediately.
-        fs.scheduler = MaintenanceScheduler(fs, policy=SchedulerPolicy(max_attempts=1))
         victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
         fs.cluster.fail_node(victim)
-        monitor = HeartbeatMonitor(
-            fs, HeartbeatConfig(dead_after_missed=2, repair_resubmit_every_ticks=3)
-        )
+        monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=2))
 
         real = recovery_mod.RecoveryManager.recover_chunks
         state = {"fail": True}
@@ -100,8 +96,11 @@ class TestRepairResubmission:
             return real(self, pairs)
 
         monkeypatch.setattr(recovery_mod.RecoveryManager, "recover_chunks", flaky)
-        # Declare dead; the first repair wave fails and dead-letters.
-        monitor.tick(), monitor.tick()
+        # Declare dead; the first repair wave fails until it dead-letters.
+        for _ in range(20):
+            monitor.tick()
+            if fs.scheduler.dead_letter:
+                break
         buried = list(fs.scheduler.dead_letter)
         assert buried and all(isinstance(t, StripeRepairTask) for t in buried)
         assert not any(isinstance(t, StripeRepairTask) for t in fs.scheduler.queue.backlog())
@@ -110,7 +109,7 @@ class TestRepairResubmission:
         # Source recovers; the periodic sweep must resubmit fresh tasks —
         # one per damaged stripe / block again, covering every lost chunk.
         state["fail"] = False
-        reports = [monitor.tick() for _ in range(6)]
+        reports = [monitor.tick() for _ in range(REPAIR_RESUBMIT_EVERY_TICKS + 2)]
         fresh = [
             t for r in reports for t in r.scheduler.executed
             if isinstance(t, StripeRepairTask)
@@ -118,27 +117,6 @@ class TestRepairResubmission:
         assert len(fresh) == len(buried) and not set(map(id, fresh)) & set(map(id, buried))
         assert sum(r.chunks_recovered for r in reports) == n_lost > 0
         assert np.array_equal(fs.read_file("f"), data)
-
-    def test_no_resubmission_when_disabled(self, monkeypatch):
-        from repro.dfs import recovery as recovery_mod
-
-        fs, _ = hybrid_fs()
-        fs.scheduler = MaintenanceScheduler(fs, policy=SchedulerPolicy(max_attempts=1))
-        victim = fs.namenode.lookup("f").stripes[0].data[0].node_id
-        fs.cluster.fail_node(victim)
-        monitor = HeartbeatMonitor(
-            fs, HeartbeatConfig(dead_after_missed=2, repair_resubmit_every_ticks=0)
-        )
-        monkeypatch.setattr(
-            recovery_mod.RecoveryManager,
-            "recover_chunks",
-            lambda self, pairs: (_ for _ in ()).throw(RuntimeError("down")),
-        )
-        for _ in range(8):
-            monitor.tick()
-        # Legacy behavior when the sweep is off: buried tasks stay buried.
-        assert fs.scheduler.dead_letter
-        assert not any(isinstance(t, StripeRepairTask) for t in fs.scheduler.queue.backlog())
 
 
 # -- bugfix 3: late-registered datanodes + stale-repair cancellation ---------
@@ -252,12 +230,14 @@ class TestMaskHonouredEverywhere:
         assert audit(fs) == []
 
     def test_seal_reads_replicas_around_an_unreachable_data_chunk(self):
-        fs, data = hybrid_fs(n_kb=48, parity_mode="none")
+        fs, data = hybrid_fs(n_kb=0)
+        data = np.random.default_rng(1).integers(0, 256, 20 * KB, dtype=np.uint8)
+        fs.append_file("f", data)  # an open 5-chunk tail: replicas, no parities
         stripe = fs.namenode.lookup("f").stripes[0]
         far = stripe.data[2].node_id
         fs.partition.isolate([far])
         before = self.io_out_of(fs, far)
-        fs.transcode("f", CC69)  # the free transition seals parity-less stripes
+        fs.transcode("f", CC69)  # the free transition seals the open tail
         assert self.io_out_of(fs, far) == before
         meta = fs.namenode.lookup("f")
         assert all(len(s.parities) == 3 for s in meta.stripes)

@@ -6,7 +6,6 @@ from repro.sched import (
     BudgetManager,
     CallbackTask,
     MaintenanceTask,
-    NodeBudget,
     PriorityTaskQueue,
     TaskClass,
     TaskCost,
@@ -61,7 +60,7 @@ class TestTokenBucket:
 
 class TestBudgetManager:
     def test_unlimited_admits_everything(self):
-        budgets = BudgetManager()
+        budgets = BudgetManager(None)
         assert budgets.unlimited
         assert budgets.admits({"a": TaskCost(1e18, 1e18)})
 
@@ -76,25 +75,23 @@ class TestBudgetManager:
 
     def test_an_unbounded_cost_fits_only_full_buckets(self):
         """What the scheduler asks for a task that lists no charges."""
-        budgets = BudgetManager(disk_bytes_per_tick=100, net_bytes_per_tick=100)
-        unbounded = dict.fromkeys(["a", "b"], TaskCost(float("inf"), float("inf")))
+        budgets = BudgetManager(disk_bytes_per_tick=100)
+        unbounded = dict.fromkeys(["a", "b"], TaskCost(float("inf")))
         assert budgets.admits(unbounded)
-        budgets.charge("a", net_bytes=1)
+        budgets.charge("a", disk_bytes=1)
         assert not budgets.admits(unbounded)
         budgets.refill_all()
         assert budgets.admits(unbounded)
 
-    def test_net_budget_independent_of_disk(self):
-        budget = NodeBudget(disk=TokenBucket(100), net=TokenBucket(100))
-        budget.net.take(95)
-        assert not budget.can(TaskCost(disk_bytes=50, net_bytes=6))
-        assert budget.can(TaskCost(disk_bytes=50, net_bytes=5))
+    def test_network_bytes_are_not_budgeted(self):
+        budgets = BudgetManager(disk_bytes_per_tick=100)
+        assert budgets.admits({"a": TaskCost(disk_bytes=50, net_bytes=1e18)})
 
     def test_refill_all_only_touches_materialised_nodes(self):
         budgets = BudgetManager(disk_bytes_per_tick=100)
         budgets.charge("a", disk_bytes=150)
         budgets.refill_all()
-        assert budgets.node("a").disk.tokens == 50  # 100-150+100
+        assert budgets.node("a").tokens == 50  # 100-150+100
 
 
 class TestPolicies:

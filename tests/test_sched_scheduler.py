@@ -1,5 +1,12 @@
 """MaintenanceScheduler behavior: admission, budgets, retries, accounting.
 
+Budgets are one disk token bucket per node: under them no node's disk
+moves more than its per-tick cap. Every task is charged what its
+metering window saw — budget charges and ledger rows equal a diff of
+every node's counters, a nested inline transcode charges both windows,
+an overrun is charged in full, and a scheduler without a filesystem
+still ticks.
+
 Covers the scheduler standalone (CallbackTasks, no filesystem) and wired
 into MorphFS through the heartbeat loop.
 """
@@ -19,6 +26,7 @@ from repro.sched import (
     TaskCost,
     TaskState,
 )
+from repro.sched.policies import MAX_ATTEMPTS
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
@@ -121,7 +129,7 @@ class TestAdmission:
     def budgeted(self):
         fs, _data = hybrid_fs()
         fs.scheduler = MaintenanceScheduler(
-            fs, SchedulerPolicy(disk_bytes_per_tick=self.RATE, net_bytes_per_tick=self.RATE)
+            fs, SchedulerPolicy(disk_bytes_per_tick=self.RATE)
         )
         return fs, fs.scheduler
 
@@ -137,9 +145,8 @@ class TestAdmission:
         assert r2.executed == [first] and r2.deferred_budget == 1
         assert reference
         for node_id in fs.datanodes:
-            disk, net, _cpu = reference.get(node_id, (0.0, 0.0, 0.0))
-            budget = sched.budgets.node(node_id)
-            assert (budget.disk.tokens, budget.net.tokens) == (self.RATE - disk, self.RATE - net)
+            disk, _net, _cpu = reference.get(node_id, (0.0, 0.0, 0.0))
+            assert sched.budgets.node(node_id).tokens == self.RATE - disk
         assert sched.run_tick().executed == [second]
 
     def test_a_dead_nodes_debt_holds_nothing(self):
@@ -160,14 +167,14 @@ class TestAdmission:
         sched.submit(CallbackTask(lambda: order.append("unlisted"), label="unlisted"))
         r1 = sched.run_tick()  # busy refilled to half: its half-tick task fits
         assert order == ["idle", "busy"] and r1.deferred_budget == 1
-        assert sched.budgets.node(idle).disk.tokens == sched.budgets.node(busy).disk.tokens == 0
+        assert sched.budgets.node(idle).tokens == sched.budgets.node(busy).tokens == 0
         r2 = sched.run_tick()  # both refilled full: the unlisted task runs
         assert order == ["idle", "busy", "unlisted"] and r2.disk_bytes == 0
 
 
 class TestRetries:
     def test_failure_retries_with_exponential_backoff_then_dead_letters(self):
-        sched = MaintenanceScheduler(policy=SchedulerPolicy(max_attempts=3))
+        sched = MaintenanceScheduler()
         boom = RuntimeError("disk on fire")
 
         def fail():
@@ -181,10 +188,10 @@ class TestRetries:
                 attempt_ticks.append(sched.tick_count)
             if report.dead_lettered:
                 break
-        # Backoff: attempt at tick 1, then +1, then +2.
-        assert attempt_ticks == [1, 2, 4]
+        # Backoff: attempt at tick 1, then +1, +2 and +4.
+        assert attempt_ticks == [1, 2, 4, 8]
         assert task.state is TaskState.DEAD
-        assert task.attempts == 3
+        assert task.attempts == MAX_ATTEMPTS
         assert task.last_error is boom
         assert sched.dead_letter == [task]
         assert not sched.has_pending()
@@ -334,24 +341,18 @@ class TestStripeRepairBudgets:
     def test_no_node_exceeds_its_per_tick_cap(self):
         cap = 64 * KB  # fits the largest stripe task: (12 + 2) * 4 KiB
         fs, data = self._two_node_burst(ECScheme(CodeKind.CC, 12, 15))
-        fs.scheduler = MaintenanceScheduler(
-            fs, SchedulerPolicy(disk_bytes_per_tick=cap, net_bytes_per_tick=cap)
-        )
+        fs.scheduler = MaintenanceScheduler(fs, SchedulerPolicy(disk_bytes_per_tick=cap))
         monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
 
         def per_node():
-            return {
-                n: (m.disk_bytes_read + m.disk_bytes_written, m.net_bytes_in + m.net_bytes_out)
-                for n, m in fs.metrics.nodes.items()
-            }
+            return {n: m.disk_bytes_read + m.disk_bytes_written for n, m in fs.metrics.nodes.items()}
 
         recovered, busy_ticks, deferred = 0, 0, 0
         for _ in range(60):
             before = per_node()
             report = monitor.tick()
-            for node_id, (disk, net) in per_node().items():
-                disk0, net0 = before.get(node_id, (0.0, 0.0))
-                assert disk - disk0 <= cap and net - net0 <= cap, node_id
+            for node_id, disk in per_node().items():
+                assert disk - before.get(node_id, 0.0) <= cap, node_id
             recovered += report.chunks_recovered
             busy_ticks += bool(report.chunks_recovered)
             deferred += report.scheduler.deferred_budget
@@ -395,7 +396,7 @@ class TestMeteringWindow:
     @staticmethod
     def budgeted(fs, rate):
         fs.scheduler = MaintenanceScheduler(
-            fs, SchedulerPolicy(disk_bytes_per_tick=rate, net_bytes_per_tick=rate)
+            fs, SchedulerPolicy(disk_bytes_per_tick=rate)
         )
         return fs.scheduler
 
@@ -405,19 +406,16 @@ class TestMeteringWindow:
         charged = {}
         real = sched.budgets.charge
 
-        def charge(node_id, disk_bytes=0.0, net_bytes=0.0):
-            disk, net = charged.get(node_id, (0.0, 0.0))
-            charged[node_id] = (disk + disk_bytes, net + net_bytes)
-            real(node_id, disk_bytes, net_bytes)
+        def charge(node_id, disk_bytes):
+            charged[node_id] = charged.get(node_id, 0.0) + disk_bytes
+            real(node_id, disk_bytes)
 
         monkeypatch.setattr(sched.budgets, "charge", charge)
         return charged
 
     @staticmethod
     def assert_charged(charged, reference):
-        assert charged == {
-            node: (disk, net) for node, (disk, net, _cpu) in reference.items() if disk or net
-        }
+        assert charged == {node: disk for node, (disk, _net, _cpu) in reference.items() if disk}
 
     @staticmethod
     def assert_ledger(ledger, classes, rows_before, reference):
@@ -469,7 +467,6 @@ class TestMeteringWindow:
             self.assert_charged(charged, reference)
             self.assert_ledger(ledger, classes, rows_before, reference)
         assert reports[0].transcode_groups_run == 1
-        assert sum(net for _disk, net in charged.values()) > 0
         for _ in range(20):
             if "f" not in fs.namenode.utm:
                 break
@@ -511,11 +508,9 @@ class TestMeteringWindow:
         # One group, admitted against full buckets; the next waits.
         assert report.transcode_groups_run == 1 and report.scheduler.deferred_budget
         self.assert_charged(charged, reference)
-        assert max(disk for disk, _net in charged.values()) > rate
+        assert max(charged.values()) > rate
         for node_id in fs.datanodes:
-            budget = sched.budgets.node(node_id)
-            disk, net = charged.get(node_id, (0.0, 0.0))
-            assert (budget.disk.tokens, budget.net.tokens) == (rate - disk, rate - net)
+            assert sched.budgets.node(node_id).tokens == rate - charged.get(node_id, 0.0)
         for _ in range(20):
             if "f" not in fs.namenode.utm:
                 break
@@ -531,4 +526,4 @@ class TestMeteringWindow:
         report = sched.run_tick()
         assert order == ["listed", "unlisted"]
         assert report.disk_bytes == 30 and report.net_bytes == 0
-        assert sched.budgets.node("n1").disk.tokens == 70
+        assert sched.budgets.node("n1").tokens == 70

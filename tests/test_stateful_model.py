@@ -228,6 +228,9 @@ MorphModelTest = MorphModel.TestCase
 # 40 examples of 24 steps, each from a CC(6,9) file: a few dozen wide
 # merges a run, about a quarter scheduled and finished by budgeted
 # heartbeat ticks, some under failures, restarts and scrubs, in ~4 s.
-MorphModelTest.settings = settings(
-    max_examples=40, stateful_step_count=24, deadline=None
+# Under the soak profile (tests/conftest.py) the profile's counts rule.
+MorphModelTest.settings = (
+    settings.get_profile("soak")
+    if settings.get_current_profile_name() == "soak"
+    else settings(max_examples=40, stateful_step_count=24, deadline=None)
 )

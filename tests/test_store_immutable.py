@@ -34,16 +34,7 @@ def morph(**options):
 
 
 DOORS = {
-    **{
-        f"hybrid-{mode}-{'spanning' if spanning else 'small'}": (
-            lambda mode=mode, spanning=spanning: morph(
-                parity_mode=mode, spanning_protocol=spanning
-            ),
-            HY,
-        )
-        for mode in ("async", "sync", "none")
-        for spanning in (False, True)
-    },
+    "hybrid": (morph, HY),
     "morph-replication3": (morph, Replication(3)),
     "morph-cc69": (morph, CC69),
     "baseline-replication3": (lambda: BaselineDFS(chunk_size=CHUNK), Replication(3)),
@@ -84,10 +75,8 @@ class TestTheCallersBufferIsTheCallers:
         assert audit(fs) == []
         assert_every_read_path(fs, "f", want)
 
-    @pytest.mark.parametrize("mode", ["async", "sync", "none"])
-    @pytest.mark.parametrize("spanning", [False, True])
-    def test_overwriting_the_buffer_after_append_file_changes_nothing(self, mode, spanning):
-        fs = morph(parity_mode=mode, spanning_protocol=spanning)
+    def test_overwriting_the_buffer_after_append_file_changes_nothing(self):
+        fs = morph()
         first, extra = payload(30 * KB, seed=4), payload(47 * KB + 5, seed=5)
         want = np.concatenate([first, extra])
         fs.write_file("f", first, HY)

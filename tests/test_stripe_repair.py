@@ -16,7 +16,7 @@ from repro.cluster.topology import Cluster, ClusterSpec
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
 from repro.dfs import MorphFS
 from repro.dfs.integrity import quarantine
-from repro.dfs.heartbeat import HeartbeatConfig, HeartbeatMonitor
+from repro.dfs.heartbeat import REPAIR_RESUBMIT_EVERY_TICKS, HeartbeatConfig, HeartbeatMonitor
 from repro.dfs.journal import Journal, JournaledNamenode, Op
 from repro.dfs.recovery import RecoveryError, RecoveryManager
 from repro.sched.tasks import StripeRepairTask, TaskClass
@@ -297,12 +297,10 @@ class TestStripeTask:
         for node_id in fs.datanodes:
             fs.scheduler.budgets.charge(node_id, disk_bytes=1e12)
         kill(fs, fs.namenode.lookup("f").stripes[0].data[0].node_id)
-        monitor = HeartbeatMonitor(
-            fs, HeartbeatConfig(dead_after_missed=1, repair_resubmit_every_ticks=1)
-        )
+        monitor = HeartbeatMonitor(fs, HeartbeatConfig(dead_after_missed=1))
         monitor.tick()
         queued = len(fs.scheduler.queue.backlog())
-        for _ in range(3):
+        for _ in range(2 * REPAIR_RESUBMIT_EVERY_TICKS):  # two resweeps
             monitor.tick()
         assert queued and len(fs.scheduler.queue.backlog()) == queued
 
