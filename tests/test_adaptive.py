@@ -65,6 +65,14 @@ class TestPlanner:
         for month, io in enumerate(series):
             assert (io > 0) == (month in spike_months)
 
+    def test_riskier_fleet_stays_narrow_longer(self, monkeypatch):
+        def first_widening(infant_afr):
+            monkeypatch.setattr(adaptive, "INFANT_AFR", infant_afr)
+            return AdaptiveRedundancyPlanner().plan(72).transitions[0].month
+
+        calm, default, risky = (first_widening(afr) for afr in (0.03, 0.06, 0.20))
+        assert calm < default < risky
+
     def test_tight_budget_never_widens(self, monkeypatch):
         monkeypatch.setattr(adaptive, "LOSS_BUDGET", 1e-15)
         plan = AdaptiveRedundancyPlanner().plan(72)

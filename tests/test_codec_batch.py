@@ -193,8 +193,8 @@ def _erasure_cases(code):
 
 class TestDecodeBatch:
     @pytest.mark.parametrize("code", _codes(), ids=lambda c: type(c).__name__)
-    def test_matches_per_stripe_loop(self, code):
-        stripes = _stripes(code.k, 4, _chunk_bytes(code), seed=6)
+    def test_matches_per_stripe_loop(self, code, size=None, count=4):
+        stripes = _stripes(code.k, count, size or _chunk_bytes(code), seed=6)
         parities = [code.encode(chunks) for chunks in stripes]
         for erased, label in _erasure_cases(code):
             availables, eraseds = [], []
@@ -214,6 +214,10 @@ class TestDecodeBatch:
                     assert np.array_equal(rec[idx], expected[idx]), label
                     full = list(chunks) + list(pars)
                     assert np.array_equal(rec[idx], full[idx]), label
+
+    @pytest.mark.parametrize("code", _codes(), ids=lambda c: type(c).__name__)
+    def test_chunks_of_a_kernel_tile_go_stripe_by_stripe_and_match(self, code):
+        self.test_matches_per_stripe_loop(code, size=STACK_BELOW_BYTES, count=2)
 
     def test_mixed_patterns_in_one_batch(self):
         code = ReedSolomon(4, 7)

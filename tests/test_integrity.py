@@ -188,10 +188,30 @@ def _ingest_cases():
         fs.append_file("f", extra)  # re-opens the tail: two more full, one open
         return fs, np.concatenate([data, extra])
 
+    def open_tail():
+        fs, _ = plain(0)()
+        data = np.random.default_rng(3).integers(0, 256, 20 * KB, dtype=np.uint8)
+        fs.append_file("f", data)  # one open 5-chunk tail: replicas, no parities
+        return fs, data
+
+    def closed_tail():
+        fs, data = reopened()
+        fs.close_file("f")  # the open tail is trimmed and sealed
+        return fs, data
+
+    def two_copies():
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+        data = np.random.default_rng(4).integers(0, 256, 53 * KB + 17, dtype=np.uint8)
+        fs.write_file("f", data, HybridScheme(2, ECScheme(CodeKind.CC, 6, 9)))
+        return fs, data
+
     return {
         "unpadded": plain(48 * KB),
         "padded_final_stripe": plain(53 * KB + 17),
         "append_reopen": reopened,
+        "append_open_tail": open_tail,
+        "append_closed": closed_tail,
+        "two_replica_copies": two_copies,
     }
 
 
@@ -235,6 +255,35 @@ class TestDerivedSums:
         monkeypatch.setattr(integrity, "zlib", counter)
         fs, data = _ingest_cases()["unpadded"]()
         assert counter.nbytes == 1.5 * data.nbytes
+
+    @pytest.mark.parametrize(
+        "scheme, per_byte",
+        [
+            (HybridScheme(2, ECScheme(CodeKind.CC, 6, 9)), 1.5),
+            (HybridScheme(1, ECScheme(CodeKind.CC, 12, 15)), 1.25),
+            (HybridScheme(1, ECScheme(CodeKind.CC, 4, 8)), 2.0),
+        ],
+        ids=str,
+    )
+    def test_hybrid_ingest_crcs_n_over_k_bytes_per_user_byte(self, monkeypatch, scheme, per_byte):
+        """Whatever the replica count: every copy's sum is derived."""
+        counter = _CountingZlib()
+        monkeypatch.setattr(integrity, "zlib", counter)
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+        data = np.random.default_rng(7).integers(0, 256, 48 * KB, dtype=np.uint8)
+        fs.write_file("f", data, scheme)
+        assert counter.nbytes == per_byte * data.nbytes
+
+    def test_an_open_append_tail_crcs_each_user_byte_once(self, monkeypatch):
+        """No parities yet: the data chunks only."""
+        fs = MorphFS(chunk_size=4 * KB, future_widths=[6, 12])
+        fs.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, ECScheme(CodeKind.CC, 6, 9)))
+        counter = _CountingZlib()
+        monkeypatch.setattr(integrity, "zlib", counter)
+        data = np.random.default_rng(8).integers(0, 256, 20 * KB, dtype=np.uint8)
+        fs.append_file("f", data)
+        assert fs.namenode.lookup("f").stripes[-1].parities == []
+        assert counter.nbytes == data.nbytes
 
     def test_replicated_ingest_crcs_each_user_byte_once(self, monkeypatch):
         """One pass per block, not one per persisted copy."""

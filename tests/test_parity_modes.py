@@ -11,6 +11,8 @@ from repro.dfs import MorphFS
 
 KB = 1024
 CC69 = ECScheme(CodeKind.CC, 6, 9)
+CC1215 = ECScheme(CodeKind.CC, 12, 15)
+SCHEMES = [HybridScheme(1, CC69), HybridScheme(2, CC69), HybridScheme(1, CC1215)]
 
 
 def make_fs():
@@ -30,11 +32,15 @@ class TestAsyncDefault:
         assert fs.metrics.node("client").cpu_seconds == 0
         assert fs.metrics.cpu_seconds_total > 0
 
-    def test_temporaries_never_hit_disk(self):
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+    def test_temporaries_never_hit_disk(self, scheme):
         fs = make_fs()
-        data = write(fs)
-        # One persisted replica, the data chunks and the parities.
-        assert fs.metrics.disk_bytes_written == pytest.approx(2.5 * len(data))
+        data = np.random.default_rng(1).integers(0, 256, 96 * KB, dtype=np.uint8)
+        fs.write_file("f", data, scheme)
+        # The persisted replicas, the data chunks and the parities.
+        assert fs.metrics.disk_bytes_written == pytest.approx(
+            scheme.storage_overhead * len(data)
+        )
         assert fs.memory_used() == 0
 
 
@@ -49,11 +55,12 @@ def write_open_tail(fs, n_kb=16, seed=1):
 
 
 class TestOpenTailTransition:
-    def test_free_transition_seals_stripes_first(self):
+    @pytest.mark.parametrize("n_kb", [4, 16, 20])
+    def test_free_transition_seals_stripes_first(self, n_kb):
         """Dropping replicas must not strand a parity-less stripe (§4.5
         is only free when the EC side already exists)."""
         fs = make_fs()
-        data = write_open_tail(fs)
+        data = write_open_tail(fs, n_kb)
         fs.transcode("f", CC69)
         meta = fs.namenode.lookup("f")
         assert meta.replica_blocks == []
@@ -65,9 +72,10 @@ class TestOpenTailTransition:
             fs.datanodes[chunk.node_id].fail()
         assert np.array_equal(fs.read_file("f"), data)
 
-    def test_sealing_costs_parity_writes_only_once(self):
+    @pytest.mark.parametrize("n_kb", [4, 16, 20])
+    def test_sealing_costs_parity_writes_only_once(self, n_kb):
         fs = make_fs()
-        write_open_tail(fs)
+        write_open_tail(fs, n_kb)
         w0 = fs.metrics.disk_bytes_written
         fs.transcode("f", CC69)
         # 1 stripe x 3 parities of 4 KB each.
@@ -90,10 +98,11 @@ class TestOpenTailTransition:
         assert m.node(homes[0]).net_bytes_in - sent[homes[0]][0] == 3 * 4 * KB
         assert [m.node(node).net_bytes_out - sent[node][1] for node in homes[1:]] == [4 * KB] * 3
 
-    def test_open_append_tail_also_sealed(self):
+    @pytest.mark.parametrize("extra_bytes", [4 * KB, 10 * KB])
+    def test_open_append_tail_also_sealed(self, extra_bytes):
         fs = make_fs()
         data = write(fs, n_kb=24)
-        extra = np.random.default_rng(8).integers(0, 256, 10 * KB, dtype=np.uint8)
+        extra = np.random.default_rng(8).integers(0, 256, extra_bytes, dtype=np.uint8)
         fs.append_file("f", extra)
         # Transcode without an explicit close: the open tail gets sealed.
         fs.transcode("f", CC69)
@@ -122,26 +131,33 @@ class TestAppendIsWrite:
     """``append_file`` stages its region through the hybrid writer
     ``write_file`` uses, so both store the same file."""
 
-    @pytest.mark.parametrize("n_stripes", [1, 3])
-    def test_whole_stripes(self, n_stripes):
-        data = np.random.default_rng(5).integers(0, 256, n_stripes * 24 * KB, dtype=np.uint8)
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+    @pytest.mark.parametrize("n_stripes", [1, 2, 3])
+    def test_whole_stripes(self, n_stripes, scheme):
+        stripe_bytes = scheme.ec.k * 4 * KB
+        data = np.random.default_rng(5).integers(0, 256, n_stripes * stripe_bytes, dtype=np.uint8)
         written, appended = make_fs(), make_fs()
-        written.write_file("f", data, HybridScheme(1, CC69))
-        appended.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, CC69))
+        written.write_file("f", data, scheme)
+        appended.write_file("f", np.zeros(0, np.uint8), scheme)
         appended.append_file("f", data)
         assert shape(appended) == shape(written)
         for fs in (written, appended):
             assert fs.memory_used() == 0
             assert np.array_equal(fs.read_file("f"), data)
 
-    def test_open_tail_persists_one_more_copy_and_no_parities(self):
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+    @pytest.mark.parametrize("tail_chunks", [1, 2, 5])
+    def test_open_tail_persists_one_more_copy_and_no_parities(self, tail_chunks, scheme):
         fs = make_fs()
-        data = np.random.default_rng(6).integers(0, 256, (24 + 8) * KB, dtype=np.uint8)
-        fs.write_file("f", np.zeros(0, np.uint8), HybridScheme(1, CC69))
+        whole = scheme.ec.k * 4 * KB
+        data = np.random.default_rng(6).integers(
+            0, 256, whole + tail_chunks * 4 * KB, dtype=np.uint8
+        )
+        fs.write_file("f", np.zeros(0, np.uint8), scheme)
         fs.append_file("f", data)
         meta = fs.namenode.lookup("f")
         tail, block = meta.stripes[-1], meta.replica_blocks[-1]
-        assert (tail.k, tail.n, tail.parities) == (2, 2, [])
-        assert len(block.copies) == 2  # c + 1
+        assert (tail.k, tail.n, tail.parities) == (tail_chunks, tail_chunks, [])
+        assert len(block.copies) == scheme.copies + 1
         assert fs.memory_used() == 0
         assert np.array_equal(fs.read_file("f"), data)

@@ -35,8 +35,12 @@ def morph(**options):
 
 DOORS = {
     "hybrid": (morph, HY),
+    "hybrid-two-copies": (morph, HybridScheme(2, CC69)),
+    "hybrid-cc1215": (morph, HybridScheme(1, CC1215)),
     "morph-replication3": (morph, Replication(3)),
     "morph-cc69": (morph, CC69),
+    "morph-cc1215": (morph, CC1215),
+    "morph-lrcc1222": (morph, LRCC1222),
     "baseline-replication3": (lambda: BaselineDFS(chunk_size=CHUNK), Replication(3)),
     "baseline-rs69": (lambda: BaselineDFS(chunk_size=CHUNK), ECScheme(CodeKind.RS, 6, 9)),
 }
@@ -75,13 +79,23 @@ class TestTheCallersBufferIsTheCallers:
         assert audit(fs) == []
         assert_every_read_path(fs, "f", want)
 
-    def test_overwriting_the_buffer_after_append_file_changes_nothing(self):
+    @pytest.mark.parametrize(
+        "first_kb, extra_bytes",
+        [
+            (30, 47 * KB + 5),  # re-opens the short tail, adds full stripes
+            (0, 16 * KB),  # an empty file gains an open tail
+            (30, 2 * KB),  # the tail grows and stays open
+            (24, 48 * KB),  # whole stripes after whole stripes
+        ],
+        ids=["reopen-and-extend", "empty-file", "within-the-tail", "whole-stripes"],
+    )
+    def test_overwriting_the_buffer_after_append_file_changes_nothing(self, first_kb, extra_bytes):
         fs = morph()
-        first, extra = payload(30 * KB, seed=4), payload(47 * KB + 5, seed=5)
+        first, extra = payload(first_kb * KB, seed=4), payload(extra_bytes, seed=5)
         want = np.concatenate([first, extra])
         fs.write_file("f", first, HY)
         first[:] = 0x55
-        fs.append_file("f", extra)  # re-opens the short tail, adds full stripes
+        fs.append_file("f", extra)
         extra[:] = 0x55
         assert audit(fs) == []
         assert_every_read_path(fs, "f", want)
@@ -100,7 +114,9 @@ class TestTheCallersBufferIsTheCallers:
 
 
 class TestWhatAReadHandsOut:
-    @pytest.mark.parametrize("scheme", [HY, CC69, Replication(3)], ids=str)
+    @pytest.mark.parametrize(
+        "scheme", [HY, HybridScheme(2, CC69), CC69, LRCC1222, Replication(3)], ids=str
+    )
     def test_read_file_returns_a_private_writable_array(self, scheme):
         fs = morph()
         want = payload(48 * KB)
@@ -162,10 +178,10 @@ class TestDamageStaysWhereItWasInjected:
                 block_bytes, fs.datanodes[chunk.node_id].read(chunk.chunk_id)
             )
 
-    @pytest.mark.parametrize("victim", ["data", "replica"])
+    @pytest.mark.parametrize("victim", ["data", "parity", "replica"])
     def test_scrub_finds_exactly_the_one_injected(self, victim):
         fs, want, copy, stripe = self._fs()
-        target = stripe.data[2] if victim == "data" else copy
+        target = {"data": stripe.data[2], "parity": stripe.parities[0], "replica": copy}[victim]
         injected = target.chunk_id  # the repair re-homes it under a fresh id
         corrupt_chunk(fs, target, flip_byte=2 * CHUNK + 9)
         report = Scrubber(fs).scan_and_repair()
@@ -273,9 +289,9 @@ class TestCopyCount:
         fs = make()
         for i in range(3):
             fs.write_file(f"f{i}", payload(30 * KB + i, seed=i), scheme)
-        if scheme is HY:
+        if isinstance(scheme, HybridScheme):
             fs.append_file("f1", payload(20 * KB, seed=9))
-            fs.transcode("f2", CC69)
+            fs.transcode("f2", scheme.ec)
         for i in range(3):
             fs.delete_file(f"f{i}")
         for datanode in fs.datanodes.values():

@@ -11,7 +11,8 @@ from repro.traces import (
     service_a,
     service_b,
 )
-from repro.traces.generator import four_cluster_rates
+from repro.traces import generator
+from repro.traces.generator import TransitionRateGenerator, four_cluster_rates
 
 
 class TestIngestGenerator:
@@ -51,7 +52,14 @@ class TestTransitionRates:
         assert means[0] > means[-1]
         assert all(m > 1 for m in means)  # millions, like the paper
 
-
+    def test_generator_scales_with_file_size(self, monkeypatch):
+        monkeypatch.setattr(generator, "MEAN_FILE_MB", 64.0)
+        small = TransitionRateGenerator(seed=5).generate(24)
+        monkeypatch.setattr(generator, "MEAN_FILE_MB", 512.0)
+        large = TransitionRateGenerator(seed=5).generate(24)
+        # Same ingest, same bursts: an eighth of the file size is eight
+        # times the files, hence the transitions.
+        assert small == pytest.approx(8 * large)
 
 class TestServiceAnalysis:
     def test_baseline_transcode_share_matches_paper_band(self):
